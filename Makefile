@@ -1,28 +1,40 @@
 # STATS reproduction — build/verify entry points.
 #
-# `make test` is the tier-1 verify (ROADMAP.md). `make race` is the
-# concurrency tier: the whole suite under the race detector, including the
-# scheduler's Submit/SubmitBatch/Go-vs-Close stress tests in
-# internal/pool/race_test.go. `make check` is test + vet.
+# `make test` is the tier-1 verify (ROADMAP.md) plus the benchmark module's
+# own tests. `make race` is the concurrency tier: the whole suite under the
+# race detector, including the scheduler's Submit/SubmitBatch/Go-vs-Close
+# stress tests in internal/pool/race_test.go. `make stress` repeats the
+# pool/core stress tests under the race detector across GOMAXPROCS 1, 2
+# and 4. `make check` is the full local gate.
 
 GO ?= go
 
-.PHONY: build test check race vet bench-pool bench bench-gate bench-paper fuzz bench-obs serve-smoke chaos explore explore-long
+.PHONY: build test check race stress vet bench-pool bench bench-gate bench-paper fuzz bench-obs serve-smoke chaos explore explore-long
 
 build:
 	$(GO) build ./...
 
+# bench/ is a module of its own importing internal/*, so `go test ./...`
+# at the root does not reach it.
 test: build
 	$(GO) test ./...
+	cd bench && $(GO) test -short ./...
 
-# The full local gate: tier-1 tests, the static-analysis suite, the
-# telemetry-server smoke (boot, curl every endpoint, assert statuses),
-# the allocation-budget gate over the profiler's warm paths, the
-# fault-injection campaign, and the bounded schedule exploration.
-check: test vet serve-smoke bench-gate chaos explore
+# The full local gate: tier-1 tests, the core-count stress matrix, the
+# static-analysis suite, the telemetry-server smoke (boot, curl every
+# endpoint, assert statuses), the allocation-budget gate over the
+# profiler's warm paths, the fault-injection campaign, and the bounded
+# schedule exploration.
+check: test stress vet serve-smoke bench-gate chaos explore
 
 race:
 	$(GO) test -race ./...
+
+# Core-count matrix over the pool/core stress tests, so a failure that only
+# interleaves on some GOMAXPROCS (the SubmitBatch-vs-Close accounting race
+# hid on a 1-CPU host for ten PRs) cannot hide again.
+stress:
+	$(GO) test -race -count=5 -cpu 1,2,4 ./internal/pool ./internal/core -run 'Stress|Race|Concurrent|Recycl'
 
 # Static analysis: the standard Go vet, then statsvet — the IR/source
 # passes over the checked-in example program and the runtime-API
@@ -56,7 +68,7 @@ bench:
 # and fail on any allocs/op ceiling violation, without rewriting the
 # checked-in snapshot.
 bench-gate:
-	$(GO) run ./cmd/statsbench -benchtime 100x -pkgs telemetry,core -budget BENCH_budget.json -out ""
+	$(GO) run ./cmd/statsbench -benchtime 100x -pkgs telemetry,core -budget BENCH_budget.json
 
 # Full evaluation benchmarks (paper tables/figures). STATS_QUICK=1 scales
 # budgets down for smoke runs.

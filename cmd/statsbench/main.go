@@ -1,7 +1,7 @@
 // Command statsbench runs the repository's hot-path microbenchmarks
-// through `go test -bench` and writes the parsed results as a JSON
-// document — the checked-in BENCH_pr10.json snapshot (continuing
-// BENCH_pr9.json) that records the telemetry scrape/Emit costs, the
+// through `go test -bench` and, with -out, writes the parsed results as a
+// JSON document (the checked-in BENCH_pr*.json snapshots are such
+// documents) that records the telemetry scrape/Emit costs, the
 // always-on profiler's warm paths (incremental span folding and the
 // windowed signals report), the engine's speculative path with the
 // controlled scheduler disabled and enabled, the
@@ -16,9 +16,8 @@
 //
 // Usage:
 //
-//	statsbench                     # write BENCH_pr10.json in the cwd
-//	statsbench -out results.json   # elsewhere
-//	statsbench -out ""             # measure without writing a snapshot
+//	statsbench                     # measure and print; write nothing
+//	statsbench -out results.json   # also write a snapshot
 //	statsbench -benchtime 100x     # quicker smoke run
 //	statsbench -pkgs telemetry,core  # only suites matching a comma-separated term
 //	statsbench -budget BENCH_budget.json   # enforce allocs/op ceilings
@@ -75,7 +74,7 @@ var suites = []struct{ pkg, pattern string }{
 }
 
 func main() {
-	out := flag.String("out", "BENCH_pr10.json", "output JSON path (empty: don't write)")
+	out := flag.String("out", "", "output JSON path (empty: don't write)")
 	benchtime := flag.String("benchtime", "1s", "go test -benchtime value")
 	budgetPath := flag.String("budget", "", "allocs/op budget JSON; violations fail the run")
 	pkgs := flag.String("pkgs", "", "only run suites whose package path contains one of these comma-separated substrings")

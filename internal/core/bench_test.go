@@ -18,6 +18,17 @@ func cheapCompute(r *rng.Source, in int, s walkState) (int, walkState) {
 	return in, s
 }
 
+// sumAux rebuilds the walk state exactly whenever the window covers every
+// input before the group: spec = init + sum(recent). Unlike exactAuxFor
+// it needs no global positions.
+func sumAux(_ *rng.Source, init walkState, recent []int) walkState {
+	s := init
+	for _, v := range recent {
+		s.V += float64(v)
+	}
+	return s
+}
+
 func benchInputs(n int) []int {
 	in := make([]int, n)
 	for i := range in {
@@ -45,22 +56,6 @@ func BenchmarkEngineSpeculative(b *testing.B) {
 		d.Run(inputs, walkState{}, Options{
 			UseAux: true, GroupSize: 64, Window: 64, RedoMax: 1, Rollback: 4,
 			Workers: 8, Seed: uint64(i),
-		})
-	}
-}
-
-func BenchmarkEngineAdaptive(b *testing.B) {
-	inputs := benchInputs(1024)
-	d := New(cheapCompute, sumAux, walkOps())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.RunAdaptive(inputs, walkState{}, AdaptiveOptions{
-			Options: Options{
-				UseAux: true, GroupSize: 16, Window: 64, RedoMax: 1, Rollback: 4,
-				Workers: 8, Seed: uint64(i),
-			},
-			MaxGroup: 64,
 		})
 	}
 }
@@ -308,20 +303,18 @@ func BenchmarkEngineGrouping(b *testing.B) {
 // scan, a miss rejects on the prefilter probe alone. Both must be
 // allocation-free — they run inside every boundary validation.
 func BenchmarkMatchAnyFingerprint(b *testing.B) {
-	d := New(cheapCompute, nil, fingerprintWalkOps())
-	originals := make([]walkState, 8)
-	origFPs := make([]uint64, 8)
-	for i := range originals {
-		originals[i] = walkState{V: float64(i)}
-		origFPs[i] = math.Float64bits(originals[i].V)
-	}
+	scr := New(cheapCompute, nil, fingerprintWalkOps()).getScratch()
 	var st Stats
+	scr.st, scr.hashFirst = &st, true
+	for i := 0; i < 8; i++ {
+		scr.addOriginal(walkState{V: float64(i)})
+	}
 	b.Run("hit", func(b *testing.B) {
 		spec := walkState{V: 7}
 		fp := math.Float64bits(spec.V)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			d.acceptAttempt(spec, fp, true, originals, origFPs, &st, nil)
+			scr.accepts(spec, fp)
 		}
 	})
 	b.Run("miss", func(b *testing.B) {
@@ -329,7 +322,7 @@ func BenchmarkMatchAnyFingerprint(b *testing.B) {
 		fp := math.Float64bits(spec.V)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			d.acceptAttempt(spec, fp, true, originals, origFPs, &st, nil)
+			scr.accepts(spec, fp)
 		}
 	})
 }

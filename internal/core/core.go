@@ -21,7 +21,7 @@ package core
 
 import (
 	"fmt"
-	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -277,12 +277,6 @@ func New[I, S, O any](compute Compute[I, S, O], aux Aux[I, S], ops StateOps[S]) 
 	return &Dependence[I, S, O]{compute: compute, aux: aux, ops: ops}
 }
 
-// hashFirst reports whether the dependence validates hash-first: both a
-// deep acceptance method and a fingerprint prefilter are defined.
-func (d *Dependence[I, S, O]) hashFirst() bool {
-	return d.ops.MatchAny != nil && d.ops.Fingerprint != nil
-}
-
 // Run processes inputs starting from initial, returning the outputs in input
 // order, the final state, and run statistics. The initial state is not
 // mutated (it is cloned before first use).
@@ -318,13 +312,7 @@ func (e *PanicError) Error() string {
 // instead of propagating. Speculative-lane panics are contained either way
 // (see Run); RunChecked only changes how the unrecoverable ones surface.
 func (d *Dependence[I, S, O]) RunChecked(inputs []I, initial S, opts Options) (outs []O, final S, st Stats, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &PanicError{Value: r, Stack: debug.Stack()}
-		}
-	}()
-	outs, final, st = d.runAll(inputs, initial, opts, nil)
-	return outs, final, st, nil
+	return d.RunStreamChecked(inputs, initial, opts, nil)
 }
 
 // runAll is the engine entry shared by Run and RunStream.
@@ -345,10 +333,7 @@ func (d *Dependence[I, S, O]) runAll(inputs []I, initial S, opts Options, emit E
 		defer ctl.Done(opts.SchedLane)
 	}
 
-	g := opts.GroupSize
-	if g < 1 {
-		g = 1
-	}
+	g := max(opts.GroupSize, 1)
 	// Reservations need no auxiliary code; aux speculation does.
 	speculating := opts.UseAux && g < len(inputs) &&
 		(opts.Protocol == ProtocolReservations || d.aux != nil)
@@ -370,16 +355,17 @@ func (d *Dependence[I, S, O]) runAll(inputs []I, initial S, opts Options, emit E
 		st.Groups = 1
 		return outs, final, st
 	}
+	// The protocols fill st through the run frame; it is complete (scheduler
+	// deltas included) once they return.
 	var (
 		outs  []O
 		final S
-		stats Stats
 	)
 	switch opts.Protocol {
 	case ProtocolAux:
-		outs, final, stats = d.runSpeculative(root, inputs, initial, g, opts, &st, emit)
+		outs, final = d.runSpeculative(root, inputs, initial, g, &opts, &st, emit)
 	case ProtocolReservations:
-		outs, final, stats = d.runReservations(root, inputs, initial, g, opts, &st, emit)
+		outs, final = d.runReservations(root, inputs, initial, g, &opts, &st, emit)
 	default:
 		panic(fmt.Sprintf("core: unknown protocol %d", opts.Protocol))
 	}
@@ -387,9 +373,9 @@ func (d *Dependence[I, S, O]) runAll(inputs []I, initial S, opts Options, emit E
 		if ctl != nil {
 			ctl.Yield(sched.PointBreakerRecord, opts.SchedLane)
 		}
-		opts.Breaker.Record(stats.Aborts > 0 || stats.PanickedGroups > 0 || stats.TimedOutGroups > 0)
+		opts.Breaker.Record(st.Aborts > 0 || st.PanickedGroups > 0 || st.TimedOutGroups > 0)
 	}
-	return outs, final, stats
+	return outs, final, st
 }
 
 // runSequential is the conventional execution: one invocation after
@@ -434,9 +420,9 @@ const (
 
 // groupRun holds the state of one input group during a speculative run.
 // Records are owned by a runScratch and recycled run after run: every
-// scalar field is reset by begin, the random sources are re-split into
-// place, and the output buffers keep their capacity with their elements
-// cleared between runs (no stale user values parked in the pool).
+// scalar field is reset by splitStreams, the random sources are re-split
+// into place, and the output buffers keep their capacity with their
+// elements cleared between runs (no stale user values parked in the pool).
 type groupRun[I, S, O any] struct {
 	idx        int // group index, used as the trace lane hint
 	start, end int // input index range [start, end)
@@ -459,11 +445,6 @@ type groupRun[I, S, O any] struct {
 	callSrc     rng.Source
 	redoCallSrc rng.Source
 
-	// ctl and lane are the run's controlled scheduler and this group's
-	// lane in it (nil/0 when the run is uncontrolled).
-	ctl  sched.Controller
-	lane int
-
 	// done is a one-shot latch per run (Add(1) before launch, Done on
 	// lane exit, Wait on the coordinator); a WaitGroup rather than a
 	// channel so it can be rearmed when the record is recycled.
@@ -483,8 +464,11 @@ type groupRun[I, S, O any] struct {
 
 	// execNS is the group execution's wall-clock lane time, written by
 	// the lane before done.Done() and read by the coordinator after
-	// done.Wait() for wasted-work attribution.
-	execNS int64
+	// done.Wait() for wasted-work attribution; redoNS is the same for its
+	// re-executions, which run on the coordinator. Both are recorded on
+	// every exit — panic included, so a contained user-code panic still
+	// attributes the CPU burned before it.
+	execNS, redoNS int64
 
 	// outBuf, redoBuf and spliceBuf back the group's execution outputs,
 	// its re-execution outputs, and the spliced committed outputs.
@@ -493,31 +477,38 @@ type groupRun[I, S, O any] struct {
 	spliceBuf []O
 }
 
-// runScratch is the recycled working set of one runSpeculative call:
-// group records, the per-group timing/committed arrays, the originals
-// set (plus its fingerprints), and the pool tasks with their closures.
-// A Dependence keeps scratches in a sync.Pool, so a warm Run allocates
-// only what it must return (the outputs slice) plus whatever user code
-// allocates. Task closures are created once per group slot and index
-// into the scratch, which is why they survive recycling: each run
+// runScratch is the recycled working set of one runSpeculative call: the
+// run frame, group records, the per-group timing/committed arrays, the
+// originals set (plus its fingerprints), and the pool tasks with their
+// closures. A Dependence keeps scratches in a sync.Pool, so a warm Run
+// allocates only what it must return (the outputs slice) plus whatever
+// user code allocates. Task closures are created once per group slot and
+// index into the scratch, which is why they survive recycling: each run
 // rebinds the fields the closures read.
 type runScratch[I, S, O any] struct {
+	runFrame
 	d      *Dependence[I, S, O]
 	inputs []I
-	o      *obs.Observer
-	ctl    sched.Controller
+	emit   Emit[O]
 
 	rollback  int
-	timeout   time.Duration
-	numGroups int
+	hashFirst bool // validate fingerprints before the deep MatchAny
+	// abortAt is the first group index whose speculation failed, -1 while
+	// every boundary so far resolved.
+	abortAt int
 
 	groups []*groupRun[I, S, O]
 	tasks  []pool.Task
 
+	// auxNS, commitNS and wasteNS feed the wasted-work attribution:
+	// per-group lane nanoseconds, resolved into committed vs discarded
+	// when the run's outcome is known (fileLaneCPU).
 	auxNS    []int64
 	commitNS []int64
 	wasteNS  []int64
 
+	// committed holds, per validated group, the execution whose outputs
+	// are committed.
 	committed []execution[S, O]
 	originals []S
 	origFPs   []uint64
@@ -534,29 +525,26 @@ func (d *Dependence[I, S, O]) getScratch() *runScratch[I, S, O] {
 	return &runScratch[I, S, O]{d: d}
 }
 
-// begin sizes the scratch for numGroups groups and resets every record.
-// It does not arm the done latches — that happens at launch, so a panic
-// on the coordinator between begin and launch (an uncontained group-0
-// clone) cannot leave a latch armed for the next run.
-func (scr *runScratch[I, S, O]) begin(inputs []I, numGroups int, opts *Options, o *obs.Observer) {
-	scr.inputs = inputs
-	scr.o = o
-	scr.ctl = opts.Sched
+// begin binds the frame and sizes the scratch for the run's groups. It
+// does not arm the done latches — that happens at launch, so a panic on
+// the coordinator between begin and launch (an uncontained group-0 clone)
+// cannot leave a latch armed for the next run.
+func (scr *runScratch[I, S, O]) begin(inputs []I, g int, opts *Options, st *Stats, emit Emit[O]) {
+	scr.runFrame.begin(len(inputs), g, opts, st)
+	scr.inputs, scr.emit = inputs, emit
 	scr.rollback = opts.Rollback
-	scr.timeout = opts.GroupTimeout
-	scr.numGroups = numGroups
+	scr.hashFirst = scr.d.ops.MatchAny != nil && scr.d.ops.Fingerprint != nil
+	scr.abortAt = -1
 	scr.invocations.Store(0)
-	for len(scr.groups) < numGroups {
+	for len(scr.groups) < scr.numGroups {
 		j := len(scr.groups)
 		scr.groups = append(scr.groups, &groupRun[I, S, O]{})
 		scr.tasks = append(scr.tasks, func() { scr.groupTask(j) })
 	}
-	scr.auxNS = cleared(scr.auxNS, numGroups)
-	scr.commitNS = cleared(scr.commitNS, numGroups)
-	scr.wasteNS = cleared(scr.wasteNS, numGroups)
-	scr.committed = cleared(scr.committed, numGroups)
-	scr.originals = scr.originals[:0]
-	scr.origFPs = scr.origFPs[:0]
+	scr.auxNS = cleared(scr.auxNS, scr.numGroups)
+	scr.commitNS = cleared(scr.commitNS, scr.numGroups)
+	scr.wasteNS = cleared(scr.wasteNS, scr.numGroups)
+	scr.committed = cleared(scr.committed, scr.numGroups)
 }
 
 // release clears every state-holding reference so the parked scratch
@@ -576,38 +564,9 @@ func (scr *runScratch[I, S, O]) release() {
 	}
 	clear(scr.committed[:scr.numGroups])
 	clear(scr.originals[:cap(scr.originals)])
-	scr.inputs = nil
-	scr.o = nil
-	scr.ctl = nil
+	scr.inputs, scr.emit = nil, nil
+	scr.runFrame = runFrame{}
 	scr.d.scratch.Put(scr)
-}
-
-// groupTask is the pool task body for group slot j: the per-slot closure
-// wrapping it is created once and recycled with the scratch.
-func (scr *runScratch[I, S, O]) groupTask(j int) {
-	gr := scr.groups[j]
-	defer scr.wg.Done()
-	defer gr.done.Done()
-	if scr.ctl != nil {
-		// Retire the group lane on every exit, panic included, before
-		// the done latch releases the coordinator.
-		defer scr.ctl.Done(gr.lane)
-	}
-	// Panic isolation: a panic in user code on this lane marks the group
-	// failed — value and stack preserved — and squashes it together with
-	// its successors; their results would be discarded anyway once the
-	// boundary inspection aborts here. Earlier groups are left running;
-	// their results are still committable.
-	defer func() {
-		if rec := recover(); rec != nil {
-			gr.failure = failPanic
-			gr.panicErr = &PanicError{Value: rec, Stack: debug.Stack()}
-			for _, g := range scr.groups[j:scr.numGroups] {
-				g.aborted.Store(true)
-			}
-		}
-	}()
-	scr.d.executeGroup(scr.inputs, gr, scr.rollback, scr.timeout, &scr.invocations, scr.o)
 }
 
 // cleared returns s resized to length n with every element zeroed,
@@ -621,598 +580,105 @@ func cleared[T any](s []T, n int) []T {
 	return s
 }
 
-// runSpeculative implements the §3.1 execution model. Outputs stream
-// through emit (when non-nil) at their commit points: a group's outputs
-// become final when the NEXT boundary's validation resolves (a redo may
-// splice its suffix until then), the last group's at run completion, and
-// fallback outputs as they are computed.
-func (d *Dependence[I, S, O]) runSpeculative(root *rng.Source, inputs []I, initial S, g int, opts Options, st *Stats, emit Emit[O]) ([]O, S, Stats) {
-	n := len(inputs)
-	numGroups := (n + g - 1) / g
-	st.Groups = numGroups
-
-	window := opts.Window
-	if window < 0 {
-		window = 0
-	}
-	redoMax := opts.RedoMax
-	if redoMax < 0 {
-		redoMax = 0
-	}
-
-	ctl := opts.Sched
-	coordLane := opts.SchedLane
-
-	o := opts.Obs
+// runSpeculative implements the §3.1 execution model as the aux policy's
+// phases over the run frame. Outputs stream through emit (when non-nil) at
+// their commit points: a group's outputs become final when the NEXT
+// boundary's validation resolves (a redo may splice its suffix until
+// then), the last group's at run completion, and fallback outputs as they
+// are computed.
+func (d *Dependence[I, S, O]) runSpeculative(root *rng.Source, inputs []I, initial S, g int, opts *Options, st *Stats, emit Emit[O]) ([]O, S) {
 	scr := d.getScratch()
-	scr.begin(inputs, numGroups, &opts, o)
+	scr.begin(inputs, g, opts, st, emit)
 	defer scr.release()
-	groups := scr.groups[:numGroups]
+	scr.splitStreams(root)
+	scr.produceAux(initial, max(opts.Window, 0))
+	scr.lease(opts)
+	defer scr.finish()
+	scr.launch()
+	scr.resolveBoundaries(max(opts.RedoMax, 0))
+	return scr.commit(root, initial)
+}
 
-	// Derive all random streams on the coordinator so the run is
-	// reproducible regardless of scheduling: per-group spec stream,
-	// execution stream, and redo stream, split into the recycled records
-	// in the same order a cold run would Split them.
-	for j := 0; j < numGroups; j++ {
-		gr := groups[j]
+// splitStreams derives all random streams on the coordinator so the run is
+// reproducible regardless of scheduling: per-group spec stream, execution
+// stream, and redo stream, split into the recycled records in the same
+// order a cold run would Split them.
+func (scr *runScratch[I, S, O]) splitStreams(root *rng.Source) {
+	for j, gr := range scr.groups[:scr.numGroups] {
 		gr.idx = j
-		gr.start, gr.end = j*g, min(n, (j+1)*g)
-		gr.ctl, gr.lane = ctl, coordLane+1+j
+		gr.start, gr.end = scr.bounds(j)
 		root.SplitInto(&gr.specSrc)
 		root.SplitInto(&gr.execSrc)
 		root.SplitInto(&gr.redoSrc)
 		gr.aborted.Store(false)
 		gr.failure, gr.failArg, gr.panicErr = failNone, 0, nil
-		gr.execNS = 0
+		gr.execNS, gr.redoNS = 0, 0
 		gr.checkpointAt = 0
 	}
+}
 
-	// Speculative start states: group 0 starts from the initial state;
-	// group j>0 from aux(S0, last `window` inputs before the group). A
-	// panic in the auxiliary code (or the state clone feeding it) marks
-	// the group failed before launch: its lane bails immediately and the
-	// boundary inspection below turns the failure into an abort.
-	groups[0].specStart = d.ops.Clone(initial)
-	// auxNS, commitNS and wasteNS feed the wasted-work attribution:
-	// per-group lane nanoseconds, resolved into committed vs discarded
-	// when the run's outcome is known (finishLaneCPU below).
-	auxNS := scr.auxNS
-	commitNS := scr.commitNS
-	wasteNS := scr.wasteNS
-	for j := 1; j < numGroups; j++ {
-		lo := groups[j].start - window
-		if lo < 0 {
-			lo = 0
-		}
-		recent := inputs[lo:groups[j].start]
-		st.AuxCalls++
-		st.AuxInputs += len(recent)
-		if ctl != nil {
-			ctl.Yield(sched.PointAux, coordLane)
-		}
+// produceAux builds the speculative start states: group 0 starts from the
+// initial state; group j>0 from aux(S0, last `window` inputs before the
+// group). A panic in the auxiliary code (or the state clone feeding it)
+// marks the group failed before launch: its lane bails immediately and the
+// boundary inspection turns the failure into an abort.
+func (scr *runScratch[I, S, O]) produceAux(initial S, window int) {
+	d := scr.d
+	scr.groups[0].specStart = d.ops.Clone(initial)
+	for j := 1; j < scr.numGroups; j++ {
+		gr := scr.groups[j]
+		recent := scr.inputs[max(gr.start-window, 0):gr.start]
+		scr.st.AuxCalls++
+		scr.st.AuxInputs += len(recent)
+		scr.yield(sched.PointAux, scr.lane)
 		auxStart := time.Now()
-		spec, ok, pe := d.safeAux(&groups[j].specSrc, initial, recent)
-		auxNS[j] = time.Since(auxStart).Nanoseconds()
-		if !ok {
-			groups[j].failure = failPanic
-			groups[j].panicErr = pe
-			groups[j].aborted.Store(true)
+		pe := contain(func() { gr.specStart = d.aux(&gr.specSrc, d.ops.Clone(initial), recent) })
+		scr.auxNS[j] = time.Since(auxStart).Nanoseconds()
+		if pe != nil {
+			gr.failure, gr.panicErr = failPanic, pe
+			gr.aborted.Store(true)
 			continue
 		}
-		groups[j].specStart = spec
-		if o != nil {
+		if o := scr.o; o != nil {
 			o.AuxProduced.Inc()
 			o.Tracer.Emit(j, obs.EvAuxProduced, int32(j), int64(len(recent)))
 		}
 	}
+}
 
-	// Launch every group; each runs its inputs sequentially from its
-	// (speculative) start state, checkpointing before its last W inputs.
-	p := opts.Pool
-	if p == nil {
-		p = newRunPool(opts)
-		// A private pool reports its scheduler events to this run's
-		// observer; a shared pool's observer (and controller) is owned by
-		// whoever built the pool (stats.Runtime) and is left untouched.
-		p.SetObserver(o)
-		// Close waits for the workers, and a worker may be parked at one
-		// of its decision points — the coordinator must release its
-		// schedule token or neither side can advance.
-		defer func() {
-			if ctl != nil {
-				ctl.Block(coordLane)
-			}
-			p.Close()
-			if ctl != nil {
-				ctl.Unblock(coordLane)
-			}
-		}()
-	}
-	poolBase := p.Metrics() // baseline for this run's scheduler deltas
-	// The task bodies (groupTask) and their closures live in the scratch;
-	// arm the latches only now, so nothing between begin and launch can
-	// strand an armed latch into the next run.
-	tasks := scr.tasks[:numGroups]
-	for j := 0; j < numGroups; j++ {
+// launch starts every group in one batch; each runs its inputs
+// sequentially from its (speculative) start state, checkpointing before
+// its last W inputs. The latches are armed only now, so nothing between
+// begin and launch can strand an armed latch into the next run.
+func (scr *runScratch[I, S, O]) launch() {
+	for _, gr := range scr.groups[:scr.numGroups] {
 		scr.wg.Add(1)
-		groups[j].done.Add(1)
+		gr.done.Add(1)
 	}
-	// Fan the whole group set out in one batch operation; a closed pool
-	// leaves a suffix unqueued, which runs inline on the coordinator. Both
-	// can block for real (saturated pool; inline group execution yields on
-	// the groups' own lanes), so the coordinator steps out of the schedule
-	// around them.
-	if ctl != nil {
-		ctl.Block(coordLane)
-	}
-	nq, err := p.SubmitBatch(tasks)
-	if err != nil {
-		for _, task := range tasks[nq:] {
-			task()
-		}
-	}
-	if ctl != nil {
-		ctl.Unblock(coordLane)
-	}
-
-	// Validate in input order. Group 0 is never speculative. For each
-	// subsequent group, first check the group's own execution survived
-	// (no contained panic, no deadline squash), then gather originals
-	// from the previous group (first execution plus up to redoMax
-	// re-executions) and ask the developer's acceptance method whether
-	// the speculative start state matches.
-	outs := make([]O, 0, n)
-	// committed holds, per validated group, the execution whose outputs
-	// are committed.
-	committed := scr.committed
-
-	abortAt := -1 // first group index whose speculation failed
-	// abort squashes groups j.. and records the boundary outcome. The
-	// squash yield comes AFTER the abort flags are set (a post-write
-	// yield): parking the coordinator there lets the controller decide
-	// which in-flight lanes observe the squash mid-group and which run
-	// to completion first — the validate/squash race the exploration
-	// harness targets.
-	abort := func(j, redosUsed int) {
-		st.Aborts++
-		if o != nil {
-			o.Aborts.Inc()
-			o.Tracer.Emit(obs.LaneCoord, obs.EvAbort, int32(j), int64(redosUsed))
-		}
-		abortAt = j
-		for k := j; k < numGroups; k++ {
-			groups[k].aborted.Store(true)
-			if o != nil {
-				o.Squashes.Inc()
-				o.Tracer.Emit(obs.LaneCoord, obs.EvSquash, int32(k), int64(groups[k].end-groups[k].start))
-			}
-		}
-		if ctl != nil {
-			ctl.Yield(sched.PointSquash, coordLane)
-		}
-	}
-
-	// finishLaneCPU resolves the attribution once the outcome is known:
-	// groups before the abort point (all of them when speculation
-	// succeeded) committed their exec+aux lane time, groups at or past it
-	// wasted theirs; redo and fallback time was already filed into
-	// commitNS/wasteNS at the boundary that spent it. Every read of
-	// groups[j].execNS is ordered after the lane's write by <-done or
-	// wg.Wait. Stats always carries the split; the observer counters and
-	// per-group attribution events ride behind the usual nil check.
-	finishLaneCPU := func() {
-		for j := 0; j < numGroups; j++ {
-			spent := groups[j].execNS + auxNS[j]
-			if abortAt >= 0 && j >= abortAt {
-				wasteNS[j] += spent
-			} else {
-				commitNS[j] += spent
-			}
-			if commitNS[j] > 0 {
-				st.LaneCPUCommittedNS += commitNS[j]
-				if o != nil {
-					o.LaneCPUCommitted.Add(commitNS[j])
-					o.Tracer.Emit(obs.LaneCoord, obs.EvLaneCPUCommitted, int32(j), commitNS[j])
-				}
-			}
-			if wasteNS[j] > 0 {
-				st.LaneCPUWastedNS += wasteNS[j]
-				if o != nil {
-					o.LaneCPUWasted.Add(wasteNS[j])
-					o.Tracer.Emit(obs.LaneCoord, obs.EvLaneCPUWasted, int32(j), wasteNS[j])
-				}
-			}
-		}
-	}
-
-	first := groups[0]
-	if ctl != nil {
-		ctl.Block(coordLane)
-	}
-	first.done.Wait()
-	if ctl != nil {
-		ctl.Unblock(coordLane)
-	}
-	if first.failure != failNone {
-		// Group 0 ran from the true initial state but its lane failed;
-		// nothing is committed and the whole vector falls back.
-		abort(0, 0)
-	} else {
-		committed[0] = first.base
-	}
-
-	hashFirst := d.hashFirst()
-	for j := 1; j < numGroups && abortAt < 0; j++ {
-		prev := groups[j-1]
-		cur := groups[j]
-		if ctl != nil {
-			ctl.Block(coordLane)
-		}
-		cur.done.Wait()
-		if ctl != nil {
-			ctl.Unblock(coordLane)
-		}
-
-		if cur.failure != failNone {
-			// The group's own results are unusable (contained panic or
-			// deadline): squash it like a mismatch with no redo budget.
-			abort(j, 0)
-			break
-		}
-
-		// The previous group's final state depends on which of its
-		// executions was committed; re-executions below replace only
-		// the suffix after the checkpoint, so the originals set always
-		// extends the committed prefix. The originals (and, hash-first,
-		// their fingerprints) accumulate in recycled scratch storage.
-		var vstart time.Time
-		if o != nil {
-			vstart = time.Now()
-		}
-		if ctl != nil {
-			ctl.Yield(sched.PointValidate, coordLane)
-		}
-		var specFP uint64
-		if hashFirst {
-			fp, ok, pe := d.safeFingerprint(cur.specStart)
-			if !ok {
-				cur.failure, cur.panicErr = failPanic, pe
-				abort(j, 0)
-				break
-			}
-			specFP = fp
-		}
-		originals, ok, pe := scr.resetOriginals(committed[j-1].final, hashFirst)
-		if !ok {
-			cur.failure, cur.panicErr = failPanic, pe
-			abort(j, 0)
-			break
-		}
-		matched, ok, pe := d.acceptAttempt(cur.specStart, specFP, hashFirst, originals, scr.origFPs, st, o)
-		if !ok {
-			cur.failure, cur.panicErr = failPanic, pe
-			abort(j, 0)
-			break
-		}
-		acceptedExec := committed[j-1]
-		if o != nil && !matched {
-			o.Mismatches.Inc()
-			o.Tracer.Emit(obs.LaneCoord, obs.EvValidateMismatch, int32(j), 0)
-		}
-
-		redosUsed := 0
-		panicked := false
-		var panicErr *PanicError
-		var redoNS, acceptedRedoNS int64
-		for t := 0; !matched && t < redoMax; t++ {
-			if o != nil {
-				o.Redos.Inc()
-				o.Tracer.Emit(obs.LaneCoord, obs.EvRedo, int32(j), int64(t+1))
-			}
-			if ctl != nil {
-				ctl.Yield(sched.PointRedo, coordLane)
-			}
-			redoStart := time.Now()
-			redo, rok, rpe := d.safeRedoGroup(prev, inputs, &scr.invocations)
-			thisRedoNS := time.Since(redoStart).Nanoseconds()
-			redoNS += thisRedoNS
-			if !rok {
-				// The re-execution (prev's compute or clone) panicked:
-				// the boundary cannot resolve, so the unvalidated
-				// group is squashed and the panic attributed to it.
-				panicked, panicErr = true, rpe
-				break
-			}
-			st.Redos++
-			redosUsed++
-			originals, ok, pe = scr.appendOriginal(redo.final, hashFirst)
-			if !ok {
-				panicked, panicErr = true, pe
-				break
-			}
-			m, mok, mpe := d.acceptAttempt(cur.specStart, specFP, hashFirst, originals, scr.origFPs, st, o)
-			if !mok {
-				panicked, panicErr = true, mpe
-				break
-			}
-			if m {
-				matched = true
-				acceptedRedoNS = thisRedoNS
-				// Commit the matching re-execution's suffix in
-				// place of the first execution's.
-				acceptedExec = spliceExecution(committed[j-1], redo, prev)
-			}
-		}
-		// Redo lane time burned at this boundary: the accepted
-		// re-execution (if any) produced committed outputs, every other
-		// redo is wasted work on the producing group.
-		commitNS[j-1] += acceptedRedoNS
-		wasteNS[j-1] += redoNS - acceptedRedoNS
-		if panicked {
-			cur.failure, cur.panicErr = failPanic, panicErr
-			abort(j, redosUsed)
-			break
-		}
-
-		if matched {
-			st.Matches++
-			if o != nil {
-				o.Matches.Inc()
-				o.Tracer.Emit(obs.LaneCoord, obs.EvValidateMatch, int32(j), int64(redosUsed))
-				o.ValidationLatencyNS.Observe(time.Since(vstart).Nanoseconds())
-				o.RedosPerValidation.Observe(int64(redosUsed))
-			}
-			committed[j-1] = acceptedExec
-			committed[j] = cur.base
-			emitExec(emit, committed[j-1], groups[j-1].start)
-			continue
-		}
-
-		// Speculation failed: abort this and all subsequent groups.
-		abort(j, redosUsed)
-		if o != nil {
-			o.ValidationLatencyNS.Observe(time.Since(vstart).Nanoseconds())
-			o.RedosPerValidation.Observe(int64(redosUsed))
-		}
-		break
-	}
-
-	if abortAt < 0 {
-		// Every group validated; commit in order.
-		if ctl != nil {
-			ctl.Block(coordLane)
-		}
-		scr.wg.Wait()
-		if ctl != nil {
-			ctl.Unblock(coordLane)
-		}
-		for j := 0; j < numGroups; j++ {
-			outs = append(outs, committed[j].outputs...)
-			if j > 0 {
-				st.SpeculativeCommits += groups[j].end - groups[j].start
-				if o != nil {
-					o.SpecCommittedInputs.Add(int64(groups[j].end - groups[j].start))
-				}
-			}
-		}
-		emitExec(emit, committed[numGroups-1], groups[numGroups-1].start)
-		st.Invocations += scr.invocations.Load()
-		st.UsefulInvocations += int64(n) // one committed invocation per input
-		finishLaneCPU()
-		captureScheduler(st, p, poolBase)
-		return outs, committed[numGroups-1].final, *st
-	}
-
-	// Abort path: wait out in-flight groups (they bail early on the
-	// aborted flag), squash their outputs, and reprocess the remaining
-	// inputs sequentially from the first original final state of the
-	// last valid group (the uncloned initial state when group 0 itself
-	// failed). Per §3.1, "no other speculation is performed until all
-	// the current inputs are processed."
-	if ctl != nil {
-		ctl.Block(coordLane)
-	}
-	scr.wg.Wait()
-	if ctl != nil {
-		ctl.Unblock(coordLane)
-	}
-	// Failure sweep: every lane is done, so the flags are final. Count
-	// and trace each contained panic and deadline squash — groups past
-	// the abort point may have failed concurrently before the squash
-	// reached them, and those panics were contained too. The panic's
-	// value and stack ride out of the run in Stats.Panics (the EvPanic
-	// event's fixed-size argument stays the input count).
-	for _, gr := range groups {
-		switch gr.failure {
-		case failPanic:
-			st.PanickedGroups++
-			if gr.panicErr != nil {
-				st.Panics = append(st.Panics, gr.panicErr)
-			}
-			if o != nil {
-				o.PanickedGroups.Inc()
-				o.Tracer.Emit(obs.LaneCoord, obs.EvPanic, int32(gr.idx), int64(gr.end-gr.start))
-			}
-		case failTimeout:
-			st.TimedOutGroups++
-			if o != nil {
-				o.GroupTimeouts.Inc()
-				o.Tracer.Emit(obs.LaneCoord, obs.EvGroupTimeout, int32(gr.idx), gr.failArg)
-			}
-		}
-	}
-	for j := 0; j < abortAt; j++ {
-		outs = append(outs, committed[j].outputs...)
-		if j > 0 {
-			st.SpeculativeCommits += groups[j].end - groups[j].start
-			if o != nil {
-				o.SpecCommittedInputs.Add(int64(groups[j].end - groups[j].start))
-			}
-		}
-	}
-	fallbackState := d.ops.Clone(initial)
-	if abortAt > 0 {
-		emitExec(emit, committed[abortAt-1], groups[abortAt-1].start)
-		fallbackState = committed[abortAt-1].final
-	}
-	st.SquashedInputs = n - groups[abortAt].start
-	st.Invocations += scr.invocations.Load()
-
-	fallbackStart := groups[abortAt].start
-	st.FallbackInputs = n - fallbackStart
-	if o != nil {
-		o.FallbackInputs.Add(int64(n - fallbackStart))
-		o.Tracer.Emit(obs.LaneCoord, obs.EvFallback, int32(abortAt), int64(n-fallbackStart))
-	}
-	if ctl != nil {
-		ctl.Yield(sched.PointFallback, coordLane)
-	}
-	fbStart := time.Now()
-	fbOuts, final := d.runSequential(root, inputs[fallbackStart:], fallbackState, st, emit, fallbackStart)
-	// The sequential fallback produced committed outputs; its time is
-	// filed against the aborting group, whose speculative work it redid.
-	commitNS[abortAt] += time.Since(fbStart).Nanoseconds()
-	outs = append(outs, fbOuts...)
-	st.UsefulInvocations += int64(fallbackStart)
-	finishLaneCPU()
-	captureScheduler(st, p, poolBase)
-	return outs, final, *st
+	scr.blocked(func() { scr.fanOut(scr.tasks[:scr.numGroups]) })
 }
 
-// safeAux runs the auxiliary code (including the initial-state clone that
-// feeds it) with panic containment, reporting whether it completed; on a
-// panic the recovered value and unwind stack come back in pe.
-func (d *Dependence[I, S, O]) safeAux(r *rng.Source, initial S, recent []I) (spec S, ok bool, pe *PanicError) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			ok, pe = false, &PanicError{Value: rec, Stack: debug.Stack()}
-		}
-	}()
-	return d.aux(r, d.ops.Clone(initial), recent), true, nil
-}
-
-// safeMatchAny runs the developer's acceptance method with panic
-// containment, reporting whether it completed; on a panic the recovered
-// value and unwind stack come back in pe. A nil MatchAny accepts by
-// construction.
-func (d *Dependence[I, S, O]) safeMatchAny(spec S, originals []S) (matched, ok bool, pe *PanicError) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			matched, ok, pe = false, false, &PanicError{Value: rec, Stack: debug.Stack()}
-		}
-	}()
-	if d.ops.MatchAny == nil {
-		return true, true, nil
+// groupTask is the pool task body for group slot j: the per-slot closure
+// wrapping it is created once and recycled with the scratch.
+func (scr *runScratch[I, S, O]) groupTask(j int) {
+	gr := scr.groups[j]
+	defer scr.wg.Done()
+	defer gr.done.Done()
+	if scr.ctl != nil {
+		// Retire the group lane on every exit, panic included, before
+		// the done latch releases the coordinator.
+		defer scr.ctl.Done(scr.lane + 1 + j)
 	}
-	return d.ops.MatchAny(spec, originals), true, nil
-}
-
-// safeFingerprint hashes a state with panic containment (Fingerprint is
-// user code, so it gets the same isolation MatchAny does).
-func (d *Dependence[I, S, O]) safeFingerprint(s S) (fp uint64, ok bool, pe *PanicError) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			ok, pe = false, &PanicError{Value: rec, Stack: debug.Stack()}
+	// Panic isolation: a panic in user code on this lane marks the group
+	// failed — value and stack preserved — and squashes it together with
+	// its successors; their results would be discarded anyway once the
+	// boundary inspection aborts here. Earlier groups are left running;
+	// their results are still committable.
+	if pe := contain(func() { scr.executeGroup(gr) }); pe != nil {
+		gr.failure, gr.panicErr = failPanic, pe
+		for _, g := range scr.groups[j:scr.numGroups] {
+			g.aborted.Store(true)
 		}
-	}()
-	return d.ops.Fingerprint(s), true, nil
-}
-
-// acceptAttempt resolves one acceptance attempt. Hash-first dependences
-// consult the fingerprint prefilter: when no original's fingerprint
-// equals the speculative state's, MatchAny cannot accept (the contract
-// makes equal fingerprints a necessary condition), so the attempt is a
-// recorded miss with no deep compare; a hit falls through to MatchAny.
-func (d *Dependence[I, S, O]) acceptAttempt(spec S, specFP uint64, hashFirst bool, originals []S, origFPs []uint64, st *Stats, o *obs.Observer) (matched, ok bool, pe *PanicError) {
-	if hashFirst {
-		hit := false
-		for _, fp := range origFPs {
-			if fp == specFP {
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			st.FingerprintMisses++
-			if o != nil {
-				o.FingerprintMisses.Inc()
-			}
-			return false, true, nil
-		}
-		st.FingerprintHits++
-		if o != nil {
-			o.FingerprintHits.Inc()
-		}
-	}
-	return d.safeMatchAny(spec, originals)
-}
-
-// resetOriginals starts a boundary's originals set (recycled storage)
-// with the committed previous final state, fingerprinting it when the
-// dependence validates hash-first.
-func (scr *runScratch[I, S, O]) resetOriginals(first S, hashFirst bool) ([]S, bool, *PanicError) {
-	scr.originals = scr.originals[:0]
-	scr.origFPs = scr.origFPs[:0]
-	return scr.appendOriginal(first, hashFirst)
-}
-
-// appendOriginal adds one original state (and, hash-first, its
-// fingerprint) to the boundary's set.
-func (scr *runScratch[I, S, O]) appendOriginal(s S, hashFirst bool) ([]S, bool, *PanicError) {
-	if hashFirst {
-		fp, ok, pe := scr.d.safeFingerprint(s)
-		if !ok {
-			return scr.originals, false, pe
-		}
-		scr.origFPs = append(scr.origFPs, fp)
-	}
-	scr.originals = append(scr.originals, s)
-	return scr.originals, true, nil
-}
-
-// safeRedoGroup runs one re-execution with panic containment, reporting
-// whether it completed; on a panic the recovered value and unwind stack
-// come back in pe.
-func (d *Dependence[I, S, O]) safeRedoGroup(gr *groupRun[I, S, O], inputs []I, invocations *atomic.Int64) (redo execution[S, O], ok bool, pe *PanicError) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			ok, pe = false, &PanicError{Value: rec, Stack: debug.Stack()}
-		}
-	}()
-	return d.redoGroup(gr, inputs, invocations), true, nil
-}
-
-// newRunPool builds the private worker pool for one run: Options.Workers
-// wide, worker PRNGs seeded from Options.Seed, and the run's controller
-// (if any) attached so pool-level decisions are explorable too.
-func newRunPool(opts Options) *pool.Pool {
-	w := opts.Workers
-	if w < 1 {
-		w = 1
-	}
-	p := pool.NewSeeded(w, opts.Seed)
-	if opts.Sched != nil {
-		p.SetController(opts.Sched)
-	}
-	return p
-}
-
-// captureScheduler fills the run's scheduler counters as deltas against the
-// pool-metrics baseline taken before the group fan-out.
-func captureScheduler(st *Stats, p *pool.Pool, before pool.Metrics) {
-	m := p.Metrics()
-	st.Steals = m.Steals - before.Steals
-	st.LocalHits = m.LocalHits - before.LocalHits
-	st.QueueDepthPeak = m.QueueDepthPeak
-}
-
-// emitExec streams one committed execution's outputs.
-func emitExec[S, O any](emit Emit[O], exec execution[S, O], base int) {
-	if emit == nil {
-		return
-	}
-	for i, o := range exec.outputs {
-		emit(base+i, o)
 	}
 }
 
@@ -1221,36 +687,19 @@ func emitExec[S, O any](emit Emit[O], exec execution[S, O], base int) {
 // aborted mid-flight it bails out early; its results are then never read.
 // A positive timeout bounds the group's wall-clock execution (group 0 is
 // exempt: its outputs commit unconditionally, so squashing it gains
-// nothing). Group start/finish events go to ob (nil-checked) so the
-// observed schedule shows every group's execution span, squashed or not.
-//
-// Under a controller (gr.ctl) the lane yields at start, before every
-// step's abort-flag inspection, and at finish; with a deadline it asks
-// the controller each step whether the deadline expired instead of
-// consulting the real clock, because serialized lanes spend most of
-// their wall-clock time parked.
-func (d *Dependence[I, S, O]) executeGroup(inputs []I, gr *groupRun[I, S, O], rollback int, timeout time.Duration, invocations *atomic.Int64, ob *obs.Observer) {
-	length := gr.end - gr.start
-	w := rollback
-	if w < 1 {
-		w = 1
-	}
-	if w > length {
-		w = length
-	}
-	checkpointAt := gr.end - w
-
-	ctl := gr.ctl
-	deadlined := timeout > 0 && gr.idx > 0
+// nothing). Group start/finish events go to the observer (nil-checked) so
+// the observed schedule shows every group's execution span, squashed or
+// not. Under a controller the lane yields at start, before every step's
+// abort-flag inspection, and at finish.
+func (scr *runScratch[I, S, O]) executeGroup(gr *groupRun[I, S, O]) {
+	d, ob, lane := scr.d, scr.o, scr.lane+1+gr.idx
+	checkpointAt := gr.end - min(max(scr.rollback, 1), gr.end-gr.start)
+	deadlined := scr.timeout > 0 && gr.idx > 0
 	started := time.Now()
-	// Record the lane time on every exit — panic included, so a contained
-	// user-code panic still attributes the CPU burned before it.
 	defer func() {
 		gr.execNS = time.Since(started).Nanoseconds()
 	}()
-	if ctl != nil {
-		ctl.Yield(sched.PointGroupStart, gr.lane)
-	}
+	scr.yield(sched.PointGroupStart, lane)
 	if ob != nil {
 		ob.GroupsStarted.Inc()
 		ob.Tracer.Emit(gr.idx, obs.EvGroupStart, int32(gr.idx), int64(gr.start))
@@ -1259,30 +708,19 @@ func (d *Dependence[I, S, O]) executeGroup(inputs []I, gr *groupRun[I, S, O], ro
 	outs := gr.outBuf[:0]
 	gr.checkpointAt = checkpointAt
 	for idx := gr.start; idx < gr.end; idx++ {
-		if ctl != nil {
-			// Yield before the abort-flag inspection, so the controller
-			// decides whether this step observes a concurrent squash.
-			ctl.Yield(sched.PointGroupStep, gr.lane)
-		}
+		// Yield before the abort-flag inspection, so the controller
+		// decides whether this step observes a concurrent squash.
+		scr.yield(sched.PointGroupStep, lane)
 		if gr.aborted.Load() {
 			// Squashed: record what we have; it will be discarded.
 			break
 		}
 		if deadlined {
-			expired := false
-			var elapsedNS int64
-			if ctl != nil {
-				expired = ctl.Choose(sched.PointTimeoutCheck, gr.lane, 2) == 1
-			} else if elapsed := time.Since(started); elapsed > timeout {
-				expired = true
-				elapsedNS = elapsed.Nanoseconds()
-			}
-			if expired {
+			if expired, elapsedNS := scr.expired(started, lane); expired {
 				// Deadline exceeded: squash exactly like a validation
 				// mismatch. Only this lane is marked; the coordinator's
 				// boundary inspection squashes the successors.
-				gr.failure = failTimeout
-				gr.failArg = elapsedNS
+				gr.failure, gr.failArg = failTimeout, elapsedNS
 				gr.aborted.Store(true)
 				break
 			}
@@ -1292,13 +730,11 @@ func (d *Dependence[I, S, O]) executeGroup(inputs []I, gr *groupRun[I, S, O], ro
 		}
 		var o O
 		gr.execSrc.SplitInto(&gr.callSrc)
-		o, s = d.compute(&gr.callSrc, inputs[idx], s)
-		invocations.Add(1)
+		o, s = d.compute(&gr.callSrc, scr.inputs[idx], s)
+		scr.invocations.Add(1)
 		outs = append(outs, o)
 	}
-	if ctl != nil {
-		ctl.Yield(sched.PointGroupFinish, gr.lane)
-	}
+	scr.yield(sched.PointGroupFinish, lane)
 	gr.outBuf = outs
 	gr.base = execution[S, O]{outputs: outs, final: s}
 	if ob != nil {
@@ -1307,19 +743,194 @@ func (d *Dependence[I, S, O]) executeGroup(inputs []I, gr *groupRun[I, S, O], ro
 	}
 }
 
+// abort ends speculation at group j: it squashes groups j.. and records
+// the boundary outcome. The squash yield comes AFTER the abort flags are
+// set (a post-write yield): parking the coordinator there lets the
+// controller decide which in-flight lanes observe the squash mid-group and
+// which run to completion first — the validate/squash race the exploration
+// harness targets.
+func (scr *runScratch[I, S, O]) abort(j, redosUsed int) {
+	scr.noteAbort(j, redosUsed)
+	scr.abortAt = j
+	for _, gr := range scr.groups[j:scr.numGroups] {
+		gr.aborted.Store(true)
+	}
+	scr.noteSquash(j, scr.groups[j].end-scr.groups[j].start)
+	scr.yield(sched.PointSquash, scr.lane)
+}
+
+// resolveBoundaries validates in input order until a boundary aborts.
+// Group 0 is never speculative: it ran from the true initial state, so
+// only a lane failure stops it committing — and then nothing is committed
+// and the whole vector falls back.
+func (scr *runScratch[I, S, O]) resolveBoundaries(redoMax int) {
+	first := scr.groups[0]
+	scr.blocked(first.done.Wait)
+	if first.failure != failNone {
+		scr.abort(0, 0)
+		return
+	}
+	scr.committed[0] = first.base
+	for j := 1; j < scr.numGroups; j++ {
+		if !scr.resolve(j, redoMax) {
+			return
+		}
+	}
+}
+
+// boundary is the progress of one boundary's validation, kept outside
+// validate so a contained panic leaves it readable.
+type boundary[S, O any] struct {
+	matched        bool
+	redosUsed      int
+	acceptedRedoNS int64
+	// accepted is the previous group's execution to commit: its first
+	// execution, or that spliced with the matching re-execution's suffix.
+	accepted execution[S, O]
+}
+
+// resolve settles the boundary between groups j-1 and j and reports
+// whether speculation survives it. First the group's own execution must
+// have survived (no contained panic, no deadline squash); then validate
+// runs the developer's acceptance against the previous group's originals.
+// A panic anywhere in it — fingerprint, match, or the previous group's
+// re-execution — means the boundary cannot resolve: the unvalidated group
+// is squashed like a mismatch and the panic attributed to it.
+func (scr *runScratch[I, S, O]) resolve(j, redoMax int) bool {
+	prev, cur, o := scr.groups[j-1], scr.groups[j], scr.o
+	scr.blocked(cur.done.Wait)
+	if cur.failure != failNone {
+		scr.abort(j, 0)
+		return false
+	}
+	var vstart time.Time
+	if o != nil {
+		vstart = time.Now()
+	}
+	scr.yield(sched.PointValidate, scr.lane)
+	var b boundary[S, O]
+	pe := contain(func() { scr.validate(j, redoMax, &b) })
+	// Redo lane time burned at this boundary: the accepted re-execution
+	// (if any) produced committed outputs, every other redo is wasted work
+	// on the producing group.
+	scr.commitNS[j-1] += b.acceptedRedoNS
+	scr.wasteNS[j-1] += prev.redoNS - b.acceptedRedoNS
+	if pe != nil {
+		cur.failure, cur.panicErr = failPanic, pe
+		scr.abort(j, b.redosUsed)
+		return false
+	}
+	if b.matched {
+		scr.st.Matches++
+		if o != nil {
+			o.Matches.Inc()
+			o.Tracer.Emit(obs.LaneCoord, obs.EvValidateMatch, int32(j), int64(b.redosUsed))
+		}
+		scr.committed[j-1], scr.committed[j] = b.accepted, cur.base
+		emitExec(scr.emit, b.accepted, prev.start)
+	} else {
+		// Speculation failed: abort this and all subsequent groups.
+		scr.abort(j, b.redosUsed)
+	}
+	if o != nil {
+		o.ValidationLatencyNS.Observe(time.Since(vstart).Nanoseconds())
+		o.RedosPerValidation.Observe(int64(b.redosUsed))
+	}
+	return b.matched
+}
+
+// validate asks the developer's acceptance method whether group j's
+// speculative start state matches an original final state of group j-1:
+// its committed first execution, then up to redoMax re-executions of its
+// last W inputs. Re-executions replace only the suffix after the
+// checkpoint, so the originals set always extends the committed prefix.
+// It calls user code uncontained; resolve contains it.
+func (scr *runScratch[I, S, O]) validate(j, redoMax int, b *boundary[S, O]) {
+	prev, spec, o := scr.groups[j-1], scr.groups[j].specStart, scr.o
+	var specFP uint64
+	if scr.hashFirst {
+		specFP = scr.d.ops.Fingerprint(spec)
+	}
+	scr.originals, scr.origFPs = scr.originals[:0], scr.origFPs[:0]
+	scr.addOriginal(scr.committed[j-1].final)
+	b.accepted = scr.committed[j-1]
+	b.matched = scr.accepts(spec, specFP)
+	if o != nil && !b.matched {
+		o.Mismatches.Inc()
+		o.Tracer.Emit(obs.LaneCoord, obs.EvValidateMismatch, int32(j), 0)
+	}
+	for t := 0; !b.matched && t < redoMax; t++ {
+		if o != nil {
+			o.Redos.Inc()
+			o.Tracer.Emit(obs.LaneCoord, obs.EvRedo, int32(j), int64(t+1))
+		}
+		scr.yield(sched.PointRedo, scr.lane)
+		before := prev.redoNS
+		redo := scr.redoGroup(prev)
+		scr.st.Redos++
+		b.redosUsed++
+		scr.addOriginal(redo.final)
+		if scr.accepts(spec, specFP) {
+			// Commit the matching re-execution's suffix in place of the
+			// first execution's.
+			b.matched, b.acceptedRedoNS = true, prev.redoNS-before
+			b.accepted = spliceExecution(scr.committed[j-1], redo, prev)
+		}
+	}
+}
+
+// addOriginal adds one original state (and, hash-first, its fingerprint)
+// to the boundary's set, which lives in recycled scratch storage.
+func (scr *runScratch[I, S, O]) addOriginal(s S) {
+	if scr.hashFirst {
+		scr.origFPs = append(scr.origFPs, scr.d.ops.Fingerprint(s))
+	}
+	scr.originals = append(scr.originals, s)
+}
+
+// accepts resolves one acceptance attempt against the boundary's
+// originals. A nil MatchAny accepts by construction. Hash-first
+// dependences consult the fingerprint prefilter: when no original's
+// fingerprint equals the speculative state's, MatchAny cannot accept (the
+// contract makes equal fingerprints a necessary condition), so the attempt
+// is a recorded miss with no deep compare; a hit falls through to MatchAny.
+func (scr *runScratch[I, S, O]) accepts(spec S, specFP uint64) bool {
+	if scr.d.ops.MatchAny == nil {
+		return true
+	}
+	if scr.hashFirst {
+		if !slices.Contains(scr.origFPs, specFP) {
+			scr.st.FingerprintMisses++
+			if scr.o != nil {
+				scr.o.FingerprintMisses.Inc()
+			}
+			return false
+		}
+		scr.st.FingerprintHits++
+		if scr.o != nil {
+			scr.o.FingerprintHits.Inc()
+		}
+	}
+	return scr.d.ops.MatchAny(spec, scr.originals)
+}
+
 // redoGroup re-executes the suffix of a group after its checkpoint with
 // fresh randomness, returning the suffix execution. The outputs reuse the
 // group's redo buffer: a boundary consumes each redo (accepting it into a
 // splice or discarding it) before requesting the next, so one buffer per
 // group suffices.
-func (d *Dependence[I, S, O]) redoGroup(gr *groupRun[I, S, O], inputs []I, invocations *atomic.Int64) execution[S, O] {
-	s := d.ops.Clone(gr.checkpoint)
+func (scr *runScratch[I, S, O]) redoGroup(gr *groupRun[I, S, O]) execution[S, O] {
+	started := time.Now()
+	defer func() {
+		gr.redoNS += time.Since(started).Nanoseconds()
+	}()
+	s := scr.d.ops.Clone(gr.checkpoint)
 	outs := gr.redoBuf[:0]
 	for idx := gr.checkpointAt; idx < gr.end; idx++ {
 		var o O
 		gr.redoSrc.SplitInto(&gr.redoCallSrc)
-		o, s = d.compute(&gr.redoCallSrc, inputs[idx], s)
-		invocations.Add(1)
+		o, s = scr.d.compute(&gr.redoCallSrc, scr.inputs[idx], s)
+		scr.invocations.Add(1)
 		outs = append(outs, o)
 	}
 	gr.redoBuf = outs
@@ -1340,9 +951,105 @@ func spliceExecution[I, S, O any](base execution[S, O], redo execution[S, O], gr
 	return execution[S, O]{outputs: outs, final: redo.final}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// commit waits out every lane and assembles the run's result: the
+// validated prefix's outputs in order (all groups when no boundary
+// aborted), then — per §3.1, "no other speculation is performed until all
+// the current inputs are processed" — the sequential fallback over the
+// rest. In-flight groups past an abort bail early on their aborted flag.
+func (scr *runScratch[I, S, O]) commit(root *rng.Source, initial S) ([]O, S) {
+	scr.blocked(scr.wg.Wait)
+	st, valid := scr.st, scr.numGroups
+	if scr.abortAt >= 0 {
+		valid = scr.abortAt
+		scr.sweepFailures()
 	}
-	return b
+	outs := make([]O, 0, scr.n)
+	for j, gr := range scr.groups[:valid] {
+		outs = append(outs, scr.committed[j].outputs...)
+		if j > 0 {
+			st.SpeculativeCommits += gr.end - gr.start
+			if scr.o != nil {
+				scr.o.SpecCommittedInputs.Add(int64(gr.end - gr.start))
+			}
+		}
+	}
+	st.Invocations += scr.invocations.Load()
+	// The last valid group's outputs had no next boundary to finalize
+	// them; its first original final state is where a fallback resumes (a
+	// clone of the initial state when group 0 itself failed).
+	var final S
+	if valid > 0 {
+		emitExec(scr.emit, scr.committed[valid-1], scr.groups[valid-1].start)
+		final = scr.committed[valid-1].final
+	} else {
+		final = scr.d.ops.Clone(initial)
+	}
+	if scr.abortAt < 0 {
+		st.UsefulInvocations += int64(scr.n) // one committed invocation per input
+	} else {
+		outs, final = scr.fallBack(root, final, outs)
+	}
+	scr.fileLaneCPU()
+	return outs, final
+}
+
+// sweepFailures counts and traces each contained panic and deadline
+// squash once every lane is done and the flags are final — groups past the
+// abort point may have failed concurrently before the squash reached them,
+// and those panics were contained too. The panic's value and stack ride
+// out of the run in Stats.Panics (the EvPanic event's fixed-size argument
+// stays the input count).
+func (scr *runScratch[I, S, O]) sweepFailures() {
+	for j, gr := range scr.groups[:scr.numGroups] {
+		switch gr.failure {
+		case failPanic:
+			scr.notePanic(j, int64(gr.end-gr.start), gr.panicErr)
+		case failTimeout:
+			scr.noteTimeout(j, gr.failArg)
+		}
+	}
+}
+
+// fallBack reprocesses the inputs from the aborting group on sequentially
+// from state, continuing the root random stream, and appends to the
+// committed prefix's outputs.
+func (scr *runScratch[I, S, O]) fallBack(root *rng.Source, state S, outs []O) ([]O, S) {
+	at := scr.abortAt
+	start := scr.groups[at].start
+	scr.noteFallback(at, scr.n-start)
+	fbStart := time.Now()
+	fbOuts, final := scr.d.runSequential(root, scr.inputs[start:], state, scr.st, scr.emit, start)
+	// The sequential fallback produced committed outputs; its time is
+	// filed against the aborting group, whose speculative work it redid.
+	scr.commitNS[at] += time.Since(fbStart).Nanoseconds()
+	scr.st.UsefulInvocations += int64(start)
+	return append(outs, fbOuts...), final
+}
+
+// fileLaneCPU resolves the attribution once the outcome is known: groups
+// before the abort point (all of them when speculation succeeded)
+// committed their exec+aux lane time, groups at or past it wasted theirs;
+// redo and fallback time was already filed into commitNS/wasteNS at the
+// boundary that spent it. Every read of execNS is ordered after the lane's
+// write by wg.Wait.
+func (scr *runScratch[I, S, O]) fileLaneCPU() {
+	for j, gr := range scr.groups[:scr.numGroups] {
+		spent := gr.execNS + scr.auxNS[j]
+		if scr.abortAt >= 0 && j >= scr.abortAt {
+			scr.wasteNS[j] += spent
+		} else {
+			scr.commitNS[j] += spent
+		}
+		scr.noteLaneCPU(j, scr.commitNS[j], scr.wasteNS[j])
+	}
+}
+
+// emitExec streams one committed execution's outputs.
+func emitExec[S, O any](emit Emit[O], exec execution[S, O], base int) {
+	if emit == nil {
+		return
+	}
+	for i, o := range exec.outputs {
+		emit(base+i, o)
+	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -80,10 +82,28 @@ func stressOne(t *testing.T, proto Protocol, workers, redoMax int, timeout time.
 			func(s walkState) walkState { return walkState{V: s.V - 1e12} })
 	}
 	d := New(compute, aux, walkOps())
-	outs, final, st, err := d.RunChecked(inputs, walkState{}, Options{
+	opts := Options{
 		UseAux: true, Protocol: proto, GroupSize: 8, Window: n, RedoMax: redoMax,
 		Rollback: 4, Workers: workers, Seed: 0xFA17, GroupTimeout: timeout,
-	})
+	}
+	outs, final, st, err := d.RunChecked(inputs, walkState{}, opts)
+	if pe := (*PanicError)(nil); errors.As(err, &pe) {
+		// The one transient compute fault is contained only if it lands on
+		// a speculative lane. When another abort source (deadline, aux
+		// panic, garbage state) squashes the selected input's lane before
+		// it gets there, the input is first computed on the aux protocol's
+		// sequential fallback, which is uncontained by contract. Only that
+		// exact case is let through, and only as far as a rerun: the fault
+		// is spent, so the same dependence must now satisfy every check below.
+		ip, injected := pe.Value.(fault.InjectedPanic)
+		otherAbortSource := timeout > 0 || auxRate > 0 || garbageRate > 0
+		if proto != ProtocolAux || !otherAbortSource || !injected || ip.Site != fault.SiteCompute ||
+			!bytes.Contains(pe.Stack, []byte("runSequential")) {
+			t.Fatalf("fault escaped containment: %v\n%s", err, pe.Stack)
+		}
+		t.Logf("transient fault first landed on the fallback; rerunning with it spent")
+		outs, final, st, err = d.RunChecked(inputs, walkState{}, opts)
+	}
 	if err != nil {
 		t.Fatalf("fault escaped containment: %v", err)
 	}

@@ -1,0 +1,232 @@
+package core
+
+import (
+	"runtime/debug"
+	"time"
+
+	"repro/internal/obs"
+	"repro/internal/pool"
+	"repro/internal/sched"
+)
+
+// runFrame is the part of a speculative run that does not depend on how a
+// group speculates: the grouping geometry, the worker-pool lease, the
+// controlled scheduler's bracketing around real waits, and the one place
+// each run-level fact (abort, squash, fallback, contained panic, deadline,
+// lane CPU) is written to Stats, the observer's counters and the event
+// log. Both protocols embed it by value in their recycled scratch (it is
+// not generic and is never allocated per run) and keep only their policy:
+// core.go guesses start states and resolves boundaries, reservations.go
+// runs reserve/check/commit rounds. Every field is set on the coordinator
+// before the fan-out and is read-only afterwards, so lanes may call
+// yield and expired concurrently.
+type runFrame struct {
+	st  *Stats
+	o   *obs.Observer
+	ctl sched.Controller
+	// lane is the coordinator's schedule lane; group (or wave chunk) c
+	// yields on lane+1+c.
+	lane int
+
+	n, g, numGroups int
+	timeout         time.Duration
+
+	p        *pool.Pool
+	private  bool // p was built by lease and is closed by finish
+	poolBase pool.Metrics
+}
+
+// begin binds the frame to one run of n inputs in groups of g and records
+// the group count.
+func (f *runFrame) begin(n, g int, opts *Options, st *Stats) {
+	*f = runFrame{
+		st: st, o: opts.Obs, ctl: opts.Sched, lane: opts.SchedLane,
+		n: n, g: g, numGroups: (n + g - 1) / g, timeout: opts.GroupTimeout,
+	}
+	st.Groups = f.numGroups
+}
+
+// bounds returns group j's input index range [start, end).
+func (f *runFrame) bounds(j int) (start, end int) {
+	return j * f.g, min(f.n, (j+1)*f.g)
+}
+
+// lease takes the run's worker pool: Options.Pool when shared, else a
+// private one — Options.Workers wide, worker PRNGs seeded from
+// Options.Seed, the run's controller attached so pool-level decisions are
+// explorable too, and reporting its scheduler events to this run's
+// observer (a shared pool's observer and controller belong to whoever
+// built it). It also takes the baseline for the run's scheduler deltas.
+// Pair with a deferred finish.
+func (f *runFrame) lease(opts *Options) {
+	f.p = opts.Pool
+	if f.p == nil {
+		f.p, f.private = newRunPool(opts), true
+		f.p.SetObserver(f.o)
+	}
+	f.poolBase = f.p.Metrics()
+}
+
+// newRunPool builds the private worker pool for one run.
+func newRunPool(opts *Options) *pool.Pool {
+	p := pool.NewSeeded(max(opts.Workers, 1), opts.Seed)
+	if opts.Sched != nil {
+		p.SetController(opts.Sched)
+	}
+	return p
+}
+
+// finish ends the lease: it fills the run's scheduler counters as deltas
+// against the baseline and closes a private pool. Close waits for the
+// workers, and a worker may be parked at one of its decision points, so the
+// coordinator steps out of the schedule around it.
+func (f *runFrame) finish() {
+	m := f.p.Metrics()
+	f.st.Steals = m.Steals - f.poolBase.Steals
+	f.st.LocalHits = m.LocalHits - f.poolBase.LocalHits
+	f.st.QueueDepthPeak = m.QueueDepthPeak
+	if f.private {
+		f.blocked(func() { f.p.Close() })
+	}
+}
+
+// blocked runs wait — a real synchronization (latch, barrier, saturated
+// submit, pool close) — with the coordinator out of the controlled
+// schedule: it must release its schedule token or neither side can
+// advance.
+func (f *runFrame) blocked(wait func()) {
+	if f.ctl != nil {
+		f.ctl.Block(f.lane)
+	}
+	wait()
+	if f.ctl != nil {
+		f.ctl.Unblock(f.lane)
+	}
+}
+
+// yield parks lane at a decision point of the controlled scheduler; a nil
+// controller costs one branch.
+func (f *runFrame) yield(p sched.Point, lane int) {
+	if f.ctl != nil {
+		f.ctl.Yield(p, lane)
+	}
+}
+
+// fanOut submits the tasks in one batch operation; a closed pool leaves a
+// suffix unqueued, which runs inline on the coordinator. Both can block for
+// real (saturated pool; inline tasks yield on their own lanes), so callers
+// wrap it in blocked.
+func (f *runFrame) fanOut(tasks []pool.Task) {
+	if nq, err := f.p.SubmitBatch(tasks); err != nil {
+		for _, task := range tasks[nq:] {
+			task()
+		}
+	}
+}
+
+// expired reports whether a group that started at started has exceeded the
+// run's GroupTimeout, and by how much. Under a controller the expiry is a
+// schedulable choice on lane instead of a clock read: serialized lanes
+// spend most of their wall-clock time parked.
+func (f *runFrame) expired(started time.Time, lane int) (bool, int64) {
+	if f.ctl != nil {
+		return f.ctl.Choose(sched.PointTimeoutCheck, lane, 2) == 1, 0
+	}
+	if elapsed := time.Since(started); elapsed > f.timeout {
+		return true, elapsed.Nanoseconds()
+	}
+	return false, 0
+}
+
+// contain runs fn — user code, or engine code calling it — and converts a
+// panic into a *PanicError carrying the original value and the stack
+// captured while the panic was still unwinding. It is the engine's only
+// recover.
+func contain(fn func()) (pe *PanicError) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			pe = &PanicError{Value: rec, Stack: debug.Stack()}
+		}
+	}()
+	fn()
+	return nil
+}
+
+// notePanic records group j squashed by a contained user-code panic; pe,
+// when non-nil, rides out of the run in Stats.Panics.
+func (f *runFrame) notePanic(j int, arg int64, pe *PanicError) {
+	f.st.PanickedGroups++
+	if pe != nil {
+		f.st.Panics = append(f.st.Panics, pe)
+	}
+	if f.o != nil {
+		f.o.PanickedGroups.Inc()
+		f.o.Tracer.Emit(obs.LaneCoord, obs.EvPanic, int32(j), arg)
+	}
+}
+
+// noteTimeout records group j squashed by its deadline.
+func (f *runFrame) noteTimeout(j int, elapsedNS int64) {
+	f.st.TimedOutGroups++
+	if f.o != nil {
+		f.o.GroupTimeouts.Inc()
+		f.o.Tracer.Emit(obs.LaneCoord, obs.EvGroupTimeout, int32(j), elapsedNS)
+	}
+}
+
+// noteAbort records that speculation ended at group j.
+func (f *runFrame) noteAbort(j, redosUsed int) {
+	f.st.Aborts++
+	if f.o != nil {
+		f.o.Aborts.Inc()
+		f.o.Tracer.Emit(obs.LaneCoord, obs.EvAbort, int32(j), int64(redosUsed))
+	}
+}
+
+// noteSquash records the squash an abort at group j causes: group j loses
+// its first uncommitted inputs, every later group its whole width.
+func (f *runFrame) noteSquash(j, first int) {
+	_, end := f.bounds(j)
+	f.st.SquashedInputs = first + f.n - end
+	if f.o == nil {
+		return
+	}
+	for k, width := j, first; k < f.numGroups; k++ {
+		if k > j {
+			start, end := f.bounds(k)
+			width = end - start
+		}
+		f.o.Squashes.Inc()
+		f.o.Tracer.Emit(obs.LaneCoord, obs.EvSquash, int32(k), int64(width))
+	}
+}
+
+// noteFallback records that inputs inputs are reprocessed sequentially
+// after the abort at group j, and yields at the fallback's entry.
+func (f *runFrame) noteFallback(j, inputs int) {
+	f.st.FallbackInputs = inputs
+	if f.o != nil {
+		f.o.FallbackInputs.Add(int64(inputs))
+		f.o.Tracer.Emit(obs.LaneCoord, obs.EvFallback, int32(j), int64(inputs))
+	}
+	f.yield(sched.PointFallback, f.lane)
+}
+
+// noteLaneCPU files group j's resolved lane time: nanoseconds whose results
+// were committed and nanoseconds of discarded work.
+func (f *runFrame) noteLaneCPU(j int, committed, wasted int64) {
+	if committed > 0 {
+		f.st.LaneCPUCommittedNS += committed
+		if f.o != nil {
+			f.o.LaneCPUCommitted.Add(committed)
+			f.o.Tracer.Emit(obs.LaneCoord, obs.EvLaneCPUCommitted, int32(j), committed)
+		}
+	}
+	if wasted > 0 {
+		f.st.LaneCPUWastedNS += wasted
+		if f.o != nil {
+			f.o.LaneCPUWasted.Add(wasted)
+			f.o.Tracer.Emit(obs.LaneCoord, obs.EvLaneCPUWasted, int32(j), wasted)
+		}
+	}
+}

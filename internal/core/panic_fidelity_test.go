@@ -9,46 +9,67 @@ import (
 )
 
 // Panic-fidelity regression tests: every contained user-code panic must
-// ride out of the run in Stats.Panics with its original value and a
-// stack that still names the panic origin. The safe* helpers used to
-// discard the recovered value; these tests pin the repaired behaviour
-// across every containment site in both protocols.
+// ride out of the run in Stats.Panics with its original value and a stack
+// that still names the panicking function. Every containment site of both
+// protocols funnels through contain (frame.go); each test below drives one
+// site through the shared scenario runner. They stay separate top-level
+// tests (not one table) so the seven names that predate the shared runner
+// keep resolving under `go test -run` and in earlier CHANGES.md entries.
 
-// requirePanicRecord asserts some Stats.Panics entry carries the value
-// and a stack naming this file.
-func requirePanicRecord(t *testing.T, panics []*PanicError, want string) {
+// panicSite is one containment site's scenario: a dependence whose user
+// code panics with want at that site, and the options that reach it.
+type panicSite struct {
+	d      *Dependence[int, walkState, int]
+	inputs []int
+	opts   Options
+	want   string
+}
+
+// check runs the scenario and asserts the run still returns the
+// sequential outputs and that some Stats.Panics entry carries the value
+// with a stack naming the panicking function — a closure of the calling
+// test, so its symbol contains the test's name.
+func (ps panicSite) check(t *testing.T) {
 	t.Helper()
-	if len(panics) == 0 {
-		t.Fatalf("Stats.Panics is empty, want a record for %q", want)
+	outs, _, st := ps.d.Run(ps.inputs, walkState{}, ps.opts)
+	checkOutputs(t, outs, wantOutputs(ps.inputs))
+	if len(st.Panics) == 0 {
+		t.Fatalf("Stats.Panics is empty, want a record for %q", ps.want)
 	}
-	for _, pe := range panics {
-		if pe.Value != want {
+	for _, pe := range st.Panics {
+		if pe.Value != ps.want {
 			continue
 		}
-		if !strings.Contains(string(pe.Stack), "panic_fidelity_test.go") {
-			t.Fatalf("panic %q lost its origin stack:\n%s", want, pe.Stack)
+		if !strings.Contains(string(pe.Stack), t.Name()+".func") {
+			t.Fatalf("panic %q lost its origin stack:\n%s", ps.want, pe.Stack)
 		}
 		return
 	}
 	t.Fatalf("no Stats.Panics entry has value %q (got %d records, first: %v)",
-		want, len(panics), panics[0].Value)
+		ps.want, len(st.Panics), st.Panics[0].Value)
+}
+
+// auxSite and resvSite are the two option shapes the scenarios share.
+func auxSite(d *Dependence[int, walkState, int], seed uint64, want string) panicSite {
+	return panicSite{d: d, inputs: seqInputs(12), want: want, opts: Options{
+		UseAux: true, GroupSize: 3, Window: 12, Workers: 4, Seed: seed,
+	}}
+}
+
+func resvSite(d *Dependence[int, walkState, int], seed uint64, want string) panicSite {
+	return panicSite{d: d, inputs: seqInputs(16), want: want, opts: Options{
+		UseAux: true, Protocol: ProtocolReservations, GroupSize: 4, Workers: 4, Seed: seed,
+	}}
 }
 
 func TestPanicFidelityAux(t *testing.T) {
-	inputs := seqInputs(12)
 	aux := func(_ *rng.Source, init walkState, recent []int) walkState {
 		panic("aux boom")
 	}
-	d := New(deterministicCompute, aux, walkOps())
-	outs, _, st := d.Run(inputs, walkState{}, Options{
-		UseAux: true, GroupSize: 3, Window: 12, Workers: 4, Seed: 1,
-	})
-	checkOutputs(t, outs, wantOutputs(inputs))
-	requirePanicRecord(t, st.Panics, "aux boom")
+	auxSite(New(deterministicCompute, aux, walkOps()), 1, "aux boom").check(t)
 }
 
 func TestPanicFidelitySpeculativeCompute(t *testing.T) {
-	inputs := seqInputs(12)
 	var fired atomic.Bool
 	compute := func(r *rng.Source, in int, s walkState) (int, walkState) {
 		if in == 8 && fired.CompareAndSwap(false, true) {
@@ -56,40 +77,42 @@ func TestPanicFidelitySpeculativeCompute(t *testing.T) {
 		}
 		return deterministicCompute(r, in, s)
 	}
-	d := New(compute, exactAuxFor(inputs), walkOps())
-	outs, _, st := d.Run(inputs, walkState{}, Options{
-		UseAux: true, GroupSize: 3, Window: 12, Workers: 4, Seed: 2,
-	})
-	checkOutputs(t, outs, wantOutputs(inputs))
-	requirePanicRecord(t, st.Panics, "compute boom")
+	auxSite(New(compute, exactAuxFor(seqInputs(12)), walkOps()), 2, "compute boom").check(t)
 }
 
 func TestPanicFidelityMatchAny(t *testing.T) {
-	inputs := seqInputs(12)
 	ops := walkOps()
 	ops.MatchAny = func(walkState, []walkState) bool { panic("match boom") }
-	d := New(deterministicCompute, exactAuxFor(inputs), ops)
-	outs, _, st := d.Run(inputs, walkState{}, Options{
-		UseAux: true, GroupSize: 3, Window: 12, Workers: 4, Seed: 3,
-	})
-	checkOutputs(t, outs, wantOutputs(inputs))
-	requirePanicRecord(t, st.Panics, "match boom")
+	auxSite(New(deterministicCompute, exactAuxFor(seqInputs(12)), ops), 3, "match boom").check(t)
 }
 
 func TestPanicFidelityFingerprint(t *testing.T) {
-	inputs := seqInputs(12)
 	ops := walkOps()
 	ops.Fingerprint = func(walkState) uint64 { panic("fingerprint boom") }
-	d := New(deterministicCompute, exactAuxFor(inputs), ops)
-	outs, _, st := d.Run(inputs, walkState{}, Options{
-		UseAux: true, GroupSize: 3, Window: 12, Workers: 4, Seed: 4,
-	})
-	checkOutputs(t, outs, wantOutputs(inputs))
-	requirePanicRecord(t, st.Panics, "fingerprint boom")
+	auxSite(New(deterministicCompute, exactAuxFor(seqInputs(12)), ops), 4, "fingerprint boom").check(t)
+}
+
+// TestPanicFidelityRedo panics inside a boundary's re-execution: the aux
+// state never matches, so boundary 1 re-runs group 0's last input — the
+// second time compute sees input 3.
+func TestPanicFidelityRedo(t *testing.T) {
+	var seen atomic.Int32
+	compute := func(r *rng.Source, in int, s walkState) (int, walkState) {
+		if in == 3 && seen.Add(1) == 2 {
+			panic("redo boom")
+		}
+		return deterministicCompute(r, in, s)
+	}
+	garbage := func(*rng.Source, walkState, []int) walkState { return walkState{V: -1} }
+	ps := auxSite(New(compute, garbage, walkOps()), 8, "redo boom")
+	ps.opts.RedoMax, ps.opts.Rollback = 1, 1
+	ps.check(t)
+	if seen.Load() != 2 {
+		t.Fatalf("input 3 computed %d times, want first execution + one redo", seen.Load())
+	}
 }
 
 func TestPanicFidelityReservationsCompute(t *testing.T) {
-	inputs := seqInputs(16)
 	var fired atomic.Bool
 	compute := func(r *rng.Source, in int, s walkState) (int, walkState) {
 		if in == 5 && fired.CompareAndSwap(false, true) {
@@ -97,32 +120,52 @@ func TestPanicFidelityReservationsCompute(t *testing.T) {
 		}
 		return deterministicCompute(r, in, s)
 	}
-	d := New(compute, nil, walkOps())
-	outs, _, st := d.Run(inputs, walkState{}, Options{
-		UseAux: true, Protocol: ProtocolReservations,
-		GroupSize: 4, Workers: 4, Seed: 5,
-	})
-	checkOutputs(t, outs, wantOutputs(inputs))
-	requirePanicRecord(t, st.Panics, "resv compute boom")
+	resvSite(New(compute, nil, walkOps()), 5, "resv compute boom").check(t)
+}
+
+// TestPanicFidelityReservationsFallback panics on the fallback's contained
+// first attempt: input 5's wave panic squashes group 1 into the sequential
+// fallback, where input 9 — never computed before, groups run in order —
+// panics once and is retried.
+func TestPanicFidelityReservationsFallback(t *testing.T) {
+	var wave, fallback atomic.Bool
+	compute := func(r *rng.Source, in int, s walkState) (int, walkState) {
+		if in == 5 && wave.CompareAndSwap(false, true) {
+			panic("resv wave boom")
+		}
+		if in == 9 && fallback.CompareAndSwap(false, true) {
+			panic("resv fallback boom")
+		}
+		return deterministicCompute(r, in, s)
+	}
+	resvSite(New(compute, nil, walkOps()), 9, "resv fallback boom").check(t)
 }
 
 func TestPanicFidelityReservationsNumSlots(t *testing.T) {
-	inputs := seqInputs(16)
 	d := New(deterministicCompute, nil, walkOps()).WithReserve(ReserveOps[int, walkState]{
 		NumSlots:  func(walkState) int { panic("numslots boom") },
 		Footprint: func(int, walkState) []int { return []int{0} },
 		Merge:     func(dst, src walkState, _ []int) walkState { return src },
 	})
-	outs, _, st := d.Run(inputs, walkState{}, Options{
-		UseAux: true, Protocol: ProtocolReservations,
-		GroupSize: 4, Workers: 4, Seed: 6,
+	resvSite(d, 6, "numslots boom").check(t)
+}
+
+func TestPanicFidelityReservationsFootprint(t *testing.T) {
+	var fired atomic.Bool
+	d := New(deterministicCompute, nil, walkOps()).WithReserve(ReserveOps[int, walkState]{
+		NumSlots: func(walkState) int { return 1 },
+		Footprint: func(in int, _ walkState) []int {
+			if in == 6 && fired.CompareAndSwap(false, true) {
+				panic("footprint boom")
+			}
+			return []int{0}
+		},
+		Merge: func(dst, src walkState, _ []int) walkState { return src },
 	})
-	checkOutputs(t, outs, wantOutputs(inputs))
-	requirePanicRecord(t, st.Panics, "numslots boom")
+	resvSite(d, 10, "footprint boom").check(t)
 }
 
 func TestPanicFidelityReservationsMerge(t *testing.T) {
-	inputs := seqInputs(16)
 	var fired atomic.Bool
 	d := New(deterministicCompute, nil, walkOps()).WithReserve(ReserveOps[int, walkState]{
 		NumSlots:  func(walkState) int { return 1 },
@@ -134,10 +177,5 @@ func TestPanicFidelityReservationsMerge(t *testing.T) {
 			return src
 		},
 	})
-	outs, _, st := d.Run(inputs, walkState{}, Options{
-		UseAux: true, Protocol: ProtocolReservations,
-		GroupSize: 4, Workers: 4, Seed: 7,
-	})
-	checkOutputs(t, outs, wantOutputs(inputs))
-	requirePanicRecord(t, st.Panics, "merge boom")
+	resvSite(d, 7, "merge boom").check(t)
 }

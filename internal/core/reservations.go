@@ -25,7 +25,7 @@ package core
 
 import (
 	"fmt"
-	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -130,29 +130,24 @@ func SplitReservationArg(arg int64) (round, input int) {
 	return int(arg >> 32), int(uint32(arg))
 }
 
-// resvRun is the per-run state of one reservations execution. Runs
-// recycle it through the dependence's resvScratch pool: every slice keeps
-// its capacity between runs (state-holding elements cleared on release),
-// and the wave tasks with their closures are created once per chunk slot.
-// Only the outputs slice is allocated fresh — it is returned to the
-// caller.
+// resvRun is the per-run state of one reservations execution: the run
+// frame plus the policy's tables. Runs recycle it through the dependence's
+// resvScratch pool: every slice keeps its capacity between runs
+// (state-holding elements cleared on release), and the wave tasks with
+// their closures are created once per chunk slot. Only the outputs slice
+// is allocated fresh — it is returned to the caller.
 type resvRun[I, S, O any] struct {
+	runFrame
 	d      *Dependence[I, S, O]
 	inputs []I
 	// srcs are the pre-split per-input random sources (by value: every
 	// attempt copies, so squashed attempts never consume the stream).
 	srcs []rng.Source
-	opts Options
-	o    *obs.Observer
-	ctl  sched.Controller
-	// coordLane is the coordinator's schedule lane; wave chunk c yields
-	// on coordLane+1+c.
-	coordLane int
-	lanes     int
-	p         *pool.Pool
-	poolBase  pool.Metrics
-	emit      Emit[O]
-	st        *Stats
+	// oracle is whether the FootprintCheck sanitizer runs (enabled and the
+	// dependence has a Touched hook); lanes is the wave width.
+	oracle bool
+	lanes  int
+	emit   Emit[O]
 
 	// table is the reservation table, one write-min cell per state slot,
 	// reset to the sentinel len(inputs) before each reserve wave.
@@ -172,16 +167,17 @@ type resvRun[I, S, O any] struct {
 	shared    S
 	outs      []O
 
-	// panicMu guards panics, the contained user-code panic records
-	// (value+stack) the run surfaces through Stats.Panics; lanes can
-	// fail concurrently, the coordinator drains after the wave barrier.
+	// panicMu guards panics, the waves' contained user-code panic records
+	// (value+stack); lanes can fail concurrently, and the fallback moves
+	// them into Stats.Panics once every lane is past its barrier.
 	panicMu sync.Mutex
 	panics  []*PanicError
 
 	// Per-group round state, recycled across groups and runs: pending
-	// input indexes, per-input footprints, winners' returned states,
-	// win flags, and the per-input lane nanoseconds of the round in
-	// flight.
+	// input indexes, per-input footprints (input i's at fps[i-gstart]),
+	// winners' returned states, win flags, and the per-input lane
+	// nanoseconds of the round in flight — written by the owning lane
+	// inside a wave and read by the coordinator after the wave's barrier.
 	pending   []int
 	fps       [][]int
 	states    []S
@@ -193,13 +189,13 @@ type resvRun[I, S, O any] struct {
 	// chunk c (created once per slot), waveBody the current wave's
 	// per-input body, wavePending the pending set it fans over, wavePer
 	// the chunk width, and wavePoint the schedule point lanes yield at.
-	// reserveBody and checkBody are the two bodies, bound once.
 	waveTasks   []pool.Task
 	waveBody    func(lane, i int)
 	wavePending []int
 	wavePer     int
 	wavePoint   sched.Point
 	waveWG      sync.WaitGroup
+	// reserveBody and checkBody are the two bodies, bound once.
 	reserveBody func(lane, i int)
 	checkBody   func(lane, i int)
 
@@ -224,53 +220,39 @@ func (d *Dependence[I, S, O]) getResvRun() *resvRun[I, S, O] {
 // reuse.
 func (r *resvRun[I, S, O]) release() {
 	var zeroS S
-	r.inputs = nil
-	r.opts = Options{}
-	r.o = nil
-	r.ctl = nil
-	r.p = nil
-	r.emit = nil
-	r.st = nil
+	r.runFrame = runFrame{}
+	r.inputs, r.emit, r.outs = nil, nil, nil
 	r.shared = zeroS
-	r.outs = nil
 	clear(r.fps[:cap(r.fps)])
 	clear(r.states[:cap(r.states)])
 	clear(r.panics[:cap(r.panics)])
 	r.panics = r.panics[:0]
-	r.waveBody = nil
-	r.wavePending = nil
+	r.waveBody, r.wavePending = nil, nil
 	r.d.resvScratch.Put(r)
 }
 
-// containPanic records one contained user-code panic's value and stack.
-func (r *resvRun[I, S, O]) containPanic(pe *PanicError) {
-	r.panicMu.Lock()
-	r.panics = append(r.panics, pe)
-	r.panicMu.Unlock()
-}
-
-// drainPanics moves the run's contained panic records into Stats.Panics.
-// Called after wave barriers (or on the sequential coordinator), so no
-// lane is still appending.
-func (r *resvRun[I, S, O]) drainPanics() {
-	if len(r.panics) == 0 {
-		return
+// fail marks the run failed with the first failure observed; pe, when
+// non-nil, is the contained user-code panic behind it, kept for
+// Stats.Panics. Safe to call from lanes.
+func (r *resvRun[I, S, O]) fail(why groupFailure, pe *PanicError) {
+	if pe != nil {
+		r.panicMu.Lock()
+		r.panics = append(r.panics, pe)
+		r.panicMu.Unlock()
 	}
-	r.st.Panics = append(r.st.Panics, r.panics...)
-	clear(r.panics)
-	r.panics = r.panics[:0]
+	r.failed.CompareAndSwap(int32(failNone), int32(why))
 }
 
-// runReservations executes the deterministic-reservations protocol. It is
-// the ProtocolReservations counterpart of runSpeculative, reached from
-// runAll with speculation admitted (UseAux set, g < len(inputs), breaker
-// allowing).
-func (d *Dependence[I, S, O]) runReservations(root *rng.Source, inputs []I, initial S, g int, opts Options, st *Stats, emit Emit[O]) ([]O, S, Stats) {
+// runReservations executes the deterministic-reservations protocol over
+// the run frame. It is the ProtocolReservations counterpart of
+// runSpeculative, reached from runAll with speculation admitted (UseAux
+// set, g < len(inputs), breaker allowing). A group failure squashes the
+// remaining inputs into the sequential fallback (§3.1: no further
+// speculation for the current input vector).
+func (d *Dependence[I, S, O]) runReservations(root *rng.Source, inputs []I, initial S, g int, opts *Options, st *Stats, emit Emit[O]) ([]O, S) {
 	n := len(inputs)
-	numGroups := (n + g - 1) / g
-	st.Groups = numGroups
-
 	r := d.getResvRun()
+	r.runFrame.begin(n, g, opts, st)
 	defer r.release()
 	if cap(r.srcs) < n {
 		r.srcs = make([]rng.Source, n)
@@ -280,9 +262,9 @@ func (d *Dependence[I, S, O]) runReservations(root *rng.Source, inputs []I, init
 		root.SplitInto(&r.srcs[i])
 	}
 
-	r.inputs, r.opts, r.o = inputs, opts, opts.Obs
-	r.ctl, r.coordLane = opts.Sched, opts.SchedLane
-	r.st, r.emit = st, emit
+	r.inputs, r.emit = inputs, emit
+	r.oracle = opts.FootprintCheck && d.reserve != nil && d.reserve.Touched != nil
+	r.lanes = max(opts.Workers, 1)
 	r.shared = d.ops.Clone(initial)
 	r.outs = make([]O, n) // returned to the caller, never recycled
 	r.failed.Store(int32(failNone))
@@ -290,22 +272,18 @@ func (d *Dependence[I, S, O]) runReservations(root *rng.Source, inputs []I, init
 	r.invocations.Store(0)
 	r.fpViolations.Store(0)
 	r.committed = 0
-	r.lanes = opts.Workers
-	if r.lanes < 1 {
-		r.lanes = 1
-	}
 
 	slots := 1
 	if d.reserve != nil {
-		ns, ok, pe := d.safeNumSlots(r.shared)
-		if !ok {
+		if pe := contain(func() { slots = max(d.reserve.NumSlots(r.shared), 1) }); pe != nil {
 			// NumSlots panicked: contained, but no parallel protocol is
-			// possible — the whole vector runs sequentially.
-			r.containPanic(pe)
-			return r.setupFallback()
-		}
-		if ns > slots {
-			slots = ns
+			// possible — no group ever starts, nothing is squashed, and
+			// the whole vector runs sequentially.
+			r.fail(failPanic, pe)
+			r.notePanic(0, 0, nil)
+			r.noteAbort(0, 0)
+			r.fallBack(0, 0, 0, nil)
+			return r.outs, r.shared
 		}
 	}
 	if cap(r.table) < slots {
@@ -313,56 +291,25 @@ func (d *Dependence[I, S, O]) runReservations(root *rng.Source, inputs []I, init
 	}
 	r.table = r.table[:slots]
 
-	p := opts.Pool
-	if p == nil {
-		p = newRunPool(opts)
-		p.SetObserver(r.o)
-		defer func() {
-			if r.ctl != nil {
-				r.ctl.Block(r.coordLane)
-			}
-			p.Close()
-			if r.ctl != nil {
-				r.ctl.Unblock(r.coordLane)
-			}
-		}()
-	}
-	r.p = p
-	r.poolBase = p.Metrics()
-	return r.run(numGroups, g)
-}
-
-// run processes the groups in order; a group failure squashes the
-// remaining inputs into the sequential fallback (§3.1: no further
-// speculation for the current input vector).
-func (r *resvRun[I, S, O]) run(numGroups, g int) ([]O, S, Stats) {
-	n := len(r.inputs)
-	for j := 0; j < numGroups; j++ {
-		start, end := j*g, min(n, (j+1)*g)
-		ok, pending := r.runGroup(j, start, end)
-		if !ok {
-			r.abort(j, numGroups, g, start, end, pending)
+	r.lease(opts)
+	defer r.finish()
+	for j := 0; j < r.numGroups; j++ {
+		if pending, ok := r.runGroup(j); !ok {
+			r.abort(j, pending)
 			break
 		}
 	}
-	r.st.Invocations += r.invocations.Load()
-	r.st.UsefulInvocations += int64(r.committed)
-	r.st.FootprintViolations += int(r.fpViolations.Load())
-	captureScheduler(r.st, r.p, r.poolBase)
-	return r.outs, r.shared, *r.st
+	st.Invocations += r.invocations.Load()
+	st.UsefulInvocations += int64(r.committed)
+	st.FootprintViolations += int(r.fpViolations.Load())
+	return r.outs, r.shared
 }
 
-// runGroup runs one group's reserve/check/commit rounds to completion,
+// runGroup runs group j's reserve/check/commit rounds to completion,
 // reporting success and — on failure — the inputs still pending.
-func (r *resvRun[I, S, O]) runGroup(j, start, end int) (bool, []int) {
+func (r *resvRun[I, S, O]) runGroup(j int) ([]int, bool) {
+	start, end := r.bounds(j)
 	width := end - start
-	// The group context the bound wave bodies read, and the recycled
-	// round buffers: footprints (input i's at fps[i-start]), winners'
-	// returned states, win flags, and per-input lane nanoseconds for the
-	// round in flight — the latter written by the owning lane inside a
-	// wave and read by the coordinator after the wave's barrier, zeroed
-	// once attributed so a failure sweep only picks up work no
-	// commitRound has filed yet.
 	r.gj, r.gstart = j, start
 	pending := r.pending[:0]
 	for i := start; i < end; i++ {
@@ -374,118 +321,96 @@ func (r *resvRun[I, S, O]) runGroup(j, start, end int) (bool, []int) {
 	r.won = cleared(r.won, width)
 	r.reserveNS = cleared(r.reserveNS, width)
 	r.computeNS = cleared(r.computeNS, width)
-	fps, states, won := r.fps, r.states, r.won
-	reserveNS, computeNS := r.reserveNS, r.computeNS
-	var gCommitNS, gWasteNS int64
+	var commitNS, wasteNS int64
 
 	if r.o != nil {
 		r.o.GroupsStarted.Inc()
 		r.o.Tracer.Emit(j, obs.EvGroupStart, int32(j), int64(start))
 	}
-	timeout := r.opts.GroupTimeout
 	var groupStart time.Time
-	if timeout > 0 && r.ctl == nil {
+	if r.timeout > 0 {
 		groupStart = time.Now()
 	}
-
 	rounds := 0
 	for len(pending) > 0 {
-		// The deadline is checked once per round on the coordinator;
-		// under a controller the expiry is a schedulable choice (parked
-		// wall-clock time would otherwise count against the group).
-		if timeout > 0 {
-			expired := false
-			var elapsedNS int64
-			if r.ctl != nil {
-				expired = r.ctl.Choose(sched.PointTimeoutCheck, r.coordLane, 2) == 1
-			} else if elapsed := time.Since(groupStart); elapsed > timeout {
-				expired = true
-				elapsedNS = elapsed.Nanoseconds()
-			}
-			if expired {
-				r.failed.Store(int32(failTimeout))
+		// The deadline is checked once per round on the coordinator.
+		if r.timeout > 0 {
+			if expired, elapsedNS := r.expired(groupStart, r.lane); expired {
 				r.failArg = elapsedNS
+				r.fail(failTimeout, nil)
 				break
 			}
 		}
-		round := rounds
+		r.ground = rounds
 		rounds++
 		r.st.Rounds++
-		r.ground = round
-
-		// Reserve: every pending input write-mins its index into its
-		// footprint's cells. The committed state is immutable for the
-		// whole round, so parallel reads of it are race-free.
-		for s := range r.table {
-			r.table[s].Store(int64(len(r.inputs)))
-		}
-		r.wave(sched.PointReserve, pending, r.reserveBody)
-		if r.failed.Load() != int32(failNone) {
-			break
-		}
-
-		// Check + compute: an input holding the minimum on all its slots
-		// wins and runs its compute from a private clone of the round's
-		// snapshot; losers carry forward.
-		r.wave(sched.PointReserveCheck, pending, r.checkBody)
-		if r.failed.Load() != int32(failNone) {
-			break
-		}
-
-		// Commit on the coordinator, in ascending input order.
-		if r.ctl != nil {
-			r.ctl.Yield(sched.PointCommit, r.coordLane)
-		}
-		if !r.commitRound(j, round, start, pending, fps, states, won) {
+		if !r.runRound(pending) {
 			break
 		}
 		// Attribute the round's lane time: winners' reserve+compute was
 		// committed, losers' was the protocol's wasted work. Zero the
 		// entries once filed so the failure sweep below never double
-		// counts them.
-		for _, i := range pending {
-			k := i - start
-			spent := reserveNS[k] + computeNS[k]
-			if won[k] {
-				gCommitNS += spent
-			} else {
-				gWasteNS += spent
-			}
-			reserveNS[k], computeNS[k] = 0, 0
-		}
+		// counts them. Losers carry forward.
 		next := pending[:0]
 		for _, i := range pending {
-			if !won[i-start] {
+			k := i - start
+			spent := r.reserveNS[k] + r.computeNS[k]
+			r.reserveNS[k], r.computeNS[k] = 0, 0
+			if r.won[k] {
+				commitNS += spent
+			} else {
+				wasteNS += spent
 				next = append(next, i)
 			}
 		}
 		pending = next
 	}
-
-	if r.failed.Load() != int32(failNone) {
+	ok := r.failed.Load() == int32(failNone)
+	if !ok {
 		// A broken round commits nothing: every lane nanosecond it
 		// recorded is wasted work.
-		for k := 0; k < width; k++ {
-			gWasteNS += reserveNS[k] + computeNS[k]
+		for k := range width {
+			wasteNS += r.reserveNS[k] + r.computeNS[k]
 		}
 	}
-	r.flushLaneCPU(j, gCommitNS, gWasteNS)
+	r.noteLaneCPU(j, commitNS, wasteNS)
 	if r.o != nil {
 		r.o.RoundsPerGroup.Observe(int64(rounds))
 		r.o.GroupsFinished.Inc()
 		r.o.Tracer.Emit(j, obs.EvGroupFinish, int32(j), int64(width-len(pending)))
 	}
-	if r.failed.Load() != int32(failNone) {
-		return false, pending
-	}
-	// Group complete: its outputs are final; stream them in input order
-	// (commits happened out of order, so emission buffers per group).
-	if r.emit != nil {
+	if ok && r.emit != nil {
+		// Group complete: its outputs are final; stream them in input order
+		// (commits happened out of order, so emission buffers per group).
 		for i := start; i < end; i++ {
 			r.emit(i, r.outs[i])
 		}
 	}
-	return true, nil
+	return pending, ok
+}
+
+// runRound runs one reserve/check/commit round over the pending inputs of
+// the group in flight, reporting whether it committed.
+func (r *resvRun[I, S, O]) runRound(pending []int) bool {
+	// Reserve: every pending input write-mins its index into its
+	// footprint's cells. The committed state is immutable for the whole
+	// round, so parallel reads of it are race-free.
+	for s := range r.table {
+		r.table[s].Store(int64(r.n))
+	}
+	r.wave(sched.PointReserve, pending, r.reserveBody)
+	if r.failed.Load() != int32(failNone) {
+		return false
+	}
+	// Check + compute: an input holding the minimum on all its slots wins
+	// and runs its compute from a private clone of the round's snapshot.
+	r.wave(sched.PointReserveCheck, pending, r.checkBody)
+	if r.failed.Load() != int32(failNone) {
+		return false
+	}
+	// Commit on the coordinator, in ascending input order.
+	r.yield(sched.PointCommit, r.lane)
+	return r.commitRound(pending)
 }
 
 // reserveOne is the reserve wave's per-input body (bound once per
@@ -509,6 +434,27 @@ func (r *resvRun[I, S, O]) reserveOne(lane, i int) {
 	}
 	r.reserveNS[i-r.gstart] = time.Since(laneStart).Nanoseconds()
 }
+
+// footprintOf evaluates the input's footprint against the committed
+// state. Out-of-range slots are a contract violation surfaced as a panic,
+// which the wave contains like any user-code panic (the group falls back
+// sequentially, outputs intact).
+func (r *resvRun[I, S, O]) footprintOf(i int) []int {
+	if r.d.reserve == nil {
+		return wholeStateFootprint
+	}
+	fp := r.d.reserve.Footprint(r.inputs[i], r.shared)
+	for _, sl := range fp {
+		if sl < 0 || sl >= len(r.table) {
+			panic(fmt.Sprintf("core: footprint slot %d outside [0,%d)", sl, len(r.table)))
+		}
+	}
+	return fp
+}
+
+// wholeStateFootprint is the built-in single-slot footprint used when the
+// dependence has no ReserveOps: every input conflicts on slot 0.
+var wholeStateFootprint = []int{0}
 
 // checkOne is the check+compute wave's per-input body (bound once per
 // resvRun): an input holding the minimum on all its slots wins and runs
@@ -537,9 +483,8 @@ func (r *resvRun[I, S, O]) checkOne(lane, i int) {
 	snap := r.d.ops.Clone(r.shared)
 	// The oracle needs its own pristine clone: compute may mutate
 	// snap in place, so snap cannot serve as the "before" state.
-	oracle := r.opts.FootprintCheck && r.d.reserve != nil && r.d.reserve.Touched != nil
 	var before S
-	if oracle {
+	if r.oracle {
 		before = r.d.ops.Clone(r.shared)
 	}
 	src := r.srcs[i]
@@ -547,27 +492,24 @@ func (r *resvRun[I, S, O]) checkOne(lane, i int) {
 	r.invocations.Add(1)
 	r.outs[i] = out
 	r.states[k] = next
-	if oracle {
-		declared := make(map[int]bool, len(r.fps[k]))
-		for _, sl := range r.fps[k] {
-			declared[sl] = true
+	if !r.oracle {
+		return
+	}
+	for _, sl := range r.d.reserve.Touched(before, next) {
+		if slices.Contains(r.fps[k], sl) {
+			continue
 		}
-		for _, sl := range r.d.reserve.Touched(before, next) {
-			if declared[sl] {
-				continue
-			}
-			// A lying footprint: the winner touched a slot it never
-			// reserved, so this round's winner set is not conflict-
-			// free. Nothing from the round commits (the group breaks
-			// before commitRound) and the pending inputs re-run
-			// sequentially from the committed state.
-			r.fpViolations.Add(1)
-			if r.o != nil {
-				r.o.FootprintViolations.Inc()
-				r.o.Tracer.Emit(lane, obs.EvFootprintViolation, int32(r.gj), int64(sl))
-			}
-			r.failed.CompareAndSwap(int32(failNone), int32(failFootprint))
+		// A lying footprint: the winner touched a slot it never
+		// reserved, so this round's winner set is not conflict-free.
+		// Nothing from the round commits (the group breaks before
+		// commitRound) and the pending inputs re-run sequentially from
+		// the committed state.
+		r.fpViolations.Add(1)
+		if r.o != nil {
+			r.o.FootprintViolations.Inc()
+			r.o.Tracer.Emit(lane, obs.EvFootprintViolation, int32(r.gj), int64(sl))
 		}
+		r.fail(failFootprint, nil)
 	}
 }
 
@@ -576,29 +518,29 @@ func (r *resvRun[I, S, O]) checkOne(lane, i int) {
 // contained: the state under merge is a private clone, so the committed
 // state is intact for the fallback and commitRound reports failure with
 // nothing retired.
-func (r *resvRun[I, S, O]) commitRound(j, round, start int, pending []int, fps [][]int, states []S, won []bool) bool {
+func (r *resvRun[I, S, O]) commitRound(pending []int) bool {
+	start, won := r.gstart, r.won
 	if r.d.reserve == nil {
 		// Whole-state single slot: exactly one winner (the lowest pending
 		// index); adopt its returned state wholesale.
 		for _, i := range pending {
 			if won[i-start] {
-				r.shared = states[i-start]
+				r.shared = r.states[i-start]
 				break
 			}
 		}
 	} else {
 		next := r.d.ops.Clone(r.shared)
-		for _, i := range pending {
-			if !won[i-start] {
-				continue
+		pe := contain(func() {
+			for _, i := range pending {
+				if won[i-start] {
+					next = r.d.reserve.Merge(next, r.states[i-start], r.fps[i-start])
+				}
 			}
-			merged, ok, pe := r.safeMerge(next, states[i-start], fps[i-start])
-			if !ok {
-				r.containPanic(pe)
-				r.failed.CompareAndSwap(int32(failNone), int32(failPanic))
-				return false
-			}
-			next = merged
+		})
+		if pe != nil {
+			r.fail(failPanic, pe)
+			return false
 		}
 		r.shared = next
 	}
@@ -621,7 +563,7 @@ func (r *resvRun[I, S, O]) commitRound(j, round, start int, pending []int, fps [
 		}
 		if r.o != nil {
 			r.o.Commits.Inc()
-			r.o.Tracer.Emit(obs.LaneCoord, obs.EvCommit, int32(j), ReservationArg(round, i))
+			r.o.Tracer.Emit(obs.LaneCoord, obs.EvCommit, int32(r.gj), ReservationArg(r.ground, i))
 		}
 	}
 	r.st.ReservationConflicts += len(pending) - winners
@@ -632,47 +574,6 @@ func (r *resvRun[I, S, O]) commitRound(j, round, start int, pending []int, fps [
 	}
 	return true
 }
-
-// flushLaneCPU files one group's resolved lane-time attribution into the
-// run's Stats and, when observing, the wasted-work counters and the
-// per-group attribution events.
-func (r *resvRun[I, S, O]) flushLaneCPU(j int, committedNS, wastedNS int64) {
-	if committedNS > 0 {
-		r.st.LaneCPUCommittedNS += committedNS
-		if r.o != nil {
-			r.o.LaneCPUCommitted.Add(committedNS)
-			r.o.Tracer.Emit(obs.LaneCoord, obs.EvLaneCPUCommitted, int32(j), committedNS)
-		}
-	}
-	if wastedNS > 0 {
-		r.st.LaneCPUWastedNS += wastedNS
-		if r.o != nil {
-			r.o.LaneCPUWasted.Add(wastedNS)
-			r.o.Tracer.Emit(obs.LaneCoord, obs.EvLaneCPUWasted, int32(j), wastedNS)
-		}
-	}
-}
-
-// footprintOf evaluates the input's footprint against the committed
-// state. Out-of-range slots are a contract violation surfaced as a panic,
-// which the wave contains like any user-code panic (the group falls back
-// sequentially, outputs intact).
-func (r *resvRun[I, S, O]) footprintOf(i int) []int {
-	if r.d.reserve == nil {
-		return wholeStateFootprint
-	}
-	fp := r.d.reserve.Footprint(r.inputs[i], r.shared)
-	for _, sl := range fp {
-		if sl < 0 || sl >= len(r.table) {
-			panic(fmt.Sprintf("core: footprint slot %d outside [0,%d)", sl, len(r.table)))
-		}
-	}
-	return fp
-}
-
-// wholeStateFootprint is the built-in single-slot footprint used when the
-// dependence has no ReserveOps: every input conflicts on slot 0.
-var wholeStateFootprint = []int{0}
 
 // wave fans body over the pending inputs: at most r.lanes contiguous
 // chunks, one pool task each, yielding at point on the chunk's lane
@@ -685,114 +586,75 @@ var wholeStateFootprint = []int{0}
 // through the wave* fields, published to the workers by SubmitBatch and
 // fenced from the next wave by the waveWG barrier.
 func (r *resvRun[I, S, O]) wave(point sched.Point, pending []int, body func(lane, i int)) {
-	chunks := r.lanes
-	if chunks > len(pending) {
-		chunks = len(pending)
-	}
+	chunks := min(r.lanes, len(pending))
 	per := (len(pending) + chunks - 1) / chunks
 	nTasks := (len(pending) + per - 1) / per
 	for c := len(r.waveTasks); c < nTasks; c++ {
-		c := c
 		r.waveTasks = append(r.waveTasks, func() { r.waveTask(c) })
 	}
 	r.wavePoint, r.waveBody = point, body
 	r.wavePending, r.wavePer = pending, per
 	r.waveWG.Add(nTasks)
-	if r.ctl != nil {
-		r.ctl.Block(r.coordLane)
-	}
-	nq, err := r.p.SubmitBatch(r.waveTasks[:nTasks])
-	if err != nil {
-		for _, task := range r.waveTasks[nq:nTasks] {
-			task()
-		}
-	}
-	r.waveWG.Wait()
-	if r.ctl != nil {
-		r.ctl.Unblock(r.coordLane)
-	}
+	r.blocked(func() {
+		r.fanOut(r.waveTasks[:nTasks])
+		r.waveWG.Wait()
+	})
 }
 
 // waveTask runs chunk c of the wave in flight: the contiguous slice of
-// wavePending at [c*wavePer, (c+1)*wavePer), on schedule lane
-// coordLane+1+c.
+// wavePending at [c*wavePer, (c+1)*wavePer), on schedule lane lane+1+c.
 func (r *resvRun[I, S, O]) waveTask(c int) {
 	defer r.waveWG.Done()
-	lane := r.coordLane + 1 + c
+	lane := r.lane + 1 + c
 	if r.ctl != nil {
 		defer r.ctl.Done(lane)
 	}
-	defer func() {
-		if rec := recover(); rec != nil {
-			r.containPanic(&PanicError{Value: rec, Stack: debug.Stack()})
-			r.failed.CompareAndSwap(int32(failNone), int32(failPanic))
-		}
-	}()
 	lo := c * r.wavePer
-	hi := lo + r.wavePer
-	if hi > len(r.wavePending) {
-		hi = len(r.wavePending)
-	}
-	for _, i := range r.wavePending[lo:hi] {
-		if r.ctl != nil {
-			r.ctl.Yield(r.wavePoint, lane)
+	chunk := r.wavePending[lo:min(lo+r.wavePer, len(r.wavePending))]
+	pe := contain(func() {
+		for _, i := range chunk {
+			r.yield(r.wavePoint, lane)
+			if r.failed.Load() != int32(failNone) {
+				return
+			}
+			r.waveBody(lane, i)
 		}
-		if r.failed.Load() != int32(failNone) {
-			return
-		}
-		r.waveBody(lane, i)
+	})
+	if pe != nil {
+		r.fail(failPanic, pe)
 	}
 }
 
-// abort handles a group failure: classify it, squash the uncommitted
-// inputs, and reprocess them sequentially in ascending order from the
-// committed state — each with its pre-assigned random source, so the
-// outputs stay byte-identical to the sequential baseline.
-func (r *resvRun[I, S, O]) abort(j, numGroups, g, start, end int, pending []int) {
-	n := len(r.inputs)
+// abort handles the failure of group j with pending inputs uncommitted:
+// classify it, squash the uncommitted inputs, and fall back.
+func (r *resvRun[I, S, O]) abort(j int, pending []int) {
 	switch groupFailure(r.failed.Load()) {
 	case failPanic:
-		r.st.PanickedGroups++
-		if r.o != nil {
-			r.o.PanickedGroups.Inc()
-			r.o.Tracer.Emit(obs.LaneCoord, obs.EvPanic, int32(j), int64(len(pending)))
-		}
+		r.notePanic(j, int64(len(pending)), nil)
 	case failTimeout:
-		r.st.TimedOutGroups++
-		if r.o != nil {
-			r.o.GroupTimeouts.Inc()
-			r.o.Tracer.Emit(obs.LaneCoord, obs.EvGroupTimeout, int32(j), r.failArg)
-		}
+		r.noteTimeout(j, r.failArg)
 	case failFootprint:
 		// The oracle already counted each offending slot (and emitted
 		// EvFootprintViolation per slot); only the shared abort/squash/
-		// fallback bookkeeping below remains.
+		// fallback bookkeeping remains.
 	}
-	r.st.Aborts++
-	if r.o != nil {
-		r.o.Aborts.Inc()
-		r.o.Tracer.Emit(obs.LaneCoord, obs.EvAbort, int32(j), 0)
-		r.o.Squashes.Inc()
-		r.o.Tracer.Emit(obs.LaneCoord, obs.EvSquash, int32(j), int64(len(pending)))
-		for k := j + 1; k < numGroups; k++ {
-			ks, ke := k*g, min(n, (k+1)*g)
-			r.o.Squashes.Inc()
-			r.o.Tracer.Emit(obs.LaneCoord, obs.EvSquash, int32(k), int64(ke-ks))
-		}
-	}
-	remaining := len(pending) + (n - end)
-	r.st.SquashedInputs = remaining
-	r.st.FallbackInputs = remaining
-	if r.o != nil {
-		r.o.FallbackInputs.Add(int64(remaining))
-		r.o.Tracer.Emit(obs.LaneCoord, obs.EvFallback, int32(j), int64(remaining))
-	}
-	if r.ctl != nil {
-		r.ctl.Yield(sched.PointFallback, r.coordLane)
-	}
-	// Fill the failed group's pending slots, then stream the whole group
-	// in input order (its committed outputs were never emitted), then the
-	// tail sequentially.
+	r.noteAbort(j, 0)
+	r.noteSquash(j, len(pending))
+	start, end := r.bounds(j)
+	r.fallBack(j, start, end, pending)
+}
+
+// fallBack reprocesses the uncommitted inputs sequentially in ascending
+// order from the committed state — each with its pre-assigned random
+// source, so the outputs stay byte-identical to the sequential baseline.
+// It fills the failed group's pending slots, then streams the whole group
+// [start, end) in input order (its committed outputs were never emitted),
+// then the tail.
+func (r *resvRun[I, S, O]) fallBack(j, start, end int, pending []int) {
+	r.noteFallback(j, len(pending)+r.n-end)
+	// Every lane is past its barrier, so the waves' panic records are
+	// final; the fallback's own follow in the order they happen.
+	r.st.Panics = append(r.st.Panics, r.panics...)
 	fbStart := time.Now()
 	for _, i := range pending {
 		r.seqOne(i)
@@ -802,7 +664,7 @@ func (r *resvRun[I, S, O]) abort(j, numGroups, g, start, end int, pending []int)
 			r.emit(i, r.outs[i])
 		}
 	}
-	for i := end; i < n; i++ {
+	for i := end; i < r.n; i++ {
 		r.seqOne(i)
 		if r.emit != nil {
 			r.emit(i, r.outs[i])
@@ -810,8 +672,7 @@ func (r *resvRun[I, S, O]) abort(j, numGroups, g, start, end int, pending []int)
 	}
 	// The fallback produced committed outputs; file its time against the
 	// aborting group, whose squashed work it redid.
-	r.flushLaneCPU(j, time.Since(fbStart).Nanoseconds(), 0)
-	r.drainPanics()
+	r.noteLaneCPU(j, time.Since(fbStart).Nanoseconds(), 0)
 }
 
 // seqOne processes one input sequentially from the committed state with
@@ -822,84 +683,18 @@ func (r *resvRun[I, S, O]) abort(j, numGroups, g, start, end int, pending []int)
 // one per input, the chaos contract) replay deterministically. A second
 // panic is a deterministic application bug and propagates.
 func (r *resvRun[I, S, O]) seqOne(i int) {
-	out, next, ok := r.tryComputeSeq(i)
+	var out O
+	var next S
+	src := r.srcs[i]
+	pe := contain(func() { out, next = r.d.compute(&src, r.inputs[i], r.d.ops.Clone(r.shared)) })
 	r.st.Invocations++
-	if !ok {
-		src := r.srcs[i]
+	if pe != nil {
+		r.st.Panics = append(r.st.Panics, pe)
+		src = r.srcs[i]
 		out, next = r.d.compute(&src, r.inputs[i], r.shared)
 		r.st.Invocations++
 	}
 	r.shared = next
 	r.outs[i] = out
 	r.st.UsefulInvocations++
-}
-
-// tryComputeSeq is seqOne's contained first attempt. It runs on the
-// coordinator, so the panic record goes straight into the run's
-// collection (drained by the fallback epilogues).
-func (r *resvRun[I, S, O]) tryComputeSeq(i int) (out O, next S, ok bool) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			ok = false
-			r.containPanic(&PanicError{Value: rec, Stack: debug.Stack()})
-		}
-	}()
-	src := r.srcs[i]
-	out, next = r.d.compute(&src, r.inputs[i], r.d.ops.Clone(r.shared))
-	return out, next, true
-}
-
-// setupFallback handles a contained NumSlots panic: no group ever starts
-// and the whole vector runs sequentially.
-func (r *resvRun[I, S, O]) setupFallback() ([]O, S, Stats) {
-	n := len(r.inputs)
-	r.st.Aborts++
-	r.st.PanickedGroups++
-	r.st.SquashedInputs = 0
-	r.st.FallbackInputs = n
-	if r.o != nil {
-		r.o.Aborts.Inc()
-		r.o.PanickedGroups.Inc()
-		r.o.FallbackInputs.Add(int64(n))
-		r.o.Tracer.Emit(obs.LaneCoord, obs.EvPanic, 0, 0)
-		r.o.Tracer.Emit(obs.LaneCoord, obs.EvAbort, 0, 0)
-		r.o.Tracer.Emit(obs.LaneCoord, obs.EvFallback, 0, int64(n))
-	}
-	if r.ctl != nil {
-		r.ctl.Yield(sched.PointFallback, r.coordLane)
-	}
-	fbStart := time.Now()
-	for i := 0; i < n; i++ {
-		r.seqOne(i)
-		if r.emit != nil {
-			r.emit(i, r.outs[i])
-		}
-	}
-	r.flushLaneCPU(0, time.Since(fbStart).Nanoseconds(), 0)
-	r.drainPanics()
-	return r.outs, r.shared, *r.st
-}
-
-// safeNumSlots evaluates the developer's slot count with panic
-// containment, returning the recovered value and stack on failure.
-func (d *Dependence[I, S, O]) safeNumSlots(s S) (n int, ok bool, pe *PanicError) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			ok = false
-			pe = &PanicError{Value: rec, Stack: debug.Stack()}
-		}
-	}()
-	return d.reserve.NumSlots(s), true, nil
-}
-
-// safeMerge applies the developer's Merge with panic containment,
-// returning the recovered value and stack on failure.
-func (r *resvRun[I, S, O]) safeMerge(dst, src S, slots []int) (merged S, ok bool, pe *PanicError) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			ok = false
-			pe = &PanicError{Value: rec, Stack: debug.Stack()}
-		}
-	}()
-	return r.d.reserve.Merge(dst, src, slots), true, nil
 }

@@ -186,6 +186,14 @@ func halfOpenRace(t *testing.T, ctl sched.Controller) (bDenied bool) {
 	}
 	clk.advance(31 * time.Second) // past cooldown: next Allow half-opens
 
+	// Announce both coordinators before spawning them, so dispatch waits
+	// for the pair and the race is decided by the controller, not by which
+	// goroutine the OS starts first.
+	if g, ok := ctl.(interface{ Expect(lane int) }); ok {
+		g.Expect(0)
+		g.Expect(1000)
+	}
+
 	inputs := seqInputs(12)
 	var wg sync.WaitGroup
 	var stA, stB Stats

@@ -1,7 +1,5 @@
 package core
 
-import "runtime/debug"
-
 // Streaming commit: outputs are delivered, in input order, the moment they
 // stop being speculative (§3.1: "When these checks succeed, the additional
 // TLP generated can be safely used") instead of materializing only when
@@ -27,11 +25,8 @@ func (d *Dependence[I, S, O]) RunStream(inputs []I, initial S, opts Options, emi
 // mirroring RunChecked. Outputs emitted before the panic stand; the
 // returned slices reflect only work that committed.
 func (d *Dependence[I, S, O]) RunStreamChecked(inputs []I, initial S, opts Options, emit Emit[O]) (outs []O, final S, st Stats, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &PanicError{Value: r, Stack: debug.Stack()}
-		}
-	}()
-	outs, final, st = d.runAll(inputs, initial, opts, emit)
-	return outs, final, st, nil
+	if pe := contain(func() { outs, final, st = d.runAll(inputs, initial, opts, emit) }); pe != nil {
+		err = pe
+	}
+	return outs, final, st, err
 }

@@ -185,8 +185,14 @@ func exploreTargets(e *Env) []exploreTarget {
 	return ts
 }
 
-// ExploreRun executes the exploration campaign.
+// ExploreRun executes the exploration campaign over every target.
 func ExploreRun(e *Env, cfg ExploreConfig) ([]ExploreRow, error) {
+	return exploreRun(e, exploreTargets(e), cfg)
+}
+
+// exploreRun explores the given targets (the tier-1 smoke pins a cheap
+// subset; `make explore` sweeps them all through ExploreRun).
+func exploreRun(e *Env, targets []exploreTarget, cfg ExploreConfig) ([]ExploreRow, error) {
 	n := cfg.SchedulesPerRow
 	if n <= 0 {
 		n = 25
@@ -204,7 +210,7 @@ func ExploreRun(e *Env, cfg ExploreConfig) ([]ExploreRow, error) {
 	}
 
 	var rows []ExploreRow
-	for _, tgt := range exploreTargets(e) {
+	for _, tgt := range targets {
 		row := ExploreRow{Name: tgt.name}
 		hashes := map[uint64]bool{}
 		for i := 0; i < n; i++ {
@@ -287,12 +293,18 @@ func sanitize(s string) string {
 	return string(out)
 }
 
-// ExploreTable renders the campaign with the exploration counters.
+// ExploreTable runs the campaign and renders it with the exploration
+// counters.
 func ExploreTable(e *Env, cfg ExploreConfig) (*Table, error) {
 	rows, err := ExploreRun(e, cfg)
 	if err != nil {
 		return nil, err
 	}
+	return exploreTable(rows)
+}
+
+// exploreTable renders campaign rows; any contract failure is an error.
+func exploreTable(rows []ExploreRow) (*Table, error) {
 	t := &Table{
 		Title: "Explore — systematic schedule exploration under controlled scheduling",
 		Columns: []string{

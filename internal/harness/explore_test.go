@@ -1,29 +1,54 @@
 package harness
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
 
-func TestExploreQuick(t *testing.T) {
-	schedules, replayEvery := 2, 1
-	if raceEnabled {
-		// Gate-serialized runs magnify race instrumentation; one schedule
-		// per row keeps the package inside the test timeout while still
-		// exercising every row end to end.
-		schedules, replayEvery = 1, 2
+// smokeRun runs the tier-1 exploration smoke: one workload under each
+// protocol plus one synthetic fault mix per protocol, at the smallest
+// shape that speculates (two groups of four). Their recorded schedules are
+// short, so even a replay that has to resynchronize past timing-dependent
+// pool entries (100 ms each) stays seconds-scale. The full row set and
+// size are `make explore`'s job.
+func smokeRun(t *testing.T, schedules, replayEvery int) []ExploreRow {
+	t.Helper()
+	pinned := []string{
+		"streamcluster", "streamcluster (resv)",
+		"synthetic aux-panic 10%", "synthetic reservations compute-once 30%",
 	}
 	e := NewEnv(true)
-	rows, err := ExploreRun(e, ExploreConfig{
+	e.RealSize = 8
+	var targets []exploreTarget
+	for _, tgt := range exploreTargets(e) {
+		if slices.Contains(pinned, tgt.name) {
+			targets = append(targets, tgt)
+		}
+	}
+	if len(targets) != len(pinned) {
+		t.Fatalf("found %d of the %d pinned rows", len(targets), len(pinned))
+	}
+	rows, err := exploreRun(e, targets, ExploreConfig{
 		SchedulesPerRow: schedules, ReplayEvery: replayEvery, DumpDir: t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) < 14 {
-		t.Fatalf("expected six workloads under both protocols plus synthetic fault rows, got %d", len(rows))
+	return rows
+}
+
+func TestExploreQuick(t *testing.T) {
+	schedules, replayEvery := 2, 1
+	if raceEnabled {
+		// Gate-serialized runs magnify race instrumentation; one schedule
+		// per row still exercises every row end to end.
+		schedules, replayEvery = 1, 2
 	}
-	sawSynthetic, sawResv, sawSynthResv := false, false, false
+	rows := smokeRun(t, schedules, replayEvery)
+	if len(rows) != 4 {
+		t.Fatalf("ran %d rows, want the 4 pinned ones", len(rows))
+	}
 	for _, r := range rows {
 		if r.Failures != 0 {
 			t.Errorf("%s: %d schedules broke the output contract", r.Name, r.Failures)
@@ -40,39 +65,18 @@ func TestExploreQuick(t *testing.T) {
 		if r.Distinct < 1 || r.Distinct > r.Schedules {
 			t.Errorf("%s: distinct=%d out of range", r.Name, r.Distinct)
 		}
-		if strings.HasPrefix(r.Name, "synthetic ") {
-			sawSynthetic = true
-		}
-		if strings.HasSuffix(r.Name, "(resv)") {
-			sawResv = true
-		}
-		if strings.HasPrefix(r.Name, "synthetic reservations") {
-			sawSynthResv = true
-		}
-	}
-	if !sawSynthetic {
-		t.Error("no synthetic fault-injection rows")
-	}
-	if !sawResv || !sawSynthResv {
-		t.Errorf("missing reservation rows: workload=%v synthetic=%v", sawResv, sawSynthResv)
 	}
 }
 
 func TestExploreTableRenders(t *testing.T) {
-	if raceEnabled {
-		t.Skip("rendering is covered without the race detector; the campaign itself runs in TestExploreQuick")
-	}
-	e := NewEnv(true)
-	tb, err := ExploreTable(e, ExploreConfig{
-		SchedulesPerRow: 2, ReplayEvery: 2, DumpDir: t.TempDir(),
-	})
+	tb, err := exploreTable(smokeRun(t, 1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
 	tb.Render(&sb)
 	out := sb.String()
-	for _, want := range []string{"Explore", "schedules", "failures", "distinct interleavings"} {
+	for _, want := range []string{"Explore", "schedules", "failures", "distinct interleavings", "streamcluster (resv)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered table missing %q:\n%s", want, out)
 		}

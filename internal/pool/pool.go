@@ -423,16 +423,20 @@ func (p *Pool) SubmitBatch(tasks []Task) (int, error) {
 			s := p.shards[(h+i)%ns]
 			k, depth, closed := s.pushMany(tasks[enq:], quota, &p.closed, &p.pending)
 			if closed {
+				// Nothing to flush: earlier pushes of this sweep are already
+				// counted, and Close wakes every parked worker to drain them.
 				return enq, ErrClosed
 			}
 			if k > 0 {
+				// Count the push where it happens, so no early return can
+				// leave executed tasks out of Submitted.
+				p.submitted.Add(int64(k))
 				enq += k
 				pushedThisSweep += k
 				p.noteDepth(depth)
 			}
 		}
 		if pushedThisSweep > 0 {
-			p.submitted.Add(int64(pushedThisSweep))
 			p.wake(pushedThisSweep)
 		}
 		if enq < len(tasks) && pushedThisSweep == 0 {

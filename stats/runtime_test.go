@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -76,16 +77,40 @@ func TestSharedRuntimeAcrossDependences(t *testing.T) {
 	}
 }
 
+// TestClosedRuntimeFallsBackInline pins the engine's inline-suffix path
+// under both protocols: a closed Runtime rejects the whole fan-out batch,
+// the coordinator runs it inline, and the run is indistinguishable — by
+// outputs, final state and every deterministic Stats field — from the same
+// run on an open Runtime.
 func TestClosedRuntimeFallsBackInline(t *testing.T) {
-	rt := NewRuntime(2)
-	rt.Close()
 	inputs := inputsN(6)
-	sd := Attach(rt, NewStateDependence(inputs, counter{}, computeDouble))
-	sd.SetAuxiliary(exactAux(inputs))
-	sd.Configure(Options{UseAux: true, GroupSize: 2, Window: 6, Seed: 3})
-	outs, final, _ := sd.Run()
-	if len(outs) != 6 || final.V != 21 {
-		t.Fatalf("inline fallback broken: %d outputs, final %v", len(outs), final.V)
+	for _, proto := range []Protocol{ProtocolAux, ProtocolReservations} {
+		run := func(rt *Runtime) ([]int, counter, RunStats) {
+			sd := Attach(rt, NewStateDependence(inputs, counter{}, computeDouble))
+			sd.SetAuxiliary(exactAux(inputs))
+			sd.Configure(Options{UseAux: true, Protocol: proto, GroupSize: 2, Window: 6, Seed: 3})
+			outs, final, st := sd.Run()
+			// Timing- and scheduler-dependent fields differ run to run.
+			st.LaneCPUCommittedNS, st.LaneCPUWastedNS = 0, 0
+			st.Steals, st.LocalHits, st.QueueDepthPeak = 0, 0, 0
+			return outs, final, st
+		}
+		live := NewRuntime(2)
+		wantOuts, wantFinal, wantSt := run(live)
+		live.Close()
+		closed := NewRuntime(2)
+		closed.Close()
+		outs, final, st := run(closed)
+
+		if len(outs) != 6 || final.V != 21 || wantSt.Groups != 3 {
+			t.Fatalf("%v: inline fallback broken: %d outputs, final %v, %d groups", proto, len(outs), final.V, wantSt.Groups)
+		}
+		if !reflect.DeepEqual(outs, wantOuts) || final != wantFinal {
+			t.Errorf("%v: closed runtime: outs %v final %v, open runtime: outs %v final %v", proto, outs, final, wantOuts, wantFinal)
+		}
+		if !reflect.DeepEqual(st, wantSt) {
+			t.Errorf("%v: closed runtime stats %+v, open runtime %+v", proto, st, wantSt)
+		}
 	}
 }
 

@@ -301,15 +301,9 @@ func (sd *StateDependence[I, S, O]) dep() *core.Dependence[I, S, O] {
 
 // coreOptions lowers the configured Options plus the Runtime attachment to
 // engine options — the single SDI→engine mapping, so every run entry point
-// (Run, RunStream, StartStream, RunChecked, RunAdaptive) threads new
-// fields identically.
+// (Run, RunStream, StartStream, RunChecked) threads new fields identically.
 func (sd *StateDependence[I, S, O]) coreOptions() core.Options {
-	return sd.coreOptionsFrom(sd.opts)
-}
-
-// coreOptionsFrom lowers an explicit Options value (RunAdaptive carries
-// its own rather than the configured one).
-func (sd *StateDependence[I, S, O]) coreOptionsFrom(o Options) core.Options {
+	o := sd.opts
 	return core.Options{
 		UseAux:         o.UseAux,
 		Protocol:       o.Protocol,
