@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: build test check race stress vet bench-pool bench bench-gate bench-paper fuzz bench-obs serve-smoke chaos explore explore-long
+.PHONY: build test check race stress vet catalogue bench-pool bench bench-gate bench-paper fuzz bench-obs serve-smoke chaos explore explore-long
 
 build:
 	$(GO) build ./...
@@ -38,11 +38,20 @@ stress:
 
 # Static analysis: the standard Go vet, then statsvet — the IR/source
 # passes over the checked-in example program and the runtime-API
-# analyzers over the repository's user-facing Go code.
+# analyzers over the repository's user-facing Go code — then the
+# count-each-fact-once guard: the engine and the pool report through
+# obs.Observer.Note only.
 vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/statsvet testdata/bodytrack.stats ./examples ./internal/workload ./stats
 	$(GO) run ./cmd/statsvet -footprints cmd/statsvet/testdata/corpus/good/*.stats
+	sh scripts/fact_guard.sh
+
+# Regenerate the metric catalogue golden file from internal/obs's fact
+# table; paste the result over the reference tables in DESIGN.md and
+# README.md (tier-1 compares all three).
+catalogue:
+	$(GO) test ./internal/obs -run TestCatalogueGolden -update
 
 # Scheduler benchmarks: sharded work-stealing pool vs the single-channel
 # baseline, plus the engine's group fan-out across worker counts.

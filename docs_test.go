@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -113,6 +114,25 @@ func TestPackagesHaveDocComments(t *testing.T) {
 	}
 	if len(missing) > 0 {
 		t.Fatalf("packages without package doc comments: %s", strings.Join(missing, ", "))
+	}
+}
+
+// TestDocsCarryMetricCatalogue keeps the metric reference tables in
+// README.md and DESIGN.md equal to the golden file internal/obs generates
+// from its fact table (`make catalogue`, then paste).
+func TestDocsCarryMetricCatalogue(t *testing.T) {
+	want, err := os.ReadFile("internal/obs/testdata/catalogue.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(text), string(want)) {
+			t.Errorf("%s does not carry %s verbatim", doc, "internal/obs/testdata/catalogue.golden")
+		}
 	}
 }
 

@@ -103,10 +103,11 @@ type Options struct {
 	// engine creates a private pool of Options.Workers width for the run.
 	Pool *pool.Pool
 	// Obs, when non-nil, receives the run's speculation event log and
-	// metrics: the engine emits a trace event and updates the registry
-	// at every speculation decision point (group start/finish, auxiliary
-	// state production, validation match/mismatch, redo, abort, squash,
-	// fallback). A nil Obs costs one branch per decision point.
+	// metrics: the engine reports every speculation decision point
+	// (group start/finish, auxiliary state production, validation
+	// match/mismatch, redo, abort, squash, fallback) with one
+	// obs.Observer.Note, which advances the fact's counter and emits its
+	// event together. A nil Obs costs one branch per decision point.
 	Obs *obs.Observer
 	// GroupTimeout bounds one speculative group execution's wall-clock
 	// time. A lane exceeding it is squashed exactly like a validation
@@ -156,7 +157,9 @@ type Stats struct {
 	Inputs  int // inputs processed
 	Groups  int // groups formed (1 means sequential)
 	Matches int // speculative states accepted
-	Redos   int // original-producer re-executions performed
+	// Redos counts original-producer re-executions attempted; one that
+	// panicked part-way is still a redo.
+	Redos int
 	// FingerprintHits and FingerprintMisses count hash-first acceptance
 	// attempts (boundary validations and redo re-checks) whose
 	// fingerprint prefilter passed through to MatchAny vs rejected
@@ -166,7 +169,10 @@ type Stats struct {
 	FingerprintMisses int
 	// Aborts counts boundary resolutions that aborted speculation:
 	// exhausted redo budgets, contained panics and group deadlines (the
-	// latter two also counted in PanickedGroups/TimedOutGroups).
+	// latter two also counted in PanickedGroups/TimedOutGroups). An abort
+	// caused by a failed lane ends the boundary before any validation
+	// runs, so it is an abort without an observation in the observer's
+	// validation histograms: their Count is Matches+Aborts minus those.
 	Aborts int
 
 	// SpeculativeCommits counts inputs whose outputs were committed from
@@ -212,7 +218,8 @@ type Stats struct {
 	// (0 under ProtocolAux).
 	Rounds int
 	// ReservationConflicts counts inputs that lost a reserved slot to a
-	// lower-indexed input and carried forward into a later round.
+	// lower-indexed input at check time and carried forward — into a
+	// later round, or into the fallback when their round broke.
 	ReservationConflicts int
 	// FootprintViolations counts state slots the FootprintCheck oracle
 	// caught a compute touching outside its declared reservation
@@ -344,10 +351,7 @@ func (d *Dependence[I, S, O]) runAll(inputs []I, initial S, opts Options, emit E
 		if !opts.Breaker.Allow() {
 			speculating = false
 			st.BreakerDenied = 1
-			if o := opts.Obs; o != nil {
-				o.BreakerDenied.Inc()
-				o.Tracer.Emit(obs.LaneCoord, obs.EvBreakerDenied, -1, 0)
-			}
+			opts.Obs.Note(obs.LaneCoord, obs.EvBreakerDenied, -1, 0)
 		}
 	}
 	if !speculating {
@@ -639,10 +643,7 @@ func (scr *runScratch[I, S, O]) produceAux(initial S, window int) {
 			gr.aborted.Store(true)
 			continue
 		}
-		if o := scr.o; o != nil {
-			o.AuxProduced.Inc()
-			o.Tracer.Emit(j, obs.EvAuxProduced, int32(j), int64(len(recent)))
-		}
+		scr.o.Note(j, obs.EvAuxProduced, int32(j), int64(len(recent)))
 	}
 }
 
@@ -692,7 +693,7 @@ func (scr *runScratch[I, S, O]) groupTask(j int) {
 // not. Under a controller the lane yields at start, before every step's
 // abort-flag inspection, and at finish.
 func (scr *runScratch[I, S, O]) executeGroup(gr *groupRun[I, S, O]) {
-	d, ob, lane := scr.d, scr.o, scr.lane+1+gr.idx
+	d, lane := scr.d, scr.lane+1+gr.idx
 	checkpointAt := gr.end - min(max(scr.rollback, 1), gr.end-gr.start)
 	deadlined := scr.timeout > 0 && gr.idx > 0
 	started := time.Now()
@@ -700,10 +701,7 @@ func (scr *runScratch[I, S, O]) executeGroup(gr *groupRun[I, S, O]) {
 		gr.execNS = time.Since(started).Nanoseconds()
 	}()
 	scr.yield(sched.PointGroupStart, lane)
-	if ob != nil {
-		ob.GroupsStarted.Inc()
-		ob.Tracer.Emit(gr.idx, obs.EvGroupStart, int32(gr.idx), int64(gr.start))
-	}
+	scr.o.Note(gr.idx, obs.EvGroupStart, int32(gr.idx), int64(gr.start))
 	s := d.ops.Clone(gr.specStart)
 	outs := gr.outBuf[:0]
 	gr.checkpointAt = checkpointAt
@@ -737,10 +735,7 @@ func (scr *runScratch[I, S, O]) executeGroup(gr *groupRun[I, S, O]) {
 	scr.yield(sched.PointGroupFinish, lane)
 	gr.outBuf = outs
 	gr.base = execution[S, O]{outputs: outs, final: s}
-	if ob != nil {
-		ob.GroupsFinished.Inc()
-		ob.Tracer.Emit(gr.idx, obs.EvGroupFinish, int32(gr.idx), int64(len(outs)))
-	}
+	scr.o.Note(gr.idx, obs.EvGroupFinish, int32(gr.idx), int64(len(outs)))
 }
 
 // abort ends speculation at group j: it squashes groups j.. and records
@@ -815,28 +810,26 @@ func (scr *runScratch[I, S, O]) resolve(j, redoMax int) bool {
 	// on the producing group.
 	scr.commitNS[j-1] += b.acceptedRedoNS
 	scr.wasteNS[j-1] += prev.redoNS - b.acceptedRedoNS
-	if pe != nil {
-		cur.failure, cur.panicErr = failPanic, pe
-		scr.abort(j, b.redosUsed)
-		return false
-	}
-	if b.matched {
-		scr.st.Matches++
-		if o != nil {
-			o.Matches.Inc()
-			o.Tracer.Emit(obs.LaneCoord, obs.EvValidateMatch, int32(j), int64(b.redosUsed))
-		}
+	matched := pe == nil && b.matched
+	if matched {
+		scr.noteMatch(j, b.redosUsed)
 		scr.committed[j-1], scr.committed[j] = b.accepted, cur.base
 		emitExec(scr.emit, b.accepted, prev.start)
 	} else {
-		// Speculation failed: abort this and all subsequent groups.
+		// Speculation failed — a mismatch past the redo budget, or a panic
+		// that left the boundary unresolved: abort this and all subsequent
+		// groups.
+		if pe != nil {
+			cur.failure, cur.panicErr = failPanic, pe
+		}
 		scr.abort(j, b.redosUsed)
 	}
+	// Every boundary whose validation started is observed, however it ended.
 	if o != nil {
 		o.ValidationLatencyNS.Observe(time.Since(vstart).Nanoseconds())
 		o.RedosPerValidation.Observe(int64(b.redosUsed))
 	}
-	return b.matched
+	return matched
 }
 
 // validate asks the developer's acceptance method whether group j's
@@ -846,7 +839,7 @@ func (scr *runScratch[I, S, O]) resolve(j, redoMax int) bool {
 // checkpoint, so the originals set always extends the committed prefix.
 // It calls user code uncontained; resolve contains it.
 func (scr *runScratch[I, S, O]) validate(j, redoMax int, b *boundary[S, O]) {
-	prev, spec, o := scr.groups[j-1], scr.groups[j].specStart, scr.o
+	prev, spec := scr.groups[j-1], scr.groups[j].specStart
 	var specFP uint64
 	if scr.hashFirst {
 		specFP = scr.d.ops.Fingerprint(spec)
@@ -855,20 +848,15 @@ func (scr *runScratch[I, S, O]) validate(j, redoMax int, b *boundary[S, O]) {
 	scr.addOriginal(scr.committed[j-1].final)
 	b.accepted = scr.committed[j-1]
 	b.matched = scr.accepts(spec, specFP)
-	if o != nil && !b.matched {
-		o.Mismatches.Inc()
-		o.Tracer.Emit(obs.LaneCoord, obs.EvValidateMismatch, int32(j), 0)
+	if !b.matched {
+		scr.o.Note(obs.LaneCoord, obs.EvValidateMismatch, int32(j), 0)
 	}
-	for t := 0; !b.matched && t < redoMax; t++ {
-		if o != nil {
-			o.Redos.Inc()
-			o.Tracer.Emit(obs.LaneCoord, obs.EvRedo, int32(j), int64(t+1))
-		}
+	for !b.matched && b.redosUsed < redoMax {
+		b.redosUsed++
+		scr.noteRedo(j, b.redosUsed)
 		scr.yield(sched.PointRedo, scr.lane)
 		before := prev.redoNS
 		redo := scr.redoGroup(prev)
-		scr.st.Redos++
-		b.redosUsed++
 		scr.addOriginal(redo.final)
 		if scr.accepts(spec, specFP) {
 			// Commit the matching re-execution's suffix in place of the
@@ -899,16 +887,10 @@ func (scr *runScratch[I, S, O]) accepts(spec S, specFP uint64) bool {
 		return true
 	}
 	if scr.hashFirst {
-		if !slices.Contains(scr.origFPs, specFP) {
-			scr.st.FingerprintMisses++
-			if scr.o != nil {
-				scr.o.FingerprintMisses.Inc()
-			}
+		hit := slices.Contains(scr.origFPs, specFP)
+		scr.noteFingerprint(hit)
+		if !hit {
 			return false
-		}
-		scr.st.FingerprintHits++
-		if scr.o != nil {
-			scr.o.FingerprintHits.Inc()
 		}
 	}
 	return scr.d.ops.MatchAny(spec, scr.originals)
@@ -967,10 +949,7 @@ func (scr *runScratch[I, S, O]) commit(root *rng.Source, initial S) ([]O, S) {
 	for j, gr := range scr.groups[:valid] {
 		outs = append(outs, scr.committed[j].outputs...)
 		if j > 0 {
-			st.SpeculativeCommits += gr.end - gr.start
-			if scr.o != nil {
-				scr.o.SpecCommittedInputs.Add(int64(gr.end - gr.start))
-			}
+			scr.noteSpecCommits(gr.end - gr.start)
 		}
 	}
 	st.Invocations += scr.invocations.Load()

@@ -11,15 +11,18 @@ import (
 
 // runFrame is the part of a speculative run that does not depend on how a
 // group speculates: the grouping geometry, the worker-pool lease, the
-// controlled scheduler's bracketing around real waits, and the one place
-// each run-level fact (abort, squash, fallback, contained panic, deadline,
-// lane CPU) is written to Stats, the observer's counters and the event
-// log. Both protocols embed it by value in their recycled scratch (it is
-// not generic and is never allocated per run) and keep only their policy:
-// core.go guesses start states and resolves boundaries, reservations.go
-// runs reserve/check/commit rounds. Every field is set on the coordinator
-// before the fan-out and is read-only afterwards, so lanes may call
-// yield and expired concurrently.
+// controlled scheduler's bracketing around real waits, and the note*
+// methods — the one place each coordinator-side fact that owns a Stats
+// field (match, redo, abort, squash, fallback, contained panic, deadline,
+// lane CPU, speculative commits, fingerprint probes) is recorded, the
+// Stats write and the observer's Note (counter + event) on adjacent lines
+// so the accounts cannot drift. Facts without a Stats field are reported
+// with a bare o.Note at their decision point. Both protocols embed it by
+// value in their recycled scratch (it is not generic and is never
+// allocated per run) and keep only their policy: core.go guesses start
+// states and resolves boundaries, reservations.go runs reserve/check/commit
+// rounds. Every field is set on the coordinator before the fan-out and is
+// read-only afterwards, so lanes may call yield and expired concurrently.
 type runFrame struct {
 	st  *Stats
 	o   *obs.Observer
@@ -159,28 +162,32 @@ func (f *runFrame) notePanic(j int, arg int64, pe *PanicError) {
 	if pe != nil {
 		f.st.Panics = append(f.st.Panics, pe)
 	}
-	if f.o != nil {
-		f.o.PanickedGroups.Inc()
-		f.o.Tracer.Emit(obs.LaneCoord, obs.EvPanic, int32(j), arg)
-	}
+	f.o.Note(obs.LaneCoord, obs.EvPanic, int32(j), arg)
 }
 
 // noteTimeout records group j squashed by its deadline.
 func (f *runFrame) noteTimeout(j int, elapsedNS int64) {
 	f.st.TimedOutGroups++
-	if f.o != nil {
-		f.o.GroupTimeouts.Inc()
-		f.o.Tracer.Emit(obs.LaneCoord, obs.EvGroupTimeout, int32(j), elapsedNS)
-	}
+	f.o.Note(obs.LaneCoord, obs.EvGroupTimeout, int32(j), elapsedNS)
+}
+
+// noteMatch records boundary j accepted after redosUsed re-executions.
+func (f *runFrame) noteMatch(j, redosUsed int) {
+	f.st.Matches++
+	f.o.Note(obs.LaneCoord, obs.EvValidateMatch, int32(j), int64(redosUsed))
+}
+
+// noteRedo records boundary j's attempt-th re-execution where it is
+// attempted, so one that panics is still counted.
+func (f *runFrame) noteRedo(j, attempt int) {
+	f.st.Redos++
+	f.o.Note(obs.LaneCoord, obs.EvRedo, int32(j), int64(attempt))
 }
 
 // noteAbort records that speculation ended at group j.
 func (f *runFrame) noteAbort(j, redosUsed int) {
 	f.st.Aborts++
-	if f.o != nil {
-		f.o.Aborts.Inc()
-		f.o.Tracer.Emit(obs.LaneCoord, obs.EvAbort, int32(j), int64(redosUsed))
-	}
+	f.o.Note(obs.LaneCoord, obs.EvAbort, int32(j), int64(redosUsed))
 }
 
 // noteSquash records the squash an abort at group j causes: group j loses
@@ -188,16 +195,12 @@ func (f *runFrame) noteAbort(j, redosUsed int) {
 func (f *runFrame) noteSquash(j, first int) {
 	_, end := f.bounds(j)
 	f.st.SquashedInputs = first + f.n - end
-	if f.o == nil {
-		return
-	}
 	for k, width := j, first; k < f.numGroups; k++ {
 		if k > j {
 			start, end := f.bounds(k)
 			width = end - start
 		}
-		f.o.Squashes.Inc()
-		f.o.Tracer.Emit(obs.LaneCoord, obs.EvSquash, int32(k), int64(width))
+		f.o.Note(obs.LaneCoord, obs.EvSquash, int32(k), int64(width))
 	}
 }
 
@@ -205,10 +208,7 @@ func (f *runFrame) noteSquash(j, first int) {
 // after the abort at group j, and yields at the fallback's entry.
 func (f *runFrame) noteFallback(j, inputs int) {
 	f.st.FallbackInputs = inputs
-	if f.o != nil {
-		f.o.FallbackInputs.Add(int64(inputs))
-		f.o.Tracer.Emit(obs.LaneCoord, obs.EvFallback, int32(j), int64(inputs))
-	}
+	f.o.Note(obs.LaneCoord, obs.EvFallback, int32(j), int64(inputs))
 	f.yield(sched.PointFallback, f.lane)
 }
 
@@ -217,16 +217,36 @@ func (f *runFrame) noteFallback(j, inputs int) {
 func (f *runFrame) noteLaneCPU(j int, committed, wasted int64) {
 	if committed > 0 {
 		f.st.LaneCPUCommittedNS += committed
-		if f.o != nil {
-			f.o.LaneCPUCommitted.Add(committed)
-			f.o.Tracer.Emit(obs.LaneCoord, obs.EvLaneCPUCommitted, int32(j), committed)
-		}
+		f.o.Note(obs.LaneCoord, obs.EvLaneCPUCommitted, int32(j), committed)
 	}
 	if wasted > 0 {
 		f.st.LaneCPUWastedNS += wasted
+		f.o.Note(obs.LaneCoord, obs.EvLaneCPUWasted, int32(j), wasted)
+	}
+}
+
+// noteSpecCommits records inputs committed from a speculative execution;
+// the counter has no event, and this is its only write.
+func (f *runFrame) noteSpecCommits(inputs int) {
+	f.st.SpeculativeCommits += inputs
+	if f.o != nil {
+		f.o.SpecCommittedInputs.Add(int64(inputs))
+	}
+}
+
+// noteFingerprint records one hash-first acceptance attempt: a hit fell
+// through to the deep compare, a miss was rejected without one. Neither
+// counter has an event, and this is their only write.
+func (f *runFrame) noteFingerprint(hit bool) {
+	if hit {
+		f.st.FingerprintHits++
 		if f.o != nil {
-			f.o.LaneCPUWasted.Add(wasted)
-			f.o.Tracer.Emit(obs.LaneCoord, obs.EvLaneCPUWasted, int32(j), wasted)
+			f.o.FingerprintHits.Inc()
 		}
+		return
+	}
+	f.st.FingerprintMisses++
+	if f.o != nil {
+		f.o.FingerprintMisses.Inc()
 	}
 }

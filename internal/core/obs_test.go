@@ -2,11 +2,138 @@ package core
 
 import (
 	"fmt"
+	"reflect"
+	"strconv"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/obs"
 	"repro/internal/rng"
 )
+
+// checkFacts reconciles one run's accounts through the fact table: for
+// every row naming a Stats field, the field, the /metrics sample (a
+// histogram's _sum) and — for an event-backed row — the kind's counter and
+// its events (counted, or their Args summed for a by-Arg kind) must all be
+// the same number. ob must have observed exactly the run that returned st,
+// on a private pool.
+func checkFacts(t *testing.T, name string, ob *obs.Observer, st Stats) {
+	t.Helper()
+	if d := ob.Tracer.Dropped(); d != 0 {
+		t.Fatalf("%s: %d events evicted despite ample capacity", name, d)
+	}
+	var logged obs.Counts
+	kindOf := map[string]obs.EventKind{}
+	for k := range logged {
+		kindOf[obs.EventKind(k).String()] = obs.EventKind(k)
+	}
+	for _, e := range ob.Tracer.Snapshot() {
+		if e.Kind.Fact().ByArg {
+			logged[e.Kind] += e.Arg
+		} else {
+			logged[e.Kind]++
+		}
+	}
+	scraped := map[string]int64{}
+	for _, line := range strings.Split(ob.Reg.Text(), "\n") {
+		if i := strings.LastIndexByte(line, ' '); i > 0 && line[0] != '#' {
+			scraped[line[:i]], _ = strconv.ParseInt(line[i+1:], 10, 64)
+		}
+	}
+	counts, fields := ob.Counts(), reflect.ValueOf(st)
+	for _, f := range obs.Catalogue() {
+		if f.Stats == "" {
+			continue
+		}
+		want := fields.FieldByName(f.Stats).Int()
+		got, ok := scraped[f.Metric]
+		if !ok {
+			got = scraped[f.Metric+"_sum"]
+		}
+		if got != want {
+			t.Fatalf("%s: /metrics %s = %d, Stats.%s = %d", name, f.Metric, got, f.Stats, want)
+		}
+		if kind := kindOf[f.Event]; f.Event != "" && (counts[kind] != want || logged[kind] != want) {
+			t.Fatalf("%s: %s counter %d, events %d, Stats.%s = %d",
+				name, f.Event, counts[kind], logged[kind], f.Stats, want)
+		}
+	}
+}
+
+// TestStatsFieldsHaveFactRows fails when a numeric core.Stats field is
+// added without either a fact-table row naming it (so checkFacts and the
+// generated catalogue cover it) or an entry below saying why it is not a
+// counter.
+func TestStatsFieldsHaveFactRows(t *testing.T) {
+	notCounters := map[string]string{
+		"Inputs":            "run geometry, not an occurrence",
+		"Groups":            "run geometry; a sequential run reports 1 and starts no group",
+		"Invocations":       "Compute calls, counted per lane and never published to the observer",
+		"UsefulInvocations": "derived from the committed input count",
+		"AuxCalls":          "aux attempts: a panicked call is counted here but produces nothing (aux-produced)",
+		"AuxInputs":         "window inputs handed to aux attempts",
+		"SquashedInputs":    "the Arg sum of the squash events, whose counter counts groups",
+	}
+	named := map[string]bool{}
+	for _, f := range obs.Catalogue() {
+		named[f.Stats] = true
+	}
+	typ := reflect.TypeOf(Stats{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if k := f.Type.Kind(); k != reflect.Int && k != reflect.Int64 {
+			continue
+		}
+		_, exempt := notCounters[f.Name]
+		if named[f.Name] == exempt {
+			t.Errorf("Stats.%s: fact-table row %v, not-a-counter entry %v — want exactly one", f.Name, named[f.Name], exempt)
+		}
+	}
+	for name := range named {
+		if _, ok := typ.FieldByName(name); name != "" && !ok {
+			t.Errorf("fact table names Stats.%s, which does not exist", name)
+		}
+	}
+}
+
+// TestRedoPanicCountedOnce is the one-shot redo panic: the aux state never
+// matches, so boundary 1 re-executes group 0's last input, and compute
+// panics on that second sight of input 3 only. The redo was attempted, so
+// every account says one redo: Stats, the counter, the event log, the
+// per-validation histogram and the abort event's argument.
+func TestRedoPanicCountedOnce(t *testing.T) {
+	var seen atomic.Int32
+	compute := func(r *rng.Source, in int, s walkState) (int, walkState) {
+		if in == 3 && seen.Add(1) == 2 {
+			panic("redo boom")
+		}
+		return deterministicCompute(r, in, s)
+	}
+	garbage := func(*rng.Source, walkState, []int) walkState { return walkState{V: -1} }
+	inputs := seqInputs(12)
+	ob := obs.NewObserver(4, 1024)
+	outs, _, st := New(compute, garbage, walkOps()).Run(inputs, walkState{}, Options{
+		UseAux: true, GroupSize: 3, Window: 2, RedoMax: 1, Rollback: 1, Workers: 2, Seed: 8, Obs: ob,
+	})
+	checkOutputs(t, outs, wantOutputs(inputs))
+	checkFacts(t, "redo panic", ob, st)
+	if st.Redos != 1 || st.Aborts != 1 || st.PanickedGroups != 1 {
+		t.Fatalf("redos %d aborts %d panicked %d, want 1 1 1", st.Redos, st.Aborts, st.PanickedGroups)
+	}
+	for _, e := range ob.Tracer.Snapshot() {
+		if e.Kind == obs.EvAbort && e.Arg != 1 {
+			t.Fatalf("abort event reports %d redos consumed, want 1", e.Arg)
+		}
+	}
+	// The validation started, so it is observed even though it panicked.
+	if got, want := ob.RedosPerValidation.Count(), int64(st.Matches+st.Aborts); got != want {
+		t.Fatalf("redo histogram has %d observations, %d boundaries resolved", got, want)
+	}
+	if got := ob.ValidationLatencyNS.Count(); got != 1 {
+		t.Fatalf("latency histogram has %d observations, want 1", got)
+	}
+}
 
 // Property-style observability invariants: for randomized option vectors
 // over the same nondeterministic walk as the accounting test, the event
@@ -48,80 +175,27 @@ func TestObservabilityInvariantsRandomized(t *testing.T) {
 		name := fmt.Sprintf("case %d (n=%d opts=%+v tol=%.2f)", c, n, opts, tol)
 
 		checkOutputs(t, outs, wantOutputs(inputs))
-		if d := ob.Tracer.Dropped(); d != 0 {
-			t.Fatalf("%s: %d events evicted despite ample capacity", name, d)
-		}
 		events := ob.Tracer.Snapshot()
 
-		// Counters vs engine stats.
-		for _, chk := range []struct {
-			what string
-			got  int64
-			want int64
-		}{
-			{"aborts", ob.Aborts.Value(), int64(st.Aborts)},
-			{"redos", ob.Redos.Value(), int64(st.Redos)},
-			{"matches", ob.Matches.Value(), int64(st.Matches)},
-			{"fallback inputs", ob.FallbackInputs.Value(), int64(st.FallbackInputs)},
-			{"aux calls", ob.AuxProduced.Value(), int64(st.AuxCalls)},
-		} {
-			if chk.got != chk.want {
-				t.Fatalf("%s: observer %s %d, engine %d", name, chk.what, chk.got, chk.want)
-			}
+		// Counters and events vs engine stats, row by row.
+		checkFacts(t, name, ob, st)
+		counts := ob.Counts()
+		if counts[obs.EvAuxProduced] != int64(st.AuxCalls) {
+			t.Fatalf("%s: %d aux states produced, engine ran aux %d times", name, counts[obs.EvAuxProduced], st.AuxCalls)
 		}
-		if ob.GroupsStarted.Value() != ob.GroupsFinished.Value() {
+		if counts[obs.EvGroupStart] != counts[obs.EvGroupFinish] {
 			t.Fatalf("%s: %d groups started, %d finished",
-				name, ob.GroupsStarted.Value(), ob.GroupsFinished.Value())
+				name, counts[obs.EvGroupStart], counts[obs.EvGroupFinish])
 		}
-
-		// Event counts vs counters: with no eviction, every counted
-		// decision has exactly one event.
-		kindCount := map[obs.EventKind]int64{}
 		var squashedInputs int64
 		for _, e := range events {
-			kindCount[e.Kind]++
 			if e.Kind == obs.EvSquash {
 				squashedInputs += e.Arg
 			}
 		}
-		if kindCount[obs.EvAbort] != int64(st.Aborts) {
-			t.Fatalf("%s: %d abort events, engine aborted %d", name, kindCount[obs.EvAbort], st.Aborts)
-		}
-		if kindCount[obs.EvRedo] != int64(st.Redos) {
-			t.Fatalf("%s: %d redo events, engine redid %d", name, kindCount[obs.EvRedo], st.Redos)
-		}
-		if kindCount[obs.EvValidateMatch] != int64(st.Matches) {
-			t.Fatalf("%s: %d match events, engine matched %d", name, kindCount[obs.EvValidateMatch], st.Matches)
-		}
-		if kindCount[obs.EvAuxProduced] != int64(st.AuxCalls) {
-			t.Fatalf("%s: %d aux events, engine ran aux %d times", name, kindCount[obs.EvAuxProduced], st.AuxCalls)
-		}
-		if kindCount[obs.EvGroupStart] != ob.GroupsStarted.Value() {
-			t.Fatalf("%s: %d start events, counter %d", name, kindCount[obs.EvGroupStart], ob.GroupsStarted.Value())
-		}
 		if squashedInputs != int64(st.SquashedInputs) {
 			t.Fatalf("%s: squash events cover %d inputs, engine squashed %d",
 				name, squashedInputs, st.SquashedInputs)
-		}
-
-		// Wasted-work attribution: the lane-CPU events, the counters and
-		// Stats are three accounts of the same nanoseconds.
-		var evCPUCommitted, evCPUWasted int64
-		for _, e := range events {
-			switch e.Kind {
-			case obs.EvLaneCPUCommitted:
-				evCPUCommitted += e.Arg
-			case obs.EvLaneCPUWasted:
-				evCPUWasted += e.Arg
-			}
-		}
-		if evCPUCommitted != st.LaneCPUCommittedNS || ob.LaneCPUCommitted.Value() != st.LaneCPUCommittedNS {
-			t.Fatalf("%s: committed lane CPU events %d, counter %d, stats %d",
-				name, evCPUCommitted, ob.LaneCPUCommitted.Value(), st.LaneCPUCommittedNS)
-		}
-		if evCPUWasted != st.LaneCPUWastedNS || ob.LaneCPUWasted.Value() != st.LaneCPUWastedNS {
-			t.Fatalf("%s: wasted lane CPU events %d, counter %d, stats %d",
-				name, evCPUWasted, ob.LaneCPUWasted.Value(), st.LaneCPUWastedNS)
 		}
 
 		// Histogram totals vs counter totals.

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/rng"
 )
 
@@ -26,13 +27,16 @@ type panicSite struct {
 }
 
 // check runs the scenario and asserts the run still returns the
-// sequential outputs and that some Stats.Panics entry carries the value
-// with a stack naming the panicking function — a closure of the calling
-// test, so its symbol contains the test's name.
+// sequential outputs, that its accounts reconcile through the fact table
+// on this failure path too, and that some Stats.Panics entry carries the
+// value with a stack naming the panicking function — a closure of the
+// calling test, so its symbol contains the test's name.
 func (ps panicSite) check(t *testing.T) {
 	t.Helper()
+	ps.opts.Obs = obs.NewObserver(ps.opts.Workers+1, 1024)
 	outs, _, st := ps.d.Run(ps.inputs, walkState{}, ps.opts)
 	checkOutputs(t, outs, wantOutputs(ps.inputs))
+	checkFacts(t, ps.want, ps.opts.Obs, st)
 	if len(st.Panics) == 0 {
 		t.Fatalf("Stats.Panics is empty, want a record for %q", ps.want)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -68,29 +69,9 @@ func TestTracedAbortRaceStress(t *testing.T) {
 		rwg.Wait()
 
 		checkOutputs(t, outs, wantOutputs(inputs))
-		if ob.Tracer.Dropped() != 0 {
-			t.Fatalf("seed %d: %d events evicted despite ample capacity", seed, ob.Tracer.Dropped())
-		}
-		if got := ob.Aborts.Value(); got != int64(st.Aborts) {
-			t.Fatalf("seed %d: observer aborts %d, engine %d", seed, got, st.Aborts)
-		}
-		if got := ob.Redos.Value(); got != int64(st.Redos) {
-			t.Fatalf("seed %d: observer redos %d, engine %d", seed, got, st.Redos)
-		}
-		if got := ob.Matches.Value(); got != int64(st.Matches) {
-			t.Fatalf("seed %d: observer matches %d, engine %d", seed, got, st.Matches)
-		}
-		var evAborts int
-		for _, e := range ob.Tracer.Snapshot() {
-			if e.Kind == obs.EvAbort {
-				evAborts++
-			}
-		}
-		if evAborts != st.Aborts {
-			t.Fatalf("seed %d: %d abort events, engine aborted %d times", seed, evAborts, st.Aborts)
-		}
+		checkFacts(t, fmt.Sprintf("seed %d", seed), ob, st)
 		aborts += st.Aborts
-		mismatches += int(ob.Mismatches.Value())
+		mismatches += int(ob.Counts()[obs.EvValidateMismatch])
 	}
 	// The stress is only meaningful if the contested paths actually ran.
 	if mismatches == 0 {

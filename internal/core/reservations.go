@@ -158,9 +158,12 @@ type resvRun[I, S, O any] struct {
 	failed  atomic.Int32
 	failArg int64
 
-	invocations atomic.Int64
-	// fpViolations counts slots the FootprintCheck oracle caught being
-	// touched outside a declared footprint.
+	// invocations, conflicts and fpViolations are the facts lanes count:
+	// compute calls, inputs that lost a slot at check time, and slots the
+	// FootprintCheck oracle caught outside a declared footprint. Lanes may
+	// not write Stats, so the run folds them in when it ends.
+	invocations  atomic.Int64
+	conflicts    atomic.Int64
 	fpViolations atomic.Int64
 	// committed counts inputs committed by the protocol (not fallback).
 	committed int
@@ -270,6 +273,7 @@ func (d *Dependence[I, S, O]) runReservations(root *rng.Source, inputs []I, init
 	r.failed.Store(int32(failNone))
 	r.failArg = 0
 	r.invocations.Store(0)
+	r.conflicts.Store(0)
 	r.fpViolations.Store(0)
 	r.committed = 0
 
@@ -301,7 +305,8 @@ func (d *Dependence[I, S, O]) runReservations(root *rng.Source, inputs []I, init
 	}
 	st.Invocations += r.invocations.Load()
 	st.UsefulInvocations += int64(r.committed)
-	st.FootprintViolations += int(r.fpViolations.Load())
+	st.ReservationConflicts = int(r.conflicts.Load())
+	st.FootprintViolations = int(r.fpViolations.Load())
 	return r.outs, r.shared
 }
 
@@ -323,10 +328,7 @@ func (r *resvRun[I, S, O]) runGroup(j int) ([]int, bool) {
 	r.computeNS = cleared(r.computeNS, width)
 	var commitNS, wasteNS int64
 
-	if r.o != nil {
-		r.o.GroupsStarted.Inc()
-		r.o.Tracer.Emit(j, obs.EvGroupStart, int32(j), int64(start))
-	}
+	r.o.Note(j, obs.EvGroupStart, int32(j), int64(start))
 	var groupStart time.Time
 	if r.timeout > 0 {
 		groupStart = time.Now()
@@ -376,9 +378,8 @@ func (r *resvRun[I, S, O]) runGroup(j int) ([]int, bool) {
 	r.noteLaneCPU(j, commitNS, wasteNS)
 	if r.o != nil {
 		r.o.RoundsPerGroup.Observe(int64(rounds))
-		r.o.GroupsFinished.Inc()
-		r.o.Tracer.Emit(j, obs.EvGroupFinish, int32(j), int64(width-len(pending)))
 	}
+	r.o.Note(j, obs.EvGroupFinish, int32(j), int64(width-len(pending)))
 	if ok && r.emit != nil {
 		// Group complete: its outputs are final; stream them in input order
 		// (commits happened out of order, so emission buffers per group).
@@ -428,10 +429,7 @@ func (r *resvRun[I, S, O]) reserveOne(lane, i int) {
 			}
 		}
 	}
-	if r.o != nil {
-		r.o.Reserves.Inc()
-		r.o.Tracer.Emit(lane, obs.EvReserve, int32(r.gj), ReservationArg(r.ground, i))
-	}
+	r.o.Note(lane, obs.EvReserve, int32(r.gj), ReservationArg(r.ground, i))
 	r.reserveNS[i-r.gstart] = time.Since(laneStart).Nanoseconds()
 }
 
@@ -474,10 +472,8 @@ func (r *resvRun[I, S, O]) checkOne(lane, i int) {
 		}
 	}
 	if !r.won[k] {
-		if r.o != nil {
-			r.o.ReserveConflicts.Inc()
-			r.o.Tracer.Emit(lane, obs.EvReserveLost, int32(r.gj), ReservationArg(r.ground, i))
-		}
+		r.conflicts.Add(1)
+		r.o.Note(lane, obs.EvReserveLost, int32(r.gj), ReservationArg(r.ground, i))
 		return
 	}
 	snap := r.d.ops.Clone(r.shared)
@@ -505,10 +501,7 @@ func (r *resvRun[I, S, O]) checkOne(lane, i int) {
 		// commitRound) and the pending inputs re-run sequentially from
 		// the committed state.
 		r.fpViolations.Add(1)
-		if r.o != nil {
-			r.o.FootprintViolations.Inc()
-			r.o.Tracer.Emit(lane, obs.EvFootprintViolation, int32(r.gj), int64(sl))
-		}
+		r.o.Note(lane, obs.EvFootprintViolation, int32(r.gj), int64(sl))
 		r.fail(failFootprint, nil)
 	}
 }
@@ -546,32 +539,26 @@ func (r *resvRun[I, S, O]) commitRound(pending []int) bool {
 	}
 
 	head := pending[0]
-	winners := 0
+	winners, ahead := 0, 0
 	for _, i := range pending {
 		if !won[i-start] {
 			continue
 		}
 		winners++
-		r.committed++
 		if i != head {
 			// This input committed in the same round as a lower-indexed
 			// pending one: it genuinely ran ahead of sequential order.
-			r.st.SpeculativeCommits++
-			if r.o != nil {
-				r.o.SpecCommittedInputs.Inc()
-			}
+			ahead++
 		}
-		if r.o != nil {
-			r.o.Commits.Inc()
-			r.o.Tracer.Emit(obs.LaneCoord, obs.EvCommit, int32(r.gj), ReservationArg(r.ground, i))
-		}
+		r.o.Note(obs.LaneCoord, obs.EvCommit, int32(r.gj), ReservationArg(r.ground, i))
 	}
-	r.st.ReservationConflicts += len(pending) - winners
 	if winners == 0 {
 		// The lowest pending index wins every slot it reserves; an empty
 		// round is an engine bug, not a user-code failure.
 		panic("core: reservation round committed nothing")
 	}
+	r.committed += winners
+	r.noteSpecCommits(ahead)
 	return true
 }
 

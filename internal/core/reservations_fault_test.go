@@ -10,24 +10,28 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // runFaultyReserve runs the noisy slotted chain under reservations with
-// the given ops and asserts the fallback preserved the sequential output.
+// the given ops and asserts the fallback preserved the sequential output
+// and the run's accounts still reconcile through the fact table.
 func runFaultyReserve(t *testing.T, ops core.ReserveOps[slotInput, []float64]) core.Stats {
 	t.Helper()
 	const k = 4
 	inputs := slotInputs(40, k, 0xFA11)
 	seqOuts, seqFinal, _ := core.New(noisySlotCompute, nil, slottedOps()).
 		Run(inputs, make([]float64, k), core.Options{Seed: 7})
+	ob := obs.NewObserver(5, 4096)
 	outs, final, st, err := core.New(noisySlotCompute, nil, slottedOps()).WithReserve(ops).
 		RunChecked(inputs, make([]float64, k), core.Options{
 			UseAux: true, Protocol: core.ProtocolReservations,
-			GroupSize: 8, Workers: 4, Seed: 7,
+			GroupSize: 8, Workers: 4, Seed: 7, Obs: ob,
 		})
 	if err != nil {
 		t.Fatalf("fault escaped containment: %v", err)
 	}
+	core.CheckFacts(t, "faulty reserve", ob, st)
 	if !reflect.DeepEqual(outs, seqOuts) || !reflect.DeepEqual(final, seqFinal) {
 		t.Fatal("fallback diverged from sequential")
 	}

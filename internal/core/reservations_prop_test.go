@@ -15,6 +15,7 @@
 package core_test
 
 import (
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -150,15 +151,7 @@ func TestReservationInvariantsProperty(t *testing.T) {
 			t.Fatalf("trial %d: %d reserves, want commits+losses = %d",
 				trial, totalReserves, n+totalLosses)
 		}
-		if v := ob.Reserves.Value(); v != int64(totalReserves) {
-			t.Fatalf("trial %d: Reserves counter %d, log %d", trial, v, totalReserves)
-		}
-		if v := ob.ReserveConflicts.Value(); v != int64(totalLosses) {
-			t.Fatalf("trial %d: ReserveConflicts counter %d, log %d", trial, v, totalLosses)
-		}
-		if v := ob.Commits.Value(); v != int64(totalCommits) {
-			t.Fatalf("trial %d: Commits counter %d, log %d", trial, v, totalCommits)
-		}
+		core.CheckFacts(t, fmt.Sprintf("trial %d", trial), ob, st)
 
 		for key, res := range reserves {
 			committed := commits[key]

@@ -281,8 +281,8 @@ func chaosFootprintRun(sc ChaosScenario, inputs []int, workers, groupSize int) (
 	if err != nil {
 		return res, fmt.Errorf("final scrape: %w", err)
 	}
-	v, _ := final.Value("stats_footprint_violations_total")
-	res.Reconciled = int64(res.FootprintViolations) == ob.FootprintViolations.Value() &&
+	v, _ := final.Value(obs.EvFootprintViolation.Fact().Metric)
+	res.Reconciled = int64(res.FootprintViolations) == ob.Counts()[obs.EvFootprintViolation] &&
 		int64(res.FootprintViolations) == int64(v)
 	if ob.Tracer.Dropped() == 0 {
 		res.Reconciled = res.Reconciled && res.EventFootprints == int64(res.FootprintViolations)
@@ -394,16 +394,16 @@ func chaosReconciled(r ChaosResult, ob *obs.Observer, b *core.Breaker, m *teleme
 		f, _ := m.Value(name)
 		return int64(f)
 	}
-	ok := int64(r.PanickedGroups) == ob.PanickedGroups.Value() &&
-		int64(r.PanickedGroups) == v("stats_panicked_groups_total") &&
-		int64(r.TimedOutGroups) == ob.GroupTimeouts.Value() &&
-		int64(r.TimedOutGroups) == v("stats_group_timeouts_total") &&
-		int64(r.Aborts) == ob.Aborts.Value() &&
-		int64(r.Aborts) == v("stats_aborts_total") &&
-		r.LaneCPUCommittedNS == ob.LaneCPUCommitted.Value() &&
-		r.LaneCPUCommittedNS == v("stats_lane_cpu_committed_ns_total") &&
-		r.LaneCPUWastedNS == ob.LaneCPUWasted.Value() &&
-		r.LaneCPUWastedNS == v("stats_lane_cpu_wasted_ns_total")
+	ok, counts := true, ob.Counts()
+	for kind, engine := range map[obs.EventKind]int64{
+		obs.EvPanic:            int64(r.PanickedGroups),
+		obs.EvGroupTimeout:     int64(r.TimedOutGroups),
+		obs.EvAbort:            int64(r.Aborts),
+		obs.EvLaneCPUCommitted: r.LaneCPUCommittedNS,
+		obs.EvLaneCPUWasted:    r.LaneCPUWastedNS,
+	} {
+		ok = ok && engine == counts[kind] && engine == v(kind.Fact().Metric)
+	}
 	// The signals window opened before the first run, so its deltas are
 	// the whole campaign.
 	ok = ok && rep.PanickedGroups == int64(r.PanickedGroups) &&

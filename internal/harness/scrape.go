@@ -71,9 +71,9 @@ func counterSet(m *telemetry.PromMetrics) ScrapeCounters {
 		return int64(f)
 	}
 	return ScrapeCounters{
-		Matches:     v("stats_validation_match_total"),
-		Redos:       v("stats_redos_total"),
-		Aborts:      v("stats_aborts_total"),
+		Matches:     v(obs.EvValidateMatch.Fact().Metric),
+		Redos:       v(obs.EvRedo.Fact().Metric),
+		Aborts:      v(obs.EvAbort.Fact().Metric),
 		SpecCommits: v("stats_speculative_commit_inputs_total"),
 	}
 }
@@ -148,10 +148,11 @@ func scrapeReconcileOne(e *Env, w workload.Workload) (ScrapeResult, error) {
 		return res, fmt.Errorf("final scrape: %w", err)
 	}
 	res.Scraped = counterSet(final)
+	counts := ob.Counts()
 	res.Observed = ScrapeCounters{
-		Matches:     ob.Matches.Value(),
-		Redos:       ob.Redos.Value(),
-		Aborts:      ob.Aborts.Value(),
+		Matches:     counts[obs.EvValidateMatch],
+		Redos:       counts[obs.EvRedo],
+		Aborts:      counts[obs.EvAbort],
 		SpecCommits: ob.SpecCommittedInputs.Value(),
 	}
 	res.Engine = engine

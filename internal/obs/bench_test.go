@@ -14,19 +14,25 @@ func BenchmarkEmitDisabled(b *testing.B) {
 	}
 }
 
-// BenchmarkObserverDisabledGroupPath measures the full per-group guard
-// sequence the engine executes when observability is off: one Observer
-// nil check covering a group's start/finish emissions and counters.
+// BenchmarkObserverDisabledGroupPath measures the per-group report sequence
+// the engine executes when observability is off: a group's start and
+// finish Notes on a nil Observer, one inlined nil check each.
 func BenchmarkObserverDisabledGroupPath(b *testing.B) {
 	var o *Observer
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if o != nil {
-			o.GroupsStarted.Inc()
-			o.Tracer.Emit(0, EvGroupStart, 0, 0)
-			o.GroupsFinished.Inc()
-			o.Tracer.Emit(0, EvGroupFinish, 0, 0)
-		}
+		o.Note(0, EvGroupStart, 0, 0)
+		o.Note(0, EvGroupFinish, 0, 0)
+	}
+}
+
+// BenchmarkNoteEnabled is the enabled report path: the kind's counter plus
+// the event.
+func BenchmarkNoteEnabled(b *testing.B) {
+	o := NewObserver(4, 1<<12)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		o.Note(0, EvGroupStart, 0, int64(i))
 	}
 }
 

@@ -187,7 +187,7 @@ func TestObserverPreRegistersEverything(t *testing.T) {
 	if o.Tracer.Lanes() != 4 {
 		t.Fatalf("lanes %d", o.Tracer.Lanes())
 	}
-	o.Matches.Inc()
+	o.Note(LaneCoord, EvValidateMatch, 1, 0)
 	o.ValidationLatencyNS.Observe(1500)
 	text := o.Reg.Text()
 	for _, want := range []string{

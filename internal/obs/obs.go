@@ -19,11 +19,17 @@
 //     plain atomics, with a deterministic plain-text exposition format
 //     (WriteText) in the style every metrics scraper understands.
 //
-//   - Observer: the pre-registered instrument bundle the engine
-//     (internal/core) and the scheduler (internal/pool) write into.
-//     Every consumer hook sits behind a nil check: a nil *Observer,
-//     *Tracer, *Counter or *Histogram is a no-op, so disabled
-//     observability costs approximately one branch on the hot path.
+//   - Observer: the instrument bundle the engine (internal/core) and the
+//     scheduler (internal/pool) report into. A fact with an event kind is
+//     reported with one call, Note, which advances the kind's counter and
+//     emits the event together; the fact table (Catalogue) is the single
+//     definition of each kind's event name, metric name, HELP line and
+//     the core.Stats field it mirrors. Note, like every Tracer, Counter,
+//     Gauge and Histogram method, is a no-op on a nil receiver, so
+//     disabled observability costs one branch per decision point. The
+//     Observer's named instruments (histograms, the three counters no
+//     event backs) are plain fields: reading one off a nil *Observer
+//     faults, so their few write sites guard on it.
 //
 // Event schema: every event carries a monotonic timestamp (nanoseconds
 // since the Tracer's epoch), the emitting lane, a kind, the group index it
@@ -33,95 +39,125 @@
 // events key on Group and use the lane only as a shard hint.
 package obs
 
-// Observer bundles the tracer and the typed instruments the runtime
-// writes. Emission sites guard on a nil *Observer, so observability is a
-// per-run opt-in with a one-branch disabled cost.
+// Fact is one row of the fact table: the one place a thing the runtime
+// reports is named. The event kinds' rows drive EventKind.String, counter
+// registration, HELP lines and Note; the remaining rows are the
+// instruments no event backs. Catalogue lists them all.
+type Fact struct {
+	// Event is the event kind's stable exposition name; empty for an
+	// instrument no event backs.
+	Event string
+	// Metric is the instrument's name in the Registry and on /metrics.
+	Metric string
+	// Help is the metric's HELP line.
+	Help string
+	// ByArg marks a kind whose counter advances by the event's Arg — a
+	// quantity (inputs, nanoseconds) — instead of by one per event.
+	ByArg bool
+	// Stats names the core.Stats field holding the same number for one
+	// run (for a histogram, its sum); empty when no field does.
+	Stats string
+	// bind registers an event-less instrument and stores it in its
+	// Observer field.
+	bind func(o *Observer, name string)
+}
+
+// facts holds the event kinds' rows, indexed by kind.
+var facts = [numEventKinds]Fact{
+	EvNone:               {Event: "none"},
+	EvGroupStart:         {Event: "group-start", Metric: "stats_groups_started_total", Help: "group executions entering the engine's group runner"},
+	EvGroupFinish:        {Event: "group-finish", Metric: "stats_groups_finished_total", Help: "group executions returning (squashed groups included)"},
+	EvAuxProduced:        {Event: "aux-produced", Metric: "stats_aux_produced_total", Help: "auxiliary-code executions that produced a speculative start state"},
+	EvValidateMatch:      {Event: "validate-match", Metric: "stats_validation_match_total", Stats: "Matches", Help: "group boundaries whose speculative state was accepted"},
+	EvValidateMismatch:   {Event: "validate-mismatch", Metric: "stats_validation_mismatch_total", Help: "group boundaries whose first validation attempt rejected the speculative state"},
+	EvRedo:               {Event: "redo", Metric: "stats_redos_total", Stats: "Redos", Help: "original-producer re-executions attempted"},
+	EvAbort:              {Event: "abort", Metric: "stats_aborts_total", Stats: "Aborts", Help: "boundaries that aborted speculation: exhausted redo budget, contained panic, deadline, footprint violation"},
+	EvSquash:             {Event: "squash", Metric: "stats_squashed_groups_total", Help: "groups squashed by an abort"},
+	EvFallback:           {Event: "fallback", Metric: "stats_fallback_inputs_total", ByArg: true, Stats: "FallbackInputs", Help: "inputs reprocessed sequentially after an abort"},
+	EvSteal:              {Event: "steal", Metric: "sched_steals_total", Stats: "Steals", Help: "cross-worker task dispatches (work stealing)"},
+	EvLocalHit:           {Event: "local-hit", Metric: "sched_local_hits_total", Stats: "LocalHits", Help: "contention-free local-deque task dispatches"},
+	EvTaskFinish:         {Event: "task-finish", Metric: "sched_tasks_done_total", Help: "tasks completed by the scheduler"},
+	EvPanic:              {Event: "panic", Metric: "stats_panicked_groups_total", Stats: "PanickedGroups", Help: "speculative groups squashed by a contained user-code panic"},
+	EvGroupTimeout:       {Event: "group-timeout", Metric: "stats_group_timeouts_total", Stats: "TimedOutGroups", Help: "speculative groups squashed by the per-group deadline"},
+	EvBreakerDenied:      {Event: "breaker-denied", Metric: "stats_breaker_denied_runs_total", Stats: "BreakerDenied", Help: "runs whose speculation was suppressed by an open circuit breaker"},
+	EvReserve:            {Event: "reserve", Metric: "stats_reserves_total", Help: "slot reservations written by the deterministic-reservations protocol"},
+	EvReserveLost:        {Event: "reserve-lost", Metric: "stats_reserve_conflicts_total", Stats: "ReservationConflicts", Help: "inputs that lost a reserved slot to a lower index at check time"},
+	EvCommit:             {Event: "commit", Metric: "stats_reservation_commits_total", Help: "inputs committed by the reservations coordinator"},
+	EvFootprintViolation: {Event: "footprint-violation", Metric: "stats_footprint_violations_total", Stats: "FootprintViolations", Help: "state slots touched outside a declared reservation footprint (FootprintCheck oracle)"},
+	EvLaneCPUCommitted:   {Event: "lane-cpu-committed", Metric: "stats_lane_cpu_committed_ns_total", ByArg: true, Stats: "LaneCPUCommittedNS", Help: "lane CPU nanoseconds whose results were committed"},
+	EvLaneCPUWasted:      {Event: "lane-cpu-wasted", Metric: "stats_lane_cpu_wasted_ns_total", ByArg: true, Stats: "LaneCPUWastedNS", Help: "lane CPU nanoseconds whose results were discarded (aborts, squashes, timeouts, lost reservations)"},
+}
+
+// instruments holds the rows no event backs: named Observer fields, each
+// with its own write site, and the tracer's own emit/drop totals.
+var instruments = []Fact{
+	{Metric: "stats_fingerprint_hits_total", Stats: "FingerprintHits", Help: "hash-first acceptance attempts whose fingerprint prefilter fell through to the deep compare",
+		bind: func(o *Observer, n string) { o.FingerprintHits = o.Reg.Counter(n) }},
+	{Metric: "stats_fingerprint_misses_total", Stats: "FingerprintMisses", Help: "hash-first acceptance attempts rejected by the fingerprint prefilter without a deep compare",
+		bind: func(o *Observer, n string) { o.FingerprintMisses = o.Reg.Counter(n) }},
+	{Metric: "stats_speculative_commit_inputs_total", Stats: "SpeculativeCommits", Help: "inputs committed from a speculative execution (aux: group > 0; reservations: ahead of a lower pending index)",
+		bind: func(o *Observer, n string) { o.SpecCommittedInputs = o.Reg.Counter(n) }},
+	{Metric: "stats_validation_latency_ns", Help: "wall-clock nanoseconds each validated group boundary took to resolve (redo re-executions included)",
+		bind: func(o *Observer, n string) { o.ValidationLatencyNS = o.Reg.Histogram(n) }},
+	{Metric: "stats_redos_per_validation", Stats: "Redos", Help: "re-executions attempted per validated group boundary",
+		bind: func(o *Observer, n string) { o.RedosPerValidation = o.Reg.Histogram(n) }},
+	{Metric: "stats_rounds_per_group", Stats: "Rounds", Help: "reserve/check/commit rounds needed per reservations group",
+		bind: func(o *Observer, n string) { o.RoundsPerGroup = o.Reg.Histogram(n) }},
+	{Metric: "sched_queue_depth", Help: "per-deque depth observed after each push",
+		bind: func(o *Observer, n string) { o.QueueDepth = o.Reg.Histogram(n) }},
+	{Metric: "sched_queue_depth_peak", Stats: "QueueDepthPeak", Help: "lifetime maximum single-deque depth",
+		bind: func(o *Observer, n string) { o.QueueDepthPeak = o.Reg.Gauge(n) }},
+	{Metric: "trace_events_emitted_total", Help: "events ever emitted into the tracer's rings",
+		bind: func(o *Observer, n string) { o.Reg.CounterFunc(n, o.Tracer.Emitted) }},
+	{Metric: "trace_events_dropped_total", Help: "events evicted by ring wrap-around (bounded-memory loss)",
+		bind: func(o *Observer, n string) { o.Reg.CounterFunc(n, o.Tracer.Dropped) }},
+}
+
+// Fact returns the kind's row of the fact table (the zero Fact for a kind
+// outside it).
+func (k EventKind) Fact() Fact {
+	if int(k) < len(facts) {
+		return facts[k]
+	}
+	return Fact{}
+}
+
+// Catalogue returns every row of the fact table: the event kinds in kind
+// order, then the instruments no event backs.
+func Catalogue() []Fact {
+	return append(append([]Fact(nil), facts[1:]...), instruments...)
+}
+
+// Counts is one reading of every event kind's counter, indexed by kind.
+type Counts [numEventKinds]int64
+
+// Observer bundles the tracer, the registry and the typed instruments the
+// runtime writes; Catalogue documents each one.
 type Observer struct {
 	// Tracer receives the speculation event log. Never nil on an
 	// Observer built by NewObserver.
 	Tracer *Tracer
-	// Reg is the registry all the instruments below are registered in;
+	// Reg is the registry all the instruments are registered in;
 	// WriteText on it exposes everything at once.
 	Reg *Registry
 
-	// GroupsStarted and GroupsFinished count group executions entering
-	// and leaving the engine's group runner (a squashed group still
-	// finishes).
-	GroupsStarted  *Counter
-	GroupsFinished *Counter
-	// AuxProduced counts auxiliary-code executions that produced a
-	// speculative start state.
-	AuxProduced *Counter
-	// Matches, Mismatches, Redos, Aborts and Squashes count validation
-	// outcomes: accepted boundaries, first-try rejections, original
-	// re-executions, aborted boundaries, and groups squashed by an
-	// abort.
-	Matches    *Counter
-	Mismatches *Counter
-	Redos      *Counter
-	Aborts     *Counter
-	Squashes   *Counter
-	// FingerprintHits and FingerprintMisses count hash-first acceptance
-	// attempts whose fingerprint prefilter passed through to the deep
-	// compare vs rejected without one (dependences defining both
-	// MatchAny and Fingerprint).
-	FingerprintHits   *Counter
-	FingerprintMisses *Counter
-	// FallbackInputs counts inputs reprocessed sequentially after an
-	// abort.
-	FallbackInputs *Counter
-	// SpecCommittedInputs counts inputs whose outputs were committed
-	// from a speculative (group > 0) execution — the numerator of the
-	// telemetry layer's fallback-rate denominator.
+	// kind holds each event kind's counter; Note is their only writer.
+	kind [numEventKinds]*Counter
+
+	// FingerprintHits, FingerprintMisses and SpecCommittedInputs are the
+	// counters no event backs.
+	FingerprintHits     *Counter
+	FingerprintMisses   *Counter
 	SpecCommittedInputs *Counter
-	// PanickedGroups counts speculative groups squashed because user
-	// code panicked on their lane; the panic was contained and the
-	// group's inputs reprocessed sequentially.
-	PanickedGroups *Counter
-	// GroupTimeouts counts speculative groups squashed because their
-	// lane exceeded the configured per-group deadline.
-	GroupTimeouts *Counter
-	// BreakerDenied counts runs whose speculation was suppressed by an
-	// open circuit breaker.
-	BreakerDenied *Counter
 
-	// Reserves, ReserveConflicts and Commits count the deterministic-
-	// reservations protocol's phases: slot reservations written, inputs
-	// that lost a slot to a lower index and carried forward, and inputs
-	// whose outputs the coordinator committed.
-	Reserves         *Counter
-	ReserveConflicts *Counter
-	Commits          *Counter
-
-	// FootprintViolations counts state slots the FootprintCheck oracle
-	// caught being touched outside a declared reservation footprint.
-	FootprintViolations *Counter
-
-	// LaneCPUCommitted and LaneCPUWasted accumulate the lane CPU-time
-	// (wall-clock nanoseconds measured at lane boundaries) whose results
-	// were committed vs discarded — the wasted-work split the paper's
-	// speculation trade lives on. Their sum over a run equals
-	// Stats.LaneCPUCommittedNS + Stats.LaneCPUWastedNS.
-	LaneCPUCommitted *Counter
-	LaneCPUWasted    *Counter
-
-	// Steals, LocalHits and TasksDone count the scheduler's dispatches:
-	// cross-worker steals, contention-free local pops, and completed
-	// tasks.
-	Steals    *Counter
-	LocalHits *Counter
-	TasksDone *Counter
-
-	// ValidationLatencyNS observes the wall-clock nanoseconds each group
-	// boundary took to resolve (including redo re-executions).
+	// ValidationLatencyNS and RedosPerValidation get one observation per
+	// boundary whose validation started, so their Count is matches plus
+	// aborts minus the aborts a failed lane caused before any validation
+	// ran; RedosPerValidation's Sum is the redo counter.
 	ValidationLatencyNS *Histogram
-	// RedosPerValidation observes how many re-executions each boundary
-	// consumed; its Sum equals the Redos counter and its Count the
-	// number of validations.
-	RedosPerValidation *Histogram
-	// RoundsPerGroup observes how many reserve/check/commit rounds each
-	// reservations group needed; its Sum equals Stats.Rounds and its
-	// Count the number of groups the protocol processed.
+	RedosPerValidation  *Histogram
+	// RoundsPerGroup's Sum equals Stats.Rounds and its Count the number
+	// of groups the reservations protocol processed.
 	RoundsPerGroup *Histogram
 	// QueueDepth observes the scheduler's per-deque depth after every
 	// push; QueueDepthPeak tracks the lifetime maximum.
@@ -131,90 +167,49 @@ type Observer struct {
 
 // NewObserver builds an Observer with a Tracer of the given lane count and
 // per-lane capacity (zero values pick defaults) and a fresh Registry with
-// every engine and scheduler instrument pre-registered, HELP strings
-// attached, and the tracer's emit/drop totals exposed as function-backed
-// counters so ring overwrite is visible on every scrape.
+// every row of the fact table registered under its HELP line — the
+// tracer's emit/drop totals among them, as function-backed counters, so
+// ring overwrite is visible on every scrape.
 func NewObserver(lanes, perLaneCap int) *Observer {
-	reg := NewRegistry()
-	tr := NewTracer(lanes, perLaneCap)
-	o := &Observer{
-		Tracer: tr,
-		Reg:    reg,
-
-		GroupsStarted:  reg.Counter("stats_groups_started_total"),
-		GroupsFinished: reg.Counter("stats_groups_finished_total"),
-		AuxProduced:    reg.Counter("stats_aux_produced_total"),
-		Matches:        reg.Counter("stats_validation_match_total"),
-		Mismatches:     reg.Counter("stats_validation_mismatch_total"),
-		FingerprintHits: reg.Counter(
-			"stats_fingerprint_hits_total"),
-		FingerprintMisses: reg.Counter(
-			"stats_fingerprint_misses_total"),
-		Redos: reg.Counter("stats_redos_total"),
-		Aborts:         reg.Counter("stats_aborts_total"),
-		Squashes:       reg.Counter("stats_squashed_groups_total"),
-		FallbackInputs: reg.Counter("stats_fallback_inputs_total"),
-		SpecCommittedInputs: reg.Counter(
-			"stats_speculative_commit_inputs_total"),
-		PanickedGroups: reg.Counter("stats_panicked_groups_total"),
-		GroupTimeouts:  reg.Counter("stats_group_timeouts_total"),
-		BreakerDenied:  reg.Counter("stats_breaker_denied_runs_total"),
-
-		Reserves:         reg.Counter("stats_reserves_total"),
-		ReserveConflicts: reg.Counter("stats_reserve_conflicts_total"),
-		Commits:          reg.Counter("stats_reservation_commits_total"),
-
-		FootprintViolations: reg.Counter("stats_footprint_violations_total"),
-
-		LaneCPUCommitted: reg.Counter("stats_lane_cpu_committed_ns_total"),
-		LaneCPUWasted:    reg.Counter("stats_lane_cpu_wasted_ns_total"),
-
-		Steals:    reg.Counter("sched_steals_total"),
-		LocalHits: reg.Counter("sched_local_hits_total"),
-		TasksDone: reg.Counter("sched_tasks_done_total"),
-
-		ValidationLatencyNS: reg.Histogram("stats_validation_latency_ns"),
-		RedosPerValidation:  reg.Histogram("stats_redos_per_validation"),
-		RoundsPerGroup:      reg.Histogram("stats_rounds_per_group"),
-		QueueDepth:          reg.Histogram("sched_queue_depth"),
-		QueueDepthPeak:      reg.Gauge("sched_queue_depth_peak"),
+	o := &Observer{Tracer: NewTracer(lanes, perLaneCap), Reg: NewRegistry()}
+	for k, f := range facts {
+		if f.Metric != "" {
+			o.kind[k] = o.Reg.Counter(f.Metric)
+			o.Reg.SetHelp(f.Metric, f.Help)
+		}
 	}
-	reg.CounterFunc("trace_events_emitted_total", tr.Emitted)
-	reg.CounterFunc("trace_events_dropped_total", tr.Dropped)
-	for name, help := range map[string]string{
-		"stats_groups_started_total":            "group executions entering the engine's group runner",
-		"stats_groups_finished_total":           "group executions returning (squashed groups included)",
-		"stats_aux_produced_total":              "auxiliary-code executions that produced a speculative start state",
-		"stats_validation_match_total":          "group boundaries whose speculative state was accepted",
-		"stats_validation_mismatch_total":       "group boundaries whose first validation attempt rejected the speculative state",
-		"stats_fingerprint_hits_total":          "hash-first acceptance attempts whose fingerprint prefilter fell through to the deep compare",
-		"stats_fingerprint_misses_total":        "hash-first acceptance attempts rejected by the fingerprint prefilter without a deep compare",
-		"stats_redos_total":                     "original-producer re-executions",
-		"stats_aborts_total":                    "boundaries that exhausted their redo budget and aborted speculation",
-		"stats_squashed_groups_total":           "groups squashed by an abort",
-		"stats_fallback_inputs_total":           "inputs reprocessed sequentially after an abort",
-		"stats_speculative_commit_inputs_total": "inputs committed from a speculative (group > 0) execution",
-		"stats_panicked_groups_total":           "speculative groups squashed by a contained user-code panic",
-		"stats_group_timeouts_total":            "speculative groups squashed by the per-group deadline",
-		"stats_breaker_denied_runs_total":       "runs whose speculation was suppressed by an open circuit breaker",
-		"stats_reserves_total":                  "slot reservations written by the deterministic-reservations protocol",
-		"stats_reserve_conflicts_total":         "inputs that lost a reserved slot to a lower index and carried forward",
-		"stats_reservation_commits_total":       "inputs committed by the reservations coordinator",
-		"stats_footprint_violations_total":      "state slots touched outside a declared reservation footprint (FootprintCheck oracle)",
-		"stats_lane_cpu_committed_ns_total":     "lane CPU nanoseconds whose results were committed",
-		"stats_lane_cpu_wasted_ns_total":        "lane CPU nanoseconds whose results were discarded (aborts, squashes, timeouts, lost reservations)",
-		"stats_rounds_per_group":                "reserve/check/commit rounds needed per reservations group",
-		"sched_steals_total":                    "cross-worker task dispatches (work stealing)",
-		"sched_local_hits_total":                "contention-free local-deque task dispatches",
-		"sched_tasks_done_total":                "tasks completed by the scheduler",
-		"stats_validation_latency_ns":           "wall-clock nanoseconds each group boundary took to resolve",
-		"stats_redos_per_validation":            "re-executions consumed per group boundary",
-		"sched_queue_depth":                     "per-deque depth observed after each push",
-		"sched_queue_depth_peak":                "lifetime maximum single-deque depth",
-		"trace_events_emitted_total":            "events ever emitted into the tracer's rings",
-		"trace_events_dropped_total":            "events evicted by ring wrap-around (bounded-memory loss)",
-	} {
-		reg.SetHelp(name, help)
+	for _, f := range instruments {
+		f.bind(o, f.Metric)
+		o.Reg.SetHelp(f.Metric, f.Help)
 	}
 	return o
+}
+
+// Note reports one occurrence of an event-backed fact: it advances the
+// kind's counter — by one, or by arg for a ByArg kind — and emits the
+// event on lane, so a kind's counter always equals the count (or Arg sum)
+// of its events. A nil Observer is the disabled fast path.
+func (o *Observer) Note(lane int, kind EventKind, group int32, arg int64) {
+	if o != nil {
+		o.note(lane, kind, group, arg)
+	}
+}
+
+// note is Note's enabled path, kept out of line so the nil check inlines
+// into every decision point.
+func (o *Observer) note(lane int, kind EventKind, group int32, arg int64) {
+	d := int64(1)
+	if facts[kind].ByArg {
+		d = arg
+	}
+	o.kind[kind].Add(d)
+	o.Tracer.Emit(lane, kind, group, arg)
+}
+
+// Counts reads every event kind's counter.
+func (o *Observer) Counts() (c Counts) {
+	for k := range c {
+		c[k] = o.kind[k].Value()
+	}
+	return c
 }

@@ -87,36 +87,10 @@ const (
 	numEventKinds // sentinel, keep last
 )
 
-// eventKindNames maps kinds to their exposition names.
-var eventKindNames = [numEventKinds]string{
-	EvNone:               "none",
-	EvGroupStart:         "group-start",
-	EvGroupFinish:        "group-finish",
-	EvAuxProduced:        "aux-produced",
-	EvValidateMatch:      "validate-match",
-	EvValidateMismatch:   "validate-mismatch",
-	EvRedo:               "redo",
-	EvAbort:              "abort",
-	EvSquash:             "squash",
-	EvFallback:           "fallback",
-	EvSteal:              "steal",
-	EvLocalHit:           "local-hit",
-	EvTaskFinish:         "task-finish",
-	EvPanic:              "panic",
-	EvGroupTimeout:       "group-timeout",
-	EvBreakerDenied:      "breaker-denied",
-	EvReserve:            "reserve",
-	EvReserveLost:        "reserve-lost",
-	EvCommit:             "commit",
-	EvFootprintViolation: "footprint-violation",
-	EvLaneCPUCommitted:   "lane-cpu-committed",
-	EvLaneCPUWasted:      "lane-cpu-wasted",
-}
-
 // String returns the kind's stable exposition name.
 func (k EventKind) String() string {
-	if int(k) < len(eventKindNames) {
-		return eventKindNames[k]
+	if int(k) < len(facts) {
+		return facts[k].Event
 	}
 	return "unknown"
 }

@@ -546,16 +546,10 @@ func (p *Pool) run(i int, t Task, stolen bool) {
 	o := p.obsv.Load()
 	if stolen {
 		p.steals.Add(1)
-		if o != nil {
-			o.Steals.Inc()
-			o.Tracer.Emit(i, obs.EvSteal, -1, 0)
-		}
+		o.Note(i, obs.EvSteal, -1, 0)
 	} else {
 		p.localHits.Add(1)
-		if o != nil {
-			o.LocalHits.Inc()
-			o.Tracer.Emit(i, obs.EvLocalHit, -1, 0)
-		}
+		o.Note(i, obs.EvLocalHit, -1, 0)
 	}
 	func() {
 		defer func() {
@@ -566,10 +560,7 @@ func (p *Pool) run(i int, t Task, stolen bool) {
 		t()
 	}()
 	p.executed.Add(1)
-	if o != nil {
-		o.TasksDone.Inc()
-		o.Tracer.Emit(i, obs.EvTaskFinish, -1, 0)
-	}
+	o.Note(i, obs.EvTaskFinish, -1, 0)
 }
 
 // next dispatches one task for worker i: the front of its own deque, or a

@@ -305,17 +305,14 @@ func TestTracedSubmitCloseStress(t *testing.T) {
 			t.Fatalf("iter %d: accepted %d but %d ran", it, accepted.Load(), ran.Load())
 		}
 		m := p.Metrics()
-		if got := ob.Steals.Value() + ob.LocalHits.Value(); got != m.Executed-m.InlineRuns {
+		counts := ob.Counts()
+		if got := counts[obs.EvSteal] + counts[obs.EvLocalHit]; got != m.Executed-m.InlineRuns {
 			t.Fatalf("iter %d: observer dispatches %d, pool executed %d (inline %d)",
 				it, got, m.Executed, m.InlineRuns)
 		}
-		if got := ob.TasksDone.Value(); got != m.Executed-m.InlineRuns {
-			t.Fatalf("iter %d: observer TasksDone %d, pool executed %d (inline %d)",
+		if got := counts[obs.EvTaskFinish]; got != m.Executed-m.InlineRuns {
+			t.Fatalf("iter %d: observer tasks done %d, pool executed %d (inline %d)",
 				it, got, m.Executed, m.InlineRuns)
-		}
-		if ob.Tracer.Emitted() < ob.TasksDone.Value() {
-			t.Fatalf("iter %d: emitted %d below task count %d",
-				it, ob.Tracer.Emitted(), ob.TasksDone.Value())
 		}
 	}
 }

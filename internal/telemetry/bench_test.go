@@ -30,9 +30,8 @@ func BenchmarkMetricsScrapeUnderLoad(b *testing.B) {
 		lane := i % 8
 		go func() {
 			for !stop.Load() {
-				o.Matches.Inc()
+				o.Note(lane, obs.EvValidateMatch, int32(lane), 1)
 				o.ValidationLatencyNS.Observe(int64(lane)*100 + 40)
-				o.Tracer.Emit(lane, obs.EvValidateMatch, int32(lane), 1)
 				runtime.Gosched()
 			}
 		}()
@@ -125,7 +124,7 @@ func BenchmarkSignalsReport(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		o.Matches.Inc()
+		o.Note(obs.LaneCoord, obs.EvValidateMatch, 0, 0)
 		o.ValidationLatencyNS.Observe(int64(i)&1023 + 1)
 		sig.Report()
 	}

@@ -49,30 +49,30 @@ func TestWaterfallGolden(t *testing.T) {
 // derived rates and the windowed quantiles, computed from a hand-built
 // counter history under an injected clock.
 func TestSignalsJSONGolden(t *testing.T) {
-	o := obs.NewObserver(1, 64)
+	o := obs.NewObserver(1, 1024) // room for every noted event: tracer_dropped stays 0
 	clk := &fakeClock{t: time.Unix(1000, 0)}
 	sig := NewSignals(o, SignalsConfig{Window: 10 * time.Second, Now: clk.now})
 	sig.Report() // baseline sample at t=0
 
 	clk.advance(2 * time.Second)
-	o.Matches.Add(90)
-	o.Mismatches.Add(10)
-	o.Aborts.Add(10)
-	o.Redos.Add(15)
-	o.FallbackInputs.Add(40)
+	noteN(o, obs.EvValidateMatch, 90)
+	noteN(o, obs.EvValidateMismatch, 10)
+	noteN(o, obs.EvAbort, 10)
+	noteN(o, obs.EvRedo, 15)
+	noteN(o, obs.EvFallback, 40)
 	o.SpecCommittedInputs.Add(760)
-	o.GroupsFinished.Add(100)
-	o.PanickedGroups.Add(2)
-	o.GroupTimeouts.Add(1)
-	o.BreakerDenied.Add(1)
-	o.Steals.Add(25)
-	o.LocalHits.Add(75)
-	o.Commits.Add(300)
+	noteN(o, obs.EvGroupFinish, 100)
+	noteN(o, obs.EvPanic, 2)
+	noteN(o, obs.EvGroupTimeout, 1)
+	noteN(o, obs.EvBreakerDenied, 1)
+	noteN(o, obs.EvSteal, 25)
+	noteN(o, obs.EvLocalHit, 75)
+	noteN(o, obs.EvCommit, 300)
 	for i := 0; i < 50; i++ {
 		o.RoundsPerGroup.Observe(3)
 	}
-	o.LaneCPUCommitted.Add(9_000_000)
-	o.LaneCPUWasted.Add(1_000_000)
+	noteN(o, obs.EvLaneCPUCommitted, 9_000_000)
+	noteN(o, obs.EvLaneCPUWasted, 1_000_000)
 	for i := 0; i < 95; i++ {
 		o.ValidationLatencyNS.Observe(900)
 	}

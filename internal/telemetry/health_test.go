@@ -23,7 +23,7 @@ func TestHealthFlipsAndRecovers(t *testing.T) {
 	h := NewHealth(o, HealthConfig{Window: 10 * time.Second, Now: clk.now})
 
 	// Healthy traffic: matches and speculative commits only.
-	o.Matches.Add(100)
+	noteN(o, obs.EvValidateMatch, 100)
 	o.SpecCommittedInputs.Add(1000)
 	rep := h.Eval()
 	if rep.State != "ok" {
@@ -32,10 +32,10 @@ func TestHealthFlipsAndRecovers(t *testing.T) {
 
 	// Storm: most boundaries mismatch, many abort, fallback kicks in.
 	clk.advance(2 * time.Second)
-	o.Matches.Add(20)
-	o.Mismatches.Add(80)
-	o.Aborts.Add(30)
-	o.FallbackInputs.Add(500)
+	noteN(o, obs.EvValidateMatch, 20)
+	noteN(o, obs.EvValidateMismatch, 80)
+	noteN(o, obs.EvAbort, 30)
+	noteN(o, obs.EvFallback, 500)
 	rep = h.Eval()
 	if rep.State != "aborting" {
 		t.Fatalf("storm judged %q, want aborting: %+v", rep.State, rep)
@@ -50,7 +50,7 @@ func TestHealthFlipsAndRecovers(t *testing.T) {
 	sawOK := false
 	for i := 0; i < 15; i++ {
 		clk.advance(1 * time.Second)
-		o.Matches.Add(10)
+		noteN(o, obs.EvValidateMatch, 10)
 		o.SpecCommittedInputs.Add(100)
 		rep = h.Eval()
 		if rep.State == "ok" {
@@ -71,8 +71,8 @@ func TestHealthDegradedOnMismatchPressure(t *testing.T) {
 
 	h.Eval() // baseline
 	clk.advance(time.Second)
-	o.Matches.Add(10)
-	o.Mismatches.Add(8)
+	noteN(o, obs.EvValidateMatch, 10)
+	noteN(o, obs.EvValidateMismatch, 8)
 	rep := h.Eval()
 	if rep.State != "degraded" {
 		t.Fatalf("mismatch pressure judged %q, want degraded: %+v", rep.State, rep)
@@ -91,9 +91,9 @@ func TestHealthDegradedOnFallbackTrickle(t *testing.T) {
 
 	h.Eval()
 	clk.advance(time.Second)
-	o.Matches.Add(100)
+	noteN(o, obs.EvValidateMatch, 100)
 	o.SpecCommittedInputs.Add(900)
-	o.FallbackInputs.Add(100) // 10% of committed inputs came from fallback
+	noteN(o, obs.EvFallback, 100) // 10% of committed inputs came from fallback
 	rep := h.Eval()
 	if rep.State != "degraded" {
 		t.Fatalf("fallback trickle judged %q, want degraded: %+v", rep.State, rep)
@@ -109,9 +109,9 @@ func TestHealthMinValidations(t *testing.T) {
 
 	h.Eval()
 	clk.advance(time.Second)
-	o.Matches.Add(1)
-	o.Mismatches.Add(1)
-	o.Aborts.Add(1)
+	noteN(o, obs.EvValidateMatch, 1)
+	noteN(o, obs.EvValidateMismatch, 1)
+	noteN(o, obs.EvAbort, 1)
 	rep := h.Eval()
 	if rep.State != "ok" {
 		t.Fatalf("2 validations judged %q with MinValidations=50, want ok: %+v", rep.State, rep)
@@ -125,7 +125,7 @@ func TestHealthCounterReset(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
 	h := NewHealth(o, HealthConfig{Window: 10 * time.Second, Now: clk.now})
 
-	o.Matches.Add(100)
+	noteN(o, obs.EvValidateMatch, 100)
 	h.Eval()
 	clk.advance(time.Second)
 	// Swap in a fresh observer's counters by building a new Health over a
@@ -152,7 +152,7 @@ func TestHealthSampleBound(t *testing.T) {
 
 	for i := 0; i < 4*maxSignalSamples; i++ {
 		clk.advance(time.Millisecond)
-		o.Matches.Inc()
+		noteN(o, obs.EvValidateMatch, 1)
 		h.Eval()
 	}
 	h.sig.mu.Lock()

@@ -272,7 +272,7 @@ func TestServerSpansRoundTrip(t *testing.T) {
 // cumulative complete buckets, +Inf == _count.
 func TestServerMetricsParseCompliance(t *testing.T) {
 	o := obs.NewObserver(2, 256)
-	o.Matches.Add(7)
+	noteN(o, obs.EvValidateMatch, 7)
 	o.ValidationLatencyNS.Observe(100)
 	o.ValidationLatencyNS.Observe(90000)
 	o.Tracer.Emit(0, obs.EvGroupStart, 0, 0)
@@ -422,8 +422,8 @@ func TestServerHealthzStatusCodes(t *testing.T) {
 
 	s.Health().Eval() // baseline sample
 	clk.advance(time.Second)
-	o.Matches.Add(10)
-	o.Aborts.Add(10) // 50% abort rate: aborting
+	noteN(o, obs.EvValidateMatch, 10)
+	noteN(o, obs.EvAbort, 10) // 50% abort rate: aborting
 	resp, err = http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)

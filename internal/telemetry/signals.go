@@ -37,39 +37,22 @@ func (c SignalsConfig) withDefaults() SignalsConfig {
 }
 
 // signalCounters is one atomic reading of every instrument the signals
-// cover. Histograms are carried as full bucket snapshots so the window's
-// quantiles come from bucket deltas, not lifetime totals.
+// cover: the event kinds' counters, the two numbers no kind backs, and the
+// validation-latency buckets in full, so the window's quantiles come from
+// bucket deltas, not lifetime totals.
 type signalCounters struct {
-	matches, mismatches, aborts, redos int64
-	fallback, specCommits              int64
-	panicked, timedOut, breakerDenied  int64
-	groupsFinished                     int64
-	steals, localHits                  int64
-	resvCommits, roundsSum             int64
-	laneCommitted, laneWasted          int64
-	valLat                             obs.HistogramSnapshot
+	kinds                  obs.Counts
+	specCommits, roundsSum int64
+	valLat                 obs.HistogramSnapshot
 }
 
 // readSignalCounters samples the observer.
 func readSignalCounters(o *obs.Observer) signalCounters {
 	return signalCounters{
-		matches:        o.Matches.Value(),
-		mismatches:     o.Mismatches.Value(),
-		aborts:         o.Aborts.Value(),
-		redos:          o.Redos.Value(),
-		fallback:       o.FallbackInputs.Value(),
-		specCommits:    o.SpecCommittedInputs.Value(),
-		panicked:       o.PanickedGroups.Value(),
-		timedOut:       o.GroupTimeouts.Value(),
-		breakerDenied:  o.BreakerDenied.Value(),
-		groupsFinished: o.GroupsFinished.Value(),
-		steals:         o.Steals.Value(),
-		localHits:      o.LocalHits.Value(),
-		resvCommits:    o.Commits.Value(),
-		roundsSum:      o.RoundsPerGroup.Sum(),
-		laneCommitted:  o.LaneCPUCommitted.Value(),
-		laneWasted:     o.LaneCPUWasted.Value(),
-		valLat:         o.ValidationLatencyNS.Snapshot(),
+		kinds:       o.Counts(),
+		specCommits: o.SpecCommittedInputs.Value(),
+		roundsSum:   o.RoundsPerGroup.Sum(),
+		valLat:      o.ValidationLatencyNS.Snapshot(),
 	}
 }
 
@@ -93,7 +76,10 @@ type SignalsReport struct {
 	WindowSeconds float64 `json:"window_seconds"`
 
 	// Raw deltas over the window. Validations is Matches + Aborts (every
-	// boundary resolves one way or the other).
+	// boundary resolves one way or the other) — an upper bound on the
+	// validations that ran: an abort caused by a failed lane (contained
+	// panic, deadline) ends the boundary before any validation starts, so
+	// it is an abort without a latency observation.
 	Validations         int64 `json:"validations"`
 	Matches             int64 `json:"matches"`
 	Mismatches          int64 `json:"mismatches"`
@@ -225,24 +211,25 @@ func computeSignals(window time.Duration, base, cur signalCounters) SignalsRepor
 		}
 		return b - a
 	}
+	k := func(kind obs.EventKind) int64 { return d(base.kinds[kind], cur.kinds[kind]) }
 	rep := SignalsReport{
 		WindowSeconds:       window.Seconds(),
-		Matches:             d(base.matches, cur.matches),
-		Mismatches:          d(base.mismatches, cur.mismatches),
-		Aborts:              d(base.aborts, cur.aborts),
-		Redos:               d(base.redos, cur.redos),
-		FallbackInputs:      d(base.fallback, cur.fallback),
+		Matches:             k(obs.EvValidateMatch),
+		Mismatches:          k(obs.EvValidateMismatch),
+		Aborts:              k(obs.EvAbort),
+		Redos:               k(obs.EvRedo),
+		FallbackInputs:      k(obs.EvFallback),
 		SpecCommittedInputs: d(base.specCommits, cur.specCommits),
-		PanickedGroups:      d(base.panicked, cur.panicked),
-		TimedOutGroups:      d(base.timedOut, cur.timedOut),
-		BreakerDeniedRuns:   d(base.breakerDenied, cur.breakerDenied),
-		GroupsFinished:      d(base.groupsFinished, cur.groupsFinished),
-		Steals:              d(base.steals, cur.steals),
-		LocalHits:           d(base.localHits, cur.localHits),
-		ReservationCommits:  d(base.resvCommits, cur.resvCommits),
+		PanickedGroups:      k(obs.EvPanic),
+		TimedOutGroups:      k(obs.EvGroupTimeout),
+		BreakerDeniedRuns:   k(obs.EvBreakerDenied),
+		GroupsFinished:      k(obs.EvGroupFinish),
+		Steals:              k(obs.EvSteal),
+		LocalHits:           k(obs.EvLocalHit),
+		ReservationCommits:  k(obs.EvCommit),
 		ReservationRounds:   d(base.roundsSum, cur.roundsSum),
-		LaneCPUCommittedNS:  d(base.laneCommitted, cur.laneCommitted),
-		LaneCPUWastedNS:     d(base.laneWasted, cur.laneWasted),
+		LaneCPUCommittedNS:  k(obs.EvLaneCPUCommitted),
+		LaneCPUWastedNS:     k(obs.EvLaneCPUWasted),
 	}
 	rep.Validations = rep.Matches + rep.Aborts
 	if rep.Validations > 0 {

@@ -9,6 +9,19 @@ import (
 	"repro/internal/obs"
 )
 
+// noteN reports n occurrences of an event-backed fact the way the runtime
+// does, through Note: n events for a counting kind, one event carrying n
+// for a kind whose counter advances by its Arg.
+func noteN(o *obs.Observer, kind obs.EventKind, n int64) {
+	if kind.Fact().ByArg {
+		o.Note(obs.LaneCoord, kind, 0, n)
+		return
+	}
+	for ; n > 0; n-- {
+		o.Note(obs.LaneCoord, kind, 0, 0)
+	}
+}
+
 // TestSignalsWindowedRates: the report's rates come from window deltas,
 // not lifetime totals — pre-window history must not leak in.
 func TestSignalsWindowedRates(t *testing.T) {
@@ -17,19 +30,19 @@ func TestSignalsWindowedRates(t *testing.T) {
 	sig := NewSignals(o, SignalsConfig{Window: 10 * time.Second, Now: clk.now})
 
 	// Ancient history: a storm that must age out.
-	o.Aborts.Add(1000)
-	o.Matches.Add(1000)
+	noteN(o, obs.EvAbort, 1000)
+	noteN(o, obs.EvValidateMatch, 1000)
 	sig.Report()
 
 	// Move past the window, then record healthy traffic only.
 	clk.advance(30 * time.Second)
 	sig.Report() // baseline inside the new window
 	clk.advance(2 * time.Second)
-	o.Matches.Add(80)
-	o.Mismatches.Add(20)
-	o.Redos.Add(30)
-	o.LaneCPUCommitted.Add(900)
-	o.LaneCPUWasted.Add(100)
+	noteN(o, obs.EvValidateMatch, 80)
+	noteN(o, obs.EvValidateMismatch, 20)
+	noteN(o, obs.EvRedo, 30)
+	noteN(o, obs.EvLaneCPUCommitted, 900)
+	noteN(o, obs.EvLaneCPUWasted, 100)
 	rep := sig.Report()
 
 	if rep.Validations != 80 {
@@ -91,10 +104,10 @@ func TestSignalsRecovery(t *testing.T) {
 
 	sig.Report()
 	clk.advance(time.Second)
-	o.Aborts.Add(50)
-	o.Matches.Add(50)
-	o.FallbackInputs.Add(500)
-	o.LaneCPUWasted.Add(1e6)
+	noteN(o, obs.EvAbort, 50)
+	noteN(o, obs.EvValidateMatch, 50)
+	noteN(o, obs.EvFallback, 500)
+	noteN(o, obs.EvLaneCPUWasted, 1e6)
 	if rep := sig.Report(); rep.AbortRate != 0.5 {
 		t.Fatalf("storm abort rate = %v, want 0.5", rep.AbortRate)
 	}
@@ -102,7 +115,7 @@ func TestSignalsRecovery(t *testing.T) {
 	var rep SignalsReport
 	for i := 0; i < 10; i++ {
 		clk.advance(time.Second)
-		o.Matches.Add(10)
+		noteN(o, obs.EvValidateMatch, 10)
 		rep = sig.Report()
 	}
 	if rep.AbortRate != 0 || rep.FallbackRate != 0 || rep.WastedWorkRatio != 0 {
@@ -135,8 +148,8 @@ func TestSignalsGauges(t *testing.T) {
 
 	sig.Report()
 	clk.advance(time.Second)
-	o.Matches.Add(3)
-	o.Aborts.Add(1)
+	noteN(o, obs.EvValidateMatch, 3)
+	noteN(o, obs.EvAbort, 1)
 	sig.Report()
 
 	text := o.Reg.Text()
@@ -162,8 +175,8 @@ func TestHealthOverSharedSignals(t *testing.T) {
 
 	sig.Report()
 	clk.advance(time.Second)
-	o.Matches.Add(10)
-	o.Aborts.Add(10)
+	noteN(o, obs.EvValidateMatch, 10)
+	noteN(o, obs.EvAbort, 10)
 	rep := sig.Report()
 	hr := h.Judge(rep)
 	if hr.State != "aborting" {

@@ -1,0 +1,20 @@
+#!/bin/sh
+# fact-guard: the engine and the pool report each fact through
+# obs.Observer.Note, so a kind's counter and its events cannot drift. Fail
+# if non-test code under internal/core or internal/pool emits a trace event
+# itself, or writes an Observer counter anywhere but frame.go's note*
+# methods (the home of the counters no event backs). Run via `make vet`.
+set -eu
+
+emits=$(grep -rn 'Tracer\.Emit(' internal/core internal/pool --include='*.go' |
+    grep -v '_test\.go:' || true)
+writes=$(grep -rnE '\bo\.[A-Z][A-Za-z]*\.(Inc|Add)\(' internal/core internal/pool --include='*.go' |
+    grep -v -e '_test\.go:' -e '^internal/core/frame\.go:' || true)
+outside=$(awk '/^func /{fn=$0} /\.o\.[A-Z][A-Za-z]*\.(Inc|Add)\(/ && fn !~ /\) note[A-Z]/{print FILENAME": "$0}' \
+    internal/core/frame.go)
+
+if [ -n "$emits$writes$outside" ]; then
+    echo "fact-guard: report through obs.Observer.Note (or a runFrame.note* method):" >&2
+    printf '%s\n' "$emits" "$writes" "$outside" | grep . >&2
+    exit 1
+fi
