@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: build test check race stress vet catalogue bench-pool bench bench-gate bench-paper fuzz bench-obs serve-smoke chaos explore explore-long
+.PHONY: build test check race stress vet catalogue bench microbench microbench-smoke bench-paper fuzz serve-smoke chaos explore explore-long
 
 build:
 	$(GO) build ./...
@@ -20,12 +20,12 @@ test: build
 	$(GO) test ./...
 	cd bench && $(GO) test -short ./...
 
-# The full local gate: tier-1 tests, the core-count stress matrix, the
-# static-analysis suite, the telemetry-server smoke (boot, curl every
-# endpoint, assert statuses), the allocation-budget gate over the
-# profiler's warm paths, the fault-injection campaign, and the bounded
-# schedule exploration.
-check: test stress vet serve-smoke bench-gate chaos explore
+# The full local gate: tier-1 tests (which hold the allocation ceilings),
+# the core-count stress matrix, the static-analysis suite, the
+# telemetry-server smoke (boot, curl every endpoint, assert statuses), one
+# iteration of every microbenchmark, the fault-injection campaign, and the
+# bounded schedule exploration.
+check: test stress vet serve-smoke microbench-smoke chaos explore
 
 race:
 	$(GO) test -race ./...
@@ -53,31 +53,23 @@ vet:
 catalogue:
 	$(GO) test ./internal/obs -run TestCatalogueGolden -update
 
-# Scheduler benchmarks: sharded work-stealing pool vs the single-channel
-# baseline, plus the engine's group fan-out across worker counts.
-bench-pool:
-	$(GO) test -run '^$$' -bench 'Submit|Fanout' -benchmem ./internal/pool ./internal/core
-
-# Hot-path benchmark snapshot: the telemetry scrape-under-load and Emit
-# microbenchmarks, the always-on profiler's warm paths (incremental span
-# folding, windowed signals report), the engine's speculative run with
-# the controlled scheduler off (nil fast path) and on, the
-# deterministic-reservations protocol, and the engine's recycled hot
-# path (warm vs cold run, grouping, hash-first acceptance), written to
-# $(BENCH) (the checked-in regression reference continuing
-# BENCH_pr9.json). The run also enforces the allocs/op ceilings in
-# BENCH_budget.json.
-BENCH ?= BENCH_pr10.json
-
+# The repository benchmark (BENCHMARK.json, bench/README.md): six
+# real-goroutine workloads, gated end-to-end metrics and a per-layer
+# ledger; `bash bench/run.sh --compare a.jsonl b.jsonl` compares two runs.
 bench:
-	$(GO) run ./cmd/statsbench -out $(BENCH) -budget BENCH_budget.json
+	bash bench/run.sh
 
-# Quick allocation-budget gate for `make check`: re-measure the profiler's
-# warm paths and the engine's recycled hot path with a small -benchtime
-# and fail on any allocs/op ceiling violation, without rewriting the
-# checked-in snapshot.
-bench-gate:
-	$(GO) run ./cmd/statsbench -benchtime 100x -pkgs telemetry,core -budget BENCH_budget.json
+# Every per-package Benchmark* function: the layer rows behind the
+# benchmark's per-layer metrics. The allocs/op ceilings on the gated ones
+# are tier-1 tests beside them (internal/telemetry/bench_test.go,
+# internal/core/recycle_test.go).
+microbench:
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/...
+
+# One iteration of each, so a benchmark that panics or no longer compiles
+# turns `make check` red; tier-1 never runs them.
+microbench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 
 # Full evaluation benchmarks (paper tables/figures). STATS_QUICK=1 scales
 # budgets down for smoke runs.
@@ -123,8 +115,3 @@ fuzz:
 	$(GO) test ./internal/frontend -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/frontend -run '^$$' -fuzz '^FuzzTranslate$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/analysis -run '^$$' -fuzz '^FuzzVerify$$' -fuzztime $(FUZZTIME)
-
-# Observability-layer benchmarks: the disabled fast path (must stay under
-# a handful of ns) and the enabled emit/observe costs.
-bench-obs:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/obs

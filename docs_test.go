@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -132,6 +133,52 @@ func TestDocsCarryMetricCatalogue(t *testing.T) {
 		}
 		if !strings.Contains(string(text), string(want)) {
 			t.Errorf("%s does not carry %s verbatim", doc, "internal/obs/testdata/catalogue.golden")
+		}
+	}
+}
+
+// TestDocsNameRealTargetsAndCommands keeps the prose honest about the
+// tooling: every `make <target>` in README.md, DESIGN.md and the verify
+// skill is a Makefile target, and the cmd/ entries of README's layout
+// block are exactly the directories under cmd/.
+func TestDocsNameRealTargetsAndCommands(t *testing.T) {
+	read := func(path string) string {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	targets := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^([a-z][a-z-]*):`).FindAllStringSubmatch(read("Makefile"), -1) {
+		targets[m[1]] = true
+	}
+	mention := regexp.MustCompile("(?m)(?:`|^|of )make\\s+([a-z][a-z-]*)")
+	for _, doc := range []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
+		for _, m := range mention.FindAllStringSubmatch(read(doc), -1) {
+			if !targets[m[1]] {
+				t.Errorf("%s names `make %s`, which is not a Makefile target", doc, m[1])
+			}
+		}
+	}
+
+	layout := read("README.md")
+	_, layout, _ = strings.Cut(layout, "\ncmd/\n")
+	layout, _, _ = strings.Cut(layout, "\nexamples/")
+	listed := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^  ([a-z]+)`).FindAllStringSubmatch(layout, -1) {
+		listed[m[1]] = true
+		if fi, err := os.Stat(filepath.Join("cmd", m[1])); err != nil || !fi.IsDir() {
+			t.Errorf("README's layout lists cmd/%s, which is not a directory", m[1])
+		}
+	}
+	dirs, err := os.ReadDir("cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range dirs {
+		if d.IsDir() && !listed[d.Name()] {
+			t.Errorf("cmd/%s is missing from README's layout block", d.Name())
 		}
 	}
 }

@@ -251,10 +251,3 @@ func pickTechnique(r *rng.Source, credit []float64) int {
 	}
 	return len(credit) - 1
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

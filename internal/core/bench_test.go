@@ -147,16 +147,7 @@ func BenchmarkEngineReservations(b *testing.B) {
 		}
 	})
 	b.Run("slotted", func(b *testing.B) {
-		d := New(benchSlotCompute, nil, benchSlotOps()).WithReserve(ReserveOps[int, []float64]{
-			NumSlots:  func(s []float64) int { return len(s) },
-			Footprint: func(in int, _ []float64) []int { return []int{in % 8} },
-			Merge: func(dst, src []float64, slots []int) []float64 {
-				for _, sl := range slots {
-					dst[sl] = src[sl]
-				}
-				return dst
-			},
-		})
+		d := New(benchSlotCompute, nil, benchSlotOps()).WithReserve(benchReserveOps())
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -170,6 +161,21 @@ func BenchmarkEngineReservations(b *testing.B) {
 func benchSlotCompute(r *rng.Source, in int, s []float64) (int, []float64) {
 	s[in%8] += float64(in)
 	return in, s
+}
+
+// benchReserveOps is the slot contract of every slotted benchmark and
+// allocation ceiling: 8 disjoint slots, input i touches slot i%8.
+func benchReserveOps() ReserveOps[int, []float64] {
+	return ReserveOps[int, []float64]{
+		NumSlots:  func(s []float64) int { return len(s) },
+		Footprint: func(in int, _ []float64) []int { return []int{in % 8} },
+		Merge: func(dst, src []float64, slots []int) []float64 {
+			for _, sl := range slots {
+				dst[sl] = src[sl]
+			}
+			return dst
+		},
+	}
 }
 
 func benchSlotOps() StateOps[[]float64] {
@@ -208,73 +214,74 @@ func fingerprintWalkOps() StateOps[walkState] {
 	return ops
 }
 
-// BenchmarkEngineWarmRun is the allocation-gate shape: a reused
-// Dependence on a shared pool — the warm path where every run-scoped
-// buffer (group records, lane sources, originals, output staging) comes
-// from the dependence's recycled scratch. Compare BenchmarkEngineColdRun
-// (fresh Dependence per run, same work): warm must hold a small fraction
-// of cold allocs/op (TestWarmRunAllocations enforces ≤20%).
-func BenchmarkEngineWarmRun(b *testing.B) {
-	inputs := benchInputs(32)
-	base := Options{UseAux: true, GroupSize: 8, Window: 8, RedoMax: 1, Rollback: 4}
-	b.Run("aux", func(b *testing.B) {
-		p := pool.New(4)
-		defer p.Close()
-		d := New(cheapCompute, sumAux, fingerprintWalkOps())
-		opts := base
-		opts.Pool = p
-		d.Run(inputs, walkState{}, opts) // prime the recycled scratch
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			o := opts
-			o.Seed = uint64(i)
-			d.Run(inputs, walkState{}, o)
-		}
-	})
-	b.Run("reservations", func(b *testing.B) {
-		p := pool.New(4)
-		defer p.Close()
-		d := New(benchSlotCompute, nil, benchSlotOps()).WithReserve(ReserveOps[int, []float64]{
-			NumSlots:  func(s []float64) int { return len(s) },
-			Footprint: func(in int, _ []float64) []int { return []int{in % 8} },
-			Merge: func(dst, src []float64, slots []int) []float64 {
-				for _, sl := range slots {
-					dst[sl] = src[sl]
-				}
-				return dst
-			},
-		})
-		opts := base
-		opts.Protocol = ProtocolReservations
-		opts.Pool = p
-		d.Run(inputs, make([]float64, 8), opts)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			o := opts
-			o.Seed = uint64(i)
-			d.Run(inputs, make([]float64, 8), o)
-		}
-	})
-}
+// The allocation-gated benchmarks. Each measured body is one helper that
+// the benchmark times and the package's ceiling test (recycle_test.go)
+// hands to testing.AllocsPerRun, so a benchmark cannot drift from its gate.
 
-// BenchmarkEngineColdRun is BenchmarkEngineWarmRun/aux with a fresh
-// Dependence every iteration: the seed path a one-shot caller pays, and
-// the denominator of the warm-path allocation gate.
-func BenchmarkEngineColdRun(b *testing.B) {
-	inputs := benchInputs(32)
-	p := pool.New(4)
-	defer p.Close()
-	opts := Options{UseAux: true, GroupSize: 8, Window: 8, RedoMax: 1, Rollback: 4, Pool: p}
+// benchLoop is the timed loop of the gated benchmarks.
+func benchLoop(b *testing.B, body func()) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d := New(cheapCompute, sumAux, fingerprintWalkOps())
-		o := opts
-		o.Seed = uint64(i)
-		d.Run(inputs, walkState{}, o)
+		body()
 	}
+}
+
+// gatedRun returns one group-8 run over n near-free inputs on the shared
+// pool p (so neither side hides a private worker-pool construction), with
+// a fresh seed per call. Warm reuses one primed Dependence: every
+// run-scoped buffer (group records, lane sources, originals, output
+// staging) comes from its recycled scratch. Cold builds a Dependence per
+// call, the seed path a one-shot caller pays.
+func gatedRun[S any](p *pool.Pool, n int, proto Protocol, newDep func() *Dependence[int, S, int], initial func() S, warm bool) func() {
+	inputs := benchInputs(n)
+	opts := Options{UseAux: true, Protocol: proto, GroupSize: 8, Window: 8, RedoMax: 1, Rollback: 4, Pool: p}
+	d := newDep()
+	if warm {
+		d.Run(inputs, initial(), opts) // prime the recycled scratch
+	}
+	return func() {
+		if !warm {
+			d = newDep()
+		}
+		opts.Seed++
+		d.Run(inputs, initial(), opts)
+	}
+}
+
+// auxRun is gatedRun under the aux protocol on the fingerprinted walk.
+func auxRun(p *pool.Pool, n int, warm bool) func() {
+	return gatedRun(p, n, ProtocolAux,
+		func() *Dependence[int, walkState, int] { return New(cheapCompute, sumAux, fingerprintWalkOps()) },
+		func() walkState { return walkState{} }, warm)
+}
+
+// reservationsRun is gatedRun under the reservations protocol on the
+// 8-slot state; the caller-owned initial state is part of the run's cost.
+func reservationsRun(p *pool.Pool, warm bool) func() {
+	return gatedRun(p, 32, ProtocolReservations,
+		func() *Dependence[int, []float64, int] {
+			return New(benchSlotCompute, nil, benchSlotOps()).WithReserve(benchReserveOps())
+		},
+		func() []float64 { return make([]float64, 8) }, warm)
+}
+
+// BenchmarkEngineWarmRun is the recycled hot path of both protocols over
+// 32 inputs. Compare BenchmarkEngineColdRun; TestWarmRunAllocations holds
+// the ceilings and the warm/cold ratios.
+func BenchmarkEngineWarmRun(b *testing.B) {
+	p := pool.New(4)
+	defer p.Close()
+	b.Run("aux", func(b *testing.B) { benchLoop(b, auxRun(p, 32, true)) })
+	b.Run("reservations", func(b *testing.B) { benchLoop(b, reservationsRun(p, true)) })
+}
+
+// BenchmarkEngineColdRun is BenchmarkEngineWarmRun/aux with a fresh
+// Dependence every iteration: the denominator of the warm/cold ratio.
+func BenchmarkEngineColdRun(b *testing.B) {
+	p := pool.New(4)
+	defer p.Close()
+	benchLoop(b, auxRun(p, 32, false))
 }
 
 // BenchmarkEngineGrouping drives the grouping-dominant shape: 1024 inputs
@@ -283,46 +290,29 @@ func BenchmarkEngineColdRun(b *testing.B) {
 // allocs/op here prices pure per-group machinery (recycled group records,
 // latches and lane sources), not data movement.
 func BenchmarkEngineGrouping(b *testing.B) {
-	inputs := benchInputs(1024)
 	p := pool.New(4)
 	defer p.Close()
-	d := New(cheapCompute, sumAux, fingerprintWalkOps())
-	opts := Options{UseAux: true, GroupSize: 8, Window: 8, RedoMax: 1, Rollback: 4, Pool: p}
-	d.Run(inputs, walkState{}, opts)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		o := opts
-		o.Seed = uint64(i)
-		d.Run(inputs, walkState{}, o)
-	}
+	benchLoop(b, auxRun(p, 1024, true))
 }
 
-// BenchmarkMatchAnyFingerprint prices one acceptance attempt on the
-// hash-first path: a fingerprint hit falls through to the deep MatchAny
-// scan, a miss rejects on the prefilter probe alone. Both must be
-// allocation-free — they run inside every boundary validation.
-func BenchmarkMatchAnyFingerprint(b *testing.B) {
+// acceptProbe returns one acceptance attempt of a speculative state of
+// value v against eight originals 0..7 on the hash-first path: v=7 hits
+// the fingerprint prefilter and falls through to the deep MatchAny scan,
+// v=99.5 misses and rejects on the probe alone.
+func acceptProbe(v float64) func() {
 	scr := New(cheapCompute, nil, fingerprintWalkOps()).getScratch()
-	var st Stats
-	scr.st, scr.hashFirst = &st, true
+	scr.st, scr.hashFirst = new(Stats), true
 	for i := 0; i < 8; i++ {
 		scr.addOriginal(walkState{V: float64(i)})
 	}
-	b.Run("hit", func(b *testing.B) {
-		spec := walkState{V: 7}
-		fp := math.Float64bits(spec.V)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			scr.accepts(spec, fp)
-		}
-	})
-	b.Run("miss", func(b *testing.B) {
-		spec := walkState{V: 99.5}
-		fp := math.Float64bits(spec.V)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			scr.accepts(spec, fp)
-		}
-	})
+	spec := walkState{V: v}
+	fp := math.Float64bits(v)
+	return func() { scr.accepts(spec, fp) }
+}
+
+// BenchmarkMatchAnyFingerprint prices one acceptance attempt, hit and
+// miss. Both run inside every boundary validation and must not allocate.
+func BenchmarkMatchAnyFingerprint(b *testing.B) {
+	b.Run("hit", func(b *testing.B) { benchLoop(b, acceptProbe(7)) })
+	b.Run("miss", func(b *testing.B) { benchLoop(b, acceptProbe(99.5)) })
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/pool"
+	"repro/internal/racemode"
 )
 
 // Recycling regression tests: the warm engine path must stay
@@ -12,83 +13,69 @@ import (
 // sync.Pool scratch, not the heap), and recycled state must never leak
 // between concurrent runs sharing one Dependence.
 
-// TestWarmRunAllocations is the self-calibrating allocation gate: the
-// same 32-input group-8 run measured warm (reused Dependence) and cold
-// (fresh Dependence per run, the seed path a one-shot caller pays), on a
-// shared pool so neither side hides a private worker-pool construction.
-// The warm aux path must hold ≤20% of cold — the ratio the PR's hot-path
-// recycling is accountable for; the reservations protocol clones and
-// returns caller-owned state every round, so its floor is higher and it
-// gates on a strict improvement instead.
+// allocsPerRun measures the allocations of one call of body, the measured
+// loop body of a gated benchmark in bench_test.go.
+func allocsPerRun(t *testing.T, body func()) float64 {
+	t.Helper()
+	if racemode.Enabled {
+		t.Skip("race-mode sync.Pool drops puts at random; allocs/run is not meaningful")
+	}
+	return testing.AllocsPerRun(50, body)
+}
+
+// TestWarmRunAllocations gates the bodies of BenchmarkEngineWarmRun and
+// BenchmarkEngineColdRun twice: an absolute allocs/run ceiling on the warm
+// path, and a self-calibrating ratio against the cold path (fresh
+// Dependence per run). The warm aux path must hold ≤20% of cold — the
+// ratio the hot-path recycling is accountable for; the reservations
+// protocol clones and returns caller-owned state every round, so its
+// floor is higher and it gates on a strict improvement instead.
 func TestWarmRunAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")
 	}
-	if raceEnabled {
-		t.Skip("race-mode sync.Pool drops puts at random; allocs/run is not meaningful")
-	}
-	inputs := benchInputs(32)
 	p := pool.New(4)
 	defer p.Close()
-	base := Options{UseAux: true, GroupSize: 8, Window: 8, RedoMax: 1, Rollback: 4, Pool: p}
 
 	t.Run("aux", func(t *testing.T) {
-		var seed uint64
-		cold := testing.AllocsPerRun(50, func() {
-			d := New(cheapCompute, sumAux, fingerprintWalkOps())
-			o := base
-			o.Seed = seed
-			seed++
-			d.Run(inputs, walkState{}, o)
-		})
-		d := New(cheapCompute, sumAux, fingerprintWalkOps())
-		o := base
-		d.Run(inputs, walkState{}, o) // prime the recycled scratch
-		warm := testing.AllocsPerRun(50, func() {
-			o.Seed = seed
-			seed++
-			d.Run(inputs, walkState{}, o)
-		})
+		cold := allocsPerRun(t, auxRun(p, 32, false))
+		warm := allocsPerRun(t, auxRun(p, 32, true))
 		t.Logf("aux: warm %.1f allocs/run, cold %.1f (%.0f%%)", warm, cold, 100*warm/cold)
-		if warm > cold/5 {
-			t.Fatalf("warm aux run allocates %.1f/run, more than 20%% of the %.1f cold seed path", warm, cold)
+		if warm > 16 || warm > cold/5 {
+			t.Fatalf("warm aux run allocates %.1f/run; ceilings are 16 and 20%% of the %.1f cold seed path", warm, cold)
 		}
 	})
 
 	t.Run("reservations", func(t *testing.T) {
-		reserve := ReserveOps[int, []float64]{
-			NumSlots:  func(s []float64) int { return len(s) },
-			Footprint: func(in int, _ []float64) []int { return []int{in % 8} },
-			Merge: func(dst, src []float64, slots []int) []float64 {
-				for _, sl := range slots {
-					dst[sl] = src[sl]
-				}
-				return dst
-			},
-		}
-		opts := base
-		opts.Protocol = ProtocolReservations
-		var seed uint64
-		cold := testing.AllocsPerRun(50, func() {
-			d := New(benchSlotCompute, nil, benchSlotOps()).WithReserve(reserve)
-			o := opts
-			o.Seed = seed
-			seed++
-			d.Run(inputs, make([]float64, 8), o)
-		})
-		d := New(benchSlotCompute, nil, benchSlotOps()).WithReserve(reserve)
-		d.Run(inputs, make([]float64, 8), opts)
-		warm := testing.AllocsPerRun(50, func() {
-			o := opts
-			o.Seed = seed
-			seed++
-			d.Run(inputs, make([]float64, 8), o)
-		})
+		cold := allocsPerRun(t, reservationsRun(p, false))
+		warm := allocsPerRun(t, reservationsRun(p, true))
 		t.Logf("reservations: warm %.1f allocs/run, cold %.1f (%.0f%%)", warm, cold, 100*warm/cold)
-		if warm >= cold {
-			t.Fatalf("warm reservations run allocates %.1f/run, no better than the %.1f cold seed path", warm, cold)
+		if warm > 210 || warm >= cold {
+			t.Fatalf("warm reservations run allocates %.1f/run; ceilings are 210 and below the %.1f cold seed path", warm, cold)
 		}
 	})
+}
+
+// TestHotPathAllocCeilings gates the bodies of BenchmarkEngineGrouping
+// and BenchmarkMatchAnyFingerprint.
+func TestHotPathAllocCeilings(t *testing.T) {
+	p := pool.New(4)
+	defer p.Close()
+	for _, c := range []struct {
+		name    string
+		ceiling float64
+		body    func()
+	}{
+		{"EngineGrouping", 16, auxRun(p, 1024, true)},
+		{"MatchAnyFingerprint/hit", 0, acceptProbe(7)},
+		{"MatchAnyFingerprint/miss", 0, acceptProbe(99.5)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if got := allocsPerRun(t, c.body); got > c.ceiling {
+				t.Errorf("%.1f allocs/run, ceiling %v", got, c.ceiling)
+			}
+		})
+	}
 }
 
 // TestRecycledScratchConcurrentRuns hammers one shared Dependence (and

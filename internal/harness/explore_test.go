@@ -4,6 +4,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/racemode"
 )
 
 // smokeRun runs the tier-1 exploration smoke: one workload under each
@@ -40,7 +42,7 @@ func smokeRun(t *testing.T, schedules, replayEvery int) []ExploreRow {
 
 func TestExploreQuick(t *testing.T) {
 	schedules, replayEvery := 2, 1
-	if raceEnabled {
+	if racemode.Enabled {
 		// Gate-serialized runs magnify race instrumentation; one schedule
 		// per row still exercises every row end to end.
 		schedules, replayEvery = 1, 2

@@ -12,7 +12,9 @@ type Options struct {
 	// lie within Tol (relative) of the mean. Defaults: 0.95 and 0.05.
 	Frac float64
 	Tol  float64
-	// MinRuns and MaxRuns bound the repetition (defaults 3 and 100).
+	// MinRuns and MaxRuns bound the repetition (defaults 3 and 100). A
+	// caller's MaxRuns is a cap: MinRuns above it is clamped to it, and a
+	// MinRuns above the default cap raises the default.
 	MinRuns int
 	MaxRuns int
 }
@@ -27,9 +29,10 @@ func (o Options) withDefaults() Options {
 	if o.MinRuns < 1 {
 		o.MinRuns = 3
 	}
-	if o.MaxRuns < o.MinRuns {
-		o.MaxRuns = 100
+	if o.MaxRuns < 1 {
+		o.MaxRuns = max(100, o.MinRuns)
 	}
+	o.MinRuns = min(o.MinRuns, o.MaxRuns)
 	return o
 }
 

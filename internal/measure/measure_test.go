@@ -44,6 +44,34 @@ func TestRepeatExhaustsBudget(t *testing.T) {
 	}
 }
 
+// TestRepeatHonoursBounds pins the repetition bounds: a caller's MaxRuns
+// is a cap even below the default MinRuns, an explicit MinRuns above the
+// default cap is a floor, and MinRuns above an explicit MaxRuns is clamped
+// to it. The last two rows are harness.Fig02's shape at Runs 30 and 8.
+func TestRepeatHonoursBounds(t *testing.T) {
+	stable := func(int) float64 { return 42 }
+	bimodal := func(run int) float64 { return float64(1 + 99*(run%2)) }
+	for _, c := range []struct {
+		name      string
+		sample    func(int) float64
+		o         Options
+		calls     int
+		converged bool
+	}{
+		{"cap below default MinRuns", stable, Options{MaxRuns: 2}, 2, true},
+		{"MinRuns above default cap", stable, Options{MinRuns: 200}, 200, true},
+		{"MinRuns clamped to MaxRuns", stable, Options{MinRuns: 10, MaxRuns: 4}, 4, true},
+		{"converges at MinRuns", stable, Options{MinRuns: 15, MaxRuns: 30}, 15, true},
+		{"exhausts MaxRuns", bimodal, Options{MinRuns: 4, MaxRuns: 8}, 8, false},
+	} {
+		res := Repeat(c.sample, c.o)
+		if len(res.Samples) != c.calls || res.Converged != c.converged {
+			t.Errorf("%s: %d calls, converged %v; want %d, %v",
+				c.name, len(res.Samples), res.Converged, c.calls, c.converged)
+		}
+	}
+}
+
 func TestRepeatPassesRunIndex(t *testing.T) {
 	var got []int
 	Repeat(func(run int) float64 {

@@ -60,17 +60,3 @@ func Minimize(t *Trace, fails func(*Trace) bool) *Trace {
 	}
 	return mk(cur)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

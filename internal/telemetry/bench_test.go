@@ -10,13 +10,13 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/racemode"
 )
 
 // BenchmarkMetricsScrapeUnderLoad measures a /metrics scrape while
 // background goroutines (one per available CPU, yielding each iteration
 // so a single-core machine still makes scrape progress) hammer the
-// registry and tracer at full rate — the scrape-under-load number
-// BENCH_pr4.json records.
+// registry and tracer at full rate.
 func BenchmarkMetricsScrapeUnderLoad(b *testing.B) {
 	o := obs.NewObserver(8, 1<<12)
 	s := NewServer(Config{Observer: o})
@@ -74,59 +74,99 @@ func BenchmarkEmitWithSSEClient(b *testing.B) {
 	}
 }
 
-// BenchmarkEmitDisabledObserver re-measures the nil-observer fast path in
-// this package's context: the ≤5ns budget the telemetry layer must not
-// disturb.
-func BenchmarkEmitDisabledObserver(b *testing.B) {
-	var tr *obs.Tracer
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Emit(0, obs.EvValidateMatch, int32(i), 1)
-	}
-}
+// The allocation-gated benchmarks. Each measured body is one helper that
+// the benchmark times and its ceiling test below hands to
+// testing.AllocsPerRun, so a benchmark cannot drift from its gate.
 
-// BenchmarkSpanFolderWarm measures the always-on profiler's steady
-// state: the folder already holds a full ring's worth of groups, and
-// each iteration folds one new group's events and rereads the document.
-// This is the warm /spans path; its allocs/op must stay O(new events),
-// not O(ring) like the one-shot BuildSpans above — the BENCH_budget.json
-// ceiling enforces the gap (the budget is 10% of the BuildSpans
-// baseline's 27036 allocs/op).
-func BenchmarkSpanFolderWarm(b *testing.B) {
-	o := obs.NewObserver(4, 1<<12)
-	f := NewSpanFolder(o.Tracer)
-	for g := int32(0); g < 1<<12; g++ {
-		lane := int(g) % 4
-		o.Tracer.Emit(lane, obs.EvGroupStart, g, 0)
-		o.Tracer.Emit(lane, obs.EvGroupFinish, g, 8)
-		o.Tracer.Emit(0, obs.EvValidateMatch, g, 0)
-	}
-	f.Doc() // warm: fold the backlog once
+// benchLoop is the timed loop of the gated benchmarks.
+func benchLoop(b *testing.B, body func()) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g := int32(1<<12 + i)
-		lane := int(g) % 4
-		o.Tracer.Emit(lane, obs.EvGroupStart, g, 0)
-		o.Tracer.Emit(lane, obs.EvGroupFinish, g, 8)
-		o.Tracer.Emit(0, obs.EvValidateMatch, g, 0)
+		body()
+	}
+}
+
+// emitGroup emits the three events of one matched group g.
+func emitGroup(tr *obs.Tracer, g int32) {
+	lane := int(g) % 4
+	tr.Emit(lane, obs.EvGroupStart, g, 0)
+	tr.Emit(lane, obs.EvGroupFinish, g, 8)
+	tr.Emit(0, obs.EvValidateMatch, g, 0)
+}
+
+// disabledEmit is the nil-tracer fast path.
+func disabledEmit() func() {
+	var tr *obs.Tracer
+	return func() { tr.Emit(0, obs.EvValidateMatch, 0, 1) }
+}
+
+// warmFolderPoll is the always-on profiler's steady state, the warm
+// /spans path: the folder already holds a full ring's worth of groups,
+// and each call folds one new group's events and rereads the document.
+func warmFolderPoll() func() {
+	o := obs.NewObserver(4, 1<<12)
+	f := NewSpanFolder(o.Tracer)
+	g := int32(0)
+	for ; g < 1<<12; g++ {
+		emitGroup(o.Tracer, g)
+	}
+	f.Doc() // warm: fold the backlog once
+	return func() {
+		emitGroup(o.Tracer, g)
+		g++
 		f.Doc()
 	}
 }
 
-// BenchmarkSignalsReport measures one windowed report against a live
-// observer — the /signals and gauge-sampling hot path. Like the warm
-// folder it carries an allocs/op ceiling in BENCH_budget.json.
-func BenchmarkSignalsReport(b *testing.B) {
+// signalsReport is one windowed report against a live observer — the
+// /signals and gauge-sampling hot path.
+func signalsReport() func() {
 	o := obs.NewObserver(4, 1<<12)
 	sig := NewSignals(o, SignalsConfig{Window: 5 * time.Second})
 	sig.Report()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	var i int64
+	return func() {
 		o.Note(obs.LaneCoord, obs.EvValidateMatch, 0, 0)
-		o.ValidationLatencyNS.Observe(int64(i)&1023 + 1)
+		o.ValidationLatencyNS.Observe(i&1023 + 1)
+		i++
 		sig.Report()
+	}
+}
+
+// BenchmarkEmitDisabledObserver re-measures the nil-observer fast path in
+// this package's context: the ≤5ns budget the telemetry layer must not
+// disturb.
+func BenchmarkEmitDisabledObserver(b *testing.B) { benchLoop(b, disabledEmit()) }
+
+// BenchmarkSpanFolderWarm: allocs/op must stay O(new events), not O(ring)
+// like the one-shot BuildSpans below (~27k allocs/op).
+func BenchmarkSpanFolderWarm(b *testing.B) { benchLoop(b, warmFolderPoll()) }
+
+// BenchmarkSignalsReport times the windowed report.
+func BenchmarkSignalsReport(b *testing.B) { benchLoop(b, signalsReport()) }
+
+// TestSpanFolderWarmAllocs gates the body of BenchmarkSpanFolderWarm: once
+// the folder is warm, serving /spans after a handful of new events costs
+// O(new events), not the whole-snapshot rebuild's ~27k allocs/op.
+func TestSpanFolderWarmAllocs(t *testing.T) { allocCeiling(t, 64, warmFolderPoll()) }
+
+// TestSignalsReportAllocs gates the body of BenchmarkSignalsReport.
+func TestSignalsReportAllocs(t *testing.T) { allocCeiling(t, 16, signalsReport()) }
+
+// TestEmitDisabledObserverAllocs gates the body of
+// BenchmarkEmitDisabledObserver.
+func TestEmitDisabledObserverAllocs(t *testing.T) { allocCeiling(t, 0, disabledEmit()) }
+
+// allocCeiling fails t when one call of body, the measured loop body of a
+// gated benchmark, allocates more than ceiling.
+func allocCeiling(t *testing.T, ceiling float64, body func()) {
+	t.Helper()
+	if racemode.Enabled {
+		t.Skip("race-mode sync.Pool drops puts at random; allocs/run is not meaningful")
+	}
+	if got := testing.AllocsPerRun(50, body); got > ceiling {
+		t.Errorf("%.1f allocs/run, ceiling %v", got, ceiling)
 	}
 }
 
@@ -134,10 +174,7 @@ func BenchmarkSignalsReport(b *testing.B) {
 func BenchmarkBuildSpans(b *testing.B) {
 	o := obs.NewObserver(4, 1<<12)
 	for g := int32(0); g < 1<<12; g++ {
-		lane := int(g) % 4
-		o.Tracer.Emit(lane, obs.EvGroupStart, g, 0)
-		o.Tracer.Emit(lane, obs.EvGroupFinish, g, 8)
-		o.Tracer.Emit(0, obs.EvValidateMatch, g, 0)
+		emitGroup(o.Tracer, g)
 	}
 	snap := o.Tracer.Snapshot()
 	b.ResetTimer()

@@ -1,7 +1,7 @@
 // Incremental span folding: the streaming counterpart of BuildSpans.
 //
 // BuildSpans refolds a whole tracer snapshot on every call — ~2.5 MB and
-// 27k allocations per call on a loaded server (BENCH_pr4.json), paid by
+// 27k allocations per call on a loaded server (BenchmarkBuildSpans), paid by
 // every /spans scrape. SpanFolder instead consumes the tracer's rings
 // incrementally through obs.Tracer.Poll and maintains the per-group span
 // trees in place: a warm Doc() call folds only the events emitted since

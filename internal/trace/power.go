@@ -40,7 +40,7 @@ func PowerSeries(res platform.Result, model energy.Model, width int) []float64 {
 		for c := 0; c < width; c++ {
 			lo := float64(c) * colDur
 			hi := lo + colDur
-			overlap := minF(hi, iv.End) - maxF(lo, iv.Start)
+			overlap := min(hi, iv.End) - max(lo, iv.Start)
 			if overlap > 0 {
 				series[c] += p * overlap
 				weight[c] += overlap
@@ -130,18 +130,4 @@ func repeatByte(b byte, n int) string {
 		out[i] = b
 	}
 	return string(out)
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
