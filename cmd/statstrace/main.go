@@ -10,19 +10,20 @@
 //	statstrace -workload bodytrack -live                           # observed run
 //	statstrace -workload bodytrack -live -chrome out.json          # + Chrome trace
 //	statstrace -workload bodytrack -live -spans                    # + causal span trees
-//	statstrace -workload bodytrack -live -waterfall                # + wasted-work waterfall
 //	statstrace -from-spans spans.json                              # render a saved /spans doc
 //
 // By default the chart comes from the platform simulator. With -live the
 // workload actually executes through the core engine with the
-// observability layer attached, and the chart is rebuilt from the
-// recorded speculation event log; -chrome additionally exports that log
-// as Chrome trace_event JSON (load it in chrome://tracing), and -spans
-// additionally renders the reconstructed causal span trees (one tree per
-// speculation group: aux production, execution, validation with every
-// redo, abort/squash/fallback marks). -from-spans renders the span view
-// from a JSON document saved from a telemetry server's /spans endpoint,
-// with no execution at all.
+// observability layer attached, and the chart is the waterfall of the
+// recorded speculation event log's span document — one bar per group
+// with its phase chain, wasted-work share and abort cause, the scheduler
+// lanes below on the same time axis, the critical path last; -chrome
+// additionally exports the same spans as Chrome trace_event JSON (load it
+// in chrome://tracing), and -spans additionally renders them as causal
+// trees (one tree per speculation group: aux production, execution,
+// validation with every redo, abort/squash/fallback marks). -from-spans
+// renders tree and waterfall from a JSON document saved from a telemetry
+// server's /spans endpoint, with no execution at all.
 package main
 
 import (
@@ -52,18 +53,17 @@ func main() {
 	redo := flag.Int("redo", 2, "redo budget")
 	rollback := flag.Int("rollback", 2, "rollback width")
 	width := flag.Int("width", 100, "chart width in columns")
-	rows := flag.Int("rows", 16, "max thread rows")
+	rows := flag.Int("rows", 16, "max thread rows (group rows with -live or -from-spans)")
 	power := flag.Bool("power", false, "also render the modeled power timeline")
 	seed := flag.Uint64("seed", 7, "speculation-outcome seed")
 	live := flag.Bool("live", false, "execute the workload for real and render the observed event log")
 	chrome := flag.String("chrome", "", "with -live, also write the event log as Chrome trace_event JSON to this file")
 	spans := flag.Bool("spans", false, "with -live, also render the reconstructed causal span trees")
-	waterfall := flag.Bool("waterfall", false, "with -live or -from-spans, also render the wasted-work waterfall with the critical path")
-	fromSpans := flag.String("from-spans", "", "render the span view from a /spans JSON document (no execution)")
+	fromSpans := flag.String("from-spans", "", "render the span trees and waterfall of a /spans JSON document (no execution)")
 	flag.Parse()
 
 	if *fromSpans != "" {
-		if err := renderSpanFile(*fromSpans, *waterfall); err != nil {
+		if err := renderSpanFile(*fromSpans, *width, *rows); err != nil {
 			fmt.Fprintln(os.Stderr, "statstrace:", err)
 			os.Exit(1)
 		}
@@ -79,7 +79,7 @@ func main() {
 		liveMain(w, *threads, *size, workload.SpecOptions{
 			UseAux: *aux, GroupSize: *group, Window: *window,
 			RedoMax: *redo, Rollback: *rollback, Workers: *threads,
-		}, *seed, *width, *rows, *chrome, *spans, *waterfall)
+		}, *seed, *width, *rows, *chrome, *spans)
 		return
 	}
 	var mode taskgen.Mode
@@ -122,7 +122,7 @@ func main() {
 
 // liveMain runs the workload for real with the observability layer
 // attached and renders the recorded event log instead of a simulation.
-func liveMain(w workload.Workload, threads, size int, o workload.SpecOptions, seed uint64, width, rows int, chromePath string, spans, waterfall bool) {
+func liveMain(w workload.Workload, threads, size int, o workload.SpecOptions, seed uint64, width, rows int, chromePath string, spans bool) {
 	d := w.Desc()
 	if !d.SupportsSTATS {
 		fmt.Fprintf(os.Stderr, "statstrace: %s does not support STATS: %s\n", d.Name, d.RejectReason)
@@ -133,28 +133,23 @@ func liveMain(w workload.Workload, threads, size int, o workload.SpecOptions, se
 	_, st := w.RunSTATS(seed, size, o)
 	events := ob.Tracer.Snapshot()
 
+	doc := telemetry.BuildSpans(events)
+	doc.Emitted = ob.Tracer.Emitted()
+	doc.Dropped = ob.Tracer.Dropped()
+
 	fmt.Printf("%s, live, %d inputs, %d workers\n", d.Name, size, threads)
-	trace.RenderEvents(os.Stdout, events, trace.EventOptions{Width: width, MaxRows: rows})
-	if dropped := ob.Tracer.Dropped(); dropped > 0 {
-		fmt.Printf("(%d events evicted by the bounded rings)\n", dropped)
+	telemetry.RenderWaterfall(os.Stdout, doc, telemetry.LaneTasks(events), width, rows)
+	if doc.Dropped > 0 {
+		fmt.Printf("(%d events evicted by the bounded rings)\n", doc.Dropped)
 	}
 	fmt.Printf("groups %d, speculative commits %d, redos %d, aborts %d\n",
 		st.Groups, st.SpeculativeCommits, st.Redos, st.Aborts)
 	fmt.Printf("validation latency p50 %dns p99 %dns over %d validations\n",
 		ob.ValidationLatencyNS.Quantile(0.5), ob.ValidationLatencyNS.Quantile(0.99),
 		ob.ValidationLatencyNS.Count())
-	if spans || waterfall {
-		doc := telemetry.BuildSpans(events)
-		doc.Emitted = ob.Tracer.Emitted()
-		doc.Dropped = ob.Tracer.Dropped()
-		if spans {
-			fmt.Println()
-			telemetry.RenderSpans(os.Stdout, doc)
-		}
-		if waterfall {
-			fmt.Println()
-			telemetry.RenderWaterfall(os.Stdout, doc)
-		}
+	if spans {
+		fmt.Println()
+		telemetry.RenderSpans(os.Stdout, doc)
 	}
 	fmt.Println()
 	fmt.Print(ob.Reg.Text())
@@ -168,8 +163,9 @@ func liveMain(w workload.Workload, threads, size int, o workload.SpecOptions, se
 	}
 }
 
-// renderSpanFile renders the span view of a saved /spans JSON document.
-func renderSpanFile(path string, waterfall bool) error {
+// renderSpanFile renders the tree and waterfall of a saved /spans JSON
+// document.
+func renderSpanFile(path string, width, rows int) error {
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -179,10 +175,8 @@ func renderSpanFile(path string, waterfall bool) error {
 		return fmt.Errorf("%s is not a /spans document: %w", path, err)
 	}
 	telemetry.RenderSpans(os.Stdout, &doc)
-	if waterfall {
-		fmt.Println()
-		telemetry.RenderWaterfall(os.Stdout, &doc)
-	}
+	fmt.Println()
+	telemetry.RenderWaterfall(os.Stdout, &doc, nil, width, rows)
 	return nil
 }
 
@@ -192,7 +186,7 @@ func writeChromeTrace(path string, events []obs.Event) error {
 	if err != nil {
 		return err
 	}
-	if err := trace.ChromeTrace(f, events); err != nil {
+	if err := telemetry.ChromeTrace(f, events); err != nil {
 		f.Close()
 		return err
 	}

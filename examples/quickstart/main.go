@@ -31,7 +31,7 @@ import (
 	"math"
 	"os"
 
-	"repro/internal/trace"
+	"repro/internal/telemetry"
 	"repro/stats"
 )
 
@@ -165,7 +165,7 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
-		if err := trace.ChromeTrace(f, rt.Trace()); err != nil {
+		if err := telemetry.ChromeTrace(f, rt.Trace()); err != nil {
 			panic(err)
 		}
 		if err := f.Close(); err != nil {

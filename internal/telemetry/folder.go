@@ -21,7 +21,8 @@ import (
 
 // Folder bounds: a live folder keeps at most maxLiveGroups in-flight
 // accumulators (the oldest is force-finalized past that) and retains the
-// last completedRingCap finalized generation trees.
+// last completedRingCap finalized generation trees. BuildSpans folds with
+// neither bound.
 const (
 	maxLiveGroups    = 4096
 	completedRingCap = 256
@@ -40,19 +41,24 @@ func (m *mark) set(e *obs.Event) {
 }
 
 // spanAcc accumulates one group generation's events until it is folded
-// into a Span tree. Accumulators are recycled through spanAccPool.
+// into a Span tree. Accumulators are recycled through spanAccPool; a
+// whole-snapshot fold holds one per group id at once, so the small fields
+// sit together to keep it in the allocator's 256-byte size class.
 type spanAcc struct {
 	group              int32
+	reserves           int32
 	execStart, execEnd mark
 	aux                mark
 	valFirst, valEnd   mark
 	squash, fallback   mark
 	redos              []obs.Event
 	matched, aborted   bool
+	seen               bool
+	cause              Cause
+	conflicts, commits int32
 	cpuCommitted       int64
 	cpuWasted          int64
 	firstTS, lastTS    int64
-	seen               bool
 	// span caches the generation's folded tree; nil means dirty. Trees
 	// handed out in a SpanDoc are never mutated afterwards, so cached
 	// pointers are safe to share across documents.
@@ -77,15 +83,13 @@ type SpanFolder struct {
 	cur obs.Cursor
 	buf []obs.Event
 
-	// split closes a group's generation out when its id is reused by a
-	// later run (live folders); BuildSpans disables it to preserve the
-	// one-accumulator-per-id semantics of whole-snapshot folding.
-	split bool
+	// keep bounds the retired trees retained (and turns the live bound
+	// on); zero keeps everything.
+	keep int
 
 	live      map[int32]*spanAcc
-	completed []*Span // circular: oldest at compHead, compLen valid
+	completed []*Span // retired trees; circular from compHead once keep are held
 	compHead  int
-	compLen   int
 
 	events      int
 	schedEvents int
@@ -102,9 +106,9 @@ type SpanFolder struct {
 func NewSpanFolder(tr *obs.Tracer) *SpanFolder {
 	return &SpanFolder{
 		tr:        tr,
-		split:     true,
+		keep:      completedRingCap,
 		live:      map[int32]*spanAcc{},
-		completed: make([]*Span, completedRingCap),
+		completed: make([]*Span, 0, completedRingCap),
 		docDirty:  true,
 	}
 }
@@ -157,16 +161,19 @@ func (f *SpanFolder) foldBatchLocked(events []obs.Event) {
 	}
 }
 
-// fold consumes one event.
+// fold consumes one event: the one place an engine event kind becomes
+// part of a group's lifecycle (scheduler kinds are paired by LaneTasks).
 func (f *SpanFolder) fold(e *obs.Event) {
-	switch e.Kind {
-	case obs.EvSteal, obs.EvLocalHit, obs.EvTaskFinish:
+	f.docDirty = true
+	if schedKind(e.Kind) {
 		f.schedEvents++
-		f.docDirty = true
 		return
 	}
 	f.events++
-	f.docDirty = true
+	if e.Group < 0 {
+		// Run-level (EvBreakerDenied): counted, attached to no group.
+		return
+	}
 
 	switch e.Kind {
 	case obs.EvLaneCPUCommitted, obs.EvLaneCPUWasted:
@@ -184,20 +191,18 @@ func (f *SpanFolder) fold(e *obs.Event) {
 	}
 
 	a := f.acc(e.Group)
-	if f.split {
-		// A group id starting over means a new run reused it: the old
-		// generation is complete — retire its tree and start fresh.
-		switch e.Kind {
-		case obs.EvGroupStart:
-			if a.execStart.ok {
-				f.finalize(a)
-				a = f.acc(e.Group)
-			}
-		case obs.EvAuxProduced:
-			if a.aux.ok || a.execStart.ok {
-				f.finalize(a)
-				a = f.acc(e.Group)
-			}
+	// A group id starting over means a new run reused it: the old
+	// generation is complete — retire its tree and start fresh.
+	switch e.Kind {
+	case obs.EvGroupStart:
+		if a.execStart.ok {
+			f.finalize(a)
+			a = f.acc(e.Group)
+		}
+	case obs.EvAuxProduced:
+		if a.aux.ok || a.execStart.ok {
+			f.finalize(a)
+			a = f.acc(e.Group)
 		}
 	}
 
@@ -245,6 +250,20 @@ func (f *SpanFolder) fold(e *obs.Event) {
 		a.squash.set(e)
 	case obs.EvFallback:
 		a.fallback.set(e)
+	case obs.EvPanic:
+		a.cause = CausePanic
+	case obs.EvGroupTimeout:
+		a.cause = CauseTimeout
+	case obs.EvFootprintViolation:
+		a.cause = CauseFootprint
+	case obs.EvReserve:
+		// Reservation events are per input: counted on the root, never a
+		// child span each, so a group's tree stays bounded.
+		a.reserves++
+	case obs.EvReserveLost:
+		a.conflicts++
+	case obs.EvCommit:
+		a.commits++
 	}
 }
 
@@ -256,7 +275,7 @@ func (f *SpanFolder) acc(g int32) *spanAcc {
 		a = spanAccPool.Get().(*spanAcc)
 		a.reset(g)
 		f.live[g] = a
-		if f.split && len(f.live) > maxLiveGroups {
+		if f.keep > 0 && len(f.live) > maxLiveGroups {
 			f.evictStalest()
 		}
 	}
@@ -282,19 +301,18 @@ func (f *SpanFolder) evictStalest() {
 }
 
 // finalize retires a generation: its tree (cached or freshly folded)
-// enters the completed ring — evicting the oldest tree when full, which
-// is never refolded again — and the accumulator returns to the pool.
+// joins the completed trees — overwriting the oldest once keep are held,
+// which is never refolded again — and the accumulator returns to the pool.
 func (f *SpanFolder) finalize(a *spanAcc) {
 	sp := a.span
 	if sp == nil {
 		sp = a.fold()
 	}
-	if f.compLen < len(f.completed) {
-		f.completed[(f.compHead+f.compLen)%len(f.completed)] = sp
-		f.compLen++
+	if f.keep == 0 || len(f.completed) < f.keep {
+		f.completed = append(f.completed, sp)
 	} else {
 		f.completed[f.compHead] = sp
-		f.compHead = (f.compHead + 1) % len(f.completed)
+		f.compHead = (f.compHead + 1) % f.keep
 	}
 	delete(f.live, a.group)
 	spanAccPool.Put(a)
@@ -314,10 +332,9 @@ func (f *SpanFolder) Doc() *SpanDoc {
 		return &cp
 	}
 	doc := &SpanDoc{Events: f.events, SchedulerEvents: f.schedEvents}
-	groups := make([]*Span, 0, f.compLen+len(f.live))
-	for i := 0; i < f.compLen; i++ {
-		groups = append(groups, f.completed[(f.compHead+i)%len(f.completed)])
-	}
+	groups := make([]*Span, 0, len(f.completed)+len(f.live))
+	groups = append(groups, f.completed[f.compHead:]...)
+	groups = append(groups, f.completed[:f.compHead]...)
 	for _, a := range f.live {
 		if a.span == nil {
 			a.span = a.fold()
@@ -351,6 +368,11 @@ func (a *spanAcc) fold() *Span {
 		Kind: SpanGroup, Group: g,
 		StartNS: a.firstTS, EndNS: a.lastTS,
 		CPUCommittedNS: a.cpuCommitted, CPUWastedNS: a.cpuWasted,
+		Cause:    a.cause,
+		Reserves: a.reserves, Conflicts: a.conflicts, Commits: a.commits,
+	}
+	if a.aborted && root.Cause == 0 {
+		root.Cause = CauseMismatch
 	}
 	instant := func(kind string, m mark) *Span {
 		return &Span{Kind: kind, Group: g, StartNS: m.ts, EndNS: m.ts, Arg: m.arg}
@@ -388,7 +410,7 @@ func (a *spanAcc) fold() *Span {
 		v := &Span{
 			Kind: SpanValidate, Group: g,
 			StartNS: a.valFirst.ts,
-			Redos:   len(a.redos),
+			Redos:   int32(len(a.redos)),
 		}
 		switch {
 		case a.matched && len(a.redos) > 0:

@@ -56,8 +56,8 @@ func TestSpanFolderMatchesBuildSpans(t *testing.T) {
 			t.Fatalf("chunking %v diverged from BuildSpans:\n--- got ---\n%s\n--- want ---\n%s",
 				sizes, got, want)
 		}
-		if doc.Events != 18 || doc.SchedulerEvents != 2 {
-			t.Fatalf("chunking %v counted Events=%d SchedulerEvents=%d, want 18/2",
+		if doc.Events != 18 || doc.SchedulerEvents != 8 {
+			t.Fatalf("chunking %v counted Events=%d SchedulerEvents=%d, want 18/8",
 				sizes, doc.Events, doc.SchedulerEvents)
 		}
 	}
@@ -103,7 +103,7 @@ func TestSpanFolderBoundedMemory(t *testing.T) {
 		})
 	}
 	f.mu.Lock()
-	nLive, nComp := len(f.live), f.compLen
+	nLive, nComp := len(f.live), len(f.completed)
 	f.mu.Unlock()
 	if nLive > maxLiveGroups {
 		t.Errorf("live accumulators grew to %d, bound is %d", nLive, maxLiveGroups)

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"os"
@@ -42,7 +43,49 @@ func TestWaterfallGolden(t *testing.T) {
 		obs.Event{TS: 6300, Lane: obs.LaneCoord, Kind: obs.EvLaneCPUCommitted, Group: 1, Arg: 4000},
 		obs.Event{TS: 6300, Lane: obs.LaneCoord, Kind: obs.EvLaneCPUWasted, Group: 2, Arg: 4600},
 	)
-	checkGolden(t, "testdata/waterfall.golden", WaterfallString(BuildSpans(log)))
+	var b bytes.Buffer
+	RenderWaterfall(&b, BuildSpans(log), nil, 0, 0)
+	checkGolden(t, "testdata/waterfall.golden", b.String())
+}
+
+// TestLaneRowsGolden pins what statstrace -live prints: the waterfall at
+// a chosen width with the scheduler lane rows on its time axis.
+func TestLaneRowsGolden(t *testing.T) {
+	var b bytes.Buffer
+	RenderWaterfall(&b, BuildSpans(goldenLog()), LaneTasks(goldenLog()), 60, 3)
+	checkGolden(t, "testdata/events.golden", b.String())
+}
+
+func TestChromeTraceGolden(t *testing.T) {
+	var b bytes.Buffer
+	if err := ChromeTrace(&b, goldenLog()); err != nil {
+		t.Fatal(err)
+	}
+	if !json.Valid(b.Bytes()) {
+		t.Fatalf("exporter produced invalid JSON:\n%s", b.Bytes())
+	}
+	checkGolden(t, "testdata/chrome.golden", b.String())
+}
+
+// TestChromeTraceEmpty pins the degenerate case: no events still yields a
+// well-formed, loadable document.
+func TestChromeTraceEmpty(t *testing.T) {
+	var b bytes.Buffer
+	if err := ChromeTrace(&b, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !json.Valid(b.Bytes()) {
+		t.Fatalf("invalid JSON for empty log:\n%s", b.Bytes())
+	}
+	var doc struct {
+		TraceEvents []map[string]any `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(b.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.TraceEvents) != 2 { // the two process_name records
+		t.Fatalf("records: %d", len(doc.TraceEvents))
+	}
 }
 
 // TestSignalsJSONGolden pins the /signals JSON shape: field names, the

@@ -1,7 +1,11 @@
 package telemetry
 
 import (
+	"bytes"
 	"fmt"
+	"regexp"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -53,14 +57,12 @@ func propAux(_ *rng.Source, init propState, recent []int) propState {
 
 func propGarbage(s propState) propState { return propState{Sum: s.Sum - 1e12} }
 
-// TestSignalsReconcileWithEngineStats: for >=200 random option vectors
-// under both protocols, an hour-window Signals built on a fresh observer
-// reports deltas byte-for-byte equal to the run's core.Stats.
-func TestSignalsReconcileWithEngineStats(t *testing.T) {
+// propRuns drives cases randomized engine runs — alternating protocols,
+// fault injection supplying panics and garbage states — each on a fresh
+// observer. body sets up what it observes with, calls run once, and checks.
+func propRuns(t *testing.T, cases int, body func(name string, ob *obs.Observer, run func() core.Stats)) {
 	r := rng.New(0x51675)
-	const cases = 208
 	protocols := []core.Protocol{core.ProtocolAux, core.ProtocolReservations}
-	sawAbort, sawPanic, sawRounds, sawWaste := false, false, false, false
 	for c := 0; c < cases; c++ {
 		proto := protocols[c%2]
 		n := 1 + r.Intn(48)
@@ -68,11 +70,7 @@ func TestSignalsReconcileWithEngineStats(t *testing.T) {
 		for i := range inputs {
 			inputs[i] = 1 + r.Intn(9)
 		}
-
 		ob := obs.NewObserver(1+r.Intn(6), 1<<13)
-		sig := NewSignals(ob, SignalsConfig{Window: time.Hour})
-		sig.Report() // baseline sample: the observer is fresh, all zeros
-
 		in := fault.New(fault.Config{
 			Seed:         r.Uint64(),
 			AuxPanicRate: r.Range(0, 0.2),
@@ -83,8 +81,7 @@ func TestSignalsReconcileWithEngineStats(t *testing.T) {
 		if r.Bool(0.4) {
 			window = r.Intn(8) // short window: aux guesses wrong
 		}
-		d := core.New(propCompute, aux, propOps())
-		_, _, st := d.Run(inputs, propState{}, core.Options{
+		opts := core.Options{
 			UseAux:    true,
 			Protocol:  proto,
 			GroupSize: 1 + r.Intn(12),
@@ -94,9 +91,24 @@ func TestSignalsReconcileWithEngineStats(t *testing.T) {
 			Workers:   1 + r.Intn(4),
 			Seed:      r.Uint64(),
 			Obs:       ob,
+		}
+		body(fmt.Sprintf("case %d (proto=%v n=%d window=%d)", c, proto, n, window), ob, func() core.Stats {
+			_, _, st := core.New(propCompute, aux, propOps()).Run(inputs, propState{}, opts)
+			return st
 		})
+	}
+}
+
+// TestSignalsReconcileWithEngineStats: for >=200 random option vectors
+// under both protocols, an hour-window Signals built on a fresh observer
+// reports deltas byte-for-byte equal to the run's core.Stats.
+func TestSignalsReconcileWithEngineStats(t *testing.T) {
+	sawAbort, sawPanic, sawRounds, sawWaste := false, false, false, false
+	propRuns(t, 208, func(name string, ob *obs.Observer, run func() core.Stats) {
+		sig := NewSignals(ob, SignalsConfig{Window: time.Hour})
+		sig.Report() // baseline sample: the observer is fresh, all zeros
+		st := run()
 		rep := sig.Report()
-		name := fmt.Sprintf("case %d (proto=%v n=%d window=%d)", c, proto, n, window)
 
 		for _, chk := range []struct {
 			what string
@@ -128,9 +140,97 @@ func TestSignalsReconcileWithEngineStats(t *testing.T) {
 		sawPanic = sawPanic || st.PanickedGroups > 0
 		sawRounds = sawRounds || st.Rounds > 0
 		sawWaste = sawWaste || st.LaneCPUWastedNS > 0
-	}
+	})
 	if !sawAbort || !sawPanic || !sawRounds || !sawWaste {
 		t.Fatalf("sample did not exercise all paths: abort=%v panic=%v rounds=%v waste=%v",
 			sawAbort, sawPanic, sawRounds, sawWaste)
+	}
+}
+
+// chromeSpans returns the group (pid 1) or task (pid 2) "X" records of a
+// Chrome document as "tid ts dur" strings, in document order.
+func chromeSpans(blob []byte, pid int) []string {
+	re := regexp.MustCompile(fmt.Sprintf(
+		`"name":"(?:group|task)[^"]*","ph":"X","pid":%d,"tid":(\d+),"ts":([\d.]+),"dur":([\d.]+)`, pid))
+	var out []string
+	for _, m := range re.FindAllSubmatch(blob, -1) {
+		out = append(out, fmt.Sprintf("%s %s %s", m[1], m[2], m[3]))
+	}
+	return out
+}
+
+// TestViewsAgreeOnRealLogs: over real engine logs of both protocols with
+// faults injected, the Chrome export's engine spans are the span
+// document's complete executions one for one (and one per EvGroupFinish),
+// its scheduler spans are the closed lane tasks (one per EvTaskFinish),
+// and the lane rows draw exactly those tasks. Last, by hand: a group id
+// executing more often than a live folder retains trees (every server
+// ring does this) still exports one engine span per execution.
+func TestViewsAgreeOnRealLogs(t *testing.T) {
+	span := func(id, startNS, durNS int64) string {
+		return fmt.Sprintf("%d %.3f %.3f", id, float64(startNS)/1e3, float64(durNS)/1e3)
+	}
+	propRuns(t, 64, func(name string, ob *obs.Observer, run func() core.Stats) {
+		run()
+		log := ob.Tracer.Snapshot()
+		doc, tasks := BuildSpans(log), LaneTasks(log)
+		var chrome, fall bytes.Buffer
+		if err := writeChrome(&chrome, doc, tasks); err != nil || ob.Tracer.Dropped() > 0 {
+			t.Fatalf("%s: export failed (%v) or the ring is too small for the vector", name, err)
+		}
+
+		var execs, closed []string
+		for _, g := range doc.Groups {
+			for _, c := range g.Children {
+				if c.Kind == SpanExec && !c.Partial {
+					execs = append(execs, span(int64(g.Group), c.StartNS, c.DurNS))
+				}
+			}
+		}
+		stolen := 0
+		for _, task := range tasks {
+			if !task.Open {
+				closed = append(closed, span(int64(task.Lane), task.StartNS, task.EndNS-task.StartNS))
+			}
+			if task.Stolen {
+				stolen++
+			}
+		}
+		counts := ob.Counts()
+		for _, v := range []struct {
+			pid      int
+			want     []string
+			finishes int64
+		}{{chromePidEngine, execs, counts[obs.EvGroupFinish]}, {chromePidScheduler, closed, counts[obs.EvTaskFinish]}} {
+			if got := chromeSpans(chrome.Bytes(), v.pid); !slices.Equal(got, v.want) || int64(len(got)) != v.finishes {
+				t.Fatalf("%s: pid %d exports %v, the model holds %v, the log %d finishes", name, v.pid, got, v.want, v.finishes)
+			}
+		}
+		if len(doc.Groups) == 0 {
+			return // a vector too short to speculate: no chart
+		}
+		// Rank the (time-ordered) log and draw one column per event, so
+		// no two dispatches share a cell.
+		for i := range log {
+			log[i].TS = int64(i)
+		}
+		RenderWaterfall(&fall, BuildSpans(log), LaneTasks(log), len(log), 1)
+		_, lanes, _ := strings.Cut(fall.String(), "task running\n")
+		lanes, _, _ = strings.Cut(lanes, "critical path")
+		if l, s := strings.Count(lanes, "L"), strings.Count(lanes, "S"); l != len(tasks)-stolen || s != stolen {
+			t.Fatalf("%s: lane rows draw %d local and %d stolen dispatches of %d and %d", name, l, s, len(tasks)-stolen, stolen)
+		}
+	})
+
+	const runs = completedRingCap + 44
+	var log []obs.Event
+	for i := int64(0); i < runs; i++ {
+		log = append(log,
+			obs.Event{TS: 100 * i, Kind: obs.EvGroupStart, Group: 7},
+			obs.Event{TS: 100*i + 50, Kind: obs.EvGroupFinish, Group: 7, Arg: 1})
+	}
+	var b bytes.Buffer
+	if err := ChromeTrace(&b, log); err != nil || len(chromeSpans(b.Bytes(), chromePidEngine)) != runs {
+		t.Fatalf("%d engine spans for %d executions (%v)", len(chromeSpans(b.Bytes(), chromePidEngine)), runs, err)
 	}
 }

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 // Config configures a telemetry Server.
@@ -470,11 +469,12 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTrace serves the current event log as Chrome trace_event JSON —
-// an on-demand flight-recorder dump of the retained rings.
+// an on-demand flight-recorder dump of the retained rings, through the
+// same fold /spans is served from.
 func (s *Server) handleTrace(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Disposition", `attachment; filename="stats-trace.json"`)
-	_ = trace.ChromeTrace(w, s.cfg.Observer.Tracer.Snapshot())
+	_ = ChromeTrace(w, s.cfg.Observer.Tracer.Snapshot())
 }
 
 // handleSpans serves the reconstructed span trees as JSON. The server's

@@ -22,6 +22,7 @@ package telemetry
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"repro/internal/obs"
@@ -66,13 +67,59 @@ const (
 	OutcomeUnvalidated = "unvalidated"
 )
 
+// Cause is why a group root failed. It marshals as its name; the zero
+// value (a root that did not fail) is omitted.
+type Cause uint8
+
+// Abort causes. An aborted root no contained failure explains is
+// CauseMismatch.
+const (
+	// CauseMismatch: the boundary exhausted its redo budget.
+	CauseMismatch Cause = iota + 1
+	// CausePanic: user code panicked in the group and was contained.
+	CausePanic
+	// CauseTimeout: the group overran its deadline.
+	CauseTimeout
+	// CauseFootprint: the group touched a slot outside its declared
+	// reservation footprint.
+	CauseFootprint
+)
+
+var causeNames = [...]string{"", "mismatch", "panic", "timeout", "footprint"}
+
+// String returns the cause's name.
+func (c Cause) String() string { return causeNames[c] }
+
+// MarshalText renders the cause as its name.
+func (c Cause) MarshalText() ([]byte, error) { return []byte(causeNames[c]), nil }
+
+// UnmarshalText parses a cause name.
+func (c *Cause) UnmarshalText(name []byte) error {
+	i := slices.Index(causeNames[:], string(name))
+	if i < 0 {
+		return fmt.Errorf("telemetry: unknown abort cause %q", name)
+	}
+	*c = Cause(i)
+	return nil
+}
+
 // Span is one node of a group's reconstructed span tree. Timestamps are
-// nanoseconds since the tracer's epoch, as recorded in the event log.
+// nanoseconds since the tracer's epoch, as recorded in the event log. One
+// is allocated per node of every folded group, so the fields are typed
+// and ordered to keep it in the allocator's 128-byte size class.
 type Span struct {
 	// Kind is the node type (SpanGroup, SpanExec, ...).
 	Kind string `json:"kind"`
 	// Group is the speculation group the span concerns.
 	Group int32 `json:"group"`
+	// Partial marks a span whose bounding events were partially evicted
+	// by the tracer's bounded rings: its timestamps cover only what was
+	// observed, nothing is fabricated.
+	Partial bool `json:"partial,omitempty"`
+	// Cause is why a group root failed: set by a contained panic,
+	// deadline or footprint violation, and CauseMismatch on any other
+	// aborted root.
+	Cause Cause `json:"cause,omitempty"`
 	// StartNS and EndNS bound the span; instants have StartNS == EndNS.
 	StartNS int64 `json:"start_ns"`
 	EndNS   int64 `json:"end_ns"`
@@ -85,11 +132,12 @@ type Span struct {
 	// produced, window consumed, redo attempt, inputs squashed).
 	Arg int64 `json:"arg,omitempty"`
 	// Redos is the number of re-executions a validate span consumed.
-	Redos int `json:"redos,omitempty"`
-	// Partial marks a span whose bounding events were partially evicted
-	// by the tracer's bounded rings: its timestamps cover only what was
-	// observed, nothing is fabricated.
-	Partial bool `json:"partial,omitempty"`
+	Redos int32 `json:"redos,omitempty"`
+	// Reserves, Conflicts and Commits count a group root's reservation
+	// events (EvReserve, EvReserveLost, EvCommit), one per input each.
+	Reserves  int32 `json:"reserves,omitempty"`
+	Conflicts int32 `json:"conflicts,omitempty"`
+	Commits   int32 `json:"commits,omitempty"`
 	// CPUCommittedNS and CPUWastedNS carry a group root's wasted-work
 	// attribution — lane CPU nanoseconds whose results were committed vs
 	// discarded (EvLaneCPUCommitted/EvLaneCPUWasted) — zero on logs that
@@ -107,7 +155,7 @@ type SpanDoc struct {
 	// (engine events; scheduler dispatch events are counted separately).
 	Events int `json:"events"`
 	// SchedulerEvents is the number of steal/local-hit/task-finish
-	// events in the snapshot, which the span model does not consume.
+	// events in the snapshot, which LaneTasks pairs instead.
 	SchedulerEvents int `json:"scheduler_events"`
 	// Emitted and Dropped are the tracer's lifetime totals at snapshot
 	// time; Dropped > 0 explains Partial spans.
@@ -120,14 +168,14 @@ type SpanDoc struct {
 }
 
 // BuildSpans folds a tracer snapshot into per-group span trees. The input
-// may be unordered; scheduler lane events are ignored (they belong to the
-// flat /events and /trace views). Equal inputs yield identical output.
+// may be unordered; scheduler lane events are only counted (LaneTasks
+// pairs them). Equal inputs yield identical output.
 //
-// BuildSpans is the one-shot form of SpanFolder (folder.go): it folds the
-// whole snapshot as a single batch with generation splitting off, so a
-// group id keeps one accumulator for the whole log, exactly as the
-// original whole-snapshot fold did. Long-lived consumers (the telemetry
-// server's /spans) hold a SpanFolder instead and pay only for new events.
+// BuildSpans is the one-shot form of SpanFolder (folder.go): the same
+// fold over the whole snapshot as a single batch, with no retention
+// bound, so a group id a later run reuses yields one tree per execution
+// however many there are. Long-lived consumers (the telemetry server's
+// /spans) hold a SpanFolder instead and pay only for new events.
 func BuildSpans(events []obs.Event) *SpanDoc {
 	sorted := make([]obs.Event, len(events))
 	copy(sorted, events)
@@ -160,8 +208,8 @@ func renderSpan(w io.Writer, s *Span, depth int) {
 			cpu = fmt.Sprintf(" cpu committed=%s wasted=%s",
 				fmtNS(s.CPUCommittedNS), fmtNS(s.CPUWastedNS))
 		}
-		fmt.Fprintf(w, "%sg%03d [t+%s %s] %s%s%s\n", indent, s.Group,
-			fmtNS(s.StartNS), fmtNS(s.DurNS), s.Outcome, cpu, partialMark(s))
+		fmt.Fprintf(w, "%sg%03d [t+%s %s] %s%s%s%s\n", indent, s.Group,
+			fmtNS(s.StartNS), fmtNS(s.DurNS), s.Outcome, rootNotes(s, " cause=%s", " %s=%d"), cpu, partialMark(s))
 	case SpanExec:
 		fmt.Fprintf(w, "%sexec     %s outputs=%d%s\n", indent, fmtNS(s.DurNS), s.Arg, partialMark(s))
 	case SpanAux:
@@ -180,6 +228,26 @@ func renderSpan(w io.Writer, s *Span, depth int) {
 	for _, c := range s.Children {
 		renderSpan(w, c, depth+1)
 	}
+}
+
+// rootNotes renders a group root's cause through causeFmt and each
+// non-zero reservation count (a key and a value) through countFmt: the
+// tree and the waterfall print them as text, the Chrome export as JSON
+// members.
+func rootNotes(g *Span, causeFmt, countFmt string) string {
+	var b strings.Builder
+	if g.Cause != 0 {
+		fmt.Fprintf(&b, causeFmt, g.Cause)
+	}
+	for _, n := range []struct {
+		key string
+		v   int32
+	}{{"reserves", g.Reserves}, {"conflicts", g.Conflicts}, {"commits", g.Commits}} {
+		if n.v > 0 {
+			fmt.Fprintf(&b, countFmt, n.key, n.v)
+		}
+	}
+	return b.String()
 }
 
 // partialMark renders the partial flag as a suffix.

@@ -1,17 +1,25 @@
 package telemetry
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
 )
 
-// goldenLog is a hand-written speculation event log covering the span
-// model's whole surface: a non-speculative group 0, a validated group with
-// one redo, an aborted group with squash and fallback marks, and a group
-// whose start record was evicted by ring wrap-around (truncated). Events
-// are deliberately out of time order to exercise the sort.
+// goldenLog is the one hand-written event log every view's golden test
+// renders. It covers the span model's whole surface — a non-speculative
+// group 0, a validated group with one redo, an aborted group with squash
+// and fallback marks, and a group whose start record was evicted by ring
+// wrap-around (truncated) — and the lane pairing's: local and stolen
+// dispatches around the executions, a dispatch still running when the log
+// ends, and a finish whose dispatch was evicted. Events are deliberately
+// out of time order to exercise the sort.
 func goldenLog() []obs.Event {
 	return []obs.Event{
 		// Group 2: aborted after two redos, then squash + fallback marks.
@@ -41,13 +49,20 @@ func goldenLog() []obs.Event {
 		// Group 3: truncated by ring overwrite — only the finish survives.
 		{TS: 7000, Lane: 3, Kind: obs.EvGroupFinish, Group: 3, Arg: 3},
 
-		// Scheduler lane events: not part of the span model.
-		{TS: 2000, Lane: 2, Kind: obs.EvSteal, Group: -1, Arg: 1},
-		{TS: 2100, Lane: 2, Kind: obs.EvTaskFinish, Group: -1},
+		// Scheduler lanes: each execution inside its task, then lane 1
+		// steals a task that never finishes; lane 3 kept only a finish.
+		{TS: 900, Lane: 0, Kind: obs.EvLocalHit, Group: -1},
+		{TS: 5050, Lane: 0, Kind: obs.EvTaskFinish, Group: -1},
+		{TS: 1100, Lane: 1, Kind: obs.EvSteal, Group: -1},
+		{TS: 5250, Lane: 1, Kind: obs.EvTaskFinish, Group: -1},
+		{TS: 6900, Lane: 1, Kind: obs.EvSteal, Group: -1},
+		{TS: 1300, Lane: 2, Kind: obs.EvLocalHit, Group: -1},
+		{TS: 5450, Lane: 2, Kind: obs.EvTaskFinish, Group: -1},
+		{TS: 7050, Lane: 3, Kind: obs.EvTaskFinish, Group: -1},
 	}
 }
 
-const goldenRender = `spans: 4 groups (1 partial), 18 engine events, 2 scheduler events
+const goldenRender = `spans: 4 groups (1 partial), 18 engine events, 8 scheduler events
 g000 [t+1.00µs 4.00µs] unvalidated
   exec     4.00µs outputs=10
 g001 [t+500ns 5.10µs] validated
@@ -55,7 +70,7 @@ g001 [t+500ns 5.10µs] validated
   exec     4.00µs outputs=8
   validate 300ns match-after-redo redos=1
     redo #1 @t+5.40µs
-g002 [t+600ns 5.60µs] aborted
+g002 [t+600ns 5.60µs] aborted cause=mismatch
   aux      @t+600ns window=4
   exec     4.00µs outputs=0
   validate 300ns abort redos=2
@@ -78,8 +93,8 @@ func TestBuildSpansGolden(t *testing.T) {
 	if doc.PartialGroups != 1 {
 		t.Errorf("PartialGroups = %d, want 1", doc.PartialGroups)
 	}
-	if doc.Events != 18 || doc.SchedulerEvents != 2 {
-		t.Errorf("Events=%d SchedulerEvents=%d, want 18/2", doc.Events, doc.SchedulerEvents)
+	if doc.Events != 18 || doc.SchedulerEvents != 8 {
+		t.Errorf("Events=%d SchedulerEvents=%d, want 18/8", doc.Events, doc.SchedulerEvents)
 	}
 	outcomes := map[int32]string{0: OutcomeUnvalidated, 1: OutcomeValidated, 2: OutcomeAborted, 3: OutcomeUnvalidated}
 	for _, g := range doc.Groups {
@@ -158,6 +173,75 @@ func TestBuildSpansUnresolvedValidation(t *testing.T) {
 	}
 	if doc.PartialGroups != 1 {
 		t.Errorf("PartialGroups = %d, want 1", doc.PartialGroups)
+	}
+}
+
+// TestBuildSpansRunLevelAndRootFacts: a breaker-denied run's event (group
+// -1) is counted but opens no group, and a root's reservation counts and
+// abort cause show in the tree (of the saved document too), the waterfall
+// chain and the Chrome record's args.
+func TestBuildSpansRunLevelAndRootFacts(t *testing.T) {
+	log := []obs.Event{
+		{TS: 10, Lane: obs.LaneCoord, Kind: obs.EvBreakerDenied, Group: -1},
+		{TS: 100, Lane: 0, Kind: obs.EvGroupStart, Group: 0},
+		{TS: 150, Lane: 0, Kind: obs.EvReserve, Group: 0, Arg: 3},
+		{TS: 200, Lane: obs.LaneCoord, Kind: obs.EvCommit, Group: 0, Arg: 3},
+		{TS: 250, Lane: obs.LaneCoord, Kind: obs.EvPanic, Group: 0, Arg: 1},
+		{TS: 300, Lane: 0, Kind: obs.EvGroupFinish, Group: 0, Arg: 1},
+	}
+	doc := BuildSpans(log)
+	if len(doc.Groups) != 1 || doc.PartialGroups != 0 || doc.Events != 6 {
+		t.Fatalf("groups=%d partial=%d events=%d, want 1/0/6:\n%s",
+			len(doc.Groups), doc.PartialGroups, doc.Events, SpanString(doc))
+	}
+	var fall, chrome bytes.Buffer
+	RenderWaterfall(&fall, doc, nil, 0, 0)
+	blob, _ := json.Marshal(doc)
+	var saved SpanDoc
+	if err := errors.Join(ChromeTrace(&chrome, log), json.Unmarshal(blob, &saved)); err != nil {
+		t.Fatal(err)
+	}
+	for view, want := range map[string]string{
+		SpanString(&saved): "cause=panic reserves=1 commits=1",
+		fall.String():      "exec 200ns cause=panic reserves=1 commits=1",
+		chrome.String():    `"args":{"outputs":1,"cause":"panic","reserves":1,"commits":1}`,
+	} {
+		if !strings.Contains(view, want) {
+			t.Errorf("view lacks %q:\n%s", want, view)
+		}
+	}
+}
+
+// TestEveryKindReachesTheSpanModel: one event of each kind inside a
+// group's start/finish bracket must change the group's tree, or the kind
+// is exempt here with the view that reports it instead — so a kind added
+// to obs without a case in the fold fails.
+func TestEveryKindReachesTheSpanModel(t *testing.T) {
+	exempt := map[obs.EventKind]string{
+		obs.EvSteal:         "scheduler kind: LaneTasks pairs it",
+		obs.EvLocalHit:      "scheduler kind: LaneTasks pairs it",
+		obs.EvTaskFinish:    "scheduler kind: LaneTasks pairs it",
+		obs.EvBreakerDenied: "run-level, no group: reported by /signals and /healthz",
+	}
+	for k := obs.EventKind(1); k.String() != "unknown"; k++ {
+		with := []obs.Event{
+			{TS: 100, Lane: 1, Kind: obs.EvGroupStart, Group: 1},
+			{TS: 150, Lane: 1, Kind: obs.EvLocalHit, Group: -1},
+			{TS: 200, Lane: 1, Kind: k, Group: 1, Arg: 1},
+			{TS: 300, Lane: 1, Kind: obs.EvGroupFinish, Group: 1},
+		}
+		without := slices.DeleteFunc(slices.Clone(with), func(e obs.Event) bool { return e.Kind == k })
+		ok := !reflect.DeepEqual(BuildSpans(with).Groups, BuildSpans(without).Groups)
+		if exempt[k] != "" {
+			ok = !ok
+		}
+		if schedKind(k) {
+			ok = ok && !reflect.DeepEqual(LaneTasks(with), LaneTasks(without))
+		}
+		if !ok {
+			t.Errorf("%v (exempt: %q) does not reach its view: give the kind a span, mark or attribute in SpanFolder.fold, or exempt it with the view that reports it",
+				k, exempt[k])
+		}
 	}
 }
 

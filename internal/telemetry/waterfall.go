@@ -1,54 +1,51 @@
 package telemetry
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"strings"
 )
 
-// waterfallBarWidth is the bar chart's width in character cells.
+// waterfallBarWidth is the chart's default width in character cells.
 const waterfallBarWidth = 40
 
-// RenderWaterfall writes a span document as a waterfall: one bar per
-// speculation group on a shared time axis, each overlaid with its phases
-// ('=' executing, 'a' aux, 'v' validating, 'r' redo, 'S' squash,
+// RenderWaterfall writes a span document as a waterfall, the one ASCII
+// chart of an observed run: one bar per speculation group on a shared
+// time axis, each overlaid with its phases ('=' executing, 'a' aux,
+// 'v' validating, 'x' first rejection, 'r' redo, 'A' abort, 'S' squash,
 // 'F' fallback), followed by the group's phase chain in start order and
-// its wasted-work share. The footer names the run's critical path — the
-// longest group lifecycle — phase by phase: the chain an engineer
-// shortens first when the profile says speculation is not paying.
-// Deterministic for a given document.
-func RenderWaterfall(w io.Writer, doc *SpanDoc) {
+// its wasted-work share; then, given the log's lane tasks, one row per
+// scheduler lane on the same axis ('L' a local dispatch, 'S' a steal,
+// '-' the task running until its finish). The footer names the run's
+// critical path — the longest group lifecycle — phase by phase: the chain
+// an engineer shortens first when the profile says speculation is not
+// paying. width is the bar width in cells (<= 0: 40); rows > 0 caps the
+// group rows drawn. Deterministic for a given document.
+func RenderWaterfall(w io.Writer, doc *SpanDoc, tasks []LaneTask, width, rows int) {
 	if len(doc.Groups) == 0 {
 		fmt.Fprintln(w, "waterfall: no groups")
 		return
+	}
+	if width <= 0 {
+		width = waterfallBarWidth
 	}
 
 	lo, hi := doc.Groups[0].StartNS, doc.Groups[0].EndNS
 	var committed, wasted int64
 	for _, g := range doc.Groups {
-		if g.StartNS < lo {
-			lo = g.StartNS
-		}
-		if g.EndNS > hi {
-			hi = g.EndNS
-		}
+		lo, hi = min(lo, g.StartNS), max(hi, g.EndNS)
 		committed += g.CPUCommittedNS
 		wasted += g.CPUWastedNS
 	}
-	span := hi - lo
-	if span <= 0 {
-		span = 1
+	for _, t := range tasks {
+		lo, hi = min(lo, t.StartNS), max(hi, t.EndNS)
 	}
+	span := max(hi-lo, 1)
 	col := func(ts int64) int {
-		c := int((ts - lo) * int64(waterfallBarWidth) / span)
-		if c >= waterfallBarWidth {
-			c = waterfallBarWidth - 1
-		}
-		if c < 0 {
-			c = 0
-		}
-		return c
+		return int(min(max((ts-lo)*int64(width)/span, 0), int64(width-1)))
 	}
+	blank := func() []byte { return bytes.Repeat([]byte{'.'}, width) }
 
 	fmt.Fprintf(w, "waterfall: %d groups (%d partial), span %s",
 		len(doc.Groups), doc.PartialGroups, fmtNS(span))
@@ -58,18 +55,19 @@ func RenderWaterfall(w io.Writer, doc *SpanDoc) {
 			100*float64(wasted)/float64(committed+wasted))
 	}
 	fmt.Fprintln(w)
+	fmt.Fprintln(w, "groups: '=' executing, a aux, v validating, x first rejection, r redo, A abort, S squash, F fallback")
 
 	var critical *Span
-	for _, g := range doc.Groups {
+	for i, g := range doc.Groups {
 		if critical == nil || g.DurNS > critical.DurNS {
 			critical = g
 		}
-		row := make([]byte, waterfallBarWidth)
-		for i := range row {
-			row[i] = '.'
+		if rows > 0 && i >= rows {
+			continue
 		}
+		row := blank()
 		// Duration-bearing phases first, instants on top so they stay
-		// visible inside a long bar.
+		// visible inside a long bar; the abort last, never overdrawn.
 		for _, c := range g.Children {
 			switch c.Kind {
 			case SpanExec:
@@ -82,21 +80,29 @@ func RenderWaterfall(w io.Writer, doc *SpanDoc) {
 				}
 			}
 		}
+		abort := -1
 		for _, c := range g.Children {
 			switch c.Kind {
 			case SpanAux:
 				row[col(c.StartNS)] = 'a'
 			case SpanValidate:
+				if c.Outcome != "match" {
+					row[col(c.StartNS)] = 'x'
+				}
 				for _, r := range c.Children {
-					if r.Kind == SpanRedo {
-						row[col(r.StartNS)] = 'r'
-					}
+					row[col(r.StartNS)] = 'r'
+				}
+				if c.Outcome == "abort" {
+					abort = col(c.EndNS)
 				}
 			case SpanSquash:
 				row[col(c.StartNS)] = 'S'
 			case SpanFallback:
 				row[col(c.StartNS)] = 'F'
 			}
+		}
+		if abort >= 0 {
+			row[abort] = 'A'
 		}
 		waste := ""
 		if g.CPUCommittedNS+g.CPUWastedNS > 0 {
@@ -106,6 +112,32 @@ func RenderWaterfall(w io.Writer, doc *SpanDoc) {
 		fmt.Fprintf(w, "g%03d |%s| %s %s%s%s\n", g.Group, row,
 			fmtNS(g.DurNS), g.Outcome, waste, partialMark(g))
 		fmt.Fprintf(w, "     %s\n", chainString(g))
+	}
+	if rows > 0 && len(doc.Groups) > rows {
+		fmt.Fprintf(w, "... (%d more groups)\n", len(doc.Groups)-rows)
+	}
+
+	if len(tasks) > 0 {
+		fmt.Fprintln(w, "lanes: L local dispatch, S steal, '-' task running")
+	}
+	var row []byte
+	for i, t := range tasks {
+		if i == 0 || tasks[i-1].Lane != t.Lane {
+			row = blank()
+		}
+		c := col(t.StartNS)
+		row[c] = 'L'
+		if t.Stolen {
+			row[c] = 'S'
+		}
+		for j, end := c+1, col(t.EndNS); j <= end; j++ { // an open task ends where it starts
+			if row[j] == '.' {
+				row[j] = '-'
+			}
+		}
+		if i == len(tasks)-1 || tasks[i+1].Lane != t.Lane {
+			fmt.Fprintf(w, "w%03d |%s|\n", t.Lane, row)
+		}
 	}
 
 	fmt.Fprintf(w, "critical path: g%03d %s (total %s)\n",
@@ -134,14 +166,7 @@ func chainString(g *Span) string {
 		}
 	}
 	if len(parts) == 0 {
-		return "(no observed phases)"
+		parts = []string{"(no observed phases)"}
 	}
-	return strings.Join(parts, " -> ")
-}
-
-// WaterfallString renders doc's waterfall to a string.
-func WaterfallString(doc *SpanDoc) string {
-	var b strings.Builder
-	RenderWaterfall(&b, doc)
-	return b.String()
+	return strings.Join(parts, " -> ") + rootNotes(g, " cause=%s", " %s=%d")
 }

@@ -2,13 +2,11 @@ package trace
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
 	"testing"
 
-	"repro/internal/obs"
 	"repro/internal/platform"
 )
 
@@ -59,80 +57,8 @@ func goldenSchedule() platform.Result {
 	}
 }
 
-// goldenEvents is a fixed observed-run log covering RenderEvents' and
-// ChromeTrace's cases: two complete groups (one validating clean, one
-// needing a redo), an aborted group with a squash and fallback, local and
-// stolen scheduler dispatches, and an unfinished task span.
-func goldenEvents() []obs.Event {
-	const c = obs.LaneCoord
-	return []obs.Event{
-		{TS: 0, Lane: 0, Kind: obs.EvAuxProduced, Group: 0, Arg: 2},
-		{TS: 50, Lane: 1, Kind: obs.EvAuxProduced, Group: 1, Arg: 2},
-		{TS: 100, Lane: 0, Kind: obs.EvLocalHit, Group: -1, Arg: 0},
-		{TS: 120, Lane: 0, Kind: obs.EvGroupStart, Group: 0, Arg: 0},
-		{TS: 150, Lane: 1, Kind: obs.EvSteal, Group: -1, Arg: 0},
-		{TS: 170, Lane: 1, Kind: obs.EvGroupStart, Group: 1, Arg: 8},
-		{TS: 400, Lane: 0, Kind: obs.EvGroupFinish, Group: 0, Arg: 8},
-		{TS: 410, Lane: 0, Kind: obs.EvTaskFinish, Group: -1, Arg: 0},
-		{TS: 430, Lane: c, Kind: obs.EvValidateMatch, Group: 0, Arg: 0},
-		{TS: 460, Lane: 0, Kind: obs.EvLocalHit, Group: -1, Arg: 0},
-		{TS: 470, Lane: 0, Kind: obs.EvGroupStart, Group: 2, Arg: 16},
-		{TS: 600, Lane: 1, Kind: obs.EvGroupFinish, Group: 1, Arg: 8},
-		{TS: 610, Lane: 1, Kind: obs.EvTaskFinish, Group: -1, Arg: 0},
-		{TS: 640, Lane: c, Kind: obs.EvValidateMismatch, Group: 1, Arg: 0},
-		{TS: 660, Lane: c, Kind: obs.EvRedo, Group: 1, Arg: 1},
-		{TS: 720, Lane: c, Kind: obs.EvValidateMatch, Group: 1, Arg: 1},
-		{TS: 800, Lane: 0, Kind: obs.EvGroupFinish, Group: 2, Arg: 4},
-		{TS: 830, Lane: c, Kind: obs.EvValidateMismatch, Group: 2, Arg: 0},
-		{TS: 850, Lane: c, Kind: obs.EvRedo, Group: 2, Arg: 1},
-		{TS: 870, Lane: c, Kind: obs.EvRedo, Group: 2, Arg: 2},
-		{TS: 900, Lane: c, Kind: obs.EvAbort, Group: 2, Arg: 2},
-		{TS: 910, Lane: c, Kind: obs.EvSquash, Group: 3, Arg: 8},
-		{TS: 920, Lane: c, Kind: obs.EvFallback, Group: 2, Arg: 16},
-		{TS: 940, Lane: 1, Kind: obs.EvSteal, Group: -1, Arg: 0},
-	}
-}
-
 func TestRenderGolden(t *testing.T) {
 	var b bytes.Buffer
 	Render(&b, goldenSchedule(), Options{Width: 60})
 	checkGolden(t, "render", b.Bytes())
-}
-
-func TestRenderEventsGolden(t *testing.T) {
-	var b bytes.Buffer
-	RenderEvents(&b, goldenEvents(), EventOptions{Width: 60})
-	checkGolden(t, "events", b.Bytes())
-}
-
-func TestChromeTraceGolden(t *testing.T) {
-	var b bytes.Buffer
-	if err := ChromeTrace(&b, goldenEvents()); err != nil {
-		t.Fatal(err)
-	}
-	if !json.Valid(b.Bytes()) {
-		t.Fatalf("exporter produced invalid JSON:\n%s", b.Bytes())
-	}
-	checkGolden(t, "chrome", b.Bytes())
-}
-
-// TestChromeTraceEmpty pins the degenerate case: no events still yields a
-// well-formed, loadable document.
-func TestChromeTraceEmpty(t *testing.T) {
-	var b bytes.Buffer
-	if err := ChromeTrace(&b, nil); err != nil {
-		t.Fatal(err)
-	}
-	if !json.Valid(b.Bytes()) {
-		t.Fatalf("invalid JSON for empty log:\n%s", b.Bytes())
-	}
-	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(b.Bytes(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	if len(doc.TraceEvents) != 2 { // the two process_name records
-		t.Fatalf("records: %d", len(doc.TraceEvents))
-	}
 }

@@ -3,7 +3,11 @@
 # obs.Observer.Note, so a kind's counter and its events cannot drift. Fail
 # if non-test code under internal/core or internal/pool emits a trace event
 # itself, or writes an Observer counter anywhere but frame.go's note*
-# methods (the home of the counters no event backs). Run via `make vet`.
+# methods (the home of the counters no event backs). The reader-side twin:
+# internal/telemetry's SpanFolder.fold and LaneTasks are the only code that
+# turns the event log back into group lifecycles and task spans, so fail if
+# any other non-test file (bench/ is not ours to edit) switches on a group
+# start/finish or task-finish kind. Run via `make vet`.
 set -eu
 
 emits=$(grep -rn 'Tracer\.Emit(' internal/core internal/pool --include='*.go' |
@@ -16,5 +20,13 @@ outside=$(awk '/^func /{fn=$0} /\.o\.[A-Z][A-Za-z]*\.(Inc|Add)\(/ && fn !~ /\) n
 if [ -n "$emits$writes$outside" ]; then
     echo "fact-guard: report through obs.Observer.Note (or a runFrame.note* method):" >&2
     printf '%s\n' "$emits" "$writes" "$outside" | grep . >&2
+    exit 1
+fi
+
+folds=$(grep -rnE 'case .*obs\.Ev(GroupStart|GroupFinish|TaskFinish)' --include='*.go' \
+    --exclude-dir=bench --exclude-dir=telemetry . | grep -v '_test\.go:' || true)
+if [ -n "$folds" ]; then
+    echo "fact-guard: fold the event log through telemetry.BuildSpans/SpanFolder and LaneTasks:" >&2
+    printf '%s\n' "$folds" >&2
     exit 1
 fi
