@@ -2,14 +2,14 @@
 #
 # `make test` is the tier-1 verify (ROADMAP.md) plus the benchmark module's
 # own tests. `make race` is the concurrency tier: the whole suite under the
-# race detector, including the scheduler's Submit/SubmitBatch/Go-vs-Close
+# race detector, including the scheduler's Submit/SubmitBatch-vs-Close
 # stress tests in internal/pool/race_test.go. `make stress` repeats the
 # pool/core stress tests under the race detector across GOMAXPROCS 1, 2
 # and 4. `make check` is the full local gate.
 
 GO ?= go
 
-.PHONY: build test check race stress vet catalogue bench microbench microbench-smoke bench-paper fuzz serve-smoke chaos explore explore-long
+.PHONY: build test check race stress vet examples catalogue bench microbench microbench-smoke bench-paper fuzz serve-smoke chaos explore explore-long
 
 build:
 	$(GO) build ./...
@@ -21,11 +21,11 @@ test: build
 	cd bench && $(GO) test -short ./...
 
 # The full local gate: tier-1 tests (which hold the allocation ceilings),
-# the core-count stress matrix, the static-analysis suite, the
-# telemetry-server smoke (boot, curl every endpoint, assert statuses), one
+# the core-count stress matrix, the static-analysis suite, the four
+# example programs, the telemetry-server smoke (boot, curl every endpoint, assert statuses), one
 # iteration of every microbenchmark, the fault-injection campaign, and the
 # bounded schedule exploration.
-check: test stress vet serve-smoke microbench-smoke chaos explore
+check: test stress vet examples serve-smoke microbench-smoke chaos explore
 
 race:
 	$(GO) test -race ./...
@@ -46,6 +46,11 @@ vet:
 	$(GO) run ./cmd/statsvet testdata/bodytrack.stats ./examples ./internal/workload ./stats
 	$(GO) run ./cmd/statsvet -footprints cmd/statsvet/testdata/corpus/good/*.stats
 	sh scripts/fact_guard.sh
+
+# The four programs under examples/ are what a reader runs first: each must
+# exit 0 with its default arguments.
+examples:
+	for d in examples/*/; do $(GO) run ./$$d >/dev/null || exit 1; done
 
 # Regenerate the metric catalogue golden file from internal/obs's fact
 # table; paste the result over the reference tables in DESIGN.md and

@@ -147,7 +147,7 @@ func BenchmarkEngineReservations(b *testing.B) {
 		}
 	})
 	b.Run("slotted", func(b *testing.B) {
-		d := New(benchSlotCompute, nil, benchSlotOps()).WithReserve(benchReserveOps())
+		d := benchSlotDep()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -163,30 +163,13 @@ func benchSlotCompute(r *rng.Source, in int, s []float64) (int, []float64) {
 	return in, s
 }
 
-// benchReserveOps is the slot contract of every slotted benchmark and
-// allocation ceiling: 8 disjoint slots, input i touches slot i%8.
-func benchReserveOps() ReserveOps[int, []float64] {
-	return ReserveOps[int, []float64]{
-		NumSlots:  func(s []float64) int { return len(s) },
-		Footprint: func(in int, _ []float64) []int { return []int{in % 8} },
-		Merge: func(dst, src []float64, slots []int) []float64 {
-			for _, sl := range slots {
-				dst[sl] = src[sl]
-			}
-			return dst
-		},
-	}
-}
-
-func benchSlotOps() StateOps[[]float64] {
-	return StateOps[[]float64]{
-		Clone: func(s []float64) []float64 {
-			c := make([]float64, len(s))
-			copy(c, s)
-			return c
-		},
-		MatchAny: func([]float64, [][]float64) bool { return false },
-	}
+// benchSlotDep is the slotted dependence of every slotted benchmark and
+// allocation ceiling: 8 disjoint slots, input i touches slot i%8, and a
+// MatchAny that never accepts.
+func benchSlotDep() *Dependence[int, []float64, int] {
+	ops, reserve := SlotOps[int, float64](func(in int) []int { return []int{in % 8} }, nil, nil)
+	ops.MatchAny = func([]float64, [][]float64) bool { return false }
+	return New(benchSlotCompute, nil, ops).WithReserve(reserve)
 }
 
 func BenchmarkRNGSplit(b *testing.B) {
@@ -259,10 +242,7 @@ func auxRun(p *pool.Pool, n int, warm bool) func() {
 // reservationsRun is gatedRun under the reservations protocol on the
 // 8-slot state; the caller-owned initial state is part of the run's cost.
 func reservationsRun(p *pool.Pool, warm bool) func() {
-	return gatedRun(p, 32, ProtocolReservations,
-		func() *Dependence[int, []float64, int] {
-			return New(benchSlotCompute, nil, benchSlotOps()).WithReserve(benchReserveOps())
-		},
+	return gatedRun(p, 32, ProtocolReservations, benchSlotDep,
 		func() []float64 { return make([]float64, 8) }, warm)
 }
 

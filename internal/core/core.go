@@ -249,6 +249,39 @@ type Stats struct {
 	QueueDepthPeak int64
 }
 
+// Add folds another run's Stats into s, for a program whose answer takes
+// several engine runs: every count sums, QueueDepthPeak (a high-water
+// mark) takes the larger, and Panics appends. TestStatsAddCoversEveryField
+// fails when a new field is left out.
+func (s *Stats) Add(o Stats) {
+	s.Inputs += o.Inputs
+	s.Groups += o.Groups
+	s.Matches += o.Matches
+	s.Redos += o.Redos
+	s.FingerprintHits += o.FingerprintHits
+	s.FingerprintMisses += o.FingerprintMisses
+	s.Aborts += o.Aborts
+	s.SpeculativeCommits += o.SpeculativeCommits
+	s.SquashedInputs += o.SquashedInputs
+	s.FallbackInputs += o.FallbackInputs
+	s.Invocations += o.Invocations
+	s.UsefulInvocations += o.UsefulInvocations
+	s.AuxCalls += o.AuxCalls
+	s.AuxInputs += o.AuxInputs
+	s.PanickedGroups += o.PanickedGroups
+	s.Panics = append(s.Panics, o.Panics...)
+	s.TimedOutGroups += o.TimedOutGroups
+	s.BreakerDenied += o.BreakerDenied
+	s.Rounds += o.Rounds
+	s.ReservationConflicts += o.ReservationConflicts
+	s.FootprintViolations += o.FootprintViolations
+	s.LaneCPUCommittedNS += o.LaneCPUCommittedNS
+	s.LaneCPUWastedNS += o.LaneCPUWastedNS
+	s.Steals += o.Steals
+	s.LocalHits += o.LocalHits
+	s.QueueDepthPeak = max(s.QueueDepthPeak, o.QueueDepthPeak)
+}
+
 // Dependence is a runnable state dependence: the compute target, its
 // auxiliary code, and the state methods.
 type Dependence[I, S, O any] struct {

@@ -146,28 +146,13 @@ func resvGoldenHarness(fp func(in int) []int) func(ctl sched.Controller) (string
 		s[in%2] += float64(in)
 		return in * 2, s
 	}
-	ops := StateOps[[]float64]{
-		Clone: func(s []float64) []float64 {
-			cp := make([]float64, len(s))
-			copy(cp, s)
-			return cp
-		},
-	}
+	ops, reserve := SlotOps[int, float64](fp, nil, nil)
 	return func(ctl sched.Controller) (string, Stats) {
 		p := pool.NewSeeded(2, 7)
 		defer p.Close()
 		d := New(compute, nil, ops)
 		if fp != nil {
-			d.WithReserve(ReserveOps[int, []float64]{
-				NumSlots:  func(initial []float64) int { return len(initial) },
-				Footprint: func(in int, _ []float64) []int { return fp(in) },
-				Merge: func(dst, src []float64, slots []int) []float64 {
-					for _, sl := range slots {
-						dst[sl] = src[sl]
-					}
-					return dst
-				},
-			})
+			d.WithReserve(reserve)
 		}
 		opts := Options{
 			UseAux: true, Protocol: ProtocolReservations,

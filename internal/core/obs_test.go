@@ -97,6 +97,44 @@ func TestStatsFieldsHaveFactRows(t *testing.T) {
 	}
 }
 
+// TestStatsAddCoversEveryField gives every field of two Stats a distinct
+// non-zero value and fails on any field Add leaves out: counts sum, the
+// queue-depth high-water mark takes the larger, Panics appends.
+func TestStatsAddCoversEveryField(t *testing.T) {
+	var a, b Stats
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < va.NumField(); i++ {
+		switch va.Field(i).Kind() {
+		case reflect.Int, reflect.Int64:
+			va.Field(i).SetInt(int64(i + 1))
+			vb.Field(i).SetInt(int64(100 * (i + 1)))
+		case reflect.Slice:
+			va.Field(i).Set(reflect.ValueOf([]*PanicError{{Value: "a"}}))
+			vb.Field(i).Set(reflect.ValueOf([]*PanicError{{Value: "b"}}))
+		default:
+			t.Fatalf("Stats.%s: kind %v — teach Add and this test about it", va.Type().Field(i).Name, va.Field(i).Kind())
+		}
+	}
+	a.Add(b)
+	for i := 0; i < va.NumField(); i++ {
+		name := va.Type().Field(i).Name
+		switch {
+		case name == "Panics":
+			if len(a.Panics) != 2 || a.Panics[0].Value != "a" || a.Panics[1].Value != "b" {
+				t.Errorf("Add did not append Panics: %v", a.Panics)
+			}
+		case name == "QueueDepthPeak":
+			if a.QueueDepthPeak != b.QueueDepthPeak {
+				t.Errorf("QueueDepthPeak = %d, want the larger (%d)", a.QueueDepthPeak, b.QueueDepthPeak)
+			}
+		default:
+			if got, want := va.Field(i).Int(), int64(101*(i+1)); got != want {
+				t.Errorf("Add left Stats.%s at %d, want %d", name, got, want)
+			}
+		}
+	}
+}
+
 // TestRedoPanicCountedOnce is the one-shot redo panic: the aux state never
 // matches, so boundary 1 re-executes group 0's last input, and compute
 // panics on that second sight of input 3 only. The redo was attempted, so

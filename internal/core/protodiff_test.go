@@ -33,38 +33,33 @@ type slotInput struct {
 	Val  float64
 }
 
-// slottedOps clones the state vector deeply; MatchAny is exact, so the aux
-// protocol's validation accepts iff the speculative state is bit-equal.
-func slottedOps() core.StateOps[[]float64] {
-	return core.StateOps[[]float64]{
-		Clone: func(s []float64) []float64 {
-			cp := make([]float64, len(s))
-			copy(cp, s)
-			return cp
-		},
-		MatchAny: func(spec []float64, originals [][]float64) bool {
-			for _, o := range originals {
-				if reflect.DeepEqual(spec, o) {
-					return true
-				}
+// slotted is the synthetic state vector's slice-of-slots contract under
+// the given footprint. MatchAny is exact, so the aux protocol's validation
+// accepts iff the speculative state is bit-equal.
+func slotted[I any](fp func(I) []int) (core.StateOps[[]float64], core.ReserveOps[I, []float64]) {
+	ops, reserve := core.SlotOps[I, float64](fp, nil, nil)
+	ops.MatchAny = func(spec []float64, originals [][]float64) bool {
+		for _, o := range originals {
+			if reflect.DeepEqual(spec, o) {
+				return true
 			}
-			return false
-		},
+		}
+		return false
 	}
+	return ops, reserve
+}
+
+func slotOf(in slotInput) []int { return []int{in.Slot} }
+
+func slottedOps() core.StateOps[[]float64] {
+	ops, _ := slotted(slotOf)
+	return ops
 }
 
 // slottedReserve exposes the vector's natural decomposition.
 func slottedReserve() core.ReserveOps[slotInput, []float64] {
-	return core.ReserveOps[slotInput, []float64]{
-		NumSlots:  func(initial []float64) int { return len(initial) },
-		Footprint: func(in slotInput, _ []float64) []int { return []int{in.Slot} },
-		Merge: func(dst, src []float64, slots []int) []float64 {
-			for _, sl := range slots {
-				dst[sl] = src[sl]
-			}
-			return dst
-		},
-	}
+	_, reserve := slotted(slotOf)
+	return reserve
 }
 
 // slotInputs deals n inputs across k slots with a deterministic but

@@ -119,6 +119,49 @@ func (d *Dependence[I, S, O]) WithReserve(ops ReserveOps[I, S]) *Dependence[I, S
 	return d
 }
 
+// SlotOps is the slice-of-slots contract, written once: for a state that is
+// one T per slot it returns the StateOps and the ReserveOps to hand to New
+// and WithReserve. footprint names the slots an input's compute touches
+// (a fresh slice per call — the engine holds it across the round). Clone
+// copies every slot through cloneSlot (nil: by assignment), Merge takes
+// exactly the winner's footprint slots, and Touched — present only when
+// sameSlot is non-nil — reports the slots sameSlot says differ. Callers
+// that also run the aux protocol set MatchAny on the returned StateOps.
+func SlotOps[I, T any](footprint func(I) []int, cloneSlot func(T) T, sameSlot func(a, b T) bool) (StateOps[[]T], ReserveOps[I, []T]) {
+	ops := StateOps[[]T]{Clone: slices.Clone[[]T]}
+	if cloneSlot != nil {
+		ops.Clone = func(s []T) []T {
+			cp := make([]T, len(s))
+			for i := range s {
+				cp[i] = cloneSlot(s[i])
+			}
+			return cp
+		}
+	}
+	reserve := ReserveOps[I, []T]{
+		NumSlots:  func(initial []T) int { return len(initial) },
+		Footprint: func(in I, _ []T) []int { return footprint(in) },
+		Merge: func(dst, src []T, slots []int) []T {
+			for _, sl := range slots {
+				dst[sl] = src[sl]
+			}
+			return dst
+		},
+	}
+	if sameSlot != nil {
+		reserve.Touched = func(before, after []T) []int {
+			var touched []int
+			for i := range before {
+				if i < len(after) && !sameSlot(before[i], after[i]) {
+					touched = append(touched, i)
+				}
+			}
+			return touched
+		}
+	}
+	return ops, reserve
+}
+
 // ReservationArg packs a reservation event's round (0-based within its
 // group) and input index into one trace argument: round<<32 | input.
 func ReservationArg(round, input int) int64 {

@@ -41,16 +41,8 @@ func mslotDep() *core.Dependence[mslotInput, []float64, float64] {
 		}
 		return out, s
 	}
-	return core.New(compute, nil, slottedOps()).WithReserve(core.ReserveOps[mslotInput, []float64]{
-		NumSlots:  func(initial []float64) int { return len(initial) },
-		Footprint: func(in mslotInput, _ []float64) []int { return in.Slots },
-		Merge: func(dst, src []float64, slots []int) []float64 {
-			for _, sl := range slots {
-				dst[sl] = src[sl]
-			}
-			return dst
-		},
-	})
+	ops, reserve := slotted(func(in mslotInput) []int { return in.Slots })
+	return core.New(compute, nil, ops).WithReserve(reserve)
 }
 
 // randomConflictGraph deals n inputs over k slots with footprints of 1-3

@@ -1,0 +1,91 @@
+package core_test
+
+import (
+	"fmt"
+	"reflect"
+	"slices"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/rng"
+)
+
+// TestSlotOps pins the slice-of-slots constructor over its whole table:
+// nil and non-nil cloneSlot, nil and non-nil sameSlot, single- and
+// multi-slot footprints. A slot is itself a slice, so a shallow and a deep
+// Clone are distinguishable; the compute replaces a slot instead of
+// writing into it, which is valid under both.
+func TestSlotOps(t *testing.T) {
+	type cell struct {
+		Slots []int
+		Val   float64
+	}
+	const k = 4
+	compute := func(r *rng.Source, in cell, s [][]float64) (float64, [][]float64) {
+		out := r.Float64()
+		for _, sl := range in.Slots {
+			s[sl] = []float64{s[sl][0] + in.Val + out}
+			out += s[sl][0]
+		}
+		return out, s
+	}
+	fresh := func() [][]float64 { return [][]float64{{1}, {2}, {3}, {4}} }
+	footprints := map[string]func(i int) []int{
+		"single": func(i int) []int { return []int{i % k} },
+		"multi":  func(i int) []int { return []int{i % k, (i + 1 + i%3) % k} },
+	}
+	for _, cloneSlot := range []func([]float64) []float64{nil, slices.Clone[[]float64]} {
+		for _, sameSlot := range []func(a, b []float64) bool{nil, slices.Equal[[]float64]} {
+			for shape, slotsOf := range footprints {
+				name := fmt.Sprintf("clone=%t same=%t %s", cloneSlot != nil, sameSlot != nil, shape)
+				ops, reserve := core.SlotOps(func(in cell) []int { return slices.Clone(in.Slots) }, cloneSlot, sameSlot)
+
+				s := fresh()
+				cp := ops.Clone(s)
+				cp[0] = []float64{9}
+				if cloneSlot != nil {
+					cp[1][0] = 9
+				}
+				if !reflect.DeepEqual(s, fresh()) {
+					t.Fatalf("%s: Clone aliases its argument: %v", name, s)
+				}
+
+				src := [][]float64{{10}, {20}, {30}, {40}}
+				merged := reserve.Merge(ops.Clone(s), src, []int{1, 3})
+				if want := [][]float64{{1}, {20}, {3}, {40}}; !reflect.DeepEqual(merged, want) {
+					t.Fatalf("%s: Merge = %v, want %v", name, merged, want)
+				}
+				if !reflect.DeepEqual(src, [][]float64{{10}, {20}, {30}, {40}}) {
+					t.Fatalf("%s: Merge modified src: %v", name, src)
+				}
+				if n := reserve.NumSlots(s); n != k {
+					t.Fatalf("%s: NumSlots = %d, want %d", name, n, k)
+				}
+				if (reserve.Touched == nil) != (sameSlot == nil) {
+					t.Fatalf("%s: Touched set = %t", name, reserve.Touched != nil)
+				}
+				if sameSlot != nil {
+					if got := reserve.Touched(s, merged); !slices.Equal(got, []int{1, 3}) {
+						t.Fatalf("%s: Touched = %v, want [1 3]", name, got)
+					}
+				}
+
+				inputs := make([]cell, 48)
+				for i := range inputs {
+					inputs[i] = cell{Slots: slotsOf(i), Val: float64(i) + 0.5}
+				}
+				seqOuts, seqFinal, _ := core.New(compute, nil, ops).Run(inputs, fresh(), core.Options{Seed: 41})
+				outs, final, st := core.New(compute, nil, ops).WithReserve(reserve).Run(inputs, fresh(), core.Options{
+					UseAux: true, Protocol: core.ProtocolReservations, FootprintCheck: true,
+					GroupSize: 8, Workers: 4, Seed: 41,
+				})
+				if !reflect.DeepEqual(outs, seqOuts) || !reflect.DeepEqual(final, seqFinal) {
+					t.Fatalf("%s: reservations diverged from sequential:\n got %v\nwant %v", name, outs, seqOuts)
+				}
+				if st.Rounds == 0 || st.Aborts != 0 || st.FootprintViolations != 0 {
+					t.Fatalf("%s: not a clean reservations run: %+v", name, st)
+				}
+			}
+		}
+	}
+}

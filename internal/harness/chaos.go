@@ -199,31 +199,12 @@ func chaosLieCompute(_ *rng.Source, in int, st []float64) (int, []float64) {
 	return in*2 + int(st[in%chaosLieSlots]), st
 }
 
-// chaosLieDep builds the dependence whose ReserveOps declare only the
-// input's own slot, with the Touched hook the oracle needs.
+// chaosLieDep builds the dependence whose footprint declares only the
+// input's own slot, with the per-slot equality the oracle needs.
 func chaosLieDep() *core.Dependence[int, []float64, int] {
-	ops := core.StateOps[[]float64]{
-		Clone: func(s []float64) []float64 { return append([]float64(nil), s...) },
-	}
-	return core.New(chaosLieCompute, nil, ops).WithReserve(core.ReserveOps[int, []float64]{
-		NumSlots:  func(initial []float64) int { return len(initial) },
-		Footprint: func(in int, _ []float64) []int { return []int{in % chaosLieSlots} },
-		Merge: func(dst, src []float64, slots []int) []float64 {
-			for _, sl := range slots {
-				dst[sl] = src[sl]
-			}
-			return dst
-		},
-		Touched: func(before, after []float64) []int {
-			var out []int
-			for i := range before {
-				if before[i] != after[i] {
-					out = append(out, i)
-				}
-			}
-			return out
-		},
-	})
+	ops, reserve := core.SlotOps(func(in int) []int { return []int{in % chaosLieSlots} },
+		nil, func(a, b float64) bool { return a == b })
+	return core.New(chaosLieCompute, nil, ops).WithReserve(reserve)
 }
 
 // chaosFootprintRun executes the lying-footprint scenario: reservations

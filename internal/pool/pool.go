@@ -148,11 +148,8 @@ func (s *shard) depth() int {
 type Metrics struct {
 	// Submitted counts tasks accepted by Submit and SubmitBatch.
 	Submitted int64
-	// Executed counts completed tasks, including closed-pool Go fallbacks
-	// run inline on the caller.
+	// Executed counts completed tasks.
 	Executed int64
-	// InlineRuns counts closed-pool Go fallbacks (a subset of Executed).
-	InlineRuns int64
 	// Steals counts tasks a worker took from another worker's deque.
 	Steals int64
 	// LocalHits counts tasks a worker took from its own deque.
@@ -202,7 +199,6 @@ type Pool struct {
 
 	submitted     atomic.Int64
 	executed      atomic.Int64
-	inlineRuns    atomic.Int64
 	steals        atomic.Int64
 	localHits     atomic.Int64
 	panickedTasks atomic.Int64
@@ -303,8 +299,7 @@ func (p *Pool) controller() sched.Controller {
 // running work.
 func (p *Pool) SetObserver(o *obs.Observer) { p.obsv.Store(o) }
 
-// Executed returns the number of tasks completed so far (including
-// closed-pool Go fallbacks run inline on the caller).
+// Executed returns the number of tasks completed so far.
 func (p *Pool) Executed() int64 { return p.executed.Load() }
 
 // Metrics returns a snapshot of the scheduler's dispatch counters.
@@ -312,7 +307,6 @@ func (p *Pool) Metrics() Metrics {
 	return Metrics{
 		Submitted:      p.submitted.Load(),
 		Executed:       p.executed.Load(),
-		InlineRuns:     p.inlineRuns.Load(),
 		Steals:         p.steals.Load(),
 		LocalHits:      p.localHits.Load(),
 		PanickedTasks:  p.panickedTasks.Load(),
@@ -448,24 +442,6 @@ func (p *Pool) SubmitBatch(tasks []Task) (int, error) {
 		}
 	}
 	return enq, nil
-}
-
-// Go runs fn on the pool and returns a channel that is closed when fn has
-// finished. If the pool is closed, fn runs synchronously on the caller and
-// is still counted in Executed (as an inline run), so profiler overhead
-// accounting sees every task exactly once.
-func (p *Pool) Go(fn func()) <-chan struct{} {
-	done := make(chan struct{})
-	if err := p.Submit(func() {
-		defer close(done)
-		fn()
-	}); err != nil {
-		fn()
-		p.executed.Add(1)
-		p.inlineRuns.Add(1)
-		close(done)
-	}
-	return done
 }
 
 // Close stops accepting tasks, waits for queued tasks to finish, and

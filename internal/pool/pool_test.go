@@ -84,32 +84,6 @@ func TestCloseWaitsForQueued(t *testing.T) {
 	}
 }
 
-func TestGoSignalsCompletion(t *testing.T) {
-	p := New(2)
-	defer p.Close()
-	var ran atomic.Bool
-	done := p.Go(func() { ran.Store(true) })
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("Go never signalled")
-	}
-	if !ran.Load() {
-		t.Fatal("fn did not run")
-	}
-}
-
-func TestGoOnClosedPoolRunsInline(t *testing.T) {
-	p := New(1)
-	p.Close()
-	var ran atomic.Bool
-	done := p.Go(func() { ran.Store(true) })
-	<-done
-	if !ran.Load() {
-		t.Fatal("fn did not run inline on closed pool")
-	}
-}
-
 func TestExecutedCounter(t *testing.T) {
 	p := New(2)
 	var wg sync.WaitGroup

@@ -9,7 +9,7 @@ import (
 	"repro/internal/obs"
 )
 
-// TestSubmitCloseStress hammers Submit, SubmitBatch and Go from many
+// TestSubmitCloseStress hammers Submit and SubmitBatch from many
 // goroutines while Close lands concurrently. Run under `go test -race`
 // (the `make race` tier) it proves the scheduler's claimed safety: no
 // send-on-closed-channel panic, no data race, and the accepted-implies-
@@ -22,7 +22,7 @@ func TestSubmitCloseStress(t *testing.T) {
 	}
 	for it := 0; it < iters; it++ {
 		p := New(1 + it%5)
-		var accepted, ran, goCalls, goRan atomic.Int64
+		var accepted, ran atomic.Int64
 		task := func() { ran.Add(1) }
 
 		var wg sync.WaitGroup
@@ -34,27 +34,21 @@ func TestSubmitCloseStress(t *testing.T) {
 				defer wg.Done()
 				<-start
 				for k := 0; ; k++ {
-					switch (g + k) % 3 {
-					case 0:
+					if (g+k)%2 == 0 {
 						if p.Submit(task) != nil {
 							return
 						}
 						accepted.Add(1)
-					case 1:
-						batch := make([]Task, 1+k%7)
-						for i := range batch {
-							batch[i] = task
-						}
-						n, err := p.SubmitBatch(batch)
-						accepted.Add(int64(n))
-						if err != nil {
-							return
-						}
-					case 2:
-						goCalls.Add(1)
-						// Go never loses the task: it runs on the pool
-						// or inline on us after a rejection.
-						<-p.Go(func() { goRan.Add(1) })
+						continue
+					}
+					batch := make([]Task, 1+k%7)
+					for i := range batch {
+						batch[i] = task
+					}
+					n, err := p.SubmitBatch(batch)
+					accepted.Add(int64(n))
+					if err != nil {
+						return
 					}
 				}
 			}()
@@ -67,17 +61,9 @@ func TestSubmitCloseStress(t *testing.T) {
 		if ran.Load() != accepted.Load() {
 			t.Fatalf("iter %d: accepted %d tasks but %d ran", it, accepted.Load(), ran.Load())
 		}
-		if goRan.Load() != goCalls.Load() {
-			t.Fatalf("iter %d: %d Go calls but %d ran", it, goCalls.Load(), goRan.Load())
-		}
-		m := p.Metrics()
-		if m.Executed != accepted.Load()+goCalls.Load() {
-			t.Fatalf("iter %d: Executed %d, want %d accepted + %d Go",
-				it, m.Executed, accepted.Load(), goCalls.Load())
-		}
-		if m.Submitted != m.Executed-m.InlineRuns {
-			t.Fatalf("iter %d: Submitted %d, Executed %d, InlineRuns %d",
-				it, m.Submitted, m.Executed, m.InlineRuns)
+		if m := p.Metrics(); m.Executed != accepted.Load() || m.Submitted != m.Executed {
+			t.Fatalf("iter %d: Submitted %d, Executed %d, want both %d accepted",
+				it, m.Submitted, m.Executed, accepted.Load())
 		}
 	}
 }
@@ -119,28 +105,6 @@ func TestConcurrentCloseIsSafe(t *testing.T) {
 		if got, want := p.Executed(), accepted.Load(); got != want {
 			t.Fatalf("iter %d: executed %d, accepted %d", it, got, want)
 		}
-	}
-}
-
-// TestGoOnClosedPoolCountsExecuted is the regression test for the old
-// pool's accounting bug: a task rejected by Submit ran inline on the
-// caller but was never counted in Executed, skewing profiler overhead
-// attribution.
-func TestGoOnClosedPoolCountsExecuted(t *testing.T) {
-	p := New(2)
-	p.Close()
-	before := p.Executed()
-	var ran atomic.Bool
-	<-p.Go(func() { ran.Store(true) })
-	if !ran.Load() {
-		t.Fatal("fn did not run inline on closed pool")
-	}
-	if got := p.Executed(); got != before+1 {
-		t.Fatalf("Executed %d after inline fallback, want %d", got, before+1)
-	}
-	m := p.Metrics()
-	if m.InlineRuns != 1 {
-		t.Fatalf("InlineRuns %d, want 1", m.InlineRuns)
 	}
 }
 
@@ -306,13 +270,11 @@ func TestTracedSubmitCloseStress(t *testing.T) {
 		}
 		m := p.Metrics()
 		counts := ob.Counts()
-		if got := counts[obs.EvSteal] + counts[obs.EvLocalHit]; got != m.Executed-m.InlineRuns {
-			t.Fatalf("iter %d: observer dispatches %d, pool executed %d (inline %d)",
-				it, got, m.Executed, m.InlineRuns)
+		if got := counts[obs.EvSteal] + counts[obs.EvLocalHit]; got != m.Executed {
+			t.Fatalf("iter %d: observer dispatches %d, pool executed %d", it, got, m.Executed)
 		}
-		if got := counts[obs.EvTaskFinish]; got != m.Executed-m.InlineRuns {
-			t.Fatalf("iter %d: observer tasks done %d, pool executed %d (inline %d)",
-				it, got, m.Executed, m.InlineRuns)
+		if got := counts[obs.EvTaskFinish]; got != m.Executed {
+			t.Fatalf("iter %d: observer tasks done %d, pool executed %d", it, got, m.Executed)
 		}
 	}
 }

@@ -41,27 +41,6 @@ func (m *PromMetrics) Value(name string) (float64, bool) {
 	return 0, false
 }
 
-// Buckets returns the cumulative histogram buckets of the metric as
-// (le, count) pairs in document order, excluding +Inf.
-func (m *PromMetrics) Buckets(name string) (les []float64, counts []float64) {
-	for _, s := range m.Samples {
-		if s.Name != name+"_bucket" {
-			continue
-		}
-		le := s.Labels["le"]
-		if le == "+Inf" {
-			continue
-		}
-		v, err := strconv.ParseFloat(le, 64)
-		if err != nil {
-			continue
-		}
-		les = append(les, v)
-		counts = append(counts, s.Value)
-	}
-	return les, counts
-}
-
 // ParsePromText parses a Prometheus text exposition (version 0.0.4, the
 // subset this repository emits: no escaping inside label values, integer
 // and float sample values). It enforces the structural rules a scraper

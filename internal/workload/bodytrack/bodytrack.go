@@ -165,16 +165,10 @@ func (*W) Desc() workload.Descriptor {
 // yields the original program's parameters regardless of the options.
 func (w *W) resolve(o workload.SpecOptions, defaults bool) params {
 	ts := w.Desc().Tradeoffs
-	idx := func(t int) int64 {
-		if defaults {
-			return ts[t].Opts.DefaultIndex()
-		}
-		return o.Tradeoff(ts, t)
-	}
 	return params{
-		layers:    int(ts[0].Opts.Value(idx(0)).(int64)),
-		precision: ts[1].Opts.Value(idx(1)).(tradeoff.Precision),
-		particles: int(ts[2].Opts.Value(idx(2)).(int64)),
+		layers:    int(o.Value(ts, 0, defaults).(int64)),
+		precision: o.Value(ts, 1, defaults).(tradeoff.Precision),
+		particles: int(o.Value(ts, 2, defaults).(int64)),
 	}
 }
 

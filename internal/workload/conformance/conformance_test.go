@@ -4,8 +4,11 @@
 package conformance
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/workload"
 	"repro/internal/workload/registry"
 )
@@ -121,7 +124,20 @@ func TestSTATSPreservesQualityBand(t *testing.T) {
 
 func TestSTATSBookkeeping(t *testing.T) {
 	forAll(t, func(t *testing.T, w workload.Workload) {
-		_, st := w.RunSTATS(5, size, specOpts())
+		o := specOpts()
+		o.Obs = obs.NewObserver(o.Workers+1, 1<<14)
+		_, st := w.RunSTATS(5, size, o)
+		// However many engine runs the workload's answer took, the Stats it
+		// hands back and the observer that watched them are one account.
+		for _, f := range obs.Catalogue() {
+			if f.Stats == "" || !strings.HasSuffix(f.Metric, "_total") {
+				continue
+			}
+			got, want := reflect.ValueOf(st).FieldByName(f.Stats).Int(), o.Obs.Reg.Counter(f.Metric).Value()
+			if got != want {
+				t.Errorf("Stats.%s = %d, observer's %s = %d", f.Stats, got, f.Metric, want)
+			}
+		}
 		if !w.Desc().SupportsSTATS {
 			if st.Groups != 0 {
 				t.Fatalf("rejected workload speculated: %+v", st)

@@ -133,17 +133,11 @@ func (*W) Desc() workload.Descriptor {
 
 func (w *W) resolve(o workload.SpecOptions, defaults bool) params {
 	ts := w.Desc().Tradeoffs
-	idx := func(t int) int64 {
-		if defaults {
-			return ts[t].Opts.DefaultIndex()
-		}
-		return o.Tradeoff(ts, t)
-	}
 	return params{
-		particles:   int(ts[0].Opts.Value(idx(0)).(int64)),
-		noiseRounds: int(ts[1].Opts.Value(idx(1)).(int64)),
-		scorePrec:   ts[2].Opts.Value(idx(2)).(tradeoff.Precision),
-		scaleSteps:  int(ts[3].Opts.Value(idx(3)).(int64)),
+		particles:   int(o.Value(ts, 0, defaults).(int64)),
+		noiseRounds: int(o.Value(ts, 1, defaults).(int64)),
+		scorePrec:   o.Value(ts, 2, defaults).(tradeoff.Precision),
+		scaleSteps:  int(o.Value(ts, 3, defaults).(int64)),
 	}
 }
 

@@ -169,21 +169,15 @@ func (*W) Desc() workload.Descriptor {
 
 func (w *W) resolve(o workload.SpecOptions, defaults bool) params {
 	ts := w.Desc().Tradeoffs
-	idx := func(t int) int64 {
-		if defaults {
-			return ts[t].Opts.DefaultIndex()
-		}
-		return o.Tradeoff(ts, t)
-	}
 	return params{
-		sqrt:    ts[0].Opts.Value(idx(0)).(sqrtVersion),
-		density: ts[1].Opts.Value(idx(1)).(tradeoff.Precision),
-		force:   ts[2].Opts.Value(idx(2)).(tradeoff.Precision),
-		vel:     ts[3].Opts.Value(idx(3)).(tradeoff.Precision),
+		sqrt:    o.Value(ts, 0, defaults).(sqrtVersion),
+		density: o.Value(ts, 1, defaults).(tradeoff.Precision),
+		force:   o.Value(ts, 2, defaults).(tradeoff.Precision),
+		vel:     o.Value(ts, 3, defaults).(tradeoff.Precision),
 		prism: [3]int{
-			int(ts[4].Opts.Value(idx(4)).(int64)),
-			int(ts[5].Opts.Value(idx(5)).(int64)),
-			int(ts[6].Opts.Value(idx(6)).(int64)),
+			int(o.Value(ts, 4, defaults).(int64)),
+			int(o.Value(ts, 5, defaults).(int64)),
+			int(o.Value(ts, 6, defaults).(int64)),
 		},
 	}
 }
@@ -377,7 +371,7 @@ func (w *W) RunBoosted(seed uint64, size int, factor float64) workload.Result {
 // RunSTATS implements workload.Workload. Under core.ProtocolReservations
 // the box is split into numFluids non-interacting sub-fluids advanced as
 // a step-major flat chain with one state slot per sub-fluid (see
-// SplitDependence): the window-replay aux code is hopeless here (§4.8),
+// splitDependence): the window-replay aux code is hopeless here (§4.8),
 // but slot reservations need no aux code and the sub-fluids' disjoint
 // footprints commit in the same round.
 func (w *W) RunSTATS(seed uint64, size int, o workload.SpecOptions) (workload.Result, core.Stats) {
@@ -448,13 +442,8 @@ func statesEqual(a, b State) bool {
 	return true
 }
 
-// SplitDependence builds the reservation-ready dependence: state is one
-// sub-fluid per slot, a cell's footprint is exactly its fluid's slot,
-// and Merge copies the winner's slot.
-func SplitDependence(o workload.SpecOptions) *core.Dependence[FlatStep, []State, mathx.Vec3] {
-	return splitDependence((&W{}).resolve(o, true))
-}
-
+// splitDependence builds the reservation-ready dependence: state is one
+// sub-fluid per slot and a cell's footprint is exactly its fluid's slot.
 func splitDependence(p params) *core.Dependence[FlatStep, []State, mathx.Vec3] {
 	compute := func(r *rng.Source, in FlatStep, st []State) (mathx.Vec3, []State) {
 		s := simulateStep(r, p, st[in.Fluid], in.Step, 1)
@@ -465,35 +454,8 @@ func splitDependence(p params) *core.Dependence[FlatStep, []State, mathx.Vec3] {
 		}
 		return mean.Scale(1 / float64(len(s.Pos))), st
 	}
-	ops := core.StateOps[[]State]{
-		Clone: func(s []State) []State {
-			cp := make([]State, len(s))
-			for i := range s {
-				cp[i] = cloneState(s[i])
-			}
-			return cp
-		},
-	}
-	dep := core.New[FlatStep, []State, mathx.Vec3](compute, nil, ops)
-	return dep.WithReserve(core.ReserveOps[FlatStep, []State]{
-		NumSlots:  func(initial []State) int { return len(initial) },
-		Footprint: func(in FlatStep, _ []State) []int { return []int{in.Fluid} },
-		Merge: func(dst, src []State, slots []int) []State {
-			for _, sl := range slots {
-				dst[sl] = src[sl]
-			}
-			return dst
-		},
-		Touched: func(before, after []State) []int {
-			var touched []int
-			for i := range before {
-				if i < len(after) && !statesEqual(before[i], after[i]) {
-					touched = append(touched, i)
-				}
-			}
-			return touched
-		},
-	})
+	ops, reserve := core.SlotOps(func(in FlatStep) []int { return []int{in.Fluid} }, cloneState, statesEqual)
+	return core.New[FlatStep, []State, mathx.Vec3](compute, nil, ops).WithReserve(reserve)
 }
 
 // runSplit advances the sub-fluids through one reservations engine run

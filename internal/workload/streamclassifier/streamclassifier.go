@@ -107,18 +107,12 @@ func (*W) Desc() workload.Descriptor {
 
 func (w *W) resolve(o workload.SpecOptions, defaults bool) params {
 	ts := w.Desc().Tradeoffs
-	idx := func(t int) int64 {
-		if defaults {
-			return ts[t].Opts.DefaultIndex()
-		}
-		return o.Tradeoff(ts, t)
-	}
 	var p params
 	for i := 0; i < 3; i++ {
-		p.prec[i] = ts[i].Opts.Value(idx(i)).(tradeoff.Precision)
+		p.prec[i] = o.Value(ts, i, defaults).(tradeoff.Precision)
 	}
-	p.maxPrototypes = int(ts[3].Opts.Value(idx(3)).(int64))
-	p.minPrototypes = int(ts[4].Opts.Value(idx(4)).(int64))
+	p.maxPrototypes = int(o.Value(ts, 3, defaults).(int64))
+	p.minPrototypes = int(o.Value(ts, 4, defaults).(int64))
 	if p.minPrototypes > p.maxPrototypes {
 		p.minPrototypes = p.maxPrototypes
 	}
@@ -269,13 +263,9 @@ func modelsEqual(a, b Model) bool {
 	return true
 }
 
-// EnsembleDependence builds the reservation-ready dependence: state is
-// one model per ensemble member, a cell's footprint is exactly its
-// member's slot, and Merge copies the winner's slot.
-func EnsembleDependence(o workload.SpecOptions) *core.Dependence[EnsembleBatch, []Model, Output] {
-	return ensembleDependence((&W{}).resolve(o, true))
-}
-
+// ensembleDependence builds the reservation-ready dependence: state is
+// one model per ensemble member and a cell's footprint is exactly its
+// member's slot.
 func ensembleDependence(p params) *core.Dependence[EnsembleBatch, []Model, Output] {
 	compute := func(r *rng.Source, in EnsembleBatch, st []Model) (Output, []Model) {
 		m := st[in.Member]
@@ -287,35 +277,8 @@ func ensembleDependence(p params) *core.Dependence[EnsembleBatch, []Model, Outpu
 		st[in.Member] = m
 		return out, st
 	}
-	ops := core.StateOps[[]Model]{
-		Clone: func(s []Model) []Model {
-			cp := make([]Model, len(s))
-			for i := range s {
-				cp[i] = cloneModel(s[i])
-			}
-			return cp
-		},
-	}
-	dep := core.New[EnsembleBatch, []Model, Output](compute, nil, ops)
-	return dep.WithReserve(core.ReserveOps[EnsembleBatch, []Model]{
-		NumSlots:  func(initial []Model) int { return len(initial) },
-		Footprint: func(in EnsembleBatch, _ []Model) []int { return []int{in.Member} },
-		Merge: func(dst, src []Model, slots []int) []Model {
-			for _, sl := range slots {
-				dst[sl] = src[sl]
-			}
-			return dst
-		},
-		Touched: func(before, after []Model) []int {
-			var touched []int
-			for i := range before {
-				if i < len(after) && !modelsEqual(before[i], after[i]) {
-					touched = append(touched, i)
-				}
-			}
-			return touched
-		},
-	})
+	ops, reserve := core.SlotOps(func(in EnsembleBatch) []int { return []int{in.Member} }, cloneModel, modelsEqual)
+	return core.New[EnsembleBatch, []Model, Output](compute, nil, ops).WithReserve(reserve)
 }
 
 // runEnsemble classifies the stream through one reservations engine run
@@ -386,7 +349,7 @@ func (w *W) RunBoosted(seed uint64, size int, factor float64) workload.Result {
 
 // RunSTATS implements workload.Workload. Under core.ProtocolReservations
 // the stream runs the ensemble formulation: numMembers independent
-// models, one state slot each (see EnsembleDependence).
+// models, one state slot each (see ensembleDependence).
 func (w *W) RunSTATS(seed uint64, size int, o workload.SpecOptions) (workload.Result, core.Stats) {
 	def := w.resolve(o, true)
 	if o.Protocol == core.ProtocolReservations {

@@ -100,18 +100,12 @@ func (*W) Desc() workload.Descriptor {
 
 func (w *W) resolve(o workload.SpecOptions, defaults bool) params {
 	ts := w.Desc().Tradeoffs
-	idx := func(t int) int64 {
-		if defaults {
-			return ts[t].Opts.DefaultIndex()
-		}
-		return o.Tradeoff(ts, t)
-	}
 	var p params
 	for i := 0; i < 3; i++ {
-		p.prec[i] = ts[i].Opts.Value(idx(i)).(tradeoff.Precision)
+		p.prec[i] = o.Value(ts, i, defaults).(tradeoff.Precision)
 	}
-	p.maxClusters = int(ts[3].Opts.Value(idx(3)).(int64))
-	p.minClusters = int(ts[4].Opts.Value(idx(4)).(int64))
+	p.maxClusters = int(o.Value(ts, 3, defaults).(int64))
+	p.minClusters = int(o.Value(ts, 4, defaults).(int64))
 	if p.minClusters > p.maxClusters {
 		p.minClusters = p.maxClusters
 	}
@@ -259,13 +253,8 @@ func solutionsEqual(a, b Solution) bool {
 	return true
 }
 
-// ShardedDependence builds the reservation-ready dependence: state is one
-// Solution per shard, a cell's footprint is exactly its shard's slot, and
-// Merge copies the winner's slot.
-func ShardedDependence(o workload.SpecOptions) *core.Dependence[ShardBatch, []Solution, int] {
-	return shardedDependence((&W{}).resolve(o, true))
-}
-
+// shardedDependence builds the reservation-ready dependence: state is one
+// Solution per shard and a cell's footprint is exactly its shard's slot.
 func shardedDependence(p params) *core.Dependence[ShardBatch, []Solution, int] {
 	compute := func(r *rng.Source, in ShardBatch, st []Solution) (int, []Solution) {
 		sol := st[in.Shard]
@@ -275,35 +264,8 @@ func shardedDependence(p params) *core.Dependence[ShardBatch, []Solution, int] {
 		st[in.Shard] = sol
 		return len(sol.Centers), st
 	}
-	ops := core.StateOps[[]Solution]{
-		Clone: func(s []Solution) []Solution {
-			cp := make([]Solution, len(s))
-			for i := range s {
-				cp[i] = cloneSolution(s[i])
-			}
-			return cp
-		},
-	}
-	dep := core.New[ShardBatch, []Solution, int](compute, nil, ops)
-	return dep.WithReserve(core.ReserveOps[ShardBatch, []Solution]{
-		NumSlots:  func(initial []Solution) int { return len(initial) },
-		Footprint: func(in ShardBatch, _ []Solution) []int { return []int{in.Shard} },
-		Merge: func(dst, src []Solution, slots []int) []Solution {
-			for _, sl := range slots {
-				dst[sl] = src[sl]
-			}
-			return dst
-		},
-		Touched: func(before, after []Solution) []int {
-			var touched []int
-			for i := range before {
-				if i < len(after) && !solutionsEqual(before[i], after[i]) {
-					touched = append(touched, i)
-				}
-			}
-			return touched
-		},
-	})
+	ops, reserve := core.SlotOps(func(in ShardBatch) []int { return []int{in.Shard} }, cloneSolution, solutionsEqual)
+	return core.New[ShardBatch, []Solution, int](compute, nil, ops).WithReserve(reserve)
 }
 
 // runSharded clusters the stream through one reservations engine run over
@@ -435,7 +397,7 @@ func (w *W) RunBoosted(seed uint64, size int, factor float64) workload.Result {
 // RunSTATS implements workload.Workload. Under core.ProtocolReservations
 // the stream runs the sharded formulation: numShards independent
 // sub-solutions, one state slot each, so same-round batches on distinct
-// shards commit together (see ShardedDependence).
+// shards commit together (see shardedDependence).
 func (w *W) RunSTATS(seed uint64, size int, o workload.SpecOptions) (workload.Result, core.Stats) {
 	def := w.resolve(o, true)
 	if o.Protocol == core.ProtocolReservations {

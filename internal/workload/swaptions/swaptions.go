@@ -117,15 +117,9 @@ func (*W) Desc() workload.Descriptor {
 
 func (w *W) resolve(o workload.SpecOptions, defaults bool) params {
 	ts := w.Desc().Tradeoffs
-	idx := func(t int) int64 {
-		if defaults {
-			return ts[t].Opts.DefaultIndex()
-		}
-		return o.Tradeoff(ts, t)
-	}
 	return params{
-		pathPrec: ts[0].Opts.Value(idx(0)).(tradeoff.Precision),
-		discPrec: ts[1].Opts.Value(idx(1)).(tradeoff.Precision),
+		pathPrec: o.Value(ts, 0, defaults).(tradeoff.Precision),
+		discPrec: o.Value(ts, 1, defaults).(tradeoff.Precision),
 	}
 }
 
@@ -335,7 +329,7 @@ func (w *W) RunSTATS(seed uint64, size int, o workload.SpecOptions) (workload.Re
 		dep := core.New(computeOutput(s, def), auxCode(s, aux), stateOps())
 		outs, _, st := dep.Run(blocks(size), PriceState{}, o.CoreOptions(seed+uint64(i)*0x9E37))
 		res.Prices[i] = outs[len(outs)-1]
-		addStats(&agg, st)
+		agg.Add(st)
 	}
 	return res, agg
 }
@@ -349,14 +343,10 @@ type FlatBlock struct {
 	Inst  int
 }
 
-// FlatDependence builds the reservation-ready dependence over the
-// portfolio: state is one PriceState per instrument, a cell's footprint
-// is exactly its instrument's slot, and Merge copies the winner's slot.
-func FlatDependence(instruments []Swaption, o workload.SpecOptions) *core.Dependence[FlatBlock, []PriceState, float64] {
-	return flatDependence(instruments, params{pathPrec: tradeoff.Double, discPrec: tradeoff.Double}, o)
-}
-
-func flatDependence(instruments []Swaption, p params, o workload.SpecOptions) *core.Dependence[FlatBlock, []PriceState, float64] {
+// flatDependence builds the reservation-ready dependence over the
+// portfolio: state is one PriceState per instrument and a cell's footprint
+// is exactly its instrument's slot.
+func flatDependence(instruments []Swaption, p params) *core.Dependence[FlatBlock, []PriceState, float64] {
 	compute := func(r *rng.Source, in FlatBlock, st []PriceState) (float64, []PriceState) {
 		s := instruments[in.Inst]
 		cell := st[in.Inst]
@@ -367,33 +357,9 @@ func flatDependence(instruments []Swaption, p params, o workload.SpecOptions) *c
 		st[in.Inst] = cell
 		return cell.Mean(), st
 	}
-	ops := core.StateOps[[]PriceState]{
-		Clone: func(s []PriceState) []PriceState {
-			cp := make([]PriceState, len(s))
-			copy(cp, s)
-			return cp
-		},
-	}
-	dep := core.New[FlatBlock, []PriceState, float64](compute, nil, ops)
-	return dep.WithReserve(core.ReserveOps[FlatBlock, []PriceState]{
-		NumSlots:  func(initial []PriceState) int { return len(initial) },
-		Footprint: func(in FlatBlock, _ []PriceState) []int { return []int{in.Inst} },
-		Merge: func(dst, src []PriceState, slots []int) []PriceState {
-			for _, sl := range slots {
-				dst[sl] = src[sl]
-			}
-			return dst
-		},
-		Touched: func(before, after []PriceState) []int {
-			var touched []int
-			for i := range before {
-				if i < len(after) && before[i] != after[i] {
-					touched = append(touched, i)
-				}
-			}
-			return touched
-		},
-	})
+	ops, reserve := core.SlotOps(func(in FlatBlock) []int { return []int{in.Inst} },
+		nil, func(a, b PriceState) bool { return a == b })
+	return core.New[FlatBlock, []PriceState, float64](compute, nil, ops).WithReserve(reserve)
 }
 
 // FlatBlocks materializes the block-major chain for nBlocks blocks over k
@@ -413,32 +379,11 @@ func FlatBlocks(nBlocks, k int) []FlatBlock {
 // per-instrument prices.
 func runFlat(seed uint64, size int, instruments []Swaption, p params, o workload.SpecOptions) (workload.Result, core.Stats) {
 	k := len(instruments)
-	dep := flatDependence(instruments, p, o)
+	dep := flatDependence(instruments, p)
 	outs, _, st := dep.Run(FlatBlocks(size, k), make([]PriceState, k), o.CoreOptions(seed))
 	res := Result{Prices: make([]float64, k)}
 	copy(res.Prices, outs[(size-1)*k:])
 	return res, st
-}
-
-func addStats(agg *core.Stats, st core.Stats) {
-	agg.Inputs += st.Inputs
-	agg.Groups += st.Groups
-	agg.Matches += st.Matches
-	agg.Redos += st.Redos
-	agg.Aborts += st.Aborts
-	agg.SpeculativeCommits += st.SpeculativeCommits
-	agg.SquashedInputs += st.SquashedInputs
-	agg.FallbackInputs += st.FallbackInputs
-	agg.Invocations += st.Invocations
-	agg.UsefulInvocations += st.UsefulInvocations
-	agg.AuxCalls += st.AuxCalls
-	agg.AuxInputs += st.AuxInputs
-	agg.PanickedGroups += st.PanickedGroups
-	agg.TimedOutGroups += st.TimedOutGroups
-	agg.BreakerDenied += st.BreakerDenied
-	agg.Rounds += st.Rounds
-	agg.ReservationConflicts += st.ReservationConflicts
-	agg.FootprintViolations += st.FootprintViolations
 }
 
 // CostModel implements workload.Workload. One default-precision block is

@@ -121,6 +121,17 @@ func (o SpecOptions) Tradeoff(ts []tradeoff.T, t int) int64 {
 	return idx
 }
 
+// Value returns the setting of tradeoff t a workload resolves its
+// parameters from: the default when defaults is set (the original
+// program's, whatever o selects), else the one at o's effective index.
+func (o SpecOptions) Value(ts []tradeoff.T, t int, defaults bool) any {
+	idx := ts[t].Opts.DefaultIndex()
+	if !defaults {
+		idx = o.Tradeoff(ts, t)
+	}
+	return ts[t].Opts.Value(idx)
+}
+
 // Descriptor is the workload's static description, including the Table 1
 // developer-effort numbers from the paper.
 type Descriptor struct {

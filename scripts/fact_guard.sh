@@ -7,7 +7,10 @@
 # internal/telemetry's SpanFolder.fold and LaneTasks are the only code that
 # turns the event log back into group lifecycles and task spans, so fail if
 # any other non-test file (bench/ is not ours to edit) switches on a group
-# start/finish or task-finish kind. Run via `make vet`.
+# start/finish or task-finish kind. The copy guard: a slice-of-slots state
+# declares its reservation contract through core.SlotOps, so fail if a
+# non-test file under internal/workload or internal/harness spells out a
+# ReserveOps literal (a NumSlots: key) again. Run via `make vet`.
 set -eu
 
 emits=$(grep -rn 'Tracer\.Emit(' internal/core internal/pool --include='*.go' |
@@ -28,5 +31,13 @@ folds=$(grep -rnE 'case .*obs\.Ev(GroupStart|GroupFinish|TaskFinish)' --include=
 if [ -n "$folds" ]; then
     echo "fact-guard: fold the event log through telemetry.BuildSpans/SpanFolder and LaneTasks:" >&2
     printf '%s\n' "$folds" >&2
+    exit 1
+fi
+
+copies=$(grep -rn 'NumSlots:' internal/workload internal/harness --include='*.go' |
+    grep -v '_test\.go:' || true)
+if [ -n "$copies" ]; then
+    echo "fact-guard: declare a slice-of-slots state through core.SlotOps, not a hand-written ReserveOps:" >&2
+    printf '%s\n' "$copies" >&2
     exit 1
 fi

@@ -82,9 +82,8 @@ func (rt *Runtime) Observer() *obs.Observer { return rt.obs }
 // dispatch counters, aggregated across every attached dependence.
 type SchedulerMetrics struct {
 	// Submitted counts tasks accepted by the scheduler; Executed counts
-	// completed tasks (InlineRuns of them ran on the caller because the
-	// pool was closed).
-	Submitted, Executed, InlineRuns int64
+	// completed tasks.
+	Submitted, Executed int64
 	// Steals counts cross-worker dispatches; LocalHits counts tasks taken
 	// from the owning worker's local deque (the contention-free path).
 	Steals, LocalHits int64
@@ -100,7 +99,6 @@ func (rt *Runtime) Scheduler() SchedulerMetrics {
 	return SchedulerMetrics{
 		Submitted:      m.Submitted,
 		Executed:       m.Executed,
-		InlineRuns:     m.InlineRuns,
 		Steals:         m.Steals,
 		LocalHits:      m.LocalHits,
 		QueueDepthPeak: m.QueueDepthPeak,
