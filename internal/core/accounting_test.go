@@ -72,13 +72,16 @@ func TestAccountingInvariantsRandomized(t *testing.T) {
 		}
 		if st.Groups > 1 {
 			// Speculating: the non-speculative share is exactly the first
-			// group, and aux ran once per subsequent group.
+			// group, and aux ran once per subsequent group — except that a
+			// group squashed before its task started skips it, so an
+			// aborting run may count fewer (never fewer than the boundaries
+			// it validated).
 			if nonSpec != opts.GroupSize {
 				t.Fatalf("%s: non-speculative commits %d, want first group %d",
 					name, nonSpec, opts.GroupSize)
 			}
-			if st.AuxCalls != st.Groups-1 {
-				t.Fatalf("%s: aux calls %d, want %d", name, st.AuxCalls, st.Groups-1)
+			if st.AuxCalls > st.Groups-1 || st.AuxCalls < st.Matches || (st.Aborts == 0 && st.AuxCalls != st.Groups-1) {
+				t.Fatalf("%s: aux calls %d, want %d (at least %d when aborting)", name, st.AuxCalls, st.Groups-1, st.Matches)
 			}
 			if st.AuxInputs > st.AuxCalls*opts.Window {
 				t.Fatalf("%s: aux inputs %d exceed calls*window %d",

@@ -50,6 +50,11 @@ type Aux[I, S any] func(r *rng.Source, init S, recent []I) S
 // MatchAny to doesSpecStateMatchAny (speculative-state acceptance against a
 // set of original states).
 //
+// Clone must be safe to call concurrently on the same source and must not
+// write it: under both protocols the lanes clone the run's initial state at
+// once (each aux group for its auxiliary code, each reservation winner for
+// its private workspace).
+//
 // MatchAny must not retain the originals slice: the engine recycles its
 // backing storage across boundaries and runs.
 //
@@ -189,8 +194,11 @@ type Stats struct {
 	// committed.
 	Invocations       int64
 	UsefulInvocations int64
-	// AuxCalls counts auxiliary-code executions; AuxInputs the total
-	// inputs they consumed.
+	// AuxCalls counts auxiliary-code executions and AuxInputs the total
+	// inputs they consumed, counted on the lanes where the aux runs: one
+	// per group after the first on a run that does not abort; on an
+	// aborting run a group squashed before its lane task started skips its
+	// aux, so the count is the schedule's (a panicked call is counted).
 	AuxCalls  int
 	AuxInputs int
 
@@ -463,7 +471,12 @@ const (
 type groupRun[I, S, O any] struct {
 	idx        int // group index, used as the trace lane hint
 	start, end int // input index range [start, end)
-	specStart  S   // the state the group started from (spec or S0)
+	// specStart is the state the group started from (spec or S0) and auxRan
+	// whether its auxiliary code was called to produce it: written by the
+	// group's lane before done.Done() (group 0's specStart by launch), read
+	// by the coordinator after done.Wait().
+	specStart S
+	auxRan    bool
 
 	// First (original) execution results.
 	base execution[S, O]
@@ -491,10 +504,10 @@ type groupRun[I, S, O any] struct {
 	// failure is why the group's results are unusable, with failArg the
 	// matching event argument (elapsed ns for timeouts) and panicErr the
 	// contained panic's value+stack when failure is failPanic. Written
-	// by the lane before done.Done(), or by the coordinator before
-	// launch (aux panic) / after done.Wait() (match/redo panic), so
-	// every read — the boundary inspection and the post-wg.Wait sweep —
-	// is ordered after the write.
+	// by the lane before done.Done() (aux, clone or compute panic, or the
+	// deadline), or by the coordinator after done.Wait() (match/redo
+	// panic), so every read — the boundary inspection and the post-wg.Wait
+	// sweep — is ordered after the write.
 	failure  groupFailure
 	failArg  int64
 	panicErr *PanicError
@@ -524,12 +537,13 @@ type groupRun[I, S, O any] struct {
 // rebinds the fields the closures read.
 type runScratch[I, S, O any] struct {
 	runFrame
-	d      *Dependence[I, S, O]
-	inputs []I
-	emit   Emit[O]
+	d       *Dependence[I, S, O]
+	inputs  []I
+	initial S
+	emit    Emit[O]
 
-	rollback  int
-	hashFirst bool // validate fingerprints before the deep MatchAny
+	window, rollback int
+	hashFirst        bool // validate fingerprints before the deep MatchAny
 	// abortAt is the first group index whose speculation failed, -1 while
 	// every boundary so far resolved.
 	abortAt int
@@ -539,7 +553,8 @@ type runScratch[I, S, O any] struct {
 
 	// auxNS, commitNS and wasteNS feed the wasted-work attribution:
 	// per-group lane nanoseconds, resolved into committed vs discarded
-	// when the run's outcome is known (fileLaneCPU).
+	// when the run's outcome is known (fileLaneCPU). auxNS[j] is written
+	// by group j's lane, commitNS and wasteNS by the coordinator.
 	auxNS    []int64
 	commitNS []int64
 	wasteNS  []int64
@@ -566,10 +581,10 @@ func (d *Dependence[I, S, O]) getScratch() *runScratch[I, S, O] {
 // does not arm the done latches — that happens at launch, so a panic on
 // the coordinator between begin and launch (an uncontained group-0 clone)
 // cannot leave a latch armed for the next run.
-func (scr *runScratch[I, S, O]) begin(inputs []I, g int, opts *Options, st *Stats, emit Emit[O]) {
+func (scr *runScratch[I, S, O]) begin(inputs []I, initial S, g int, opts *Options, st *Stats, emit Emit[O]) {
 	scr.runFrame.begin(len(inputs), g, opts, st)
-	scr.inputs, scr.emit = inputs, emit
-	scr.rollback = opts.Rollback
+	scr.inputs, scr.initial, scr.emit = inputs, initial, emit
+	scr.window, scr.rollback = max(opts.Window, 0), opts.Rollback
 	scr.hashFirst = scr.d.ops.MatchAny != nil && scr.d.ops.Fingerprint != nil
 	scr.abortAt = -1
 	scr.invocations.Store(0)
@@ -601,7 +616,7 @@ func (scr *runScratch[I, S, O]) release() {
 	}
 	clear(scr.committed[:scr.numGroups])
 	clear(scr.originals[:cap(scr.originals)])
-	scr.inputs, scr.emit = nil, nil
+	scr.inputs, scr.initial, scr.emit = nil, zeroS, nil
 	scr.runFrame = runFrame{}
 	scr.d.scratch.Put(scr)
 }
@@ -625,15 +640,14 @@ func cleared[T any](s []T, n int) []T {
 // are computed.
 func (d *Dependence[I, S, O]) runSpeculative(root *rng.Source, inputs []I, initial S, g int, opts *Options, st *Stats, emit Emit[O]) ([]O, S) {
 	scr := d.getScratch()
-	scr.begin(inputs, g, opts, st, emit)
+	scr.begin(inputs, initial, g, opts, st, emit)
 	defer scr.release()
 	scr.splitStreams(root)
-	scr.produceAux(initial, max(opts.Window, 0))
 	scr.lease(opts)
 	defer scr.finish()
 	scr.launch()
 	scr.resolveBoundaries(max(opts.RedoMax, 0))
-	return scr.commit(root, initial)
+	return scr.commit(root)
 }
 
 // splitStreams derives all random streams on the coordinator so the run is
@@ -648,43 +662,20 @@ func (scr *runScratch[I, S, O]) splitStreams(root *rng.Source) {
 		root.SplitInto(&gr.execSrc)
 		root.SplitInto(&gr.redoSrc)
 		gr.aborted.Store(false)
+		gr.auxRan = false
 		gr.failure, gr.failArg, gr.panicErr = failNone, 0, nil
 		gr.execNS, gr.redoNS = 0, 0
 		gr.checkpointAt = 0
 	}
 }
 
-// produceAux builds the speculative start states: group 0 starts from the
-// initial state; group j>0 from aux(S0, last `window` inputs before the
-// group). A panic in the auxiliary code (or the state clone feeding it)
-// marks the group failed before launch: its lane bails immediately and the
-// boundary inspection turns the failure into an abort.
-func (scr *runScratch[I, S, O]) produceAux(initial S, window int) {
-	d := scr.d
-	scr.groups[0].specStart = d.ops.Clone(initial)
-	for j := 1; j < scr.numGroups; j++ {
-		gr := scr.groups[j]
-		recent := scr.inputs[max(gr.start-window, 0):gr.start]
-		scr.st.AuxCalls++
-		scr.st.AuxInputs += len(recent)
-		scr.yield(sched.PointAux, scr.lane)
-		auxStart := time.Now()
-		pe := contain(func() { gr.specStart = d.aux(&gr.specSrc, d.ops.Clone(initial), recent) })
-		scr.auxNS[j] = time.Since(auxStart).Nanoseconds()
-		if pe != nil {
-			gr.failure, gr.panicErr = failPanic, pe
-			gr.aborted.Store(true)
-			continue
-		}
-		scr.o.Note(j, obs.EvAuxProduced, int32(j), int64(len(recent)))
-	}
-}
-
 // launch starts every group in one batch; each runs its inputs
 // sequentially from its (speculative) start state, checkpointing before
-// its last W inputs. The latches are armed only now, so nothing between
-// begin and launch can strand an armed latch into the next run.
+// its last W inputs. Group 0 starts from the initial state, cloned here,
+// uncontained, before the latches are armed: nothing between begin and
+// launch can strand an armed latch into the next run.
 func (scr *runScratch[I, S, O]) launch() {
+	scr.groups[0].specStart = scr.d.ops.Clone(scr.initial)
 	for _, gr := range scr.groups[:scr.numGroups] {
 		scr.wg.Add(1)
 		gr.done.Add(1)
@@ -703,17 +694,49 @@ func (scr *runScratch[I, S, O]) groupTask(j int) {
 		// the done latch releases the coordinator.
 		defer scr.ctl.Done(scr.lane + 1 + j)
 	}
-	// Panic isolation: a panic in user code on this lane marks the group
-	// failed — value and stack preserved — and squashes it together with
-	// its successors; their results would be discarded anyway once the
-	// boundary inspection aborts here. Earlier groups are left running;
-	// their results are still committable.
-	if pe := contain(func() { scr.executeGroup(gr) }); pe != nil {
+	// Panic isolation: a panic in user code on this lane — the auxiliary
+	// code, a clone, the group's computes — marks the group failed, value
+	// and stack preserved, and squashes it together with its successors;
+	// their results would be discarded anyway once the boundary inspection
+	// aborts here. Earlier groups are left running; their results are
+	// still committable.
+	if pe := contain(func() { scr.produceAux(gr); scr.executeGroup(gr) }); pe != nil {
 		gr.failure, gr.panicErr = failPanic, pe
 		for _, g := range scr.groups[j:scr.numGroups] {
 			g.aborted.Store(true)
 		}
 	}
+}
+
+// produceAux builds group j>0's speculative start state on the group's own
+// lane, as the head of its task (§3.1, Fig. 5b): aux(S0, the last `window`
+// inputs before the group), from the pre-split specSrc, so the state is the
+// same whichever lane runs it, no group waits for another group's aux, and
+// the aux work of W lanes overlaps. The lane yields before it inspects the
+// abort flag: a group squashed before its task started skips its aux (it
+// starts from the initial state, and its results are never read).
+func (scr *runScratch[I, S, O]) produceAux(gr *groupRun[I, S, O]) {
+	if gr.idx == 0 {
+		return
+	}
+	scr.yield(sched.PointAux, scr.lane+1+gr.idx)
+	if gr.aborted.Load() {
+		gr.specStart = scr.initial
+		return
+	}
+	recent := scr.inputs[max(gr.start-scr.window, 0):gr.start]
+	gr.auxRan = true
+	started, produced := time.Now(), false
+	defer func() {
+		// One clock read, panic included, feeds the lane-CPU account and
+		// the event's span.
+		scr.auxNS[gr.idx] = time.Since(started).Nanoseconds()
+		if produced {
+			scr.o.Note(gr.idx, obs.EvAuxProduced, int32(gr.idx), obs.AuxArg(len(recent), scr.auxNS[gr.idx]))
+		}
+	}()
+	gr.specStart = scr.d.aux(&gr.specSrc, scr.d.ops.Clone(scr.initial), recent)
+	produced = true
 }
 
 // executeGroup runs one group's inputs sequentially from its start state,
@@ -971,7 +994,7 @@ func spliceExecution[I, S, O any](base execution[S, O], redo execution[S, O], gr
 // aborted), then — per §3.1, "no other speculation is performed until all
 // the current inputs are processed" — the sequential fallback over the
 // rest. In-flight groups past an abort bail early on their aborted flag.
-func (scr *runScratch[I, S, O]) commit(root *rng.Source, initial S) ([]O, S) {
+func (scr *runScratch[I, S, O]) commit(root *rng.Source) ([]O, S) {
 	scr.blocked(scr.wg.Wait)
 	st, valid := scr.st, scr.numGroups
 	if scr.abortAt >= 0 {
@@ -986,6 +1009,12 @@ func (scr *runScratch[I, S, O]) commit(root *rng.Source, initial S) ([]O, S) {
 		}
 	}
 	st.Invocations += scr.invocations.Load()
+	for _, gr := range scr.groups[:scr.numGroups] {
+		if gr.auxRan { // counted where the aux ran: a squashed group may have skipped it
+			st.AuxCalls++
+			st.AuxInputs += min(scr.window, gr.start)
+		}
+	}
 	// The last valid group's outputs had no next boundary to finalize
 	// them; its first original final state is where a fallback resumes (a
 	// clone of the initial state when group 0 itself failed).
@@ -994,7 +1023,7 @@ func (scr *runScratch[I, S, O]) commit(root *rng.Source, initial S) ([]O, S) {
 		emitExec(scr.emit, scr.committed[valid-1], scr.groups[valid-1].start)
 		final = scr.committed[valid-1].final
 	} else {
-		final = scr.d.ops.Clone(initial)
+		final = scr.d.ops.Clone(scr.initial)
 	}
 	if scr.abortAt < 0 {
 		st.UsefulInvocations += int64(scr.n) // one committed invocation per input
@@ -1042,8 +1071,8 @@ func (scr *runScratch[I, S, O]) fallBack(root *rng.Source, state S, outs []O) ([
 // before the abort point (all of them when speculation succeeded)
 // committed their exec+aux lane time, groups at or past it wasted theirs;
 // redo and fallback time was already filed into commitNS/wasteNS at the
-// boundary that spent it. Every read of execNS is ordered after the lane's
-// write by wg.Wait.
+// boundary that spent it. Every read of execNS and auxNS is ordered after
+// the lane's write by wg.Wait.
 func (scr *runScratch[I, S, O]) fileLaneCPU() {
 	for j, gr := range scr.groups[:scr.numGroups] {
 		spent := gr.execNS + scr.auxNS[j]

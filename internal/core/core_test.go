@@ -2,9 +2,11 @@ package core
 
 import (
 	"math"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/pool"
 	"repro/internal/rng"
@@ -229,12 +231,16 @@ func TestSpeculationAbortsAndFallsBack(t *testing.T) {
 
 func TestWindowLimitsAuxInputs(t *testing.T) {
 	inputs := seqInputs(12)
+	exact := exactAuxFor(inputs) // no abort: every group runs its aux
 	var maxRecent atomic.Int64
 	aux := func(_ *rng.Source, init walkState, recent []int) walkState {
-		if int64(len(recent)) > maxRecent.Load() {
-			maxRecent.Store(int64(len(recent)))
+		for {
+			seen := maxRecent.Load()
+			if int64(len(recent)) <= seen || maxRecent.CompareAndSwap(seen, int64(len(recent))) {
+				break
+			}
 		}
-		return badAux(nil, init, recent)
+		return exact(nil, init, recent)
 	}
 	d := New(deterministicCompute, aux, walkOps())
 	_, _, st := d.Run(inputs, walkState{}, Options{UseAux: true, GroupSize: 3, Window: 2, Seed: 1})
@@ -243,6 +249,48 @@ func TestWindowLimitsAuxInputs(t *testing.T) {
 	}
 	if st.AuxInputs != 2*3 {
 		t.Fatalf("aux inputs: %d", st.AuxInputs)
+	}
+}
+
+// TestNoGroupWaitsForAnotherGroupsAux pins the invariant that the auxiliary
+// code is the head of its own group's lane task: an aux that blocks until
+// group 0's first compute has run must not stop group 0 from starting. A
+// coordinator-side aux prefix deadlocks here (nothing launches until every
+// aux has returned), hence the timeout.
+func TestNoGroupWaitsForAnotherGroupsAux(t *testing.T) {
+	inputs := seqInputs(12)
+	exact := exactAuxFor(inputs)
+	computed := make(chan struct{})
+	var once sync.Once
+	compute := func(r *rng.Source, in int, s walkState) (int, walkState) {
+		once.Do(func() { close(computed) })
+		return deterministicCompute(r, in, s)
+	}
+	aux := func(r *rng.Source, init walkState, recent []int) walkState {
+		<-computed
+		return exact(r, init, recent)
+	}
+	type result struct {
+		outs []int
+		st   Stats
+	}
+	done := make(chan result, 1)
+	go func() {
+		// One worker per group, so no blocked aux can occupy the worker
+		// group 0 needs.
+		outs, _, st := New(compute, aux, walkOps()).Run(inputs, walkState{}, Options{
+			UseAux: true, GroupSize: 3, Window: 12, Workers: 4, Seed: 9,
+		})
+		done <- result{outs, st}
+	}()
+	select {
+	case r := <-done:
+		checkOutputs(t, r.outs, wantOutputs(inputs))
+		if r.st.Aborts != 0 || r.st.Matches != 3 || r.st.AuxCalls != 3 {
+			t.Fatalf("run did not speculate cleanly: %+v", r.st)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("deadlock: the groups' aux calls are waiting for a group 0 that was never launched")
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/pool"
 	"repro/internal/rng"
 	"repro/internal/sched"
@@ -31,14 +32,14 @@ const goldenDir = "../../testdata/schedules"
 // stats. Workers=1 keeps every decision point engine-owned (a one-shard
 // pool has no steal alternatives), so crafted traces stay exactly
 // replayable.
-func goldenHarness(aux Aux[int, walkState], timeout time.Duration) func(ctl sched.Controller) (string, Stats) {
+func goldenHarness(aux Aux[int, walkState], timeout time.Duration, o *obs.Observer) func(ctl sched.Controller) (string, Stats) {
 	inputs := seqInputs(24)
 	return func(ctl sched.Controller) (string, Stats) {
 		d := New(deterministicCompute, aux, walkOps())
 		outs, final, st := d.Run(inputs, walkState{}, Options{
 			UseAux: true, GroupSize: 4, Window: 24, Workers: 1,
 			RedoMax: 1, Rollback: 4, Seed: 77,
-			GroupTimeout: timeout, Sched: ctl,
+			GroupTimeout: timeout, Sched: ctl, Obs: o,
 		})
 		return renderRun(outs, final), st
 	}
@@ -88,10 +89,11 @@ func craftAllFinishBeforeValidate(rec *sched.Trace) *sched.Trace {
 
 // craftLateGroupsPastSquash holds every lane >= fromLane back until after
 // the coordinator's squash: the squashed groups observe the abort before
-// running a single step, so each one's admissions collapse to exactly
-// group-start, one group-step (which sees the flag and breaks), and
-// group-finish — the crafted trace substitutes that triple for whatever
-// the lanes recorded. All held lanes move together because one worker
+// producing their auxiliary state or running a single step, so each one's
+// admissions collapse to exactly aux (which sees the flag and skips the
+// auxiliary code), group-start, one group-step (which sees the flag and
+// breaks), and group-finish — the crafted trace substitutes those four for
+// whatever the lanes recorded. All held lanes move together because one worker
 // executes their tasks in queue order: freeing lane L while holding lane
 // L-1 would be infeasible.
 func craftLateGroupsPastSquash(rec *sched.Trace, fromLane int) *sched.Trace {
@@ -123,6 +125,7 @@ func craftLateGroupsPastSquash(rec *sched.Trace, fromLane int) *sched.Trace {
 		if i == squash {
 			for _, l := range ordered {
 				out.Entries = append(out.Entries,
+					sched.Entry{Kind: sched.KindYield, Point: sched.PointAux, Lane: l},
 					sched.Entry{Kind: sched.KindYield, Point: sched.PointGroupStart, Lane: l},
 					sched.Entry{Kind: sched.KindYield, Point: sched.PointGroupStep, Lane: l},
 					sched.Entry{Kind: sched.KindYield, Point: sched.PointGroupFinish, Lane: l},
@@ -194,9 +197,9 @@ func craftWaveLanesDescending(rec *sched.Trace, point sched.Point, note string) 
 }
 
 func TestGoldenSchedules(t *testing.T) {
-	exactHarness := goldenHarness(exactAuxFor(seqInputs(24)), 0)
-	badHarness := goldenHarness(badAux, 0)
-	timeoutHarness := goldenHarness(exactAuxFor(seqInputs(24)), time.Millisecond)
+	exactHarness := goldenHarness(exactAuxFor(seqInputs(24)), 0, nil)
+	badHarness := goldenHarness(badAux, 0, nil)
+	timeoutHarness := goldenHarness(exactAuxFor(seqInputs(24)), time.Millisecond, nil)
 
 	goldens := []struct {
 		name   string
@@ -234,12 +237,19 @@ func TestGoldenSchedules(t *testing.T) {
 			},
 			check: func(t *testing.T, tr *sched.Trace) {
 				rep := sched.NewReplay(tr)
-				got, st := badHarness(rep)
+				o := obs.NewObserver(2, 1024)
+				got, st := goldenHarness(badAux, 0, o)(rep)
 				if want := goldenSequential(0); got != want {
 					t.Fatalf("output diverged:\n got %s\nwant %s", got, want)
 				}
 				if st.Aborts == 0 || st.SquashedInputs == 0 || st.FallbackInputs == 0 {
 					t.Fatalf("crafted squash did not exercise abort/fallback: %+v", st)
+				}
+				// Boundary 1 aborts while groups 2.. are still held: squashed
+				// before their tasks start, they skip their auxiliary code, and
+				// the event log counts exactly the aux calls that ran.
+				if produced := o.Counts()[obs.EvAuxProduced]; st.AuxCalls != 1 || produced != int64(st.AuxCalls) {
+					t.Fatalf("AuxCalls = %d with %d aux-produced events, want 1 and 1 of %d groups", st.AuxCalls, produced, st.Groups)
 				}
 				assertExactReplay(t, rep)
 			},

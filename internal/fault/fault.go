@@ -15,12 +15,11 @@
 //
 // Determinism: every injection decision is a pure function of the
 // injector's seed, the site, and that site's call ordinal, via a
-// splitmix64-style hash. Sites that are called in a coordinator-fixed
-// order (aux production, validation) therefore inject identically across
-// runs with equal seeds and rates. Compute runs on pool workers whose
-// interleaving varies run to run, so for compute sites the ordinal-hash
-// guarantees a deterministic injection *rate* and set of decisions, but
-// which group observes a given ordinal may vary — the chaos harness's
+// splitmix64-style hash, so a fixed seed fixes which ordinals fire at each
+// site. Auxiliary code and compute both run on pool workers whose
+// interleaving varies run to run (and a group squashed before its task
+// started never calls its aux), so which group observes a given ordinal,
+// and how many ordinals a run consumes, may vary — the chaos harness's
 // assertions (no crash, output equality) are scheduling-independent by
 // design.
 package fault
@@ -163,8 +162,8 @@ func (in *Injector) Fired(s Site) uint64 { return in.fired[s].Load() }
 // WrapAux arms SiteAux and SiteGarbage around an auxiliary function:
 // an aux-panic injection panics with InjectedPanic instead of running
 // aux; a garbage injection runs aux and then discards its result for
-// garbage(result). Aux runs on the coordinator in group order, so these
-// decisions replay exactly under a fixed seed.
+// garbage(result). Aux runs on the group lanes, so the decisions replay
+// exactly per call ordinal under a fixed seed, not per group.
 func WrapAux[R, S, I any](in *Injector, aux func(R, S, []I) S, garbage func(S) S) func(R, S, []I) S {
 	return func(r R, init S, recent []I) S {
 		if call, fire := in.decide(SiteAux, in.cfg.AuxPanicRate); fire {

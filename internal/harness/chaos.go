@@ -94,8 +94,9 @@ type ChaosResult struct {
 	Runs int
 	// Injected faults, per site, as counted by the injector.
 	AuxPanics, Garbage, ComputePanics, Delays uint64
-	// Engine accounting summed over the runs.
-	PanickedGroups, TimedOutGroups, Aborts, BreakerDenied int
+	// Engine accounting summed over the runs. AuxCalls is the schedule's:
+	// a group squashed before its lane task started never calls its aux.
+	PanickedGroups, TimedOutGroups, Aborts, BreakerDenied, AuxCalls int
 	// Rounds sums reservation rounds over the runs (0 under the aux
 	// protocol); nonzero proves a reservations scenario actually engaged
 	// the reserve/check/commit machinery before its faults landed.
@@ -326,6 +327,7 @@ func chaosScenarioRun(sc ChaosScenario, inputs []int, baseOuts []int, baseFinal 
 		res.TimedOutGroups += st.TimedOutGroups
 		res.Aborts += st.Aborts
 		res.BreakerDenied += st.BreakerDenied
+		res.AuxCalls += st.AuxCalls
 		res.Rounds += st.Rounds
 		res.LaneCPUCommittedNS += st.LaneCPUCommittedNS
 		res.LaneCPUWastedNS += st.LaneCPUWastedNS

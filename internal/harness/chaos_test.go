@@ -1,6 +1,10 @@
 package harness
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/fault"
+)
 
 // TestChaosCampaign is the acceptance test for fault-tolerant speculation:
 // every scenario must complete without a crash, preserve the sequential
@@ -52,22 +56,29 @@ func TestChaosCampaign(t *testing.T) {
 	}
 }
 
-// TestChaosDeterministicInjection re-runs one scenario and requires the
-// coordinator-sequential sites to inject identically under equal seeds.
+// TestChaosDeterministicInjection requires the auxiliary-code sites to
+// inject exactly what the scenario's seed dictates for the aux calls the
+// engine counted. Aux runs on the group lanes and a squashed group skips
+// it, so how many calls a campaign makes is the schedule's; which call
+// ordinals fire is the seed's alone, and a fresh injector replays them.
 func TestChaosDeterministicInjection(t *testing.T) {
 	e := NewEnv(true)
-	a, err := ChaosRun(e)
+	res, err := ChaosRun(e)
 	if err != nil {
-		t.Fatalf("first campaign: %v", err)
+		t.Fatalf("campaign: %v", err)
 	}
-	b, err := ChaosRun(e)
-	if err != nil {
-		t.Fatalf("second campaign: %v", err)
-	}
-	for i := range a {
-		if a[i].AuxPanics != b[i].AuxPanics || a[i].Garbage != b[i].Garbage {
-			t.Errorf("%s: coordinator-site injections differ across identical campaigns: %d/%d vs %d/%d",
-				a[i].Name, a[i].AuxPanics, a[i].Garbage, b[i].AuxPanics, b[i].Garbage)
+	for i, sc := range chaosScenarios(e.Seed) {
+		in := fault.New(sc.Cfg)
+		aux := fault.WrapAux(in, chaosAux, chaosGarbage)
+		for c := 0; c < res[i].AuxCalls; c++ {
+			func() {
+				defer func() { _ = recover() }() // an injected aux panic
+				aux(nil, chaosState{}, nil)
+			}()
+		}
+		if got, want := [2]uint64{res[i].AuxPanics, res[i].Garbage}, [2]uint64{in.Fired(fault.SiteAux), in.Fired(fault.SiteGarbage)}; got != want {
+			t.Errorf("%s: %d aux calls injected %d panics / %d garbage states, the seed dictates %d / %d",
+				sc.Name, res[i].AuxCalls, got[0], got[1], want[0], want[1])
 		}
 	}
 }

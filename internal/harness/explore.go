@@ -71,9 +71,10 @@ type exploreTarget struct {
 
 // exploreTargets assembles the row set: the six STATS workloads plus
 // synthetic fault-injection mixes. Fault sites are limited to the
-// coordinator-ordered ones (aux panics, garbage states): their injection
-// pattern depends only on the boundary order, so the same fault seed
-// lands the same faults under every schedule.
+// auxiliary-code ones (aux panics, garbage states): they fire per aux call
+// ordinal, the gate serializes the lanes' aux calls in schedule order, so
+// which group a fault lands on is the schedule's to choose — and the
+// output contract must hold wherever it lands.
 func exploreTargets(e *Env) []exploreTarget {
 	var ts []exploreTarget
 	for _, w := range e.Targets() {

@@ -14,7 +14,8 @@ import (
 	"repro/internal/workload/canneal"
 	"repro/internal/workload/facedet"
 	"repro/internal/workload/fluidanimate"
-	"repro/internal/workload/streamdata"
+	"repro/internal/workload/streamclassifier"
+	"repro/internal/workload/streamcluster"
 	"repro/internal/workload/swaptions"
 )
 
@@ -42,8 +43,11 @@ func Export(name string, size int, badTraining bool) (*Dump, error) {
 	case "fluidanimate":
 		steps := fluidanimate.GenSteps(size, badTraining)
 		d.Data, d.Records = steps, len(steps)
-	case "streamcluster", "streamclassifier":
-		pts := streamdata.Stream(size, badTraining)
+	case "streamcluster":
+		pts := streamcluster.Points(size, badTraining)
+		d.Data, d.Records = pts, len(pts)
+	case "streamclassifier":
+		pts := streamclassifier.Points(size, badTraining)
 		d.Data, d.Records = pts, len(pts)
 	case "swaptions":
 		instruments := swaptions.Portfolio(size, badTraining)

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/workload"
+	"repro/internal/workload/canneal"
 	"repro/internal/workload/registry"
 )
 
@@ -95,5 +97,38 @@ func TestSummary(t *testing.T) {
 	d2, _ := Export("bodytrack", 4, true)
 	if !strings.Contains(d2.Summary(), "non-representative") {
 		t.Fatalf("bad summary: %q", d2.Summary())
+	}
+}
+
+// TestRecordsMatchRunInputVolume pins Export to what a run at the same size
+// reads. For the five chain workloads that is the engine's input count
+// times the records one input carries (a stream batch holds 16 points);
+// swaptions exports size instruments of the portfolio whose first six a
+// run prices in size blocks, and canneal the netlist of 4·size elements
+// RunOriginal anneals — neither is an engine input chain.
+func TestRecordsMatchRunInputVolume(t *testing.T) {
+	const size = 8
+	perInput := map[string]int{
+		"bodytrack": 1, "facedet": 1, "fluidanimate": 1,
+		"streamcluster": 16, "streamclassifier": 16,
+	}
+	fixed := map[string]int{"swaptions": size, "canneal": len(canneal.Netlist(size))}
+	for _, w := range registry.All() {
+		name := w.Desc().Name
+		d, err := Export(name, size, false)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, ok := fixed[name]
+		if per, chain := perInput[name]; chain {
+			_, st := w.RunSTATS(1, size, workload.SpecOptions{})
+			want, ok = st.Inputs*per, true
+		}
+		if !ok {
+			t.Fatalf("%s: no expected input volume; add the workload to this table", name)
+		}
+		if d.Records != want {
+			t.Fatalf("%s: exported %d records, a run at size %d reads %d", name, d.Records, size, want)
+		}
 	}
 }

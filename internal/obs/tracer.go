@@ -21,8 +21,9 @@ const (
 	// EvGroupFinish marks a group execution returning (normally or via
 	// the squash fast-exit). Arg is the number of outputs produced.
 	EvGroupFinish
-	// EvAuxProduced marks auxiliary code producing a group's speculative
-	// start state. Arg is the window length consumed.
+	// EvAuxProduced marks auxiliary code having produced a group's
+	// speculative start state, on the group's lane. Arg packs the
+	// auxiliary code's duration and the window length consumed (AuxArg).
 	EvAuxProduced
 	// EvValidateMatch marks a boundary whose speculative state was
 	// accepted. Arg is the number of redos the acceptance consumed.
@@ -359,4 +360,20 @@ func (t *Tracer) Dropped() int64 {
 		}
 	}
 	return n
+}
+
+// auxWindowBits is the width of the window field in an EvAuxProduced
+// argument; the duration takes the 39 bits above it (about nine minutes).
+const auxWindowBits = 24
+
+// AuxArg packs an EvAuxProduced event's window length and the auxiliary
+// code's duration into one trace argument: durNS<<24 | window, each
+// saturating at its field's width.
+func AuxArg(window int, durNS int64) int64 {
+	return min(durNS, 1<<(63-auxWindowBits)-1)<<auxWindowBits | int64(min(window, 1<<auxWindowBits-1))
+}
+
+// SplitAuxArg inverts AuxArg.
+func SplitAuxArg(arg int64) (window int, durNS int64) {
+	return int(arg & (1<<auxWindowBits - 1)), arg >> auxWindowBits
 }

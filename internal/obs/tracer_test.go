@@ -117,3 +117,24 @@ func TestEventKindStrings(t *testing.T) {
 		t.Fatal("out-of-range kind must stringify as unknown")
 	}
 }
+
+func TestAuxArgRoundTrip(t *testing.T) {
+	for _, c := range []struct {
+		window      int
+		durNS       int64
+		wantW       int
+		wantD       int64
+		description string
+	}{
+		{0, 0, 0, 0, "zero"},
+		{4, 80, 4, 80, "small"},
+		{1<<24 - 1, 1<<39 - 1, 1<<24 - 1, 1<<39 - 1, "field maxima"},
+		{1 << 30, 1 << 50, 1<<24 - 1, 1<<39 - 1, "saturates, never spills into the other field or the sign"},
+	} {
+		arg := AuxArg(c.window, c.durNS)
+		if w, d := SplitAuxArg(arg); arg < 0 || w != c.wantW || d != c.wantD {
+			t.Errorf("%s: AuxArg(%d, %d) = %#x splits to (%d, %d), want (%d, %d)",
+				c.description, c.window, c.durNS, arg, w, d, c.wantW, c.wantD)
+		}
+	}
+}

@@ -52,8 +52,9 @@ const (
 	PointGroupStep
 	// PointGroupFinish is a group lane publishing its execution results.
 	PointGroupFinish
-	// PointAux is the coordinator about to produce one group's
-	// speculative start state.
+	// PointAux is a speculative group lane (SchedLane+1+j) at the head of
+	// its task, about to inspect the abort flag and then produce the
+	// group's speculative start state — or skip it, if already squashed.
 	PointAux
 	// PointValidate is the coordinator about to validate one boundary.
 	PointValidate

@@ -21,9 +21,9 @@ const (
 // view of the log's span document and lane tasks: group executions become
 // complete ("X") spans under the "engine" process, one track per group,
 // carrying the root's abort cause and reservation counts in their args
-// (one span per execution when later runs reuse a group id); boundary
-// resolutions with a duration are "X" spans too; every other span node —
-// auxiliary-state production, redos, squashes, fallback — is an instant
+// (one span per execution when later runs reuse a group id); auxiliary-state
+// productions and boundary resolutions with a duration are "X" spans too;
+// every other span node — redos, squashes, fallback — is an instant
 // ("i") on the group's track, as is an execution whose start or finish
 // record is missing. Closed lane tasks become spans under the "scheduler"
 // process, one track per worker lane, open ones instants. Output is
@@ -69,6 +69,8 @@ func writeChrome(w io.Writer, doc *SpanDoc, tasks []LaneTask) error {
 			case c.Kind == SpanExec:
 				record(fmt.Sprintf("group %d", g.Group), chromePidEngine, tid,
 					c.StartNS, c.DurNS, fmt.Sprintf(`"outputs":%d%s`, c.Arg, notes))
+			case c.Kind == SpanAux:
+				record(c.Kind, chromePidEngine, tid, c.StartNS, c.DurNS, fmt.Sprintf(`"window":%d`, c.Arg))
 			case c.Kind == SpanValidate:
 				dur := c.DurNS
 				if dur == 0 {

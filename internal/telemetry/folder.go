@@ -207,15 +207,18 @@ func (f *SpanFolder) fold(e *obs.Event) {
 	}
 
 	a.span = nil
+	// An aux event is stamped when the auxiliary code returns and carries
+	// its duration: the group's lifecycle starts where the aux did.
+	first := e.TS
+	if e.Kind == obs.EvAuxProduced {
+		_, dur := obs.SplitAuxArg(e.Arg)
+		first -= dur
+	}
 	if !a.seen {
-		a.firstTS, a.lastTS, a.seen = e.TS, e.TS, true
+		a.firstTS, a.lastTS, a.seen = first, e.TS, true
 	} else {
-		if e.TS < a.firstTS {
-			a.firstTS = e.TS
-		}
-		if e.TS > a.lastTS {
-			a.lastTS = e.TS
-		}
+		a.firstTS = min(a.firstTS, first)
+		a.lastTS = max(a.lastTS, e.TS)
 	}
 
 	switch e.Kind {
@@ -378,7 +381,12 @@ func (a *spanAcc) fold() *Span {
 		return &Span{Kind: kind, Group: g, StartNS: m.ts, EndNS: m.ts, Arg: m.arg}
 	}
 	if a.aux.ok {
-		root.Children = append(root.Children, instant(SpanAux, a.aux))
+		window, dur := obs.SplitAuxArg(a.aux.arg)
+		root.Children = append(root.Children, &Span{
+			Kind: SpanAux, Group: g,
+			StartNS: a.aux.ts - dur, EndNS: a.aux.ts, DurNS: dur,
+			Arg: int64(window),
+		})
 	}
 	switch {
 	case a.execStart.ok && a.execEnd.ok:

@@ -210,9 +210,14 @@ func TestViewsAgreeOnRealLogs(t *testing.T) {
 			return // a vector too short to speculate: no chart
 		}
 		// Rank the (time-ordered) log and draw one column per event, so
-		// no two dispatches share a cell.
+		// no two dispatches share a cell (an aux span's nanoseconds mean
+		// nothing on the rank axis: make it an instant).
 		for i := range log {
 			log[i].TS = int64(i)
+			if log[i].Kind == obs.EvAuxProduced {
+				window, _ := obs.SplitAuxArg(log[i].Arg)
+				log[i].Arg = obs.AuxArg(window, 0)
+			}
 		}
 		RenderWaterfall(&fall, BuildSpans(log), LaneTasks(log), len(log), 1)
 		_, lanes, _ := strings.Cut(fall.String(), "task running\n")

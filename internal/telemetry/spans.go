@@ -36,7 +36,9 @@ const (
 	// EvGroupFinish).
 	SpanExec = "exec"
 	// SpanAux is the auxiliary-code production of the group's
-	// speculative start state (instant; Arg is the window consumed).
+	// speculative start state, on the group's own lane ahead of its
+	// execution: it ends at the EvAuxProduced stamp and lasts the duration
+	// the event carries (Arg is the window consumed).
 	SpanAux = "aux"
 	// SpanValidate is the group boundary's resolution: from the first
 	// rejection (or the acceptance itself) to the final match or abort.
@@ -213,7 +215,7 @@ func renderSpan(w io.Writer, s *Span, depth int) {
 	case SpanExec:
 		fmt.Fprintf(w, "%sexec     %s outputs=%d%s\n", indent, fmtNS(s.DurNS), s.Arg, partialMark(s))
 	case SpanAux:
-		fmt.Fprintf(w, "%saux      @t+%s window=%d\n", indent, fmtNS(s.StartNS), s.Arg)
+		fmt.Fprintf(w, "%saux      %s window=%d\n", indent, fmtNS(s.DurNS), s.Arg)
 	case SpanValidate:
 		fmt.Fprintf(w, "%svalidate %s %s redos=%d%s\n", indent, fmtNS(s.DurNS), s.Outcome, s.Redos, partialMark(s))
 	case SpanRedo:

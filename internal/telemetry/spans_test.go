@@ -15,8 +15,9 @@ import (
 // goldenLog is the one hand-written event log every view's golden test
 // renders. It covers the span model's whole surface — a non-speculative
 // group 0, a validated group with one redo, an aborted group with squash
-// and fallback marks, and a group whose start record was evicted by ring
-// wrap-around (truncated) — and the lane pairing's: local and stolen
+// and fallback marks (both with their auxiliary code inside their lane
+// task, just ahead of the execution), and a group whose start record was
+// evicted by ring wrap-around (truncated) — and the lane pairing's: local and stolen
 // dispatches around the executions, a dispatch still running when the log
 // ends, and a finish whose dispatch was evicted. Events are deliberately
 // out of time order to exercise the sort.
@@ -24,7 +25,7 @@ func goldenLog() []obs.Event {
 	return []obs.Event{
 		// Group 2: aborted after two redos, then squash + fallback marks.
 		{TS: 6100, Lane: obs.LaneCoord, Kind: obs.EvAbort, Group: 2},
-		{TS: 600, Lane: 2, Kind: obs.EvAuxProduced, Group: 2, Arg: 4},
+		{TS: 1390, Lane: 2, Kind: obs.EvAuxProduced, Group: 2, Arg: obs.AuxArg(4, 80)},
 		{TS: 1400, Lane: 2, Kind: obs.EvGroupStart, Group: 2},
 		{TS: 5400, Lane: 2, Kind: obs.EvGroupFinish, Group: 2, Arg: 0},
 		{TS: 5800, Lane: obs.LaneCoord, Kind: obs.EvValidateMismatch, Group: 2},
@@ -39,7 +40,7 @@ func goldenLog() []obs.Event {
 		{TS: 1000, Lane: 0, Kind: obs.EvGroupStart, Group: 0},
 
 		// Group 1: validated on the second try.
-		{TS: 500, Lane: 1, Kind: obs.EvAuxProduced, Group: 1, Arg: 4},
+		{TS: 1190, Lane: 1, Kind: obs.EvAuxProduced, Group: 1, Arg: obs.AuxArg(4, 80)},
 		{TS: 1200, Lane: 1, Kind: obs.EvGroupStart, Group: 1},
 		{TS: 5200, Lane: 1, Kind: obs.EvGroupFinish, Group: 1, Arg: 8},
 		{TS: 5300, Lane: obs.LaneCoord, Kind: obs.EvValidateMismatch, Group: 1},
@@ -65,13 +66,13 @@ func goldenLog() []obs.Event {
 const goldenRender = `spans: 4 groups (1 partial), 18 engine events, 8 scheduler events
 g000 [t+1.00µs 4.00µs] unvalidated
   exec     4.00µs outputs=10
-g001 [t+500ns 5.10µs] validated
-  aux      @t+500ns window=4
+g001 [t+1.11µs 4.49µs] validated
+  aux      80ns window=4
   exec     4.00µs outputs=8
   validate 300ns match-after-redo redos=1
     redo #1 @t+5.40µs
-g002 [t+600ns 5.60µs] aborted cause=mismatch
-  aux      @t+600ns window=4
+g002 [t+1.31µs 4.89µs] aborted cause=mismatch
+  aux      80ns window=4
   exec     4.00µs outputs=0
   validate 300ns abort redos=2
     redo #1 @t+5.90µs

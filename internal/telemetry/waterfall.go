@@ -84,7 +84,11 @@ func RenderWaterfall(w io.Writer, doc *SpanDoc, tasks []LaneTask, width, rows in
 		for _, c := range g.Children {
 			switch c.Kind {
 			case SpanAux:
-				row[col(c.StartNS)] = 'a'
+				// On top of the execution it precedes: a short aux shares
+				// its cell with the group's start.
+				for i := col(c.StartNS); i <= col(c.EndNS); i++ {
+					row[i] = 'a'
+				}
 			case SpanValidate:
 				if c.Outcome != "match" {
 					row[col(c.StartNS)] = 'x'
@@ -150,7 +154,7 @@ func chainString(g *Span) string {
 	for _, c := range g.Children {
 		switch c.Kind {
 		case SpanAux:
-			parts = append(parts, fmt.Sprintf("aux@t+%s", fmtNS(c.StartNS)))
+			parts = append(parts, fmt.Sprintf("aux %s", fmtNS(c.DurNS)))
 		case SpanExec:
 			parts = append(parts, fmt.Sprintf("exec %s", fmtNS(c.DurNS)))
 		case SpanValidate:

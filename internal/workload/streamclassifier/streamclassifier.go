@@ -213,8 +213,14 @@ func stateOps() core.StateOps[Model] {
 	}
 }
 
+// Points returns the stream points a run at size consumes (shared,
+// read-only: see streamdata.Stream).
+func Points(size int, badTraining bool) []streamdata.Point {
+	return streamdata.Stream(size*pointsPerInput, badTraining)
+}
+
 func batches(size int, badTraining bool) []Batch {
-	pts := streamdata.Stream(size*pointsPerInput, badTraining)
+	pts := Points(size, badTraining)
 	bs := make([]Batch, size)
 	for i := range bs {
 		bs[i] = Batch{Offset: i * pointsPerInput, Points: pts[i*pointsPerInput : (i+1)*pointsPerInput]}
@@ -291,7 +297,7 @@ func runEnsemble(seed uint64, size int, p params, o workload.SpecOptions) (workl
 }
 
 func assemble(size int, outs []Output, badTraining bool) Result {
-	pts := streamdata.Stream(size*pointsPerInput, badTraining)
+	pts := Points(size, badTraining)
 	res := Result{Pred: make([]int, len(pts)), Gold: make([]int, len(pts))}
 	for i, pt := range pts {
 		res.Gold[i] = pt.Label

@@ -285,13 +285,18 @@ func runSharded(seed uint64, size int, p params, o workload.SpecOptions) (worklo
 	for len(merged.Centers) > p.maxClusters {
 		mergeClosest(&merged)
 	}
-	pts := streamdata.Stream(size*pointsPerInput, o.BadTraining)
-	return Result{Clustering: finalClustering(merged, pts)}, st
+	return Result{Clustering: finalClustering(merged, size, o.BadTraining)}, st
+}
+
+// Points returns the stream points a run at size consumes (shared,
+// read-only: see streamdata.Stream).
+func Points(size int, badTraining bool) []streamdata.Point {
+	return streamdata.Stream(size*pointsPerInput, badTraining)
 }
 
 // batches splits the stream into inputs.
 func batches(size int, badTraining bool) []Batch {
-	pts := streamdata.Stream(size*pointsPerInput, badTraining)
+	pts := Points(size, badTraining)
 	bs := make([]Batch, size)
 	for i := range bs {
 		bs[i] = Batch{Points: pts[i*pointsPerInput : (i+1)*pointsPerInput]}
@@ -299,14 +304,15 @@ func batches(size int, badTraining bool) []Batch {
 	return bs
 }
 
-// finalClustering assigns every stream point to its nearest final center.
-func finalClustering(sol Solution, pts []streamdata.Point) quality.Clustering {
+// finalClustering assigns every point of the size-input stream to its
+// nearest final center. Points is the stream's shared coordinate view.
+func finalClustering(sol Solution, size int, badTraining bool) quality.Clustering {
+	pts := Points(size, badTraining)
 	c := quality.Clustering{
-		Points: make([][]float64, len(pts)),
+		Points: streamdata.Coords(len(pts), badTraining),
 		Assign: make([]int, len(pts)),
 	}
 	for i, pt := range pts {
-		c.Points[i] = pt.Coords()
 		best := math.Inf(1)
 		for j := range sol.Centers {
 			if d := streamdata.SqDist(sol.Centers[j].pos, pt.X); d < best {
@@ -331,9 +337,8 @@ func (w *W) run(seed uint64, size int, p params, refine int, badTraining bool) R
 	for _, b := range bs {
 		_, sol = compute(r.Split(), b, sol)
 	}
-	pts := streamdata.Stream(size*pointsPerInput, badTraining)
-	sol = refineSolution(sol, pts, refine)
-	return Result{Clustering: finalClustering(sol, pts)}
+	sol = refineSolution(sol, Points(size, badTraining), refine)
+	return Result{Clustering: finalClustering(sol, size, badTraining)}
 }
 
 // refineSolution runs Lloyd iterations over the full dataset — the
@@ -407,8 +412,7 @@ func (w *W) RunSTATS(seed uint64, size int, o workload.SpecOptions) (workload.Re
 	bs := batches(size, o.BadTraining)
 	dep := core.New(computeOutput(def), auxCode(aux), stateOps())
 	_, final, st := dep.Run(bs, Solution{FacilityCost: 1}, o.CoreOptions(seed))
-	pts := streamdata.Stream(size*pointsPerInput, o.BadTraining)
-	return Result{Clustering: finalClustering(final, pts)}, st
+	return Result{Clustering: finalClustering(final, size, o.BadTraining)}, st
 }
 
 // CostModel implements workload.Workload. The paper observes super-linear

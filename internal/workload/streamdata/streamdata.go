@@ -5,7 +5,11 @@
 // solution built from the whole prefix.
 package streamdata
 
-import "repro/internal/rng"
+import (
+	"sync"
+
+	"repro/internal/rng"
+)
 
 // Dim is the dimensionality of stream points.
 const Dim = 4
@@ -20,13 +24,6 @@ type Point struct {
 	Label int
 }
 
-// Coords returns the coordinates as a slice.
-func (p Point) Coords() []float64 {
-	out := make([]float64, Dim)
-	copy(out, p.X[:])
-	return out
-}
-
 // Centers returns the mixture's true component centers.
 func Centers() [NumComponents][Dim]float64 {
 	var c [NumComponents][Dim]float64
@@ -39,30 +36,74 @@ func Centers() [NumComponents][Dim]float64 {
 	return c
 }
 
-// Stream materializes n points. The input seed is fixed, so every run sees
-// the same stream. badTraining produces the §4.6 variant: "points overlap
-// in the multidimensional space" — every component collapses onto the same
-// center, so training reveals nothing about cluster structure.
+// variant memoizes one stream variant: the generator's state, the points
+// drawn from it so far, and one coordinate row per point aliasing its X.
+type variant struct {
+	mu   sync.Mutex
+	r    *rng.Source
+	pts  []Point
+	rows [][]float64
+}
+
+// variants holds the native and the badTraining stream.
+var variants [2]variant
+
+// Stream returns the first n points of the stream. The input seed is fixed
+// and the generator sequential, so every run sees the same stream and
+// Stream(n) is a prefix of Stream(m) for n <= m: each variant is generated
+// once per process, grown to the largest n asked for. The returned slice is
+// shared by every caller and read-only. badTraining produces the §4.6
+// variant: "points overlap in the multidimensional space" — every
+// component collapses onto the same center, so training reveals nothing
+// about cluster structure.
 func Stream(n int, badTraining bool) []Point {
-	seed := uint64(0x57E5)
-	if badTraining {
-		seed ^= 0xBAD
-	}
-	r := rng.New(seed)
-	centers := Centers()
-	pts := make([]Point, n)
-	for i := range pts {
-		comp := r.Intn(NumComponents)
-		pts[i].Label = comp
-		for d := 0; d < Dim; d++ {
-			center := centers[comp][d]
-			if badTraining {
-				center = 0 // all components overlap
-			}
-			pts[i].X[d] = center + r.Norm()*1.2
-		}
-	}
+	pts, _ := cached(n, badTraining)
 	return pts
+}
+
+// Coords returns the coordinates of Stream(n, badTraining) as one row per
+// point. The rows alias the shared stream: read-only, like it.
+func Coords(n int, badTraining bool) [][]float64 {
+	_, rows := cached(n, badTraining)
+	return rows
+}
+
+// cached grows the variant to n points and returns its first n points and
+// rows, capacity-limited so an append cannot reach the shared tail.
+func cached(n int, badTraining bool) ([]Point, [][]float64) {
+	v, seed := &variants[0], uint64(0x57E5)
+	if badTraining {
+		v, seed = &variants[1], seed^0xBAD
+	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if n > len(v.pts) {
+		if v.r == nil {
+			v.r = rng.New(seed)
+		}
+		// A fresh backing array per growth: slices handed out earlier keep
+		// the old one, which is never written again.
+		pts := append(make([]Point, 0, n), v.pts...)
+		centers := Centers()
+		for i := len(pts); i < n; i++ {
+			var pt Point
+			pt.Label = v.r.Intn(NumComponents)
+			for d := 0; d < Dim; d++ {
+				center := centers[pt.Label][d]
+				if badTraining {
+					center = 0 // all components overlap
+				}
+				pt.X[d] = center + v.r.Norm()*1.2
+			}
+			pts = append(pts, pt)
+		}
+		rows := make([][]float64, n)
+		for i := range rows {
+			rows[i] = pts[i].X[:]
+		}
+		v.pts, v.rows = pts, rows
+	}
+	return v.pts[:n:n], v.rows[:n:n]
 }
 
 // SqDist returns the squared Euclidean distance between two points'

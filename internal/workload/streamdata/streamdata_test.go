@@ -2,6 +2,7 @@ package streamdata
 
 import (
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -67,13 +68,71 @@ func TestSqDist(t *testing.T) {
 }
 
 func TestCoords(t *testing.T) {
-	p := Point{X: [Dim]float64{1, 2, 3, 4}}
-	c := p.Coords()
-	if len(c) != Dim || c[2] != 3 {
-		t.Fatalf("coords: %v", c)
+	pts, rows := Stream(40, false), Coords(40, false)
+	if len(rows) != len(pts) || cap(rows) != len(pts) {
+		t.Fatalf("rows: len %d cap %d, want %d", len(rows), cap(rows), len(pts))
 	}
-	c[0] = 99
-	if p.X[0] == 99 {
-		t.Fatal("Coords aliases the point")
+	for i, row := range rows {
+		if len(row) != Dim || cap(row) != Dim || &row[0] != &pts[i].X[0] {
+			t.Fatalf("row %d does not alias point %d's coordinates", i, i)
+		}
 	}
+}
+
+// TestStreamPrefix pins what the memo relies on: the generator is
+// sequential from a fixed seed, so a shorter stream is a prefix of a longer
+// one — whether it was cut from the cache or the cache grew past it.
+func TestStreamPrefix(t *testing.T) {
+	for _, bad := range []bool{false, true} {
+		variants = [2]variant{}
+		short := Stream(64, bad)
+		long := Stream(300, bad) // grows the cache
+		again := Stream(64, bad) // cut from the grown cache
+		if cap(short) != 64 || cap(long) != 300 {
+			t.Fatalf("bad=%v: caps %d, %d: an append could reach the shared tail", bad, cap(short), cap(long))
+		}
+		for i := range short {
+			if short[i] != long[i] || again[i] != long[i] {
+				t.Fatalf("bad=%v: point %d differs between Stream(64) and Stream(300)", bad, i)
+			}
+		}
+		variants = [2]variant{}
+		fresh := Stream(300, bad)
+		for i := range fresh {
+			if fresh[i] != long[i] {
+				t.Fatalf("bad=%v: point %d differs between a grown and a fresh stream", bad, i)
+			}
+		}
+	}
+}
+
+// TestStreamConcurrentFirstCalls races first calls of different lengths on
+// both variants; run under -race it also checks the cache's locking.
+func TestStreamConcurrentFirstCalls(t *testing.T) {
+	variants = [2]variant{}
+	want := map[bool][]Point{}
+	for _, bad := range []bool{false, true} {
+		want[bad] = Stream(512, bad)
+	}
+	variants = [2]variant{}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			n, bad := 64*(g+1), g%2 == 1
+			pts, rows := Stream(n, bad), Coords(n, bad)
+			if len(pts) != n || len(rows) != n {
+				t.Errorf("goroutine %d: %d points, %d rows, want %d", g, len(pts), len(rows), n)
+				return
+			}
+			for i := range pts {
+				if pts[i] != want[bad][i] || rows[i][0] != pts[i].X[0] {
+					t.Errorf("goroutine %d: point %d differs from the serial stream", g, i)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

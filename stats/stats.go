@@ -44,7 +44,9 @@ type ComputeFunc[I, S, O any] func(r *Rand, input I, state S) (O, S)
 // initial state and a window of recent inputs.
 type AuxFunc[I, S any] func(r *Rand, initial S, recent []I) S
 
-// CloneFunc is the state privatization method (operator= in Figure 9).
+// CloneFunc is the state privatization method (operator= in Figure 9). It
+// must not write its argument and must be safe to call concurrently on the
+// same state: the engine's lanes clone the run's initial state at once.
 type CloneFunc[S any] func(S) S
 
 // MatchFunc is doesSpecStateMatchAny: whether a speculative state is
