@@ -34,7 +34,7 @@ race:
 # interleaves on some GOMAXPROCS (the SubmitBatch-vs-Close accounting race
 # hid on a 1-CPU host for ten PRs) cannot hide again.
 stress:
-	$(GO) test -race -count=5 -cpu 1,2,4 ./internal/pool ./internal/core -run 'Stress|Race|Concurrent|Recycl'
+	$(GO) test -race -count=5 -cpu 1,2,4 ./internal/pool ./internal/core -run 'Stress|Race|Concurrent|Recycl|Resolver|Claimed'
 
 # Static analysis: the standard Go vet, then statsvet — the IR/source
 # passes over the checked-in example program and the runtime-API

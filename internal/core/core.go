@@ -138,7 +138,11 @@ type Options struct {
 	// (sched.PointTimeoutCheck), making timeout races schedulable.
 	Sched sched.Controller
 	// SchedLane is the run's base lane in the controller's namespace:
-	// the coordinator yields on SchedLane and group j on SchedLane+1+j.
+	// the coordinator yields on SchedLane (breaker and fallback points
+	// only; it is blocked around the fan-out, its one wait and pool close)
+	// and the task that claimed group j on SchedLane+1+j — the group's own
+	// points and, while it holds the resolver role after finishing the
+	// group, validate, redo and squash.
 	// Concurrent runs sharing one controller must use disjoint bases
 	// (pool workers use negative lanes, so any non-negative spacing of
 	// 1+maxGroups works).
@@ -209,8 +213,10 @@ type Stats struct {
 	PanickedGroups int
 	// Panics carries each contained speculative-path panic with the same
 	// value+stack fidelity *PanicError gives the sequential path: the
-	// original panic value and the stack captured during the unwind.
-	// Under ProtocolAux entries are in group order; under
+	// original panic value and the stack captured during the unwind — on
+	// the group's lane, or for a match/redo panic on the lane that was
+	// resolving the boundary. Under ProtocolAux entries are in group order
+	// (the coordinator sweeps them once every lane is done); under
 	// ProtocolReservations in the order the coordinator observed them.
 	Panics []*PanicError
 	// TimedOutGroups counts speculative groups squashed because their
@@ -471,12 +477,14 @@ const (
 type groupRun[I, S, O any] struct {
 	idx        int // group index, used as the trace lane hint
 	start, end int // input index range [start, end)
-	// specStart is the state the group started from (spec or S0) and auxRan
-	// whether its auxiliary code was called to produce it: written by the
-	// group's lane before done.Done() (group 0's specStart by launch), read
-	// by the coordinator after done.Wait().
+	// specStart is the state the group started from (spec or S0), auxRan
+	// whether its auxiliary code was called to produce it, and calls how
+	// many computes its execution made: written by the group's lane before
+	// it sets finished (group 0's specStart by launch), read by the resolver
+	// after it sees finished and by the coordinator after wg.Wait.
 	specStart S
 	auxRan    bool
+	calls     int64
 
 	// First (original) execution results.
 	base execution[S, O]
@@ -495,17 +503,14 @@ type groupRun[I, S, O any] struct {
 	callSrc     rng.Source
 	redoCallSrc rng.Source
 
-	// done is a one-shot latch per run (Add(1) before launch, Done on
-	// lane exit, Wait on the coordinator); a WaitGroup rather than a
-	// channel so it can be rearmed when the record is recycled.
-	done    sync.WaitGroup
-	aborted atomic.Bool // set to squash this group's in-flight work
+	aborted  atomic.Bool // set to squash this group's in-flight work
+	finished atomic.Bool // set by the group's lane when its task body is over
 
 	// failure is why the group's results are unusable, with failArg the
 	// matching event argument (elapsed ns for timeouts) and panicErr the
 	// contained panic's value+stack when failure is failPanic. Written
-	// by the lane before done.Done() (aux, clone or compute panic, or the
-	// deadline), or by the coordinator after done.Wait() (match/redo
+	// by the lane before it sets finished (aux, clone or compute panic, or
+	// the deadline), or by the resolver after it saw finished (match/redo
 	// panic), so every read — the boundary inspection and the post-wg.Wait
 	// sweep — is ordered after the write.
 	failure  groupFailure
@@ -513,12 +518,15 @@ type groupRun[I, S, O any] struct {
 	panicErr *PanicError
 
 	// execNS is the group execution's wall-clock lane time, written by
-	// the lane before done.Done() and read by the coordinator after
-	// done.Wait() for wasted-work attribution; redoNS is the same for its
-	// re-executions, which run on the coordinator. Both are recorded on
-	// every exit — panic included, so a contained user-code panic still
-	// attributes the CPU burned before it.
-	execNS, redoNS int64
+	// the lane before it sets finished and read after wg.Wait for
+	// wasted-work attribution; redoNS is the same for its re-executions,
+	// which run on whichever lane holds the resolver role. Both are
+	// recorded on every exit — panic included, so a contained user-code
+	// panic still attributes the CPU burned before it. clock is the last
+	// clock reading of the group's lane task (runFrame.now): each phase —
+	// aux, execution, every boundary the task resolves — ends with one read
+	// and the next starts from it.
+	execNS, redoNS, clock int64
 
 	// outBuf, redoBuf and spliceBuf back the group's execution outputs,
 	// its re-execution outputs, and the spliced committed outputs.
@@ -529,12 +537,11 @@ type groupRun[I, S, O any] struct {
 
 // runScratch is the recycled working set of one runSpeculative call: the
 // run frame, group records, the per-group timing/committed arrays, the
-// originals set (plus its fingerprints), and the pool tasks with their
-// closures. A Dependence keeps scratches in a sync.Pool, so a warm Run
-// allocates only what it must return (the outputs slice) plus whatever
-// user code allocates. Task closures are created once per group slot and
-// index into the scratch, which is why they survive recycling: each run
-// rebinds the fields the closures read.
+// originals set (plus its fingerprints), and the pool task. A Dependence
+// keeps scratches in a sync.Pool, so a warm Run allocates only what it must
+// return (the outputs slice) plus whatever user code allocates. Every pool
+// task of a run is the one method value task: a task claims its group from
+// ticket, so it survives recycling with nothing to rebind.
 type runScratch[I, S, O any] struct {
 	runFrame
 	d       *Dependence[I, S, O]
@@ -542,19 +549,41 @@ type runScratch[I, S, O any] struct {
 	initial S
 	emit    Emit[O]
 
-	window, rollback int
-	hashFirst        bool // validate fingerprints before the deep MatchAny
-	// abortAt is the first group index whose speculation failed, -1 while
-	// every boundary so far resolved.
-	abortAt int
+	window, rollback, redoMax int
+	hashFirst                 bool // validate fingerprints before the deep MatchAny
 
 	groups []*groupRun[I, S, O]
-	tasks  []pool.Task
+	task   pool.Task
+	tasks  []pool.Task // task, once per group: SubmitBatch takes a slice
+
+	// ticket is the next group index to claim: lanes start groups in strict
+	// index order whatever the pool's sharding or stealing did. next is the
+	// first unresolved boundary (boundary 0 is group 0's own inspection),
+	// numGroups once the last one resolved or one aborted; the resolver
+	// stores it after the boundary's writes, so a coordinator that loads
+	// next > j+1 may read committed[j].
+	ticket, next atomic.Int32
+	// resolving is the single-holder resolver role. A lane that finishes a
+	// group takes it (CAS) and settles, in order, every boundary whose two
+	// groups are finished; it re-checks after releasing, so a group that
+	// finished while the role was held is never missed. The role serializes
+	// resolve/validate/redoGroup/abort and with them every write of Stats,
+	// originals, committed, commitNS, wasteNS, abortAt and resolver — the
+	// group whose lane task holds the role.
+	resolving atomic.Bool
+	resolver  *groupRun[I, S, O]
+	// nudge, made per streaming run and nil otherwise, wakes the coordinator
+	// after every store of next; emitted is how many groups it has streamed.
+	nudge chan struct{}
+	// abortAt is the first group index whose speculation failed, -1 while
+	// every boundary so far resolved.
+	abortAt, emitted int
 
 	// auxNS, commitNS and wasteNS feed the wasted-work attribution:
 	// per-group lane nanoseconds, resolved into committed vs discarded
 	// when the run's outcome is known (fileLaneCPU). auxNS[j] is written
-	// by group j's lane, commitNS and wasteNS by the coordinator.
+	// by group j's lane, commitNS and wasteNS by the resolver (redo time)
+	// and, after wg.Wait, the coordinator.
 	auxNS    []int64
 	commitNS []int64
 	wasteNS  []int64
@@ -565,8 +594,7 @@ type runScratch[I, S, O any] struct {
 	originals []S
 	origFPs   []uint64
 
-	wg          sync.WaitGroup
-	invocations atomic.Int64
+	wg sync.WaitGroup
 }
 
 // getScratch fetches (or builds) a scratch for one speculative run.
@@ -574,24 +602,29 @@ func (d *Dependence[I, S, O]) getScratch() *runScratch[I, S, O] {
 	if v := d.scratch.Get(); v != nil {
 		return v.(*runScratch[I, S, O])
 	}
-	return &runScratch[I, S, O]{d: d}
+	scr := &runScratch[I, S, O]{d: d}
+	scr.task = scr.groupTask
+	return scr
 }
 
 // begin binds the frame and sizes the scratch for the run's groups. It
-// does not arm the done latches — that happens at launch, so a panic on
-// the coordinator between begin and launch (an uncontained group-0 clone)
-// cannot leave a latch armed for the next run.
+// arms nothing — wg is armed at launch, so a panic on the coordinator
+// between begin and launch (an uncontained group-0 clone) leaves nothing
+// armed for the next run.
 func (scr *runScratch[I, S, O]) begin(inputs []I, initial S, g int, opts *Options, st *Stats, emit Emit[O]) {
 	scr.runFrame.begin(len(inputs), g, opts, st)
 	scr.inputs, scr.initial, scr.emit = inputs, initial, emit
-	scr.window, scr.rollback = max(opts.Window, 0), opts.Rollback
+	scr.window, scr.rollback, scr.redoMax = max(opts.Window, 0), opts.Rollback, max(opts.RedoMax, 0)
 	scr.hashFirst = scr.d.ops.MatchAny != nil && scr.d.ops.Fingerprint != nil
-	scr.abortAt = -1
-	scr.invocations.Store(0)
+	scr.abortAt, scr.emitted = -1, 0
+	scr.ticket.Store(0)
+	scr.next.Store(0)
+	if emit != nil {
+		scr.nudge = make(chan struct{}, 1)
+	}
 	for len(scr.groups) < scr.numGroups {
-		j := len(scr.groups)
 		scr.groups = append(scr.groups, &groupRun[I, S, O]{})
-		scr.tasks = append(scr.tasks, func() { scr.groupTask(j) })
+		scr.tasks = append(scr.tasks, scr.task)
 	}
 	scr.auxNS = cleared(scr.auxNS, scr.numGroups)
 	scr.commitNS = cleared(scr.commitNS, scr.numGroups)
@@ -616,7 +649,7 @@ func (scr *runScratch[I, S, O]) release() {
 	}
 	clear(scr.committed[:scr.numGroups])
 	clear(scr.originals[:cap(scr.originals)])
-	scr.inputs, scr.initial, scr.emit = nil, zeroS, nil
+	scr.inputs, scr.initial, scr.emit, scr.nudge, scr.resolver = nil, zeroS, nil, nil, nil
 	scr.runFrame = runFrame{}
 	scr.d.scratch.Put(scr)
 }
@@ -633,11 +666,12 @@ func cleared[T any](s []T, n int) []T {
 }
 
 // runSpeculative implements the §3.1 execution model as the aux policy's
-// phases over the run frame. Outputs stream through emit (when non-nil) at
-// their commit points: a group's outputs become final when the NEXT
-// boundary's validation resolves (a redo may splice its suffix until
-// then), the last group's at run completion, and fallback outputs as they
-// are computed.
+// phases over the run frame: the coordinator splits the streams, launches,
+// waits once and commits; the lanes execute the groups and resolve the
+// boundaries between them. Outputs stream through emit (when non-nil) once
+// they are final: a group's outputs when the NEXT boundary's validation has
+// resolved (a redo may splice its suffix until then), the last group's at
+// run completion, and fallback outputs as they are computed.
 func (d *Dependence[I, S, O]) runSpeculative(root *rng.Source, inputs []I, initial S, g int, opts *Options, st *Stats, emit Emit[O]) ([]O, S) {
 	scr := d.getScratch()
 	scr.begin(inputs, initial, g, opts, st, emit)
@@ -646,7 +680,7 @@ func (d *Dependence[I, S, O]) runSpeculative(root *rng.Source, inputs []I, initi
 	scr.lease(opts)
 	defer scr.finish()
 	scr.launch()
-	scr.resolveBoundaries(max(opts.RedoMax, 0))
+	scr.await()
 	return scr.commit(root)
 }
 
@@ -662,38 +696,63 @@ func (scr *runScratch[I, S, O]) splitStreams(root *rng.Source) {
 		root.SplitInto(&gr.execSrc)
 		root.SplitInto(&gr.redoSrc)
 		gr.aborted.Store(false)
-		gr.auxRan = false
+		gr.finished.Store(false)
+		gr.auxRan, gr.calls, gr.checkpointAt = false, 0, 0
 		gr.failure, gr.failArg, gr.panicErr = failNone, 0, nil
 		gr.execNS, gr.redoNS = 0, 0
-		gr.checkpointAt = 0
 	}
 }
 
-// launch starts every group in one batch; each runs its inputs
-// sequentially from its (speculative) start state, checkpointing before
-// its last W inputs. Group 0 starts from the initial state, cloned here,
-// uncontained, before the latches are armed: nothing between begin and
-// launch can strand an armed latch into the next run.
+// launch submits one task per group in one batch. Group 0 starts from the
+// initial state, cloned here, uncontained, before wg is armed: nothing
+// between begin and launch can strand an armed wg into the next run.
 func (scr *runScratch[I, S, O]) launch() {
 	scr.groups[0].specStart = scr.d.ops.Clone(scr.initial)
-	for _, gr := range scr.groups[:scr.numGroups] {
-		scr.wg.Add(1)
-		gr.done.Add(1)
-	}
+	scr.wg.Add(scr.numGroups)
 	scr.blocked(func() { scr.fanOut(scr.tasks[:scr.numGroups]) })
 }
 
-// groupTask is the pool task body for group slot j: the per-slot closure
-// wrapping it is created once and recycled with the scratch.
-func (scr *runScratch[I, S, O]) groupTask(j int) {
-	gr := scr.groups[j]
-	defer scr.wg.Done()
-	defer gr.done.Done()
-	if scr.ctl != nil {
-		// Retire the group lane on every exit, panic included, before
-		// the done latch releases the coordinator.
-		defer scr.ctl.Done(scr.lane + 1 + j)
+// await is the coordinator's one wait for the lanes. Only a streaming run
+// wakes before the last of them: after each nudge it emits, on the caller's
+// goroutine and in input order, the groups the resolver has made final.
+// The deferred wait also covers an emit panic, so the scratch is never
+// released under a running lane.
+func (scr *runScratch[I, S, O]) await() {
+	defer scr.blocked(scr.wg.Wait)
+	for k := 0; scr.emit != nil && k < scr.numGroups; k = int(scr.next.Load()) {
+		scr.emitFinal(k - 1) // boundary k-1 resolved: no redo can splice group k-2 any more
+		scr.blocked(func() { <-scr.nudge })
 	}
+}
+
+// emitFinal streams the committed outputs of the groups below final that
+// have not been streamed yet.
+func (scr *runScratch[I, S, O]) emitFinal(final int) {
+	for ; scr.emit != nil && scr.emitted < final; scr.emitted++ {
+		for i, o := range scr.committed[scr.emitted].outputs {
+			scr.emit(scr.groups[scr.emitted].start+i, o)
+		}
+	}
+}
+
+// groupTask is the body of every pool task of the run. It claims the next
+// group in index order — so group 1 never queues behind group 0 and no lane
+// speculates far ahead of the boundary that matters — and runs its aux and
+// its inputs sequentially from the (speculative) start state. Then the last
+// arriver resolves: the task marks the group finished and, when the next
+// unresolved boundary has both its groups, takes the resolver role and
+// settles boundaries until one is not ready, releasing and re-checking so a
+// finish that raced the release is picked up by one side or the other.
+func (scr *runScratch[I, S, O]) groupTask() {
+	j := int(scr.ticket.Add(1)) - 1
+	gr, lane := scr.groups[j], scr.lane+1+j
+	defer scr.wg.Done()
+	if scr.ctl != nil {
+		// Retire the group lane on every exit, panic included, before wg
+		// releases the coordinator.
+		defer scr.ctl.Done(lane)
+	}
+	gr.clock = scr.now()
 	// Panic isolation: a panic in user code on this lane — the auxiliary
 	// code, a clone, the group's computes — marks the group failed, value
 	// and stack preserved, and squashes it together with its successors;
@@ -706,6 +765,25 @@ func (scr *runScratch[I, S, O]) groupTask(j int) {
 			g.aborted.Store(true)
 		}
 	}
+	gr.finished.Store(true)
+	for scr.ready() && scr.resolving.CompareAndSwap(false, true) {
+		for scr.resolver = gr; scr.ready(); {
+			scr.next.Store(int32(scr.resolve(int(scr.next.Load()))))
+			select {
+			case scr.nudge <- struct{}{}:
+			default: // not streaming (nil), or one is pending and the coordinator reads next afresh
+			}
+		}
+		scr.resolving.Store(false)
+	}
+}
+
+// ready reports whether the next unresolved boundary can resolve: the
+// group below it finished before the previous boundary resolved, so only
+// the group above it is inspected.
+func (scr *runScratch[I, S, O]) ready() bool {
+	k := int(scr.next.Load())
+	return k < scr.numGroups && scr.groups[k].finished.Load()
 }
 
 // produceAux builds group j>0's speculative start state on the group's own
@@ -726,11 +804,12 @@ func (scr *runScratch[I, S, O]) produceAux(gr *groupRun[I, S, O]) {
 	}
 	recent := scr.inputs[max(gr.start-scr.window, 0):gr.start]
 	gr.auxRan = true
-	started, produced := time.Now(), false
+	produced := false
 	defer func() {
-		// One clock read, panic included, feeds the lane-CPU account and
-		// the event's span.
-		scr.auxNS[gr.idx] = time.Since(started).Nanoseconds()
+		// One clock read, panic included, feeds the lane-CPU account, the
+		// event's span and the start of the group's execution.
+		now := scr.now()
+		scr.auxNS[gr.idx], gr.clock = now-gr.clock, now
 		if produced {
 			scr.o.Note(gr.idx, obs.EvAuxProduced, int32(gr.idx), obs.AuxArg(len(recent), scr.auxNS[gr.idx]))
 		}
@@ -752,13 +831,13 @@ func (scr *runScratch[I, S, O]) executeGroup(gr *groupRun[I, S, O]) {
 	d, lane := scr.d, scr.lane+1+gr.idx
 	checkpointAt := gr.end - min(max(scr.rollback, 1), gr.end-gr.start)
 	deadlined := scr.timeout > 0 && gr.idx > 0
-	started := time.Now()
 	defer func() {
-		gr.execNS = time.Since(started).Nanoseconds()
+		now := scr.now()
+		gr.execNS, gr.clock = now-gr.clock, now
 	}()
 	scr.yield(sched.PointGroupStart, lane)
 	scr.o.Note(gr.idx, obs.EvGroupStart, int32(gr.idx), int64(gr.start))
-	s := d.ops.Clone(gr.specStart)
+	var s S
 	outs := gr.outBuf[:0]
 	gr.checkpointAt = checkpointAt
 	for idx := gr.start; idx < gr.end; idx++ {
@@ -770,14 +849,19 @@ func (scr *runScratch[I, S, O]) executeGroup(gr *groupRun[I, S, O]) {
 			break
 		}
 		if deadlined {
-			if expired, elapsedNS := scr.expired(started, lane); expired {
+			if expired, elapsedNS := scr.expired(scr.epoch.Add(time.Duration(gr.clock)), lane); expired {
 				// Deadline exceeded: squash exactly like a validation
-				// mismatch. Only this lane is marked; the coordinator's
+				// mismatch. Only this lane is marked; the resolver's
 				// boundary inspection squashes the successors.
 				gr.failure, gr.failArg = failTimeout, elapsedNS
 				gr.aborted.Store(true)
 				break
 			}
+		}
+		if idx == gr.start {
+			// After the first inspection: a group squashed before it
+			// started clones nothing.
+			s = d.ops.Clone(gr.specStart)
 		}
 		if idx == checkpointAt {
 			gr.checkpoint = d.ops.Clone(s)
@@ -785,7 +869,7 @@ func (scr *runScratch[I, S, O]) executeGroup(gr *groupRun[I, S, O]) {
 		var o O
 		gr.execSrc.SplitInto(&gr.callSrc)
 		o, s = d.compute(&gr.callSrc, scr.inputs[idx], s)
-		scr.invocations.Add(1)
+		gr.calls++
 		outs = append(outs, o)
 	}
 	scr.yield(sched.PointGroupFinish, lane)
@@ -794,39 +878,22 @@ func (scr *runScratch[I, S, O]) executeGroup(gr *groupRun[I, S, O]) {
 	scr.o.Note(gr.idx, obs.EvGroupFinish, int32(gr.idx), int64(len(outs)))
 }
 
-// abort ends speculation at group j: it squashes groups j.. and records
-// the boundary outcome. The squash yield comes AFTER the abort flags are
-// set (a post-write yield): parking the coordinator there lets the
-// controller decide which in-flight lanes observe the squash mid-group and
-// which run to completion first — the validate/squash race the exploration
-// harness targets.
-func (scr *runScratch[I, S, O]) abort(j, redosUsed int) {
+// abort ends speculation at group j: it squashes groups j.., records the
+// boundary outcome, and returns the boundary to resolve next — none is left,
+// so numGroups. The squash yield comes AFTER the abort flags are
+// set (a post-write yield): parking the resolver there lets the controller
+// decide which in-flight lanes observe the squash mid-group and which run
+// to completion first — the validate/squash race the exploration harness
+// targets.
+func (scr *runScratch[I, S, O]) abort(j, redosUsed int) int {
 	scr.noteAbort(j, redosUsed)
 	scr.abortAt = j
 	for _, gr := range scr.groups[j:scr.numGroups] {
 		gr.aborted.Store(true)
 	}
 	scr.noteSquash(j, scr.groups[j].end-scr.groups[j].start)
-	scr.yield(sched.PointSquash, scr.lane)
-}
-
-// resolveBoundaries validates in input order until a boundary aborts.
-// Group 0 is never speculative: it ran from the true initial state, so
-// only a lane failure stops it committing — and then nothing is committed
-// and the whole vector falls back.
-func (scr *runScratch[I, S, O]) resolveBoundaries(redoMax int) {
-	first := scr.groups[0]
-	scr.blocked(first.done.Wait)
-	if first.failure != failNone {
-		scr.abort(0, 0)
-		return
-	}
-	scr.committed[0] = first.base
-	for j := 1; j < scr.numGroups; j++ {
-		if !scr.resolve(j, redoMax) {
-			return
-		}
-	}
+	scr.yield(sched.PointSquash, scr.lane+1+scr.resolver.idx)
+	return scr.numGroups
 }
 
 // boundary is the progress of one boundary's validation, kept outside
@@ -840,37 +907,38 @@ type boundary[S, O any] struct {
 	accepted execution[S, O]
 }
 
-// resolve settles the boundary between groups j-1 and j and reports
-// whether speculation survives it. First the group's own execution must
-// have survived (no contained panic, no deadline squash); then validate
-// runs the developer's acceptance against the previous group's originals.
-// A panic anywhere in it — fingerprint, match, or the previous group's
-// re-execution — means the boundary cannot resolve: the unvalidated group
-// is squashed like a mismatch and the panic attributed to it.
-func (scr *runScratch[I, S, O]) resolve(j, redoMax int) bool {
-	prev, cur, o := scr.groups[j-1], scr.groups[j], scr.o
-	scr.blocked(cur.done.Wait)
+// resolve settles boundary j — between groups j-1 and j, both finished —
+// on the lane holding the resolver role, and returns the boundary to settle
+// next: j+1 when speculation survives, numGroups when it aborted. First the
+// group's own execution must have survived (no contained panic, no deadline
+// squash); that is all of boundary 0, since group 0 is never speculative: it
+// ran from the true initial state, and when its lane failed nothing is
+// committed and the whole vector falls back. Then validate runs the
+// developer's acceptance against the previous group's originals. A panic
+// anywhere in it — fingerprint, match, or the previous group's re-execution
+// — means the boundary cannot resolve: the unvalidated group is squashed
+// like a mismatch and the panic attributed to it.
+func (scr *runScratch[I, S, O]) resolve(j int) int {
+	cur, o, self := scr.groups[j], scr.o, scr.resolver
 	if cur.failure != failNone {
-		scr.abort(j, 0)
-		return false
+		return scr.abort(j, 0)
 	}
-	var vstart time.Time
-	if o != nil {
-		vstart = time.Now()
+	if j == 0 {
+		scr.committed[0] = cur.base
+		return 1
 	}
-	scr.yield(sched.PointValidate, scr.lane)
+	vstart, next := self.clock, j+1
+	scr.yield(sched.PointValidate, scr.lane+1+self.idx)
 	var b boundary[S, O]
-	pe := contain(func() { scr.validate(j, redoMax, &b) })
+	pe := contain(func() { scr.validate(j, &b) })
 	// Redo lane time burned at this boundary: the accepted re-execution
 	// (if any) produced committed outputs, every other redo is wasted work
 	// on the producing group.
 	scr.commitNS[j-1] += b.acceptedRedoNS
-	scr.wasteNS[j-1] += prev.redoNS - b.acceptedRedoNS
-	matched := pe == nil && b.matched
-	if matched {
+	scr.wasteNS[j-1] += scr.groups[j-1].redoNS - b.acceptedRedoNS
+	if pe == nil && b.matched {
 		scr.noteMatch(j, b.redosUsed)
 		scr.committed[j-1], scr.committed[j] = b.accepted, cur.base
-		emitExec(scr.emit, b.accepted, prev.start)
 	} else {
 		// Speculation failed — a mismatch past the redo budget, or a panic
 		// that left the boundary unresolved: abort this and all subsequent
@@ -878,14 +946,15 @@ func (scr *runScratch[I, S, O]) resolve(j, redoMax int) bool {
 		if pe != nil {
 			cur.failure, cur.panicErr = failPanic, pe
 		}
-		scr.abort(j, b.redosUsed)
+		next = scr.abort(j, b.redosUsed)
 	}
 	// Every boundary whose validation started is observed, however it ended.
 	if o != nil {
-		o.ValidationLatencyNS.Observe(time.Since(vstart).Nanoseconds())
+		self.clock = scr.now()
+		o.ValidationLatencyNS.Observe(self.clock - vstart)
 		o.RedosPerValidation.Observe(int64(b.redosUsed))
 	}
-	return matched
+	return next
 }
 
 // validate asks the developer's acceptance method whether group j's
@@ -894,7 +963,7 @@ func (scr *runScratch[I, S, O]) resolve(j, redoMax int) bool {
 // last W inputs. Re-executions replace only the suffix after the
 // checkpoint, so the originals set always extends the committed prefix.
 // It calls user code uncontained; resolve contains it.
-func (scr *runScratch[I, S, O]) validate(j, redoMax int, b *boundary[S, O]) {
+func (scr *runScratch[I, S, O]) validate(j int, b *boundary[S, O]) {
 	prev, spec := scr.groups[j-1], scr.groups[j].specStart
 	var specFP uint64
 	if scr.hashFirst {
@@ -907,10 +976,10 @@ func (scr *runScratch[I, S, O]) validate(j, redoMax int, b *boundary[S, O]) {
 	if !b.matched {
 		scr.o.Note(obs.LaneCoord, obs.EvValidateMismatch, int32(j), 0)
 	}
-	for !b.matched && b.redosUsed < redoMax {
+	for !b.matched && b.redosUsed < scr.redoMax {
 		b.redosUsed++
 		scr.noteRedo(j, b.redosUsed)
-		scr.yield(sched.PointRedo, scr.lane)
+		scr.yield(sched.PointRedo, scr.lane+1+scr.resolver.idx)
 		before := prev.redoNS
 		redo := scr.redoGroup(prev)
 		scr.addOriginal(redo.final)
@@ -958,9 +1027,9 @@ func (scr *runScratch[I, S, O]) accepts(spec S, specFP uint64) bool {
 // splice or discarding it) before requesting the next, so one buffer per
 // group suffices.
 func (scr *runScratch[I, S, O]) redoGroup(gr *groupRun[I, S, O]) execution[S, O] {
-	started := time.Now()
+	started := scr.now()
 	defer func() {
-		gr.redoNS += time.Since(started).Nanoseconds()
+		gr.redoNS += scr.now() - started
 	}()
 	s := scr.d.ops.Clone(gr.checkpoint)
 	outs := gr.redoBuf[:0]
@@ -968,7 +1037,7 @@ func (scr *runScratch[I, S, O]) redoGroup(gr *groupRun[I, S, O]) execution[S, O]
 		var o O
 		gr.redoSrc.SplitInto(&gr.redoCallSrc)
 		o, s = scr.d.compute(&gr.redoCallSrc, scr.inputs[idx], s)
-		scr.invocations.Add(1)
+		scr.st.Invocations++
 		outs = append(outs, o)
 	}
 	gr.redoBuf = outs
@@ -989,13 +1058,12 @@ func spliceExecution[I, S, O any](base execution[S, O], redo execution[S, O], gr
 	return execution[S, O]{outputs: outs, final: redo.final}
 }
 
-// commit waits out every lane and assembles the run's result: the
+// commit assembles the run's result once every lane is done: the
 // validated prefix's outputs in order (all groups when no boundary
 // aborted), then — per §3.1, "no other speculation is performed until all
 // the current inputs are processed" — the sequential fallback over the
-// rest. In-flight groups past an abort bail early on their aborted flag.
+// rest.
 func (scr *runScratch[I, S, O]) commit(root *rng.Source) ([]O, S) {
-	scr.blocked(scr.wg.Wait)
 	st, valid := scr.st, scr.numGroups
 	if scr.abortAt >= 0 {
 		valid = scr.abortAt
@@ -1008,8 +1076,9 @@ func (scr *runScratch[I, S, O]) commit(root *rng.Source) ([]O, S) {
 			scr.noteSpecCommits(gr.end - gr.start)
 		}
 	}
-	st.Invocations += scr.invocations.Load()
 	for _, gr := range scr.groups[:scr.numGroups] {
+		// Redo calls were counted by the resolver.
+		st.Invocations += gr.calls
 		if gr.auxRan { // counted where the aux ran: a squashed group may have skipped it
 			st.AuxCalls++
 			st.AuxInputs += min(scr.window, gr.start)
@@ -1019,8 +1088,8 @@ func (scr *runScratch[I, S, O]) commit(root *rng.Source) ([]O, S) {
 	// them; its first original final state is where a fallback resumes (a
 	// clone of the initial state when group 0 itself failed).
 	var final S
+	scr.emitFinal(valid)
 	if valid > 0 {
-		emitExec(scr.emit, scr.committed[valid-1], scr.groups[valid-1].start)
 		final = scr.committed[valid-1].final
 	} else {
 		final = scr.d.ops.Clone(scr.initial)
@@ -1058,11 +1127,11 @@ func (scr *runScratch[I, S, O]) fallBack(root *rng.Source, state S, outs []O) ([
 	at := scr.abortAt
 	start := scr.groups[at].start
 	scr.noteFallback(at, scr.n-start)
-	fbStart := time.Now()
+	fbStart := scr.now()
 	fbOuts, final := scr.d.runSequential(root, scr.inputs[start:], state, scr.st, scr.emit, start)
 	// The sequential fallback produced committed outputs; its time is
 	// filed against the aborting group, whose speculative work it redid.
-	scr.commitNS[at] += time.Since(fbStart).Nanoseconds()
+	scr.commitNS[at] += scr.now() - fbStart
 	scr.st.UsefulInvocations += int64(start)
 	return append(outs, fbOuts...), final
 }
@@ -1082,15 +1151,5 @@ func (scr *runScratch[I, S, O]) fileLaneCPU() {
 			scr.commitNS[j] += spent
 		}
 		scr.noteLaneCPU(j, scr.commitNS[j], scr.wasteNS[j])
-	}
-}
-
-// emitExec streams one committed execution's outputs.
-func emitExec[S, O any](emit Emit[O], exec execution[S, O], base int) {
-	if emit == nil {
-		return
-	}
-	for i, o := range exec.outputs {
-		emit(base+i, o)
 	}
 }

@@ -294,6 +294,46 @@ func TestNoGroupWaitsForAnotherGroupsAux(t *testing.T) {
 	}
 }
 
+// TestGroupsClaimedInIndexOrder pins the claim rule: lanes start groups in
+// strict index order whatever the pool's sharding did. Every group's first
+// compute except group 1's blocks until group 1's first compute has begun,
+// so with two workers group 1 must be the second group to start. Chunked
+// placement deadlocks here (group 1 queues behind group 0 on one worker
+// while the other blocks in group 4), hence the timeout.
+func TestGroupsClaimedInIndexOrder(t *testing.T) {
+	inputs := seqInputs(32)
+	begun := make(chan struct{})
+	var once sync.Once
+	compute := func(r *rng.Source, in int, s walkState) (int, walkState) {
+		if in == 5 { // group 1's first input
+			once.Do(func() { close(begun) })
+		} else if in%4 == 1 {
+			<-begun
+		}
+		return deterministicCompute(r, in, s)
+	}
+	type result struct {
+		outs []int
+		st   Stats
+	}
+	done := make(chan result, 1)
+	go func() {
+		outs, _, st := New(compute, exactAuxFor(inputs), walkOps()).Run(inputs, walkState{}, Options{
+			UseAux: true, GroupSize: 4, Window: 32, Workers: 2, Seed: 9,
+		})
+		done <- result{outs, st}
+	}()
+	select {
+	case r := <-done:
+		checkOutputs(t, r.outs, wantOutputs(inputs))
+		if r.st.Aborts != 0 || r.st.Matches != 7 {
+			t.Fatalf("run did not speculate cleanly: %+v", r.st)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("deadlock: group 1 did not start second, so it was placed, not claimed")
+	}
+}
+
 // nondetCompute adds Gaussian noise to the state transition. The noise makes
 // the final state of a group vary across re-executions, which is exactly the
 // freedom STATS exploits.

@@ -11,8 +11,8 @@ import (
 
 // runFrame is the part of a speculative run that does not depend on how a
 // group speculates: the grouping geometry, the worker-pool lease, the
-// controlled scheduler's bracketing around real waits, and the note*
-// methods — the one place each coordinator-side fact that owns a Stats
+// controlled scheduler's bracketing around real waits, the run's clock, and
+// the note* methods — the one place each run-level fact that owns a Stats
 // field (match, redo, abort, squash, fallback, contained panic, deadline,
 // lane CPU, speculative commits, fingerprint probes) is recorded, the
 // Stats write and the observer's Note (counter + event) on adjacent lines
@@ -22,7 +22,10 @@ import (
 // allocated per run) and keep only their policy: core.go guesses start
 // states and resolves boundaries, reservations.go runs reserve/check/commit
 // rounds. Every field is set on the coordinator before the fan-out and is
-// read-only afterwards, so lanes may call yield and expired concurrently.
+// read-only afterwards, so lanes may call yield, now and expired
+// concurrently; the note* methods write Stats and are called by one
+// goroutine at a time (the coordinator, or under the aux protocol the lane
+// holding the resolver role).
 type runFrame struct {
 	st  *Stats
 	o   *obs.Observer
@@ -33,6 +36,9 @@ type runFrame struct {
 
 	n, g, numGroups int
 	timeout         time.Duration
+	// epoch is when the run began: lanes read the clock as nanoseconds
+	// since it (now), one monotonic read instead of time.Now's two.
+	epoch time.Time
 
 	p        *pool.Pool
 	private  bool // p was built by lease and is closed by finish
@@ -44,7 +50,7 @@ type runFrame struct {
 func (f *runFrame) begin(n, g int, opts *Options, st *Stats) {
 	*f = runFrame{
 		st: st, o: opts.Obs, ctl: opts.Sched, lane: opts.SchedLane,
-		n: n, g: g, numGroups: (n + g - 1) / g, timeout: opts.GroupTimeout,
+		n: n, g: g, numGroups: (n + g - 1) / g, timeout: opts.GroupTimeout, epoch: time.Now(),
 	}
 	st.Groups = f.numGroups
 }
@@ -113,6 +119,11 @@ func (f *runFrame) yield(p sched.Point, lane int) {
 	if f.ctl != nil {
 		f.ctl.Yield(p, lane)
 	}
+}
+
+// now reads the run's clock: nanoseconds since the run began.
+func (f *runFrame) now() int64 {
+	return int64(time.Since(f.epoch))
 }
 
 // fanOut submits the tasks in one batch operation; a closed pool leaves a

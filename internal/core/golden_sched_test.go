@@ -27,63 +27,119 @@ var updateSchedules = flag.Bool("update-schedules", false,
 
 const goldenDir = "../../testdata/schedules"
 
-// goldenHarness runs the fixed Workers=1 engine configuration for a
-// golden under the given controller and returns the run's rendering and
-// stats. Workers=1 keeps every decision point engine-owned (a one-shard
-// pool has no steal alternatives), so crafted traces stay exactly
-// replayable.
-func goldenHarness(aux Aux[int, walkState], timeout time.Duration, o *obs.Observer) func(ctl sched.Controller) (string, Stats) {
-	inputs := seqInputs(24)
+// goldenHarness runs the fixed engine configuration for a golden under the
+// given controller and returns the run's rendering and stats. Workers=1
+// uses the run's private, controlled pool and keeps every decision point
+// engine-owned (a one-shard pool has no steal alternatives); workers > 1
+// runs over an external, uncontrolled pool, so the recorded decision points
+// are again only the engine's own — lanes claim groups by ticket, so which
+// worker runs a task never shows in the schedule. Either way crafted traces
+// stay exactly replayable.
+func goldenHarness(aux Aux[int, walkState], inputs []int, workers int, timeout time.Duration, o *obs.Observer) func(ctl sched.Controller) (string, Stats) {
 	return func(ctl sched.Controller) (string, Stats) {
-		d := New(deterministicCompute, aux, walkOps())
-		outs, final, st := d.Run(inputs, walkState{}, Options{
-			UseAux: true, GroupSize: 4, Window: 24, Workers: 1,
+		opts := Options{
+			UseAux: true, GroupSize: 4, Window: len(inputs), Workers: workers,
 			RedoMax: 1, Rollback: 4, Seed: 77,
 			GroupTimeout: timeout, Sched: ctl, Obs: o,
-		})
+		}
+		if workers > 1 {
+			opts.Pool = pool.NewSeeded(workers, 7)
+			defer opts.Pool.Close()
+		}
+		d := New(deterministicCompute, aux, walkOps())
+		outs, final, st := d.Run(inputs, walkState{}, opts)
 		return renderRun(outs, final), st
 	}
 }
 
-func goldenSequential(timeout time.Duration) string {
-	inputs := seqInputs(24)
+func goldenSequential(inputs []int) string {
 	d := New(deterministicCompute, nil, walkOps())
 	outs, final, _ := d.Run(inputs, walkState{}, Options{Seed: 77})
-	_ = timeout
 	return renderRun(outs, final)
 }
 
-// craftAllFinishBeforeValidate reorders a recorded exact-aux run so every
-// group-lane admission recorded after the coordinator's first validate is
-// pulled ahead of it: maximal validation laziness, with the whole
-// speculative window complete before any boundary is checked. Entries
-// before the first validate keep their recorded positions (they include
-// the coordinator waits the groups raced against), so per-lane program
-// order — the feasibility invariant — is untouched.
-func craftAllFinishBeforeValidate(rec *sched.Trace) *sched.Trace {
+// yields appends one yield admission per point on lane.
+func yields(tr *sched.Trace, lane int, points ...sched.Point) {
+	for _, p := range points {
+		tr.Entries = append(tr.Entries, sched.Entry{Kind: sched.KindYield, Point: p, Lane: lane})
+	}
+}
+
+// groupYields appends group j's admissions up to and including its steps-th
+// step: aux (groups after the first), group-start, then the steps.
+func groupYields(tr *sched.Trace, j, steps int) {
+	if j > 0 {
+		yields(tr, 1+j, sched.PointAux)
+	}
+	yields(tr, 1+j, sched.PointGroupStart)
+	for ; steps > 0; steps-- {
+		yields(tr, 1+j, sched.PointGroupStep)
+	}
+}
+
+// craftAllFinishBeforeValidate writes the schedule of maximal validation
+// laziness for groups groups of g inputs on two workers: group 1's lane
+// takes the resolver role when it finishes and is held at its first
+// validate while the other worker runs every remaining group to its finish
+// (each finds the role taken and retires), and only then are all the
+// boundaries resolved, back to back, on that one lane. The coordinator is
+// admitted after its fan-out and after its one wait.
+func craftAllFinishBeforeValidate(groups, g int) *sched.Trace {
+	out := &sched.Trace{Controller: "crafted", Note: "all groups finish before the first validate"}
+	yields(out, 0, sched.PointResume)
+	for j := 0; j < groups; j++ {
+		groupYields(out, j, g)
+		yields(out, 1+j, sched.PointGroupFinish)
+	}
+	for j := 1; j < groups; j++ {
+		yields(out, 2, sched.PointValidate)
+	}
+	yields(out, 0, sched.PointResume)
+	return out
+}
+
+// craftCoordinatorParked reorders a recorded run so the coordinator lane is
+// not admitted once between its fan-out and the last lane's last admission:
+// every entry of a group lane first, in recorded order, then the
+// coordinator's. The lanes resolve the boundaries among themselves; a
+// design that validates on the coordinator stalls here.
+func craftCoordinatorParked(rec *sched.Trace) *sched.Trace {
 	out := &sched.Trace{Seed: rec.Seed, Controller: "crafted",
-		Note: "all groups finish before the first validate"}
-	firstValidate := -1
-	for i, e := range rec.Entries {
-		if e.Point == sched.PointValidate && e.Lane == 0 {
-			firstValidate = i
-			break
+		Note: "coordinator never scheduled between launch and the last lane's finish"}
+	for _, lanes := range []bool{true, false} {
+		for _, e := range rec.Entries {
+			if (e.Lane > 0) == lanes {
+				out.Entries = append(out.Entries, e)
+			}
 		}
 	}
-	if firstValidate < 0 {
-		return out
+	return out
+}
+
+// craftAbortAtOneWave writes the schedule in which an abort at boundary 1
+// wastes one wave on two workers: group 0 runs to its finish, group 1 runs
+// its steps while group 2 — claimed by the worker group 0 freed — gets
+// half-way; then group 1 finishes and its lane validates, spends its redos,
+// and squashes before any other lane is admitted again. Group 2 observes
+// the flag at its next step, and every later group before its aux.
+func craftAbortAtOneWave(groups, g, redoMax int) *sched.Trace {
+	out := &sched.Trace{Controller: "crafted", Note: "abort at boundary 1 squashes every later group at its next inspection"}
+	yields(out, 0, sched.PointResume)
+	groupYields(out, 0, g)
+	yields(out, 1, sched.PointGroupFinish)
+	groupYields(out, 1, g)
+	groupYields(out, 2, g/2)
+	yields(out, 2, sched.PointGroupFinish, sched.PointValidate)
+	for r := 0; r < redoMax; r++ {
+		yields(out, 2, sched.PointRedo)
 	}
-	out.Entries = append(out.Entries, rec.Entries[:firstValidate]...)
-	for _, e := range rec.Entries[firstValidate:] {
-		if e.Lane > 0 {
-			out.Entries = append(out.Entries, e)
-		}
+	yields(out, 2, sched.PointSquash)
+	yields(out, 3, sched.PointGroupStep, sched.PointGroupFinish)
+	for j := 3; j < groups; j++ {
+		groupYields(out, j, 1)
+		yields(out, 1+j, sched.PointGroupFinish)
 	}
-	for _, e := range rec.Entries[firstValidate:] {
-		if e.Lane <= 0 {
-			out.Entries = append(out.Entries, e)
-		}
-	}
+	yields(out, 0, sched.PointResume, sched.PointFallback)
 	return out
 }
 
@@ -124,12 +180,7 @@ func craftLateGroupsPastSquash(rec *sched.Trace, fromLane int) *sched.Trace {
 		out.Entries = append(out.Entries, e)
 		if i == squash {
 			for _, l := range ordered {
-				out.Entries = append(out.Entries,
-					sched.Entry{Kind: sched.KindYield, Point: sched.PointAux, Lane: l},
-					sched.Entry{Kind: sched.KindYield, Point: sched.PointGroupStart, Lane: l},
-					sched.Entry{Kind: sched.KindYield, Point: sched.PointGroupStep, Lane: l},
-					sched.Entry{Kind: sched.KindYield, Point: sched.PointGroupFinish, Lane: l},
-				)
+				yields(out, l, sched.PointAux, sched.PointGroupStart, sched.PointGroupStep, sched.PointGroupFinish)
 			}
 		}
 	}
@@ -197,9 +248,11 @@ func craftWaveLanesDescending(rec *sched.Trace, point sched.Point, note string) 
 }
 
 func TestGoldenSchedules(t *testing.T) {
-	exactHarness := goldenHarness(exactAuxFor(seqInputs(24)), 0, nil)
-	badHarness := goldenHarness(badAux, 0, nil)
-	timeoutHarness := goldenHarness(exactAuxFor(seqInputs(24)), time.Millisecond, nil)
+	in24, in128 := seqInputs(24), seqInputs(128)
+	exactHarness := goldenHarness(exactAuxFor(in24), in24, 1, 0, nil)
+	exactHarness2 := goldenHarness(exactAuxFor(in24), in24, 2, 0, nil)
+	badHarness := goldenHarness(badAux, in24, 1, 0, nil)
+	timeoutHarness := goldenHarness(exactAuxFor(in24), in24, 1, time.Millisecond, nil)
 
 	goldens := []struct {
 		name   string
@@ -209,18 +262,55 @@ func TestGoldenSchedules(t *testing.T) {
 		{
 			name: "all-finish-before-validate",
 			record: func(t *testing.T) *sched.Trace {
-				rec := sched.NewRandom(3, sched.WithRecording())
-				exactHarness(rec)
-				return craftAllFinishBeforeValidate(rec.TraceCopy())
+				return craftAllFinishBeforeValidate(6, 4)
 			},
 			check: func(t *testing.T, tr *sched.Trace) {
 				rep := sched.NewReplay(tr)
-				got, st := exactHarness(rep)
-				if want := goldenSequential(0); got != want {
+				got, st := exactHarness2(rep)
+				if want := goldenSequential(in24); got != want {
 					t.Fatalf("output diverged:\n got %s\nwant %s", got, want)
 				}
 				if st.Aborts != 0 || st.Matches != st.Groups-1 {
 					t.Fatalf("lazy validation changed outcomes: %+v", st)
+				}
+				assertExactReplay(t, rep)
+			},
+		},
+		{
+			name: "coordinator-parked",
+			record: func(t *testing.T) *sched.Trace {
+				rec := sched.NewRandom(3, sched.WithRecording())
+				exactHarness(rec)
+				return craftCoordinatorParked(rec.TraceCopy())
+			},
+			check: func(t *testing.T, tr *sched.Trace) {
+				rep := sched.NewReplay(tr)
+				got, st := exactHarness(rep)
+				if want := goldenSequential(in24); got != want {
+					t.Fatalf("output diverged:\n got %s\nwant %s", got, want)
+				}
+				if st.Aborts != 0 || st.Matches != st.Groups-1 {
+					t.Fatalf("boundaries did not all resolve with the coordinator parked: %+v", st)
+				}
+				assertExactReplay(t, rep)
+			},
+		},
+		{
+			name: "abort-at-1-wastes-one-wave",
+			record: func(t *testing.T) *sched.Trace {
+				return craftAbortAtOneWave(32, 4, 1)
+			},
+			check: func(t *testing.T, tr *sched.Trace) {
+				rep := sched.NewReplay(tr)
+				got, st := goldenHarness(badAux, in128, 2, 0, nil)(rep)
+				if want := goldenSequential(in128); got != want {
+					t.Fatalf("output diverged:\n got %s\nwant %s", got, want)
+				}
+				// Inputs + 3·G + RedoMax·Rollback: group 1 and what the other
+				// worker had in flight, not the 31 groups a squash that waits
+				// for an idle machine wastes.
+				if st.Aborts != 1 || st.Groups != 32 || st.Invocations > 128+3*4+1*4 {
+					t.Fatalf("abort at boundary 1 wasted more than one wave: %+v", st)
 				}
 				assertExactReplay(t, rep)
 			},
@@ -238,8 +328,8 @@ func TestGoldenSchedules(t *testing.T) {
 			check: func(t *testing.T, tr *sched.Trace) {
 				rep := sched.NewReplay(tr)
 				o := obs.NewObserver(2, 1024)
-				got, st := goldenHarness(badAux, 0, o)(rep)
-				if want := goldenSequential(0); got != want {
+				got, st := goldenHarness(badAux, in24, 1, 0, o)(rep)
+				if want := goldenSequential(in24); got != want {
 					t.Fatalf("output diverged:\n got %s\nwant %s", got, want)
 				}
 				if st.Aborts == 0 || st.SquashedInputs == 0 || st.FallbackInputs == 0 {
@@ -269,7 +359,7 @@ func TestGoldenSchedules(t *testing.T) {
 			check: func(t *testing.T, tr *sched.Trace) {
 				rep := sched.NewReplay(tr)
 				got, st := timeoutHarness(rep)
-				if want := goldenSequential(time.Millisecond); got != want {
+				if want := goldenSequential(in24); got != want {
 					t.Fatalf("output diverged:\n got %s\nwant %s", got, want)
 				}
 				if st.TimedOutGroups == 0 || st.FallbackInputs == 0 {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/pool"
 )
 
 // TestTracedAbortRaceStress runs the engine with tracing attached under
@@ -79,5 +80,57 @@ func TestTracedAbortRaceStress(t *testing.T) {
 	}
 	if aborts == 0 {
 		t.Fatal("no abort ever happened; the abort/in-flight race went unexercised")
+	}
+}
+
+// TestResolverHandOverRace hammers the resolver role's hand-over: many
+// one-input groups on four lanes, so lanes finish, take the role, release
+// it and re-check in every interleaving the host produces, some runs
+// streaming (the frontier and the nudge race the coordinator too). A finish
+// missed between a release and a re-check leaves a boundary unresolved —
+// the run would hang on its one wait or commit short — and a role held by
+// two lanes at once is a data race on Stats and the originals set. Every
+// run must resolve every boundary and return the sequential outputs.
+func TestResolverHandOverRace(t *testing.T) {
+	inputs := seqInputs(96)
+	want := wantOutputs(inputs)
+	p := pool.New(4)
+	defer p.Close()
+	runs := 200
+	if testing.Short() {
+		runs = 40
+	}
+	exact := New(deterministicCompute, exactAuxFor(inputs), walkOps())
+	noisy := New(nondetCompute, noiselessAuxFor(inputs), tolerantOps(0.9))
+	for i := 0; i < runs; i++ {
+		opts := Options{
+			UseAux: true, GroupSize: 1 + i%3, Window: 96, RedoMax: 2, Rollback: 1,
+			Pool: p, Seed: uint64(i),
+		}
+		var emit Emit[int]
+		emitted := 0
+		if i%2 == 1 {
+			emit = func(idx, _ int) {
+				if idx != emitted {
+					t.Errorf("run %d: emit(%d) after %d outputs", i, idx, emitted)
+				}
+				emitted++
+			}
+		}
+		d := exact
+		if i%4 >= 2 {
+			d = noisy
+		}
+		outs, _, st := d.RunStream(inputs, walkState{}, opts, emit)
+		checkOutputs(t, outs, want)
+		if emit != nil && emitted != len(inputs) {
+			t.Fatalf("run %d: %d outputs emitted", i, emitted)
+		}
+		if d == exact && (st.Aborts != 0 || st.Matches != st.Groups-1) {
+			t.Fatalf("run %d: a boundary went unresolved: %+v", i, st)
+		}
+		if st.Matches+st.Aborts == 0 || st.Aborts > 1 || st.Invocations < int64(len(inputs)) {
+			t.Fatalf("run %d: stats do not reconcile: %+v", i, st)
+		}
 	}
 }

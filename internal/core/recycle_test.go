@@ -3,6 +3,7 @@ package core
 import (
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/pool"
 	"repro/internal/racemode"
@@ -75,6 +76,16 @@ func TestHotPathAllocCeilings(t *testing.T) {
 				t.Errorf("%.1f allocs/run, ceiling %v", got, c.ceiling)
 			}
 		})
+	}
+}
+
+// TestGroupRunSize pins the group record to its Go size class: 384 B with
+// word-sized I, S and O. A cold run allocates one per group, so the next
+// class up (416 B) is +8% bytes per group on every run that builds a fresh
+// Dependence — measurable on the benchmark's alloc_bytes_per_input.
+func TestGroupRunSize(t *testing.T) {
+	if got := unsafe.Sizeof(groupRun[uint64, uint64, uint64]{}); got > 384 {
+		t.Fatalf("groupRun is %d B, ceiling 384", got)
 	}
 }
 

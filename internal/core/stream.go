@@ -8,10 +8,14 @@ package core
 // the long-data-stream applications §4.8 identifies as STATS's best fit.
 
 // Emit receives committed outputs in input order. It is called from the
-// coordinating goroutine only (never concurrently), at the §3.1 commit
-// points: a group's outputs when the next boundary's validation resolves
-// (until then a re-execution may still splice the group's suffix), the
-// last group's at run completion, and fallback outputs as they compute.
+// goroutine that called RunStream only (never concurrently), once outputs
+// are final: a group's outputs after the next boundary's validation has
+// resolved (until then a re-execution may still splice the group's suffix),
+// the last group's at run completion, and fallback outputs as they compute.
+// Boundaries resolve on the lanes; a lane never calls Emit — under
+// ProtocolAux the resolver publishes how far the outputs are final and
+// wakes the caller's goroutine, which emits the newly final prefix. A run
+// without an Emit pays none of this.
 type Emit[O any] func(index int, output O)
 
 // RunStream behaves like Run but additionally delivers each output through

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/pool"
 	"repro/internal/rng"
 )
 
@@ -106,4 +109,69 @@ func TestRunStreamOverlapsWithTail(t *testing.T) {
 	if early >= total/2 {
 		t.Fatalf("first commit at %v of %v: no streaming overlap", early, total)
 	}
+}
+
+// goid returns the calling goroutine's id, parsed from its stack header.
+func goid() string {
+	var buf [64]byte
+	fields := strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))
+	return fields[1] // "goroutine N [running]:"
+}
+
+// TestEmitStaysOnCallerGoroutine pins Emit's contract now that boundaries
+// resolve on the lanes: every call is made by the goroutine that called
+// RunStream, in input order, never concurrently. The callback appends to a
+// caller-local slice with no synchronisation, so under -race a call from a
+// lane, or two overlapping calls, is a reported race as well as a failure.
+func TestEmitStaysOnCallerGoroutine(t *testing.T) {
+	inputs := seqInputs(256)
+	for _, aux := range []Aux[int, walkState]{exactAuxFor(inputs), badAux} {
+		caller := goid()
+		var got []int
+		outs, _, _ := New(deterministicCompute, aux, walkOps()).RunStream(inputs, walkState{}, Options{
+			UseAux: true, GroupSize: 4, Window: 256, Workers: 4, RedoMax: 1, Rollback: 2, Seed: 11,
+		}, func(i, o int) {
+			if id := goid(); id != caller {
+				t.Errorf("emit(%d) ran on goroutine %s, caller is %s", i, id, caller)
+			}
+			if i != len(got) {
+				t.Errorf("emit(%d) out of order after %d outputs", i, len(got))
+			}
+			got = append(got, o)
+		})
+		checkOutputs(t, got, outs)
+		checkOutputs(t, outs, wantOutputs(inputs))
+	}
+}
+
+// TestEmitPanicSurfacesWithLaneSideResolution: an emit that panics while
+// the lanes are still executing and resolving surfaces from RunStreamChecked
+// as a *PanicError, the outputs emitted before it stand, and the run waited
+// for its lanes before recycling their scratch — the next run on the same
+// Dependence and the same shared pool is clean.
+func TestEmitPanicSurfacesWithLaneSideResolution(t *testing.T) {
+	inputs := seqInputs(128)
+	p := pool.New(2)
+	defer p.Close()
+	d := New(deterministicCompute, exactAuxFor(inputs), walkOps())
+	opts := Options{UseAux: true, GroupSize: 4, Window: 128, Pool: p, Seed: 12}
+	emitted := 0
+	_, _, _, err := d.RunStreamChecked(inputs, walkState{}, opts, func(i, o int) {
+		if i == 6 {
+			panic("emit boom")
+		}
+		emitted++
+	})
+	pe, ok := err.(*PanicError)
+	if !ok || pe.Value != "emit boom" {
+		t.Fatalf("err = %v, want the emit panic", err)
+	}
+	if emitted != 6 {
+		t.Fatalf("%d outputs emitted before the panic, want 6", emitted)
+	}
+	outs, _, st, err := d.RunStreamChecked(inputs, walkState{}, opts, func(int, int) {})
+	if err != nil || st.Matches != st.Groups-1 {
+		t.Fatalf("run after the emit panic: err %v, stats %+v", err, st)
+	}
+	checkOutputs(t, outs, wantOutputs(inputs))
 }

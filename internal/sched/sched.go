@@ -56,11 +56,13 @@ const (
 	// its task, about to inspect the abort flag and then produce the
 	// group's speculative start state — or skip it, if already squashed.
 	PointAux
-	// PointValidate is the coordinator about to validate one boundary.
+	// PointValidate is the resolver — the group lane whose task holds the
+	// run's resolver role, having just finished its group — about to
+	// validate one boundary.
 	PointValidate
-	// PointRedo is the coordinator about to re-execute a group suffix.
+	// PointRedo is the resolver about to re-execute a group suffix.
 	PointRedo
-	// PointSquash is the coordinator having just squashed a group range
+	// PointSquash is the resolver having just squashed a group range
 	// (the abort flags are already set when this yield is reached).
 	PointSquash
 	// PointFallback is the coordinator entering the sequential fallback.
@@ -142,8 +144,8 @@ func ParsePoint(s string) (Point, bool) {
 // Controller makes the engine's nondeterministic decisions. All methods
 // are safe for concurrent use; Yield and Choose may block the caller to
 // force an interleaving. Lane identifiers partition the participants:
-// the engine coordinator uses its run's lane base, group j uses base+1+j,
-// and pool workers use negative lanes (worker i is lane -(i+1)), so the
+// the engine coordinator uses its run's lane base, the task that claimed
+// group j uses base+1+j, and pool workers use negative lanes (worker i is lane -(i+1)), so the
 // namespaces never collide.
 type Controller interface {
 	// Yield parks the calling lane until the controller schedules it.

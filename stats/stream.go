@@ -16,7 +16,8 @@ type Committed[O any] struct {
 // moment each output stops being speculative (§3.1's commit points): a
 // group's outputs when the next boundary's validation resolves, the last
 // group's at completion, fallback outputs as they compute. emit runs on
-// the coordinating goroutine — keep it light or hand off to a channel.
+// the calling goroutine, never on a lane — keep it light or hand off to a
+// channel.
 func (sd *StateDependence[I, S, O]) RunStream(emit func(index int, output O)) ([]O, S, RunStats) {
 	return sd.dep().RunStream(sd.inputs, sd.initial, sd.coreOptions(), core.Emit[O](emit))
 }
