@@ -32,16 +32,19 @@ race:
 
 # Core-count matrix over the pool/core stress tests, so a failure that only
 # interleaves on some GOMAXPROCS (the SubmitBatch-vs-Close accounting race
-# hid on a 1-CPU host for ten PRs) cannot hide again.
+# hid on a 1-CPU host for ten PRs) cannot hide again. The last three names
+# are the reservations rounds' placement tests (winners spread over lanes,
+# the fan-out rule, the footprint oracle on in-place writes).
 stress:
-	$(GO) test -race -count=5 -cpu 1,2,4 ./internal/pool ./internal/core -run 'Stress|Race|Concurrent|Recycl|Resolver|Claimed'
+	$(GO) test -race -count=5 -cpu 1,2,4 ./internal/pool ./internal/core -run 'Stress|Race|Concurrent|Recycl|Resolver|Claimed|Winners|Granularity|InPlace'
 
-# Static analysis: the standard Go vet, then statsvet — the IR/source
-# passes over the checked-in example program and the runtime-API
-# analyzers over the repository's user-facing Go code — then the
-# count-each-fact-once guard: the engine and the pool report through
-# obs.Observer.Note only.
+# Static analysis: gofmt must have nothing to say, then the standard Go
+# vet, then statsvet — the IR/source passes over the checked-in example
+# program and the runtime-API analyzers over the repository's user-facing
+# Go code — then the count-each-fact-once guard: the engine and the pool
+# report through obs.Observer.Note only.
 vet:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l . is not empty:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/statsvet testdata/bodytrack.stats ./examples ./internal/workload ./stats
 	$(GO) run ./cmd/statsvet -footprints cmd/statsvet/testdata/corpus/good/*.stats

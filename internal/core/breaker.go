@@ -233,7 +233,7 @@ type BreakerSnapshot struct {
 	Probes int64 `json:"probe_runs"`
 	// WindowedRuns and FailureRate describe the current closed-state
 	// window: outcomes retained and the fraction that failed.
-	WindowedRuns int   `json:"windowed_runs"`
+	WindowedRuns int     `json:"windowed_runs"`
 	FailureRate  float64 `json:"failure_rate"`
 }
 

@@ -11,9 +11,9 @@ import (
 // fakeClock is an injectable breaker clock tests advance by hand.
 type fakeClock struct{ t time.Time }
 
-func (c *fakeClock) now() time.Time              { return c.t }
-func (c *fakeClock) advance(d time.Duration)     { c.t = c.t.Add(d) }
-func newFakeClock() *fakeClock                   { return &fakeClock{t: time.Unix(1700000000, 0)} }
+func (c *fakeClock) now() time.Time          { return c.t }
+func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
+func newFakeClock() *fakeClock               { return &fakeClock{t: time.Unix(1700000000, 0)} }
 func testBreakerCfg(clk *fakeClock) BreakerConfig {
 	return BreakerConfig{
 		Window:         10 * time.Second,

@@ -242,7 +242,7 @@ type Stats struct {
 
 	// LaneCPUCommittedNS and LaneCPUWastedNS split the run's lane
 	// CPU-time — wall-clock nanoseconds measured at lane boundaries
-	// (aux, group execution, redo, reservation reserve/compute,
+	// (aux, group execution, redo, reservation compute chunks,
 	// sequential fallback) — by whether the work's results were
 	// committed or discarded. Their ratio is the paper's speculation
 	// trade made visible: wasted/(wasted+committed) is the price paid

@@ -60,7 +60,7 @@ func stressOne(t *testing.T, proto Protocol, workers, redoMax int, timeout time.
 	const n = 96
 	inputs := seqInputs(n)
 	in := fault.New(fault.Config{
-		Seed: uint64(workers*1000 + redoMax*100) + uint64(timeout),
+		Seed:         uint64(workers*1000+redoMax*100) + uint64(timeout),
 		AuxPanicRate: auxRate, GarbageRate: garbageRate, ComputePanicRate: 0.2,
 	})
 	compute := deterministicCompute

@@ -189,11 +189,12 @@ func craftLateGroupsPastSquash(rec *sched.Trace, fromLane int) *sched.Trace {
 
 // resvGoldenHarness runs the reservations protocol at Workers=2 over an
 // external, uncontrolled pool: the recorded decision points are then only
-// the engine's own reserve/check/commit yields, whose counts are
-// schedule-independent (write-min is commutative, so the pending sets and
-// round structure never depend on admission order) — which is what makes
-// crafted traces exactly replayable at real parallelism. A nil footprint
-// uses the built-in whole-state slot (every lane reserves slot 0).
+// the engine's own reserve/reserve-check/commit yields, whose counts are
+// schedule-independent (the coordinator decides every reservation itself, in
+// input order, so the pending sets, winners and round structure never
+// depend on admission order) — which is what makes crafted traces exactly
+// replayable at real parallelism. A nil footprint uses the built-in
+// whole-state slot (every input reserves slot 0).
 func resvGoldenHarness(fp func(in int) []int) func(ctl sched.Controller) (string, Stats) {
 	inputs := seqInputs(12)
 	compute := func(_ *rng.Source, in int, s []float64) (int, []float64) {
@@ -370,10 +371,11 @@ func TestGoldenSchedules(t *testing.T) {
 		},
 		{
 			// Every input reserves the same slot (the built-in whole-state
-			// footprint): the crafted trace admits the higher lane's entire
-			// reserve half before the lower lane writes a single cell, so
-			// write-min sees the worst arrival order every round. The
-			// winner set — and therefore the output — must not move.
+			// footprint), so each round has one winner: the trace pins the
+			// whole round on two lanes — every reservation decided at a
+			// reserve yield on the coordinator's lane, the lone winner
+			// computed on lane 1 (under a controller even a one-chunk wave
+			// goes to the pool), the commit back on the coordinator.
 			name: "resv-all-lanes-reserve-same-slot",
 			record: func(t *testing.T) *sched.Trace {
 				h := resvGoldenHarness(nil)
@@ -382,8 +384,9 @@ func TestGoldenSchedules(t *testing.T) {
 				if st.Rounds == 0 {
 					t.Fatal("recording never entered the reservations protocol")
 				}
-				return craftWaveLanesDescending(rec.TraceCopy(), sched.PointReserve,
-					"whole-state conflict: high lane reserves fully before low lane")
+				tr := rec.TraceCopy()
+				tr.Note = "whole-state conflict: every reservation decided on the coordinator, one winner per round"
+				return tr
 			},
 			check: func(t *testing.T, tr *sched.Trace) {
 				h := resvGoldenHarness(nil)
@@ -395,18 +398,18 @@ func TestGoldenSchedules(t *testing.T) {
 				// Total conflict commits exactly one input per round: each
 				// 6-input group needs 6 rounds and 5+4+3+2+1 carry-forwards.
 				if st.Rounds != 12 || st.ReservationConflicts != 30 {
-					t.Fatalf("adversarial reserve order changed the round structure: %+v", st)
+					t.Fatalf("total conflict changed the round structure: %+v", st)
 				}
 				assertExactReplay(t, rep)
 			},
 		},
 		{
 			// Alternating two-slot footprints: every round commits one
-			// winner per slot while the rest carry forward. The crafted
-			// trace admits the losing lane's whole check half first, so
-			// every carry-forward decision lands before the winners even
-			// check their slots — the commit races the carry-forward and
-			// must not see it.
+			// winner per slot — one per lane — while the rest carry
+			// forward. The crafted trace admits the higher lane first in
+			// every compute wave, so the higher-indexed winner always
+			// finishes before the lower-indexed one starts; the commit
+			// must still merge them in input order.
 			name: "resv-commit-racing-carry-forward",
 			record: func(t *testing.T) *sched.Trace {
 				h := resvGoldenHarness(func(in int) []int { return []int{in % 2} })
@@ -416,7 +419,7 @@ func TestGoldenSchedules(t *testing.T) {
 					t.Fatal("recording saw no reservation conflicts")
 				}
 				return craftWaveLanesDescending(rec.TraceCopy(), sched.PointReserveCheck,
-					"losers' checks admitted before the winners' compute-and-commit")
+					"higher-indexed winner computes before the lower-indexed one, every round")
 			},
 			check: func(t *testing.T, tr *sched.Trace) {
 				h := resvGoldenHarness(func(in int) []int { return []int{in % 2} })
@@ -428,7 +431,7 @@ func TestGoldenSchedules(t *testing.T) {
 				// Two winners per round (one per slot): each 6-input group
 				// resolves in 3 rounds with 4+2 carry-forwards.
 				if st.Rounds != 6 || st.ReservationConflicts != 12 {
-					t.Fatalf("adversarial check order changed the round structure: %+v", st)
+					t.Fatalf("adversarial compute order changed the round structure: %+v", st)
 				}
 				assertExactReplay(t, rep)
 			},

@@ -5,22 +5,31 @@
 // validates it after the fact, reservations never guess: each group's
 // pending inputs run rounds of
 //
-//	reserve — every pending input write-mins its index into the state
-//	          slots its footprint touches;
-//	check   — an input still holding the minimum on all its slots wins
-//	          and runs the compute from the round's snapshot;
+//	decide  — the coordinator evaluates every pending input's footprint
+//	          against the committed state and write-mins its index into
+//	          the slots it touches, in ascending input order; an input
+//	          holding the minimum on all its slots wins, the others
+//	          carry forward into the next round;
+//	compute — the winners, chunked evenly over the lanes, each run the
+//	          compute from a snapshot that clones the slots they
+//	          reserved — the round's only parallel phase;
 //	commit  — the coordinator merges the winners' states in ascending
-//	          input order and retires their outputs; losers carry
-//	          forward into the next round.
+//	          input order and retires their outputs.
 //
 // The lowest pending index always wins every slot it reserves, so each
 // round commits at least one input and the protocol terminates with no
 // aux code, no validation and no redo: sequential order is preserved by
-// construction. Every input's random stream is pre-split on the
-// coordinator in input order and attempts receive value copies, so the
-// outputs are byte-identical to the sequential baseline — including under
-// contained panics, deadlines and breaker denials — as long as the
-// footprint contract holds (see ReserveOps).
+// construction, and the round structure is a pure function of the inputs.
+// Every input's random stream is pre-split on the coordinator in input
+// order and attempts receive value copies, so the outputs are
+// byte-identical to the sequential baseline — including under contained
+// panics, deadlines and breaker denials — as long as the footprint
+// contract holds (see ReserveOps).
+//
+// A round fans its winners out to the pool only when that can pay: a wave
+// of one chunk runs on the coordinator, and so does a wave whose winners
+// beyond the largest chunk — the work a fan-out overlaps — take less lane
+// time than a fan-out was measured to cost in this run (fanOutPays).
 package core
 
 import (
@@ -80,6 +89,13 @@ func ParseProtocol(s string) (Protocol, bool) {
 // order. Under that contract the run's outputs are byte-identical to the
 // sequential baseline.
 //
+// With CloneSlots set, a winner's snapshot is private only in the slots it
+// reserved; every other slot is the committed state's own. A compute that
+// writes through a reference inside an undeclared slot therefore writes
+// committed state, racing the round's other winners — undetected unless
+// Options.FootprintCheck is on, which runs every compute on a whole-state
+// Clone and squashes the group before anything of it commits.
+//
 // A Dependence without ReserveOps still supports ProtocolReservations via
 // a built-in whole-state single slot: every pending input conflicts, one
 // input commits per round, and parallelism degenerates to ordered rounds —
@@ -91,12 +107,21 @@ type ReserveOps[I, S any] struct {
 	NumSlots func(initial S) int
 	// Footprint returns the slots the input's compute touches given the
 	// state snapshot it would run from. It must be deterministic in
-	// (in, s) and must not mutate s.
+	// (in, s) and must not mutate s. The coordinator evaluates it once per
+	// round the input is pending in.
 	Footprint func(in I, s S) []int
 	// Merge copies the given slots of src into dst and returns the
-	// merged state. dst is a private clone; src is a winner's returned
-	// state; only the winner's footprint slots may be taken from it.
+	// merged state. dst is private to the merge (with CloneSlots set, only
+	// as a container: Merge must replace its slots, never write through
+	// them); src is a winner's returned state; only the winner's footprint
+	// slots may be taken from it.
 	Merge func(dst, src S, slots []int) S
+	// CloneSlots is the optional footprint-only clone: a state holding deep
+	// copies of the given slots of s and sharing every other slot with s
+	// read-only (no slots: a private container over shared slots). When
+	// set — and the FootprintCheck oracle is off — winners run from
+	// CloneSlots(committed, footprint) instead of a whole-state Clone.
+	CloneSlots func(s S, slots []int) S
 	// Touched is the optional hook behind the Options.FootprintCheck
 	// oracle: given the state a compute started from and the state it
 	// returned, it reports the slots whose contents differ. When set and
@@ -110,7 +135,7 @@ type ReserveOps[I, S any] struct {
 
 // WithReserve attaches reservation ops to the dependence, enabling
 // slot-level parallelism under ProtocolReservations. NumSlots, Footprint
-// and Merge are required (Touched is optional); it returns d for chaining.
+// and Merge are required (CloneSlots and Touched are optional); it returns d for chaining.
 func (d *Dependence[I, S, O]) WithReserve(ops ReserveOps[I, S]) *Dependence[I, S, O] {
 	if ops.NumSlots == nil || ops.Footprint == nil || ops.Merge == nil {
 		panic("core: WithReserve needs NumSlots, Footprint and Merge")
@@ -123,10 +148,12 @@ func (d *Dependence[I, S, O]) WithReserve(ops ReserveOps[I, S]) *Dependence[I, S
 // one T per slot it returns the StateOps and the ReserveOps to hand to New
 // and WithReserve. footprint names the slots an input's compute touches
 // (a fresh slice per call — the engine holds it across the round). Clone
-// copies every slot through cloneSlot (nil: by assignment), Merge takes
-// exactly the winner's footprint slots, and Touched — present only when
-// sameSlot is non-nil — reports the slots sameSlot says differ. Callers
-// that also run the aux protocol set MatchAny on the returned StateOps.
+// copies every slot through cloneSlot (nil: by assignment), CloneSlots
+// only the named ones — so a compute must reach its state through its
+// footprint's slots alone (see ReserveOps) — Merge takes exactly the
+// winner's footprint slots, and Touched — present only when sameSlot is
+// non-nil — reports the slots sameSlot says differ. Callers that also run
+// the aux protocol set MatchAny on the returned StateOps.
 func SlotOps[I, T any](footprint func(I) []int, cloneSlot func(T) T, sameSlot func(a, b T) bool) (StateOps[[]T], ReserveOps[I, []T]) {
 	ops := StateOps[[]T]{Clone: slices.Clone[[]T]}
 	if cloneSlot != nil {
@@ -146,6 +173,15 @@ func SlotOps[I, T any](footprint func(I) []int, cloneSlot func(T) T, sameSlot fu
 				dst[sl] = src[sl]
 			}
 			return dst
+		},
+		CloneSlots: func(s []T, slots []int) []T {
+			cp := slices.Clone(s)
+			if cloneSlot != nil {
+				for _, sl := range slots {
+					cp[sl] = cloneSlot(s[sl])
+				}
+			}
+			return cp
 		},
 	}
 	if sameSlot != nil {
@@ -193,21 +229,24 @@ type resvRun[I, S, O any] struct {
 	emit   Emit[O]
 
 	// table is the reservation table, one write-min cell per state slot,
-	// reset to the sentinel len(inputs) before each reserve wave.
-	table []atomic.Int64
+	// reset to the sentinel len(inputs) before each round's decisions. Only
+	// the coordinator touches it.
+	table []int64
 	// failed holds the run's groupFailure (failNone while healthy):
 	// lanes CAS failPanic on contained panics, the coordinator stores
 	// failTimeout on an expired deadline.
 	failed  atomic.Int32
 	failArg int64
 
-	// invocations, conflicts and fpViolations are the facts lanes count:
-	// compute calls, inputs that lost a slot at check time, and slots the
-	// FootprintCheck oracle caught outside a declared footprint. Lanes may
-	// not write Stats, so the run folds them in when it ends.
-	invocations  atomic.Int64
-	conflicts    atomic.Int64
-	fpViolations atomic.Int64
+	// invocations, conflicts and laneNS are the coordinator's running
+	// counts — compute calls, inputs that lost a slot, and nanoseconds
+	// chunks spent computing — the first and last folded in from each
+	// chunk's laneWork after its barrier. fpViolations, the slots the
+	// FootprintCheck oracle caught outside a declared footprint, is
+	// counted by the lanes themselves. Stats gets them when the run ends.
+	invocations, laneNS int64
+	conflicts           int
+	fpViolations        atomic.Int64
 	// committed counts inputs committed by the protocol (not fallback).
 	committed int
 	shared    S
@@ -220,45 +259,45 @@ type resvRun[I, S, O any] struct {
 	panics  []*PanicError
 
 	// Per-group round state, recycled across groups and runs: pending
-	// input indexes, per-input footprints (input i's at fps[i-gstart]),
-	// winners' returned states, win flags, and the per-input lane
-	// nanoseconds of the round in flight — written by the owning lane
-	// inside a wave and read by the coordinator after the wave's barrier.
-	pending   []int
-	fps       [][]int
-	states    []S
-	won       []bool
-	reserveNS []int64
-	computeNS []int64
+	// input indexes, the round's winners among them, and per input (input
+	// i's at [i-gstart]) its footprint and — written by the lane that
+	// computed it, read by the coordinator after the barrier — the state
+	// it returned.
+	pending []int
+	winners []int
+	fps     [][]int
+	states  []S
 
 	// Wave dispatch state: waveTasks[c] is the recycled pool task for
-	// chunk c (created once per slot), waveBody the current wave's
-	// per-input body, wavePending the pending set it fans over, wavePer
-	// the chunk width, and wavePoint the schedule point lanes yield at.
+	// chunk c (created once per slot) and waveDone[c] what it reports
+	// back; chunk c of waveChunks computes the winners
+	// waveWinners[c*n/waveChunks : (c+1)*n/waveChunks].
 	waveTasks   []pool.Task
-	waveBody    func(lane, i int)
-	wavePending []int
-	wavePer     int
-	wavePoint   sched.Point
+	waveDone    []laneWork
+	waveWinners []int
+	waveChunks  int
 	waveWG      sync.WaitGroup
-	// reserveBody and checkBody are the two bodies, bound once.
-	reserveBody func(lane, i int)
-	checkBody   func(lane, i int)
+	// waves counts the run's waves of more than one chunk that fanOutPays
+	// ruled on, fanned those of any width that went to the pool, and
+	// fanCosts holds what the last three of them cost.
+	waves, fanned int
+	fanCosts      [3]int64
 
-	// Current group context read by the bound bodies: group index, group
-	// start input, and the 0-based round.
+	// Current group context: group index, group start input, and the
+	// 0-based round.
 	gj, gstart, ground int
 }
+
+// laneWork is what one chunk of a compute wave did: computes that
+// returned, and nanoseconds on its lane.
+type laneWork struct{ calls, ns int64 }
 
 // getResvRun fetches (or builds) a recycled reservations run state.
 func (d *Dependence[I, S, O]) getResvRun() *resvRun[I, S, O] {
 	if v := d.resvScratch.Get(); v != nil {
 		return v.(*resvRun[I, S, O])
 	}
-	r := &resvRun[I, S, O]{d: d}
-	r.reserveBody = r.reserveOne
-	r.checkBody = r.checkOne
-	return r
+	return &resvRun[I, S, O]{d: d}
 }
 
 // release clears every state-holding reference (the outputs slice is the
@@ -273,7 +312,7 @@ func (r *resvRun[I, S, O]) release() {
 	clear(r.states[:cap(r.states)])
 	clear(r.panics[:cap(r.panics)])
 	r.panics = r.panics[:0]
-	r.waveBody, r.wavePending = nil, nil
+	r.waveWinners = nil
 	r.d.resvScratch.Put(r)
 }
 
@@ -315,10 +354,9 @@ func (d *Dependence[I, S, O]) runReservations(root *rng.Source, inputs []I, init
 	r.outs = make([]O, n) // returned to the caller, never recycled
 	r.failed.Store(int32(failNone))
 	r.failArg = 0
-	r.invocations.Store(0)
-	r.conflicts.Store(0)
+	r.invocations, r.laneNS, r.conflicts, r.committed = 0, 0, 0, 0
 	r.fpViolations.Store(0)
-	r.committed = 0
+	r.waves, r.fanned = 0, 0
 
 	slots := 1
 	if d.reserve != nil {
@@ -334,7 +372,7 @@ func (d *Dependence[I, S, O]) runReservations(root *rng.Source, inputs []I, init
 		}
 	}
 	if cap(r.table) < slots {
-		r.table = make([]atomic.Int64, slots)
+		r.table = make([]int64, slots)
 	}
 	r.table = r.table[:slots]
 
@@ -346,14 +384,14 @@ func (d *Dependence[I, S, O]) runReservations(root *rng.Source, inputs []I, init
 			break
 		}
 	}
-	st.Invocations += r.invocations.Load()
+	st.Invocations += r.invocations
 	st.UsefulInvocations += int64(r.committed)
-	st.ReservationConflicts = int(r.conflicts.Load())
+	st.ReservationConflicts = r.conflicts
 	st.FootprintViolations = int(r.fpViolations.Load())
 	return r.outs, r.shared
 }
 
-// runGroup runs group j's reserve/check/commit rounds to completion,
+// runGroup runs group j's decide/compute/commit rounds to completion,
 // reporting success and — on failure — the inputs still pending.
 func (r *resvRun[I, S, O]) runGroup(j int) ([]int, bool) {
 	start, end := r.bounds(j)
@@ -366,16 +404,15 @@ func (r *resvRun[I, S, O]) runGroup(j int) ([]int, bool) {
 	r.pending = pending
 	r.fps = cleared(r.fps, width)
 	r.states = cleared(r.states, width)
-	r.won = cleared(r.won, width)
-	r.reserveNS = cleared(r.reserveNS, width)
-	r.computeNS = cleared(r.computeNS, width)
-	var commitNS, wasteNS int64
 
 	r.o.Note(j, obs.EvGroupStart, int32(j), int64(start))
 	var groupStart time.Time
 	if r.timeout > 0 {
 		groupStart = time.Now()
 	}
+	// laneNS up to committedNS was spent on rounds that committed; only a
+	// group's last round can break, and everything it computed is waste.
+	laneBase, committedNS := r.laneNS, r.laneNS
 	rounds := 0
 	for len(pending) > 0 {
 		// The deadline is checked once per round on the coordinator.
@@ -392,33 +429,22 @@ func (r *resvRun[I, S, O]) runGroup(j int) ([]int, bool) {
 		if !r.runRound(pending) {
 			break
 		}
-		// Attribute the round's lane time: winners' reserve+compute was
-		// committed, losers' was the protocol's wasted work. Zero the
-		// entries once filed so the failure sweep below never double
-		// counts them. Losers carry forward.
-		next := pending[:0]
+		committedNS = r.laneNS
+		// Losers carry forward: pending minus the winners, both ascending.
+		next, w := pending[:0], 0
 		for _, i := range pending {
-			k := i - start
-			spent := r.reserveNS[k] + r.computeNS[k]
-			r.reserveNS[k], r.computeNS[k] = 0, 0
-			if r.won[k] {
-				commitNS += spent
+			if w < len(r.winners) && r.winners[w] == i {
+				w++
 			} else {
-				wasteNS += spent
 				next = append(next, i)
 			}
 		}
 		pending = next
 	}
 	ok := r.failed.Load() == int32(failNone)
-	if !ok {
-		// A broken round commits nothing: every lane nanosecond it
-		// recorded is wasted work.
-		for k := range width {
-			wasteNS += r.reserveNS[k] + r.computeNS[k]
-		}
-	}
-	r.noteLaneCPU(j, commitNS, wasteNS)
+	// Lane CPU under reservations is compute only: deciding the
+	// reservations is coordinator time, like the commit.
+	r.noteLaneCPU(j, committedNS-laneBase, r.laneNS-committedNS)
 	if r.o != nil {
 		r.o.RoundsPerGroup.Observe(int64(rounds))
 	}
@@ -433,52 +459,62 @@ func (r *resvRun[I, S, O]) runGroup(j int) ([]int, bool) {
 	return pending, ok
 }
 
-// runRound runs one reserve/check/commit round over the pending inputs of
+// runRound runs one decide/compute/commit round over the pending inputs of
 // the group in flight, reporting whether it committed.
 func (r *resvRun[I, S, O]) runRound(pending []int) bool {
-	// Reserve: every pending input write-mins its index into its
-	// footprint's cells. The committed state is immutable for the whole
-	// round, so parallel reads of it are race-free.
-	for s := range r.table {
-		r.table[s].Store(int64(r.n))
+	if !r.decide(pending) {
+		return false
 	}
-	r.wave(sched.PointReserve, pending, r.reserveBody)
+	r.computeWave(r.winners)
 	if r.failed.Load() != int32(failNone) {
 		return false
 	}
-	// Check + compute: an input holding the minimum on all its slots wins
-	// and runs its compute from a private clone of the round's snapshot.
-	r.wave(sched.PointReserveCheck, pending, r.checkBody)
-	if r.failed.Load() != int32(failNone) {
-		return false
-	}
-	// Commit on the coordinator, in ascending input order.
 	r.yield(sched.PointCommit, r.lane)
-	return r.commitRound(pending)
+	return r.commitRound(r.winners)
 }
 
-// reserveOne is the reserve wave's per-input body (bound once per
-// resvRun): evaluate the input's footprint against the committed state
-// and write-min its index into the footprint's table cells.
-func (r *resvRun[I, S, O]) reserveOne(lane, i int) {
-	laneStart := time.Now()
-	fp := r.footprintOf(i)
-	r.fps[i-r.gstart] = fp
-	for _, sl := range fp {
-		for {
-			cur := r.table[sl].Load()
-			if cur <= int64(i) || r.table[sl].CompareAndSwap(cur, int64(i)) {
-				break
+// decide settles the round's reservations on the coordinator: in ascending
+// input order each pending input's footprint is evaluated against the
+// committed state and write-min'ed into the table. Every lower-indexed
+// reserver has already written when input i's turn comes, so i wins — and
+// joins r.winners — exactly if none of its cells holds a lower index. A
+// Footprint panic, or a slot out of range, is contained and fails the run.
+func (r *resvRun[I, S, O]) decide(pending []int) bool {
+	for s := range r.table {
+		r.table[s] = int64(r.n)
+	}
+	r.winners = r.winners[:0]
+	pe := contain(func() {
+		for _, i := range pending {
+			r.yield(sched.PointReserve, r.lane)
+			fp := r.footprintOf(i)
+			r.fps[i-r.gstart] = fp
+			won := true
+			for _, sl := range fp {
+				if r.table[sl] < int64(i) {
+					won = false
+				} else {
+					r.table[sl] = int64(i)
+				}
+			}
+			r.o.Note(obs.LaneCoord, obs.EvReserve, int32(r.gj), ReservationArg(r.ground, i))
+			if won {
+				r.winners = append(r.winners, i)
+			} else {
+				r.conflicts++
+				r.o.Note(obs.LaneCoord, obs.EvReserveLost, int32(r.gj), ReservationArg(r.ground, i))
 			}
 		}
+	})
+	if pe != nil {
+		r.fail(failPanic, pe)
 	}
-	r.o.Note(lane, obs.EvReserve, int32(r.gj), ReservationArg(r.ground, i))
-	r.reserveNS[i-r.gstart] = time.Since(laneStart).Nanoseconds()
+	return pe == nil
 }
 
 // footprintOf evaluates the input's footprint against the committed
 // state. Out-of-range slots are a contract violation surfaced as a panic,
-// which the wave contains like any user-code panic (the group falls back
+// which decide contains like any user-code panic (the group falls back
 // sequentially, outputs intact).
 func (r *resvRun[I, S, O]) footprintOf(i int) []int {
 	if r.d.reserve == nil {
@@ -497,29 +533,22 @@ func (r *resvRun[I, S, O]) footprintOf(i int) []int {
 // dependence has no ReserveOps: every input conflicts on slot 0.
 var wholeStateFootprint = []int{0}
 
-// checkOne is the check+compute wave's per-input body (bound once per
-// resvRun): an input holding the minimum on all its slots wins and runs
-// its compute from a private clone of the round's snapshot; losers carry
-// forward into the next round.
-func (r *resvRun[I, S, O]) checkOne(lane, i int) {
+// snapshot returns a state private in the given slots of the committed
+// one: the dependence's footprint-only clone when it has one, else — and
+// always under the oracle, which must catch a compute that reaches past
+// its footprint before that touches committed state — a whole-state Clone.
+func (r *resvRun[I, S, O]) snapshot(slots []int) S {
+	if r.d.reserve != nil && r.d.reserve.CloneSlots != nil && !r.oracle {
+		return r.d.reserve.CloneSlots(r.shared, slots)
+	}
+	return r.d.ops.Clone(r.shared)
+}
+
+// computeOne runs winner i's compute from a snapshot of the committed
+// state, which is immutable until the round commits.
+func (r *resvRun[I, S, O]) computeOne(lane, i int) {
 	k := i - r.gstart
-	laneStart := time.Now()
-	defer func() {
-		r.computeNS[k] = time.Since(laneStart).Nanoseconds()
-	}()
-	r.won[k] = true
-	for _, sl := range r.fps[k] {
-		if r.table[sl].Load() != int64(i) {
-			r.won[k] = false
-			break
-		}
-	}
-	if !r.won[k] {
-		r.conflicts.Add(1)
-		r.o.Note(lane, obs.EvReserveLost, int32(r.gj), ReservationArg(r.ground, i))
-		return
-	}
-	snap := r.d.ops.Clone(r.shared)
+	snap := r.snapshot(r.fps[k])
 	// The oracle needs its own pristine clone: compute may mutate
 	// snap in place, so snap cannot serve as the "before" state.
 	var before S
@@ -528,7 +557,6 @@ func (r *resvRun[I, S, O]) checkOne(lane, i int) {
 	}
 	src := r.srcs[i]
 	out, next := r.d.compute(&src, r.inputs[i], snap)
-	r.invocations.Add(1)
 	r.outs[i] = out
 	r.states[k] = next
 	if !r.oracle {
@@ -551,27 +579,25 @@ func (r *resvRun[I, S, O]) checkOne(lane, i int) {
 
 // commitRound merges the round's winners into the committed state in
 // ascending input order and retires their outputs. A Merge panic is
-// contained: the state under merge is a private clone, so the committed
-// state is intact for the fallback and commitRound reports failure with
-// nothing retired.
-func (r *resvRun[I, S, O]) commitRound(pending []int) bool {
-	start, won := r.gstart, r.won
+// contained: the state under merge is a private container, so the
+// committed state is intact for the fallback and commitRound reports
+// failure with nothing retired.
+func (r *resvRun[I, S, O]) commitRound(winners []int) bool {
+	if len(winners) == 0 {
+		// The lowest pending index wins every slot it reserves; an empty
+		// round is an engine bug, not a user-code failure.
+		panic("core: reservation round committed nothing")
+	}
+	start := r.gstart
 	if r.d.reserve == nil {
 		// Whole-state single slot: exactly one winner (the lowest pending
 		// index); adopt its returned state wholesale.
-		for _, i := range pending {
-			if won[i-start] {
-				r.shared = r.states[i-start]
-				break
-			}
-		}
+		r.shared = r.states[winners[0]-start]
 	} else {
-		next := r.d.ops.Clone(r.shared)
+		next := r.snapshot(nil)
 		pe := contain(func() {
-			for _, i := range pending {
-				if won[i-start] {
-					next = r.d.reserve.Merge(next, r.states[i-start], r.fps[i-start])
-				}
+			for _, i := range winners {
+				next = r.d.reserve.Merge(next, r.states[i-start], r.fps[i-start])
 			}
 		})
 		if pe != nil {
@@ -580,79 +606,113 @@ func (r *resvRun[I, S, O]) commitRound(pending []int) bool {
 		}
 		r.shared = next
 	}
-
-	head := pending[0]
-	winners, ahead := 0, 0
-	for _, i := range pending {
-		if !won[i-start] {
-			continue
-		}
-		winners++
-		if i != head {
-			// This input committed in the same round as a lower-indexed
-			// pending one: it genuinely ran ahead of sequential order.
-			ahead++
-		}
+	for _, i := range winners {
 		r.o.Note(obs.LaneCoord, obs.EvCommit, int32(r.gj), ReservationArg(r.ground, i))
 	}
-	if winners == 0 {
-		// The lowest pending index wins every slot it reserves; an empty
-		// round is an engine bug, not a user-code failure.
-		panic("core: reservation round committed nothing")
-	}
-	r.committed += winners
-	r.noteSpecCommits(ahead)
+	r.committed += len(winners)
+	// Every winner but the lowest pending index committed in the same
+	// round as a lower-indexed pending input: it genuinely ran ahead of
+	// sequential order.
+	r.noteSpecCommits(len(winners) - 1)
 	return true
 }
 
-// wave fans body over the pending inputs: at most r.lanes contiguous
-// chunks, one pool task each, yielding at point on the chunk's lane
-// before every input. A body panic is contained (failPanic, value and
-// stack recorded); once the run is failed, remaining work bails at its
-// next yield. The coordinator steps out of the schedule around the
-// submit-and-wait (unqueued tasks run inline on it, yielding on their own
-// lanes). The chunk tasks are recycled slots created once per chunk index
-// and reused across waves, groups and runs; the wave's parameters travel
-// through the wave* fields, published to the workers by SubmitBatch and
-// fenced from the next wave by the waveWG barrier.
-func (r *resvRun[I, S, O]) wave(point sched.Point, pending []int, body func(lane, i int)) {
-	chunks := min(r.lanes, len(pending))
-	per := (len(pending) + chunks - 1) / chunks
-	nTasks := (len(pending) + per - 1) / per
-	for c := len(r.waveTasks); c < nTasks; c++ {
-		r.waveTasks = append(r.waveTasks, func() { r.waveTask(c) })
+// computeWave runs the round's compute phase: the winners in at most
+// r.lanes even chunks, one pool task each — or, without a controller, as
+// one chunk on the coordinator when there is only one or fanOutPays says
+// the pool cannot win its cost back. The coordinator steps out of the
+// schedule around the submit-and-wait (unqueued tasks run inline on it,
+// yielding on their own lanes). The chunk tasks are recycled slots created
+// once per chunk index and reused across waves, groups and runs; the wave's
+// parameters travel through the wave* fields, published to the workers by
+// SubmitBatch and fenced from the next wave by the waveWG barrier.
+func (r *resvRun[I, S, O]) computeWave(winners []int) {
+	chunks := min(r.lanes, len(winners))
+	if r.ctl == nil && (chunks == 1 || !r.fanOutPays(len(winners), chunks)) {
+		r.file(r.runChunk(r.lane, winners))
+		return
 	}
-	r.wavePoint, r.waveBody = point, body
-	r.wavePending, r.wavePer = pending, per
-	r.waveWG.Add(nTasks)
+	for c := len(r.waveTasks); c < chunks; c++ {
+		r.waveTasks = append(r.waveTasks, func() { r.waveTask(c) })
+		r.waveDone = append(r.waveDone, laneWork{})
+	}
+	r.waveWinners, r.waveChunks = winners, chunks
+	r.waveWG.Add(chunks)
+	started := r.now()
 	r.blocked(func() {
-		r.fanOut(r.waveTasks[:nTasks])
+		r.fanOut(r.waveTasks[:chunks])
 		r.waveWG.Wait()
 	})
+	wall := r.now() - started
+	var longest int64
+	for _, w := range r.waveDone[:chunks] {
+		r.file(w)
+		longest = max(longest, w.ns)
+	}
+	r.fanCosts[r.fanned%len(r.fanCosts)] = wall - longest
+	r.fanned++
 }
 
-// waveTask runs chunk c of the wave in flight: the contiguous slice of
-// wavePending at [c*wavePer, (c+1)*wavePer), on schedule lane lane+1+c.
+// file folds one chunk's work into the run's counts.
+func (r *resvRun[I, S, O]) file(w laneWork) {
+	r.invocations += w.calls
+	r.laneNS += w.ns
+}
+
+// fanOutPays decides whether a wave of w winners in chunks chunks goes to
+// the pool. A fan-out overlaps the winners beyond its largest chunk, at the
+// lane time per compute the run has recorded so far; it costs what the
+// run's fanned-out waves were measured to (wall time minus the longest
+// chunk's lane time) — the median of the last three, because the cost is
+// bimodal: a wave that finds the workers still spinning after the previous
+// one costs a tenth of one that has to wake them, and a preempted one ten
+// times as much, so a minimum or a mean would each be ruled by the
+// exception. The first three waves of a run fan out to be measured, and
+// so does every wave whose ordinal is a power of two, so stale or unlucky
+// measurements cannot pin the rest of the run to the coordinator.
+func (r *resvRun[I, S, O]) fanOutPays(w, chunks int) bool {
+	r.waves++
+	if r.fanned < len(r.fanCosts) || r.waves&(r.waves-1) == 0 {
+		return true
+	}
+	a, b, c := r.fanCosts[0], r.fanCosts[1], r.fanCosts[2]
+	typical := max(min(a, b), min(max(a, b), c))
+	overlapped := w - (w+chunks-1)/chunks
+	return int64(overlapped)*(r.laneNS/r.invocations) > typical
+}
+
+// waveTask runs chunk c of the wave in flight on schedule lane lane+1+c.
 func (r *resvRun[I, S, O]) waveTask(c int) {
 	defer r.waveWG.Done()
 	lane := r.lane + 1 + c
 	if r.ctl != nil {
 		defer r.ctl.Done(lane)
 	}
-	lo := c * r.wavePer
-	chunk := r.wavePending[lo:min(lo+r.wavePer, len(r.wavePending))]
+	n := len(r.waveWinners)
+	r.waveDone[c] = r.runChunk(lane, r.waveWinners[c*n/r.waveChunks:(c+1)*n/r.waveChunks])
+}
+
+// runChunk computes the chunk's winners in order, yielding on lane before
+// each. A compute panic is contained (failPanic, value and stack
+// recorded); once the run is failed, remaining work bails at its next
+// yield.
+func (r *resvRun[I, S, O]) runChunk(lane int, chunk []int) (w laneWork) {
+	started := r.now()
 	pe := contain(func() {
 		for _, i := range chunk {
-			r.yield(r.wavePoint, lane)
+			r.yield(sched.PointReserveCheck, lane)
 			if r.failed.Load() != int32(failNone) {
 				return
 			}
-			r.waveBody(lane, i)
+			r.computeOne(lane, i)
+			w.calls++
 		}
 	})
 	if pe != nil {
 		r.fail(failPanic, pe)
 	}
+	w.ns = r.now() - started
+	return w
 }
 
 // abort handles the failure of group j with pending inputs uncommitted:
@@ -685,7 +745,7 @@ func (r *resvRun[I, S, O]) fallBack(j, start, end int, pending []int) {
 	// Every lane is past its barrier, so the waves' panic records are
 	// final; the fallback's own follow in the order they happen.
 	r.st.Panics = append(r.st.Panics, r.panics...)
-	fbStart := time.Now()
+	fbStart := r.now()
 	for _, i := range pending {
 		r.seqOne(i)
 	}
@@ -702,7 +762,7 @@ func (r *resvRun[I, S, O]) fallBack(j, start, end int, pending []int) {
 	}
 	// The fallback produced committed outputs; file its time against the
 	// aborting group, whose squashed work it redid.
-	r.noteLaneCPU(j, time.Since(fbStart).Nanoseconds(), 0)
+	r.noteLaneCPU(j, r.now()-fbStart, 0)
 }
 
 // seqOne processes one input sequentially from the committed state with

@@ -11,14 +11,18 @@
 //  3. termination: the carried-forward set strictly shrinks — round r+1's
 //     reservers are exactly round r's losers;
 //  4. accounting: Stats.Rounds, Stats.ReservationConflicts and the
-//     observer counters reconcile with the event log.
+//     observer counters reconcile with the event log;
+//  5. placement: a round's winners are spread over the lanes, and whether
+//     they run there or on the coordinator never moves the round structure.
 package core_test
 
 import (
 	"fmt"
 	"reflect"
 	"sort"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -209,4 +213,106 @@ func runPropTrial(t *testing.T, inputs []mslotInput, k, g, workers int, seed uin
 			len(inputs), k, g, workers)
 	}
 	return st
+}
+
+// modSlotRun runs n inputs (input i touches slot i%k alone, group size 8)
+// under reservations at the given worker count; work, when non-nil, is
+// called inside every compute with the input's index.
+func modSlotRun(n, k, workers int, work func(i int)) ([]float64, []float64, core.Stats) {
+	compute := func(_ *rng.Source, in int, s []float64) (float64, []float64) {
+		if work != nil {
+			work(in)
+		}
+		s[in%k] += float64(in) + 0.5
+		return s[in%k], s
+	}
+	ops, reserve := slotted(func(in int) []int { return []int{in % k} })
+	inputs := countUp(n)
+	opts := core.Options{Seed: 11}
+	if workers > 0 {
+		opts = core.Options{
+			UseAux: true, Protocol: core.ProtocolReservations,
+			GroupSize: 8, Workers: workers, Seed: 11,
+		}
+	}
+	return core.New(compute, nil, ops).WithReserve(reserve).Run(inputs, make([]float64, k), opts)
+}
+
+// TestRoundWinnersSpreadAcrossLanes: a round's winners are chunked over the
+// lanes, not the pending set. With footprints i%4 the first round of a
+// group of 8 has winners 0..3 and losers 4..7; every compute of that round
+// blocks until two computes have begun, so the run finishes only if two
+// lanes each got a winner. Chunking the pending set hands lane 0 all four.
+func TestRoundWinnersSpreadAcrossLanes(t *testing.T) {
+	var begun atomic.Int32
+	two := make(chan struct{})
+	type result struct {
+		outs, final []float64
+		st          core.Stats
+	}
+	done := make(chan result, 1)
+	go func() {
+		outs, final, st := modSlotRun(16, 4, 2, func(i int) {
+			if i < 4 {
+				if begun.Add(1) == 2 {
+					close(two)
+				}
+				<-two
+			}
+		})
+		done <- result{outs, final, st}
+	}()
+	select {
+	case r := <-done:
+		seqOuts, seqFinal, _ := modSlotRun(16, 4, 0, nil)
+		if !reflect.DeepEqual(r.outs, seqOuts) || !reflect.DeepEqual(r.final, seqFinal) {
+			t.Fatal("reservations diverged from sequential")
+		}
+		if r.st.Rounds != 4 || r.st.Aborts != 0 {
+			t.Fatalf("not a clean reservations run: %+v", r.st)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("deadlock: the first round's winners all sit on one lane")
+	}
+}
+
+// TestReservationGranularityRule extends round invariance across the
+// fan-out decision. The same inputs run with computes three orders of
+// magnitude apart: at well under a microsecond a fan-out cannot win its
+// cost back, so after the waves that measure it the rounds run on the
+// coordinator; at a millisecond (slept, so lanes overlap on any
+// GOMAXPROCS) every round of four winners goes to the pool. Where the
+// winners ran is all that may differ: rounds, conflicts, speculative
+// commits, outputs and final state are the same in both, at every worker
+// count, and equal to the sequential run.
+func TestReservationGranularityRule(t *testing.T) {
+	const k = 4
+	slow := func(int) { time.Sleep(time.Millisecond) }
+	for _, c := range []struct {
+		name string
+		n    int
+		work func(int)
+	}{{"sub-microsecond", 1024, nil}, {"millisecond", 32, slow}} {
+		seqOuts, seqFinal, _ := modSlotRun(c.n, k, 0, nil)
+		for _, workers := range []int{1, 2, 4} {
+			outs, final, st := modSlotRun(c.n, k, workers, c.work)
+			if !reflect.DeepEqual(outs, seqOuts) || !reflect.DeepEqual(final, seqFinal) {
+				t.Fatalf("%s w=%d: reservations diverged from sequential", c.name, workers)
+			}
+			// Two rounds of four winners per group of eight.
+			rounds := c.n / k
+			if st.Rounds != rounds || st.ReservationConflicts != c.n/2 || st.SpeculativeCommits != c.n-rounds || st.Aborts != 0 {
+				t.Fatalf("%s w=%d: round structure moved: %+v", c.name, workers, st)
+			}
+			tasks := st.Steals + st.LocalHits
+			switch {
+			case workers == 1 && tasks != 0:
+				t.Fatalf("%s w=1: %d pool tasks for one-chunk waves", c.name, tasks)
+			case workers > 1 && c.work == nil && tasks >= int64(rounds/2):
+				t.Fatalf("%s w=%d: %d pool tasks over %d rounds of sub-microsecond computes", c.name, workers, tasks, rounds)
+			case workers > 1 && c.work != nil && tasks != int64(rounds*min(workers, k)):
+				t.Fatalf("%s w=%d: %d pool tasks, want every one of %d rounds fanned out %d wide", c.name, workers, tasks, rounds, min(workers, k))
+			}
+		}
+	}
 }

@@ -20,10 +20,10 @@ import (
 // are excluded because how far a squashed lane ran before observing the
 // abort flag legitimately varies with the schedule.
 type specSubset struct {
-	Inputs, Groups, Matches, Redos, Aborts          int
-	SpeculativeCommits, SquashedInputs              int
-	FallbackInputs                                  int
-	PanickedGroups, TimedOutGroups, BreakerDenied   int
+	Inputs, Groups, Matches, Redos, Aborts        int
+	SpeculativeCommits, SquashedInputs            int
+	FallbackInputs                                int
+	PanickedGroups, TimedOutGroups, BreakerDenied int
 }
 
 func subset(st Stats) specSubset {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -87,5 +88,93 @@ func TestSlotOps(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// countUp returns the inputs 0..n-1.
+func countUp(n int) []int {
+	ins := make([]int, n)
+	for i := range ins {
+		ins[i] = i
+	}
+	return ins
+}
+
+// inPlaceCompute adds the input's value into the first element of each of
+// its slots — through the slot's own backing array, which a winner may do
+// to the slots it reserved — and returns the sum of what it left there.
+func inPlaceCompute(slotsOf func(in int) []int) core.Compute[int, [][]float64, float64] {
+	return func(_ *rng.Source, in int, s [][]float64) (float64, [][]float64) {
+		out := 0.0
+		for _, sl := range slotsOf(in) {
+			s[sl][0] += float64(in) + 0.5
+			out += s[sl][0]
+		}
+		return out, s
+	}
+}
+
+// TestWinnersCloneOnlyTheirFootprint pins the footprint-only clone: over a
+// reservations run every slot is deep-copied once for the run's private
+// state and once more per input, by the winner that reserved it — not once
+// per slot per winner and again per commit.
+func TestWinnersCloneOnlyTheirFootprint(t *testing.T) {
+	const n, k = 64, 4
+	slotsOf := func(in int) []int { return []int{in % k} }
+	fresh := func() [][]float64 { return [][]float64{{1}, {2}, {3}, {4}} }
+	var clones atomic.Int64
+	cloneSlot := func(s []float64) []float64 {
+		clones.Add(1)
+		return slices.Clone(s)
+	}
+	ops, reserve := core.SlotOps(slotsOf, cloneSlot, nil)
+	d := core.New(inPlaceCompute(slotsOf), nil, ops).WithReserve(reserve)
+	inputs := countUp(n)
+	seqOuts, seqFinal, _ := d.Run(inputs, fresh(), core.Options{Seed: 3})
+	clones.Store(0)
+	outs, final, st := d.Run(inputs, fresh(), core.Options{
+		UseAux: true, Protocol: core.ProtocolReservations, GroupSize: 8, Workers: 2, Seed: 3,
+	})
+	if !reflect.DeepEqual(outs, seqOuts) || !reflect.DeepEqual(final, seqFinal) {
+		t.Fatalf("reservations diverged from sequential:\n got %v\nwant %v", outs, seqOuts)
+	}
+	if st.Rounds != n/k || st.Aborts != 0 {
+		t.Fatalf("not a clean reservations run: %+v", st)
+	}
+	if got := clones.Load(); got > n+k {
+		t.Fatalf("%d slot clones for %d inputs over %d slots, want at most %d", got, n, k, n+k)
+	}
+}
+
+// TestFootprintOracleCatchesInPlaceWrite is the footprint contract's
+// checked half: with footprint-only clones a compute that writes through
+// a slot it never declared would write committed state, so under
+// FootprintCheck winners run on whole-state clones — the lie is caught
+// before commit, nothing of it reaches the committed state (the race
+// detector watches the two winners that share the slot), and the fallback
+// returns the sequential answer.
+func TestFootprintOracleCatchesInPlaceWrite(t *testing.T) {
+	const n, k = 32, 4
+	declared := func(in int) []int { return []int{in % k} }
+	touched := func(in int) []int {
+		if in == 13 { // also writes its neighbour's slot, in place
+			return []int{in % k, (in + 1) % k}
+		}
+		return declared(in)
+	}
+	fresh := func() [][]float64 { return [][]float64{{1}, {2}, {3}, {4}} }
+	ops, reserve := core.SlotOps(declared, slices.Clone[[]float64], slices.Equal[[]float64])
+	d := core.New(inPlaceCompute(touched), nil, ops).WithReserve(reserve)
+	inputs := countUp(n)
+	seqOuts, seqFinal, _ := d.Run(inputs, fresh(), core.Options{Seed: 5})
+	outs, final, st := d.Run(inputs, fresh(), core.Options{
+		UseAux: true, Protocol: core.ProtocolReservations, FootprintCheck: true,
+		GroupSize: 8, Workers: 2, Seed: 5,
+	})
+	if st.FootprintViolations == 0 || st.Aborts != 1 {
+		t.Fatalf("in-place write outside the footprint not caught: %+v", st)
+	}
+	if !reflect.DeepEqual(outs, seqOuts) || !reflect.DeepEqual(final, seqFinal) {
+		t.Fatalf("fallback diverged from sequential:\n got %v %v\nwant %v %v", outs, final, seqOuts, seqFinal)
 	}
 }

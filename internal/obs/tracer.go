@@ -61,13 +61,14 @@ const (
 	// EvBreakerDenied marks a run whose speculation was suppressed by an
 	// open circuit breaker (the run executed sequentially).
 	EvBreakerDenied
-	// EvReserve marks a reservation lane write-min'ing its input's slot
-	// footprint into a round's reservation table (the deterministic-
-	// reservations protocol). Arg packs round<<32 | input index.
+	// EvReserve marks the reservations coordinator write-min'ing one
+	// pending input's slot footprint into a round's reservation table (the
+	// deterministic-reservations protocol). Arg packs round<<32 | input
+	// index.
 	EvReserve
 	// EvReserveLost marks an input that found a lower-indexed input
-	// holding one of its slots at check time and carried forward to the
-	// next round. Arg packs round<<32 | input index.
+	// holding one of its slots when the round was decided and carried
+	// forward to the next round. Arg packs round<<32 | input index.
 	EvReserveLost
 	// EvCommit marks one input's output committed by the reservations
 	// coordinator. Arg packs round<<32 | input index.

@@ -87,13 +87,13 @@ const (
 	// PointPopOrSteal is a Choose point (n=2) a pool worker consults
 	// before dispatch: 1 attempts a steal before its own deque's pop.
 	PointPopOrSteal
-	// PointReserve is a reservation lane about to write-min its input's
-	// slot footprint into the round's reservation table
-	// (core.ProtocolReservations).
+	// PointReserve is the reservations coordinator, on its own lane, about
+	// to evaluate one pending input's footprint and write-min it into the
+	// round's reservation table (core.ProtocolReservations).
 	PointReserve
-	// PointReserveCheck is a reservation lane about to check whether its
-	// input still holds every slot it reserved — and, on success, run the
-	// compute from the round's snapshot.
+	// PointReserveCheck is a compute chunk's lane (SchedLane+1+c) about to
+	// run the compute of one of the round's winners — an input that held
+	// every slot it reserved — from its snapshot of the committed state.
 	PointReserveCheck
 	// PointCommit is the reservations coordinator about to merge a
 	// round's winners into the committed state in input order.

@@ -78,8 +78,12 @@ const (
 func ParseProtocol(s string) (p Protocol, ok bool) { return core.ParseProtocol(s) }
 
 // ReserveOps is the slot-reservation contract a dependence attaches with
-// SetReserve: slot count, per-invocation footprint, slot-wise merge, and
-// the optional Touched oracle hook used by Options.FootprintCheck.
+// SetReserve: slot count, per-invocation footprint, slot-wise merge, the
+// optional footprint-only clone, and the optional Touched oracle hook used
+// by Options.FootprintCheck. With CloneSlots set an invocation that writes
+// through a reference inside a slot outside its footprint writes committed
+// state; only Options.FootprintCheck (which runs on whole-state clones)
+// catches it before it commits.
 type ReserveOps[I, S any] struct {
 	// NumSlots is the number of state slots given the initial state.
 	NumSlots func(initial S) int
@@ -88,8 +92,13 @@ type ReserveOps[I, S any] struct {
 	// proves this for DSL-declared dependences).
 	Footprint func(in I, initial S) []int
 	// Merge copies the given slots from src into dst and returns dst.
-	// It must not mutate src.
+	// It must not mutate src, and with CloneSlots set it must replace
+	// dst's slots rather than write through them.
 	Merge func(dst, src S, slots []int) S
+	// CloneSlots optionally returns a state with deep copies of the given
+	// slots of s and every other slot shared read-only with s; winning
+	// invocations then run from it instead of a whole-state clone.
+	CloneSlots func(s S, slots []int) S
 	// Touched optionally reports the slots that differ between two
 	// states — the runtime footprint oracle of Options.FootprintCheck.
 	Touched func(before, after S) []int
@@ -290,12 +299,9 @@ func (sd *StateDependence[I, S, O]) dep() *core.Dependence[I, S, O] {
 		Fingerprint: sd.fingerprint,
 	})
 	if sd.reserve != nil {
-		d = d.WithReserve(core.ReserveOps[I, S]{
-			NumSlots:  sd.reserve.NumSlots,
-			Footprint: sd.reserve.Footprint,
-			Merge:     sd.reserve.Merge,
-			Touched:   sd.reserve.Touched,
-		})
+		// The facade's ReserveOps mirrors the engine's field for field, so
+		// a hook added to one and not the other fails to compile here.
+		d = d.WithReserve(core.ReserveOps[I, S](*sd.reserve))
 	}
 	sd.coreDep = d
 	return d
