@@ -5,7 +5,8 @@
 # race detector, including the scheduler's Submit/SubmitBatch-vs-Close
 # stress tests in internal/pool/race_test.go. `make stress` repeats the
 # pool/core stress tests under the race detector across GOMAXPROCS 1, 2
-# and 4. `make check` is the full local gate.
+# and 4, and the tracer's ring-wrap tests with them. `make check` is the full
+# local gate.
 
 GO ?= go
 
@@ -34,9 +35,13 @@ race:
 # interleaves on some GOMAXPROCS (the SubmitBatch-vs-Close accounting race
 # hid on a 1-CPU host for ten PRs) cannot hide again. The last three names
 # are the reservations rounds' placement tests (winners spread over lanes,
-# the fan-out rule, the footprint oracle on in-place writes).
+# the fan-out rule, the footprint oracle on in-place writes). Then, on its
+# own so its spinning readers do not skew the fan-out rule's measurements,
+# internal/obs for its writers-lap-the-readers tests (the slot protocol has
+# no busy mark to hide behind).
 stress:
 	$(GO) test -race -count=5 -cpu 1,2,4 ./internal/pool ./internal/core -run 'Stress|Race|Concurrent|Recycl|Resolver|Claimed|Winners|Granularity|InPlace'
+	$(GO) test -race -count=5 -cpu 1,2,4 ./internal/obs -run 'Stress|Race|Lap'
 
 # Static analysis: gofmt must have nothing to say, then the standard Go
 # vet, then statsvet — the IR/source passes over the checked-in example
@@ -72,12 +77,12 @@ bench:
 # are tier-1 tests beside them (internal/telemetry/bench_test.go,
 # internal/core/recycle_test.go).
 microbench:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/...
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/... ./stats
 
 # One iteration of each, so a benchmark that panics or no longer compiles
 # turns `make check` red; tier-1 never runs them.
 microbench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/... ./stats
 
 # Full evaluation benchmarks (paper tables/figures). STATS_QUICK=1 scales
 # budgets down for smoke runs.

@@ -248,7 +248,7 @@ func reservationsRun(p *pool.Pool, warm bool) func() {
 
 // BenchmarkEngineWarmRun is the recycled hot path of both protocols over
 // 32 inputs. Compare BenchmarkEngineColdRun; TestWarmRunAllocations holds
-// the ceilings and the warm/cold ratios.
+// the ceilings of both.
 func BenchmarkEngineWarmRun(b *testing.B) {
 	p := pool.New(4)
 	defer p.Close()
@@ -257,7 +257,9 @@ func BenchmarkEngineWarmRun(b *testing.B) {
 }
 
 // BenchmarkEngineColdRun is BenchmarkEngineWarmRun/aux with a fresh
-// Dependence every iteration: the denominator of the warm/cold ratio.
+// Dependence every iteration — the path every one-shot caller pays: one
+// scratch, one slab of group records and one output backing array per run,
+// whatever the group count.
 func BenchmarkEngineColdRun(b *testing.B) {
 	p := pool.New(4)
 	defer p.Close()

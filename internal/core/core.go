@@ -470,10 +470,11 @@ const (
 )
 
 // groupRun holds the state of one input group during a speculative run.
-// Records are owned by a runScratch and recycled run after run: every
-// scalar field is reset by splitStreams, the random sources are re-split
-// into place, and the output buffers keep their capacity with their
-// elements cleared between runs (no stale user values parked in the pool).
+// Records are owned by a runScratch (allocated a slab at a time, begin) and
+// recycled run after run: every scalar field is reset by splitStreams, the
+// random sources are re-split into place, and the output buffers keep their
+// capacity with their elements cleared between runs (no stale user values
+// parked in the pool).
 type groupRun[I, S, O any] struct {
 	idx        int // group index, used as the trace lane hint
 	start, end int // input index range [start, end)
@@ -622,9 +623,25 @@ func (scr *runScratch[I, S, O]) begin(inputs []I, initial S, g int, opts *Option
 	if emit != nil {
 		scr.nudge = make(chan struct{}, 1)
 	}
-	for len(scr.groups) < scr.numGroups {
-		scr.groups = append(scr.groups, &groupRun[I, S, O]{})
-		scr.tasks = append(scr.tasks, scr.task)
+	// A cold run allocates per run, not per group: the missing records come
+	// from one slab, and every group whose recycled output buffer is too
+	// small gets a capacity-limited window of one backing array, so its
+	// execution never grows the buffer.
+	if missing := scr.numGroups - len(scr.groups); missing > 0 {
+		slab := make([]groupRun[I, S, O], missing)
+		scr.groups, scr.tasks = slices.Grow(scr.groups, missing), slices.Grow(scr.tasks, missing)
+		for i := range slab {
+			scr.groups, scr.tasks = append(scr.groups, &slab[i]), append(scr.tasks, scr.task)
+		}
+	}
+	var backing []O
+	for j, gr := range scr.groups[:scr.numGroups] {
+		if start, end := scr.bounds(j); cap(gr.outBuf) < end-start {
+			if backing == nil {
+				backing = make([]O, scr.n)
+			}
+			gr.outBuf = backing[start:start:end]
+		}
 	}
 	scr.auxNS = cleared(scr.auxNS, scr.numGroups)
 	scr.commitNS = cleared(scr.commitNS, scr.numGroups)
@@ -807,11 +824,11 @@ func (scr *runScratch[I, S, O]) produceAux(gr *groupRun[I, S, O]) {
 	produced := false
 	defer func() {
 		// One clock read, panic included, feeds the lane-CPU account, the
-		// event's span and the start of the group's execution.
+		// aux event and the start of the group's execution with its event.
 		now := scr.now()
 		scr.auxNS[gr.idx], gr.clock = now-gr.clock, now
 		if produced {
-			scr.o.Note(gr.idx, obs.EvAuxProduced, int32(gr.idx), obs.AuxArg(len(recent), scr.auxNS[gr.idx]))
+			scr.o.NoteAt(gr.idx, now, obs.EvAuxProduced, int32(gr.idx), obs.AuxArg(len(recent), scr.auxNS[gr.idx]))
 		}
 	}()
 	gr.specStart = scr.d.aux(&gr.specSrc, scr.d.ops.Clone(scr.initial), recent)
@@ -831,12 +848,19 @@ func (scr *runScratch[I, S, O]) executeGroup(gr *groupRun[I, S, O]) {
 	d, lane := scr.d, scr.lane+1+gr.idx
 	checkpointAt := gr.end - min(max(scr.rollback, 1), gr.end-gr.start)
 	deadlined := scr.timeout > 0 && gr.idx > 0
+	started, returned := gr.clock, -1
 	defer func() {
+		// One clock read, panic included, closes execNS and stamps the
+		// finish event of a group that returned: the span a view draws from
+		// the two events is the nanoseconds the lane-CPU account files.
 		now := scr.now()
-		gr.execNS, gr.clock = now-gr.clock, now
+		gr.execNS, gr.clock = now-started, now
+		if returned >= 0 {
+			scr.o.NoteAt(gr.idx, now, obs.EvGroupFinish, int32(gr.idx), int64(returned))
+		}
 	}()
 	scr.yield(sched.PointGroupStart, lane)
-	scr.o.Note(gr.idx, obs.EvGroupStart, int32(gr.idx), int64(gr.start))
+	scr.o.NoteAt(gr.idx, started, obs.EvGroupStart, int32(gr.idx), int64(gr.start))
 	var s S
 	outs := gr.outBuf[:0]
 	gr.checkpointAt = checkpointAt
@@ -849,7 +873,7 @@ func (scr *runScratch[I, S, O]) executeGroup(gr *groupRun[I, S, O]) {
 			break
 		}
 		if deadlined {
-			if expired, elapsedNS := scr.expired(scr.epoch.Add(time.Duration(gr.clock)), lane); expired {
+			if expired, elapsedNS := scr.expired(started, lane); expired {
 				// Deadline exceeded: squash exactly like a validation
 				// mismatch. Only this lane is marked; the resolver's
 				// boundary inspection squashes the successors.
@@ -875,7 +899,7 @@ func (scr *runScratch[I, S, O]) executeGroup(gr *groupRun[I, S, O]) {
 	scr.yield(sched.PointGroupFinish, lane)
 	gr.outBuf = outs
 	gr.base = execution[S, O]{outputs: outs, final: s}
-	scr.o.Note(gr.idx, obs.EvGroupFinish, int32(gr.idx), int64(len(outs)))
+	returned = len(outs)
 }
 
 // abort ends speculation at group j: it squashes groups j.., records the
@@ -885,8 +909,8 @@ func (scr *runScratch[I, S, O]) executeGroup(gr *groupRun[I, S, O]) {
 // decide which in-flight lanes observe the squash mid-group and which run
 // to completion first — the validate/squash race the exploration harness
 // targets.
-func (scr *runScratch[I, S, O]) abort(j, redosUsed int) int {
-	scr.noteAbort(j, redosUsed)
+func (scr *runScratch[I, S, O]) abort(j, redosUsed int, now int64) int {
+	scr.noteAbort(j, redosUsed, now)
 	scr.abortAt = j
 	for _, gr := range scr.groups[j:scr.numGroups] {
 		gr.aborted.Store(true)
@@ -921,13 +945,13 @@ type boundary[S, O any] struct {
 func (scr *runScratch[I, S, O]) resolve(j int) int {
 	cur, o, self := scr.groups[j], scr.o, scr.resolver
 	if cur.failure != failNone {
-		return scr.abort(j, 0)
+		return scr.abort(j, 0, scr.stamp())
 	}
 	if j == 0 {
 		scr.committed[0] = cur.base
 		return 1
 	}
-	vstart, next := self.clock, j+1
+	vstart := self.clock
 	scr.yield(sched.PointValidate, scr.lane+1+self.idx)
 	var b boundary[S, O]
 	pe := contain(func() { scr.validate(j, &b) })
@@ -936,25 +960,25 @@ func (scr *runScratch[I, S, O]) resolve(j int) int {
 	// on the producing group.
 	scr.commitNS[j-1] += b.acceptedRedoNS
 	scr.wasteNS[j-1] += scr.groups[j-1].redoNS - b.acceptedRedoNS
-	if pe == nil && b.matched {
-		scr.noteMatch(j, b.redosUsed)
-		scr.committed[j-1], scr.committed[j] = b.accepted, cur.base
-	} else {
-		// Speculation failed — a mismatch past the redo budget, or a panic
-		// that left the boundary unresolved: abort this and all subsequent
-		// groups.
-		if pe != nil {
-			cur.failure, cur.panicErr = failPanic, pe
-		}
-		next = scr.abort(j, b.redosUsed)
-	}
-	// Every boundary whose validation started is observed, however it ended.
+	// Every boundary whose validation started is observed, however it ended:
+	// one reading closes its latency, stamps its outcome and starts the next
+	// boundary this task resolves.
 	if o != nil {
 		self.clock = scr.now()
 		o.ValidationLatencyNS.Observe(self.clock - vstart)
 		o.RedosPerValidation.Observe(int64(b.redosUsed))
 	}
-	return next
+	if pe == nil && b.matched {
+		scr.noteMatch(j, b.redosUsed, self.clock)
+		scr.committed[j-1], scr.committed[j] = b.accepted, cur.base
+		return j + 1
+	}
+	// Speculation failed — a mismatch past the redo budget, or a panic that
+	// left the boundary unresolved: abort this and all subsequent groups.
+	if pe != nil {
+		cur.failure, cur.panicErr = failPanic, pe
+	}
+	return scr.abort(j, b.redosUsed, self.clock)
 }
 
 // validate asks the developer's acceptance method whether group j's
@@ -1143,6 +1167,7 @@ func (scr *runScratch[I, S, O]) fallBack(root *rng.Source, state S, outs []O) ([
 // boundary that spent it. Every read of execNS and auxNS is ordered after
 // the lane's write by wg.Wait.
 func (scr *runScratch[I, S, O]) fileLaneCPU() {
+	now := scr.stamp()
 	for j, gr := range scr.groups[:scr.numGroups] {
 		spent := gr.execNS + scr.auxNS[j]
 		if scr.abortAt >= 0 && j >= scr.abortAt {
@@ -1150,6 +1175,6 @@ func (scr *runScratch[I, S, O]) fileLaneCPU() {
 		} else {
 			scr.commitNS[j] += spent
 		}
-		scr.noteLaneCPU(j, scr.commitNS[j], scr.wasteNS[j])
+		scr.noteLaneCPU(j, scr.commitNS[j], scr.wasteNS[j], now)
 	}
 }

@@ -17,7 +17,10 @@ import (
 // lane CPU, speculative commits, fingerprint probes) is recorded, the
 // Stats write and the observer's Note (counter + event) on adjacent lines
 // so the accounts cannot drift. Facts without a Stats field are reported
-// with a bare o.Note at their decision point. Both protocols embed it by
+// with a bare o.Note at their decision point; a fact whose instant a lane
+// has already read off the run's clock goes through NoteAt with that
+// reading, so an event's stamp and the nanoseconds its account files are the
+// same numbers. Both protocols embed it by
 // value in their recycled scratch (it is not generic and is never
 // allocated per run) and keep only their policy: core.go guesses start
 // states and resolves boundaries, reservations.go runs reserve/check/commit
@@ -36,9 +39,6 @@ type runFrame struct {
 
 	n, g, numGroups int
 	timeout         time.Duration
-	// epoch is when the run began: lanes read the clock as nanoseconds
-	// since it (now), one monotonic read instead of time.Now's two.
-	epoch time.Time
 
 	p        *pool.Pool
 	private  bool // p was built by lease and is closed by finish
@@ -50,7 +50,7 @@ type runFrame struct {
 func (f *runFrame) begin(n, g int, opts *Options, st *Stats) {
 	*f = runFrame{
 		st: st, o: opts.Obs, ctl: opts.Sched, lane: opts.SchedLane,
-		n: n, g: g, numGroups: (n + g - 1) / g, timeout: opts.GroupTimeout, epoch: time.Now(),
+		n: n, g: g, numGroups: (n + g - 1) / g, timeout: opts.GroupTimeout,
 	}
 	st.Groups = f.numGroups
 }
@@ -121,9 +121,20 @@ func (f *runFrame) yield(p sched.Point, lane int) {
 	}
 }
 
-// now reads the run's clock: nanoseconds since the run began.
+// now reads the run's clock — the trace clock, one monotonic read, so a
+// lane's reading stamps the events of its instant as it is (NoteAt). It is
+// the package's one clock; scripts/fact_guard.sh keeps it so.
 func (f *runFrame) now() int64 {
-	return int64(time.Since(f.epoch))
+	return obs.Now()
+}
+
+// stamp is now for a reading only events will carry: an unobserved run
+// skips the clock.
+func (f *runFrame) stamp() int64 {
+	if f.o == nil {
+		return 0
+	}
+	return f.now()
 }
 
 // fanOut submits the tasks in one batch operation; a closed pool leaves a
@@ -138,16 +149,16 @@ func (f *runFrame) fanOut(tasks []pool.Task) {
 	}
 }
 
-// expired reports whether a group that started at started has exceeded the
-// run's GroupTimeout, and by how much. Under a controller the expiry is a
-// schedulable choice on lane instead of a clock read: serialized lanes
-// spend most of their wall-clock time parked.
-func (f *runFrame) expired(started time.Time, lane int) (bool, int64) {
+// expired reports whether a group whose lane read started off the run's
+// clock when it began has exceeded the run's GroupTimeout, and by how much.
+// Under a controller the expiry is a schedulable choice on lane instead of a
+// clock read: serialized lanes spend most of their wall-clock time parked.
+func (f *runFrame) expired(started int64, lane int) (bool, int64) {
 	if f.ctl != nil {
 		return f.ctl.Choose(sched.PointTimeoutCheck, lane, 2) == 1, 0
 	}
-	if elapsed := time.Since(started); elapsed > f.timeout {
-		return true, elapsed.Nanoseconds()
+	if elapsed := f.now() - started; elapsed > int64(f.timeout) {
+		return true, elapsed
 	}
 	return false, 0
 }
@@ -182,10 +193,11 @@ func (f *runFrame) noteTimeout(j int, elapsedNS int64) {
 	f.o.Note(obs.LaneCoord, obs.EvGroupTimeout, int32(j), elapsedNS)
 }
 
-// noteMatch records boundary j accepted after redosUsed re-executions.
-func (f *runFrame) noteMatch(j, redosUsed int) {
+// noteMatch records boundary j accepted after redosUsed re-executions, at
+// the resolver's reading now.
+func (f *runFrame) noteMatch(j, redosUsed int, now int64) {
 	f.st.Matches++
-	f.o.Note(obs.LaneCoord, obs.EvValidateMatch, int32(j), int64(redosUsed))
+	f.o.NoteAt(obs.LaneCoord, now, obs.EvValidateMatch, int32(j), int64(redosUsed))
 }
 
 // noteRedo records boundary j's attempt-th re-execution where it is
@@ -195,10 +207,10 @@ func (f *runFrame) noteRedo(j, attempt int) {
 	f.o.Note(obs.LaneCoord, obs.EvRedo, int32(j), int64(attempt))
 }
 
-// noteAbort records that speculation ended at group j.
-func (f *runFrame) noteAbort(j, redosUsed int) {
+// noteAbort records that speculation ended at group j, at the reading now.
+func (f *runFrame) noteAbort(j, redosUsed int, now int64) {
 	f.st.Aborts++
-	f.o.Note(obs.LaneCoord, obs.EvAbort, int32(j), int64(redosUsed))
+	f.o.NoteAt(obs.LaneCoord, now, obs.EvAbort, int32(j), int64(redosUsed))
 }
 
 // noteSquash records the squash an abort at group j causes: group j loses
@@ -223,16 +235,17 @@ func (f *runFrame) noteFallback(j, inputs int) {
 	f.yield(sched.PointFallback, f.lane)
 }
 
-// noteLaneCPU files group j's resolved lane time: nanoseconds whose results
-// were committed and nanoseconds of discarded work.
-func (f *runFrame) noteLaneCPU(j int, committed, wasted int64) {
+// noteLaneCPU files group j's resolved lane time, at the reading now:
+// nanoseconds whose results were committed and nanoseconds of discarded
+// work.
+func (f *runFrame) noteLaneCPU(j int, committed, wasted, now int64) {
 	if committed > 0 {
 		f.st.LaneCPUCommittedNS += committed
-		f.o.Note(obs.LaneCoord, obs.EvLaneCPUCommitted, int32(j), committed)
+		f.o.NoteAt(obs.LaneCoord, now, obs.EvLaneCPUCommitted, int32(j), committed)
 	}
 	if wasted > 0 {
 		f.st.LaneCPUWastedNS += wasted
-		f.o.Note(obs.LaneCoord, obs.EvLaneCPUWasted, int32(j), wasted)
+		f.o.NoteAt(obs.LaneCoord, now, obs.EvLaneCPUWasted, int32(j), wasted)
 	}
 }
 

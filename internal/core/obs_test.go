@@ -312,3 +312,53 @@ func TestObservabilityInvariantsRandomized(t *testing.T) {
 			sawAbort, sawRedo, sawMatch)
 	}
 }
+
+// TestEventsCarryTheAccountsReadings pins the shared phase readings: on a
+// healthy aux run (every boundary matches first time, so no redo touches an
+// account) a group's aux-produced and group-start events carry the one
+// reading that ended the aux and began the execution, and the lane CPU
+// filed for the group is exactly the span its events draw — execution from
+// start to finish stamp, plus the aux duration the aux event packs. Exact
+// equality: the stamps are the account's own readings, not reads taken
+// beside them.
+func TestEventsCarryTheAccountsReadings(t *testing.T) {
+	inputs := seqInputs(64)
+	for _, workers := range []int{1, 2} {
+		ob := obs.NewObserver(4, 4096)
+		outs, _, st := New(deterministicCompute, exactAuxFor(inputs), walkOps()).Run(inputs, walkState{}, Options{
+			UseAux: true, GroupSize: 8, Window: 4, RedoMax: 1, Rollback: 2, Workers: workers, Seed: 20, Obs: ob,
+		})
+		checkOutputs(t, outs, wantOutputs(inputs))
+		if st.Matches != st.Groups-1 || st.Redos != 0 || st.Aborts != 0 {
+			t.Fatalf("workers %d: not a healthy run: %+v", workers, st)
+		}
+		type stamps struct{ aux, auxDur, start, finish, cpu int64 }
+		byGroup := make([]stamps, st.Groups)
+		for _, e := range ob.Tracer.Snapshot() {
+			if e.Group < 0 {
+				continue
+			}
+			g := &byGroup[e.Group]
+			switch e.Kind {
+			case obs.EvAuxProduced:
+				g.aux = e.TS
+				_, g.auxDur = obs.SplitAuxArg(e.Arg)
+			case obs.EvGroupStart:
+				g.start = e.TS
+			case obs.EvGroupFinish:
+				g.finish = e.TS
+			case obs.EvLaneCPUCommitted:
+				g.cpu = e.Arg
+			}
+		}
+		for j, g := range byGroup {
+			if j > 0 && g.aux != g.start {
+				t.Errorf("workers %d group %d: aux-produced at %d, group-start at %d: want one reading", workers, j, g.aux, g.start)
+			}
+			if span := g.finish - g.start + g.auxDur; g.cpu != span {
+				t.Errorf("workers %d group %d: lane-cpu-committed %d ns, events span %d ns (exec %d..%d, aux %d)",
+					workers, j, g.cpu, span, g.start, g.finish, g.auxDur)
+			}
+		}
+	}
+}

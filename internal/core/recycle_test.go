@@ -25,12 +25,12 @@ func allocsPerRun(t *testing.T, body func()) float64 {
 }
 
 // TestWarmRunAllocations gates the bodies of BenchmarkEngineWarmRun and
-// BenchmarkEngineColdRun twice: an absolute allocs/run ceiling on the warm
-// path, and a self-calibrating ratio against the cold path (fresh
-// Dependence per run). The warm aux path must hold ≤20% of cold — the
-// ratio the hot-path recycling is accountable for; the reservations
-// protocol clones and returns caller-owned state every round, so its
-// floor is higher and it gates on a strict improvement instead.
+// BenchmarkEngineColdRun with absolute allocs/run ceilings on what each
+// path is accountable for: the warm aux path allocates what it must return
+// (it measures 5), the cold one its scratch once per run whatever the
+// group count (24 at these 4 groups), and warm stays below cold. The
+// reservations protocol clones and returns caller-owned state every round,
+// so its floor is higher and it gates on a strict improvement instead.
 func TestWarmRunAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")
@@ -41,9 +41,9 @@ func TestWarmRunAllocations(t *testing.T) {
 	t.Run("aux", func(t *testing.T) {
 		cold := allocsPerRun(t, auxRun(p, 32, false))
 		warm := allocsPerRun(t, auxRun(p, 32, true))
-		t.Logf("aux: warm %.1f allocs/run, cold %.1f (%.0f%%)", warm, cold, 100*warm/cold)
-		if warm > 16 || warm > cold/5 {
-			t.Fatalf("warm aux run allocates %.1f/run; ceilings are 16 and 20%% of the %.1f cold seed path", warm, cold)
+		t.Logf("aux: warm %.1f allocs/run, cold %.1f", warm, cold)
+		if warm > 8 || cold > 28 || warm >= cold {
+			t.Fatalf("aux run allocates %.1f/run warm and %.1f cold; ceilings are 8 and 28, and warm below cold", warm, cold)
 		}
 	})
 
@@ -55,6 +55,34 @@ func TestWarmRunAllocations(t *testing.T) {
 			t.Fatalf("warm reservations run allocates %.1f/run; ceilings are 210 and below the %.1f cold seed path", warm, cold)
 		}
 	})
+}
+
+// TestColdRunAllocationsDoNotScaleWithGroups is the cold path's other gate:
+// a fresh Dependence builds its group records from one slab and its output
+// buffers from one backing array, so a healthy run of 256 groups allocates
+// what one of 32 does (give or take a size-class step), where one record
+// and log G buffer growths per group used to.
+func TestColdRunAllocationsDoNotScaleWithGroups(t *testing.T) {
+	p := pool.New(4)
+	defer p.Close()
+	cold := func(groups int) float64 {
+		inputs := benchInputs(16 * groups)
+		// The window covers every earlier input, so sumAux is exact and every
+		// boundary matches.
+		opts := Options{UseAux: true, GroupSize: 16, Window: len(inputs), RedoMax: 1, Rollback: 4, Pool: p}
+		return allocsPerRun(t, func() {
+			opts.Seed++
+			_, _, st := New(cheapCompute, sumAux, fingerprintWalkOps()).Run(inputs, walkState{}, opts)
+			if st.Matches != groups-1 {
+				t.Fatalf("%d groups: %d matches", groups, st.Matches)
+			}
+		})
+	}
+	few, many := cold(32), cold(256)
+	t.Logf("cold aux run: %.1f allocs at 32 groups, %.1f at 256", few, many)
+	if many-few > 4 {
+		t.Fatalf("cold run allocates %.1f at 32 groups and %.1f at 256: per-group allocations are back", few, many)
+	}
 }
 
 // TestHotPathAllocCeilings gates the bodies of BenchmarkEngineGrouping
@@ -79,9 +107,9 @@ func TestHotPathAllocCeilings(t *testing.T) {
 	}
 }
 
-// TestGroupRunSize pins the group record to its Go size class: 384 B with
-// word-sized I, S and O. A cold run allocates one per group, so the next
-// class up (416 B) is +8% bytes per group on every run that builds a fresh
+// TestGroupRunSize pins the group record at 384 B with word-sized I, S and
+// O. A cold run allocates one slab of them, one record per group, so every
+// word added is bytes per group on every run that builds a fresh
 // Dependence — measurable on the benchmark's alloc_bytes_per_input.
 func TestGroupRunSize(t *testing.T) {
 	if got := unsafe.Sizeof(groupRun[uint64, uint64, uint64]{}); got > 384 {

@@ -37,7 +37,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/pool"
@@ -366,7 +365,7 @@ func (d *Dependence[I, S, O]) runReservations(root *rng.Source, inputs []I, init
 			// the whole vector runs sequentially.
 			r.fail(failPanic, pe)
 			r.notePanic(0, 0, nil)
-			r.noteAbort(0, 0)
+			r.noteAbort(0, 0, r.stamp())
 			r.fallBack(0, 0, 0, nil)
 			return r.outs, r.shared
 		}
@@ -405,11 +404,13 @@ func (r *resvRun[I, S, O]) runGroup(j int) ([]int, bool) {
 	r.fps = cleared(r.fps, width)
 	r.states = cleared(r.states, width)
 
-	r.o.Note(j, obs.EvGroupStart, int32(j), int64(start))
-	var groupStart time.Time
-	if r.timeout > 0 {
-		groupStart = time.Now()
+	// One reading starts the group, for its event's stamp and its deadline;
+	// a run with neither skips the clock.
+	var groupStart int64
+	if r.o != nil || r.timeout > 0 {
+		groupStart = r.now()
 	}
+	r.o.NoteAt(j, groupStart, obs.EvGroupStart, int32(j), int64(start))
 	// laneNS up to committedNS was spent on rounds that committed; only a
 	// group's last round can break, and everything it computed is waste.
 	laneBase, committedNS := r.laneNS, r.laneNS
@@ -444,11 +445,13 @@ func (r *resvRun[I, S, O]) runGroup(j int) ([]int, bool) {
 	ok := r.failed.Load() == int32(failNone)
 	// Lane CPU under reservations is compute only: deciding the
 	// reservations is coordinator time, like the commit.
-	r.noteLaneCPU(j, committedNS-laneBase, r.laneNS-committedNS)
+	// One reading ends the group: its account's events and its finish.
+	now := r.stamp()
+	r.noteLaneCPU(j, committedNS-laneBase, r.laneNS-committedNS, now)
 	if r.o != nil {
 		r.o.RoundsPerGroup.Observe(int64(rounds))
 	}
-	r.o.Note(j, obs.EvGroupFinish, int32(j), int64(width-len(pending)))
+	r.o.NoteAt(j, now, obs.EvGroupFinish, int32(j), int64(width-len(pending)))
 	if ok && r.emit != nil {
 		// Group complete: its outputs are final; stream them in input order
 		// (commits happened out of order, so emission buffers per group).
@@ -484,6 +487,7 @@ func (r *resvRun[I, S, O]) decide(pending []int) bool {
 		r.table[s] = int64(r.n)
 	}
 	r.winners = r.winners[:0]
+	now := r.stamp() // the decide phase's one reading stamps every reservation
 	pe := contain(func() {
 		for _, i := range pending {
 			r.yield(sched.PointReserve, r.lane)
@@ -497,12 +501,12 @@ func (r *resvRun[I, S, O]) decide(pending []int) bool {
 					r.table[sl] = int64(i)
 				}
 			}
-			r.o.Note(obs.LaneCoord, obs.EvReserve, int32(r.gj), ReservationArg(r.ground, i))
+			r.o.NoteAt(obs.LaneCoord, now, obs.EvReserve, int32(r.gj), ReservationArg(r.ground, i))
 			if won {
 				r.winners = append(r.winners, i)
 			} else {
 				r.conflicts++
-				r.o.Note(obs.LaneCoord, obs.EvReserveLost, int32(r.gj), ReservationArg(r.ground, i))
+				r.o.NoteAt(obs.LaneCoord, now, obs.EvReserveLost, int32(r.gj), ReservationArg(r.ground, i))
 			}
 		}
 	})
@@ -606,8 +610,9 @@ func (r *resvRun[I, S, O]) commitRound(winners []int) bool {
 		}
 		r.shared = next
 	}
+	now := r.stamp() // the commit phase's one reading
 	for _, i := range winners {
-		r.o.Note(obs.LaneCoord, obs.EvCommit, int32(r.gj), ReservationArg(r.ground, i))
+		r.o.NoteAt(obs.LaneCoord, now, obs.EvCommit, int32(r.gj), ReservationArg(r.ground, i))
 	}
 	r.committed += len(winners)
 	// Every winner but the lowest pending index committed in the same
@@ -728,7 +733,7 @@ func (r *resvRun[I, S, O]) abort(j int, pending []int) {
 		// EvFootprintViolation per slot); only the shared abort/squash/
 		// fallback bookkeeping remains.
 	}
-	r.noteAbort(j, 0)
+	r.noteAbort(j, 0, r.stamp())
 	r.noteSquash(j, len(pending))
 	start, end := r.bounds(j)
 	r.fallBack(j, start, end, pending)
@@ -762,7 +767,8 @@ func (r *resvRun[I, S, O]) fallBack(j, start, end int, pending []int) {
 	}
 	// The fallback produced committed outputs; file its time against the
 	// aborting group, whose squashed work it redid.
-	r.noteLaneCPU(j, r.now()-fbStart, 0)
+	now := r.now()
+	r.noteLaneCPU(j, now-fbStart, 0, now)
 }
 
 // seqOne processes one input sequentially from the committed state with

@@ -10,10 +10,12 @@
 // substrate for the whole stack:
 //
 //   - Tracer: per-lane bounded ring buffers of timestamped Events. Writers
-//     never take a lock (per-slot sequence words make concurrent emit and
-//     Snapshot safe); a full ring overwrites its oldest records, so memory
-//     stays bounded no matter how long the runtime runs. Snapshot merges
-//     the lanes into one time-ordered log.
+//     never take a lock: a record is a ticket claim and four stores, the
+//     slot's sequence word last, and readers validate the sequence word and
+//     the ticket counter around their copy (tslot). A full ring overwrites
+//     its oldest records, so memory stays bounded no matter how long the
+//     runtime runs. Snapshot merges the lanes into one time-ordered log;
+//     Poll reads it incrementally.
 //
 //   - Registry: named Counters, Gauges and log-scale Histograms backed by
 //     plain atomics, with a deterministic plain-text exposition format
@@ -21,22 +23,27 @@
 //
 //   - Observer: the instrument bundle the engine (internal/core) and the
 //     scheduler (internal/pool) report into. A fact with an event kind is
-//     reported with one call, Note, which advances the kind's counter and
-//     emits the event together; the fact table (Catalogue) is the single
-//     definition of each kind's event name, metric name, HELP line and
-//     the core.Stats field it mirrors. Note, like every Tracer, Counter,
-//     Gauge and Histogram method, is a no-op on a nil receiver, so
-//     disabled observability costs one branch per decision point. The
+//     reported with one call, Note — or NoteAt, when the caller already
+//     holds a clock reading of the instant — which advances the kind's
+//     counter and emits the event together; the fact table (Catalogue) is
+//     the single definition of each kind's event name, metric name, HELP
+//     line and the core.Stats field it mirrors. Note, like every Tracer,
+//     Counter, Gauge and Histogram method, is a no-op on a nil receiver,
+//     so disabled observability costs one branch per decision point. The
 //     Observer's named instruments (histograms, the three counters no
 //     event backs) are plain fields: reading one off a nil *Observer
 //     faults, so their few write sites guard on it.
 //
-// Event schema: every event carries a monotonic timestamp (nanoseconds
-// since the Tracer's epoch), the emitting lane, a kind, the group index it
-// concerns (or -1), and one kind-specific argument (input index, redo
-// attempt, queue depth, squashed input count). Scheduler events
-// (EvSteal/EvLocalHit/EvTaskFinish) use the lane as the worker id; engine
-// events key on Group and use the lane only as a shard hint.
+// Event schema: every event carries a monotonic timestamp (a reading of the
+// process-wide trace clock, Now), the emitting lane, a kind, the group index
+// it concerns (or -1), and one kind-specific argument (input index, redo
+// attempt, queue depth, squashed input count). A timestamp is the emitting
+// lane's last phase reading — the engine reads the clock once per lane phase
+// and the account, the histogram and the events of that instant share it —
+// so equal stamps are normal, and equal stamps on one ring are in emission
+// order. Scheduler events (EvSteal/EvLocalHit/EvTaskFinish) use the lane as
+// the worker id; engine events key on Group and use the lane only as a shard
+// hint.
 package obs
 
 // Fact is one row of the fact table: the one place a thing the runtime
@@ -188,22 +195,37 @@ func NewObserver(lanes, perLaneCap int) *Observer {
 // Note reports one occurrence of an event-backed fact: it advances the
 // kind's counter — by one, or by arg for a ByArg kind — and emits the
 // event on lane, so a kind's counter always equals the count (or Arg sum)
-// of its events. A nil Observer is the disabled fast path.
+// of its events. It reads the trace clock for the stamp; a caller that
+// already holds a reading of the instant uses NoteAt. A nil Observer is the
+// disabled fast path of both.
 func (o *Observer) Note(lane int, kind EventKind, group int32, arg int64) {
 	if o != nil {
 		o.note(lane, kind, group, arg)
 	}
 }
 
-// note is Note's enabled path, kept out of line so the nil check inlines
-// into every decision point.
+// NoteAt is Note stamped with the caller's reading ts of the trace clock
+// (Now), so the facts of one instant share one clock read and a span's ends
+// are the very readings its account was filed from.
+func (o *Observer) NoteAt(lane int, ts int64, kind EventKind, group int32, arg int64) {
+	if o != nil {
+		o.noteAt(lane, ts, kind, group, arg)
+	}
+}
+
+// note and noteAt are the enabled paths, kept out of line so the nil checks
+// inline into every decision point.
 func (o *Observer) note(lane int, kind EventKind, group int32, arg int64) {
+	o.noteAt(lane, Now(), kind, group, arg)
+}
+
+func (o *Observer) noteAt(lane int, ts int64, kind EventKind, group int32, arg int64) {
 	d := int64(1)
 	if facts[kind].ByArg {
 		d = arg
 	}
 	o.kind[kind].Add(d)
-	o.Tracer.Emit(lane, kind, group, arg)
+	o.Tracer.EmitAt(lane, ts, kind, group, arg)
 }
 
 // Counts reads every event kind's counter.

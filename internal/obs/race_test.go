@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -97,5 +98,73 @@ func TestConcurrentEmitSnapshotStress(t *testing.T) {
 	evs := tr.Snapshot()
 	if len(evs) != lanes*laneCap {
 		t.Fatalf("final snapshot %d events, want full rings %d", len(evs), lanes*laneCap)
+	}
+}
+
+// TestTracerWrapRace guards the slot protocol without a busy mark: four
+// writers lap one 8-slot ring while one goroutine Snapshots and one Polls.
+// Every event's arg is a checksum of its stamp, kind and group, so a reader
+// that accepted a slot an overwriter had started on would deliver a record
+// that does not verify — as would one that read beside a writer lapped
+// mid-record, if slots were not written lap after lap; and once the writers
+// stop, Poll has delivered or counted as dropped every event emitted.
+func TestTracerWrapRace(t *testing.T) {
+	const (
+		writers  = 4
+		perWrite = 5000
+		laneCap  = 8
+	)
+	checksum := func(ts int64, kind EventKind, group int32) int64 {
+		return ts*31 ^ int64(kind)<<40 ^ int64(group)
+	}
+	verify := func(who string, evs []Event) {
+		for _, e := range evs {
+			if e.Arg != checksum(e.TS, e.Kind, e.Group) {
+				t.Errorf("%s delivered a torn event: %+v", who, e)
+				return
+			}
+		}
+	}
+	tr := NewTracer(1, laneCap)
+	stop := make(chan struct{})
+	var readers, writing sync.WaitGroup
+	var cur Cursor
+	var delivered, dropped int64
+	poll := func() {
+		evs, d := tr.Poll(&cur, nil)
+		verify("Poll", evs)
+		delivered, dropped = delivered+int64(len(evs)), dropped+d
+	}
+	spin := func(body func()) {
+		defer readers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				body()
+				runtime.Gosched() // a reader must not hold the one P of -cpu 1 for a whole time slice
+			}
+		}
+	}
+	readers.Add(2)
+	go spin(func() { verify("Snapshot", tr.Snapshot()) })
+	go spin(poll)
+	for w := 0; w < writers; w++ {
+		writing.Add(1)
+		go func(w int) {
+			defer writing.Done()
+			for i := 0; i < perWrite; i++ {
+				ts, kind, group := int64(i*writers+w), EventKind(1+i%int(numEventKinds-1)), int32(w)
+				tr.EmitAt(0, ts, kind, group, checksum(ts, kind, group))
+			}
+		}(w)
+	}
+	writing.Wait()
+	close(stop)
+	readers.Wait()
+	poll()
+	if emitted := tr.Emitted(); emitted != writers*perWrite || delivered+dropped != emitted {
+		t.Fatalf("emitted %d, Poll delivered %d + dropped %d", emitted, delivered, dropped)
 	}
 }

@@ -1,7 +1,9 @@
 package obs
 
 import (
-	"sort"
+	"cmp"
+	"runtime"
+	"slices"
 	"sync/atomic"
 	"time"
 )
@@ -103,8 +105,11 @@ const LaneCoord = -1
 
 // Event is one decoded trace record.
 type Event struct {
-	// TS is the event time in nanoseconds since the tracer's epoch
-	// (monotonic, comparable across lanes).
+	// TS is the event time, a reading of the trace clock (Now: monotonic
+	// nanoseconds, comparable across lanes): the emitting lane's last phase
+	// reading, which the events of one instant share — a group's
+	// aux-produced and group-start, a run's lane-cpu-* events. Equal stamps
+	// on one ring are in emission order (Snapshot and Poll both keep it).
 	TS int64
 	// Lane is the lane the event was emitted on: the worker id for
 	// scheduler events, LaneCoord for engine coordinator events, and a
@@ -118,17 +123,22 @@ type Event struct {
 	Arg int64
 }
 
-// Slot sequence protocol: 0 = never written, seqBusy = write in progress,
-// ticket+seqBase = slot holds the event with that ring ticket.
-const (
-	seqBusy uint64 = 1
-	seqBase uint64 = 2
-)
+// seqBase offsets a slot's sequence word from its ring ticket: 0 = never
+// written, ticket+seqBase = the slot was last published with that ticket.
+const seqBase uint64 = 1
 
 // tslot is one ring slot. Every word is atomic so concurrent Emit and
-// Snapshot are race-free: a writer publishes the payload before the
-// sequence word, and a reader validates the sequence word on both sides of
-// its payload read, discarding the slot on any mismatch.
+// Snapshot are race-free. A writer claims its ticket from the ring's
+// counter before it touches the slot, stores the payload and publishes the
+// sequence word last; there is no write-in-progress mark. Records of one
+// slot are written strictly lap after lap (EmitAt waits for the record it
+// overwrites to be published), so a sequence word always names the last
+// writer to touch the slot. A reader (tring.read) therefore needs three
+// steps: the sequence word names the ticket it wants (that record is
+// complete), it copies the payload, and the ring's counter is still at
+// most ticket+capacity — Go atomics are sequentially consistent, so no
+// overwriter had claimed the slot, let alone stored into it, before the
+// copy ended.
 type tslot struct {
 	seq  atomic.Uint64
 	ts   atomic.Int64
@@ -149,13 +159,21 @@ type tring struct {
 const DefaultLaneCap = 4096
 
 // Tracer is a lock-free, bounded-memory speculation event log: one ring
-// per lane, written with Emit and read with Snapshot. A nil *Tracer is a
-// valid no-op sink — every method checks the receiver — which is the
-// disabled fast path the engine relies on.
+// per lane, written with Emit/EmitAt and read with Snapshot and Poll. A nil
+// *Tracer is a valid no-op sink — every method checks the receiver — which
+// is the disabled fast path the engine relies on.
 type Tracer struct {
-	epoch time.Time
 	rings []tring
 }
+
+// epoch is the instant the trace clock counts from: one per process, so a
+// reading is a valid stamp for any tracer and the engine's lanes, the pool's
+// workers and the tracers all share one clock.
+var epoch = time.Now()
+
+// Now reads the trace clock: monotonic nanoseconds since the process's
+// trace epoch. Every Event.TS is a reading of it.
+func Now() int64 { return int64(time.Since(epoch)) }
 
 // NewTracer returns a tracer with the given number of lanes (rounded up to
 // 1) and per-lane capacity (rounded up to the next power of two;
@@ -171,7 +189,7 @@ func NewTracer(lanes, perLaneCap int) *Tracer {
 	for capPow2 < perLaneCap {
 		capPow2 <<= 1
 	}
-	t := &Tracer{epoch: time.Now(), rings: make([]tring, lanes)}
+	t := &Tracer{rings: make([]tring, lanes)}
 	for i := range t.rings {
 		t.rings[i].slots = make([]tslot, capPow2)
 	}
@@ -197,12 +215,22 @@ func (t *Tracer) Lanes() int {
 	return len(t.rings)
 }
 
-// Emit appends one event to the lane's ring, overwriting the oldest record
-// when the ring is full. It never blocks and takes no locks; on a nil
-// tracer it is a no-op, which is the disabled fast path. The lane is
-// reduced modulo the lane count (negative lanes, like LaneCoord, map to
-// the last ring) but recorded verbatim in the event.
+// Emit is EmitAt stamped with a fresh reading of the trace clock, for
+// callers that hold none. On a nil tracer both are no-ops, which is the
+// disabled fast path.
 func (t *Tracer) Emit(lane int, kind EventKind, group int32, arg int64) {
+	if t != nil {
+		t.EmitAt(lane, Now(), kind, group, arg)
+	}
+}
+
+// EmitAt appends one event stamped ts (the caller's reading of Now) to the
+// lane's ring, overwriting the oldest record when the ring is full: one
+// ticket claim and four stores, the sequence word last. It takes no locks
+// and waits for nothing but a writer one whole lap behind it. The lane is
+// reduced modulo the lane count (negative lanes, like LaneCoord, map to the
+// last ring) but recorded verbatim in the event.
+func (t *Tracer) EmitAt(lane int, ts int64, kind EventKind, group int32, arg int64) {
 	if t == nil {
 		return
 	}
@@ -212,20 +240,44 @@ func (t *Tracer) Emit(lane int, kind EventKind, group int32, arg int64) {
 		idx += n
 	}
 	r := &t.rings[idx]
-	ticket := r.pos.Add(1) - 1
-	s := &r.slots[ticket&uint64(len(r.slots)-1)]
-	s.seq.Store(seqBusy)
-	s.ts.Store(int64(time.Since(t.epoch)))
+	ticket, capacity := r.pos.Add(1)-1, uint64(len(r.slots))
+	s := &r.slots[ticket&(capacity-1)]
+	// Records of one slot are written strictly lap after lap: the one this
+	// overwrites must be published first. Only a writer descheduled
+	// mid-record while its ring went all the way round makes this wait.
+	if prev := ticket + seqBase - capacity; ticket >= capacity {
+		for s.seq.Load() != prev {
+			runtime.Gosched()
+		}
+	}
+	s.ts.Store(ts)
 	s.meta.Store(packMeta(kind, int16(lane), group))
 	s.arg.Store(arg)
 	s.seq.Store(ticket + seqBase)
 }
 
+// read copies the event ring ticket holds, if it is still there. seq is the
+// slot's sequence word as read before the copy: ticket+seqBase when the
+// event was published and not yet overwritten, smaller while its writer is
+// between claim and publish, larger once a later lap published over it. ok
+// is the outcome of the reader's three steps (tslot).
+func (r *tring) read(ticket uint64) (ev Event, seq uint64, ok bool) {
+	s := &r.slots[ticket&uint64(len(r.slots)-1)]
+	if seq = s.seq.Load(); seq != ticket+seqBase {
+		return ev, seq, false
+	}
+	ts, meta, arg := s.ts.Load(), s.meta.Load(), s.arg.Load()
+	kind, lane, group := unpackMeta(meta)
+	return Event{TS: ts, Lane: lane, Kind: kind, Group: group, Arg: arg}, seq, r.pos.Load() <= ticket+uint64(len(r.slots))
+}
+
 // Snapshot returns the currently-readable events of every lane merged into
-// time order (ties broken by lane, then kind, group and arg, so equal-input
-// snapshots are deterministic). It is safe to call concurrently with Emit:
-// slots being overwritten mid-read are detected via their sequence words
-// and skipped. A nil tracer yields nil.
+// time order; events with equal stamps stay in ring order and, within a
+// ring, in emission (ticket) order — shared phase readings make ties the
+// normal case, and the folds rely on a group's aux-produced preceding the
+// group-start it shares a reading with. It is safe to call concurrently
+// with Emit: slots unpublished or overwritten mid-read are detected
+// (tring.read) and skipped. A nil tracer yields nil.
 func (t *Tracer) Snapshot() []Event {
 	if t == nil {
 		return nil
@@ -234,41 +286,22 @@ func (t *Tracer) Snapshot() []Event {
 	for ri := range t.rings {
 		r := &t.rings[ri]
 		pos := r.pos.Load()
-		capacity := uint64(len(r.slots))
 		lo := uint64(0)
-		if pos > capacity {
+		if capacity := uint64(len(r.slots)); pos > capacity {
 			lo = pos - capacity
 		}
 		for ticket := lo; ticket < pos; ticket++ {
-			s := &r.slots[ticket&(capacity-1)]
-			want := ticket + seqBase
-			if s.seq.Load() != want {
-				continue // overwritten or mid-write
+			if ev, _, ok := r.read(ticket); ok {
+				evs = append(evs, ev)
 			}
-			ts, meta, arg := s.ts.Load(), s.meta.Load(), s.arg.Load()
-			if s.seq.Load() != want {
-				continue // overwritten while we read the payload
-			}
-			kind, lane, group := unpackMeta(meta)
-			evs = append(evs, Event{TS: ts, Lane: lane, Kind: kind, Group: group, Arg: arg})
 		}
 	}
-	sort.Slice(evs, func(i, j int) bool {
-		a, b := evs[i], evs[j]
-		if a.TS != b.TS {
-			return a.TS < b.TS
-		}
-		if a.Lane != b.Lane {
-			return a.Lane < b.Lane
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		if a.Group != b.Group {
-			return a.Group < b.Group
-		}
-		return a.Arg < b.Arg
-	})
+	// evs is in (ring, ticket) order, which a stable sort by stamp keeps; a
+	// log with one busy ring is usually in stamp order already.
+	byStamp := func(a, b Event) int { return cmp.Compare(a.TS, b.TS) }
+	if !slices.IsSortedFunc(evs, byStamp) {
+		slices.SortStableFunc(evs, byStamp)
+	}
 	return evs
 }
 
@@ -321,25 +354,17 @@ func (t *Tracer) Poll(c *Cursor, buf []Event) ([]Event, int64) {
 			ticket = pos - capacity
 		}
 		for ; ticket < pos; ticket++ {
-			s := &r.slots[ticket&(capacity-1)]
-			want := ticket + seqBase
-			seq := s.seq.Load()
-			if seq < want {
+			ev, seq, ok := r.read(ticket)
+			if seq < ticket+seqBase {
 				// Claimed but not yet published (mid-write): resume
 				// here on the next poll to keep in-order delivery.
 				break
 			}
-			if seq != want {
-				dropped++ // overwritten while we were behind
-				continue
+			if ok {
+				buf = append(buf, ev)
+			} else {
+				dropped++ // overwritten while we were behind, or mid-copy
 			}
-			ts, meta, arg := s.ts.Load(), s.meta.Load(), s.arg.Load()
-			if s.seq.Load() != want {
-				dropped++ // overwritten while we read the payload
-				continue
-			}
-			kind, lane, group := unpackMeta(meta)
-			buf = append(buf, Event{TS: ts, Lane: lane, Kind: kind, Group: group, Arg: arg})
 		}
 		c.next[ri] = ticket
 	}

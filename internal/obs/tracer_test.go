@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"runtime"
 	"testing"
+	"time"
 )
 
 func TestEmitSnapshotRoundTrip(t *testing.T) {
@@ -136,5 +138,63 @@ func TestAuxArgRoundTrip(t *testing.T) {
 			t.Errorf("%s: AuxArg(%d, %d) = %#x splits to (%d, %d), want (%d, %d)",
 				c.description, c.window, c.durNS, arg, w, d, c.wantW, c.wantD)
 		}
+	}
+}
+
+// TestEqualStampsKeepEmissionOrder is the order contract: events that share
+// a phase reading come back from Snapshot (merged by stamp) and from Poll
+// (ring by ring) in the order they were emitted on their ring, whatever
+// their kinds — the descending kinds here are the order the old (lane,
+// kind, group, arg) tie-break reversed.
+func TestEqualStampsKeepEmissionOrder(t *testing.T) {
+	tr := NewTracer(2, 16)
+	kinds := []EventKind{EvAuxProduced, EvGroupFinish, EvGroupStart}
+	for ring := 1; ring >= 0; ring-- {
+		for i, k := range kinds {
+			tr.EmitAt(ring, 7, k, int32(ring), int64(i))
+		}
+	}
+	polled, dropped := tr.Poll(&Cursor{}, nil)
+	for name, evs := range map[string][]Event{"Snapshot": tr.Snapshot(), "Poll": polled} {
+		if len(evs) != 6 || dropped != 0 {
+			t.Fatalf("%s: %d events, %d dropped: %+v", name, len(evs), dropped, evs)
+		}
+		for i, e := range evs {
+			if ring, at := i/3, i%3; e.TS != 7 || int(e.Lane) != ring || e.Kind != kinds[at] || e.Arg != int64(at) {
+				t.Fatalf("%s: event %d is %+v, want ring %d's emission %d (%v)", name, i, e, ring, at, kinds[at])
+			}
+		}
+	}
+}
+
+// TestEmitAtWaitsForTheLapItOverwrites plays a writer descheduled between
+// its ticket claim and its first store while the ring goes all the way
+// round: the writer that laps onto its slot must not store over a record
+// still being written (its payload would mix into the newer record under a
+// sequence word a reader trusts) — it waits until the older one publishes.
+func TestEmitAtWaitsForTheLapItOverwrites(t *testing.T) {
+	const laneCap = 8
+	tr := NewTracer(1, laneCap)
+	r := &tr.rings[0]
+	stalled := r.pos.Add(1) - 1 // ticket 0, claimed and not yet written
+	lapped := make(chan struct{})
+	go func() {
+		defer close(lapped)
+		for i := 1; i <= laneCap; i++ { // tickets 1..8; ticket 8 lands on slot 0
+			tr.EmitAt(0, int64(i), EvLocalHit, -1, 0)
+		}
+	}()
+	for r.slots[laneCap-1].seq.Load() != laneCap-1+seqBase {
+		runtime.Gosched()
+	}
+	select {
+	case <-lapped:
+		t.Fatal("a record was written over one still in progress")
+	case <-time.After(20 * time.Millisecond):
+	}
+	r.slots[0].seq.Store(stalled + seqBase) // the stalled writer publishes
+	<-lapped
+	if evs := tr.Snapshot(); len(evs) != laneCap || evs[laneCap-1].TS != laneCap {
+		t.Fatalf("after the lap: %+v", evs)
 	}
 }

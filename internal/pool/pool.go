@@ -477,11 +477,13 @@ func xorshift(s *uint64) uint64 {
 func (p *Pool) worker(i int) {
 	defer p.wg.Done()
 	seed := WorkerSeed(p.seed, i)
+	var at int64 // the previous task's finish reading; 0 once the worker parked
 	for {
 		if t, stolen, ok := p.next(i, &seed); ok {
-			p.run(i, t, stolen)
+			at = p.run(i, t, stolen, at)
 			continue
 		}
+		at = 0
 		// Park. Declaring idleness before re-checking pending pairs with
 		// the submitters' publish-then-check-idlers order, so a task
 		// enqueued concurrently is either seen here or wakes us.
@@ -502,7 +504,7 @@ func (p *Pool) worker(i int) {
 				if !ok {
 					return
 				}
-				p.run(i, t, stolen)
+				p.run(i, t, stolen, 0)
 			}
 		}
 	}
@@ -511,21 +513,27 @@ func (p *Pool) worker(i int) {
 // run executes one dispatched task on worker i and accounts it. With an
 // observer attached, the dispatch emits a steal/local-hit event and the
 // completion a task-finish event, all on the worker's lane — the pairs the
-// live Gantt view turns into per-worker occupancy spans.
+// live Gantt view turns into per-worker occupancy spans. at is the reading
+// that stamped the worker's previous task-finish when this dispatch follows
+// it without a park (0 otherwise): one clock read serves both events, and
+// run returns the reading of its own finish (0 unobserved) for the next.
 //
 // A panicking task must not kill its worker: an escaped panic would tear
 // down the process, and even a hypothetically survivable one would shrink
 // the pool and wedge Close behind the dead worker's deque. run recovers,
 // counts the event in Metrics.PanickedTasks, and keeps the worker in its
 // dispatch loop.
-func (p *Pool) run(i int, t Task, stolen bool) {
+func (p *Pool) run(i int, t Task, stolen bool, at int64) int64 {
 	o := p.obsv.Load()
+	if o != nil && at == 0 {
+		at = obs.Now()
+	}
 	if stolen {
 		p.steals.Add(1)
-		o.Note(i, obs.EvSteal, -1, 0)
+		o.NoteAt(i, at, obs.EvSteal, -1, 0)
 	} else {
 		p.localHits.Add(1)
-		o.Note(i, obs.EvLocalHit, -1, 0)
+		o.NoteAt(i, at, obs.EvLocalHit, -1, 0)
 	}
 	func() {
 		defer func() {
@@ -536,7 +544,12 @@ func (p *Pool) run(i int, t Task, stolen bool) {
 		t()
 	}()
 	p.executed.Add(1)
-	o.Note(i, obs.EvTaskFinish, -1, 0)
+	if o == nil {
+		return 0
+	}
+	at = obs.Now()
+	o.NoteAt(i, at, obs.EvTaskFinish, -1, 0)
+	return at
 }
 
 // next dispatches one task for worker i: the front of its own deque, or a

@@ -99,6 +99,38 @@ func propRuns(t *testing.T, cases int, body func(name string, ob *obs.Observer, 
 	}
 }
 
+// TestAuxSpanEndsWhereExecStarts: a group's aux-produced and group-start
+// events share one lane reading, so on a real two-group run — through a
+// snapshot and through a live folder alike — the speculative group's aux
+// span ends on the very nanosecond its execution span starts. The fold
+// needs the order contract for it: equal stamps in emission order, the aux
+// event first (obs.TestEqualStampsKeepEmissionOrder).
+func TestAuxSpanEndsWhereExecStarts(t *testing.T) {
+	ob := obs.NewObserver(2, 1<<10)
+	folder := NewSpanFolder(ob.Tracer)
+	inputs := []int{1, 2, 3, 4, 5, 6, 7, 8}
+	core.New(propCompute, propAux, propOps()).Run(inputs, propState{}, core.Options{
+		UseAux: true, GroupSize: 4, Window: len(inputs), Workers: 2, Obs: ob,
+	})
+	folder.Poll()
+	for name, doc := range map[string]*SpanDoc{"snapshot": BuildSpans(ob.Tracer.Snapshot()), "folder": folder.Doc()} {
+		var aux, exec *Span
+		for _, g := range doc.Groups {
+			for _, c := range g.Children {
+				switch {
+				case g.Group == 1 && c.Kind == SpanAux:
+					aux = c
+				case g.Group == 1 && c.Kind == SpanExec && !c.Partial:
+					exec = c
+				}
+			}
+		}
+		if aux == nil || exec == nil || aux.EndNS != exec.StartNS {
+			t.Errorf("%s: group 1 aux span %+v, exec span %+v: want aux.EndNS == exec.StartNS", name, aux, exec)
+		}
+	}
+}
+
 // TestSignalsReconcileWithEngineStats: for >=200 random option vectors
 // under both protocols, an hour-window Signals built on a fresh observer
 // reports deltas byte-for-byte equal to the run's core.Stats.

@@ -10,7 +10,11 @@
 # start/finish or task-finish kind. The copy guard: a slice-of-slots state
 # declares its reservation contract through core.SlotOps, so fail if a
 # non-test file under internal/workload or internal/harness spells out a
-# ReserveOps literal (a NumSlots: key) again. Run via `make vet`.
+# ReserveOps literal (a NumSlots: key) again. The clock guard: internal/core
+# reads one clock, runFrame.now (the trace clock, obs.Now), so a lane's
+# reading can feed the account, the histogram and the events of its instant;
+# fail on a time.Now( or time.Since( in its non-test code outside breaker.go,
+# whose clock is the injected Now. Run via `make vet`.
 set -eu
 
 emits=$(grep -rn 'Tracer\.Emit(' internal/core internal/pool --include='*.go' |
@@ -39,5 +43,13 @@ copies=$(grep -rn 'NumSlots:' internal/workload internal/harness --include='*.go
 if [ -n "$copies" ]; then
     echo "fact-guard: declare a slice-of-slots state through core.SlotOps, not a hand-written ReserveOps:" >&2
     printf '%s\n' "$copies" >&2
+    exit 1
+fi
+
+clocks=$(grep -rnE 'time\.(Now|Since)\(' internal/core --include='*.go' |
+    grep -v -e '_test\.go:' -e '^internal/core/breaker\.go:' || true)
+if [ -n "$clocks" ]; then
+    echo "fact-guard: internal/core reads the clock through runFrame.now only:" >&2
+    printf '%s\n' "$clocks" >&2
     exit 1
 fi
