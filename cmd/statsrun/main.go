@@ -102,6 +102,7 @@ func main() {
 	fmt.Printf("aborts / squashed:    %d / %d inputs\n", st.Aborts, st.SquashedInputs)
 	if proto == core.ProtocolReservations {
 		fmt.Printf("rounds / conflicts:   %d / %d\n", st.Rounds, st.ReservationConflicts)
+		fmt.Printf("conventional inputs:  %d\n", st.ConventionalInputs)
 	}
 	fmt.Printf("invocations (useful): %d (%d)\n", st.Invocations, st.UsefulInvocations)
 	fmt.Printf("aux calls / inputs:   %d / %d\n", st.AuxCalls, st.AuxInputs)

@@ -139,8 +139,11 @@ func TestDocsCarryMetricCatalogue(t *testing.T) {
 
 // TestDocsNameRealTargetsAndCommands keeps the prose honest about the
 // tooling: every `make <target>` in README.md, DESIGN.md and the verify
-// skill is a Makefile target, and the cmd/ entries of README's layout
-// block are exactly the directories under cmd/.
+// skill is a Makefile target, the cmd/ entries of README's layout block are
+// exactly the directories under cmd/, and every back-quoted internal/ path
+// and .go file name in README.md and DESIGN.md exists — a path as that
+// directory or file (a trailing .Symbol, * or … aside), a bare file name
+// somewhere in the tree. Exported symbols are not checked.
 func TestDocsNameRealTargetsAndCommands(t *testing.T) {
 	read := func(path string) string {
 		b, err := os.ReadFile(path)
@@ -158,6 +161,51 @@ func TestDocsNameRealTargetsAndCommands(t *testing.T) {
 		for _, m := range mention.FindAllStringSubmatch(read(doc), -1) {
 			if !targets[m[1]] {
 				t.Errorf("%s names `make %s`, which is not a Makefile target", doc, m[1])
+			}
+		}
+	}
+
+	goFiles := map[string]bool{} // base names of the tree's .go files
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if strings.HasSuffix(path, ".go") {
+			goFiles[d.Name()] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exists := func(path string) bool {
+		_, err := os.Stat(path)
+		return err == nil
+	}
+	quoted := regexp.MustCompile("`[^`\n]+`")
+	internalPath := regexp.MustCompile(`\binternal/[\w/.-]+`)
+	goFile := regexp.MustCompile(`[\w/.-]*\w\.go\b`)
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		for _, span := range quoted.FindAllString(read(doc), -1) {
+			for _, p := range internalPath.FindAllString(span, -1) {
+				p = strings.TrimRight(p, "./-")
+				// internal/core.Options names a symbol of the package.
+				pkg, _, _ := strings.Cut(p, ".")
+				if !exists(p) && !exists(pkg) {
+					t.Errorf("%s names %s in %s, which does not exist", doc, p, span)
+				}
+			}
+			for _, f := range goFile.FindAllString(span, -1) {
+				f = strings.TrimPrefix(f, "./")
+				if strings.HasPrefix(f, "internal/") {
+					continue // checked as a path above
+				}
+				if strings.Contains(f, "/") && !exists(f) || !goFiles[filepath.Base(f)] {
+					t.Errorf("%s names %s in %s, which does not exist", doc, f, span)
+				}
 			}
 		}
 	}

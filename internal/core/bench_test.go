@@ -127,9 +127,13 @@ func BenchmarkEngineControlledSched(b *testing.B) {
 
 // BenchmarkEngineReservations prices the deterministic-reservations
 // protocol on the same near-free compute as the aux benchmarks, in its
-// two shapes: whole-state (nil ReserveOps — one winner per round, the
-// protocol's overhead floor) and slotted (8 disjoint slots, so rounds
-// commit many winners and the reservation table earns its keep).
+// two shapes: whole-state (nil ReserveOps — one winner per round, so the run
+// alternates rounds with conventional streaks) and slotted (8 disjoint
+// slots, so rounds commit many winners and the reservation table earns its
+// keep). fine is the benchmark's shape — groups of 8 on two lanes of a
+// shared pool — where a fan-out cannot win its cost back and most of the run
+// goes conventional: read it against BenchmarkEngineSequential, the same
+// 1024 near-free inputs run plainly.
 func BenchmarkEngineReservations(b *testing.B) {
 	inputs := benchInputs(1024)
 	opts := Options{
@@ -152,6 +156,19 @@ func BenchmarkEngineReservations(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			o := opts
+			o.Seed = uint64(i)
+			d.Run(inputs, make([]float64, 8), o)
+		}
+	})
+	b.Run("fine", func(b *testing.B) {
+		p := pool.New(2)
+		defer p.Close()
+		d := benchSlotDep()
+		o := opts
+		o.GroupSize, o.Workers, o.Pool = 8, 2, p
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
 			o.Seed = uint64(i)
 			d.Run(inputs, make([]float64, 8), o)
 		}

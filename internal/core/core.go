@@ -239,6 +239,12 @@ type Stats struct {
 	// caught a compute touching outside its declared reservation
 	// footprint (0 unless Options.FootprintCheck is set).
 	FootprintViolations int
+	// ConventionalInputs counts inputs committed by the reservations
+	// protocol's conventional streaks: groups that followed one whose waves
+	// the run measured not worth fanning out, run in index order on one
+	// clone of the committed state with no rounds. Reservation commits,
+	// ConventionalInputs and FallbackInputs add up to Inputs.
+	ConventionalInputs int
 
 	// LaneCPUCommittedNS and LaneCPUWastedNS split the run's lane
 	// CPU-time — wall-clock nanoseconds measured at lane boundaries
@@ -289,6 +295,7 @@ func (s *Stats) Add(o Stats) {
 	s.Rounds += o.Rounds
 	s.ReservationConflicts += o.ReservationConflicts
 	s.FootprintViolations += o.FootprintViolations
+	s.ConventionalInputs += o.ConventionalInputs
 	s.LaneCPUCommittedNS += o.LaneCPUCommittedNS
 	s.LaneCPUWastedNS += o.LaneCPUWastedNS
 	s.Steals += o.Steals

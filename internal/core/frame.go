@@ -14,13 +14,13 @@ import (
 // controlled scheduler's bracketing around real waits, the run's clock, and
 // the note* methods — the one place each run-level fact that owns a Stats
 // field (match, redo, abort, squash, fallback, contained panic, deadline,
-// lane CPU, speculative commits, fingerprint probes) is recorded, the
-// Stats write and the observer's Note (counter + event) on adjacent lines
-// so the accounts cannot drift. Facts without a Stats field are reported
-// with a bare o.Note at their decision point; a fact whose instant a lane
-// has already read off the run's clock goes through NoteAt with that
-// reading, so an event's stamp and the nanoseconds its account files are the
-// same numbers. Both protocols embed it by
+// lane CPU, conventional inputs, speculative commits, fingerprint probes) is
+// recorded, the Stats write and the observer's Note (counter + event) on
+// adjacent lines so the accounts cannot drift. Facts without a Stats field
+// are reported with a bare o.Note at their decision point; a fact whose
+// instant a lane has already read off the run's clock goes through NoteAt
+// with that reading, so an event's stamp and the nanoseconds its account
+// files are the same numbers. Both protocols embed it by
 // value in their recycled scratch (it is not generic and is never
 // allocated per run) and keep only their policy: core.go guesses start
 // states and resolves boundaries, reservations.go runs reserve/check/commit
@@ -247,6 +247,13 @@ func (f *runFrame) noteLaneCPU(j int, committed, wasted, now int64) {
 		f.st.LaneCPUWastedNS += wasted
 		f.o.NoteAt(obs.LaneCoord, now, obs.EvLaneCPUWasted, int32(j), wasted)
 	}
+}
+
+// noteConventional records group j's inputs committed by a conventional
+// streak, at the reading now that completed the streak.
+func (f *runFrame) noteConventional(j, inputs int, now int64) {
+	f.st.ConventionalInputs += inputs
+	f.o.NoteAt(obs.LaneCoord, now, obs.EvConventional, int32(j), int64(inputs))
 }
 
 // noteSpecCommits records inputs committed from a speculative execution;

@@ -16,8 +16,10 @@ import (
 // every row naming a Stats field, the field, the /metrics sample (a
 // histogram's _sum) and — for an event-backed row — the kind's counter and
 // its events (counted, or their Args summed for a by-Arg kind) must all be
-// the same number. ob must have observed exactly the run that returned st,
-// on a private pool.
+// the same number. A run that ran reservation rounds also committed every
+// input exactly one way: reservation commits, conventional inputs and
+// fallback inputs add up to the inputs. ob must have observed exactly the run
+// that returned st, on a private pool.
 func checkFacts(t *testing.T, name string, ob *obs.Observer, st Stats) {
 	t.Helper()
 	if d := ob.Tracer.Dropped(); d != 0 {
@@ -58,6 +60,10 @@ func checkFacts(t *testing.T, name string, ob *obs.Observer, st Stats) {
 			t.Fatalf("%s: %s counter %d, events %d, Stats.%s = %d",
 				name, f.Event, counts[kind], logged[kind], f.Stats, want)
 		}
+	}
+	if commits := counts[obs.EvCommit]; st.Rounds > 0 && commits+int64(st.ConventionalInputs+st.FallbackInputs) != int64(st.Inputs) {
+		t.Fatalf("%s: %d reservation commits + %d conventional + %d fallback inputs, want %d inputs",
+			name, commits, st.ConventionalInputs, st.FallbackInputs, st.Inputs)
 	}
 }
 

@@ -116,10 +116,14 @@ func TestPanicFidelityRedo(t *testing.T) {
 	}
 }
 
+// The whole-state dependence of the reservations scenarios commits one
+// winner per round, so no wave fans out and the run's shape is fixed: of the
+// four groups of four, 0 and 2 run rounds and 1 and 3 are conventional
+// streaks. Input 2 panics in a wave, input 5 in a streak.
 func TestPanicFidelityReservationsCompute(t *testing.T) {
 	var fired atomic.Bool
 	compute := func(r *rng.Source, in int, s walkState) (int, walkState) {
-		if in == 5 && fired.CompareAndSwap(false, true) {
+		if in == 2 && fired.CompareAndSwap(false, true) {
 			panic("resv compute boom")
 		}
 		return deterministicCompute(r, in, s)
@@ -127,15 +131,26 @@ func TestPanicFidelityReservationsCompute(t *testing.T) {
 	resvSite(New(compute, nil, walkOps()), 5, "resv compute boom").check(t)
 }
 
+func TestPanicFidelityReservationsStreak(t *testing.T) {
+	var fired atomic.Bool
+	compute := func(r *rng.Source, in int, s walkState) (int, walkState) {
+		if in == 5 && fired.CompareAndSwap(false, true) {
+			panic("resv streak boom")
+		}
+		return deterministicCompute(r, in, s)
+	}
+	resvSite(New(compute, nil, walkOps()), 11, "resv streak boom").check(t)
+}
+
 // TestPanicFidelityReservationsFallback panics on the fallback's contained
-// first attempt: input 5's wave panic squashes group 1 into the sequential
+// first attempt: input 5's streak panic squashes group 1 into the sequential
 // fallback, where input 9 — never computed before, groups run in order —
 // panics once and is retried.
 func TestPanicFidelityReservationsFallback(t *testing.T) {
-	var wave, fallback atomic.Bool
+	var streak, fallback atomic.Bool
 	compute := func(r *rng.Source, in int, s walkState) (int, walkState) {
-		if in == 5 && wave.CompareAndSwap(false, true) {
-			panic("resv wave boom")
+		if in == 5 && streak.CompareAndSwap(false, true) {
+			panic("resv streak boom")
 		}
 		if in == 9 && fallback.CompareAndSwap(false, true) {
 			panic("resv fallback boom")
@@ -159,7 +174,9 @@ func TestPanicFidelityReservationsFootprint(t *testing.T) {
 	d := New(deterministicCompute, nil, walkOps()).WithReserve(ReserveOps[int, walkState]{
 		NumSlots: func(walkState) int { return 1 },
 		Footprint: func(in int, _ walkState) []int {
-			if in == 6 && fired.CompareAndSwap(false, true) {
+			// Group 2, the probe after the first streak: a streak
+			// evaluates no footprint.
+			if in == 10 && fired.CompareAndSwap(false, true) {
 				panic("footprint boom")
 			}
 			return []int{0}

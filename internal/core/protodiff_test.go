@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/rng"
+	"repro/internal/sched"
 	"repro/internal/workload"
 	"repro/internal/workload/registry"
 )
@@ -127,6 +128,15 @@ func noisySlotCompute(r *rng.Source, in slotInput, s []float64) (float64, []floa
 	return s[in.Slot], s
 }
 
+// resvLegs are the two ways the differential tests pin a reservations run.
+// Under a controller every wave fans out, so every group runs rounds and the
+// round structure is a pure function of the inputs: the leg that pins the
+// protocol. Free, a group whose waves were not worth fanning out is followed
+// by a conventional streak: the leg that pins the run as users see it.
+func resvLegs(seed uint64) map[string]sched.Controller {
+	return map[string]sched.Controller{"controlled": sched.NewRandom(seed), "free": nil}
+}
+
 // protoGrid is the engine-shape grid the differential tests sweep.
 var protoGrid = []struct {
 	g, win, workers int
@@ -162,30 +172,38 @@ func TestProtocolTriangleSynthetic(t *testing.T) {
 			if auxSt.Aborts != 0 {
 				t.Fatalf("%s: perfect aux aborted (%+v)", name, auxSt)
 			}
-
-			resv := core.New(detSlotCompute, nil, slottedOps()).WithReserve(slottedReserve())
-			resvOuts, resvFinal, resvSt := resv.Run(inputs, make([]float64, k), core.Options{
-				UseAux: true, Protocol: core.ProtocolReservations,
-				GroupSize: cfg.g, Workers: cfg.workers, Seed: seed,
-			})
-
 			if !reflect.DeepEqual(auxOuts, seqOuts) || !reflect.DeepEqual(auxFinal, seqFinal) {
 				t.Fatalf("%s: aux diverged from sequential", name)
 			}
-			if !reflect.DeepEqual(resvOuts, seqOuts) || !reflect.DeepEqual(resvFinal, seqFinal) {
-				t.Fatalf("%s: reservations diverged from sequential:\n got %v\nwant %v",
-					name, resvOuts, seqOuts)
-			}
-			if resvSt.Rounds < (len(inputs)+cfg.g-1)/cfg.g {
-				t.Fatalf("%s: %d rounds for %d groups — protocol did not run",
-					name, resvSt.Rounds, resvSt.Groups)
-			}
-			if resvSt.Aborts != 0 || resvSt.FallbackInputs != 0 {
-				t.Fatalf("%s: clean reservations run aborted (%+v)", name, resvSt)
-			}
-			if resvSt.UsefulInvocations != int64(len(inputs)) {
-				t.Fatalf("%s: useful invocations %d, want %d",
-					name, resvSt.UsefulInvocations, len(inputs))
+
+			for leg, ctl := range resvLegs(seed) {
+				name := name + " " + leg
+				resv := core.New(detSlotCompute, nil, slottedOps()).WithReserve(slottedReserve())
+				resvOuts, resvFinal, resvSt := resv.Run(inputs, make([]float64, k), core.Options{
+					UseAux: true, Protocol: core.ProtocolReservations,
+					GroupSize: cfg.g, Workers: cfg.workers, Seed: seed, Sched: ctl,
+				})
+				if !reflect.DeepEqual(resvOuts, seqOuts) || !reflect.DeepEqual(resvFinal, seqFinal) {
+					t.Fatalf("%s: reservations diverged from sequential:\n got %v\nwant %v",
+						name, resvOuts, seqOuts)
+				}
+				if ctl != nil && (resvSt.Rounds < resvSt.Groups || resvSt.ConventionalInputs != 0) {
+					t.Fatalf("%s: %d rounds for %d groups, %d conventional inputs — protocol did not run",
+						name, resvSt.Rounds, resvSt.Groups, resvSt.ConventionalInputs)
+				}
+				// One chunk per wave: group 0 runs rounds, group 1 is the
+				// first streak.
+				if ctl == nil && cfg.workers == 1 && (resvSt.Rounds == 0 || resvSt.ConventionalInputs < cfg.g) {
+					t.Fatalf("%s: %d rounds, %d conventional inputs — want rounds and streaks",
+						name, resvSt.Rounds, resvSt.ConventionalInputs)
+				}
+				if resvSt.Aborts != 0 || resvSt.FallbackInputs != 0 {
+					t.Fatalf("%s: clean reservations run aborted (%+v)", name, resvSt)
+				}
+				if resvSt.UsefulInvocations != int64(len(inputs)) {
+					t.Fatalf("%s: useful invocations %d, want %d",
+						name, resvSt.UsefulInvocations, len(inputs))
+				}
 			}
 		}
 	}
@@ -205,16 +223,23 @@ func TestReservationsMatchSequentialNoisy(t *testing.T) {
 			seq := core.New(noisySlotCompute, nil, slottedOps())
 			seqOuts, seqFinal, _ := seq.Run(inputs, make([]float64, k), core.Options{Seed: seed})
 
-			resv := core.New(noisySlotCompute, nil, slottedOps()).WithReserve(slottedReserve())
-			resvOuts, resvFinal, st := resv.Run(inputs, make([]float64, k), core.Options{
-				UseAux: true, Protocol: core.ProtocolReservations,
-				GroupSize: cfg.g, Workers: cfg.workers, Seed: seed,
-			})
-			if !reflect.DeepEqual(resvOuts, seqOuts) || !reflect.DeepEqual(resvFinal, seqFinal) {
-				t.Fatalf("%s: reservations diverged from sequential", name)
-			}
-			if st.ReservationConflicts == 0 {
-				t.Fatalf("%s: no conflicts — the input pattern should collide", name)
+			for leg, ctl := range resvLegs(seed) {
+				name := name + " " + leg
+				resv := core.New(noisySlotCompute, nil, slottedOps()).WithReserve(slottedReserve())
+				resvOuts, resvFinal, st := resv.Run(inputs, make([]float64, k), core.Options{
+					UseAux: true, Protocol: core.ProtocolReservations,
+					GroupSize: cfg.g, Workers: cfg.workers, Seed: seed, Sched: ctl,
+				})
+				if !reflect.DeepEqual(resvOuts, seqOuts) || !reflect.DeepEqual(resvFinal, seqFinal) {
+					t.Fatalf("%s: reservations diverged from sequential", name)
+				}
+				if ctl != nil && st.ReservationConflicts == 0 {
+					t.Fatalf("%s: no conflicts — the input pattern should collide", name)
+				}
+				// A streak hands each input its pre-split source too.
+				if ctl == nil && cfg.workers == 1 && st.ConventionalInputs < cfg.g {
+					t.Fatalf("%s: %d conventional inputs, want a streak", name, st.ConventionalInputs)
+				}
 			}
 		}
 	}
@@ -229,17 +254,27 @@ func TestWholeStateReservations(t *testing.T) {
 	seq := core.New(noisySlotCompute, nil, slottedOps())
 	seqOuts, seqFinal, _ := seq.Run(inputs, make([]float64, k), core.Options{Seed: 99})
 
-	resv := core.New(noisySlotCompute, nil, slottedOps())
-	outs, final, st := resv.Run(inputs, make([]float64, k), core.Options{
-		UseAux: true, Protocol: core.ProtocolReservations,
-		GroupSize: 8, Workers: 4, Seed: 99,
-	})
-	if !reflect.DeepEqual(outs, seqOuts) || !reflect.DeepEqual(final, seqFinal) {
-		t.Fatal("whole-state reservations diverged from sequential")
-	}
-	// One commit per round: every group of g inputs needs exactly g rounds.
-	if st.Rounds != len(inputs) {
-		t.Fatalf("rounds %d, want %d (one commit per round)", st.Rounds, len(inputs))
+	// One commit per round: under a controller every group of g inputs needs
+	// exactly g rounds. Free, a round of one winner never fans out, so the
+	// shape is fixed too: of the six groups 0, 2 and 5 run rounds and 1, 3
+	// and 4 are the streaks between them.
+	for leg, ctl := range resvLegs(99) {
+		resv := core.New(noisySlotCompute, nil, slottedOps())
+		outs, final, st := resv.Run(inputs, make([]float64, k), core.Options{
+			UseAux: true, Protocol: core.ProtocolReservations,
+			GroupSize: 8, Workers: 4, Seed: 99, Sched: ctl,
+		})
+		if !reflect.DeepEqual(outs, seqOuts) || !reflect.DeepEqual(final, seqFinal) {
+			t.Fatalf("%s: whole-state reservations diverged from sequential", leg)
+		}
+		wantRounds, wantConventional := len(inputs), 0
+		if ctl == nil {
+			wantRounds, wantConventional = 24, 24
+		}
+		if st.Rounds != wantRounds || st.ConventionalInputs != wantConventional || st.SpeculativeCommits != 0 {
+			t.Fatalf("%s: rounds %d, conventional inputs %d, want %d and %d (one commit per round)",
+				leg, st.Rounds, st.ConventionalInputs, wantRounds, wantConventional)
+		}
 	}
 }
 

@@ -30,7 +30,9 @@ func allocsPerRun(t *testing.T, body func()) float64 {
 // (it measures 5), the cold one its scratch once per run whatever the
 // group count (24 at these 4 groups), and warm stays below cold. The
 // reservations protocol clones and returns caller-owned state every round,
-// so its floor is higher and it gates on a strict improvement instead.
+// so its floor is higher: with the shared pool's one lane every wave has one
+// chunk, groups 0 and 2 of the four run rounds and 1 and 3 are conventional
+// streaks (one clone and one source each), and the warm run measures 59.
 func TestWarmRunAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")
@@ -51,8 +53,8 @@ func TestWarmRunAllocations(t *testing.T) {
 		cold := allocsPerRun(t, reservationsRun(p, false))
 		warm := allocsPerRun(t, reservationsRun(p, true))
 		t.Logf("reservations: warm %.1f allocs/run, cold %.1f (%.0f%%)", warm, cold, 100*warm/cold)
-		if warm > 210 || warm >= cold {
-			t.Fatalf("warm reservations run allocates %.1f/run; ceilings are 210 and below the %.1f cold seed path", warm, cold)
+		if warm > 64 || warm >= cold {
+			t.Fatalf("warm reservations run allocates %.1f/run; ceilings are 64 and below the %.1f cold seed path", warm, cold)
 		}
 	})
 }

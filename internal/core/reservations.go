@@ -19,7 +19,8 @@
 // The lowest pending index always wins every slot it reserves, so each
 // round commits at least one input and the protocol terminates with no
 // aux code, no validation and no redo: sequential order is preserved by
-// construction, and the round structure is a pure function of the inputs.
+// construction, and the round structure is a pure function of the inputs
+// for the groups that run rounds.
 // Every input's random stream is pre-split on the coordinator in input
 // order and attempts receive value copies, so the outputs are
 // byte-identical to the sequential baseline — including under contained
@@ -30,6 +31,20 @@
 // of one chunk runs on the coordinator, and so does a wave whose winners
 // beyond the largest chunk — the work a fan-out overlaps — take less lane
 // time than a fan-out was measured to cost in this run (fanOutPays).
+//
+// A group none of whose waves the comparison sent to the pool ran as a
+// sequential program that still paid for footprints, a table, a snapshot
+// per winner and a merge per round. It is followed by a conventional streak
+// (runStreak): the next k groups' inputs run in index order, with their
+// pre-split sources, in place on one Clone of the committed state, which
+// stays untouched as the streak's pre-image until the streak completes and
+// replaces it. The group after a streak runs the rounds again as the probe;
+// k starts at 1, doubles while the probes keep declining and returns to 1
+// when one fans out by choice, so a stream that becomes worth parallelising
+// is found again and a failure inside a streak — the run fails at that
+// group, the whole streak pending — redoes no more than the run had done
+// before it (§4.6). A run under a sched.Controller (every wave fans out) or
+// the FootprintCheck oracle (every compute is checked) has no streaks.
 package core
 
 import (
@@ -238,15 +253,16 @@ type resvRun[I, S, O any] struct {
 	failArg int64
 
 	// invocations, conflicts and laneNS are the coordinator's running
-	// counts — compute calls, inputs that lost a slot, and nanoseconds
-	// chunks spent computing — the first and last folded in from each
-	// chunk's laneWork after its barrier. fpViolations, the slots the
-	// FootprintCheck oracle caught outside a declared footprint, is
+	// counts over the rounds (streaks file their own, so fanOutPays prices
+	// a wave's compute) — compute calls, inputs that lost a slot, and
+	// nanoseconds chunks spent computing — the first and last folded in
+	// from each chunk's laneWork after its barrier. fpViolations, the slots
+	// the FootprintCheck oracle caught outside a declared footprint, is
 	// counted by the lanes themselves. Stats gets them when the run ends.
 	invocations, laneNS int64
 	conflicts           int
 	fpViolations        atomic.Int64
-	// committed counts inputs committed by the protocol (not fallback).
+	// committed counts inputs committed by rounds and streaks (not fallback).
 	committed int
 	shared    S
 	outs      []O
@@ -281,6 +297,9 @@ type resvRun[I, S, O any] struct {
 	// fanCosts holds what the last three of them cost.
 	waves, fanned int
 	fanCosts      [3]int64
+	// byChoice is whether a wave of the group in flight fanned out because
+	// the comparison said it pays — or before there was anything to compare.
+	byChoice bool
 
 	// Current group context: group index, group start input, and the
 	// 0-based round.
@@ -377,10 +396,24 @@ func (d *Dependence[I, S, O]) runReservations(root *rng.Source, inputs []I, init
 
 	r.lease(opts)
 	defer r.finish()
-	for j := 0; j < r.numGroups; j++ {
+	// A group that declined to fan out is followed by a streak of k groups,
+	// then the next group probes.
+	streaks := r.ctl == nil && !opts.FootprintCheck
+	for j, k := 0, 1; j < r.numGroups; {
+		r.byChoice = false
 		if pending, ok := r.runGroup(j); !ok {
-			r.abort(j, pending)
+			r.abort(j, j, pending)
 			break
+		}
+		j++
+		if r.byChoice {
+			k = 1
+		} else if streaks && j < r.numGroups {
+			last := min(j+k, r.numGroups)
+			if !r.runStreak(j, last) {
+				break
+			}
+			j, k = last, 2*k
 		}
 	}
 	st.Invocations += r.invocations
@@ -396,11 +429,7 @@ func (r *resvRun[I, S, O]) runGroup(j int) ([]int, bool) {
 	start, end := r.bounds(j)
 	width := end - start
 	r.gj, r.gstart = j, start
-	pending := r.pending[:0]
-	for i := start; i < end; i++ {
-		pending = append(pending, i)
-	}
-	r.pending = pending
+	pending := r.pendingRange(start, end)
 	r.fps = cleared(r.fps, width)
 	r.states = cleared(r.states, width)
 
@@ -460,6 +489,15 @@ func (r *resvRun[I, S, O]) runGroup(j int) ([]int, bool) {
 		}
 	}
 	return pending, ok
+}
+
+// pendingRange refills the recycled pending buffer with the inputs [a, b).
+func (r *resvRun[I, S, O]) pendingRange(a, b int) []int {
+	r.pending = r.pending[:0]
+	for i := a; i < b; i++ {
+		r.pending = append(r.pending, i)
+	}
+	return r.pending
 }
 
 // runRound runs one decide/compute/commit round over the pending inputs of
@@ -666,24 +704,98 @@ func (r *resvRun[I, S, O]) file(w laneWork) {
 
 // fanOutPays decides whether a wave of w winners in chunks chunks goes to
 // the pool. A fan-out overlaps the winners beyond its largest chunk, at the
-// lane time per compute the run has recorded so far; it costs what the
-// run's fanned-out waves were measured to (wall time minus the longest
+// lane time per compute the run's waves have recorded so far; it costs what
+// the run's fanned-out waves were measured to (wall time minus the longest
 // chunk's lane time) — the median of the last three, because the cost is
 // bimodal: a wave that finds the workers still spinning after the previous
 // one costs a tenth of one that has to wake them, and a preempted one ten
 // times as much, so a minimum or a mean would each be ruled by the
 // exception. The first three waves of a run fan out to be measured, and
 // so does every wave whose ordinal is a power of two, so stale or unlucky
-// measurements cannot pin the rest of the run to the coordinator.
+// measurements cannot pin the rest of the run to the coordinator. A wave the
+// comparison sends out marks its group as fanned by choice, and so do the
+// first three — nothing says yet that their groups decline — but not one
+// that goes out only to be measured again.
 func (r *resvRun[I, S, O]) fanOutPays(w, chunks int) bool {
 	r.waves++
-	if r.fanned < len(r.fanCosts) || r.waves&(r.waves-1) == 0 {
+	if r.fanned < len(r.fanCosts) {
+		r.byChoice = true
 		return true
 	}
 	a, b, c := r.fanCosts[0], r.fanCosts[1], r.fanCosts[2]
 	typical := max(min(a, b), min(max(a, b), c))
 	overlapped := w - (w+chunks-1)/chunks
-	return int64(overlapped)*(r.laneNS/r.invocations) > typical
+	pays := int64(overlapped)*(r.laneNS/r.invocations) > typical
+	r.byChoice = r.byChoice || pays
+	return pays || r.waves&(r.waves-1) == 0
+}
+
+// runStreak runs groups [j, last) conventionally: every input in index
+// order with its pre-split source, in place on one clone of the committed
+// state — no footprint, table, snapshot, merge or round. A group's outputs
+// stream when its computes are done; the clone replaces the committed state,
+// and the groups' inputs count as conventional, when the last group is. A
+// contained panic (the Clone's included) or a deadline found expired — it is
+// checked before each input, against the reading that started the group —
+// fails the run at that group with the whole streak pending: nothing of it
+// was committed, so the fallback recomputes it from the pre-image and streams
+// only what was not streamed. The time is coordinator time, filed like an
+// inline wave's as lane CPU when the streak resolves: committed against its
+// last group, or wasted against the failing one.
+func (r *resvRun[I, S, O]) runStreak(j, last int) bool {
+	first, _ := r.bounds(j)
+	var state S
+	var src rng.Source // one for the streak: each input's pre-split source is copied into it
+	var ns int64
+	i, now := first, r.now() // i is the next input to compute
+	for g := j; g < last; g++ {
+		start, end := r.bounds(g)
+		groupStart := now
+		r.o.NoteAt(g, groupStart, obs.EvGroupStart, int32(g), int64(start))
+		pe := contain(func() {
+			if g == j {
+				state = r.d.ops.Clone(r.shared)
+			}
+			for ; i < end; i++ {
+				if r.timeout > 0 {
+					if expired, elapsedNS := r.expired(groupStart, r.lane); expired {
+						r.failArg = elapsedNS
+						r.fail(failTimeout, nil)
+						return
+					}
+				}
+				src = r.srcs[i]
+				r.outs[i], state = r.d.compute(&src, r.inputs[i], state)
+			}
+		})
+		if pe != nil {
+			r.fail(failPanic, pe)
+		}
+		now = r.now()
+		ns += now - groupStart
+		r.st.Invocations += int64(i - start)
+		if i < end {
+			r.noteLaneCPU(g, 0, ns, now)
+			r.o.NoteAt(g, now, obs.EvGroupFinish, int32(g), 0)
+			r.abort(g, j, r.pendingRange(first, end))
+			return false
+		}
+		r.o.NoteAt(g, now, obs.EvGroupFinish, int32(g), int64(end-start))
+		if r.emit != nil {
+			for p := start; p < end; p++ {
+				r.emit(p, r.outs[p])
+			}
+			now = r.now() // streaming is not lane time
+		}
+	}
+	r.shared = state
+	r.committed += i - first
+	r.noteLaneCPU(last-1, ns, 0, now)
+	for g := j; g < last; g++ {
+		start, end := r.bounds(g)
+		r.noteConventional(g, end-start, now)
+	}
+	return true
 }
 
 // waveTask runs chunk c of the wave in flight on schedule lane lane+1+c.
@@ -721,8 +833,9 @@ func (r *resvRun[I, S, O]) runChunk(lane int, chunk []int) (w laneWork) {
 }
 
 // abort handles the failure of group j with pending inputs uncommitted:
-// classify it, squash the uncommitted inputs, and fall back.
-func (r *resvRun[I, S, O]) abort(j int, pending []int) {
+// classify it, squash the uncommitted inputs — from group from on, which is
+// j unless j failed inside a streak that began earlier — and fall back.
+func (r *resvRun[I, S, O]) abort(j, from int, pending []int) {
 	switch groupFailure(r.failed.Load()) {
 	case failPanic:
 		r.notePanic(j, int64(len(pending)), nil)
@@ -734,7 +847,8 @@ func (r *resvRun[I, S, O]) abort(j int, pending []int) {
 		// fallback bookkeeping remains.
 	}
 	r.noteAbort(j, 0, r.stamp())
-	r.noteSquash(j, len(pending))
+	fromStart, fromEnd := r.bounds(from)
+	r.noteSquash(from, min(len(pending), fromEnd-fromStart))
 	start, end := r.bounds(j)
 	r.fallBack(j, start, end, pending)
 }

@@ -117,9 +117,11 @@ func inPlaceCompute(slotsOf func(in int) []int) core.Compute[int, [][]float64, f
 // TestWinnersCloneOnlyTheirFootprint pins the footprint-only clone: over a
 // reservations run every slot is deep-copied once for the run's private
 // state and once more per input, by the winner that reserved it — not once
-// per slot per winner and again per commit.
+// per slot per winner and again per commit. Under a controller every group
+// runs rounds; free, a streak's one whole-state clone serves all its inputs,
+// so the same bound holds with room to spare.
 func TestWinnersCloneOnlyTheirFootprint(t *testing.T) {
-	const n, k = 64, 4
+	const n, k, g = 64, 4, 8
 	slotsOf := func(in int) []int { return []int{in % k} }
 	fresh := func() [][]float64 { return [][]float64{{1}, {2}, {3}, {4}} }
 	var clones atomic.Int64
@@ -131,18 +133,21 @@ func TestWinnersCloneOnlyTheirFootprint(t *testing.T) {
 	d := core.New(inPlaceCompute(slotsOf), nil, ops).WithReserve(reserve)
 	inputs := countUp(n)
 	seqOuts, seqFinal, _ := d.Run(inputs, fresh(), core.Options{Seed: 3})
-	clones.Store(0)
-	outs, final, st := d.Run(inputs, fresh(), core.Options{
-		UseAux: true, Protocol: core.ProtocolReservations, GroupSize: 8, Workers: 2, Seed: 3,
-	})
-	if !reflect.DeepEqual(outs, seqOuts) || !reflect.DeepEqual(final, seqFinal) {
-		t.Fatalf("reservations diverged from sequential:\n got %v\nwant %v", outs, seqOuts)
-	}
-	if st.Rounds != n/k || st.Aborts != 0 {
-		t.Fatalf("not a clean reservations run: %+v", st)
-	}
-	if got := clones.Load(); got > n+k {
-		t.Fatalf("%d slot clones for %d inputs over %d slots, want at most %d", got, n, k, n+k)
+	for leg, ctl := range resvLegs(3) {
+		clones.Store(0)
+		outs, final, st := d.Run(inputs, fresh(), core.Options{
+			UseAux: true, Protocol: core.ProtocolReservations, GroupSize: g, Workers: 2, Seed: 3, Sched: ctl,
+		})
+		if !reflect.DeepEqual(outs, seqOuts) || !reflect.DeepEqual(final, seqFinal) {
+			t.Fatalf("%s: reservations diverged from sequential:\n got %v\nwant %v", leg, outs, seqOuts)
+		}
+		// Two rounds of four winners in every group that ran rounds.
+		if st.Rounds != (n-st.ConventionalInputs)/k || st.Aborts != 0 || ctl != nil && st.ConventionalInputs != 0 {
+			t.Fatalf("%s: not a clean reservations run: %+v", leg, st)
+		}
+		if got := clones.Load(); got > n+k {
+			t.Fatalf("%s: %d slot clones for %d inputs over %d slots, want at most %d", leg, got, n, k, n+k)
+		}
 	}
 }
 

@@ -101,6 +101,11 @@ type ChaosResult struct {
 	// protocol); nonzero proves a reservations scenario actually engaged
 	// the reserve/check/commit machinery before its faults landed.
 	Rounds int
+	// Inputs, ConventionalInputs and FallbackInputs sum the runs' inputs and
+	// the ones committed by the reservations protocol's conventional
+	// streaks and by the sequential fallback; on a reservations scenario
+	// they and the reservation commits the observer counted must add up.
+	Inputs, ConventionalInputs, FallbackInputs int
 	// FootprintViolations sums the runtime footprint oracle's catches
 	// (undeclared slot touches) over the runs; EventFootprints is the
 	// event-log total of the same occurrences.
@@ -138,10 +143,15 @@ func chaosScenarios(seed uint64) []ChaosScenario {
 		{Name: "mixed + breaker", Cfg: fault.Config{Seed: seed + 4, AuxPanicRate: 0.3, GarbageRate: 0.3}, Breaker: true, Runs: 8},
 		{Name: "delay + deadline", Cfg: fault.Config{Seed: seed + 5, DelayRate: 0.3, Delay: 3 * time.Millisecond}, GroupTimeout: time.Millisecond, Runs: 2},
 		// The same transient-compute-panic campaign under deterministic
-		// reservations: the panic lands on a reservation lane mid-round, the
-		// round is squashed and the group falls back sequentially — outputs
+		// reservations. The dependence has no slots, so one input commits per
+		// round, no wave fans out and rounds alternate with conventional
+		// streaks; at this rate the panic lands in the first groups — in a
+		// round, or in the first streak with nothing of it committed — and
+		// at the lower one after streaks have committed. The round or the
+		// streak is squashed and the run falls back sequentially — outputs
 		// must still be byte-identical to the uninjected baseline.
 		{Name: "reservations transient", Cfg: fault.Config{Seed: seed + 6, ComputePanicRate: 0.25}, ComputeOnce: true, Protocol: core.ProtocolReservations, Runs: 3},
+		{Name: "reservations late transient", Cfg: fault.Config{Seed: seed + 8, ComputePanicRate: 0.02}, ComputeOnce: true, Protocol: core.ProtocolReservations, Runs: 3},
 		// A dependence that lies about its reservation footprint: the
 		// compute touches a neighbor slot the footprint never declared.
 		// The runtime oracle must catch the undeclared touch before it
@@ -329,6 +339,9 @@ func chaosScenarioRun(sc ChaosScenario, inputs []int, baseOuts []int, baseFinal 
 		res.BreakerDenied += st.BreakerDenied
 		res.AuxCalls += st.AuxCalls
 		res.Rounds += st.Rounds
+		res.Inputs += st.Inputs
+		res.ConventionalInputs += st.ConventionalInputs
+		res.FallbackInputs += st.FallbackInputs
 		res.LaneCPUCommittedNS += st.LaneCPUCommittedNS
 		res.LaneCPUWastedNS += st.LaneCPUWastedNS
 
@@ -382,16 +395,24 @@ func chaosReconciled(r ChaosResult, ob *obs.Observer, b *core.Breaker, m *teleme
 		obs.EvPanic:            int64(r.PanickedGroups),
 		obs.EvGroupTimeout:     int64(r.TimedOutGroups),
 		obs.EvAbort:            int64(r.Aborts),
+		obs.EvFallback:         int64(r.FallbackInputs),
+		obs.EvConventional:     int64(r.ConventionalInputs),
 		obs.EvLaneCPUCommitted: r.LaneCPUCommittedNS,
 		obs.EvLaneCPUWasted:    r.LaneCPUWastedNS,
 	} {
 		ok = ok && engine == counts[kind] && engine == v(kind.Fact().Metric)
+	}
+	// A run of reservation rounds commits every input exactly one way.
+	if r.Rounds > 0 {
+		ok = ok && counts[obs.EvCommit]+int64(r.ConventionalInputs+r.FallbackInputs) == int64(r.Inputs)
 	}
 	// The signals window opened before the first run, so its deltas are
 	// the whole campaign.
 	ok = ok && rep.PanickedGroups == int64(r.PanickedGroups) &&
 		rep.TimedOutGroups == int64(r.TimedOutGroups) &&
 		rep.Aborts == int64(r.Aborts) &&
+		rep.FallbackInputs == int64(r.FallbackInputs) &&
+		rep.ConventionalInputs == int64(r.ConventionalInputs) &&
 		rep.LaneCPUCommittedNS == r.LaneCPUCommittedNS &&
 		rep.LaneCPUWastedNS == r.LaneCPUWastedNS
 	if ob.Tracer.Dropped() == 0 {

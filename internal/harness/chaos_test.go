@@ -16,7 +16,7 @@ func TestChaosCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatalf("chaos campaign: %v", err)
 	}
-	if len(res) < 7 {
+	if len(res) < 8 {
 		t.Fatalf("scenarios run: %d", len(res))
 	}
 	byName := map[string]ChaosResult{}
@@ -49,7 +49,11 @@ func TestChaosCampaign(t *testing.T) {
 		t.Errorf("delay + deadline: injected %d delays, timed-out groups %d", r.Delays, r.TimedOutGroups)
 	}
 	if r := byName["reservations transient"]; r.ComputePanics == 0 || r.PanickedGroups < int(r.ComputePanics) || r.Rounds == 0 {
-		t.Errorf("reservations transient: injected %d, panicked groups %d, rounds %d; want the panic landing mid-round", r.ComputePanics, r.PanickedGroups, r.Rounds)
+		t.Errorf("reservations transient: injected %d, panicked groups %d, rounds %d; want the panic landing in a run of rounds", r.ComputePanics, r.PanickedGroups, r.Rounds)
+	}
+	if r := byName["reservations late transient"]; r.ComputePanics == 0 || r.PanickedGroups < int(r.ComputePanics) || r.Rounds == 0 || r.ConventionalInputs == 0 {
+		t.Errorf("reservations late transient: injected %d, panicked groups %d, rounds %d, conventional inputs %d; want the panic landing after streaks have committed",
+			r.ComputePanics, r.PanickedGroups, r.Rounds, r.ConventionalInputs)
 	}
 	if r := byName["lying footprint"]; r.FootprintViolations == 0 || r.Rounds == 0 {
 		t.Errorf("lying footprint: %d violations caught over %d rounds; want the oracle firing", r.FootprintViolations, r.Rounds)

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -13,17 +14,21 @@ import (
 
 // ScrapeCounters is the speculation-counter set the reconciliation
 // compares across its three sources: the live /metrics exposition, the
-// observer's instruments, and the engine's own run statistics.
+// observer's instruments, and the engine's own run statistics. The engine
+// keeps no count of reservation commits: its ResvCommits is what the
+// reservations pass's inputs leave once conventional and fallback inputs are
+// taken out, so agreeing with the other two sources is the identity
+// reservation commits + conventional inputs + fallback inputs = inputs.
 type ScrapeCounters struct {
-	Matches, Redos, Aborts, SpecCommits int64
+	Matches, Redos, Aborts, SpecCommits, ResvCommits, Conventional int64
 }
 
 // ScrapeResult is one benchmark's self-scrape reconciliation: the harness
-// boots a telemetry server over the run's observer, scrapes its own
-// /metrics endpoint while the engine is mid-run, and checks that the
-// final exposition agrees exactly with the observer's instruments and the
-// engine's Stats — the same numbers Table 1's runtime columns are built
-// from.
+// boots a telemetry server over the observer of two runs (the aux protocol,
+// then reservations), scrapes its own /metrics endpoint while the engine is
+// mid-run, and checks that the final exposition agrees exactly with the
+// observer's instruments and the engine's Stats — the same numbers Table 1's
+// runtime columns are built from.
 type ScrapeResult struct {
 	Name string
 	// MidScrapes counts /metrics responses parsed while the run was in
@@ -71,10 +76,12 @@ func counterSet(m *telemetry.PromMetrics) ScrapeCounters {
 		return int64(f)
 	}
 	return ScrapeCounters{
-		Matches:     v(obs.EvValidateMatch.Fact().Metric),
-		Redos:       v(obs.EvRedo.Fact().Metric),
-		Aborts:      v(obs.EvAbort.Fact().Metric),
-		SpecCommits: v("stats_speculative_commit_inputs_total"),
+		Matches:      v(obs.EvValidateMatch.Fact().Metric),
+		Redos:        v(obs.EvRedo.Fact().Metric),
+		Aborts:       v(obs.EvAbort.Fact().Metric),
+		SpecCommits:  v("stats_speculative_commit_inputs_total"),
+		ResvCommits:  v(obs.EvCommit.Fact().Metric),
+		Conventional: v(obs.EvConventional.Fact().Metric),
 	}
 }
 
@@ -115,11 +122,16 @@ func scrapeReconcileOne(e *Env, w workload.Workload) (ScrapeResult, error) {
 	done := make(chan ScrapeCounters, 1)
 	go func() {
 		_, st := w.RunSTATS(e.Seed, e.RealSize, opts)
+		resvOpts := opts
+		resvOpts.Protocol = core.ProtocolReservations
+		_, resv := w.RunSTATS(e.Seed, e.RealSize, resvOpts)
 		done <- ScrapeCounters{
-			Matches:     int64(st.Matches),
-			Redos:       int64(st.Redos),
-			Aborts:      int64(st.Aborts),
-			SpecCommits: int64(st.SpeculativeCommits),
+			Matches:      int64(st.Matches),
+			Redos:        int64(st.Redos),
+			Aborts:       int64(st.Aborts + resv.Aborts),
+			SpecCommits:  int64(st.SpeculativeCommits + resv.SpeculativeCommits),
+			ResvCommits:  int64(resv.Inputs - resv.ConventionalInputs - resv.FallbackInputs),
+			Conventional: int64(resv.ConventionalInputs),
 		}
 	}()
 
@@ -150,10 +162,12 @@ func scrapeReconcileOne(e *Env, w workload.Workload) (ScrapeResult, error) {
 	res.Scraped = counterSet(final)
 	counts := ob.Counts()
 	res.Observed = ScrapeCounters{
-		Matches:     counts[obs.EvValidateMatch],
-		Redos:       counts[obs.EvRedo],
-		Aborts:      counts[obs.EvAbort],
-		SpecCommits: ob.SpecCommittedInputs.Value(),
+		Matches:      counts[obs.EvValidateMatch],
+		Redos:        counts[obs.EvRedo],
+		Aborts:       counts[obs.EvAbort],
+		SpecCommits:  ob.SpecCommittedInputs.Value(),
+		ResvCommits:  counts[obs.EvCommit],
+		Conventional: counts[obs.EvConventional],
 	}
 	res.Engine = engine
 	if p50, ok := final.Value("stats_validation_latency_ns_p50"); ok {
@@ -174,7 +188,7 @@ func ScrapeTable(e *Env) (*Table, error) {
 		Title: "Self-scrape — live /metrics vs engine statistics",
 		Columns: []string{
 			"mid scrapes", "matches", "redos", "aborts", "spec commits",
-			"val p50", "reconciled",
+			"resv commits", "conventional", "val p50", "reconciled",
 		},
 	}
 	for _, r := range res {
@@ -184,10 +198,12 @@ func ScrapeTable(e *Env) (*Table, error) {
 			fmt.Sprintf("%d", r.Scraped.Redos),
 			fmt.Sprintf("%d", r.Scraped.Aborts),
 			fmt.Sprintf("%d", r.Scraped.SpecCommits),
+			fmt.Sprintf("%d", r.Scraped.ResvCommits),
+			fmt.Sprintf("%d", r.Scraped.Conventional),
 			fmtLatencyNS(r.P50ScrapedNS),
 			fmt.Sprintf("%v", r.Reconciled),
 		)
 	}
-	t.AddNote("each benchmark ran once under a live telemetry server scraping its own /metrics; counters shown are from the final scrape and must equal both the observer's instruments and the engine's Stats (Table 1's runtime columns draw from the same sources)")
+	t.AddNote("each benchmark ran once per protocol under a live telemetry server scraping its own /metrics; counters shown are from the final scrape and must equal both the observer's instruments and the engine's Stats (Table 1's runtime columns draw from the same sources)")
 	return t, nil
 }

@@ -93,6 +93,7 @@ var facts = [numEventKinds]Fact{
 	EvFootprintViolation: {Event: "footprint-violation", Metric: "stats_footprint_violations_total", Stats: "FootprintViolations", Help: "state slots touched outside a declared reservation footprint (FootprintCheck oracle)"},
 	EvLaneCPUCommitted:   {Event: "lane-cpu-committed", Metric: "stats_lane_cpu_committed_ns_total", ByArg: true, Stats: "LaneCPUCommittedNS", Help: "lane CPU nanoseconds whose results were committed"},
 	EvLaneCPUWasted:      {Event: "lane-cpu-wasted", Metric: "stats_lane_cpu_wasted_ns_total", ByArg: true, Stats: "LaneCPUWastedNS", Help: "lane CPU nanoseconds whose results were discarded (aborts, squashes, timeouts, lost reservations)"},
+	EvConventional:       {Event: "conventional", Metric: "stats_conventional_inputs_total", ByArg: true, Stats: "ConventionalInputs", Help: "inputs committed by conventional streaks of the reservations protocol (in index order on one clone, no rounds)"},
 }
 
 // instruments holds the rows no event backs: named Observer fields, each

@@ -87,6 +87,11 @@ const (
 	// discarded — aborted, squashed, timed out, or spent on losing
 	// reservation attempts. Arg is the attributed nanoseconds.
 	EvLaneCPUWasted
+	// EvConventional marks one group committed by a conventional streak of
+	// the reservations protocol: its inputs ran in index order on the
+	// streak's one clone of the committed state, with no reservation round.
+	// Emitted when the streak completes. Arg is the group's input count.
+	EvConventional
 
 	numEventKinds // sentinel, keep last
 )

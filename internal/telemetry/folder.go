@@ -53,7 +53,7 @@ type spanAcc struct {
 	squash, fallback   mark
 	redos              []obs.Event
 	matched, aborted   bool
-	seen               bool
+	seen, conventional bool
 	cause              Cause
 	conflicts, commits int32
 	cpuCommitted       int64
@@ -176,15 +176,19 @@ func (f *SpanFolder) fold(e *obs.Event) {
 	}
 
 	switch e.Kind {
-	case obs.EvLaneCPUCommitted, obs.EvLaneCPUWasted:
-		// Attribution summaries are filed against the group but do not
+	case obs.EvLaneCPUCommitted, obs.EvLaneCPUWasted, obs.EvConventional:
+		// Attribution summaries — lane CPU, and a streak's commit of a
+		// conventional group — are filed against the group but do not
 		// stretch its span: they are emitted at resolution time, far
 		// from the work they account for.
 		a := f.acc(e.Group)
-		if e.Kind == obs.EvLaneCPUCommitted {
+		switch e.Kind {
+		case obs.EvLaneCPUCommitted:
 			a.cpuCommitted += e.Arg
-		} else {
+		case obs.EvLaneCPUWasted:
 			a.cpuWasted += e.Arg
+		default:
+			a.conventional = true
 		}
 		a.span = nil
 		return
@@ -465,6 +469,8 @@ func (a *spanAcc) fold() *Span {
 		root.Outcome = OutcomeSquashed
 	case a.matched:
 		root.Outcome = OutcomeValidated
+	case a.conventional:
+		root.Outcome = OutcomeConventional
 	default:
 		root.Outcome = OutcomeUnvalidated
 	}

@@ -114,6 +114,7 @@ func TestSignalsJSONGolden(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		o.RoundsPerGroup.Observe(3)
 	}
+	noteN(o, obs.EvConventional, 200)
 	noteN(o, obs.EvLaneCPUCommitted, 9_000_000)
 	noteN(o, obs.EvLaneCPUWasted, 1_000_000)
 	for i := 0; i < 95; i++ {

@@ -131,11 +131,51 @@ func TestAuxSpanEndsWhereExecStarts(t *testing.T) {
 	}
 }
 
+// TestConventionalGroupIsAGroupSpanWithoutRounds: a real reservations run
+// whose dependence has no slots commits one winner per round, so no wave fans
+// out and of its four groups 0 and 2 run rounds and 1 and 3 are conventional
+// streaks. Through a snapshot and through a live folder alike, a streak's
+// group is a complete group span — an execution that produced its inputs'
+// outputs — with the conventional outcome and no reservation counts, and a
+// group that ran rounds reserved and committed each of its inputs.
+func TestConventionalGroupIsAGroupSpanWithoutRounds(t *testing.T) {
+	const n, g = 16, 4
+	ob := obs.NewObserver(2, 1<<10)
+	folder := NewSpanFolder(ob.Tracer)
+	inputs := make([]int, n)
+	_, _, st := core.New(propCompute, nil, propOps()).Run(inputs, propState{}, core.Options{
+		UseAux: true, Protocol: core.ProtocolReservations, GroupSize: g, Workers: 1, Obs: ob,
+	})
+	if st.ConventionalInputs != 2*g || st.Rounds != 2*g {
+		t.Fatalf("run shape moved: %+v", st)
+	}
+	folder.Poll()
+	for name, doc := range map[string]*SpanDoc{"snapshot": BuildSpans(ob.Tracer.Snapshot()), "folder": folder.Doc()} {
+		if len(doc.Groups) != n/g || doc.PartialGroups != 0 {
+			t.Fatalf("%s: %d groups, %d partial:\n%s", name, len(doc.Groups), doc.PartialGroups, SpanString(doc))
+		}
+		for _, root := range doc.Groups {
+			// Round r of a group that runs them has g-r reservers and one
+			// winner.
+			outcome, commits := OutcomeUnvalidated, int32(g)
+			if root.Group%2 == 1 {
+				outcome, commits = OutcomeConventional, 0
+			}
+			if root.Outcome != outcome || root.Commits != commits || root.Reserves != commits*(g+1)/2 || root.Conflicts != commits*(g-1)/2 ||
+				len(root.Children) != 1 || root.Children[0].Kind != SpanExec || root.Children[0].Arg != g ||
+				root.StartNS != root.Children[0].StartNS || root.EndNS < root.Children[0].EndNS {
+				t.Errorf("%s: group %d: want outcome %s, %d commits, one exec span of %d outputs:\n%s",
+					name, root.Group, outcome, commits, g, SpanString(doc))
+			}
+		}
+	}
+}
+
 // TestSignalsReconcileWithEngineStats: for >=200 random option vectors
 // under both protocols, an hour-window Signals built on a fresh observer
 // reports deltas byte-for-byte equal to the run's core.Stats.
 func TestSignalsReconcileWithEngineStats(t *testing.T) {
-	sawAbort, sawPanic, sawRounds, sawWaste := false, false, false, false
+	sawAbort, sawPanic, sawRounds, sawWaste, sawStreak := false, false, false, false, false
 	propRuns(t, 208, func(name string, ob *obs.Observer, run func() core.Stats) {
 		sig := NewSignals(ob, SignalsConfig{Window: time.Hour})
 		sig.Report() // baseline sample: the observer is fresh, all zeros
@@ -157,6 +197,7 @@ func TestSignalsReconcileWithEngineStats(t *testing.T) {
 			{"timed-out groups", rep.TimedOutGroups, int64(st.TimedOutGroups)},
 			{"breaker-denied runs", rep.BreakerDeniedRuns, int64(st.BreakerDenied)},
 			{"reservation rounds", rep.ReservationRounds, int64(st.Rounds)},
+			{"conventional inputs", rep.ConventionalInputs, int64(st.ConventionalInputs)},
 			{"steals", rep.Steals, st.Steals},
 			{"local hits", rep.LocalHits, st.LocalHits},
 			{"committed lane CPU", rep.LaneCPUCommittedNS, st.LaneCPUCommittedNS},
@@ -168,14 +209,21 @@ func TestSignalsReconcileWithEngineStats(t *testing.T) {
 			}
 		}
 
+		// A run of reservation rounds commits every input exactly one way.
+		if got := rep.ReservationCommits + rep.ConventionalInputs + rep.FallbackInputs; st.Rounds > 0 && got != int64(st.Inputs) {
+			t.Fatalf("%s: windowed reservation commits %d + conventional %d + fallback %d inputs, engine ran %d",
+				name, rep.ReservationCommits, rep.ConventionalInputs, rep.FallbackInputs, st.Inputs)
+		}
+
 		sawAbort = sawAbort || st.Aborts > 0
 		sawPanic = sawPanic || st.PanickedGroups > 0
 		sawRounds = sawRounds || st.Rounds > 0
 		sawWaste = sawWaste || st.LaneCPUWastedNS > 0
+		sawStreak = sawStreak || st.ConventionalInputs > 0
 	})
-	if !sawAbort || !sawPanic || !sawRounds || !sawWaste {
-		t.Fatalf("sample did not exercise all paths: abort=%v panic=%v rounds=%v waste=%v",
-			sawAbort, sawPanic, sawRounds, sawWaste)
+	if !sawAbort || !sawPanic || !sawRounds || !sawWaste || !sawStreak {
+		t.Fatalf("sample did not exercise all paths: abort=%v panic=%v rounds=%v waste=%v streak=%v",
+			sawAbort, sawPanic, sawRounds, sawWaste, sawStreak)
 	}
 }
 

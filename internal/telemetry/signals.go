@@ -95,6 +95,7 @@ type SignalsReport struct {
 	LocalHits           int64 `json:"local_hits"`
 	ReservationCommits  int64 `json:"reservation_commits"`
 	ReservationRounds   int64 `json:"reservation_rounds"`
+	ConventionalInputs  int64 `json:"conventional_inputs"`
 	LaneCPUCommittedNS  int64 `json:"lane_cpu_committed_ns"`
 	LaneCPUWastedNS     int64 `json:"lane_cpu_wasted_ns"`
 
@@ -228,6 +229,7 @@ func computeSignals(window time.Duration, base, cur signalCounters) SignalsRepor
 		LocalHits:           k(obs.EvLocalHit),
 		ReservationCommits:  k(obs.EvCommit),
 		ReservationRounds:   d(base.roundsSum, cur.roundsSum),
+		ConventionalInputs:  k(obs.EvConventional),
 		LaneCPUCommittedNS:  k(obs.EvLaneCPUCommitted),
 		LaneCPUWastedNS:     k(obs.EvLaneCPUWasted),
 	}

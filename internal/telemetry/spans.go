@@ -63,6 +63,11 @@ const (
 	OutcomeAborted = "aborted"
 	// OutcomeSquashed: the group was squashed by an earlier abort.
 	OutcomeSquashed = "squashed"
+	// OutcomeConventional: the group ran inside a conventional streak of
+	// the reservations protocol — its inputs in index order, no rounds —
+	// and committed with it (EvConventional); its exec span's Arg is the
+	// inputs it committed.
+	OutcomeConventional = "conventional"
 	// OutcomeUnvalidated: no validation event was observed — group 0
 	// (which never speculates), a run still in flight, or a log whose
 	// validation records were evicted.

@@ -14,7 +14,11 @@
 # reads one clock, runFrame.now (the trace clock, obs.Now), so a lane's
 # reading can feed the account, the histogram and the events of its instant;
 # fail on a time.Now( or time.Since( in its non-test code outside breaker.go,
-# whose clock is the injected Now. Run via `make vet`.
+# whose clock is the injected Now. The streak guard: inputs that bypassed the
+# reservation rounds are one fact, so Stats.ConventionalInputs and the
+# conventional event are written by runFrame.noteConventional alone (Stats.Add
+# sums the field), and one site calls it: a streak's commit. Run via
+# `make vet`.
 set -eu
 
 emits=$(grep -rn 'Tracer\.Emit(' internal/core internal/pool --include='*.go' |
@@ -51,5 +55,14 @@ clocks=$(grep -rnE 'time\.(Now|Since)\(' internal/core --include='*.go' |
 if [ -n "$clocks" ]; then
     echo "fact-guard: internal/core reads the clock through runFrame.now only:" >&2
     printf '%s\n' "$clocks" >&2
+    exit 1
+fi
+
+conventional=$(grep -rnE 'obs\.EvConventional|\.ConventionalInputs (\+)?=' internal/core --include='*.go' |
+    grep -v -e '_test\.go:' -e '^internal/core/frame\.go:' -e 's\.ConventionalInputs += o\.ConventionalInputs' || true)
+calls=$(grep -rn '\.noteConventional(' internal/core --include='*.go' | grep -v '_test\.go:' || true)
+if [ -n "$conventional" ] || [ "$(printf '%s\n' "$calls" | grep -c .)" -ne 1 ]; then
+    echo "fact-guard: conventional inputs are recorded by runFrame.noteConventional, called from one site:" >&2
+    printf '%s\n' "$conventional" "$calls" | grep . >&2
     exit 1
 fi
