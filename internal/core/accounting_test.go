@@ -104,10 +104,11 @@ func TestAccountingInvariantsRandomized(t *testing.T) {
 		if st.Steals < 0 || st.LocalHits < 0 {
 			t.Fatalf("%s: negative scheduler counters %+v", name, st)
 		}
-		if st.Groups > 1 && st.Steals+st.LocalHits < int64(st.Groups) {
-			// Every group task is dispatched exactly once by the private
-			// pool (no concurrent runs share it), as a local hit or steal.
-			t.Fatalf("%s: %d dispatches for %d groups", name, st.Steals+st.LocalHits, st.Groups)
+		if want := int64(min(opts.Workers, st.Groups) - 1); st.Groups > 1 && st.Steals+st.LocalHits != want {
+			// Every lane but the caller's is one task, dispatched exactly once
+			// by the private pool (no concurrent runs share it), as a local hit
+			// or steal — and the run waited for each before it read the counters.
+			t.Fatalf("%s: %d dispatches for %d lanes over %d groups, want %d", name, st.Steals+st.LocalHits, opts.Workers, st.Groups, want)
 		}
 
 		sawAbort = sawAbort || st.Aborts > 0

@@ -232,10 +232,11 @@ func benchLoop(b *testing.B, body func()) {
 // a fresh seed per call. Warm reuses one primed Dependence: every
 // run-scoped buffer (group records, lane sources, originals, output
 // staging) comes from its recycled scratch. Cold builds a Dependence per
-// call, the seed path a one-shot caller pays.
-func gatedRun[S any](p *pool.Pool, n int, proto Protocol, newDep func() *Dependence[int, S, int], initial func() S, warm bool) func() {
+// call, the seed path a one-shot caller pays. workers 0 takes the run's
+// width from the pool.
+func gatedRun[S any](p *pool.Pool, n int, proto Protocol, workers int, newDep func() *Dependence[int, S, int], initial func() S, warm bool) func() {
 	inputs := benchInputs(n)
-	opts := Options{UseAux: true, Protocol: proto, GroupSize: 8, Window: 8, RedoMax: 1, Rollback: 4, Pool: p}
+	opts := Options{UseAux: true, Protocol: proto, GroupSize: 8, Window: 8, RedoMax: 1, Rollback: 4, Workers: workers, Pool: p}
 	d := newDep()
 	if warm {
 		d.Run(inputs, initial(), opts) // prime the recycled scratch
@@ -251,15 +252,18 @@ func gatedRun[S any](p *pool.Pool, n int, proto Protocol, newDep func() *Depende
 
 // auxRun is gatedRun under the aux protocol on the fingerprinted walk.
 func auxRun(p *pool.Pool, n int, warm bool) func() {
-	return gatedRun(p, n, ProtocolAux,
+	return gatedRun(p, n, ProtocolAux, 0,
 		func() *Dependence[int, walkState, int] { return New(cheapCompute, sumAux, fingerprintWalkOps()) },
 		func() walkState { return walkState{} }, warm)
 }
 
 // reservationsRun is gatedRun under the reservations protocol on the
 // 8-slot state; the caller-owned initial state is part of the run's cost.
+// It is pinned to one lane, the fixed round shape its allocation ceiling is
+// set on: wider, the run's own fan-out measurements decide how many rounds
+// and streaks it makes.
 func reservationsRun(p *pool.Pool, warm bool) func() {
-	return gatedRun(p, 32, ProtocolReservations, benchSlotDep,
+	return gatedRun(p, 32, ProtocolReservations, 1, benchSlotDep,
 		func() []float64 { return make([]float64, 8) }, warm)
 }
 
@@ -292,6 +296,18 @@ func BenchmarkEngineGrouping(b *testing.B) {
 	p := pool.New(4)
 	defer p.Close()
 	benchLoop(b, auxRun(p, 1024, true))
+}
+
+// BenchmarkEngineOneLane is BenchmarkEngineGrouping at Workers: 1 on a shared
+// one-worker pool, the arrangement of the benchmark's overhead workload: the
+// caller is the run's only lane, so a CPU profile of it holds no pool
+// dispatch, no wake-up and no park.
+func BenchmarkEngineOneLane(b *testing.B) {
+	p := pool.New(1)
+	defer p.Close()
+	benchLoop(b, gatedRun(p, 1024, ProtocolAux, 1,
+		func() *Dependence[int, walkState, int] { return New(cheapCompute, sumAux, fingerprintWalkOps()) },
+		func() walkState { return walkState{} }, true))
 }
 
 // acceptProbe returns one acceptance attempt of a speculative state of

@@ -17,6 +17,13 @@
 // blocks are aborted and squashed, execution resumes sequentially from the
 // first original final state, and no further speculation is performed for
 // the current input vector.
+//
+// A run executes its groups on lanes, Options.Workers of them, and the calling
+// goroutine is the first: it hands the worker pool one task per further lane
+// — never one per group — and then runs the same loop they do, claiming
+// groups in index order, executing them and resolving the boundaries between
+// them, until none is left. A one-lane run therefore involves no pool and no
+// goroutine but its caller's.
 package core
 
 import (
@@ -98,14 +105,20 @@ type Options struct {
 	// Rollback is how many inputs a re-execution goes back (W), clamped
 	// to [1, group length].
 	Rollback int
-	// Workers is the number of pool workers used for group-level TLP.
+	// Workers is the number of lanes a run executes groups on, the calling
+	// goroutine included; a private pool is Workers − 1 wide, and none is
+	// built for one lane. Zero or less means the given Pool's width plus the
+	// caller, or one lane without a Pool. Under ProtocolReservations the
+	// coordinator takes no chunk of a fanned-out wave: Workers (else the
+	// given Pool's width) is the wave width and the private pool's.
 	Workers int
 	// Seed determines every random stream of the run. Runs with equal
 	// seeds and options are reproducible; distinct seeds model the
 	// program's nondeterminism.
 	Seed uint64
 	// Pool, when non-nil, supplies the shared worker pool; otherwise the
-	// engine creates a private pool of Options.Workers width for the run.
+	// engine creates a private pool for the run's lanes beyond the caller's
+	// (see Workers).
 	Pool *pool.Pool
 	// Obs, when non-nil, receives the run's speculation event log and
 	// metrics: the engine reports every speculation decision point
@@ -139,10 +152,11 @@ type Options struct {
 	Sched sched.Controller
 	// SchedLane is the run's base lane in the controller's namespace:
 	// the coordinator yields on SchedLane (breaker and fallback points
-	// only; it is blocked around the fan-out, its one wait and pool close)
-	// and the task that claimed group j on SchedLane+1+j — the group's own
-	// points and, while it holds the resolver role after finishing the
-	// group, validate, redo and squash.
+	// only; it is blocked from the fan-out until every lane is done — its
+	// own lane loop included — and around a private pool's close) and the
+	// lane that claimed group j, the caller's or a pool task's, on
+	// SchedLane+1+j — the group's own points and, while it holds the
+	// resolver role after finishing the group, validate, redo and squash.
 	// Concurrent runs sharing one controller must use disjoint bases
 	// (pool workers use negative lanes, so any non-negative spacing of
 	// 1+maxGroups works).
@@ -260,12 +274,15 @@ type Stats struct {
 	// Scheduler counters, deltas over this run of the worker pool's
 	// sharded work-stealing dispatcher (§3.4 runtime). Steals are
 	// cross-worker dispatches, LocalHits the contention-free local-deque
-	// fast path. On a shared pool with concurrent runs the deltas
+	// fast path. They count lane tasks, not groups: at most Workers − 1 per
+	// aux run (0 for one lane), one per chunk of a fanned-out wave under
+	// reservations. On a shared pool with concurrent runs the deltas
 	// attribute pool-wide activity to each overlapping run.
 	Steals    int64
 	LocalHits int64
 	// QueueDepthPeak is the pool's peak single-deque depth as of the end
-	// of the run (a lifetime high-water mark, not a delta).
+	// of the run (a lifetime high-water mark, not a delta; 0 for a run that
+	// leased no pool). An aux run queues at most its Workers − 1 lane tasks.
 	QueueDepthPeak int64
 }
 
@@ -489,7 +506,7 @@ type groupRun[I, S, O any] struct {
 	// whether its auxiliary code was called to produce it, and calls how
 	// many computes its execution made: written by the group's lane before
 	// it sets finished (group 0's specStart by launch), read by the resolver
-	// after it sees finished and by the coordinator after wg.Wait.
+	// after it sees finished and by the coordinator once every lane is done.
 	specStart S
 	auxRan    bool
 	calls     int64
@@ -548,8 +565,10 @@ type groupRun[I, S, O any] struct {
 // originals set (plus its fingerprints), and the pool task. A Dependence
 // keeps scratches in a sync.Pool, so a warm Run allocates only what it must
 // return (the outputs slice) plus whatever user code allocates. Every pool
-// task of a run is the one method value task: a task claims its group from
-// ticket, so it survives recycling with nothing to rebind.
+// task of a run is the one method value task — a lane, which claims groups
+// from ticket until none is left — so it survives recycling with nothing to
+// rebind, and a run submits one per lane beyond the caller's, not one per
+// group.
 type runScratch[I, S, O any] struct {
 	runFrame
 	d       *Dependence[I, S, O]
@@ -562,10 +581,11 @@ type runScratch[I, S, O any] struct {
 
 	groups []*groupRun[I, S, O]
 	task   pool.Task
-	tasks  []pool.Task // task, once per group: SubmitBatch takes a slice
+	tasks  []pool.Task // task, once per pool lane: SubmitBatch takes a slice
 
-	// ticket is the next group index to claim: lanes start groups in strict
-	// index order whatever the pool's sharding or stealing did. next is the
+	// ticket is the next group index to claim: lanes — the caller's and the
+	// pool's — start groups in strict index order whatever the pool's
+	// sharding or stealing did. next is the
 	// first unresolved boundary (boundary 0 is group 0's own inspection),
 	// numGroups once the last one resolved or one aborted; the resolver
 	// stores it after the boundary's writes, so a coordinator that loads
@@ -580,8 +600,9 @@ type runScratch[I, S, O any] struct {
 	// group whose lane task holds the role.
 	resolving atomic.Bool
 	resolver  *groupRun[I, S, O]
-	// nudge, made per streaming run and nil otherwise, wakes the coordinator
-	// after every store of next; emitted is how many groups it has streamed.
+	// nudge, made per streaming run and nil otherwise, wakes the caller — when
+	// it waits in stream — after every store of next; emitted is how many
+	// groups it has streamed.
 	nudge chan struct{}
 	// abortAt is the first group index whose speculation failed, -1 while
 	// every boundary so far resolved.
@@ -602,7 +623,7 @@ type runScratch[I, S, O any] struct {
 	originals []S
 	origFPs   []uint64
 
-	wg sync.WaitGroup
+	wg sync.WaitGroup // the run's pool lanes; the caller's lane needs none
 }
 
 // getScratch fetches (or builds) a scratch for one speculative run.
@@ -611,7 +632,7 @@ func (d *Dependence[I, S, O]) getScratch() *runScratch[I, S, O] {
 		return v.(*runScratch[I, S, O])
 	}
 	scr := &runScratch[I, S, O]{d: d}
-	scr.task = scr.groupTask
+	scr.task = scr.laneTask
 	return scr
 }
 
@@ -620,7 +641,7 @@ func (d *Dependence[I, S, O]) getScratch() *runScratch[I, S, O] {
 // between begin and launch (an uncontained group-0 clone) leaves nothing
 // armed for the next run.
 func (scr *runScratch[I, S, O]) begin(inputs []I, initial S, g int, opts *Options, st *Stats, emit Emit[O]) {
-	scr.runFrame.begin(len(inputs), g, opts, st)
+	scr.runFrame.begin(len(inputs), g, 1, opts, st)
 	scr.inputs, scr.initial, scr.emit = inputs, initial, emit
 	scr.window, scr.rollback, scr.redoMax = max(opts.Window, 0), opts.Rollback, max(opts.RedoMax, 0)
 	scr.hashFirst = scr.d.ops.MatchAny != nil && scr.d.ops.Fingerprint != nil
@@ -636,9 +657,9 @@ func (scr *runScratch[I, S, O]) begin(inputs []I, initial S, g int, opts *Option
 	// execution never grows the buffer.
 	if missing := scr.numGroups - len(scr.groups); missing > 0 {
 		slab := make([]groupRun[I, S, O], missing)
-		scr.groups, scr.tasks = slices.Grow(scr.groups, missing), slices.Grow(scr.tasks, missing)
+		scr.groups = slices.Grow(scr.groups, missing)
 		for i := range slab {
-			scr.groups, scr.tasks = append(scr.groups, &slab[i]), append(scr.tasks, scr.task)
+			scr.groups = append(scr.groups, &slab[i])
 		}
 	}
 	var backing []O
@@ -690,21 +711,21 @@ func cleared[T any](s []T, n int) []T {
 }
 
 // runSpeculative implements the §3.1 execution model as the aux policy's
-// phases over the run frame: the coordinator splits the streams, launches,
-// waits once and commits; the lanes execute the groups and resolve the
-// boundaries between them. Outputs stream through emit (when non-nil) once
-// they are final: a group's outputs when the NEXT boundary's validation has
-// resolved (a redo may splice its suffix until then), the last group's at
-// run completion, and fallback outputs as they are computed.
+// phases over the run frame: the caller splits the streams, leases the pool
+// lanes, runs the groups as the first lane among them, and commits; every
+// lane executes groups and resolves the boundaries between them. Outputs
+// stream through emit (when non-nil) once they are final: a group's outputs
+// when the NEXT boundary's validation has resolved (a redo may splice its
+// suffix until then), the last group's at run completion, and fallback
+// outputs as they are computed.
 func (d *Dependence[I, S, O]) runSpeculative(root *rng.Source, inputs []I, initial S, g int, opts *Options, st *Stats, emit Emit[O]) ([]O, S) {
 	scr := d.getScratch()
 	scr.begin(inputs, initial, g, opts, st, emit)
 	defer scr.release()
 	scr.splitStreams(root)
-	scr.lease(opts)
+	scr.lease(opts, scr.lanes-1)
 	defer scr.finish()
 	scr.launch()
-	scr.await()
 	return scr.commit(root)
 }
 
@@ -727,25 +748,55 @@ func (scr *runScratch[I, S, O]) splitStreams(root *rng.Source) {
 	}
 }
 
-// launch submits one task per group in one batch. Group 0 starts from the
-// initial state, cloned here, uncontained, before wg is armed: nothing
-// between begin and launch can strand an armed wg into the next run.
+// launch runs the groups on the run's lanes, the calling goroutine the first
+// of them: it submits one lane task per further lane that has a group to
+// claim and a pool worker to run on, runs the same loop inline, and returns
+// once every lane is done. A one-lane run submits nothing, wakes nothing and
+// waits for nothing. Group 0 starts from the initial state, cloned here,
+// uncontained, before wg is armed: nothing between begin and launch can
+// strand an armed wg into the next run. Under a controller the caller is out
+// of the schedule from the fan-out to the last lane's end — one Block, one
+// resume — and the groups it runs yield on their own lanes, like any lane's.
+// The deferred wait covers a panic of the caller's lane — an emit between its
+// groups or after them: the scratch is never released under a running lane,
+// nor with a lane task still queued.
 func (scr *runScratch[I, S, O]) launch() {
 	scr.groups[0].specStart = scr.d.ops.Clone(scr.initial)
-	scr.wg.Add(scr.numGroups)
-	scr.blocked(func() { scr.fanOut(scr.tasks[:scr.numGroups]) })
+	k := min(scr.lanes, scr.numGroups) - 1
+	if k > 0 {
+		k = min(k, scr.p.Workers())
+	}
+	if missing := k - len(scr.tasks); missing > 0 {
+		scr.tasks = slices.Grow(scr.tasks, missing)
+	}
+	for len(scr.tasks) < k {
+		scr.tasks = append(scr.tasks, scr.task)
+	}
+	scr.wg.Add(k)
+	scr.blocked(func() {
+		defer scr.wg.Wait()
+		scr.fanOut(scr.tasks[:k])
+		scr.runLane(scr.emit != nil)
+		if scr.emit != nil {
+			scr.stream(false)
+		}
+	})
 }
 
-// await is the coordinator's one wait for the lanes. Only a streaming run
-// wakes before the last of them: after each nudge it emits, on the caller's
-// goroutine and in input order, the groups the resolver has made final.
-// The deferred wait also covers an emit panic, so the scratch is never
-// released under a running lane.
-func (scr *runScratch[I, S, O]) await() {
-	defer scr.blocked(scr.wg.Wait)
-	for k := 0; scr.emit != nil && k < scr.numGroups; k = int(scr.next.Load()) {
+// stream emits, on the caller's goroutine and in input order, the groups the
+// resolver has made final, waiting for a nudge whenever more must follow. At
+// the run's tail (between false) that is until every boundary is resolved.
+// Between two groups of the caller's lane it is until something was emitted or
+// no other lane holds an unresolved group: the caller does not start a group
+// with outputs about to become final behind it, so they wait at most for its
+// current group — and never while it could only have idled.
+func (scr *runScratch[I, S, O]) stream(between bool) {
+	for was := scr.emitted; ; <-scr.nudge {
+		k := int(scr.next.Load())
 		scr.emitFinal(k - 1) // boundary k-1 resolved: no redo can splice group k-2 any more
-		scr.blocked(func() { <-scr.nudge })
+		if k >= scr.numGroups || between && (scr.emitted > was || k >= int(scr.ticket.Load())) {
+			return
+		}
 	}
 }
 
@@ -759,21 +810,41 @@ func (scr *runScratch[I, S, O]) emitFinal(final int) {
 	}
 }
 
-// groupTask is the body of every pool task of the run. It claims the next
-// group in index order — so group 1 never queues behind group 0 and no lane
-// speculates far ahead of the boundary that matters — and runs its aux and
-// its inputs sequentially from the (speculative) start state. Then the last
-// arriver resolves: the task marks the group finished and, when the next
-// unresolved boundary has both its groups, takes the resolver role and
-// settles boundaries until one is not ready, releasing and re-checking so a
-// finish that raced the release is picked up by one side or the other.
-func (scr *runScratch[I, S, O]) groupTask() {
-	j := int(scr.ticket.Add(1)) - 1
-	gr, lane := scr.groups[j], scr.lane+1+j
+// laneTask is the body of every pool task of the run: one lane.
+func (scr *runScratch[I, S, O]) laneTask() {
 	defer scr.wg.Done()
+	scr.runLane(false)
+}
+
+// runLane is one lane of the run, the caller's or a pool task's: it claims
+// the next group in index order — so group 1 never queues behind group 0 and
+// no lane speculates far ahead of the boundary that matters — and runs it,
+// until none is left. The caller's lane of a streaming run emits before each
+// claim what has become final (stream).
+func (scr *runScratch[I, S, O]) runLane(streaming bool) {
+	for {
+		if streaming {
+			scr.stream(true)
+		}
+		j := int(scr.ticket.Add(1)) - 1
+		if j >= scr.numGroups {
+			return
+		}
+		scr.runGroup(j)
+	}
+}
+
+// runGroup runs group j's aux and its inputs sequentially from the
+// (speculative) start state. Then the last arriver resolves: the lane marks
+// the group finished and, when the next unresolved boundary has both its
+// groups, takes the resolver role and settles boundaries until one is not
+// ready, releasing and re-checking so a finish that raced the release is
+// picked up by one side or the other.
+func (scr *runScratch[I, S, O]) runGroup(j int) {
+	gr, lane := scr.groups[j], scr.lane+1+j
 	if scr.ctl != nil {
-		// Retire the group lane on every exit, panic included, before wg
-		// releases the coordinator.
+		// Retire the group lane on every exit, panic included, before the
+		// lane's end releases the caller.
 		defer scr.ctl.Done(lane)
 	}
 	gr.clock = scr.now()
@@ -795,7 +866,7 @@ func (scr *runScratch[I, S, O]) groupTask() {
 			scr.next.Store(int32(scr.resolve(int(scr.next.Load()))))
 			select {
 			case scr.nudge <- struct{}{}:
-			default: // not streaming (nil), or one is pending and the coordinator reads next afresh
+			default: // not streaming (nil), or one is pending and the caller reads next afresh
 			}
 		}
 		scr.resolving.Store(false)
@@ -1172,7 +1243,7 @@ func (scr *runScratch[I, S, O]) fallBack(root *rng.Source, state S, outs []O) ([
 // committed their exec+aux lane time, groups at or past it wasted theirs;
 // redo and fallback time was already filed into commitNS/wasteNS at the
 // boundary that spent it. Every read of execNS and auxNS is ordered after
-// the lane's write by wg.Wait.
+// the lane's write by wg.Wait (the caller's own lane: by program order).
 func (scr *runScratch[I, S, O]) fileLaneCPU() {
 	now := scr.stamp()
 	for j, gr := range scr.groups[:scr.numGroups] {

@@ -39,18 +39,29 @@ type runFrame struct {
 
 	n, g, numGroups int
 	timeout         time.Duration
+	// lanes is the run's width, the one definition for both protocols:
+	// Options.Workers when positive, else the given pool's width plus the
+	// lanes the calling goroutine adds to it — one under the aux protocol,
+	// whose caller is lane 0, none under reservations, whose coordinator takes
+	// no chunk of a fanned-out wave — else 1.
+	lanes int
 
 	p        *pool.Pool
 	private  bool // p was built by lease and is closed by finish
 	poolBase pool.Metrics
 }
 
-// begin binds the frame to one run of n inputs in groups of g and records
-// the group count.
-func (f *runFrame) begin(n, g int, opts *Options, st *Stats) {
+// begin binds the frame to one run of n inputs in groups of g, on lanes of
+// which the calling goroutine is caller (1 or 0), and records the group count.
+func (f *runFrame) begin(n, g, caller int, opts *Options, st *Stats) {
 	*f = runFrame{
 		st: st, o: opts.Obs, ctl: opts.Sched, lane: opts.SchedLane,
-		n: n, g: g, numGroups: (n + g - 1) / g, timeout: opts.GroupTimeout,
+		n: n, g: g, numGroups: (n + g - 1) / g, timeout: opts.GroupTimeout, lanes: 1,
+	}
+	if opts.Workers > 0 {
+		f.lanes = opts.Workers
+	} else if opts.Pool != nil {
+		f.lanes = opts.Pool.Workers() + caller
 	}
 	st.Groups = f.numGroups
 }
@@ -61,35 +72,34 @@ func (f *runFrame) bounds(j int) (start, end int) {
 }
 
 // lease takes the run's worker pool: Options.Pool when shared, else a
-// private one — Options.Workers wide, worker PRNGs seeded from
-// Options.Seed, the run's controller attached so pool-level decisions are
-// explorable too, and reporting its scheduler events to this run's
-// observer (a shared pool's observer and controller belong to whoever
-// built it). It also takes the baseline for the run's scheduler deltas.
-// Pair with a deferred finish.
-func (f *runFrame) lease(opts *Options) {
+// private one — width wide (the run's lanes less the caller's), worker PRNGs
+// seeded from Options.Seed, the run's controller attached so pool-level
+// decisions are explorable too, and reporting its scheduler events to this
+// run's observer (a shared pool's observer and controller belong to whoever
+// built it) — and none at all for a width of 0: a one-lane aux run touches
+// no goroutine but its caller's. It also takes the baseline for the run's
+// scheduler deltas. Pair with a deferred finish.
+func (f *runFrame) lease(opts *Options, width int) {
 	f.p = opts.Pool
-	if f.p == nil {
-		f.p, f.private = newRunPool(opts), true
+	if f.p == nil && width > 0 {
+		f.p, f.private = pool.NewSeeded(width, opts.Seed), true
+		f.p.SetController(opts.Sched)
 		f.p.SetObserver(f.o)
 	}
-	f.poolBase = f.p.Metrics()
-}
-
-// newRunPool builds the private worker pool for one run.
-func newRunPool(opts *Options) *pool.Pool {
-	p := pool.NewSeeded(max(opts.Workers, 1), opts.Seed)
-	if opts.Sched != nil {
-		p.SetController(opts.Sched)
+	if f.p != nil {
+		f.poolBase = f.p.Metrics()
 	}
-	return p
 }
 
 // finish ends the lease: it fills the run's scheduler counters as deltas
-// against the baseline and closes a private pool. Close waits for the
-// workers, and a worker may be parked at one of its decision points, so the
-// coordinator steps out of the schedule around it.
+// against the baseline (zero for a run that leased no pool) and closes a
+// private pool. Close waits for the workers, and a worker may be parked at one
+// of its decision points, so the coordinator steps out of the schedule around
+// it.
 func (f *runFrame) finish() {
+	if f.p == nil {
+		return
+	}
 	m := f.p.Metrics()
 	f.st.Steals = m.Steals - f.poolBase.Steals
 	f.st.LocalHits = m.LocalHits - f.poolBase.LocalHits
@@ -137,11 +147,15 @@ func (f *runFrame) stamp() int64 {
 	return f.now()
 }
 
-// fanOut submits the tasks in one batch operation; a closed pool leaves a
-// suffix unqueued, which runs inline on the coordinator. Both can block for
-// real (saturated pool; inline tasks yield on their own lanes), so callers
-// wrap it in blocked.
+// fanOut submits the tasks in one batch operation — the package's one submit
+// site (scripts/fact_guard.sh) — and none for an empty batch, which is all a
+// run without a pool has. A closed pool leaves a suffix unqueued, which runs
+// inline on the coordinator. Both can block for real (saturated pool; inline
+// tasks yield on their own lanes), so callers wrap it in blocked.
 func (f *runFrame) fanOut(tasks []pool.Task) {
+	if len(tasks) == 0 {
+		return
+	}
 	if nq, err := f.p.SubmitBatch(tasks); err != nil {
 		for _, task := range tasks[nq:] {
 			task()

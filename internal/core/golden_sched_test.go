@@ -28,13 +28,16 @@ var updateSchedules = flag.Bool("update-schedules", false,
 const goldenDir = "../../testdata/schedules"
 
 // goldenHarness runs the fixed engine configuration for a golden under the
-// given controller and returns the run's rendering and stats. Workers=1
-// uses the run's private, controlled pool and keeps every decision point
-// engine-owned (a one-shard pool has no steal alternatives); workers > 1
-// runs over an external, uncontrolled pool, so the recorded decision points
-// are again only the engine's own — lanes claim groups by ticket, so which
-// worker runs a task never shows in the schedule. Either way crafted traces
-// stay exactly replayable.
+// given controller and returns the run's rendering and stats. Workers=1 is
+// a one-lane run: it has no pool, every group runs on the caller's goroutine
+// (yielding on the group's own lane), and its trace holds engine points only.
+// Workers > 1 runs as the caller plus an external, uncontrolled pool's
+// workers, so the recorded decision points are again only the engine's own —
+// lanes claim groups by ticket, so which goroutine runs a group never shows
+// in the schedule. Either way crafted traces stay exactly replayable. The
+// caller does not re-enter the schedule between its fan-out and its lane
+// loop: lane 0 is blocked from the fan-out to the last lane's end and is
+// admitted once, at the resume after it.
 func goldenHarness(aux Aux[int, walkState], inputs []int, workers int, timeout time.Duration, o *obs.Observer) func(ctl sched.Controller) (string, Stats) {
 	return func(ctl sched.Controller) (string, Stats) {
 		opts := Options{
@@ -78,15 +81,14 @@ func groupYields(tr *sched.Trace, j, steps int) {
 }
 
 // craftAllFinishBeforeValidate writes the schedule of maximal validation
-// laziness for groups groups of g inputs on two workers: group 1's lane
-// takes the resolver role when it finishes and is held at its first
-// validate while the other worker runs every remaining group to its finish
-// (each finds the role taken and retires), and only then are all the
-// boundaries resolved, back to back, on that one lane. The coordinator is
-// admitted after its fan-out and after its one wait.
+// laziness for groups groups of g inputs on two lanes: group 1's lane takes
+// the resolver role when it finishes and is held at its first validate while
+// the other goroutine runs every remaining group to its finish (each finds
+// the role taken and retires), and only then are all the boundaries
+// resolved, back to back, on that one lane. The coordinator is admitted once,
+// after every lane is done.
 func craftAllFinishBeforeValidate(groups, g int) *sched.Trace {
 	out := &sched.Trace{Controller: "crafted", Note: "all groups finish before the first validate"}
-	yields(out, 0, sched.PointResume)
 	for j := 0; j < groups; j++ {
 		groupYields(out, j, g)
 		yields(out, 1+j, sched.PointGroupFinish)
@@ -99,10 +101,12 @@ func craftAllFinishBeforeValidate(groups, g int) *sched.Trace {
 }
 
 // craftCoordinatorParked reorders a recorded run so the coordinator lane is
-// not admitted once between its fan-out and the last lane's last admission:
-// every entry of a group lane first, in recorded order, then the
-// coordinator's. The lanes resolve the boundaries among themselves; a
-// design that validates on the coordinator stalls here.
+// not admitted once before the last group lane's last admission: every entry
+// of a group lane first, in recorded order, then the coordinator's. The
+// lanes resolve the boundaries among themselves — the engine keeps lane 0
+// out of the schedule for exactly that stretch, so the reordering moves
+// nothing today; a design that validates on the coordinator's lane stalls
+// here.
 func craftCoordinatorParked(rec *sched.Trace) *sched.Trace {
 	out := &sched.Trace{Seed: rec.Seed, Controller: "crafted",
 		Note: "coordinator never scheduled between launch and the last lane's finish"}
@@ -117,14 +121,13 @@ func craftCoordinatorParked(rec *sched.Trace) *sched.Trace {
 }
 
 // craftAbortAtOneWave writes the schedule in which an abort at boundary 1
-// wastes one wave on two workers: group 0 runs to its finish, group 1 runs
-// its steps while group 2 — claimed by the worker group 0 freed — gets
+// wastes one wave on two lanes: group 0 runs to its finish, group 1 runs
+// its steps while group 2 — claimed by the lane group 0 freed — gets
 // half-way; then group 1 finishes and its lane validates, spends its redos,
 // and squashes before any other lane is admitted again. Group 2 observes
 // the flag at its next step, and every later group before its aux.
 func craftAbortAtOneWave(groups, g, redoMax int) *sched.Trace {
 	out := &sched.Trace{Controller: "crafted", Note: "abort at boundary 1 squashes every later group at its next inspection"}
-	yields(out, 0, sched.PointResume)
 	groupYields(out, 0, g)
 	yields(out, 1, sched.PointGroupFinish)
 	groupYields(out, 1, g)
@@ -149,8 +152,8 @@ func craftAbortAtOneWave(groups, g, redoMax int) *sched.Trace {
 // admissions collapse to exactly aux (which sees the flag and skips the
 // auxiliary code), group-start, one group-step (which sees the flag and
 // breaks), and group-finish — the crafted trace substitutes those four for
-// whatever the lanes recorded. All held lanes move together because one worker
-// executes their tasks in queue order: freeing lane L while holding lane
+// whatever the lanes recorded. All held lanes move together because one lane
+// runs their groups in index order: freeing lane L while holding lane
 // L-1 would be infeasible.
 func craftLateGroupsPastSquash(rec *sched.Trace, fromLane int) *sched.Trace {
 	out := &sched.Trace{Seed: rec.Seed, Controller: "crafted",

@@ -30,7 +30,7 @@ func allocsPerRun(t *testing.T, body func()) float64 {
 // (it measures 5), the cold one its scratch once per run whatever the
 // group count (24 at these 4 groups), and warm stays below cold. The
 // reservations protocol clones and returns caller-owned state every round,
-// so its floor is higher: with the shared pool's one lane every wave has one
+// so its floor is higher: pinned to one lane every wave has one
 // chunk, groups 0 and 2 of the four run rounds and 1 and 3 are conventional
 // streaks (one clone and one source each), and the warm run measures 59.
 func TestWarmRunAllocations(t *testing.T) {

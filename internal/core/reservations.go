@@ -237,9 +237,8 @@ type resvRun[I, S, O any] struct {
 	// attempt copies, so squashed attempts never consume the stream).
 	srcs []rng.Source
 	// oracle is whether the FootprintCheck sanitizer runs (enabled and the
-	// dependence has a Touched hook); lanes is the wave width.
+	// dependence has a Touched hook). The wave width is the frame's lanes.
 	oracle bool
-	lanes  int
 	emit   Emit[O]
 
 	// table is the reservation table, one write-min cell per state slot,
@@ -355,7 +354,7 @@ func (r *resvRun[I, S, O]) fail(why groupFailure, pe *PanicError) {
 func (d *Dependence[I, S, O]) runReservations(root *rng.Source, inputs []I, initial S, g int, opts *Options, st *Stats, emit Emit[O]) ([]O, S) {
 	n := len(inputs)
 	r := d.getResvRun()
-	r.runFrame.begin(n, g, opts, st)
+	r.runFrame.begin(n, g, 0, opts, st)
 	defer r.release()
 	if cap(r.srcs) < n {
 		r.srcs = make([]rng.Source, n)
@@ -367,7 +366,6 @@ func (d *Dependence[I, S, O]) runReservations(root *rng.Source, inputs []I, init
 
 	r.inputs, r.emit = inputs, emit
 	r.oracle = opts.FootprintCheck && d.reserve != nil && d.reserve.Touched != nil
-	r.lanes = max(opts.Workers, 1)
 	r.shared = d.ops.Clone(initial)
 	r.outs = make([]O, n) // returned to the caller, never recycled
 	r.failed.Store(int32(failNone))
@@ -394,7 +392,7 @@ func (d *Dependence[I, S, O]) runReservations(root *rng.Source, inputs []I, init
 	}
 	r.table = r.table[:slots]
 
-	r.lease(opts)
+	r.lease(opts, r.lanes)
 	defer r.finish()
 	// A group that declined to fan out is followed by a streak of k groups,
 	// then the next group probes.

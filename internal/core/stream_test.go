@@ -3,6 +3,8 @@ package core
 import (
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -169,6 +171,68 @@ func TestEmitPanicSurfacesWithLaneSideResolution(t *testing.T) {
 	if emitted != 6 {
 		t.Fatalf("%d outputs emitted before the panic, want 6", emitted)
 	}
+	outs, _, st, err := d.RunStreamChecked(inputs, walkState{}, opts, func(int, int) {})
+	if err != nil || st.Matches != st.Groups-1 {
+		t.Fatalf("run after the emit panic: err %v, stats %+v", err, st)
+	}
+	checkOutputs(t, outs, wantOutputs(inputs))
+}
+
+// TestEmitPanicWaitsForARunningLane: the caller is a lane now, and emits
+// between its groups, so an emit panic unwinds through the lane loop — and
+// must still wait for the other lane before the scratch is recycled. Two
+// lanes: the pool's is parked inside a compute when the first emit panics on
+// the caller. RunStreamChecked returns only after that compute returned (the
+// pool lane then finishes the groups the caller abandoned), and the next run
+// on the same Dependence and the same pool is clean.
+func TestEmitPanicWaitsForARunningLane(t *testing.T) {
+	inputs := seqInputs(64)
+	p := pool.New(1)
+	defer p.Close()
+	var caller string
+	var park sync.Once
+	var computeReturned atomic.Bool
+	parked, release := make(chan struct{}), make(chan struct{})
+	d := New(func(r *rng.Source, in int, s walkState) (int, walkState) {
+		// Not in groups 0 and 1: the caller's first emit needs boundary 1.
+		if in > 8 && goid() != caller {
+			park.Do(func() {
+				close(parked)
+				<-release
+				computeReturned.Store(true)
+			})
+		}
+		return deterministicCompute(r, in, s)
+	}, exactAuxFor(inputs), walkOps())
+	opts := Options{UseAux: true, GroupSize: 4, Window: 64, Pool: p, Seed: 13} // the pool's width + 1: two lanes
+
+	var err error
+	var returnedAfterCompute bool
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		caller = goid()
+		_, _, _, err = d.RunStreamChecked(inputs, walkState{}, opts, func(int, int) {
+			<-parked // the pool lane is inside its compute
+			panic("emit boom")
+		})
+		returnedAfterCompute = computeReturned.Load()
+	}()
+	<-parked
+	select {
+	case <-done:
+		t.Fatal("RunStreamChecked returned under a running lane")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	<-done
+	if pe, ok := err.(*PanicError); !ok || pe.Value != "emit boom" {
+		t.Fatalf("err = %v, want the emit panic", err)
+	}
+	if !returnedAfterCompute {
+		t.Fatal("RunStreamChecked returned before the pool lane's compute did")
+	}
+	caller = goid()
 	outs, _, st, err := d.RunStreamChecked(inputs, walkState{}, opts, func(int, int) {})
 	if err != nil || st.Matches != st.Groups-1 {
 		t.Fatalf("run after the emit panic: err %v, stats %+v", err, st)

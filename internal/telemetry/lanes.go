@@ -7,7 +7,11 @@ import (
 )
 
 // LaneTask is one scheduler dispatch on a worker lane, from its steal or
-// local-hit event to the lane's next task-finish.
+// local-hit event to the lane's next task-finish. An aux run dispatches one
+// task per lane beyond its caller's, each looping over the groups it claims:
+// a pool lane shows one task span per run, however many groups it ran, and
+// lane 0 — the calling goroutine — has none. A reservations run dispatches
+// one per chunk of each wave it fans out.
 type LaneTask struct {
 	// Lane is the worker the task ran on.
 	Lane int16

@@ -46,7 +46,8 @@ type SpecOptions struct {
 	Window    int
 	RedoMax   int
 	Rollback  int
-	// Workers is the worker width for the real engine run.
+	// Workers is the number of lanes the real engine run executes groups
+	// on, the calling goroutine included; a private pool is Workers − 1 wide.
 	Workers int
 	// TradeoffIdx are the auxiliary-code tradeoff indices, aligned with
 	// Desc().Tradeoffs. nil means every tradeoff at its default.

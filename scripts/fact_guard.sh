@@ -17,8 +17,11 @@
 # whose clock is the injected Now. The streak guard: inputs that bypassed the
 # reservation rounds are one fact, so Stats.ConventionalInputs and the
 # conventional event are written by runFrame.noteConventional alone (Stats.Add
-# sums the field), and one site calls it: a streak's commit. Run via
-# `make vet`.
+# sums the field), and one site calls it: a streak's commit. The fan-out guard:
+# internal/core hands work to the pool at one site, runFrame.fanOut, which is
+# where the ErrClosed inline fallback lives and what callers bracket for the
+# controller; fail on a SubmitBatch( or .Submit( anywhere else in its non-test
+# code. Run via `make vet`.
 set -eu
 
 emits=$(grep -rn 'Tracer\.Emit(' internal/core internal/pool --include='*.go' |
@@ -64,5 +67,13 @@ calls=$(grep -rn '\.noteConventional(' internal/core --include='*.go' | grep -v 
 if [ -n "$conventional" ] || [ "$(printf '%s\n' "$calls" | grep -c .)" -ne 1 ]; then
     echo "fact-guard: conventional inputs are recorded by runFrame.noteConventional, called from one site:" >&2
     printf '%s\n' "$conventional" "$calls" | grep . >&2
+    exit 1
+fi
+
+submits=$(awk 'FNR==1{fn=""} /^func /{fn=$0} /SubmitBatch\(|\.Submit\(/ && $0 !~ /^[[:space:]]*\/\// && fn !~ /^func \(f \*runFrame\) fanOut\(/{print FILENAME":"FNR": "$0}' \
+    $(ls internal/core/*.go | grep -v '_test\.go$'))
+if [ -n "$submits" ]; then
+    echo "fact-guard: internal/core submits to the pool through runFrame.fanOut only:" >&2
+    printf '%s\n' "$submits" >&2
     exit 1
 fi

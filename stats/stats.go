@@ -127,7 +127,9 @@ type Options struct {
 	RedoMax int
 	// Rollback is how many inputs a re-execution goes back.
 	Rollback int
-	// Workers is the runtime's worker-pool width (defaults to 1).
+	// Workers is the number of lanes a run executes groups on, the calling
+	// goroutine included; a private pool is Workers − 1 wide. Unset, it
+	// is the attached Runtime's width plus the caller, or 1 unattached.
 	Workers int
 	// Seed fixes the run's randomness; runs with equal seeds and
 	// options are reproducible.
