@@ -39,12 +39,13 @@ race:
 # conventional streaks' (a failure inside one, fine computes going
 # conventional on the run's own measurements); the last two are the run's
 # shape (the caller is lane 0, one pool task per further lane, a one-lane run
-# stays on its caller, progress on a saturated pool). Then, on its
-# own so its spinning readers do not skew the fan-out rule's measurements,
-# internal/obs for its writers-lap-the-readers tests (the slot protocol has
-# no busy mark to hide behind).
+# stays on its caller, progress on a saturated pool), after them the state
+# ownership tests (in-place and functional computes indistinguishable, clone
+# counts). Then, on its own so its spinning readers do not skew the fan-out
+# rule's measurements, internal/obs for its writers-lap-the-readers tests (the
+# slot protocol has no busy mark to hide behind).
 stress:
-	$(GO) test -race -count=5 -cpu 1,2,4 ./internal/pool ./internal/core -run 'Stress|Race|Concurrent|Recycl|Resolver|Claimed|Winners|Granularity|InPlace|Streak|FineGrain|Lane|Saturated'
+	$(GO) test -race -count=5 -cpu 1,2,4 ./internal/pool ./internal/core -run 'Stress|Race|Concurrent|Recycl|Resolver|Claimed|Winners|Granularity|InPlace|Streak|FineGrain|Lane|Saturated|Styles|CloneCounts'
 	$(GO) test -race -count=5 -cpu 1,2,4 ./internal/obs -run 'Stress|Race|Lap'
 
 # Static analysis: gofmt must have nothing to say, then the standard Go

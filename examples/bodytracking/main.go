@@ -78,9 +78,10 @@ func modelDistance(a, b model) float64 {
 // filterStep perturbs, weighs and resamples the particle set against a
 // frame (one annealing layer, for brevity). The part likelihoods
 // factorize, so each part resamples independently — the trick that keeps a
-// modest particle count sharp in many dimensions.
+// modest particle count sharp in many dimensions. It updates the model it is
+// handed in place: the state belongs to the call, and the runtime copies
+// (cloneModel) where it needs a copy.
 func filterStep(r *stats.Rand, m model, f frame) model {
-	m = cloneModel(m)
 	n := len(m.poses)
 	weights := make([]float64, n)
 	for j := 0; j < parts; j++ {
@@ -149,7 +150,7 @@ func main() {
 
 	aux := func(r *stats.Rand, init model, recent []frame) model {
 		if len(recent) == 0 {
-			return cloneModel(init)
+			return init // already a private copy
 		}
 		// Re-detect: seed particles on the oldest recent observation,
 		// then refine through the window.

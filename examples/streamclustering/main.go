@@ -107,8 +107,9 @@ func genStream() []batch {
 func main() {
 	inputs := genStream()
 
+	// The solution handed to compute belongs to the call: it is updated in
+	// place, and the runtime copies (cloneSolution) where it needs a copy.
 	compute := func(r *stats.Rand, b batch, s solution) (int, solution) {
-		s = cloneSolution(s)
 		for _, p := range b.Points {
 			addPoint(r, &s, p)
 		}
@@ -129,8 +130,8 @@ func main() {
 		s.Cost = 0.99*s.Cost + 1e-6*est
 		return len(s.Centers), s
 	}
-	aux := func(r *stats.Rand, init solution, recent []batch) solution {
-		s := cloneSolution(init)
+	// The initial solution handed to aux is already a private copy.
+	aux := func(r *stats.Rand, s solution, recent []batch) solution {
 		for _, b := range recent {
 			for _, p := range b.Points {
 				addPoint(r, &s, p)

@@ -310,6 +310,47 @@ func BenchmarkEngineOneLane(b *testing.B) {
 		func() walkState { return walkState{} }, true))
 }
 
+// ringFold is the near-free update of the in-place benchmarks on the
+// reference-typed box of ownership_test.go, its slice a fixed 64-word ring: a
+// Clone costs two allocations and 0.5 KB, an update none.
+func ringFold(in int, b *box) int {
+	b.seen[in%len(b.seen)] += in
+	b.v += float64(in)
+	return in
+}
+
+// inPlaceRun is gatedRun, warm, over the ring with acceptance by construction
+// — the shape of the benchmark's fine programs — with a compute that updates
+// the state it is handed, or (functional) clones it first as they used to.
+func inPlaceRun(p *pool.Pool, n int, functional bool) func() {
+	compute := func(_ *rng.Source, in int, b *box) (int, *box) {
+		if functional {
+			b = cloneBox(b)
+		}
+		return ringFold(in, b), b
+	}
+	aux := func(_ *rng.Source, init *box, recent []int) *box {
+		for _, in := range recent {
+			ringFold(in, init)
+		}
+		return init
+	}
+	return gatedRun(p, n, ProtocolAux, 0,
+		func() *Dependence[int, *box, int] { return New(compute, aux, StateOps[*box]{Clone: cloneBox}) },
+		func() *box { return &box{seen: make([]int, 64)} }, true)
+}
+
+// BenchmarkEngineInPlace prices the state copies of a run of 128 groups of 8
+// over a reference-typed state: the engine's one per group, and with the
+// functional compute one more per input. TestHotPathAllocCeilings holds the
+// in-place body to the former.
+func BenchmarkEngineInPlace(b *testing.B) {
+	p := pool.New(4)
+	defer p.Close()
+	b.Run("in-place", func(b *testing.B) { benchLoop(b, inPlaceRun(p, 1024, false)) })
+	b.Run("functional", func(b *testing.B) { benchLoop(b, inPlaceRun(p, 1024, true)) })
+}
+
 // acceptProbe returns one acceptance attempt of a speculative state of
 // value v against eight originals 0..7 on the hash-first path: v=7 hits
 // the fingerprint prefilter and falls through to the deep MatchAny scan,

@@ -41,15 +41,20 @@ import (
 
 // Compute is the target of a state dependence (computeOutput in Figure 8):
 // given an input and the current state, it produces an output and the next
-// state. It must not retain s. The rng.Source carries the invocation's
+// state. The state it is handed belongs to the call: it may update s in place
+// and return it, as the paper's programs do, and must not retain it; the state
+// it returns belongs to the engine. The rng.Source carries the invocation's
 // nondeterminism; re-executions receive fresh sources, which is what gives
 // the runtime multiple original states to match against.
 type Compute[I, S, O any] func(r *rng.Source, in I, s S) (O, S)
 
 // Aux is auxiliary code for a state dependence: an alternative producer that
 // builds a speculative state from the initial state and the window of inputs
-// immediately preceding the block it feeds. A nil Aux means the dependence
-// has no auxiliary code and must be satisfied conventionally.
+// immediately preceding the block it feeds. init is a private copy — build on
+// it, or ignore it — and the returned state becomes the engine's, which may
+// run the group on it in place: do not return or retain a state anything else
+// can reach. A nil Aux means the dependence has no auxiliary code and must be
+// satisfied conventionally.
 type Aux[I, S any] func(r *rng.Source, init S, recent []I) S
 
 // StateOps supplies the developer-provided state methods of the SDI
@@ -57,10 +62,14 @@ type Aux[I, S any] func(r *rng.Source, init S, recent []I) S
 // MatchAny to doesSpecStateMatchAny (speculative-state acceptance against a
 // set of original states).
 //
-// Clone must be safe to call concurrently on the same source and must not
-// write it: under both protocols the lanes clone the run's initial state at
-// once (each aux group for its auxiliary code, each reservation winner for
-// its private workspace).
+// The engine alone copies states, at the hand-offs where a second reader
+// exists (DESIGN.md, "Who copies a state, and when"), and every copy is a
+// Clone. Clone must be deep enough that updating the copy in place never
+// writes the source: computes update the state they are handed, so a shallow
+// Clone is a cross-lane data race, not a slow path. It must be safe to call
+// concurrently on the same source and must not write it: under both protocols
+// the lanes clone the run's initial state at once (each aux group for its
+// auxiliary code, each reservation winner for its private workspace).
 //
 // MatchAny must not retain the originals slice: the engine recycles its
 // backing storage across boundaries and runs.
@@ -357,7 +366,7 @@ func New[I, S, O any](compute Compute[I, S, O], aux Aux[I, S], ops StateOps[S]) 
 
 // Run processes inputs starting from initial, returning the outputs in input
 // order, the final state, and run statistics. The initial state is not
-// mutated (it is cloned before first use).
+// mutated (every lane that starts from it starts from a Clone).
 //
 // Fault isolation: a panic in user code on a speculative lane (a group
 // execution, auxiliary-state production, or a boundary's match/redo) is
@@ -502,9 +511,11 @@ const (
 type groupRun[I, S, O any] struct {
 	idx        int // group index, used as the trace lane hint
 	start, end int // input index range [start, end)
-	// specStart is the state the group started from (spec or S0), auxRan
-	// whether its auxiliary code was called to produce it, and calls how
-	// many computes its execution made: written by the group's lane before
+	// specStart is the state the group starts from (spec or a clone of S0)
+	// — which it updates in place unless a boundary will compare it, so only
+	// a validated group's is read back — auxRan whether its auxiliary code
+	// was called to produce it, and calls how many computes its execution
+	// made: written by the group's lane before
 	// it sets finished (group 0's specStart by launch), read by the resolver
 	// after it sees finished and by the coordinator once every lane is done.
 	specStart S
@@ -513,8 +524,10 @@ type groupRun[I, S, O any] struct {
 
 	// First (original) execution results.
 	base execution[S, O]
-	// checkpoint is the state before the last W inputs of the group,
-	// from which re-executions restart; checkpointAt is its input index.
+	// checkpoint is a clone of the state before the last W inputs of the
+	// group, from which re-executions restart, kept only where one can
+	// (runScratch.validated, a redo budget, a boundary after the group);
+	// checkpointAt is its input index.
 	checkpoint   S
 	checkpointAt int
 
@@ -577,7 +590,11 @@ type runScratch[I, S, O any] struct {
 	emit    Emit[O]
 
 	window, rollback, redoMax int
-	hashFirst                 bool // validate fingerprints before the deep MatchAny
+	// validated: the dependence has a MatchAny, so a boundary reads the
+	// speculative start state — and may redo — after the group has run.
+	// Without one, acceptance is by construction and nothing is read back.
+	validated bool
+	hashFirst bool // validate fingerprints before the deep MatchAny
 
 	groups []*groupRun[I, S, O]
 	task   pool.Task
@@ -644,7 +661,8 @@ func (scr *runScratch[I, S, O]) begin(inputs []I, initial S, g int, opts *Option
 	scr.runFrame.begin(len(inputs), g, 1, opts, st)
 	scr.inputs, scr.initial, scr.emit = inputs, initial, emit
 	scr.window, scr.rollback, scr.redoMax = max(opts.Window, 0), opts.Rollback, max(opts.RedoMax, 0)
-	scr.hashFirst = scr.d.ops.MatchAny != nil && scr.d.ops.Fingerprint != nil
+	scr.validated = scr.d.ops.MatchAny != nil
+	scr.hashFirst = scr.validated && scr.d.ops.Fingerprint != nil
 	scr.abortAt, scr.emitted = -1, 0
 	scr.ticket.Store(0)
 	scr.next.Store(0)
@@ -752,9 +770,9 @@ func (scr *runScratch[I, S, O]) splitStreams(root *rng.Source) {
 // of them: it submits one lane task per further lane that has a group to
 // claim and a pool worker to run on, runs the same loop inline, and returns
 // once every lane is done. A one-lane run submits nothing, wakes nothing and
-// waits for nothing. Group 0 starts from the initial state, cloned here,
-// uncontained, before wg is armed: nothing between begin and launch can
-// strand an armed wg into the next run. Under a controller the caller is out
+// waits for nothing. Group 0 runs in place on its clone of the initial state,
+// made here, uncontained, before wg is armed: nothing between begin and launch
+// can strand an armed wg into the next run. Under a controller the caller is out
 // of the schedule from the fan-out to the last lane's end — one Block, one
 // resume — and the groups it runs yield on their own lanes, like any lane's.
 // The deferred wait covers a panic of the caller's lane — an emit between its
@@ -886,15 +904,16 @@ func (scr *runScratch[I, S, O]) ready() bool {
 // inputs before the group), from the pre-split specSrc, so the state is the
 // same whichever lane runs it, no group waits for another group's aux, and
 // the aux work of W lanes overlaps. The lane yields before it inspects the
-// abort flag: a group squashed before its task started skips its aux (it
-// starts from the initial state, and its results are never read).
+// abort flag: a group squashed before its task started skips its aux and
+// executes nothing. The aux is handed its own clone of the initial state (it
+// may build on it; the engine cannot know that it will not) and what it
+// returns is the group's to run on.
 func (scr *runScratch[I, S, O]) produceAux(gr *groupRun[I, S, O]) {
 	if gr.idx == 0 {
 		return
 	}
 	scr.yield(sched.PointAux, scr.lane+1+gr.idx)
 	if gr.aborted.Load() {
-		gr.specStart = scr.initial
 		return
 	}
 	recent := scr.inputs[max(gr.start-scr.window, 0):gr.start]
@@ -914,8 +933,12 @@ func (scr *runScratch[I, S, O]) produceAux(gr *groupRun[I, S, O]) {
 }
 
 // executeGroup runs one group's inputs sequentially from its start state,
-// recording the checkpoint needed for re-executions. If the group is
-// aborted mid-flight it bails out early; its results are then never read.
+// recording the checkpoint needed for re-executions. The group owns its start
+// state — launch's clone, or its aux's product — and updates it in place
+// unless a boundary will read it afterwards (a validated group after the
+// first), when it runs on a clone; it clones a checkpoint only where a redo
+// can restart from one. If the group is aborted mid-flight it bails out
+// early; its results are then never read.
 // A positive timeout bounds the group's wall-clock execution (group 0 is
 // exempt: its outputs commit unconditionally, so squashing it gains
 // nothing). Group start/finish events go to the observer (nil-checked) so
@@ -926,6 +949,8 @@ func (scr *runScratch[I, S, O]) executeGroup(gr *groupRun[I, S, O]) {
 	d, lane := scr.d, scr.lane+1+gr.idx
 	checkpointAt := gr.end - min(max(scr.rollback, 1), gr.end-gr.start)
 	deadlined := scr.timeout > 0 && gr.idx > 0
+	compared := scr.validated && gr.idx > 0
+	redoable := scr.validated && scr.redoMax > 0 && gr.idx < scr.numGroups-1
 	started, returned := gr.clock, -1
 	defer func() {
 		// One clock read, panic included, closes execNS and stamps the
@@ -962,10 +987,13 @@ func (scr *runScratch[I, S, O]) executeGroup(gr *groupRun[I, S, O]) {
 		}
 		if idx == gr.start {
 			// After the first inspection: a group squashed before it
-			// started clones nothing.
-			s = d.ops.Clone(gr.specStart)
+			// started clones nothing (and has no start state).
+			s = gr.specStart
+			if compared {
+				s = d.ops.Clone(s)
+			}
 		}
-		if idx == checkpointAt {
+		if idx == checkpointAt && redoable {
 			gr.checkpoint = d.ops.Clone(s)
 		}
 		var o O
@@ -1124,7 +1152,8 @@ func (scr *runScratch[I, S, O]) accepts(spec S, specFP uint64) bool {
 }
 
 // redoGroup re-executes the suffix of a group after its checkpoint with
-// fresh randomness, returning the suffix execution. The outputs reuse the
+// fresh randomness, on a clone (the next redo restarts from the same
+// checkpoint), returning the suffix execution. The outputs reuse the
 // group's redo buffer: a boundary consumes each redo (accepting it into a
 // splice or discarding it) before requesting the next, so one buffer per
 // group suffices.

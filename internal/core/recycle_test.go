@@ -87,8 +87,10 @@ func TestColdRunAllocationsDoNotScaleWithGroups(t *testing.T) {
 	}
 }
 
-// TestHotPathAllocCeilings gates the bodies of BenchmarkEngineGrouping
-// and BenchmarkMatchAnyFingerprint.
+// TestHotPathAllocCeilings gates the bodies of BenchmarkEngineGrouping,
+// BenchmarkEngineInPlace/in-place — 128 groups clone a two-allocation state
+// once each, plus the initial state and what a warm run returns; it measures
+// 261 — and BenchmarkMatchAnyFingerprint.
 func TestHotPathAllocCeilings(t *testing.T) {
 	p := pool.New(4)
 	defer p.Close()
@@ -98,6 +100,7 @@ func TestHotPathAllocCeilings(t *testing.T) {
 		body    func()
 	}{
 		{"EngineGrouping", 16, auxRun(p, 1024, true)},
+		{"EngineInPlace/in-place", 2*128 + 12, inPlaceRun(p, 1024, false)},
 		{"MatchAnyFingerprint/hit", 0, acceptProbe(7)},
 		{"MatchAnyFingerprint/miss", 0, acceptProbe(99.5)},
 	} {

@@ -253,6 +253,9 @@ func cloneState(s State) State {
 // updateModel is computeOutput's core (updateModel in Figures 7/8): one
 // annealed particle-filter step against a frame.
 func updateModel(r *rng.Source, p params, st State, f Frame) State {
+	// A 25 KB copy against a 0.8 ms invocation (0.3 %): updating in place
+	// would buy nothing measurable, so this step stays functional while the
+	// microsecond programs update the state they are handed.
 	st = cloneState(st)
 	// The particle count is a tradeoff; re-sample the set to the target
 	// size if a (cheaper) auxiliary configuration narrows it.
@@ -349,7 +352,9 @@ func computeOutput(p params) core.Compute[Frame, State, Output] {
 // blocking the analysis of i ... consume (only) a few previous quadruples",
 // §2.2). Where a human is at quadruple i is nearly independent of where
 // they were many quadruples ago, so a re-detection over the last k frames
-// reproduces the original producer's state.
+// reproduces the original producer's state. It reads init only when the
+// window is empty; the engine hands it a copy regardless — it cannot know
+// which.
 func auxCode(aux params) core.Aux[Frame, State] {
 	return func(r *rng.Source, init State, recent []Frame) State {
 		if len(recent) == 0 {

@@ -4,7 +4,9 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/rng"
 	"repro/internal/workload"
+	"repro/internal/workload/workloadtest"
 )
 
 func TestInputsFixedAcrossRuns(t *testing.T) {
@@ -233,5 +235,16 @@ func TestEncodedTradeoffsLimit(t *testing.T) {
 	}
 	if p.particles != 128 {
 		t.Fatalf("third tradeoff should be default: particles %d", p.particles)
+	}
+}
+
+// TestCloneIsolatesCompute: a compute on a Clone leaves the source bitwise
+// unchanged, and the auxiliary code returns a state nothing else can reach
+// (workloadtest.Isolation) — what the engine's copies rely on.
+func TestCloneIsolatesCompute(t *testing.T) {
+	w := New()
+	p := w.resolve(workload.SpecOptions{}, true)
+	if err := workloadtest.Isolation(computeOutput(p), auxCode(w.resolve(workload.SpecOptions{}, false)), cloneState, initialState(p, rng.New(1)), GenFrames(16, false)); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -200,9 +200,9 @@ func score(p params, hyp particle, f Frame) float64 {
 }
 
 // step is one particle-filter update: noiseRounds perturbation/weight/
-// resample rounds against the frame.
+// resample rounds against the frame. It perturbs the particles it is handed in
+// place (core.Compute: the state belongs to the call).
 func step(r *rng.Source, p params, st State, f Frame) State {
-	st = cloneState(st)
 	if len(st.particles) != p.particles {
 		st = resize(st, p.particles, r)
 	}
@@ -271,7 +271,9 @@ func computeOutput(p params) core.Compute[Frame, State, quality.FaceBox] {
 }
 
 // auxCode re-detects the face from the recent frames at the auxiliary
-// tradeoffs, seeding particles on the oldest recent detection.
+// tradeoffs, seeding particles on the oldest recent detection. It reads init
+// only when the window is empty; the engine hands it a copy regardless — it
+// cannot know which.
 func auxCode(aux params) core.Aux[Frame, State] {
 	return func(r *rng.Source, init State, recent []Frame) State {
 		if len(recent) == 0 {

@@ -3,7 +3,9 @@ package facedet
 import (
 	"testing"
 
+	"repro/internal/rng"
 	"repro/internal/workload"
+	"repro/internal/workload/workloadtest"
 )
 
 func TestInputsFixed(t *testing.T) {
@@ -125,5 +127,16 @@ func TestCostModelVectorizedOriginal(t *testing.T) {
 	}
 	if m.RedoGain <= 0.5 {
 		t.Fatalf("redo acceptance too low at window 2: %v", m.RedoGain)
+	}
+}
+
+// TestCloneIsolatesCompute: a compute on a Clone leaves the source bitwise
+// unchanged, and the auxiliary code returns a state nothing else can reach
+// (workloadtest.Isolation) — what the engine's copies rely on.
+func TestCloneIsolatesCompute(t *testing.T) {
+	w := New()
+	p := w.resolve(workload.SpecOptions{}, true)
+	if err := workloadtest.Isolation(computeOutput(p), auxCode(w.resolve(workload.SpecOptions{}, false)), cloneState, initialState(p, rng.New(1)), GenFrames(16, false)); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -259,6 +259,9 @@ func simulateStep(r *rng.Source, p params, s State, in Step, jitterScale float64
 			X: p.force.Quantize(f.X), Y: p.force.Quantize(f.Y), Z: p.force.Quantize(f.Z),
 		}
 	}
+	// The integration reads the old positions and velocities while it writes
+	// the new ones: the second buffer is the algorithm, not a privatization,
+	// so this step stays functional while the other programs update in place.
 	next := cloneState(s)
 	for i := 0; i < n; i++ {
 		v := s.Vel[i].Add(forces[i].Scale(dt))
@@ -296,10 +299,10 @@ func computeOutput(p params) core.Compute[Step, State, mathx.Vec3] {
 // auxCode is the doomed alternative producer: replay only the window's
 // recent steps from the initial state. Because the fluid's condition
 // depends on *all* previous steps, the speculative state it produces never
-// matches an original state — exactly the paper's negative result.
+// matches an original state — exactly the paper's negative result. It starts
+// from the private copy of the initial state the engine hands it.
 func auxCode(p params) core.Aux[Step, State] {
-	return func(r *rng.Source, init State, recent []Step) State {
-		s := cloneState(init)
+	return func(r *rng.Source, s State, recent []Step) State {
 		for _, in := range recent {
 			s = simulateStep(r, p, s, in, 1)
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/workload"
+	"repro/internal/workload/workloadtest"
 )
 
 func TestInputsFixed(t *testing.T) {
@@ -143,5 +144,15 @@ func TestCostModelNeverMatches(t *testing.T) {
 	}
 	if m.InvocationWork != 1 {
 		t.Fatalf("default work: %v", m.InvocationWork)
+	}
+}
+
+// TestCloneIsolatesCompute: a compute on a Clone leaves the source bitwise
+// unchanged, and the auxiliary code returns a state nothing else can reach
+// (workloadtest.Isolation) — what the engine's copies rely on.
+func TestCloneIsolatesCompute(t *testing.T) {
+	p := New().resolve(workload.SpecOptions{}, true)
+	if err := workloadtest.Isolation(computeOutput(p), auxCode(p), cloneState, initialState(), GenSteps(16, false)); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -170,10 +170,10 @@ func learn(r *rng.Source, m *Model, p params, pt streamdata.Point) {
 }
 
 // computeOutput predicts each batch point then learns from it
-// (prequential evaluation), returning the predictions.
+// (prequential evaluation), returning the predictions. It updates the model
+// it is handed in place (core.Compute: the state belongs to the call).
 func computeOutput(p params) core.Compute[Batch, Model, Output] {
 	return func(r *rng.Source, b Batch, m Model) (Output, Model) {
-		m = cloneModel(m)
 		out := Output{Offset: b.Offset, Pred: make([]int, len(b.Points))}
 		for i, pt := range b.Points {
 			out.Pred[i] = classify(&m, p, pt)
@@ -183,10 +183,10 @@ func computeOutput(p params) core.Compute[Batch, Model, Output] {
 	}
 }
 
-// auxCode trains a speculative model from the window's labeled points.
+// auxCode trains a speculative model from the window's labeled points, on the
+// private copy of the initial model the engine hands it.
 func auxCode(p params) core.Aux[Batch, Model] {
-	return func(r *rng.Source, init Model, recent []Batch) Model {
-		m := cloneModel(init)
+	return func(r *rng.Source, m Model, recent []Batch) Model {
 		for _, b := range recent {
 			for _, pt := range b.Points {
 				learn(r, &m, p, pt)

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/quality"
 	"repro/internal/workload"
+	"repro/internal/workload/workloadtest"
 )
 
 func TestClassifierLearns(t *testing.T) {
@@ -115,5 +116,15 @@ func TestCostModelDefaultsNormalized(t *testing.T) {
 	m := New().CostModel(32, workload.SpecOptions{Window: 2})
 	if m.InvocationWork != 1 {
 		t.Fatalf("default invocation work: %v", m.InvocationWork)
+	}
+}
+
+// TestCloneIsolatesCompute: a compute on a Clone leaves the source bitwise
+// unchanged, and the auxiliary code returns a state nothing else can reach
+// (workloadtest.Isolation) — what the engine's copies rely on.
+func TestCloneIsolatesCompute(t *testing.T) {
+	p := New().resolve(workload.SpecOptions{}, true)
+	if err := workloadtest.Isolation(computeOutput(p), auxCode(p), cloneModel, Model{}, batches(16, false)); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -173,11 +173,11 @@ func mergeClosest(sol *Solution) {
 	sol.Centers = append(sol.Centers[:bj], sol.Centers[bj+1:]...)
 }
 
-// computeOutput consumes one batch, updating the solution; the output is
-// the number of open centers (a progress indicator).
+// computeOutput consumes one batch, updating the solution it is handed in
+// place (core.Compute: the state belongs to the call); the output is the
+// number of open centers (a progress indicator).
 func computeOutput(p params) core.Compute[Batch, Solution, int] {
 	return func(r *rng.Source, b Batch, sol Solution) (int, Solution) {
-		sol = cloneSolution(sol)
 		for _, pt := range b.Points {
 			addPoint(r, p, &sol, pt)
 		}
@@ -188,9 +188,9 @@ func computeOutput(p params) core.Compute[Batch, Solution, int] {
 // auxCode builds a speculative solution by clustering only the window's
 // recent points at the auxiliary tradeoffs. The stream is stationary, so
 // the window's solution is statistically interchangeable with the prefix's.
+// It builds on the private copy of the initial solution the engine hands it.
 func auxCode(p params) core.Aux[Batch, Solution] {
-	return func(r *rng.Source, init Solution, recent []Batch) Solution {
-		sol := cloneSolution(init)
+	return func(r *rng.Source, sol Solution, recent []Batch) Solution {
 		sol.FacilityCost = 1
 		for _, b := range recent {
 			for _, pt := range b.Points {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/quality"
 	"repro/internal/workload"
 	"repro/internal/workload/streamdata"
+	"repro/internal/workload/workloadtest"
 )
 
 func TestClusteringFindsStructure(t *testing.T) {
@@ -138,5 +139,15 @@ func TestCostModelDefaultsNormalized(t *testing.T) {
 	}
 	if m.MatchProb != 1 {
 		t.Fatal("by-construction match prob")
+	}
+}
+
+// TestCloneIsolatesCompute: a compute on a Clone leaves the source bitwise
+// unchanged, and the auxiliary code returns a state nothing else can reach
+// (workloadtest.Isolation) — what the engine's copies rely on.
+func TestCloneIsolatesCompute(t *testing.T) {
+	p := New().resolve(workload.SpecOptions{}, true)
+	if err := workloadtest.Isolation(computeOutput(p), auxCode(p), cloneSolution, Solution{FacilityCost: 1}, batches(16, false)); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -212,7 +212,8 @@ func simulateTrial(r *rng.Source, s Swaption, p params) float64 {
 }
 
 // computeOutput is the state-dependence target: consume one block of
-// trials, update the running estimate, emit the current price.
+// trials, update the running estimate, emit the current price. The state is
+// a value: handing it over is the copy, so there is nothing to update in place.
 func computeOutput(s Swaption, p params) core.Compute[Block, PriceState, float64] {
 	return func(r *rng.Source, _ Block, st PriceState) (float64, PriceState) {
 		for t := 0; t < trialsPerBlock; t++ {

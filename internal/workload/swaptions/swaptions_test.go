@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/rng"
 	"repro/internal/workload"
+	"repro/internal/workload/workloadtest"
 )
 
 func rngFor(seed uint64) *rng.Source { return rng.New(seed) }
@@ -176,5 +177,15 @@ func TestPriceStateMean(t *testing.T) {
 	}
 	if (PriceState{Sum: 10, Count: 4}).Mean() != 2.5 {
 		t.Fatal("mean")
+	}
+}
+
+// TestCloneIsolatesCompute: a compute on a Clone leaves the source bitwise
+// unchanged, and the auxiliary code returns a state nothing else can reach
+// (workloadtest.Isolation) — what the engine's copies rely on.
+func TestCloneIsolatesCompute(t *testing.T) {
+	s, p := portfolio(1, false)[0], New().resolve(workload.SpecOptions{}, true)
+	if err := workloadtest.Isolation(computeOutput(s, p), auxCode(s, p), stateOps().Clone, PriceState{}, blocks(16)); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -21,7 +21,11 @@
 # internal/core hands work to the pool at one site, runFrame.fanOut, which is
 # where the ErrClosed inline fallback lives and what callers bracket for the
 # controller; fail on a SubmitBatch( or .Submit( anywhere else in its non-test
-# code. Run via `make vet`.
+# code. The copy-site guard: the engine alone copies states, at the hand-offs
+# where a second reader exists (DESIGN.md, "Who copies a state, and when"), so
+# fail on an ops.Clone( in internal/core's non-test code outside the functions
+# that table names — the next copy has to be argued for there. Run via
+# `make vet`.
 set -eu
 
 emits=$(grep -rn 'Tracer\.Emit(' internal/core internal/pool --include='*.go' |
@@ -75,5 +79,14 @@ submits=$(awk 'FNR==1{fn=""} /^func /{fn=$0} /SubmitBatch\(|\.Submit\(/ && $0 !~
 if [ -n "$submits" ]; then
     echo "fact-guard: internal/core submits to the pool through runFrame.fanOut only:" >&2
     printf '%s\n' "$submits" >&2
+    exit 1
+fi
+
+clones=$(awk 'FNR==1{fn=""} /^func /{fn=$0} /ops\.Clone\(/ && $0 !~ /^[[:space:]]*\/\// &&
+    fn !~ /^func \((d \*Dependence|scr \*runScratch|r \*resvRun)\[[^]]*\]\) (runAll|launch|produceAux|executeGroup|redoGroup|commit|runReservations|snapshot|computeOne|runStreak|seqOne)\(/{print FILENAME":"FNR": "$0}' \
+    $(ls internal/core/*.go | grep -v '_test\.go$'))
+if [ -n "$clones" ]; then
+    echo "fact-guard: internal/core copies a state only at the hand-offs DESIGN.md's copy table names:" >&2
+    printf '%s\n' "$clones" >&2
     exit 1
 fi

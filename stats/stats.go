@@ -37,16 +37,25 @@ import (
 // validate against.
 type Rand = rng.Source
 
-// ComputeFunc is the state-dependence target (computeOutput in Figure 8).
+// ComputeFunc is the state-dependence target (computeOutput in Figure 8). The
+// state it is handed belongs to the call: it may update it in place and return
+// it, and must not retain it; the state it returns belongs to the runtime.
 type ComputeFunc[I, S, O any] func(r *Rand, input I, state S) (O, S)
 
 // AuxFunc is auxiliary code: an alternative producer of the state from the
-// initial state and a window of recent inputs.
+// initial state and a window of recent inputs. initial is a private copy —
+// build on it, or ignore it — and the returned state becomes the runtime's,
+// which may run the group on it in place: do not return or retain a state
+// anything else can reach.
 type AuxFunc[I, S any] func(r *Rand, initial S, recent []I) S
 
-// CloneFunc is the state privatization method (operator= in Figure 9). It
-// must not write its argument and must be safe to call concurrently on the
-// same state: the engine's lanes clone the run's initial state at once.
+// CloneFunc is the state privatization method (operator= in Figure 9), the
+// runtime's one way to copy a state; user code never needs to. It must be deep
+// enough that updating the copy in place never writes the source — compute
+// functions update the state they are handed, so a shallow clone is a
+// cross-lane data race, not a slow path. It must not write its argument and
+// must be safe to call concurrently on the same state: the engine's lanes
+// clone the run's initial state at once.
 type CloneFunc[S any] func(S) S
 
 // MatchFunc is doesSpecStateMatchAny: whether a speculative state is
