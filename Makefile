@@ -107,15 +107,16 @@ chaos:
 	$(GO) run ./cmd/statsexp -exp chaos -quick -seed 51966
 
 # Systematic schedule exploration: every engine run's nondeterministic
-# decision points (group dispatch, validate/squash races, steal choices)
-# are driven by seeded controllers — alternating a random walk and PCT —
-# and checked against the schedule-invariance/§3.1 output contracts;
-# recorded traces are sampled for replay fidelity and any failure is
-# delta-debugged to a minimal trace in testdata/schedules/. The quick
-# variant is pinned and bounded for the local gate; explore-long sweeps
-# the full schedule budget.
+# decision points (group dispatch, validate/squash races, reservation
+# rounds) are driven by seeded controllers — alternating a random walk and
+# PCT — and checked against the schedule-invariance/§3.1 output contracts;
+# a sampled trace that does not replay exactly or a run that stalls fails
+# the target, and any contract failure is delta-debugged to a minimal trace
+# in testdata/schedules/. The quick variant is pinned and bounded for the
+# local gate (~2 s at the harness's 25 schedules per row); explore-long
+# doubles the schedule budget at full size.
 explore:
-	$(GO) run ./cmd/statsexp -exp explore -quick -seed 51966 -schedules 6
+	$(GO) run ./cmd/statsexp -exp explore -quick -seed 51966 -schedules 25
 
 explore-long:
 	$(GO) run ./cmd/statsexp -exp explore -schedules 50

@@ -143,7 +143,11 @@ func TestDocsCarryMetricCatalogue(t *testing.T) {
 // exactly the directories under cmd/, and every back-quoted internal/ path
 // and .go file name in README.md and DESIGN.md exists — a path as that
 // directory or file (a trailing .Symbol, * or … aside), a bare file name
-// somewhere in the tree. Exported symbols are not checked.
+// somewhere in the tree. A back-quoted pkg.Symbol or pkg.Type.Member whose
+// pkg is a package directory under internal/ (or stats) must resolve there:
+// Symbol to a top-level declaration (a test the prose cites included) or to
+// a method or field of some type, Member to a method or field of Type — so
+// a deleted API cannot stay behind in the prose.
 func TestDocsNameRealTargetsAndCommands(t *testing.T) {
 	read := func(path string) string {
 		b, err := os.ReadFile(path)
@@ -165,7 +169,8 @@ func TestDocsNameRealTargetsAndCommands(t *testing.T) {
 		}
 	}
 
-	goFiles := map[string]bool{} // base names of the tree's .go files
+	goFiles := map[string]bool{}                   // base names of the tree's .go files
+	pkgDirs := map[string]string{"stats": "stats"} // package name -> its directory
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -175,6 +180,9 @@ func TestDocsNameRealTargetsAndCommands(t *testing.T) {
 		}
 		if strings.HasSuffix(path, ".go") {
 			goFiles[d.Name()] = true
+			if dir := filepath.Dir(path); strings.HasPrefix(dir, "internal/") {
+				pkgDirs[filepath.Base(dir)] = dir
+			}
 		}
 		return nil
 	})
@@ -188,8 +196,28 @@ func TestDocsNameRealTargetsAndCommands(t *testing.T) {
 	quoted := regexp.MustCompile("`[^`\n]+`")
 	internalPath := regexp.MustCompile(`\binternal/[\w/.-]+`)
 	goFile := regexp.MustCompile(`[\w/.-]*\w\.go\b`)
+	symbol := regexp.MustCompile(`(?:^|[^\w./])([a-z]\w*)\.([A-Z]\w*)(?:\.([A-Z]\w*))?`)
+	declared := map[string]map[string]map[string]bool{} // directory -> what packageDecls found there
 	for _, doc := range []string{"README.md", "DESIGN.md"} {
 		for _, span := range quoted.FindAllString(read(doc), -1) {
+			for _, m := range symbol.FindAllStringSubmatch(span, -1) {
+				dir, ok := pkgDirs[m[1]]
+				if !ok {
+					continue
+				}
+				if declared[dir] == nil {
+					declared[dir] = packageDecls(t, dir)
+				}
+				members, ok := declared[dir][m[2]]
+				if m[3] == "" {
+					ok = ok || declared[dir][""][m[2]]
+				} else {
+					ok = members[m[3]]
+				}
+				if !ok {
+					t.Errorf("%s names %s in %s, which %s does not declare", doc, strings.TrimLeft(m[0], "` ("), span, dir)
+				}
+			}
 			for _, p := range internalPath.FindAllString(span, -1) {
 				p = strings.TrimRight(p, "./-")
 				// internal/core.Options names a symbol of the package.
@@ -229,6 +257,77 @@ func TestDocsNameRealTargetsAndCommands(t *testing.T) {
 			t.Errorf("cmd/%s is missing from README's layout block", d.Name())
 		}
 	}
+}
+
+// packageDecls parses the Go files of dir (its tests too: the prose cites
+// them) and returns its top-level names, each with the methods and fields
+// (interface methods included) that a Type.Member in the docs may name;
+// the entry "" holds every member of every type, for a bare pkg.Method.
+func packageDecls(t *testing.T, dir string) map[string]map[string]bool {
+	t.Helper()
+	pkgs, err := parser.ParseDir(token.NewFileSet(), dir, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decls := map[string]map[string]bool{"": {}}
+	add := func(name, member string) {
+		if decls[name] == nil {
+			decls[name] = map[string]bool{}
+		}
+		if member != "" {
+			decls[name][member] = true
+			decls[""][member] = true
+		}
+	}
+	fields := func(name string, list *ast.FieldList) {
+		for _, f := range list.List {
+			for _, n := range f.Names {
+				add(name, n.Name)
+			}
+		}
+	}
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				switch dd := decl.(type) {
+				case *ast.FuncDecl:
+					if dd.Recv == nil {
+						add(dd.Name.Name, "")
+						continue
+					}
+					recv := dd.Recv.List[0].Type // T, *T, *T[P] or *T[P, Q]
+					if star, ok := recv.(*ast.StarExpr); ok {
+						recv = star.X
+					}
+					switch generic := recv.(type) {
+					case *ast.IndexExpr:
+						recv = generic.X
+					case *ast.IndexListExpr:
+						recv = generic.X
+					}
+					add(recv.(*ast.Ident).Name, dd.Name.Name)
+				case *ast.GenDecl:
+					for _, spec := range dd.Specs {
+						switch sp := spec.(type) {
+						case *ast.TypeSpec:
+							add(sp.Name.Name, "")
+							switch tt := sp.Type.(type) {
+							case *ast.StructType:
+								fields(sp.Name.Name, tt.Fields)
+							case *ast.InterfaceType:
+								fields(sp.Name.Name, tt.Methods)
+							}
+						case *ast.ValueSpec:
+							for _, n := range sp.Names {
+								add(n.Name, "")
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return decls
 }
 
 func pos(fset *token.FileSet, p token.Pos, what string) string {

@@ -157,7 +157,9 @@ type Options struct {
 	// discipline). Under a controller a positive GroupTimeout stops
 	// consulting the real clock (parked time would count) and instead
 	// asks the controller each step whether the deadline expired
-	// (sched.PointTimeoutCheck), making timeout races schedulable.
+	// (sched.PointTimeoutCheck), making timeout races schedulable. The
+	// worker pool takes no part in the schedule: which worker runs a
+	// lane's task decides nothing the run can observe.
 	Sched sched.Controller
 	// SchedLane is the run's base lane in the controller's namespace:
 	// the coordinator yields on SchedLane (breaker and fallback points
@@ -167,8 +169,7 @@ type Options struct {
 	// SchedLane+1+j — the group's own points and, while it holds the
 	// resolver role after finishing the group, validate, redo and squash.
 	// Concurrent runs sharing one controller must use disjoint bases
-	// (pool workers use negative lanes, so any non-negative spacing of
-	// 1+maxGroups works).
+	// (any spacing of 1+maxGroups works).
 	SchedLane int
 	// FootprintCheck enables the dynamic footprint oracle under
 	// ProtocolReservations: when the dependence's ReserveOps provides a

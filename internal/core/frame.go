@@ -72,18 +72,17 @@ func (f *runFrame) bounds(j int) (start, end int) {
 }
 
 // lease takes the run's worker pool: Options.Pool when shared, else a
-// private one — width wide (the run's lanes less the caller's), worker PRNGs
-// seeded from Options.Seed, the run's controller attached so pool-level
-// decisions are explorable too, and reporting its scheduler events to this
-// run's observer (a shared pool's observer and controller belong to whoever
-// built it) — and none at all for a width of 0: a one-lane aux run touches
-// no goroutine but its caller's. It also takes the baseline for the run's
-// scheduler deltas. Pair with a deferred finish.
+// private one — width wide (the run's lanes less the caller's) and reporting
+// its scheduler events to this run's observer (a shared pool's observer
+// belongs to whoever built it) — and none at all for a width of 0: a one-lane
+// aux run touches no goroutine but its caller's. The pool is no part of the
+// controlled schedule: which worker runs a task decides nothing a run can
+// observe. It also takes the baseline for the run's scheduler deltas. Pair
+// with a deferred finish.
 func (f *runFrame) lease(opts *Options, width int) {
 	f.p = opts.Pool
 	if f.p == nil && width > 0 {
-		f.p, f.private = pool.NewSeeded(width, opts.Seed), true
-		f.p.SetController(opts.Sched)
+		f.p, f.private = pool.New(width), true
 		f.p.SetObserver(f.o)
 	}
 	if f.p != nil {
@@ -93,9 +92,8 @@ func (f *runFrame) lease(opts *Options, width int) {
 
 // finish ends the lease: it fills the run's scheduler counters as deltas
 // against the baseline (zero for a run that leased no pool) and closes a
-// private pool. Close waits for the workers, and a worker may be parked at one
-// of its decision points, so the coordinator steps out of the schedule around
-// it.
+// private pool. Close waits for the workers to exit — a real wait, so the
+// coordinator steps out of the schedule around it.
 func (f *runFrame) finish() {
 	if f.p == nil {
 		return

@@ -30,24 +30,20 @@ const goldenDir = "../../testdata/schedules"
 // goldenHarness runs the fixed engine configuration for a golden under the
 // given controller and returns the run's rendering and stats. Workers=1 is
 // a one-lane run: it has no pool, every group runs on the caller's goroutine
-// (yielding on the group's own lane), and its trace holds engine points only.
-// Workers > 1 runs as the caller plus an external, uncontrolled pool's
-// workers, so the recorded decision points are again only the engine's own —
-// lanes claim groups by ticket, so which goroutine runs a group never shows
-// in the schedule. Either way crafted traces stay exactly replayable. The
+// (yielding on the group's own lane). Workers > 1 adds a private pool's
+// workers, and the schedule is the same kind of thing: lanes claim groups by
+// ticket and the pool is no participant, so which goroutine runs a group
+// never shows in it, and crafted traces replay exactly at any width. The
 // caller does not re-enter the schedule between its fan-out and its lane
 // loop: lane 0 is blocked from the fan-out to the last lane's end and is
-// admitted once, at the resume after it.
+// admitted at the resume after it (and once more, which the crafted traces
+// leave unconstrained, after closing the private pool).
 func goldenHarness(aux Aux[int, walkState], inputs []int, workers int, timeout time.Duration, o *obs.Observer) func(ctl sched.Controller) (string, Stats) {
 	return func(ctl sched.Controller) (string, Stats) {
 		opts := Options{
 			UseAux: true, GroupSize: 4, Window: len(inputs), Workers: workers,
 			RedoMax: 1, Rollback: 4, Seed: 77,
 			GroupTimeout: timeout, Sched: ctl, Obs: o,
-		}
-		if workers > 1 {
-			opts.Pool = pool.NewSeeded(workers, 7)
-			defer opts.Pool.Close()
 		}
 		d := New(deterministicCompute, aux, walkOps())
 		outs, final, st := d.Run(inputs, walkState{}, opts)
@@ -190,14 +186,15 @@ func craftLateGroupsPastSquash(rec *sched.Trace, fromLane int) *sched.Trace {
 	return out
 }
 
-// resvGoldenHarness runs the reservations protocol at Workers=2 over an
-// external, uncontrolled pool: the recorded decision points are then only
-// the engine's own reserve/reserve-check/commit yields, whose counts are
-// schedule-independent (the coordinator decides every reservation itself, in
-// input order, so the pending sets, winners and round structure never
-// depend on admission order) — which is what makes crafted traces exactly
-// replayable at real parallelism. A nil footprint uses the built-in
-// whole-state slot (every input reserves slot 0).
+// resvGoldenHarness runs the reservations protocol at Workers=2. The
+// recorded decision points are the engine's reserve/reserve-check/commit
+// yields, whose counts are schedule-independent (the coordinator decides
+// every reservation itself, in input order, so the pending sets, winners and
+// round structure never depend on admission order) — which is what makes
+// crafted traces exactly replayable at real parallelism. The pool is the
+// test's own only so the recorded traces keep their shape: a private pool's
+// close would add one resume on the coordinator's lane. A nil footprint uses
+// the built-in whole-state slot (every input reserves slot 0).
 func resvGoldenHarness(fp func(in int) []int) func(ctl sched.Controller) (string, Stats) {
 	inputs := seqInputs(12)
 	compute := func(_ *rng.Source, in int, s []float64) (int, []float64) {
@@ -206,7 +203,7 @@ func resvGoldenHarness(fp func(in int) []int) func(ctl sched.Controller) (string
 	}
 	ops, reserve := SlotOps[int, float64](fp, nil, nil)
 	return func(ctl sched.Controller) (string, Stats) {
-		p := pool.NewSeeded(2, 7)
+		p := pool.New(2)
 		defer p.Close()
 		d := New(compute, nil, ops)
 		if fp != nil {

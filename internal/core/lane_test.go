@@ -272,3 +272,39 @@ func TestPanicFidelityOnTheCallersLane(t *testing.T) {
 		ps.check(t)
 	}
 }
+
+// TestFanOutPays pins the reservations fan-out rule on fixed readings, where
+// the end-to-end tests can only assert what holds for any measurement: until
+// three fan-outs have been measured a wave goes out and its group counts as
+// fanned by choice; after that the work a fan-out overlaps is compared with
+// the median of the last three costs, and a wave the comparison declines
+// still goes out — unmarked — when its ordinal is a power of two.
+func TestFanOutPays(t *testing.T) {
+	const w, chunks = 8, 2 // a fan-out overlaps the 4 winners beyond its largest chunk
+	for _, c := range []struct {
+		name             string
+		fanned, waves    int // before the call
+		costs            [3]int64
+		nsPerCompute     int64
+		pays, wantChoice bool
+	}{
+		{"nothing measured", 0, 0, [3]int64{}, 1, true, true},
+		{"two measured", 2, 2, [3]int64{9e6, 9e6, 0}, 1, true, true},
+		{"cheap computes, dear fan-outs", 3, 4, [3]int64{20_000, 2_000, 200_000}, 100, false, false},
+		{"cheap computes, power-of-two ordinal", 3, 7, [3]int64{20_000, 2_000, 200_000}, 100, true, false},
+		{"median, not minimum", 3, 4, [3]int64{20_000, 2_000, 200_000}, 1_000, false, false},
+		{"median, not mean", 3, 4, [3]int64{20_000, 2_000, 200_000}, 6_000, true, true},
+		{"dear computes", 3, 4, [3]int64{20_000, 2_000, 200_000}, 50_000, true, true},
+	} {
+		r := &resvRun[int, []float64, float64]{
+			fanned: c.fanned, waves: c.waves, fanCosts: c.costs,
+			invocations: 10, laneNS: 10 * c.nsPerCompute,
+		}
+		if got := r.fanOutPays(w, chunks); got != c.pays || r.byChoice != c.wantChoice {
+			t.Errorf("%s: fanOutPays = %v (byChoice %v), want %v (%v)", c.name, got, r.byChoice, c.pays, c.wantChoice)
+		}
+		if r.waves != c.waves+1 {
+			t.Errorf("%s: the ruling was not counted: waves %d -> %d", c.name, c.waves, r.waves)
+		}
+	}
+}

@@ -6,13 +6,14 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/rng"
 	"repro/internal/sched"
 )
 
 // The controlled-scheduler integration contract: with a controller attached
 // the engine must produce the same observable results as without one (the
 // schedule may be adversarial, not the semantics), any recorded run must
-// replay to the identical decision sequence and output at Workers=1, and
+// replay to the identical decision sequence and output at any width, and
 // races that are invisible to wall-clock testing — timeout-vs-validate,
 // breaker half-open probes — must become schedulable and reproducible.
 
@@ -77,43 +78,68 @@ func TestControlledEquivalentToSequential(t *testing.T) {
 }
 
 func TestRecordReplayExact(t *testing.T) {
-	// Workers=1 removes pool-level decision points (a single shard has no
-	// victims), so a recorded schedule must replay with zero divergences,
+	// The worker pool is no part of the schedule, so at any width and under
+	// either protocol a recorded schedule must replay with zero divergences,
 	// the identical re-recorded decision sequence, and byte-identical
 	// output.
 	inputs := seqInputs(48)
-	for ctlSeed := uint64(0); ctlSeed < 4; ctlSeed++ {
-		rec := sched.NewRandom(ctlSeed, sched.WithRecording())
-		d := New(deterministicCompute, exactAuxFor(inputs), walkOps())
-		opts := Options{
-			UseAux: true, GroupSize: 6, Window: 12, Workers: 1,
-			Seed: 99, Sched: rec,
-		}
-		wantOuts, wantFinal, wantSt := d.Run(inputs, walkState{}, opts)
-		tr := rec.TraceCopy()
-		if len(tr.Entries) == 0 {
-			t.Fatal("controlled run recorded no admissions")
-		}
-		if rec.Stalls() != 0 {
-			t.Fatalf("recording stalled %d times", rec.Stalls())
-		}
+	slotOps, reserve := SlotOps[int, float64](func(in int) []int { return []int{in % 3} }, nil, nil)
+	slotCompute := func(_ *rng.Source, in int, s []float64) (int, []float64) {
+		s[in%3] += float64(in)
+		return in * 2, s
+	}
+	protocols := []struct {
+		name string
+		run  func(opts Options) (string, Stats)
+	}{
+		{"aux", func(opts Options) (string, Stats) {
+			d := New(deterministicCompute, exactAuxFor(inputs), walkOps())
+			outs, final, st := d.Run(inputs, walkState{}, opts)
+			return renderRun(outs, final), st
+		}},
+		{"reservations", func(opts Options) (string, Stats) {
+			opts.Protocol = ProtocolReservations
+			d := New(slotCompute, nil, slotOps).WithReserve(reserve)
+			outs, final, st := d.Run(inputs, make([]float64, 3), opts)
+			return fmt.Sprintf("%v|%v", outs, final), st
+		}},
+	}
+	for _, p := range protocols {
+		for _, workers := range []int{1, 2, 4} {
+			for ctlSeed := uint64(0); ctlSeed < 4; ctlSeed++ {
+				name := fmt.Sprintf("%s w=%d seed=%d", p.name, workers, ctlSeed)
+				rec := sched.NewRandom(ctlSeed, sched.WithRecording())
+				opts := Options{
+					UseAux: true, GroupSize: 6, Window: 12, Workers: workers,
+					Seed: 99, Sched: rec,
+				}
+				want, wantSt := p.run(opts)
+				tr := rec.TraceCopy()
+				if len(tr.Entries) == 0 {
+					t.Fatalf("%s: controlled run recorded no admissions", name)
+				}
+				if rec.Stalls() != 0 {
+					t.Fatalf("%s: recording stalled %d times", name, rec.Stalls())
+				}
 
-		rep := sched.NewReplay(tr, sched.WithRecording())
-		opts.Sched = rep
-		gotOuts, gotFinal, gotSt := d.Run(inputs, walkState{}, opts)
-		if renderRun(gotOuts, gotFinal) != renderRun(wantOuts, wantFinal) {
-			t.Fatalf("seed %d: replayed output diverged", ctlSeed)
-		}
-		if rep.Divergences() != 0 || rep.Remaining() != 0 {
-			t.Fatalf("seed %d: replay not exact: %d divergences, %d remaining",
-				ctlSeed, rep.Divergences(), rep.Remaining())
-		}
-		if re := rep.TraceCopy(); !re.Equal(tr) {
-			t.Fatalf("seed %d: re-recorded decision sequence differs (%d vs %d entries)",
-				ctlSeed, len(re.Entries), len(tr.Entries))
-		}
-		if subset(gotSt) != subset(wantSt) || gotSt.Invocations != wantSt.Invocations {
-			t.Fatalf("seed %d: replayed stats differ:\n got %+v\nwant %+v", ctlSeed, gotSt, wantSt)
+				rep := sched.NewReplay(tr, sched.WithRecording())
+				opts.Sched = rep
+				got, gotSt := p.run(opts)
+				if got != want {
+					t.Fatalf("%s: replayed output diverged", name)
+				}
+				if rep.Divergences() != 0 || rep.Remaining() != 0 {
+					t.Fatalf("%s: replay not exact: %d divergences, %d remaining",
+						name, rep.Divergences(), rep.Remaining())
+				}
+				if re := rep.TraceCopy(); !re.Equal(tr) {
+					t.Fatalf("%s: re-recorded decision sequence differs (%d vs %d entries)",
+						name, len(re.Entries), len(tr.Entries))
+				}
+				if subset(gotSt) != subset(wantSt) || gotSt.Invocations != wantSt.Invocations {
+					t.Fatalf("%s: replayed stats differ:\n got %+v\nwant %+v", name, gotSt, wantSt)
+				}
+			}
 		}
 	}
 }

@@ -64,11 +64,3 @@ func (m Model) Energy(res platform.Result) float64 {
 	}
 	return e
 }
-
-// AvgPower returns the mean power over the run, or 0 for an empty run.
-func (m Model) AvgPower(res platform.Result) float64 {
-	if res.Makespan == 0 {
-		return 0
-	}
-	return m.Energy(res) / res.Makespan
-}

@@ -1,7 +1,6 @@
 package energy
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/platform"
@@ -38,9 +37,6 @@ func TestEnergyIntegration(t *testing.T) {
 	if got := m.Energy(res); got != 34 {
 		t.Fatalf("energy: %v", got)
 	}
-	if got := m.AvgPower(res); math.Abs(got-34.0/3) > 1e-9 {
-		t.Fatalf("avg power: %v", got)
-	}
 }
 
 func TestIdleTailDrawsBasePower(t *testing.T) {
@@ -49,12 +45,6 @@ func TestIdleTailDrawsBasePower(t *testing.T) {
 	// 2s covered at 7W + 3s idle at 7W = 35.
 	if got := m.Energy(res); got != 35 {
 		t.Fatalf("energy with idle tail: %v", got)
-	}
-}
-
-func TestAvgPowerEmptyRun(t *testing.T) {
-	if Default().AvgPower(platform.Result{}) != 0 {
-		t.Fatal("empty run power")
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // instead of injecting faults under the OS scheduler's one arbitrary
 // interleaving, it pins every nondeterministic decision point of the
 // engine (group dispatch, aux-vs-compute ordering, validate/squash races,
-// pool steal choices) to a seeded controller and sweeps schedules. Every
+// reservation rounds) to a seeded controller and sweeps schedules. Every
 // row runs its target under N controlled schedules — alternating a seeded
 // random walk and PCT-style priority exploration — records each decision
 // trace, and checks the run's output contract:
@@ -30,8 +30,11 @@ import (
 //     panics and garbage speculative states land under every schedule.
 //
 // A sample of recorded traces is replayed through sched.Replay to verify
-// a trace pins its run; any divergence is delta-debugged down to a
-// minimal failing schedule and dumped for offline replay.
+// a trace pins its run: the replay must be exact — no divergence, no entry
+// left unconsumed — at every width and under both protocols, and a run that
+// stalled lost control of its schedule; either fails the campaign. A
+// schedule that breaks its output contract is delta-debugged down to a
+// minimal failing one and dumped for offline replay.
 
 // ExploreConfig sizes the exploration campaign.
 type ExploreConfig struct {
@@ -52,10 +55,12 @@ type ExploreRow struct {
 	// distinct decision traces among them (by trace hash).
 	Schedules, Distinct int
 	// Replays counts trace-replay verifications; ReplayDivergences sums
-	// fallback decisions and stall force-admissions across them.
+	// what kept them from exact: fallback decisions, stall force-admissions
+	// and recorded entries never consumed. Nonzero fails the campaign.
 	Replays, ReplayDivergences int
 	// Stalls sums stall force-admissions across the exploration runs
-	// (nonzero means a blocking operation is not wrapped for the gate).
+	// (nonzero means a blocking operation is not wrapped for the gate, and
+	// fails the campaign).
 	Stalls int
 	// Failures counts schedules whose run broke the row's output
 	// contract; each one is minimized and dumped.
@@ -236,7 +241,7 @@ func exploreRun(e *Env, targets []exploreTarget, cfg ExploreConfig) ([]ExploreRo
 				continue
 			}
 			if i%replayEvery == 0 {
-				rep := newExploreReplay(tr)
+				rep := sched.NewReplay(tr)
 				if !tgt.run(rep) {
 					// The live run held the contract but its recorded
 					// schedule does not reproduce it: a replay failure.
@@ -246,7 +251,7 @@ func exploreRun(e *Env, targets []exploreTarget, cfg ExploreConfig) ([]ExploreRo
 					}
 				}
 				row.Replays++
-				row.ReplayDivergences += rep.Divergences()
+				row.ReplayDivergences += rep.Divergences() + rep.Remaining()
 			}
 		}
 		row.Distinct = len(hashes)
@@ -255,20 +260,14 @@ func exploreRun(e *Env, targets []exploreTarget, cfg ExploreConfig) ([]ExploreRo
 	return rows, nil
 }
 
-// newExploreReplay builds a replay controller for exploration-scale runs:
-// at Workers > 1 the pool's decision-point counts are timing-dependent,
-// so a replay may need to resynchronize past recorded pool entries that
-// never recur — a short stall timeout keeps each skip cheap (it is
-// counted in Divergences(), not hidden).
-func newExploreReplay(tr *sched.Trace) *sched.Replay {
-	return sched.NewReplay(tr, sched.WithStallTimeout(100*time.Millisecond))
-}
-
 // dumpMinimized delta-debugs a failing schedule down to a 1-minimal trace
-// still breaking the contract and writes it for offline replay.
+// still breaking the contract and writes it for offline replay. ddmin's
+// truncated candidates diverge by design — a lane held for an entry the
+// shortened run never reaches — so these replays, and only these,
+// resynchronize after a short stall.
 func dumpMinimized(dir string, tgt exploreTarget, tr *sched.Trace, i int) error {
 	min := sched.Minimize(tr, func(c *sched.Trace) bool {
-		return !tgt.run(newExploreReplay(c))
+		return !tgt.run(sched.NewReplay(c, sched.WithStallTimeout(100*time.Millisecond)))
 	})
 	min.Note = fmt.Sprintf("minimized failing schedule: %s (schedule %d)", tgt.name, i)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -304,7 +303,8 @@ func ExploreTable(e *Env, cfg ExploreConfig) (*Table, error) {
 	return exploreTable(rows)
 }
 
-// exploreTable renders campaign rows; any contract failure is an error.
+// exploreTable renders campaign rows; a contract failure, an inexact replay
+// or a stalled run on any row is an error.
 func exploreTable(rows []ExploreRow) (*Table, error) {
 	t := &Table{
 		Title: "Explore — systematic schedule exploration under controlled scheduling",
@@ -312,11 +312,14 @@ func exploreTable(rows []ExploreRow) (*Table, error) {
 			"schedules", "distinct", "replays", "replay div", "stalls", "failures",
 		},
 	}
-	var schedules, distinct, failures int
+	var schedules, distinct, failures, inexact int
 	for _, r := range rows {
 		schedules += r.Schedules
 		distinct += r.Distinct
 		failures += r.Failures
+		if r.ReplayDivergences != 0 || r.Stalls != 0 {
+			inexact++
+		}
 		t.AddRow(r.Name,
 			fmt.Sprintf("%d", r.Schedules),
 			fmt.Sprintf("%d", r.Distinct),
@@ -329,6 +332,9 @@ func exploreTable(rows []ExploreRow) (*Table, error) {
 	t.AddNote("%d schedules explored (%d distinct interleavings), %d contract failures; every run's nondeterministic decision points were driven by a seeded controller (alternating random walk and PCT), recorded traces sampled for replay fidelity, failures minimized to testdata/schedules/", schedules, distinct, failures)
 	if failures != 0 {
 		return t, fmt.Errorf("explore: %d schedule(s) broke the output contract (minimized traces dumped)", failures)
+	}
+	if inexact != 0 {
+		return t, fmt.Errorf("explore: %d row(s) lost control of the schedule (an inexact replay or a stalled run; see the replay div and stalls columns)", inexact)
 	}
 	return t, nil
 }

@@ -6,14 +6,13 @@ import (
 	"testing"
 
 	"repro/internal/racemode"
+	"repro/internal/sched"
 )
 
 // smokeRun runs the tier-1 exploration smoke: one workload under each
 // protocol plus one synthetic fault mix per protocol, at the smallest
-// shape that speculates (two groups of four). Their recorded schedules are
-// short, so even a replay that has to resynchronize past timing-dependent
-// pool entries (100 ms each) stays seconds-scale. The full row set and
-// size are `make explore`'s job.
+// shape that speculates (two groups of four). The full row set and size
+// are `make explore`'s job.
 func smokeRun(t *testing.T, schedules, replayEvery int) []ExploreRow {
 	t.Helper()
 	pinned := []string{
@@ -64,6 +63,9 @@ func TestExploreQuick(t *testing.T) {
 		if r.Stalls != 0 {
 			t.Errorf("%s: %d stall force-admissions (unwrapped blocking op)", r.Name, r.Stalls)
 		}
+		if r.ReplayDivergences != 0 {
+			t.Errorf("%s: sampled replays were inexact by %d entries", r.Name, r.ReplayDivergences)
+		}
 		if r.Distinct < 1 || r.Distinct > r.Schedules {
 			t.Errorf("%s: distinct=%d out of range", r.Name, r.Distinct)
 		}
@@ -82,5 +84,34 @@ func TestExploreTableRenders(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered table missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// A recorded schedule that does not pin its run fails the campaign: the
+// target's second run (the replay) yields on a different lane than the one
+// recorded, the edited lane is admitted unconstrained, and the recorded
+// entry is never consumed.
+func TestExploreFailsOnInexactReplay(t *testing.T) {
+	calls := 0
+	drifting := exploreTarget{name: "drifting", run: func(ctl sched.Controller) bool {
+		calls++
+		ctl.Yield(sched.PointGroupStart, calls)
+		ctl.Done(calls)
+		return true
+	}}
+	rows, err := exploreRun(NewEnv(true), []exploreTarget{drifting}, ExploreConfig{
+		SchedulesPerRow: 1, ReplayEvery: 1, DumpDir: t.TempDir(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := rows[0]; r.Failures != 0 || r.Replays != 1 || r.ReplayDivergences != 1 {
+		t.Fatalf("row = %+v, want one replay inexact by the one unconsumed entry", r)
+	}
+	if _, err := exploreTable(rows); err == nil {
+		t.Fatal("an inexact replay did not fail the campaign")
+	}
+	if _, err := exploreTable([]ExploreRow{{Name: "stalled", Schedules: 1, Stalls: 1}}); err == nil {
+		t.Fatal("a stalled exploration run did not fail the campaign")
 	}
 }

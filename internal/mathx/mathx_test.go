@@ -67,19 +67,6 @@ func TestVec3LerpMidpointProperty(t *testing.T) {
 	}
 }
 
-func TestAbsDiffSum(t *testing.T) {
-	if got := AbsDiffSum([]float64{1, 2, 3}, []float64{1, 4, 1}); got != 4 {
-		t.Fatalf("AbsDiffSum: %v", got)
-	}
-	// Common prefix only.
-	if got := AbsDiffSum([]float64{1, 2}, []float64{2}); got != 1 {
-		t.Fatalf("AbsDiffSum prefix: %v", got)
-	}
-	if got := AbsDiffSum(nil, []float64{1}); got != 0 {
-		t.Fatalf("AbsDiffSum empty: %v", got)
-	}
-}
-
 func TestAvgEuclidean3(t *testing.T) {
 	a := []Vec3{{0, 0, 0}, {1, 0, 0}}
 	b := []Vec3{{3, 4, 0}, {1, 0, 0}}
@@ -178,25 +165,6 @@ func TestWithinFraction(t *testing.T) {
 	}
 	if WithinFraction([]float64{0, 0}, 0.95, 0.05) {
 		t.Fatal("zero mean should not converge")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if got := Percentile(xs, 0); got != 1 {
-		t.Fatalf("P0: %v", got)
-	}
-	if got := Percentile(xs, 100); got != 5 {
-		t.Fatalf("P100: %v", got)
-	}
-	if got := Percentile(xs, 50); got != 3 {
-		t.Fatalf("P50: %v", got)
-	}
-	if got := Percentile(xs, 25); got != 2 {
-		t.Fatalf("P25: %v", got)
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Fatal("empty percentile")
 	}
 }
 

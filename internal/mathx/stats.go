@@ -108,26 +108,3 @@ func WithinFraction(xs []float64, frac, tol float64) bool {
 	}
 	return float64(in) >= frac*float64(len(xs))
 }
-
-// Percentile returns the p-th percentile (0..100) of xs using linear
-// interpolation, or 0 for an empty slice.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	rank := p / 100 * float64(len(s)-1)
-	lo := int(rank)
-	frac := rank - float64(lo)
-	if lo+1 >= len(s) {
-		return s[lo]
-	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
-}

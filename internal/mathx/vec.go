@@ -71,21 +71,6 @@ func clamp(x, lo, hi float64) float64 {
 	return x
 }
 
-// AbsDiffSum returns the sum of absolute component differences between a and
-// b over their common prefix. This is the bodytrack state-comparison distance
-// ("the sum of the absolute differences of every body part position").
-func AbsDiffSum(a, b []float64) float64 {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += math.Abs(a[i] - b[i])
-	}
-	return sum
-}
-
 // AvgEuclidean3 returns the average Euclidean distance between corresponding
 // points of a and b over their common prefix; 0 if either is empty. This is
 // the fluidanimate and facedet state-comparison distance.

@@ -9,9 +9,11 @@
 // and channel. A worker dispatches from the front of its own deque (the
 // local fast path); when its deque is empty it steals from the back of a
 // randomly chosen victim's deque, which keeps every worker busy while a
-// burst of submissions lands on few shards. SubmitBatch enqueues a whole
-// speculation group in one pass — one lock acquisition per shard touched
-// rather than one per task — which is how internal/core fans out a group.
+// burst of submissions lands on few shards. SubmitBatch enqueues several
+// tasks in one pass — one lock acquisition per shard touched rather than one
+// per task — which is how internal/core hands a run's tasks over: at most
+// Workers − 1 lane tasks per aux run (the caller is lane 0), one task per
+// chunk of a reservations wave.
 //
 // The pool supports bounded width so the evaluation harness can constrain
 // the number of "hardware threads" available to the runtime, mirroring the
@@ -26,7 +28,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/obs"
-	"repro/internal/sched"
 )
 
 // ErrClosed is returned by Submit and SubmitBatch after Close has been
@@ -169,7 +170,6 @@ type Metrics struct {
 type Pool struct {
 	shards  []*shard
 	workers int
-	seed    uint64        // run seed the worker PRNGs derive from
 	rr      atomic.Uint64 // round-robin submission cursor
 	closed  atomic.Bool
 
@@ -209,34 +209,17 @@ type Pool struct {
 	// metrics. Loaded once per dispatch; nil costs one atomic load and
 	// a branch.
 	obsv atomic.Pointer[obs.Observer]
-	// ctl, when set, is the controlled scheduler the workers consult for
-	// their dispatch decisions (pop-vs-steal order, victim sweep start) —
-	// see SetController. Same load discipline as obsv.
-	ctl atomic.Pointer[ctlBox]
 }
-
-// ctlBox wraps the controller interface so it can live in an
-// atomic.Pointer (which needs a concrete type).
-type ctlBox struct{ c sched.Controller }
 
 // New returns a running pool with the given number of workers. A
-// non-positive width is treated as 1. Worker PRNGs are seeded by index
-// only; use NewSeeded to tie them to a run seed.
+// non-positive width is treated as 1.
 func New(workers int) *Pool {
-	return NewSeeded(workers, 0)
-}
-
-// NewSeeded is New with the worker PRNGs (randomized victim selection)
-// derived from seed via WorkerSeed, so pool-level nondeterminism is
-// reproducible per run seed instead of depending only on worker index.
-func NewSeeded(workers int, seed uint64) *Pool {
 	if workers < 1 {
 		workers = 1
 	}
 	p := &Pool{
 		shards:  make([]*shard, workers),
 		workers: workers,
-		seed:    seed,
 		notify:  make(chan struct{}, workers),
 		space:   make(chan struct{}, workers),
 		done:    make(chan struct{}),
@@ -253,44 +236,6 @@ func NewSeeded(workers int, seed uint64) *Pool {
 
 // Workers returns the pool width.
 func (p *Pool) Workers() int { return p.workers }
-
-// Seed returns the run seed the worker PRNGs derive from (0 for pools
-// built with New).
-func (p *Pool) Seed() uint64 { return p.seed }
-
-// WorkerSeed derives worker i's dispatch-PRNG seed from the pool seed.
-// It is never zero (a zero state would wedge the xorshift generator),
-// and WorkerSeed(0, i) reproduces the historical index-only seeding.
-func WorkerSeed(poolSeed uint64, i int) uint64 {
-	s := (uint64(i)+1)*0x9E3779B97F4A7C15 ^ poolSeed*0xBF58476D1CE4E5B9
-	if s == 0 {
-		s = 0x9E3779B97F4A7C15
-	}
-	return s
-}
-
-// SetController attaches (or, with nil, detaches) the controlled
-// scheduler: every subsequent dispatch decision with real alternatives —
-// pop-vs-steal order and the victim sweep's starting shard — is asked of
-// the controller on the worker's (negative) lane instead of the local
-// xorshift PRNG, so schedule exploration reaches the pool's
-// nondeterminism too. Safe to call concurrently with running work; a nil
-// controller costs one atomic load per dispatch.
-func (p *Pool) SetController(c sched.Controller) {
-	if c == nil {
-		p.ctl.Store(nil)
-		return
-	}
-	p.ctl.Store(&ctlBox{c: c})
-}
-
-// controller returns the attached controller, or nil.
-func (p *Pool) controller() sched.Controller {
-	if b := p.ctl.Load(); b != nil {
-		return b.c
-	}
-	return nil
-}
 
 // SetObserver attaches (or, with nil, detaches) the observability sink:
 // every subsequent dispatch emits a steal/local-hit event and a
@@ -392,14 +337,14 @@ func (p *Pool) Submit(t Task) error {
 	}
 }
 
-// SubmitBatch enqueues a batch of tasks — internal/core uses it to fan out
-// an entire speculation group in one operation. Tasks are spread across the
-// shards in near-even chunks with one lock acquisition per shard touched,
-// instead of len(tasks) serialized Submit calls. It returns the number of
-// tasks enqueued, which is len(tasks) unless the pool is closed: on
-// ErrClosed the suffix tasks[n:] was not enqueued and is the caller's to
-// run. Enqueued tasks are always executed. SubmitBatch blocks while the
-// pool is saturated.
+// SubmitBatch enqueues a batch of tasks — internal/core uses it for an aux
+// run's lane tasks and for the chunks of a reservations wave. Tasks are
+// spread across the shards in near-even chunks with one lock acquisition
+// per shard touched, instead of len(tasks) serialized Submit calls. It
+// returns the number of tasks enqueued, which is len(tasks) unless the pool
+// is closed: on ErrClosed the suffix tasks[n:] was not enqueued and is the
+// caller's to run. Enqueued tasks are always executed. SubmitBatch blocks
+// while the pool is saturated.
 func (p *Pool) SubmitBatch(tasks []Task) (int, error) {
 	if len(tasks) == 0 {
 		return 0, nil
@@ -409,7 +354,7 @@ func (p *Pool) SubmitBatch(tasks []Task) (int, error) {
 	enq := 0
 	for enq < len(tasks) {
 		remaining := len(tasks) - enq
-		// Near-even quota per shard this sweep, so a group lands spread
+		// Near-even quota per shard this sweep, so a batch lands spread
 		// across the workers' local deques.
 		quota := (remaining + int(ns) - 1) / int(ns)
 		pushedThisSweep := 0
@@ -476,7 +421,9 @@ func xorshift(s *uint64) uint64 {
 // steal sweep, then park until new work arrives or the pool closes.
 func (p *Pool) worker(i int) {
 	defer p.wg.Done()
-	seed := WorkerSeed(p.seed, i)
+	// The victim-selection PRNG is seeded from the worker's index: odd
+	// constant times i+1, never zero (a zero state wedges xorshift).
+	seed := (uint64(i) + 1) * 0x9E3779B97F4A7C15
 	var at int64 // the previous task's finish reading; 0 once the worker parked
 	for {
 		if t, stolen, ok := p.next(i, &seed); ok {
@@ -554,15 +501,10 @@ func (p *Pool) run(i int, t Task, stolen bool, at int64) int64 {
 
 // next dispatches one task for worker i: the front of its own deque, or a
 // steal from the back of another worker's, scanning victims from a random
-// starting point so thieves spread out. With a controller attached and a
-// decision that has real alternatives (multiple shards, work pending),
-// dispatch routes through nextControlled instead.
+// starting point so thieves spread out. Which worker runs a task is never
+// a scheduling decision of the engine's: its lanes take their work from the
+// run, not from the deque that held the task.
 func (p *Pool) next(i int, seed *uint64) (t Task, stolen, ok bool) {
-	if len(p.shards) > 1 && p.pending.Load() > 0 {
-		if c := p.controller(); c != nil {
-			return p.nextControlled(i, c)
-		}
-	}
 	if t, wasFull := p.shards[i].popFront(); t != nil {
 		p.pending.Add(-1)
 		if wasFull {
@@ -581,43 +523,6 @@ func (p *Pool) next(i int, seed *uint64) (t Task, stolen, ok bool) {
 			p.signalSpace()
 		}
 		return t, true, true
-	}
-	return nil, false, false
-}
-
-// nextControlled is the dispatch path with a controller attached: the
-// pop-vs-steal order and the victim sweep's starting shard become Choose
-// points on the worker's negative lane. The worker releases its schedule
-// token immediately after each decision (Choose then Done) — workers are
-// long-lived, so holding the token across task execution would wedge the
-// gate.
-func (p *Pool) nextControlled(i int, c sched.Controller) (t Task, stolen, ok bool) {
-	lane := -(i + 1)
-	stealFirst := c.Choose(sched.PointPopOrSteal, lane, 2)
-	c.Done(lane)
-	pop := func() (Task, bool) {
-		t, wasFull := p.shards[i].popFront()
-		return t, wasFull
-	}
-	steal := func() (Task, bool) {
-		off := c.Choose(sched.PointStealVictim, lane, len(p.shards))
-		c.Done(lane)
-		return p.sweep(i, off)
-	}
-	order := [2]func() (Task, bool){pop, steal}
-	fromSteal := [2]bool{false, true}
-	if stealFirst == 1 {
-		order[0], order[1] = steal, pop
-		fromSteal[0], fromSteal[1] = true, false
-	}
-	for k, try := range order {
-		if t, wasFull := try(); t != nil {
-			p.pending.Add(-1)
-			if wasFull {
-				p.signalSpace()
-			}
-			return t, fromSteal[k], true
-		}
 	}
 	return nil, false, false
 }

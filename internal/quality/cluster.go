@@ -97,7 +97,7 @@ func DaviesBouldinDiff(got, want Clustering) float64 {
 // BCubed returns the B³ F-score of a predicted assignment against a gold
 // assignment over the same points: the harmonic mean of B³ precision and
 // recall, each averaged per element. 1 means a perfect match. It is the
-// streamclassifier metric (via BCubedDiff).
+// streamclassifier metric: two results differ by the gap between their scores.
 func BCubed(pred, gold []int) float64 {
 	n := len(pred)
 	if len(gold) < n {
@@ -131,10 +131,4 @@ func BCubed(pred, gold []int) float64 {
 		return 0
 	}
 	return 2 * prec * rec / (prec + rec)
-}
-
-// BCubedDiff returns 1 - B³(pred vs gold): 0 for a perfect classification,
-// growing with disagreement. The streamclassifier output metric.
-func BCubedDiff(pred, gold []int) float64 {
-	return 1 - BCubed(pred, gold)
 }

@@ -139,12 +139,6 @@ func (r *Source) Norm() float64 {
 	return u * f
 }
 
-// NormScaled returns a normally distributed float64 with the given mean and
-// standard deviation.
-func (r *Source) NormScaled(mean, stddev float64) float64 {
-	return mean + stddev*r.Norm()
-}
-
 // Exp returns an exponentially distributed float64 with rate lambda.
 func (r *Source) Exp(lambda float64) float64 {
 	if lambda <= 0 {
@@ -165,14 +159,6 @@ func (r *Source) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle pseudo-randomly permutes the first n elements using swap.
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }
 
 // Bool returns true with probability p.

@@ -1,21 +1,21 @@
 // Package sched is the engine's controlled scheduler: it makes every
-// nondeterministic decision point in internal/core and internal/pool
-// injectable, so adversarial interleavings of aux production, validation,
-// redo, abort, squash, fallback and work-stealing can be explored
-// systematically (dejafu-style) instead of waiting for the OS to produce
-// them under -race.
+// nondeterministic decision point in internal/core injectable, so
+// adversarial interleavings of aux production, validation, redo, abort,
+// squash, fallback and reservation rounds can be explored systematically
+// (dejafu-style) instead of waiting for the OS to produce them under -race.
+// The worker pool is not a participant: which worker runs a lane's task
+// decides nothing the engine can observe, so it is no part of a schedule.
 //
-// The model is cooperative serialization. Participants — the engine
-// coordinator, each speculative group lane, and (for decision points only)
-// the pool's workers — announce themselves at yield points. A Controller
-// admits one participant at a time: the admitted lane runs to its next
-// yield point, parks, and the controller picks the next runnable lane.
-// Because cross-lane-visible writes happen before the writer's next yield
-// and reads happen after the reader's admission, the gate's mutex orders
-// them, and a run's behaviour at yield granularity is a pure function of
-// the admission sequence. That sequence is the schedule: recording it
-// yields a trace (see Trace) and replaying the trace reproduces the run
-// decision-for-decision.
+// The model is cooperative serialization. Two kinds of participant — a
+// run's coordinator, and its group or chunk lanes — announce themselves at
+// yield points. A Controller admits one participant at a time: the admitted
+// lane runs to its next yield point, parks, and the controller picks the
+// next runnable lane. Because cross-lane-visible writes happen before the
+// writer's next yield and reads happen after the reader's admission, the
+// gate's mutex orders them, and a run's behaviour at yield granularity is a
+// pure function of the admission sequence. That sequence is the schedule:
+// recording it yields a trace (see Trace) and replaying the trace
+// reproduces the run decision-for-decision.
 //
 // Three controllers are provided:
 //
@@ -39,7 +39,7 @@ import (
 	"time"
 )
 
-// Point identifies a yield or decision point in the engine or scheduler.
+// Point identifies a yield or decision point in the engine.
 type Point uint8
 
 // The instrumented decision points. Yield points serialize control flow;
@@ -81,12 +81,6 @@ const (
 	// real clock. Controllers return 0 unless configured to force
 	// timeouts (WithForcedTimeouts) or replaying a trace that did.
 	PointTimeoutCheck
-	// PointStealVictim is a Choose point (n = shard count) a pool worker
-	// consults for the victim-sweep start offset.
-	PointStealVictim
-	// PointPopOrSteal is a Choose point (n=2) a pool worker consults
-	// before dispatch: 1 attempts a steal before its own deque's pop.
-	PointPopOrSteal
 	// PointReserve is the reservations coordinator, on its own lane, about
 	// to evaluate one pending input's footprint and write-min it into the
 	// round's reservation table (core.ProtocolReservations).
@@ -116,8 +110,6 @@ var pointNames = [numPoints]string{
 	PointBreakerAllow:  "breaker-allow",
 	PointBreakerRecord: "breaker-record",
 	PointTimeoutCheck:  "timeout-check",
-	PointStealVictim:   "steal-victim",
-	PointPopOrSteal:    "pop-or-steal",
 	PointReserve:       "reserve",
 	PointReserveCheck:  "reserve-check",
 	PointCommit:        "commit",
@@ -143,10 +135,9 @@ func ParsePoint(s string) (Point, bool) {
 
 // Controller makes the engine's nondeterministic decisions. All methods
 // are safe for concurrent use; Yield and Choose may block the caller to
-// force an interleaving. Lane identifiers partition the participants:
-// the engine coordinator uses its run's lane base, the task that claimed
-// group j uses base+1+j, and pool workers use negative lanes (worker i is lane -(i+1)), so the
-// namespaces never collide.
+// force an interleaving. Lane identifiers partition the participants: a
+// run's coordinator uses the run's lane base, and the task that claimed
+// group j — or chunk j of a reservations wave — uses base+1+j.
 type Controller interface {
 	// Yield parks the calling lane until the controller schedules it.
 	Yield(p Point, lane int)
@@ -308,13 +299,6 @@ func (g *Gate) Stalls() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.stalled
-}
-
-// Admissions returns the number of admissions made so far.
-func (g *Gate) Admissions() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.seq
 }
 
 // Expect announces that lane is about to join the schedule (its goroutine

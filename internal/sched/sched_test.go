@@ -10,7 +10,7 @@ import (
 )
 
 // runLanes drives nlanes concurrent participants through the controller,
-// each performing steps yields (plus one Choose at every third step) and
+// each performing steps yields (a timeout-check Choose at every third step) and
 // appending its admissions to a shared log whose order is therefore the
 // schedule the controller chose. Returns the log.
 func runLanes(c Controller, nlanes, steps int) []string {
@@ -29,7 +29,7 @@ func runLanes(c Controller, nlanes, steps int) []string {
 			defer c.Done(lane)
 			for s := 0; s < steps; s++ {
 				if s%3 == 2 {
-					v := c.Choose(PointStealVictim, lane, 4)
+					v := c.Choose(PointTimeoutCheck, lane, 2)
 					mu.Lock()
 					log = append(log, fmt.Sprintf("c%d.%d=%d", lane, s, v))
 					mu.Unlock()
@@ -153,17 +153,23 @@ func TestPCTDeterministicAndPrioritized(t *testing.T) {
 }
 
 func TestChooseDomainAndDegenerate(t *testing.T) {
-	g := NewRandom(5)
+	g := NewRandom(5, WithForcedTimeouts(0.5))
 	defer g.Done(0)
+	var seen [2]int
 	for i := 0; i < 50; i++ {
-		if v := g.Choose(PointStealVictim, 0, 3); v < 0 || v > 2 {
-			t.Fatalf("choice %d out of [0,3)", v)
+		v := g.Choose(PointTimeoutCheck, 0, 2)
+		if v < 0 || v > 1 {
+			t.Fatalf("choice %d out of [0,2)", v)
 		}
+		seen[v]++
 	}
-	if v := g.Choose(PointPopOrSteal, 0, 1); v != 0 {
+	if seen[0] == 0 || seen[1] == 0 {
+		t.Fatalf("rate-0.5 timeout check never took one arm: %v", seen)
+	}
+	if v := g.Choose(PointTimeoutCheck, 0, 1); v != 0 {
 		t.Fatalf("n=1 choice = %d, want 0", v)
 	}
-	if v := g.Choose(PointPopOrSteal, 0, 0); v != 0 {
+	if v := g.Choose(PointTimeoutCheck, 0, 0); v != 0 {
 		t.Fatalf("n=0 choice = %d, want 0", v)
 	}
 }
@@ -192,7 +198,7 @@ func TestTraceRoundTrip(t *testing.T) {
 		Note:       "squash races group 3 mid-step",
 		Entries: []Entry{
 			{Kind: KindYield, Point: PointAux, Lane: 0},
-			{Kind: KindChoose, Point: PointStealVictim, Lane: -2, N: 4, Choice: 1},
+			{Kind: KindChoose, Point: PointTimeoutCheck, Lane: 2, N: 2, Choice: 0},
 			{Kind: KindYield, Point: PointSquash, Lane: 0},
 			{Kind: KindChoose, Point: PointTimeoutCheck, Lane: 3, N: 2, Choice: 1},
 		},
@@ -245,7 +251,7 @@ func TestParsePointRoundTrip(t *testing.T) {
 func TestReplayReproducesSchedule(t *testing.T) {
 	// Record a random schedule, replay it, and require the identical
 	// admission log and an exact (divergence-free) replay.
-	g := NewRandom(0xC0FFEE, WithRecording())
+	g := NewRandom(0xC0FFEE, WithRecording(), WithForcedTimeouts(0.5))
 	want := runLanes(g, 4, 9)
 	tr := g.TraceCopy()
 	if len(tr.Entries) == 0 {

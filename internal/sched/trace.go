@@ -11,7 +11,7 @@ package sched
 //	controller random
 //	note squash races group 3 mid-step
 //	y aux 0
-//	c steal-victim -2 4 1
+//	c timeout-check 3 2 1
 //
 // `y <point> <lane>` is a yield admission; `c <point> <lane> <n> <choice>`
 // is a decision admission with its domain size and recorded outcome.

@@ -270,17 +270,6 @@ func (s *Space) Set(c Config, name string, idx int64) bool {
 	return true
 }
 
-// DepDims returns the dimensions belonging to the named state dependence.
-func (s *Space) DepDims(dep string) []Dimension {
-	var out []Dimension
-	for _, d := range s.dims {
-		if d.Dep == dep {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 // AddDependence appends the standard per-dependence dimensions: aux
 // enablement, the aux input window, the redo budget, the rollback window,
 // and the group size. windows, redos, rollbacks and groups list the

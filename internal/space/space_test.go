@@ -156,19 +156,6 @@ func TestSetPanicsOutOfRange(t *testing.T) {
 	s.Set(c, "layers", 10)
 }
 
-func TestDepDims(t *testing.T) {
-	s := demoSpace()
-	dims := s.DepDims("track")
-	if len(dims) != 5 {
-		t.Fatalf("expected 5 track dims, got %d", len(dims))
-	}
-	for _, d := range dims {
-		if d.Dep != "track" {
-			t.Fatalf("wrong dep on %s", d.Name)
-		}
-	}
-}
-
 func TestDimensionValueMapping(t *testing.T) {
 	d := Dimension{Name: "g", Size: 3, Values: []int64{1, 4, 16}}
 	if d.Value(1) != 4 {

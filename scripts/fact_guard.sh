@@ -24,8 +24,12 @@
 # code. The copy-site guard: the engine alone copies states, at the hand-offs
 # where a second reader exists (DESIGN.md, "Who copies a state, and when"), so
 # fail on an ops.Clone( in internal/core's non-test code outside the functions
-# that table names — the next copy has to be argued for there. Run via
-# `make vet`.
+# that table names — the next copy has to be argued for there. The schedule
+# guard: the pool is no part of a controlled schedule — which worker ran a
+# task decides nothing the engine can observe, which is what makes a recorded
+# trace replay exactly at any width — so fail if internal/pool's non-test code
+# imports internal/sched, or internal/sched declares a point (or wire name) a
+# pool worker would yield on. Run via `make vet`.
 set -eu
 
 emits=$(grep -rn 'Tracer\.Emit(' internal/core internal/pool --include='*.go' |
@@ -88,5 +92,14 @@ clones=$(awk 'FNR==1{fn=""} /^func /{fn=$0} /ops\.Clone\(/ && $0 !~ /^[[:space:]
 if [ -n "$clones" ]; then
     echo "fact-guard: internal/core copies a state only at the hand-offs DESIGN.md's copy table names:" >&2
     printf '%s\n' "$clones" >&2
+    exit 1
+fi
+
+poolsched=$(grep -rn '"repro/internal/sched"' internal/pool --include='*.go' | grep -v '_test\.go:' || true)
+poolpoints=$(grep -nEi 'Point[A-Za-z]*(steal|victim|pop|worker|dispatch)|"[a-z-]*(steal|victim|pop|worker|dispatch)[a-z-]*",' \
+    $(ls internal/sched/*.go | grep -v '_test\.go$') | grep -vE '^[^:]*:[0-9]+:[[:space:]]*//' || true)
+if [ -n "$poolsched$poolpoints" ]; then
+    echo "fact-guard: the pool takes no part in the schedule (no sched import in internal/pool, no pool point in internal/sched):" >&2
+    printf '%s\n' "$poolsched" "$poolpoints" | grep . >&2
     exit 1
 fi
