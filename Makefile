@@ -51,8 +51,9 @@ stress:
 # Static analysis: gofmt must have nothing to say, then the standard Go
 # vet, then statsvet — the IR/source passes over the checked-in example
 # program and the runtime-API analyzers over the repository's user-facing
-# Go code — then the count-each-fact-once guard: the engine and the pool
-# report through obs.Observer.Note only.
+# Go code — then scripts/fact_guard.sh: the engine and the pool report
+# through obs.Observer.Note only, and the layering guard keeps
+# internal/telemetry from importing internal/core.
 vet:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l . is not empty:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...

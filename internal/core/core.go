@@ -90,6 +90,19 @@ type StateOps[S any] struct {
 	Fingerprint func(S) uint64
 }
 
+// Admission decides, between runs, whether a run may speculate at all — the
+// policy above the engine (§3.5's tuner decides per dependence whether
+// auxiliary code is used; this is its online counterpart), while §4.6's
+// squash-and-fall-back bounds the cost of one misspeculation inside it. A
+// run that would speculate asks Allow once; a refusal runs conventionally. A
+// speculative run Records once, when it is over, whether it failed: aborted,
+// panicked or timed out. telemetry.Breaker is the failure-rate
+// implementation. Implementations must be safe for concurrent runs.
+type Admission interface {
+	Allow() bool
+	Record(failed bool)
+}
+
 // Options configures one run of the engine. All values correspond to state
 // space dimensions (§3.3) chosen by the autotuner.
 type Options struct {
@@ -143,11 +156,11 @@ type Options struct {
 	// exempt — its outputs are committed unconditionally, so squashing
 	// it would gain nothing.
 	GroupTimeout time.Duration
-	// Breaker, when non-nil, gates speculation: a run asks Allow before
-	// speculating (a refusal executes conventionally and is counted in
-	// Stats.BreakerDenied) and Records its abort/panic/timeout outcome
-	// afterwards.
-	Breaker *Breaker
+	// Breaker, when non-nil, gates speculation (see Admission): a run asks
+	// Allow before speculating (a refusal executes conventionally and is
+	// counted in Stats.BreakerDenied) and Records its abort/panic/timeout
+	// outcome afterwards. Leave it nil rather than holding a nil pointer.
+	Breaker Admission
 	// Sched, when non-nil, is the controlled scheduler (internal/sched):
 	// the engine yields at every nondeterministic decision point — aux
 	// production, group start/step/finish, validation, redo, squash,

@@ -198,19 +198,13 @@ func TestForcedTimeoutVsValidateRace(t *testing.T) {
 }
 
 // halfOpenRace runs the breaker half-open probe race under one controller:
-// run A (aborting aux) and run B (exact aux) share a just-half-opened
-// breaker. Whether B's Allow lands before or after A's failing Record —
-// which re-opens the breaker — is purely a scheduling decision. Returns
-// whether B was denied.
+// run A (aborting aux) and run B (exact aux) share an admission that, like
+// a just-half-opened breaker, admits until a failed Record. Whether B's
+// Allow lands before or after A's failing Record — which re-opens it — is
+// purely a scheduling decision. Returns whether B was denied.
 func halfOpenRace(t *testing.T, ctl sched.Controller) (bDenied bool) {
 	t.Helper()
-	clk := newFakeClock()
-	b := NewBreaker(testBreakerCfg(clk))
-	for i := 0; i < 5; i++ {
-		b.Allow()
-		b.Record(true)
-	}
-	clk.advance(31 * time.Second) // past cooldown: next Allow half-opens
+	b := &fakeAdmission{}
 
 	// Announce both coordinators before spawning them, so dispatch waits
 	// for the pair and the race is decided by the controller, not by which

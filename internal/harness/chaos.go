@@ -287,11 +287,11 @@ func chaosScenarioRun(sc ChaosScenario, inputs []int, baseOuts []int, baseFinal 
 	in := fault.New(sc.Cfg)
 	ob := obs.NewObserver(workers+1, 1<<14)
 
-	var b *core.Breaker
+	var b *telemetry.Breaker
 	if sc.Breaker {
 		// Long window and cooldown: once tripped the breaker stays open
 		// for the rest of the scenario, so the denial count is exact.
-		b = core.NewBreaker(core.BreakerConfig{
+		b = telemetry.NewBreaker(telemetry.BreakerConfig{
 			Window: time.Hour, MinRuns: 4, TripRate: 0.5, Cooldown: time.Hour,
 		})
 	}
@@ -318,14 +318,18 @@ func chaosScenarioRun(sc ChaosScenario, inputs []int, baseOuts []int, baseFinal 
 		} else if sc.Cfg.DelayRate > 0 {
 			compute = fault.WrapCompute(in, chaosCompute)
 		}
-		dep := core.New(compute, aux, chaosOps())
-		outs, final, st, err := dep.RunChecked(inputs, chaosState{}, core.Options{
+		opts := core.Options{
 			UseAux: true, Protocol: sc.Protocol,
 			GroupSize: groupSize, Window: len(inputs),
 			RedoMax: 1, Rollback: 4, Workers: workers,
 			Seed: sc.Cfg.Seed + uint64(run),
-			Obs:  ob, GroupTimeout: sc.GroupTimeout, Breaker: b,
-		})
+			Obs:  ob, GroupTimeout: sc.GroupTimeout,
+		}
+		if b != nil {
+			opts.Breaker = b
+		}
+		dep := core.New(compute, aux, chaosOps())
+		outs, final, st, err := dep.RunChecked(inputs, chaosState{}, opts)
 		if err != nil {
 			// The no-crash guarantee failed: a fault escaped containment.
 			return res, fmt.Errorf("run %d escaped containment: %w", run, err)
@@ -385,7 +389,7 @@ func chaosScenarioRun(sc ChaosScenario, inputs []int, baseOuts []int, baseFinal 
 // runtime keeps: engine Stats sums, observer instruments, the event log
 // (when no events were dropped), the final /metrics exposition, and the
 // signals window's start-to-end deltas must agree exactly.
-func chaosReconciled(r ChaosResult, ob *obs.Observer, b *core.Breaker, m *telemetry.PromMetrics, rep telemetry.SignalsReport) bool {
+func chaosReconciled(r ChaosResult, ob *obs.Observer, b *telemetry.Breaker, m *telemetry.PromMetrics, rep telemetry.SignalsReport) bool {
 	v := func(name string) int64 {
 		f, _ := m.Value(name)
 		return int64(f)

@@ -150,31 +150,7 @@ func (h *Histogram) Sum() int64 {
 // q*Count. With power-of-two buckets the estimate is within 2x of the true
 // value, which is what log-scale percentile reporting promises.
 func (h *Histogram) Quantile(q float64) int64 {
-	if h == nil {
-		return 0
-	}
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := int64(math.Ceil(q * float64(total)))
-	if target < 1 {
-		target = 1
-	}
-	var cum int64
-	for i := 0; i < histBuckets; i++ {
-		cum += h.counts[i].Load()
-		if cum >= target {
-			return histBucketHi(i)
-		}
-	}
-	return histBucketHi(histBuckets - 1)
+	return h.Snapshot().Quantile(q)
 }
 
 // HistBuckets is the exported bucket count of the log-scale histograms,
@@ -224,8 +200,8 @@ func (s HistogramSnapshot) Sub(base HistogramSnapshot) HistogramSnapshot {
 	return d
 }
 
-// Quantile returns the same upper-bound q-quantile estimate as
-// Histogram.Quantile, computed over the snapshot's buckets.
+// Quantile returns the upper-bound q-quantile estimate over the snapshot's
+// buckets (see Histogram.Quantile).
 func (s HistogramSnapshot) Quantile(q float64) int64 {
 	if s.Count == 0 {
 		return 0
@@ -472,36 +448,30 @@ func writeHistogramText(w io.Writer, n string, h *Histogram, header func(name, t
 	if err := header(n, "histogram"); err != nil {
 		return err
 	}
-	// Snapshot the buckets once so the emitted series is internally
-	// consistent (cumulative counts never exceed the +Inf bucket) even
-	// when Observe races with the scrape; the count is derived from the
-	// same snapshot for the same reason.
-	var counts [histBuckets]int64
-	var total int64
-	first, last := -1, -1
-	for i := 0; i < histBuckets; i++ {
-		counts[i] = h.counts[i].Load()
-		total += counts[i]
-		if counts[i] != 0 {
-			if first < 0 {
-				first = i
-			}
+	// One snapshot feeds every line, so the emitted series is internally
+	// consistent (cumulative counts never exceed the +Inf bucket, the
+	// quantiles agree with the buckets) even when Observe races with the
+	// scrape.
+	snap := h.Snapshot()
+	last := -1
+	for i, c := range snap.Counts {
+		if c != 0 {
 			last = i
 		}
 	}
 	var cum int64
-	if first >= 0 {
-		for i := first; i <= last; i++ {
-			cum += counts[i]
-			if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%d\"} %d\n", n, histBucketHi(i), cum); err != nil {
-				return err
-			}
+	for i := 0; i <= last; i++ {
+		if cum += snap.Counts[i]; cum == 0 {
+			continue // before the first non-empty bucket
+		}
+		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%d\"} %d\n", n, histBucketHi(i), cum); err != nil {
+			return err
 		}
 	}
-	if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", n, total); err != nil {
+	if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", n, snap.Count); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "%s_sum %d\n%s_count %d\n", n, h.Sum(), n, total); err != nil {
+	if _, err := fmt.Fprintf(w, "%s_sum %d\n%s_count %d\n", n, snap.Sum, n, snap.Count); err != nil {
 		return err
 	}
 	for _, q := range [...]struct {
@@ -512,7 +482,7 @@ func writeHistogramText(w io.Writer, n string, h *Histogram, header func(name, t
 		if err := header(qn, "gauge"); err != nil {
 			return err
 		}
-		if _, err := fmt.Fprintf(w, "%s %d\n", qn, h.Quantile(q.q)); err != nil {
+		if _, err := fmt.Fprintf(w, "%s %d\n", qn, snap.Quantile(q.q)); err != nil {
 			return err
 		}
 	}

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -114,9 +113,6 @@ func NewHealthOver(sig *Signals, cfg HealthConfig) *Health {
 	return &Health{cfg: cfg.withDefaults(), sig: sig}
 }
 
-// Signals returns the aggregator the verdict reads.
-func (h *Health) Signals() *Signals { return h.sig }
-
 // HealthReport is one Eval verdict with the rates that produced it — the
 // payload of the server's /healthz endpoint.
 type HealthReport struct {
@@ -137,7 +133,7 @@ type HealthReport struct {
 	TracerDropped int64 `json:"tracer_dropped"`
 	// Breaker is the speculation circuit breaker's snapshot, present
 	// when the serving Config attached one.
-	Breaker *core.BreakerSnapshot `json:"breaker,omitempty"`
+	Breaker *BreakerSnapshot `json:"breaker,omitempty"`
 }
 
 // state parses the report's verdict back into a HealthState.

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -36,7 +35,7 @@ type Config struct {
 	// Breaker, when non-nil, is the speculation circuit breaker to
 	// surface: its instruments register in the observer's registry (so
 	// /metrics exposes them) and /healthz reports its snapshot.
-	Breaker *core.Breaker
+	Breaker *Breaker
 	// SampleInterval is the background health-sampling cadence, which
 	// keeps the /healthz window populated even under sparse scraping
 	// (default Window/8, floored at 100ms). Background sampling starts
@@ -306,6 +305,21 @@ func (s *Server) handleSignals(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	s.stream(w, r, func() (any, bool) { return s.signals.Report(), false })
+}
+
+// stream serves one server-sent-events client: it opens the stream and
+// flushes the headers at once (a client attaching before the first message
+// must see the stream open immediately), then sends next's message — a
+// "data: " line of JSON and a blank line — every poll interval until the
+// client leaves, the server closes, or next reports the message was the last.
+// A nil message sends nothing this tick. Every write has a deadline: a client
+// that stops reading eventually blocks our writes on its full TCP window, and
+// without one that would pin this handler goroutine until the process exits;
+// the client is disconnected instead and counted. SetWriteDeadline is
+// best-effort — httptest recorders and exotic wrappers don't support it, and
+// an unsupported deadline just means unbounded writes on that transport.
+func (s *Server) stream(w http.ResponseWriter, r *http.Request, next func() (msg any, last bool)) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
@@ -320,28 +334,30 @@ func (s *Server) handleSignals(w http.ResponseWriter, r *http.Request) {
 	s.sseClients.Add(1)
 	defer s.sseClients.Add(-1)
 
-	// Same per-write deadline discipline as /events: a stalled client is
-	// disconnected, never allowed to pin its handler goroutine.
 	rc := http.NewResponseController(w)
 	enc := json.NewEncoder(w)
 	tick := time.NewTicker(s.cfg.SSEInterval)
 	defer tick.Stop()
 	for {
-		rep := s.signals.Report()
-		_ = rc.SetWriteDeadline(time.Now().Add(s.cfg.SSEWriteTimeout))
-		if _, err := fmt.Fprint(w, "data: "); err != nil {
-			s.sseDisconnects.Inc()
+		msg, last := next()
+		if msg != nil {
+			_ = rc.SetWriteDeadline(time.Now().Add(s.cfg.SSEWriteTimeout))
+			_, err := fmt.Fprint(w, "data: ")
+			if err == nil {
+				err = enc.Encode(msg)
+			}
+			if err == nil {
+				_, err = fmt.Fprint(w, "\n")
+			}
+			if err != nil {
+				s.sseDisconnects.Inc()
+				return
+			}
+			flusher.Flush()
+		}
+		if last {
 			return
 		}
-		if err := enc.Encode(rep); err != nil {
-			s.sseDisconnects.Inc()
-			return
-		}
-		if _, err := fmt.Fprint(w, "\n"); err != nil {
-			s.sseDisconnects.Inc()
-			return
-		}
-		flusher.Flush()
 		select {
 		case <-r.Context().Done():
 			return
@@ -383,47 +399,14 @@ type sseBatch struct {
 // since=<ns> starts the cursor at the given timestamp instead of
 // streaming the whole retained log.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	// Flush the headers now: a client attaching before the first event
-	// must see the stream open immediately, not when a batch happens by.
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
-
 	once := r.URL.Query().Get("once") != ""
 	var cursor int64 = -1 << 62
 	if since := r.URL.Query().Get("since"); since != "" {
 		fmt.Sscanf(since, "%d", &cursor)
 	}
-
-	s.sseClients.Add(1)
-	defer s.sseClients.Add(-1)
-
-	// Per-write deadline: a client that stops reading eventually blocks
-	// our writes on its full TCP window; without a deadline that pins
-	// this handler goroutine (and its poll loop) until the process exits.
-	// SetWriteDeadline is best-effort — httptest recorders and exotic
-	// wrappers don't support it, and an unsupported deadline just means
-	// the old unbounded behaviour for that transport.
-	rc := http.NewResponseController(w)
-	deadline := func() { _ = rc.SetWriteDeadline(time.Now().Add(s.cfg.SSEWriteTimeout)) }
-	disconnected := func() {
-		s.sseDisconnects.Inc()
-	}
-
-	enc := json.NewEncoder(w)
-	tick := time.NewTicker(s.cfg.SSEInterval)
-	defer tick.Stop()
-	for {
-		snap := s.cfg.Observer.Tracer.Snapshot()
+	s.stream(w, r, func() (any, bool) {
 		batch := sseBatch{}
-		for _, e := range snap {
+		for _, e := range s.cfg.Observer.Tracer.Snapshot() {
 			if e.TS > cursor {
 				batch.Events = append(batch.Events, sseEvent{
 					TS: e.TS, Lane: e.Lane, Kind: e.Kind.String(),
@@ -436,36 +419,14 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			s.sseDropped.Add(batch.Dropped)
 			batch.Events = batch.Events[n-s.cfg.SSEMaxBatch:]
 		}
+		if len(batch.Events) == 0 && !once {
+			return nil, false
+		}
 		if len(batch.Events) > 0 {
 			cursor = batch.Events[len(batch.Events)-1].TS
 		}
-		if len(batch.Events) > 0 || once {
-			deadline()
-			if _, err := fmt.Fprint(w, "data: "); err != nil {
-				disconnected()
-				return
-			}
-			if err := enc.Encode(batch); err != nil {
-				disconnected()
-				return
-			}
-			if _, err := fmt.Fprint(w, "\n"); err != nil {
-				disconnected()
-				return
-			}
-			flusher.Flush()
-		}
-		if once {
-			return
-		}
-		select {
-		case <-r.Context().Done():
-			return
-		case <-s.done:
-			return
-		case <-tick.C:
-		}
-	}
+		return batch, once
+	})
 }
 
 // handleTrace serves the current event log as Chrome trace_event JSON —

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/workload"
 	"repro/internal/workload/registry"
@@ -533,7 +532,7 @@ func TestEventsStalledClientDisconnected(t *testing.T) {
 
 func TestHealthzReportsBreaker(t *testing.T) {
 	o := obs.NewObserver(1, 64)
-	b := core.NewBreaker(core.BreakerConfig{})
+	b := NewBreaker(BreakerConfig{})
 	for i := 0; i < 5; i++ {
 		b.Allow()
 		b.Record(true)

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -22,7 +21,7 @@ type SignalsConfig struct {
 	// Now supplies the clock (default time.Now); tests inject a fake.
 	Now func() time.Time
 	// Breaker, when set, has its snapshot attached to every report.
-	Breaker *core.Breaker
+	Breaker *Breaker
 }
 
 // withDefaults fills zero fields.
@@ -125,7 +124,7 @@ type SignalsReport struct {
 	TracerDropped int64 `json:"tracer_dropped"`
 	// Breaker is the speculation circuit breaker's snapshot, present
 	// when the config attached one.
-	Breaker *core.BreakerSnapshot `json:"breaker,omitempty"`
+	Breaker *BreakerSnapshot `json:"breaker,omitempty"`
 }
 
 // Signals computes windowed control signals over an Observer's
@@ -147,9 +146,6 @@ type Signals struct {
 func NewSignals(o *obs.Observer, cfg SignalsConfig) *Signals {
 	return &Signals{cfg: cfg.withDefaults(), o: o}
 }
-
-// Window returns the configured sliding window.
-func (s *Signals) Window() time.Duration { return s.cfg.Window }
 
 // Report samples the counters and returns the current windowed signals.
 func (s *Signals) Report() SignalsReport {

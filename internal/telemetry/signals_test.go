@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -130,7 +129,7 @@ func TestSignalsRecovery(t *testing.T) {
 // every report.
 func TestSignalsBreakerSnapshot(t *testing.T) {
 	o := obs.NewObserver(1, 64)
-	br := core.NewBreaker(core.BreakerConfig{})
+	br := NewBreaker(BreakerConfig{})
 	sig := NewSignals(o, SignalsConfig{Window: time.Second, Breaker: br})
 	rep := sig.Report()
 	if rep.Breaker == nil {

@@ -34,7 +34,7 @@ func TestServerConcurrentStress(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			ob := obs.NewObserver(5, 1<<12)
-			br := core.NewBreaker(core.BreakerConfig{
+			br := NewBreaker(BreakerConfig{
 				Window: time.Hour, MinRuns: 8, TripRate: 0.95, Cooldown: time.Millisecond,
 			})
 			srv := NewServer(Config{

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 
 	"repro/internal/platform"
 )
@@ -113,11 +112,4 @@ func CriticalThread(res platform.Result) (thread int, busy float64) {
 		best = 0
 	}
 	return thread, best
-}
-
-// String renders to a string with default options.
-func String(res platform.Result) string {
-	var b strings.Builder
-	Render(&b, res, Options{})
-	return b.String()
 }

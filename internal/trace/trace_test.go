@@ -18,7 +18,9 @@ func simulateParallel(tasks, threads int) platform.Result {
 
 func TestRenderBasics(t *testing.T) {
 	res := simulateParallel(8, 4)
-	out := String(res)
+	var b strings.Builder
+	Render(&b, res, Options{})
+	out := b.String()
 	if !strings.Contains(out, "schedule: 8 tasks on 4 threads") {
 		t.Fatalf("header missing:\n%s", out)
 	}
@@ -39,7 +41,9 @@ func TestRenderBasics(t *testing.T) {
 }
 
 func TestRenderEmpty(t *testing.T) {
-	out := String(platform.Result{})
+	var b strings.Builder
+	Render(&b, platform.Result{}, Options{})
+	out := b.String()
 	if !strings.Contains(out, "empty schedule") {
 		t.Fatalf("empty schedule: %q", out)
 	}

@@ -21,7 +21,6 @@ package workload
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -62,19 +61,10 @@ type SpecOptions struct {
 	// metrics for real RunSTATS executions (see internal/obs); nil runs
 	// unobserved at ~zero cost.
 	Obs *obs.Observer
-	// GroupTimeout bounds one speculative group's wall-clock execution
-	// in real engine runs; zero disables the deadline.
-	GroupTimeout time.Duration
-	// Breaker, when non-nil, gates speculation across this workload's
-	// engine runs with a shared abort-rate circuit breaker.
-	Breaker *core.Breaker
 	// Sched, when non-nil, routes the engine's nondeterministic decision
 	// points through a controlled scheduler (internal/sched) for real
 	// RunSTATS executions — systematic exploration and trace replay.
 	Sched sched.Controller
-	// SchedLane is the base lane for the run's gate participants; see
-	// core.Options.SchedLane.
-	SchedLane int
 	// FootprintCheck enables the runtime footprint oracle under
 	// core.ProtocolReservations; see core.Options.FootprintCheck.
 	FootprintCheck bool
@@ -94,11 +84,8 @@ func (o SpecOptions) CoreOptions(seed uint64) core.Options {
 		Rollback:       o.Rollback,
 		Workers:        o.Workers,
 		Seed:           seed,
-		GroupTimeout:   o.GroupTimeout,
-		Breaker:        o.Breaker,
 		Obs:            o.Obs,
 		Sched:          o.Sched,
-		SchedLane:      o.SchedLane,
 		FootprintCheck: o.FootprintCheck,
 	}
 }

@@ -13,8 +13,9 @@
 # ReserveOps literal (a NumSlots: key) again. The clock guard: internal/core
 # reads one clock, runFrame.now (the trace clock, obs.Now), so a lane's
 # reading can feed the account, the histogram and the events of its instant;
-# fail on a time.Now( or time.Since( in its non-test code outside breaker.go,
-# whose clock is the injected Now. The streak guard: inputs that bypassed the
+# fail on a time.Now( or time.Since( anywhere in its non-test code (the
+# engine holds no policy with a clock of its own: admission is asked through
+# core.Admission). The streak guard: inputs that bypassed the
 # reservation rounds are one fact, so Stats.ConventionalInputs and the
 # conventional event are written by runFrame.noteConventional alone (Stats.Add
 # sums the field), and one site calls it: a streak's commit. The fan-out guard:
@@ -29,7 +30,9 @@
 # task decides nothing the engine can observe, which is what makes a recorded
 # trace replay exactly at any width — so fail if internal/pool's non-test code
 # imports internal/sched, or internal/sched declares a point (or wire name) a
-# pool worker would yield on. Run via `make vet`.
+# pool worker would yield on. The layering guard: the observation layer
+# depends on internal/obs, not on the engine it observes, so fail if
+# internal/telemetry's non-test code imports internal/core. Run via `make vet`.
 set -eu
 
 emits=$(grep -rn 'Tracer\.Emit(' internal/core internal/pool --include='*.go' |
@@ -61,8 +64,7 @@ if [ -n "$copies" ]; then
     exit 1
 fi
 
-clocks=$(grep -rnE 'time\.(Now|Since)\(' internal/core --include='*.go' |
-    grep -v -e '_test\.go:' -e '^internal/core/breaker\.go:' || true)
+clocks=$(grep -rnE 'time\.(Now|Since)\(' internal/core --include='*.go' | grep -v '_test\.go:' || true)
 if [ -n "$clocks" ]; then
     echo "fact-guard: internal/core reads the clock through runFrame.now only:" >&2
     printf '%s\n' "$clocks" >&2
@@ -101,5 +103,12 @@ poolpoints=$(grep -nEi 'Point[A-Za-z]*(steal|victim|pop|worker|dispatch)|"[a-z-]
 if [ -n "$poolsched$poolpoints" ]; then
     echo "fact-guard: the pool takes no part in the schedule (no sched import in internal/pool, no pool point in internal/sched):" >&2
     printf '%s\n' "$poolsched" "$poolpoints" | grep . >&2
+    exit 1
+fi
+
+layering=$(grep -rn '"repro/internal/core"' internal/telemetry --include='*.go' | grep -v '_test\.go:' || true)
+if [ -n "$layering" ]; then
+    echo "fact-guard: internal/telemetry observes the engine through internal/obs, it does not import internal/core:" >&2
+    printf '%s\n' "$layering" >&2
     exit 1
 fi

@@ -7,37 +7,41 @@ package stats
 // replay sequentially — so the only unrecoverable site is the sequential
 // path itself, which RunChecked converts to an error.
 
-import "repro/internal/core"
+import (
+	"repro/internal/core"
+	"repro/internal/telemetry"
+)
 
 // Breaker is a sliding-window abort/panic-rate circuit breaker gating
-// speculation. Share one across runs via Options.Breaker: once the failure
-// rate over its window crosses the trip threshold, speculation is disabled
-// for a cooldown (runs execute conventionally at zero extra cost), then
-// re-probed with a few speculative runs before being trusted again.
-type Breaker = core.Breaker
+// speculation — telemetry.Breaker, the engine's core.Admission policy. Share
+// one across runs via Options.Breaker: once the failure rate over its window
+// crosses the trip threshold, speculation is disabled for a cooldown (runs
+// execute conventionally at zero extra cost), then re-probed with a few
+// speculative runs before being trusted again.
+type Breaker = telemetry.Breaker
 
 // BreakerConfig configures a Breaker's window, trip threshold and recovery
 // behaviour; zero fields pick documented defaults. The Now field injects
 // the clock for tests.
-type BreakerConfig = core.BreakerConfig
+type BreakerConfig = telemetry.BreakerConfig
 
 // BreakerState is a breaker's position: closed, half-open or open.
-type BreakerState = core.BreakerState
+type BreakerState = telemetry.BreakerState
 
 // The breaker positions, re-exported for callers inspecting State().
 const (
-	BreakerClosed   = core.BreakerClosed
-	BreakerHalfOpen = core.BreakerHalfOpen
-	BreakerOpen     = core.BreakerOpen
+	BreakerClosed   = telemetry.BreakerClosed
+	BreakerHalfOpen = telemetry.BreakerHalfOpen
+	BreakerOpen     = telemetry.BreakerOpen
 )
 
 // BreakerSnapshot is a breaker's exported state: position, trip/denial
 // counts and the current windowed failure rate.
-type BreakerSnapshot = core.BreakerSnapshot
+type BreakerSnapshot = telemetry.BreakerSnapshot
 
 // NewBreaker returns a closed circuit breaker with the given
 // configuration, ready to attach to Options.Breaker.
-func NewBreaker(cfg BreakerConfig) *Breaker { return core.NewBreaker(cfg) }
+func NewBreaker(cfg BreakerConfig) *Breaker { return telemetry.NewBreaker(cfg) }
 
 // PanicError is the error RunChecked (and StartStream's join) reports when
 // user code panicked with no safe fallback left: the original panic value

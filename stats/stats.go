@@ -148,7 +148,8 @@ type Options struct {
 	// inputs reprocessed sequentially. Zero disables the deadline.
 	GroupTimeout time.Duration
 	// Breaker, when non-nil, gates speculation with a sliding-window
-	// abort-rate circuit breaker shared across runs (see NewBreaker).
+	// abort-rate circuit breaker shared across runs (see NewBreaker): the
+	// engine's core.Admission, implemented by telemetry.Breaker.
 	Breaker *Breaker
 }
 
@@ -323,7 +324,7 @@ func (sd *StateDependence[I, S, O]) dep() *core.Dependence[I, S, O] {
 // (Run, RunStream, StartStream, RunChecked) threads new fields identically.
 func (sd *StateDependence[I, S, O]) coreOptions() core.Options {
 	o := sd.opts
-	return core.Options{
+	opts := core.Options{
 		UseAux:         o.UseAux,
 		Protocol:       o.Protocol,
 		FootprintCheck: o.FootprintCheck,
@@ -334,8 +335,12 @@ func (sd *StateDependence[I, S, O]) coreOptions() core.Options {
 		Workers:        o.Workers,
 		Seed:           o.Seed,
 		GroupTimeout:   o.GroupTimeout,
-		Breaker:        o.Breaker,
 		Pool:           sd.sharedPool,
 		Obs:            sd.observer,
 	}
+	if o.Breaker != nil {
+		// A nil *Breaker in the interface would be a non-nil Admission.
+		opts.Breaker = o.Breaker
+	}
+	return opts
 }
