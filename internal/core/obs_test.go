@@ -3,65 +3,33 @@ package core
 import (
 	"fmt"
 	"reflect"
-	"strconv"
-	"strings"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/obs"
 	"repro/internal/rng"
+	"repro/internal/telemetry"
 )
 
-// checkFacts reconciles one run's accounts through the fact table: for
-// every row naming a Stats field, the field, the /metrics sample (a
-// histogram's _sum) and — for an event-backed row — the kind's counter and
-// its events (counted, or their Args summed for a by-Arg kind) must all be
-// the same number. A run that ran reservation rounds also committed every
-// input exactly one way: reservation commits, conventional inputs and
-// fallback inputs add up to the inputs. ob must have observed exactly the run
-// that returned st, on a private pool.
+// checkFacts reconciles one run's accounts through the fact table
+// (telemetry.Reconcile over ob's exposition) with every event kept. A run
+// that ran reservation rounds also committed every input exactly one way:
+// reservation commits, conventional inputs and fallback inputs add up to the
+// inputs. ob must have observed exactly the run that returned st, on a
+// private pool.
 func checkFacts(t *testing.T, name string, ob *obs.Observer, st Stats) {
 	t.Helper()
 	if d := ob.Tracer.Dropped(); d != 0 {
 		t.Fatalf("%s: %d events evicted despite ample capacity", name, d)
 	}
-	var logged obs.Counts
-	kindOf := map[string]obs.EventKind{}
-	for k := range logged {
-		kindOf[obs.EventKind(k).String()] = obs.EventKind(k)
+	m, err := telemetry.ParsePromText(ob.Reg.Text())
+	if err == nil {
+		err = telemetry.Reconcile(st, ob, m)
 	}
-	for _, e := range ob.Tracer.Snapshot() {
-		if e.Kind.Fact().ByArg {
-			logged[e.Kind] += e.Arg
-		} else {
-			logged[e.Kind]++
-		}
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
 	}
-	scraped := map[string]int64{}
-	for _, line := range strings.Split(ob.Reg.Text(), "\n") {
-		if i := strings.LastIndexByte(line, ' '); i > 0 && line[0] != '#' {
-			scraped[line[:i]], _ = strconv.ParseInt(line[i+1:], 10, 64)
-		}
-	}
-	counts, fields := ob.Counts(), reflect.ValueOf(st)
-	for _, f := range obs.Catalogue() {
-		if f.Stats == "" {
-			continue
-		}
-		want := fields.FieldByName(f.Stats).Int()
-		got, ok := scraped[f.Metric]
-		if !ok {
-			got = scraped[f.Metric+"_sum"]
-		}
-		if got != want {
-			t.Fatalf("%s: /metrics %s = %d, Stats.%s = %d", name, f.Metric, got, f.Stats, want)
-		}
-		if kind := kindOf[f.Event]; f.Event != "" && (counts[kind] != want || logged[kind] != want) {
-			t.Fatalf("%s: %s counter %d, events %d, Stats.%s = %d",
-				name, f.Event, counts[kind], logged[kind], f.Stats, want)
-		}
-	}
-	if commits := counts[obs.EvCommit]; st.Rounds > 0 && commits+int64(st.ConventionalInputs+st.FallbackInputs) != int64(st.Inputs) {
+	if commits := ob.Counts()[obs.EvCommit]; st.Rounds > 0 && commits+int64(st.ConventionalInputs+st.FallbackInputs) != int64(st.Inputs) {
 		t.Fatalf("%s: %d reservation commits + %d conventional + %d fallback inputs, want %d inputs",
 			name, commits, st.ConventionalInputs, st.FallbackInputs, st.Inputs)
 	}

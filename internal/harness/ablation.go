@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/platform"
 	"repro/internal/profiler"
 	"repro/internal/taskgen"
@@ -90,18 +91,13 @@ func AblationTable(e *Env, w workload.Workload, dim AblationDim) *Table {
 	return t
 }
 
-// SpecBehaviorPoint is one window value and the real engine's speculation
-// and scheduler statistics there.
+// SpecBehaviorPoint is one window value and the real engine's statistics
+// there, summed over the point's runs (Stats.Add): the speculation outcomes
+// and the work-stealing scheduler's dispatch split — how much of the group
+// fan-out crossed workers versus hitting the local-deque fast path.
 type SpecBehaviorPoint struct {
-	Window  int
-	Matches int
-	Redos   int
-	Aborts  int
-	// Steals and LocalHits are the work-stealing scheduler's dispatch
-	// counters over the same runs: how much of the group fan-out crossed
-	// workers versus hitting the local-deque fast path.
-	Steals    int64
-	LocalHits int64
+	Window int
+	core.Stats
 }
 
 // SpecBehavior runs the real engine across auxiliary-window sizes and
@@ -115,15 +111,10 @@ func SpecBehavior(e *Env, w workload.Workload) []SpecBehaviorPoint {
 	for _, win := range []int{0, 1, 2, 4, 8} {
 		o := tuned
 		o.Window = win
-		var agg SpecBehaviorPoint
-		agg.Window = win
+		agg := SpecBehaviorPoint{Window: win}
 		for seed := uint64(0); seed < 3; seed++ {
 			_, st := w.RunSTATS(e.Seed+seed, e.RealSize, o)
-			agg.Matches += st.Matches
-			agg.Redos += st.Redos
-			agg.Aborts += st.Aborts
-			agg.Steals += st.Steals
-			agg.LocalHits += st.LocalHits
+			agg.Add(st)
 		}
 		out = append(out, agg)
 	}

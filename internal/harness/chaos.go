@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -22,45 +23,41 @@ import (
 // event log, and a live /metrics scrape of a telemetry server running over
 // the same runs.
 
-// chaosState is the synthetic dependence's state: an exact prefix sum, so
-// the auxiliary code can be made exact and every corruption is detectable.
-type chaosState struct{ Sum float64 }
+// The fixture state is a slice of slots: one slot holding an exact prefix
+// sum, so the auxiliary code can be made exact and every corruption is
+// detectable — or, for the lying footprint, chaosLieSlots slots.
 
-// chaosOps supplies clone and exact-match acceptance for chaosState.
-func chaosOps() core.StateOps[chaosState] {
-	return core.StateOps[chaosState]{
-		Clone: func(s chaosState) chaosState { return s },
-		MatchAny: func(spec chaosState, originals []chaosState) bool {
-			for _, o := range originals {
-				if spec.Sum == o.Sum {
-					return true
-				}
-			}
-			return false
+// chaosOps supplies clone and exact-match acceptance for the fixture state.
+func chaosOps() core.StateOps[[]float64] {
+	return core.StateOps[[]float64]{
+		Clone: slices.Clone[[]float64],
+		MatchAny: func(spec []float64, originals [][]float64) bool {
+			return slices.ContainsFunc(originals, func(o []float64) bool { return slices.Equal(spec, o) })
 		},
 	}
 }
 
 // chaosCompute is deterministic and state-coupled: the output embeds the
 // running sum, so a wrong state chain corrupts outputs detectably.
-func chaosCompute(_ *rng.Source, in int, s chaosState) (int, chaosState) {
-	s.Sum += float64(in)
-	return in*2 + int(s.Sum), s
+func chaosCompute(_ *rng.Source, in int, s []float64) (int, []float64) {
+	s[0] += float64(in)
+	return in*2 + int(s[0]), s
 }
 
 // chaosAux is exact when the engine's window covers the whole prefix
 // (the scenarios set Window = len(inputs)): initial state plus the sum of
 // everything before the group is the true state.
-func chaosAux(_ *rng.Source, init chaosState, recent []int) chaosState {
+func chaosAux(_ *rng.Source, init []float64, recent []int) []float64 {
 	for _, v := range recent {
-		init.Sum += float64(v)
+		init[0] += float64(v)
 	}
 	return init
 }
 
 // chaosGarbage corrupts a speculative state so no original can match it.
-func chaosGarbage(s chaosState) chaosState {
-	return chaosState{Sum: s.Sum - 1e12}
+func chaosGarbage(s []float64) []float64 {
+	s[0] -= 1e12
+	return s
 }
 
 // ChaosScenario is one injection campaign.
@@ -75,9 +72,10 @@ type ChaosScenario struct {
 	// Protocol selects the speculation protocol the scenario runs under
 	// (the zero value is the default aux protocol).
 	Protocol core.Protocol
-	// FootprintLie switches the scenario to the slotted dependence whose
-	// compute touches a state slot its declared footprint omits, with the
-	// runtime footprint oracle armed (Options.FootprintCheck).
+	// FootprintLie switches the scenario to the chaosLieSlots-slot
+	// dependence whose compute touches a state slot its declared footprint
+	// omits, with the runtime footprint oracle armed
+	// (Options.FootprintCheck).
 	FootprintLie bool
 	// GroupTimeout is passed to the engine (0 disables deadlines).
 	GroupTimeout time.Duration
@@ -92,42 +90,22 @@ type ChaosScenario struct {
 type ChaosResult struct {
 	Name string
 	Runs int
+	// Stats sums the engine's accounts over the runs (Stats.Add). AuxCalls
+	// is the schedule's: a group squashed before its lane task started never
+	// calls its aux. Rounds is nonzero when a reservations scenario engaged
+	// the reserve/check/commit machinery before its faults landed.
+	core.Stats
 	// Injected faults, per site, as counted by the injector.
 	AuxPanics, Garbage, ComputePanics, Delays uint64
-	// Engine accounting summed over the runs. AuxCalls is the schedule's:
-	// a group squashed before its lane task started never calls its aux.
-	PanickedGroups, TimedOutGroups, Aborts, BreakerDenied, AuxCalls int
-	// Rounds sums reservation rounds over the runs (0 under the aux
-	// protocol); nonzero proves a reservations scenario actually engaged
-	// the reserve/check/commit machinery before its faults landed.
-	Rounds int
-	// Inputs, ConventionalInputs and FallbackInputs sum the runs' inputs and
-	// the ones committed by the reservations protocol's conventional
-	// streaks and by the sequential fallback; on a reservations scenario
-	// they and the reservation commits the observer counted must add up.
-	Inputs, ConventionalInputs, FallbackInputs int
-	// FootprintViolations sums the runtime footprint oracle's catches
-	// (undeclared slot touches) over the runs; EventFootprints is the
-	// event-log total of the same occurrences.
-	FootprintViolations int
-	EventFootprints     int64
 	// BreakerTrips is the breaker's lifetime trip count (0 without one).
 	BreakerTrips int64
-	// EventPanics and EventTimeouts are the event-log totals (EvPanic /
-	// EvGroupTimeout occurrences in the tracer).
-	EventPanics, EventTimeouts int64
-	// LaneCPUCommittedNS and LaneCPUWastedNS sum the engine's wasted-work
-	// attribution over the runs; EventLaneCommittedNS and
-	// EventLaneWastedNS are the event-log totals of the same nanoseconds.
-	LaneCPUCommittedNS, LaneCPUWastedNS     int64
-	EventLaneCommittedNS, EventLaneWastedNS int64
 	// MidScrapes counts /metrics expositions parsed between runs.
 	MidScrapes int
 	// OutputsIdentical is true when every run's outputs and final state
 	// equal the uninjected sequential baseline's.
 	OutputsIdentical bool
-	// Reconciled is true when Stats, the event log and the final scrape
-	// agree on the failure counters.
+	// Reconciled is true when every account of the campaign agrees
+	// (chaosReconciled).
 	Reconciled bool
 }
 
@@ -165,29 +143,13 @@ func chaosScenarios(seed uint64) []ChaosScenario {
 // Any crash, output divergence or reconciliation failure is reported in
 // the result row; injector or infrastructure errors abort the experiment.
 func ChaosRun(e *Env) ([]ChaosResult, error) {
-	const (
-		n         = 256
-		workers   = 4
-		groupSize = 8
-	)
-	inputs := make([]int, n)
+	inputs := make([]int, 256)
 	for i := range inputs {
 		inputs[i] = i + 1
 	}
-	dep := core.New(chaosCompute, chaosAux, chaosOps())
-	// The uninjected sequential baseline: the output contract every
-	// injected run must reproduce byte for byte.
-	baseOuts, baseFinal, _ := dep.Run(inputs, chaosState{}, core.Options{})
-
 	var out []ChaosResult
 	for _, sc := range chaosScenarios(e.Seed) {
-		var r ChaosResult
-		var err error
-		if sc.FootprintLie {
-			r, err = chaosFootprintRun(sc, inputs, workers, groupSize)
-		} else {
-			r, err = chaosScenarioRun(sc, inputs, baseOuts, baseFinal, workers, groupSize)
-		}
+		r, err := chaosScenarioRun(sc, inputs)
 		if err != nil {
 			return nil, fmt.Errorf("chaos %s: %w", sc.Name, err)
 		}
@@ -199,7 +161,7 @@ func ChaosRun(e *Env) ([]ChaosResult, error) {
 // chaosLieSlots is the slot count of the lying-footprint dependence.
 const chaosLieSlots = 4
 
-// chaosLieCompute is the slotted dependence with the seeded footprint
+// chaosLieCompute is the lying-footprint compute with the seeded footprint
 // bug: every input updates its own slot, but every seventh input also
 // bumps the neighbor slot — a touch the declared footprint omits.
 func chaosLieCompute(_ *rng.Source, in int, st []float64) (int, []float64) {
@@ -210,80 +172,33 @@ func chaosLieCompute(_ *rng.Source, in int, st []float64) (int, []float64) {
 	return in*2 + int(st[in%chaosLieSlots]), st
 }
 
-// chaosLieDep builds the dependence whose footprint declares only the
-// input's own slot, with the per-slot equality the oracle needs.
-func chaosLieDep() *core.Dependence[int, []float64, int] {
+// chaosDep builds a scenario's dependence around compute and aux, with its
+// initial state: the one-slot prefix sum with no reservation contract (one
+// input commits per round under reservations), or for a lying footprint the
+// chaosLieSlots-slot dependence whose footprint declares only the input's
+// own slot, with the per-slot equality the oracle needs.
+func chaosDep(lie bool, compute core.Compute[int, []float64, int], aux core.Aux[int, []float64]) (*core.Dependence[int, []float64, int], []float64) {
+	if !lie {
+		return core.New(compute, aux, chaosOps()), []float64{0}
+	}
 	ops, reserve := core.SlotOps(func(in int) []int { return []int{in % chaosLieSlots} },
 		nil, func(a, b float64) bool { return a == b })
-	return core.New(chaosLieCompute, nil, ops).WithReserve(reserve)
+	return core.New(compute, nil, ops).WithReserve(reserve), make([]float64, chaosLieSlots)
 }
 
-// chaosFootprintRun executes the lying-footprint scenario: reservations
-// with the footprint oracle armed over a compute whose declared footprint
-// under-approximates its touches. The oracle must fire, the poisoned
-// rounds must be squashed before commit, and the sequential fallback must
-// keep the outputs byte-identical to the uninjected baseline.
-func chaosFootprintRun(sc ChaosScenario, inputs []int, workers, groupSize int) (ChaosResult, error) {
-	ob := obs.NewObserver(workers+1, 1<<14)
-	srv := telemetry.NewServer(telemetry.Config{Observer: ob})
-	if err := srv.Start("127.0.0.1:0"); err != nil {
-		return ChaosResult{}, err
+// chaosScenarioRun executes one scenario under a live telemetry server and
+// checks every run against the scenario's uninjected sequential baseline.
+func chaosScenarioRun(sc ChaosScenario, inputs []int) (ChaosResult, error) {
+	const workers, groupSize = 4, 8
+	base := chaosCompute
+	if sc.FootprintLie {
+		base = chaosLieCompute
 	}
-	defer srv.Close()
+	// The uninjected sequential baseline: the output contract every
+	// injected run must reproduce byte for byte.
+	baseDep, init := chaosDep(sc.FootprintLie, base, chaosAux)
+	baseOuts, baseFinal, _ := baseDep.Run(inputs, init, core.Options{})
 
-	baseOuts, baseFinal, _ := chaosLieDep().Run(inputs, make([]float64, chaosLieSlots), core.Options{})
-
-	res := ChaosResult{Name: sc.Name, Runs: sc.Runs, OutputsIdentical: true}
-	for run := 0; run < sc.Runs; run++ {
-		outs, final, st, err := chaosLieDep().RunChecked(inputs, make([]float64, chaosLieSlots), core.Options{
-			UseAux: true, Protocol: core.ProtocolReservations, FootprintCheck: true,
-			GroupSize: groupSize, Workers: workers,
-			Seed: sc.Cfg.Seed + uint64(run), Obs: ob,
-		})
-		if err != nil {
-			return res, fmt.Errorf("run %d escaped containment: %w", run, err)
-		}
-		if len(final) != len(baseFinal) || !equalInts(outs, baseOuts) {
-			res.OutputsIdentical = false
-		} else {
-			for i := range final {
-				if final[i] != baseFinal[i] {
-					res.OutputsIdentical = false
-				}
-			}
-		}
-		res.PanickedGroups += st.PanickedGroups
-		res.TimedOutGroups += st.TimedOutGroups
-		res.Aborts += st.Aborts
-		res.Rounds += st.Rounds
-		res.FootprintViolations += st.FootprintViolations
-
-		if _, err := scrapeOnce(srv.URL()); err != nil {
-			return res, fmt.Errorf("mid-run scrape: %w", err)
-		}
-		res.MidScrapes++
-	}
-
-	for _, ev := range ob.Tracer.Snapshot() {
-		if ev.Kind == obs.EvFootprintViolation {
-			res.EventFootprints++
-		}
-	}
-	final, err := scrapeOnce(srv.URL())
-	if err != nil {
-		return res, fmt.Errorf("final scrape: %w", err)
-	}
-	v, _ := final.Value(obs.EvFootprintViolation.Fact().Metric)
-	res.Reconciled = int64(res.FootprintViolations) == ob.Counts()[obs.EvFootprintViolation] &&
-		int64(res.FootprintViolations) == int64(v)
-	if ob.Tracer.Dropped() == 0 {
-		res.Reconciled = res.Reconciled && res.EventFootprints == int64(res.FootprintViolations)
-	}
-	return res, nil
-}
-
-// chaosScenarioRun executes one scenario under a live telemetry server.
-func chaosScenarioRun(sc ChaosScenario, inputs []int, baseOuts []int, baseFinal chaosState, workers, groupSize int) (ChaosResult, error) {
 	in := fault.New(sc.Cfg)
 	ob := obs.NewObserver(workers+1, 1<<14)
 
@@ -301,25 +216,24 @@ func chaosScenarioRun(sc ChaosScenario, inputs []int, baseOuts []int, baseFinal 
 	}
 	defer srv.Close()
 
-	// A fourth account of the campaign: an hour-window signals aggregator
-	// whose start-to-end deltas must equal the summed engine Stats.
+	// An account the fact table cannot see: an hour-window signals
+	// aggregator whose start-to-end deltas must equal the summed Stats.
 	sig := telemetry.NewSignals(ob, telemetry.SignalsConfig{Window: time.Hour, Breaker: b})
 	sig.Report() // baseline sample before any run
 
 	aux := fault.WrapAux(in, chaosAux, chaosGarbage)
 	res := ChaosResult{Name: sc.Name, Runs: sc.Runs, OutputsIdentical: true}
 	for run := 0; run < sc.Runs; run++ {
-		compute := core.Compute[int, chaosState, int](chaosCompute)
+		compute := core.Compute[int, []float64, int](base)
 		if sc.ComputeOnce {
 			// One fresh wrapper per run: at most one transient compute
 			// fault per run, guaranteed to land on a containable lane.
-			compute = fault.WrapComputeOnce(in, chaosCompute,
-				func(i int) uint64 { return uint64(i) })
+			compute = fault.WrapComputeOnce(in, base, func(i int) uint64 { return uint64(i) })
 		} else if sc.Cfg.DelayRate > 0 {
-			compute = fault.WrapCompute(in, chaosCompute)
+			compute = fault.WrapCompute(in, base)
 		}
 		opts := core.Options{
-			UseAux: true, Protocol: sc.Protocol,
+			UseAux: true, Protocol: sc.Protocol, FootprintCheck: sc.FootprintLie,
 			GroupSize: groupSize, Window: len(inputs),
 			RedoMax: 1, Rollback: 4, Workers: workers,
 			Seed: sc.Cfg.Seed + uint64(run),
@@ -328,26 +242,16 @@ func chaosScenarioRun(sc ChaosScenario, inputs []int, baseOuts []int, baseFinal 
 		if b != nil {
 			opts.Breaker = b
 		}
-		dep := core.New(compute, aux, chaosOps())
-		outs, final, st, err := dep.RunChecked(inputs, chaosState{}, opts)
+		dep, init := chaosDep(sc.FootprintLie, compute, aux)
+		outs, final, st, err := dep.RunChecked(inputs, init, opts)
 		if err != nil {
 			// The no-crash guarantee failed: a fault escaped containment.
 			return res, fmt.Errorf("run %d escaped containment: %w", run, err)
 		}
-		if final != baseFinal || !equalInts(outs, baseOuts) {
+		if !slices.Equal(final, baseFinal) || !slices.Equal(outs, baseOuts) {
 			res.OutputsIdentical = false
 		}
-		res.PanickedGroups += st.PanickedGroups
-		res.TimedOutGroups += st.TimedOutGroups
-		res.Aborts += st.Aborts
-		res.BreakerDenied += st.BreakerDenied
-		res.AuxCalls += st.AuxCalls
-		res.Rounds += st.Rounds
-		res.Inputs += st.Inputs
-		res.ConventionalInputs += st.ConventionalInputs
-		res.FallbackInputs += st.FallbackInputs
-		res.LaneCPUCommittedNS += st.LaneCPUCommittedNS
-		res.LaneCPUWastedNS += st.LaneCPUWastedNS
+		res.Add(st)
 
 		// A live scrape between runs: every exposition must parse and
 		// satisfy the registry's structural invariants.
@@ -364,19 +268,6 @@ func chaosScenarioRun(sc ChaosScenario, inputs []int, baseOuts []int, baseFinal 
 	if b != nil {
 		res.BreakerTrips = b.Snapshot().Trips
 	}
-	for _, ev := range ob.Tracer.Snapshot() {
-		switch ev.Kind {
-		case obs.EvPanic:
-			res.EventPanics++
-		case obs.EvGroupTimeout:
-			res.EventTimeouts++
-		case obs.EvLaneCPUCommitted:
-			res.EventLaneCommittedNS += ev.Arg
-		case obs.EvLaneCPUWasted:
-			res.EventLaneWastedNS += ev.Arg
-		}
-	}
-
 	final, err := scrapeOnce(srv.URL())
 	if err != nil {
 		return res, fmt.Errorf("final scrape: %w", err)
@@ -385,30 +276,16 @@ func chaosScenarioRun(sc ChaosScenario, inputs []int, baseOuts []int, baseFinal 
 	return res, nil
 }
 
-// chaosReconciled checks the failure accounting across every account the
-// runtime keeps: engine Stats sums, observer instruments, the event log
-// (when no events were dropped), the final /metrics exposition, and the
-// signals window's start-to-end deltas must agree exactly.
+// chaosReconciled checks every account the campaign kept: the fact table's
+// (telemetry.Reconcile over the summed Stats, the observer, its event log
+// and the final /metrics exposition), the reservations identity, and the two
+// accounts the table cannot see — the signals window's start-to-end deltas
+// and the breaker's own breaker_* metrics.
 func chaosReconciled(r ChaosResult, ob *obs.Observer, b *telemetry.Breaker, m *telemetry.PromMetrics, rep telemetry.SignalsReport) bool {
-	v := func(name string) int64 {
-		f, _ := m.Value(name)
-		return int64(f)
-	}
-	ok, counts := true, ob.Counts()
-	for kind, engine := range map[obs.EventKind]int64{
-		obs.EvPanic:            int64(r.PanickedGroups),
-		obs.EvGroupTimeout:     int64(r.TimedOutGroups),
-		obs.EvAbort:            int64(r.Aborts),
-		obs.EvFallback:         int64(r.FallbackInputs),
-		obs.EvConventional:     int64(r.ConventionalInputs),
-		obs.EvLaneCPUCommitted: r.LaneCPUCommittedNS,
-		obs.EvLaneCPUWasted:    r.LaneCPUWastedNS,
-	} {
-		ok = ok && engine == counts[kind] && engine == v(kind.Fact().Metric)
-	}
+	ok := telemetry.Reconcile(r.Stats, ob, m) == nil
 	// A run of reservation rounds commits every input exactly one way.
 	if r.Rounds > 0 {
-		ok = ok && counts[obs.EvCommit]+int64(r.ConventionalInputs+r.FallbackInputs) == int64(r.Inputs)
+		ok = ok && ob.Counts()[obs.EvCommit]+int64(r.ConventionalInputs+r.FallbackInputs) == int64(r.Inputs)
 	}
 	// The signals window opened before the first run, so its deltas are
 	// the whole campaign.
@@ -419,32 +296,16 @@ func chaosReconciled(r ChaosResult, ob *obs.Observer, b *telemetry.Breaker, m *t
 		rep.ConventionalInputs == int64(r.ConventionalInputs) &&
 		rep.LaneCPUCommittedNS == r.LaneCPUCommittedNS &&
 		rep.LaneCPUWastedNS == r.LaneCPUWastedNS
-	if ob.Tracer.Dropped() == 0 {
-		ok = ok && r.EventPanics == int64(r.PanickedGroups) &&
-			r.EventTimeouts == int64(r.TimedOutGroups) &&
-			r.EventLaneCommittedNS == r.LaneCPUCommittedNS &&
-			r.EventLaneWastedNS == r.LaneCPUWastedNS
-	}
 	if b != nil {
-		snap := b.Snapshot()
+		v := func(name string) int64 {
+			f, _ := m.Value(name)
+			return int64(f)
+		}
 		ok = ok && r.BreakerTrips == v("breaker_trips_total") &&
-			int64(r.BreakerDenied) == snap.Denied &&
+			int64(r.BreakerDenied) == b.Snapshot().Denied &&
 			int64(r.BreakerDenied) == v("breaker_denied_runs_total")
 	}
 	return ok
-}
-
-// equalInts compares two output slices element-wise.
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // ChaosTable renders the chaos campaign as an experiment table.

@@ -77,7 +77,7 @@ func TestChaosDeterministicInjection(t *testing.T) {
 		for c := 0; c < res[i].AuxCalls; c++ {
 			func() {
 				defer func() { _ = recover() }() // an injected aux panic
-				aux(nil, chaosState{}, nil)
+				aux(nil, []float64{0}, nil)
 			}()
 		}
 		if got, want := [2]uint64{res[i].AuxPanics, res[i].Garbage}, [2]uint64{in.Fired(fault.SiteAux), in.Fired(fault.SiteGarbage)}; got != want {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -130,7 +131,7 @@ func exploreTargets(e *Env) []exploreTarget {
 		inputs[i] = i + 1
 	}
 	dep := core.New(chaosCompute, chaosAux, chaosOps())
-	baseOuts, baseFinal, _ := dep.Run(inputs, chaosState{}, core.Options{})
+	baseOuts, baseFinal, _ := dep.Run(inputs, []float64{0}, core.Options{})
 	mixes := []struct {
 		name string
 		cfg  fault.Config
@@ -147,12 +148,12 @@ func exploreTargets(e *Env) []exploreTarget {
 				in := fault.New(cfg)
 				aux := fault.WrapAux(in, chaosAux, chaosGarbage)
 				d := core.New(chaosCompute, aux, chaosOps())
-				outs, final, _, err := d.RunChecked(inputs, chaosState{}, core.Options{
+				outs, final, _, err := d.RunChecked(inputs, []float64{0}, core.Options{
 					UseAux: true, GroupSize: 8, Window: len(inputs),
 					RedoMax: 1, Rollback: 4, Workers: 2,
 					Seed: cfg.Seed, Sched: ctl,
 				})
-				return err == nil && final == baseFinal && equalInts(outs, baseOuts)
+				return err == nil && slices.Equal(final, baseFinal) && slices.Equal(outs, baseOuts)
 			},
 		})
 	}
@@ -168,11 +169,11 @@ func exploreTargets(e *Env) []exploreTarget {
 				func(v int) uint64 { return uint64(v) })
 		}
 		d := core.New(compute, nil, chaosOps())
-		outs, final, st, err := d.RunChecked(inputs, chaosState{}, core.Options{
+		outs, final, st, err := d.RunChecked(inputs, []float64{0}, core.Options{
 			UseAux: true, Protocol: core.ProtocolReservations,
 			GroupSize: 8, Workers: 2, Seed: e.Seed + 13, Sched: ctl,
 		})
-		return err == nil && final == baseFinal && equalInts(outs, baseOuts) && st.Rounds > 0
+		return err == nil && slices.Equal(final, baseFinal) && slices.Equal(outs, baseOuts) && st.Rounds > 0
 	}
 	ts = append(ts,
 		exploreTarget{

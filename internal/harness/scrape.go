@@ -12,44 +12,30 @@ import (
 	"repro/internal/workload"
 )
 
-// ScrapeCounters is the speculation-counter set the reconciliation
-// compares across its three sources: the live /metrics exposition, the
-// observer's instruments, and the engine's own run statistics. The engine
-// keeps no count of reservation commits: its ResvCommits is what the
-// reservations pass's inputs leave once conventional and fallback inputs are
-// taken out, so agreeing with the other two sources is the identity
-// reservation commits + conventional inputs + fallback inputs = inputs.
-type ScrapeCounters struct {
-	Matches, Redos, Aborts, SpecCommits, ResvCommits, Conventional int64
-}
-
 // ScrapeResult is one benchmark's self-scrape reconciliation: the harness
-// boots a telemetry server over the observer of two runs (the aux protocol,
-// then reservations), scrapes its own /metrics endpoint while the engine is
-// mid-run, and checks that the final exposition agrees exactly with the
-// observer's instruments and the engine's Stats — the same numbers Table 1's
-// runtime columns are built from.
+// boots one telemetry server over the observer of two runs (the aux
+// protocol, then reservations), scrapes its own /metrics endpoint while the
+// engine is mid-run, and checks that the final exposition, the observer's
+// instruments and event log, and the engine's Stats agree on every row of
+// the fact table — the same numbers Table 1's runtime columns are built from.
 type ScrapeResult struct {
 	Name string
+	// Stats sums the two runs' engine statistics (Stats.Add).
+	core.Stats
 	// MidScrapes counts /metrics responses parsed while the run was in
 	// flight (each must be a valid, internally-consistent exposition).
 	MidScrapes int
-	// Scraped, Observed and Engine are the counter set from the final
-	// scrape, the observer, and core.Stats respectively.
-	Scraped, Observed, Engine ScrapeCounters
+	// ResvCommits is the observer's count of inputs the reservations
+	// coordinator committed (the engine keeps no such count).
+	ResvCommits int64
 	// P50ScrapedNS is the validation-latency median from the exposition's
 	// quantile gauge; P50DirectNS the same read straight off the
 	// histogram (Table 1's source).
 	P50ScrapedNS, P50DirectNS int64
-	// Reconciled is true when all three counter sources agree and the
-	// scraped quantile equals the direct read.
+	// Reconciled is true when telemetry.Reconcile finds every account in
+	// agreement over the final scrape and the scraped quantile equals the
+	// direct read.
 	Reconciled bool
-}
-
-// reconciled checks the three-way agreement.
-func (r ScrapeResult) reconciled() bool {
-	return r.Scraped == r.Observed && r.Scraped == r.Engine &&
-		r.P50ScrapedNS == r.P50DirectNS
 }
 
 // scrapeOnce fetches and structurally parses one /metrics exposition.
@@ -67,22 +53,6 @@ func scrapeOnce(url string) (*telemetry.PromMetrics, error) {
 		return nil, fmt.Errorf("scrape: status %d", resp.StatusCode)
 	}
 	return telemetry.ParsePromText(string(body))
-}
-
-// counterSet extracts the reconciliation counters from a parsed scrape.
-func counterSet(m *telemetry.PromMetrics) ScrapeCounters {
-	v := func(name string) int64 {
-		f, _ := m.Value(name)
-		return int64(f)
-	}
-	return ScrapeCounters{
-		Matches:      v(obs.EvValidateMatch.Fact().Metric),
-		Redos:        v(obs.EvRedo.Fact().Metric),
-		Aborts:       v(obs.EvAbort.Fact().Metric),
-		SpecCommits:  v("stats_speculative_commit_inputs_total"),
-		ResvCommits:  v(obs.EvCommit.Fact().Metric),
-		Conventional: v(obs.EvConventional.Fact().Metric),
-	}
 }
 
 // ScrapeReconcile runs every STATS target once with a telemetry server up
@@ -119,20 +89,14 @@ func scrapeReconcileOne(e *Env, w workload.Workload) (ScrapeResult, error) {
 		UseAux: true, GroupSize: 4, Window: 2,
 		RedoMax: 2, Rollback: 2, Workers: workers, Obs: ob,
 	}
-	done := make(chan ScrapeCounters, 1)
+	done := make(chan core.Stats, 1)
 	go func() {
 		_, st := w.RunSTATS(e.Seed, e.RealSize, opts)
 		resvOpts := opts
 		resvOpts.Protocol = core.ProtocolReservations
 		_, resv := w.RunSTATS(e.Seed, e.RealSize, resvOpts)
-		done <- ScrapeCounters{
-			Matches:      int64(st.Matches),
-			Redos:        int64(st.Redos),
-			Aborts:       int64(st.Aborts + resv.Aborts),
-			SpecCommits:  int64(st.SpeculativeCommits + resv.SpeculativeCommits),
-			ResvCommits:  int64(resv.Inputs - resv.ConventionalInputs - resv.FallbackInputs),
-			Conventional: int64(resv.ConventionalInputs),
-		}
+		st.Add(resv)
+		done <- st
 	}()
 
 	// Scrape our own endpoint while the engine runs: every mid-run
@@ -140,11 +104,10 @@ func scrapeReconcileOne(e *Env, w workload.Workload) (ScrapeResult, error) {
 	// parser enforces them); values may lag the instruments, which is the
 	// point — the final scrape below is the one that must agree.
 	res := ScrapeResult{Name: w.Desc().Name}
-	var engine ScrapeCounters
 	running := true
 	for running {
 		select {
-		case engine = <-done:
+		case res.Stats = <-done:
 			running = false
 		default:
 			if _, err := scrapeOnce(srv.URL()); err != nil {
@@ -159,22 +122,12 @@ func scrapeReconcileOne(e *Env, w workload.Workload) (ScrapeResult, error) {
 	if err != nil {
 		return res, fmt.Errorf("final scrape: %w", err)
 	}
-	res.Scraped = counterSet(final)
-	counts := ob.Counts()
-	res.Observed = ScrapeCounters{
-		Matches:      counts[obs.EvValidateMatch],
-		Redos:        counts[obs.EvRedo],
-		Aborts:       counts[obs.EvAbort],
-		SpecCommits:  ob.SpecCommittedInputs.Value(),
-		ResvCommits:  counts[obs.EvCommit],
-		Conventional: counts[obs.EvConventional],
-	}
-	res.Engine = engine
+	res.ResvCommits = ob.Counts()[obs.EvCommit]
 	if p50, ok := final.Value("stats_validation_latency_ns_p50"); ok {
 		res.P50ScrapedNS = int64(p50)
 	}
 	res.P50DirectNS = ob.ValidationLatencyNS.Quantile(0.5)
-	res.Reconciled = res.reconciled()
+	res.Reconciled = telemetry.Reconcile(res.Stats, ob, final) == nil && res.P50ScrapedNS == res.P50DirectNS
 	return res, nil
 }
 
@@ -194,16 +147,16 @@ func ScrapeTable(e *Env) (*Table, error) {
 	for _, r := range res {
 		t.AddRow(r.Name,
 			fmt.Sprintf("%d", r.MidScrapes),
-			fmt.Sprintf("%d", r.Scraped.Matches),
-			fmt.Sprintf("%d", r.Scraped.Redos),
-			fmt.Sprintf("%d", r.Scraped.Aborts),
-			fmt.Sprintf("%d", r.Scraped.SpecCommits),
-			fmt.Sprintf("%d", r.Scraped.ResvCommits),
-			fmt.Sprintf("%d", r.Scraped.Conventional),
+			fmt.Sprintf("%d", r.Matches),
+			fmt.Sprintf("%d", r.Redos),
+			fmt.Sprintf("%d", r.Aborts),
+			fmt.Sprintf("%d", r.SpeculativeCommits),
+			fmt.Sprintf("%d", r.ResvCommits),
+			fmt.Sprintf("%d", r.ConventionalInputs),
 			fmtLatencyNS(r.P50ScrapedNS),
 			fmt.Sprintf("%v", r.Reconciled),
 		)
 	}
-	t.AddNote("each benchmark ran once per protocol under a live telemetry server scraping its own /metrics; counters shown are from the final scrape and must equal both the observer's instruments and the engine's Stats (Table 1's runtime columns draw from the same sources)")
+	t.AddNote("each benchmark ran once per protocol under a live telemetry server scraping its own /metrics; counters shown are the engine's Stats (resv commits: the observer's commit count), and every fact-table row must agree across the final scrape, the observer's instruments, its event log and the Stats (Table 1's runtime columns draw from the same sources)")
 	return t, nil
 }

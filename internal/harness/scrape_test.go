@@ -7,8 +7,8 @@ import (
 
 // TestScrapeReconcile runs the self-scrape experiment at quick scale: for
 // every STATS target, mid-run scrapes must parse, and the final live
-// exposition must agree exactly with the observer's instruments and the
-// engine's own statistics — the Table 1 runtime columns and the served
+// exposition must agree exactly with the observer's instruments, its event
+// log and the engine's own statistics — the Table 1 runtime columns and the served
 // /metrics view are the same numbers.
 func TestScrapeReconcile(t *testing.T) {
 	e := NewEnv(true)
@@ -22,10 +22,10 @@ func TestScrapeReconcile(t *testing.T) {
 	committed := 0
 	for _, r := range res {
 		if !r.Reconciled {
-			t.Errorf("%s: scrape %+v, observer %+v, engine %+v, p50 %d vs %d — sources disagree",
-				r.Name, r.Scraped, r.Observed, r.Engine, r.P50ScrapedNS, r.P50DirectNS)
+			t.Errorf("%s: engine %+v, p50 %d vs %d — sources disagree",
+				r.Name, r.Stats, r.P50ScrapedNS, r.P50DirectNS)
 		}
-		if r.Scraped.SpecCommits > 0 {
+		if r.SpeculativeCommits > 0 {
 			committed++
 		}
 	}

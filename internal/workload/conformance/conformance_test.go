@@ -4,11 +4,10 @@
 package conformance
 
 import (
-	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 	"repro/internal/workload/registry"
 )
@@ -129,14 +128,12 @@ func TestSTATSBookkeeping(t *testing.T) {
 		_, st := w.RunSTATS(5, size, o)
 		// However many engine runs the workload's answer took, the Stats it
 		// hands back and the observer that watched them are one account.
-		for _, f := range obs.Catalogue() {
-			if f.Stats == "" || !strings.HasSuffix(f.Metric, "_total") {
-				continue
-			}
-			got, want := reflect.ValueOf(st).FieldByName(f.Stats).Int(), o.Obs.Reg.Counter(f.Metric).Value()
-			if got != want {
-				t.Errorf("Stats.%s = %d, observer's %s = %d", f.Stats, got, f.Metric, want)
-			}
+		m, err := telemetry.ParsePromText(o.Obs.Reg.Text())
+		if err == nil {
+			err = telemetry.Reconcile(st, o.Obs, m)
+		}
+		if err != nil {
+			t.Error(err)
 		}
 		if !w.Desc().SupportsSTATS {
 			if st.Groups != 0 {

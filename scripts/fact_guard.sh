@@ -32,7 +32,11 @@
 # imports internal/sched, or internal/sched declares a point (or wire name) a
 # pool worker would yield on. The layering guard: the observation layer
 # depends on internal/obs, not on the engine it observes, so fail if
-# internal/telemetry's non-test code imports internal/core. Run via `make vet`.
+# internal/telemetry's non-test code imports internal/core. The name guard:
+# every counter's name is defined once, in internal/obs's fact table, and
+# reconciliation walks that table (telemetry.Reconcile), so fail on a
+# "stats_..._total" or "sched_..._total" string literal in non-test Go outside
+# internal/obs (bench/ excluded). Run via `make vet`.
 set -eu
 
 emits=$(grep -rn 'Tracer\.Emit(' internal/core internal/pool --include='*.go' |
@@ -110,5 +114,13 @@ layering=$(grep -rn '"repro/internal/core"' internal/telemetry --include='*.go' 
 if [ -n "$layering" ]; then
     echo "fact-guard: internal/telemetry observes the engine through internal/obs, it does not import internal/core:" >&2
     printf '%s\n' "$layering" >&2
+    exit 1
+fi
+
+names=$(grep -rnE '"(stats|sched)_[a-z0-9_]*_total"' --include='*.go' --exclude-dir=bench . |
+    grep -v -e '_test\.go:' -e '^\./internal/obs/' || true)
+if [ -n "$names" ]; then
+    echo "fact-guard: metric names come from the fact table (obs.Catalogue, EventKind.Fact), not string literals:" >&2
+    printf '%s\n' "$names" >&2
     exit 1
 fi
