@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/racemode"
 	"repro/internal/workload"
 	"repro/internal/workload/registry"
@@ -26,9 +27,10 @@ type pinnedCell struct {
 
 func pinned() []pinnedCell {
 	aux := workload.SpecOptions{UseAux: true, GroupSize: 8, Window: 2, RedoMax: 2, Rollback: 2}
-	starved, wide := aux, aux
+	starved, wide, resv := aux, aux, aux
 	starved.Window, starved.RedoMax = 0, 1
 	wide.GroupSize, wide.Window = 32, 8
+	resv.Protocol = core.ProtocolReservations
 	// Seeds 0–7 for the programs whose state handling changed; two for
 	// bodytrack and swaptions, whose code did not (only the engine's elided
 	// clones run under them) and whose invocations are the suite's dearest
@@ -42,14 +44,21 @@ func pinned() []pinnedCell {
 		{"bodytrack", 64, aux, 2},
 		{"bodytrack", 32, starved, 2},
 		{"swaptions", 64, wide, 2},
+		// The reservations cells run the sharded streamcluster path (shard
+		// merge and final assignment) that no aux cell reaches.
+		{"swaptions", 32, resv, 2},
+		{"streamclassifier", 1024, resv, 4},
+		{"streamcluster", 1024, resv, 4},
+		{"fluidanimate", 256, resv, 4},
 	}
 }
 
 // TestResultsPinned digests every pinned cell's result on its seeds along four
 // paths — the original program's walk, the engine's sequential run, and the
-// aux protocol on one lane and on two — and compares them with the digests
-// recorded before the programs began updating their state in place
-// (testdata/pins.golden, written by -update-pins). A result is the program's
+// cell's protocol on one lane and on two — and compares them with the digests
+// recorded before the programs began updating their state in place (the
+// reservations cells: before the stream kernels were unrolled;
+// testdata/pins.golden, written by -update-pins). A result is the program's
 // whole answer printed with %v: floats print in their shortest round-trip
 // form, so equal digests are equal bits.
 func TestResultsPinned(t *testing.T) {
@@ -62,6 +71,10 @@ func TestResultsPinned(t *testing.T) {
 		seeds := c.seeds
 		if racemode.Enabled || testing.Short() {
 			seeds = 2
+		}
+		protocol := ""
+		if c.opts.Protocol == core.ProtocolReservations {
+			protocol = "/resv"
 		}
 		for seed := uint64(0); seed < seeds; seed++ {
 			seq, one, two := c.opts, c.opts, c.opts
@@ -78,7 +91,7 @@ func TestResultsPinned(t *testing.T) {
 			for _, p := range paths {
 				h := sha256.New()
 				fmt.Fprintf(h, "%v", p.run())
-				fmt.Fprintf(&got, "%s/%d/w%d seed %d %s %x\n", c.program, c.size, c.opts.Window, seed, p.name, h.Sum(nil)[:12])
+				fmt.Fprintf(&got, "%s/%d/w%d%s seed %d %s %x\n", c.program, c.size, c.opts.Window, protocol, seed, p.name, h.Sum(nil)[:12])
 			}
 		}
 	}

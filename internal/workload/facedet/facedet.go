@@ -187,12 +187,11 @@ func initialState(p params, r *rng.Source) State {
 // score returns the (quantized) detector response of a hypothesis against
 // the frame's raw detection, searched over scaleSteps scale refinements.
 func score(p params, hyp particle, f Frame) float64 {
+	dist := hyp.center.Dist(f.DetCenter)
 	best := math.Inf(1)
 	for step := 0; step < p.scaleSteps; step++ {
 		scale := hyp.scale * (1 + 0.02*float64(step-p.scaleSteps/2))
-		d := hyp.center.Dist(f.DetCenter)
-		d += math.Abs(scale - f.DetScale)
-		if d < best {
+		if d := dist + math.Abs(scale-f.DetScale); d < best {
 			best = d
 		}
 	}
@@ -201,13 +200,16 @@ func score(p params, hyp particle, f Frame) float64 {
 
 // step is one particle-filter update: noiseRounds perturbation/weight/
 // resample rounds against the frame. It perturbs the particles it is handed in
-// place (core.Compute: the state belongs to the call).
+// place (core.Compute: the state belongs to the call), and each round
+// resamples into the buffer the round before it left free: the handed-in
+// particles and one spare.
 func step(r *rng.Source, p params, st State, f Frame) State {
 	if len(st.particles) != p.particles {
 		st = resize(st, p.particles, r)
 	}
 	n := len(st.particles)
 	weights := make([]float64, n)
+	spare := make([]particle, n)
 	for round := 0; round < p.noiseRounds; round++ {
 		sigma := 1.2 * math.Pow(0.7, float64(round))
 		total := 0.0
@@ -229,27 +231,22 @@ func step(r *rng.Source, p params, st State, f Frame) State {
 			}
 			total = float64(n)
 		}
-		st = resampleByWeight(st, weights, total, r)
+		// Systematic resampling by weight into the spare buffer.
+		stepSize := total / float64(n)
+		u := r.Float64() * stepSize
+		cum := 0.0
+		src := 0
+		for i := range spare {
+			target := u + float64(i)*stepSize
+			for cum+weights[src] < target && src < n-1 {
+				cum += weights[src]
+				src++
+			}
+			spare[i] = st.particles[src]
+		}
+		st.particles, spare = spare, st.particles
 	}
 	return st
-}
-
-func resampleByWeight(st State, weights []float64, total float64, r *rng.Source) State {
-	n := len(st.particles)
-	out := State{particles: make([]particle, n)}
-	stepSize := total / float64(n)
-	u := r.Float64() * stepSize
-	cum := 0.0
-	src := 0
-	for i := 0; i < n; i++ {
-		target := u + float64(i)*stepSize
-		for cum+weights[src] < target && src < n-1 {
-			cum += weights[src]
-			src++
-		}
-		out.particles[i] = st.particles[src]
-	}
-	return out
 }
 
 func resize(st State, n int, r *rng.Source) State {

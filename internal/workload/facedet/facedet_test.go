@@ -3,6 +3,7 @@ package facedet
 import (
 	"testing"
 
+	"repro/internal/racemode"
 	"repro/internal/rng"
 	"repro/internal/workload"
 	"repro/internal/workload/workloadtest"
@@ -138,5 +139,42 @@ func TestCloneIsolatesCompute(t *testing.T) {
 	p := w.resolve(workload.SpecOptions{}, true)
 	if err := workloadtest.Isolation(computeOutput(p), auxCode(w.resolve(workload.SpecOptions{}, false)), cloneState, initialState(p, rng.New(1)), GenFrames(16, false)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// stepLoop is the measured body of BenchmarkStep and of its allocation
+// ceiling: one particle-filter step at the default tradeoffs with the given
+// number of noise rounds, chained over the frames.
+func stepLoop(noiseRounds int) func() {
+	p := New().resolve(workload.SpecOptions{}, true)
+	p.noiseRounds = noiseRounds
+	st := initialState(p, rng.New(1))
+	frames := GenFrames(64, false)
+	r := rng.New(2)
+	i := 0
+	return func() {
+		st = step(r, p, st, frames[i%len(frames)])
+		i++
+	}
+}
+
+func BenchmarkStep(b *testing.B) {
+	body := stepLoop(New().resolve(workload.SpecOptions{}, true).noiseRounds)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body()
+	}
+}
+
+// TestStepAllocations: a step allocates its weights and one spare particle
+// buffer, whatever the number of noise rounds — each resample writes into the
+// buffer the round before it left free.
+func TestStepAllocations(t *testing.T) {
+	if racemode.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	if got := testing.AllocsPerRun(100, stepLoop(3)); got != 2 {
+		t.Fatalf("a step at 3 noise rounds makes %v allocations, want 2", got)
 	}
 }

@@ -312,16 +312,29 @@ func finalClustering(sol Solution, size int, badTraining bool) quality.Clusterin
 		Points: streamdata.Coords(len(pts), badTraining),
 		Assign: make([]int, len(pts)),
 	}
-	for i, pt := range pts {
-		best := math.Inf(1)
-		for j := range sol.Centers {
-			if d := streamdata.SqDist(sol.Centers[j].pos, pt.X); d < best {
-				best = d
-				c.Assign[i] = j
+	assignNearest(sol, pts, c.Assign)
+	return c
+}
+
+// assignNearest sets assign[i] to the index of the center nearest pts[i]:
+// the lowest of equally near ones, and 0 when no distance is below +Inf (no
+// centers, or only NaN distances). It is the program's one pass over the
+// whole stream, shared by the final assignment and the refinement.
+func assignNearest(sol Solution, pts []streamdata.Point, assign []int) {
+	pos := make([][streamdata.Dim]float64, len(sol.Centers))
+	for j := range sol.Centers {
+		pos[j] = sol.Centers[j].pos
+	}
+	for i := range pts {
+		x := &pts[i].X
+		best, bi := math.Inf(1), 0
+		for j := range pos {
+			if d := streamdata.SqDist(pos[j], *x); d < best {
+				best, bi = d, j
 			}
 		}
+		assign[i] = bi
 	}
-	return c
 }
 
 // RunOriginal implements workload.Workload.
@@ -347,24 +360,20 @@ func (w *W) run(seed uint64, size int, p params, refine int, badTraining bool) R
 // count before refining, as the offline k-median phase of the original
 // benchmark does.
 func refineSolution(sol Solution, pts []streamdata.Point, iters int) Solution {
-	if iters > 0 {
-		for len(sol.Centers) > streamdata.NumComponents {
-			mergeClosest(&sol)
-		}
+	if iters <= 0 {
+		return sol
 	}
+	for len(sol.Centers) > streamdata.NumComponents {
+		mergeClosest(&sol)
+	}
+	assign := make([]int, len(pts))
 	for it := 0; it < iters; it++ {
 		sums := make([][streamdata.Dim]float64, len(sol.Centers))
 		counts := make([]float64, len(sol.Centers))
-		for _, pt := range pts {
-			best := math.Inf(1)
-			bi := 0
-			for j := range sol.Centers {
-				if d := streamdata.SqDist(sol.Centers[j].pos, pt.X); d < best {
-					best, bi = d, j
-				}
-			}
+		assignNearest(sol, pts, assign)
+		for i, bi := range assign {
 			for d := 0; d < streamdata.Dim; d++ {
-				sums[bi][d] += pt.X[d]
+				sums[bi][d] += pts[i].X[d]
 			}
 			counts[bi]++
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/quality"
+	"repro/internal/rng"
 	"repro/internal/workload"
 	"repro/internal/workload/streamdata"
 	"repro/internal/workload/workloadtest"
@@ -149,5 +150,154 @@ func TestCloneIsolatesCompute(t *testing.T) {
 	p := New().resolve(workload.SpecOptions{}, true)
 	if err := workloadtest.Isolation(computeOutput(p), auxCode(p), cloneSolution, Solution{FacilityCost: 1}, batches(16, false)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// rolledSqDist is streamdata.SqDist as the rolled loop it was.
+func rolledSqDist(a, b [streamdata.Dim]float64) float64 {
+	sum := 0.0
+	for d := 0; d < streamdata.Dim; d++ {
+		diff := a[d] - b[d]
+		sum += diff * diff
+	}
+	return sum
+}
+
+// scanAssign is the final assignment as the per-point scan it was: Assign[i]
+// is written whenever a nearer center turns up, so a tie keeps the lower
+// index and a point no distance improves on keeps 0.
+func scanAssign(sol Solution, pts []streamdata.Point) []int {
+	assign := make([]int, len(pts))
+	for i, pt := range pts {
+		best := math.Inf(1)
+		for j := range sol.Centers {
+			if d := rolledSqDist(sol.Centers[j].pos, pt.X); d < best {
+				best = d
+				assign[i] = j
+			}
+		}
+	}
+	return assign
+}
+
+// scanRefine is refineSolution as it was, with its own nearest-center scan.
+func scanRefine(sol Solution, pts []streamdata.Point, iters int) Solution {
+	if iters > 0 {
+		for len(sol.Centers) > streamdata.NumComponents {
+			mergeClosest(&sol)
+		}
+	}
+	for it := 0; it < iters; it++ {
+		sums := make([][streamdata.Dim]float64, len(sol.Centers))
+		counts := make([]float64, len(sol.Centers))
+		for _, pt := range pts {
+			best := math.Inf(1)
+			bi := 0
+			for j := range sol.Centers {
+				if d := rolledSqDist(sol.Centers[j].pos, pt.X); d < best {
+					best, bi = d, j
+				}
+			}
+			for d := 0; d < streamdata.Dim; d++ {
+				sums[bi][d] += pt.X[d]
+			}
+			counts[bi]++
+		}
+		for j := range sol.Centers {
+			if counts[j] == 0 {
+				continue
+			}
+			for d := 0; d < streamdata.Dim; d++ {
+				sol.Centers[j].pos[d] = sums[j][d] / counts[j]
+			}
+			sol.Centers[j].weight = counts[j]
+		}
+	}
+	return sol
+}
+
+// TestNearestScanMatchesReference checks the final assignment and the
+// refinement against the scans they replaced, bit for bit, with 1, 5, 10 and
+// 20 centers drawn from the stream, with duplicate centers (a tie goes to the
+// lowest index) and with a NaN center (never nearest; alone, every point
+// goes to center 0).
+func TestNearestScanMatchesReference(t *testing.T) {
+	const size = 64
+	pts := Points(size, false)
+	for _, k := range []int{1, 5, 10, 20} {
+		plain := Solution{FacilityCost: 1}
+		for j := 0; j < k; j++ {
+			plain.Centers = append(plain.Centers, center{pos: pts[j*37+5].X, weight: float64(j + 1)})
+		}
+		dup := cloneSolution(plain)
+		for j := 1; j < k; j += 2 {
+			dup.Centers[j].pos = dup.Centers[j-1].pos
+		}
+		nan := cloneSolution(plain)
+		nan.Centers[k/2].pos[1] = math.NaN()
+		for _, c := range []struct {
+			name string
+			sol  Solution
+		}{{"plain", plain}, {"duplicates", dup}, {"nan", nan}} {
+			got := finalClustering(c.sol, size, false).Assign
+			want := scanAssign(c.sol, pts)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%d centers, %s: point %d assigned %d, the scan assigns %d", k, c.name, i, got[i], want[i])
+				}
+			}
+			for _, iters := range []int{1, 3} {
+				got := refineSolution(cloneSolution(c.sol), pts, iters)
+				want := scanRefine(cloneSolution(c.sol), pts, iters)
+				if len(got.Centers) != len(want.Centers) {
+					t.Fatalf("%d centers, %s, %d iterations: %d centers refined, the scan keeps %d", k, c.name, iters, len(got.Centers), len(want.Centers))
+				}
+				for j := range want.Centers {
+					g, w := got.Centers[j], want.Centers[j]
+					same := math.Float64bits(g.weight) == math.Float64bits(w.weight)
+					for d := range w.pos {
+						same = same && math.Float64bits(g.pos[d]) == math.Float64bits(w.pos[d])
+					}
+					if !same {
+						t.Fatalf("%d centers, %s, %d iterations: center %d is %+v, the scan gives %+v", k, c.name, iters, j, g, w)
+					}
+				}
+			}
+		}
+	}
+}
+
+var clusteringSink quality.Clustering
+
+// BenchmarkFinalClustering assigns the 1024-input stream to 10 centers, the
+// default cluster budget.
+func BenchmarkFinalClustering(b *testing.B) {
+	const size = 1024
+	pts := Points(size, false)
+	sol := Solution{FacilityCost: 1}
+	for j := 0; j < 10; j++ {
+		sol.Centers = append(sol.Centers, center{pos: pts[j*97].X, weight: 1})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clusteringSink = finalClustering(sol, size, false)
+	}
+}
+
+// BenchmarkCompute runs the sequential compute over the 1024 batches of the
+// benchmark's streamcluster case.
+func BenchmarkCompute(b *testing.B) {
+	p := New().resolve(workload.SpecOptions{}, true)
+	bs := batches(1024, false)
+	compute := computeOutput(p)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := rng.New(1)
+		sol := Solution{FacilityCost: 1}
+		for _, in := range bs {
+			_, sol = compute(r.Split(), in, sol)
+		}
 	}
 }

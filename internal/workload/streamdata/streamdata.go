@@ -107,12 +107,13 @@ func cached(n int, badTraining bool) ([]Point, [][]float64) {
 }
 
 // SqDist returns the squared Euclidean distance between two points'
-// coordinates.
+// coordinates, written out for Dim = 4. It adds the squared differences in
+// coordinate order, ((d0²+d1²)+d2²)+d3²: the pinned program results depend
+// on that order.
 func SqDist(a, b [Dim]float64) float64 {
-	sum := 0.0
-	for d := 0; d < Dim; d++ {
-		diff := a[d] - b[d]
-		sum += diff * diff
-	}
-	return sum
+	d0 := a[0] - b[0]
+	d1 := a[1] - b[1]
+	d2 := a[2] - b[2]
+	d3 := a[3] - b[3]
+	return d0*d0 + d1*d1 + d2*d2 + d3*d3
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"sync"
 	"testing"
+
+	"repro/internal/rng"
 )
 
 func TestStreamFixedAcrossRuns(t *testing.T) {
@@ -135,4 +137,62 @@ func TestStreamConcurrentFirstCalls(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// rolledSqDist is SqDist as the loop it was: the summation order,
+// ((0+d0²)+d1²)+d2²)+d3², the unrolled form must keep bit for bit.
+func rolledSqDist(a, b [Dim]float64) float64 {
+	sum := 0.0
+	for d := 0; d < Dim; d++ {
+		diff := a[d] - b[d]
+		sum += diff * diff
+	}
+	return sum
+}
+
+// TestSqDistMatchesRolledLoop compares SqDist's bits with the rolled loop's on
+// random points and on points built from signed zeros, subnormals, huge
+// values, infinities and NaNs. A NaN result only has to be a NaN on both
+// sides: when two NaNs meet in a sum, which payload survives follows the
+// operand order the compiler picks, and that differs between call sites of
+// one inlined function.
+func TestSqDistMatchesRolledLoop(t *testing.T) {
+	special := []float64{
+		0, math.Copysign(0, -1), 1, -2.5,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1030,
+		math.MaxFloat64, -math.MaxFloat64, 1e154, -1e200,
+		math.Inf(1), math.Inf(-1), math.NaN(), math.Float64frombits(0xfff8000000000001),
+	}
+	r := rng.New(31)
+	for i := 0; i < 50000; i++ {
+		var a, b [Dim]float64
+		for d := 0; d < Dim; d++ {
+			a[d], b[d] = r.Range(-20, 20), r.Range(-20, 20)
+			if i%2 == 1 && r.Intn(2) == 0 {
+				a[d] = special[r.Intn(len(special))]
+			}
+			if i%2 == 1 && r.Intn(2) == 0 {
+				b[d] = special[r.Intn(len(special))]
+			}
+		}
+		got, want := SqDist(a, b), rolledSqDist(a, b)
+		if math.IsNaN(got) && math.IsNaN(want) {
+			continue
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("SqDist(%v, %v) = %v (%#x), the rolled loop gives %v (%#x)", a, b, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}
+
+var sqDistSink float64
+
+func BenchmarkSqDist(b *testing.B) {
+	pts := Stream(1024, false)
+	sum := 0.0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sum += SqDist(pts[i&1023].X, pts[(i+1)&1023].X)
+	}
+	sqDistSink = sum
 }
