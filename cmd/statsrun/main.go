@@ -120,7 +120,10 @@ func main() {
 func serveMain(w workload.Workload, size int, seed uint64, so workload.SpecOptions, addr string, repeat int, withPprof bool) {
 	ob := obs.NewObserver(so.Workers+1, 1<<14)
 	so.Obs = ob
-	srv := telemetry.NewServer(telemetry.Config{Observer: ob, EnablePprof: withPprof})
+	srv := telemetry.NewServer(telemetry.Config{
+		Signals:     telemetry.NewSignals(ob, telemetry.SignalsConfig{}),
+		EnablePprof: withPprof,
+	})
 	if err := srv.Start(addr); err != nil {
 		fmt.Fprintln(os.Stderr, "statsrun:", err)
 		os.Exit(1)

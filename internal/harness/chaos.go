@@ -210,16 +210,16 @@ func chaosScenarioRun(sc ChaosScenario, inputs []int) (ChaosResult, error) {
 			Window: time.Hour, MinRuns: 4, TripRate: 0.5, Cooldown: time.Hour,
 		})
 	}
-	srv := telemetry.NewServer(telemetry.Config{Observer: ob, Breaker: b})
+	// The server's one aggregator, and an account the fact table cannot
+	// see: an hour window whose start-to-end deltas must equal the summed
+	// Stats.
+	sig := telemetry.NewSignals(ob, telemetry.SignalsConfig{Window: time.Hour, Breaker: b})
+	sig.Report() // baseline sample before any run
+	srv := telemetry.NewServer(telemetry.Config{Signals: sig})
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		return ChaosResult{}, err
 	}
 	defer srv.Close()
-
-	// An account the fact table cannot see: an hour-window signals
-	// aggregator whose start-to-end deltas must equal the summed Stats.
-	sig := telemetry.NewSignals(ob, telemetry.SignalsConfig{Window: time.Hour, Breaker: b})
-	sig.Report() // baseline sample before any run
 
 	aux := fault.WrapAux(in, chaosAux, chaosGarbage)
 	res := ChaosResult{Name: sc.Name, Runs: sc.Runs, OutputsIdentical: true}

@@ -79,7 +79,7 @@ func ScrapeReconcile(e *Env) ([]ScrapeResult, error) {
 func scrapeReconcileOne(e *Env, w workload.Workload) (ScrapeResult, error) {
 	const workers = 4
 	ob := obs.NewObserver(workers+1, 1<<14)
-	srv := telemetry.NewServer(telemetry.Config{Observer: ob})
+	srv := telemetry.NewServer(telemetry.Config{Signals: telemetry.NewSignals(ob, telemetry.SignalsConfig{})})
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		return ScrapeResult{}, err
 	}

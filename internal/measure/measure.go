@@ -6,12 +6,15 @@ package measure
 
 import "repro/internal/mathx"
 
+// The convergence rule: convergedFrac of the samples must lie within
+// convergedTol (relative) of the mean.
+const (
+	convergedFrac = 0.95
+	convergedTol  = 0.05
+)
+
 // Options controls a converging measurement.
 type Options struct {
-	// Frac and Tol define the convergence rule: Frac of the samples must
-	// lie within Tol (relative) of the mean. Defaults: 0.95 and 0.05.
-	Frac float64
-	Tol  float64
 	// MinRuns and MaxRuns bound the repetition (defaults 3 and 100). A
 	// caller's MaxRuns is a cap: MinRuns above it is clamped to it, and a
 	// MinRuns above the default cap raises the default.
@@ -20,12 +23,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Frac == 0 {
-		o.Frac = 0.95
-	}
-	if o.Tol == 0 {
-		o.Tol = 0.05
-	}
 	if o.MinRuns < 1 {
 		o.MinRuns = 3
 	}
@@ -51,7 +48,7 @@ func Repeat(sample func(run int) float64, o Options) Result {
 	var xs []float64
 	for run := 0; run < o.MaxRuns; run++ {
 		xs = append(xs, sample(run))
-		if len(xs) >= o.MinRuns && mathx.WithinFraction(xs, o.Frac, o.Tol) {
+		if len(xs) >= o.MinRuns && mathx.WithinFraction(xs, convergedFrac, convergedTol) {
 			return Result{Mean: mathx.Mean(xs), StdDev: mathx.StdDev(xs), Samples: xs, Converged: true}
 		}
 	}

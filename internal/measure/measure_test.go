@@ -85,7 +85,7 @@ func TestRepeatPassesRunIndex(t *testing.T) {
 
 func TestDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.Frac != 0.95 || o.Tol != 0.05 || o.MinRuns != 3 || o.MaxRuns != 100 {
+	if o.MinRuns != 3 || o.MaxRuns != 100 {
 		t.Fatalf("defaults: %+v", o)
 	}
 }

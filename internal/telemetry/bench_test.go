@@ -19,7 +19,7 @@ import (
 // registry and tracer at full rate.
 func BenchmarkMetricsScrapeUnderLoad(b *testing.B) {
 	o := obs.NewObserver(8, 1<<12)
-	s := NewServer(Config{Observer: o})
+	s := NewServer(Config{Signals: NewSignals(o, SignalsConfig{})})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer s.Close()
@@ -55,7 +55,8 @@ func BenchmarkMetricsScrapeUnderLoad(b *testing.B) {
 // blocks the engine's hot path.
 func BenchmarkEmitWithSSEClient(b *testing.B) {
 	o := obs.NewObserver(2, 1<<12)
-	s := NewServer(Config{Observer: o, SSEInterval: 5 * time.Millisecond})
+	s := NewServer(Config{Signals: NewSignals(o, SignalsConfig{})})
+	s.tick = 5 * time.Millisecond
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer s.Close()

@@ -7,25 +7,25 @@ import (
 	"repro/internal/obs"
 )
 
-// fakeClock drives Health deterministically.
+// fakeClock drives a Signals window deterministically.
 type fakeClock struct{ t time.Time }
 
 func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
-// TestHealthFlipsAndRecovers walks the /healthz model through the
+// TestHealthFlipsAndRecovers walks the /healthz verdict through the
 // acceptance scenario: healthy speculation, then a fault-injected
 // mismatch/abort storm flips ok → aborting, and once the storm ages out
 // of the sliding window the verdict recovers to ok.
 func TestHealthFlipsAndRecovers(t *testing.T) {
 	o := obs.NewObserver(1, 64)
 	clk := &fakeClock{t: time.Unix(1000, 0)}
-	h := NewHealth(o, HealthConfig{Window: 10 * time.Second, Now: clk.now})
+	sig := NewSignals(o, SignalsConfig{Window: 10 * time.Second, Now: clk.now})
 
 	// Healthy traffic: matches and speculative commits only.
 	noteN(o, obs.EvValidateMatch, 100)
 	o.SpecCommittedInputs.Add(1000)
-	rep := h.Eval()
+	rep := judge(sig.Report())
 	if rep.State != "ok" {
 		t.Fatalf("healthy traffic judged %q, want ok: %+v", rep.State, rep)
 	}
@@ -36,7 +36,7 @@ func TestHealthFlipsAndRecovers(t *testing.T) {
 	noteN(o, obs.EvValidateMismatch, 80)
 	noteN(o, obs.EvAbort, 30)
 	noteN(o, obs.EvFallback, 500)
-	rep = h.Eval()
+	rep = judge(sig.Report())
 	if rep.State != "aborting" {
 		t.Fatalf("storm judged %q, want aborting: %+v", rep.State, rep)
 	}
@@ -52,7 +52,7 @@ func TestHealthFlipsAndRecovers(t *testing.T) {
 		clk.advance(1 * time.Second)
 		noteN(o, obs.EvValidateMatch, 10)
 		o.SpecCommittedInputs.Add(100)
-		rep = h.Eval()
+		rep = judge(sig.Report())
 		if rep.State == "ok" {
 			sawOK = true
 		}
@@ -67,13 +67,13 @@ func TestHealthFlipsAndRecovers(t *testing.T) {
 func TestHealthDegradedOnMismatchPressure(t *testing.T) {
 	o := obs.NewObserver(1, 64)
 	clk := &fakeClock{t: time.Unix(1000, 0)}
-	h := NewHealth(o, HealthConfig{Window: 10 * time.Second, Now: clk.now})
+	sig := NewSignals(o, SignalsConfig{Window: 10 * time.Second, Now: clk.now})
 
-	h.Eval() // baseline
+	sig.Report() // baseline
 	clk.advance(time.Second)
 	noteN(o, obs.EvValidateMatch, 10)
 	noteN(o, obs.EvValidateMismatch, 8)
-	rep := h.Eval()
+	rep := judge(sig.Report())
 	if rep.State != "degraded" {
 		t.Fatalf("mismatch pressure judged %q, want degraded: %+v", rep.State, rep)
 	}
@@ -87,81 +87,80 @@ func TestHealthDegradedOnMismatchPressure(t *testing.T) {
 func TestHealthDegradedOnFallbackTrickle(t *testing.T) {
 	o := obs.NewObserver(1, 64)
 	clk := &fakeClock{t: time.Unix(1000, 0)}
-	h := NewHealth(o, HealthConfig{Window: 10 * time.Second, Now: clk.now})
+	sig := NewSignals(o, SignalsConfig{Window: 10 * time.Second, Now: clk.now})
 
-	h.Eval()
+	sig.Report()
 	clk.advance(time.Second)
 	noteN(o, obs.EvValidateMatch, 100)
 	o.SpecCommittedInputs.Add(900)
 	noteN(o, obs.EvFallback, 100) // 10% of committed inputs came from fallback
-	rep := h.Eval()
+	rep := judge(sig.Report())
 	if rep.State != "degraded" {
 		t.Fatalf("fallback trickle judged %q, want degraded: %+v", rep.State, rep)
 	}
 }
 
-// TestHealthMinValidations: below the validation floor the model never
-// judges rates (a single unlucky boundary must not page anyone).
+// TestHealthMinValidations: below the validation floor (one resolved
+// boundary) the validation rates are not judged — first-try rejections
+// with no boundary resolved yet are no verdict.
 func TestHealthMinValidations(t *testing.T) {
 	o := obs.NewObserver(1, 64)
 	clk := &fakeClock{t: time.Unix(1000, 0)}
-	h := NewHealth(o, HealthConfig{Window: 10 * time.Second, MinValidations: 50, Now: clk.now})
+	sig := NewSignals(o, SignalsConfig{Window: 10 * time.Second, Now: clk.now})
 
-	h.Eval()
+	sig.Report()
 	clk.advance(time.Second)
+	noteN(o, obs.EvValidateMismatch, 3)
+	rep := judge(sig.Report())
+	if rep.State != "ok" || rep.Validations != 0 {
+		t.Fatalf("3 mismatches and no resolved boundary judged %q (%d validations), want ok: %+v",
+			rep.State, rep.Validations, rep)
+	}
 	noteN(o, obs.EvValidateMatch, 1)
-	noteN(o, obs.EvValidateMismatch, 1)
-	noteN(o, obs.EvAbort, 1)
-	rep := h.Eval()
-	if rep.State != "ok" {
-		t.Fatalf("2 validations judged %q with MinValidations=50, want ok: %+v", rep.State, rep)
+	if rep = judge(sig.Report()); rep.State != "degraded" {
+		t.Fatalf("one resolved boundary after 3 mismatches judged %q, want degraded: %+v", rep.State, rep)
 	}
 }
 
-// TestHealthCounterReset: a fresh observer behind the same model (counter
-// regression) must clamp deltas to zero, not panic or go negative.
+// TestHealthCounterReset: a fresh observer behind the same aggregator
+// (counter regression) must clamp deltas to zero, not panic or go negative.
 func TestHealthCounterReset(t *testing.T) {
 	o := obs.NewObserver(1, 64)
 	clk := &fakeClock{t: time.Unix(1000, 0)}
-	h := NewHealth(o, HealthConfig{Window: 10 * time.Second, Now: clk.now})
+	sig := NewSignals(o, SignalsConfig{Window: 10 * time.Second, Now: clk.now})
 
 	noteN(o, obs.EvValidateMatch, 100)
-	h.Eval()
+	sig.Report()
 	clk.advance(time.Second)
-	// Swap in a fresh observer's counters by building a new Health over a
-	// new observer but replaying the old samples is not possible from
-	// outside; instead simulate regression via a second model sharing the
-	// first sample. The guard lives in Eval's delta closure: feed a
-	// sample where counters went backwards by evaluating against the
-	// original baseline after only smaller increments on a new observer.
-	o2 := obs.NewObserver(1, 64)
-	h.sig.o = o2 // counters all below the baseline sample now
-	rep := h.Eval()
+	// Point the aggregator at a fresh observer: every counter now reads
+	// below the baseline sample.
+	sig.o = obs.NewObserver(1, 64)
+	rep := judge(sig.Report())
 	if rep.State != "ok" || rep.Validations != 0 {
 		t.Fatalf("counter reset judged %q with %d validations, want ok/0: %+v",
 			rep.State, rep.Validations, rep)
 	}
 }
 
-// TestHealthSampleBound: pounding Eval far past maxSignalSamples must keep
+// TestHealthSampleBound: pounding Report far past maxSignalSamples must keep
 // the ring bounded (pairwise collapse) without losing window coverage.
 func TestHealthSampleBound(t *testing.T) {
 	o := obs.NewObserver(1, 64)
 	clk := &fakeClock{t: time.Unix(1000, 0)}
-	h := NewHealth(o, HealthConfig{Window: time.Hour, Now: clk.now})
+	sig := NewSignals(o, SignalsConfig{Window: time.Hour, Now: clk.now})
 
 	for i := 0; i < 4*maxSignalSamples; i++ {
 		clk.advance(time.Millisecond)
 		noteN(o, obs.EvValidateMatch, 1)
-		h.Eval()
+		sig.Report()
 	}
-	h.sig.mu.Lock()
-	n := len(h.sig.samples)
-	h.sig.mu.Unlock()
+	sig.mu.Lock()
+	n := len(sig.samples)
+	sig.mu.Unlock()
 	if n > maxSignalSamples+1 {
 		t.Fatalf("sample ring grew to %d, bound is %d", n, maxSignalSamples)
 	}
-	rep := h.Eval()
+	rep := judge(sig.Report())
 	if rep.Validations == 0 {
 		t.Fatal("collapse lost the window's validations")
 	}

@@ -1,12 +1,14 @@
 package telemetry
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"sync"
 	"time"
 
@@ -15,56 +17,33 @@ import (
 
 // Config configures a telemetry Server.
 type Config struct {
-	// Observer is the observability sink the server exposes. Required.
-	Observer *obs.Observer
-	// Health sets the /healthz window and thresholds (zero: defaults).
-	Health HealthConfig
+	// Signals is the windowed aggregator the server serves: /signals
+	// reports it, /healthz judges it, and its observer and breaker are
+	// the ones the other endpoints expose. Required.
+	Signals *Signals
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
-	// SSEInterval is the /events poll interval (default 200ms).
-	SSEInterval time.Duration
-	// SSEMaxBatch bounds the events sent per SSE message; when a poll
-	// finds more, the oldest are dropped and counted (default 4096).
-	SSEMaxBatch int
-	// SSEWriteTimeout bounds each /events write (default 5s): a client
-	// that stops reading is disconnected once the deadline passes,
-	// instead of pinning its handler goroutine forever on a blocked
-	// write. Disconnects are counted in
-	// telemetry_sse_disconnects_total.
-	SSEWriteTimeout time.Duration
-	// Breaker, when non-nil, is the speculation circuit breaker to
-	// surface: its instruments register in the observer's registry (so
-	// /metrics exposes them) and /healthz reports its snapshot.
-	Breaker *Breaker
-	// SampleInterval is the background health-sampling cadence, which
-	// keeps the /healthz window populated even under sparse scraping
-	// (default Window/8, floored at 100ms). Background sampling starts
-	// with Start and stops with Close; a handler obtained from a server
-	// that was never started samples only on request.
-	SampleInterval time.Duration
 }
 
-// withDefaults fills zero fields.
-func (c Config) withDefaults() Config {
-	if c.SSEInterval <= 0 {
-		c.SSEInterval = 200 * time.Millisecond
-	}
-	if c.SSEMaxBatch <= 0 {
-		c.SSEMaxBatch = 4096
-	}
-	if c.SSEWriteTimeout <= 0 {
-		c.SSEWriteTimeout = 5 * time.Second
-	}
-	if c.SampleInterval <= 0 {
-		c.SampleInterval = c.Health.withDefaults().Window / 8
-		if c.SampleInterval < 100*time.Millisecond {
-			c.SampleInterval = 100 * time.Millisecond
-		}
-	}
-	return c
-}
+// The server's cadences.
+const (
+	// sseInterval is the poll interval of the /events and /signals streams.
+	sseInterval = 200 * time.Millisecond
+	// sseMaxBatch bounds the events per /events message; a poll that finds
+	// more drops the oldest and counts them.
+	sseMaxBatch = 4096
+	// sseWriteTimeout bounds each stream write: a client that stops reading
+	// is disconnected once it passes, instead of pinning its handler
+	// goroutine on a blocked write (telemetry_sse_disconnects_total).
+	sseWriteTimeout = 5 * time.Second
+	// minSampleInterval floors the background sampling cadence, an eighth
+	// of the signals window, which keeps the window populated between
+	// sparse scrapes.
+	minSampleInterval = 100 * time.Millisecond
+)
 
-// Server is the embeddable HTTP telemetry surface over one Observer:
+// Server is the embeddable HTTP telemetry surface over one Signals
+// aggregator and the observer it reads:
 //
 //	GET /metrics  Prometheus text exposition of the metrics registry
 //	GET /healthz  windowed speculation health (200 ok/degraded, 503 aborting)
@@ -79,10 +58,13 @@ func (c Config) withDefaults() Config {
 // Tracer.Emit. Use Start/Close for a standalone listener, or Handler to
 // embed the surface in an existing mux.
 type Server struct {
-	cfg     Config
-	signals *Signals
-	health  *Health
-	folder  *SpanFolder
+	sig    *Signals
+	pprof  bool
+	folder *SpanFolder
+
+	// The cadences, from the constants above; in-package tests shorten
+	// them before serving.
+	tick, writeTimeout, sample time.Duration
 
 	// scrapes counts /metrics requests; sseDropped counts events
 	// dropped on the way to slow SSE clients; sseDisconnects counts
@@ -99,27 +81,22 @@ type Server struct {
 	done chan struct{} // closed on Close; unblocks SSE loops and the sampler
 }
 
-// NewServer builds a Server over cfg.Observer. It panics on a nil
-// observer — an unobserved server has nothing to serve.
+// NewServer builds a Server over cfg.Signals and registers the breaker's
+// instruments, the signal gauges and its own in the observer's registry.
+// It panics on a nil aggregator — the server has nothing else to serve.
 func NewServer(cfg Config) *Server {
-	if cfg.Observer == nil {
-		panic("telemetry: Config.Observer is nil")
+	sig := cfg.Signals
+	if sig == nil {
+		panic("telemetry: Config.Signals is nil")
 	}
-	cfg = cfg.withDefaults()
-	reg := cfg.Observer.Reg
-	// One signals aggregator backs /signals, the signal gauges and the
-	// /healthz verdict — a single windowed source of truth.
-	hc := cfg.Health.withDefaults()
-	sig := NewSignals(cfg.Observer, SignalsConfig{
-		Window:  hc.Window,
-		Now:     hc.Now,
-		Breaker: cfg.Breaker,
-	})
+	reg := sig.o.Reg
 	s := &Server{
-		cfg:            cfg,
-		signals:        sig,
-		health:         NewHealthOver(sig, cfg.Health),
-		folder:         NewSpanFolder(cfg.Observer.Tracer),
+		sig:            sig,
+		pprof:          cfg.EnablePprof,
+		folder:         NewSpanFolder(sig.o.Tracer),
+		tick:           sseInterval,
+		writeTimeout:   sseWriteTimeout,
+		sample:         max(sig.cfg.Window/8, minSampleInterval),
 		scrapes:        reg.Counter("telemetry_scrapes_total"),
 		sseDropped:     reg.Counter("telemetry_sse_dropped_events_total"),
 		sseDisconnects: reg.Counter("telemetry_sse_disconnects_total"),
@@ -130,19 +107,12 @@ func NewServer(cfg Config) *Server {
 	reg.SetHelp("telemetry_sse_dropped_events_total", "events dropped before reaching slow /events clients")
 	reg.SetHelp("telemetry_sse_disconnects_total", "/events clients disconnected by the per-write deadline")
 	reg.SetHelp("telemetry_sse_clients", "currently attached /events clients")
-	if cfg.Breaker != nil {
-		cfg.Breaker.Register(reg)
+	if b := sig.cfg.Breaker; b != nil {
+		b.Register(reg)
 	}
 	sig.Register(reg)
 	return s
 }
-
-// Health returns the server's health model (the one /healthz evaluates).
-func (s *Server) Health() *Health { return s.health }
-
-// Signals returns the server's shared signals aggregator (the one
-// /signals serves and /healthz judges).
-func (s *Server) Signals() *Signals { return s.signals }
 
 // Handler returns the telemetry surface as an http.Handler, for embedding
 // into an existing server or mux.
@@ -155,7 +125,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/events", s.handleEvents)
 	mux.HandleFunc("/trace", s.handleTrace)
 	mux.HandleFunc("/spans", s.handleSpans)
-	if s.cfg.EnablePprof {
+	if s.pprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -233,7 +203,7 @@ func (s *Server) Close() error {
 
 // sampleLoop keeps the health window populated between scrapes.
 func (s *Server) sampleLoop() {
-	t := time.NewTicker(s.cfg.SampleInterval)
+	t := time.NewTicker(s.sample)
 	defer t.Stop()
 	for {
 		select {
@@ -243,7 +213,7 @@ func (s *Server) sampleLoop() {
 			// One Report advances the shared window for both /signals
 			// and /healthz, and keeps the signal gauges' Last fresh; the
 			// folder poll keeps /spans O(new events) on the next request.
-			s.signals.Report()
+			s.sig.Report()
 			s.folder.Poll()
 		}
 	}
@@ -264,7 +234,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
   /trace    Chrome trace_event JSON (chrome://tracing, ui.perfetto.dev)
   /spans    causal span trees of the speculation lifecycle
 `)
-	if s.cfg.EnablePprof {
+	if s.pprof {
 		fmt.Fprintln(w, "  /debug/pprof/  runtime profiles")
 	}
 }
@@ -273,17 +243,15 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.scrapes.Inc()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.cfg.Observer.Reg.WriteText(w)
+	_ = s.sig.o.Reg.WriteText(w)
 }
 
 // handleHealthz serves the health verdict: HTTP 200 for ok and degraded
 // (degraded is a warning, not an outage), 503 for aborting.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	// The shared signals aggregator carries the breaker snapshot, so the
-	// verdict's Breaker field arrives through Judge.
-	rep := s.health.Eval()
+	rep := judge(s.sig.Report())
 	w.Header().Set("Content-Type", "application/json")
-	if rep.state() == HealthAborting {
+	if rep.State == "aborting" {
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}
 	enc := json.NewEncoder(w)
@@ -297,7 +265,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // controller or dashboard tails instead of scraping /metrics.
 func (s *Server) handleSignals(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("stream") == "" {
-		rep := s.signals.Report()
+		rep := s.sig.Report()
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
@@ -305,7 +273,7 @@ func (s *Server) handleSignals(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	s.stream(w, r, func() (any, bool) { return s.signals.Report(), false })
+	s.stream(w, r, func() (any, bool) { return s.sig.Report(), false })
 }
 
 // stream serves one server-sent-events client: it opens the stream and
@@ -336,12 +304,12 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, next func() (msg
 
 	rc := http.NewResponseController(w)
 	enc := json.NewEncoder(w)
-	tick := time.NewTicker(s.cfg.SSEInterval)
+	tick := time.NewTicker(s.tick)
 	defer tick.Stop()
 	for {
 		msg, last := next()
 		if msg != nil {
-			_ = rc.SetWriteDeadline(time.Now().Add(s.cfg.SSEWriteTimeout))
+			_ = rc.SetWriteDeadline(time.Now().Add(s.writeTimeout))
 			_, err := fmt.Fprint(w, "data: ")
 			if err == nil {
 				err = enc.Encode(msg)
@@ -379,51 +347,62 @@ type sseEvent struct {
 	Arg   int64  `json:"arg"`
 }
 
-// sseBatch is one SSE data message: the new events since the last message
-// and how many were dropped to keep the batch bounded.
+// sseBatch is one SSE data message: the events published since the last
+// message and how many the client lost.
 type sseBatch struct {
 	// Events are the batch's events in time order.
 	Events []sseEvent `json:"events"`
-	// Dropped counts events discarded because the client fell behind
-	// the emission rate (bounded batch), for this batch only.
+	// Dropped counts the events this client lost since the last message:
+	// overwritten in the rings before it read them, or the oldest of a
+	// poll that found more than one batch holds.
 	Dropped int64 `json:"dropped,omitempty"`
 }
 
 // handleEvents streams the speculation event log as server-sent events:
-// one JSON batch per poll interval containing the events newer than the
-// previous batch. The stream is built from incremental lock-free
-// snapshots, so attached clients never block the emitting engine; a
-// client slower than the event rate loses oldest-first (counted in the
-// batch's dropped field and the telemetry_sse_dropped_events_total
-// counter). Query parameters: once=1 sends a single batch and closes;
-// since=<ns> starts the cursor at the given timestamp instead of
-// streaming the whole retained log.
+// one JSON batch per poll interval holding the events published since the
+// previous batch. Each client reads through its own obs.Cursor
+// (Tracer.Poll, the lock-free incremental reader SpanFolder uses), so
+// every published event reaches it exactly once, whatever its stamp, and
+// attached clients never block the emitting engine. A client slower than
+// the event rate loses oldest-first, counted in the batch's dropped field
+// and in telemetry_sse_dropped_events_total; events the rings had already
+// evicted when the client attached are the tracer's loss, not the client's.
+// Query parameters: once=1 sends a single batch and closes; since=<ns>
+// sends only events stamped after ns.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	once := r.URL.Query().Get("once") != ""
-	var cursor int64 = -1 << 62
-	if since := r.URL.Query().Get("since"); since != "" {
-		fmt.Sscanf(since, "%d", &cursor)
+	var since int64 = -1 << 62
+	if v := r.URL.Query().Get("since"); v != "" {
+		fmt.Sscanf(v, "%d", &since)
 	}
+	var (
+		cur      obs.Cursor
+		buf      []obs.Event
+		attached bool
+	)
 	s.stream(w, r, func() (any, bool) {
-		batch := sseBatch{}
-		for _, e := range s.cfg.Observer.Tracer.Snapshot() {
-			if e.TS > cursor {
+		var lost int64
+		buf, lost = s.sig.o.Tracer.Poll(&cur, buf[:0])
+		if !attached {
+			lost, attached = 0, true
+		}
+		slices.SortStableFunc(buf, func(a, b obs.Event) int { return cmp.Compare(a.TS, b.TS) })
+		batch := sseBatch{Dropped: lost}
+		for _, e := range buf {
+			if e.TS > since {
 				batch.Events = append(batch.Events, sseEvent{
 					TS: e.TS, Lane: e.Lane, Kind: e.Kind.String(),
 					Group: e.Group, Arg: e.Arg,
 				})
 			}
 		}
-		if n := len(batch.Events); n > s.cfg.SSEMaxBatch {
-			batch.Dropped = int64(n - s.cfg.SSEMaxBatch)
-			s.sseDropped.Add(batch.Dropped)
-			batch.Events = batch.Events[n-s.cfg.SSEMaxBatch:]
+		if n := len(batch.Events); n > sseMaxBatch {
+			batch.Dropped += int64(n - sseMaxBatch)
+			batch.Events = batch.Events[n-sseMaxBatch:]
 		}
-		if len(batch.Events) == 0 && !once {
+		s.sseDropped.Add(batch.Dropped)
+		if len(batch.Events) == 0 && batch.Dropped == 0 && !once {
 			return nil, false
-		}
-		if len(batch.Events) > 0 {
-			cursor = batch.Events[len(batch.Events)-1].TS
 		}
 		return batch, once
 	})
@@ -435,7 +414,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTrace(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Disposition", `attachment; filename="stats-trace.json"`)
-	_ = ChromeTrace(w, s.cfg.Observer.Tracer.Snapshot())
+	_ = ChromeTrace(w, s.sig.o.Tracer.Snapshot())
 }
 
 // handleSpans serves the reconstructed span trees as JSON. The server's
@@ -444,8 +423,8 @@ func (s *Server) handleTrace(w http.ResponseWriter, _ *http.Request) {
 // forest from a full ring snapshot.
 func (s *Server) handleSpans(w http.ResponseWriter, _ *http.Request) {
 	doc := s.folder.Doc()
-	doc.Emitted = s.cfg.Observer.Tracer.Emitted()
-	doc.Dropped = s.cfg.Observer.Tracer.Dropped()
+	doc.Emitted = s.sig.o.Tracer.Emitted()
+	doc.Dropped = s.sig.o.Tracer.Dropped()
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -2,12 +2,15 @@ package telemetry
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -52,15 +55,12 @@ func startEngine(t *testing.T, o *obs.Observer) (stop func()) {
 	}
 }
 
-// newTestServer builds a Server (fast SSE cadence for tests) and an
-// httptest front end over its Handler.
+// newTestServer builds a Server over a fresh aggregator of o (fast SSE
+// cadence for tests) and an httptest front end over its Handler.
 func newTestServer(t *testing.T, o *obs.Observer) (*Server, *httptest.Server) {
 	t.Helper()
-	s := NewServer(Config{
-		Observer:    o,
-		SSEInterval: 10 * time.Millisecond,
-		EnablePprof: true,
-	})
+	s := NewServer(Config{Signals: NewSignals(o, SignalsConfig{}), EnablePprof: true})
+	s.tick = 10 * time.Millisecond
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() { ts.Close(); s.Close() })
 	return s, ts
@@ -330,25 +330,147 @@ func TestServerEventsOnce(t *testing.T) {
 	_, ts := newTestServer(t, o)
 
 	client := http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Get(ts.URL + "/events?once=1")
-	if err != nil {
-		t.Fatal(err)
+	once := func() sseBatch {
+		t.Helper()
+		resp, err := client.Get(ts.URL + "/events?once=1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body) // must terminate without the timeout
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := string(body)
+		if !strings.HasPrefix(text, "data: ") {
+			t.Fatalf("once-mode response is not one SSE message: %q", text)
+		}
+		var b sseBatch
+		if err := json.Unmarshal([]byte(strings.TrimPrefix(strings.TrimSpace(text), "data: ")), &b); err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
-	body, err := io.ReadAll(resp.Body) // must terminate without the timeout
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := string(body)
-	if !strings.HasPrefix(text, "data: ") {
-		t.Fatalf("once-mode response is not one SSE message: %q", text)
-	}
-	var b sseBatch
-	if err := json.Unmarshal([]byte(strings.TrimPrefix(strings.TrimSpace(text), "data: ")), &b); err != nil {
-		t.Fatal(err)
-	}
-	if len(b.Events) != 2 || b.Events[0].Kind != obs.EvGroupStart.String() {
+	if b := once(); len(b.Events) != 2 || b.Events[0].Kind != obs.EvGroupStart.String() {
 		t.Errorf("once batch = %+v, want the two emitted events", b)
+	}
+
+	// Events the ring evicted before the client attached are the tracer's
+	// loss, not the client's: the batch is the retained log, with no drop.
+	for i := 0; i < 300; i++ {
+		o.Tracer.Emit(0, obs.EvGroupStart, int32(i), 0)
+	}
+	if b := once(); len(b.Events) != 256 || b.Dropped != 0 {
+		t.Errorf("once batch over a wrapped ring: %d events, %d dropped; want 256, 0", len(b.Events), b.Dropped)
+	}
+	if n := o.Reg.Counter("telemetry_sse_dropped_events_total").Value(); n != 0 {
+		t.Errorf("telemetry_sse_dropped_events_total = %d after reading a wrapped ring, want 0", n)
+	}
+}
+
+// TestEventsDeliversEachEventOnce: /events reads each client's cursor, not
+// a stamp filter, so an event published after a batch arrives even when
+// its stamp ties the batch's last one (lanes share phase readings) or
+// precedes it (another lane published late), nothing arrives twice, and
+// each batch is in stamp order.
+func TestEventsDeliversEachEventOnce(t *testing.T) {
+	o := obs.NewObserver(2, 256)
+	_, ts := newTestServer(t, o)
+	const stamp = 1000
+	o.Tracer.EmitAt(0, stamp, obs.EvGroupStart, 0, 0)
+
+	client := http.Client{Timeout: 10 * time.Second}
+	resp, err := client.Get(ts.URL + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	next := batches(t, resp.Body)
+	if b := next(); len(b.Events) != 1 || b.Events[0].TS != stamp {
+		t.Fatalf("first batch = %+v, want the one event at %d", b, stamp)
+	}
+
+	o.Tracer.EmitAt(1, stamp, obs.EvGroupFinish, 0, 1)
+	o.Tracer.EmitAt(1, stamp-1, obs.EvValidateMatch, 1, 0)
+	o.Tracer.EmitAt(0, stamp+1, obs.EvGroupStart, 2, 0) // the end marker
+	seen := map[string]int{}
+	for seen[obs.EvGroupStart.String()] == 0 {
+		b := next()
+		if !slices.IsSortedFunc(b.Events, func(x, y sseEvent) int { return cmp.Compare(x.TS, y.TS) }) {
+			t.Errorf("batch not in stamp order: %+v", b.Events)
+		}
+		for _, e := range b.Events {
+			seen[e.Kind]++
+		}
+	}
+	want := map[string]int{
+		obs.EvGroupFinish.String():   1,
+		obs.EvValidateMatch.String(): 1,
+		obs.EvGroupStart.String():    1,
+	}
+	if !maps.Equal(seen, want) {
+		t.Errorf("events after the first batch = %v, want each once: %v", seen, want)
+	}
+}
+
+// TestEventsCountsRingWrapLoss: events the rings overwrite before an
+// attached client reads them are counted, in the batches' dropped and in
+// telemetry_sse_dropped_events_total — every event is delivered or counted.
+func TestEventsCountsRingWrapLoss(t *testing.T) {
+	o := obs.NewObserver(2, 256)
+	_, ts := newTestServer(t, o)
+	o.Tracer.Emit(0, obs.EvGroupStart, 0, 0)
+	client := http.Client{Timeout: 10 * time.Second}
+	resp, err := client.Get(ts.URL + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	next := batches(t, resp.Body)
+	next()
+
+	const burst = 600 // more than lane 0's ring holds
+	for i := 0; i < burst; i++ {
+		o.Tracer.Emit(0, obs.EvGroupFinish, int32(i), 0)
+	}
+	o.Tracer.Emit(1, obs.EvGroupStart, 1, 0) // the end marker, on a ring of its own
+	var delivered, dropped int64
+	for marker := false; !marker; {
+		b := next()
+		dropped += b.Dropped
+		for _, e := range b.Events {
+			if e.Kind == obs.EvGroupStart.String() {
+				marker = true
+			} else {
+				delivered++
+			}
+		}
+	}
+	if delivered+dropped != burst || dropped == 0 {
+		t.Errorf("burst of %d: %d delivered + %d dropped", burst, delivered, dropped)
+	}
+	if n := o.Reg.Counter("telemetry_sse_dropped_events_total").Value(); n != dropped {
+		t.Errorf("telemetry_sse_dropped_events_total = %d, the batches dropped %d", n, dropped)
+	}
+}
+
+// batches reads an /events stream one data message at a time.
+func batches(t *testing.T, body io.Reader) func() sseBatch {
+	sc := bufio.NewScanner(body)
+	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	return func() sseBatch {
+		t.Helper()
+		for sc.Scan() {
+			if line, ok := strings.CutPrefix(sc.Text(), "data: "); ok {
+				var b sseBatch
+				if err := json.Unmarshal([]byte(line), &b); err != nil {
+					t.Fatal(err)
+				}
+				return b
+			}
+		}
+		t.Fatalf("stream ended: %v", sc.Err())
+		return sseBatch{}
 	}
 }
 
@@ -357,7 +479,8 @@ func TestServerEventsOnce(t *testing.T) {
 // must be released), and tolerate double Close.
 func TestServerStartClose(t *testing.T) {
 	o := obs.NewObserver(2, 256)
-	s := NewServer(Config{Observer: o, SSEInterval: 10 * time.Millisecond})
+	s := NewServer(Config{Signals: NewSignals(o, SignalsConfig{})})
+	s.tick = 10 * time.Millisecond
 	if err := s.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +527,8 @@ func TestServerStartClose(t *testing.T) {
 func TestServerHealthzStatusCodes(t *testing.T) {
 	o := obs.NewObserver(1, 64)
 	clk := &fakeClock{t: time.Unix(1000, 0)}
-	s := NewServer(Config{Observer: o, Health: HealthConfig{Window: 10 * time.Second, Now: clk.now}})
+	sig := NewSignals(o, SignalsConfig{Window: 10 * time.Second, Now: clk.now})
+	s := NewServer(Config{Signals: sig})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer s.Close()
@@ -419,7 +543,7 @@ func TestServerHealthzStatusCodes(t *testing.T) {
 		t.Errorf("ok health served %d, want 200", resp.StatusCode)
 	}
 
-	s.Health().Eval() // baseline sample
+	sig.Report() // baseline sample
 	clk.advance(time.Second)
 	noteN(o, obs.EvValidateMatch, 10)
 	noteN(o, obs.EvAbort, 10) // 50% abort rate: aborting
@@ -438,8 +562,8 @@ func TestServerHealthzStatusCodes(t *testing.T) {
 // TestServerPprofGate: the profile endpoints exist only behind the flag.
 func TestServerPprofGate(t *testing.T) {
 	o := obs.NewObserver(1, 64)
-	on := NewServer(Config{Observer: o, EnablePprof: true})
-	off := NewServer(Config{Observer: obs.NewObserver(1, 64)})
+	on := NewServer(Config{Signals: NewSignals(o, SignalsConfig{}), EnablePprof: true})
+	off := NewServer(Config{Signals: NewSignals(obs.NewObserver(1, 64), SignalsConfig{})})
 	tsOn := httptest.NewServer(on.Handler())
 	tsOff := httptest.NewServer(off.Handler())
 	defer tsOn.Close()
@@ -472,11 +596,8 @@ func TestEventsStalledClientDisconnected(t *testing.T) {
 	// by the per-write deadline, not pin the handler goroutine forever on
 	// a blocked write.
 	o := obs.NewObserver(4, 1<<14)
-	s := NewServer(Config{
-		Observer:        o,
-		SSEInterval:     2 * time.Millisecond,
-		SSEWriteTimeout: 250 * time.Millisecond,
-	})
+	s := NewServer(Config{Signals: NewSignals(o, SignalsConfig{})})
+	s.tick, s.writeTimeout = 2*time.Millisecond, 250*time.Millisecond
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() { ts.Close(); s.Close() })
 
@@ -537,7 +658,7 @@ func TestHealthzReportsBreaker(t *testing.T) {
 		b.Allow()
 		b.Record(true)
 	}
-	s := NewServer(Config{Observer: o, Breaker: b})
+	s := NewServer(Config{Signals: NewSignals(o, SignalsConfig{Breaker: b})})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() { ts.Close(); s.Close() })
 

@@ -1,9 +1,10 @@
 // Rolling control signals: the windowed view of the speculation counters
 // that the /signals endpoint, the Prometheus signal gauges, the /healthz
 // verdict and the planned online adaptive controller all read. One
-// Signals instance is one source of truth — Health is a thin judgment
-// layered on top of it (NewHealthOver), and the chaos campaign reconciles
-// the raw window deltas byte-for-byte against core.Stats.
+// Signals instance per observer is one source of truth — a Server serves
+// the one it is handed and /healthz judges its reports — and the chaos
+// campaign reconciles the raw window deltas byte-for-byte against
+// core.Stats.
 package telemetry
 
 import (

@@ -163,21 +163,19 @@ func TestSignalsGauges(t *testing.T) {
 	}
 }
 
-// TestHealthOverSharedSignals: /healthz built over a shared aggregator
-// judges the same window /signals reports — and Judge does not advance
-// the window a second time.
+// TestHealthOverSharedSignals: the /healthz verdict judges the report
+// /signals serves, with the rates copied unchanged.
 func TestHealthOverSharedSignals(t *testing.T) {
 	o := obs.NewObserver(1, 64)
 	clk := &fakeClock{t: time.Unix(1000, 0)}
 	sig := NewSignals(o, SignalsConfig{Window: 10 * time.Second, Now: clk.now})
-	h := NewHealthOver(sig, HealthConfig{Window: 10 * time.Second, Now: clk.now})
 
 	sig.Report()
 	clk.advance(time.Second)
 	noteN(o, obs.EvValidateMatch, 10)
 	noteN(o, obs.EvAbort, 10)
 	rep := sig.Report()
-	hr := h.Judge(rep)
+	hr := judge(rep)
 	if hr.State != "aborting" {
 		t.Fatalf("judged %q over 50%% aborts, want aborting: %+v", hr.State, hr)
 	}

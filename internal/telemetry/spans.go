@@ -1,7 +1,8 @@
 // Package telemetry is the serving surface of the observability layer: an
 // embeddable HTTP server exposing the runtime's metrics registry
-// (Prometheus text exposition), a windowed health model over the
-// speculation counters, a live event stream (SSE), on-demand Chrome-trace
+// (Prometheus text exposition), rolling control signals and a health
+// verdict over one window of the speculation counters, a live event stream
+// (SSE), on-demand Chrome-trace
 // dumps, and a causal span model reconstructed from the speculation event
 // log.
 //

@@ -37,12 +37,9 @@ func TestServerConcurrentStress(t *testing.T) {
 			br := NewBreaker(BreakerConfig{
 				Window: time.Hour, MinRuns: 8, TripRate: 0.95, Cooldown: time.Millisecond,
 			})
-			srv := NewServer(Config{
-				Observer:       ob,
-				Breaker:        br,
-				SSEInterval:    5 * time.Millisecond,
-				SampleInterval: 5 * time.Millisecond,
-			})
+			sig := NewSignals(ob, SignalsConfig{Breaker: br})
+			srv := NewServer(Config{Signals: sig})
+			srv.tick, srv.sample = 5*time.Millisecond, 5*time.Millisecond
 			if err := srv.Start("127.0.0.1:0"); err != nil {
 				t.Fatalf("start: %v", err)
 			}
@@ -81,7 +78,6 @@ func TestServerConcurrentStress(t *testing.T) {
 
 			// Direct API readers: concurrent Report() (advances the window)
 			// and Last() (the gauge read path) against the live engine.
-			sig := srv.Signals()
 			for i := 0; i < 3; i++ {
 				wg.Add(1)
 				go func() {

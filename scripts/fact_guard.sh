@@ -36,7 +36,11 @@
 # every counter's name is defined once, in internal/obs's fact table, and
 # reconciliation walks that table (telemetry.Reconcile), so fail on a
 # "stats_..._total" or "sched_..._total" string literal in non-test Go outside
-# internal/obs (bench/ excluded). Run via `make vet`.
+# internal/obs (bench/ excluded). The window guard: a telemetry Server serves
+# the Signals aggregator it is handed, so /signals, /healthz and the caller's
+# own reports read one window; fail if internal/telemetry's non-test code
+# builds an aggregator: a NewSignals( call anywhere but signals.go. Run via
+# `make vet`.
 set -eu
 
 emits=$(grep -rn 'Tracer\.Emit(' internal/core internal/pool --include='*.go' |
@@ -122,5 +126,13 @@ names=$(grep -rnE '"(stats|sched)_[a-z0-9_]*_total"' --include='*.go' --exclude-
 if [ -n "$names" ]; then
     echo "fact-guard: metric names come from the fact table (obs.Catalogue, EventKind.Fact), not string literals:" >&2
     printf '%s\n' "$names" >&2
+    exit 1
+fi
+
+windows=$(grep -rn 'NewSignals(' internal/telemetry --include='*.go' |
+    grep -v -e '_test\.go:' -e '^internal/telemetry/signals\.go:' | grep -vE '^[^:]*:[0-9]+:[[:space:]]*//' || true)
+if [ -n "$windows" ]; then
+    echo "fact-guard: a telemetry Server serves the Signals it is handed; build no aggregator in internal/telemetry:" >&2
+    printf '%s\n' "$windows" >&2
     exit 1
 fi

@@ -115,9 +115,10 @@ type SignalsReport = telemetry.SignalsReport
 
 // Signals returns a rolling control-signals report over the runtime's
 // recent activity. The aggregator's baseline is the runtime's creation,
-// and each call advances the same sliding window, so rates reflect what
-// happened since older samples aged out — not lifetime totals. Safe to
-// call while runs are in flight.
+// and each call advances the same sliding window — the one a served
+// runtime's /signals and /healthz read — so rates reflect what happened
+// since older samples aged out, not lifetime totals. Safe to call while
+// runs are in flight.
 func (rt *Runtime) Signals() SignalsReport {
 	return rt.signals.Report()
 }
@@ -129,25 +130,16 @@ func (rt *Runtime) Signals() SignalsReport {
 // repro/internal/telemetry.
 type Telemetry = telemetry.Server
 
-// TelemetryConfig configures Serve/ServeHandler beyond the defaults
-// (health window and thresholds, SSE cadence, pprof).
-type TelemetryConfig = telemetry.Config
-
 // Serve starts the runtime's telemetry server on addr (e.g. ":8080", or
 // "127.0.0.1:0" for an ephemeral port — read the bound address from the
-// returned server). The server stays up until Close is called on it or on
-// the runtime; every endpoint reads through the observability layer's
-// lock-free snapshot paths, so serving never slows an attached
-// dependence's run.
+// returned server). The server serves the runtime's own signals window:
+// /signals, /healthz and Signals read one aggregator whose baseline is the
+// runtime's creation, so they are the same report. The server stays up
+// until Close is called on it or on the runtime; every endpoint reads
+// through the observability layer's lock-free snapshot paths, so serving
+// never slows an attached dependence's run.
 func (rt *Runtime) Serve(addr string) (*Telemetry, error) {
-	return rt.ServeConfigured(addr, TelemetryConfig{})
-}
-
-// ServeConfigured is Serve with explicit telemetry configuration; the
-// Observer field is overridden with the runtime's own.
-func (rt *Runtime) ServeConfigured(addr string, cfg TelemetryConfig) (*Telemetry, error) {
-	cfg.Observer = rt.obs
-	srv := telemetry.NewServer(cfg)
+	srv := telemetry.NewServer(telemetry.Config{Signals: rt.signals})
 	if err := srv.Start(addr); err != nil {
 		return nil, err
 	}
@@ -162,9 +154,10 @@ func (rt *Runtime) ServeConfigured(addr string, cfg TelemetryConfig) (*Telemetry
 
 // ServeHandler returns the telemetry surface as an http.Handler for
 // embedding into an existing server or mux (no listener is started; the
-// handler lives as long as the runtime).
+// handler lives as long as the runtime). Like Serve, it serves the
+// runtime's own signals window.
 func (rt *Runtime) ServeHandler() http.Handler {
-	return telemetry.NewServer(TelemetryConfig{Observer: rt.obs}).Handler()
+	return telemetry.NewServer(telemetry.Config{Signals: rt.signals}).Handler()
 }
 
 // Close drains and stops the pool, and shuts down the telemetry server if

@@ -1,6 +1,7 @@
 package stats_test
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -78,5 +79,54 @@ func TestRuntimeServeHandler(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 200 || !strings.Contains(string(body), "stats_groups_started_total") {
 		t.Errorf("embedded handler scrape failed: status %d body %q", resp.StatusCode, body)
+	}
+}
+
+// TestRuntimeServeSharesTheSignalsWindow: a served runtime's /healthz,
+// /signals and Signals read one window, so a run that aborts shows in all
+// three at once, with the run's own abort count.
+func TestRuntimeServeSharesTheSignalsWindow(t *testing.T) {
+	rt := stats.NewRuntime(2)
+	defer rt.Close()
+	srv, err := rt.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sd := stats.NewStateDependence(make([]int, 32), 0,
+		func(r *stats.Rand, in, s int) (int, int) { return s + 1, s + 1 })
+	sd.SetAuxiliary(func(r *stats.Rand, init int, recent []int) int { return init })
+	sd.SetStateOps(nil, func(spec int, originals []int) bool { return false })
+	sd.Configure(stats.Options{UseAux: true, GroupSize: 4, Window: 2, RedoMax: 0, Rollback: 1, Workers: 2})
+	stats.Attach(rt, sd)
+	_, _, st := sd.Run()
+	if st.Aborts == 0 {
+		t.Fatalf("a dependence whose match always fails did not abort: %+v", st)
+	}
+
+	resp, err := http.Get(srv.URL() + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("/healthz after an aborted run served %d, want 503", resp.StatusCode)
+	}
+
+	resp, err = http.Get(srv.URL() + "/signals")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var served stats.SignalsReport
+	err = json.NewDecoder(resp.Body).Decode(&served)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if served.Aborts != int64(st.Aborts) {
+		t.Errorf("/signals aborts = %d, the run's Stats.Aborts = %d", served.Aborts, st.Aborts)
+	}
+	if own := rt.Signals(); own.Aborts != served.Aborts {
+		t.Errorf("Runtime.Signals aborts = %d, /signals served %d", own.Aborts, served.Aborts)
 	}
 }
