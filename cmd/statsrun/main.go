@@ -1,6 +1,9 @@
 // Command statsrun executes one benchmark reproduction, conventionally or
 // through the STATS runtime, and reports its speculation statistics and
-// output quality (distance from the §4.2 oracle).
+// output quality (distance from the §4.2 oracle). With -export it writes
+// the benchmark's native inputs as JSON instead: the synthetic substitutes
+// for the paper's PARSEC inputs, fixed per (workload, size, variant) so
+// exports are reproducible artifacts.
 //
 // Usage:
 //
@@ -9,6 +12,9 @@
 //	statsrun -workload canneal            # the statically rejected benchmark
 //	statsrun -workload swaptions -aux -serve :8080 -repeat 0   # serve telemetry, run forever
 //	statsrun -list
+//	statsrun -export -workload bodytrack -size 32         # native inputs as JSON
+//	statsrun -export -workload facedet -size 32 -bad      # §4.6 variant
+//	statsrun -export -workload swaptions -size 34 -summary # one-line summary
 //
 // With -serve the run executes with the observability layer attached and
 // an HTTP telemetry server up at the given address: /metrics (Prometheus
@@ -29,6 +35,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/inputgen"
 	"repro/internal/obs"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -50,10 +57,17 @@ func main() {
 	serve := flag.String("serve", "", "serve HTTP telemetry at this address (e.g. :8080) during the run")
 	repeat := flag.Int("repeat", 1, "with -serve, how many times to run the workload (0 = until interrupted)")
 	pprofFlag := flag.Bool("pprof", false, "with -serve, also mount net/http/pprof under /debug/pprof/")
+	export := flag.Bool("export", false, "write the benchmark's native inputs as JSON and exit")
+	bad := flag.Bool("bad", false, "with -export, export the non-representative (§4.6) variant")
+	summary := flag.Bool("summary", false, "with -export, print a one-line summary instead of JSON")
 	flag.Parse()
 
 	if *list {
 		fmt.Println(strings.Join(registry.Names(), "\n"))
+		return
+	}
+	if *export {
+		exportMain(*name, *size, *bad, *summary)
 		return
 	}
 
@@ -111,6 +125,24 @@ func main() {
 	// Reference: conventional run quality band.
 	conv := w.RunOriginal(*seed, *size)
 	fmt.Printf("conventional run distance (same seed):    %.6g\n", conv.Distance(oracle))
+}
+
+// exportMain writes the workload's inputs at size as JSON, or their
+// one-line summary.
+func exportMain(name string, size int, bad, summary bool) {
+	d, err := inputgen.Export(name, size, bad)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "statsrun:", err)
+		os.Exit(2)
+	}
+	if summary {
+		fmt.Println(d.Summary())
+		return
+	}
+	if err := d.WriteJSON(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "statsrun:", err)
+		os.Exit(1)
+	}
 }
 
 // serveMain runs the workload with the observability layer attached and a

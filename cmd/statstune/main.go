@@ -53,11 +53,11 @@ func main() {
 		Mode:      mode,
 		GraphSeed: *seed,
 	}
-	s := profiler.BuildSpace(w, int64(*threads))
+	s := profiler.BuildSpace(w.Desc().Tradeoffs, int64(*threads))
 	fmt.Printf("state space: %d dimensions, %.3g points\n", s.Len(), s.Cardinality())
 
 	res := autotune.Tune(s, p.Objective(s, goal, false), autotune.Options{Budget: *budget, Seed: *seed})
-	opts, th := profiler.Decode(s, res.Best, w)
+	opts, th := profiler.Decode(s, res.Best)
 
 	baseline := p.Measure(workload.SpecOptions{}, *threads)
 	best := p.Measure(opts, th)

@@ -259,6 +259,58 @@ func TestDocsNameRealTargetsAndCommands(t *testing.T) {
 	}
 }
 
+// TestDocsNameStatsExports holds the public facade's prose to the facade:
+// every back-quoted stats.Name in README.md and DESIGN.md names an exported
+// top-level identifier of package stats's non-test source, what a user's
+// program can write after importing it.
+func TestDocsNameStatsExports(t *testing.T) {
+	notTest := func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }
+	pkgs, err := parser.ParseDir(token.NewFileSet(), "stats", notTest, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exported := map[string]bool{}
+	add := func(id *ast.Ident) { exported[id.Name] = exported[id.Name] || id.IsExported() }
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				switch dd := decl.(type) {
+				case *ast.FuncDecl:
+					if dd.Recv == nil {
+						add(dd.Name)
+					}
+				case *ast.GenDecl:
+					for _, spec := range dd.Specs {
+						switch sp := spec.(type) {
+						case *ast.TypeSpec:
+							add(sp.Name)
+						case *ast.ValueSpec:
+							for _, n := range sp.Names {
+								add(n)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	quoted := regexp.MustCompile("`[^`\n]+`")
+	name := regexp.MustCompile(`(?:^|[^\w./])stats\.(\w+)`)
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, span := range quoted.FindAllString(string(text), -1) {
+			for _, m := range name.FindAllStringSubmatch(span, -1) {
+				if !exported[m[1]] {
+					t.Errorf("%s names stats.%s in %s, which is not an exported identifier of package stats", doc, m[1], span)
+				}
+			}
+		}
+	}
+}
+
 // packageDecls parses the Go files of dir (its tests too: the prose cites
 // them) and returns its top-level names, each with the methods and fields
 // (interface methods included) that a Type.Member in the docs may name;

@@ -149,7 +149,7 @@ func main() {
 	}
 
 	// Autotune the runtime knobs against real wall-clock time.
-	res := stats.Tune(stats.TuneSpace{}, stats.TimedBenchmark(func(o stats.Options, _ []int64) {
+	res := stats.Tune(nil, stats.TimedBenchmark(func(o stats.Options, _ []int64) {
 		build(o)
 	}), 60, 11)
 

@@ -54,7 +54,7 @@ func (e *Env) limitedSpeedup(w workload.Workload, k int) float64 {
 	}
 	algo := len(d.Tradeoffs)
 	p := e.profilerFor(w, taskgen.ParSTATS, 28)
-	s := profiler.BuildSpace(w, 28)
+	s := profiler.BuildSpace(d.Tradeoffs, 28)
 
 	frozen := map[int]int64{}
 	freeze := func(name string) {
@@ -81,7 +81,7 @@ func (e *Env) limitedSpeedup(w workload.Workload, k int) float64 {
 	res := autotune.Tune(s, p.Objective(s, profiler.Time, false), autotune.Options{
 		Budget: e.Budget, Seed: e.Seed, Frozen: frozen, Seeds: profiler.SeedConfigs(s),
 	})
-	opts, th := profiler.Decode(s, res.Best, w)
+	opts, th := profiler.Decode(s, res.Best)
 	return e.SequentialTime(w) / p.Measure(opts, th).TimeSeconds
 }
 

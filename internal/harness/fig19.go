@@ -33,11 +33,11 @@ func Fig19(e *Env) []Fig19Result {
 		// Misled tuning: the profiler sees bad training inputs.
 		train := e.profilerFor(w, taskgen.ParSTATS, 28)
 		train.Training = true
-		s := profiler.BuildSpace(w, 28)
+		s := profiler.BuildSpace(w.Desc().Tradeoffs, 28)
 		res := autotune.Tune(s, train.Objective(s, profiler.Time, true), autotune.Options{
 			Budget: e.Budget, Seed: e.Seed ^ 0xBAD, Seeds: profiler.SeedConfigs(s),
 		})
-		opts, th := profiler.Decode(s, res.Best, w)
+		opts, th := profiler.Decode(s, res.Best)
 		// Evaluate the chosen configuration on the real inputs.
 		opts.BadTraining = false
 		eval := e.profilerFor(w, taskgen.ParSTATS, 28)

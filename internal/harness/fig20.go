@@ -45,7 +45,7 @@ func Fig20(e *Env) Fig20Summary {
 	var toBest []float64
 	for _, w := range registry.Targets() {
 		p := e.profilerFor(w, taskgen.ParSTATS, 28)
-		s := profiler.BuildSpace(w, 28)
+		s := profiler.BuildSpace(w.Desc().Tradeoffs, 28)
 		obj := p.Objective(s, profiler.Time, false)
 		for seed := 0; seed < seeds; seed++ {
 			res := autotune.Tune(s, obj, autotune.Options{Budget: budget, Seed: e.Seed + uint64(seed)*977})

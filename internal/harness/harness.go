@@ -148,11 +148,11 @@ func (e *Env) TunedSTATSOn(mach platform.Machine, machineKey string, w workload.
 	}
 	p := e.profilerFor(w, mode, threads)
 	p.Machine = mach
-	s := profiler.BuildSpace(w, int64(threads))
+	s := profiler.BuildSpace(w.Desc().Tradeoffs, int64(threads))
 	res := autotune.Tune(s, p.Objective(s, goal, false), autotune.Options{
 		Budget: e.Budget, Seed: e.Seed, Seeds: profiler.SeedConfigs(s),
 	})
-	opts, th := profiler.Decode(s, res.Best, w)
+	opts, th := profiler.Decode(s, res.Best)
 	meas := p.Measure(opts, th)
 	ent := tunedEntry{meas: meas, opts: opts, res: res}
 	e.tuned[key] = ent

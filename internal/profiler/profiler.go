@@ -5,18 +5,21 @@
 // A measurement lowers the workload's cost model through the task-graph
 // generator, schedules it on the simulated platform at the experiment's
 // thread count, and integrates the energy model over the occupancy trace.
-// The profiler also owns the state-space construction for a workload and
-// the decoding of a space configuration into engine options — the glue
-// between the autotuner's index vectors and the runtime's parameters.
+// The profiler also owns the state-space construction and the decoding of
+// a space configuration into engine options — the glue between the
+// autotuner's index vectors and the runtime's parameters.
 package profiler
 
 import (
+	"strings"
+
 	"repro/internal/autotune"
 	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/platform"
 	"repro/internal/space"
 	"repro/internal/taskgen"
+	"repro/internal/tradeoff"
 	"repro/internal/workload"
 )
 
@@ -73,16 +76,18 @@ var (
 	groupValues    = []int64{2, 4, 8, 16, 32}
 )
 
-// BuildSpace constructs the workload's state space: one dimension per
-// auxiliary-code tradeoff, the standard per-dependence dimensions, and the
-// global original-TLP thread split (§3.3, "The state space").
-func BuildSpace(w workload.Workload, maxThreads int64) *space.Space {
+// auxPrefix prefixes the name of a tradeoff's dimension.
+const auxPrefix = "aux."
+
+// BuildSpace constructs the state space over the given auxiliary-code
+// tradeoffs: one dimension per tradeoff, the standard per-dependence
+// dimensions, and the global original-TLP thread split (§3.3, "The state
+// space").
+func BuildSpace(tradeoffs []tradeoff.T, maxThreads int64) *space.Space {
 	s := space.New()
-	d := w.Desc()
-	for _, t := range d.Tradeoffs {
+	for _, t := range tradeoffs {
 		s.Add(space.Dimension{
-			Name:    "aux." + t.Name,
-			Kind:    space.TradeoffDim,
+			Name:    auxPrefix + t.Name,
 			Size:    t.Opts.MaxIndex(),
 			Default: t.Opts.DefaultIndex(),
 		})
@@ -111,18 +116,16 @@ func SeedConfigs(s *space.Space) []space.Config {
 }
 
 // Decode maps a space configuration to the engine options plus the
-// original-TLP thread allocation.
-func Decode(s *space.Space, c space.Config, w workload.Workload) (workload.SpecOptions, int) {
-	d := w.Desc()
-	o := workload.SpecOptions{TradeoffIdx: make([]int64, len(d.Tradeoffs))}
-	for i, t := range d.Tradeoffs {
-		idx, ok := s.Lookup(c, "aux."+t.Name)
-		if !ok {
-			idx = t.Opts.DefaultIndex()
+// original-TLP thread allocation. TradeoffIdx holds the tradeoff
+// dimensions' indices in the order BuildSpace added them.
+func Decode(s *space.Space, c space.Config) (workload.SpecOptions, int) {
+	var o workload.SpecOptions
+	for i, d := range s.Dims() {
+		if strings.HasPrefix(d.Name, auxPrefix) {
+			// Tradeoff dimensions are identity-valued: the value is the
+			// tradeoff index itself.
+			o.TradeoffIdx = append(o.TradeoffIdx, c[i])
 		}
-		// Tradeoff dimensions are identity-valued: the value is the
-		// tradeoff index itself.
-		o.TradeoffIdx[i] = idx
 	}
 	if v, ok := s.Lookup(c, "dep.aux"); ok {
 		o.UseAux = v == 1
@@ -144,6 +147,14 @@ func Decode(s *space.Space, c space.Config, w workload.Workload) (workload.SpecO
 		threads = int(v)
 	}
 	return o, threads
+}
+
+// DecodeObjective returns the autotuner objective over s that decodes each
+// configuration and scores the decoded options with score.
+func DecodeObjective(s *space.Space, score func(o workload.SpecOptions, threads int) float64) autotune.Objective {
+	return func(c space.Config) float64 {
+		return score(Decode(s, c))
+	}
 }
 
 // Overhead attributes one real engine run's runtime overhead relative to
@@ -216,13 +227,12 @@ func (p *P) Measure(o workload.SpecOptions, threadsOriginal int) Measurement {
 // Objective returns an autotuner objective over the given space for the
 // given goal.
 func (p *P) Objective(s *space.Space, goal Goal, badTraining bool) autotune.Objective {
-	return func(c space.Config) float64 {
-		o, threads := Decode(s, c, p.W)
+	return DecodeObjective(s, func(o workload.SpecOptions, threads int) float64 {
 		o.BadTraining = badTraining
 		meas := p.Measure(o, threads)
 		if goal == Energy {
 			return meas.EnergyJ
 		}
 		return meas.TimeSeconds
-	}
+	})
 }

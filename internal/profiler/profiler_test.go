@@ -26,7 +26,7 @@ func bodytrackProfiler(mode taskgen.Mode, threads int) *P {
 }
 
 func TestBuildSpaceShape(t *testing.T) {
-	s := BuildSpace(bodytrack.New(), 28)
+	s := BuildSpace(bodytrack.New().Desc().Tradeoffs, 28)
 	// 3 tradeoffs + 5 dependence dims + thread split.
 	if s.Len() != 9 {
 		t.Fatalf("dimensions: %d", s.Len())
@@ -37,29 +37,37 @@ func TestBuildSpaceShape(t *testing.T) {
 }
 
 func TestDecodeRoundTrip(t *testing.T) {
-	w := bodytrack.New()
-	s := BuildSpace(w, 28)
+	tradeoffs := bodytrack.New().Desc().Tradeoffs
+	s := BuildSpace(tradeoffs, 28)
 	c := s.Default()
 	s.Set(c, "dep.aux", 1)
 	s.Set(c, "dep.window", 4) // -> value 4
 	s.Set(c, "dep.group", 2)  // -> value 8
 	s.Set(c, "threads.original", 9)
-	o, threads := Decode(s, c, w)
+	last := tradeoffs[len(tradeoffs)-1]
+	s.Set(c, "aux."+last.Name, 1)
+	o, threads := Decode(s, c)
 	if !o.UseAux || o.Window != 4 || o.GroupSize != 8 {
 		t.Fatalf("decoded: %+v", o)
 	}
 	if threads != 10 {
 		t.Fatalf("threads: %d", threads)
 	}
-	if len(o.TradeoffIdx) != 3 {
+	// One index per tradeoff, in the tradeoffs' order.
+	if len(o.TradeoffIdx) != len(tradeoffs) || o.TradeoffIdx[len(tradeoffs)-1] != 1 {
 		t.Fatalf("tradeoff indices: %v", o.TradeoffIdx)
+	}
+	for i, tr := range tradeoffs[:len(tradeoffs)-1] {
+		if o.TradeoffIdx[i] != tr.Opts.DefaultIndex() {
+			t.Fatalf("tradeoff %s index %d, want its default %d", tr.Name, o.TradeoffIdx[i], tr.Opts.DefaultIndex())
+		}
 	}
 }
 
 func TestDefaultDecodesToBaseline(t *testing.T) {
 	w := bodytrack.New()
-	s := BuildSpace(w, 28)
-	o, threads := Decode(s, s.Default(), w)
+	s := BuildSpace(w.Desc().Tradeoffs, 28)
+	o, threads := Decode(s, s.Default())
 	if o.UseAux {
 		t.Fatal("baseline must not speculate")
 	}
@@ -94,9 +102,9 @@ func TestThreadSplitCapsInnerWidth(t *testing.T) {
 func TestTuningFindsSpeculativeConfig(t *testing.T) {
 	w := bodytrack.New()
 	p := bodytrackProfiler(taskgen.ParSTATS, 28)
-	s := BuildSpace(w, 28)
+	s := BuildSpace(w.Desc().Tradeoffs, 28)
 	res := autotune.Tune(s, p.Objective(s, Time, false), autotune.Options{Budget: 120, Seed: 1})
-	o, _ := Decode(s, res.Best, w)
+	o, _ := Decode(s, res.Best)
 	if !o.UseAux {
 		t.Fatal("tuner should discover speculation helps bodytrack")
 	}
@@ -119,9 +127,9 @@ func TestTunerRejectsFluidanimateAux(t *testing.T) {
 		Mode:      taskgen.ParSTATS,
 		GraphSeed: 3,
 	}
-	s := BuildSpace(w, 28)
+	s := BuildSpace(w.Desc().Tradeoffs, 28)
 	res := autotune.Tune(s, p.Objective(s, Time, false), autotune.Options{Budget: 150, Seed: 2})
-	o, _ := Decode(s, res.Best, w)
+	o, _ := Decode(s, res.Best)
 	if o.UseAux && o.GroupSize < workload.NativeSize {
 		t.Fatalf("tuner kept doomed speculation: %+v (best %v)", o, res.BestVal)
 	}
@@ -138,13 +146,13 @@ func TestEnergyGoalPrefersNarrowerRuns(t *testing.T) {
 		Mode:      taskgen.ParSTATS,
 		GraphSeed: 5,
 	}
-	s := BuildSpace(w, 28)
+	s := BuildSpace(w.Desc().Tradeoffs, 28)
 	timeRes := autotune.Tune(s, p.Objective(s, Time, false), autotune.Options{Budget: 100, Seed: 3})
 	energyRes := autotune.Tune(s, p.Objective(s, Energy, false), autotune.Options{Budget: 100, Seed: 3})
 	// Evaluate both winners under the energy metric: the energy-tuned
 	// binary must not lose.
-	oTime, thTime := Decode(s, timeRes.Best, w)
-	oEnergy, thEnergy := Decode(s, energyRes.Best, w)
+	oTime, thTime := Decode(s, timeRes.Best)
+	oEnergy, thEnergy := Decode(s, energyRes.Best)
 	if p.Measure(oEnergy, thEnergy).EnergyJ > p.Measure(oTime, thTime).EnergyJ {
 		t.Fatal("energy-tuned config draws more energy than time-tuned")
 	}

@@ -18,66 +18,13 @@ import (
 	"repro/internal/rng"
 )
 
-// DimKind identifies what a dimension controls, so the back-end and runtime
-// know how to apply a chosen index.
-type DimKind int
-
-const (
-	// TradeoffDim is the index of a (cloned, auxiliary-code) tradeoff.
-	TradeoffDim DimKind = iota
-	// AuxEnable decides whether a state dependence is satisfied with
-	// auxiliary code (1) or conventionally (0).
-	AuxEnable
-	// AuxWindow is the number of previous inputs the auxiliary code
-	// consumes to build its speculative state.
-	AuxWindow
-	// RedoMax is the maximum number of times the runtime may re-execute
-	// the original producer before aborting speculation.
-	RedoMax
-	// Rollback is how many inputs a re-execution goes back.
-	Rollback
-	// GroupSize is the cardinality of the input groups the runtime
-	// overlaps ("STATS automatically decides what is the most convenient
-	// group cardinality", §3.1).
-	GroupSize
-	// ThreadSplit is the number of threads dedicated to the program's
-	// original TLP; the remainder serve state dependences.
-	ThreadSplit
-)
-
-// String returns the kind's name.
-func (k DimKind) String() string {
-	switch k {
-	case TradeoffDim:
-		return "tradeoff"
-	case AuxEnable:
-		return "aux-enable"
-	case AuxWindow:
-		return "aux-window"
-	case RedoMax:
-		return "redo-max"
-	case Rollback:
-		return "rollback"
-	case GroupSize:
-		return "group-size"
-	case ThreadSplit:
-		return "thread-split"
-	default:
-		return fmt.Sprintf("DimKind(%d)", int(k))
-	}
-}
-
 // Dimension is one axis of the state space. Values are indices in
 // [0, Size); Values, when non-nil, maps an index to the concrete integer the
 // runtime consumes (e.g. a group size of 8 at index 2).
 type Dimension struct {
 	Name    string
-	Kind    DimKind
 	Size    int64
 	Default int64
-	// Dep is the state dependence this dimension belongs to, or "" for
-	// global dimensions such as the thread split.
-	Dep string
 	// Values maps an index to a concrete value; nil means the identity.
 	Values []int64
 }
@@ -275,11 +222,11 @@ func (s *Space) Set(c Config, name string, idx int64) bool {
 // and the group size. windows, redos, rollbacks and groups list the
 // concrete values each dimension may take.
 func (s *Space) AddDependence(dep string, windows, redos, rollbacks, groups []int64) {
-	s.Add(Dimension{Name: dep + ".aux", Kind: AuxEnable, Size: 2, Default: 0, Dep: dep})
-	s.Add(Dimension{Name: dep + ".window", Kind: AuxWindow, Size: int64(len(windows)), Values: windows, Dep: dep})
-	s.Add(Dimension{Name: dep + ".redo", Kind: RedoMax, Size: int64(len(redos)), Values: redos, Dep: dep})
-	s.Add(Dimension{Name: dep + ".rollback", Kind: Rollback, Size: int64(len(rollbacks)), Values: rollbacks, Dep: dep})
-	s.Add(Dimension{Name: dep + ".group", Kind: GroupSize, Size: int64(len(groups)), Values: groups, Dep: dep})
+	s.Add(Dimension{Name: dep + ".aux", Size: 2, Default: 0})
+	s.Add(Dimension{Name: dep + ".window", Size: int64(len(windows)), Values: windows})
+	s.Add(Dimension{Name: dep + ".redo", Size: int64(len(redos)), Values: redos})
+	s.Add(Dimension{Name: dep + ".rollback", Size: int64(len(rollbacks)), Values: rollbacks})
+	s.Add(Dimension{Name: dep + ".group", Size: int64(len(groups)), Values: groups})
 }
 
 // AddThreadSplit appends the global original-TLP thread dimension with
@@ -288,7 +235,6 @@ func (s *Space) AddDependence(dep string, windows, redos, rollbacks, groups []in
 func (s *Space) AddThreadSplit(maxThreads int64) {
 	s.Add(Dimension{
 		Name:    "threads.original",
-		Kind:    ThreadSplit,
 		Size:    maxThreads,
 		Default: maxThreads - 1,
 		Values:  seq(1, maxThreads),

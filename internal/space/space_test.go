@@ -9,7 +9,7 @@ import (
 
 func demoSpace() *Space {
 	s := New()
-	s.Add(Dimension{Name: "layers", Kind: TradeoffDim, Size: 10, Default: 4})
+	s.Add(Dimension{Name: "layers", Size: 10, Default: 4})
 	s.AddDependence("track", []int64{1, 2, 4}, []int64{0, 1, 2, 3}, []int64{1, 2, 4}, []int64{1, 2, 4, 8})
 	s.AddThreadSplit(8)
 	return s

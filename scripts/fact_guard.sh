@@ -39,8 +39,12 @@
 # internal/obs (bench/ excluded). The window guard: a telemetry Server serves
 # the Signals aggregator it is handed, so /signals, /healthz and the caller's
 # own reports read one window; fail if internal/telemetry's non-test code
-# builds an aggregator: a NewSignals( call anywhere but signals.go. Run via
-# `make vet`.
+# builds an aggregator: a NewSignals( call anywhere but signals.go. The
+# recover guard: a panic in user code becomes a *PanicError in one place,
+# internal/core's contain (RunChecked, RunStreamChecked and the stats facade
+# over them), and a panicking pool task is counted in one place,
+# internal/pool's run; fail on a recover() in any other non-test Go (bench/
+# excluded). Run via `make vet`.
 set -eu
 
 emits=$(grep -rn 'Tracer\.Emit(' internal/core internal/pool --include='*.go' |
@@ -134,5 +138,15 @@ windows=$(grep -rn 'NewSignals(' internal/telemetry --include='*.go' |
 if [ -n "$windows" ]; then
     echo "fact-guard: a telemetry Server serves the Signals it is handed; build no aggregator in internal/telemetry:" >&2
     printf '%s\n' "$windows" >&2
+    exit 1
+fi
+
+recovers=$(awk 'FNR==1{fn=""} /^func /{fn=$0} /recover\(\)/ && $0 !~ /^[[:space:]]*\/\// &&
+    !(FILENAME == "./internal/core/frame.go" && fn ~ /^func contain\(/) &&
+    !(FILENAME == "./internal/pool/pool.go" && fn ~ /^func \(p \*Pool\) run\(/){print FILENAME":"FNR": "$0}' \
+    /dev/null $(grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=bench 'recover()' .))
+if [ -n "$recovers" ]; then
+    echo "fact-guard: recover() belongs to internal/core's contain and internal/pool's run only:" >&2
+    printf '%s\n' "$recovers" >&2
     exit 1
 fi

@@ -147,7 +147,7 @@ func TestTuneFindsSpeculation(t *testing.T) {
 		}
 		return wall
 	}
-	res := Tune(TuneSpace{}, bench, 200, 7)
+	res := Tune(nil, bench, 200, 7)
 	if !res.Options.UseAux {
 		t.Fatal("tuner should enable speculation")
 	}
@@ -172,9 +172,25 @@ func TestTuneWithTradeoffs(t *testing.T) {
 		}
 		return cost
 	}
-	res := Tune(TuneSpace{Tradeoffs: []Tradeoff{layers}}, bench, 150, 3)
+	res := Tune([]Tradeoff{layers}, bench, 150, 3)
 	if res.TradeoffIdx[0] != 2 {
 		t.Fatalf("tradeoff index: %d", res.TradeoffIdx[0])
+	}
+}
+
+func TestTuneSearchesProfilerSpace(t *testing.T) {
+	// Tune searches the profiler's state space, whose lists hold group 32
+	// and window 3: this landscape's one minimum.
+	bench := func(o Options, _ []int64) float64 {
+		cost := math.Abs(math.Log2(float64(max(o.GroupSize, 1)))-5) + math.Abs(float64(o.Window-3))
+		if !o.UseAux {
+			cost += 10
+		}
+		return cost
+	}
+	res := Tune(nil, bench, 200, 5)
+	if !res.Options.UseAux || res.Options.GroupSize != 32 || res.Options.Window != 3 || res.BestSeconds != 0 {
+		t.Fatalf("best %+v at %v, want aux, group 32, window 3 at 0", res.Options, res.BestSeconds)
 	}
 }
 

@@ -1,10 +1,6 @@
 package stats
 
-import (
-	"runtime/debug"
-
-	"repro/internal/core"
-)
+import "repro/internal/core"
 
 // Committed is one streamed output: its input index and value.
 type Committed[O any] struct {
@@ -30,9 +26,9 @@ func (sd *StateDependence[I, S, O]) RunStream(emit func(index int, output O)) ([
 // Fault isolation: speculative-lane panics in user code are contained by
 // the engine (RunStats.PanickedGroups); a panic with no safe fallback left
 // — the sequential path, or the consumer's own code reached through the
-// commit channel — is recovered here rather than crashing the process with
-// the channel open. The channel always closes, and join reports the
-// failure as a *PanicError.
+// commit channel — is contained too, by RunStreamChecked, rather than
+// crashing the process with the channel open. The channel always closes,
+// and join reports the failure as a *PanicError.
 func (sd *StateDependence[I, S, O]) StartStream() (<-chan Committed[O], func() ([]O, S, RunStats, error)) {
 	ch := make(chan Committed[O], len(sd.inputs))
 	type result struct {
@@ -44,16 +40,11 @@ func (sd *StateDependence[I, S, O]) StartStream() (<-chan Committed[O], func() (
 	done := make(chan result, 1)
 	go func() {
 		var r result
-		defer func() { done <- r }()
-		defer close(ch)
-		defer func() {
-			if rec := recover(); rec != nil {
-				r.err = &core.PanicError{Value: rec, Stack: debug.Stack()}
-			}
-		}()
-		r.outs, r.final, r.st = sd.RunStream(func(i int, o O) {
+		r.outs, r.final, r.st, r.err = sd.dep().RunStreamChecked(sd.inputs, sd.initial, sd.coreOptions(), func(i int, o O) {
 			ch <- Committed[O]{Index: i, Output: o}
 		})
+		close(ch)
+		done <- r
 	}()
 	return ch, func() ([]O, S, RunStats, error) {
 		r := <-done

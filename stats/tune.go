@@ -4,51 +4,20 @@ import (
 	"time"
 
 	"repro/internal/autotune"
-	"repro/internal/space"
+	"repro/internal/profiler"
+	"repro/internal/workload"
 )
 
-// TuneSpace describes the dimensions Tune explores. Zero values select the
-// defaults the paper's state space uses.
-type TuneSpace struct {
-	// GroupSizes, Windows, Redos and Rollbacks enumerate the engine
-	// dimensions.
-	GroupSizes []int64
-	Windows    []int64
-	Redos      []int64
-	Rollbacks  []int64
-	// Tradeoffs are the auxiliary-code tradeoffs to tune; the chosen
-	// indices are reported in TuneResult.TradeoffIdx aligned with this
-	// slice.
-	Tradeoffs []Tradeoff
-	// MaxWorkers bounds the runtime worker pool (defaults to 8).
-	MaxWorkers int64
-}
-
-func (ts TuneSpace) withDefaults() TuneSpace {
-	if ts.GroupSizes == nil {
-		ts.GroupSizes = []int64{2, 4, 8, 16}
-	}
-	if ts.Windows == nil {
-		ts.Windows = []int64{0, 1, 2, 4, 8}
-	}
-	if ts.Redos == nil {
-		ts.Redos = []int64{0, 1, 2, 3}
-	}
-	if ts.Rollbacks == nil {
-		ts.Rollbacks = []int64{1, 2, 4}
-	}
-	if ts.MaxWorkers < 1 {
-		ts.MaxWorkers = 8
-	}
-	return ts
-}
+// tuneMaxWorkers bounds the state space's thread dimension: Tune tries
+// Options.Workers from 1 to tuneMaxWorkers.
+const tuneMaxWorkers = 8
 
 // TuneResult is the autotuner's outcome for a state dependence.
 type TuneResult struct {
 	// Options is the best configuration found.
 	Options Options
 	// TradeoffIdx are the chosen auxiliary tradeoff indices, aligned
-	// with TuneSpace.Tradeoffs.
+	// with the tradeoffs passed to Tune.
 	TradeoffIdx []int64
 	// BestSeconds is the best measured wall-clock time.
 	BestSeconds float64
@@ -74,57 +43,30 @@ type Benchmark func(o Options, tradeoffIdx []int64) float64
 
 // Tune explores the state space for the fastest configuration of a state
 // dependence, in the spirit of §3.5 but against *real* executions: the
-// caller supplies a Benchmark closure over its training inputs. budget is
-// the number of configurations to profile.
-func Tune(ts TuneSpace, bench Benchmark, budget int, seed uint64) TuneResult {
-	ts = ts.withDefaults()
-	s := space.New()
-	for _, t := range ts.Tradeoffs {
-		s.Add(space.Dimension{
-			Name:    "aux." + t.Name,
-			Kind:    space.TradeoffDim,
-			Size:    t.Opts.MaxIndex(),
-			Default: t.Opts.DefaultIndex(),
-		})
+// caller supplies a Benchmark closure over its training inputs. The space
+// is the profiler's (§3.3), the one every tuned experiment searches: one
+// dimension per tradeoff, aux enablement, window, redo budget, rollback,
+// group size, and Workers up to 8. budget is the number of configurations
+// to profile.
+func Tune(tradeoffs []Tradeoff, bench Benchmark, budget int, seed uint64) TuneResult {
+	s := profiler.BuildSpace(tradeoffs, tuneMaxWorkers)
+	lower := func(o workload.SpecOptions, threads int) (Options, []int64) {
+		return Options{
+			UseAux:    o.UseAux,
+			GroupSize: o.GroupSize,
+			Window:    o.Window,
+			RedoMax:   o.RedoMax,
+			Rollback:  o.Rollback,
+			Workers:   threads,
+			Seed:      seed,
+		}, o.TradeoffIdx
 	}
-	s.AddDependence("dep", ts.Windows, ts.Redos, ts.Rollbacks, ts.GroupSizes)
-	s.AddThreadSplit(ts.MaxWorkers)
+	res := autotune.Tune(s, profiler.DecodeObjective(s, func(o workload.SpecOptions, threads int) float64 {
+		return bench(lower(o, threads))
+	}), autotune.Options{Budget: budget, Seed: seed})
 
-	decode := func(c space.Config) (Options, []int64) {
-		o := Options{Seed: seed}
-		idx := make([]int64, len(ts.Tradeoffs))
-		for i, t := range ts.Tradeoffs {
-			v, _ := s.Lookup(c, "aux."+t.Name)
-			idx[i] = v
-		}
-		if v, ok := s.Lookup(c, "dep.aux"); ok {
-			o.UseAux = v == 1
-		}
-		if v, ok := s.Lookup(c, "dep.window"); ok {
-			o.Window = int(v)
-		}
-		if v, ok := s.Lookup(c, "dep.redo"); ok {
-			o.RedoMax = int(v)
-		}
-		if v, ok := s.Lookup(c, "dep.rollback"); ok {
-			o.Rollback = int(v)
-		}
-		if v, ok := s.Lookup(c, "dep.group"); ok {
-			o.GroupSize = int(v)
-		}
-		if v, ok := s.Lookup(c, "threads.original"); ok {
-			o.Workers = int(v)
-		}
-		return o, idx
-	}
-
-	res := autotune.Tune(s, func(c space.Config) float64 {
-		o, idx := decode(c)
-		return bench(o, idx)
-	}, autotune.Options{Budget: budget, Seed: seed})
-
-	bestOpts, bestIdx := decode(res.Best)
-	baseOpts, baseIdx := decode(s.Default())
+	bestOpts, bestIdx := lower(profiler.Decode(s, res.Best))
+	baseOpts, baseIdx := lower(profiler.Decode(s, s.Default()))
 	return TuneResult{
 		Options:         bestOpts,
 		TradeoffIdx:     bestIdx,
