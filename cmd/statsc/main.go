@@ -75,12 +75,14 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// The vet gate: the same passes cmd/statsvet runs. Warnings are
-	// advisory; any error-severity finding means the module is refused
-	// before anything is emitted (opt out with -vet=false).
+	// The vet gate: the same passes cmd/statsvet runs, printed as the same
+	// one-line records. Warnings are advisory; any error-severity finding
+	// means the module is refused before anything is emitted (opt out with
+	// -vet=false).
 	if *vet {
 		ds := analysis.AnalyzeProgram(fo, mod)
 		for _, d := range ds {
+			d.File = *in
 			fmt.Fprintf(os.Stderr, "statsc: vet: %s\n", d)
 		}
 		if analysis.HasErrors(ds) {

@@ -2,12 +2,16 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/analysis"
+	"repro/internal/analysis/apivet"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files")
@@ -115,31 +119,66 @@ func TestGoldenJSON(t *testing.T) {
 	checkGolden(t, "testdata/golden/broken.json", out.Bytes())
 }
 
+// registered lists the IR passes and Go analyzers from their registries,
+// so a pass is covered by the tests below the day it is registered.
+func registered() []string {
+	var names []string
+	for _, p := range analysis.Passes() {
+		names = append(names, p.Name)
+	}
+	for _, a := range apivet.Analyzers() {
+		names = append(names, a.Name)
+	}
+	return names
+}
+
 // TestPassCoverage requires the broken corpus to exercise every analysis
-// pass and every Go analyzer, so a pass can't silently go dark.
+// pass and every Go analyzer, plus the front-end's rejections and the
+// source lints, so a pass can't silently go dark.
 func TestPassCoverage(t *testing.T) {
 	var out, errb bytes.Buffer
 	run(brokenCorpus(t), &out, &errb)
 	text := out.String()
-	for _, pass := range []string{
-		"frontend", "srclint", "verify", "effects", "footprints", "lints",
-		"negopts", "droppedstats", "specclosure", "reserveops",
-	} {
+	for _, pass := range append([]string{"frontend", "srclint"}, registered()...) {
 		if !strings.Contains(text, " "+pass+": ") {
 			t.Errorf("broken corpus never triggers pass %s", pass)
 		}
 	}
 }
 
-// TestPassesFlag smoke-tests the -passes listing.
+// TestPassesFlag smoke-tests the -passes listing: every registered IR
+// pass and Go analyzer is listed.
 func TestPassesFlag(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-passes"}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d: %s", code, errb.String())
 	}
-	for _, name := range []string{"verify", "effects", "footprints", "lints", "negopts", "droppedstats", "specclosure", "reserveops"} {
-		if !strings.Contains(out.String(), name) {
+	for _, name := range registered() {
+		if !strings.Contains(out.String(), name+" ") {
 			t.Errorf("-passes listing missing %s:\n%s", name, out.String())
+		}
+	}
+}
+
+// TestFingerprintHintIsAWarning: a missing fingerprint only costs time
+// (stats.FingerprintFunc is optional), so a file whose only findings are
+// fingerprint hints reports them as warnings and exits 0.
+func TestFingerprintHintIsAWarning(t *testing.T) {
+	var out, errb bytes.Buffer
+	code := run([]string{"-json", "testdata/corpus/broken/missing_fingerprint.go"}, &out, &errb)
+	if code != 0 {
+		t.Fatalf("exit %d on fingerprint hints alone, want 0; stderr: %s\n%s", code, errb.String(), out.String())
+	}
+	var ds []map[string]any
+	if err := json.Unmarshal(out.Bytes(), &ds); err != nil {
+		t.Fatalf("decoding findings: %v", err)
+	}
+	if len(ds) != 2 {
+		t.Fatalf("got %d findings, want both fingerprint forms:\n%s", len(ds), out.String())
+	}
+	for _, d := range ds {
+		if d["pass"] != "fingerprint" || d["severity"] != "warning" {
+			t.Errorf("finding %v, want a fingerprint warning", d)
 		}
 	}
 }

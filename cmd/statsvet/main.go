@@ -12,8 +12,12 @@
 //     corpus cases the well-formed pipeline cannot produce) and run
 //     through the IR passes;
 //   - file.go / dir — parsed with the stdlib parser and run through the
-//     runtime-API misuse analyzers (negopts, droppedstats, specclosure);
-//     directories are walked recursively, skipping testdata and _test.go.
+//     runtime-API misuse analyzers (negopts, droppedstats, specclosure,
+//     reserveops, fingerprint); directories are walked recursively,
+//     skipping testdata and _test.go.
+//
+// Every finding is an analysis.Diagnostic, printed one String line each
+// or encoded as a JSON array under -json — the record statsc -vet prints.
 //
 // Usage:
 //
@@ -26,7 +30,9 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -42,43 +48,6 @@ import (
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-// finding is the unified output record for IR and Go findings.
-type finding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line,omitempty"`
-	Col      int    `json:"col,omitempty"`
-	Severity string `json:"severity"`
-	Pass     string `json:"pass"`
-	Msg      string `json:"msg"`
-	Func     string `json:"func,omitempty"`
-	Instr    int    `json:"instr,omitempty"`
-	Var      string `json:"var,omitempty"`
-}
-
-// text renders the conventional file:line:col diagnostic line.
-func (f finding) text() string {
-	var b strings.Builder
-	b.WriteString(f.File)
-	if f.Line > 0 {
-		fmt.Fprintf(&b, ":%d", f.Line)
-		if f.Col > 0 {
-			fmt.Fprintf(&b, ":%d", f.Col)
-		}
-	}
-	fmt.Fprintf(&b, ": %s: %s: %s", f.Severity, f.Pass, f.Msg)
-	var loc []string
-	if f.Func != "" {
-		loc = append(loc, "func "+f.Func)
-	}
-	if f.Var != "" {
-		loc = append(loc, "var "+f.Var)
-	}
-	if len(loc) > 0 {
-		fmt.Fprintf(&b, " (%s)", strings.Join(loc, ", "))
-	}
-	return b.String()
 }
 
 // run is the testable entry point; it returns the process exit code.
@@ -113,27 +82,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runFootprints(fs.Args(), *jsonOut, stdout, stderr)
 	}
 
-	var all []finding
+	all := []analysis.Diagnostic{}
 	var goPaths []string
 	for _, path := range fs.Args() {
-		switch {
-		case strings.HasSuffix(path, ".stats"):
-			fsnd, err := vetStats(path)
-			if err != nil {
-				fmt.Fprintln(stderr, "statsvet:", err)
-				return 2
-			}
-			all = append(all, fsnd...)
-		case strings.HasSuffix(path, ".ir.json"):
-			fsnd, err := vetIRJSON(path)
-			if err != nil {
-				fmt.Fprintln(stderr, "statsvet:", err)
-				return 2
-			}
-			all = append(all, fsnd...)
-		default:
+		if !isModule(path) {
 			goPaths = append(goPaths, path)
+			continue
 		}
+		_, ds, err := load(path)
+		if err != nil {
+			fmt.Fprintln(stderr, "statsvet:", err)
+			return 2
+		}
+		all = append(all, ds...)
 	}
 	if len(goPaths) > 0 {
 		ds, err := apivet.AnalyzePaths(goPaths)
@@ -141,38 +102,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "statsvet:", err)
 			return 2
 		}
-		for _, d := range ds {
-			all = append(all, finding{
-				File: d.File, Line: d.Line, Col: d.Col,
-				Severity: "error", Pass: d.Analyzer, Msg: d.Msg,
-			})
-		}
+		all = append(all, ds...)
 	}
 
-	errs, warns := 0, 0
-	for _, f := range all {
-		if f.Severity == "error" {
+	errs := 0
+	for _, d := range all {
+		if d.Severity == analysis.Error {
 			errs++
-		} else {
-			warns++
 		}
 	}
 	if *jsonOut {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if all == nil {
-			all = []finding{}
-		}
-		if err := enc.Encode(all); err != nil {
+		if err := writeJSON(stdout, all); err != nil {
 			fmt.Fprintln(stderr, "statsvet:", err)
 			return 2
 		}
 	} else {
-		for _, f := range all {
-			fmt.Fprintln(stdout, f.text())
+		for _, d := range all {
+			fmt.Fprintln(stdout, d)
 		}
 		if len(all) > 0 {
-			fmt.Fprintf(stdout, "statsvet: %d error(s), %d warning(s)\n", errs, warns)
+			fmt.Fprintf(stdout, "statsvet: %d error(s), %d warning(s)\n", errs, len(all)-errs)
 		}
 	}
 	if errs > 0 {
@@ -181,10 +130,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// writeJSON encodes v as indented JSON.
+func writeJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
+}
+
 // slotDep is one dependence's entry in the -footprints export: the
 // inferred and declared index expressions in their canonical renderings
-// ("*", "3", "f", "2*f+1"), the form internal/workload re-parses when it
-// builds slotted ReserveOps from the inference.
+// ("*", "3", "f", "2*f+1"). TestFootprintsSlotMapMatchesWorkloads holds
+// the good corpus's entries to the slot shapes the Go workloads reserve.
 type slotDep struct {
 	Dep      string   `json:"dep"`
 	State    string   `json:"state"`
@@ -204,15 +160,15 @@ type slotMap struct {
 // inference, and emit the slot map (JSON array or text). Go paths have no
 // IR to infer over and are a usage error.
 func runFootprints(paths []string, jsonOut bool, stdout, stderr io.Writer) int {
-	var maps []slotMap
+	maps := []slotMap{}
 	for _, path := range paths {
-		m, fsnd, err := loadModule(path)
+		m, ds, err := load(path)
 		if err != nil {
 			fmt.Fprintln(stderr, "statsvet:", err)
 			return 2
 		}
 		if m == nil {
-			fmt.Fprintf(stderr, "statsvet: %s: %s\n", path, fsnd[0].Msg)
+			fmt.Fprintln(stderr, "statsvet:", ds[0])
 			return 1
 		}
 		sm := slotMap{File: path}
@@ -229,12 +185,7 @@ func runFootprints(paths []string, jsonOut bool, stdout, stderr io.Writer) int {
 		maps = append(maps, sm)
 	}
 	if jsonOut {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if maps == nil {
-			maps = []slotMap{}
-		}
-		if err := enc.Encode(maps); err != nil {
+		if err := writeJSON(stdout, maps); err != nil {
 			fmt.Fprintln(stderr, "statsvet:", err)
 			return 2
 		}
@@ -254,85 +205,51 @@ func runFootprints(paths []string, jsonOut bool, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// loadModule loads one .stats or .ir.json path as an IR module. A nil
-// module with findings means the input itself was rejected.
-func loadModule(path string) (*ir.Module, []finding, error) {
-	switch {
-	case strings.HasSuffix(path, ".stats"):
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		fo, err := frontend.Translate(string(src))
-		if err != nil {
-			return nil, []finding{{File: path, Severity: "error", Pass: "frontend", Msg: err.Error()}}, nil
-		}
-		m, err := midend.Lower(fo)
-		if err != nil {
-			return nil, []finding{{File: path, Severity: "error", Pass: "midend", Msg: err.Error()}}, nil
-		}
-		return m, nil, nil
-	case strings.HasSuffix(path, ".ir.json"):
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer f.Close()
-		m, err := ir.DecodeJSON(f)
-		if err != nil {
-			return nil, []finding{{File: path, Severity: "error", Pass: "decode", Msg: err.Error()}}, nil
-		}
-		return m, nil, nil
-	default:
+// isModule reports whether path names an IR module input: a .stats
+// source or an .ir.json document. Everything else is Go.
+func isModule(path string) bool {
+	return strings.HasSuffix(path, ".stats") || strings.HasSuffix(path, ".ir.json")
+}
+
+// load is the one module loader of both modes. It compiles a .stats
+// source through the front- and mid-end (source lints plus every IR pass)
+// or decodes an .ir.json module (IR passes only) and returns the module
+// with its findings, each filed under path. A nil module means the input
+// itself was rejected; the one finding then says by which stage, with
+// the line when the front-end reports one.
+func load(path string) (*ir.Module, []analysis.Diagnostic, error) {
+	if !isModule(path) {
 		return nil, nil, fmt.Errorf("%s: -footprints wants .stats or .ir.json inputs", path)
 	}
-}
-
-// vetStats compiles one SDI/TI source through the front- and mid-end and
-// runs the full pass suite. Front-end and mid-end rejections are findings
-// too — positioned ones when the error carries a line.
-func vetStats(path string) ([]finding, error) {
 	src, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	fo, err := frontend.Translate(string(src))
-	if err != nil {
-		if fe, ok := err.(*frontend.Error); ok {
-			return []finding{{File: path, Line: fe.Line, Severity: "error", Pass: "frontend", Msg: fe.Msg}}, nil
+	reject := func(pass string, line int, msg string) (*ir.Module, []analysis.Diagnostic, error) {
+		return nil, []analysis.Diagnostic{{File: path, Pass: pass, Severity: analysis.Error, Pos: ir.Pos{Line: line}, Msg: msg}}, nil
+	}
+	var m *ir.Module
+	var ds []analysis.Diagnostic
+	if strings.HasSuffix(path, ".stats") {
+		fo, err := frontend.Translate(string(src))
+		var fe *frontend.Error
+		if errors.As(err, &fe) {
+			return reject("frontend", fe.Line, fe.Msg)
+		} else if err != nil {
+			return reject("frontend", 0, err.Error())
 		}
-		return []finding{{File: path, Severity: "error", Pass: "frontend", Msg: err.Error()}}, nil
+		if m, err = midend.Lower(fo); err != nil {
+			return reject("midend", 0, err.Error())
+		}
+		ds = analysis.AnalyzeProgram(fo, m)
+	} else {
+		if m, err = ir.DecodeJSON(bytes.NewReader(src)); err != nil {
+			return reject("decode", 0, err.Error())
+		}
+		ds = analysis.Analyze(m)
 	}
-	m, err := midend.Lower(fo)
-	if err != nil {
-		return []finding{{File: path, Severity: "error", Pass: "midend", Msg: err.Error()}}, nil
+	for i := range ds {
+		ds[i].File = path
 	}
-	return toFindings(path, analysis.AnalyzeProgram(fo, m)), nil
-}
-
-// vetIRJSON decodes one IR module document and runs the IR passes.
-func vetIRJSON(path string) ([]finding, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	m, err := ir.DecodeJSON(f)
-	if err != nil {
-		return []finding{{File: path, Severity: "error", Pass: "decode", Msg: err.Error()}}, nil
-	}
-	return toFindings(path, analysis.Analyze(m)), nil
-}
-
-// toFindings converts analysis diagnostics to the unified record.
-func toFindings(file string, ds []analysis.Diagnostic) []finding {
-	out := make([]finding, 0, len(ds))
-	for _, d := range ds {
-		out = append(out, finding{
-			File: file, Line: d.Pos.Line, Col: d.Pos.Col,
-			Severity: d.Severity.String(), Pass: d.Pass, Msg: d.Msg,
-			Func: d.Fn, Instr: d.Instr, Var: d.Var,
-		})
-	}
-	return out
+	return m, ds, nil
 }

@@ -27,12 +27,13 @@
 //     variants disagree in signature.
 //
 // Source-level lints over the front-end declarations (before the mid-end
-// pins and deletes unused tradeoffs, which would hide them) live in
-// AnalyzeSource. Go-source analyzers for runtime-API misuse live in the
-// apivet subpackage.
+// pins and deletes unused tradeoffs, which would hide them) run in
+// AnalyzeProgram. Go-source analyzers for runtime-API misuse live in the
+// apivet subpackage and report the same Diagnostic record.
 package analysis
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -61,11 +62,15 @@ func (s Severity) String() string {
 	return "warning"
 }
 
-// Diagnostic is one finding. Pos is the source position threaded from the
-// front-end (zero when the construct has no source anchor); Fn and Instr
-// locate the offending IR instruction (Instr is -1 for metadata-level
-// findings); Var names the offending variable, tradeoff or function.
+// Diagnostic is one finding — of an IR pass, a source lint or a Go
+// analyzer; it is the only finding record statsvet, statsc -vet and
+// stats.Runtime report. File names the analyzed input (empty for a module
+// held in memory). Pos is the source position threaded from the front-end
+// (zero when the construct has no source anchor); Fn and Instr locate the
+// offending IR instruction (Instr is -1 for metadata-level findings); Var
+// names the offending variable, tradeoff or function.
 type Diagnostic struct {
+	File     string
 	Pass     string
 	Severity Severity
 	Pos      ir.Pos
@@ -75,27 +80,48 @@ type Diagnostic struct {
 	Msg      string
 }
 
-// String renders the diagnostic in the statsvet single-line format:
+// String renders the diagnostic on one line:
 //
-//	line:col: severity: pass: message (func F instr N, var V)
+//	file:line:col: severity: pass: message (func F, var V)
+//
+// An empty file, an invalid position and an empty locator are omitted.
 func (d Diagnostic) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s: %s: %s: %s", d.Pos, d.Severity, d.Pass, d.Msg)
-	var loc []string
+	loc := d.File
+	if d.Pos.IsValid() {
+		loc = strings.TrimPrefix(loc+":"+d.Pos.String(), ":")
+	}
+	s := fmt.Sprintf("%s: %s: %s", d.Severity, d.Pass, d.Msg)
+	if loc != "" {
+		s = loc + ": " + s
+	}
+	var at []string
 	if d.Fn != "" {
-		if d.Instr >= 0 {
-			loc = append(loc, fmt.Sprintf("func %s instr %d", d.Fn, d.Instr))
-		} else {
-			loc = append(loc, "func "+d.Fn)
-		}
+		at = append(at, "func "+d.Fn)
 	}
 	if d.Var != "" {
-		loc = append(loc, "var "+d.Var)
+		at = append(at, "var "+d.Var)
 	}
-	if len(loc) > 0 {
-		fmt.Fprintf(&b, " (%s)", strings.Join(loc, ", "))
+	if len(at) > 0 {
+		s += " (" + strings.Join(at, ", ") + ")"
 	}
-	return b.String()
+	return s
+}
+
+// MarshalJSON encodes the diagnostic as the statsvet -json object: file,
+// line, col, severity, pass, msg, func, instr, var — zero line, col and
+// instr and empty func and var omitted.
+func (d Diagnostic) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		File     string `json:"file"`
+		Line     int    `json:"line,omitempty"`
+		Col      int    `json:"col,omitempty"`
+		Severity string `json:"severity"`
+		Pass     string `json:"pass"`
+		Msg      string `json:"msg"`
+		Func     string `json:"func,omitempty"`
+		Instr    int    `json:"instr,omitempty"`
+		Var      string `json:"var,omitempty"`
+	}{d.File, d.Pos.Line, d.Pos.Col, d.Severity.String(), d.Pass, d.Msg, d.Fn, d.Instr, d.Var})
 }
 
 // Pass is one analysis over a module. Run must not mutate the module and
@@ -126,29 +152,25 @@ func Analyze(m *ir.Module) []Diagnostic {
 	return out
 }
 
-// AnalyzeSource runs the source-level lints over the front-end output.
-// These must run before the mid-end: pinning deletes unused tradeoffs
-// from the module, which would hide exactly the declarations the lints
-// exist to flag.
-func AnalyzeSource(fo *frontend.Output) []Diagnostic {
-	out := sourceLints(fo)
-	Sort(out)
-	return out
-}
-
 // AnalyzeProgram is the full statsvet front door for one compiled
-// program: source lints plus every IR pass, merged and sorted.
+// program: source lints plus every IR pass, merged and sorted. The source
+// lints read the front-end output because the mid-end pins and deletes
+// unused tradeoffs — exactly the declarations they exist to flag.
 func AnalyzeProgram(fo *frontend.Output, m *ir.Module) []Diagnostic {
 	out := append(sourceLints(fo), Analyze(m)...)
 	Sort(out)
 	return out
 }
 
-// Sort orders diagnostics by source position, then function, instruction,
-// pass and message, so output is stable across map-iteration orders.
+// Sort orders diagnostics by file, source position, then function,
+// instruction, pass and message, so output is stable across
+// map-iteration and directory-walk orders.
 func Sort(ds []Diagnostic) {
 	sort.Slice(ds, func(i, j int) bool {
 		a, b := ds[i], ds[j]
+		if a.File != b.File {
+			return a.File < b.File
+		}
 		if a.Pos.Line != b.Pos.Line {
 			return a.Pos.Line < b.Pos.Line
 		}
@@ -179,8 +201,8 @@ func HasErrors(ds []Diagnostic) bool {
 }
 
 // Check runs every IR pass and returns a non-nil error listing the Error
-// findings, if any — the form the statsc -vet gate and stats.Runtime's
-// module verification consume. Warnings never fail Check.
+// findings, one String line each, if any — the form stats.Runtime's
+// module verification consumes. Warnings never fail Check.
 func Check(m *ir.Module) error {
 	var errs []string
 	for _, d := range Analyze(m) {

@@ -276,7 +276,7 @@ statedep d {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := AnalyzeSource(fo)
+	ds := sourceLints(fo)
 	wantFinding(t, ds, "srclint", Warning, "TO_dead is not used by any statedep")
 	wantFinding(t, ds, "srclint", Warning, "TO_one declares a single value")
 	wantFinding(t, ds, "srclint", Warning, "statedep d uses tradeoffs but declares no compare")

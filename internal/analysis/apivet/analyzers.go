@@ -3,6 +3,8 @@ package apivet
 import (
 	"go/ast"
 	"go/token"
+
+	"repro/internal/analysis"
 )
 
 // optionTypes are the engine-option struct names whose literals negopts
@@ -26,8 +28,8 @@ var NegOpts = &Analyzer{
 	Run:  runNegOpts,
 }
 
-func runNegOpts(fset *token.FileSet, file *ast.File) []Diagnostic {
-	var out []Diagnostic
+func runNegOpts(fset *token.FileSet, file *ast.File) []analysis.Diagnostic {
+	var out []analysis.Diagnostic
 	ast.Inspect(file, func(n ast.Node) bool {
 		lit, ok := n.(*ast.CompositeLit)
 		if !ok || !isOptionsType(lit.Type) {
@@ -46,7 +48,7 @@ func runNegOpts(fset *token.FileSet, file *ast.File) []Diagnostic {
 			if !tracked || !isNegativeLiteral(kv.Value) {
 				continue
 			}
-			out = append(out, diag(fset, kv.Pos(), "negopts",
+			out = append(out, diag(fset, kv.Pos(), analysis.Error, "negopts",
 				"%s is negative; the engine %s — use 0 or a positive value", key.Name, clamp))
 		}
 		return true
@@ -94,8 +96,8 @@ var depMethodMsg = map[string]string{
 	"Start": "discards the error; a rejected dependence would fail silently",
 }
 
-func runDroppedStats(fset *token.FileSet, file *ast.File) []Diagnostic {
-	var out []Diagnostic
+func runDroppedStats(fset *token.FileSet, file *ast.File) []analysis.Diagnostic {
+	var out []analysis.Diagnostic
 	forEachFuncBody(file, func(body *ast.BlockStmt) {
 		deps := dependenceVars(body)
 		ast.Inspect(body, func(n ast.Node) bool {
@@ -112,14 +114,14 @@ func runDroppedStats(fset *token.FileSet, file *ast.File) []Diagnostic {
 				return true
 			}
 			if sel.Sel.Name == "RunSTATS" {
-				out = append(out, diag(fset, es.Pos(), "droppedstats",
+				out = append(out, diag(fset, es.Pos(), analysis.Error, "droppedstats",
 					"result of RunSTATS discarded; the Stats return is how callers notice aborts and wasted work"))
 				return true
 			}
 			msg, tracked := depMethodMsg[sel.Sel.Name]
 			recv, isIdent := sel.X.(*ast.Ident)
 			if tracked && isIdent && deps[recv.Name] {
-				out = append(out, diag(fset, es.Pos(), "droppedstats",
+				out = append(out, diag(fset, es.Pos(), analysis.Error, "droppedstats",
 					"%s.%s() as a bare statement %s", recv.Name, sel.Sel.Name, msg))
 			}
 			return true
@@ -187,8 +189,8 @@ var SpecClosure = &Analyzer{
 // auxiliary argument of SetAuxiliary/New.
 var speculatedArgSites = map[string]bool{"NewStateDependence": true, "New": true, "SetAuxiliary": true}
 
-func runSpecClosure(fset *token.FileSet, file *ast.File) []Diagnostic {
-	var out []Diagnostic
+func runSpecClosure(fset *token.FileSet, file *ast.File) []analysis.Diagnostic {
+	var out []analysis.Diagnostic
 	forEachFuncBody(file, func(body *ast.BlockStmt) {
 		// Func literals bound to locals, so SetAuxiliary(aux) can be
 		// traced back to `aux := func(...) {...}`.
@@ -258,16 +260,16 @@ func callName(fun ast.Expr) (string, bool) {
 // capturedWrites reports assignments inside fl whose target's base
 // identifier is captured from the enclosing scope (not a parameter and
 // not declared inside the literal).
-func capturedWrites(fset *token.FileSet, fl *ast.FuncLit) []Diagnostic {
+func capturedWrites(fset *token.FileSet, fl *ast.FuncLit) []analysis.Diagnostic {
 	local := localNames(fl)
 
-	var out []Diagnostic
+	var out []analysis.Diagnostic
 	report := func(target ast.Expr) {
 		base, ok := baseIdent(target)
 		if !ok || local[base.Name] {
 			return
 		}
-		out = append(out, diag(fset, target.Pos(), "specclosure",
+		out = append(out, diag(fset, target.Pos(), analysis.Error, "specclosure",
 			"speculated closure mutates captured variable %s; the engine may run, re-execute or squash it concurrently — thread state through the state parameter instead", base.Name))
 	}
 	ast.Inspect(fl.Body, func(n ast.Node) bool {
@@ -351,8 +353,8 @@ var ReserveOpsLit = &Analyzer{
 	Run:  runReserveOps,
 }
 
-func runReserveOps(fset *token.FileSet, file *ast.File) []Diagnostic {
-	var out []Diagnostic
+func runReserveOps(fset *token.FileSet, file *ast.File) []analysis.Diagnostic {
+	var out []analysis.Diagnostic
 	ast.Inspect(file, func(n ast.Node) bool {
 		lit, ok := n.(*ast.CompositeLit)
 		if !ok || !isReserveOpsType(lit.Type) {
@@ -433,15 +435,15 @@ func intLitValue(e ast.Expr) int {
 
 // checkFootprintLit inspects a Footprint literal for captured-slice
 // returns and out-of-range constant indices.
-func checkFootprintLit(fset *token.FileSet, fl *ast.FuncLit, numSlots int) []Diagnostic {
+func checkFootprintLit(fset *token.FileSet, fl *ast.FuncLit, numSlots int) []analysis.Diagnostic {
 	local := localNames(fl)
-	var out []Diagnostic
+	var out []analysis.Diagnostic
 	ast.Inspect(fl.Body, func(n ast.Node) bool {
 		switch s := n.(type) {
 		case *ast.ReturnStmt:
 			for _, res := range s.Results {
 				if id, ok := res.(*ast.Ident); ok && !local[id.Name] {
-					out = append(out, diag(fset, res.Pos(), "reserveops",
+					out = append(out, diag(fset, res.Pos(), analysis.Error, "reserveops",
 						"Footprint returns captured slice %s; the engine holds footprints across the round, so every invocation would alias one slice — return a fresh slice per call", id.Name))
 				}
 			}
@@ -449,12 +451,12 @@ func checkFootprintLit(fset *token.FileSet, fl *ast.FuncLit, numSlots int) []Dia
 			for _, el := range s.Elts {
 				v := intLitValue(el)
 				if u, ok := el.(*ast.UnaryExpr); ok && u.Op == token.SUB && intLitValue(u.X) >= 0 {
-					out = append(out, diag(fset, el.Pos(), "reserveops",
+					out = append(out, diag(fset, el.Pos(), analysis.Error, "reserveops",
 						"negative slot index in Footprint; reservation slots are [0, NumSlots)"))
 					continue
 				}
 				if v >= 0 && numSlots >= 0 && v >= numSlots {
-					out = append(out, diag(fset, el.Pos(), "reserveops",
+					out = append(out, diag(fset, el.Pos(), analysis.Error, "reserveops",
 						"constant slot index %d with NumSlots %d; reservation slots are [0, NumSlots)", v, numSlots))
 				}
 			}
@@ -466,7 +468,7 @@ func checkFootprintLit(fset *token.FileSet, fl *ast.FuncLit, numSlots int) []Dia
 
 // checkMergeLit flags assignments through Merge's second parameter (src,
 // the committed winner's state — attempts merging later still read it).
-func checkMergeLit(fset *token.FileSet, fl *ast.FuncLit) []Diagnostic {
+func checkMergeLit(fset *token.FileSet, fl *ast.FuncLit) []analysis.Diagnostic {
 	var params []string
 	for _, field := range fl.Type.Params.List {
 		for _, name := range field.Names {
@@ -477,7 +479,7 @@ func checkMergeLit(fset *token.FileSet, fl *ast.FuncLit) []Diagnostic {
 		return nil
 	}
 	src := params[1]
-	var out []Diagnostic
+	var out []analysis.Diagnostic
 	report := func(target ast.Expr) {
 		base, ok := baseIdent(target)
 		if !ok || base.Name != src {
@@ -486,7 +488,7 @@ func checkMergeLit(fset *token.FileSet, fl *ast.FuncLit) []Diagnostic {
 		if _, isBare := target.(*ast.Ident); isBare {
 			return // rebinding the local src variable, not mutating through it
 		}
-		out = append(out, diag(fset, target.Pos(), "reserveops",
+		out = append(out, diag(fset, target.Pos(), analysis.Error, "reserveops",
 			"Merge mutates its src argument %s; src is the committed winner's state and later merges still read it — write into dst only", src))
 	}
 	ast.Inspect(fl.Body, func(n ast.Node) bool {
@@ -544,15 +546,17 @@ func forEachFuncBody(file *ast.File, fn func(*ast.BlockStmt)) {
 // Fingerprint key, and a SetStateOps call with a non-nil match argument
 // on a receiver that never gets a SetFingerprint call in the same file.
 // The fingerprint contract is one-sided (equal whenever MatchAny would
-// accept), so a structural digest is always available.
+// accept), so a structural digest is always available. The findings are
+// warnings: stats.FingerprintFunc is optional and costs time, never
+// correctness.
 var FingerprintLit = &Analyzer{
 	Name: "fingerprint",
 	Doc:  "MatchAny without Fingerprint: every acceptance attempt pays the deep comparison; attach a hash-first prefilter",
 	Run:  runFingerprint,
 }
 
-func runFingerprint(fset *token.FileSet, file *ast.File) []Diagnostic {
-	var out []Diagnostic
+func runFingerprint(fset *token.FileSet, file *ast.File) []analysis.Diagnostic {
+	var out []analysis.Diagnostic
 	ast.Inspect(file, func(n ast.Node) bool {
 		lit, ok := n.(*ast.CompositeLit)
 		if !ok || !isStateOpsType(lit.Type) {
@@ -580,7 +584,7 @@ func runFingerprint(fset *token.FileSet, file *ast.File) []Diagnostic {
 			}
 		}
 		if hasMatch && !hasFP {
-			out = append(out, diag(fset, matchPos, "fingerprint",
+			out = append(out, diag(fset, matchPos, analysis.Warning, "fingerprint",
 				"StateOps sets MatchAny without Fingerprint; every acceptance attempt pays the deep comparison — attach a digest of the compared features (equal whenever MatchAny would accept) to reject mismatches in one probe"))
 		}
 		return true
@@ -619,7 +623,7 @@ func runFingerprint(fset *token.FileSet, file *ast.File) []Diagnostic {
 	})
 	for _, c := range setOps {
 		if !fingerprinted[c.recv] {
-			out = append(out, diag(fset, c.pos, "fingerprint",
+			out = append(out, diag(fset, c.pos, analysis.Warning, "fingerprint",
 				"%s.SetStateOps attaches a match function but %s never gets a SetFingerprint; every acceptance attempt pays the deep comparison — attach a digest of the compared features (equal whenever the match would accept)", c.recv, c.recv))
 		}
 	}

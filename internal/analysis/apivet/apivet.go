@@ -24,6 +24,10 @@
 //     acceptance attempt pays the deep state comparison where a hash-first
 //     prefilter would reject most mismatches in one probe.
 //
+// Findings are analysis.Diagnostic records, Pass naming the analyzer. The
+// first four analyzers report Error; fingerprint reports Warning, because
+// a fingerprint costs time, never correctness.
+//
 // The analyzers are deliberately syntactic (stdlib go/ast only, no
 // golang.org/x/tools dependency, which keeps them usable in hermetic
 // builds) and tuned for zero false positives over this repository:
@@ -40,32 +44,20 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
+
+	"repro/internal/analysis"
+	"repro/internal/ir"
 )
-
-// Diagnostic is one Go-source finding.
-type Diagnostic struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Msg      string `json:"msg"`
-}
-
-// String renders the finding in the conventional file:line:col form.
-func (d Diagnostic) String() string {
-	return fmt.Sprintf("%s:%d:%d: %s: %s", d.File, d.Line, d.Col, d.Analyzer, d.Msg)
-}
 
 // Analyzer is one Go-source check.
 type Analyzer struct {
-	// Name keys the analyzer in diagnostics.
+	// Name keys the analyzer in diagnostics (their Pass).
 	Name string
 	// Doc is the one-line description.
 	Doc string
 	// Run inspects one parsed file.
-	Run func(fset *token.FileSet, file *ast.File) []Diagnostic
+	Run func(fset *token.FileSet, file *ast.File) []analysis.Diagnostic
 }
 
 // Analyzers returns the runtime-API analyzers in execution order.
@@ -74,8 +66,8 @@ func Analyzers() []*Analyzer {
 }
 
 // AnalyzeFile runs every analyzer over one parsed file.
-func AnalyzeFile(fset *token.FileSet, file *ast.File) []Diagnostic {
-	var out []Diagnostic
+func AnalyzeFile(fset *token.FileSet, file *ast.File) []analysis.Diagnostic {
+	var out []analysis.Diagnostic
 	for _, a := range Analyzers() {
 		out = append(out, a.Run(fset, file)...)
 	}
@@ -84,11 +76,11 @@ func AnalyzeFile(fset *token.FileSet, file *ast.File) []Diagnostic {
 
 // AnalyzePaths parses and analyzes the given paths: a .go file is
 // analyzed directly; a directory is walked recursively for non-test .go
-// files (skipping testdata and hidden directories). Findings are sorted
-// by file position.
-func AnalyzePaths(paths []string) ([]Diagnostic, error) {
+// files (skipping testdata and hidden directories). Findings come back in
+// analysis.Sort order.
+func AnalyzePaths(paths []string) ([]analysis.Diagnostic, error) {
 	fset := token.NewFileSet()
-	var out []Diagnostic
+	var out []analysis.Diagnostic
 	analyze := func(path string) error {
 		file, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
 		if err != nil {
@@ -127,21 +119,13 @@ func AnalyzePaths(paths []string) ([]Diagnostic, error) {
 			return nil, err
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return a.Col < b.Col
-	})
+	analysis.Sort(out)
 	return out, nil
 }
 
-// diag builds a positioned finding.
-func diag(fset *token.FileSet, pos token.Pos, analyzer, format string, args ...any) Diagnostic {
+// diag builds a positioned finding of the named analyzer.
+func diag(fset *token.FileSet, pos token.Pos, sev analysis.Severity, analyzer, format string, args ...any) analysis.Diagnostic {
 	p := fset.Position(pos)
-	return Diagnostic{File: p.Filename, Line: p.Line, Col: p.Column, Analyzer: analyzer, Msg: fmt.Sprintf(format, args...)}
+	return analysis.Diagnostic{File: p.Filename, Pos: ir.Pos{Line: p.Line, Col: p.Column}, Pass: analyzer,
+		Severity: sev, Msg: fmt.Sprintf(format, args...)}
 }

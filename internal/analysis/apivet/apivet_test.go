@@ -5,10 +5,12 @@ import (
 	"go/token"
 	"strings"
 	"testing"
+
+	"repro/internal/analysis"
 )
 
 // analyzeSrc runs every analyzer over one source string.
-func analyzeSrc(t *testing.T, src string) []Diagnostic {
+func analyzeSrc(t *testing.T, src string) []analysis.Diagnostic {
 	t.Helper()
 	fset := token.NewFileSet()
 	file, err := parser.ParseFile(fset, "test.go", src, parser.ParseComments)
@@ -19,11 +21,11 @@ func analyzeSrc(t *testing.T, src string) []Diagnostic {
 }
 
 // want asserts a finding from the named analyzer mentioning every fragment.
-func want(t *testing.T, ds []Diagnostic, analyzer string, fragments ...string) {
+func want(t *testing.T, ds []analysis.Diagnostic, analyzer string, fragments ...string) {
 	t.Helper()
 outer:
 	for _, d := range ds {
-		if d.Analyzer != analyzer {
+		if d.Pass != analyzer {
 			continue
 		}
 		for _, f := range fragments {
@@ -37,10 +39,10 @@ outer:
 }
 
 // wantNone asserts the analyzer stays silent.
-func wantNone(t *testing.T, ds []Diagnostic, analyzer string) {
+func wantNone(t *testing.T, ds []analysis.Diagnostic, analyzer string) {
 	t.Helper()
 	for _, d := range ds {
-		if d.Analyzer == analyzer {
+		if d.Pass == analyzer {
 			t.Fatalf("unexpected %s finding: %s", analyzer, d)
 		}
 	}
@@ -54,7 +56,7 @@ func f() {
 	_ = o
 	_ = s
 }`)
-	want(t, ds, "negopts", "RedoMax is negative", "every mismatch aborts", "3:34")
+	want(t, ds, "negopts", "test.go:3:34: error: negopts: RedoMax is negative", "every mismatch aborts")
 	want(t, ds, "negopts", "Window is negative")
 	want(t, ds, "negopts", "Rollback is negative")
 }
@@ -114,7 +116,7 @@ func f(inputs []int) {
 	// Exactly one finding: the state-parameter write must not be flagged.
 	n := 0
 	for _, d := range ds {
-		if d.Analyzer == "specclosure" {
+		if d.Pass == "specclosure" {
 			n++
 		}
 	}
@@ -178,7 +180,7 @@ func f() {
 	}
 	_ = ops
 }`)
-	want(t, ds, "fingerprint", "MatchAny without Fingerprint", "deep comparison")
+	want(t, ds, "fingerprint", "warning: fingerprint: StateOps sets MatchAny without Fingerprint", "deep comparison")
 }
 
 func TestFingerprintStateOpsWithDigestPasses(t *testing.T) {
@@ -201,7 +203,7 @@ func f() {
 	sd := stats.NewStateDependence(inputs, initial, compute)
 	sd.SetStateOps(clone, match)
 }`)
-	want(t, ds, "fingerprint", "sd.SetStateOps", "SetFingerprint")
+	want(t, ds, "fingerprint", "warning: fingerprint: sd.SetStateOps", "SetFingerprint")
 }
 
 func TestFingerprintSetStateOpsCoveredPasses(t *testing.T) {

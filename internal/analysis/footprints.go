@@ -33,8 +33,11 @@ type Access struct {
 	Site  Site
 }
 
-// Footprint is the inferred slot-level footprint of one dependence —
-// the slot-map statsvet -footprints exports for internal/workload.
+// Footprint is the inferred slot-level footprint of one dependence, the
+// entry statsvet -footprints prints. Nothing reads that export back: the
+// table in cmd/statsvet's TestFootprintsSlotMapMatchesWorkloads is what
+// ties the good corpus's inferences to the slot shapes the Go workloads
+// reserve.
 type Footprint struct {
 	Dep     string
 	State   string
@@ -45,8 +48,10 @@ type Footprint struct {
 }
 
 // Precise reports whether every inferred access is a precise slot
-// expression (no ⊤-widening) — the condition under which a slotted
-// ReserveOps can be generated from the inference alone.
+// expression (no ⊤-widening): statsvet -footprints prints such a map as
+// "precise", and TestFootprintsSlotMapMatchesWorkloads compares it slot
+// by slot with the workload's ReserveOps; a widened one stands for the
+// whole state.
 func (fp *Footprint) Precise() bool {
 	for _, a := range fp.Reads {
 		if a.Expr.Whole {

@@ -224,20 +224,6 @@ func TestDescriptorConsistency(t *testing.T) {
 	}
 }
 
-func TestEncodedTradeoffsLimit(t *testing.T) {
-	// With EncodedTradeoffs=1, only the first tradeoff follows the
-	// requested index; the rest resolve to defaults.
-	w := New()
-	o := workload.SpecOptions{TradeoffIdx: []int64{0, 0, 0}, EncodedTradeoffs: 1}
-	p := w.resolve(o, false)
-	if p.layers != 1 {
-		t.Fatalf("first tradeoff should be encoded: layers %d", p.layers)
-	}
-	if p.particles != 128 {
-		t.Fatalf("third tradeoff should be default: particles %d", p.particles)
-	}
-}
-
 // TestCloneIsolatesCompute: a compute on a Clone leaves the source bitwise
 // unchanged, and the auxiliary code returns a state nothing else can reach
 // (workloadtest.Isolation) — what the engine's copies rely on.

@@ -51,10 +51,6 @@ type SpecOptions struct {
 	// TradeoffIdx are the auxiliary-code tradeoff indices, aligned with
 	// Desc().Tradeoffs. nil means every tradeoff at its default.
 	TradeoffIdx []int64
-	// EncodedTradeoffs limits how many leading tradeoffs are encoded at
-	// all (Fig. 18): tradeoffs beyond this count behave as defaults even
-	// if TradeoffIdx sets them. 0 means all are encoded.
-	EncodedTradeoffs int
 	// BadTraining selects the §4.6 non-representative input variant.
 	BadTraining bool
 	// Obs, when non-nil, receives the engine's speculation event log and
@@ -91,13 +87,10 @@ func (o SpecOptions) CoreOptions(seed uint64) core.Options {
 }
 
 // Tradeoff returns the effective index of tradeoff t under the options,
-// honouring EncodedTradeoffs and defaulting.
+// defaulting when TradeoffIdx does not set it.
 func (o SpecOptions) Tradeoff(ts []tradeoff.T, t int) int64 {
 	if t < 0 || t >= len(ts) {
 		panic(fmt.Sprintf("workload: tradeoff %d out of range", t))
-	}
-	if o.EncodedTradeoffs > 0 && t >= o.EncodedTradeoffs {
-		return ts[t].Opts.DefaultIndex()
 	}
 	if o.TradeoffIdx == nil || t >= len(o.TradeoffIdx) {
 		return ts[t].Opts.DefaultIndex()

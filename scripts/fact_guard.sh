@@ -44,7 +44,12 @@
 # internal/core's contain (RunChecked, RunStreamChecked and the stats facade
 # over them), and a panicking pool task is counted in one place,
 # internal/pool's run; fail on a recover() in any other non-test Go (bench/
-# excluded). Run via `make vet`.
+# excluded). The finding guard: a static-analysis finding has one record,
+# internal/analysis's Diagnostic, which statsvet, statsc -vet, the Go
+# analyzers and stats.Runtime all report and render one way; fail if any
+# other non-test Go declares a Diagnostic or finding struct, or spells a
+# severity as a string (Severity: "...") instead of analysis.Error/Warning.
+# Run via `make vet`.
 set -eu
 
 emits=$(grep -rn 'Tracer\.Emit(' internal/core internal/pool --include='*.go' |
@@ -148,5 +153,13 @@ recovers=$(awk 'FNR==1{fn=""} /^func /{fn=$0} /recover\(\)/ && $0 !~ /^[[:space:
 if [ -n "$recovers" ]; then
     echo "fact-guard: recover() belongs to internal/core's contain and internal/pool's run only:" >&2
     printf '%s\n' "$recovers" >&2
+    exit 1
+fi
+
+records=$(grep -rnE 'type (Diagnostic|finding) struct|Severity: *"' --include='*.go' --exclude-dir=bench . |
+    grep -v -e '_test\.go:' -e '^\./internal/analysis/analysis\.go:' || true)
+if [ -n "$records" ]; then
+    echo "fact-guard: a finding is an analysis.Diagnostic with an analysis.Severity; declare no second record:" >&2
+    printf '%s\n' "$records" >&2
     exit 1
 fi
