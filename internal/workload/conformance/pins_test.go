@@ -23,6 +23,9 @@ type pinnedCell struct {
 	size    int
 	opts    workload.SpecOptions
 	seeds   uint64
+	// oracle pins RunOracle(size) instead of the four seeded paths: the
+	// oracle takes no seed and runs the programs at their dearest settings.
+	oracle bool
 }
 
 func pinned() []pinnedCell {
@@ -31,36 +34,50 @@ func pinned() []pinnedCell {
 	starved.Window, starved.RedoMax = 0, 1
 	wide.GroupSize, wide.Window = 32, 8
 	resv.Protocol = core.ProtocolReservations
-	// Seeds 0–7 for the programs whose state handling changed; two for
-	// bodytrack and swaptions, whose code did not (only the engine's elided
-	// clones run under them) and whose invocations are the suite's dearest
-	// (50–60 ms a run; eight seeds of them were 3 s of tier-1 wall time).
+	bodyTuned, swapTuned := aux, aux
+	// Half-precision weights, 32 particles and 2 layers in bodytrack's aux
+	// (so the compute re-samples the aux state back to 128 particles);
+	// half path and single discount precision in swaptions'.
+	bodyTuned.TradeoffIdx = []int64{1, 0, 1}
+	swapTuned.TradeoffIdx = []int64{0, 1}
+	// Seeds 0–7 for the microsecond programs; two for bodytrack and
+	// swaptions, whose invocations are the suite's dearest (50–60 ms a run;
+	// eight seeds of them were 3 s of tier-1 wall time). Small cells pin the
+	// paths their default cells miss: the oracle's 512 particles and 10
+	// layers, swaptions' 16× trials, and every precision branch and
+	// bodytrack's particle resize through non-default aux tradeoffs.
 	return []pinnedCell{
-		{"streamclassifier", 1024, aux, 8},
-		{"streamcluster", 1024, aux, 8},
-		{"facedet", 64, aux, 8},
-		{"facedet", 256, starved, 8},
-		{"fluidanimate", 256, aux, 8},
-		{"bodytrack", 64, aux, 2},
-		{"bodytrack", 32, starved, 2},
-		{"swaptions", 64, wide, 2},
+		{"streamclassifier", 1024, aux, 8, false},
+		{"streamcluster", 1024, aux, 8, false},
+		{"facedet", 64, aux, 8, false},
+		{"facedet", 256, starved, 8, false},
+		{"fluidanimate", 256, aux, 8, false},
+		{"bodytrack", 64, aux, 2, false},
+		{"bodytrack", 32, starved, 2, false},
+		{"swaptions", 64, wide, 2, false},
 		// The reservations cells run the sharded streamcluster path (shard
 		// merge and final assignment) that no aux cell reaches.
-		{"swaptions", 32, resv, 2},
-		{"streamclassifier", 1024, resv, 4},
-		{"streamcluster", 1024, resv, 4},
-		{"fluidanimate", 256, resv, 4},
+		{"swaptions", 32, resv, 2, false},
+		{"streamclassifier", 1024, resv, 4, false},
+		{"streamcluster", 1024, resv, 4, false},
+		{"fluidanimate", 256, resv, 4, false},
+		{"bodytrack", 16, bodyTuned, 2, false},
+		{"swaptions", 16, swapTuned, 2, false},
+		{"bodytrack", 8, workload.SpecOptions{}, 0, true},
+		{"swaptions", 4, workload.SpecOptions{}, 0, true},
 	}
 }
 
 // TestResultsPinned digests every pinned cell's result on its seeds along four
 // paths — the original program's walk, the engine's sequential run, and the
-// cell's protocol on one lane and on two — and compares them with the digests
-// recorded before the programs began updating their state in place (the
-// reservations cells: before the stream kernels were unrolled;
-// testdata/pins.golden, written by -update-pins). A result is the program's
-// whole answer printed with %v: floats print in their shortest round-trip
-// form, so equal digests are equal bits.
+// cell's protocol on one lane and on two; an oracle cell's one digest stands
+// for all four — and compares them with the digests recorded before the
+// programs began updating their state in place (the reservations cells:
+// before the stream kernels were unrolled; the tuned and oracle cells: before
+// bodytrack's and swaptions' kernels were reordered; testdata/pins.golden,
+// written by -update-pins). A result is the program's whole answer printed
+// with %v: floats print in their shortest round-trip form, so equal digests
+// are equal bits.
 func TestResultsPinned(t *testing.T) {
 	var got strings.Builder
 	for _, c := range pinned() {
@@ -68,13 +85,22 @@ func TestResultsPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if c.oracle {
+			h := sha256.New()
+			fmt.Fprintf(h, "%v", w.RunOracle(c.size))
+			fmt.Fprintf(&got, "%s/%d/oracle %x\n", c.program, c.size, h.Sum(nil)[:12])
+			continue
+		}
 		seeds := c.seeds
 		if racemode.Enabled || testing.Short() {
 			seeds = 2
 		}
-		protocol := ""
+		tag := ""
 		if c.opts.Protocol == core.ProtocolReservations {
-			protocol = "/resv"
+			tag = "/resv"
+		}
+		if c.opts.TradeoffIdx != nil {
+			tag += "/t" + strings.ReplaceAll(fmt.Sprint(c.opts.TradeoffIdx), " ", ",")
 		}
 		for seed := uint64(0); seed < seeds; seed++ {
 			seq, one, two := c.opts, c.opts, c.opts
@@ -91,7 +117,7 @@ func TestResultsPinned(t *testing.T) {
 			for _, p := range paths {
 				h := sha256.New()
 				fmt.Fprintf(h, "%v", p.run())
-				fmt.Fprintf(&got, "%s/%d/w%d%s seed %d %s %x\n", c.program, c.size, c.opts.Window, protocol, seed, p.name, h.Sum(nil)[:12])
+				fmt.Fprintf(&got, "%s/%d/w%d%s seed %d %s %x\n", c.program, c.size, c.opts.Window, tag, seed, p.name, h.Sum(nil)[:12])
 			}
 		}
 	}

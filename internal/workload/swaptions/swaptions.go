@@ -171,30 +171,45 @@ const hjmFactors = 2
 // tradeoffs quantize the path arithmetic and the discounting.
 func simulateTrial(r *rng.Source, s Swaption, p params) float64 {
 	dt := s.Maturity / pathSteps
+	sqrtDt := math.Sqrt(dt)
 	// Forward curve sampled at four tenor points across the swap.
 	const curvePoints = 4
-	var fwd [curvePoints]float64
-	for k := range fwd {
-		fwd[k] = s.Rate
-	}
 	// Factor volatilities: the shift carries most of the variance, the
 	// twist tilts the curve.
 	shiftVol := s.Vol * 0.85
 	twistVol := s.Vol * 0.55
-	discountExp := 0.0
-	for i := 0; i < pathSteps; i++ {
-		var z [hjmFactors]float64
-		for f := range z {
-			z[f] = r.Norm()
+	shiftLoad := shiftVol * sqrtDt
+	var drift, twistLoad [curvePoints]float64
+	for k := range drift {
+		tilt := (float64(k)/(curvePoints-1) - 0.5) * 2 // -1..1 along the tenor
+		drift[k] = -0.5 * (shiftVol*shiftVol + twistVol*twistVol*tilt*tilt) * dt
+		twistLoad[k] = twistVol * tilt * sqrtDt
+	}
+	// No draw depends on an Exp, so the path's draws come first and its
+	// growth factors are independent Exps the CPU can overlap.
+	var z [pathSteps][hjmFactors]float64
+	for i := range z {
+		for f := range z[i] {
+			z[i][f] = r.Norm()
 		}
+	}
+	var growth [pathSteps][curvePoints]float64
+	for i := range growth {
+		for k := range growth[i] {
+			diffusion := shiftLoad*z[i][0] + twistLoad[k]*z[i][1]
+			growth[i][k] = math.Exp(p.pathPrec.Quantize(drift[k] + diffusion))
+		}
+	}
+	var fwd [curvePoints]float64
+	for k := range fwd {
+		fwd[k] = s.Rate
+	}
+	discountExp := 0.0
+	for i := range growth {
 		// The short end of the curve discounts the payoff.
 		discountExp += fwd[0] * dt
 		for k := range fwd {
-			tilt := (float64(k)/(curvePoints-1) - 0.5) * 2 // -1..1 along the tenor
-			drift := -0.5 * (shiftVol*shiftVol + twistVol*twistVol*tilt*tilt) * dt
-			diffusion := shiftVol*math.Sqrt(dt)*z[0] + twistVol*tilt*math.Sqrt(dt)*z[1]
-			fwd[k] *= math.Exp(p.pathPrec.Quantize(drift + diffusion))
-			fwd[k] = p.pathPrec.Quantize(fwd[k])
+			fwd[k] = p.pathPrec.Quantize(fwd[k] * growth[i][k])
 		}
 	}
 	// Swap rate at expiry: the average forward across the tenor points.
