@@ -23,10 +23,15 @@ type pinnedCell struct {
 	size    int
 	opts    workload.SpecOptions
 	seeds   uint64
-	// oracle pins RunOracle(size) instead of the four seeded paths: the
-	// oracle takes no seed and runs the programs at their dearest settings.
-	oracle bool
 }
+
+// pinnedOracles are the programs and sizes whose RunOracle result is pinned:
+// the oracle takes no seed and runs the programs at their dearest settings
+// (bodytrack's 512 particles and 10 layers, swaptions' 16× trials).
+var pinnedOracles = []struct {
+	program string
+	size    int
+}{{"bodytrack", 8}, {"swaptions", 4}}
 
 func pinned() []pinnedCell {
 	aux := workload.SpecOptions{UseAux: true, GroupSize: 8, Window: 2, RedoMax: 2, Rollback: 2}
@@ -42,36 +47,33 @@ func pinned() []pinnedCell {
 	swapTuned.TradeoffIdx = []int64{0, 1}
 	// Seeds 0–7 for the microsecond programs; two for bodytrack and
 	// swaptions, whose invocations are the suite's dearest (50–60 ms a run;
-	// eight seeds of them were 3 s of tier-1 wall time). Small cells pin the
-	// paths their default cells miss: the oracle's 512 particles and 10
-	// layers, swaptions' 16× trials, and every precision branch and
-	// bodytrack's particle resize through non-default aux tradeoffs.
+	// eight seeds of them were 3 s of tier-1 wall time). The small tuned
+	// cells pin the paths their default cells miss: every precision branch
+	// and bodytrack's particle resize.
 	return []pinnedCell{
-		{"streamclassifier", 1024, aux, 8, false},
-		{"streamcluster", 1024, aux, 8, false},
-		{"facedet", 64, aux, 8, false},
-		{"facedet", 256, starved, 8, false},
-		{"fluidanimate", 256, aux, 8, false},
-		{"bodytrack", 64, aux, 2, false},
-		{"bodytrack", 32, starved, 2, false},
-		{"swaptions", 64, wide, 2, false},
+		{"streamclassifier", 1024, aux, 8},
+		{"streamcluster", 1024, aux, 8},
+		{"facedet", 64, aux, 8},
+		{"facedet", 256, starved, 8},
+		{"fluidanimate", 256, aux, 8},
+		{"bodytrack", 64, aux, 2},
+		{"bodytrack", 32, starved, 2},
+		{"swaptions", 64, wide, 2},
 		// The reservations cells run the sharded streamcluster path (shard
 		// merge and final assignment) that no aux cell reaches.
-		{"swaptions", 32, resv, 2, false},
-		{"streamclassifier", 1024, resv, 4, false},
-		{"streamcluster", 1024, resv, 4, false},
-		{"fluidanimate", 256, resv, 4, false},
-		{"bodytrack", 16, bodyTuned, 2, false},
-		{"swaptions", 16, swapTuned, 2, false},
-		{"bodytrack", 8, workload.SpecOptions{}, 0, true},
-		{"swaptions", 4, workload.SpecOptions{}, 0, true},
+		{"swaptions", 32, resv, 2},
+		{"streamclassifier", 1024, resv, 4},
+		{"streamcluster", 1024, resv, 4},
+		{"fluidanimate", 256, resv, 4},
+		{"bodytrack", 16, bodyTuned, 2},
+		{"swaptions", 16, swapTuned, 2},
 	}
 }
 
 // TestResultsPinned digests every pinned cell's result on its seeds along four
 // paths — the original program's walk, the engine's sequential run, and the
-// cell's protocol on one lane and on two; an oracle cell's one digest stands
-// for all four — and compares them with the digests recorded before the
+// cell's protocol on one lane and on two — and every pinned oracle's result,
+// and compares them with the digests recorded before the
 // programs began updating their state in place (the reservations cells:
 // before the stream kernels were unrolled; the tuned and oracle cells: before
 // bodytrack's and swaptions' kernels were reordered; testdata/pins.golden,
@@ -84,12 +86,6 @@ func TestResultsPinned(t *testing.T) {
 		w, err := registry.ByName(c.program)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if c.oracle {
-			h := sha256.New()
-			fmt.Fprintf(h, "%v", w.RunOracle(c.size))
-			fmt.Fprintf(&got, "%s/%d/oracle %x\n", c.program, c.size, h.Sum(nil)[:12])
-			continue
 		}
 		seeds := c.seeds
 		if racemode.Enabled || testing.Short() {
@@ -120,6 +116,15 @@ func TestResultsPinned(t *testing.T) {
 				fmt.Fprintf(&got, "%s/%d/w%d%s seed %d %s %x\n", c.program, c.size, c.opts.Window, tag, seed, p.name, h.Sum(nil)[:12])
 			}
 		}
+	}
+	for _, o := range pinnedOracles {
+		w, err := registry.ByName(o.program)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		fmt.Fprintf(h, "%v", w.RunOracle(o.size))
+		fmt.Fprintf(&got, "%s/%d/oracle %x\n", o.program, o.size, h.Sum(nil)[:12])
 	}
 	const golden = "testdata/pins.golden"
 	if *updatePins {

@@ -8,11 +8,13 @@
 # The parent is `git archive`d into a fresh temporary directory; each side is
 # built from its own sources by its own bench/run.sh. Pair k (0 <= k < PAIRS)
 # runs seed FIRST_SEED+k once on each side with --trace 0, for BENCHMARK.json's
-# run_seconds (RUN_SECONDS overrides it); even pairs run the parent first, odd
-# pairs the change. Every run's record is appended to parent.jsonl or
-# change.jsonl in OUT (default: the current directory), so several calls can
-# fill one set, and the script ends with `bench/run.sh --compare` over the two
-# files. It writes nothing under bench/.
+# run_seconds; even pairs run the parent first, odd pairs the change. A run
+# whose result line does not say "correct":true stops the script, as in
+# bench/run.sh. Every run's record is appended to parent.jsonl or change.jsonl
+# in OUT, so several calls given the same OUT fill one set; without OUT the
+# records go to a fresh temporary directory, whose name the script prints. It
+# ends with `bench/run.sh --compare` over the two files and writes nothing
+# under bench/.
 set -euo pipefail
 
 if [ $# -ne 4 ]; then
@@ -22,8 +24,13 @@ fi
 parent_rev=$1 workload=$2 pairs=$3 first_seed=$4
 
 root=$(cd "$(dirname "$0")/.." && pwd)
-out=$(cd "${OUT:-.}" && pwd)
-seconds=${RUN_SECONDS:-$(sed -n 's/.*"run_seconds": *\([0-9]*\).*/\1/p' "$root/BENCHMARK.json")}
+if [ -n "${OUT:-}" ]; then
+	out=$(cd "$OUT" && pwd)
+else
+	out=$(mktemp -d)
+fi
+echo "records in $out" >&2
+seconds=$(sed -n 's/.*"run_seconds": *\([0-9]*\).*/\1/p' "$root/BENCHMARK.json")
 
 parent=$(mktemp -d)
 trap 'chmod -R u+w "$parent" 2>/dev/null; rm -rf "$parent"' EXIT
@@ -36,11 +43,15 @@ for side in "$parent" "$root"; do
 	bash "$side/bench/run.sh" --compare /dev/null /dev/null >/dev/null
 done
 
-# one SIDE NAME SEED: one run on a side, its record appended to NAME.jsonl.
+# one SIDE NAME SEED: one run on a side, its record appended to NAME.jsonl; its
+# result line must say correct.
 one() {
 	echo "== $2 seed $3" >&2
-	bash "$1/bench/run.sh" --workload "$workload" --seed "$3" --seconds "$seconds" --trace 0 \
-		--out "$out/$2.jsonl" | tail -n 1
+	local last
+	last=$(bash "$1/bench/run.sh" --workload "$workload" --seed "$3" --seconds "$seconds" --trace 0 \
+		--out "$out/$2.jsonl" | tail -n 1)
+	echo "$last"
+	grep -q '"correct":true' <<<"$last" || { echo "$0: $2 seed $3: checks failed" >&2; exit 1; }
 }
 
 for k in $(seq 0 $((pairs - 1))); do
