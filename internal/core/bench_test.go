@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/pool"
@@ -229,17 +230,18 @@ func benchLoop(b *testing.B, body func()) {
 
 // gatedRun returns one group-8 run over n near-free inputs on the shared
 // pool p (so neither side hides a private worker-pool construction), with
-// a fresh seed per call. Warm reuses one primed Dependence: every
-// run-scoped buffer (group records, lane sources, originals, output
-// staging) comes from its recycled scratch. Cold builds a Dependence per
-// call, the seed path a one-shot caller pays. workers 0 takes the run's
-// width from the pool.
+// a fresh seed per call. Warm reuses one primed Dependence; otherwise every
+// call builds a fresh one, as every caller in the repository does. Either
+// way every run-scoped buffer (group records, lane sources, originals,
+// output staging) comes from the recycled scratch of the last run of its
+// type, unless drainScratch emptied the pools first: the truly cold path.
+// workers 0 takes the run's width from the pool.
 func gatedRun[S any](p *pool.Pool, n int, proto Protocol, workers int, newDep func() *Dependence[int, S, int], initial func() S, warm bool) func() {
 	inputs := benchInputs(n)
 	opts := Options{UseAux: true, Protocol: proto, GroupSize: 8, Window: 8, RedoMax: 1, Rollback: 4, Workers: workers, Pool: p}
 	d := newDep()
 	if warm {
-		d.Run(inputs, initial(), opts) // prime the recycled scratch
+		d.Run(inputs, initial(), opts) // prime the type's recycled scratch
 	}
 	return func() {
 		if !warm {
@@ -267,24 +269,43 @@ func reservationsRun(p *pool.Pool, warm bool) func() {
 		func() []float64 { return make([]float64, 8) }, warm)
 }
 
+// drainScratch empties every scratch pool: a sync.Pool keeps a parked value
+// through one collection, in its victim cache, and drops it at the next. The
+// run after it is the first of its type, the truly cold path.
+func drainScratch() {
+	runtime.GC()
+	runtime.GC()
+}
+
 // BenchmarkEngineWarmRun is the recycled hot path of both protocols over
-// 32 inputs. Compare BenchmarkEngineColdRun; TestWarmRunAllocations holds
-// the ceilings of both.
+// 32 inputs, on one reused Dependence and (fresh) on a new Dependence per
+// run. Compare BenchmarkEngineColdRun; TestWarmRunAllocations holds the
+// ceilings of all three.
 func BenchmarkEngineWarmRun(b *testing.B) {
 	p := pool.New(4)
 	defer p.Close()
 	b.Run("aux", func(b *testing.B) { benchLoop(b, auxRun(p, 32, true)) })
+	b.Run("aux/fresh", func(b *testing.B) { benchLoop(b, auxRun(p, 32, false)) })
 	b.Run("reservations", func(b *testing.B) { benchLoop(b, reservationsRun(p, true)) })
+	b.Run("reservations/fresh", func(b *testing.B) { benchLoop(b, reservationsRun(p, false)) })
 }
 
-// BenchmarkEngineColdRun is BenchmarkEngineWarmRun/aux with a fresh
-// Dependence every iteration — the path every one-shot caller pays: one
+// BenchmarkEngineColdRun is BenchmarkEngineWarmRun/aux/fresh after
+// drainScratch, untimed, every iteration — the first run of its type: one
 // scratch, one slab of group records and one output backing array per run,
-// whatever the group count.
+// whatever the group count. Every iteration collects twice, so give it a
+// -benchtime of a few thousand iterations (Nx) rather than seconds.
 func BenchmarkEngineColdRun(b *testing.B) {
 	p := pool.New(4)
 	defer p.Close()
-	benchLoop(b, auxRun(p, 32, false))
+	body := auxRun(p, 32, false)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		drainScratch()
+		b.StartTimer()
+		body()
+	}
 }
 
 // BenchmarkEngineGrouping drives the grouping-dominant shape: 1024 inputs

@@ -344,7 +344,11 @@ func (s *Stats) Add(o Stats) {
 }
 
 // Dependence is a runnable state dependence: the compute target, its
-// auxiliary code, and the state methods.
+// auxiliary code, and the state methods. It holds no run state: a run takes
+// its working set from a pool shared by every Dependence of the same
+// instantiation (see recycled), so concurrent runs on one Dependence, and
+// the first run on a fresh one, start warm once any run of its type has
+// finished.
 type Dependence[I, S, O any] struct {
 	compute Compute[I, S, O]
 	aux     Aux[I, S]
@@ -353,21 +357,14 @@ type Dependence[I, S, O any] struct {
 	// deterministic-reservations protocol (WithReserve); nil falls back
 	// to a whole-state single slot.
 	reserve *ReserveOps[I, S]
-
-	// scratch and resvScratch recycle the per-run working sets of
-	// runSpeculative and runReservations through sync.Pool, so a warm
-	// Run on a reused Dependence allocates (almost) nothing. Both make
-	// the Dependence non-copyable once used; the engine only ever hands
-	// out pointers.
-	scratch     sync.Pool
-	resvScratch sync.Pool
 }
 
 // New returns a Dependence. compute and ops.Clone must be non-nil; aux and
 // ops.MatchAny may be nil (no auxiliary code / by-construction acceptance,
 // like the paper's swaptions, streamcluster and streamclassifier, whose
 // speculative state "could have already been generated by an execution of
-// the original program").
+// the original program"). Building one is cheap and its runs are as warm as
+// a reused one's, so a caller may build one per call.
 func New[I, S, O any](compute Compute[I, S, O], aux Aux[I, S], ops StateOps[S]) *Dependence[I, S, O] {
 	if compute == nil {
 		panic("core: nil compute")
@@ -589,13 +586,13 @@ type groupRun[I, S, O any] struct {
 
 // runScratch is the recycled working set of one runSpeculative call: the
 // run frame, group records, the per-group timing/committed arrays, the
-// originals set (plus its fingerprints), and the pool task. A Dependence
-// keeps scratches in a sync.Pool, so a warm Run allocates only what it must
-// return (the outputs slice) plus whatever user code allocates. Every pool
-// task of a run is the one method value task — a lane, which claims groups
-// from ticket until none is left — so it survives recycling with nothing to
-// rebind, and a run submits one per lane beyond the caller's, not one per
-// group.
+// originals set (plus its fingerprints), and the pool task. Scratches are
+// recycled per instantiation (recycled), so a warm Run — any run after the
+// first of its type — allocates only what it must return (the outputs
+// slice) plus whatever user code allocates. Every pool task of a run is the
+// one method value task — a lane, which claims groups from ticket until none
+// is left — so it survives recycling with nothing to rebind, and a run
+// submits one per lane beyond the caller's, not one per group.
 type runScratch[I, S, O any] struct {
 	runFrame
 	d       *Dependence[I, S, O]
@@ -657,13 +654,32 @@ type runScratch[I, S, O any] struct {
 	wg sync.WaitGroup // the run's pool lanes; the caller's lane needs none
 }
 
-// getScratch fetches (or builds) a scratch for one speculative run.
-func (d *Dependence[I, S, O]) getScratch() *runScratch[I, S, O] {
-	if v := d.scratch.Get(); v != nil {
-		return v.(*runScratch[I, S, O])
+// scratchPools maps a scratch type, keyed by its nil pointer, to the
+// *sync.Pool that recycles its values.
+var scratchPools sync.Map
+
+// recycled returns the one pool of *T shared by every Dependence: the
+// scratch of a run is keyed by its instantiation, not by the Dependence it
+// serves, so a run on a fresh Dependence reuses the working set of the last
+// run of its type. A scratch is bound to its Dependence when it is taken and
+// unbound before it is parked, so the pool pins no user closure or state.
+func recycled[T any]() *sync.Pool {
+	// Load first: LoadOrStore alone would build a pool on every call.
+	if p, ok := scratchPools.Load((*T)(nil)); ok {
+		return p.(*sync.Pool)
 	}
-	scr := &runScratch[I, S, O]{d: d}
-	scr.task = scr.laneTask
+	p, _ := scratchPools.LoadOrStore((*T)(nil), new(sync.Pool))
+	return p.(*sync.Pool)
+}
+
+// getScratch fetches (or builds) a scratch for one speculative run of d.
+func (d *Dependence[I, S, O]) getScratch() *runScratch[I, S, O] {
+	scr, _ := recycled[runScratch[I, S, O]]().Get().(*runScratch[I, S, O])
+	if scr == nil {
+		scr = new(runScratch[I, S, O])
+		scr.task = scr.laneTask
+	}
+	scr.d = d
 	return scr
 }
 
@@ -709,10 +725,11 @@ func (scr *runScratch[I, S, O]) begin(inputs []I, initial S, g int, opts *Option
 	scr.committed = cleared(scr.committed, scr.numGroups)
 }
 
-// release clears every state-holding reference so the parked scratch
-// retains no user data, then returns it to the dependence's pool. Callers
-// must not touch the scratch afterwards; everything a run returns (the
-// outputs slice, the final state, Stats) is copied out before release.
+// release clears every state-holding reference, the Dependence included, so
+// the parked scratch retains no user data or code, then returns it to its
+// type's pool. Callers must not touch the scratch afterwards; everything a
+// run returns (the outputs slice, the final state, Stats) is copied out
+// before release.
 func (scr *runScratch[I, S, O]) release() {
 	var zeroS S
 	for _, gr := range scr.groups[:scr.numGroups] {
@@ -726,9 +743,9 @@ func (scr *runScratch[I, S, O]) release() {
 	}
 	clear(scr.committed[:scr.numGroups])
 	clear(scr.originals[:cap(scr.originals)])
-	scr.inputs, scr.initial, scr.emit, scr.nudge, scr.resolver = nil, zeroS, nil, nil, nil
+	scr.d, scr.inputs, scr.initial, scr.emit, scr.nudge, scr.resolver = nil, nil, zeroS, nil, nil, nil
 	scr.runFrame = runFrame{}
-	scr.d.scratch.Put(scr)
+	recycled[runScratch[I, S, O]]().Put(scr)
 }
 
 // cleared returns s resized to length n with every element zeroed,

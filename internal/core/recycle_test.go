@@ -1,18 +1,24 @@
 package core
 
 import (
+	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"unsafe"
+	"weak"
 
 	"repro/internal/pool"
 	"repro/internal/racemode"
+	"repro/internal/rng"
 )
 
 // Recycling regression tests: the warm engine path must stay
-// allocation-light (the run-scoped buffers come from the per-Dependence
-// sync.Pool scratch, not the heap), and recycled state must never leak
-// between concurrent runs sharing one Dependence.
+// allocation-light (the run-scoped buffers come from the scratch pool of the
+// run's instantiation, not the heap), recycled state must never leak between
+// concurrent runs — on one Dependence or on several of one type — and a
+// parked scratch must not keep its last Dependence alive.
 
 // allocsPerRun measures the allocations of one call of body, the measured
 // loop body of a gated benchmark in bench_test.go.
@@ -24,15 +30,46 @@ func allocsPerRun(t *testing.T, body func()) float64 {
 	return testing.AllocsPerRun(50, body)
 }
 
+// coldAllocsPerRun is allocsPerRun of body as the first run of its type:
+// each call follows drainScratch, whose own allocations (the collector's)
+// are not counted.
+func coldAllocsPerRun(t *testing.T, body func()) float64 {
+	t.Helper()
+	if racemode.Enabled {
+		t.Skip("race-mode sync.Pool drops puts at random; allocs/run is not meaningful")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun
+	const runs = 20
+	var before, after runtime.MemStats
+	var mallocs uint64
+	for range runs {
+		drainScratch()
+		runtime.ReadMemStats(&before)
+		body()
+		runtime.ReadMemStats(&after)
+		mallocs += after.Mallocs - before.Mallocs
+	}
+	return float64(mallocs) / runs
+}
+
+// newAllocs is what building gatedRun's Dependence allocates by itself.
+func newAllocs[S any](t *testing.T, newDep func() *Dependence[int, S, int]) float64 {
+	return allocsPerRun(t, func() { sinkDep = newDep() })
+}
+
+var sinkDep any
+
 // TestWarmRunAllocations gates the bodies of BenchmarkEngineWarmRun and
 // BenchmarkEngineColdRun with absolute allocs/run ceilings on what each
-// path is accountable for: the warm aux path allocates what it must return
-// (it measures 5), the cold one its scratch once per run whatever the
-// group count (24 at these 4 groups), and warm stays below cold. The
-// reservations protocol clones and returns caller-owned state every round,
-// so its floor is higher: pinned to one lane every wave has one
-// chunk, groups 0 and 2 of the four run rounds and 1 and 3 are conventional
-// streaks (one clone and one source each), and the warm run measures 59.
+// path is accountable for. A warm aux run allocates what it must return (it
+// measures 5); a run on a fresh Dependence is as warm, plus what New itself
+// allocates; the truly cold one — the first run of its type, after
+// drainScratch — builds its scratch once whatever the group count (24 at
+// these 4 groups), and warm stays below it. The reservations protocol
+// clones and returns caller-owned state every round, so its floor is higher:
+// pinned to one lane every wave has one chunk, groups 0 and 2 of the four
+// run rounds and 1 and 3 are conventional streaks (one clone and one source
+// each), and the warm run measures 59.
 func TestWarmRunAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")
@@ -41,29 +78,41 @@ func TestWarmRunAllocations(t *testing.T) {
 	defer p.Close()
 
 	t.Run("aux", func(t *testing.T) {
-		cold := allocsPerRun(t, auxRun(p, 32, false))
+		fresh := auxRun(p, 32, false)
+		cold := coldAllocsPerRun(t, fresh)
 		warm := allocsPerRun(t, auxRun(p, 32, true))
-		t.Logf("aux: warm %.1f allocs/run, cold %.1f", warm, cold)
+		built := allocsPerRun(t, fresh)
+		dep := newAllocs(t, func() *Dependence[int, walkState, int] { return New(cheapCompute, sumAux, fingerprintWalkOps()) })
+		t.Logf("aux: warm %.1f allocs/run, fresh Dependence %.1f (New %.1f), cold %.1f", warm, built, dep, cold)
 		if warm > 8 || cold > 28 || warm >= cold {
 			t.Fatalf("aux run allocates %.1f/run warm and %.1f cold; ceilings are 8 and 28, and warm below cold", warm, cold)
+		}
+		if built > warm+dep {
+			t.Fatalf("aux run on a fresh Dependence allocates %.1f/run; ceiling is warm %.1f plus New's %.1f", built, warm, dep)
 		}
 	})
 
 	t.Run("reservations", func(t *testing.T) {
-		cold := allocsPerRun(t, reservationsRun(p, false))
+		fresh := reservationsRun(p, false)
+		cold := coldAllocsPerRun(t, fresh)
 		warm := allocsPerRun(t, reservationsRun(p, true))
-		t.Logf("reservations: warm %.1f allocs/run, cold %.1f (%.0f%%)", warm, cold, 100*warm/cold)
+		built := allocsPerRun(t, fresh)
+		dep := newAllocs(t, benchSlotDep)
+		t.Logf("reservations: warm %.1f allocs/run (%.0f%% of cold %.1f), fresh Dependence %.1f (New %.1f)", warm, 100*warm/cold, cold, built, dep)
 		if warm > 64 || warm >= cold {
-			t.Fatalf("warm reservations run allocates %.1f/run; ceilings are 64 and below the %.1f cold seed path", warm, cold)
+			t.Fatalf("warm reservations run allocates %.1f/run; ceilings are 64 and below the %.1f cold path", warm, cold)
+		}
+		if built > warm+dep {
+			t.Fatalf("reservations run on a fresh Dependence allocates %.1f/run; ceiling is warm %.1f plus New's %.1f", built, warm, dep)
 		}
 	})
 }
 
 // TestColdRunAllocationsDoNotScaleWithGroups is the cold path's other gate:
-// a fresh Dependence builds its group records from one slab and its output
-// buffers from one backing array, so a healthy run of 256 groups allocates
-// what one of 32 does (give or take a size-class step), where one record
-// and log G buffer growths per group used to.
+// the first run of its type builds its group records from one slab and its
+// output buffers from one backing array, so a healthy run of 256 groups
+// allocates what one of 32 does (give or take a size-class step), where one
+// record and log G buffer growths per group used to.
 func TestColdRunAllocationsDoNotScaleWithGroups(t *testing.T) {
 	p := pool.New(4)
 	defer p.Close()
@@ -72,7 +121,7 @@ func TestColdRunAllocationsDoNotScaleWithGroups(t *testing.T) {
 		// The window covers every earlier input, so sumAux is exact and every
 		// boundary matches.
 		opts := Options{UseAux: true, GroupSize: 16, Window: len(inputs), RedoMax: 1, Rollback: 4, Pool: p}
-		return allocsPerRun(t, func() {
+		return coldAllocsPerRun(t, func() {
 			opts.Seed++
 			_, _, st := New(cheapCompute, sumAux, fingerprintWalkOps()).Run(inputs, walkState{}, opts)
 			if st.Matches != groups-1 {
@@ -113,9 +162,10 @@ func TestHotPathAllocCeilings(t *testing.T) {
 }
 
 // TestGroupRunSize pins the group record at 384 B with word-sized I, S and
-// O. A cold run allocates one slab of them, one record per group, so every
-// word added is bytes per group on every run that builds a fresh
-// Dependence — measurable on the benchmark's alloc_bytes_per_input.
+// O. The first run of a type, and any run with more groups than its recycled
+// scratch holds, allocates one slab of them, one record per group, so every
+// word added is bytes per group on every such run — and cache lines on every
+// run, warm or cold.
 func TestGroupRunSize(t *testing.T) {
 	if got := unsafe.Sizeof(groupRun[uint64, uint64, uint64]{}); got > 384 {
 		t.Fatalf("groupRun is %d B, ceiling 384", got)
@@ -187,4 +237,151 @@ func TestRecycledScratchConcurrentRuns(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestRecycledScratchAcrossDependences runs two Dependences of one
+// instantiation — different computes, auxiliary codes, input lengths and
+// group sizes — alternately on one goroutine and then from many at once,
+// across aux speculation (healthy and aborting), reservations and the
+// sequential path. They draw their scratch from one pool, so a scratch still
+// bound to the other Dependence, or a buffer sized or filled by the other's
+// run, shows up here as an output or final state that differs from the
+// dependence's own sequential answer, and as a report under -race.
+func TestRecycledScratchAcrossDependences(t *testing.T) {
+	type subject struct {
+		good, abort *Dependence[int, walkState, int]
+		inputs      []int
+		group       int
+		want        []int
+		final       walkState
+	}
+	scaled := func(k, n, group int) subject {
+		compute := func(_ *rng.Source, in int, s walkState) (int, walkState) {
+			s.V += float64(k * in)
+			return k*in + int(s.V), s
+		}
+		aux := func(_ *rng.Source, init walkState, recent []int) walkState {
+			for _, in := range recent {
+				init.V += float64(k * in)
+			}
+			return init
+		}
+		c := subject{
+			good:   New(compute, aux, walkOps()),
+			abort:  New(compute, badAux, walkOps()),
+			inputs: seqInputs(n),
+			group:  group,
+		}
+		c.want, c.final, _ = c.good.Run(c.inputs, walkState{}, Options{})
+		return c
+	}
+	cases := []subject{scaled(2, 64, 8), scaled(3, 40, 5)}
+	p := pool.New(8)
+	defer p.Close()
+
+	// check runs case c in mode (aux, reservations, aborting aux,
+	// sequential) and reports how it differs from its sequential answer.
+	check := func(c subject, mode int, seed uint64) error {
+		// The window covers every earlier input, so the healthy aux is exact.
+		o := Options{GroupSize: c.group, Window: len(c.inputs), RedoMax: 1, Rollback: 4, Pool: p, Seed: seed}
+		d := c.good
+		switch mode {
+		case 0:
+			o.UseAux = true
+		case 1:
+			o.UseAux, o.Protocol = true, ProtocolReservations
+		case 2:
+			o.UseAux, d = true, c.abort
+		}
+		outs, final, _ := d.Run(c.inputs, walkState{}, o)
+		if !slices.Equal(outs, c.want) || final != c.final {
+			return fmt.Errorf("mode %d, %d inputs: outputs %v final %v, want %v and %v", mode, len(c.inputs), outs, final, c.want, c.final)
+		}
+		return nil
+	}
+
+	for i := range 16 {
+		if err := check(cases[i%2], i/2%4, uint64(i)); err != nil {
+			t.Fatalf("alternating run %d: %v", i, err)
+		}
+	}
+
+	const goroutines = 8
+	runs := 12
+	if testing.Short() {
+		runs = 4
+	}
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range runs {
+				if err := check(cases[(g+i)%2], (g+i/2)%4, uint64(g)<<32|uint64(i)); err != nil {
+					t.Errorf("goroutine %d run %d: %v", g, i, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// captive is an object only a compute closure references; it is not tiny
+// (the tiny allocator would batch it with other objects).
+type captive struct {
+	k   float64
+	pad [4]int
+}
+
+// TestRecycledScratchPinsNoDependence: a parked scratch is shared by every
+// Dependence of its type, so it must not keep the Dependence of its last run
+// — its closures and whatever they capture — alive. The test holds the
+// parked scratch itself (the pool alone drops it after two collections) and
+// requires the object the dropped Dependence's compute captured to be
+// collected anyway.
+func TestRecycledScratchPinsNoDependence(t *testing.T) {
+	// One P, so this goroutine's Get reaches the per-P slot the run's release
+	// put the scratch in.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	inputs := seqInputs(32)
+	for _, c := range []struct {
+		name   string
+		proto  Protocol
+		parked func() any
+	}{
+		{"aux", ProtocolAux, func() any { return recycled[runScratch[int, walkState, int]]().Get() }},
+		{"reservations", ProtocolReservations, func() any { return recycled[resvRun[int, walkState, int]]().Get() }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			run := func() weak.Pointer[captive] {
+				held := &captive{k: 1}
+				d := New(func(_ *rng.Source, in int, s walkState) (int, walkState) {
+					s.V += held.k * float64(in)
+					return in, s
+				}, sumAux, walkOps())
+				opts := Options{UseAux: true, Protocol: c.proto, GroupSize: 8, Window: len(inputs), Workers: 1}
+				if _, final, _ := d.Run(inputs, walkState{}, opts); final.V != 528 {
+					t.Fatalf("final state %v, want 528", final.V)
+				}
+				return weak.Make(held)
+			}
+			// A race-mode pool drops a put at random; retry until one parks.
+			var scr any
+			var wp weak.Pointer[captive]
+			for try := 0; scr == nil && try < 32; try++ {
+				wp = run()
+				scr = c.parked()
+			}
+			if scr == nil {
+				t.Fatal("no run parked its scratch")
+			}
+			runtime.GC()
+			runtime.GC()
+			if wp.Value() != nil {
+				t.Fatal("a parked scratch keeps its last Dependence's compute closure alive")
+			}
+			runtime.KeepAlive(scr)
+		})
+	}
 }

@@ -224,8 +224,8 @@ func SplitReservationArg(arg int64) (round, input int) {
 }
 
 // resvRun is the per-run state of one reservations execution: the run
-// frame plus the policy's tables. Runs recycle it through the dependence's
-// resvScratch pool: every slice keeps its capacity between runs
+// frame plus the policy's tables. Runs recycle it through its type's pool
+// (recycled): every slice keeps its capacity between runs
 // (state-holding elements cleared on release), and the wave tasks with
 // their closures are created once per chunk slot. Only the outputs slice
 // is allocated fresh — it is returned to the caller.
@@ -309,28 +309,30 @@ type resvRun[I, S, O any] struct {
 // returned, and nanoseconds on its lane.
 type laneWork struct{ calls, ns int64 }
 
-// getResvRun fetches (or builds) a recycled reservations run state.
+// getResvRun fetches (or builds) a recycled reservations run state for d.
 func (d *Dependence[I, S, O]) getResvRun() *resvRun[I, S, O] {
-	if v := d.resvScratch.Get(); v != nil {
-		return v.(*resvRun[I, S, O])
+	r, _ := recycled[resvRun[I, S, O]]().Get().(*resvRun[I, S, O])
+	if r == nil {
+		r = new(resvRun[I, S, O])
 	}
-	return &resvRun[I, S, O]{d: d}
+	r.d = d
+	return r
 }
 
-// release clears every state-holding reference (the outputs slice is the
-// caller's now and is simply forgotten) and parks the run state for
-// reuse.
+// release clears every state-holding reference, the Dependence included
+// (the outputs slice is the caller's now and is simply forgotten), and
+// parks the run state for reuse.
 func (r *resvRun[I, S, O]) release() {
 	var zeroS S
 	r.runFrame = runFrame{}
-	r.inputs, r.emit, r.outs = nil, nil, nil
+	r.d, r.inputs, r.emit, r.outs = nil, nil, nil, nil
 	r.shared = zeroS
 	clear(r.fps[:cap(r.fps)])
 	clear(r.states[:cap(r.states)])
 	clear(r.panics[:cap(r.panics)])
 	r.panics = r.panics[:0]
 	r.waveWinners = nil
-	r.d.resvScratch.Put(r)
+	recycled[resvRun[I, S, O]]().Put(r)
 }
 
 // fail marks the run failed with the first failure observed; pe, when

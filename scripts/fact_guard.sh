@@ -49,6 +49,10 @@
 # analyzers and stats.Runtime all report and render one way; fail if any
 # other non-test Go declares a Diagnostic or finding struct, or spells a
 # severity as a string (Severity: "...") instead of analysis.Error/Warning.
+# The recycling guard: internal/core recycles a run's scratch per
+# instantiation, through one pool per scratch type that its recycled helper
+# hands out, so no Dependence or run holds a pool of its own; fail on a
+# sync.Pool in its non-test code outside that helper.
 # Run via `make vet`.
 set -eu
 
@@ -161,5 +165,13 @@ records=$(grep -rnE 'type (Diagnostic|finding) struct|Severity: *"' --include='*
 if [ -n "$records" ]; then
     echo "fact-guard: a finding is an analysis.Diagnostic with an analysis.Severity; declare no second record:" >&2
     printf '%s\n' "$records" >&2
+    exit 1
+fi
+
+pools=$(awk 'FNR==1{fn=""} /^func /{fn=$0} /sync\.Pool/ && $0 !~ /^[[:space:]]*\/\// && fn !~ /^func recycled\[/{print FILENAME":"FNR": "$0} /^}/{fn=""}' \
+    $(ls internal/core/*.go | grep -v '_test\.go$'))
+if [ -n "$pools" ]; then
+    echo "fact-guard: internal/core recycles run scratch per type, through recycled only:" >&2
+    printf '%s\n' "$pools" >&2
     exit 1
 fi

@@ -170,11 +170,6 @@ type StateDependence[I, S, O any] struct {
 	fingerprint FingerprintFunc[S]
 	reserve     *ReserveOps[I, S]
 	opts        Options
-	// coreDep is the lowered engine dependence, built lazily and cached so
-	// repeated runs through one SDI reuse the engine's recycled run state
-	// (its sync.Pool scratch lives on the Dependence). Setters invalidate
-	// it.
-	coreDep *core.Dependence[I, S, O]
 	// sharedPool, when set by Attach, supplies the Runtime's worker pool
 	// instead of a per-run private pool; observer is the Runtime's
 	// observability sink, set alongside it.
@@ -208,7 +203,6 @@ func NewStateDependence[I, S, O any](inputs []I, initial S, compute ComputeFunc[
 // always satisfied conventionally.
 func (sd *StateDependence[I, S, O]) SetAuxiliary(aux AuxFunc[I, S]) *StateDependence[I, S, O] {
 	sd.aux = aux
-	sd.coreDep = nil
 	return sd
 }
 
@@ -220,7 +214,6 @@ func (sd *StateDependence[I, S, O]) SetStateOps(clone CloneFunc[S], match MatchF
 		sd.clone = clone
 	}
 	sd.match = match
-	sd.coreDep = nil
 	return sd
 }
 
@@ -231,7 +224,6 @@ func (sd *StateDependence[I, S, O]) SetStateOps(clone CloneFunc[S], match MatchF
 // construction and never compared.
 func (sd *StateDependence[I, S, O]) SetFingerprint(fp FingerprintFunc[S]) *StateDependence[I, S, O] {
 	sd.fingerprint = fp
-	sd.coreDep = nil
 	return sd
 }
 
@@ -240,7 +232,6 @@ func (sd *StateDependence[I, S, O]) SetFingerprint(fp FingerprintFunc[S]) *State
 // treat the whole state as a single slot (fully serialized commits).
 func (sd *StateDependence[I, S, O]) SetReserve(r ReserveOps[I, S]) *StateDependence[I, S, O] {
 	sd.reserve = &r
-	sd.coreDep = nil
 	return sd
 }
 
@@ -297,14 +288,10 @@ func (sd *StateDependence[I, S, O]) run() ([]O, S, RunStats) {
 	return sd.dep().Run(sd.inputs, sd.initial, sd.coreOptions())
 }
 
-// dep lowers the SDI's functions to an engine dependence. The result is
-// cached (setters invalidate) so every run through this SDI hits the same
-// Dependence and with it the engine's recycled run-scoped scratch state —
-// the warm, allocation-free path.
+// dep lowers the SDI's functions to an engine dependence, afresh on every
+// run: the engine recycles its run scratch per instantiation, so a fresh
+// Dependence runs as warm as a reused one.
 func (sd *StateDependence[I, S, O]) dep() *core.Dependence[I, S, O] {
-	if sd.coreDep != nil {
-		return sd.coreDep
-	}
 	d := core.New(core.Compute[I, S, O](sd.compute), core.Aux[I, S](sd.aux), core.StateOps[S]{
 		Clone:       sd.clone,
 		MatchAny:    sd.match,
@@ -315,7 +302,6 @@ func (sd *StateDependence[I, S, O]) dep() *core.Dependence[I, S, O] {
 		// a hook added to one and not the other fails to compile here.
 		d = d.WithReserve(core.ReserveOps[I, S](*sd.reserve))
 	}
-	sd.coreDep = d
 	return d
 }
 
