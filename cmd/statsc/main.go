@@ -13,6 +13,11 @@
 //	       -set TO_numAnnealingLayers$aux$track=2 \
 //	       -runtime track=aux,group=8,window=2,redo=2,rollback=2
 //
+// -set and -runtime name dimensions of the module's state space
+// (profiler.ModuleSpace, the tuner's dimensions per dependence): a name that
+// is not a dimension, or a value off its dimension's grid, is refused, and
+// every dimension left unset keeps its default.
+//
 // The statsvet analysis suite gates emission by default: any
 // error-severity finding (IR verifier, effect/purity dataflow, tradeoff
 // lints) makes statsc refuse to emit. Disable with -vet=false — the
@@ -33,6 +38,8 @@ import (
 	"repro/internal/frontend"
 	"repro/internal/ir"
 	"repro/internal/midend"
+	"repro/internal/profiler"
+	"repro/internal/space"
 )
 
 // stringsFlag collects repeatable flags.
@@ -97,37 +104,7 @@ func main() {
 		fatal(fmt.Errorf("statsc: unknown -emit %q", *emit))
 	}
 
-	cfg := backend.Config{TradeoffIdx: map[string]int64{}, Runtime: map[string]backend.RuntimeOptions{}}
-	for _, s := range sets {
-		name, idxStr, ok := strings.Cut(s, "=")
-		if !ok {
-			fatal(fmt.Errorf("statsc: malformed -set %q", s))
-		}
-		idx, err := strconv.ParseInt(idxStr, 10, 64)
-		if err != nil {
-			fatal(fmt.Errorf("statsc: -set %q: %w", s, err))
-		}
-		cfg.TradeoffIdx[name] = idx
-	}
-	for _, s := range runtimes {
-		dep, opts, ok := strings.Cut(s, "=")
-		if !ok {
-			fatal(fmt.Errorf("statsc: malformed -runtime %q", s))
-		}
-		ro, err := parseRuntime(opts)
-		if err != nil {
-			fatal(fmt.Errorf("statsc: -runtime %q: %w", s, err))
-		}
-		cfg.Runtime[dep] = ro
-	}
-
-	baseline := 0
-	for name, f := range mod.Functions {
-		if !strings.Contains(name, "$aux$") {
-			baseline += len(f.Instrs)
-		}
-	}
-	prog, err := backend.Compile(mod, cfg, baseline)
+	prog, err := instantiate(mod, sets, runtimes)
 	if err != nil {
 		fatal(err)
 	}
@@ -149,35 +126,64 @@ func readInput(path string) (string, error) {
 	return string(b), err
 }
 
-func parseRuntime(s string) (backend.RuntimeOptions, error) {
-	var ro backend.RuntimeOptions
-	for _, part := range strings.Split(s, ",") {
-		if part == "aux" {
-			ro.UseAux = true
-			continue
-		}
-		k, v, ok := strings.Cut(part, "=")
+// instantiate compiles the point of the module's state space that the flags
+// name: -set NAME=IDX sets dimension aux.NAME, and each option of -runtime
+// DEP=opt,... sets a dimension of DEP's block, KEY=V to the index whose
+// value is V and a bare "aux" to 1. Every other dimension keeps its default.
+func instantiate(mod *ir.Module, sets, runtimes []string) (*backend.Program, error) {
+	s, err := profiler.ModuleSpace(mod)
+	if err != nil {
+		return nil, err
+	}
+	c := s.Default()
+	for _, a := range sets {
+		name, idx, ok := strings.Cut(a, "=")
 		if !ok {
-			return ro, fmt.Errorf("malformed option %q", part)
+			return nil, fmt.Errorf("statsc: malformed -set %q", a)
 		}
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return ro, err
-		}
-		switch k {
-		case "group":
-			ro.GroupSize = n
-		case "window":
-			ro.Window = n
-		case "redo":
-			ro.RedoMax = n
-		case "rollback":
-			ro.Rollback = n
-		default:
-			return ro, fmt.Errorf("unknown option %q", k)
+		if err := setValue(s, c, "aux."+name, idx); err != nil {
+			return nil, fmt.Errorf("statsc: -set %q: %w", a, err)
 		}
 	}
-	return ro, nil
+	for _, a := range runtimes {
+		dep, opts, ok := strings.Cut(a, "=")
+		if !ok {
+			return nil, fmt.Errorf("statsc: malformed -runtime %q", a)
+		}
+		for _, opt := range strings.Split(opts, ",") {
+			if opt == "aux" {
+				opt = "aux=1"
+			}
+			key, v, ok := strings.Cut(opt, "=")
+			if !ok {
+				return nil, fmt.Errorf("statsc: -runtime %q: malformed option %q", a, opt)
+			}
+			if err := setValue(s, c, dep+"."+key, v); err != nil {
+				return nil, fmt.Errorf("statsc: -runtime %q: %w", a, err)
+			}
+		}
+	}
+	return backend.Compile(mod, c)
+}
+
+// setValue sets dimension name of c to the index whose value is v.
+func setValue(s *space.Space, c space.Config, name, v string) error {
+	want, err := strconv.ParseInt(v, 10, 64)
+	if err != nil {
+		return err
+	}
+	i, ok := s.Find(name)
+	if !ok {
+		return fmt.Errorf("no dimension %s", name)
+	}
+	d := s.Dims()[i]
+	for idx := int64(0); idx < d.Size; idx++ {
+		if d.Value(idx) == want {
+			c[i] = idx
+			return nil
+		}
+	}
+	return fmt.Errorf("%s cannot be %d", name, want)
 }
 
 func printIR(mod *ir.Module) {

@@ -11,7 +11,7 @@ import (
 // inspects; optionFields are the count-valued fields the engines clamp at
 // a floor, making negative literals silent no-ops.
 var (
-	optionTypes  = map[string]bool{"Options": true, "SpecOptions": true, "RuntimeOptions": true}
+	optionTypes  = map[string]bool{"Options": true, "SpecOptions": true}
 	optionFields = map[string]string{
 		"GroupSize": "treats values below 1 as 1",
 		"Window":    "treats negative values as 0 (auxiliary code sees no inputs)",

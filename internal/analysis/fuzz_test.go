@@ -79,7 +79,7 @@ func FuzzVerify(f *testing.F) {
 		if userRejected {
 			return // the vet gate rejected the module; backend acceptance is moot
 		}
-		prog, err := backend.Compile(m, backend.Config{}, 0)
+		prog, err := backend.Compile(m, nil)
 		if err != nil {
 			t.Fatalf("verifier-accepted module rejected by backend.Compile:\nsource:\n%s\nerror: %v", src, err)
 		}

@@ -1,7 +1,7 @@
 // Package backend is the STATS back-end compiler (§3.4, "Generating a
 // binary" and "Setting a tradeoff"): it takes the middle-end's IR and a
-// configuration from the autotuner's state space and instantiates the
-// configuration, producing the executable Program.
+// point of the module's state space (profiler.ModuleSpace) and instantiates
+// it, producing the Program (the "binary").
 //
 // Setting a tradeoff follows the paper's two compile-time steps: first the
 // value at the chosen index is fetched by *executing* the tradeoff's
@@ -10,7 +10,8 @@
 // tradeoff's kind — constants replace placeholder calls, type choices
 // re-type variables (inserting casts at their uses), and function choices
 // replace placeholder callees. Finally the specialized runtime is "linked"
-// into the binary: each state dependence carries its engine parameters.
+// into the binary: each state dependence carries the engine options its
+// block of the configuration decodes to.
 //
 // Instantiation is deliberately cheap (only these simple rewrites), which
 // is why the paper splits the middle-end from the back-end: the autotuner
@@ -19,29 +20,18 @@ package backend
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/ir"
+	"repro/internal/profiler"
+	"repro/internal/space"
+	"repro/internal/workload"
 )
 
-// RuntimeOptions are the engine parameters the back-end specializes the
-// runtime with for one state dependence.
-type RuntimeOptions struct {
-	UseAux    bool
-	GroupSize int
-	Window    int
-	RedoMax   int
-	Rollback  int
-}
-
-// Config selects what the back-end instantiates: tradeoff indices by
-// (auxiliary) tradeoff name, and runtime options per dependence name.
-type Config struct {
-	TradeoffIdx map[string]int64
-	Runtime     map[string]RuntimeOptions
-}
-
 // Program is the back-end's output: the specialized module plus the
-// resolved bindings — the "binary".
+// resolved bindings — the "binary". Nothing executes it: the workloads run
+// their Go kernels, and a Program is what the compiler pipeline resolves
+// (and statsc prints) for one point of the module's state space.
 type Program struct {
 	Module *ir.Module
 	// Constants maps constant tradeoffs to their resolved values.
@@ -50,36 +40,45 @@ type Program struct {
 	TypeBindings map[string]string
 	// Callees maps function tradeoffs to their chosen implementations.
 	Callees map[string]string
-	// Runtime is the per-dependence specialized runtime configuration.
-	Runtime map[string]RuntimeOptions
+	// Runtime maps each dependence to the engine options
+	// profiler.DecodeDependence reads from its block of the configuration.
+	Runtime map[string]workload.SpecOptions
 	// SizeIncrease is the instruction-count growth versus the original
-	// (pre-middle-end) program, Table 1's "binary size increase" column.
+	// program (every function but the auxiliary clones), Table 1's "binary
+	// size increase" column.
 	SizeIncrease float64
 }
 
-// Compile instantiates cfg against the module m. baselineInstrs is the
-// instruction count of the program before the middle-end added auxiliary
-// code (used for the size-increase metric; pass 0 to skip it).
-func Compile(m *ir.Module, cfg Config, baselineInstrs int) (*Program, error) {
+// Compile instantiates c, a point of profiler.ModuleSpace(m), against the
+// module m; a nil c instantiates the space's default point (every tradeoff
+// at its default, every dependence satisfied conventionally).
+func Compile(m *ir.Module, c space.Config) (*Program, error) {
+	for _, t := range m.Tradeoffs {
+		if !t.Aux {
+			return nil, fmt.Errorf("backend: non-aux tradeoff %s survived the middle-end", t.Name)
+		}
+	}
+	s, err := profiler.ModuleSpace(m)
+	if err != nil {
+		return nil, err
+	}
+	if c == nil {
+		c = s.Default()
+	}
+	if err := s.Validate(c); err != nil {
+		return nil, fmt.Errorf("backend: %w", err)
+	}
 	p := &Program{
 		Module:       cloneModule(m),
 		Constants:    map[string]int64{},
 		TypeBindings: map[string]string{},
 		Callees:      map[string]string{},
-		Runtime:      map[string]RuntimeOptions{},
+		Runtime:      map[string]workload.SpecOptions{},
 	}
 
-	for _, t := range p.Module.Tradeoffs {
-		if !t.Aux {
-			return nil, fmt.Errorf("backend: non-aux tradeoff %s survived the middle-end", t.Name)
-		}
-		idx, ok := cfg.TradeoffIdx[t.Name]
-		if !ok {
-			idx = t.Default
-		}
-		if idx < 0 || idx >= t.Size {
-			return nil, fmt.Errorf("backend: tradeoff %s index %d out of [0,%d)", t.Name, idx, t.Size)
-		}
+	for i, t := range p.Module.Tradeoffs {
+		// Tradeoff i is dimension i of the module's space.
+		idx := c[i]
 		// Step 1: fetch the value by executing getValue.
 		val, err := p.Module.Eval(t.GetValue, idx)
 		if err != nil {
@@ -121,18 +120,21 @@ func Compile(m *ir.Module, cfg Config, baselineInstrs int) (*Program, error) {
 
 	// Link the specialized runtime into each state dependence.
 	for _, d := range p.Module.Deps {
-		ro, ok := cfg.Runtime[d.Name]
-		if !ok {
-			ro = RuntimeOptions{} // conventional execution
-		}
-		if ro.UseAux && d.AuxCompute == "" {
+		o := profiler.DecodeDependence(s, c, d.Name)
+		if o.UseAux && d.AuxCompute == "" {
 			return nil, fmt.Errorf("backend: dependence %s has no auxiliary code", d.Name)
 		}
-		p.Runtime[d.Name] = ro
+		p.Runtime[d.Name] = o
 	}
 
-	if baselineInstrs > 0 {
-		p.SizeIncrease = float64(p.Module.InstrCount()-baselineInstrs) / float64(baselineInstrs)
+	baseline := 0
+	for name, f := range m.Functions {
+		if !strings.Contains(name, "$aux$") {
+			baseline += len(f.Instrs)
+		}
+	}
+	if baseline > 0 {
+		p.SizeIncrease = float64(p.Module.InstrCount()-baseline) / float64(baseline)
 	}
 	return p, nil
 }

@@ -1,12 +1,16 @@
 package backend
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/frontend"
 	"repro/internal/ir"
 	"repro/internal/midend"
+	"repro/internal/profiler"
+	"repro/internal/space"
+	"repro/internal/workload"
 )
 
 const fixture = `
@@ -37,7 +41,7 @@ statedep track {
 }
 `
 
-func compile(t *testing.T, cfg Config) *Program {
+func lower(t *testing.T) *ir.Module {
 	t.Helper()
 	fo, err := frontend.Translate(fixture)
 	if err != nil {
@@ -47,7 +51,31 @@ func compile(t *testing.T, cfg Config) *Program {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Compile(m, cfg, 10)
+	return m
+}
+
+// point returns the default point of m's space with the named dimensions
+// set to the given indices.
+func point(t *testing.T, m *ir.Module, idx map[string]int64) space.Config {
+	t.Helper()
+	s, err := profiler.ModuleSpace(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := s.Default()
+	for name, i := range idx {
+		if !s.Set(c, name, i) {
+			t.Fatalf("no dimension %s", name)
+		}
+	}
+	return c
+}
+
+// compile instantiates the fixture with the named dimensions set.
+func compile(t *testing.T, idx map[string]int64) *Program {
+	t.Helper()
+	m := lower(t)
+	p, err := Compile(m, point(t, m, idx))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +83,7 @@ func compile(t *testing.T, cfg Config) *Program {
 }
 
 func TestDefaultInstantiation(t *testing.T) {
-	p := compile(t, Config{})
+	p := compile(t, nil)
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -74,15 +102,15 @@ func TestDefaultInstantiation(t *testing.T) {
 }
 
 func TestExplicitConfig(t *testing.T) {
-	p := compile(t, Config{
-		TradeoffIdx: map[string]int64{
-			"TO_layers$aux$track":     0,
-			"TO_weightType$aux$track": 0,
-			"TO_sqrt$aux$track":       1,
-		},
-		Runtime: map[string]RuntimeOptions{
-			"track": {UseAux: true, GroupSize: 8, Window: 2, RedoMax: 1, Rollback: 2},
-		},
+	p := compile(t, map[string]int64{
+		"aux.TO_layers$aux$track":     0,
+		"aux.TO_weightType$aux$track": 0,
+		"aux.TO_sqrt$aux$track":       1,
+		"track.aux":                   1,
+		"track.group":                 2, // value 8
+		"track.window":                2, // value 2
+		"track.redo":                  1, // value 1
+		"track.rollback":              1, // value 2
 	})
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
@@ -96,14 +124,14 @@ func TestExplicitConfig(t *testing.T) {
 	if p.Callees["TO_sqrt$aux$track"] != "sqrt_newton2" {
 		t.Fatal("function index 1 -> sqrt_newton2")
 	}
-	ro := p.Runtime["track"]
-	if !ro.UseAux || ro.GroupSize != 8 {
-		t.Fatalf("runtime: %+v", ro)
+	want := workload.SpecOptions{UseAux: true, GroupSize: 8, Window: 2, RedoMax: 1, Rollback: 2}
+	if ro := p.Runtime["track"]; !reflect.DeepEqual(ro, want) {
+		t.Fatalf("runtime: %+v, want %+v", ro, want)
 	}
 }
 
 func TestSubstitutionRewritesAuxOnly(t *testing.T) {
-	p := compile(t, Config{TradeoffIdx: map[string]int64{"TO_layers$aux$track": 9}})
+	p := compile(t, map[string]int64{"aux.TO_layers$aux$track": 9})
 	// The aux compute's placeholder is now the constant 10.
 	aux := p.Module.Functions["updateModel$aux$track"]
 	found := false
@@ -125,7 +153,7 @@ func TestSubstitutionRewritesAuxOnly(t *testing.T) {
 }
 
 func TestFunctionSubstitutionRewiresCallee(t *testing.T) {
-	p := compile(t, Config{TradeoffIdx: map[string]int64{"TO_sqrt$aux$track": 1}})
+	p := compile(t, map[string]int64{"aux.TO_sqrt$aux$track": 1})
 	kernel := p.Module.Functions["updateModel$kernel$aux$track"]
 	found := false
 	for _, in := range kernel.Instrs {
@@ -139,7 +167,7 @@ func TestFunctionSubstitutionRewiresCallee(t *testing.T) {
 }
 
 func TestTypeSubstitutionRecordsCast(t *testing.T) {
-	p := compile(t, Config{TradeoffIdx: map[string]int64{"TO_weightType$aux$track": 1}})
+	p := compile(t, map[string]int64{"aux.TO_weightType$aux$track": 1})
 	// The type tradeoff lives in the kernel helper's aux clone.
 	aux := p.Module.Functions["updateModel$kernel$aux$track"]
 	found := false
@@ -154,39 +182,52 @@ func TestTypeSubstitutionRecordsCast(t *testing.T) {
 }
 
 func TestBadIndexRejected(t *testing.T) {
-	fo, _ := frontend.Translate(fixture)
-	m, _ := midend.Lower(fo)
-	if _, err := Compile(m, Config{TradeoffIdx: map[string]int64{"TO_layers$aux$track": 10}}, 0); err == nil {
+	m := lower(t)
+	c := point(t, m, nil)
+	c[0] = 10 // TO_layers$aux$track has 10 indices
+	if _, err := Compile(m, c); err == nil {
 		t.Fatal("out-of-range index accepted")
+	}
+	if _, err := Compile(m, c[1:]); err == nil {
+		t.Fatal("a configuration of the wrong length accepted")
 	}
 }
 
 func TestUseAuxWithoutAuxRejected(t *testing.T) {
-	fo, _ := frontend.Translate(fixture)
-	m, _ := midend.Lower(fo)
+	m := lower(t)
 	// Break the metadata: no aux compute.
 	m.Deps[0].AuxCompute = ""
-	if _, err := Compile(m, Config{Runtime: map[string]RuntimeOptions{"track": {UseAux: true}}}, 0); err == nil {
+	if _, err := Compile(m, point(t, m, map[string]int64{"track.aux": 1})); err == nil {
 		t.Fatal("UseAux without aux code accepted")
 	}
 }
 
+// TestDuplicateDependenceRejected covers a module only the vet gate would
+// refuse: the front-end lowers two statedeps of one name, and the module's
+// space cannot hold two blocks of one name.
+func TestDuplicateDependenceRejected(t *testing.T) {
+	m := lower(t)
+	m.Deps = append(m.Deps, m.Deps[0])
+	if _, err := Compile(m, nil); err == nil || !strings.Contains(err.Error(), "track declared twice") {
+		t.Fatalf("duplicate dependence: err %v", err)
+	}
+}
+
 func TestSizeIncreaseReported(t *testing.T) {
-	p := compile(t, Config{})
+	p := compile(t, nil)
 	if p.SizeIncrease <= 0 {
 		t.Fatalf("size increase: %v", p.SizeIncrease)
 	}
 }
 
 func TestCompileDoesNotMutateInput(t *testing.T) {
-	fo, _ := frontend.Translate(fixture)
-	m, _ := midend.Lower(fo)
+	m := lower(t)
 	before := m.InstrCount()
 	var refsBefore int
 	for _, f := range m.Functions {
 		refsBefore += len(f.TradeoffRefs())
 	}
-	if _, err := Compile(m, Config{}, 0); err != nil {
+	if _, err := Compile(m, nil); err != nil {
 		t.Fatal(err)
 	}
 	var refsAfter int
@@ -201,10 +242,9 @@ func TestCompileDoesNotMutateInput(t *testing.T) {
 func TestRepeatedInstantiationCheap(t *testing.T) {
 	// The autotuner re-instantiates the same IR for many configurations;
 	// every instantiation must be independent.
-	fo, _ := frontend.Translate(fixture)
-	m, _ := midend.Lower(fo)
+	m := lower(t)
 	for idx := int64(0); idx < 10; idx++ {
-		p, err := Compile(m, Config{TradeoffIdx: map[string]int64{"TO_layers$aux$track": idx}}, 0)
+		p, err := Compile(m, point(t, m, map[string]int64{"aux.TO_layers$aux$track": idx}))
 		if err != nil {
 			t.Fatal(err)
 		}

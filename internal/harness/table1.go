@@ -117,18 +117,11 @@ func Table1(e *Env) ([]Table1Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("table1 %s: %w", d.Name, err)
 		}
-		baseline := 0
 		m, err := midend.Lower(fo)
 		if err != nil {
 			return nil, fmt.Errorf("table1 %s: %w", d.Name, err)
 		}
-		// Baseline instruction count: everything except aux clones.
-		for name, f := range m.Functions {
-			if !strings.Contains(name, "$aux$") {
-				baseline += len(f.Instrs)
-			}
-		}
-		p, err := backend.Compile(m, backend.Config{}, baseline)
+		p, err := backend.Compile(m, nil)
 		if err != nil {
 			return nil, fmt.Errorf("table1 %s: %w", d.Name, err)
 		}

@@ -7,15 +7,19 @@
 // thread count, and integrates the energy model over the occupancy trace.
 // The profiler also owns the state-space construction and the decoding of
 // a space configuration into engine options — the glue between the
-// autotuner's index vectors and the runtime's parameters.
+// autotuner's index vectors and the runtime's parameters. The back-end
+// instantiates a point of the same kind of space (ModuleSpace) and decodes
+// each dependence through the same DecodeDependence.
 package profiler
 
 import (
+	"fmt"
 	"strings"
 
 	"repro/internal/autotune"
 	"repro/internal/core"
 	"repro/internal/energy"
+	"repro/internal/ir"
 	"repro/internal/platform"
 	"repro/internal/space"
 	"repro/internal/taskgen"
@@ -115,32 +119,57 @@ func SeedConfigs(s *space.Space) []space.Config {
 	return out
 }
 
+// ModuleSpace builds the state space the back-end instantiates over an IR
+// module (§3.4): dimension i is aux.<name> of the module's tradeoff i, sized
+// and defaulted by its metadata, and each dependence then adds the block
+// BuildSpace adds for the tuner's one shared dependence, under its own name.
+// A dependence declared twice is an error: the front-end accepts one, and
+// only the vet gate refuses it.
+func ModuleSpace(m *ir.Module) (*space.Space, error) {
+	s := space.New()
+	for _, t := range m.Tradeoffs {
+		s.Add(space.Dimension{Name: auxPrefix + t.Name, Size: t.Size, Default: t.Default})
+	}
+	for _, d := range m.Deps {
+		if _, dup := s.Find(d.Name + ".aux"); dup {
+			return nil, fmt.Errorf("profiler: state dependence %s declared twice", d.Name)
+		}
+		s.AddDependence(d.Name, windowValues, redoValues, rollbackValues, groupValues)
+	}
+	return s, nil
+}
+
+// DecodeDependence reads dependence dep's block of c (the dimensions
+// space.AddDependence names dep.aux, dep.window, dep.redo, dep.rollback and
+// dep.group) into engine options; a dimension s lacks, and every other
+// field, stays zero. It is the one reader of a dependence block: Decode
+// calls it for the tuner's shared dependence and backend.Compile for each
+// dependence of a module.
+func DecodeDependence(s *space.Space, c space.Config, dep string) workload.SpecOptions {
+	value := func(key string) int {
+		v, _ := s.Lookup(c, dep+"."+key)
+		return int(v)
+	}
+	return workload.SpecOptions{
+		UseAux:    value("aux") == 1,
+		GroupSize: value("group"),
+		Window:    value("window"),
+		RedoMax:   value("redo"),
+		Rollback:  value("rollback"),
+	}
+}
+
 // Decode maps a space configuration to the engine options plus the
 // original-TLP thread allocation. TradeoffIdx holds the tradeoff
 // dimensions' indices in the order BuildSpace added them.
 func Decode(s *space.Space, c space.Config) (workload.SpecOptions, int) {
-	var o workload.SpecOptions
+	o := DecodeDependence(s, c, "dep")
 	for i, d := range s.Dims() {
 		if strings.HasPrefix(d.Name, auxPrefix) {
 			// Tradeoff dimensions are identity-valued: the value is the
 			// tradeoff index itself.
 			o.TradeoffIdx = append(o.TradeoffIdx, c[i])
 		}
-	}
-	if v, ok := s.Lookup(c, "dep.aux"); ok {
-		o.UseAux = v == 1
-	}
-	if v, ok := s.Lookup(c, "dep.window"); ok {
-		o.Window = int(v)
-	}
-	if v, ok := s.Lookup(c, "dep.redo"); ok {
-		o.RedoMax = int(v)
-	}
-	if v, ok := s.Lookup(c, "dep.rollback"); ok {
-		o.Rollback = int(v)
-	}
-	if v, ok := s.Lookup(c, "dep.group"); ok {
-		o.GroupSize = int(v)
 	}
 	threads := 1
 	if v, ok := s.Lookup(c, "threads.original"); ok {

@@ -52,7 +52,11 @@
 # The recycling guard: internal/core recycles a run's scratch per
 # instantiation, through one pool per scratch type that its recycled helper
 # hands out, so no Dependence or run holds a pool of its own; fail on a
-# sync.Pool in its non-test code outside that helper.
+# sync.Pool in its non-test code outside that helper. The knob-copy guard:
+# the engine's knobs are declared by core.Options, stats.Options and
+# workload.SpecOptions, and a state-space point reaches them through
+# profiler.DecodeDependence, so fail if any other non-test struct (bench/ and
+# testdata excluded) declares both a GroupSize and a RedoMax field.
 # Run via `make vet`.
 set -eu
 
@@ -173,5 +177,19 @@ pools=$(awk 'FNR==1{fn=""} /^func /{fn=$0} /sync\.Pool/ && $0 !~ /^[[:space:]]*\
 if [ -n "$pools" ]; then
     echo "fact-guard: internal/core recycles run scratch per type, through recycled only:" >&2
     printf '%s\n' "$pools" >&2
+    exit 1
+fi
+
+knobs=$(awk 'FNR==1{st=""}
+    /^[[:space:]]*type [A-Za-z0-9_]+ struct \{/{st=$2; at=FNR; g=0; r=0; next}
+    st != "" && /^[[:space:]]*}/{if (g && r) print FILENAME":"at": "st; st=""; next}
+    st != "" && $0 !~ /^[[:space:]]*\/\// && /(^|[^A-Za-z0-9_])GroupSize([^A-Za-z0-9_]|$)/{g=1}
+    st != "" && $0 !~ /^[[:space:]]*\/\// && /(^|[^A-Za-z0-9_])RedoMax([^A-Za-z0-9_]|$)/{r=1}' \
+    /dev/null $(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*') |
+    grep -v -e '^\./internal/core/core\.go:[0-9]*: Options$' -e '^\./stats/stats\.go:[0-9]*: Options$' \
+        -e '^\./internal/workload/workload\.go:[0-9]*: SpecOptions$' || true)
+if [ -n "$knobs" ]; then
+    echo "fact-guard: the engine's knobs live in core.Options, stats.Options and workload.SpecOptions; decode a configuration through profiler.DecodeDependence, declare no copy:" >&2
+    printf '%s\n' "$knobs" >&2
     exit 1
 fi

@@ -20,11 +20,9 @@ type Runtime struct {
 	pool *pool.Pool
 	obs  *obs.Observer
 
-	mu              sync.Mutex
-	allowUnverified bool
-	programs        []*Program
-	telemetry       *telemetry.Server
-	signals         *telemetry.Signals
+	mu        sync.Mutex
+	telemetry *telemetry.Server
+	signals   *telemetry.Signals
 }
 
 // TraceEvent is one record of the runtime's speculation event log (see
@@ -55,10 +53,6 @@ func NewRuntime(workers int) *Runtime {
 // Workers returns the pool width.
 func (rt *Runtime) Workers() int { return rt.pool.Workers() }
 
-// TasksExecuted returns the number of tasks the pool has completed, across
-// every attached dependence.
-func (rt *Runtime) TasksExecuted() int64 { return rt.pool.Executed() }
-
 // Trace returns a time-ordered snapshot of the runtime's speculation event
 // log: group lifecycles, auxiliary-state production, validation outcomes,
 // redos, aborts, squashes, and the scheduler's steal/local dispatches.
@@ -68,10 +62,6 @@ func (rt *Runtime) Trace() []TraceEvent { return rt.obs.Tracer.Snapshot() }
 
 // Metrics returns the runtime's live metrics registry.
 func (rt *Runtime) Metrics() *Metrics { return rt.obs.Reg }
-
-// MetricsText returns the registry's plain-text exposition — the
-// scrape-format view of everything the runtime has done.
-func (rt *Runtime) MetricsText() string { return rt.obs.Reg.Text() }
 
 // Observer returns the runtime's observability sink, for callers that
 // need the typed instruments (histogram quantiles, dropped-event counts)

@@ -51,12 +51,9 @@ func TestSharedRuntimeAcrossDependences(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if rt.TasksExecuted() == 0 {
-		t.Fatal("shared pool never used")
-	}
 	m := rt.Scheduler()
-	if m.Executed != rt.TasksExecuted() {
-		t.Fatalf("Scheduler().Executed %d != TasksExecuted %d", m.Executed, rt.TasksExecuted())
+	if m.Executed == 0 {
+		t.Fatal("shared pool never used")
 	}
 	if m.Steals+m.LocalHits != m.Executed {
 		t.Fatalf("dispatch split %d+%d != executed %d", m.Steals, m.LocalHits, m.Executed)

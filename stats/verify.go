@@ -9,52 +9,21 @@ import (
 
 // Program is a compiled STATS program — the back-end's specialized
 // "binary": the instantiated module plus its resolved constants, type
-// bindings, callees and per-dependence runtime options.
+// bindings, callees and per-dependence engine options.
 type Program = backend.Program
 
-// InstallProgram registers a compiled program with the runtime. Before
-// accepting it, the runtime re-runs the statsvet analysis passes (the IR
-// verifier, the effect/purity dataflow and the tradeoff lints) over the
-// program's module and rejects it if any pass reports an error: a module
-// whose auxiliary code escapes its declared effect footprint would only
-// be caught later, one validation mismatch at a time, as aborts and
-// squashed work. Callers that must load a failing module anyway — for
-// example to reproduce a miscompile under the runtime's own validation —
-// can opt out first with AllowUnverified.
-func (rt *Runtime) InstallProgram(p *Program) error {
+// VerifyProgram re-runs the statsvet analysis passes (the IR verifier, the
+// effect/purity dataflow and the tradeoff lints) over a compiled program's
+// module and returns an error listing every error-severity finding: a
+// module whose auxiliary code escapes its declared effect footprint would
+// otherwise be caught only at run time, one validation mismatch at a time,
+// as aborts and squashed work. It is a check and stores nothing.
+func VerifyProgram(p *Program) error {
 	if p == nil || p.Module == nil {
-		return fmt.Errorf("stats: InstallProgram: nil program")
+		return fmt.Errorf("stats: VerifyProgram: nil program")
 	}
-	rt.mu.Lock()
-	skip := rt.allowUnverified
-	rt.mu.Unlock()
-	if !skip {
-		if err := analysis.Check(p.Module); err != nil {
-			return fmt.Errorf("stats: refusing unverified program (AllowUnverified to override): %w", err)
-		}
+	if err := analysis.Check(p.Module); err != nil {
+		return fmt.Errorf("stats: unverified program: %w", err)
 	}
-	rt.mu.Lock()
-	rt.programs = append(rt.programs, p)
-	rt.mu.Unlock()
 	return nil
-}
-
-// AllowUnverified disables InstallProgram's analysis gate for this
-// runtime: subsequently installed programs are accepted without static
-// verification and any contract violation is left to the runtime's
-// speculative validation (mismatch → redo → abort) to absorb.
-func (rt *Runtime) AllowUnverified() {
-	rt.mu.Lock()
-	rt.allowUnverified = true
-	rt.mu.Unlock()
-}
-
-// Programs returns a snapshot of the installed programs, in installation
-// order.
-func (rt *Runtime) Programs() []*Program {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	out := make([]*Program, len(rt.programs))
-	copy(out, rt.programs)
-	return out
 }

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -32,40 +33,42 @@ func brokenAuxModule() *ir.Module {
 	return m
 }
 
-// TestInstallProgramGate is the static half of the regression pair: a
+// TestVerifyProgramGate is the static half of the regression pair: a
 // program whose aux writes a non-speculative state variable is refused by
-// the runtime's verification gate, and accepted only after the explicit
-// AllowUnverified opt-out.
-func TestInstallProgramGate(t *testing.T) {
-	prog, err := backend.Compile(brokenAuxModule(), backend.Config{}, 0)
+// the verification gate, which names the offending state variable, and the
+// same program without the foreign write passes.
+func TestVerifyProgramGate(t *testing.T) {
+	prog, err := backend.Compile(brokenAuxModule(), nil)
 	if err != nil {
 		t.Fatalf("backend alone does not police effects, Compile must succeed: %v", err)
 	}
-
-	rt := NewRuntime(2)
-	defer rt.Close()
-	err = rt.InstallProgram(prog)
+	err = VerifyProgram(prog)
 	if err == nil {
-		t.Fatal("InstallProgram accepted a program whose aux writes foreign state")
+		t.Fatal("VerifyProgram accepted a program whose aux writes foreign state")
 	}
 	if !strings.Contains(err.Error(), "GlobalStats") {
 		t.Fatalf("rejection does not name the offending state variable: %v", err)
 	}
-	if got := len(rt.Programs()); got != 0 {
-		t.Fatalf("rejected program was still installed (%d programs)", got)
+	if err := VerifyProgram(nil); err == nil {
+		t.Fatal("VerifyProgram accepted a nil program")
 	}
 
-	rt.AllowUnverified()
-	if err := rt.InstallProgram(prog); err != nil {
-		t.Fatalf("InstallProgram after AllowUnverified: %v", err)
+	clean := brokenAuxModule()
+	for _, name := range []string{"update", "update$aux$track"} {
+		f := clean.Functions[name]
+		f.Instrs = slices.DeleteFunc(slices.Clone(f.Instrs), func(in ir.Instr) bool { return in.Op == ir.Call })
 	}
-	if got := len(rt.Programs()); got != 1 {
-		t.Fatalf("want 1 installed program after opt-out, got %d", got)
+	prog, err = backend.Compile(clean, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyProgram(prog); err != nil {
+		t.Fatalf("VerifyProgram refused a program whose aux writes only its own state: %v", err)
 	}
 }
 
-// TestUnverifiedAuxCaughtByRuntimeValidation is the dynamic half: with
-// the static gate opted out, an auxiliary function that produces garbage
+// TestUnverifiedAuxCaughtByRuntimeValidation is the dynamic half: without
+// the static gate, an auxiliary function that produces garbage
 // speculative start states is caught by the runtime's validation — the
 // mismatch path aborts the speculation — and the outputs still match the
 // sequential reference because aborted groups re-execute conventionally.
