@@ -52,8 +52,9 @@ stress:
 # vet, then statsvet — the IR/source passes over the checked-in example
 # program and the runtime-API analyzers over the repository's user-facing
 # Go code — then scripts/fact_guard.sh: the engine and the pool report
-# through obs.Observer.Note only, and the layering guard keeps
-# internal/telemetry from importing internal/core.
+# through obs.Observer.Note only, the layering guard keeps
+# internal/telemetry from importing internal/core, and the experiment-list
+# guard keeps every figure on statsexp's one list (its header lists the rest).
 vet:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l . is not empty:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
@@ -90,10 +91,11 @@ microbench:
 microbench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/... ./stats
 
-# Full evaluation benchmarks (paper tables/figures). STATS_QUICK=1 scales
-# budgets down for smoke runs.
+# The paper's evaluation at full scale: every table and figure, then the
+# rigs, in harness.Experiments' order (`statsexp -exp <id>` runs one,
+# -quick scales budgets down for a smoke run).
 bench-paper:
-	$(GO) test -run '^$$' -bench . -benchmem .
+	$(GO) run ./cmd/statsexp -exp all
 
 # Boot a telemetry-serving run and curl every endpoint.
 serve-smoke:

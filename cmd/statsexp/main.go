@@ -1,128 +1,71 @@
-// Command statsexp regenerates the paper's tables and figures (§4). Each
-// experiment prints the same rows/series the paper reports, produced by the
-// evaluation harness.
+// Command statsexp regenerates the paper's tables and figures (§4) and runs
+// the repository's rigs (self-scrape reconciliation, chaos, schedule
+// exploration, ablation): the experiments of harness.Experiments, each
+// printing the same rows/series the paper reports.
 //
 // Usage:
 //
-//	statsexp -exp all            # every experiment
+//	statsexp -exp all            # every experiment, in the list's order
 //	statsexp -exp fig12          # one experiment
 //	statsexp -exp fig12 -quick   # scaled-down budgets (for smoke tests)
 //
-// Experiments: fig02, fig03, table1, fig12, fig13, fig14, fig15, fig16,
-// fig17, fig18, fig19, fig20, scrape (live-telemetry self-scrape
-// reconciliation), chaos (seeded fault injection vs the §3.1 output
-// guarantee), explore (systematic schedule exploration under controlled
-// scheduling; -schedules sizes the per-row sweep), ablation.
+// -help lists the experiment IDs; -schedules sizes explore's per-row sweep.
+// An unknown -exp or -format exits 2 before any experiment runs.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/harness"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (fig02..fig20, table1, ablation, or 'all')")
+	ids := "all"
+	for _, x := range harness.Experiments {
+		ids += ", " + x.ID
+	}
+	formats := strings.Join(harness.Formats, ", ")
+	exp := flag.String("exp", "all", "experiment: one of "+ids)
 	quick := flag.Bool("quick", false, "use scaled-down budgets")
 	seed := flag.Uint64("seed", 0, "override the experiment seed (0 keeps the default)")
 	schedules := flag.Int("schedules", 0, "explore: controlled schedules per row (0 keeps the default)")
-	format := flag.String("format", "text", "output format: text, json, csv")
+	format := flag.String("format", "text", "output format: one of "+formats)
 	flag.Parse()
+
+	run := harness.Experiments
+	if id := strings.ToLower(*exp); id != "all" {
+		i := slices.IndexFunc(run, func(x harness.Experiment) bool { return x.ID == id })
+		if i < 0 {
+			fmt.Fprintf(os.Stderr, "statsexp: unknown experiment %q (want one of %s)\n", *exp, ids)
+			os.Exit(2)
+		}
+		run = run[i : i+1]
+	}
+	if !slices.Contains(harness.Formats, *format) {
+		fmt.Fprintf(os.Stderr, "statsexp: unknown format %q (want one of %s)\n", *format, formats)
+		os.Exit(2)
+	}
 
 	e := harness.NewEnv(*quick)
 	if *seed != 0 {
 		e.Seed = *seed
 	}
-	render := func(t *harness.Table) error { return t.Write(os.Stdout, *format) }
-
-	runners := map[string]func() error{
-		"fig02": func() error { return render(harness.Fig02Table(e)) },
-		"fig03": func() error { return render(harness.Fig03Table(e)) },
-		"table1": func() error {
-			t, err := harness.Table1Table(e)
-			if err != nil {
-				return err
-			}
-			return render(t)
-		},
-		"fig12": func() error {
-			for _, t := range harness.Fig12Table(e) {
-				if err := render(t); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		"fig13": func() error { return render(harness.Fig13Table(e)) },
-		"fig14": func() error { return render(harness.Fig14Table(e)) },
-		"fig15": func() error { return render(harness.Fig15Table(e)) },
-		"fig16": func() error { return render(harness.Fig16Table(e)) },
-		"fig17": func() error { return render(harness.Fig17Table(e)) },
-		"fig18": func() error { return render(harness.Fig18Table(e)) },
-		"fig19": func() error { return render(harness.Fig19Table(e)) },
-		"fig20": func() error { return render(harness.Fig20Table(e)) },
-		"scrape": func() error {
-			t, err := harness.ScrapeTable(e)
-			if err != nil {
-				return err
-			}
-			return render(t)
-		},
-		"chaos": func() error {
-			t, err := harness.ChaosTable(e)
-			if err != nil {
-				return err
-			}
-			return render(t)
-		},
-		"explore": func() error {
-			t, err := harness.ExploreTable(e, harness.ExploreConfig{SchedulesPerRow: *schedules})
-			if t != nil {
-				if rerr := render(t); rerr != nil && err == nil {
-					err = rerr
-				}
-			}
-			return err
-		},
-		"ablation": func() error {
-			for _, w := range e.Targets() {
-				for _, dim := range []harness.AblationDim{
-					harness.AblateGroup, harness.AblateWindow,
-					harness.AblateRedo, harness.AblateRollback,
-				} {
-					if err := render(harness.AblationTable(e, w, dim)); err != nil {
-						return err
-					}
-				}
-				if w.Desc().SupportsSTATS {
-					if err := render(harness.SpecBehaviorTable(e, w)); err != nil {
-						return err
-					}
-				}
-			}
-			return render(harness.SchedulerAblation(e))
-		},
+	if *schedules > 0 {
+		e.Schedules = *schedules
 	}
-	order := []string{"fig02", "fig03", "table1", "fig12", "fig13", "fig14",
-		"fig15", "fig16", "fig17", "fig18", "fig19", "fig20", "scrape", "chaos",
-		"explore", "ablation"}
-
-	ids := []string{*exp}
-	if *exp == "all" {
-		ids = order
-	}
-	for _, id := range ids {
-		run, ok := runners[strings.ToLower(id)]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "statsexp: unknown experiment %q (want one of %s)\n",
-				id, strings.Join(order, ", "))
-			os.Exit(2)
+	for _, x := range run {
+		tables, err := x.Run(e)
+		for _, t := range tables {
+			if werr := t.Write(os.Stdout, *format); werr != nil && err == nil {
+				err = werr
+			}
 		}
-		if err := run(); err != nil {
-			fmt.Fprintf(os.Stderr, "statsexp: %s: %v\n", id, err)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "statsexp: %s: %v\n", x.ID, err)
 			os.Exit(1)
 		}
 	}

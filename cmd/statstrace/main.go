@@ -75,6 +75,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "statstrace:", err)
 		os.Exit(2)
 	}
+	if *threads < 1 {
+		fmt.Fprintf(os.Stderr, "statstrace: -threads %d: want at least 1\n", *threads)
+		os.Exit(2)
+	}
 	if *live {
 		liveMain(w, *threads, *size, workload.SpecOptions{
 			UseAux: *aux, GroupSize: *group, Window: *window,

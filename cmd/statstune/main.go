@@ -35,13 +35,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "statstune:", err)
 		os.Exit(2)
 	}
-	mode := taskgen.ParSTATS
-	if *modeFlag == "seq" {
-		mode = taskgen.SeqSTATS
-	}
-	goal := profiler.Time
-	if *goalFlag == "energy" {
-		goal = profiler.Energy
+	modes := map[string]taskgen.Mode{"seq": taskgen.SeqSTATS, "par": taskgen.ParSTATS}
+	goals := map[string]profiler.Goal{"time": profiler.Time, "energy": profiler.Energy}
+	mode, okMode := modes[*modeFlag]
+	goal, okGoal := goals[*goalFlag]
+	switch {
+	case !okMode:
+		refuse("unknown mode %q (want seq or par)", *modeFlag)
+	case !okGoal:
+		refuse("unknown goal %q (want time or energy)", *goalFlag)
+	case *threads < 1:
+		refuse("-threads %d: want at least 1", *threads)
 	}
 
 	p := &profiler.P{
@@ -80,4 +84,10 @@ func main() {
 		fmt.Printf("baseline time: %.2f, tuned: %.2f (speedup %.2fx over the parallel baseline)\n",
 			baseline.TimeSeconds, best.TimeSeconds, baseline.TimeSeconds/best.TimeSeconds)
 	}
+}
+
+// refuse reports a flag value statstune cannot run and exits 2.
+func refuse(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "statstune: "+format+"\n", args...)
+	os.Exit(2)
 }

@@ -12,6 +12,5 @@
 // over internal/ir), the autotuner (internal/autotune), the profiler and
 // energy model, the seven benchmark reproductions (internal/workload/...),
 // the related-work comparators, and the evaluation harness that regenerates
-// every table and figure of §4 (internal/harness; see bench_test.go and
-// cmd/statsexp).
+// every table and figure of §4 (internal/harness, run by cmd/statsexp).
 package repro

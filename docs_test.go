@@ -10,6 +10,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/harness"
 )
 
 // TestExportedIdentifiersDocumented enforces the deliverable "doc comments
@@ -255,6 +257,64 @@ func TestDocsNameRealTargetsAndCommands(t *testing.T) {
 	for _, d := range dirs {
 		if d.IsDir() && !listed[d.Name()] {
 			t.Errorf("cmd/%s is missing from README's layout block", d.Name())
+		}
+	}
+}
+
+// TestDocsNameRealExperimentsAndBenchmarks holds the prose to the
+// experiment list and the tree: every `statsexp -exp <id>` in README.md,
+// DESIGN.md, EXPERIMENTS.md, the Makefile and the verify skill names an entry
+// of harness.Experiments (or all), and every back-quoted Benchmark name there
+// is a Benchmark function somewhere in the tree. CHANGES.md and docs/compare/
+// are history and are not checked.
+func TestDocsNameRealExperimentsAndBenchmarks(t *testing.T) {
+	ids := map[string]bool{"all": true}
+	for _, x := range harness.Experiments {
+		ids[x.ID] = true
+	}
+	benches := map[string]bool{}
+	declared := regexp.MustCompile(`(?m)^func (Benchmark\w+)\(`)
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range declared.FindAllStringSubmatch(string(src), -1) {
+			benches[m[1]] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp := regexp.MustCompile(`statsexp\s+-exp\s+(\w+)`)
+	quoted := regexp.MustCompile("`[^`\n]+`")
+	bench := regexp.MustCompile(`\bBenchmark\w+`)
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "Makefile", ".claude/skills/verify/SKILL.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range exp.FindAllStringSubmatch(string(text), -1) {
+			if !ids[m[1]] {
+				t.Errorf("%s names `statsexp -exp %s`, which is no entry of harness.Experiments", doc, m[1])
+			}
+		}
+		for _, span := range quoted.FindAllString(string(text), -1) {
+			for _, name := range bench.FindAllString(span, -1) {
+				if !benches[name] {
+					t.Errorf("%s names %s in %s, which no _test.go file declares", doc, name, span)
+				}
+			}
 		}
 	}
 }

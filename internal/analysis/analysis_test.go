@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -285,32 +284,6 @@ statedep d {
 		if d.Var == "TO_dead" && d.Pos.Line != 2 {
 			t.Fatalf("TO_dead lint at line %d, want 2", d.Pos.Line)
 		}
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	_, m := lower(t, goodSource)
-	var buf bytes.Buffer
-	if err := m.EncodeJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ir.DecodeJSON(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := back.InstrCount(), m.InstrCount(); got != want {
-		t.Fatalf("instr count after round trip = %d, want %d", got, want)
-	}
-	if len(back.Tradeoffs) != len(m.Tradeoffs) || len(back.Deps) != len(m.Deps) {
-		t.Fatalf("metadata lost in round trip")
-	}
-	// The decoded module must be just as clean under analysis.
-	if ds := Analyze(back); len(ds) != 0 {
-		t.Fatalf("round-tripped module produced diagnostics:\n%s", renderAll(ds))
-	}
-	// Positions survive the trip.
-	if p := back.Deps[0].Pos; !p.IsValid() {
-		t.Fatalf("dep position lost in round trip")
 	}
 }
 

@@ -218,11 +218,6 @@ func ReservationArg(round, input int) int64 {
 	return int64(round)<<32 | int64(uint32(input))
 }
 
-// SplitReservationArg inverts ReservationArg.
-func SplitReservationArg(arg int64) (round, input int) {
-	return int(arg >> 32), int(uint32(arg))
-}
-
 // resvRun is the per-run state of one reservations execution: the run
 // frame plus the policy's tables. Runs recycle it through its type's pool
 // (recycled): every slice keeps its capacity between runs

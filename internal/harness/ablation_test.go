@@ -12,7 +12,7 @@ import (
 
 func TestAblationGroupSweep(t *testing.T) {
 	e := quickEnv()
-	pts := Ablation(e, bodytrack.New(), AblateGroup)
+	pts := ablation(e, bodytrack.New(), ablateGroup)
 	if len(pts) != 6 {
 		t.Fatalf("points: %d", len(pts))
 	}
@@ -37,7 +37,7 @@ func TestAblationGroupSweep(t *testing.T) {
 
 func TestAblationWindowMonotoneCost(t *testing.T) {
 	e := quickEnv()
-	pts := Ablation(e, swaptions.New(), AblateWindow)
+	pts := ablation(e, swaptions.New(), ablateWindow)
 	// swaptions accepts by construction: wider windows only add aux
 	// work, so speedup must not improve with window width.
 	for i := 1; i < len(pts); i++ {
@@ -50,7 +50,7 @@ func TestAblationWindowMonotoneCost(t *testing.T) {
 
 func TestAblationRedoOnDoomedWorkload(t *testing.T) {
 	e := quickEnv()
-	pts := Ablation(e, fluidanimate.New(), AblateRedo)
+	pts := ablation(e, fluidanimate.New(), ablateRedo)
 	// fluidanimate's speculation never matches: more redos only waste
 	// work, so speedup must be non-increasing in the redo budget.
 	for i := 1; i < len(pts); i++ {
@@ -63,7 +63,7 @@ func TestAblationRedoOnDoomedWorkload(t *testing.T) {
 
 func TestSpecBehaviorWindowSweep(t *testing.T) {
 	e := quickEnv()
-	pts := SpecBehavior(e, bodytrack.New())
+	pts := specBehavior(e, bodytrack.New())
 	if len(pts) != 5 {
 		t.Fatalf("points: %d", len(pts))
 	}
@@ -76,9 +76,9 @@ func TestSpecBehaviorWindowSweep(t *testing.T) {
 func TestAblationTablesRender(t *testing.T) {
 	e := quickEnv()
 	var buf bytes.Buffer
-	AblationTable(e, bodytrack.New(), AblateGroup).Render(&buf)
-	AblationTable(e, bodytrack.New(), AblateRollback).Render(&buf)
-	SpecBehaviorTable(e, bodytrack.New()).Render(&buf)
+	ablationTable(e, bodytrack.New(), ablateGroup).Render(&buf)
+	ablationTable(e, bodytrack.New(), ablateRollback).Render(&buf)
+	specBehaviorTable(e, bodytrack.New()).Render(&buf)
 	out := buf.String()
 	for _, want := range []string{"group sweep", "rollback sweep", "speculation behaviour", "matches"} {
 		if !strings.Contains(out, want) {
@@ -89,7 +89,7 @@ func TestAblationTablesRender(t *testing.T) {
 
 func TestSchedulerAblation(t *testing.T) {
 	e := quickEnv()
-	tb := SchedulerAblation(e)
+	tb := schedulerAblation(e)
 	if len(tb.Rows) != 6 {
 		t.Fatalf("rows: %d", len(tb.Rows))
 	}
@@ -106,5 +106,5 @@ func TestAblationUnknownDimPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	Ablation(quickEnv(), bodytrack.New(), AblationDim("bogus"))
+	ablation(quickEnv(), bodytrack.New(), ablationDim("bogus"))
 }

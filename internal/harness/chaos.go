@@ -60,8 +60,8 @@ func chaosGarbage(s []float64) []float64 {
 	return s
 }
 
-// ChaosScenario is one injection campaign.
-type ChaosScenario struct {
+// chaosScenario is one injection campaign.
+type chaosScenario struct {
 	// Name labels the scenario's table row.
 	Name string
 	// Cfg is the injector configuration (rates are per call site).
@@ -86,8 +86,8 @@ type ChaosScenario struct {
 	Runs int
 }
 
-// ChaosResult is one scenario's outcome.
-type ChaosResult struct {
+// chaosResult is one scenario's outcome.
+type chaosResult struct {
 	Name string
 	Runs int
 	// Stats sums the engine's accounts over the runs (Stats.Add). AuxCalls
@@ -112,8 +112,8 @@ type ChaosResult struct {
 // chaosScenarios returns the standard campaign. The acceptance bar is the
 // 10% aux-panic and garbage scenarios; the others cross the remaining
 // fault sites with the runtime's defenses (deadlines, the breaker).
-func chaosScenarios(seed uint64) []ChaosScenario {
-	return []ChaosScenario{
+func chaosScenarios(seed uint64) []chaosScenario {
+	return []chaosScenario{
 		{Name: "aux-panic 10%", Cfg: fault.Config{Seed: seed, AuxPanicRate: 0.10}, Runs: 3},
 		{Name: "garbage 10%", Cfg: fault.Config{Seed: seed + 1, GarbageRate: 0.10}, Runs: 3},
 		{Name: "aux+garbage 10%", Cfg: fault.Config{Seed: seed + 2, AuxPanicRate: 0.10, GarbageRate: 0.10}, Runs: 3},
@@ -139,15 +139,15 @@ func chaosScenarios(seed uint64) []ChaosScenario {
 	}
 }
 
-// ChaosRun executes the chaos campaign and returns per-scenario results.
+// chaosRun executes the chaos campaign and returns per-scenario results.
 // Any crash, output divergence or reconciliation failure is reported in
 // the result row; injector or infrastructure errors abort the experiment.
-func ChaosRun(e *Env) ([]ChaosResult, error) {
+func chaosRun(e *Env) ([]chaosResult, error) {
 	inputs := make([]int, 256)
 	for i := range inputs {
 		inputs[i] = i + 1
 	}
-	var out []ChaosResult
+	var out []chaosResult
 	for _, sc := range chaosScenarios(e.Seed) {
 		r, err := chaosScenarioRun(sc, inputs)
 		if err != nil {
@@ -188,7 +188,7 @@ func chaosDep(lie bool, compute core.Compute[int, []float64, int], aux core.Aux[
 
 // chaosScenarioRun executes one scenario under a live telemetry server and
 // checks every run against the scenario's uninjected sequential baseline.
-func chaosScenarioRun(sc ChaosScenario, inputs []int) (ChaosResult, error) {
+func chaosScenarioRun(sc chaosScenario, inputs []int) (chaosResult, error) {
 	const workers, groupSize = 4, 8
 	base := chaosCompute
 	if sc.FootprintLie {
@@ -217,12 +217,12 @@ func chaosScenarioRun(sc ChaosScenario, inputs []int) (ChaosResult, error) {
 	sig.Report() // baseline sample before any run
 	srv := telemetry.NewServer(telemetry.Config{Signals: sig})
 	if err := srv.Start("127.0.0.1:0"); err != nil {
-		return ChaosResult{}, err
+		return chaosResult{}, err
 	}
 	defer srv.Close()
 
 	aux := fault.WrapAux(in, chaosAux, chaosGarbage)
-	res := ChaosResult{Name: sc.Name, Runs: sc.Runs, OutputsIdentical: true}
+	res := chaosResult{Name: sc.Name, Runs: sc.Runs, OutputsIdentical: true}
 	for run := 0; run < sc.Runs; run++ {
 		compute := core.Compute[int, []float64, int](base)
 		if sc.ComputeOnce {
@@ -281,7 +281,7 @@ func chaosScenarioRun(sc ChaosScenario, inputs []int) (ChaosResult, error) {
 // and the final /metrics exposition), the reservations identity, and the two
 // accounts the table cannot see — the signals window's start-to-end deltas
 // and the breaker's own breaker_* metrics.
-func chaosReconciled(r ChaosResult, ob *obs.Observer, b *telemetry.Breaker, m *telemetry.PromMetrics, rep telemetry.SignalsReport) bool {
+func chaosReconciled(r chaosResult, ob *obs.Observer, b *telemetry.Breaker, m *telemetry.PromMetrics, rep telemetry.SignalsReport) bool {
 	ok := telemetry.Reconcile(r.Stats, ob, m) == nil
 	// A run of reservation rounds commits every input exactly one way.
 	if r.Rounds > 0 {
@@ -308,9 +308,9 @@ func chaosReconciled(r ChaosResult, ob *obs.Observer, b *telemetry.Breaker, m *t
 	return ok
 }
 
-// ChaosTable renders the chaos campaign as an experiment table.
-func ChaosTable(e *Env) (*Table, error) {
-	res, err := ChaosRun(e)
+// chaosTable renders the chaos campaign as an experiment table.
+func chaosTable(e *Env) ([]*Table, error) {
+	res, err := chaosRun(e)
 	if err != nil {
 		return nil, err
 	}
@@ -337,5 +337,5 @@ func ChaosTable(e *Env) (*Table, error) {
 		)
 	}
 	t.AddNote("each scenario injects seeded faults (aux panics, garbage speculative states, transient compute panics, delays, a lying reservation footprint) into a deterministic dependence and requires: no crash, outputs byte-identical to the uninjected sequential baseline, and failure counters reconciling across engine Stats, the event log, and a live /metrics scrape")
-	return t, nil
+	return []*Table{t}, nil
 }

@@ -12,14 +12,14 @@ import (
 // engine Stats, the event log and the live /metrics scrape.
 func TestChaosCampaign(t *testing.T) {
 	e := NewEnv(true)
-	res, err := ChaosRun(e)
+	res, err := chaosRun(e)
 	if err != nil {
 		t.Fatalf("chaos campaign: %v", err)
 	}
 	if len(res) < 8 {
 		t.Fatalf("scenarios run: %d", len(res))
 	}
-	byName := map[string]ChaosResult{}
+	byName := map[string]chaosResult{}
 	for _, r := range res {
 		byName[r.Name] = r
 		if !r.OutputsIdentical {
@@ -67,7 +67,7 @@ func TestChaosCampaign(t *testing.T) {
 // ordinals fire is the seed's alone, and a fresh injector replays them.
 func TestChaosDeterministicInjection(t *testing.T) {
 	e := NewEnv(true)
-	res, err := ChaosRun(e)
+	res, err := chaosRun(e)
 	if err != nil {
 		t.Fatalf("campaign: %v", err)
 	}

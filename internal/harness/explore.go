@@ -37,20 +37,17 @@ import (
 // schedule that breaks its output contract is delta-debugged down to a
 // minimal failing one and dumped for offline replay.
 
-// ExploreConfig sizes the exploration campaign.
-type ExploreConfig struct {
-	// SchedulesPerRow is how many controlled schedules each row runs
-	// (half random-walk, half PCT). 0 picks 25 (4 in quick mode).
-	SchedulesPerRow int
-	// ReplayEvery replays every k-th recorded schedule to verify trace
+// exploreConfig tunes the campaign beyond Env.Schedules, for the tests.
+type exploreConfig struct {
+	// replayEvery replays every k-th recorded schedule to verify trace
 	// fidelity. 0 picks 8.
-	ReplayEvery int
-	// DumpDir receives minimized failing schedules ("" = testdata/schedules).
-	DumpDir string
+	replayEvery int
+	// dumpDir receives minimized failing schedules ("" = testdata/schedules).
+	dumpDir string
 }
 
-// ExploreRow is one exploration target's outcome.
-type ExploreRow struct {
+// exploreRow is one exploration target's outcome.
+type exploreRow struct {
 	Name string
 	// Schedules is how many controlled schedules ran; Distinct counts
 	// distinct decision traces among them (by trace hash).
@@ -192,35 +189,24 @@ func exploreTargets(e *Env) []exploreTarget {
 	return ts
 }
 
-// ExploreRun executes the exploration campaign over every target.
-func ExploreRun(e *Env, cfg ExploreConfig) ([]ExploreRow, error) {
-	return exploreRun(e, exploreTargets(e), cfg)
-}
-
-// exploreRun explores the given targets (the tier-1 smoke pins a cheap
-// subset; `make explore` sweeps them all through ExploreRun).
-func exploreRun(e *Env, targets []exploreTarget, cfg ExploreConfig) ([]ExploreRow, error) {
-	n := cfg.SchedulesPerRow
-	if n <= 0 {
-		n = 25
-		if len(e.Threads) < 10 { // quick env
-			n = 4
-		}
-	}
-	replayEvery := cfg.ReplayEvery
+// exploreRun explores the given targets, e.Schedules controlled schedules
+// per row (the tier-1 smoke pins a cheap subset; `make explore` sweeps them
+// all through exploreTables).
+func exploreRun(e *Env, targets []exploreTarget, cfg exploreConfig) ([]exploreRow, error) {
+	replayEvery := cfg.replayEvery
 	if replayEvery <= 0 {
 		replayEvery = 8
 	}
-	dumpDir := cfg.DumpDir
+	dumpDir := cfg.dumpDir
 	if dumpDir == "" {
 		dumpDir = filepath.Join("testdata", "schedules")
 	}
 
-	var rows []ExploreRow
+	var rows []exploreRow
 	for _, tgt := range targets {
-		row := ExploreRow{Name: tgt.name}
+		row := exploreRow{Name: tgt.name}
 		hashes := map[uint64]bool{}
-		for i := 0; i < n; i++ {
+		for i := 0; i < e.Schedules; i++ {
 			ctlSeed := e.Seed ^ uint64(i)*0x9E3779B97F4A7C15
 			var ctl *sched.Gate
 			if i%2 == 0 {
@@ -294,19 +280,20 @@ func sanitize(s string) string {
 	return string(out)
 }
 
-// ExploreTable runs the campaign and renders it with the exploration
-// counters.
-func ExploreTable(e *Env, cfg ExploreConfig) (*Table, error) {
-	rows, err := ExploreRun(e, cfg)
+// exploreTables runs the campaign over every target and renders it with the
+// exploration counters; a failed campaign returns its table with the error.
+func exploreTables(e *Env) ([]*Table, error) {
+	rows, err := exploreRun(e, exploreTargets(e), exploreConfig{})
 	if err != nil {
 		return nil, err
 	}
-	return exploreTable(rows)
+	t, err := exploreTable(rows)
+	return []*Table{t}, err
 }
 
 // exploreTable renders campaign rows; a contract failure, an inexact replay
 // or a stalled run on any row is an error.
-func exploreTable(rows []ExploreRow) (*Table, error) {
+func exploreTable(rows []exploreRow) (*Table, error) {
 	t := &Table{
 		Title: "Explore — systematic schedule exploration under controlled scheduling",
 		Columns: []string{

@@ -13,7 +13,7 @@ import (
 // protocol plus one synthetic fault mix per protocol, at the smallest
 // shape that speculates (two groups of four). The full row set and size
 // are `make explore`'s job.
-func smokeRun(t *testing.T, schedules, replayEvery int) []ExploreRow {
+func smokeRun(t *testing.T, schedules, replayEvery int) []exploreRow {
 	t.Helper()
 	pinned := []string{
 		"streamcluster", "streamcluster (resv)",
@@ -30,9 +30,8 @@ func smokeRun(t *testing.T, schedules, replayEvery int) []ExploreRow {
 	if len(targets) != len(pinned) {
 		t.Fatalf("found %d of the %d pinned rows", len(targets), len(pinned))
 	}
-	rows, err := exploreRun(e, targets, ExploreConfig{
-		SchedulesPerRow: schedules, ReplayEvery: replayEvery, DumpDir: t.TempDir(),
-	})
+	e.Schedules = schedules
+	rows, err := exploreRun(e, targets, exploreConfig{replayEvery: replayEvery, dumpDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,9 +98,9 @@ func TestExploreFailsOnInexactReplay(t *testing.T) {
 		ctl.Done(calls)
 		return true
 	}}
-	rows, err := exploreRun(NewEnv(true), []exploreTarget{drifting}, ExploreConfig{
-		SchedulesPerRow: 1, ReplayEvery: 1, DumpDir: t.TempDir(),
-	})
+	e := NewEnv(true)
+	e.Schedules = 1
+	rows, err := exploreRun(e, []exploreTarget{drifting}, exploreConfig{replayEvery: 1, dumpDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +110,7 @@ func TestExploreFailsOnInexactReplay(t *testing.T) {
 	if _, err := exploreTable(rows); err == nil {
 		t.Fatal("an inexact replay did not fail the campaign")
 	}
-	if _, err := exploreTable([]ExploreRow{{Name: "stalled", Schedules: 1, Stalls: 1}}); err == nil {
+	if _, err := exploreTable([]exploreRow{{Name: "stalled", Schedules: 1, Stalls: 1}}); err == nil {
 		t.Fatal("a stalled exploration run did not fail the campaign")
 	}
 }

@@ -54,8 +54,10 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// Write renders the table in the given format: "text" (default), "json",
-// or "csv".
+// Formats are the output formats Table.Write accepts, the default first.
+var Formats = []string{"text", "json", "csv"}
+
+// Write renders the table in one of Formats ("" is "text").
 func (t *Table) Write(w io.Writer, format string) error {
 	switch format {
 	case "", "text":

@@ -7,8 +7,8 @@ import (
 	"repro/internal/workload/registry"
 )
 
-// Fig02Result is one workload's output-variability measurement.
-type Fig02Result struct {
+// fig02Result is one workload's output-variability measurement.
+type fig02Result struct {
 	Name string
 	// Variability is the mean domain-metric distance from the oracle
 	// over repeated runs with random seeds, and Spread its standard
@@ -18,11 +18,11 @@ type Fig02Result struct {
 	Source      string // "race" or "prvg" (Fig. 2's two bar colors)
 }
 
-// Fig02 measures the output variability of the nondeterministic benchmarks
+// fig02 measures the output variability of the nondeterministic benchmarks
 // over e.Runs runs with random seeds (Fig. 2). All seven benchmarks appear,
 // including canneal.
-func Fig02(e *Env) []Fig02Result {
-	var out []Fig02Result
+func fig02(e *Env) []fig02Result {
+	var out []fig02Result
 	for _, w := range registry.All() {
 		d := w.Desc()
 		oracle := w.RunOracle(e.RealSize)
@@ -32,7 +32,7 @@ func Fig02(e *Env) []Fig02Result {
 			seed := e.Seed + uint64(run)*0x9E3779B9 + 1
 			return w.RunOriginal(seed, e.RealSize).Distance(oracle)
 		}, measure.Options{MinRuns: e.Runs / 2, MaxRuns: e.Runs})
-		out = append(out, Fig02Result{
+		out = append(out, fig02Result{
 			Name:        d.Name,
 			Variability: res.Mean,
 			Spread:      res.StdDev,
@@ -42,17 +42,17 @@ func Fig02(e *Env) []Fig02Result {
 	return out
 }
 
-// Fig02Table renders Fig. 2.
-func Fig02Table(e *Env) *Table {
+// fig02Table renders Fig. 2.
+func fig02Table(e *Env) ([]*Table, error) {
 	t := &Table{
 		Title:   "Fig. 2 — Output variability of nondeterministic benchmarks",
 		Columns: []string{"variability", "stddev", "source"},
 	}
-	for _, r := range Fig02(e) {
+	for _, r := range fig02(e) {
 		t.AddRow(r.Name, fmtSci(r.Variability), fmtSci(r.Spread), r.Source)
 	}
 	t.AddNote("variability = mean domain-metric distance from the oracle over %d runs (log-scale quantity in the paper)", e.Runs)
-	return t
+	return []*Table{t}, nil
 }
 
 // fmtSci formats a variability value compactly (the paper plots these on a

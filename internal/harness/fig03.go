@@ -2,38 +2,38 @@ package harness
 
 import "repro/internal/mathx"
 
-// Fig03Result is one benchmark's best out-of-the-box speedup.
-type Fig03Result struct {
+// fig03Result is one benchmark's best out-of-the-box speedup.
+type fig03Result struct {
 	Name      string
 	Speedup   float64
 	AtThreads int
 }
 
-// Fig03 measures the highest speedup the original (traditionally
+// fig03 measures the highest speedup the original (traditionally
 // parallelized) benchmarks reach on the 28-core platform (Fig. 3). The
 // distance from the ideal 28x is the paper's motivation: the need for
 // scavenging additional TLP.
-func Fig03(e *Env) []Fig03Result {
-	var out []Fig03Result
+func fig03(e *Env) []fig03Result {
+	var out []fig03Result
 	for _, w := range e.Targets() {
 		best, at := e.BestOriginal(w)
-		out = append(out, Fig03Result{Name: w.Desc().Name, Speedup: best, AtThreads: at})
+		out = append(out, fig03Result{Name: w.Desc().Name, Speedup: best, AtThreads: at})
 	}
 	return out
 }
 
-// Fig03Table renders Fig. 3 with the paper's geometric-mean bar.
-func Fig03Table(e *Env) *Table {
+// fig03Table renders Fig. 3 with the paper's geometric-mean bar.
+func fig03Table(e *Env) ([]*Table, error) {
 	t := &Table{
 		Title:   "Fig. 3 — Highest speedup of original benchmarks (28-core platform)",
 		Columns: []string{"speedup", "at threads"},
 	}
 	var speedups []float64
-	for _, r := range Fig03(e) {
-		t.AddRow(r.Name, F(r.Speedup), F(float64(r.AtThreads)))
+	for _, r := range fig03(e) {
+		t.AddRow(r.Name, fmtNum(r.Speedup), fmtNum(float64(r.AtThreads)))
 		speedups = append(speedups, r.Speedup)
 	}
-	t.AddRow("geo. mean", F(mathx.GeoMean(speedups)), "")
+	t.AddRow("geo. mean", fmtNum(mathx.GeoMean(speedups)), "")
 	t.AddNote("ideal is 28x; the gap shows the need for scavenging additional TLP (paper geomean: 7.75x)")
-	return t
+	return []*Table{t}, nil
 }

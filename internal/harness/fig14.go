@@ -8,8 +8,8 @@ import (
 	"repro/internal/workload"
 )
 
-// Fig14Result is one benchmark's single-socket Hyper-Threading study.
-type Fig14Result struct {
+// fig14Result is one benchmark's single-socket Hyper-Threading study.
+type fig14Result struct {
 	Name       string
 	Original   float64 // 14 threads, HT off
 	OriginalHT float64 // 28 hardware threads on 14 cores
@@ -17,16 +17,16 @@ type Fig14Result struct {
 	ParSTATSHT float64
 }
 
-// Fig14 constrains execution to a single socket and measures the extra
+// fig14 constrains execution to a single socket and measures the extra
 // performance Hyper-Threading provides (Fig. 14). The paper's reading: the
 // +32% STATS gains from HT ≈ Intel's guidance for a successful HT use, so
 // STATS is constrained by hardware resources, not by a lack of TLP.
-func Fig14(e *Env) []Fig14Result {
+func fig14(e *Env) []fig14Result {
 	noHT := platform.SingleSocket14(false)
 	withHT := platform.SingleSocket14(true)
-	var out []Fig14Result
+	var out []fig14Result
 	for _, w := range e.Targets() {
-		r := Fig14Result{Name: w.Desc().Name}
+		r := fig14Result{Name: w.Desc().Name}
 		seq := e.SequentialTime(w)
 		measureOriginal := func(mach platform.Machine, threads int) float64 {
 			p := &profiler.P{
@@ -51,16 +51,16 @@ func Fig14(e *Env) []Fig14Result {
 	return out
 }
 
-// Fig14Table renders Fig. 14 with the paper's headline percentages.
-func Fig14Table(e *Env) *Table {
-	res := Fig14(e)
+// fig14Table renders Fig. 14 with the paper's headline percentages.
+func fig14Table(e *Env) ([]*Table, error) {
+	res := fig14(e)
 	t := &Table{
 		Title:   "Fig. 14 — Single-socket Hyper-Threading study",
 		Columns: []string{"Original", "Original w/ HT", "Par. STATS", "Par. STATS w/ HT"},
 	}
 	var o, oht, p, pht []float64
 	for _, r := range res {
-		t.AddRow(r.Name, F(r.Original), F(r.OriginalHT), F(r.ParSTATS), F(r.ParSTATSHT))
+		t.AddRow(r.Name, fmtNum(r.Original), fmtNum(r.OriginalHT), fmtNum(r.ParSTATS), fmtNum(r.ParSTATSHT))
 		o = append(o, r.Original)
 		oht = append(oht, r.OriginalHT)
 		p = append(p, r.ParSTATS)
@@ -68,8 +68,8 @@ func Fig14Table(e *Env) *Table {
 	}
 	gmO, gmOHT := mathx.GeoMean(o), mathx.GeoMean(oht)
 	gmP, gmPHT := mathx.GeoMean(p), mathx.GeoMean(pht)
-	t.AddRow("geo. mean", F(gmO), F(gmOHT), F(gmP), F(gmPHT))
+	t.AddRow("geo. mean", fmtNum(gmO), fmtNum(gmOHT), fmtNum(gmP), fmtNum(gmPHT))
 	t.AddNote("HT gain: Original +%.0f%%, Par. STATS +%.0f%% (paper: +13%%, +32%%; Intel guidance ~30%%)",
 		100*(gmOHT/gmO-1), 100*(gmPHT/gmP-1))
-	return t
+	return []*Table{t}, nil
 }

@@ -6,21 +6,21 @@ import (
 	"repro/internal/taskgen"
 )
 
-// Fig15Result is one benchmark's energy comparison: STATS tuned for time
+// fig15Result is one benchmark's energy comparison: STATS tuned for time
 // and tuned for energy, relative to the peak-performing original version's
 // energy (= 100).
-type Fig15Result struct {
+type fig15Result struct {
 	Name          string
 	TimeModePct   float64
 	EnergyModePct float64
 }
 
-// Fig15 compares system-wide energy in the two STATS operating modes
+// fig15 compares system-wide energy in the two STATS operating modes
 // (Fig. 15), both on two sockets. Time mode saves energy by finishing
 // earlier; energy mode saves more by also avoiding cores whose extra
 // performance is not significant.
-func Fig15(e *Env) []Fig15Result {
-	var out []Fig15Result
+func fig15(e *Env) []fig15Result {
+	var out []fig15Result
 	for _, w := range e.Targets() {
 		// Baseline: the original version at its peak-performing thread
 		// count.
@@ -45,7 +45,7 @@ func Fig15(e *Env) []Fig15Result {
 				energyJ = meas.EnergyJ
 			}
 		}
-		out = append(out, Fig15Result{
+		out = append(out, fig15Result{
 			Name:          w.Desc().Name,
 			TimeModePct:   100 * timeMeas.EnergyJ / baseEnergy,
 			EnergyModePct: 100 * energyJ / baseEnergy,
@@ -54,21 +54,21 @@ func Fig15(e *Env) []Fig15Result {
 	return out
 }
 
-// Fig15Table renders Fig. 15.
-func Fig15Table(e *Env) *Table {
-	res := Fig15(e)
+// fig15Table renders Fig. 15.
+func fig15Table(e *Env) ([]*Table, error) {
+	res := fig15(e)
 	t := &Table{
 		Title:   "Fig. 15 — Energy consumption relative to peak-performing original (=100)",
 		Columns: []string{"time mode", "energy mode"},
 	}
 	var tm, em []float64
 	for _, r := range res {
-		t.AddRow(r.Name, F(r.TimeModePct), F(r.EnergyModePct))
+		t.AddRow(r.Name, fmtNum(r.TimeModePct), fmtNum(r.EnergyModePct))
 		tm = append(tm, r.TimeModePct)
 		em = append(em, r.EnergyModePct)
 	}
 	gmT, gmE := mathx.GeoMean(tm), mathx.GeoMean(em)
-	t.AddRow("geo. mean", F(gmT), F(gmE))
+	t.AddRow("geo. mean", fmtNum(gmT), fmtNum(gmE))
 	t.AddNote("savings: time mode %.1f%%, energy mode %.1f%% (paper: 61.98%% and 71.35%%)", 100-gmT, 100-gmE)
-	return t
+	return []*Table{t}, nil
 }

@@ -5,10 +5,10 @@ import (
 	"repro/internal/taskgen"
 )
 
-// Fig16Result is one benchmark's output-quality improvement when the STATS
+// fig16Result is one benchmark's output-quality improvement when the STATS
 // version runs for the same wall-clock time as the original, spending the
 // saved time iterating more over the same dataset.
-type Fig16Result struct {
+type fig16Result struct {
 	Name string
 	// Improvement is distance(original, oracle) / distance(boosted,
 	// oracle) — >1 means better output.
@@ -18,11 +18,11 @@ type Fig16Result struct {
 	Factor float64
 }
 
-// Fig16 runs the real workloads with a quality budget scaled by the tuned
+// fig16 runs the real workloads with a quality budget scaled by the tuned
 // STATS speedup (Fig. 16). The paper reports three benchmarks improving
 // 6.84x-33.27x.
-func Fig16(e *Env) []Fig16Result {
-	var out []Fig16Result
+func fig16(e *Env) []fig16Result {
+	var out []fig16Result
 	for _, w := range e.Targets() {
 		bestOrig, _ := e.BestOriginal(w)
 		stats := e.STATSSpeedup(w, taskgen.ParSTATS, 28)
@@ -48,20 +48,20 @@ func Fig16(e *Env) []Fig16Result {
 		if mB > 0 {
 			improvement = mb / mB
 		}
-		out = append(out, Fig16Result{Name: w.Desc().Name, Improvement: improvement, Factor: factor})
+		out = append(out, fig16Result{Name: w.Desc().Name, Improvement: improvement, Factor: factor})
 	}
 	return out
 }
 
-// Fig16Table renders Fig. 16.
-func Fig16Table(e *Env) *Table {
+// fig16Table renders Fig. 16.
+func fig16Table(e *Env) ([]*Table, error) {
 	t := &Table{
 		Title:   "Fig. 16 — Output improvement at equal wall-clock time",
 		Columns: []string{"improvement (x)", "iteration budget (x)"},
 	}
-	for _, r := range Fig16(e) {
-		t.AddRow(r.Name, F(r.Improvement), F(r.Factor))
+	for _, r := range fig16(e) {
+		t.AddRow(r.Name, fmtNum(r.Improvement), fmtNum(r.Factor))
 	}
 	t.AddNote("improvement = distance-to-oracle ratio original/boosted; paper: three benchmarks improve 6.84x-33.27x")
-	return t
+	return []*Table{t}, nil
 }

@@ -8,23 +8,23 @@ import (
 	"repro/internal/workload"
 )
 
-// Fig17Result is one benchmark's best speedup per approach, for the
+// fig17Result is one benchmark's best speedup per approach, for the
 // sequential-based and parallel-based variants.
-type Fig17Result struct {
+type fig17Result struct {
 	Name string
 	Seq  map[related.Approach]float64
 	Par  map[related.Approach]float64
 }
 
-// Fig17 compares STATS against the related approaches on the same state
+// fig17 compares STATS against the related approaches on the same state
 // dependences (Fig. 17), keeping each approach's best admissible
 // configuration ("without exceeding the original output variability").
-func Fig17(e *Env) []Fig17Result {
-	var out []Fig17Result
+func fig17(e *Env) []fig17Result {
+	var out []fig17Result
 	for _, w := range e.Targets() {
 		d := w.Desc()
 		seqTime := e.SequentialTime(w)
-		r := Fig17Result{
+		r := fig17Result{
 			Name: d.Name,
 			Seq:  map[related.Approach]float64{},
 			Par:  map[related.Approach]float64{},
@@ -52,9 +52,9 @@ func Fig17(e *Env) []Fig17Result {
 	return out
 }
 
-// Fig17Table renders Fig. 17.
-func Fig17Table(e *Env) *Table {
-	res := Fig17(e)
+// fig17Table renders Fig. 17.
+func fig17Table(e *Env) ([]*Table, error) {
+	res := fig17(e)
 	var cols []string
 	for _, a := range related.Approaches {
 		cols = append(cols, "Seq. "+a.String())
@@ -67,20 +67,20 @@ func Fig17Table(e *Env) *Table {
 	for _, r := range res {
 		var cells []string
 		for _, a := range related.Approaches {
-			cells = append(cells, F(r.Seq[a]))
+			cells = append(cells, fmtNum(r.Seq[a]))
 			perApproach["Seq. "+a.String()] = append(perApproach["Seq. "+a.String()], r.Seq[a])
 		}
 		for _, a := range related.Approaches {
-			cells = append(cells, F(r.Par[a]))
+			cells = append(cells, fmtNum(r.Par[a]))
 			perApproach["Par. "+a.String()] = append(perApproach["Par. "+a.String()], r.Par[a])
 		}
 		t.AddRow(r.Name, cells...)
 	}
 	var geo []string
 	for _, c := range cols {
-		geo = append(geo, F(mathx.GeoMean(perApproach[c])))
+		geo = append(geo, fmtNum(mathx.GeoMean(perApproach[c])))
 	}
 	t.AddRow("geo. mean", geo...)
 	t.AddNote("only STATS exploits non-trivial state dependences; ALTER/QuickStep/HELIX-UP break only swaptions' scalar reduction; Fast Track always aborts")
-	return t
+	return []*Table{t}, nil
 }

@@ -10,29 +10,29 @@ import (
 	"repro/internal/workload"
 )
 
-// Fig18Point is the mean relative speedup after encoding the first k
+// fig18Point is the mean relative speedup after encoding the first k
 // tradeoffs of every benchmark (Table 1's column order = the expected-
 // payoff order a developer would follow).
-type Fig18Point struct {
+type fig18Point struct {
 	Encoded int
 	// RelativeSpeedup is the geometric-mean percentage of each
 	// benchmark's full-STATS speedup.
 	RelativeSpeedup float64
 }
 
-// Fig18 sweeps the number of encoded tradeoffs (Fig. 18). Un-encoded
+// fig18 sweeps the number of encoded tradeoffs (Fig. 18). Un-encoded
 // tradeoffs are frozen at their defaults in the autotuner's space;
 // un-encoded thread tradeoffs freeze the thread-split and group-size
 // dimensions (the two thread counts every benchmark naturally has). The
 // paper's result: one tradeoff gives ~55% of the full benefit, two ~95%.
-func Fig18(e *Env) []Fig18Point {
+func fig18(e *Env) []fig18Point {
 	maxCols := 0
 	for _, w := range e.Targets() {
 		if n := len(w.Desc().TradeoffLOC); n > maxCols {
 			maxCols = n
 		}
 	}
-	var out []Fig18Point
+	var out []fig18Point
 	for k := 0; k <= maxCols; k++ {
 		var rel []float64
 		for _, w := range e.Targets() {
@@ -40,7 +40,7 @@ func Fig18(e *Env) []Fig18Point {
 			limited := e.limitedSpeedup(w, k)
 			rel = append(rel, 100*limited/full)
 		}
-		out = append(out, Fig18Point{Encoded: k, RelativeSpeedup: mathx.GeoMean(rel)})
+		out = append(out, fig18Point{Encoded: k, RelativeSpeedup: mathx.GeoMean(rel)})
 	}
 	return out
 }
@@ -85,15 +85,15 @@ func (e *Env) limitedSpeedup(w workload.Workload, k int) float64 {
 	return e.SequentialTime(w) / p.Measure(opts, th).TimeSeconds
 }
 
-// Fig18Table renders Fig. 18.
-func Fig18Table(e *Env) *Table {
+// fig18Table renders Fig. 18.
+func fig18Table(e *Env) ([]*Table, error) {
 	t := &Table{
 		Title:   "Fig. 18 — Relative speedup vs number of tradeoffs encoded",
 		Columns: []string{"% of full STATS speedup"},
 	}
-	for _, pt := range Fig18(e) {
-		t.AddRow(fmt.Sprintf("%d tradeoffs", pt.Encoded), F(pt.RelativeSpeedup))
+	for _, pt := range fig18(e) {
+		t.AddRow(fmt.Sprintf("%d tradeoffs", pt.Encoded), fmtNum(pt.RelativeSpeedup))
 	}
 	t.AddNote("paper: ~55%% with one tradeoff, ~95%% with two")
-	return t
+	return []*Table{t}, nil
 }

@@ -7,22 +7,22 @@ import (
 	"repro/internal/taskgen"
 )
 
-// Fig19Result is one benchmark's speedup when the autotuner trained on
+// fig19Result is one benchmark's speedup when the autotuner trained on
 // non-representative inputs (§4.6), evaluated on the real inputs.
-type Fig19Result struct {
+type fig19Result struct {
 	Name        string
 	Original    float64
 	ParSTATS    float64
 	BadTraining float64
 }
 
-// Fig19 trains each benchmark on the least-representative inputs (static
+// fig19 trains each benchmark on the least-representative inputs (static
 // subject, overlapping points, unrealistic swaptions, immobile face) and
 // evaluates the resulting binary on the normal evaluation inputs. The
 // runtime's checks keep correctness; only performance can suffer — and
 // only a little.
-func Fig19(e *Env) []Fig19Result {
-	var out []Fig19Result
+func fig19(e *Env) []fig19Result {
+	var out []fig19Result
 	for _, w := range e.Targets() {
 		seq := e.SequentialTime(w)
 		origBest, _ := e.BestOriginal(w)
@@ -43,7 +43,7 @@ func Fig19(e *Env) []Fig19Result {
 		eval := e.profilerFor(w, taskgen.ParSTATS, 28)
 		bad := seq / eval.Measure(opts, th).TimeSeconds
 
-		out = append(out, Fig19Result{
+		out = append(out, fig19Result{
 			Name:        w.Desc().Name,
 			Original:    origBest,
 			ParSTATS:    honest,
@@ -53,22 +53,22 @@ func Fig19(e *Env) []Fig19Result {
 	return out
 }
 
-// Fig19Table renders Fig. 19.
-func Fig19Table(e *Env) *Table {
-	res := Fig19(e)
+// fig19Table renders Fig. 19.
+func fig19Table(e *Env) ([]*Table, error) {
+	res := fig19(e)
 	t := &Table{
 		Title:   "Fig. 19 — Performance with non-representative training inputs",
 		Columns: []string{"Original", "Par. STATS", "Par. STATS w/ bad training"},
 	}
 	var o, p, b []float64
 	for _, r := range res {
-		t.AddRow(r.Name, F(r.Original), F(r.ParSTATS), F(r.BadTraining))
+		t.AddRow(r.Name, fmtNum(r.Original), fmtNum(r.ParSTATS), fmtNum(r.BadTraining))
 		o = append(o, r.Original)
 		p = append(p, r.ParSTATS)
 		b = append(b, r.BadTraining)
 	}
 	gmP, gmB := mathx.GeoMean(p), mathx.GeoMean(b)
-	t.AddRow("geo. mean", F(mathx.GeoMean(o)), F(gmP), F(gmB))
+	t.AddRow("geo. mean", fmtNum(mathx.GeoMean(o)), fmtNum(gmP), fmtNum(gmB))
 	t.AddNote("bad training loses %.1f%% of the tuned speedup (the paper reports only a small loss)", 100*(1-gmB/gmP))
-	return t
+	return []*Table{t}, nil
 }

@@ -10,10 +10,10 @@ import (
 	"repro/internal/workload/registry"
 )
 
-// Fig20Point is the autotuner-convergence curve at one evaluation count:
+// fig20Point is the autotuner-convergence curve at one evaluation count:
 // the mean (over benchmarks and search seeds) relative speedup of the best
 // binary found so far, plus its variance across seeds.
-type Fig20Point struct {
+type fig20Point struct {
 	Evaluations int
 	// RelativePct is the percentage of the final best speedup attained.
 	RelativePct float64
@@ -23,17 +23,17 @@ type Fig20Point struct {
 	SeedStdDev float64
 }
 
-// Fig20Summary is the convergence headline.
-type Fig20Summary struct {
-	Points []Fig20Point
+// fig20Summary is the convergence headline.
+type fig20Summary struct {
+	Points []fig20Point
 	// EvalsToBest is the mean number of evaluations to reach within 1%
 	// of the final best (paper: 88 were always enough).
 	EvalsToBest float64
 }
 
-// Fig20 runs the autotuner with several search seeds per benchmark and
+// fig20 runs the autotuner with several search seeds per benchmark and
 // reports the convergence curve (Fig. 20).
-func Fig20(e *Env) Fig20Summary {
+func fig20(e *Env) fig20Summary {
 	checkpoints := []int{5, 10, 20, 30, 46, 60, 88, 120}
 	seeds := 5
 	if e.Budget < 60 {
@@ -63,13 +63,13 @@ func Fig20(e *Env) Fig20Summary {
 			toBest = append(toBest, float64(res.Trace.EvaluationsToReach(1.01)))
 		}
 	}
-	sum := Fig20Summary{EvalsToBest: mathx.Mean(toBest)}
+	sum := fig20Summary{EvalsToBest: mathx.Mean(toBest)}
 	for ci, c := range checkpoints {
 		var vals []float64
 		for _, curve := range curves {
 			vals = append(vals, curve[ci])
 		}
-		sum.Points = append(sum.Points, Fig20Point{
+		sum.Points = append(sum.Points, fig20Point{
 			Evaluations: c,
 			RelativePct: mathx.Mean(vals),
 			SeedStdDev:  mathx.StdDev(vals),
@@ -78,16 +78,16 @@ func Fig20(e *Env) Fig20Summary {
 	return sum
 }
 
-// Fig20Table renders Fig. 20.
-func Fig20Table(e *Env) *Table {
-	sum := Fig20(e)
+// fig20Table renders Fig. 20.
+func fig20Table(e *Env) ([]*Table, error) {
+	sum := fig20(e)
 	t := &Table{
 		Title:   "Fig. 20 — Autotuner convergence",
 		Columns: []string{"% of best speedup", "stddev across seeds"},
 	}
 	for _, p := range sum.Points {
-		t.AddRow(fmt.Sprintf("%d configs", p.Evaluations), F(p.RelativePct), F(p.SeedStdDev))
+		t.AddRow(fmt.Sprintf("%d configs", p.Evaluations), fmtNum(p.RelativePct), fmtNum(p.SeedStdDev))
 	}
 	t.AddNote("mean evaluations to reach within 1%% of best: %.0f (paper: 88 configurations were always enough; variance gone by ~46)", sum.EvalsToBest)
-	return t
+	return []*Table{t}, nil
 }

@@ -1,7 +1,8 @@
 // Package harness drives the paper's evaluation (§4): one experiment per
-// table and figure, each producing a text table with the same rows/series
-// the paper reports. The benches in the repository root and the statsexp
-// CLI are thin wrappers over these drivers.
+// table and figure, plus the repository's rigs (self-scrape, chaos,
+// schedule exploration, ablation), each producing text tables with the same
+// rows/series the paper reports. Experiments lists them all; statsexp is
+// flag parsing plus one loop over that list.
 //
 // Absolute numbers differ from the paper's (the substrate is a simulator,
 // not the authors' Haswell testbed); the shapes are the reproduction
@@ -43,6 +44,9 @@ type Env struct {
 	Threads []int
 	// Seed roots every random stream.
 	Seed uint64
+	// Schedules is how many controlled schedules each explore row runs
+	// (half random-walk, half PCT).
+	Schedules int
 
 	seqTimes map[string]float64
 	tuned    map[string]tunedEntry
@@ -58,24 +62,56 @@ type tunedEntry struct {
 // for unit tests.
 func NewEnv(quick bool) *Env {
 	e := &Env{
-		Machine:  platform.Haswell28(false),
-		Energy:   energy.Default(),
-		Size:     2 * workload.NativeSize,
-		RealSize: workload.SmallSize,
-		Budget:   200,
-		Runs:     30,
-		Threads:  []int{2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28},
-		Seed:     0x57A75,
-		seqTimes: map[string]float64{},
-		tuned:    map[string]tunedEntry{},
+		Machine:   platform.Haswell28(false),
+		Energy:    energy.Default(),
+		Size:      2 * workload.NativeSize,
+		RealSize:  workload.SmallSize,
+		Budget:    200,
+		Runs:      30,
+		Threads:   []int{2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28},
+		Seed:      0x57A75,
+		Schedules: 25,
+		seqTimes:  map[string]float64{},
+		tuned:     map[string]tunedEntry{},
 	}
 	if quick {
 		e.Size = workload.NativeSize
 		e.Budget = 60
 		e.Runs = 8
 		e.Threads = []int{2, 14, 28}
+		e.Schedules = 4
 	}
 	return e
+}
+
+// Experiment is one table or figure of the evaluation, or one rig: the ID
+// statsexp's -exp selects it by, and the function computing its tables. A
+// failed experiment may return tables beside its error (explore's names the
+// rows that failed).
+type Experiment struct {
+	ID  string
+	Run func(*Env) ([]*Table, error)
+}
+
+// Experiments is every experiment, in the order `statsexp -exp all` runs
+// them.
+var Experiments = []Experiment{
+	{"fig02", fig02Table},
+	{"fig03", fig03Table},
+	{"table1", table1Table},
+	{"fig12", fig12Table},
+	{"fig13", fig13Table},
+	{"fig14", fig14Table},
+	{"fig15", fig15Table},
+	{"fig16", fig16Table},
+	{"fig17", fig17Table},
+	{"fig18", fig18Table},
+	{"fig19", fig19Table},
+	{"fig20", fig20Table},
+	{"scrape", scrapeTable},
+	{"chaos", chaosTable},
+	{"explore", exploreTables},
+	{"ablation", ablationTables},
 }
 
 // Targets returns the six STATS targets.
@@ -190,8 +226,8 @@ func (t *Table) AddNote(format string, args ...any) {
 	t.Notes = append(t.Notes, fmt.Sprintf(format, args...))
 }
 
-// F formats a float compactly for table cells.
-func F(v float64) string {
+// fmtNum formats a float compactly for table cells.
+func fmtNum(v float64) string {
 	switch {
 	case v == 0:
 		return "0"

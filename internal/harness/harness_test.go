@@ -10,11 +10,15 @@ import (
 	"repro/internal/taskgen"
 )
 
+// quickEnv is a fresh scaled-down Env. The figure tests that assert on a
+// quickEnv of their own and on no clock run in parallel with each other
+// (t.Parallel), after the tests that time or serve something have run alone.
 func quickEnv() *Env { return NewEnv(true) }
 
 func TestFig02AllBenchmarksVary(t *testing.T) {
+	t.Parallel()
 	e := quickEnv()
-	res := Fig02(e)
+	res := fig02(e)
 	if len(res) != 7 {
 		t.Fatalf("benchmarks: %d", len(res))
 	}
@@ -30,7 +34,7 @@ func TestFig02AllBenchmarksVary(t *testing.T) {
 
 func TestFig03OriginalsUnderIdeal(t *testing.T) {
 	e := quickEnv()
-	for _, r := range Fig03(e) {
+	for _, r := range fig03(e) {
 		if r.Speedup <= 1 {
 			t.Fatalf("%s original speedup %v not above sequential", r.Name, r.Speedup)
 		}
@@ -42,7 +46,7 @@ func TestFig03OriginalsUnderIdeal(t *testing.T) {
 
 func TestTable1Shapes(t *testing.T) {
 	e := quickEnv()
-	res, err := Table1(e)
+	res, err := table1(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,16 +96,17 @@ func TestTable1Shapes(t *testing.T) {
 }
 
 func TestFig12And13Shapes(t *testing.T) {
+	t.Parallel()
 	e := quickEnv()
-	series := Fig12(e)
-	byName := map[string]Fig12Series{}
+	series := fig12(e)
+	byName := map[string]fig12Series{}
 	for _, s := range series {
 		byName[s.Name] = s
 	}
 	last := len(e.Threads) - 1
 
 	// Headline: Par. STATS beats the original overall at 28 threads.
-	gm := Fig13(e)
+	gm := fig13(e)
 	if gm.ParSTATS[last] <= gm.Original[last] {
 		t.Fatalf("Par. STATS geomean %v not above original %v", gm.ParSTATS[last], gm.Original[last])
 	}
@@ -148,8 +153,9 @@ func TestFig12And13Shapes(t *testing.T) {
 }
 
 func TestFig14HTGains(t *testing.T) {
+	t.Parallel()
 	e := quickEnv()
-	res := Fig14(e)
+	res := fig14(e)
 	var anyGain bool
 	for _, r := range res {
 		if r.ParSTATSHT > r.ParSTATS {
@@ -165,8 +171,9 @@ func TestFig14HTGains(t *testing.T) {
 }
 
 func TestFig15EnergySavings(t *testing.T) {
+	t.Parallel()
 	e := quickEnv()
-	for _, r := range Fig15(e) {
+	for _, r := range fig15(e) {
 		if r.TimeModePct >= 110 {
 			t.Fatalf("%s: time mode used %v%% of baseline energy", r.Name, r.TimeModePct)
 		}
@@ -177,8 +184,9 @@ func TestFig15EnergySavings(t *testing.T) {
 }
 
 func TestFig16QualityImprovements(t *testing.T) {
+	t.Parallel()
 	e := quickEnv()
-	res := Fig16(e)
+	res := fig16(e)
 	improved := 0
 	for _, r := range res {
 		if r.Improvement > 1.2 {
@@ -195,8 +203,9 @@ func TestFig16QualityImprovements(t *testing.T) {
 }
 
 func TestFig17OnlySTATSGeneralizes(t *testing.T) {
+	t.Parallel()
 	e := quickEnv()
-	for _, r := range Fig17(e) {
+	for _, r := range fig17(e) {
 		stats := r.Par[related.STATS]
 		for _, a := range []related.Approach{related.QuickStepLike, related.HelixUpLike, related.FastTrack} {
 			if r.Name == "swaptions" {
@@ -210,8 +219,9 @@ func TestFig17OnlySTATSGeneralizes(t *testing.T) {
 }
 
 func TestFig18PayoffCurve(t *testing.T) {
+	t.Parallel()
 	e := quickEnv()
-	pts := Fig18(e)
+	pts := fig18(e)
 	if len(pts) < 3 {
 		t.Fatalf("points: %d", len(pts))
 	}
@@ -229,9 +239,10 @@ func TestFig18PayoffCurve(t *testing.T) {
 }
 
 func TestFig19BadTrainingSmallLoss(t *testing.T) {
+	t.Parallel()
 	e := quickEnv()
 	var honest, bad []float64
-	for _, r := range Fig19(e) {
+	for _, r := range fig19(e) {
 		honest = append(honest, r.ParSTATS)
 		bad = append(bad, r.BadTraining)
 		// Correctness is guaranteed by the runtime; performance must
@@ -253,8 +264,9 @@ func TestFig19BadTrainingSmallLoss(t *testing.T) {
 }
 
 func TestFig20Converges(t *testing.T) {
+	t.Parallel()
 	e := quickEnv()
-	sum := Fig20(e)
+	sum := fig20(e)
 	lastPt := sum.Points[len(sum.Points)-1]
 	if lastPt.RelativePct < 99 {
 		t.Fatalf("tuner not converged at the end: %v%%", lastPt.RelativePct)
@@ -268,30 +280,32 @@ func TestFig20Converges(t *testing.T) {
 	}
 }
 
+// TestTablesRender renders every experiment on one quick Env, as
+// `statsexp -exp all -quick` does.
 func TestTablesRender(t *testing.T) {
 	e := quickEnv()
 	var buf bytes.Buffer
-	Fig02Table(e).Render(&buf)
-	Fig03Table(e).Render(&buf)
-	t1, err := Table1Table(e)
-	if err != nil {
-		t.Fatal(err)
+	seen := map[string]bool{}
+	for _, x := range Experiments {
+		if seen[x.ID] || x.ID != strings.ToLower(x.ID) || x.ID == "all" {
+			t.Fatalf("experiment ID %q is repeated, not lower case, or all", x.ID)
+		}
+		seen[x.ID] = true
+		tables, err := x.Run(e)
+		if err != nil {
+			t.Fatalf("%s: %v", x.ID, err)
+		}
+		if len(tables) == 0 {
+			t.Fatalf("%s rendered no table", x.ID)
+		}
+		for _, tb := range tables {
+			tb.Render(&buf)
+		}
 	}
-	t1.Render(&buf)
-	for _, tb := range Fig12Table(e) {
-		tb.Render(&buf)
-	}
-	Fig13Table(e).Render(&buf)
-	Fig14Table(e).Render(&buf)
-	Fig15Table(e).Render(&buf)
-	Fig16Table(e).Render(&buf)
-	Fig17Table(e).Render(&buf)
-	Fig18Table(e).Render(&buf)
-	Fig19Table(e).Render(&buf)
-	Fig20Table(e).Render(&buf)
 	out := buf.String()
 	for _, want := range []string{"Fig. 2", "Fig. 3", "Table 1", "Fig. 12", "Fig. 13", "Fig. 14",
-		"Fig. 15", "Fig. 16", "Fig. 17", "Fig. 18", "Fig. 19", "Fig. 20", "geo. mean", "bodytrack"} {
+		"Fig. 15", "Fig. 16", "Fig. 17", "Fig. 18", "Fig. 19", "Fig. 20", "geo. mean", "bodytrack",
+		"Self-scrape", "Chaos", "Explore", "Ablation"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("rendered output missing %q", want)
 		}

@@ -12,13 +12,13 @@ import (
 	"repro/internal/workload"
 )
 
-// ScrapeResult is one benchmark's self-scrape reconciliation: the harness
+// scrapeResult is one benchmark's self-scrape reconciliation: the harness
 // boots one telemetry server over the observer of two runs (the aux
 // protocol, then reservations), scrapes its own /metrics endpoint while the
 // engine is mid-run, and checks that the final exposition, the observer's
 // instruments and event log, and the engine's Stats agree on every row of
 // the fact table — the same numbers Table 1's runtime columns are built from.
-type ScrapeResult struct {
+type scrapeResult struct {
 	Name string
 	// Stats sums the two runs' engine statistics (Stats.Add).
 	core.Stats
@@ -55,12 +55,12 @@ func scrapeOnce(url string) (*telemetry.PromMetrics, error) {
 	return telemetry.ParsePromText(string(body))
 }
 
-// ScrapeReconcile runs every STATS target once with a telemetry server up
+// scrapeReconcile runs every STATS target once with a telemetry server up
 // over the run's observer, scraping its own /metrics mid-run, and
 // reconciles the live exposition against the observer and the engine
 // statistics.
-func ScrapeReconcile(e *Env) ([]ScrapeResult, error) {
-	var out []ScrapeResult
+func scrapeReconcile(e *Env) ([]scrapeResult, error) {
+	var out []scrapeResult
 	for _, w := range e.Targets() {
 		d := w.Desc()
 		if !d.SupportsSTATS {
@@ -76,12 +76,12 @@ func ScrapeReconcile(e *Env) ([]ScrapeResult, error) {
 }
 
 // scrapeReconcileOne runs one workload under a live telemetry server.
-func scrapeReconcileOne(e *Env, w workload.Workload) (ScrapeResult, error) {
+func scrapeReconcileOne(e *Env, w workload.Workload) (scrapeResult, error) {
 	const workers = 4
 	ob := obs.NewObserver(workers+1, 1<<14)
 	srv := telemetry.NewServer(telemetry.Config{Signals: telemetry.NewSignals(ob, telemetry.SignalsConfig{})})
 	if err := srv.Start("127.0.0.1:0"); err != nil {
-		return ScrapeResult{}, err
+		return scrapeResult{}, err
 	}
 	defer srv.Close()
 
@@ -103,7 +103,7 @@ func scrapeReconcileOne(e *Env, w workload.Workload) (ScrapeResult, error) {
 	// exposition must parse and satisfy the histogram invariants (the
 	// parser enforces them); values may lag the instruments, which is the
 	// point — the final scrape below is the one that must agree.
-	res := ScrapeResult{Name: w.Desc().Name}
+	res := scrapeResult{Name: w.Desc().Name}
 	running := true
 	for running {
 		select {
@@ -131,9 +131,9 @@ func scrapeReconcileOne(e *Env, w workload.Workload) (ScrapeResult, error) {
 	return res, nil
 }
 
-// ScrapeTable renders the reconciliation as an experiment table.
-func ScrapeTable(e *Env) (*Table, error) {
-	res, err := ScrapeReconcile(e)
+// scrapeTable renders the reconciliation as an experiment table.
+func scrapeTable(e *Env) ([]*Table, error) {
+	res, err := scrapeReconcile(e)
 	if err != nil {
 		return nil, err
 	}
@@ -158,5 +158,5 @@ func ScrapeTable(e *Env) (*Table, error) {
 		)
 	}
 	t.AddNote("each benchmark ran once per protocol under a live telemetry server scraping its own /metrics; counters shown are the engine's Stats (resv commits: the observer's commit count), and every fact-table row must agree across the final scrape, the observer's instruments, its event log and the Stats (Table 1's runtime columns draw from the same sources)")
-	return t, nil
+	return []*Table{t}, nil
 }

@@ -12,7 +12,7 @@ import (
 // /metrics view are the same numbers.
 func TestScrapeReconcile(t *testing.T) {
 	e := NewEnv(true)
-	res, err := ScrapeReconcile(e)
+	res, err := scrapeReconcile(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,12 +40,14 @@ func TestScrapeReconcile(t *testing.T) {
 // TestScrapeTable keeps the statsexp rendering stable.
 func TestScrapeTable(t *testing.T) {
 	e := NewEnv(true)
-	tab, err := ScrapeTable(e)
+	tables, err := scrapeTable(e)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	tab.Render(&b)
+	for _, tab := range tables {
+		tab.Render(&b)
+	}
 	out := b.String()
 	if !strings.Contains(out, "reconciled") || !strings.Contains(out, "swaptions") {
 		t.Errorf("scrape table missing expected content:\n%s", out)

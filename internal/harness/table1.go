@@ -16,8 +16,8 @@ import (
 	"repro/internal/workload"
 )
 
-// Table1Result is one benchmark's developer-effort accounting.
-type Table1Result struct {
+// table1Result is one benchmark's developer-effort accounting.
+type table1Result struct {
 	Name          string
 	OriginalLOC   int
 	NumDeps       int
@@ -106,11 +106,11 @@ func synthesizeExtensionSource(d workload.Descriptor) string {
 	return b.String()
 }
 
-// Table1 produces the developer-effort table by actually running the
+// table1 produces the developer-effort table by actually running the
 // compiler pipeline on each benchmark's synthesized extension source and a
 // real engine run for the committed-instruction overhead.
-func Table1(e *Env) ([]Table1Result, error) {
-	var out []Table1Result
+func table1(e *Env) ([]table1Result, error) {
+	var out []table1Result
 	for _, w := range e.Targets() {
 		d := w.Desc()
 		fo, err := frontend.Translate(synthesizeExtensionSource(d))
@@ -199,7 +199,7 @@ func Table1(e *Env) ([]Table1Result, error) {
 				resvCommitsPerRound = float64(rst.UsefulInvocations-int64(rst.ConventionalInputs)) / float64(rst.Rounds)
 			}
 		}
-		out = append(out, Table1Result{
+		out = append(out, table1Result{
 			Name:                d.Name,
 			OriginalLOC:         d.OriginalLOC,
 			NumDeps:             d.NumDeps,
@@ -245,9 +245,9 @@ func fmtLatencyNS(ns int64) string {
 	return fmt.Sprintf("%dns", ns)
 }
 
-// Table1Table renders Table 1.
-func Table1Table(e *Env) (*Table, error) {
-	res, err := Table1(e)
+// table1Table renders Table 1.
+func table1Table(e *Env) ([]*Table, error) {
+	res, err := table1(e)
 	if err != nil {
 		return nil, err
 	}
@@ -284,5 +284,5 @@ func Table1Table(e *Env) (*Table, error) {
 		)
 	}
 	t.AddNote("developer LOC per tradeoff is Table 1's; generated code and size increase come from this repository's compiler pipeline; extra committed instructions, the scheduler's steal fraction, the wasted-work share (discarded lane CPU over all lane CPU), the validation-latency percentiles and the contained-panic count from real speculative runs; the last three columns race the aux protocol against deterministic reservations over the same tuned shape — commits/rnd above 1 means the benchmark's slot footprints let reservations commit several inputs per round")
-	return t, nil
+	return []*Table{t}, nil
 }

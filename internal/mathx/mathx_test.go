@@ -44,26 +44,8 @@ func TestVec3Ops(t *testing.T) {
 	if got := (Vec3{2, 3, 6}).Norm(); got != 7 {
 		t.Fatalf("Norm: %v", got)
 	}
-	if got := a.Lerp(b, 0); got != a {
-		t.Fatalf("Lerp(0): %v", got)
-	}
-	if got := a.Lerp(b, 1); got != b {
-		t.Fatalf("Lerp(1): %v", got)
-	}
 	if got := (Vec3{-2, 0.5, 9}).Clamp(0, 1); got != (Vec3{0, 0.5, 1}) {
 		t.Fatalf("Clamp: %v", got)
-	}
-}
-
-func TestVec3LerpMidpointProperty(t *testing.T) {
-	f := func(ax, ay, az, bx, by, bz int8) bool {
-		a := Vec3{float64(ax), float64(ay), float64(az)}
-		b := Vec3{float64(bx), float64(by), float64(bz)}
-		mid := a.Lerp(b, 0.5)
-		return almostEq(mid.Dist(a), mid.Dist(b))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

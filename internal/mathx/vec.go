@@ -53,9 +53,6 @@ func (v Vec3) Norm() float64 { return math.Sqrt(v.Dot(v)) }
 // Dist returns the Euclidean distance between v and w.
 func (v Vec3) Dist(w Vec3) float64 { return v.Sub(w).Norm() }
 
-// Lerp returns the linear interpolation v + t*(w-v).
-func (v Vec3) Lerp(w Vec3, t float64) Vec3 { return v.Add(w.Sub(v).Scale(t)) }
-
 // Clamp returns v with each component clamped to [lo, hi].
 func (v Vec3) Clamp(lo, hi float64) Vec3 {
 	return Vec3{clamp(v.X, lo, hi), clamp(v.Y, lo, hi), clamp(v.Z, lo, hi)}

@@ -47,7 +47,7 @@ func TestRepeatExhaustsBudget(t *testing.T) {
 // TestRepeatHonoursBounds pins the repetition bounds: a caller's MaxRuns
 // is a cap even below the default MinRuns, an explicit MinRuns above the
 // default cap is a floor, and MinRuns above an explicit MaxRuns is clamped
-// to it. The last two rows are harness.Fig02's shape at Runs 30 and 8.
+// to it. The last two rows are the harness's Fig. 2 shape at Runs 30 and 8.
 func TestRepeatHonoursBounds(t *testing.T) {
 	stable := func(int) float64 { return 42 }
 	bimodal := func(run int) float64 { return float64(1 + 99*(run%2)) }

@@ -212,14 +212,6 @@ func unpackMeta(m uint64) (kind EventKind, lane int16, group int32) {
 	return EventKind(m >> 56), int16(uint16(m >> 40)), int32(uint32(m))
 }
 
-// Lanes returns the tracer's lane count (0 for a nil tracer).
-func (t *Tracer) Lanes() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.rings)
-}
-
 // Emit is EmitAt stamped with a fresh reading of the trace clock, for
 // callers that hold none. On a nil tracer both are no-ops, which is the
 // disabled fast path.

@@ -102,7 +102,7 @@ type SpanFolder struct {
 }
 
 // NewSpanFolder returns a live folder over the tracer (which may be nil:
-// the folder then only folds what FoldBatch is fed).
+// Poll then folds nothing).
 func NewSpanFolder(tr *obs.Tracer) *SpanFolder {
 	return &SpanFolder{
 		tr:        tr,
@@ -141,14 +141,6 @@ func (f *SpanFolder) pollLocked() {
 		return
 	}
 	f.foldBatchLocked(f.buf)
-}
-
-// FoldBatch folds a batch of events directly (no tracer involved), used
-// by BuildSpans and tests. The batch is sorted by timestamp in place.
-func (f *SpanFolder) FoldBatch(events []obs.Event) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.foldBatchLocked(events)
 }
 
 func (f *SpanFolder) foldBatchLocked(events []obs.Event) {

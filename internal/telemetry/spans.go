@@ -278,10 +278,3 @@ func fmtNS(ns int64) string {
 	}
 	return fmt.Sprintf("%dns", ns)
 }
-
-// SpanString renders doc to a string.
-func SpanString(doc *SpanDoc) string {
-	var b strings.Builder
-	RenderSpans(&b, doc)
-	return b.String()
-}

@@ -56,7 +56,12 @@
 # the engine's knobs are declared by core.Options, stats.Options and
 # workload.SpecOptions, and a state-space point reaches them through
 # profiler.DecodeDependence, so fail if any other non-test struct (bench/ and
-# testdata excluded) declares both a GroupSize and a RedoMax field.
+# testdata excluded) declares both a GroupSize and a RedoMax field. The
+# experiment-list guard: every table and figure of the evaluation is an entry
+# of internal/harness's Experiments, which statsexp loops over, so fail on a
+# call to a harness.*Table( function outside internal/harness (tests
+# included), and on a Benchmark* in the repository root whose body calls into
+# internal/harness: a second way to regenerate a figure is a second list.
 # Run via `make vet`.
 set -eu
 
@@ -191,5 +196,13 @@ knobs=$(awk 'FNR==1{st=""}
 if [ -n "$knobs" ]; then
     echo "fact-guard: the engine's knobs live in core.Options, stats.Options and workload.SpecOptions; decode a configuration through profiler.DecodeDependence, declare no copy:" >&2
     printf '%s\n' "$knobs" >&2
+    exit 1
+fi
+
+tables=$(grep -rnE 'harness\.[A-Za-z0-9_]*Table\(' --include='*.go' . | grep -v '^\./internal/harness/' || true)
+rootbench=$(awk '/^func /{fn=$0} /^}/{fn=""} fn ~ /^func Benchmark/ && /harness\./{print FILENAME":"FNR": "$0}' /dev/null ./*.go)
+if [ -n "$tables$rootbench" ]; then
+    echo "fact-guard: run an experiment through harness.Experiments (statsexp -exp <id>), not a harness table function or a root benchmark:" >&2
+    printf '%s\n' "$tables" "$rootbench" | grep . >&2
     exit 1
 fi
