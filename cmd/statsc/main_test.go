@@ -101,6 +101,28 @@ func TestFlagsRefused(t *testing.T) {
 	}
 }
 
+// TestNonIdentifierNamesRefused checks that a tradeoff or statedep name
+// that is not an identifier makes statsc exit 1 with a positioned
+// front-end error under every -emit mode: such a name would be spliced
+// into the generated #define and StateDependence declaration.
+func TestNonIdentifierNamesRefused(t *testing.T) {
+	src := "tradeoff TO a-b {\n    kind constant;\n    values 1..4;\n    default 0;\n}\n\n" +
+		"statedep my dep {\n    input Frame;\n    state Model;\n    output Pos;\n" +
+		"    compute update uses TO a-b;\n    compare cmp;\n}\n"
+	path := filepath.Join(t.TempDir(), "names.stats")
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, emit := range []string{"std", "header", "ir", "binary"} {
+		out, errb, code := statsc(t, "-in", path, "-emit", emit)
+		want := `frontend: line 1: tradeoff name "TO a-b" is not an identifier`
+		if code != 1 || out != "" || !strings.Contains(errb, want) {
+			t.Errorf("-emit %s: exit %d, stdout %q, stderr %q; want exit 1, no output and %q",
+				emit, code, out, errb, want)
+		}
+	}
+}
+
 // TestAuxWithoutAuxCodeRefused covers a dependence with no auxiliary code.
 // The middle-end gives every dependence one, so no source reaches this:
 // the module is broken by hand and instantiated in process.

@@ -108,6 +108,23 @@ func TestGoldenText(t *testing.T) {
 	checkGolden(t, "testdata/golden/broken.txt", out.Bytes())
 }
 
+// TestGoldenTextLinesDistinct pins that every finding says what was found:
+// two findings that render as the same line read as one finding reported
+// twice.
+func TestGoldenTextLinesDistinct(t *testing.T) {
+	golden, err := os.ReadFile("testdata/golden/broken.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]int{}
+	for i, line := range strings.Split(strings.TrimSuffix(string(golden), "\n"), "\n") {
+		if first, dup := seen[line]; dup {
+			t.Errorf("lines %d and %d are the same finding: %s", first, i+1, line)
+		}
+		seen[line] = i + 1
+	}
+}
+
 // TestGoldenJSON locks the -json rendering of the same findings.
 func TestGoldenJSON(t *testing.T) {
 	var out, errb bytes.Buffer

@@ -7,6 +7,7 @@ import (
 	"repro/internal/frontend"
 	"repro/internal/ir"
 	"repro/internal/midend"
+	"repro/internal/tradeoff"
 )
 
 // goodSource is a well-formed SDI/TI program: every pass must be clean.
@@ -118,11 +119,11 @@ func TestVerifyMetadata(t *testing.T) {
 	m := ir.NewModule()
 	m.AddFunction(&ir.Function{Name: "gv_bad", Instrs: []ir.Instr{{Op: ir.Extern}}})
 	m.Tradeoffs = []ir.TradeoffMeta{
-		{Name: "a", Kind: ir.ConstantKind, GetValue: "nope", Size: 3, Default: 5},
-		{Name: "b", Kind: ir.ConstantKind, GetValue: "gv_bad", Size: 2, Default: 0},
-		{Name: "c", Kind: ir.FunctionKind, GetValue: "gv_bad", Size: 2, Default: 0,
+		{Name: "a", Kind: tradeoff.Constant, GetValue: "nope", Size: 3, Default: 5},
+		{Name: "b", Kind: tradeoff.Constant, GetValue: "gv_bad", Size: 2, Default: 0},
+		{Name: "c", Kind: tradeoff.Function, GetValue: "gv_bad", Size: 2, Default: 0,
 			ValueNames: []string{"impl1"}},
-		{Name: "d", Kind: ir.ConstantKind, GetValue: "gv_bad", Size: 1, Default: 0, Aux: true},
+		{Name: "d", Kind: tradeoff.Constant, GetValue: "gv_bad", Size: 1, Default: 0, Aux: true},
 	}
 	m.Deps = []ir.DepMeta{
 		{Name: "dep", Compute: "ghostCompute"},
@@ -200,13 +201,13 @@ func TestEffectSetsFixpointOnCycle(t *testing.T) {
 		{Op: ir.StateWrite, Name: "y"},
 		{Op: ir.InputRead, Index: 3},
 	}})
-	sets := EffectSets(m)
+	sets := effectSets(m)
 	for _, fn := range []string{"a", "b"} {
 		s := sets[fn]
-		if got := s.ReadVars(); len(got) != 1 || got[0] != "x" {
+		if got := s.readVars(); len(got) != 1 || got[0] != "x" {
 			t.Fatalf("%s reads = %v, want [x]", fn, got)
 		}
-		if got := s.WriteVars(); len(got) != 1 || got[0] != "y" {
+		if got := s.writeVars(); len(got) != 1 || got[0] != "y" {
 			t.Fatalf("%s writes = %v, want [y]", fn, got)
 		}
 		if s.MaxInput != 3 {
@@ -231,10 +232,10 @@ func TestLints(t *testing.T) {
 		{Op: ir.Placeholder, Tradeoff: "t_funcs"},
 	}})
 	m.Tradeoffs = []ir.TradeoffMeta{
-		{Name: "t_unused", Kind: ir.ConstantKind, GetValue: "gv", Size: 4, Default: 0, Aux: true, ClonedFrom: "x"},
-		{Name: "t_orphaned", Kind: ir.ConstantKind, GetValue: "gv", Size: 4, Default: 0, Aux: true, ClonedFrom: "x"},
-		{Name: "t_single", Kind: ir.ConstantKind, GetValue: "gv", Size: 1, Default: 0, Aux: true, ClonedFrom: "x"},
-		{Name: "t_funcs", Kind: ir.FunctionKind, GetValue: "gv", Size: 2, Default: 0, Aux: true, ClonedFrom: "x",
+		{Name: "t_unused", Kind: tradeoff.Constant, GetValue: "gv", Size: 4, Default: 0, Aux: true, ClonedFrom: "x"},
+		{Name: "t_orphaned", Kind: tradeoff.Constant, GetValue: "gv", Size: 4, Default: 0, Aux: true, ClonedFrom: "x"},
+		{Name: "t_single", Kind: tradeoff.Constant, GetValue: "gv", Size: 1, Default: 0, Aux: true, ClonedFrom: "x"},
+		{Name: "t_funcs", Kind: tradeoff.Function, GetValue: "gv", Size: 2, Default: 0, Aux: true, ClonedFrom: "x",
 			ValueNames: []string{"variant0", "variant1"}},
 	}
 	m.Deps = []ir.DepMeta{{Name: "d", Compute: "compute", State: "S"}}

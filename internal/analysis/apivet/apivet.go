@@ -65,8 +65,8 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{NegOpts, DroppedStats, SpecClosure, ReserveOpsLit, FingerprintLit}
 }
 
-// AnalyzeFile runs every analyzer over one parsed file.
-func AnalyzeFile(fset *token.FileSet, file *ast.File) []analysis.Diagnostic {
+// analyzeFile runs every analyzer over one parsed file.
+func analyzeFile(fset *token.FileSet, file *ast.File) []analysis.Diagnostic {
 	var out []analysis.Diagnostic
 	for _, a := range Analyzers() {
 		out = append(out, a.Run(fset, file)...)
@@ -86,7 +86,7 @@ func AnalyzePaths(paths []string) ([]analysis.Diagnostic, error) {
 		if err != nil {
 			return err
 		}
-		out = append(out, AnalyzeFile(fset, file)...)
+		out = append(out, analyzeFile(fset, file)...)
 		return nil
 	}
 	for _, p := range paths {

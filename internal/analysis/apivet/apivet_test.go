@@ -17,7 +17,7 @@ func analyzeSrc(t *testing.T, src string) []analysis.Diagnostic {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return AnalyzeFile(fset, file)
+	return analyzeFile(fset, file)
 }
 
 // want asserts a finding from the named analyzer mentioning every fragment.

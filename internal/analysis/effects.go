@@ -49,11 +49,11 @@ func newEffectSet() *EffectSet {
 	return &EffectSet{StateReads: map[string]Site{}, StateWrites: map[string]Site{}, MaxInput: -1}
 }
 
-// ReadVars returns the sorted state variables read.
-func (e *EffectSet) ReadVars() []string { return sortedKeys(e.StateReads) }
+// readVars returns the sorted state variables read.
+func (e *EffectSet) readVars() []string { return sortedKeys(e.StateReads) }
 
-// WriteVars returns the sorted state variables written.
-func (e *EffectSet) WriteVars() []string { return sortedKeys(e.StateWrites) }
+// writeVars returns the sorted state variables written.
+func (e *EffectSet) writeVars() []string { return sortedKeys(e.StateWrites) }
 
 func sortedKeys(m map[string]Site) []string {
 	out := make([]string, 0, len(m))
@@ -64,12 +64,12 @@ func sortedKeys(m map[string]Site) []string {
 	return out
 }
 
-// EffectSets computes the transitive effect summary of every function by
+// effectSets computes the transitive effect summary of every function by
 // iterating direct effects plus callee summaries to a fixpoint. The
 // iteration converges because summaries only grow and the lattice
 // (subsets of state variables × max offset) is finite; cycles in a
 // malformed call graph are therefore handled without special cases.
-func EffectSets(m *ir.Module) map[string]*EffectSet {
+func effectSets(m *ir.Module) map[string]*EffectSet {
 	sets := map[string]*EffectSet{}
 	for name, f := range m.Functions {
 		s := newEffectSet()
@@ -131,7 +131,7 @@ func EffectSets(m *ir.Module) map[string]*EffectSet {
 
 func runEffects(m *ir.Module) []Diagnostic {
 	var ds []Diagnostic
-	sets := EffectSets(m)
+	sets := effectSets(m)
 	for _, d := range m.Deps {
 		if d.AuxCompute == "" {
 			continue // no auxiliary code: nothing speculates
@@ -140,7 +140,7 @@ func runEffects(m *ir.Module) []Diagnostic {
 		if !ok {
 			continue // dangling aux function: the verifier reports it
 		}
-		for _, v := range eff.ReadVars() {
+		for _, v := range eff.readVars() {
 			if v == d.State {
 				continue // the speculative start state: the aux input
 			}
@@ -152,7 +152,7 @@ func runEffects(m *ir.Module) []Diagnostic {
 					"; aux may read only its own dependence's state and the recent-input window",
 			})
 		}
-		for _, v := range eff.WriteVars() {
+		for _, v := range eff.writeVars() {
 			if v == d.State {
 				continue // the speculative start state: the one legal write
 			}

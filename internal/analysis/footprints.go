@@ -336,19 +336,19 @@ func runFootprints(m *ir.Module) []Diagnostic {
 		used := make([]bool, len(fp.Reserve))
 		allPrecise := len(all) > 0
 		for _, a := range all {
+			kind := "reads"
+			if a.Write {
+				kind = "writes"
+			}
 			if a.Expr.Whole {
 				allPrecise = false
 			} else if a.Expr.Field == "" && (a.Expr.Offset < 0 || (slots > 0 && a.Expr.Offset >= int64(slots))) {
 				ds = append(ds, Diagnostic{
 					Pass: "footprints", Severity: Error, Pos: a.Site.Pos,
 					Fn: a.Site.Fn, Instr: a.Site.Instr, Var: dep,
-					Msg: "dependence " + dep + " compute accesses constant slot " +
+					Msg: "dependence " + dep + " compute " + kind + " constant slot " +
 						a.Expr.String() + " of " + state + ", outside the declared slot range",
 				})
-			}
-			kind := "reads"
-			if a.Write {
-				kind = "writes"
 			}
 			if !covered(fp.Reserve, a.Expr) {
 				ds = append(ds, Diagnostic{

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/ir"
+	"repro/internal/tradeoff"
 )
 
 // LintsPass is the tradeoff-hygiene lint set over the IR: tradeoffs that
@@ -55,7 +56,7 @@ func runLints(m *ir.Module) []Diagnostic {
 			ds = append(ds, metaDiag("lints", Warning, t.Pos, t.Name,
 				"tradeoff %s has a single value; its range can never be exercised by any use site", t.Name))
 		}
-		if t.Kind == ir.FunctionKind {
+		if t.Kind == tradeoff.Function {
 			ds = append(ds, lintVariantSignatures(m, t)...)
 		}
 		if len(t.ValueNames) > 0 {

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/ir"
+	"repro/internal/tradeoff"
 )
 
 // VerifyPass is the IR verifier: structural well-formedness of every
@@ -153,17 +154,17 @@ func verifyTradeoffs(m *ir.Module) []Diagnostic {
 				"tradeoff %s default index %d out of [0,%d)", t.Name, t.Default, t.Size))
 		}
 		switch t.Kind {
-		case ir.ConstantKind:
+		case tradeoff.Constant:
 			if len(t.ValueNames) != 0 {
 				ds = append(ds, metaDiag("verify", Error, t.Pos, t.Name,
 					"constant tradeoff %s carries %d value names", t.Name, len(t.ValueNames)))
 			}
-		case ir.TypeKind, ir.FunctionKind:
+		case tradeoff.Type, tradeoff.Function:
 			if int64(len(t.ValueNames)) != t.Size {
 				ds = append(ds, metaDiag("verify", Error, t.Pos, t.Name,
 					"tradeoff %s declares size %d but %d value names", t.Name, t.Size, len(t.ValueNames)))
 			}
-			if t.Kind == ir.FunctionKind {
+			if t.Kind == tradeoff.Function {
 				for _, v := range t.ValueNames {
 					if _, ok := m.Functions[v]; !ok {
 						ds = append(ds, metaDiag("verify", Error, t.Pos, t.Name,
@@ -355,7 +356,7 @@ func callGraphRoots(m *ir.Module) []string {
 		}
 		// Function-tradeoff variants are potential callees once the
 		// back-end substitutes the placeholder.
-		if t.Kind == ir.FunctionKind {
+		if t.Kind == tradeoff.Function {
 			roots = append(roots, t.ValueNames...)
 		}
 	}

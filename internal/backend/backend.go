@@ -25,6 +25,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/profiler"
 	"repro/internal/space"
+	"repro/internal/tradeoff"
 	"repro/internal/workload"
 )
 
@@ -86,12 +87,12 @@ func Compile(m *ir.Module, c space.Config) (*Program, error) {
 		}
 		// Step 2: substitute references by kind.
 		switch t.Kind {
-		case ir.ConstantKind:
+		case tradeoff.Constant:
 			p.Constants[t.Name] = val
 			substitute(p.Module, t.Name, func(in *ir.Instr) {
 				*in = ir.Instr{Op: ir.Const, Value: val}
 			})
-		case ir.TypeKind:
+		case tradeoff.Type:
 			if val < 0 || val >= int64(len(t.ValueNames)) {
 				return nil, fmt.Errorf("backend: type tradeoff %s value %d out of range", t.Name, val)
 			}
@@ -103,7 +104,7 @@ func Compile(m *ir.Module, c space.Config) (*Program, error) {
 				// variable's uses").
 				*in = ir.Instr{Op: ir.Extern, Name: in.Name + ":" + typeName}
 			})
-		case ir.FunctionKind:
+		case tradeoff.Function:
 			if val < 0 || val >= int64(len(t.ValueNames)) {
 				return nil, fmt.Errorf("backend: function tradeoff %s value %d out of range", t.Name, val)
 			}

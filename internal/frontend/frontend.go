@@ -33,92 +33,48 @@
 //	                             //   footprint analysis can check reserve
 //	                             //   against it)
 //	}
+//
+// The parser writes each declaration down once, as the IR's own metadata
+// row: a TradeoffDecl is an ir.TradeoffMeta and a DepDecl an ir.DepMeta,
+// with positions, kinds and reserve entries already in the IR's types, plus
+// the few fields only the front-end reads (a constant range and placeholder
+// id for the header, a dependence's uses and touches for the middle-end's
+// lowering). The middle-end appends these rows and fills in only what it
+// decides itself. Every declared name — tradeoff, statedep, compute,
+// compare — must be an identifier, since it is spliced into generated
+// identifiers; the host types and value names stay opaque.
 package frontend
 
 import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"repro/internal/ir"
+	"repro/internal/tradeoff"
 )
 
-// TradeoffDecl is a parsed tradeoff block.
+// TradeoffDecl is a parsed tradeoff block: the IR's metadata row, complete
+// but for GetValue (the middle-end synthesizes that function), plus the
+// fields only the header generation reads.
 type TradeoffDecl struct {
-	Name    string
-	Kind    string // "constant", "type", "function"
-	Lo, Hi  int64  // constant ranges
-	Names   []string
-	Default int64
+	ir.TradeoffMeta
+	Lo, Hi int64 // constant ranges
 	// ID is the placeholder id assigned by the front-end (the 42 in
 	// T_42); ids are assigned in declaration order starting at 42.
-	ID   int
-	Line int
-	// Col is the 1-based column of the `tradeoff` keyword, so downstream
-	// diagnostics point at the declaration, not just its line.
-	Col int
+	ID int
 }
 
-// Size returns the number of legal indices.
-func (t TradeoffDecl) Size() int64 {
-	if t.Kind == "constant" {
-		return t.Hi - t.Lo + 1
-	}
-	return int64(len(t.Names))
-}
-
-// IndexDecl is one parsed `reserve`/`touches` entry: the whole state
-// (`*`), or the affine index Stride*Field+Offset over one integer input
-// field (Field == "" makes it the constant Offset).
-type IndexDecl struct {
-	Whole  bool
-	Field  string
-	Stride int64
-	Offset int64
-	// Line is the 1-based source line of the entry.
-	Line int
-}
-
-// String renders the entry in the concrete syntax the parser accepts.
-func (e IndexDecl) String() string {
-	switch {
-	case e.Whole:
-		return "*"
-	case e.Field == "":
-		return fmt.Sprintf("%d", e.Offset)
-	case e.Stride == 1 && e.Offset == 0:
-		return e.Field
-	case e.Stride == 1:
-		return fmt.Sprintf("%s+%d", e.Field, e.Offset)
-	case e.Offset == 0:
-		return fmt.Sprintf("%d*%s", e.Stride, e.Field)
-	default:
-		return fmt.Sprintf("%d*%s+%d", e.Stride, e.Field, e.Offset)
-	}
-}
-
-// DepDecl is a parsed statedep block.
+// DepDecl is a parsed statedep block: the IR's metadata row, complete but
+// for AuxCompute (the middle-end's clone), plus the declarations the
+// middle-end lowers into the compute function's body.
 type DepDecl struct {
-	Name    string
-	Input   string
-	State   string
-	Output  string
-	Compute string
-	Compare string
-	Uses    []string
-	// Window is the declared auxiliary input window (`window K;`): the
-	// number of recent inputs the generated auxiliary code may read.
-	// 0 means the declaration left it unbounded.
-	Window int64
-	// Slots is the declared state slot count (`slots N;`); 0 means the
-	// state is not slotted.
-	Slots int64
-	// Reserve holds the declared footprint entries (`reserve e;`, in
-	// declaration order) and Touches the declared indexed state accesses
-	// (`touches e;`) the middle-end lowers to indexed IR accesses.
-	Reserve []IndexDecl
-	Touches []IndexDecl
-	Line    int
-	// Col is the 1-based column of the `statedep` keyword.
-	Col int
+	ir.DepMeta
+	// Uses names the tradeoffs the compute references.
+	Uses []string
+	// Touches holds the declared indexed state accesses (`touches e;`) the
+	// middle-end lowers to indexed IR accesses.
+	Touches []ir.IndexExpr
 }
 
 // Output is the front-end's result.
@@ -196,7 +152,7 @@ func Translate(src string) (*Output, error) {
 	for _, d := range out.Deps {
 		for _, u := range d.Uses {
 			if !declared[u] {
-				return nil, errf(d.Line, "statedep %s uses undeclared tradeoff %s", d.Name, u)
+				return nil, errf(d.Pos.Line, "statedep %s uses undeclared tradeoff %s", d.Name, u)
 			}
 		}
 	}
@@ -207,10 +163,25 @@ func Translate(src string) (*Output, error) {
 	return out, nil
 }
 
-// keywordCol returns the 1-based column at which a declaration's keyword
-// starts (the first non-blank character of its head line).
-func keywordCol(line string) int {
-	return len(line) - len(strings.TrimLeft(line, " \t")) + 1
+// keywordPos returns the position of the declaration heading line i: its
+// 1-based line and the column at which its keyword starts (the first
+// non-blank character).
+func keywordPos(lines []string, i int) ir.Pos {
+	return ir.Pos{Line: i + 1, Col: len(lines[i]) - len(strings.TrimLeft(lines[i], " \t")) + 1}
+}
+
+// nameErr refuses a declared name that is not an identifier: tradeoff,
+// statedep, compute and compare names are spliced into generated
+// identifiers (the #define, the StateDependence variable and its inputs_
+// and state_ companions, the IR's function names).
+func nameErr(line int, what, name string) error {
+	if name == "" {
+		return errf(line, "%s needs a name", what)
+	}
+	if !isIdent(name) {
+		return errf(line, "%s name %q is not an identifier", what, name)
+	}
+	return nil
 }
 
 // collectBlock returns the trimmed statements of a `{ ... }` block starting
@@ -241,10 +212,11 @@ func collectBlock(lines []string, start int) ([]string, []int, int, error) {
 func parseTradeoff(lines []string, start int) (TradeoffDecl, int, error) {
 	head := strings.TrimSpace(lines[start])
 	name := strings.TrimSpace(strings.TrimSuffix(strings.TrimPrefix(head, "tradeoff "), "{"))
-	if name == "" {
-		return TradeoffDecl{}, 0, errf(start+1, "tradeoff needs a name")
+	if err := nameErr(start+1, "tradeoff", name); err != nil {
+		return TradeoffDecl{}, 0, err
 	}
-	decl := TradeoffDecl{Name: name, Line: start + 1, Col: keywordCol(lines[start]), Default: -1}
+	decl := TradeoffDecl{TradeoffMeta: ir.TradeoffMeta{Name: name, Default: -1, Pos: keywordPos(lines, start)}}
+	hasKind := false
 	stmts, at, end, err := collectBlock(lines, start)
 	if err != nil {
 		return TradeoffDecl{}, 0, err
@@ -257,14 +229,13 @@ func parseTradeoff(lines []string, start int) (TradeoffDecl, int, error) {
 		rest = strings.TrimSpace(rest)
 		switch field {
 		case "kind":
-			if rest != "constant" && rest != "type" && rest != "function" {
+			if decl.Kind, hasKind = tradeoff.ParseKind(rest); !hasKind {
 				return TradeoffDecl{}, 0, errf(at[si], "unknown kind %q", rest)
 			}
-			decl.Kind = rest
 		case "values":
 			// A repeated values statement replaces the earlier one
 			// entirely, so a range never coexists with value names.
-			decl.Lo, decl.Hi, decl.Names = 0, 0, nil
+			decl.Lo, decl.Hi, decl.ValueNames = 0, 0, nil
 			if lo, hi, ok := strings.Cut(rest, ".."); ok {
 				l, err1 := strconv.ParseInt(strings.TrimSpace(lo), 10, 64)
 				h, err2 := strconv.ParseInt(strings.TrimSpace(hi), 10, 64)
@@ -278,7 +249,7 @@ func parseTradeoff(lines []string, start int) (TradeoffDecl, int, error) {
 					if n == "" {
 						return TradeoffDecl{}, 0, errf(at[si], "empty value name")
 					}
-					decl.Names = append(decl.Names, n)
+					decl.ValueNames = append(decl.ValueNames, n)
 				}
 			}
 		case "default":
@@ -291,20 +262,24 @@ func parseTradeoff(lines []string, start int) (TradeoffDecl, int, error) {
 			return TradeoffDecl{}, 0, errf(at[si], "unknown tradeoff field %q", field)
 		}
 	}
-	if decl.Kind == "" {
-		return TradeoffDecl{}, 0, errf(decl.Line, "tradeoff %s: missing kind", name)
+	line := decl.Pos.Line
+	switch {
+	case !hasKind:
+		return TradeoffDecl{}, 0, errf(line, "tradeoff %s: missing kind", name)
+	case decl.Kind == tradeoff.Constant && decl.ValueNames != nil:
+		return TradeoffDecl{}, 0, errf(line, "tradeoff %s: constant tradeoffs take a range", name)
+	case decl.Kind != tradeoff.Constant && decl.ValueNames == nil:
+		return TradeoffDecl{}, 0, errf(line, "tradeoff %s: %s tradeoffs take value names", name, decl.Kind)
+	case decl.Kind == tradeoff.Constant:
+		decl.Size = decl.Hi - decl.Lo + 1
+	default:
+		decl.Size = int64(len(decl.ValueNames))
 	}
-	if decl.Kind == "constant" && decl.Names != nil {
-		return TradeoffDecl{}, 0, errf(decl.Line, "tradeoff %s: constant tradeoffs take a range", name)
+	if decl.Size <= 0 {
+		return TradeoffDecl{}, 0, errf(line, "tradeoff %s: no values", name)
 	}
-	if decl.Kind != "constant" && decl.Names == nil {
-		return TradeoffDecl{}, 0, errf(decl.Line, "tradeoff %s: %s tradeoffs take value names", name, decl.Kind)
-	}
-	if decl.Size() <= 0 {
-		return TradeoffDecl{}, 0, errf(decl.Line, "tradeoff %s: no values", name)
-	}
-	if decl.Default < 0 || decl.Default >= decl.Size() {
-		return TradeoffDecl{}, 0, errf(decl.Line, "tradeoff %s: default index %d out of [0,%d)", name, decl.Default, decl.Size())
+	if decl.Default < 0 || decl.Default >= decl.Size {
+		return TradeoffDecl{}, 0, errf(line, "tradeoff %s: default index %d out of [0,%d)", name, decl.Default, decl.Size)
 	}
 	return decl, end, nil
 }
@@ -312,10 +287,10 @@ func parseTradeoff(lines []string, start int) (TradeoffDecl, int, error) {
 func parseDep(lines []string, start int) (DepDecl, int, error) {
 	head := strings.TrimSpace(lines[start])
 	name := strings.TrimSpace(strings.TrimSuffix(strings.TrimPrefix(head, "statedep "), "{"))
-	if name == "" {
-		return DepDecl{}, 0, errf(start+1, "statedep needs a name")
+	if err := nameErr(start+1, "statedep", name); err != nil {
+		return DepDecl{}, 0, err
 	}
-	decl := DepDecl{Name: name, Line: start + 1, Col: keywordCol(lines[start])}
+	decl := DepDecl{DepMeta: ir.DepMeta{Name: name, Pos: keywordPos(lines, start)}}
 	stmts, at, end, err := collectBlock(lines, start)
 	if err != nil {
 		return DepDecl{}, 0, err
@@ -326,6 +301,8 @@ func parseDep(lines []string, start int) (DepDecl, int, error) {
 			return DepDecl{}, 0, errf(at[si], "malformed statement %q", s)
 		}
 		rest = strings.TrimSpace(rest)
+		// A reserve/touches entry keeps the statedep keyword's column.
+		epos := ir.Pos{Line: at[si], Col: decl.Pos.Col}
 		switch field {
 		case "input":
 			decl.Input = rest
@@ -335,26 +312,29 @@ func parseDep(lines []string, start int) (DepDecl, int, error) {
 			decl.Output = rest
 		case "compare":
 			decl.Compare = rest
+			if err := nameErr(at[si], "compare", rest); err != nil {
+				return DepDecl{}, 0, err
+			}
 		case "window":
-			w, err := strconv.ParseInt(rest, 10, 64)
+			w, err := strconv.Atoi(rest)
 			if err != nil || w < 1 {
 				return DepDecl{}, 0, errf(at[si], "bad window %q (want a positive input count)", rest)
 			}
 			decl.Window = w
 		case "slots":
-			n, err := strconv.ParseInt(rest, 10, 64)
+			n, err := strconv.Atoi(rest)
 			if err != nil || n < 1 {
 				return DepDecl{}, 0, errf(at[si], "bad slots %q (want a positive slot count)", rest)
 			}
 			decl.Slots = n
 		case "reserve":
-			e, err := parseIndexExpr(rest, at[si])
+			e, err := parseIndexExpr(rest, epos)
 			if err != nil {
 				return DepDecl{}, 0, err
 			}
 			decl.Reserve = append(decl.Reserve, e)
 		case "touches":
-			e, err := parseIndexExpr(rest, at[si])
+			e, err := parseIndexExpr(rest, epos)
 			if err != nil {
 				return DepDecl{}, 0, err
 			}
@@ -362,6 +342,9 @@ func parseDep(lines []string, start int) (DepDecl, int, error) {
 		case "compute":
 			fn, uses, hasUses := strings.Cut(rest, " uses ")
 			decl.Compute = strings.TrimSpace(fn)
+			if err := nameErr(at[si], "compute", decl.Compute); err != nil {
+				return DepDecl{}, 0, err
+			}
 			if hasUses {
 				for _, u := range strings.Split(uses, ",") {
 					u = strings.TrimSpace(u)
@@ -375,18 +358,19 @@ func parseDep(lines []string, start int) (DepDecl, int, error) {
 			return DepDecl{}, 0, errf(at[si], "unknown statedep field %q", field)
 		}
 	}
+	line := decl.Pos.Line
 	for _, req := range []struct{ f, v string }{
 		{"input", decl.Input}, {"state", decl.State}, {"output", decl.Output}, {"compute", decl.Compute},
 	} {
 		if req.v == "" {
-			return DepDecl{}, 0, errf(decl.Line, "statedep %s: missing %s", name, req.f)
+			return DepDecl{}, 0, errf(line, "statedep %s: missing %s", name, req.f)
 		}
 	}
 	if decl.Slots == 0 && (len(decl.Reserve) > 0 || len(decl.Touches) > 0) {
-		return DepDecl{}, 0, errf(decl.Line, "statedep %s: reserve/touches need a slots declaration", name)
+		return DepDecl{}, 0, errf(line, "statedep %s: reserve/touches need a slots declaration", name)
 	}
 	if decl.Slots > 0 && len(decl.Reserve) == 0 {
-		return DepDecl{}, 0, errf(decl.Line, "statedep %s: slots declared without a reserve footprint", name)
+		return DepDecl{}, 0, errf(line, "statedep %s: slots declared without a reserve footprint", name)
 	}
 	return decl, end, nil
 }
@@ -410,22 +394,22 @@ func isIdent(s string) bool {
 	return true
 }
 
-// parseIndexExpr parses one reserve/touches entry: `*` (whole state), a
-// non-negative constant, or an affine form over one input field —
+// parseIndexExpr parses one reserve/touches entry at pos: `*` (whole
+// state), a non-negative constant, or an affine form over one input field —
 // `f`, `a*f`, `f+b`, `a*f+b` with positive stride a and non-negative
 // offset b. The normal forms are canonical: re-rendering an accepted
-// entry (IndexDecl.String) round-trips to the same declaration.
-func parseIndexExpr(s string, line int) (IndexDecl, error) {
+// entry (ir.IndexExpr.String) round-trips to the same declaration.
+func parseIndexExpr(s string, pos ir.Pos) (ir.IndexExpr, error) {
 	s = strings.TrimSpace(s)
 	if s == "*" {
-		return IndexDecl{Whole: true, Line: line}, nil
+		return ir.IndexExpr{Whole: true, Pos: pos}, nil
 	}
-	e := IndexDecl{Stride: 1, Line: line}
+	e := ir.IndexExpr{Stride: 1, Pos: pos}
 	body := s
 	if head, off, hasOff := strings.Cut(s, "+"); hasOff {
 		b, err := strconv.ParseInt(strings.TrimSpace(off), 10, 64)
 		if err != nil || b < 0 {
-			return IndexDecl{}, errf(line, "bad index offset in %q (want a non-negative constant)", s)
+			return ir.IndexExpr{}, errf(pos.Line, "bad index offset in %q (want a non-negative constant)", s)
 		}
 		e.Offset = b
 		body = strings.TrimSpace(head)
@@ -433,12 +417,12 @@ func parseIndexExpr(s string, line int) (IndexDecl, error) {
 	if factor, field, hasMul := strings.Cut(body, "*"); hasMul {
 		a, err := strconv.ParseInt(strings.TrimSpace(factor), 10, 64)
 		if err != nil || a < 1 {
-			return IndexDecl{}, errf(line, "bad index stride in %q (want a positive constant)", s)
+			return ir.IndexExpr{}, errf(pos.Line, "bad index stride in %q (want a positive constant)", s)
 		}
 		e.Stride = a
 		body = strings.TrimSpace(field)
 		if !isIdent(body) {
-			return IndexDecl{}, errf(line, "bad index field in %q (want an input field name)", s)
+			return ir.IndexExpr{}, errf(pos.Line, "bad index field in %q (want an input field name)", s)
 		}
 		e.Field = body
 		return e, nil
@@ -449,9 +433,9 @@ func parseIndexExpr(s string, line int) (IndexDecl, error) {
 	}
 	c, err := strconv.ParseInt(body, 10, 64)
 	if err != nil || c < 0 || e.Offset != 0 {
-		return IndexDecl{}, errf(line, "bad index expression %q (want *, a constant, or stride*field+offset)", s)
+		return ir.IndexExpr{}, errf(pos.Line, "bad index expression %q (want *, a constant, or stride*field+offset)", s)
 	}
-	return IndexDecl{Offset: c, Line: line}, nil
+	return ir.IndexExpr{Offset: c, Pos: pos}, nil
 }
 
 // lowerDep emits the standard-C++ SDI instantiation (Figure 8's tail).
@@ -480,12 +464,12 @@ func buildHeader(ts []TradeoffDecl) string {
 	}
 	b.WriteString("};\n")
 	for _, t := range ts {
-		if t.Kind == "constant" {
+		if t.Kind == tradeoff.Constant {
 			fmt.Fprintf(&b, "auto T_%d_getValue(int64_t i) { return i + %d; }\n", t.ID, t.Lo)
 		} else {
 			fmt.Fprintf(&b, "auto T_%d_getValue(int64_t i) { return i; }\n", t.ID)
 		}
-		fmt.Fprintf(&b, "int64_t T_%d_size() { return %d; }\n", t.ID, t.Size())
+		fmt.Fprintf(&b, "int64_t T_%d_size() { return %d; }\n", t.ID, t.Size)
 		fmt.Fprintf(&b, "int64_t T_%d_getDefaultIndex() { return %d; }\n", t.ID, t.Default)
 	}
 	return b.String()

@@ -3,6 +3,8 @@ package frontend
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/tradeoff"
 )
 
 // fixture mirrors the paper's bodytrack example (Figures 8 and 10) in the
@@ -66,14 +68,14 @@ func TestTradeoffFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	layers := out.Tradeoffs[0]
-	if layers.Kind != "constant" || layers.Lo != 1 || layers.Hi != 10 || layers.Default != 4 {
+	if layers.Kind != tradeoff.Constant || layers.Lo != 1 || layers.Hi != 10 || layers.Default != 4 {
 		t.Fatalf("layers: %+v", layers)
 	}
-	if layers.Size() != 10 {
-		t.Fatalf("layers size: %d", layers.Size())
+	if layers.Size != 10 || layers.ValueNames != nil {
+		t.Fatalf("layers size %d, value names %v", layers.Size, layers.ValueNames)
 	}
 	wt := out.Tradeoffs[1]
-	if wt.Kind != "type" || len(wt.Names) != 3 || wt.Names[2] != "double" {
+	if wt.Kind != tradeoff.Type || wt.Size != 3 || len(wt.ValueNames) != 3 || wt.ValueNames[2] != "double" {
 		t.Fatalf("weight type: %+v", wt)
 	}
 	// IDs assigned in order starting at 42 (Figure 11's T_42).
@@ -144,6 +146,7 @@ func TestGeneratedLOCPositive(t *testing.T) {
 }
 
 func TestErrors(t *testing.T) {
+	const dep = "statedep d {\ninput I;\nstate S;\noutput O;\n"
 	cases := []struct {
 		name, src, wantSub string
 	}{
@@ -159,6 +162,17 @@ func TestErrors(t *testing.T) {
 		{"dep missing input", "statedep d {\nstate S;\noutput O;\ncompute f;\n}", "missing input"},
 		{"dep unknown field", "statedep d {\nbanana x;\n}", "unknown statedep field"},
 		{"undeclared use", "statedep d {\ninput I;\nstate S;\noutput O;\ncompute f uses TO_missing;\n}", "undeclared tradeoff"},
+		// Declared names are spliced into generated identifiers.
+		{"tradeoff with a dash", "tradeoff a-b {\nkind constant;\nvalues 1..2;\ndefault 0;\n}", `line 1: tradeoff name "a-b" is not an identifier`},
+		{"tradeoff with a space", "\ntradeoff TO a {\nkind constant;\nvalues 1..2;\ndefault 0;\n}", `line 2: tradeoff name "TO a" is not an identifier`},
+		{"tradeoff with a brace", "tradeoff x{y {\nkind type;\nvalues a, b;\ndefault 0;\n}", `line 1: tradeoff name "x{y" is not an identifier`},
+		{"tradeoff with a leading digit", "tradeoff 9lives {\nkind constant;\nvalues 1..2;\ndefault 0;\n}", `line 1: tradeoff name "9lives" is not an identifier`},
+		{"statedep with a space", "statedep my dep {\ninput I;\nstate S;\noutput O;\ncompute f;\n}", `line 1: statedep name "my dep" is not an identifier`},
+		{"statedep with a template", "statedep d<int> {\ninput I;\nstate S;\noutput O;\ncompute f;\n}", `line 1: statedep name "d<int>" is not an identifier`},
+		{"compute with a space", dep + "compute my update;\n}", `line 5: compute name "my update" is not an identifier`},
+		{"compute with a dash", dep + "compute up-date uses T;\n}", `line 5: compute name "up-date" is not an identifier`},
+		{"compute named uses", dep + "compute uses T;\n}", `line 5: compute name "uses T" is not an identifier`},
+		{"compare with a call", dep + "compute f;\ncompare cmp();\n}", `line 6: compare name "cmp()" is not an identifier`},
 	}
 	for _, c := range cases {
 		if _, err := Translate(c.src); err == nil || !strings.Contains(err.Error(), c.wantSub) {
@@ -184,7 +198,7 @@ func TestCommentsAndBlankLinesInBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Tradeoffs[0].Size() != 3 {
+	if out.Tradeoffs[0].Size != 3 {
 		t.Fatal("comment handling broke parsing")
 	}
 }
@@ -197,5 +211,16 @@ func TestDepWithoutCompare(t *testing.T) {
 	}
 	if out.Deps[0].Compare != "" {
 		t.Fatal("compare should be optional")
+	}
+}
+
+// TestHostTypesAndValueNamesStayOpaque pins the other side of the name
+// refusals in TestErrors: host types (templates included) and value names
+// are not spliced into generated identifiers, so they stay opaque text.
+func TestHostTypesAndValueNamesStayOpaque(t *testing.T) {
+	src := "tradeoff T {\nkind type;\nvalues float 16, std::float32_t;\ndefault 0;\n}\n" +
+		"statedep d {\ninput std::vector<int>;\nstate Map<K, V>;\noutput O*;\ncompute f uses T;\ncompare cmp;\n}"
+	if _, err := Translate(src); err != nil {
+		t.Fatalf("opaque host types or value names refused: %v", err)
 	}
 }

@@ -42,10 +42,10 @@ func FuzzTranslate(f *testing.F) {
 			if tr.ID != 42+i {
 				t.Fatalf("tradeoff %d id %d", i, tr.ID)
 			}
-			if tr.Size() <= 0 {
+			if tr.Size <= 0 {
 				t.Fatalf("tradeoff %s empty", tr.Name)
 			}
-			if tr.Default < 0 || tr.Default >= tr.Size() {
+			if tr.Default < 0 || tr.Default >= tr.Size {
 				t.Fatalf("tradeoff %s default out of range", tr.Name)
 			}
 		}

@@ -6,6 +6,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/ir"
+	"repro/internal/tradeoff"
 )
 
 // renderCanonical rebuilds extension source from parsed declarations —
@@ -16,10 +19,10 @@ func renderCanonical(out *Output) string {
 	var b strings.Builder
 	for _, t := range out.Tradeoffs {
 		fmt.Fprintf(&b, "tradeoff %s {\n", t.Name)
-		if t.Kind == "constant" {
+		if t.Kind == tradeoff.Constant {
 			fmt.Fprintf(&b, "kind constant;\nvalues %d..%d;\n", t.Lo, t.Hi)
 		} else {
-			fmt.Fprintf(&b, "kind %s;\nvalues %s;\n", t.Kind, strings.Join(t.Names, ", "))
+			fmt.Fprintf(&b, "kind %s;\nvalues %s;\n", t.Kind, strings.Join(t.ValueNames, ", "))
 		}
 		fmt.Fprintf(&b, "default %d;\n}\n", t.Default)
 	}
@@ -56,12 +59,12 @@ func renderCanonical(out *Output) string {
 func stripLines(out *Output) ([]TradeoffDecl, []DepDecl) {
 	ts := make([]TradeoffDecl, len(out.Tradeoffs))
 	for i, t := range out.Tradeoffs {
-		t.Line, t.Col = 0, 0
+		t.Pos = ir.Pos{}
 		ts[i] = t
 	}
 	ds := make([]DepDecl, len(out.Deps))
 	for i, d := range out.Deps {
-		d.Line, d.Col = 0, 0
+		d.Pos = ir.Pos{}
 		d.Reserve = stripIndexLines(d.Reserve)
 		d.Touches = stripIndexLines(d.Touches)
 		ds[i] = d
@@ -69,15 +72,15 @@ func stripLines(out *Output) ([]TradeoffDecl, []DepDecl) {
 	return ts, ds
 }
 
-// stripIndexLines zeroes the per-entry source lines of reserve/touches
+// stripIndexLines zeroes the per-entry source positions of reserve/touches
 // declarations (copying the slice, so the original Output is untouched).
-func stripIndexLines(es []IndexDecl) []IndexDecl {
+func stripIndexLines(es []ir.IndexExpr) []ir.IndexExpr {
 	if es == nil {
 		return nil
 	}
-	out := make([]IndexDecl, len(es))
+	out := make([]ir.IndexExpr, len(es))
 	for i, e := range es {
-		e.Line = 0
+		e.Pos = ir.Pos{}
 		out[i] = e
 	}
 	return out
@@ -103,7 +106,7 @@ func FuzzParse(f *testing.F) {
 		"host line\ntradeoff T {\n kind constant;\n values 2..9;\n default 7;\n}\nmore host\n",
 		"tradeoff T {\n kind constant;\n values 1..3;\n default 0;\n kind constant;\n}\n", // duplicate field
 		"statedep d {\n input a;b;\n state S;\n output O;\n compute f;\n}\n",              // ';' inside a value
-		"tradeoff x{y {\n kind type;\n values a b, c;\n default 1;\n}\n",                  // odd but legal names
+		"tradeoff x{y {\n kind type;\n values a b, c;\n default 1;\n}\n",                  // a name that is no identifier: refused
 		"statedep d {\n input I;\n state S;\n output O;\n compute f uses A uses B;\n}\n",
 		"tradeoff broken {\n kind banana;\n}\n",
 		"statedep d {\n compute f;\n}\n",

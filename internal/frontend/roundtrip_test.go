@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/tradeoff"
 )
 
 // declSpec is a generated tradeoff declaration used by the round-trip
@@ -95,15 +97,14 @@ func TestTranslateRoundTripProperty(t *testing.T) {
 			if got.Name != fmt.Sprintf("TO_gen%d", i) {
 				return false
 			}
-			wantKind := []string{"constant", "type", "function"}[d.Kind]
-			if got.Kind != wantKind || got.Default != d.DefIdx {
+			if got.Kind != tradeoff.Kind(d.Kind) || got.Default != d.DefIdx {
 				return false
 			}
 			if d.Kind == 0 {
 				if got.Lo != d.Lo || got.Hi != d.Hi {
 					return false
 				}
-			} else if int(got.Size()) != d.Names {
+			} else if int(got.Size) != d.Names {
 				return false
 			}
 			// IDs are assigned sequentially from 42.
@@ -145,7 +146,7 @@ func TestTranslateHeaderConsistentWithDeclsProperty(t *testing.T) {
 			// with its size and default accessors.
 			for _, want := range []string{
 				fmt.Sprintf("int64_t T_%d(int64_t p)", decl.ID),
-				fmt.Sprintf("T_%d_size() { return %d; }", decl.ID, decl.Size()),
+				fmt.Sprintf("T_%d_size() { return %d; }", decl.ID, decl.Size),
 				fmt.Sprintf("T_%d_getDefaultIndex() { return %d; }", decl.ID, decl.Default),
 			} {
 				if !strings.Contains(out.Header, want) {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/profiler"
 	"repro/internal/taskgen"
+	"repro/internal/tradeoff"
 	"repro/internal/workload"
 )
 
@@ -76,10 +77,10 @@ func synthesizeExtensionSource(d workload.Descriptor) string {
 		name := "TO_" + tr.Name
 		names = append(names, name)
 		fmt.Fprintf(&b, "tradeoff %s {\n", name)
-		switch tr.Kind.String() {
-		case "constant":
+		switch tr.Kind {
+		case tradeoff.Constant:
 			fmt.Fprintf(&b, "    kind constant;\n    values 0..%d;\n", tr.Opts.MaxIndex()-1)
-		case "type":
+		case tradeoff.Type:
 			fmt.Fprintf(&b, "    kind type;\n    values half, single, double;\n")
 		default:
 			var vals []string

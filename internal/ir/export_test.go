@@ -29,7 +29,7 @@ func (m *Module) EncodeJSON(w io.Writer) error {
 	}
 	for _, t := range m.Tradeoffs {
 		doc.Tradeoffs = append(doc.Tradeoffs, jsonTradeoff{
-			Name: t.Name, Kind: kindNames[t.Kind], GetValue: t.GetValue,
+			Name: t.Name, Kind: t.Kind.String(), GetValue: t.GetValue,
 			Size: t.Size, Default: t.Default, ValueNames: t.ValueNames,
 			Aux: t.Aux, ClonedFrom: t.ClonedFrom, Line: t.Pos.Line, Col: t.Pos.Col,
 		})

@@ -9,10 +9,16 @@
 //   - metadata tables describing tradeoffs (with their getValue functions,
 //     themselves IR, which the back-end "JIT-executes" to resolve an index
 //     to a value) and state dependences (with their compute, auxiliary and
-//     comparison functions).
+//     comparison functions). The front-end's parser builds these rows
+//     itself (frontend.TradeoffDecl and DepDecl embed them), and a row's
+//     kind is tradeoff.Kind.
 package ir
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/tradeoff"
+)
 
 // Opcode enumerates the instruction kinds the pipeline manipulates. Host
 // computation is opaque (Extern); the pipeline's job is cloning,
@@ -195,23 +201,14 @@ func (f *Function) TradeoffRefs() []string {
 	return out
 }
 
-// TradeoffKind mirrors tradeoff.Kind at the IR level.
-type TradeoffKind int
-
-const (
-	// ConstantKind replaces a placeholder call with a constant.
-	ConstantKind TradeoffKind = iota
-	// TypeKind re-types a variable.
-	TypeKind
-	// FunctionKind replaces a placeholder callee.
-	FunctionKind
-)
-
 // TradeoffMeta is one row of the tradeoff metadata table (the TO[] array
 // of Figure 11).
 type TradeoffMeta struct {
 	Name string
-	Kind TradeoffKind
+	// Kind says how the back-end substitutes a chosen value: a constant
+	// replaces a placeholder call, a type re-types a variable, a function
+	// replaces a placeholder callee.
+	Kind tradeoff.Kind
 	// GetValue is the IR function mapping an index to a value id; the
 	// back-end executes it (the paper uses LLVM's dynamic compiler).
 	GetValue string

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"repro/internal/tradeoff"
 )
 
 // The JSON module format exists for the correctness tooling: the pipeline
@@ -87,13 +89,6 @@ type jsonModule struct {
 	Deps      []jsonDep      `json:"deps,omitempty"`
 }
 
-// kindNames maps TradeoffKind values to their JSON spellings.
-var kindNames = map[TradeoffKind]string{
-	ConstantKind: "constant",
-	TypeKind:     "type",
-	FunctionKind: "function",
-}
-
 // opcodeByName is the inverse of Opcode.String for every defined opcode.
 var opcodeByName = func() map[string]Opcode {
 	m := make(map[string]Opcode, opcodeCount)
@@ -137,7 +132,7 @@ func DecodeJSON(r io.Reader) (*Module, error) {
 		m.Functions[f.Name] = f
 	}
 	for _, jt := range doc.Tradeoffs {
-		kind, ok := kindByName(jt.Kind)
+		kind, ok := tradeoff.ParseKind(jt.Kind)
 		if !ok {
 			return nil, fmt.Errorf("ir: tradeoff %s: unknown kind %q", jt.Name, jt.Kind)
 		}
@@ -160,14 +155,4 @@ func DecodeJSON(r io.Reader) (*Module, error) {
 		m.Deps = append(m.Deps, d)
 	}
 	return m, nil
-}
-
-// kindByName parses a JSON kind spelling.
-func kindByName(s string) (TradeoffKind, bool) {
-	for k, n := range kindNames {
-		if n == s {
-			return k, true
-		}
-	}
-	return 0, false
 }

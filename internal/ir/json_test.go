@@ -3,12 +3,14 @@ package ir_test
 import (
 	"bytes"
 	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/analysis"
 	"repro/internal/frontend"
 	"repro/internal/ir"
 	"repro/internal/midend"
+	"repro/internal/tradeoff"
 )
 
 // TestJSONRoundTrip lowers the checked-in bodytrack program, encodes it and
@@ -48,5 +50,28 @@ func TestJSONRoundTrip(t *testing.T) {
 	// Positions survive the trip.
 	if p := back.Deps[0].Pos; !p.IsValid() {
 		t.Fatalf("dep position lost in round trip")
+	}
+}
+
+// TestDecodeRefusesUnknownKind pins the decoder's refusal of a tradeoff
+// kind spelled other than tradeoff.Kind.String does, naming the tradeoff
+// and the spelling, and its acceptance of the three kinds.
+func TestDecodeRefusesUnknownKind(t *testing.T) {
+	doc := func(kind string) string {
+		return `{"functions": [], "tradeoffs": [{"name": "TO_x", "kind": "` + kind +
+			`", "getValue": "gv", "size": 2, "default": 0}]}`
+	}
+	for _, kind := range []string{"banana", "Constant", ""} {
+		_, err := ir.DecodeJSON(strings.NewReader(doc(kind)))
+		want := `ir: tradeoff TO_x: unknown kind "` + kind + `"`
+		if err == nil || err.Error() != want {
+			t.Errorf("kind %q: err %v, want %s", kind, err, want)
+		}
+	}
+	for _, k := range []tradeoff.Kind{tradeoff.Constant, tradeoff.Type, tradeoff.Function} {
+		m, err := ir.DecodeJSON(strings.NewReader(doc(k.String())))
+		if err != nil || len(m.Tradeoffs) != 1 || m.Tradeoffs[0].Kind != k {
+			t.Errorf("kind %v: err %v, module %+v", k, err, m)
+		}
 	}
 }

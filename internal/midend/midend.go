@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/frontend"
 	"repro/internal/ir"
+	"repro/internal/tradeoff"
 )
 
 // CloneBudget is the maximum number of instructions the middle-end will
@@ -30,51 +31,38 @@ const CloneBudget = 4096
 const externBulk = 160
 
 // Lower converts the front-end output into an IR module with auxiliary
-// code, ready for the back-end.
+// code, ready for the back-end. The metadata rows are the parser's own
+// (frontend.TradeoffDecl and DepDecl embed them); Lower appends them and
+// fills in only what it decides: each tradeoff's GetValue here, then the
+// aux clones' Aux and ClonedFrom and each dependence's AuxCompute.
 func Lower(fo *frontend.Output) (*ir.Module, error) {
 	m := ir.NewModule()
 
 	// Tradeoff metadata + getValue functions (interpretable IR). Every
-	// synthesized instruction and metadata row carries the declaration's
-	// source position so analysis diagnostics point at real source.
+	// synthesized instruction carries the declaration's source position so
+	// analysis diagnostics point at real source.
 	for _, t := range fo.Tradeoffs {
-		pos := ir.Pos{Line: t.Line, Col: t.Col}
 		gv := &ir.Function{Name: fmt.Sprintf("T_%d_getValue", t.ID)}
 		switch t.Kind {
-		case "constant":
+		case tradeoff.Constant:
 			// return i + Lo
 			gv.Instrs = []ir.Instr{
-				{Op: ir.Param, Index: 0, Pos: pos},
-				{Op: ir.Const, Value: t.Lo, Pos: pos},
-				{Op: ir.Add, Args: []int{0, 1}, Pos: pos},
-				{Op: ir.Ret, Args: []int{2}, Pos: pos},
+				{Op: ir.Param, Index: 0, Pos: t.Pos},
+				{Op: ir.Const, Value: t.Lo, Pos: t.Pos},
+				{Op: ir.Add, Args: []int{0, 1}, Pos: t.Pos},
+				{Op: ir.Ret, Args: []int{2}, Pos: t.Pos},
 			}
 		default:
 			// return i (an index into ValueNames)
 			gv.Instrs = []ir.Instr{
-				{Op: ir.Param, Index: 0, Pos: pos},
-				{Op: ir.Ret, Args: []int{0}, Pos: pos},
+				{Op: ir.Param, Index: 0, Pos: t.Pos},
+				{Op: ir.Ret, Args: []int{0}, Pos: t.Pos},
 			}
 		}
 		m.AddFunction(gv)
-		meta := ir.TradeoffMeta{
-			Name:     t.Name,
-			GetValue: gv.Name,
-			Size:     t.Size(),
-			Default:  t.Default,
-			Pos:      pos,
-		}
-		switch t.Kind {
-		case "constant":
-			meta.Kind = ir.ConstantKind
-		case "type":
-			meta.Kind = ir.TypeKind
-			meta.ValueNames = t.Names
-		case "function":
-			meta.Kind = ir.FunctionKind
-			meta.ValueNames = t.Names
-		}
-		m.Tradeoffs = append(m.Tradeoffs, meta)
+		row := t.TradeoffMeta
+		row.GetValue = gv.Name
+		m.Tradeoffs = append(m.Tradeoffs, row)
 	}
 
 	// Synthesize compute functions. The first used tradeoff is referenced
@@ -83,8 +71,8 @@ func Lower(fo *frontend.Output) (*ir.Module, error) {
 	// get their candidate callees declared as extern leaf functions.
 	declared := map[string]bool{}
 	for _, t := range fo.Tradeoffs {
-		if t.Kind == "function" {
-			for _, callee := range t.Names {
+		if t.Kind == tradeoff.Function {
+			for _, callee := range t.ValueNames {
 				if !declared[callee] {
 					declared[callee] = true
 					m.AddFunction(&ir.Function{Name: callee, Instrs: []ir.Instr{{Op: ir.Extern}}})
@@ -92,7 +80,7 @@ func Lower(fo *frontend.Output) (*ir.Module, error) {
 			}
 		}
 	}
-	kindOf := map[string]string{}
+	kindOf := map[string]tradeoff.Kind{}
 	for _, t := range fo.Tradeoffs {
 		kindOf[t.Name] = t.Kind
 	}
@@ -100,7 +88,6 @@ func Lower(fo *frontend.Output) (*ir.Module, error) {
 		if _, dup := m.Functions[d.Compute]; dup {
 			return nil, fmt.Errorf("midend: compute %s declared twice", d.Compute)
 		}
-		pos := ir.Pos{Line: d.Line, Col: d.Col}
 		compute := &ir.Function{Name: d.Compute}
 		// The compute function's effect skeleton (Figure 4's pattern):
 		// read the current input, read the state, compute, write the
@@ -109,7 +96,7 @@ func Lower(fo *frontend.Output) (*ir.Module, error) {
 		// which slots it touches, the whole-state read/write pair is
 		// replaced by per-slot indexed accesses whose index expressions
 		// the footprint pass can evaluate abstractly.
-		compute.Instrs = append(compute.Instrs, ir.Instr{Op: ir.InputRead, Index: 0, Pos: pos})
+		compute.Instrs = append(compute.Instrs, ir.Instr{Op: ir.InputRead, Index: 0, Pos: d.Pos})
 		indexed := len(d.Touches) > 0
 		for _, e := range d.Touches {
 			if e.Whole {
@@ -120,21 +107,20 @@ func Lower(fo *frontend.Output) (*ir.Module, error) {
 		var touchIdx []int
 		if indexed {
 			for _, e := range d.Touches {
-				epos := ir.Pos{Line: e.Line, Col: d.Col}
-				idx := lowerIndex(compute, e, epos)
+				idx := lowerIndex(compute, e)
 				touchIdx = append(touchIdx, idx)
 				compute.Instrs = append(compute.Instrs,
-					ir.Instr{Op: ir.StateReadIdx, Name: d.State, Args: []int{idx}, Pos: epos})
+					ir.Instr{Op: ir.StateReadIdx, Name: d.State, Args: []int{idx}, Pos: e.Pos})
 			}
 		} else {
-			compute.Instrs = append(compute.Instrs, ir.Instr{Op: ir.StateRead, Name: d.State, Pos: pos})
+			compute.Instrs = append(compute.Instrs, ir.Instr{Op: ir.StateRead, Name: d.State, Pos: d.Pos})
 		}
 		addRef := func(f *ir.Function, name string) {
 			switch kindOf[name] {
-			case "type":
-				f.Instrs = append(f.Instrs, ir.Instr{Op: ir.TypeUse, Tradeoff: name, Name: "v_" + name, Pos: pos})
+			case tradeoff.Type:
+				f.Instrs = append(f.Instrs, ir.Instr{Op: ir.TypeUse, Tradeoff: name, Name: "v_" + name, Pos: d.Pos})
 			default:
-				f.Instrs = append(f.Instrs, ir.Instr{Op: ir.Placeholder, Tradeoff: name, Pos: pos})
+				f.Instrs = append(f.Instrs, ir.Instr{Op: ir.Placeholder, Tradeoff: name, Pos: d.Pos})
 			}
 		}
 		if len(d.Uses) > 0 {
@@ -146,43 +132,31 @@ func Lower(fo *frontend.Output) (*ir.Module, error) {
 				addRef(kernel, u)
 			}
 			for i := 0; i < externBulk; i++ {
-				kernel.Instrs = append(kernel.Instrs, ir.Instr{Op: ir.Extern, Pos: pos})
+				kernel.Instrs = append(kernel.Instrs, ir.Instr{Op: ir.Extern, Pos: d.Pos})
 			}
 			m.AddFunction(kernel)
-			compute.Instrs = append(compute.Instrs, ir.Instr{Op: ir.Call, Callee: kernel.Name, Pos: pos})
+			compute.Instrs = append(compute.Instrs, ir.Instr{Op: ir.Call, Callee: kernel.Name, Pos: d.Pos})
 		}
 		// A tradeoff-free library helper: must NOT be cloned.
 		lib := &ir.Function{Name: d.Compute + "$lib"}
 		for i := 0; i < externBulk; i++ {
-			lib.Instrs = append(lib.Instrs, ir.Instr{Op: ir.Extern, Pos: pos})
+			lib.Instrs = append(lib.Instrs, ir.Instr{Op: ir.Extern, Pos: d.Pos})
 		}
 		m.AddFunction(lib)
-		compute.Instrs = append(compute.Instrs, ir.Instr{Op: ir.Call, Callee: lib.Name, Pos: pos})
+		compute.Instrs = append(compute.Instrs, ir.Instr{Op: ir.Call, Callee: lib.Name, Pos: d.Pos})
 		for i := 0; i < externBulk; i++ {
-			compute.Instrs = append(compute.Instrs, ir.Instr{Op: ir.Extern, Pos: pos})
+			compute.Instrs = append(compute.Instrs, ir.Instr{Op: ir.Extern, Pos: d.Pos})
 		}
 		if indexed {
 			for k, e := range d.Touches {
-				epos := ir.Pos{Line: e.Line, Col: d.Col}
 				compute.Instrs = append(compute.Instrs,
-					ir.Instr{Op: ir.StateWriteIdx, Name: d.State, Args: []int{touchIdx[k]}, Pos: epos})
+					ir.Instr{Op: ir.StateWriteIdx, Name: d.State, Args: []int{touchIdx[k]}, Pos: e.Pos})
 			}
 		} else {
-			compute.Instrs = append(compute.Instrs, ir.Instr{Op: ir.StateWrite, Name: d.State, Pos: pos})
+			compute.Instrs = append(compute.Instrs, ir.Instr{Op: ir.StateWrite, Name: d.State, Pos: d.Pos})
 		}
 		m.AddFunction(compute)
-		meta := ir.DepMeta{
-			Name: d.Name, Input: d.Input, State: d.State, Output: d.Output,
-			Compute: d.Compute, Compare: d.Compare,
-			Window: int(d.Window), Slots: int(d.Slots), Pos: pos,
-		}
-		for _, e := range d.Reserve {
-			meta.Reserve = append(meta.Reserve, ir.IndexExpr{
-				Whole: e.Whole, Field: e.Field, Stride: e.Stride, Offset: e.Offset,
-				Pos: ir.Pos{Line: e.Line, Col: d.Col},
-			})
-		}
-		m.Deps = append(m.Deps, meta)
+		m.Deps = append(m.Deps, d.DepMeta)
 	}
 
 	// Generate auxiliary code, then pin the originals.
@@ -198,21 +172,21 @@ func Lower(fo *frontend.Output) (*ir.Module, error) {
 // lowerIndex appends the instructions computing the slot index declared by
 // e — an affine expression stride*field+offset over the current input — and
 // returns the index of the instruction holding the result.
-func lowerIndex(f *ir.Function, e frontend.IndexDecl, pos ir.Pos) int {
+func lowerIndex(f *ir.Function, e ir.IndexExpr) int {
 	if e.Field == "" {
-		f.Instrs = append(f.Instrs, ir.Instr{Op: ir.Const, Value: e.Offset, Pos: pos})
+		f.Instrs = append(f.Instrs, ir.Instr{Op: ir.Const, Value: e.Offset, Pos: e.Pos})
 		return len(f.Instrs) - 1
 	}
-	f.Instrs = append(f.Instrs, ir.Instr{Op: ir.InputField, Name: e.Field, Pos: pos})
+	f.Instrs = append(f.Instrs, ir.Instr{Op: ir.InputField, Name: e.Field, Pos: e.Pos})
 	cur := len(f.Instrs) - 1
 	if e.Stride != 1 {
-		f.Instrs = append(f.Instrs, ir.Instr{Op: ir.Const, Value: e.Stride, Pos: pos})
-		f.Instrs = append(f.Instrs, ir.Instr{Op: ir.Mul, Args: []int{cur, len(f.Instrs) - 1}, Pos: pos})
+		f.Instrs = append(f.Instrs, ir.Instr{Op: ir.Const, Value: e.Stride, Pos: e.Pos})
+		f.Instrs = append(f.Instrs, ir.Instr{Op: ir.Mul, Args: []int{cur, len(f.Instrs) - 1}, Pos: e.Pos})
 		cur = len(f.Instrs) - 1
 	}
 	if e.Offset != 0 {
-		f.Instrs = append(f.Instrs, ir.Instr{Op: ir.Const, Value: e.Offset, Pos: pos})
-		f.Instrs = append(f.Instrs, ir.Instr{Op: ir.Add, Args: []int{cur, len(f.Instrs) - 1}, Pos: pos})
+		f.Instrs = append(f.Instrs, ir.Instr{Op: ir.Const, Value: e.Offset, Pos: e.Pos})
+		f.Instrs = append(f.Instrs, ir.Instr{Op: ir.Add, Args: []int{cur, len(f.Instrs) - 1}, Pos: e.Pos})
 		cur = len(f.Instrs) - 1
 	}
 	return cur
@@ -349,7 +323,7 @@ func pinDefaults(m *ir.Module) error {
 				}
 				switch in.Op {
 				case ir.Placeholder:
-					if t.Kind == ir.FunctionKind {
+					if t.Kind == tradeoff.Function {
 						// The placeholder call's callee becomes the
 						// default implementation.
 						*in = ir.Instr{Op: ir.Call, Callee: t.ValueNames[def]}

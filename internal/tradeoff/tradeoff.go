@@ -12,6 +12,11 @@
 // be set independently from the rest of the program; the back-end resolves
 // an index to a value and substitutes it (constant replacement, variable
 // re-typing, or callee replacement) according to the tradeoff's kind.
+//
+// A kind's spelling ("constant", "type", "function") is written by
+// Kind.String and read back by ParseKind only: the front-end's `kind`
+// statement and the IR's JSON decoder both parse through it, and every
+// other package switches on the Kind value.
 package tradeoff
 
 import "fmt"
@@ -44,6 +49,17 @@ func (k Kind) String() string {
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
+}
+
+// ParseKind inverts String: it returns the kind spelled s, and false for
+// any other spelling.
+func ParseKind(s string) (Kind, bool) {
+	for k := Constant; k <= Function; k++ {
+		if k.String() == s {
+			return k, true
+		}
+	}
+	return 0, false
 }
 
 // Options enumerates the legal values of a tradeoff, mirroring the

@@ -89,6 +89,22 @@ func TestKindString(t *testing.T) {
 	}
 }
 
+// TestParseKind pins the one parser of a kind's spelling: it inverts
+// String for every kind and refuses every other spelling, including an
+// unknown kind's String and the names' case and padding variants.
+func TestParseKind(t *testing.T) {
+	for _, k := range []Kind{Constant, Type, Function} {
+		if got, ok := ParseKind(k.String()); !ok || got != k {
+			t.Errorf("ParseKind(%q) = %v, %v; want %v, true", k.String(), got, ok, k)
+		}
+	}
+	for _, s := range []string{"", "Constant", "TYPE", " function", "type ", "func", "banana", Kind(3).String(), "0"} {
+		if k, ok := ParseKind(s); ok {
+			t.Errorf("ParseKind(%q) = %v, true; want a refusal", s, k)
+		}
+	}
+}
+
 func TestPrecisionEnum(t *testing.T) {
 	e := PrecisionEnum()
 	if e.MaxIndex() != 3 {

@@ -62,6 +62,14 @@
 # call to a harness.*Table( function outside internal/harness (tests
 # included), and on a Benchmark* in the repository root whose body calls into
 # internal/harness: a second way to regenerate a figure is a second list.
+# The one-record guard: the front-end parses each declaration into the IR's
+# own metadata rows (frontend.TradeoffDecl and DepDecl embed ir.TradeoffMeta
+# and ir.DepMeta, reserve/touches entries are ir.IndexExpr), and a tradeoff
+# kind is tradeoff.Kind, whose spelling tradeoff.ParseKind alone reads; so
+# fail if a non-test struct outside internal/ir declares both a Stride and an
+# Offset field (a second slot-index record), and on a non-test comparison
+# against a kind's spelling (case "constant", == "type", != "function", ...)
+# outside internal/tradeoff (bench/ and testdata excluded).
 # Run via `make vet`.
 set -eu
 
@@ -204,5 +212,20 @@ rootbench=$(awk '/^func /{fn=$0} /^}/{fn=""} fn ~ /^func Benchmark/ && /harness\
 if [ -n "$tables$rootbench" ]; then
     echo "fact-guard: run an experiment through harness.Experiments (statsexp -exp <id>), not a harness table function or a root benchmark:" >&2
     printf '%s\n' "$tables" "$rootbench" | grep . >&2
+    exit 1
+fi
+
+indexrecs=$(awk 'FNR==1{st=""}
+    /^[[:space:]]*type [A-Za-z0-9_]+ struct \{/{st=$2; at=FNR; sd=0; of=0; next}
+    st != "" && /^[[:space:]]*}/{if (sd && of) print FILENAME":"at": "st; st=""; next}
+    st != "" && /^[[:space:]]*Stride([^A-Za-z0-9_]|$)/{sd=1}
+    st != "" && /^[[:space:]]*Offset([^A-Za-z0-9_]|$)/{of=1}' \
+    /dev/null $(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' ! -path './internal/ir/*'))
+spellings=$(grep -rnE '(case [^:]*|[=!]=[[:space:]]*)"(constant|type|function)"|"(constant|type|function)"[[:space:]]*[=!]=' \
+    --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=testdata . |
+    grep -v '^\./internal/tradeoff/' || true)
+if [ -n "$indexrecs$spellings" ]; then
+    echo "fact-guard: a declaration is the IR's own row (ir.IndexExpr, ir.TradeoffMeta, ir.DepMeta) and a kind is a tradeoff.Kind; declare no second slot-index record and parse a kind's spelling through tradeoff.ParseKind:" >&2
+    printf '%s\n' "$indexrecs" "$spellings" | grep . >&2
     exit 1
 fi
