@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -122,6 +124,73 @@ func TestGoldenTextLinesDistinct(t *testing.T) {
 			t.Errorf("lines %d and %d are the same finding: %s", first, i+1, line)
 		}
 		seen[line] = i + 1
+	}
+}
+
+// faults names the faults two passes word differently: a duplicate
+// declaration, a knob with one value, a value listed twice. Any other finding's
+// fault is its message.
+var faults = []struct {
+	re   *regexp.Regexp
+	name string
+}{
+	{regexp.MustCompile(`declared twice|already declared`), "declared twice"},
+	{regexp.MustCompile(`single value`), "single value"},
+	{regexp.MustCompile(`more than once`), "listed more than once"},
+}
+
+// fault returns the fault a finding's message reports.
+func fault(msg string) string {
+	for _, f := range faults {
+		if f.re.MatchString(msg) {
+			return f.name
+		}
+	}
+	return msg
+}
+
+// TestGoldenOneFindingPerFault: a fault is reported once, by the earliest
+// stage that sees the declaration under its own name — two findings of one
+// fault at one file:line:col, in either golden, are one fault reported twice
+// (a source lint and the IR pass over the row the declaration was lowered
+// to, say).
+func TestGoldenOneFindingPerFault(t *testing.T) {
+	text, err := os.ReadFile("testdata/golden/broken.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	js, err := os.ReadFile("testdata/golden/broken.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var findings []struct {
+		File      string
+		Line, Col int
+		Msg       string
+	}
+	if err := json.Unmarshal(js, &findings); err != nil {
+		t.Fatal(err)
+	}
+	keys := map[string][]string{}
+	for _, line := range strings.Split(strings.TrimSuffix(string(text), "\n"), "\n") {
+		// file:line:col: severity: pass: message (locators)
+		parts := strings.SplitN(line, ": ", 4)
+		if len(parts) < 4 {
+			continue // the summary line
+		}
+		keys["broken.txt"] = append(keys["broken.txt"], parts[0]+" "+fault(parts[3]))
+	}
+	for _, f := range findings {
+		keys["broken.json"] = append(keys["broken.json"], fmt.Sprintf("%s:%d:%d %s", f.File, f.Line, f.Col, fault(f.Msg)))
+	}
+	for golden, ks := range keys {
+		seen := map[string]bool{}
+		for _, k := range ks {
+			if seen[k] {
+				t.Errorf("%s reports one fault twice at one position: %s", golden, k)
+			}
+			seen[k] = true
+		}
 	}
 }
 

@@ -124,7 +124,7 @@ func (d Diagnostic) MarshalJSON() ([]byte, error) {
 	}{d.File, d.Pos.Line, d.Pos.Col, d.Severity.String(), d.Pass, d.Msg, d.Fn, d.Instr, d.Var})
 }
 
-// Pass is one analysis over a module. Run must not mutate the module and
+// Pass is one analysis over a module. It must not mutate the module and
 // must never panic on malformed input — rejecting garbage gracefully is
 // the whole point.
 type Pass struct {
@@ -132,9 +132,16 @@ type Pass struct {
 	Name string
 	// Doc is the one-line description statsvet -help prints.
 	Doc string
-	// Run executes the pass.
-	Run func(m *ir.Module) []Diagnostic
+	// run executes the pass. decls false leaves out the checks of a metadata
+	// row's own declaration that sourceLints also makes (a name declared
+	// twice, a tradeoff with one value or a repeated one): for a compiled
+	// program the source lints report those on the declaration itself, under
+	// its own name, and the row would report the same fault again.
+	run func(m *ir.Module, decls bool) []Diagnostic
 }
+
+// Run executes the pass over m with every check.
+func (p *Pass) Run(m *ir.Module) []Diagnostic { return p.run(m, true) }
 
 // Passes returns the IR passes in execution order.
 func Passes() []*Pass {
@@ -144,20 +151,26 @@ func Passes() []*Pass {
 // Analyze runs every IR pass over m and returns the findings in a
 // deterministic order (position, then function, then instruction).
 func Analyze(m *ir.Module) []Diagnostic {
-	var out []Diagnostic
-	for _, p := range Passes() {
-		out = append(out, p.Run(m)...)
-	}
-	Sort(out)
-	return out
+	return analyze(nil, m, true)
 }
 
 // AnalyzeProgram is the full statsvet front door for one compiled
 // program: source lints plus every IR pass, merged and sorted. The source
 // lints read the front-end output because the mid-end pins and deletes
-// unused tradeoffs — exactly the declarations they exist to flag.
+// unused tradeoffs — exactly the declarations they exist to flag. A fault
+// of a declaration is reported once, by the earliest stage that sees the
+// declaration under its own name and position: the source lints, so the IR
+// passes skip their checks of the rows it was lowered to (a tradeoff's row is
+// often its aux clone, TO_x$aux$f).
 func AnalyzeProgram(fo *frontend.Output, m *ir.Module) []Diagnostic {
-	out := append(sourceLints(fo), Analyze(m)...)
+	return analyze(sourceLints(fo), m, false)
+}
+
+// analyze appends the IR passes' findings over m to out and sorts them.
+func analyze(out []Diagnostic, m *ir.Module, decls bool) []Diagnostic {
+	for _, p := range Passes() {
+		out = append(out, p.run(m, decls)...)
+	}
 	Sort(out)
 	return out
 }

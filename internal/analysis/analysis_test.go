@@ -296,3 +296,55 @@ func TestCheckReportsErrors(t *testing.T) {
 		t.Fatalf("Check = %v, want error naming ghost", err)
 	}
 }
+
+// TestDeclarationFaultsReportedOnce: a compiled program's declaration faults
+// (a knob with one value, a value listed twice, a dependence declared twice)
+// are reported by the source lints alone, under the declaration's own name;
+// the IR passes over the rows the mid-end lowered them to stay silent. A
+// module with no source (an .ir.json input) still gets them from the IR
+// passes.
+func TestDeclarationFaultsReportedOnce(t *testing.T) {
+	src := `
+tradeoff TO_one {
+    kind constant;
+    values 7..7;
+    default 0;
+}
+tradeoff TO_prec {
+    kind type;
+    values half, half, double;
+    default 2;
+}
+statedep track {
+    input I;
+    state S;
+    output O;
+    compute f uses TO_one, TO_prec;
+    compare close;
+    window 1;
+}
+statedep track {
+    input I;
+    state S;
+    output O;
+    compute g uses TO_one, TO_prec;
+    compare close;
+    window 1;
+}
+`
+	fo, m := lower(t, src)
+	ds := AnalyzeProgram(fo, m)
+	wantFinding(t, ds, "srclint", Warning, "TO_one declares a single value")
+	wantFinding(t, ds, "srclint", Warning, "TO_prec lists value half more than once")
+	wantFinding(t, ds, "srclint", Error, "statedep track already declared")
+	for _, d := range ds {
+		if d.Pass != "srclint" && (strings.Contains(d.Msg, "single value") ||
+			strings.Contains(d.Msg, "more than once") || strings.Contains(d.Msg, "declared twice")) {
+			t.Errorf("an IR pass reports a fault the source lints reported: %s", d)
+		}
+	}
+	ds = Analyze(m)
+	wantFinding(t, ds, "lints", Warning, "has a single value")
+	wantFinding(t, ds, "lints", Warning, "more than once")
+	wantFinding(t, ds, "verify", Error, "state dependence track declared twice")
+}

@@ -19,7 +19,7 @@ import (
 var EffectsPass = &Pass{
 	Name: "effects",
 	Doc:  "per-function state read/write sets; aux code confined to window + speculative start state",
-	Run:  runEffects,
+	run:  func(m *ir.Module, _ bool) []Diagnostic { return runEffects(m) },
 }
 
 // Site locates one effect occurrence: the function and instruction that
@@ -30,10 +30,10 @@ type Site struct {
 	Pos   ir.Pos
 }
 
-// EffectSet is one function's transitive effect summary. Map values are
+// effectSet is one function's transitive effect summary. Map values are
 // the first site (in call-graph discovery order) performing the access,
 // so diagnostics can name a concrete offending instruction.
-type EffectSet struct {
+type effectSet struct {
 	// StateReads and StateWrites map state variable names to an
 	// access site, including accesses performed by transitive callees.
 	StateReads  map[string]Site
@@ -45,15 +45,15 @@ type EffectSet struct {
 }
 
 // newEffectSet returns an empty summary.
-func newEffectSet() *EffectSet {
-	return &EffectSet{StateReads: map[string]Site{}, StateWrites: map[string]Site{}, MaxInput: -1}
+func newEffectSet() *effectSet {
+	return &effectSet{StateReads: map[string]Site{}, StateWrites: map[string]Site{}, MaxInput: -1}
 }
 
 // readVars returns the sorted state variables read.
-func (e *EffectSet) readVars() []string { return sortedKeys(e.StateReads) }
+func (e *effectSet) readVars() []string { return sortedKeys(e.StateReads) }
 
 // writeVars returns the sorted state variables written.
-func (e *EffectSet) writeVars() []string { return sortedKeys(e.StateWrites) }
+func (e *effectSet) writeVars() []string { return sortedKeys(e.StateWrites) }
 
 func sortedKeys(m map[string]Site) []string {
 	out := make([]string, 0, len(m))
@@ -69,8 +69,8 @@ func sortedKeys(m map[string]Site) []string {
 // iteration converges because summaries only grow and the lattice
 // (subsets of state variables × max offset) is finite; cycles in a
 // malformed call graph are therefore handled without special cases.
-func effectSets(m *ir.Module) map[string]*EffectSet {
-	sets := map[string]*EffectSet{}
+func effectSets(m *ir.Module) map[string]*effectSet {
+	sets := map[string]*effectSet{}
 	for name, f := range m.Functions {
 		s := newEffectSet()
 		for i, in := range f.Instrs {

@@ -21,7 +21,7 @@ import (
 var FootprintsPass = &Pass{
 	Name: "footprints",
 	Doc:  "slot-level footprint inference; declared reservations must over-approximate inferred accesses",
-	Run:  runFootprints,
+	run:  func(m *ir.Module, _ bool) []Diagnostic { return runFootprints(m) },
 }
 
 // Access is one inferred slot-level state access: the abstract index

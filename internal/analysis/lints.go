@@ -17,10 +17,10 @@ import (
 var LintsPass = &Pass{
 	Name: "lints",
 	Doc:  "unused/unreachable tradeoffs, degenerate value ranges, variant signature mismatches",
-	Run:  runLints,
+	run:  runLints,
 }
 
-func runLints(m *ir.Module) []Diagnostic {
+func runLints(m *ir.Module, decls bool) []Diagnostic {
 	var ds []Diagnostic
 
 	// Which functions reference each tradeoff, and which functions any
@@ -52,14 +52,14 @@ func runLints(m *ir.Module) []Diagnostic {
 					"tradeoff %s is referenced only from unreachable code (%s)", t.Name, describeRefs(fns)))
 			}
 		}
-		if t.Size == 1 {
+		if decls && t.Size == 1 {
 			ds = append(ds, metaDiag("lints", Warning, t.Pos, t.Name,
 				"tradeoff %s has a single value; its range can never be exercised by any use site", t.Name))
 		}
 		if t.Kind == tradeoff.Function {
 			ds = append(ds, lintVariantSignatures(m, t)...)
 		}
-		if len(t.ValueNames) > 0 {
+		if decls && len(t.ValueNames) > 0 {
 			seen := map[string]bool{}
 			for _, v := range t.ValueNames {
 				if seen[v] {

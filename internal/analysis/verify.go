@@ -17,7 +17,7 @@ import (
 var VerifyPass = &Pass{
 	Name: "verify",
 	Doc:  "IR well-formedness, def-before-use, call-graph and clone congruence",
-	Run:  runVerify,
+	run:  runVerify,
 }
 
 // evalOps is the opcode subset the IR interpreter supports; getValue
@@ -26,14 +26,16 @@ var evalOps = map[ir.Opcode]bool{
 	ir.Const: true, ir.Param: true, ir.Add: true, ir.Mul: true, ir.Ret: true,
 }
 
-func runVerify(m *ir.Module) []Diagnostic {
+func runVerify(m *ir.Module, decls bool) []Diagnostic {
 	var ds []Diagnostic
 
 	tradeoffAt := map[string]int{}
 	for i, t := range m.Tradeoffs {
 		if prev, dup := tradeoffAt[t.Name]; dup {
-			ds = append(ds, metaDiag("verify", Error, t.Pos, t.Name,
-				"tradeoff %s declared twice (rows %d and %d)", t.Name, prev, i))
+			if decls {
+				ds = append(ds, metaDiag("verify", Error, t.Pos, t.Name,
+					"tradeoff %s declared twice (rows %d and %d)", t.Name, prev, i))
+			}
 			continue
 		}
 		tradeoffAt[t.Name] = i
@@ -52,7 +54,7 @@ func runVerify(m *ir.Module) []Diagnostic {
 	}
 
 	ds = append(ds, verifyTradeoffs(m)...)
-	ds = append(ds, verifyDeps(m)...)
+	ds = append(ds, verifyDeps(m, decls)...)
 	return ds
 }
 
@@ -224,7 +226,7 @@ func verifyTradeoffs(m *ir.Module) []Diagnostic {
 // verifyDeps checks the state-dependence table and, for each dependence
 // with auxiliary code, the structural congruence of the deep clone with
 // its original compute function.
-func verifyDeps(m *ir.Module) []Diagnostic {
+func verifyDeps(m *ir.Module, decls bool) []Diagnostic {
 	var ds []Diagnostic
 	seen := map[string]bool{}
 	for _, d := range m.Deps {
@@ -233,7 +235,9 @@ func verifyDeps(m *ir.Module) []Diagnostic {
 			continue
 		}
 		if seen[d.Name] {
-			ds = append(ds, metaDiag("verify", Error, d.Pos, d.Name, "state dependence %s declared twice", d.Name))
+			if decls {
+				ds = append(ds, metaDiag("verify", Error, d.Pos, d.Name, "state dependence %s declared twice", d.Name))
+			}
 			continue
 		}
 		seen[d.Name] = true

@@ -22,6 +22,7 @@ package bodytrack
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/mathx"
@@ -250,12 +251,34 @@ func cloneState(s State) State {
 	return c
 }
 
+// modelScratch is an updateModel call's working buffers, one slot per
+// particle each: the weights, the part's noise draws and the resample picks.
+type modelScratch struct {
+	weights []float64
+	noise   []mathx.Vec3
+	picked  []mathx.Vec3
+}
+
+// scratchPool recycles model scratch: a call takes one for itself and puts it
+// back on return, so lanes never share a buffer and a lane's calls reuse one.
+var scratchPool = sync.Pool{New: func() any { return new(modelScratch) }}
+
+// buffers returns the scratch cut to n particles, grown if it is shorter.
+func (sc *modelScratch) buffers(n int) ([]float64, []mathx.Vec3, []mathx.Vec3) {
+	if cap(sc.weights) < n {
+		sc.weights = make([]float64, n)
+		sc.noise = make([]mathx.Vec3, n)
+		sc.picked = make([]mathx.Vec3, n)
+	}
+	return sc.weights[:n], sc.noise[:n], sc.picked[:n]
+}
+
 // updateModel is computeOutput's core (updateModel in Figures 7/8): one
 // annealed particle-filter step against a frame. It updates the particle set
 // it is handed in place and returns it (a new set only when it re-samples to
 // another particle count); the engine alone copies a state, when a second
-// reader exists. One call allocates one scratch of each kind, shared by every
-// layer and part.
+// reader exists. Every layer and part of a call shares one pooled scratch,
+// which no state holds.
 func updateModel(r *rng.Source, p params, st State, f Frame) State {
 	// The particle count is a tradeoff; re-sample the set to the target
 	// size if a (cheaper) auxiliary configuration narrows it.
@@ -263,9 +286,9 @@ func updateModel(r *rng.Source, p params, st State, f Frame) State {
 		st = resizeParticles(st, p.particles, r)
 	}
 	n := len(st.particles)
-	weights := make([]float64, n)
-	noise := make([]mathx.Vec3, n)
-	picked := make([]mathx.Vec3, n)
+	sc := scratchPool.Get().(*modelScratch)
+	defer scratchPool.Put(sc)
+	weights, noise, picked := sc.buffers(n)
 	for layer := p.layers; layer >= 1; layer-- {
 		// Noise shrinks and weighting sharpens as annealing progresses
 		// (higher layer index runs first). The body-part likelihood

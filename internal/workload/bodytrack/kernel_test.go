@@ -9,6 +9,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/tradeoff"
 	"repro/internal/workload"
+	"repro/internal/workload/workloadtest"
 )
 
 // updateModelReference is the textbook form of updateModel: it works on a
@@ -161,14 +162,42 @@ func BenchmarkUpdateModel(b *testing.B) {
 	}
 }
 
-// TestUpdateModelAllocations: a step at the default tradeoffs allocates its
-// weights, noise and resample scratch once, whatever its layers and parts,
-// and updates the particle set in place.
+// TestUpdateModelAllocations: a step at the default tradeoffs allocates
+// nothing — its weights, noise and resample scratch are recycled, and it
+// updates the particle set in place.
 func TestUpdateModelAllocations(t *testing.T) {
 	if racemode.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	if got := testing.AllocsPerRun(20, modelLoop()); got != 3 {
-		t.Fatalf("a default step makes %v allocations, want 3", got)
+	if got := testing.AllocsPerRun(20, modelLoop()); got != 0 {
+		t.Fatalf("a default step makes %v allocations, want 0", got)
+	}
+}
+
+// TestUpdateModelScratchIsPrivate: the pooled weights, noise and resample
+// scratch belong to one call (workloadtest.Scratch), and a step that keeps the
+// particle count returns the array it was handed. Every third chain starts
+// narrower and every third wider than the tradeoff, so its first step
+// re-samples the set into a new array.
+func TestUpdateModelScratchIsPrivate(t *testing.T) {
+	p := New().resolve(workload.SpecOptions{}, true)
+	p.layers = 2
+	kernel := func(r *rng.Source, f Frame, st State) State {
+		kept := len(st.particles) == p.particles
+		handed := &st.particles[0]
+		out := updateModel(r, p, st, f)
+		if kept && &out.particles[0] != handed {
+			t.Error("a step returned another array than the one it was handed")
+		}
+		return out
+	}
+	frames := GenFrames(8, false)
+	gen := rng.New(0xB0D8)
+	states := make([]State, 8)
+	for k := range states {
+		states[k] = randomState(gen, []int{p.particles, p.particles / 2, 2 * p.particles}[k%3], frames[0])
+	}
+	if err := workloadtest.Scratch(kernel, cloneState, states, frames); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -16,6 +16,7 @@ package facedet
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/mathx"
@@ -198,18 +199,40 @@ func score(p params, hyp particle, f Frame) float64 {
 	return p.scorePrec.Quantize(best)
 }
 
+// stepScratch is a step's working buffers: the resampling weights and the
+// spare particle buffer the rounds resample into.
+type stepScratch struct {
+	weights []float64
+	spare   []particle
+}
+
+// scratchPool recycles step scratch: a call takes one for itself and puts it
+// back on return, so lanes never share a buffer and a lane's steps reuse one.
+var scratchPool = sync.Pool{New: func() any { return new(stepScratch) }}
+
+// buffers returns the scratch cut to n particles, grown if it is shorter.
+func (sc *stepScratch) buffers(n int) ([]float64, []particle) {
+	if cap(sc.weights) < n {
+		sc.weights = make([]float64, n)
+		sc.spare = make([]particle, n)
+	}
+	return sc.weights[:n], sc.spare[:n]
+}
+
 // step is one particle-filter update: noiseRounds perturbation/weight/
 // resample rounds against the frame. It perturbs the particles it is handed in
 // place (core.Compute: the state belongs to the call), and each round
 // resamples into the buffer the round before it left free: the handed-in
-// particles and one spare.
+// particles and a pooled spare. The set comes home to its own array after the
+// last round, so the returned state holds no pooled buffer.
 func step(r *rng.Source, p params, st State, f Frame) State {
 	if len(st.particles) != p.particles {
 		st = resize(st, p.particles, r)
 	}
 	n := len(st.particles)
-	weights := make([]float64, n)
-	spare := make([]particle, n)
+	sc := scratchPool.Get().(*stepScratch)
+	defer scratchPool.Put(sc)
+	weights, spare := sc.buffers(n)
 	for round := 0; round < p.noiseRounds; round++ {
 		sigma := 1.2 * math.Pow(0.7, float64(round))
 		total := 0.0
@@ -245,6 +268,12 @@ func step(r *rng.Source, p params, st State, f Frame) State {
 			spare[i] = st.particles[src]
 		}
 		st.particles, spare = spare, st.particles
+	}
+	// After an odd number of rounds the set sits in the pooled buffer and
+	// spare is the state's own array.
+	if p.noiseRounds%2 == 1 {
+		copy(spare, st.particles)
+		st.particles = spare
 	}
 	return st
 }

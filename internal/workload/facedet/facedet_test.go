@@ -167,14 +167,47 @@ func BenchmarkStep(b *testing.B) {
 	}
 }
 
-// TestStepAllocations: a step allocates its weights and one spare particle
-// buffer, whatever the number of noise rounds — each resample writes into the
-// buffer the round before it left free.
+// TestStepAllocations: a step allocates nothing, whatever the number of noise
+// rounds — its weights and spare particle buffer are recycled scratch, and the
+// set comes home to the array it was handed.
 func TestStepAllocations(t *testing.T) {
 	if racemode.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	if got := testing.AllocsPerRun(100, stepLoop(3)); got != 2 {
-		t.Fatalf("a step at 3 noise rounds makes %v allocations, want 2", got)
+	for _, rounds := range []int{3, 4} {
+		if got := testing.AllocsPerRun(100, stepLoop(rounds)); got != 0 {
+			t.Fatalf("a step at %d noise rounds makes %v allocations, want 0", rounds, got)
+		}
+	}
+}
+
+// TestStepScratchIsPrivate: the pooled weights and spare buffer belong to one
+// call (workloadtest.Scratch) at an odd and an even number of noise rounds —
+// an odd count leaves the set in the pooled buffer until step copies it home —
+// and a step that keeps the particle count returns the array it was handed.
+// Every third chain starts narrower and every third wider than the tradeoff,
+// so its first step re-samples the set into a new array.
+func TestStepScratchIsPrivate(t *testing.T) {
+	for _, rounds := range []int{3, 4} {
+		p := New().resolve(workload.SpecOptions{}, true)
+		p.noiseRounds = rounds
+		kernel := func(r *rng.Source, f Frame, st State) State {
+			kept := len(st.particles) == p.particles
+			handed := &st.particles[0]
+			out := step(r, p, st, f)
+			if kept && &out.particles[0] != handed {
+				t.Errorf("%d rounds: a step returned another array than the one it was handed", rounds)
+			}
+			return out
+		}
+		states := make([]State, 8)
+		for k := range states {
+			q := p
+			q.particles = []int{p.particles, p.particles / 2, 2 * p.particles}[k%3]
+			states[k] = initialState(q, rng.New(uint64(k)))
+		}
+		if err := workloadtest.Scratch(kernel, cloneState, states, GenFrames(12, false)); err != nil {
+			t.Fatalf("%d rounds: %v", rounds, err)
+		}
 	}
 }

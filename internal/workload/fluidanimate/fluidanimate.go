@@ -19,6 +19,7 @@ package fluidanimate
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/mathx"
@@ -215,14 +216,41 @@ func initialState() State {
 	return s
 }
 
+// stepScratch is a simulateStep call's working buffers, one slot per
+// particle each: the densities and the forces.
+type stepScratch struct {
+	density []float64
+	forces  []mathx.Vec3
+}
+
+// scratchPool recycles step scratch: a call takes one for itself and puts it
+// back on return, so lanes never share a buffer and a lane's steps reuse one.
+var scratchPool = sync.Pool{New: func() any { return new(stepScratch) }}
+
+// buffers returns the scratch cut to n particles and zeroed, grown if it is
+// shorter.
+func (sc *stepScratch) buffers(n int) ([]float64, []mathx.Vec3) {
+	if cap(sc.density) < n {
+		sc.density = make([]float64, n)
+		sc.forces = make([]mathx.Vec3, n)
+	}
+	density := sc.density[:n]
+	clear(density)
+	return density, sc.forces[:n]
+}
+
 // simulateStep advances the fluid one frame: SPH density, pressure and
 // viscosity forces, impulse, integration, wall collisions. The tiny
 // randomized jitter models the accumulation-order races that make the real
 // benchmark nondeterministic; jitterScale attenuates it (0 disables it —
 // the oracle; <1 is the quality-boost mode averaging force evaluations).
+// It updates the state it is handed in place and returns it, as the other
+// programs' computes do.
 func simulateStep(r *rng.Source, p params, s State, in Step, jitterScale float64) State {
 	n := len(s.Pos)
-	density := make([]float64, n)
+	sc := scratchPool.Get().(*stepScratch)
+	defer scratchPool.Put(sc)
+	density, forces := sc.buffers(n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			d2 := s.Pos[i].Sub(s.Pos[j]).Dot(s.Pos[i].Sub(s.Pos[j]))
@@ -233,7 +261,6 @@ func simulateStep(r *rng.Source, p params, s State, in Step, jitterScale float64
 		}
 		density[i] = p.density.Quantize(density[i])
 	}
-	forces := make([]mathx.Vec3, n)
 	for i := 0; i < n; i++ {
 		var f mathx.Vec3
 		for j := 0; j < n; j++ {
@@ -259,10 +286,9 @@ func simulateStep(r *rng.Source, p params, s State, in Step, jitterScale float64
 			X: p.force.Quantize(f.X), Y: p.force.Quantize(f.Y), Z: p.force.Quantize(f.Z),
 		}
 	}
-	// The integration reads the old positions and velocities while it writes
-	// the new ones: the second buffer is the algorithm, not a privatization,
-	// so this step stays functional while the other programs update in place.
-	next := cloneState(s)
+	// Every force is computed before the integration starts, and particle
+	// i's update reads only its own old position and velocity, so the
+	// integration writes them in place.
 	for i := 0; i < n; i++ {
 		v := s.Vel[i].Add(forces[i].Scale(dt))
 		v = mathx.Vec3{X: p.vel.Quantize(v.X), Y: p.vel.Quantize(v.Y), Z: p.vel.Quantize(v.Z)}
@@ -277,10 +303,10 @@ func simulateStep(r *rng.Source, p params, s State, in Step, jitterScale float64
 		if pos.Z < 0 || pos.Z > boxSize {
 			v.Z = -0.5 * v.Z
 		}
-		next.Pos[i] = pos.Clamp(0, boxSize)
-		next.Vel[i] = v
+		s.Pos[i] = pos.Clamp(0, boxSize)
+		s.Vel[i] = v
 	}
-	return next
+	return s
 }
 
 // computeOutput advances the fluid one frame and emits the frame's mean

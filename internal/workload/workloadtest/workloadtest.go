@@ -5,6 +5,7 @@ package workloadtest
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/rng"
@@ -51,6 +52,66 @@ func Isolation[I, S, O any](compute core.Compute[I, S, O], aux core.Aux[I, S], c
 		o, s = compute(&again, in, s)
 		if inPlace := fmt.Sprintf("%v %v", o, s); inPlace != onClone {
 			return fmt.Errorf("input %d: compute on a clone returned\n %s\non the state itself\n %s", i, onClone, inPlace)
+		}
+	}
+	return nil
+}
+
+// Scratch checks that a kernel recycling per-call scratch (a package
+// sync.Pool) keeps every buffer private to one call. step is the kernel with
+// its parameters bound, and each of states starts a chain over inputs, with a
+// stream of its own.
+//
+// Alone: each chain runs on the calling goroutine, and after every step a
+// decoy step on another state follows at once — it draws the scratch the step
+// just put back — and the state the step returned must print the same after
+// it. A returned state that still held a pooled buffer would print what the
+// decoy wrote.
+//
+// Together: every chain runs again from a clone of its state, all at once,
+// one goroutine each, and must print what it printed alone after every step
+// and draw the same next normal. Under -race a buffer two calls share is a
+// reported race as well.
+func Scratch[I, S any](step func(r *rng.Source, in I, s S) S, clone func(S) S, states []S, inputs []I) error {
+	chain := func(k int, s S, decoy *S) ([]string, error) {
+		trace := make([]string, 0, len(inputs)+1)
+		r := rng.New(uint64(k) + 1)
+		for i, in := range inputs {
+			s = step(r, in, s)
+			printed := fmt.Sprintf("%v", s)
+			if decoy != nil {
+				*decoy = step(rng.New(^uint64(i)), in, *decoy)
+				if again := fmt.Sprintf("%v", s); again != printed {
+					return nil, fmt.Errorf("chain %d input %d: the next call wrote the state a step returned, which holds pooled scratch:\n before %s\n after  %s", k, i, printed, again)
+				}
+			}
+			trace = append(trace, printed)
+		}
+		return append(trace, fmt.Sprintf("next draw %v", r.Norm())), nil
+	}
+	alone := make([][]string, len(states))
+	for k, s := range states {
+		decoy := clone(states[(k+1)%len(states)])
+		var err error
+		if alone[k], err = chain(k, clone(s), &decoy); err != nil {
+			return err
+		}
+	}
+	together := make([][]string, len(states))
+	var wg sync.WaitGroup
+	for k, s := range states {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			together[k], _ = chain(k, clone(s), nil)
+		}()
+	}
+	wg.Wait()
+	for k := range states {
+		for i := range alone[k] {
+			if together[k][i] != alone[k][i] {
+				return fmt.Errorf("chain %d, step %d of %d: stepped beside %d other chains it printed\n %s\nstepped alone\n %s", k, i, len(inputs), len(states)-1, together[k][i], alone[k][i])
+			}
 		}
 	}
 	return nil

@@ -69,7 +69,12 @@
 # fail if a non-test struct outside internal/ir declares both a Stride and an
 # Offset field (a second slot-index record), and on a non-test comparison
 # against a kind's spelling (case "constant", == "type", != "function", ...)
-# outside internal/tradeoff (bench/ and testdata excluded).
+# outside internal/tradeoff (bench/ and testdata excluded). The kernel-scratch
+# guard: facedet's step, bodytrack's updateModel and fluidanimate's
+# simulateStep draw their per-call buffers from a package sync.Pool and update
+# the state they are handed in place, so fail on a make( or cloneState( call
+# inside their bodies (a resize helper they call may still allocate the new
+# set).
 # Run via `make vet`.
 set -eu
 
@@ -227,5 +232,14 @@ spellings=$(grep -rnE '(case [^:]*|[=!]=[[:space:]]*)"(constant|type|function)"|
 if [ -n "$indexrecs$spellings" ]; then
     echo "fact-guard: a declaration is the IR's own row (ir.IndexExpr, ir.TradeoffMeta, ir.DepMeta) and a kind is a tradeoff.Kind; declare no second slot-index record and parse a kind's spelling through tradeoff.ParseKind:" >&2
     printf '%s\n' "$indexrecs" "$spellings" | grep . >&2
+    exit 1
+fi
+
+kernels=$(awk 'FNR==1{fn=""} /^func /{fn=$0} /^}/{fn=""}
+    fn ~ /^func (step|simulateStep|updateModel)\(/ && /(^|[^A-Za-z0-9_])(make|cloneState)\(/ && $0 !~ /^[[:space:]]*\/\//{print FILENAME":"FNR": "$0}' \
+    internal/workload/facedet/facedet.go internal/workload/fluidanimate/fluidanimate.go internal/workload/bodytrack/bodytrack.go)
+if [ -n "$kernels" ]; then
+    echo "fact-guard: facedet.step, fluidanimate.simulateStep and bodytrack.updateModel allocate nothing per call: take scratch from the package pool and update the state in place:" >&2
+    printf '%s\n' "$kernels" >&2
     exit 1
 fi
