@@ -3,7 +3,10 @@
 // output quality (distance from the §4.2 oracle). With -export it writes
 // the benchmark's native inputs as JSON instead: the synthetic substitutes
 // for the paper's PARSEC inputs, fixed per (workload, size, variant) so
-// exports are reproducible artifacts.
+// exports are reproducible artifacts. A flag value it cannot run — -size or
+// -group below 1, a negative -workers, -window, -redo, -rollback or -repeat,
+// an unknown -workload or -protocol — exits 2 naming the value, before
+// anything runs.
 //
 // Usage:
 //
@@ -66,6 +69,26 @@ func main() {
 		fmt.Println(strings.Join(registry.Names(), "\n"))
 		return
 	}
+	switch {
+	case *size < 1:
+		refuse("-size %d: want at least 1", *size)
+	case *workers < 0:
+		refuse("-workers %d: want at least 0", *workers)
+	case *group < 1:
+		refuse("-group %d: want at least 1", *group)
+	case *window < 0:
+		refuse("-window %d: want at least 0", *window)
+	case *redo < 0:
+		refuse("-redo %d: want at least 0", *redo)
+	case *rollback < 0:
+		refuse("-rollback %d: want at least 0", *rollback)
+	case *repeat < 0:
+		refuse("-repeat %d: want at least 0", *repeat)
+	}
+	proto, ok := core.ParseProtocol(*protocol)
+	if !ok {
+		refuse("unknown protocol %q (want aux or reservations)", *protocol)
+	}
 	if *export {
 		exportMain(*name, *size, *bad, *summary)
 		return
@@ -81,12 +104,6 @@ func main() {
 	if !d.SupportsSTATS && *aux {
 		fmt.Printf("STATS statically rejects this benchmark: %s\n", d.RejectReason)
 		fmt.Println("falling back to conventional execution")
-	}
-
-	proto, ok := core.ParseProtocol(*protocol)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "statsrun: unknown protocol %q (want aux or reservations)\n", *protocol)
-		os.Exit(2)
 	}
 
 	so := workload.SpecOptions{
@@ -125,6 +142,12 @@ func main() {
 	// Reference: conventional run quality band.
 	conv := w.RunOriginal(*seed, *size)
 	fmt.Printf("conventional run distance (same seed):    %.6g\n", conv.Distance(oracle))
+}
+
+// refuse reports a flag value statsrun cannot run and exits 2.
+func refuse(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "statsrun: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 // exportMain writes the workload's inputs at size as JSON, or their

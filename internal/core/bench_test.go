@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"testing"
 
 	"repro/internal/pool"
@@ -234,7 +233,7 @@ func benchLoop(b *testing.B, body func()) {
 // call builds a fresh one, as every caller in the repository does. Either
 // way every run-scoped buffer (group records, lane sources, originals,
 // output staging) comes from the recycled scratch of the last run of its
-// type, unless drainScratch emptied the pools first: the truly cold path.
+// type, unless drainScratch emptied the store first: the truly cold path.
 // workers 0 takes the run's width from the pool.
 func gatedRun[S any](p *pool.Pool, n int, proto Protocol, workers int, newDep func() *Dependence[int, S, int], initial func() S, warm bool) func() {
 	inputs := benchInputs(n)
@@ -267,14 +266,6 @@ func auxRun(p *pool.Pool, n int, warm bool) func() {
 func reservationsRun(p *pool.Pool, warm bool) func() {
 	return gatedRun(p, 32, ProtocolReservations, 1, benchSlotDep,
 		func() []float64 { return make([]float64, 8) }, warm)
-}
-
-// drainScratch empties every scratch pool: a sync.Pool keeps a parked value
-// through one collection, in its victim cache, and drops it at the next. The
-// run after it is the first of its type, the truly cold path.
-func drainScratch() {
-	runtime.GC()
-	runtime.GC()
 }
 
 // BenchmarkEngineWarmRun is the recycled hot path of both protocols over

@@ -518,7 +518,7 @@ const (
 // recycled run after run: every scalar field is reset by splitStreams, the
 // random sources are re-split into place, and the output buffers keep their
 // capacity with their elements cleared between runs (no stale user values
-// parked in the pool).
+// parked in the store).
 type groupRun[I, S, O any] struct {
 	idx        int // group index, used as the trace lane hint
 	start, end int // input index range [start, end)
@@ -654,27 +654,64 @@ type runScratch[I, S, O any] struct {
 	wg sync.WaitGroup // the run's pool lanes; the caller's lane needs none
 }
 
-// scratchPools maps a scratch type, keyed by its nil pointer, to the
-// *sync.Pool that recycles its values.
-var scratchPools sync.Map
+// parkedPerType bounds how many idle scratches of one instantiation are
+// kept: as many as concurrent runs of one type usually overlap, and no more,
+// so a burst of concurrent runs leaves at most this many working sets
+// behind. A release that finds every slot taken drops its scratch.
+const parkedPerType = 8
 
-// recycled returns the one pool of *T shared by every Dependence: the
+// freeList holds parked *T values: a bounded stack of slots, not a
+// sync.Pool, so garbage collection does not empty it. A warm run stays warm
+// however many collections pass between runs, and the first run of a type
+// — or one that finds every slot empty — is the only cold one.
+type freeList[T any] struct {
+	slots [parkedPerType]atomic.Pointer[T]
+}
+
+// get takes a parked value, or returns nil when none is parked.
+func (f *freeList[T]) get() *T {
+	for i := range f.slots {
+		if f.slots[i].Load() != nil {
+			if v := f.slots[i].Swap(nil); v != nil {
+				return v
+			}
+		}
+	}
+	return nil
+}
+
+// put parks v in a free slot, or drops it when every slot is taken.
+func (f *freeList[T]) put(v *T) {
+	for i := range f.slots {
+		if f.slots[i].Load() == nil && f.slots[i].CompareAndSwap(nil, v) {
+			return
+		}
+	}
+}
+
+// scratchStores maps a scratch type, keyed by its nil pointer, to the
+// *freeList that recycles its values.
+var scratchStores sync.Map
+
+// recycled returns the one free list of *T shared by every Dependence: the
 // scratch of a run is keyed by its instantiation, not by the Dependence it
 // serves, so a run on a fresh Dependence reuses the working set of the last
 // run of its type. A scratch is bound to its Dependence when it is taken and
-// unbound before it is parked, so the pool pins no user closure or state.
-func recycled[T any]() *sync.Pool {
-	// Load first: LoadOrStore alone would build a pool on every call.
-	if p, ok := scratchPools.Load((*T)(nil)); ok {
-		return p.(*sync.Pool)
+// unbound before it is parked, so the store pins no user closure or state:
+// what it retains is at most parkedPerType working sets per type, each
+// sized by the largest run that used it.
+func recycled[T any]() *freeList[T] {
+	// Load first: LoadOrStore alone would build a list on every call.
+	if f, ok := scratchStores.Load((*T)(nil)); ok {
+		return f.(*freeList[T])
 	}
-	p, _ := scratchPools.LoadOrStore((*T)(nil), new(sync.Pool))
-	return p.(*sync.Pool)
+	f, _ := scratchStores.LoadOrStore((*T)(nil), new(freeList[T]))
+	return f.(*freeList[T])
 }
 
 // getScratch fetches (or builds) a scratch for one speculative run of d.
 func (d *Dependence[I, S, O]) getScratch() *runScratch[I, S, O] {
-	scr, _ := recycled[runScratch[I, S, O]]().Get().(*runScratch[I, S, O])
+	scr := recycled[runScratch[I, S, O]]().get()
 	if scr == nil {
 		scr = new(runScratch[I, S, O])
 		scr.task = scr.laneTask
@@ -726,10 +763,10 @@ func (scr *runScratch[I, S, O]) begin(inputs []I, initial S, g int, opts *Option
 }
 
 // release clears every state-holding reference, the Dependence included, so
-// the parked scratch retains no user data or code, then returns it to its
-// type's pool. Callers must not touch the scratch afterwards; everything a
-// run returns (the outputs slice, the final state, Stats) is copied out
-// before release.
+// the parked scratch retains no user data or code, then parks it in its
+// type's free list. Callers must not touch the scratch afterwards;
+// everything a run returns (the outputs slice, the final state, Stats) is
+// copied out before release.
 func (scr *runScratch[I, S, O]) release() {
 	var zeroS S
 	for _, gr := range scr.groups[:scr.numGroups] {
@@ -745,7 +782,7 @@ func (scr *runScratch[I, S, O]) release() {
 	clear(scr.originals[:cap(scr.originals)])
 	scr.d, scr.inputs, scr.initial, scr.emit, scr.nudge, scr.resolver = nil, nil, zeroS, nil, nil, nil
 	scr.runFrame = runFrame{}
-	recycled[runScratch[I, S, O]]().Put(scr)
+	recycled[runScratch[I, S, O]]().put(scr)
 }
 
 // cleared returns s resized to length n with every element zeroed,

@@ -8,3 +8,20 @@ var CheckFacts = checkFacts
 func SplitReservationArg(arg int64) (round, input int) {
 	return int(arg >> 32), int(uint32(arg))
 }
+
+// drainScratch empties every scratch free list, so the run after it is the
+// first of its type: the truly cold path. Garbage collection does not empty
+// the lists, so nothing else makes a run cold again.
+func drainScratch() {
+	scratchStores.Range(func(_, f any) bool {
+		f.(interface{ drain() }).drain()
+		return true
+	})
+}
+
+// drain drops every parked value.
+func (f *freeList[T]) drain() {
+	for i := range f.slots {
+		f.slots[i].Store(nil)
+	}
+}

@@ -10,7 +10,6 @@ import (
 	"weak"
 
 	"repro/internal/pool"
-	"repro/internal/racemode"
 	"repro/internal/rng"
 )
 
@@ -24,26 +23,32 @@ import (
 // loop body of a gated benchmark in bench_test.go.
 func allocsPerRun(t *testing.T, body func()) float64 {
 	t.Helper()
-	if racemode.Enabled {
-		t.Skip("race-mode sync.Pool drops puts at random; allocs/run is not meaningful")
-	}
 	return testing.AllocsPerRun(50, body)
 }
 
 // coldAllocsPerRun is allocsPerRun of body as the first run of its type:
-// each call follows drainScratch, whose own allocations (the collector's)
-// are not counted.
+// each call follows drainScratch.
 func coldAllocsPerRun(t *testing.T, body func()) float64 {
 	t.Helper()
-	if racemode.Enabled {
-		t.Skip("race-mode sync.Pool drops puts at random; allocs/run is not meaningful")
-	}
+	return allocsAfter(drainScratch, body)
+}
+
+// collectedAllocsPerRun is allocsPerRun of body right after two garbage
+// collections, which emptied a sync.Pool and must not empty the store.
+func collectedAllocsPerRun(t *testing.T, body func()) float64 {
+	t.Helper()
+	return allocsAfter(func() { runtime.GC(); runtime.GC() }, body)
+}
+
+// allocsAfter is the mean allocations of body over runs calls, each after
+// prep, whose own allocations are not counted.
+func allocsAfter(prep, body func()) float64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun
 	const runs = 20
 	var before, after runtime.MemStats
 	var mallocs uint64
 	for range runs {
-		drainScratch()
+		prep()
 		runtime.ReadMemStats(&before)
 		body()
 		runtime.ReadMemStats(&after)
@@ -112,27 +117,61 @@ func TestWarmRunAllocations(t *testing.T) {
 // the first run of its type builds its group records from one slab and its
 // output buffers from one backing array, so a healthy run of 256 groups
 // allocates what one of 32 does (give or take a size-class step), where one
-// record and log G buffer growths per group used to.
+// record and log G buffer growths per group used to. A cold run must still
+// build its scratch — the record, its group slab and pointer slice, the
+// output backing and four per-group arrays, 8 allocations a warm run of the
+// same shape does not make: otherwise drainScratch no longer empties the
+// store, and the gate measures the warm path.
 func TestColdRunAllocationsDoNotScaleWithGroups(t *testing.T) {
 	p := pool.New(4)
 	defer p.Close()
-	cold := func(groups int) float64 {
+	run := func(groups int) func() {
 		inputs := benchInputs(16 * groups)
 		// The window covers every earlier input, so sumAux is exact and every
 		// boundary matches.
 		opts := Options{UseAux: true, GroupSize: 16, Window: len(inputs), RedoMax: 1, Rollback: 4, Pool: p}
-		return coldAllocsPerRun(t, func() {
+		return func() {
 			opts.Seed++
 			_, _, st := New(cheapCompute, sumAux, fingerprintWalkOps()).Run(inputs, walkState{}, opts)
 			if st.Matches != groups-1 {
 				t.Fatalf("%d groups: %d matches", groups, st.Matches)
 			}
-		})
+		}
 	}
-	few, many := cold(32), cold(256)
-	t.Logf("cold aux run: %.1f allocs at 32 groups, %.1f at 256", few, many)
+	few, many := coldAllocsPerRun(t, run(32)), coldAllocsPerRun(t, run(256))
+	warm := allocsPerRun(t, run(256))
+	t.Logf("cold aux run: %.1f allocs at 32 groups, %.1f at 256 (warm %.1f)", few, many, warm)
 	if many-few > 4 {
 		t.Fatalf("cold run allocates %.1f at 32 groups and %.1f at 256: per-group allocations are back", few, many)
+	}
+	if many-warm < 8 {
+		t.Fatalf("cold run allocates %.1f at 256 groups, warm %.1f: drainScratch left the store full", many, warm)
+	}
+}
+
+// TestWarmRunSurvivesCollections: the store is not a sync.Pool, so a warm
+// run stays warm across garbage collections — under both protocols, a run
+// right after two collections allocates what any warm run does (within one
+// allocation: both are means, and the worker pool's own bookkeeping
+// allocates now and then), not the cold path's scratch.
+func TestWarmRunSurvivesCollections(t *testing.T) {
+	p := pool.New(4)
+	defer p.Close()
+	for _, c := range []struct {
+		name string
+		body func()
+	}{
+		{"aux", auxRun(p, 32, true)},
+		{"reservations", reservationsRun(p, true)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			warm := allocsAfter(func() {}, c.body)
+			collected := collectedAllocsPerRun(t, c.body)
+			t.Logf("%s: warm %.2f allocs/run, %.2f after two collections", c.name, warm, collected)
+			if collected > warm+1 {
+				t.Fatalf("a run after two collections allocates %.2f, a warm run %.2f: the store was emptied", collected, warm)
+			}
+		})
 	}
 }
 
@@ -336,25 +375,23 @@ type captive struct {
 
 // TestRecycledScratchPinsNoDependence: a parked scratch is shared by every
 // Dependence of its type, so it must not keep the Dependence of its last run
-// — its closures and whatever they capture — alive. The test holds the
-// parked scratch itself (the pool alone drops it after two collections) and
-// requires the object the dropped Dependence's compute captured to be
-// collected anyway.
+// — its closures and whatever they capture — alive. The store keeps the
+// scratch through any number of collections; the test requires the object
+// the dropped Dependence's compute captured to be collected anyway, then
+// takes the scratch back to check the run parked it.
 func TestRecycledScratchPinsNoDependence(t *testing.T) {
-	// One P, so this goroutine's Get reaches the per-P slot the run's release
-	// put the scratch in.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	inputs := seqInputs(32)
 	for _, c := range []struct {
 		name   string
 		proto  Protocol
 		parked func() any
 	}{
-		{"aux", ProtocolAux, func() any { return recycled[runScratch[int, walkState, int]]().Get() }},
-		{"reservations", ProtocolReservations, func() any { return recycled[resvRun[int, walkState, int]]().Get() }},
+		{"aux", ProtocolAux, func() any { return recycled[runScratch[int, walkState, int]]().get() }},
+		{"reservations", ProtocolReservations, func() any { return recycled[resvRun[int, walkState, int]]().get() }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			run := func() weak.Pointer[captive] {
+			drainScratch()
+			wp := func() weak.Pointer[captive] {
 				held := &captive{k: 1}
 				d := New(func(_ *rng.Source, in int, s walkState) (int, walkState) {
 					s.V += held.k * float64(in)
@@ -365,23 +402,15 @@ func TestRecycledScratchPinsNoDependence(t *testing.T) {
 					t.Fatalf("final state %v, want 528", final.V)
 				}
 				return weak.Make(held)
-			}
-			// A race-mode pool drops a put at random; retry until one parks.
-			var scr any
-			var wp weak.Pointer[captive]
-			for try := 0; scr == nil && try < 32; try++ {
-				wp = run()
-				scr = c.parked()
-			}
-			if scr == nil {
-				t.Fatal("no run parked its scratch")
-			}
+			}()
 			runtime.GC()
 			runtime.GC()
 			if wp.Value() != nil {
 				t.Fatal("a parked scratch keeps its last Dependence's compute closure alive")
 			}
-			runtime.KeepAlive(scr)
+			if c.parked() == nil {
+				t.Fatal("the run parked no scratch")
+			}
 		})
 	}
 }

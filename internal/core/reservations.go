@@ -219,8 +219,8 @@ func ReservationArg(round, input int) int64 {
 }
 
 // resvRun is the per-run state of one reservations execution: the run
-// frame plus the policy's tables. Runs recycle it through its type's pool
-// (recycled): every slice keeps its capacity between runs
+// frame plus the policy's tables. Runs recycle it through its type's free
+// list (recycled): every slice keeps its capacity between runs
 // (state-holding elements cleared on release), and the wave tasks with
 // their closures are created once per chunk slot. Only the outputs slice
 // is allocated fresh — it is returned to the caller.
@@ -306,7 +306,7 @@ type laneWork struct{ calls, ns int64 }
 
 // getResvRun fetches (or builds) a recycled reservations run state for d.
 func (d *Dependence[I, S, O]) getResvRun() *resvRun[I, S, O] {
-	r, _ := recycled[resvRun[I, S, O]]().Get().(*resvRun[I, S, O])
+	r := recycled[resvRun[I, S, O]]().get()
 	if r == nil {
 		r = new(resvRun[I, S, O])
 	}
@@ -327,7 +327,7 @@ func (r *resvRun[I, S, O]) release() {
 	clear(r.panics[:cap(r.panics)])
 	r.panics = r.panics[:0]
 	r.waveWinners = nil
-	recycled[resvRun[I, S, O]]().Put(r)
+	recycled[resvRun[I, S, O]]().put(r)
 }
 
 // fail marks the run failed with the first failure observed; pe, when

@@ -22,7 +22,7 @@ package bodytrack
 
 import (
 	"math"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/mathx"
@@ -259,9 +259,33 @@ type modelScratch struct {
 	picked  []mathx.Vec3
 }
 
-// scratchPool recycles model scratch: a call takes one for itself and puts it
-// back on return, so lanes never share a buffer and a lane's calls reuse one.
-var scratchPool = sync.Pool{New: func() any { return new(modelScratch) }}
+// parked holds the scratch of returned calls: a call takes one for itself
+// and parks it on return, so lanes never share a buffer and a lane's calls
+// reuse one. Its eight slots bound what idle lanes keep; unlike a sync.Pool,
+// garbage collection does not empty them. A call that finds every slot taken
+// drops its scratch.
+var parked [8]atomic.Pointer[modelScratch]
+
+// takeScratch returns a parked scratch, or a new one when none is parked.
+func takeScratch() *modelScratch {
+	for i := range parked {
+		if parked[i].Load() != nil {
+			if sc := parked[i].Swap(nil); sc != nil {
+				return sc
+			}
+		}
+	}
+	return new(modelScratch)
+}
+
+// park returns sc to a free slot, or drops it when every slot is taken.
+func (sc *modelScratch) park() {
+	for i := range parked {
+		if parked[i].Load() == nil && parked[i].CompareAndSwap(nil, sc) {
+			return
+		}
+	}
+}
 
 // buffers returns the scratch cut to n particles, grown if it is shorter.
 func (sc *modelScratch) buffers(n int) ([]float64, []mathx.Vec3, []mathx.Vec3) {
@@ -277,7 +301,7 @@ func (sc *modelScratch) buffers(n int) ([]float64, []mathx.Vec3, []mathx.Vec3) {
 // annealed particle-filter step against a frame. It updates the particle set
 // it is handed in place and returns it (a new set only when it re-samples to
 // another particle count); the engine alone copies a state, when a second
-// reader exists. Every layer and part of a call shares one pooled scratch,
+// reader exists. Every layer and part of a call shares one recycled scratch,
 // which no state holds.
 func updateModel(r *rng.Source, p params, st State, f Frame) State {
 	// The particle count is a tradeoff; re-sample the set to the target
@@ -286,8 +310,8 @@ func updateModel(r *rng.Source, p params, st State, f Frame) State {
 		st = resizeParticles(st, p.particles, r)
 	}
 	n := len(st.particles)
-	sc := scratchPool.Get().(*modelScratch)
-	defer scratchPool.Put(sc)
+	sc := takeScratch()
+	defer sc.park()
 	weights, noise, picked := sc.buffers(n)
 	for layer := p.layers; layer >= 1; layer-- {
 		// Noise shrinks and weighting sharpens as annealing progresses

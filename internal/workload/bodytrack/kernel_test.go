@@ -2,10 +2,10 @@ package bodytrack
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/mathx"
-	"repro/internal/racemode"
 	"repro/internal/rng"
 	"repro/internal/tradeoff"
 	"repro/internal/workload"
@@ -166,15 +166,32 @@ func BenchmarkUpdateModel(b *testing.B) {
 // nothing — its weights, noise and resample scratch are recycled, and it
 // updates the particle set in place.
 func TestUpdateModelAllocations(t *testing.T) {
-	if racemode.Enabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
 	if got := testing.AllocsPerRun(20, modelLoop()); got != 0 {
 		t.Fatalf("a default step makes %v allocations, want 0", got)
 	}
 }
 
-// TestUpdateModelScratchIsPrivate: the pooled weights, noise and resample
+// TestUpdateModelAllocationsAfterCollections: the scratch is parked in slots garbage
+// collection does not empty, so a default step right after two collections allocates
+// nothing either.
+func TestUpdateModelAllocationsAfterCollections(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun
+	body := modelLoop()
+	body()
+	var before, after runtime.MemStats
+	for range 5 {
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		body()
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n != 0 {
+			t.Fatalf("a default step after two collections makes %d allocations, want 0", n)
+		}
+	}
+}
+
+// TestUpdateModelScratchIsPrivate: the recycled weights, noise and resample
 // scratch belong to one call (workloadtest.Scratch), and a step that keeps the
 // particle count returns the array it was handed. Every third chain starts
 // narrower and every third wider than the tradeoff, so its first step

@@ -16,7 +16,7 @@ package facedet
 
 import (
 	"math"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/mathx"
@@ -206,9 +206,33 @@ type stepScratch struct {
 	spare   []particle
 }
 
-// scratchPool recycles step scratch: a call takes one for itself and puts it
-// back on return, so lanes never share a buffer and a lane's steps reuse one.
-var scratchPool = sync.Pool{New: func() any { return new(stepScratch) }}
+// parked holds the scratch of returned calls: a call takes one for itself
+// and parks it on return, so lanes never share a buffer and a lane's steps
+// reuse one. Its eight slots bound what idle lanes keep; unlike a sync.Pool,
+// garbage collection does not empty them. A call that finds every slot taken
+// drops its scratch.
+var parked [8]atomic.Pointer[stepScratch]
+
+// takeScratch returns a parked scratch, or a new one when none is parked.
+func takeScratch() *stepScratch {
+	for i := range parked {
+		if parked[i].Load() != nil {
+			if sc := parked[i].Swap(nil); sc != nil {
+				return sc
+			}
+		}
+	}
+	return new(stepScratch)
+}
+
+// park returns sc to a free slot, or drops it when every slot is taken.
+func (sc *stepScratch) park() {
+	for i := range parked {
+		if parked[i].Load() == nil && parked[i].CompareAndSwap(nil, sc) {
+			return
+		}
+	}
+}
 
 // buffers returns the scratch cut to n particles, grown if it is shorter.
 func (sc *stepScratch) buffers(n int) ([]float64, []particle) {
@@ -223,15 +247,15 @@ func (sc *stepScratch) buffers(n int) ([]float64, []particle) {
 // resample rounds against the frame. It perturbs the particles it is handed in
 // place (core.Compute: the state belongs to the call), and each round
 // resamples into the buffer the round before it left free: the handed-in
-// particles and a pooled spare. The set comes home to its own array after the
-// last round, so the returned state holds no pooled buffer.
+// particles and a recycled spare. The set comes home to its own array after the
+// last round, so the returned state holds no recycled buffer.
 func step(r *rng.Source, p params, st State, f Frame) State {
 	if len(st.particles) != p.particles {
 		st = resize(st, p.particles, r)
 	}
 	n := len(st.particles)
-	sc := scratchPool.Get().(*stepScratch)
-	defer scratchPool.Put(sc)
+	sc := takeScratch()
+	defer sc.park()
 	weights, spare := sc.buffers(n)
 	for round := 0; round < p.noiseRounds; round++ {
 		sigma := 1.2 * math.Pow(0.7, float64(round))
@@ -269,7 +293,7 @@ func step(r *rng.Source, p params, st State, f Frame) State {
 		}
 		st.particles, spare = spare, st.particles
 	}
-	// After an odd number of rounds the set sits in the pooled buffer and
+	// After an odd number of rounds the set sits in the recycled buffer and
 	// spare is the state's own array.
 	if p.noiseRounds%2 == 1 {
 		copy(spare, st.particles)

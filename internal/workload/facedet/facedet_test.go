@@ -1,9 +1,9 @@
 package facedet
 
 import (
+	"runtime"
 	"testing"
 
-	"repro/internal/racemode"
 	"repro/internal/rng"
 	"repro/internal/workload"
 	"repro/internal/workload/workloadtest"
@@ -171,9 +171,6 @@ func BenchmarkStep(b *testing.B) {
 // rounds — its weights and spare particle buffer are recycled scratch, and the
 // set comes home to the array it was handed.
 func TestStepAllocations(t *testing.T) {
-	if racemode.Enabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
 	for _, rounds := range []int{3, 4} {
 		if got := testing.AllocsPerRun(100, stepLoop(rounds)); got != 0 {
 			t.Fatalf("a step at %d noise rounds makes %v allocations, want 0", rounds, got)
@@ -181,9 +178,29 @@ func TestStepAllocations(t *testing.T) {
 	}
 }
 
-// TestStepScratchIsPrivate: the pooled weights and spare buffer belong to one
+// TestStepAllocationsAfterCollections: the scratch is parked in slots garbage
+// collection does not empty, so a step right after two collections allocates
+// nothing either.
+func TestStepAllocationsAfterCollections(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun
+	body := stepLoop(New().resolve(workload.SpecOptions{}, true).noiseRounds)
+	body()
+	var before, after runtime.MemStats
+	for range 5 {
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		body()
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n != 0 {
+			t.Fatalf("a step after two collections makes %d allocations, want 0", n)
+		}
+	}
+}
+
+// TestStepScratchIsPrivate: the recycled weights and spare buffer belong to one
 // call (workloadtest.Scratch) at an odd and an even number of noise rounds —
-// an odd count leaves the set in the pooled buffer until step copies it home —
+// an odd count leaves the set in the recycled buffer until step copies it home —
 // and a step that keeps the particle count returns the array it was handed.
 // Every third chain starts narrower and every third wider than the tradeoff,
 // so its first step re-samples the set into a new array.

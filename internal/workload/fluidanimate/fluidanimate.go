@@ -19,7 +19,7 @@ package fluidanimate
 
 import (
 	"math"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/mathx"
@@ -223,9 +223,33 @@ type stepScratch struct {
 	forces  []mathx.Vec3
 }
 
-// scratchPool recycles step scratch: a call takes one for itself and puts it
-// back on return, so lanes never share a buffer and a lane's steps reuse one.
-var scratchPool = sync.Pool{New: func() any { return new(stepScratch) }}
+// parked holds the scratch of returned calls: a call takes one for itself
+// and parks it on return, so lanes never share a buffer and a lane's steps
+// reuse one. Its eight slots bound what idle lanes keep; unlike a sync.Pool,
+// garbage collection does not empty them. A call that finds every slot taken
+// drops its scratch.
+var parked [8]atomic.Pointer[stepScratch]
+
+// takeScratch returns a parked scratch, or a new one when none is parked.
+func takeScratch() *stepScratch {
+	for i := range parked {
+		if parked[i].Load() != nil {
+			if sc := parked[i].Swap(nil); sc != nil {
+				return sc
+			}
+		}
+	}
+	return new(stepScratch)
+}
+
+// park returns sc to a free slot, or drops it when every slot is taken.
+func (sc *stepScratch) park() {
+	for i := range parked {
+		if parked[i].Load() == nil && parked[i].CompareAndSwap(nil, sc) {
+			return
+		}
+	}
+}
 
 // buffers returns the scratch cut to n particles and zeroed, grown if it is
 // shorter.
@@ -248,8 +272,8 @@ func (sc *stepScratch) buffers(n int) ([]float64, []mathx.Vec3) {
 // programs' computes do.
 func simulateStep(r *rng.Source, p params, s State, in Step, jitterScale float64) State {
 	n := len(s.Pos)
-	sc := scratchPool.Get().(*stepScratch)
-	defer scratchPool.Put(sc)
+	sc := takeScratch()
+	defer sc.park()
 	density, forces := sc.buffers(n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {

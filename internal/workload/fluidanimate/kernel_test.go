@@ -2,10 +2,10 @@ package fluidanimate
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/mathx"
-	"repro/internal/racemode"
 	"repro/internal/rng"
 	"repro/internal/tradeoff"
 	"repro/internal/workload"
@@ -129,7 +129,7 @@ func TestSimulateStepMatchesReference(t *testing.T) {
 	}
 }
 
-// TestSimulateStepScratchIsPrivate: the pooled density and force scratch
+// TestSimulateStepScratchIsPrivate: the recycled density and force scratch
 // belongs to one call (workloadtest.Scratch), and a step returns the arrays it
 // was handed.
 func TestSimulateStepScratchIsPrivate(t *testing.T) {
@@ -178,10 +178,27 @@ func BenchmarkSimulateStep(b *testing.B) {
 // TestSimulateStepAllocations: a frame allocates nothing — its density and
 // force scratch is recycled and the integration updates the fluid in place.
 func TestSimulateStepAllocations(t *testing.T) {
-	if racemode.Enabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
 	if got := testing.AllocsPerRun(100, simulateLoop()); got != 0 {
 		t.Fatalf("a default frame makes %v allocations, want 0", got)
+	}
+}
+
+// TestSimulateStepAllocationsAfterCollections: the scratch is parked in slots garbage
+// collection does not empty, so a default frame right after two collections allocates
+// nothing either.
+func TestSimulateStepAllocationsAfterCollections(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun
+	body := simulateLoop()
+	body()
+	var before, after runtime.MemStats
+	for range 5 {
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		body()
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n != 0 {
+			t.Fatalf("a default frame after two collections makes %d allocations, want 0", n)
+		}
 	}
 }

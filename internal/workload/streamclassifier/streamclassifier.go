@@ -14,6 +14,7 @@ package streamclassifier
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/mathx"
@@ -45,10 +46,30 @@ type Model struct {
 	Classes [streamdata.NumComponents][]prototype
 }
 
-func cloneModel(m Model) Model {
-	var c Model
+// emptyModel is the starting model: every class has room for perClass
+// prototypes, the budget learn keeps it to, in one backing array shared by
+// capacity-limited windows, so learning grows no class.
+func emptyModel(perClass int) Model {
+	var m Model
+	backing := make([]prototype, len(m.Classes)*perClass)
 	for k := range m.Classes {
-		c.Classes[k] = append([]prototype(nil), m.Classes[k]...)
+		m.Classes[k] = backing[k*perClass : k*perClass : (k+1)*perClass]
+	}
+	return m
+}
+
+// cloneModel copies m into one backing array, every class with its
+// capacity, so the clone has the same room to grow.
+func cloneModel(m Model) Model {
+	n := 0
+	for _, protos := range m.Classes {
+		n += cap(protos)
+	}
+	backing := make([]prototype, n)
+	var c Model
+	for k, protos := range m.Classes {
+		c.Classes[k] = backing[:copy(backing, protos):cap(protos)]
+		backing = backing[cap(protos):]
 	}
 	return c
 }
@@ -67,7 +88,8 @@ type Output struct {
 }
 
 // Result is the stream's predicted labels; its Distance is the difference
-// in B³ metrics against the gold labels (§4.2).
+// in B³ metrics against the gold labels (§4.2). Gold is shared by every
+// result over the same stream variant: read-only.
 type Result struct {
 	Pred []int
 	Gold []int
@@ -219,13 +241,45 @@ func Points(size int, badTraining bool) []streamdata.Point {
 	return streamdata.Stream(size*pointsPerInput, badTraining)
 }
 
+// batches splits the stream into inputs (shared, read-only: see view).
 func batches(size int, badTraining bool) []Batch {
-	pts := Points(size, badTraining)
-	bs := make([]Batch, size)
-	for i := range bs {
-		bs[i] = Batch{Offset: i * pointsPerInput, Points: pts[i*pointsPerInput : (i+1)*pointsPerInput]}
-	}
+	bs, _ := view(size, badTraining)
 	return bs
+}
+
+// views memoizes, per stream variant, the batch headers and gold labels of
+// the longest stream asked for so far, as streamdata memoizes the stream.
+var views [2]struct {
+	sync.Mutex
+	bs   []Batch
+	gold []int
+}
+
+// view returns the first size batches of the badTraining variant's stream
+// and the gold labels of their points. Both slices are shared by every caller
+// and read-only, and capacity-limited so an append cannot reach the shared
+// tail; a longer stream gets fresh arrays, so slices handed out earlier are
+// never written again.
+func view(size int, badTraining bool) ([]Batch, []int) {
+	v := &views[0]
+	if badTraining {
+		v = &views[1]
+	}
+	v.Lock()
+	defer v.Unlock()
+	if size > len(v.bs) {
+		pts := Points(size, badTraining)
+		v.bs = make([]Batch, size)
+		for i := range v.bs {
+			v.bs[i] = Batch{Offset: i * pointsPerInput, Points: pts[i*pointsPerInput : (i+1)*pointsPerInput]}
+		}
+		v.gold = make([]int, len(pts))
+		for i, pt := range pts {
+			v.gold[i] = pt.Label
+		}
+	}
+	n := size * pointsPerInput
+	return v.bs[:size:size], v.gold[:n:n]
 }
 
 // numMembers is the slot count of the reservations formulation: batches
@@ -292,16 +346,19 @@ func ensembleDependence(p params) *core.Dependence[EnsembleBatch, []Model, Outpu
 // existing assembly works unchanged.
 func runEnsemble(seed uint64, size int, p params, o workload.SpecOptions) (workload.Result, core.Stats) {
 	dep := ensembleDependence(p)
-	outs, _, st := dep.Run(EnsembleBatches(size, o.BadTraining), make([]Model, numMembers), o.CoreOptions(seed))
+	init := make([]Model, numMembers)
+	for i := range init {
+		init[i] = emptyModel(p.maxPrototypes)
+	}
+	outs, _, st := dep.Run(EnsembleBatches(size, o.BadTraining), init, o.CoreOptions(seed))
 	return assemble(size, outs, o.BadTraining), st
 }
 
+// assemble lays the batches' predictions out in stream order next to the
+// stream's gold labels.
 func assemble(size int, outs []Output, badTraining bool) Result {
-	pts := Points(size, badTraining)
-	res := Result{Pred: make([]int, len(pts)), Gold: make([]int, len(pts))}
-	for i, pt := range pts {
-		res.Gold[i] = pt.Label
-	}
+	_, gold := view(size, badTraining)
+	res := Result{Pred: make([]int, len(gold)), Gold: gold}
 	for _, o := range outs {
 		copy(res.Pred[o.Offset:], o.Pred)
 	}
@@ -316,7 +373,7 @@ func (w *W) RunOriginal(seed uint64, size int) workload.Result {
 func (w *W) run(seed uint64, size int, p params, warmPasses int, badTraining bool) Result {
 	bs := batches(size, badTraining)
 	r := rng.New(seed)
-	var m Model
+	m := emptyModel(p.maxPrototypes)
 	// Quality-boost mode: extra passes over the data warm the model
 	// before the scored prequential pass.
 	for pass := 0; pass < warmPasses; pass++ {
@@ -364,7 +421,9 @@ func (w *W) RunSTATS(seed uint64, size int, o workload.SpecOptions) (workload.Re
 	aux := w.resolve(o, false)
 	bs := batches(size, o.BadTraining)
 	dep := core.New(computeOutput(def), auxCode(aux), stateOps())
-	outs, _, st := dep.Run(bs, Model{}, o.CoreOptions(seed))
+	// The auxiliary code learns at its own budget, on a clone of this.
+	init := emptyModel(max(def.maxPrototypes, aux.maxPrototypes))
+	outs, _, st := dep.Run(bs, init, o.CoreOptions(seed))
 	return assemble(size, outs, o.BadTraining), st
 }
 

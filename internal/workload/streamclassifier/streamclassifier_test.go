@@ -121,10 +121,14 @@ func TestCostModelDefaultsNormalized(t *testing.T) {
 
 // TestCloneIsolatesCompute: a compute on a Clone leaves the source bitwise
 // unchanged, and the auxiliary code returns a state nothing else can reach
-// (workloadtest.Isolation) — what the engine's copies rely on.
+// (workloadtest.Isolation) — what the engine's copies rely on. It holds from
+// a model without room to grow and from one with room, which a clone keeps
+// in an array of its own.
 func TestCloneIsolatesCompute(t *testing.T) {
 	p := New().resolve(workload.SpecOptions{}, true)
-	if err := workloadtest.Isolation(computeOutput(p), auxCode(p), cloneModel, Model{}, batches(16, false)); err != nil {
-		t.Fatal(err)
+	for _, m := range []Model{{}, emptyModel(p.maxPrototypes)} {
+		if err := workloadtest.Isolation(computeOutput(p), auxCode(p), cloneModel, m, batches(16, false)); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

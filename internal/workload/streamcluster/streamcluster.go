@@ -16,6 +16,7 @@ package streamcluster
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/mathx"
@@ -48,8 +49,17 @@ type Solution struct {
 	FacilityCost float64
 }
 
+// emptySolution is the starting solution, with room for the most centers
+// addPoint holds at once — maxClusters, plus the one it may open before it
+// merges — so neither it nor a clone of it grows while clustering.
+func emptySolution(maxClusters int) Solution {
+	return Solution{Centers: make([]center, 0, maxClusters+1), FacilityCost: 1}
+}
+
+// cloneSolution copies s with its capacity, so the clone has the same room
+// to grow.
 func cloneSolution(s Solution) Solution {
-	c := Solution{Centers: make([]center, len(s.Centers)), FacilityCost: s.FacilityCost}
+	c := Solution{Centers: make([]center, len(s.Centers), cap(s.Centers)), FacilityCost: s.FacilityCost}
 	copy(c.Centers, s.Centers)
 	return c
 }
@@ -274,7 +284,7 @@ func shardedDependence(p params) *core.Dependence[ShardBatch, []Solution, int] {
 func runSharded(seed uint64, size int, p params, o workload.SpecOptions) (workload.Result, core.Stats) {
 	init := make([]Solution, numShards)
 	for i := range init {
-		init[i] = Solution{FacilityCost: 1}
+		init[i] = emptySolution(p.maxClusters)
 	}
 	dep := shardedDependence(p)
 	_, final, st := dep.Run(ShardBatches(size, o.BadTraining), init, o.CoreOptions(seed))
@@ -294,14 +304,32 @@ func Points(size int, badTraining bool) []streamdata.Point {
 	return streamdata.Stream(size*pointsPerInput, badTraining)
 }
 
-// batches splits the stream into inputs.
+// batchViews memoizes, per stream variant, the batch headers of the longest
+// stream asked for so far, as streamdata memoizes the stream.
+var batchViews [2]struct {
+	sync.Mutex
+	bs []Batch
+}
+
+// batches splits the stream into inputs. The slice is shared by every caller
+// and read-only, and capacity-limited so an append cannot reach the shared
+// tail; a longer stream gets a fresh array, so slices handed out earlier are
+// never written again.
 func batches(size int, badTraining bool) []Batch {
-	pts := Points(size, badTraining)
-	bs := make([]Batch, size)
-	for i := range bs {
-		bs[i] = Batch{Points: pts[i*pointsPerInput : (i+1)*pointsPerInput]}
+	v := &batchViews[0]
+	if badTraining {
+		v = &batchViews[1]
 	}
-	return bs
+	v.Lock()
+	defer v.Unlock()
+	if size > len(v.bs) {
+		pts := Points(size, badTraining)
+		v.bs = make([]Batch, size)
+		for i := range v.bs {
+			v.bs[i] = Batch{Points: pts[i*pointsPerInput : (i+1)*pointsPerInput]}
+		}
+	}
+	return v.bs[:size:size]
 }
 
 // finalClustering assigns every point of the size-input stream to its
@@ -345,7 +373,7 @@ func (w *W) RunOriginal(seed uint64, size int) workload.Result {
 func (w *W) run(seed uint64, size int, p params, refine int, badTraining bool) Result {
 	bs := batches(size, badTraining)
 	r := rng.New(seed)
-	sol := Solution{FacilityCost: 1}
+	sol := emptySolution(p.maxClusters)
 	compute := computeOutput(p)
 	for _, b := range bs {
 		_, sol = compute(r.Split(), b, sol)
@@ -420,7 +448,9 @@ func (w *W) RunSTATS(seed uint64, size int, o workload.SpecOptions) (workload.Re
 	aux := w.resolve(o, false)
 	bs := batches(size, o.BadTraining)
 	dep := core.New(computeOutput(def), auxCode(aux), stateOps())
-	_, final, st := dep.Run(bs, Solution{FacilityCost: 1}, o.CoreOptions(seed))
+	// The auxiliary code clusters at its own budget, on a clone of this.
+	init := emptySolution(max(def.maxClusters, aux.maxClusters))
+	_, final, st := dep.Run(bs, init, o.CoreOptions(seed))
 	return Result{Clustering: finalClustering(final, size, o.BadTraining)}, st
 }
 

@@ -145,11 +145,15 @@ func TestCostModelDefaultsNormalized(t *testing.T) {
 
 // TestCloneIsolatesCompute: a compute on a Clone leaves the source bitwise
 // unchanged, and the auxiliary code returns a state nothing else can reach
-// (workloadtest.Isolation) — what the engine's copies rely on.
+// (workloadtest.Isolation) — what the engine's copies rely on. It holds from
+// a solution without room to grow and from one with room, which a clone
+// keeps in an array of its own.
 func TestCloneIsolatesCompute(t *testing.T) {
 	p := New().resolve(workload.SpecOptions{}, true)
-	if err := workloadtest.Isolation(computeOutput(p), auxCode(p), cloneSolution, Solution{FacilityCost: 1}, batches(16, false)); err != nil {
-		t.Fatal(err)
+	for _, sol := range []Solution{{FacilityCost: 1}, emptySolution(p.maxClusters)} {
+		if err := workloadtest.Isolation(computeOutput(p), auxCode(p), cloneSolution, sol, batches(16, false)); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

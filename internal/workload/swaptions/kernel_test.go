@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/racemode"
 	"repro/internal/rng"
 	"repro/internal/tradeoff"
 	"repro/internal/workload"
@@ -107,9 +106,6 @@ func BenchmarkSimulateTrial(b *testing.B) {
 // TestSimulateTrialAllocations: a trial keeps its draws, growth factors and
 // curve on the stack.
 func TestSimulateTrialAllocations(t *testing.T) {
-	if racemode.Enabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
 	if got := testing.AllocsPerRun(100, trialLoop()); got != 0 {
 		t.Fatalf("a trial makes %v allocations, want 0", got)
 	}

@@ -57,15 +57,15 @@ func Isolation[I, S, O any](compute core.Compute[I, S, O], aux core.Aux[I, S], c
 	return nil
 }
 
-// Scratch checks that a kernel recycling per-call scratch (a package
-// sync.Pool) keeps every buffer private to one call. step is the kernel with
-// its parameters bound, and each of states starts a chain over inputs, with a
-// stream of its own.
+// Scratch checks that a kernel recycling per-call scratch (parked in package
+// slots between calls) keeps every buffer private to one call. step is the
+// kernel with its parameters bound, and each of states starts a chain over
+// inputs, with a stream of its own.
 //
 // Alone: each chain runs on the calling goroutine, and after every step a
 // decoy step on another state follows at once — it draws the scratch the step
-// just put back — and the state the step returned must print the same after
-// it. A returned state that still held a pooled buffer would print what the
+// just parked — and the state the step returned must print the same after
+// it. A returned state that still held a recycled buffer would print what the
 // decoy wrote.
 //
 // Together: every chain runs again from a clone of its state, all at once,

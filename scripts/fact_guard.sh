@@ -50,9 +50,10 @@
 # other non-test Go declares a Diagnostic or finding struct, or spells a
 # severity as a string (Severity: "...") instead of analysis.Error/Warning.
 # The recycling guard: internal/core recycles a run's scratch per
-# instantiation, through one pool per scratch type that its recycled helper
-# hands out, so no Dependence or run holds a pool of its own; fail on a
-# sync.Pool in its non-test code outside that helper. The knob-copy guard:
+# instantiation, and the kernels their per-call buffers, in bounded stores
+# that garbage collection does not empty; a sync.Pool is emptied by every
+# second collection, which turns a warm path cold at random, so fail on a
+# sync.Pool in the non-test code of internal/core or internal/workload. The knob-copy guard:
 # the engine's knobs are declared by core.Options, stats.Options and
 # workload.SpecOptions, and a state-space point reaches them through
 # profiler.DecodeDependence, so fail if any other non-test struct (bench/ and
@@ -71,7 +72,7 @@
 # against a kind's spelling (case "constant", == "type", != "function", ...)
 # outside internal/tradeoff (bench/ and testdata excluded). The kernel-scratch
 # guard: facedet's step, bodytrack's updateModel and fluidanimate's
-# simulateStep draw their per-call buffers from a package sync.Pool and update
+# simulateStep draw their per-call buffers from their package's slots and update
 # the state they are handed in place, so fail on a make( or cloneState( call
 # inside their bodies (a resize helper they call may still allocate the new
 # set).
@@ -190,10 +191,10 @@ if [ -n "$records" ]; then
     exit 1
 fi
 
-pools=$(awk 'FNR==1{fn=""} /^func /{fn=$0} /sync\.Pool/ && $0 !~ /^[[:space:]]*\/\// && fn !~ /^func recycled\[/{print FILENAME":"FNR": "$0} /^}/{fn=""}' \
-    $(ls internal/core/*.go | grep -v '_test\.go$'))
+pools=$(grep -rn 'sync\.Pool' internal/core internal/workload --include='*.go' |
+    grep -v -e '_test\.go:' -e '^[^:]*:[0-9]*:[[:space:]]*//' || true)
 if [ -n "$pools" ]; then
-    echo "fact-guard: internal/core recycles run scratch per type, through recycled only:" >&2
+    echo "fact-guard: internal/core and internal/workload park scratch in stores garbage collection does not empty; use no sync.Pool:" >&2
     printf '%s\n' "$pools" >&2
     exit 1
 fi
@@ -239,7 +240,7 @@ kernels=$(awk 'FNR==1{fn=""} /^func /{fn=$0} /^}/{fn=""}
     fn ~ /^func (step|simulateStep|updateModel)\(/ && /(^|[^A-Za-z0-9_])(make|cloneState)\(/ && $0 !~ /^[[:space:]]*\/\//{print FILENAME":"FNR": "$0}' \
     internal/workload/facedet/facedet.go internal/workload/fluidanimate/fluidanimate.go internal/workload/bodytrack/bodytrack.go)
 if [ -n "$kernels" ]; then
-    echo "fact-guard: facedet.step, fluidanimate.simulateStep and bodytrack.updateModel allocate nothing per call: take scratch from the package pool and update the state in place:" >&2
+    echo "fact-guard: facedet.step, fluidanimate.simulateStep and bodytrack.updateModel allocate nothing per call: take scratch from the package's slots and update the state in place:" >&2
     printf '%s\n' "$kernels" >&2
     exit 1
 fi
