@@ -35,6 +35,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/pool"
+	"repro/internal/recycle"
 	"repro/internal/rng"
 	"repro/internal/sched"
 )
@@ -654,64 +655,30 @@ type runScratch[I, S, O any] struct {
 	wg sync.WaitGroup // the run's pool lanes; the caller's lane needs none
 }
 
-// parkedPerType bounds how many idle scratches of one instantiation are
-// kept: as many as concurrent runs of one type usually overlap, and no more,
-// so a burst of concurrent runs leaves at most this many working sets
-// behind. A release that finds every slot taken drops its scratch.
-const parkedPerType = 8
-
-// freeList holds parked *T values: a bounded stack of slots, not a
-// sync.Pool, so garbage collection does not empty it. A warm run stays warm
-// however many collections pass between runs, and the first run of a type
-// — or one that finds every slot empty — is the only cold one.
-type freeList[T any] struct {
-	slots [parkedPerType]atomic.Pointer[T]
-}
-
-// get takes a parked value, or returns nil when none is parked.
-func (f *freeList[T]) get() *T {
-	for i := range f.slots {
-		if f.slots[i].Load() != nil {
-			if v := f.slots[i].Swap(nil); v != nil {
-				return v
-			}
-		}
-	}
-	return nil
-}
-
-// put parks v in a free slot, or drops it when every slot is taken.
-func (f *freeList[T]) put(v *T) {
-	for i := range f.slots {
-		if f.slots[i].Load() == nil && f.slots[i].CompareAndSwap(nil, v) {
-			return
-		}
-	}
-}
-
 // scratchStores maps a scratch type, keyed by its nil pointer, to the
-// *freeList that recycles its values.
+// *recycle.List that recycles its values.
 var scratchStores sync.Map
 
 // recycled returns the one free list of *T shared by every Dependence: the
 // scratch of a run is keyed by its instantiation, not by the Dependence it
 // serves, so a run on a fresh Dependence reuses the working set of the last
-// run of its type. A scratch is bound to its Dependence when it is taken and
-// unbound before it is parked, so the store pins no user closure or state:
-// what it retains is at most parkedPerType working sets per type, each
-// sized by the largest run that used it.
-func recycled[T any]() *freeList[T] {
+// run of its type. Garbage collection does not empty the list, so a warm run
+// stays warm however many collections pass between runs. A scratch is bound
+// to its Dependence when it is taken and unbound before it is parked, so the
+// list pins no user closure or state: what it retains is at most Slots()
+// working sets per type, each sized by the largest run that used it.
+func recycled[T any]() *recycle.List[T] {
 	// Load first: LoadOrStore alone would build a list on every call.
-	if f, ok := scratchStores.Load((*T)(nil)); ok {
-		return f.(*freeList[T])
+	if l, ok := scratchStores.Load((*T)(nil)); ok {
+		return l.(*recycle.List[T])
 	}
-	f, _ := scratchStores.LoadOrStore((*T)(nil), new(freeList[T]))
-	return f.(*freeList[T])
+	l, _ := scratchStores.LoadOrStore((*T)(nil), recycle.New[T]())
+	return l.(*recycle.List[T])
 }
 
 // getScratch fetches (or builds) a scratch for one speculative run of d.
 func (d *Dependence[I, S, O]) getScratch() *runScratch[I, S, O] {
-	scr := recycled[runScratch[I, S, O]]().get()
+	scr := recycled[runScratch[I, S, O]]().Get()
 	if scr == nil {
 		scr = new(runScratch[I, S, O])
 		scr.task = scr.laneTask
@@ -782,7 +749,7 @@ func (scr *runScratch[I, S, O]) release() {
 	clear(scr.originals[:cap(scr.originals)])
 	scr.d, scr.inputs, scr.initial, scr.emit, scr.nudge, scr.resolver = nil, nil, zeroS, nil, nil, nil
 	scr.runFrame = runFrame{}
-	recycled[runScratch[I, S, O]]().put(scr)
+	recycled[runScratch[I, S, O]]().Put(scr)
 }
 
 // cleared returns s resized to length n with every element zeroed,

@@ -13,15 +13,8 @@ func SplitReservationArg(arg int64) (round, input int) {
 // first of its type: the truly cold path. Garbage collection does not empty
 // the lists, so nothing else makes a run cold again.
 func drainScratch() {
-	scratchStores.Range(func(_, f any) bool {
-		f.(interface{ drain() }).drain()
+	scratchStores.Range(func(_, l any) bool {
+		l.(interface{ Drain() }).Drain()
 		return true
 	})
-}
-
-// drain drops every parked value.
-func (f *freeList[T]) drain() {
-	for i := range f.slots {
-		f.slots[i].Store(nil)
-	}
 }

@@ -386,8 +386,8 @@ func TestRecycledScratchPinsNoDependence(t *testing.T) {
 		proto  Protocol
 		parked func() any
 	}{
-		{"aux", ProtocolAux, func() any { return recycled[runScratch[int, walkState, int]]().get() }},
-		{"reservations", ProtocolReservations, func() any { return recycled[resvRun[int, walkState, int]]().get() }},
+		{"aux", ProtocolAux, func() any { return recycled[runScratch[int, walkState, int]]().Get() }},
+		{"reservations", ProtocolReservations, func() any { return recycled[resvRun[int, walkState, int]]().Get() }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			drainScratch()
@@ -410,6 +410,60 @@ func TestRecycledScratchPinsNoDependence(t *testing.T) {
 			}
 			if c.parked() == nil {
 				t.Fatal("the run parked no scratch")
+			}
+		})
+	}
+}
+
+// TestStoreRetainsSlotsAfterConcurrentRuns bounds what the store keeps:
+// eight more runs of one type than its list has slots (16 where GOMAXPROCS
+// is at most 8), all inside their computes at once, hold a scratch each;
+// through two collections after they return, the list retains exactly its
+// Slots() of them (max(8, GOMAXPROCS)) — the rest overflowed into a
+// sync.Pool, which the collector empties.
+func TestStoreRetainsSlotsAfterConcurrentRuns(t *testing.T) {
+	inputs := seqInputs(32)
+	for _, c := range []struct {
+		name   string
+		proto  Protocol
+		list   interface{ Slots() int }
+		parked func() bool
+	}{
+		{"aux", ProtocolAux, recycled[runScratch[int, walkState, int]](),
+			func() bool { return recycled[runScratch[int, walkState, int]]().Get() != nil }},
+		{"reservations", ProtocolReservations, recycled[resvRun[int, walkState, int]](),
+			func() bool { return recycled[resvRun[int, walkState, int]]().Get() != nil }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			drainScratch()
+			runs := c.list.Slots() + 8
+			var inside, wg sync.WaitGroup
+			inside.Add(runs)
+			for range runs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					var once sync.Once
+					d := New(func(_ *rng.Source, in int, s walkState) (int, walkState) {
+						once.Do(func() { inside.Done(); inside.Wait() })
+						s.V += float64(in)
+						return in, s
+					}, sumAux, walkOps())
+					opts := Options{UseAux: true, Protocol: c.proto, GroupSize: 8, Window: len(inputs), Workers: 1}
+					if _, final, _ := d.Run(inputs, walkState{}, opts); final.V != 528 {
+						t.Errorf("final state %v, want 528", final.V)
+					}
+				}()
+			}
+			wg.Wait()
+			runtime.GC()
+			runtime.GC()
+			kept := 0
+			for c.parked() {
+				kept++
+			}
+			if want := c.list.Slots(); kept != want {
+				t.Fatalf("after %d concurrent runs and two collections the store keeps %d scratches, want its %d slots", runs, kept, want)
 			}
 		})
 	}

@@ -306,7 +306,7 @@ type laneWork struct{ calls, ns int64 }
 
 // getResvRun fetches (or builds) a recycled reservations run state for d.
 func (d *Dependence[I, S, O]) getResvRun() *resvRun[I, S, O] {
-	r := recycled[resvRun[I, S, O]]().get()
+	r := recycled[resvRun[I, S, O]]().Get()
 	if r == nil {
 		r = new(resvRun[I, S, O])
 	}
@@ -327,7 +327,7 @@ func (r *resvRun[I, S, O]) release() {
 	clear(r.panics[:cap(r.panics)])
 	r.panics = r.panics[:0]
 	r.waveWinners = nil
-	recycled[resvRun[I, S, O]]().put(r)
+	recycled[resvRun[I, S, O]]().Put(r)
 }
 
 // fail marks the run failed with the first failure observed; pe, when

@@ -22,11 +22,11 @@ package bodytrack
 
 import (
 	"math"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/mathx"
 	"repro/internal/quality"
+	"repro/internal/recycle"
 	"repro/internal/rng"
 	"repro/internal/tradeoff"
 	"repro/internal/workload"
@@ -261,31 +261,8 @@ type modelScratch struct {
 
 // parked holds the scratch of returned calls: a call takes one for itself
 // and parks it on return, so lanes never share a buffer and a lane's calls
-// reuse one. Its eight slots bound what idle lanes keep; unlike a sync.Pool,
-// garbage collection does not empty them. A call that finds every slot taken
-// drops its scratch.
-var parked [8]atomic.Pointer[modelScratch]
-
-// takeScratch returns a parked scratch, or a new one when none is parked.
-func takeScratch() *modelScratch {
-	for i := range parked {
-		if parked[i].Load() != nil {
-			if sc := parked[i].Swap(nil); sc != nil {
-				return sc
-			}
-		}
-	}
-	return new(modelScratch)
-}
-
-// park returns sc to a free slot, or drops it when every slot is taken.
-func (sc *modelScratch) park() {
-	for i := range parked {
-		if parked[i].Load() == nil && parked[i].CompareAndSwap(nil, sc) {
-			return
-		}
-	}
-}
+// reuse one. Garbage collection does not empty its slots (recycle.List).
+var parked = recycle.New[modelScratch]()
 
 // buffers returns the scratch cut to n particles, grown if it is shorter.
 func (sc *modelScratch) buffers(n int) ([]float64, []mathx.Vec3, []mathx.Vec3) {
@@ -310,8 +287,11 @@ func updateModel(r *rng.Source, p params, st State, f Frame) State {
 		st = resizeParticles(st, p.particles, r)
 	}
 	n := len(st.particles)
-	sc := takeScratch()
-	defer sc.park()
+	sc := parked.Get()
+	if sc == nil {
+		sc = new(modelScratch)
+	}
+	defer parked.Put(sc)
 	weights, noise, picked := sc.buffers(n)
 	for layer := p.layers; layer >= 1; layer-- {
 		// Noise shrinks and weighting sharpens as annealing progresses

@@ -2,7 +2,6 @@ package bodytrack
 
 import (
 	"math"
-	"runtime"
 	"testing"
 
 	"repro/internal/mathx"
@@ -164,30 +163,11 @@ func BenchmarkUpdateModel(b *testing.B) {
 
 // TestUpdateModelAllocations: a step at the default tradeoffs allocates
 // nothing — its weights, noise and resample scratch are recycled, and it
-// updates the particle set in place.
+// updates the particle set in place — warm and right after two garbage
+// collections (workloadtest.NoAllocs).
 func TestUpdateModelAllocations(t *testing.T) {
-	if got := testing.AllocsPerRun(20, modelLoop()); got != 0 {
-		t.Fatalf("a default step makes %v allocations, want 0", got)
-	}
-}
-
-// TestUpdateModelAllocationsAfterCollections: the scratch is parked in slots garbage
-// collection does not empty, so a default step right after two collections allocates
-// nothing either.
-func TestUpdateModelAllocationsAfterCollections(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun
-	body := modelLoop()
-	body()
-	var before, after runtime.MemStats
-	for range 5 {
-		runtime.GC()
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		body()
-		runtime.ReadMemStats(&after)
-		if n := after.Mallocs - before.Mallocs; n != 0 {
-			t.Fatalf("a default step after two collections makes %d allocations, want 0", n)
-		}
+	if err := workloadtest.NoAllocs(modelLoop, 20); err != nil {
+		t.Fatalf("a default step: %v", err)
 	}
 }
 

@@ -16,11 +16,11 @@ package facedet
 
 import (
 	"math"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/mathx"
 	"repro/internal/quality"
+	"repro/internal/recycle"
 	"repro/internal/rng"
 	"repro/internal/tradeoff"
 	"repro/internal/workload"
@@ -208,31 +208,8 @@ type stepScratch struct {
 
 // parked holds the scratch of returned calls: a call takes one for itself
 // and parks it on return, so lanes never share a buffer and a lane's steps
-// reuse one. Its eight slots bound what idle lanes keep; unlike a sync.Pool,
-// garbage collection does not empty them. A call that finds every slot taken
-// drops its scratch.
-var parked [8]atomic.Pointer[stepScratch]
-
-// takeScratch returns a parked scratch, or a new one when none is parked.
-func takeScratch() *stepScratch {
-	for i := range parked {
-		if parked[i].Load() != nil {
-			if sc := parked[i].Swap(nil); sc != nil {
-				return sc
-			}
-		}
-	}
-	return new(stepScratch)
-}
-
-// park returns sc to a free slot, or drops it when every slot is taken.
-func (sc *stepScratch) park() {
-	for i := range parked {
-		if parked[i].Load() == nil && parked[i].CompareAndSwap(nil, sc) {
-			return
-		}
-	}
-}
+// reuse one. Garbage collection does not empty its slots (recycle.List).
+var parked = recycle.New[stepScratch]()
 
 // buffers returns the scratch cut to n particles, grown if it is shorter.
 func (sc *stepScratch) buffers(n int) ([]float64, []particle) {
@@ -254,8 +231,11 @@ func step(r *rng.Source, p params, st State, f Frame) State {
 		st = resize(st, p.particles, r)
 	}
 	n := len(st.particles)
-	sc := takeScratch()
-	defer sc.park()
+	sc := parked.Get()
+	if sc == nil {
+		sc = new(stepScratch)
+	}
+	defer parked.Put(sc)
 	weights, spare := sc.buffers(n)
 	for round := 0; round < p.noiseRounds; round++ {
 		sigma := 1.2 * math.Pow(0.7, float64(round))

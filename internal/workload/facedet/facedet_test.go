@@ -1,7 +1,6 @@
 package facedet
 
 import (
-	"runtime"
 	"testing"
 
 	"repro/internal/rng"
@@ -169,31 +168,12 @@ func BenchmarkStep(b *testing.B) {
 
 // TestStepAllocations: a step allocates nothing, whatever the number of noise
 // rounds — its weights and spare particle buffer are recycled scratch, and the
-// set comes home to the array it was handed.
+// set comes home to the array it was handed — warm and right after two garbage
+// collections (workloadtest.NoAllocs).
 func TestStepAllocations(t *testing.T) {
 	for _, rounds := range []int{3, 4} {
-		if got := testing.AllocsPerRun(100, stepLoop(rounds)); got != 0 {
-			t.Fatalf("a step at %d noise rounds makes %v allocations, want 0", rounds, got)
-		}
-	}
-}
-
-// TestStepAllocationsAfterCollections: the scratch is parked in slots garbage
-// collection does not empty, so a step right after two collections allocates
-// nothing either.
-func TestStepAllocationsAfterCollections(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun
-	body := stepLoop(New().resolve(workload.SpecOptions{}, true).noiseRounds)
-	body()
-	var before, after runtime.MemStats
-	for range 5 {
-		runtime.GC()
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		body()
-		runtime.ReadMemStats(&after)
-		if n := after.Mallocs - before.Mallocs; n != 0 {
-			t.Fatalf("a step after two collections makes %d allocations, want 0", n)
+		if err := workloadtest.NoAllocs(func() func() { return stepLoop(rounds) }, 100); err != nil {
+			t.Fatalf("a step at %d noise rounds: %v", rounds, err)
 		}
 	}
 }

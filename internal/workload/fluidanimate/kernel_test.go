@@ -2,7 +2,6 @@ package fluidanimate
 
 import (
 	"math"
-	"runtime"
 	"testing"
 
 	"repro/internal/mathx"
@@ -176,29 +175,10 @@ func BenchmarkSimulateStep(b *testing.B) {
 }
 
 // TestSimulateStepAllocations: a frame allocates nothing — its density and
-// force scratch is recycled and the integration updates the fluid in place.
+// force scratch is recycled and the integration updates the fluid in place —
+// warm and right after two garbage collections (workloadtest.NoAllocs).
 func TestSimulateStepAllocations(t *testing.T) {
-	if got := testing.AllocsPerRun(100, simulateLoop()); got != 0 {
-		t.Fatalf("a default frame makes %v allocations, want 0", got)
-	}
-}
-
-// TestSimulateStepAllocationsAfterCollections: the scratch is parked in slots garbage
-// collection does not empty, so a default frame right after two collections allocates
-// nothing either.
-func TestSimulateStepAllocationsAfterCollections(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun
-	body := simulateLoop()
-	body()
-	var before, after runtime.MemStats
-	for range 5 {
-		runtime.GC()
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		body()
-		runtime.ReadMemStats(&after)
-		if n := after.Mallocs - before.Mallocs; n != 0 {
-			t.Fatalf("a default frame after two collections makes %d allocations, want 0", n)
-		}
+	if err := workloadtest.NoAllocs(simulateLoop, 100); err != nil {
+		t.Fatalf("a default frame: %v", err)
 	}
 }

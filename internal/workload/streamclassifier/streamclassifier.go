@@ -14,7 +14,6 @@ package streamclassifier
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/mathx"
@@ -241,45 +240,20 @@ func Points(size int, badTraining bool) []streamdata.Point {
 	return streamdata.Stream(size*pointsPerInput, badTraining)
 }
 
-// batches splits the stream into inputs (shared, read-only: see view).
-func batches(size int, badTraining bool) []Batch {
-	bs, _ := view(size, badTraining)
+// batchMemo cuts each stream variant into inputs once per process.
+var batchMemo = streamdata.Memo[Batch]{Build: func(size int, badTraining bool) []Batch {
+	pts := Points(size, badTraining)
+	bs := make([]Batch, size)
+	for i := range bs {
+		bs[i] = Batch{Offset: i * pointsPerInput, Points: pts[i*pointsPerInput : (i+1)*pointsPerInput]}
+	}
 	return bs
-}
+}}
 
-// views memoizes, per stream variant, the batch headers and gold labels of
-// the longest stream asked for so far, as streamdata memoizes the stream.
-var views [2]struct {
-	sync.Mutex
-	bs   []Batch
-	gold []int
-}
-
-// view returns the first size batches of the badTraining variant's stream
-// and the gold labels of their points. Both slices are shared by every caller
-// and read-only, and capacity-limited so an append cannot reach the shared
-// tail; a longer stream gets fresh arrays, so slices handed out earlier are
-// never written again.
-func view(size int, badTraining bool) ([]Batch, []int) {
-	v := &views[0]
-	if badTraining {
-		v = &views[1]
-	}
-	v.Lock()
-	defer v.Unlock()
-	if size > len(v.bs) {
-		pts := Points(size, badTraining)
-		v.bs = make([]Batch, size)
-		for i := range v.bs {
-			v.bs[i] = Batch{Offset: i * pointsPerInput, Points: pts[i*pointsPerInput : (i+1)*pointsPerInput]}
-		}
-		v.gold = make([]int, len(pts))
-		for i, pt := range pts {
-			v.gold[i] = pt.Label
-		}
-	}
-	n := size * pointsPerInput
-	return v.bs[:size:size], v.gold[:n:n]
+// batches splits the stream into inputs: shared by every caller and
+// read-only (streamdata.Memo).
+func batches(size int, badTraining bool) []Batch {
+	return batchMemo.Get(size, badTraining)
 }
 
 // numMembers is the slot count of the reservations formulation: batches
@@ -357,7 +331,7 @@ func runEnsemble(seed uint64, size int, p params, o workload.SpecOptions) (workl
 // assemble lays the batches' predictions out in stream order next to the
 // stream's gold labels.
 func assemble(size int, outs []Output, badTraining bool) Result {
-	_, gold := view(size, badTraining)
+	gold := streamdata.Labels(size*pointsPerInput, badTraining)
 	res := Result{Pred: make([]int, len(gold)), Gold: gold}
 	for _, o := range outs {
 		copy(res.Pred[o.Offset:], o.Pred)

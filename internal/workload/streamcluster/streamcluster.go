@@ -16,7 +16,6 @@ package streamcluster
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/mathx"
@@ -304,32 +303,20 @@ func Points(size int, badTraining bool) []streamdata.Point {
 	return streamdata.Stream(size*pointsPerInput, badTraining)
 }
 
-// batchViews memoizes, per stream variant, the batch headers of the longest
-// stream asked for so far, as streamdata memoizes the stream.
-var batchViews [2]struct {
-	sync.Mutex
-	bs []Batch
-}
+// batchMemo cuts each stream variant into inputs once per process.
+var batchMemo = streamdata.Memo[Batch]{Build: func(size int, badTraining bool) []Batch {
+	pts := Points(size, badTraining)
+	bs := make([]Batch, size)
+	for i := range bs {
+		bs[i] = Batch{Points: pts[i*pointsPerInput : (i+1)*pointsPerInput]}
+	}
+	return bs
+}}
 
-// batches splits the stream into inputs. The slice is shared by every caller
-// and read-only, and capacity-limited so an append cannot reach the shared
-// tail; a longer stream gets a fresh array, so slices handed out earlier are
-// never written again.
+// batches splits the stream into inputs: shared by every caller and
+// read-only (streamdata.Memo).
 func batches(size int, badTraining bool) []Batch {
-	v := &batchViews[0]
-	if badTraining {
-		v = &batchViews[1]
-	}
-	v.Lock()
-	defer v.Unlock()
-	if size > len(v.bs) {
-		pts := Points(size, badTraining)
-		v.bs = make([]Batch, size)
-		for i := range v.bs {
-			v.bs[i] = Batch{Points: pts[i*pointsPerInput : (i+1)*pointsPerInput]}
-		}
-	}
-	return v.bs[:size:size]
+	return batchMemo.Get(size, badTraining)
 }
 
 // finalClustering assigns every point of the size-input stream to its

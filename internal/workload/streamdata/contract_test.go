@@ -11,7 +11,8 @@ import (
 	"repro/internal/workload/streamdata"
 )
 
-// streamHash hashes every label and coordinate bit of the cached stream.
+// streamHash hashes every label and coordinate bit of the cached stream,
+// and its label view (streamclassifier's results carry it as Gold).
 func streamHash(n int, bad bool) uint64 {
 	h := mathx.NewHash64()
 	for _, pt := range streamdata.Stream(n, bad) {
@@ -20,12 +21,16 @@ func streamHash(n int, bad bool) uint64 {
 			h = h.Float(x)
 		}
 	}
+	for _, l := range streamdata.Labels(n, bad) {
+		h = h.Int(l)
+	}
 	return h.Sum()
 }
 
 // TestStreamSharedReadOnly is the cache's contract: every entry point of
-// both stream programs reads the one shared stream (and streamcluster's
-// results carry its coordinate view) and none writes it.
+// both stream programs reads the one shared stream (streamcluster's results
+// carry its coordinate view, streamclassifier's its label view) and none
+// writes it.
 func TestStreamSharedReadOnly(t *testing.T) {
 	const size = 24
 	n := len(streamcluster.Points(size, false))

@@ -37,12 +37,14 @@ func Centers() [NumComponents][Dim]float64 {
 }
 
 // variant memoizes one stream variant: the generator's state, the points
-// drawn from it so far, and one coordinate row per point aliasing its X.
+// drawn from it so far, one coordinate row per point aliasing its X, and the
+// points' labels.
 type variant struct {
-	mu   sync.Mutex
-	r    *rng.Source
-	pts  []Point
-	rows [][]float64
+	mu     sync.Mutex
+	r      *rng.Source
+	pts    []Point
+	rows   [][]float64
+	labels []int
 }
 
 // variants holds the native and the badTraining stream.
@@ -57,20 +59,27 @@ var variants [2]variant
 // component collapses onto the same center, so training reveals nothing
 // about cluster structure.
 func Stream(n int, badTraining bool) []Point {
-	pts, _ := cached(n, badTraining)
+	pts, _, _ := cached(n, badTraining)
 	return pts
 }
 
 // Coords returns the coordinates of Stream(n, badTraining) as one row per
 // point. The rows alias the shared stream: read-only, like it.
 func Coords(n int, badTraining bool) [][]float64 {
-	_, rows := cached(n, badTraining)
+	_, rows, _ := cached(n, badTraining)
 	return rows
 }
 
-// cached grows the variant to n points and returns its first n points and
-// rows, capacity-limited so an append cannot reach the shared tail.
-func cached(n int, badTraining bool) ([]Point, [][]float64) {
+// Labels returns the labels of Stream(n, badTraining), one per point: the
+// gold clustering, shared and read-only like the stream.
+func Labels(n int, badTraining bool) []int {
+	_, _, labels := cached(n, badTraining)
+	return labels
+}
+
+// cached grows the variant to n points and returns its first n points, rows
+// and labels, capacity-limited so an append cannot reach the shared tail.
+func cached(n int, badTraining bool) ([]Point, [][]float64, []int) {
 	v, seed := &variants[0], uint64(0x57E5)
 	if badTraining {
 		v, seed = &variants[1], seed^0xBAD
@@ -98,12 +107,44 @@ func cached(n int, badTraining bool) ([]Point, [][]float64) {
 			pts = append(pts, pt)
 		}
 		rows := make([][]float64, n)
+		labels := make([]int, n)
 		for i := range rows {
 			rows[i] = pts[i].X[:]
+			labels[i] = pts[i].Label
 		}
-		v.pts, v.rows = pts, rows
+		v.pts, v.rows, v.labels = pts, rows, labels
 	}
-	return v.pts[:n:n], v.rows[:n:n]
+	return v.pts[:n:n], v.rows[:n:n], v.labels[:n:n]
+}
+
+// Memo memoizes, per stream variant, a slice derived from the stream — the
+// batches a program cuts it into — grown like the stream to the longest
+// asked for.
+type Memo[T any] struct {
+	// Build returns a fresh slice of the first n elements of a variant.
+	Build func(n int, badTraining bool) []T
+
+	variants [2]struct {
+		mu sync.Mutex
+		s  []T
+	}
+}
+
+// Get returns the first n elements for the badTraining variant, shared by
+// every caller and read-only, capacity-limited so an append cannot reach the
+// shared tail. A longer n builds a fresh slice, so slices handed out earlier
+// are never written again.
+func (m *Memo[T]) Get(n int, badTraining bool) []T {
+	v := &m.variants[0]
+	if badTraining {
+		v = &m.variants[1]
+	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if n > len(v.s) {
+		v.s = m.Build(n, badTraining)
+	}
+	return v.s[:n:n]
 }
 
 // SqDist returns the squared Euclidean distance between two points'

@@ -81,6 +81,49 @@ func TestCoords(t *testing.T) {
 	}
 }
 
+func TestLabels(t *testing.T) {
+	for _, bad := range []bool{false, true} {
+		pts, labels := Stream(40, bad), Labels(40, bad)
+		if len(labels) != len(pts) || cap(labels) != len(pts) {
+			t.Fatalf("bad=%v: labels: len %d cap %d, want %d", bad, len(labels), cap(labels), len(pts))
+		}
+		for i, l := range labels {
+			if l != pts[i].Label {
+				t.Fatalf("bad=%v: label %d is %d, point's %d", bad, i, l, pts[i].Label)
+			}
+		}
+	}
+}
+
+// TestMemo: a memo builds once per variant until a longer slice is asked
+// for, hands out capacity-limited prefixes, and never writes a slice it
+// handed out.
+func TestMemo(t *testing.T) {
+	builds := 0
+	m := Memo[int]{Build: func(n int, bad bool) []int {
+		builds++
+		s := make([]int, n)
+		for i := range s {
+			s[i] = i
+			if bad {
+				s[i] = -i
+			}
+		}
+		return s
+	}}
+	short := m.Get(4, false)
+	if m.Get(3, false); builds != 1 {
+		t.Fatalf("a shorter Get built again: %d builds", builds)
+	}
+	if got := m.Get(4, true); got[3] != -3 || builds != 2 {
+		t.Fatalf("the bad variant shares the native one: %v after %d builds", got, builds)
+	}
+	long := m.Get(8, false)
+	if builds != 3 || cap(short) != 4 || cap(long) != 8 || &short[0] == &long[0] {
+		t.Fatalf("%d builds, caps %d and %d: a longer Get must build a fresh slice", builds, cap(short), cap(long))
+	}
+}
+
 // TestStreamPrefix pins what the memo relies on: the generator is
 // sequential from a fixed seed, so a shorter stream is a prefix of a longer
 // one — whether it was cut from the cache or the cache grew past it.

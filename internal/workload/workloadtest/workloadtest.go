@@ -5,7 +5,9 @@ package workloadtest
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"testing"
 
 	"repro/internal/core"
 	"repro/internal/rng"
@@ -112,6 +114,36 @@ func Scratch[I, S any](step func(r *rng.Source, in I, s S) S, clone func(S) S, s
 			if together[k][i] != alone[k][i] {
 				return fmt.Errorf("chain %d, step %d of %d: stepped beside %d other chains it printed\n %s\nstepped alone\n %s", k, i, len(inputs), len(states)-1, together[k][i], alone[k][i])
 			}
+		}
+	}
+	return nil
+}
+
+// NoAllocs checks that a kernel recycling per-call scratch allocates nothing
+// per call, warm and cold-by-collection. newLoop builds a fresh loop over the
+// kernel, one kernel call per call of the loop.
+//
+// Warm: runs calls of one loop, counted as testing.AllocsPerRun counts them.
+//
+// Collected: a call right after two garbage collections, five times over. A
+// sync.Pool is empty by then; the slots of the kernel's recycle.List must
+// not be.
+func NoAllocs(newLoop func() func(), runs int) error {
+	if got := testing.AllocsPerRun(runs, newLoop()); got != 0 {
+		return fmt.Errorf("warm: %v allocations per call, want 0", got)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun
+	loop := newLoop()
+	loop()
+	var before, after runtime.MemStats
+	for range 5 {
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		loop()
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n != 0 {
+			return fmt.Errorf("after two collections: %d allocations, want 0", n)
 		}
 	}
 	return nil

@@ -50,10 +50,12 @@
 # other non-test Go declares a Diagnostic or finding struct, or spells a
 # severity as a string (Severity: "...") instead of analysis.Error/Warning.
 # The recycling guard: internal/core recycles a run's scratch per
-# instantiation, and the kernels their per-call buffers, in bounded stores
-# that garbage collection does not empty; a sync.Pool is emptied by every
-# second collection, which turns a warm path cold at random, so fail on a
-# sync.Pool in the non-test code of internal/core or internal/workload. The knob-copy guard:
+# instantiation, and the kernels their per-call buffers, in an
+# internal/recycle.List, whose slots garbage collection does not empty (only
+# what overflows them goes to the List's own sync.Pool); a sync.Pool used
+# directly is emptied by every second collection, which turns a warm path
+# cold at random, so fail on a sync.Pool in the non-test code of
+# internal/core or internal/workload. The knob-copy guard:
 # the engine's knobs are declared by core.Options, stats.Options and
 # workload.SpecOptions, and a state-space point reaches them through
 # profiler.DecodeDependence, so fail if any other non-test struct (bench/ and
@@ -72,7 +74,7 @@
 # against a kind's spelling (case "constant", == "type", != "function", ...)
 # outside internal/tradeoff (bench/ and testdata excluded). The kernel-scratch
 # guard: facedet's step, bodytrack's updateModel and fluidanimate's
-# simulateStep draw their per-call buffers from their package's slots and update
+# simulateStep draw their per-call buffers from their package's recycle.List and update
 # the state they are handed in place, so fail on a make( or cloneState( call
 # inside their bodies (a resize helper they call may still allocate the new
 # set).
@@ -240,7 +242,7 @@ kernels=$(awk 'FNR==1{fn=""} /^func /{fn=$0} /^}/{fn=""}
     fn ~ /^func (step|simulateStep|updateModel)\(/ && /(^|[^A-Za-z0-9_])(make|cloneState)\(/ && $0 !~ /^[[:space:]]*\/\//{print FILENAME":"FNR": "$0}' \
     internal/workload/facedet/facedet.go internal/workload/fluidanimate/fluidanimate.go internal/workload/bodytrack/bodytrack.go)
 if [ -n "$kernels" ]; then
-    echo "fact-guard: facedet.step, fluidanimate.simulateStep and bodytrack.updateModel allocate nothing per call: take scratch from the package's slots and update the state in place:" >&2
+    echo "fact-guard: facedet.step, fluidanimate.simulateStep and bodytrack.updateModel allocate nothing per call: take scratch from the package's recycle.List and update the state in place:" >&2
     printf '%s\n' "$kernels" >&2
     exit 1
 fi

@@ -19,6 +19,16 @@
 //	sd.Configure(stats.Options{UseAux: true, GroupSize: 8, Window: 2, RedoMax: 2, Rollback: 2, Workers: 8})
 //	sd.Start()
 //	outputs, final, runStats := sd.Join()
+//
+// Memory: a warm run allocates only what it returns, because the runtime
+// parks each run's working set (group records, lane random sources, output
+// staging) between runs in a free list per instantiation of its generic
+// types, which garbage collection does not empty. The list keeps up to
+// max(8, GOMAXPROCS) idle working sets for the life of the process, each as
+// large as the largest run that used it, and none of the user's values;
+// working sets of runs that overlapped beyond that are recycled only until
+// the next collections. A long-lived process that once ran one very large
+// dependence therefore keeps that run's buffers.
 package stats
 
 import (
