@@ -1,6 +1,9 @@
 package obs
 
-import "testing"
+import (
+	"io"
+	"testing"
+)
 
 // BenchmarkEmitDisabled measures the engine's per-event cost with tracing
 // off: a nil-receiver check and return. The acceptance budget is <5 ns/op
@@ -64,5 +67,24 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(int64(i))
+	}
+}
+
+// BenchmarkWriteText is one metrics scrape of a populated observer's
+// registry: the table walked once into a reused buffer.
+func BenchmarkWriteText(b *testing.B) {
+	r := populatedRegistry()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = r.WriteText(io.Discard)
+	}
+}
+
+// TestWriteTextAllocs gates the body of BenchmarkWriteText: a warm scrape
+// allocates nothing.
+func TestWriteTextAllocs(t *testing.T) {
+	r := populatedRegistry()
+	if got := testing.AllocsPerRun(50, func() { _ = r.WriteText(io.Discard) }); got > 0 {
+		t.Errorf("%.1f allocs/scrape, ceiling 0", got)
 	}
 }

@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/catalogue.golden from the fact table (make catalogue)")
+var update = flag.Bool("update", false, "rewrite the testdata goldens (make catalogue: catalogue.golden from the fact table)")
 
 // TestNoteMovesCounterAndEventTogether is the fact table's one test of
 // "counter ≡ events": for every event kind, a single Note advances exactly

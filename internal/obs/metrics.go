@@ -5,7 +5,8 @@ import (
 	"io"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -232,29 +233,86 @@ func (s HistogramSnapshot) Quantile(q float64) int64 {
 // coordination. A nil *Registry hands out nil instruments, which are
 // themselves no-ops — disabling metrics is free at every layer.
 type Registry struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
-	// cfuncs and gfuncs are function-backed instruments: their value is
-	// read at exposition time, which lets state that already has its own
-	// atomic counters (the Tracer's emit/drop totals) appear on every
-	// scrape without double accounting.
-	cfuncs map[string]func() int64
-	gfuncs map[string]func() int64
-	help   map[string]string
+	mu sync.Mutex
+	// entries is the registry's one table, kept in name order as
+	// instruments register, so an exposition walks it as it stands.
+	entries []entry
+	// scratch holds a WriteText call's buffers between calls; a call that
+	// finds them taken by a concurrent one builds its own.
+	scratch *textScratch
+}
+
+// instKind is the kind of instrument a registry entry holds.
+type instKind uint8
+
+const (
+	// helpOnly: SetHelp named the entry before any instrument registered
+	// under it; it is not exposed.
+	helpOnly instKind = iota
+	kindCounter
+	kindGauge
+	kindHistogram
+	// kindCounterFunc and kindGaugeFunc are function-backed instruments:
+	// their value is read at exposition time, which lets state that
+	// already has its own atomic counters (the Tracer's emit/drop totals)
+	// appear on every scrape without double accounting.
+	kindCounterFunc
+	kindGaugeFunc
+)
+
+// kindNames are the exposition's TYPE names.
+var kindNames = [...]string{
+	kindCounter: "counter", kindGauge: "gauge", kindHistogram: "histogram",
+	kindCounterFunc: "counter", kindGaugeFunc: "gauge",
+}
+
+// entry is one row of the registry table: a name, its kind, the
+// instrument (the one field its kind uses) and its HELP line.
+type entry struct {
+	name    string
+	kind    instKind
+	hasHelp bool
+	help    string
+	c       *Counter
+	g       *Gauge
+	h       *Histogram
+	fn      func() int64
+}
+
+// textScratch is WriteText's reusable state: a copy of the table and the
+// exposition buffer.
+type textScratch struct {
+	entries []entry
+	buf     []byte
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
-		hists:    map[string]*Histogram{},
-		cfuncs:   map[string]func() int64{},
-		gfuncs:   map[string]func() int64{},
-		help:     map[string]string{},
+func NewRegistry() *Registry { return &Registry{} }
+
+// byName orders entries by name.
+func byName(e entry, name string) int { return strings.Compare(e.name, name) }
+
+// entryLocked returns the entry registered under name, inserting an
+// empty one in name order if there is none. Called with r.mu held.
+func (r *Registry) entryLocked(name string) *entry {
+	i, ok := slices.BinarySearchFunc(r.entries, name, byName)
+	if !ok {
+		r.entries = slices.Insert(r.entries, i, entry{name: name})
 	}
+	return &r.entries[i]
+}
+
+// claimLocked returns the entry for an instrument of kind k under name,
+// marking a new or help-only entry as k. A name holds one instrument:
+// claiming it as another kind panics. Called with r.mu held.
+func (r *Registry) claimLocked(name string, k instKind) *entry {
+	e := r.entryLocked(name)
+	if e.kind == helpOnly {
+		e.kind = k
+	} else if e.kind != k {
+		panic(fmt.Sprintf("obs: metric %q is registered as another kind of instrument", name))
+	}
+	return e
 }
 
 // Counter returns the counter registered under name, creating it on first
@@ -265,12 +323,11 @@ func (r *Registry) Counter(name string) *Counter {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
+	e := r.claimLocked(name, kindCounter)
+	if e.c == nil {
+		e.c = &Counter{}
 	}
-	return c
+	return e.c
 }
 
 // Gauge returns the gauge registered under name, creating it on first use.
@@ -280,12 +337,11 @@ func (r *Registry) Gauge(name string) *Gauge {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
+	e := r.claimLocked(name, kindGauge)
+	if e.g == nil {
+		e.g = &Gauge{}
 	}
-	return g
+	return e.g
 }
 
 // Histogram returns the histogram registered under name, creating it on
@@ -296,12 +352,11 @@ func (r *Registry) Histogram(name string) *Histogram {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = &Histogram{}
-		r.hists[name] = h
+	e := r.claimLocked(name, kindHistogram)
+	if e.h == nil {
+		e.h = &Histogram{}
 	}
-	return h
+	return e.h
 }
 
 // CounterFunc registers a function-backed counter: fn is called at
@@ -309,23 +364,22 @@ func (r *Registry) Histogram(name string) *Histogram {
 // concurrent use. Re-registering a name replaces its function. A nil
 // registry ignores the registration.
 func (r *Registry) CounterFunc(name string, fn func() int64) {
-	if r == nil || fn == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.cfuncs[name] = fn
+	r.setFunc(name, kindCounterFunc, fn)
 }
 
 // GaugeFunc registers a function-backed gauge, read at exposition time.
 // fn must be safe for concurrent use.
 func (r *Registry) GaugeFunc(name string, fn func() int64) {
+	r.setFunc(name, kindGaugeFunc, fn)
+}
+
+func (r *Registry) setFunc(name string, k instKind, fn func() int64) {
 	if r == nil || fn == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.gfuncs[name] = fn
+	r.claimLocked(name, k).fn = fn
 }
 
 // SetHelp attaches a HELP string to the instrument registered under name;
@@ -337,7 +391,8 @@ func (r *Registry) SetHelp(name, help string) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.help[name] = help
+	e := r.entryLocked(name)
+	e.help, e.hasHelp = help, true
 }
 
 // WriteText writes every instrument in the Prometheus text exposition
@@ -348,145 +403,138 @@ func (r *Registry) SetHelp(name, help string) {
 // first and last non-empty bucket, so empty interior buckets are emitted
 // rather than skipped — followed by `_sum` and `_count`, plus
 // `_p50`/`_p90`/`_p99` quantile-estimate gauges under their own names.
+// The exposition is assembled in one buffer and written with one Write.
 func (r *Registry) WriteText(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
+	// Copy the table under the lock, then read the instruments outside
+	// it: a function-backed instrument may take locks of its own.
 	r.mu.Lock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists)+len(r.cfuncs)+len(r.gfuncs))
-	for n := range r.counters {
-		names = append(names, n)
+	s := r.scratch
+	r.scratch = nil
+	if s == nil {
+		s = new(textScratch)
 	}
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	for n := range r.hists {
-		names = append(names, n)
-	}
-	for n := range r.cfuncs {
-		names = append(names, n)
-	}
-	for n := range r.gfuncs {
-		names = append(names, n)
-	}
-	counters := make(map[string]*Counter, len(r.counters))
-	for n, c := range r.counters {
-		counters[n] = c
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for n, g := range r.gauges {
-		gauges[n] = g
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for n, h := range r.hists {
-		hists[n] = h
-	}
-	cfuncs := make(map[string]func() int64, len(r.cfuncs))
-	for n, f := range r.cfuncs {
-		cfuncs[n] = f
-	}
-	gfuncs := make(map[string]func() int64, len(r.gfuncs))
-	for n, f := range r.gfuncs {
-		gfuncs[n] = f
-	}
-	help := make(map[string]string, len(r.help))
-	for n, h := range r.help {
-		help[n] = h
-	}
+	s.entries = append(s.entries[:0], r.entries...)
 	r.mu.Unlock()
 
-	header := func(name, typ string) error {
-		if h, ok := help[name]; ok {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", name, h); err != nil {
-				return err
-			}
+	b := s.buf[:0]
+	for i := range s.entries {
+		e := &s.entries[i]
+		switch e.kind {
+		case kindCounter:
+			b = appendSample(b, e, e.c.Value())
+		case kindGauge:
+			b = appendSample(b, e, e.g.Value())
+		case kindCounterFunc, kindGaugeFunc:
+			b = appendSample(b, e, e.fn())
+		case kindHistogram:
+			b = appendHistogram(b, e, s.entries)
 		}
-		_, err := fmt.Fprintf(w, "# TYPE %s %s\n", name, typ)
-		return err
 	}
-	sample := func(name, typ string, v int64) error {
-		if err := header(name, typ); err != nil {
-			return err
-		}
-		_, err := fmt.Fprintf(w, "%s %d\n", name, v)
-		return err
+	var err error
+	if len(b) > 0 {
+		_, err = w.Write(b)
 	}
 
-	sort.Strings(names)
-	for _, n := range names {
-		switch {
-		case counters[n] != nil:
-			if err := sample(n, "counter", counters[n].Value()); err != nil {
-				return err
-			}
-		case gauges[n] != nil:
-			if err := sample(n, "gauge", gauges[n].Value()); err != nil {
-				return err
-			}
-		case cfuncs[n] != nil:
-			if err := sample(n, "counter", cfuncs[n]()); err != nil {
-				return err
-			}
-		case gfuncs[n] != nil:
-			if err := sample(n, "gauge", gfuncs[n]()); err != nil {
-				return err
-			}
-		default:
-			if err := writeHistogramText(w, n, hists[n], header); err != nil {
-				return err
-			}
-		}
+	s.buf = b
+	r.mu.Lock()
+	if r.scratch == nil {
+		r.scratch = s
 	}
-	return nil
+	r.mu.Unlock()
+	return err
 }
 
-// writeHistogramText emits one histogram in the Prometheus histogram
-// shape: cumulative le buckets (complete between the first and last
-// non-empty bucket), the mandatory +Inf bucket, _sum and _count, then the
-// quantile-estimate gauges.
-func writeHistogramText(w io.Writer, n string, h *Histogram, header func(name, typ string) error) error {
-	if err := header(n, "histogram"); err != nil {
-		return err
+// appendHeader appends the `# HELP` (when set) and `# TYPE` lines of the
+// metric named name+suffix.
+func appendHeader(b []byte, name, suffix string, hasHelp bool, help, typ string) []byte {
+	if hasHelp {
+		b = append(b, "# HELP "...)
+		b = append(append(b, name...), suffix...)
+		b = append(append(append(b, ' '), help...), '\n')
 	}
+	b = append(b, "# TYPE "...)
+	b = append(append(b, name...), suffix...)
+	return append(append(append(b, ' '), typ...), '\n')
+}
+
+// appendSample appends a single-sample metric: e's header and the sample
+// line.
+func appendSample(b []byte, e *entry, v int64) []byte {
+	b = appendHeader(b, e.name, "", e.hasHelp, e.help, kindNames[e.kind])
+	b = append(b, e.name...)
+	return append(strconv.AppendInt(append(b, ' '), v, 10), '\n')
+}
+
+// appendHistogram appends one histogram in the Prometheus histogram shape:
+// cumulative le buckets (complete between the first and last non-empty
+// bucket), the mandatory +Inf bucket, _sum and _count, then the
+// quantile-estimate gauges, each with the HELP line the table holds for
+// its own name.
+func appendHistogram(b []byte, e *entry, table []entry) []byte {
+	b = appendHeader(b, e.name, "", e.hasHelp, e.help, kindNames[e.kind])
 	// One snapshot feeds every line, so the emitted series is internally
 	// consistent (cumulative counts never exceed the +Inf bucket, the
 	// quantiles agree with the buckets) even when Observe races with the
 	// scrape.
-	snap := h.Snapshot()
+	snap := e.h.Snapshot()
 	last := -1
 	for i, c := range snap.Counts {
 		if c != 0 {
 			last = i
 		}
 	}
+	bucket := func(b []byte, le []byte, cum int64) []byte {
+		b = append(append(b, e.name...), `_bucket{le="`...)
+		b = append(append(b, le...), `"} `...)
+		return append(strconv.AppendInt(b, cum, 10), '\n')
+	}
 	var cum int64
+	var le [24]byte
 	for i := 0; i <= last; i++ {
 		if cum += snap.Counts[i]; cum == 0 {
 			continue // before the first non-empty bucket
 		}
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%d\"} %d\n", n, histBucketHi(i), cum); err != nil {
-			return err
-		}
+		b = bucket(b, strconv.AppendInt(le[:0], histBucketHi(i), 10), cum)
 	}
-	if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", n, snap.Count); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s_sum %d\n%s_count %d\n", n, snap.Sum, n, snap.Count); err != nil {
-		return err
-	}
+	b = bucket(b, append(le[:0], "+Inf"...), snap.Count)
+	b = append(append(b, e.name...), "_sum "...)
+	b = append(strconv.AppendInt(b, snap.Sum, 10), '\n')
+	b = append(append(b, e.name...), "_count "...)
+	b = append(strconv.AppendInt(b, snap.Count, 10), '\n')
 	for _, q := range [...]struct {
 		suffix string
 		q      float64
 	}{{"_p50", 0.5}, {"_p90", 0.9}, {"_p99", 0.99}} {
-		qn := n + q.suffix
-		if err := header(qn, "gauge"); err != nil {
-			return err
+		var help string
+		i, hasHelp := slices.BinarySearchFunc(table, q.suffix, func(t entry, suffix string) int {
+			return compareJoined(t.name, e.name, suffix)
+		})
+		if hasHelp {
+			help, hasHelp = table[i].help, table[i].hasHelp
 		}
-		if _, err := fmt.Fprintf(w, "%s %d\n", qn, snap.Quantile(q.q)); err != nil {
-			return err
-		}
+		b = appendHeader(b, e.name, q.suffix, hasHelp, help, "gauge")
+		b = append(append(append(b, e.name...), q.suffix...), ' ')
+		b = append(strconv.AppendInt(b, snap.Quantile(q.q), 10), '\n')
 	}
-	return nil
+	return b
+}
+
+// compareJoined compares s with prefix+suffix without building the
+// latter.
+func compareJoined(s, prefix, suffix string) int {
+	if len(s) < len(prefix) {
+		if c := strings.Compare(s, prefix[:len(s)]); c != 0 {
+			return c
+		}
+		return -1
+	}
+	if c := strings.Compare(s[:len(prefix)], prefix); c != 0 {
+		return c
+	}
+	return strings.Compare(s[len(prefix):], suffix)
 }
 
 // Text returns the WriteText exposition as a string.

@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"os"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -201,4 +203,75 @@ func TestObserverPreRegistersEverything(t *testing.T) {
 			t.Fatalf("exposition missing %q:\n%s", want, text)
 		}
 	}
+}
+
+// populatedRegistry is an observer's registry after a fixed set of notes
+// and observations — a histogram with empty interior buckets, one never
+// observed, a lapped tracer ring — plus instruments of every kind outside
+// the fact table, and a HELP line no instrument claims.
+func populatedRegistry() *Registry {
+	o := NewObserver(2, 16)
+	for i := 0; i < 40; i++ {
+		o.Note(i%2, EvGroupStart, int32(i), 0)
+	}
+	o.Note(LaneCoord, EvValidateMatch, 1, 0)
+	o.Note(LaneCoord, EvRedo, 2, 1)
+	o.Note(0, EvFallback, 2, 12)
+	o.FingerprintHits.Add(3)
+	for _, v := range []int64{1, 3, 1000, 1 << 20} {
+		o.ValidationLatencyNS.Observe(v)
+	}
+	o.RedosPerValidation.Observe(0)
+	o.RedosPerValidation.Observe(2)
+	o.QueueDepthPeak.SetMax(7)
+	r := o.Reg
+	r.SetHelp("a_help_only", "help with no instrument under its name")
+	r.SetHelp("zz_gauge_fn", "a function-backed gauge")
+	r.GaugeFunc("zz_gauge_fn", func() int64 { return -5 })
+	r.CounterFunc("aa_counter_fn", func() int64 { return 9 })
+	r.Gauge("m_gauge").Set(-2)
+	r.Histogram("m_empty_hist")
+	return r
+}
+
+// TestWriteTextGolden pins the whole exposition of a populated registry
+// byte for byte (testdata/exposition.golden; -update rewrites it, only on
+// purpose).
+func TestWriteTextGolden(t *testing.T) {
+	const path = "testdata/exposition.golden"
+	got := populatedRegistry().Text()
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("exposition drifted from %s:\n%s", path, got)
+	}
+}
+
+// TestWriteTextConcurrentScrapes: scrapes racing each other each write the
+// whole exposition — the buffer a registry keeps between scrapes is never
+// shared by two in flight.
+func TestWriteTextConcurrentScrapes(t *testing.T) {
+	r := populatedRegistry()
+	want := r.Text()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if got := r.Text(); got != want {
+					t.Errorf("concurrent scrape wrote:\n%s\nwant:\n%s", got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

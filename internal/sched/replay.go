@@ -21,7 +21,11 @@ package sched
 //     Counted in Divergences.
 //   - Fallback decisions: a Choose admitted out of order (or with a
 //     different domain size) returns a deterministic seeded value rather
-//     than the recorded one. Counted in Divergences.
+//     than the recorded one. Counted in Divergences. The value is keyed by
+//     the lane, the point and how many times that lane has chosen there,
+//     never by the order in which lanes happened to arrive, so a
+//     minimized trace whose unconstrained choices decide the outcome
+//     replays the same way every time.
 
 // Replay is a Controller that forces a recorded schedule. Build with
 // NewReplay; retrieve fidelity counters from Divergences and Remaining.
@@ -35,7 +39,13 @@ type replayPicker struct {
 	pos       int
 	remaining map[entryKey]int
 	diverged  int
-	fallback  *splitmix
+	// inOrder is set by pick when it consumed the choice entry of the
+	// waiter it returned; that admission's choice reads and clears it.
+	inOrder bool
+	// chosen counts each (point, lane)'s choices so far: with seed it keys
+	// a fallback value to the lane's own history.
+	chosen map[entryKey]int
+	seed   uint64
 }
 
 // NewReplay returns a controller that replays t. Options (recording, the
@@ -46,7 +56,8 @@ func NewReplay(t *Trace, opts ...Option) *Replay {
 	p := &replayPicker{
 		entries:   append([]Entry(nil), t.Entries...),
 		remaining: make(map[entryKey]int),
-		fallback:  newSplitmix(t.Seed ^ 0x5EED),
+		chosen:    make(map[entryKey]int),
+		seed:      t.Seed ^ 0x5EED,
 	}
 	for _, e := range p.entries {
 		p.remaining[entryKey{kind: e.Kind, point: e.Point, lane: e.Lane}]++
@@ -93,6 +104,7 @@ func (p *replayPicker) pick(g *Gate) int {
 	for i, w := range g.waiting {
 		if w.kind == e.Kind && w.point == e.Point && w.lane == e.Lane {
 			p.consume()
+			p.inOrder = e.Kind == KindChoose
 			return i
 		}
 	}
@@ -106,27 +118,24 @@ func (p *replayPicker) consume() {
 	p.pos++
 }
 
-// choice returns the recorded outcome when this admission consumed its
-// entry in order; otherwise a deterministic fallback. An unconstrained
+// choice returns the recorded outcome when pick has just consumed this
+// admission's entry; otherwise a deterministic fallback. An unconstrained
 // admission (no remaining entries for the key — a minimized trace) takes
 // the fallback without counting as a divergence.
-func (p *replayPicker) choice(g *Gate, w *waiter) int {
-	// The entry consumed immediately before this admission is at pos-1
-	// when pick matched it; verify it describes this waiter.
-	if p.pos > 0 {
-		e := p.entries[p.pos-1]
-		if e.Kind == KindChoose && e.Point == w.point && e.Lane == w.lane {
-			if e.N == w.n {
-				return e.Choice
-			}
-			p.diverged++
-			return int(p.fallback.next() % uint64(w.n))
+func (p *replayPicker) choice(_ *Gate, w *waiter) int {
+	k := w.key()
+	nth := p.chosen[k]
+	p.chosen[k]++
+	if p.inOrder {
+		p.inOrder = false
+		if e := p.entries[p.pos-1]; e.N == w.n {
+			return e.Choice
 		}
-	}
-	if p.remaining[w.key()] > 0 {
+		p.diverged++
+	} else if p.remaining[k] > 0 {
 		p.diverged++ // out-of-order admission of a constrained choice
 	}
-	return int(p.fallback.next() % uint64(w.n))
+	return int(mix64(p.seed, uint64(w.point)<<56^uint64(int64(w.lane))<<24^uint64(nth)) % uint64(w.n))
 }
 
 // admitFreely grants immediate admission to waiters the trace has no

@@ -3,6 +3,7 @@ package sched
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -315,6 +316,30 @@ func TestReplayUnconstrainedAdmission(t *testing.T) {
 	}
 	if s := r.Stalls(); s != 0 {
 		t.Fatalf("unconstrained replay stalled %d times", s)
+	}
+}
+
+func TestReplayUnconstrainedChoicesIgnoreArrivalOrder(t *testing.T) {
+	// An unconstrained Choose takes the fallback value, which must depend
+	// on the lane's own history only: the lanes arrive in a different
+	// order on each replay, and every replay must decide alike, or a
+	// minimized trace reproduces its failure in some replays only.
+	tr := &Trace{Seed: 7, Entries: []Entry{{Kind: KindYield, Point: PointGroupStep, Lane: 0}}}
+	decisions := func() []string {
+		var cs []string
+		for _, s := range runLanes(NewReplay(tr), 3, 6) {
+			if strings.HasPrefix(s, "c") {
+				cs = append(cs, s)
+			}
+		}
+		slices.Sort(cs)
+		return cs
+	}
+	want := decisions()
+	for i := 0; i < 30; i++ {
+		if got := decisions(); !slices.Equal(got, want) {
+			t.Fatalf("replay %d decided %v, first replay %v", i, got, want)
+		}
 	}
 }
 

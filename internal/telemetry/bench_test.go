@@ -10,7 +10,8 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/racemode"
+	"repro/internal/workload"
+	"repro/internal/workload/registry"
 )
 
 // BenchmarkMetricsScrapeUnderLoad measures a /metrics scrape while
@@ -159,13 +160,54 @@ func TestSignalsReportAllocs(t *testing.T) { allocCeiling(t, 16, signalsReport()
 // BenchmarkEmitDisabledObserver.
 func TestEmitDisabledObserverAllocs(t *testing.T) { allocCeiling(t, 0, disabledEmit()) }
 
+// TestSpanFolderPollRealRunAllocs gates the folder's side of an observed
+// repetition: once warm, polling one real aux run's events — streamcluster
+// 1024 at the benchmark's options — allocates nothing. The folder builds
+// no tree on a poll and recycles the accumulators its ring evicts.
+func TestSpanFolderPollRealRunAllocs(t *testing.T) {
+	allocCeiling(t, 0, realRunPoll(t))
+}
+
+// BenchmarkSpanFolderPollRealRun times the body TestSpanFolderPollRealRunAllocs
+// gates: the folder's part of an observed repetition, per engine run.
+func BenchmarkSpanFolderPollRealRun(b *testing.B) { benchLoop(b, realRunPoll(b)) }
+
+// realRunPoll records the events of one streamcluster run through the
+// engine and returns a body that emits them again and polls a folder
+// warmed on three such replays.
+func realRunPoll(t testing.TB) func() {
+	t.Helper()
+	w, err := registry.ByName("streamcluster")
+	if err != nil {
+		t.Fatal(err)
+	}
+	workers := min(runtime.NumCPU(), 4)
+	o := obs.NewObserver(workers+1, 1<<14)
+	w.RunSTATS(1, 1024, workload.SpecOptions{
+		UseAux: true, GroupSize: 8, Window: 2, RedoMax: 2, Rollback: 2, Workers: workers, Obs: o,
+	})
+	var cur obs.Cursor
+	events, _ := o.Tracer.Poll(&cur, nil)
+	if len(events) == 0 {
+		t.Fatal("the run emitted no events")
+	}
+	f := NewSpanFolder(o.Tracer)
+	body := func() {
+		for _, e := range events {
+			o.Tracer.Emit(int(e.Lane), e.Kind, e.Group, e.Arg)
+		}
+		f.Poll()
+	}
+	for i := 0; i < 3; i++ {
+		body()
+	}
+	return body
+}
+
 // allocCeiling fails t when one call of body, the measured loop body of a
 // gated benchmark, allocates more than ceiling.
 func allocCeiling(t *testing.T, ceiling float64, body func()) {
 	t.Helper()
-	if racemode.Enabled {
-		t.Skip("race-mode sync.Pool drops puts at random; allocs/run is not meaningful")
-	}
 	if got := testing.AllocsPerRun(50, body); got > ceiling {
 		t.Errorf("%.1f allocs/run, ceiling %v", got, ceiling)
 	}

@@ -1,18 +1,24 @@
 // Incremental span folding: the streaming counterpart of BuildSpans.
 //
-// BuildSpans refolds a whole tracer snapshot on every call — ~2.5 MB and
+// BuildSpans refolds a whole tracer snapshot on every call — ~3.5 MB and
 // 27k allocations per call on a loaded server (BenchmarkBuildSpans), paid by
 // every /spans scrape. SpanFolder instead consumes the tracer's rings
-// incrementally through obs.Tracer.Poll and maintains the per-group span
-// trees in place: a warm Doc() call folds only the events emitted since
-// the previous call, and a call with nothing new returns a cached
-// document. Group accumulators are recycled through a sync.Pool and
-// finished generations retire into a bounded ring of completed trees, so
-// a folder's memory stays bounded no matter how long the engine runs —
-// the same flight-recorder discipline as the tracer itself.
+// incrementally through obs.Tracer.Poll and keeps one accumulator per group
+// generation; a tree is folded only when a document reads it. Poll pays for
+// the new events alone: no tree is built there. Doc pays for the groups that
+// changed since the previous document: it folds those, and merges them into
+// the previous document's order instead of re-sorting every held group; a
+// call with nothing new returns the cached document. Finished generations
+// retire into a bounded ring of accumulators, and the one the ring evicts
+// becomes the next generation's, so a folder's memory stays bounded no
+// matter how long the engine runs — the same flight-recorder discipline as
+// the tracer itself.
 package telemetry
 
 import (
+	"cmp"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -21,7 +27,7 @@ import (
 
 // Folder bounds: a live folder keeps at most maxLiveGroups in-flight
 // accumulators (the oldest is force-finalized past that) and retains the
-// last completedRingCap finalized generation trees. BuildSpans folds with
+// last completedRingCap finalized generations. BuildSpans folds with
 // neither bound.
 const (
 	maxLiveGroups    = 4096
@@ -40,10 +46,10 @@ func (m *mark) set(e *obs.Event) {
 	m.ts, m.arg, m.ok = e.TS, e.Arg, true
 }
 
-// spanAcc accumulates one group generation's events until it is folded
-// into a Span tree. Accumulators are recycled through spanAccPool; a
-// whole-snapshot fold holds one per group id at once, so the small fields
-// sit together to keep it in the allocator's 256-byte size class.
+// spanAcc accumulates one group generation's events until a document
+// folds it into a Span tree. A live folder recycles its own accumulators;
+// a whole-snapshot fold holds one per generation at once, so the small
+// fields sit together to keep it in the allocator's 256-byte size class.
 type spanAcc struct {
 	group              int32
 	reserves           int32
@@ -54,24 +60,24 @@ type spanAcc struct {
 	redos              []obs.Event
 	matched, aborted   bool
 	seen, conventional bool
+	queued             bool // on the pending list: changed since the last document
 	cause              Cause
 	conflicts, commits int32
 	cpuCommitted       int64
 	cpuWasted          int64
 	firstTS, lastTS    int64
-	// span caches the generation's folded tree; nil means dirty. Trees
-	// handed out in a SpanDoc are never mutated afterwards, so cached
-	// pointers are safe to share across documents.
+	// span is the generation's tree as the folder's current document
+	// order lists it; nil until a document folds it. Trees handed out in a
+	// SpanDoc are never mutated afterwards, so they are safe to share
+	// across documents.
 	span *Span
 }
 
-var spanAccPool = sync.Pool{New: func() any { return new(spanAcc) }}
-
-// reset clears the accumulator for reuse, keeping the redo slice's
-// backing array.
+// reset clears the accumulator for a new generation, keeping the redo
+// slice's backing array and the pending-list membership.
 func (a *spanAcc) reset(group int32) {
-	redos := a.redos[:0]
-	*a = spanAcc{group: group, redos: redos}
+	redos, queued := a.redos[:0], a.queued
+	*a = spanAcc{group: group, redos: redos, queued: queued}
 }
 
 // SpanFolder folds tracer events into per-group span trees incrementally.
@@ -83,20 +89,43 @@ type SpanFolder struct {
 	cur obs.Cursor
 	buf []obs.Event
 
-	// keep bounds the retired trees retained (and turns the live bound
-	// on); zero keeps everything.
+	// keep bounds the retired generations retained (and turns the live
+	// bound on); zero keeps everything.
 	keep int
 
-	live      map[int32]*spanAcc
-	completed []*Span // retired trees; circular from compHead once keep are held
+	// live maps a group id to its in-flight accumulator's index in
+	// liveAccs and liveLast; liveLast holds each one's last event stamp
+	// (math.MaxInt64 before its first), so the stalest is one scan of a
+	// flat array.
+	live     map[int32]int
+	liveAccs []*spanAcc
+	liveLast []int64
+	// completed holds retired accumulators, circular from compHead once
+	// keep are held; spare is the one the ring last evicted, which the
+	// next new generation takes.
+	completed []*spanAcc
 	compHead  int
+	spare     *spanAcc
+
+	// pending lists the accumulators changed since the last document, in
+	// the order they first changed; removed lists trees the last document
+	// shows that the next one must drop (an evicted generation's).
+	pending []*spanAcc
+	removed []*Span
+	// insBuf and goneBuf are reorder's scratch.
+	insBuf  []*Span
+	goneBuf []int
 
 	events      int
 	schedEvents int
 	dropped     int64
 
-	// cached is the last assembled document, reused verbatim (modulo a
-	// shallow copy) while no new event arrives; docDirty invalidates it.
+	// order is the last document's groups, by (Group, StartNS); partial
+	// counts its partial roots. cached is that document, reused verbatim
+	// (modulo a shallow copy) while no new event arrives; docDirty
+	// invalidates it.
+	order    []*Span
+	partial  int
 	cached   *SpanDoc
 	docDirty bool
 }
@@ -107,8 +136,8 @@ func NewSpanFolder(tr *obs.Tracer) *SpanFolder {
 	return &SpanFolder{
 		tr:        tr,
 		keep:      completedRingCap,
-		live:      map[int32]*spanAcc{},
-		completed: make([]*Span, 0, completedRingCap),
+		live:      map[int32]int{},
+		completed: make([]*spanAcc, 0, completedRingCap),
 		docDirty:  true,
 	}
 }
@@ -143,11 +172,17 @@ func (f *SpanFolder) pollLocked() {
 	f.foldBatchLocked(f.buf)
 }
 
+// byStamp orders events by timestamp.
+func byStamp(a, b obs.Event) int { return cmp.Compare(a.TS, b.TS) }
+
 func (f *SpanFolder) foldBatchLocked(events []obs.Event) {
 	// Poll delivers ring by ring; folding wants (stable) time order, the
 	// order BuildSpans always established, so the within-batch fold is
-	// insensitive to lane interleaving.
-	sort.SliceStable(events, func(i, j int) bool { return events[i].TS < events[j].TS })
+	// insensitive to lane interleaving. A batch from one busy ring is
+	// usually in order already.
+	if !slices.IsSortedFunc(events, byStamp) {
+		slices.SortStableFunc(events, byStamp)
+	}
 	for i := range events {
 		f.fold(&events[i])
 	}
@@ -173,7 +208,7 @@ func (f *SpanFolder) fold(e *obs.Event) {
 		// conventional group — are filed against the group but do not
 		// stretch its span: they are emitted at resolution time, far
 		// from the work they account for.
-		a := f.acc(e.Group)
+		a, _ := f.acc(e.Group)
 		switch e.Kind {
 		case obs.EvLaneCPUCommitted:
 			a.cpuCommitted += e.Arg
@@ -182,27 +217,25 @@ func (f *SpanFolder) fold(e *obs.Event) {
 		default:
 			a.conventional = true
 		}
-		a.span = nil
 		return
 	}
 
-	a := f.acc(e.Group)
+	a, i := f.acc(e.Group)
 	// A group id starting over means a new run reused it: the old
-	// generation is complete — retire its tree and start fresh.
+	// generation is complete — retire it and start fresh.
 	switch e.Kind {
 	case obs.EvGroupStart:
 		if a.execStart.ok {
 			f.finalize(a)
-			a = f.acc(e.Group)
+			a, i = f.acc(e.Group)
 		}
 	case obs.EvAuxProduced:
 		if a.aux.ok || a.execStart.ok {
 			f.finalize(a)
-			a = f.acc(e.Group)
+			a, i = f.acc(e.Group)
 		}
 	}
 
-	a.span = nil
 	// An aux event is stamped when the auxiliary code returns and carries
 	// its duration: the group's lifecycle starts where the aux did.
 	first := e.TS
@@ -216,6 +249,7 @@ func (f *SpanFolder) fold(e *obs.Event) {
 		a.firstTS = min(a.firstTS, first)
 		a.lastTS = max(a.lastTS, e.TS)
 	}
+	f.liveLast[i] = a.lastTS
 
 	switch e.Kind {
 	case obs.EvGroupStart:
@@ -266,96 +300,189 @@ func (f *SpanFolder) fold(e *obs.Event) {
 	}
 }
 
-// acc returns the live accumulator for the group, creating (and, past
-// the live bound, evicting the stalest) as needed.
-func (f *SpanFolder) acc(g int32) *spanAcc {
-	a := f.live[g]
-	if a == nil {
-		a = spanAccPool.Get().(*spanAcc)
-		a.reset(g)
-		f.live[g] = a
-		if f.keep > 0 && len(f.live) > maxLiveGroups {
+// acc returns the group's live accumulator and its index in liveAccs,
+// creating it (and, past the live bound, first evicting the stalest) as
+// needed, and queues it for the next document.
+func (f *SpanFolder) acc(g int32) (*spanAcc, int) {
+	i, ok := f.live[g]
+	if !ok {
+		if f.keep > 0 && len(f.liveAccs) >= maxLiveGroups {
 			f.evictStalest()
 		}
+		a := f.spare
+		f.spare = nil
+		if a == nil {
+			a = new(spanAcc)
+		}
+		a.reset(g)
+		i = len(f.liveAccs)
+		f.live[g] = i
+		f.liveAccs = append(f.liveAccs, a)
+		f.liveLast = append(f.liveLast, math.MaxInt64)
 	}
-	return a
+	a := f.liveAccs[i]
+	if !a.queued {
+		a.queued = true
+		f.pending = append(f.pending, a)
+	}
+	return a, i
 }
 
 // evictStalest force-finalizes the live accumulator with the oldest last
 // event — necessarily a stale partial (a healthy run's groups retire via
 // generation close-out long before the bound bites).
 func (f *SpanFolder) evictStalest() {
-	var victim *spanAcc
-	for _, a := range f.live {
-		if !a.seen {
-			continue
-		}
-		if victim == nil || a.lastTS < victim.lastTS {
-			victim = a
+	victim, oldest := -1, int64(math.MaxInt64)
+	for i, ts := range f.liveLast {
+		if ts < oldest {
+			victim, oldest = i, ts
 		}
 	}
-	if victim != nil {
-		f.finalize(victim)
+	if victim >= 0 {
+		f.finalize(f.liveAccs[victim])
 	}
 }
 
-// finalize retires a generation: its tree (cached or freshly folded)
-// joins the completed trees — overwriting the oldest once keep are held,
-// which is never refolded again — and the accumulator returns to the pool.
+// finalize retires a live generation into the completed ring. Once keep
+// are held it overwrites the oldest, which is never read again: its tree
+// leaves the next document, and the accumulator becomes the spare the
+// next new generation takes.
 func (f *SpanFolder) finalize(a *spanAcc) {
-	sp := a.span
-	if sp == nil {
-		sp = a.fold()
+	i, last := f.live[a.group], len(f.liveAccs)-1
+	if i != last {
+		moved := f.liveAccs[last]
+		f.liveAccs[i], f.liveLast[i] = moved, f.liveLast[last]
+		f.live[moved.group] = i
 	}
-	if f.keep == 0 || len(f.completed) < f.keep {
-		f.completed = append(f.completed, sp)
-	} else {
-		f.completed[f.compHead] = sp
-		f.compHead = (f.compHead + 1) % f.keep
-	}
+	f.liveAccs[last] = nil
+	f.liveAccs, f.liveLast = f.liveAccs[:last], f.liveLast[:last]
 	delete(f.live, a.group)
-	spanAccPool.Put(a)
+
+	if f.keep == 0 || len(f.completed) < f.keep {
+		f.completed = append(f.completed, a)
+		return
+	}
+	old := f.completed[f.compHead]
+	f.completed[f.compHead] = a
+	f.compHead = (f.compHead + 1) % f.keep
+	if old.span != nil {
+		f.removed = append(f.removed, old.span)
+		old.span = nil
+	}
+	f.spare = old
 }
 
 // Doc polls the tracer and returns the current span document. While no
 // new event arrives the groups are not re-assembled: the previous
 // document is returned (shallow-copied so callers may stamp the tracer
-// totals without racing each other). Span trees are immutable once
-// handed out.
+// totals without racing each other). Otherwise only the generations that
+// changed are folded and merged into the previous order. Span trees and
+// a document's Groups slice are immutable once handed out.
 func (f *SpanFolder) Doc() *SpanDoc {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.pollLocked()
-	if !f.docDirty && f.cached != nil {
-		cp := *f.cached
-		return &cp
-	}
-	doc := &SpanDoc{Events: f.events, SchedulerEvents: f.schedEvents}
-	groups := make([]*Span, 0, len(f.completed)+len(f.live))
-	groups = append(groups, f.completed[f.compHead:]...)
-	groups = append(groups, f.completed[:f.compHead]...)
-	for _, a := range f.live {
-		if a.span == nil {
-			a.span = a.fold()
+	if f.docDirty || f.cached == nil {
+		f.reorder()
+		f.cached = &SpanDoc{
+			Events: f.events, SchedulerEvents: f.schedEvents,
+			PartialGroups: f.partial, Groups: f.order,
 		}
-		groups = append(groups, a.span)
+		f.docDirty = false
 	}
-	sort.Slice(groups, func(i, j int) bool {
-		if groups[i].Group != groups[j].Group {
-			return groups[i].Group < groups[j].Group
-		}
-		return groups[i].StartNS < groups[j].StartNS
-	})
-	for _, g := range groups {
-		if g.Partial {
-			doc.PartialGroups++
-		}
-	}
-	doc.Groups = groups
-	f.cached = doc
-	f.docDirty = false
-	cp := *doc
+	cp := *f.cached
 	return &cp
+}
+
+// spanOrder is the document's group order: by group index, then start.
+func spanOrder(a, b *Span) int {
+	if c := cmp.Compare(a.Group, b.Group); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.StartNS, b.StartNS)
+}
+
+// reorder folds the pending generations and merges their trees into the
+// next document order.
+func (f *SpanFolder) reorder() {
+	ins := f.insBuf[:0]
+	for _, a := range f.pending {
+		a.queued = false
+		if a.span != nil {
+			f.removed = append(f.removed, a.span)
+		}
+		a.span = a.fold()
+		ins = append(ins, a.span)
+	}
+	clear(f.pending)
+	f.pending = f.pending[:0]
+	if len(ins) > 0 || len(f.removed) > 0 || f.order == nil {
+		f.merge(ins)
+	}
+	clear(ins)
+	f.insBuf = ins[:0]
+}
+
+// merge builds the next document order from the last one: the removed
+// trees (of changed or evicted generations) leave it, the new trees join
+// it, and the runs in between are copied whole. A new tree goes after the
+// trees it ties with: only a group id's live generation changes, and it
+// is that id's newest.
+func (f *SpanFolder) merge(ins []*Span) {
+	old := f.order
+	gone := f.goneBuf[:0]
+	for _, sp := range f.removed {
+		if sp.Partial {
+			f.partial--
+		}
+		j, _ := slices.BinarySearchFunc(old, sp, spanOrder)
+		for ; j < len(old) && old[j] != sp; j++ {
+		}
+		if j < len(old) {
+			gone = append(gone, j)
+		}
+	}
+	clear(f.removed)
+	f.removed = f.removed[:0]
+	slices.Sort(gone)
+	f.goneBuf = gone
+	slices.SortStableFunc(ins, spanOrder)
+	for _, sp := range ins {
+		if sp.Partial {
+			f.partial++
+		}
+	}
+
+	// A run whose group ids only grow retires its oldest trees from the
+	// front of the order and adds the new ones at its end: the next order
+	// then extends the last one's backing array. That is safe because the
+	// last order always ends where its array was last written, so no
+	// document handed out covers the slots append writes.
+	if (len(gone) == 0 || gone[len(gone)-1] == len(gone)-1) &&
+		(len(ins) == 0 || len(old) == 0 || spanOrder(old[len(old)-1], ins[0]) <= 0) {
+		f.order = append(old[len(gone):], ins...)
+		if f.order == nil {
+			f.order = []*Span{}
+		}
+		return
+	}
+
+	order := make([]*Span, 0, len(old)-len(gone)+len(ins))
+	next := 0 // first index of old not yet copied
+	copyTo := func(end int) {
+		for len(gone) > 0 && gone[0] < end {
+			order = append(order, old[next:gone[0]]...)
+			next, gone = gone[0]+1, gone[1:]
+		}
+		order = append(order, old[next:end]...)
+		next = end
+	}
+	for _, sp := range ins {
+		copyTo(sort.Search(len(old), func(j int) bool { return spanOrder(old[j], sp) > 0 }))
+		order = append(order, sp)
+	}
+	copyTo(len(old))
+	f.order = order
 }
 
 // fold builds the accumulator's Span tree — the per-group construction
@@ -410,7 +537,7 @@ func (a *spanAcc) fold() *Span {
 		root.Partial = true
 	}
 	if a.valFirst.ok {
-		sort.SliceStable(a.redos, func(i, j int) bool { return a.redos[i].TS < a.redos[j].TS })
+		slices.SortStableFunc(a.redos, byStamp)
 		v := &Span{
 			Kind: SpanValidate, Group: g,
 			StartNS: a.valFirst.ts,
@@ -467,8 +594,6 @@ func (a *spanAcc) fold() *Span {
 		root.Outcome = OutcomeUnvalidated
 	}
 	root.DurNS = root.EndNS - root.StartNS
-	sort.SliceStable(root.Children, func(i, j int) bool {
-		return root.Children[i].StartNS < root.Children[j].StartNS
-	})
+	slices.SortStableFunc(root.Children, func(a, b *Span) int { return cmp.Compare(a.StartNS, b.StartNS) })
 	return root
 }

@@ -138,3 +138,82 @@ func TestSpanFolderLiveTracer(t *testing.T) {
 			got, want)
 	}
 }
+
+// TestSpanFolderRecycledGenerationsMatchBuildSpans: a live folder whose
+// completed ring wraps twice over reuses the accumulators it evicts for
+// later generations. Polled and read between runs, its document must hold
+// exactly the trees BuildSpans folds for the generations it retains — the
+// last completedRingCap retired ones and each id's live one — so no
+// recycled accumulator shows a tree, or a partial count, of its previous
+// generation, and no tree read mid-generation outlives the events after it.
+func TestSpanFolderRecycledGenerationsMatchBuildSpans(t *testing.T) {
+	const ids = 8
+	runs := 2*completedRingCap/ids + 5
+	tr := obs.NewTracer(2, 1<<13)
+	f := NewSpanFolder(tr)
+	for r := 0; r < runs; r++ {
+		for g := int32(0); g < ids; g++ {
+			lane := int(g % 2)
+			if g > 0 {
+				tr.Emit(lane, obs.EvAuxProduced, g, obs.AuxArg(2, 10))
+			}
+			tr.Emit(lane, obs.EvGroupStart, g, 0)
+			if g == 3 && r%4 == 1 {
+				f.Doc() // cache a tree the generation's later events change
+			}
+			if (r+int(g))%7 == 3 {
+				continue // never finishes: a partial root
+			}
+			tr.Emit(lane, obs.EvGroupFinish, g, int64(r*ids)+int64(g))
+			switch {
+			case g == 0:
+			case (r+int(g))%5 == 0:
+				tr.Emit(obs.LaneCoord, obs.EvValidateMismatch, g, 0)
+				tr.Emit(obs.LaneCoord, obs.EvRedo, g, 1)
+				tr.Emit(obs.LaneCoord, obs.EvAbort, g, 0)
+				tr.Emit(obs.LaneCoord, obs.EvSquash, g, int64(r))
+			default:
+				tr.Emit(obs.LaneCoord, obs.EvValidateMatch, g, 0)
+			}
+			tr.Emit(obs.LaneCoord, obs.EvLaneCPUCommitted, g, int64(r+1))
+		}
+		f.Poll()
+		if r%3 == 0 {
+			f.Doc() // cache trees on accumulators the ring later evicts
+		}
+	}
+	if d := tr.Dropped(); d != 0 {
+		t.Fatalf("tracer dropped %d events; the comparison needs the whole log", d)
+	}
+	doc := f.Doc()
+
+	// Generation r of id g retires when run r+1 starts g again, so the
+	// retained trees are each id's last completedRingCap/ids+1.
+	keep := completedRingCap/ids + 1
+	all := BuildSpans(tr.Snapshot())
+	var want []*Span
+	partial := 0
+	for i, sp := range all.Groups {
+		later := 0
+		for _, o := range all.Groups[i+1:] {
+			if o.Group == sp.Group {
+				later++
+			}
+		}
+		if later < keep {
+			want = append(want, sp)
+			if sp.Partial {
+				partial++
+			}
+		}
+	}
+	got, _ := json.Marshal(doc.Groups)
+	exp, _ := json.Marshal(want)
+	if len(want) != keep*ids || string(got) != string(exp) {
+		t.Fatalf("folder kept %d trees, want %d:\n--- got ---\n%s\n--- want ---\n%s",
+			len(doc.Groups), len(want), got, exp)
+	}
+	if doc.PartialGroups != partial {
+		t.Errorf("PartialGroups = %d, want %d", doc.PartialGroups, partial)
+	}
+}

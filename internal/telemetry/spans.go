@@ -187,7 +187,7 @@ type SpanDoc struct {
 func BuildSpans(events []obs.Event) *SpanDoc {
 	sorted := make([]obs.Event, len(events))
 	copy(sorted, events)
-	f := &SpanFolder{live: map[int32]*spanAcc{}, docDirty: true}
+	f := &SpanFolder{live: map[int32]int{}, docDirty: true}
 	f.foldBatchLocked(sorted)
 	return f.Doc()
 }

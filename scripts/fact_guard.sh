@@ -52,10 +52,11 @@
 # The recycling guard: internal/core recycles a run's scratch per
 # instantiation, and the kernels their per-call buffers, in an
 # internal/recycle.List, whose slots garbage collection does not empty (only
-# what overflows them goes to the List's own sync.Pool); a sync.Pool used
+# what overflows them goes to the List's own sync.Pool), and the span folder
+# recycles the accumulators its completed ring evicts; a sync.Pool used
 # directly is emptied by every second collection, which turns a warm path
 # cold at random, so fail on a sync.Pool in the non-test code of
-# internal/core or internal/workload. The knob-copy guard:
+# internal/core, internal/workload or internal/telemetry. The knob-copy guard:
 # the engine's knobs are declared by core.Options, stats.Options and
 # workload.SpecOptions, and a state-space point reaches them through
 # profiler.DecodeDependence, so fail if any other non-test struct (bench/ and
@@ -193,10 +194,10 @@ if [ -n "$records" ]; then
     exit 1
 fi
 
-pools=$(grep -rn 'sync\.Pool' internal/core internal/workload --include='*.go' |
+pools=$(grep -rn 'sync\.Pool' internal/core internal/workload internal/telemetry --include='*.go' |
     grep -v -e '_test\.go:' -e '^[^:]*:[0-9]*:[[:space:]]*//' || true)
 if [ -n "$pools" ]; then
-    echo "fact-guard: internal/core and internal/workload park scratch in stores garbage collection does not empty; use no sync.Pool:" >&2
+    echo "fact-guard: internal/core, internal/workload and internal/telemetry park scratch in stores garbage collection does not empty; use no sync.Pool:" >&2
     printf '%s\n' "$pools" >&2
     exit 1
 fi
