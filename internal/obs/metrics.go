@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"math"
 	"math/bits"
@@ -230,8 +229,11 @@ func (s HistogramSnapshot) Quantile(q float64) int64 {
 // Registry is a named collection of counters, gauges and histograms with a
 // deterministic Prometheus text exposition. Instruments are get-or-create
 // by name, so independent components can share a registry without
-// coordination. A nil *Registry hands out nil instruments, which are
-// themselves no-ops — disabling metrics is free at every layer.
+// coordination. A name holds the first kind of instrument registered
+// under it; asking for it as another kind hands out a detached instrument
+// that no exposition shows, and never fails. A nil *Registry hands out nil
+// instruments, which are themselves no-ops — disabling metrics is free at
+// every layer.
 type Registry struct {
 	mu sync.Mutex
 	// entries is the registry's one table, kept in name order as
@@ -303,20 +305,23 @@ func (r *Registry) entryLocked(name string) *entry {
 }
 
 // claimLocked returns the entry for an instrument of kind k under name,
-// marking a new or help-only entry as k. A name holds one instrument:
-// claiming it as another kind panics. Called with r.mu held.
+// marking a new or help-only entry as k. A name holds one instrument, the
+// first to register under it: claiming it as another kind returns nil.
+// Called with r.mu held.
 func (r *Registry) claimLocked(name string, k instKind) *entry {
 	e := r.entryLocked(name)
 	if e.kind == helpOnly {
 		e.kind = k
 	} else if e.kind != k {
-		panic(fmt.Sprintf("obs: metric %q is registered as another kind of instrument", name))
+		return nil
 	}
 	return e
 }
 
 // Counter returns the counter registered under name, creating it on first
-// use. A nil registry returns a nil (no-op) counter.
+// use. A nil registry returns a nil (no-op) counter. A name another kind
+// of instrument registered first yields a detached counter: it counts,
+// but no exposition shows it.
 func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
@@ -324,6 +329,9 @@ func (r *Registry) Counter(name string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	e := r.claimLocked(name, kindCounter)
+	if e == nil {
+		return &Counter{}
+	}
 	if e.c == nil {
 		e.c = &Counter{}
 	}
@@ -331,6 +339,7 @@ func (r *Registry) Counter(name string) *Counter {
 }
 
 // Gauge returns the gauge registered under name, creating it on first use.
+// Like Counter, a name another kind holds yields a detached gauge.
 func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
@@ -338,6 +347,9 @@ func (r *Registry) Gauge(name string) *Gauge {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	e := r.claimLocked(name, kindGauge)
+	if e == nil {
+		return &Gauge{}
+	}
 	if e.g == nil {
 		e.g = &Gauge{}
 	}
@@ -345,7 +357,8 @@ func (r *Registry) Gauge(name string) *Gauge {
 }
 
 // Histogram returns the histogram registered under name, creating it on
-// first use.
+// first use. Like Counter, a name another kind holds yields a detached
+// histogram.
 func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
@@ -353,6 +366,9 @@ func (r *Registry) Histogram(name string) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	e := r.claimLocked(name, kindHistogram)
+	if e == nil {
+		return &Histogram{}
+	}
 	if e.h == nil {
 		e.h = &Histogram{}
 	}
@@ -362,13 +378,15 @@ func (r *Registry) Histogram(name string) *Histogram {
 // CounterFunc registers a function-backed counter: fn is called at
 // exposition time and must be monotonically non-decreasing and safe for
 // concurrent use. Re-registering a name replaces its function. A nil
-// registry ignores the registration.
+// registry, or a name another kind of instrument holds, ignores the
+// registration.
 func (r *Registry) CounterFunc(name string, fn func() int64) {
 	r.setFunc(name, kindCounterFunc, fn)
 }
 
 // GaugeFunc registers a function-backed gauge, read at exposition time.
-// fn must be safe for concurrent use.
+// fn must be safe for concurrent use. As with CounterFunc, a name another
+// kind holds ignores the registration.
 func (r *Registry) GaugeFunc(name string, fn func() int64) {
 	r.setFunc(name, kindGaugeFunc, fn)
 }
@@ -379,7 +397,9 @@ func (r *Registry) setFunc(name string, k instKind, fn func() int64) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.claimLocked(name, k).fn = fn
+	if e := r.claimLocked(name, k); e != nil {
+		e.fn = fn
+	}
 }
 
 // SetHelp attaches a HELP string to the instrument registered under name;

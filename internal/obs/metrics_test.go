@@ -275,3 +275,35 @@ func TestWriteTextConcurrentScrapes(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestKindClashKeepsFirstInstrument: asking for a registered name as
+// another kind of instrument neither fails nor changes what the name
+// exposes — the first registration keeps it, and the clashing caller gets
+// a working instrument no scrape shows.
+func TestKindClashKeepsFirstInstrument(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter("x_total")
+	c.Add(3)
+	r.Gauge("y").Set(5)
+	want := r.Text()
+
+	g := r.Gauge("x_total")
+	g.Set(7)
+	h := r.Histogram("x_total")
+	h.Observe(9)
+	r.CounterFunc("y", func() int64 { return 11 })
+	r.GaugeFunc("x_total", func() int64 { return 13 })
+	cy := r.Counter("y")
+	cy.Inc()
+
+	if got := r.Text(); got != want {
+		t.Fatalf("a kind clash changed the exposition:\n%s\nwant:\n%s", got, want)
+	}
+	if g.Value() != 7 || h.Count() != 1 || cy.Value() != 1 {
+		t.Errorf("detached instruments must still work: gauge %d, histogram count %d, counter %d",
+			g.Value(), h.Count(), cy.Value())
+	}
+	if r.Counter("x_total") != c || c.Value() != 3 {
+		t.Errorf("the first registration lost its counter (value %d)", c.Value())
+	}
+}

@@ -39,8 +39,9 @@ type replayPicker struct {
 	pos       int
 	remaining map[entryKey]int
 	diverged  int
-	// inOrder is set by pick when it consumed the choice entry of the
-	// waiter it returned; that admission's choice reads and clears it.
+	// inOrder is set by pick (or onStall) when it consumed the choice
+	// entry of the waiter it admits; that admission's choice reads and
+	// clears it.
 	inOrder bool
 	// chosen counts each (point, lane)'s choices so far: with seed it keys
 	// a fallback value to the lane's own history.
@@ -118,8 +119,8 @@ func (p *replayPicker) consume() {
 	p.pos++
 }
 
-// choice returns the recorded outcome when pick has just consumed this
-// admission's entry; otherwise a deterministic fallback. An unconstrained
+// choice returns the recorded outcome when pick or onStall has just
+// consumed this admission's entry; otherwise a deterministic fallback. An unconstrained
 // admission (no remaining entries for the key — a minimized trace) takes
 // the fallback without counting as a divergence.
 func (p *replayPicker) choice(_ *Gate, w *waiter) int {
@@ -147,10 +148,17 @@ func (p *replayPicker) admitFreely(_ *Gate, w *waiter) bool {
 // onStall resynchronizes after a forced admission: skip the entry the
 // schedule was stuck on (the diverged execution will never produce it in
 // order) and consume one matching entry for the force-admitted waiter so
-// its remaining-count stays aligned.
+// its remaining-count stays aligned. When the entry it was stuck on is
+// the waiter's own (another lane held the token past the timeout), that
+// entry is the match, and a Choose returns its recorded value.
 func (p *replayPicker) onStall(_ *Gate, w *waiter) {
 	if p.pos < len(p.entries) {
+		e := p.entries[p.pos]
 		p.consume()
+		if e.Kind == w.kind && e.Point == w.point && e.Lane == w.lane {
+			p.inOrder = e.Kind == KindChoose
+			return
+		}
 	}
 	if k := w.key(); p.remaining[k] > 0 {
 		p.remaining[k]--

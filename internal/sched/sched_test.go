@@ -343,6 +343,34 @@ func TestReplayUnconstrainedChoicesIgnoreArrivalOrder(t *testing.T) {
 	}
 }
 
+func TestReplayStalledChoiceKeepsRecordedValue(t *testing.T) {
+	// Lane 0 holds the token past the stall timeout while lane 1 parks on
+	// a Choose whose entry is next. The force-admitted choice consumes
+	// its own entry, so it must return the recorded value, and lane 1's
+	// later choice must still be constrained by the trace.
+	tr := &Trace{Seed: 3, Entries: []Entry{
+		{Kind: KindYield, Point: PointGroupStep, Lane: 0},
+		{Kind: KindChoose, Point: PointTimeoutCheck, Lane: 1, N: 1000, Choice: 777},
+		{Kind: KindChoose, Point: PointTimeoutCheck, Lane: 1, N: 1000, Choice: 123},
+	}}
+	r := NewReplay(tr, WithStallTimeout(20*time.Millisecond))
+	r.Yield(PointGroupStep, 0)
+	if v := r.Choose(PointTimeoutCheck, 1, 1000); v != 777 {
+		t.Errorf("stalled choice = %d, want the recorded 777", v)
+	}
+	if r.Stalls() != 1 {
+		t.Fatalf("Stalls = %d, want 1", r.Stalls())
+	}
+	r.Done(0)
+	if v := r.Choose(PointTimeoutCheck, 1, 1000); v != 123 {
+		t.Errorf("choice after the stall = %d, want the recorded 123", v)
+	}
+	r.Done(1)
+	if r.Remaining() != 0 {
+		t.Errorf("Remaining = %d, want 0", r.Remaining())
+	}
+}
+
 func TestMinimizeShrinksAndPreservesFailure(t *testing.T) {
 	// Build a synthetic 40-entry trace where the "failure" is the
 	// presence of two specific ordered entries. Minimize must shrink to

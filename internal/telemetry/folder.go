@@ -386,7 +386,10 @@ func (f *SpanFolder) Doc() *SpanDoc {
 		f.reorder()
 		f.cached = &SpanDoc{
 			Events: f.events, SchedulerEvents: f.schedEvents,
-			PartialGroups: f.partial, Groups: f.order,
+			PartialGroups: f.partial,
+			// Capped at its length, so a caller's append copies instead
+			// of writing into the folder's array.
+			Groups: f.order[:len(f.order):len(f.order)],
 		}
 		f.docDirty = false
 	}
@@ -451,20 +454,6 @@ func (f *SpanFolder) merge(ins []*Span) {
 		if sp.Partial {
 			f.partial++
 		}
-	}
-
-	// A run whose group ids only grow retires its oldest trees from the
-	// front of the order and adds the new ones at its end: the next order
-	// then extends the last one's backing array. That is safe because the
-	// last order always ends where its array was last written, so no
-	// document handed out covers the slots append writes.
-	if (len(gone) == 0 || gone[len(gone)-1] == len(gone)-1) &&
-		(len(ins) == 0 || len(old) == 0 || spanOrder(old[len(old)-1], ins[0]) <= 0) {
-		f.order = append(old[len(gone):], ins...)
-		if f.order == nil {
-			f.order = []*Span{}
-		}
-		return
 	}
 
 	order := make([]*Span, 0, len(old)-len(gone)+len(ins))

@@ -217,3 +217,35 @@ func TestSpanFolderRecycledGenerationsMatchBuildSpans(t *testing.T) {
 		t.Errorf("PartialGroups = %d, want %d", doc.PartialGroups, partial)
 	}
 }
+
+// TestSpanFolderDocGroupsOwnedByCaller: a caller may append to a
+// document's Groups. That must neither write into the folder's next order
+// nor be overwritten by it, even when the next document only adds trees
+// after the ones the caller holds.
+func TestSpanFolderDocGroupsOwnedByCaller(t *testing.T) {
+	tr := obs.NewTracer(1, 1<<10)
+	f := NewSpanFolder(tr)
+	emit := func(g int32) {
+		tr.Emit(0, obs.EvGroupStart, g, 0)
+		tr.Emit(0, obs.EvGroupFinish, g, int64(g))
+		tr.Emit(obs.LaneCoord, obs.EvValidateMatch, g, 0)
+	}
+	for g := int32(0); g < 4; g++ {
+		emit(g)
+	}
+	f.Doc()
+	// One more group: an order grown by append would now have room left.
+	emit(4)
+	junk := &Span{Kind: SpanGroup, Group: -7}
+	held := append(f.Doc().Groups, junk)
+	emit(5)
+	got, _ := json.Marshal(f.Doc().Groups)
+	want, _ := json.Marshal(BuildSpans(tr.Snapshot()).Groups)
+	if string(got) != string(want) {
+		t.Errorf("document after a caller's append diverged from BuildSpans:\n--- got ---\n%s\n--- want ---\n%s",
+			got, want)
+	}
+	if held[len(held)-1] != junk {
+		t.Errorf("the folder overwrote a caller's appended tree with %+v", held[len(held)-1])
+	}
+}
