@@ -49,17 +49,18 @@ stress:
 	$(GO) test -race -count=5 -cpu 1,2,4 ./internal/obs -run 'Stress|Race|Lap'
 
 # Static analysis: gofmt must have nothing to say, then the standard Go
-# vet, then statsvet — the IR/source passes over the checked-in example
-# program and the runtime-API analyzers over the repository's user-facing
-# Go code — then scripts/fact_guard.sh: the engine and the pool report
-# through obs.Observer.Note only, the layering guard keeps
-# internal/telemetry from importing internal/core, and the experiment-list
-# guard keeps every figure on statsexp's one list (its header lists the rest).
+# vet, then statsvet — the IR/source passes over the six workload
+# declarations (internal/workload/*/*.stats) and the runtime-API analyzers
+# over the repository's user-facing Go code — then scripts/fact_guard.sh:
+# the engine and the pool report through obs.Observer.Note only, the
+# layering guard keeps internal/telemetry from importing internal/core, and
+# the experiment-list guard keeps every figure on statsexp's one list (its
+# header lists the rest).
 vet:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l . is not empty:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
-	$(GO) run ./cmd/statsvet testdata/bodytrack.stats ./examples ./internal/workload ./stats
-	$(GO) run ./cmd/statsvet -footprints cmd/statsvet/testdata/corpus/good/*.stats
+	$(GO) run ./cmd/statsvet internal/workload/*/*.stats ./examples ./internal/workload ./stats
+	$(GO) run ./cmd/statsvet -footprints internal/workload/*/*.stats
 	sh scripts/fact_guard.sh
 
 # The four programs under examples/ are what a reader runs first: each must

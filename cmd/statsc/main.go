@@ -6,11 +6,11 @@
 //
 // Usage:
 //
-//	statsc -in testdata/bodytrack.stats -emit std      # standard source
-//	statsc -in testdata/bodytrack.stats -emit header   # Figure 11 header
-//	statsc -in testdata/bodytrack.stats -emit ir       # IR summary
-//	statsc -in testdata/bodytrack.stats -emit binary \
-//	       -set TO_numAnnealingLayers$aux$track=2 \
+//	statsc -in internal/workload/bodytrack/bodytrack.stats -emit std      # standard source
+//	statsc -in internal/workload/bodytrack/bodytrack.stats -emit header   # Figure 11 header
+//	statsc -in internal/workload/bodytrack/bodytrack.stats -emit ir       # IR summary
+//	statsc -in internal/workload/bodytrack/bodytrack.stats -emit binary \
+//	       -set TO_AnnealingLayers$aux$track=2 \
 //	       -runtime track=aux,group=8,window=2,redo=2,rollback=2
 //
 // -set and -runtime name dimensions of the module's state space
@@ -210,7 +210,7 @@ func printIR(mod *ir.Module) {
 	}
 	fmt.Printf("state dependences:\n")
 	for _, d := range mod.Deps {
-		fmt.Printf("  %-12s compute %-14s aux %-28s compare %q\n", d.Name, d.Compute, d.AuxCompute, d.Compare)
+		fmt.Printf("  %-12s compute %-14s aux %-28s compare %q by-construction %v\n", d.Name, d.Compute, d.AuxCompute, d.Compare, d.ByConstruction)
 	}
 }
 

@@ -28,7 +28,7 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-const source = "../../testdata/bodytrack.stats"
+const source = "../../internal/workload/bodytrack/bodytrack.stats"
 
 // statsc runs the command with args and returns its stdout, stderr and
 // exit code.
@@ -60,7 +60,7 @@ func TestGoldenEmit(t *testing.T) {
 		{"header", []string{"-emit", "header"}},
 		{"ir", []string{"-emit", "ir"}},
 		{"binary-doc", []string{"-emit", "binary",
-			"-set", "TO_numAnnealingLayers$aux$track=2",
+			"-set", "TO_AnnealingLayers$aux$track=2",
 			"-runtime", "track=aux,group=8,window=2,redo=2,rollback=2"}},
 		{"binary-default", []string{"-emit", "binary"}},
 	}
@@ -86,8 +86,8 @@ func TestFlagsRefused(t *testing.T) {
 		{"-runtime", "ghost=aux", "no dimension ghost.aux"},
 		{"-runtime", "track=aux,group=7", "track.group cannot be 7"},
 		{"-runtime", "track=window=5", "track.window cannot be 5"},
-		{"-set", "TO_numAnnealingLayers$aux$track=10", "aux.TO_numAnnealingLayers$aux$track cannot be 10"},
-		{"-set", "TO_numAnnealingLayers$aux$track", "malformed -set"},
+		{"-set", "TO_AnnealingLayers$aux$track=10", "aux.TO_AnnealingLayers$aux$track cannot be 10"},
+		{"-set", "TO_AnnealingLayers$aux$track", "malformed -set"},
 		{"-runtime", "track", "malformed -runtime"},
 		{"-runtime", "track=aux,group", "malformed option"},
 		{"-runtime", "track=group=eight", "invalid syntax"},

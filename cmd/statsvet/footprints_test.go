@@ -8,25 +8,29 @@ import (
 )
 
 // TestFootprintsSlotMapMatchesWorkloads ties the static inference to the
-// Go formulations: each good-corpus program's inferred slot map must
-// match the slot shape its workload's ReserveOps actually uses
-// (swaptions: 6 per-instrument slots; streamcluster, fluidanimate,
-// streamclassifier: 4 shard/fluid/member slots), and the two whole-state
-// workloads must widen to ⊤.
+// Go formulations: each workload declaration's inferred slot map must match
+// the slot shape its workload's ReserveOps actually uses (swaptions: 6
+// per-instrument slots; streamcluster, fluidanimate, streamclassifier: 4
+// shard/fluid/member slots), and every dependence without slots (bodytrack,
+// facedet, and the aux chains of streamcluster and streamclassifier) must
+// widen to ⊤.
 func TestFootprintsSlotMapMatchesWorkloads(t *testing.T) {
-	want := map[string]struct {
+	type dep struct {
+		name    string
 		slots   int
 		precise bool
 		expr    string
-	}{
-		"swaptions.stats":        {6, true, "inst"},
-		"streamcluster.stats":    {4, true, "shard"},
-		"fluidanimate.stats":     {4, true, "fluid"},
-		"streamclassifier.stats": {4, true, "member"},
-		"bodytrack.stats":        {0, false, "*"},
-		"facedet.stats":          {0, false, "*"},
 	}
-	paths := globAll(t, "testdata/corpus/good", "*.stats")
+	whole := func(name string) dep { return dep{name, 0, false, "*"} }
+	want := map[string][]dep{
+		"swaptions.stats":        {{"price", 6, true, "Inst"}},
+		"streamcluster.stats":    {whole("cluster"), {"shards", 4, true, "Shard"}},
+		"fluidanimate.stats":     {{"simulate", 4, true, "Fluid"}},
+		"streamclassifier.stats": {whole("classify"), {"ensemble", 4, true, "Member"}},
+		"bodytrack.stats":        {whole("track")},
+		"facedet.stats":          {whole("detect")},
+	}
+	paths := globAll(t, workloadDecls, "*/*.stats")
 	var out, errb bytes.Buffer
 	if code := runFootprints(paths, true, &out, &errb); code != 0 {
 		t.Fatalf("exit %d: %s", code, errb.String())
@@ -39,26 +43,28 @@ func TestFootprintsSlotMapMatchesWorkloads(t *testing.T) {
 		t.Fatalf("got %d files, want %d", len(maps), len(want))
 	}
 	for _, m := range maps {
-		w, ok := want[filepath.Base(m.File)]
+		ws, ok := want[filepath.Base(m.File)]
 		if !ok {
 			t.Errorf("%s: unexpected file in slot map", m.File)
 			continue
 		}
-		if len(m.Deps) != 1 {
-			t.Errorf("%s: %d deps, want 1", m.File, len(m.Deps))
+		if len(m.Deps) != len(ws) {
+			t.Errorf("%s: %d deps, want %d", m.File, len(m.Deps), len(ws))
 			continue
 		}
-		d := m.Deps[0]
-		if d.Slots != w.slots || d.Precise != w.precise {
-			t.Errorf("%s: slots=%d precise=%v, want slots=%d precise=%v",
-				m.File, d.Slots, d.Precise, w.slots, w.precise)
-		}
-		if len(d.Inferred) != 1 || d.Inferred[0] != w.expr {
-			t.Errorf("%s: inferred %v, want [%s]", m.File, d.Inferred, w.expr)
-		}
-		if w.precise {
-			if len(d.Declared) != 1 || d.Declared[0] != w.expr {
-				t.Errorf("%s: declared %v, want [%s]", m.File, d.Declared, w.expr)
+		for i, d := range m.Deps {
+			w := ws[i]
+			if d.Dep != w.name || d.Slots != w.slots || d.Precise != w.precise {
+				t.Errorf("%s: dep %s slots=%d precise=%v, want dep %s slots=%d precise=%v",
+					m.File, d.Dep, d.Slots, d.Precise, w.name, w.slots, w.precise)
+			}
+			if len(d.Inferred) != 1 || d.Inferred[0] != w.expr {
+				t.Errorf("%s: %s inferred %v, want [%s]", m.File, d.Dep, d.Inferred, w.expr)
+			}
+			if w.precise {
+				if len(d.Declared) != 1 || d.Declared[0] != w.expr {
+					t.Errorf("%s: %s declared %v, want [%s]", m.File, d.Dep, d.Declared, w.expr)
+				}
 			}
 		}
 	}

@@ -21,7 +21,7 @@
 //
 // Usage:
 //
-//	statsvet testdata/bodytrack.stats        # findings-per-file text
+//	statsvet internal/workload/*/*.stats     # findings-per-file text
 //	statsvet -json corpus/broken/*.ir.json   # machine-readable findings
 //	statsvet ./examples ./internal/workload  # Go runtime-API analyzers
 //
@@ -140,7 +140,8 @@ func writeJSON(w io.Writer, v any) error {
 // slotDep is one dependence's entry in the -footprints export: the
 // inferred and declared index expressions in their canonical renderings
 // ("*", "3", "f", "2*f+1"). TestFootprintsSlotMapMatchesWorkloads holds
-// the good corpus's entries to the slot shapes the Go workloads reserve.
+// the workload declarations' entries to the slot shapes the Go workloads
+// reserve.
 type slotDep struct {
 	Dep      string   `json:"dep"`
 	State    string   `json:"state"`

@@ -36,8 +36,9 @@ type Access struct {
 // Footprint is the inferred slot-level footprint of one dependence, the
 // entry statsvet -footprints prints. Nothing reads that export back: the
 // table in cmd/statsvet's TestFootprintsSlotMapMatchesWorkloads is what
-// ties the good corpus's inferences to the slot shapes the Go workloads
-// reserve.
+// ties the workload declarations' inferences to the slot shapes the Go
+// workloads reserve (and each workload's TestDeclarationStatesProgram ties
+// the declared reserve entries to its ReserveOps).
 type Footprint struct {
 	Dep     string
 	State   string

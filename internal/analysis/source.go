@@ -49,7 +49,7 @@ func sourceLints(fo *frontend.Output) []Diagnostic {
 				"statedep %s already declared at line %d", d.Name, prev.Pos.Line))
 		}
 		seenD[d.Name] = d
-		if len(d.Uses) > 0 && d.Compare == "" {
+		if len(d.Uses) > 0 && d.Compare == "" && !d.ByConstruction {
 			ds = append(ds, metaDiag("srclint", Warning, d.Pos, d.Name,
 				"statedep %s uses tradeoffs but declares no compare method; speculation cannot be validated at runtime", d.Name))
 		}

@@ -20,7 +20,12 @@
 //	    state BodyModel;
 //	    output Positions;
 //	    compute updateModel uses TO_numAnnealingLayers, TO_particles;
-//	    compare compareModels;   // optional
+//	    compare compareModels;   // validates a speculative state; or
+//	                             //   `accept construction;`: every one
+//	                             //   is a state the original producer
+//	                             //   could have made (§4.2), so none is
+//	                             //   compared. Both is refused; neither
+//	                             //   is a srclint warning
 //	    window 2;                // optional: aux may read 2 recent inputs
 //	    slots 6;                 // optional: state decomposes into 6 slots
 //	    reserve inst;            // declared footprint entry (repeatable):
@@ -315,6 +320,11 @@ func parseDep(lines []string, start int) (DepDecl, int, error) {
 			if err := nameErr(at[si], "compare", rest); err != nil {
 				return DepDecl{}, 0, err
 			}
+		case "accept":
+			if rest != "construction" {
+				return DepDecl{}, 0, errf(at[si], "bad accept %q (want construction)", rest)
+			}
+			decl.ByConstruction = true
 		case "window":
 			w, err := strconv.Atoi(rest)
 			if err != nil || w < 1 {
@@ -365,6 +375,9 @@ func parseDep(lines []string, start int) (DepDecl, int, error) {
 		if req.v == "" {
 			return DepDecl{}, 0, errf(line, "statedep %s: missing %s", name, req.f)
 		}
+	}
+	if decl.Compare != "" && decl.ByConstruction {
+		return DepDecl{}, 0, errf(line, "statedep %s: declares both a compare method and acceptance by construction", name)
 	}
 	if decl.Slots == 0 && (len(decl.Reserve) > 0 || len(decl.Touches) > 0) {
 		return DepDecl{}, 0, errf(line, "statedep %s: reserve/touches need a slots declaration", name)

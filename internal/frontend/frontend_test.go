@@ -173,6 +173,8 @@ func TestErrors(t *testing.T) {
 		{"compute with a dash", dep + "compute up-date uses T;\n}", `line 5: compute name "up-date" is not an identifier`},
 		{"compute named uses", dep + "compute uses T;\n}", `line 5: compute name "uses T" is not an identifier`},
 		{"compare with a call", dep + "compute f;\ncompare cmp();\n}", `line 6: compare name "cmp()" is not an identifier`},
+		{"accept other than construction", dep + "compute f;\naccept anything;\n}", `line 6: bad accept "anything" (want construction)`},
+		{"compare and construction", dep + "compute f;\ncompare cmp;\naccept construction;\n}", `line 1: statedep d: declares both a compare method and acceptance by construction`},
 	}
 	for _, c := range cases {
 		if _, err := Translate(c.src); err == nil || !strings.Contains(err.Error(), c.wantSub) {
@@ -211,6 +213,16 @@ func TestDepWithoutCompare(t *testing.T) {
 	}
 	if out.Deps[0].Compare != "" {
 		t.Fatal("compare should be optional")
+	}
+}
+
+func TestDepAcceptsByConstruction(t *testing.T) {
+	out, err := Translate("statedep d {\ninput I;\nstate S;\noutput O;\ncompute f;\naccept construction;\n}")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := out.Deps[0]; !d.ByConstruction || d.Compare != "" {
+		t.Fatalf("accept construction parsed as %+v", d.DepMeta)
 	}
 }
 

@@ -37,6 +37,9 @@ func renderCanonical(out *Output) string {
 		if d.Compare != "" {
 			fmt.Fprintf(&b, "compare %s;\n", d.Compare)
 		}
+		if d.ByConstruction {
+			b.WriteString("accept construction;\n")
+		}
 		if d.Window > 0 {
 			fmt.Fprintf(&b, "window %d;\n", d.Window)
 		}
@@ -94,14 +97,17 @@ func stripIndexLines(es []ir.IndexExpr) []ir.IndexExpr {
 // express. Run with `make fuzz` (or `go test -fuzz=FuzzParse`); under
 // plain `go test` the seed corpus runs.
 func FuzzParse(f *testing.F) {
-	if src, err := os.ReadFile("../../testdata/bodytrack.stats"); err == nil {
-		f.Add(string(src))
+	src, err := os.ReadFile("../workload/bodytrack/bodytrack.stats")
+	if err != nil {
+		f.Fatal(err)
 	}
+	f.Add(string(src))
 	seeds := []string{
 		"tradeoff TO_layers {\n    kind constant;\n    values 1..5;\n    default 3;\n}\n",
 		"tradeoff TO_prec {\n    kind type;\n    values half, single, double;\n    default 1;\n}\n",
 		"tradeoff TO_impl {\n    kind function;\n    values fast_path, slow_path;\n    default 0;\n}\n",
 		"statedep track {\n    input Frame;\n    state Model;\n    output Pose;\n    compute update;\n    compare cmp;\n}\n",
+		"statedep price {\n    input Block;\n    state Sum;\n    output Price;\n    compute step;\n    accept construction;\n}\n",
 		"tradeoff A {\n kind constant;\n values 0..0;\n default 0;\n}\nstatedep d {\n input I;\n state S;\n output O;\n compute f uses A;\n}\n",
 		"host line\ntradeoff T {\n kind constant;\n values 2..9;\n default 7;\n}\nmore host\n",
 		"tradeoff T {\n kind constant;\n values 1..3;\n default 0;\n kind constant;\n}\n", // duplicate field

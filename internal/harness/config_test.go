@@ -14,9 +14,9 @@ import (
 )
 
 // TestOneConfigurationBothPaths checks that a point of the state space means
-// the same engine options on statsc's path (the module Table 1 synthesizes,
-// compiled by backend.Compile) and on the tuner's (profiler.BuildSpace,
-// decoded by profiler.Decode). For a program with one dependence the
+// the same engine options on statsc's path (the module Table 1 lowers from
+// the workload's declaration, compiled by backend.Compile) and on the
+// tuner's (profiler.BuildSpace, decoded by profiler.Decode). For a program with one dependence the
 // module's space is the tuner's without the thread split, dimension for
 // dimension; with more, the middle-end clones every tradeoff and the module
 // holds a block per dependence, while the tuner shares one.
@@ -24,7 +24,7 @@ func TestOneConfigurationBothPaths(t *testing.T) {
 	oneDep := 0
 	for _, w := range registry.Targets() {
 		d := w.Desc()
-		fo, err := frontend.Translate(synthesizeExtensionSource(d))
+		fo, err := frontend.Translate(d.Declaration)
 		if err != nil {
 			t.Fatal(err)
 		}

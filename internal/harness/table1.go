@@ -13,17 +13,14 @@ import (
 	"repro/internal/obs"
 	"repro/internal/profiler"
 	"repro/internal/taskgen"
-	"repro/internal/tradeoff"
 	"repro/internal/workload"
 )
 
-// table1Result is one benchmark's developer-effort accounting.
+// table1Result is one benchmark's developer-effort accounting: its
+// descriptor's Table 1 columns (OriginalLOC, NumDeps, TradeoffLOC,
+// ComparisonLOC) and what compiling its declaration and running it measure.
 type table1Result struct {
-	Name          string
-	OriginalLOC   int
-	NumDeps       int
-	TradeoffLOC   [][2]int // (modified, added) per tradeoff
-	ComparisonLOC int
+	workload.Descriptor
 	// GeneratedLOC is the code generated by the STATS compilers for the
 	// benchmark's extension blocks (front-end header + lowered source +
 	// middle-end clones), and SizeIncrease the binary-size growth.
@@ -66,55 +63,14 @@ type table1Result struct {
 	ResvCommitsPerRound float64
 }
 
-// synthesizeExtensionSource builds the STATS-extension source a developer
-// would write for the workload: one tradeoff block per Table 1 tradeoff
-// and one statedep block per dependence. It is what the compiler pipeline
-// consumes to produce the generated-code numbers.
-func synthesizeExtensionSource(d workload.Descriptor) string {
-	var b strings.Builder
-	var names []string
-	for _, tr := range d.Tradeoffs {
-		name := "TO_" + tr.Name
-		names = append(names, name)
-		fmt.Fprintf(&b, "tradeoff %s {\n", name)
-		switch tr.Kind {
-		case tradeoff.Constant:
-			fmt.Fprintf(&b, "    kind constant;\n    values 0..%d;\n", tr.Opts.MaxIndex()-1)
-		case tradeoff.Type:
-			fmt.Fprintf(&b, "    kind type;\n    values half, single, double;\n")
-		default:
-			var vals []string
-			for i := int64(0); i < tr.Opts.MaxIndex(); i++ {
-				vals = append(vals, fmt.Sprintf("impl_%s_%d", tr.Name, i))
-			}
-			fmt.Fprintf(&b, "    kind function;\n    values %s;\n", strings.Join(vals, ", "))
-		}
-		fmt.Fprintf(&b, "    default %d;\n}\n\n", tr.Opts.DefaultIndex())
-	}
-	for dep := 0; dep < d.NumDeps; dep++ {
-		fmt.Fprintf(&b, "statedep %s_dep%d {\n", d.Name, dep)
-		fmt.Fprintf(&b, "    input Input;\n    state State;\n    output Output;\n")
-		fmt.Fprintf(&b, "    compute compute_%s_%d", d.Name, dep)
-		if len(names) > 0 {
-			fmt.Fprintf(&b, " uses %s", strings.Join(names, ", "))
-		}
-		b.WriteString(";\n")
-		if d.ComparisonLOC > 0 {
-			fmt.Fprintf(&b, "    compare compare_%s;\n", d.Name)
-		}
-		b.WriteString("}\n\n")
-	}
-	return b.String()
-}
-
 // table1 produces the developer-effort table by actually running the
-// compiler pipeline on each benchmark's synthesized extension source and a
-// real engine run for the committed-instruction overhead.
+// compiler pipeline on each benchmark's declaration (Descriptor.Declaration)
+// and a real engine run for the committed-instruction overhead.
 func table1(e *Env) ([]table1Result, error) {
 	var out []table1Result
 	for _, w := range e.Targets() {
 		d := w.Desc()
-		fo, err := frontend.Translate(synthesizeExtensionSource(d))
+		fo, err := frontend.Translate(d.Declaration)
 		if err != nil {
 			return nil, fmt.Errorf("table1 %s: %w", d.Name, err)
 		}
@@ -201,11 +157,7 @@ func table1(e *Env) ([]table1Result, error) {
 			}
 		}
 		out = append(out, table1Result{
-			Name:                d.Name,
-			OriginalLOC:         d.OriginalLOC,
-			NumDeps:             d.NumDeps,
-			TradeoffLOC:         d.TradeoffLOC,
-			ComparisonLOC:       d.ComparisonLOC,
+			Descriptor:          d,
 			GeneratedLOC:        fo.GeneratedLOC + m.InstrCount(), // header + lowered + IR clones
 			SizeIncrease:        p.SizeIncrease,
 			ExtraCommitted:      extra,

@@ -37,7 +37,7 @@ func (m *Module) EncodeJSON(w io.Writer) error {
 	for _, d := range m.Deps {
 		jd := jsonDep{
 			Name: d.Name, Input: d.Input, State: d.State, Output: d.Output,
-			Compute: d.Compute, AuxCompute: d.AuxCompute, Compare: d.Compare,
+			Compute: d.Compute, AuxCompute: d.AuxCompute, Compare: d.Compare, ByConstruction: d.ByConstruction,
 			Window: d.Window, Slots: d.Slots, Line: d.Pos.Line, Col: d.Pos.Col,
 		}
 		for _, e := range d.Reserve {

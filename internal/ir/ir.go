@@ -292,6 +292,11 @@ type DepMeta struct {
 	// Compare is the state-comparison method ("" when the dependence
 	// needs none).
 	Compare string
+	// ByConstruction declares that every speculative state is one the
+	// original producer could have made, so the dependence accepts it
+	// without a comparison (`accept construction;`, exclusive with
+	// Compare).
+	ByConstruction bool
 	// Window is the declared auxiliary input window: the number of
 	// recent inputs the dependence's auxiliary code may read. 0 means
 	// the declaration did not bound it.

@@ -68,18 +68,19 @@ func (j jsonIndexExpr) expr() IndexExpr {
 
 // jsonDep mirrors DepMeta.
 type jsonDep struct {
-	Name       string          `json:"name"`
-	Input      string          `json:"input"`
-	State      string          `json:"state"`
-	Output     string          `json:"output"`
-	Compute    string          `json:"compute"`
-	AuxCompute string          `json:"auxCompute,omitempty"`
-	Compare    string          `json:"compare,omitempty"`
-	Window     int             `json:"window,omitempty"`
-	Slots      int             `json:"slots,omitempty"`
-	Reserve    []jsonIndexExpr `json:"reserve,omitempty"`
-	Line       int             `json:"line,omitempty"`
-	Col        int             `json:"col,omitempty"`
+	Name           string          `json:"name"`
+	Input          string          `json:"input"`
+	State          string          `json:"state"`
+	Output         string          `json:"output"`
+	Compute        string          `json:"compute"`
+	AuxCompute     string          `json:"auxCompute,omitempty"`
+	Compare        string          `json:"compare,omitempty"`
+	ByConstruction bool            `json:"byConstruction,omitempty"`
+	Window         int             `json:"window,omitempty"`
+	Slots          int             `json:"slots,omitempty"`
+	Reserve        []jsonIndexExpr `json:"reserve,omitempty"`
+	Line           int             `json:"line,omitempty"`
+	Col            int             `json:"col,omitempty"`
 }
 
 // jsonModule is the on-disk module document.
@@ -146,7 +147,7 @@ func DecodeJSON(r io.Reader) (*Module, error) {
 	for _, jd := range doc.Deps {
 		d := DepMeta{
 			Name: jd.Name, Input: jd.Input, State: jd.State, Output: jd.Output,
-			Compute: jd.Compute, AuxCompute: jd.AuxCompute, Compare: jd.Compare,
+			Compute: jd.Compute, AuxCompute: jd.AuxCompute, Compare: jd.Compare, ByConstruction: jd.ByConstruction,
 			Window: jd.Window, Slots: jd.Slots, Pos: Pos{Line: jd.Line, Col: jd.Col},
 		}
 		for _, je := range jd.Reserve {

@@ -3,6 +3,8 @@ package ir_test
 import (
 	"bytes"
 	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -13,43 +15,49 @@ import (
 	"repro/internal/tradeoff"
 )
 
-// TestJSONRoundTrip lowers the checked-in bodytrack program, encodes it and
+// TestJSONRoundTrip lowers each workload's declaration, encodes it and
 // decodes it again: instructions, metadata and positions survive, and the
 // decoded module analyzes as clean as the original.
 func TestJSONRoundTrip(t *testing.T) {
-	src, err := os.ReadFile("../../testdata/bodytrack.stats")
-	if err != nil {
-		t.Fatal(err)
+	paths, err := filepath.Glob("../workload/*/*.stats")
+	if err != nil || len(paths) != 6 {
+		t.Fatalf("want the six workload declarations, got %v (%v)", paths, err)
 	}
-	fo, err := frontend.Translate(string(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := midend.Lower(fo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := m.EncodeJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ir.DecodeJSON(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := back.InstrCount(), m.InstrCount(); got != want {
-		t.Fatalf("instr count after round trip = %d, want %d", got, want)
-	}
-	if len(back.Tradeoffs) != len(m.Tradeoffs) || len(back.Deps) != len(m.Deps) {
-		t.Fatalf("metadata lost in round trip")
-	}
-	// The decoded module must be just as clean under analysis.
-	if ds := analysis.Analyze(back); len(ds) != 0 {
-		t.Fatalf("round-tripped module produced diagnostics: %v", ds)
-	}
-	// Positions survive the trip.
-	if p := back.Deps[0].Pos; !p.IsValid() {
-		t.Fatalf("dep position lost in round trip")
+	for _, path := range paths {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fo, err := frontend.Translate(string(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := midend.Lower(fo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := m.EncodeJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ir.DecodeJSON(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := back.InstrCount(), m.InstrCount(); got != want {
+			t.Fatalf("%s: instr count after round trip = %d, want %d", path, got, want)
+		}
+		if len(back.Tradeoffs) != len(m.Tradeoffs) || !reflect.DeepEqual(back.Deps, m.Deps) {
+			t.Fatalf("%s: metadata lost in round trip: deps %+v, want %+v", path, back.Deps, m.Deps)
+		}
+		// The decoded module must be just as clean under analysis.
+		if ds := analysis.Analyze(back); len(ds) != 0 {
+			t.Fatalf("%s: round-tripped module produced diagnostics: %v", path, ds)
+		}
+		// Positions survive the trip.
+		if p := back.Deps[0].Pos; !p.IsValid() {
+			t.Fatalf("%s: dep position lost in round trip", path)
+		}
 	}
 }
 

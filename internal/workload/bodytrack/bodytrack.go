@@ -21,6 +21,7 @@
 package bodytrack
 
 import (
+	_ "embed"
 	"math"
 
 	"repro/internal/core"
@@ -31,6 +32,11 @@ import (
 	"repro/internal/tradeoff"
 	"repro/internal/workload"
 )
+
+// declaration is the program's SDI/TI declaration (Descriptor.Declaration).
+//
+//go:embed bodytrack.stats
+var declaration string
 
 // numParts is the number of tracked body parts.
 const numParts = 8
@@ -146,6 +152,7 @@ func New() *W { return &W{} }
 func (*W) Desc() workload.Descriptor {
 	return workload.Descriptor{
 		Name:        "bodytrack",
+		Declaration: declaration,
 		OriginalLOC: 16430,
 		NumDeps:     1,
 		Tradeoffs: []tradeoff.T{

@@ -234,3 +234,11 @@ func TestCloneIsolatesCompute(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDeclarationStatesProgram holds bodytrack.stats equal to the program
+// (workloadtest.Declaration).
+func TestDeclarationStatesProgram(t *testing.T) {
+	if err := workloadtest.Declaration[Frame, State](New().Desc(), stateOps().MatchAny != nil, nil); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -15,6 +15,7 @@
 package facedet
 
 import (
+	_ "embed"
 	"math"
 
 	"repro/internal/core"
@@ -25,6 +26,11 @@ import (
 	"repro/internal/tradeoff"
 	"repro/internal/workload"
 )
+
+// declaration is the program's SDI/TI declaration (Descriptor.Declaration).
+//
+//go:embed facedet.stats
+var declaration string
 
 // Frame is one video frame reduced to its raw face detection.
 type Frame struct {
@@ -115,6 +121,7 @@ func New() *W { return &W{} }
 func (*W) Desc() workload.Descriptor {
 	return workload.Descriptor{
 		Name:        "facedet",
+		Declaration: declaration,
 		OriginalLOC: 606472,
 		NumDeps:     1,
 		Tradeoffs: []tradeoff.T{

@@ -208,3 +208,11 @@ func TestStepScratchIsPrivate(t *testing.T) {
 		}
 	}
 }
+
+// TestDeclarationStatesProgram holds facedet.stats equal to the program
+// (workloadtest.Declaration).
+func TestDeclarationStatesProgram(t *testing.T) {
+	if err := workloadtest.Declaration[Frame, State](New().Desc(), stateOps().MatchAny != nil, nil); err != nil {
+		t.Fatal(err)
+	}
+}

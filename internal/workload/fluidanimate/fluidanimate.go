@@ -18,6 +18,7 @@
 package fluidanimate
 
 import (
+	_ "embed"
 	"math"
 
 	"repro/internal/core"
@@ -28,6 +29,11 @@ import (
 	"repro/internal/tradeoff"
 	"repro/internal/workload"
 )
+
+// declaration is the program's SDI/TI declaration (Descriptor.Declaration).
+//
+//go:embed fluidanimate.stats
+var declaration string
 
 // numParticles is the fluid's particle count (small: the real runs feed
 // quality experiments, not performance ones).
@@ -146,6 +152,7 @@ func New() *W { return &W{} }
 func (*W) Desc() workload.Descriptor {
 	return workload.Descriptor{
 		Name:        "fluidanimate",
+		Declaration: declaration,
 		OriginalLOC: 4350,
 		NumDeps:     1,
 		Tradeoffs: []tradeoff.T{
@@ -475,8 +482,14 @@ func statesEqual(a, b State) bool {
 	return true
 }
 
-// splitDependence builds the reservation-ready dependence: state is one
-// sub-fluid per slot and a cell's footprint is exactly its fluid's slot.
+// splitSlots is the split chain's reservation contract (one sub-fluid per
+// slot, and a cell's footprint is exactly its fluid's slot); the package's
+// tests hold the declaration's slots and reserve entries to it.
+func splitSlots() (core.StateOps[[]State], core.ReserveOps[FlatStep, []State]) {
+	return core.SlotOps(func(in FlatStep) []int { return []int{in.Fluid} }, cloneState, statesEqual)
+}
+
+// splitDependence builds the reservation-ready dependence on splitSlots.
 func splitDependence(p params) *core.Dependence[FlatStep, []State, mathx.Vec3] {
 	compute := func(r *rng.Source, in FlatStep, st []State) (mathx.Vec3, []State) {
 		s := simulateStep(r, p, st[in.Fluid], in.Step, 1)
@@ -487,7 +500,7 @@ func splitDependence(p params) *core.Dependence[FlatStep, []State, mathx.Vec3] {
 		}
 		return mean.Scale(1 / float64(len(s.Pos))), st
 	}
-	ops, reserve := core.SlotOps(func(in FlatStep) []int { return []int{in.Fluid} }, cloneState, statesEqual)
+	ops, reserve := splitSlots()
 	return core.New[FlatStep, []State, mathx.Vec3](compute, nil, ops).WithReserve(reserve)
 }
 

@@ -156,3 +156,13 @@ func TestCloneIsolatesCompute(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDeclarationStatesProgram holds fluidanimate.stats equal to the
+// program and its split chain's footprints (workloadtest.Declaration).
+func TestDeclarationStatesProgram(t *testing.T) {
+	_, ops := splitSlots()
+	resv := &workloadtest.Reservation[FlatStep, []State]{Ops: ops, Initial: make([]State, numFluids), Inputs: FlatSteps(GenSteps(64, false))}
+	if err := workloadtest.Declaration(New().Desc(), stateOps().MatchAny != nil, resv); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -13,6 +13,7 @@
 package streamclassifier
 
 import (
+	_ "embed"
 	"math"
 
 	"repro/internal/core"
@@ -23,6 +24,11 @@ import (
 	"repro/internal/workload"
 	"repro/internal/workload/streamdata"
 )
+
+// declaration is the program's SDI/TI declaration (Descriptor.Declaration).
+//
+//go:embed streamclassifier.stats
+var declaration string
 
 // pointsPerInput is the number of stream points per invocation.
 const pointsPerInput = 16
@@ -110,6 +116,7 @@ func New() *W { return &W{} }
 func (*W) Desc() workload.Descriptor {
 	return workload.Descriptor{
 		Name:        "streamclassifier",
+		Declaration: declaration,
 		OriginalLOC: 1770,
 		NumDeps:     2,
 		Tradeoffs: []tradeoff.T{
@@ -297,9 +304,15 @@ func modelsEqual(a, b Model) bool {
 	return true
 }
 
-// ensembleDependence builds the reservation-ready dependence: state is
-// one model per ensemble member and a cell's footprint is exactly its
-// member's slot.
+// ensembleSlots is the ensemble chain's reservation contract (one model per
+// member, and a cell's footprint is exactly its member's slot); the
+// package's tests hold the declaration's slots and reserve entries to it.
+func ensembleSlots() (core.StateOps[[]Model], core.ReserveOps[EnsembleBatch, []Model]) {
+	return core.SlotOps(func(in EnsembleBatch) []int { return []int{in.Member} }, cloneModel, modelsEqual)
+}
+
+// ensembleDependence builds the reservation-ready dependence on
+// ensembleSlots.
 func ensembleDependence(p params) *core.Dependence[EnsembleBatch, []Model, Output] {
 	compute := func(r *rng.Source, in EnsembleBatch, st []Model) (Output, []Model) {
 		m := st[in.Member]
@@ -311,7 +324,7 @@ func ensembleDependence(p params) *core.Dependence[EnsembleBatch, []Model, Outpu
 		st[in.Member] = m
 		return out, st
 	}
-	ops, reserve := core.SlotOps(func(in EnsembleBatch) []int { return []int{in.Member} }, cloneModel, modelsEqual)
+	ops, reserve := ensembleSlots()
 	return core.New[EnsembleBatch, []Model, Output](compute, nil, ops).WithReserve(reserve)
 }
 

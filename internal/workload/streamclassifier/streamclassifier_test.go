@@ -132,3 +132,13 @@ func TestCloneIsolatesCompute(t *testing.T) {
 		}
 	}
 }
+
+// TestDeclarationStatesProgram holds streamclassifier.stats equal to the
+// program and its ensemble chain's footprints (workloadtest.Declaration).
+func TestDeclarationStatesProgram(t *testing.T) {
+	_, ops := ensembleSlots()
+	resv := &workloadtest.Reservation[EnsembleBatch, []Model]{Ops: ops, Initial: make([]Model, numMembers), Inputs: EnsembleBatches(64, false)}
+	if err := workloadtest.Declaration(New().Desc(), stateOps().MatchAny != nil, resv); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -15,6 +15,7 @@
 package streamcluster
 
 import (
+	_ "embed"
 	"math"
 
 	"repro/internal/core"
@@ -25,6 +26,11 @@ import (
 	"repro/internal/workload"
 	"repro/internal/workload/streamdata"
 )
+
+// declaration is the program's SDI/TI declaration (Descriptor.Declaration).
+//
+//go:embed streamcluster.stats
+var declaration string
 
 // pointsPerInput is the number of stream points one invocation of the
 // state-dependence target consumes.
@@ -91,6 +97,7 @@ func New() *W { return &W{} }
 func (*W) Desc() workload.Descriptor {
 	return workload.Descriptor{
 		Name:        "streamcluster",
+		Declaration: declaration,
 		OriginalLOC: 1770,
 		NumDeps:     2,
 		Tradeoffs: []tradeoff.T{
@@ -262,8 +269,14 @@ func solutionsEqual(a, b Solution) bool {
 	return true
 }
 
-// shardedDependence builds the reservation-ready dependence: state is one
-// Solution per shard and a cell's footprint is exactly its shard's slot.
+// shardSlots is the sharded chain's reservation contract (one Solution per
+// shard, and a cell's footprint is exactly its shard's slot); the package's
+// tests hold the declaration's slots and reserve entries to it.
+func shardSlots() (core.StateOps[[]Solution], core.ReserveOps[ShardBatch, []Solution]) {
+	return core.SlotOps(func(in ShardBatch) []int { return []int{in.Shard} }, cloneSolution, solutionsEqual)
+}
+
+// shardedDependence builds the reservation-ready dependence on shardSlots.
 func shardedDependence(p params) *core.Dependence[ShardBatch, []Solution, int] {
 	compute := func(r *rng.Source, in ShardBatch, st []Solution) (int, []Solution) {
 		sol := st[in.Shard]
@@ -273,7 +286,7 @@ func shardedDependence(p params) *core.Dependence[ShardBatch, []Solution, int] {
 		st[in.Shard] = sol
 		return len(sol.Centers), st
 	}
-	ops, reserve := core.SlotOps(func(in ShardBatch) []int { return []int{in.Shard} }, cloneSolution, solutionsEqual)
+	ops, reserve := shardSlots()
 	return core.New[ShardBatch, []Solution, int](compute, nil, ops).WithReserve(reserve)
 }
 

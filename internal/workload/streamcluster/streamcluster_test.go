@@ -305,3 +305,13 @@ func BenchmarkCompute(b *testing.B) {
 		}
 	}
 }
+
+// TestDeclarationStatesProgram holds streamcluster.stats equal to the
+// program and its sharded chain's footprints (workloadtest.Declaration).
+func TestDeclarationStatesProgram(t *testing.T) {
+	_, ops := shardSlots()
+	resv := &workloadtest.Reservation[ShardBatch, []Solution]{Ops: ops, Initial: make([]Solution, numShards), Inputs: ShardBatches(64, false)}
+	if err := workloadtest.Declaration(New().Desc(), stateOps().MatchAny != nil, resv); err != nil {
+		t.Fatal(err)
+	}
+}

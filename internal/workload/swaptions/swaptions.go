@@ -18,6 +18,7 @@
 package swaptions
 
 import (
+	_ "embed"
 	"math"
 
 	"repro/internal/core"
@@ -27,6 +28,11 @@ import (
 	"repro/internal/tradeoff"
 	"repro/internal/workload"
 )
+
+// declaration is the program's SDI/TI declaration (Descriptor.Declaration).
+//
+//go:embed swaptions.stats
+var declaration string
 
 // trialsPerBlock is the number of Monte Carlo paths one input block
 // contributes to a swaption's estimate.
@@ -100,6 +106,7 @@ func New() *W { return &W{} }
 func (*W) Desc() workload.Descriptor {
 	return workload.Descriptor{
 		Name:        "swaptions",
+		Declaration: declaration,
 		OriginalLOC: 1120,
 		NumDeps:     1,
 		Tradeoffs: []tradeoff.T{
@@ -359,9 +366,16 @@ type FlatBlock struct {
 	Inst  int
 }
 
+// flatSlots is the flat chain's reservation contract (one PriceState per
+// instrument, and a cell's footprint is exactly its instrument's slot); the
+// package's tests hold the declaration's slots and reserve entries to it.
+func flatSlots() (core.StateOps[[]PriceState], core.ReserveOps[FlatBlock, []PriceState]) {
+	return core.SlotOps(func(in FlatBlock) []int { return []int{in.Inst} },
+		nil, func(a, b PriceState) bool { return a == b })
+}
+
 // flatDependence builds the reservation-ready dependence over the
-// portfolio: state is one PriceState per instrument and a cell's footprint
-// is exactly its instrument's slot.
+// portfolio, on flatSlots.
 func flatDependence(instruments []Swaption, p params) *core.Dependence[FlatBlock, []PriceState, float64] {
 	compute := func(r *rng.Source, in FlatBlock, st []PriceState) (float64, []PriceState) {
 		s := instruments[in.Inst]
@@ -373,8 +387,7 @@ func flatDependence(instruments []Swaption, p params) *core.Dependence[FlatBlock
 		st[in.Inst] = cell
 		return cell.Mean(), st
 	}
-	ops, reserve := core.SlotOps(func(in FlatBlock) []int { return []int{in.Inst} },
-		nil, func(a, b PriceState) bool { return a == b })
+	ops, reserve := flatSlots()
 	return core.New[FlatBlock, []PriceState, float64](compute, nil, ops).WithReserve(reserve)
 }
 

@@ -189,3 +189,13 @@ func TestCloneIsolatesCompute(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDeclarationStatesProgram holds swaptions.stats equal to the program
+// and its flat chain's footprints (workloadtest.Declaration).
+func TestDeclarationStatesProgram(t *testing.T) {
+	_, ops := flatSlots()
+	resv := &workloadtest.Reservation[FlatBlock, []PriceState]{Ops: ops, Initial: make([]PriceState, realRunSwaptions), Inputs: FlatBlocks(64, realRunSwaptions)}
+	if err := workloadtest.Declaration(New().Desc(), stateOps().MatchAny != nil, resv); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -117,6 +117,10 @@ func (o SpecOptions) Value(ts []tradeoff.T, t int, defaults bool) any {
 // developer-effort numbers from the paper.
 type Descriptor struct {
 	Name string
+	// Declaration is the program's SDI/TI source (§3.4): the <Name>.stats
+	// file its package embeds, which the compilers read and the package's
+	// tests hold equal to the fields below and to the program.
+	Declaration string
 	// OriginalLOC is the benchmark's original line count (Table 1).
 	OriginalLOC int
 	// NumDeps is the number of state dependences identified.

@@ -1,16 +1,25 @@
 // Package workloadtest is test support for the programs under
 // internal/workload: checks a program's own test runs on its unexported
-// compute, auxiliary code and clone. Nothing outside _test files imports it.
+// compute, auxiliary code, clone and reservation ops, and on its
+// declaration. Nothing outside _test files imports it.
 package workloadtest
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/frontend"
+	"repro/internal/ir"
 	"repro/internal/rng"
+	"repro/internal/tradeoff"
+	"repro/internal/workload"
 )
 
 // Isolation checks the two things the engine's copies rely on now that
@@ -147,4 +156,120 @@ func NoAllocs(newLoop func() func(), runs int) error {
 		}
 	}
 	return nil
+}
+
+// Reservation is a program's reservation dependence as the program builds
+// it: the ReserveOps it attaches, the initial state and the inputs of a run.
+type Reservation[I, S any] struct {
+	Ops     core.ReserveOps[I, S]
+	Initial S
+	Inputs  []I
+}
+
+// Declaration checks that d.Declaration, the program's .stats file, states
+// the program d describes; matchAny reports whether the program's StateOps
+// set MatchAny, and resv is its reservation dependence (nil: it has none).
+// It reports every disagreement:
+//
+//   - tradeoff i is TO_<Tradeoffs[i].Name>, of the program's kind, value
+//     count and default index, and a constant declares the values of the
+//     program's tradeoff.IntRange. The one exception: a constant whose
+//     values no range states (bodytrack's and facedet's Particles, 16…256
+//     in powers of two) declares its index range 0..N-1;
+//   - there are NumDeps statedeps, and each declares compare exactly when
+//     the program validates (MatchAny set, ComparisonLOC > 0) and accept
+//     construction otherwise;
+//   - exactly one statedep declares slots when resv is set, and none
+//     otherwise; its slots are NumSlots(Initial), and its reserve entries,
+//     evaluated on each input's fields, name the slots Footprint(in,
+//     Initial) does.
+func Declaration[I, S any](d workload.Descriptor, matchAny bool, resv *Reservation[I, S]) error {
+	fo, err := frontend.Translate(d.Declaration)
+	if err != nil {
+		return err
+	}
+	var errs []error
+	bad := func(format string, args ...any) { errs = append(errs, fmt.Errorf(format, args...)) }
+	var declared, program []string
+	for _, t := range fo.Tradeoffs {
+		declared = append(declared, describe(t.Name, t.Kind, t.Size, t.Default, t.Lo, t.Hi))
+	}
+	for _, t := range d.Tradeoffs {
+		lo, hi := int64(0), t.Opts.MaxIndex()-1
+		if r, ok := t.Opts.(tradeoff.IntRange); ok {
+			lo, hi = r.Lo, r.Hi
+		}
+		program = append(program, describe("TO_"+t.Name, t.Kind, t.Opts.MaxIndex(), t.Opts.DefaultIndex(), lo, hi))
+	}
+	if !slices.Equal(declared, program) {
+		bad("tradeoffs declared\n  %s\nthe program's\n  %s", strings.Join(declared, "\n  "), strings.Join(program, "\n  "))
+	}
+	if len(fo.Deps) != d.NumDeps {
+		bad("%d statedeps declared, the program has %d", len(fo.Deps), d.NumDeps)
+	}
+	if matchAny != (d.ComparisonLOC > 0) {
+		bad("the program sets MatchAny %v with ComparisonLOC %d", matchAny, d.ComparisonLOC)
+	}
+	var slotted []frontend.DepDecl
+	for _, dep := range fo.Deps {
+		if (dep.Compare != "") != matchAny || dep.ByConstruction == matchAny {
+			bad("statedep %s: compare %q, accept construction %v; the program validates: %v", dep.Name, dep.Compare, dep.ByConstruction, matchAny)
+		}
+		if dep.Slots > 0 {
+			slotted = append(slotted, dep)
+		}
+	}
+	if len(slotted) > 1 || (len(slotted) == 1) != (resv != nil) {
+		bad("%d statedeps declare slots; the program has a reservation dependence: %v", len(slotted), resv != nil)
+	} else if resv != nil {
+		dep := slotted[0]
+		if n := resv.Ops.NumSlots(resv.Initial); dep.Slots != n {
+			bad("statedep %s: declared %d slots, the program has %d", dep.Name, dep.Slots, n)
+		}
+		for i, in := range resv.Inputs {
+			if got, want := sorted(footprint(dep.Reserve, in, dep.Slots)), sorted(resv.Ops.Footprint(in, resv.Initial)); !slices.Equal(got, want) {
+				bad("statedep %s: input %d: declared footprint %v, the program's %v", dep.Name, i, got, want)
+				break
+			}
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// describe renders a tradeoff's checked facts, a constant's values included.
+func describe(name string, k tradeoff.Kind, size, def, lo, hi int64) string {
+	if k != tradeoff.Constant {
+		return fmt.Sprintf("%s %s of %d, default %d", name, k, size, def)
+	}
+	return fmt.Sprintf("%s %s %d..%d, default %d", name, k, lo, hi, def)
+}
+
+// footprint returns the slots the reserve entries name on the fields of in
+// over n slots; an entry over a field in lacks names -1.
+func footprint(es []ir.IndexExpr, in any, n int) []int {
+	var slots []int
+	for _, e := range es {
+		switch {
+		case e.Whole:
+			for s := range n {
+				slots = append(slots, s)
+			}
+		case e.Field == "":
+			slots = append(slots, int(e.Offset))
+		default:
+			v := int64(-1)
+			if f := reflect.ValueOf(in).FieldByName(e.Field); f.CanInt() {
+				v = e.Stride*f.Int() + e.Offset
+			}
+			slots = append(slots, int(v))
+		}
+	}
+	return slots
+}
+
+// sorted returns the distinct elements of s in order, leaving s as it is.
+func sorted(s []int) []int {
+	s = slices.Clone(s)
+	slices.Sort(s)
+	return slices.Compact(s)
 }

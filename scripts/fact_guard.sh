@@ -78,7 +78,12 @@
 # simulateStep draw their per-call buffers from their package's recycle.List and update
 # the state they are handed in place, so fail on a make( or cloneState( call
 # inside their bodies (a resize helper they call may still allocate the new
-# set).
+# set). The declaration guard: each workload has one declaration, the
+# <name>.stats its package embeds (workload.Descriptor.Declaration), which
+# the compilers, statsvet and statsc's goldens read in place and the
+# package's tests hold equal to the program; fail on a tracked .stats file
+# anywhere but internal/workload/<name>/ and the broken corpus
+# (cmd/statsvet/testdata/corpus/broken/): a copy is a second declaration.
 # Run via `make vet`.
 set -eu
 
@@ -245,5 +250,12 @@ kernels=$(awk 'FNR==1{fn=""} /^func /{fn=$0} /^}/{fn=""}
 if [ -n "$kernels" ]; then
     echo "fact-guard: facedet.step, fluidanimate.simulateStep and bodytrack.updateModel allocate nothing per call: take scratch from the package's recycle.List and update the state in place:" >&2
     printf '%s\n' "$kernels" >&2
+    exit 1
+fi
+
+decls=$(git ls-files '*.stats' | grep -vE '^(internal/workload/([a-z]+)/\2\.stats|cmd/statsvet/testdata/corpus/broken/[^/]+\.stats)$' || true)
+if [ -n "$decls" ]; then
+    echo "fact-guard: a workload's declaration is internal/workload/<name>/<name>.stats, which every reader reads in place; keep no copy:" >&2
+    printf '%s\n' "$decls" >&2
     exit 1
 fi
