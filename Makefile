@@ -10,7 +10,7 @@
 
 GO ?= go
 
-.PHONY: build test check race stress vet examples catalogue bench microbench microbench-smoke bench-paper fuzz serve-smoke chaos explore explore-long
+.PHONY: build test check race stress vet catalogue bench microbench microbench-smoke bench-paper fuzz serve-smoke chaos explore explore-long
 
 build:
 	$(GO) build ./...
@@ -21,12 +21,12 @@ test: build
 	$(GO) test ./...
 	cd bench && $(GO) test -short ./...
 
-# The full local gate: tier-1 tests (which hold the allocation ceilings),
-# the core-count stress matrix, the static-analysis suite, the four
-# example programs, the telemetry-server smoke (boot, curl every endpoint, assert statuses), one
-# iteration of every microbenchmark, the fault-injection campaign, and the
-# bounded schedule exploration.
-check: test stress vet examples serve-smoke microbench-smoke chaos explore
+# The full local gate: tier-1 tests (which hold the allocation ceilings and
+# run the stats package's Example walkthroughs), the core-count stress
+# matrix, the static-analysis suite, the telemetry-server smoke (boot, curl
+# every endpoint, assert statuses), one iteration of every microbenchmark,
+# the fault-injection campaign, and the bounded schedule exploration.
+check: test stress vet serve-smoke microbench-smoke chaos explore
 
 race:
 	$(GO) test -race ./...
@@ -51,22 +51,18 @@ stress:
 # Static analysis: gofmt must have nothing to say, then the standard Go
 # vet, then statsvet — the IR/source passes over the six workload
 # declarations (internal/workload/*/*.stats) and the runtime-API analyzers
-# over the repository's user-facing Go code — then scripts/fact_guard.sh:
-# the engine and the pool report through obs.Observer.Note only, the
-# layering guard keeps internal/telemetry from importing internal/core, and
-# the experiment-list guard keeps every figure on statsexp's one list (its
-# header lists the rest).
+# over the repository's user-facing Go code (a directory walk skips _test.go
+# files, so the stats Example walkthroughs are named by path) — then
+# scripts/fact_guard.sh: the engine and the pool report through
+# obs.Observer.Note only, the layering guard keeps internal/telemetry from
+# importing internal/core, and the experiment-list guard keeps every figure
+# on statsexp's one list (its header lists the rest).
 vet:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l . is not empty:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
-	$(GO) run ./cmd/statsvet internal/workload/*/*.stats ./examples ./internal/workload ./stats
+	$(GO) run ./cmd/statsvet internal/workload/*/*.stats ./internal/workload ./stats stats/example_*_test.go
 	$(GO) run ./cmd/statsvet -footprints internal/workload/*/*.stats
 	sh scripts/fact_guard.sh
-
-# The four programs under examples/ are what a reader runs first: each must
-# exit 0 with its default arguments.
-examples:
-	for d in examples/*/; do $(GO) run ./$$d >/dev/null || exit 1; done
 
 # Regenerate the metric catalogue golden file from internal/obs's fact
 # table; paste the result over the reference tables in DESIGN.md and

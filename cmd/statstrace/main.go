@@ -23,7 +23,10 @@
 // trees (one tree per speculation group: aux production, execution,
 // validation with every redo, abort/squash/fallback marks). -from-spans
 // renders tree and waterfall from a JSON document saved from a telemetry
-// server's /spans endpoint, with no execution at all.
+// server's /spans endpoint, with no execution at all. A flag value it cannot
+// run — -threads, -size or -group below 1, a negative -window, -redo or
+// -rollback, an unknown -workload or -mode — exits 2 naming the value, before
+// anything is rendered.
 package main
 
 import (
@@ -75,9 +78,19 @@ func main() {
 		fmt.Fprintln(os.Stderr, "statstrace:", err)
 		os.Exit(2)
 	}
-	if *threads < 1 {
-		fmt.Fprintf(os.Stderr, "statstrace: -threads %d: want at least 1\n", *threads)
-		os.Exit(2)
+	switch {
+	case *threads < 1:
+		refuse("-threads %d: want at least 1", *threads)
+	case *size < 1:
+		refuse("-size %d: want at least 1", *size)
+	case *group < 1:
+		refuse("-group %d: want at least 1", *group)
+	case *window < 0:
+		refuse("-window %d: want at least 0", *window)
+	case *redo < 0:
+		refuse("-redo %d: want at least 0", *redo)
+	case *rollback < 0:
+		refuse("-rollback %d: want at least 0", *rollback)
 	}
 	if *live {
 		liveMain(w, *threads, *size, workload.SpecOptions{
@@ -122,6 +135,12 @@ func main() {
 	seq := platform.Simulate(platform.Haswell28(false),
 		taskgen.Build(taskgen.Sequential, m, workload.SpecOptions{}, *seed), 1)
 	fmt.Printf("speedup vs single-threaded original: %.2fx\n", seq.Makespan/res.Makespan)
+}
+
+// refuse reports a flag value statstrace cannot run and exits 2.
+func refuse(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "statstrace: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 // liveMain runs the workload for real with the observability layer

@@ -20,9 +20,11 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestRefused checks that a thread count or mode statstrace cannot run
-// exits 2 naming the value, before anything is rendered (a zero thread
-// count used to panic in the simulator).
+// TestRefused checks that a flag value or mode statstrace cannot run exits 2
+// naming the value, before anything is rendered, on the simulated and the
+// -live path alike (a zero thread count used to panic in the simulator, -size
+// 0 printed an empty schedule, a negative -size panicked in makeslice, and
+// -group 0 simulated a 1 166-task graph).
 func TestRefused(t *testing.T) {
 	cases := []struct {
 		args []string
@@ -31,6 +33,14 @@ func TestRefused(t *testing.T) {
 		{[]string{"-threads", "0"}, "statstrace: -threads 0: want at least 1"},
 		{[]string{"-threads", "0", "-live"}, "statstrace: -threads 0: want at least 1"},
 		{[]string{"-mode", "bogus"}, `statstrace: unknown mode "bogus"`},
+		{[]string{"-size", "0"}, "statstrace: -size 0: want at least 1"},
+		{[]string{"-size", "-3", "-live"}, "statstrace: -size -3: want at least 1"},
+		{[]string{"-group", "0"}, "statstrace: -group 0: want at least 1"},
+		{[]string{"-group", "0", "-live"}, "statstrace: -group 0: want at least 1"},
+		{[]string{"-window", "-1"}, "statstrace: -window -1: want at least 0"},
+		{[]string{"-window", "-1", "-live"}, "statstrace: -window -1: want at least 0"},
+		{[]string{"-redo", "-2", "-live"}, "statstrace: -redo -2: want at least 0"},
+		{[]string{"-rollback", "-1"}, "statstrace: -rollback -1: want at least 0"},
 	}
 	for _, c := range cases {
 		cmd := exec.Command(os.Args[0], c.args...)

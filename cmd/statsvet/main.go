@@ -23,7 +23,7 @@
 //
 //	statsvet internal/workload/*/*.stats     # findings-per-file text
 //	statsvet -json corpus/broken/*.ir.json   # machine-readable findings
-//	statsvet ./examples ./internal/workload  # Go runtime-API analyzers
+//	statsvet ./stats ./internal/workload     # Go runtime-API analyzers
 //
 // Exit status: 0 when no error-severity findings, 1 when any finding is
 // an error, 2 on usage or I/O problems. Warnings never fail the run.

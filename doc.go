@@ -6,11 +6,12 @@
 // original states.
 //
 // The public API lives in package repro/stats (the SDI/TI of §3.3 plus an
-// autotuner and the simulated evaluation platform). The internal packages
+// autotuner, a shared-pool runtime and its telemetry). The internal packages
 // implement the full system: the speculation runtime (internal/core), the
 // three compilers (internal/frontend, internal/midend, internal/backend
-// over internal/ir), the autotuner (internal/autotune), the profiler and
-// energy model, the seven benchmark reproductions (internal/workload/...),
-// the related-work comparators, and the evaluation harness that regenerates
-// every table and figure of §4 (internal/harness, run by cmd/statsexp).
+// over internal/ir), the autotuner (internal/autotune), the profiler, the
+// simulated evaluation platform and energy model, the seven benchmark
+// reproductions (internal/workload/...), the related-work comparators, and
+// the evaluation harness that regenerates every table and figure of §4
+// (internal/harness, run by cmd/statsexp).
 package repro

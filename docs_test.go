@@ -242,7 +242,7 @@ func TestDocsNameRealTargetsAndCommands(t *testing.T) {
 
 	layout := read("README.md")
 	_, layout, _ = strings.Cut(layout, "\ncmd/\n")
-	layout, _, _ = strings.Cut(layout, "\nexamples/")
+	layout, _, _ = strings.Cut(layout, "\nbench/")
 	listed := map[string]bool{}
 	for _, m := range regexp.MustCompile(`(?m)^  ([a-z]+)`).FindAllStringSubmatch(layout, -1) {
 		listed[m[1]] = true
@@ -264,16 +264,17 @@ func TestDocsNameRealTargetsAndCommands(t *testing.T) {
 // TestDocsNameRealExperimentsAndBenchmarks holds the prose to the
 // experiment list and the tree: every `statsexp -exp <id>` in README.md,
 // DESIGN.md, EXPERIMENTS.md, the Makefile and the verify skill names an entry
-// of harness.Experiments (or all), and every back-quoted Benchmark name there
-// is a Benchmark function somewhere in the tree. CHANGES.md and docs/compare/
+// of harness.Experiments (or all), and every back-quoted Benchmark or Example
+// name there is a Benchmark or Example function somewhere in the tree, so a
+// pointer to a walkthrough cannot outlive it. CHANGES.md and docs/compare/
 // are history and are not checked.
 func TestDocsNameRealExperimentsAndBenchmarks(t *testing.T) {
 	ids := map[string]bool{"all": true}
 	for _, x := range harness.Experiments {
 		ids[x.ID] = true
 	}
-	benches := map[string]bool{}
-	declared := regexp.MustCompile(`(?m)^func (Benchmark\w+)\(`)
+	testFuncs := map[string]bool{}
+	declared := regexp.MustCompile(`(?m)^func ((?:Benchmark|Example)\w*)\(`)
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -289,7 +290,7 @@ func TestDocsNameRealExperimentsAndBenchmarks(t *testing.T) {
 			return err
 		}
 		for _, m := range declared.FindAllStringSubmatch(string(src), -1) {
-			benches[m[1]] = true
+			testFuncs[m[1]] = true
 		}
 		return nil
 	})
@@ -298,7 +299,7 @@ func TestDocsNameRealExperimentsAndBenchmarks(t *testing.T) {
 	}
 	exp := regexp.MustCompile(`statsexp\s+-exp\s+(\w+)`)
 	quoted := regexp.MustCompile("`[^`\n]+`")
-	bench := regexp.MustCompile(`\bBenchmark\w+`)
+	testFunc := regexp.MustCompile(`\b(?:Benchmark|Example)\w+`)
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "Makefile", ".claude/skills/verify/SKILL.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
@@ -310,8 +311,8 @@ func TestDocsNameRealExperimentsAndBenchmarks(t *testing.T) {
 			}
 		}
 		for _, span := range quoted.FindAllString(string(text), -1) {
-			for _, name := range bench.FindAllString(span, -1) {
-				if !benches[name] {
+			for _, name := range testFunc.FindAllString(span, -1) {
+				if !testFuncs[name] {
 					t.Errorf("%s names %s in %s, which no _test.go file declares", doc, name, span)
 				}
 			}

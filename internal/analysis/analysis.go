@@ -213,23 +213,6 @@ func HasErrors(ds []Diagnostic) bool {
 	return false
 }
 
-// Check runs every IR pass and returns a non-nil error listing the Error
-// findings, one String line each, if any — the form stats.Runtime's
-// module verification consumes. Warnings never fail Check.
-func Check(m *ir.Module) error {
-	var errs []string
-	for _, d := range Analyze(m) {
-		if d.Severity == Error {
-			errs = append(errs, d.String())
-		}
-	}
-	if len(errs) == 0 {
-		return nil
-	}
-	return fmt.Errorf("analysis: module failed verification with %d error(s):\n  %s",
-		len(errs), strings.Join(errs, "\n  "))
-}
-
 // errAt builds an instruction-anchored Error diagnostic.
 func errAt(pass string, f *ir.Function, i int, variable, format string, args ...any) Diagnostic {
 	d := Diagnostic{Pass: pass, Severity: Error, Fn: f.Name, Instr: i, Var: variable, Msg: fmt.Sprintf(format, args...)}

@@ -81,8 +81,8 @@ func TestPipelineOutputIsClean(t *testing.T) {
 	if ds := AnalyzeProgram(fo, m); len(ds) != 0 {
 		t.Fatalf("well-formed program produced diagnostics:\n%s", renderAll(ds))
 	}
-	if err := Check(m); err != nil {
-		t.Fatalf("Check rejected a well-formed module: %v", err)
+	if ds := Analyze(m); HasErrors(ds) {
+		t.Fatalf("the IR passes rejected a well-formed module:\n%s", renderAll(ds))
 	}
 }
 
@@ -285,15 +285,6 @@ statedep d {
 		if d.Var == "TO_dead" && d.Pos.Line != 2 {
 			t.Fatalf("TO_dead lint at line %d, want 2", d.Pos.Line)
 		}
-	}
-}
-
-func TestCheckReportsErrors(t *testing.T) {
-	m := ir.NewModule()
-	m.AddFunction(&ir.Function{Name: "f", Instrs: []ir.Instr{{Op: ir.Call, Callee: "ghost"}}})
-	err := Check(m)
-	if err == nil || !strings.Contains(err.Error(), "ghost") {
-		t.Fatalf("Check = %v, want error naming ghost", err)
 	}
 }
 

@@ -161,8 +161,14 @@ func f() {
 
 func TestAnalyzePathsWalksRepo(t *testing.T) {
 	// The repository's own examples and workloads must be clean — the
-	// acceptance bar for the analyzers' false-positive rate.
-	ds, err := AnalyzePaths([]string{"../../../examples", "../../workload"})
+	// acceptance bar for the analyzers' false-positive rate. A directory
+	// walk skips _test.go files, so the stats package's Example files are
+	// named one by one.
+	ds, err := AnalyzePaths([]string{
+		"../../../stats/example_bodytrack_test.go",
+		"../../../stats/example_streamcluster_test.go",
+		"../../workload",
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 //  2. the pipeline never produces a module the verifier rejects, with
 //     one carve-out: footprints errors are user bugs expressible in
 //     grammatical source (a declared reservation that under-approximates
-//     the touches), so only non-footprints Check errors are compiler
+//     the touches), so only non-footprints Error findings are compiler
 //     bugs;
 //  3. every verifier-accepted module is accepted by the back-end
 //     (Compile + Validate), i.e. the static gate is not weaker than the

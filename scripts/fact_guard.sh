@@ -45,10 +45,10 @@
 # over them), and a panicking pool task is counted in one place,
 # internal/pool's run; fail on a recover() in any other non-test Go (bench/
 # excluded). The finding guard: a static-analysis finding has one record,
-# internal/analysis's Diagnostic, which statsvet, statsc -vet, the Go
-# analyzers and stats.Runtime all report and render one way; fail if any
-# other non-test Go declares a Diagnostic or finding struct, or spells a
-# severity as a string (Severity: "...") instead of analysis.Error/Warning.
+# internal/analysis's Diagnostic, which statsvet, statsc -vet and the Go
+# analyzers all report and render one way; fail if any other non-test Go
+# declares a Diagnostic or finding struct, or spells a severity as a string
+# (Severity: "...") instead of analysis.Error/Warning.
 # The recycling guard: internal/core recycles a run's scratch per
 # instantiation, and the kernels their per-call buffers, in an
 # internal/recycle.List, whose slots garbage collection does not empty (only
@@ -84,6 +84,12 @@
 # package's tests hold equal to the program; fail on a tracked .stats file
 # anywhere but internal/workload/<name>/ and the broken corpus
 # (cmd/statsvet/testdata/corpus/broken/): a copy is a second declaration.
+# The facade guard: package stats is what a STATS user writes against (the
+# SDI/TI builders, Runtime, Tune and the telemetry views), and its runnable
+# walkthroughs are its Example functions, which go test checks; fail on a
+# tracked file under examples/, and if stats' non-test code imports the
+# simulator, the energy model, the back-end or the analysis passes
+# (internal/platform, internal/energy, internal/backend, internal/analysis).
 # Run via `make vet`.
 set -eu
 
@@ -257,5 +263,13 @@ decls=$(git ls-files '*.stats' | grep -vE '^(internal/workload/([a-z]+)/\2\.stat
 if [ -n "$decls" ]; then
     echo "fact-guard: a workload's declaration is internal/workload/<name>/<name>.stats, which every reader reads in place; keep no copy:" >&2
     printf '%s\n' "$decls" >&2
+    exit 1
+fi
+
+examples=$(git ls-files examples)
+facade=$(grep -nE '"repro/internal/(platform|energy|backend|analysis)"' stats/*.go | grep -v '_test\.go:' || true)
+if [ -n "$examples$facade" ]; then
+    echo "fact-guard: stats exports what a STATS user writes, and its examples are Example functions in stats; keep no examples/ tree and no simulator, energy, back-end or analysis import in stats:" >&2
+    printf '%s\n' "$examples" "$facade" | grep . >&2
     exit 1
 fi

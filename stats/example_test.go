@@ -92,17 +92,3 @@ func ExampleNewTradeoff() {
 	// Output:
 	// values: 10, default: 5
 }
-
-// ExampleSimulate predicts scaling on the paper's 28-core platform without
-// the hardware: an embarrassingly parallel graph speeds up linearly.
-func ExampleSimulate() {
-	g := &stats.TaskGraph{}
-	for i := 0; i < 28; i++ {
-		g.Add(1)
-	}
-	m := stats.Haswell28(false)
-	fmt.Printf("1 thread: %.0f, 28 threads: %.0f\n",
-		stats.Simulate(m, g, 1).Makespan, stats.Simulate(m, g, 28).Makespan)
-	// Output:
-	// 1 thread: 28, 28 threads: 1
-}

@@ -20,6 +20,13 @@
 //	sd.Start()
 //	outputs, final, runStats := sd.Join()
 //
+// The package's Example functions are the walkthroughs — the tracker above,
+// the paper's body tracking with triangulating acceptance, a by-construction
+// stream clusterer — and go test checks each against the accounts and
+// outputs it prints for a fixed seed (go test ./stats -run Example -v).
+// Shared worker pools and live telemetry are Runtime's (NewRuntime, Attach,
+// Serve); tuning is Tune's.
+//
 // Memory: a warm run allocates only what it returns, because the runtime
 // parks each run's working set (group records, lane random sources, output
 // staging) between runs in a free list per instantiation of its generic

@@ -201,21 +201,6 @@ func TestTimedBenchmark(t *testing.T) {
 	}
 }
 
-func TestSimulationFacade(t *testing.T) {
-	m := Haswell28(false)
-	g := &TaskGraph{}
-	for i := 0; i < 28; i++ {
-		g.Add(1)
-	}
-	r := Simulate(m, g, 28)
-	if r.Makespan != 1 {
-		t.Fatalf("makespan: %v", r.Makespan)
-	}
-	if e := DefaultEnergyModel().Energy(r); e <= 0 {
-		t.Fatalf("energy: %v", e)
-	}
-}
-
 // TestReservationsProtocolThroughFacade runs a slotted dependence through
 // the public API under ProtocolReservations with the footprint oracle on,
 // and requires byte-identical results to the sequential formulation plus
@@ -290,5 +275,63 @@ func TestParseProtocol(t *testing.T) {
 	}
 	if _, ok := ParseProtocol("bogus"); ok {
 		t.Fatal("ParseProtocol accepted an unknown name")
+	}
+}
+
+// TestUnverifiedAuxCaughtByRuntimeValidation: an auxiliary function that
+// no static check has seen and that produces garbage speculative start
+// states is caught by the runtime's validation — the
+// mismatch path aborts the speculation — and the outputs still match the
+// sequential reference because aborted groups re-execute conventionally.
+func TestUnverifiedAuxCaughtByRuntimeValidation(t *testing.T) {
+	inputs := make([]int, 64)
+	for i := range inputs {
+		inputs[i] = i + 1
+	}
+	compute := func(r *Rand, in, sum int) (int, int) {
+		return sum + in, sum + in
+	}
+	reference := func() []int {
+		out := make([]int, len(inputs))
+		sum := 0
+		for i, in := range inputs {
+			sum += in
+			out[i] = sum
+		}
+		return out
+	}()
+
+	sd := NewStateDependence(inputs, 0, compute)
+	// The corrupting aux: instead of predicting the running sum from the
+	// recent inputs, it invents a state no original run can match.
+	sd.SetAuxiliary(func(r *Rand, init int, recent []int) int {
+		return -1 << 20
+	})
+	sd.SetStateOps(func(s int) int { return s }, func(spec int, originals []int) bool {
+		for _, o := range originals {
+			if spec == o {
+				return true
+			}
+		}
+		return false
+	})
+	sd.Configure(Options{
+		UseAux: true, GroupSize: 8, Window: 2, RedoMax: 1, Rollback: 2, Workers: 4, Seed: 1,
+	})
+	outs, final, st := sd.Run()
+
+	if st.Aborts == 0 {
+		t.Fatalf("corrupting aux was never caught: stats %+v", st)
+	}
+	if st.Matches != 0 {
+		t.Fatalf("garbage speculative states matched %d times: stats %+v", st.Matches, st)
+	}
+	if final != reference[len(reference)-1] {
+		t.Fatalf("final state %d, want %d", final, reference[len(reference)-1])
+	}
+	for i := range reference {
+		if outs[i] != reference[i] {
+			t.Fatalf("output[%d] = %d, want %d (aborted groups must re-execute conventionally)", i, outs[i], reference[i])
+		}
 	}
 }
