@@ -60,7 +60,7 @@ stress:
 vet:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l . is not empty:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
-	$(GO) run ./cmd/statsvet internal/workload/*/*.stats ./internal/workload ./stats stats/example_*_test.go
+	$(GO) run ./cmd/statsvet internal/workload/*/*.stats ./internal/workload ./stats stats/example*_test.go
 	$(GO) run ./cmd/statsvet -footprints internal/workload/*/*.stats
 	sh scripts/fact_guard.sh
 

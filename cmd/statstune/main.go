@@ -46,6 +46,8 @@ func main() {
 		refuse("unknown goal %q (want time or energy)", *goalFlag)
 	case *threads < 1:
 		refuse("-threads %d: want at least 1", *threads)
+	case *budget < 1:
+		refuse("-budget %d: want at least 1", *budget)
 	}
 
 	p := &profiler.P{

@@ -20,10 +20,11 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestRefused checks that a mode, goal or thread count statstune cannot run
-// exits 2 naming the value, before the tuner prints anything (a zero thread
-// count used to panic building the state space; an unknown mode or goal
-// used to run par/time silently).
+// TestRefused checks that a mode, goal, thread count or budget statstune
+// cannot run exits 2 naming the value, before the tuner prints anything (a
+// zero thread count used to panic building the state space; an unknown mode
+// or goal used to run par/time silently; a budget below 1 ran one evaluation
+// and printed it as the tuned configuration).
 func TestRefused(t *testing.T) {
 	cases := []struct {
 		args []string
@@ -32,6 +33,8 @@ func TestRefused(t *testing.T) {
 		{[]string{"-mode", "bogus"}, `statstune: unknown mode "bogus" (want seq or par)`},
 		{[]string{"-goal", "bogus"}, `statstune: unknown goal "bogus" (want time or energy)`},
 		{[]string{"-threads", "0"}, "statstune: -threads 0: want at least 1"},
+		{[]string{"-budget", "0"}, "statstune: -budget 0: want at least 1"},
+		{[]string{"-budget", "-5"}, "statstune: -budget -5: want at least 1"},
 	}
 	for _, c := range cases {
 		cmd := exec.Command(os.Args[0], c.args...)

@@ -546,7 +546,11 @@ func forEachFuncBody(file *ast.File, fn func(*ast.BlockStmt)) {
 // Fingerprint key, and a SetStateOps call with a non-nil match argument
 // on a receiver that never gets a SetFingerprint call in the same file.
 // The fingerprint contract is one-sided (equal whenever MatchAny would
-// accept), so a structural digest is always available. The findings are
+// accept), so an exact match always has a structural digest; a tolerance
+// match (|a−b| < tol over a real value) has none but a constant: any two
+// values are joined by a chain of steps shorter than tol, and the contract
+// makes the digest equal along every step. So a match function visible in
+// the file whose body calls math.Abs draws no finding. The findings are
 // warnings: stats.FingerprintFunc is optional and costs time, never
 // correctness.
 var FingerprintLit = &Analyzer{
@@ -557,6 +561,12 @@ var FingerprintLit = &Analyzer{
 
 func runFingerprint(fset *token.FileSet, file *ast.File) []analysis.Diagnostic {
 	var out []analysis.Diagnostic
+	funcs := map[string]*ast.BlockStmt{}
+	for _, d := range file.Decls {
+		if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Body != nil {
+			funcs[fd.Name.Name] = fd.Body
+		}
+	}
 	ast.Inspect(file, func(n ast.Node) bool {
 		lit, ok := n.(*ast.CompositeLit)
 		if !ok || !isStateOpsType(lit.Type) {
@@ -575,7 +585,7 @@ func runFingerprint(fset *token.FileSet, file *ast.File) []analysis.Diagnostic {
 			}
 			switch key.Name {
 			case "MatchAny":
-				if !isNilIdent(kv.Value) {
+				if !isNilIdent(kv.Value) && !tolerant(kv.Value, funcs) {
 					hasMatch = true
 					matchPos = kv.Pos()
 				}
@@ -613,7 +623,7 @@ func runFingerprint(fset *token.FileSet, file *ast.File) []analysis.Diagnostic {
 		}
 		switch sel.Sel.Name {
 		case "SetStateOps":
-			if len(call.Args) == 2 && !isNilIdent(call.Args[1]) {
+			if len(call.Args) == 2 && !isNilIdent(call.Args[1]) && !tolerant(call.Args[1], funcs) {
 				setOps = append(setOps, setCall{recv.Name, call.Pos()})
 			}
 		case "SetFingerprint":
@@ -644,6 +654,31 @@ func isStateOpsType(t ast.Expr) bool {
 		return isStateOpsType(tt.X)
 	}
 	return false
+}
+
+// tolerant reports whether the match function e — a literal, or a function
+// declared in the file — compares within a tolerance: its body calls
+// math.Abs.
+func tolerant(e ast.Expr, funcs map[string]*ast.BlockStmt) bool {
+	var body *ast.BlockStmt
+	switch f := e.(type) {
+	case *ast.FuncLit:
+		body = f.Body
+	case *ast.Ident:
+		body = funcs[f.Name]
+	}
+	found := false
+	if body != nil {
+		ast.Inspect(body, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Abs" {
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "math" {
+					found = true
+				}
+			}
+			return !found
+		})
+	}
+	return found
 }
 
 // isNilIdent reports whether e is the literal nil.

@@ -165,6 +165,7 @@ func TestAnalyzePathsWalksRepo(t *testing.T) {
 	// walk skips _test.go files, so the stats package's Example files are
 	// named one by one.
 	ds, err := AnalyzePaths([]string{
+		"../../../stats/example_test.go",
 		"../../../stats/example_bodytrack_test.go",
 		"../../../stats/example_streamcluster_test.go",
 		"../../workload",
@@ -208,6 +209,38 @@ func TestFingerprintSetStateOps(t *testing.T) {
 func f() {
 	sd := stats.NewStateDependence(inputs, initial, compute)
 	sd.SetStateOps(clone, match)
+}`)
+	want(t, ds, "fingerprint", "warning: fingerprint: sd.SetStateOps", "SetFingerprint")
+}
+
+// TestFingerprintToleranceMatchPasses: a match within a tolerance over a
+// real value admits no digest but a constant (see FingerprintLit), so
+// neither form draws a finding — whether the match is a literal or a
+// function declared in the file. An exact match beside them still does.
+func TestFingerprintToleranceMatchPasses(t *testing.T) {
+	ds := analyzeSrc(t, `package p
+func near(spec float64, originals []float64) bool {
+	for _, o := range originals {
+		if math.Abs(spec-o) < 0.1 {
+			return true
+		}
+	}
+	return false
+}
+func f() {
+	sd := stats.NewStateDependence(inputs, 0.0, compute)
+	sd.SetStateOps(nil, near)
+	ops := core.StateOps[walk]{
+		MatchAny: func(spec walk, originals []walk) bool { return math.Abs(spec.v-originals[0].v) <= 1e-9 },
+	}
+	_ = ops
+}`)
+	wantNone(t, ds, "fingerprint")
+	ds = analyzeSrc(t, `package p
+func exact(spec int, originals []int) bool { return slices.Contains(originals, spec) }
+func f() {
+	sd := stats.NewStateDependence(inputs, 0, compute)
+	sd.SetStateOps(nil, exact)
 }`)
 	want(t, ds, "fingerprint", "warning: fingerprint: sd.SetStateOps", "SetFingerprint")
 }

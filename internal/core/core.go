@@ -575,7 +575,9 @@ type groupRun[I, S, O any] struct {
 	// panic still attributes the CPU burned before it. clock is the last
 	// clock reading of the group's lane task (runFrame.now): each phase —
 	// aux, execution, every boundary the task resolves — ends with one read
-	// and the next starts from it.
+	// and the next starts from it, the lane's next group included. A boundary
+	// validated unobserved takes no reading and leaves 0: its validation ran
+	// untimed, so the lane's next group reads the clock afresh.
 	execNS, redoNS, clock int64
 
 	// outBuf, redoBuf and spliceBuf back the group's execution outputs,
@@ -873,41 +875,51 @@ func (scr *runScratch[I, S, O]) laneTask() {
 // the next group in index order — so group 1 never queues behind group 0 and
 // no lane speculates far ahead of the boundary that matters — and runs it,
 // until none is left. The caller's lane of a streaming run emits before each
-// claim what has become final (stream).
+// claim what has become final (stream). A group starts from the reading that
+// ended the lane's last phase when nothing untimed ran since (clock > 0),
+// else from a fresh one: an emit is the caller's code, and no lane time.
 func (scr *runScratch[I, S, O]) runLane(streaming bool) {
+	var clock int64
 	for {
 		if streaming {
 			scr.stream(true)
+			clock = 0
 		}
 		j := int(scr.ticket.Add(1)) - 1
 		if j >= scr.numGroups {
 			return
 		}
-		scr.runGroup(j)
+		if clock == 0 {
+			clock = scr.now()
+		}
+		clock = scr.runGroup(j, clock)
 	}
 }
 
 // runGroup runs group j's aux and its inputs sequentially from the
-// (speculative) start state. Then the last arriver resolves: the lane marks
-// the group finished and, when the next unresolved boundary has both its
-// groups, takes the resolver role and settles boundaries until one is not
-// ready, releasing and re-checking so a finish that raced the release is
-// picked up by one side or the other.
-func (scr *runScratch[I, S, O]) runGroup(j int) {
+// (speculative) start state, starting at the lane's reading clock. Then the
+// last arriver resolves: the lane marks the group finished and, when the next
+// unresolved boundary has both its groups, takes the resolver role and
+// settles boundaries until one is not ready, releasing and re-checking so a
+// finish that raced the release is picked up by one side or the other. It
+// returns the lane's last reading, or 0 when something untimed ran after it:
+// a contained panic's capture, or a boundary validated unobserved.
+func (scr *runScratch[I, S, O]) runGroup(j int, clock int64) int64 {
 	gr, lane := scr.groups[j], scr.lane+1+j
 	if scr.ctl != nil {
 		// Retire the group lane on every exit, panic included, before the
 		// lane's end releases the caller.
 		defer scr.ctl.Done(lane)
 	}
-	gr.clock = scr.now()
+	gr.clock = clock
 	// Panic isolation: a panic in user code on this lane — the auxiliary
 	// code, a clone, the group's computes — marks the group failed, value
 	// and stack preserved, and squashes it together with its successors;
 	// their results would be discarded anyway once the boundary inspection
 	// aborts here. Earlier groups are left running; their results are
 	// still committable.
-	if pe := contain(func() { scr.produceAux(gr); scr.executeGroup(gr) }); pe != nil {
+	pe := contain(func() { scr.produceAux(gr); scr.executeGroup(gr) })
+	if pe != nil {
 		gr.failure, gr.panicErr = failPanic, pe
 		for _, g := range scr.groups[j:scr.numGroups] {
 			g.aborted.Store(true)
@@ -924,6 +936,10 @@ func (scr *runScratch[I, S, O]) runGroup(j int) {
 		}
 		scr.resolving.Store(false)
 	}
+	if pe != nil {
+		return 0
+	}
+	return gr.clock
 }
 
 // ready reports whether the next unresolved boundary can resolve: the
@@ -1084,7 +1100,7 @@ type boundary[S, O any] struct {
 // — means the boundary cannot resolve: the unvalidated group is squashed
 // like a mismatch and the panic attributed to it.
 func (scr *runScratch[I, S, O]) resolve(j int) int {
-	cur, o, self := scr.groups[j], scr.o, scr.resolver
+	cur, self := scr.groups[j], scr.resolver
 	if cur.failure != failNone {
 		return scr.abort(j, 0, scr.stamp())
 	}
@@ -1102,13 +1118,10 @@ func (scr *runScratch[I, S, O]) resolve(j int) int {
 	scr.commitNS[j-1] += b.acceptedRedoNS
 	scr.wasteNS[j-1] += scr.groups[j-1].redoNS - b.acceptedRedoNS
 	// Every boundary whose validation started is observed, however it ended:
-	// one reading closes its latency, stamps its outcome and starts the next
-	// boundary this task resolves.
-	if o != nil {
-		self.clock = scr.now()
-		o.ValidationLatencyNS.Observe(self.clock - vstart)
-		o.RedosPerValidation.Observe(int64(b.redosUsed))
-	}
+	// one reading closes its latency, stamps its outcome and starts whatever
+	// this task does next. Unobserved, there is none (0).
+	self.clock = scr.stamp()
+	scr.o.NoteValidation(self.clock-vstart, b.redosUsed)
 	if pe == nil && b.matched {
 		scr.noteMatch(j, b.redosUsed, self.clock)
 		scr.committed[j-1], scr.committed[j] = b.accepted, cur.base
@@ -1236,11 +1249,12 @@ func (scr *runScratch[I, S, O]) commit(root *rng.Source) ([]O, S) {
 		scr.sweepFailures()
 	}
 	outs := make([]O, 0, scr.n)
-	for j, gr := range scr.groups[:valid] {
+	for j := range scr.groups[:valid] {
 		outs = append(outs, scr.committed[j].outputs...)
-		if j > 0 {
-			scr.noteSpecCommits(gr.end - gr.start)
-		}
+	}
+	if valid > 1 {
+		// Every committed group after the first ran speculatively.
+		scr.noteSpecCommits(scr.groups[valid-1].end - scr.groups[1].start)
 	}
 	for _, gr := range scr.groups[:scr.numGroups] {
 		// Redo calls were counted by the resolver.

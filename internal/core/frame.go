@@ -136,8 +136,9 @@ func (f *runFrame) now() int64 {
 	return obs.Now()
 }
 
-// stamp is now for a reading only events will carry: an unobserved run
-// skips the clock.
+// stamp is now for a reading only observation uses: an unobserved run skips
+// the clock and gets 0, which no event or histogram sees and which a lane
+// takes for no reading (runLane).
 func (f *runFrame) stamp() int64 {
 	if f.o == nil {
 		return 0
@@ -269,27 +270,20 @@ func (f *runFrame) noteConventional(j, inputs int, now int64) {
 }
 
 // noteSpecCommits records inputs committed from a speculative execution;
-// the counter has no event, and this is its only write.
+// the counter has no event.
 func (f *runFrame) noteSpecCommits(inputs int) {
 	f.st.SpeculativeCommits += inputs
-	if f.o != nil {
-		f.o.SpecCommittedInputs.Add(int64(inputs))
-	}
+	f.o.NoteSpecCommits(inputs)
 }
 
 // noteFingerprint records one hash-first acceptance attempt: a hit fell
 // through to the deep compare, a miss was rejected without one. Neither
-// counter has an event, and this is their only write.
+// counter has an event.
 func (f *runFrame) noteFingerprint(hit bool) {
 	if hit {
 		f.st.FingerprintHits++
-		if f.o != nil {
-			f.o.FingerprintHits.Inc()
-		}
-		return
+	} else {
+		f.st.FingerprintMisses++
 	}
-	f.st.FingerprintMisses++
-	if f.o != nil {
-		f.o.FingerprintMisses.Inc()
-	}
+	f.o.NoteFingerprint(hit)
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/rng"
@@ -333,6 +334,64 @@ func TestEventsCarryTheAccountsReadings(t *testing.T) {
 				t.Errorf("workers %d group %d: lane-cpu-committed %d ns, events span %d ns (exec %d..%d, aux %d)",
 					workers, j, g.cpu, span, g.start, g.finish, g.auxDur)
 			}
+		}
+	}
+}
+
+// TestLaneReadingCarriesOnlyOverTimedWork pins where a lane's next group
+// starts its clock. Observed, the reading that resolved the lane's boundary
+// also starts its next group, so on one lane group j+1's aux span begins at
+// boundary j's validate-match stamp. Never across untimed code: a boundary
+// resolved unobserved (its MatchAny untimed) or the caller's streaming emit
+// must stay out of the lane-CPU account, so runs whose match or emit sleeps
+// file far less lane CPU than one sleep.
+func TestLaneReadingCarriesOnlyOverTimedWork(t *testing.T) {
+	inputs := seqInputs(16)
+	opts := Options{UseAux: true, GroupSize: 4, Window: 2, RedoMax: 1, Rollback: 1, Workers: 1, Seed: 3}
+	ob := obs.NewObserver(4, 4096)
+	opts.Obs = ob
+	_, _, st := New(deterministicCompute, exactAuxFor(inputs), walkOps()).Run(inputs, walkState{}, opts)
+	match, auxStart := make([]int64, st.Groups), make([]int64, st.Groups)
+	for _, e := range ob.Tracer.Snapshot() {
+		switch e.Kind {
+		case obs.EvValidateMatch:
+			match[e.Group] = e.TS
+		case obs.EvAuxProduced:
+			_, dur := obs.SplitAuxArg(e.Arg)
+			auxStart[e.Group] = e.TS - dur
+		}
+	}
+	for j := 1; j+1 < st.Groups; j++ {
+		if auxStart[j+1] != match[j] {
+			t.Errorf("group %d's aux starts at %d, boundary %d resolved at %d: want one reading", j+1, auxStart[j+1], j, match[j])
+		}
+	}
+
+	const nap = time.Millisecond
+	slow := walkOps()
+	deep := slow.MatchAny
+	slow.MatchAny = func(spec walkState, originals []walkState) bool {
+		time.Sleep(nap)
+		return deep(spec, originals)
+	}
+	for _, c := range []struct {
+		name string
+		ops  StateOps[walkState]
+		emit Emit[int]
+		obs  *obs.Observer
+	}{
+		{"unobserved match", slow, nil, nil},
+		{"observed match", slow, nil, obs.NewObserver(4, 4096)},
+		{"streaming emit", walkOps(), func(int, int) { time.Sleep(nap) }, obs.NewObserver(4, 4096)},
+	} {
+		opts.Obs = c.obs
+		outs, _, st := New(deterministicCompute, exactAuxFor(inputs), c.ops).RunStream(inputs, walkState{}, opts, c.emit)
+		checkOutputs(t, outs, wantOutputs(inputs))
+		if st.Matches != st.Groups-1 {
+			t.Fatalf("%s: not a healthy run: %+v", c.name, st)
+		}
+		if lane := time.Duration(st.LaneCPUCommittedNS + st.LaneCPUWastedNS); lane >= nap {
+			t.Errorf("%s: %v of lane CPU filed; the untimed code slept %v at every boundary or output", c.name, lane, nap)
 		}
 	}
 }

@@ -472,9 +472,7 @@ func (r *resvRun[I, S, O]) runGroup(j int) ([]int, bool) {
 	// One reading ends the group: its account's events and its finish.
 	now := r.stamp()
 	r.noteLaneCPU(j, committedNS-laneBase, r.laneNS-committedNS, now)
-	if r.o != nil {
-		r.o.RoundsPerGroup.Observe(int64(rounds))
-	}
+	r.o.NoteRounds(rounds)
 	r.o.NoteAt(j, now, obs.EvGroupFinish, int32(j), int64(width-len(pending)))
 	if ok && r.emit != nil {
 		// Group complete: its outputs are final; stream them in input order

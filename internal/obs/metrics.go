@@ -91,12 +91,12 @@ const histBuckets = 65
 // observations, updated with plain atomics so concurrent Observe calls
 // never contend on a lock. It covers the full int64 range in 65 buckets —
 // coarse, but the quantities it observes (latencies in nanoseconds, queue
-// depths, redo counts) only need order-of-magnitude resolution. A nil
-// *Histogram is a no-op instrument.
+// depths, redo counts) only need order-of-magnitude resolution. Its count
+// is the buckets' sum, so an observation is one bucket add and, unless it
+// is zero, one sum add. A nil *Histogram is a no-op instrument.
 type Histogram struct {
 	counts [histBuckets]atomic.Int64
 	sum    atomic.Int64
-	count  atomic.Int64
 }
 
 // histBucket maps an observation to its bucket index.
@@ -125,16 +125,15 @@ func (h *Histogram) Observe(v int64) {
 		return
 	}
 	h.counts[histBucket(v)].Add(1)
-	h.sum.Add(v)
-	h.count.Add(1)
+	if v != 0 {
+		h.sum.Add(v)
+	}
 }
 
-// Count returns the number of observations (0 on a nil histogram).
+// Count returns the number of observations (0 on a nil histogram): the
+// buckets' sum, read once each.
 func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
+	return h.Snapshot().Count
 }
 
 // Sum returns the sum of all observations (0 on a nil histogram).

@@ -30,9 +30,11 @@
 //     line and the core.Stats field it mirrors. Note, like every Tracer,
 //     Counter, Gauge and Histogram method, is a no-op on a nil receiver,
 //     so disabled observability costs one branch per decision point. The
-//     Observer's named instruments (histograms, the three counters no
-//     event backs) are plain fields: reading one off a nil *Observer
-//     faults, so their few write sites guard on it.
+//     instruments no event backs are plain fields for readers; the engine
+//     writes its own (the validation and round histograms, the three
+//     counters) through one nil-safe method each (NoteValidation,
+//     NoteSpecCommits, NoteFingerprint, NoteRounds), as it reports an event
+//     through Note.
 //
 // Event schema: every event carries a monotonic timestamp (a reading of the
 // process-wide trace clock, Now), the emitting lane, a kind, the group index
@@ -97,7 +99,7 @@ var facts = [numEventKinds]Fact{
 }
 
 // instruments holds the rows no event backs: named Observer fields, each
-// with its own write site, and the tracer's own emit/drop totals.
+// written by one Note* method, and the tracer's own emit/drop totals.
 var instruments = []Fact{
 	{Metric: "stats_fingerprint_hits_total", Stats: "FingerprintHits", Help: "hash-first acceptance attempts whose fingerprint prefilter fell through to the deep compare",
 		bind: func(o *Observer, n string) { o.FingerprintHits = o.Reg.Counter(n) }},
@@ -120,6 +122,20 @@ var instruments = []Fact{
 	{Metric: "trace_events_dropped_total", Help: "events evicted by ring wrap-around (bounded-memory loss)",
 		bind: func(o *Observer, n string) { o.Reg.CounterFunc(n, o.Tracer.Dropped) }},
 }
+
+// byArg is the fact table's ByArg column as a bit per kind, so noteAt reads
+// one word instead of a row. The constant below stops the build once the
+// kinds outgrow the word.
+const _ = uint32(1 << (numEventKinds - 1))
+
+var byArg = func() (m uint32) {
+	for k, f := range facts {
+		if f.ByArg {
+			m |= 1 << k
+		}
+	}
+	return m
+}()
 
 // Fact returns the kind's row of the fact table (the zero Fact for a kind
 // outside it).
@@ -153,7 +169,8 @@ type Observer struct {
 	kind [numEventKinds]*Counter
 
 	// FingerprintHits, FingerprintMisses and SpecCommittedInputs are the
-	// counters no event backs.
+	// counters no event backs, written by NoteFingerprint and
+	// NoteSpecCommits.
 	FingerprintHits     *Counter
 	FingerprintMisses   *Counter
 	SpecCommittedInputs *Counter
@@ -161,11 +178,12 @@ type Observer struct {
 	// ValidationLatencyNS and RedosPerValidation get one observation per
 	// boundary whose validation started, so their Count is matches plus
 	// aborts minus the aborts a failed lane caused before any validation
-	// ran; RedosPerValidation's Sum is the redo counter.
+	// ran; RedosPerValidation's Sum is the redo counter. NoteValidation
+	// writes both.
 	ValidationLatencyNS *Histogram
 	RedosPerValidation  *Histogram
 	// RoundsPerGroup's Sum equals Stats.Rounds and its Count the number
-	// of groups the reservations protocol processed.
+	// of groups the reservations protocol processed; NoteRounds writes it.
 	RoundsPerGroup *Histogram
 	// QueueDepth observes the scheduler's per-deque depth after every
 	// push; QueueDepthPeak tracks the lifetime maximum.
@@ -174,7 +192,7 @@ type Observer struct {
 }
 
 // NewObserver builds an Observer with a Tracer of the given lane count and
-// per-lane capacity (zero values pick defaults) and a fresh Registry with
+// per-lane capacity (as NewTracer rounds them) and a fresh Registry with
 // every row of the fact table registered under its HELP line — the
 // tracer's emit/drop totals among them, as function-backed counters, so
 // ring overwrite is visible on every scrape.
@@ -222,11 +240,51 @@ func (o *Observer) note(lane int, kind EventKind, group int32, arg int64) {
 
 func (o *Observer) noteAt(lane int, ts int64, kind EventKind, group int32, arg int64) {
 	d := int64(1)
-	if facts[kind].ByArg {
+	if byArg>>kind&1 != 0 {
 		d = arg
 	}
 	o.kind[kind].Add(d)
 	o.Tracer.EmitAt(lane, ts, kind, group, arg)
+}
+
+// NoteValidation reports one validated group boundary: the nanoseconds it
+// took to resolve and the re-executions it attempted. It is the one write of
+// ValidationLatencyNS and RedosPerValidation; a nil Observer ignores it.
+func (o *Observer) NoteValidation(latencyNS int64, redos int) {
+	if o != nil {
+		o.ValidationLatencyNS.Observe(latencyNS)
+		o.RedosPerValidation.Observe(int64(redos))
+	}
+}
+
+// NoteSpecCommits reports inputs committed from a speculative execution: the
+// one write of SpecCommittedInputs. A nil Observer ignores it.
+func (o *Observer) NoteSpecCommits(inputs int) {
+	if o != nil {
+		o.SpecCommittedInputs.Add(int64(inputs))
+	}
+}
+
+// NoteFingerprint reports one hash-first acceptance attempt, a hit (it fell
+// through to the deep compare) or a miss (rejected without one): the one
+// write of FingerprintHits and FingerprintMisses. A nil Observer ignores it.
+func (o *Observer) NoteFingerprint(hit bool) {
+	if o == nil {
+		return
+	}
+	if hit {
+		o.FingerprintHits.Inc()
+	} else {
+		o.FingerprintMisses.Inc()
+	}
+}
+
+// NoteRounds reports the reserve/check/commit rounds one reservations group
+// needed: the one write of RoundsPerGroup. A nil Observer ignores it.
+func (o *Observer) NoteRounds(rounds int) {
+	if o != nil {
+		o.RoundsPerGroup.Observe(int64(rounds))
+	}
 }
 
 // Counts reads every event kind's counter.

@@ -169,6 +169,9 @@ const DefaultLaneCap = 4096
 // is the disabled fast path the engine relies on.
 type Tracer struct {
 	rings []tring
+	// mask is len(rings)-1: the ring count is a power of two, so a lane
+	// picks its ring with an and, not a division.
+	mask int
 }
 
 // epoch is the instant the trace clock counts from: one per process, so a
@@ -180,25 +183,28 @@ var epoch = time.Now()
 // trace epoch. Every Event.TS is a reading of it.
 func Now() int64 { return int64(time.Since(epoch)) }
 
-// NewTracer returns a tracer with the given number of lanes (rounded up to
-// 1) and per-lane capacity (rounded up to the next power of two;
-// non-positive means DefaultLaneCap).
+// NewTracer returns a tracer with the given number of lanes and per-lane
+// capacity, each rounded up to the next power of two (non-positive lanes
+// mean 1, a non-positive capacity DefaultLaneCap).
 func NewTracer(lanes, perLaneCap int) *Tracer {
-	if lanes < 1 {
-		lanes = 1
-	}
 	if perLaneCap <= 0 {
 		perLaneCap = DefaultLaneCap
 	}
-	capPow2 := 1
-	for capPow2 < perLaneCap {
-		capPow2 <<= 1
-	}
-	t := &Tracer{rings: make([]tring, lanes)}
+	lanes = pow2(lanes)
+	t := &Tracer{rings: make([]tring, lanes), mask: lanes - 1}
 	for i := range t.rings {
-		t.rings[i].slots = make([]tslot, capPow2)
+		t.rings[i].slots = make([]tslot, pow2(perLaneCap))
 	}
 	return t
+}
+
+// pow2 returns the smallest power of two at least n (1 for n < 1).
+func pow2(n int) int {
+	p := 1
+	for p < n {
+		p <<= 1
+	}
+	return p
 }
 
 // packMeta folds kind, lane and group into one word: kind in the top
@@ -231,12 +237,7 @@ func (t *Tracer) EmitAt(lane int, ts int64, kind EventKind, group int32, arg int
 	if t == nil {
 		return
 	}
-	n := len(t.rings)
-	idx := lane % n
-	if idx < 0 {
-		idx += n
-	}
-	r := &t.rings[idx]
+	r := &t.rings[lane&t.mask]
 	ticket, capacity := r.pos.Add(1)-1, uint64(len(r.slots))
 	s := &r.slots[ticket&(capacity-1)]
 	// Records of one slot are written strictly lap after lap: the one this

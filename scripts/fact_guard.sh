@@ -2,8 +2,9 @@
 # fact-guard: the engine and the pool report each fact through
 # obs.Observer.Note, so a kind's counter and its events cannot drift. Fail
 # if non-test code under internal/core or internal/pool emits a trace event
-# itself, or writes an Observer counter anywhere but frame.go's note*
-# methods (the home of the counters no event backs). The reader-side twin:
+# itself or adds to an Observer counter, or internal/core observes one of its
+# histograms: the instruments no event backs are written by the Observer's
+# own Note* methods, which frame.go's note* methods call. The reader-side twin:
 # internal/telemetry's SpanFolder.fold and LaneTasks are the only code that
 # turns the event log back into group lifecycles and task spans, so fail if
 # any other non-test file (bench/ is not ours to edit) switches on a group
@@ -90,19 +91,39 @@
 # tracked file under examples/, and if stats' non-test code imports the
 # simulator, the energy model, the back-end or the analysis passes
 # (internal/platform, internal/energy, internal/backend, internal/analysis).
+# The observer guard: internal/core reports every fact, event-backed or not,
+# through a nil-safe obs.Observer method (Note, NoteAt, NoteValidation,
+# NoteSpecCommits, NoteFingerprint, NoteRounds), so a disabled observer costs
+# the engine one inlined branch inside obs and no branch of its own; fail on
+# an observer nil check (o, .o or .Obs against nil) in its non-test code,
+# except runFrame.stamp and a guard whose block is one clock read: those skip
+# a reading that only events would carry.
 # Run via `make vet`.
 set -eu
 
 emits=$(grep -rn 'Tracer\.Emit(' internal/core internal/pool --include='*.go' |
     grep -v '_test\.go:' || true)
 writes=$(grep -rnE '\bo\.[A-Z][A-Za-z]*\.(Inc|Add)\(' internal/core internal/pool --include='*.go' |
-    grep -v -e '_test\.go:' -e '^internal/core/frame\.go:' || true)
-outside=$(awk '/^func /{fn=$0} /\.o\.[A-Z][A-Za-z]*\.(Inc|Add)\(/ && fn !~ /\) note[A-Z]/{print FILENAME": "$0}' \
-    internal/core/frame.go)
+    grep -v '_test\.go:' || true)
+observes=$(grep -rnE '\bo\.[A-Z][A-Za-z]*\.Observe\(' internal/core --include='*.go' | grep -v '_test\.go:' || true)
 
-if [ -n "$emits$writes$outside" ]; then
-    echo "fact-guard: report through obs.Observer.Note (or a runFrame.note* method):" >&2
-    printf '%s\n' "$emits" "$writes" "$outside" | grep . >&2
+if [ -n "$emits$writes$observes" ]; then
+    echo "fact-guard: report through obs.Observer.Note and its Note* methods (or a runFrame.note* method):" >&2
+    printf '%s\n' "$emits" "$writes" "$observes" | grep . >&2
+    exit 1
+fi
+
+observers=$(awk 'FNR==1{fn=""; state=0}
+    /^func /{fn=$0}
+    state == 1 {state = /^[[:space:]]*[A-Za-z_.]+ = [a-z]+\.now\(\)$/ ? 2 : 3}
+    state == 2 && !/= [a-z]+\.now\(\)$/ {state = /^[[:space:]]*}$/ ? 0 : 3}
+    state == 3 {print held; state=0}
+    /(^|[^A-Za-z0-9_])(o|Obs) [!=]= nil/ && $0 !~ /^[[:space:]]*\/\// &&
+        fn !~ /^func \(f \*runFrame\) stamp\(/ {held=FILENAME":"FNR": "$0; state=1}' \
+    $(ls internal/core/*.go | grep -v '_test\.go$'))
+if [ -n "$observers" ]; then
+    echo "fact-guard: internal/core reports through nil-safe obs.Observer methods; guard nothing on the observer but a clock read:" >&2
+    printf '%s\n' "$observers" >&2
     exit 1
 fi
 

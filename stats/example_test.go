@@ -56,7 +56,10 @@ func ExampleStateDependence() {
 		UseAux: true, GroupSize: 8, Window: 4, RedoMax: 2, Rollback: 2,
 		Workers: 4, Seed: 42,
 	})
-	sd.Start()
+	if err := sd.Start(); err != nil {
+		fmt.Println(err)
+		return
+	}
 	outputs, _, runStats := sd.Join()
 
 	fmt.Printf("outputs: %d\n", len(outputs))

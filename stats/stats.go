@@ -17,7 +17,9 @@
 //	sd.SetAuxiliary(auxCode)
 //	sd.SetStateOps(cloneState, matchAny)
 //	sd.Configure(stats.Options{UseAux: true, GroupSize: 8, Window: 2, RedoMax: 2, Rollback: 2, Workers: 8})
-//	sd.Start()
+//	if err := sd.Start(); err != nil {
+//		return err // ErrAlreadyStarted: a dependence runs once
+//	}
 //	outputs, final, runStats := sd.Join()
 //
 // The package's Example functions are the walkthroughs — the tracker above,
