@@ -6,12 +6,13 @@
 // exports are reproducible artifacts. A flag value it cannot run — -size or
 // -group below 1, a negative -workers, -window, -redo, -rollback or -repeat,
 // an unknown -workload or -protocol — exits 2 naming the value, before
-// anything runs.
+// anything runs. -protocol reservations speculates with or without -aux:
+// reservation rounds run no auxiliary code.
 //
 // Usage:
 //
 //	statsrun -workload bodytrack -size 32 -aux -group 8 -window 3 -redo 2 -rollback 2 -workers 8
-//	statsrun -workload swaptions -aux -protocol reservations   # deterministic reservations
+//	statsrun -workload swaptions -protocol reservations   # deterministic reservations
 //	statsrun -workload canneal            # the statically rejected benchmark
 //	statsrun -workload swaptions -aux -serve :8080 -repeat 0   # serve telemetry, run forever
 //	statsrun -list
@@ -50,13 +51,13 @@ func main() {
 	list := flag.Bool("list", false, "list benchmarks and exit")
 	size := flag.Int("size", workload.NativeSize, "input size (workload units)")
 	seed := flag.Uint64("seed", 1, "run seed (the nondeterminism)")
-	aux := flag.Bool("aux", false, "satisfy the state dependence with auxiliary code")
+	aux := flag.Bool("aux", false, "satisfy the state dependence with auxiliary code (-protocol reservations speculates without it)")
 	group := flag.Int("group", 8, "input group cardinality")
 	window := flag.Int("window", 2, "auxiliary-code input window")
 	redo := flag.Int("redo", 2, "max original-producer re-executions")
 	rollback := flag.Int("rollback", 2, "inputs to go back per re-execution")
 	workers := flag.Int("workers", 8, "runtime worker-pool width")
-	protocol := flag.String("protocol", "aux", "speculation protocol: aux (auxiliary code + validation) or reservations (deterministic reserve/check/commit rounds)")
+	protocol := flag.String("protocol", "aux", "speculation protocol: aux (auxiliary code + validation, with -aux) or reservations (deterministic reserve/check/commit rounds, no auxiliary code)")
 	serve := flag.String("serve", "", "serve HTTP telemetry at this address (e.g. :8080) during the run")
 	repeat := flag.Int("repeat", 1, "with -serve, how many times to run the workload (0 = until interrupted)")
 	pprofFlag := flag.Bool("pprof", false, "with -serve, also mount net/http/pprof under /debug/pprof/")
@@ -101,13 +102,14 @@ func main() {
 	}
 	d := w.Desc()
 	fmt.Printf("benchmark: %s (state dependences: %d)\n", d.Name, d.NumDeps)
-	if !d.SupportsSTATS && *aux {
+	speculate := *aux || proto == core.ProtocolReservations
+	if !d.SupportsSTATS && speculate {
 		fmt.Printf("STATS statically rejects this benchmark: %s\n", d.RejectReason)
 		fmt.Println("falling back to conventional execution")
 	}
 
 	so := workload.SpecOptions{
-		UseAux:    *aux,
+		UseAux:    speculate,
 		Protocol:  proto,
 		GroupSize: *group,
 		Window:    *window,

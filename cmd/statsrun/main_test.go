@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"os/exec"
 	"strings"
@@ -100,5 +101,25 @@ func TestExportSummaryGolden(t *testing.T) {
 	}
 	if got.String() != string(want) {
 		t.Fatalf("-export -summary output differs from testdata/summary.golden:\n%s\nwant:\n%s", got.String(), want)
+	}
+}
+
+// TestReservationsSpeculateWithoutAux checks that -protocol reservations runs
+// reservation rounds with or without -aux: the protocol has no auxiliary
+// code, and a run without -aux used to execute every input conventionally
+// and print 0 rounds for it.
+func TestReservationsSpeculateWithoutAux(t *testing.T) {
+	for _, aux := range [][]string{nil, {"-aux"}} {
+		args := append([]string{"-workload", "streamcluster", "-size", "64", "-workers", "2", "-protocol", "reservations"}, aux...)
+		out, errs, code := statsrun(t, args...)
+		rounds := 0
+		for _, line := range strings.Split(out, "\n") {
+			if rest, ok := strings.CutPrefix(line, "rounds / conflicts:"); ok {
+				fmt.Sscan(rest, &rounds)
+			}
+		}
+		if code != 0 || rounds == 0 {
+			t.Errorf("%v: exit %d, %d rounds, stderr %q; want exit 0 and rounds > 0:\n%s", args, code, rounds, errs, out)
+		}
 	}
 }

@@ -261,8 +261,8 @@ func auxRun(p *pool.Pool, n int, warm bool) func() {
 // reservationsRun is gatedRun under the reservations protocol on the
 // 8-slot state; the caller-owned initial state is part of the run's cost.
 // It is pinned to one lane, the fixed round shape its allocation ceiling is
-// set on: wider, the run's own fan-out measurements decide how many rounds
-// and streaks it makes.
+// set on: wider, the host's compute grain decides how many rounds and
+// streaks it makes.
 func reservationsRun(p *pool.Pool, warm bool) func() {
 	return gatedRun(p, 32, ProtocolReservations, 1, benchSlotDep,
 		func() []float64 { return make([]float64, 8) }, warm)

@@ -278,8 +278,9 @@ type Stats struct {
 	// footprint (0 unless Options.FootprintCheck is set).
 	FootprintViolations int
 	// ConventionalInputs counts inputs committed by the reservations
-	// protocol's conventional streaks: groups that followed one whose waves
-	// the run measured not worth fanning out, run in index order on one
+	// protocol's conventional streaks: groups that followed one none of
+	// whose waves overlapped more compute, at the run's least time per
+	// compute, than a fan-out's fixed price, run in index order on one
 	// clone of the committed state with no rounds. Reservation commits,
 	// ConventionalInputs and FallbackInputs add up to Inputs.
 	ConventionalInputs int

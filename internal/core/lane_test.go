@@ -273,38 +273,48 @@ func TestPanicFidelityOnTheCallersLane(t *testing.T) {
 	}
 }
 
-// TestFanOutPays pins the reservations fan-out rule on fixed readings, where
-// the end-to-end tests can only assert what holds for any measurement: until
-// three fan-outs have been measured a wave goes out and its group counts as
-// fanned by choice; after that the work a fan-out overlaps is compared with
-// the median of the last three costs, and a wave the comparison declines
-// still goes out — unmarked — when its ordinal is a power of two.
+// TestFanOutPays pins the reservations fan-out rule on fixed grains, where
+// the end-to-end tests can only assert what holds on the host's: a group
+// that began before any chunk was timed fans out and counts as fanned by
+// choice; after that a wave goes out when the winners beyond its largest
+// chunk, at the grain the group began with, cost more than fanOutPrice.
 func TestFanOutPays(t *testing.T) {
-	const w, chunks = 8, 2 // a fan-out overlaps the 4 winners beyond its largest chunk
 	for _, c := range []struct {
 		name             string
-		fanned, waves    int // before the call
-		costs            [3]int64
-		nsPerCompute     int64
+		grain            int64 // the group's, ns per compute
+		w, chunks        int
 		pays, wantChoice bool
 	}{
-		{"nothing measured", 0, 0, [3]int64{}, 1, true, true},
-		{"two measured", 2, 2, [3]int64{9e6, 9e6, 0}, 1, true, true},
-		{"cheap computes, dear fan-outs", 3, 4, [3]int64{20_000, 2_000, 200_000}, 100, false, false},
-		{"cheap computes, power-of-two ordinal", 3, 7, [3]int64{20_000, 2_000, 200_000}, 100, true, false},
-		{"median, not minimum", 3, 4, [3]int64{20_000, 2_000, 200_000}, 1_000, false, false},
-		{"median, not mean", 3, 4, [3]int64{20_000, 2_000, 200_000}, 6_000, true, true},
-		{"dear computes", 3, 4, [3]int64{20_000, 2_000, 200_000}, 50_000, true, true},
+		{"nothing timed", untimed, 8, 2, true, true},
+		{"cheap grain", 2_000, 8, 2, false, false},
+		{"dear grain", 100_000, 8, 2, true, true},
+		{"one winner beyond the largest chunk", fanOutPrice * 5 / 6, 3, 2, false, false},
+		{"four winners beyond the largest chunk", fanOutPrice * 5 / 6, 8, 2, true, true},
+		{"at the price", fanOutPrice / 4, 8, 2, false, false},
 	} {
-		r := &resvRun[int, []float64, float64]{
-			fanned: c.fanned, waves: c.waves, fanCosts: c.costs,
-			invocations: 10, laneNS: 10 * c.nsPerCompute,
+		r := &resvRun[int, []float64, float64]{groupGrain: c.grain}
+		if got := r.fanOutPays(c.w, c.chunks); got != c.pays || r.byChoice != c.wantChoice {
+			t.Errorf("%s: fanOutPays(%d, %d) = %v (byChoice %v), want %v (%v)", c.name, c.w, c.chunks, got, r.byChoice, c.pays, c.wantChoice)
 		}
-		if got := r.fanOutPays(w, chunks); got != c.pays || r.byChoice != c.wantChoice {
-			t.Errorf("%s: fanOutPays = %v (byChoice %v), want %v (%v)", c.name, got, r.byChoice, c.pays, c.wantChoice)
-		}
-		if r.waves != c.waves+1 {
-			t.Errorf("%s: the ruling was not counted: waves %d -> %d", c.name, c.waves, r.waves)
-		}
+	}
+
+	// The grain is the cheapest compute of any chunk: a preempted chunk
+	// cannot raise it, and one that computed nothing leaves it alone.
+	r := &resvRun[int, []float64, float64]{grain: untimed}
+	for _, w := range []laneWork{{2, 6_000, 2_500}, {2, 40_000_000, 19_000_000}, {0, 500, untimed}} {
+		r.file(w)
+	}
+	if r.grain != 2_500 || r.invocations != 4 || r.laneNS != 40_006_500 {
+		t.Fatalf("after a cheap, a preempted and an empty chunk: grain %d, invocations %d, laneNS %d; want 2500, 4, 40006500", r.grain, r.invocations, r.laneNS)
+	}
+	// A group is priced at the grain it began with: a chunk timed mid-group
+	// rules the next group, not the rest of this one.
+	r.groupGrain = untimed
+	if !r.fanOutPays(8, 2) {
+		t.Fatal("a group begun untimed declined once a chunk was timed")
+	}
+	r.byChoice, r.groupGrain = false, r.grain
+	if r.fanOutPays(8, 2) || r.byChoice {
+		t.Fatalf("a group begun at a %d ns grain fanned out 4 overlapped winners against a %d ns price", r.grain, fanOutPrice)
 	}
 }

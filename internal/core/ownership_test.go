@@ -101,8 +101,8 @@ func boxMatches() []boxMatch {
 // counts is what of a run's Stats is a function of its options alone: lane
 // nanoseconds and scheduler counters never are. With several lanes an aborting
 // aux run's squashed groups stop where the squash finds them, and a
-// reservations run fans out on its own measurements, so there the comparison
-// keeps only what those cannot move.
+// reservations run's shape follows the host's compute grain, so there the
+// comparison keeps only what those cannot move.
 func counts(st Stats, opts Options) Stats {
 	c := st
 	c.LaneCPUCommittedNS, c.LaneCPUWastedNS, c.Steals, c.LocalHits, c.QueueDepthPeak = 0, 0, 0, 0, 0

@@ -19,8 +19,7 @@
 // The lowest pending index always wins every slot it reserves, so each
 // round commits at least one input and the protocol terminates with no
 // aux code, no validation and no redo: sequential order is preserved by
-// construction, and the round structure is a pure function of the inputs
-// for the groups that run rounds.
+// construction.
 // Every input's random stream is pre-split on the coordinator in input
 // order and attempts receive value copies, so the outputs are
 // byte-identical to the sequential baseline — including under contained
@@ -29,8 +28,9 @@
 //
 // A round fans its winners out to the pool only when that can pay: a wave
 // of one chunk runs on the coordinator, and so does a wave whose winners
-// beyond the largest chunk — the work a fan-out overlaps — take less lane
-// time than a fan-out was measured to cost in this run (fanOutPays).
+// beyond the largest chunk — the work a fan-out overlaps — cost less, at the
+// run's least time per compute, than a fixed price (fanOutPays), so a run's
+// shape is a function of the seed, the options and the host's grain.
 //
 // A group none of whose waves the comparison sent to the pool ran as a
 // sequential program that still paid for footprints, a table, a snapshot
@@ -40,8 +40,8 @@
 // stays untouched as the streak's pre-image until the streak completes and
 // replaces it. The group after a streak runs the rounds again as the probe;
 // k starts at 1, doubles while the probes keep declining and returns to 1
-// when one fans out by choice, so a stream that becomes worth parallelising
-// is found again and a failure inside a streak — the run fails at that
+// when one fans out by choice, so a later group with waves wide enough to
+// pay is found again, and a failure inside a streak — the run fails at that
 // group, the whole streak pending — redoes no more than the run had done
 // before it (§4.6). A run under a sched.Controller (every wave fans out) or
 // the FootprintCheck oracle (every compute is checked) has no streaks.
@@ -49,6 +49,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -247,12 +248,12 @@ type resvRun[I, S, O any] struct {
 	failArg int64
 
 	// invocations, conflicts and laneNS are the coordinator's running
-	// counts over the rounds (streaks file their own, so fanOutPays prices
-	// a wave's compute) — compute calls, inputs that lost a slot, and
-	// nanoseconds chunks spent computing — the first and last folded in
-	// from each chunk's laneWork after its barrier. fpViolations, the slots
-	// the FootprintCheck oracle caught outside a declared footprint, is
-	// counted by the lanes themselves. Stats gets them when the run ends.
+	// counts over the rounds (streaks file their own) — compute calls,
+	// inputs that lost a slot, and nanoseconds chunks spent computing — the
+	// first and last folded in from each chunk's laneWork after its barrier.
+	// fpViolations, the slots the FootprintCheck oracle caught outside a
+	// declared footprint, is counted by the lanes themselves. Stats gets
+	// them when the run ends.
 	invocations, laneNS int64
 	conflicts           int
 	fpViolations        atomic.Int64
@@ -286,14 +287,12 @@ type resvRun[I, S, O any] struct {
 	waveWinners []int
 	waveChunks  int
 	waveWG      sync.WaitGroup
-	// waves counts the run's waves of more than one chunk that fanOutPays
-	// ruled on, fanned those of any width that went to the pool, and
-	// fanCosts holds what the last three of them cost.
-	waves, fanned int
-	fanCosts      [3]int64
-	// byChoice is whether a wave of the group in flight fanned out because
-	// the comparison said it pays — or before there was anything to compare.
-	byChoice bool
+	// grain is the least lane nanoseconds one compute of the run took
+	// (untimed before the first returned), groupGrain its value when the
+	// group in flight began — what fanOutPays prices the group's waves at —
+	// and byChoice whether a wave of that group went out because it pays.
+	grain, groupGrain int64
+	byChoice          bool
 
 	// Current group context: group index, group start input, and the
 	// 0-based round.
@@ -301,8 +300,9 @@ type resvRun[I, S, O any] struct {
 }
 
 // laneWork is what one chunk of a compute wave did: computes that
-// returned, and nanoseconds on its lane.
-type laneWork struct{ calls, ns int64 }
+// returned, nanoseconds on its lane, and the least of those one compute took
+// (untimed when none returned).
+type laneWork struct{ calls, ns, least int64 }
 
 // getResvRun fetches (or builds) a recycled reservations run state for d.
 func (d *Dependence[I, S, O]) getResvRun() *resvRun[I, S, O] {
@@ -369,7 +369,7 @@ func (d *Dependence[I, S, O]) runReservations(root *rng.Source, inputs []I, init
 	r.failArg = 0
 	r.invocations, r.laneNS, r.conflicts, r.committed = 0, 0, 0, 0
 	r.fpViolations.Store(0)
-	r.waves, r.fanned = 0, 0
+	r.grain = untimed
 
 	slots := 1
 	if d.reserve != nil {
@@ -423,7 +423,7 @@ func (d *Dependence[I, S, O]) runReservations(root *rng.Source, inputs []I, init
 func (r *resvRun[I, S, O]) runGroup(j int) ([]int, bool) {
 	start, end := r.bounds(j)
 	width := end - start
-	r.gj, r.gstart = j, start
+	r.gj, r.gstart, r.groupGrain = j, start, r.grain
 	pending := r.pendingRange(start, end)
 	r.fps = cleared(r.fps, width)
 	r.states = cleared(r.states, width)
@@ -674,53 +674,44 @@ func (r *resvRun[I, S, O]) computeWave(winners []int) {
 	}
 	r.waveWinners, r.waveChunks = winners, chunks
 	r.waveWG.Add(chunks)
-	started := r.now()
 	r.blocked(func() {
 		r.fanOut(r.waveTasks[:chunks])
 		r.waveWG.Wait()
 	})
-	wall := r.now() - started
-	var longest int64
 	for _, w := range r.waveDone[:chunks] {
 		r.file(w)
-		longest = max(longest, w.ns)
 	}
-	r.fanCosts[r.fanned%len(r.fanCosts)] = wall - longest
-	r.fanned++
 }
 
-// file folds one chunk's work into the run's counts.
+// file folds one chunk's work into the run's counts and its grain.
 func (r *resvRun[I, S, O]) file(w laneWork) {
 	r.invocations += w.calls
 	r.laneNS += w.ns
+	r.grain = min(r.grain, w.least)
 }
 
+// fanOutPrice is what a fan-out is taken to cost — waking the workers and
+// waiting out the barrier — set at least 2.5 times from every benchmarked
+// program's grain at 2 and 4 lanes on a 2-CPU host (stream kernels ≤ 5 µs,
+// swaptions ≥ 83 µs), so a seed's rulings do not move with the clock's
+// noise. untimed is the grain before any chunk returned.
+const (
+	fanOutPrice = 30_000 // ns
+	untimed     = math.MaxInt64
+)
+
 // fanOutPays decides whether a wave of w winners in chunks chunks goes to
-// the pool. A fan-out overlaps the winners beyond its largest chunk, at the
-// lane time per compute the run's waves have recorded so far; it costs what
-// the run's fanned-out waves were measured to (wall time minus the longest
-// chunk's lane time) — the median of the last three, because the cost is
-// bimodal: a wave that finds the workers still spinning after the previous
-// one costs a tenth of one that has to wake them, and a preempted one ten
-// times as much, so a minimum or a mean would each be ruled by the
-// exception. The first three waves of a run fan out to be measured, and
-// so does every wave whose ordinal is a power of two, so stale or unlucky
-// measurements cannot pin the rest of the run to the coordinator. A wave the
-// comparison sends out marks its group as fanned by choice, and so do the
-// first three — nothing says yet that their groups decline — but not one
-// that goes out only to be measured again.
+// the pool: when the winners beyond its largest chunk — the work a fan-out
+// overlaps — cost more than fanOutPrice at the group's grain, the least lane
+// time one compute took before the group began. A preempted compute cannot
+// raise a minimum, and a fresh worker's first computes, several times dearer
+// than its next, cannot price the rest of their group. A group begun with
+// nothing timed fans every wave out; a wave that goes out marks its group as
+// fanned by choice.
 func (r *resvRun[I, S, O]) fanOutPays(w, chunks int) bool {
-	r.waves++
-	if r.fanned < len(r.fanCosts) {
-		r.byChoice = true
-		return true
-	}
-	a, b, c := r.fanCosts[0], r.fanCosts[1], r.fanCosts[2]
-	typical := max(min(a, b), min(max(a, b), c))
-	overlapped := w - (w+chunks-1)/chunks
-	pays := int64(overlapped)*(r.laneNS/r.invocations) > typical
+	pays := r.groupGrain == untimed || int64(w-(w+chunks-1)/chunks)*r.groupGrain > fanOutPrice
 	r.byChoice = r.byChoice || pays
-	return pays || r.waves&(r.waves-1) == 0
+	return pays
 }
 
 // runStreak runs groups [j, last) conventionally: every input in index
@@ -803,11 +794,13 @@ func (r *resvRun[I, S, O]) waveTask(c int) {
 }
 
 // runChunk computes the chunk's winners in order, yielding on lane before
-// each. A compute panic is contained (failPanic, value and stack
-// recorded); once the run is failed, remaining work bails at its next
-// yield.
+// each and reading the clock after each for the chunk's cheapest compute. A
+// compute panic is contained (failPanic, value and stack recorded); once the
+// run is failed, remaining work bails at its next yield.
 func (r *resvRun[I, S, O]) runChunk(lane int, chunk []int) (w laneWork) {
 	started := r.now()
+	at := started
+	w.least = untimed
 	pe := contain(func() {
 		for _, i := range chunk {
 			r.yield(sched.PointReserveCheck, lane)
@@ -815,7 +808,8 @@ func (r *resvRun[I, S, O]) runChunk(lane int, chunk []int) (w laneWork) {
 				return
 			}
 			r.computeOne(lane, i)
-			w.calls++
+			now := r.now()
+			w.calls, w.least, at = w.calls+1, min(w.least, now-at), now
 		}
 	})
 	if pe != nil {

@@ -18,9 +18,9 @@
 //     EvConventional group (a streak's), never both and never neither.
 //
 // Each graph runs under a controller, where every group runs rounds, and
-// free at 1, 2 and 4 workers, where streaks replace the groups the run's own
-// measurements say cannot fan out; the claims hold for the groups that ran
-// rounds, and claim 6 over the whole run.
+// free at 1, 2 and 4 workers, where streaks follow the groups whose waves
+// the fan-out rule keeps on the coordinator; the claims hold for the groups
+// that ran rounds, and claim 6 over the whole run.
 package core_test
 
 import (
@@ -327,32 +327,35 @@ func oneChunkStreaks(groups int) []bool {
 	return conventional
 }
 
-// TestReservationGranularityRule pins what the run's own fan-out
-// measurements decide. The same inputs run with computes three orders of
+// TestReservationGranularityRule pins what the fan-out rule decides at the
+// ends of the grain scale. The same inputs run with computes three orders of
 // magnitude apart. At a millisecond (slept, so lanes overlap on any
 // GOMAXPROCS) every round of four winners goes to the pool and no group is
-// conventional. At well under a microsecond a fan-out cannot win its cost
-// back: after the waves that measure it the rounds run on the coordinator,
-// their groups decline, and most of the run is conventional streaks. With
-// one worker every wave has one chunk and the shape is fixed whatever the
-// compute costs. The groups that ran rounds ran the same rounds everywhere
-// — two of four winners per group of eight — and outputs and final state
-// equal the sequential run's.
+// conventional. At well under a microsecond the first group, begun before
+// anything was timed, fans both its rounds out; no later round overlaps
+// enough compute to pay, so the groups after it take the one-chunk shape,
+// and the run repeats its exact accounts call after call. With one worker
+// every wave has one chunk and the shape is fixed whatever the compute
+// costs. The groups that ran rounds ran the same rounds everywhere — two of
+// four winners per group of eight — and outputs and final state equal the
+// sequential run's.
 func TestReservationGranularityRule(t *testing.T) {
 	const k, g = 4, 8
 	slow := func(int) { time.Sleep(time.Millisecond) }
+	streakInputs := func(groups int) (n int) {
+		for _, conventional := range oneChunkStreaks(groups) {
+			if conventional {
+				n += g
+			}
+		}
+		return n
+	}
 	for _, c := range []struct {
 		name string
 		n    int
 		work func(int)
 	}{{"sub-microsecond", 1024, nil}, {"millisecond", 32, slow}} {
 		seqOuts, seqFinal, _ := modSlotRun(c.n, k, 0, nil)
-		oneChunk := 0
-		for _, conventional := range oneChunkStreaks(c.n / g) {
-			if conventional {
-				oneChunk += g
-			}
-		}
 		for _, workers := range []int{1, 2, 4} {
 			outs, final, st := modSlotRun(c.n, k, workers, c.work)
 			if !reflect.DeepEqual(outs, seqOuts) || !reflect.DeepEqual(final, seqFinal) {
@@ -365,13 +368,27 @@ func TestReservationGranularityRule(t *testing.T) {
 			}
 			tasks := st.Steals + st.LocalHits
 			switch {
-			case workers == 1 && (tasks != 0 || st.ConventionalInputs != oneChunk):
-				t.Fatalf("%s w=1: %d pool tasks and %d conventional inputs for one-chunk waves, want 0 and %d", c.name, tasks, st.ConventionalInputs, oneChunk)
-			case workers > 1 && c.work == nil && st.ConventionalInputs < c.n/2:
-				t.Fatalf("%s w=%d: %d of %d sub-microsecond inputs conventional, want most", c.name, workers, st.ConventionalInputs, c.n)
+			case workers == 1 && (tasks != 0 || st.ConventionalInputs != streakInputs(c.n/g)):
+				t.Fatalf("%s w=1: %d pool tasks and %d conventional inputs for one-chunk waves, want 0 and %d", c.name, tasks, st.ConventionalInputs, streakInputs(c.n/g))
+			case workers > 1 && c.work == nil && (tasks != int64(2*min(workers, k)) || st.ConventionalInputs != streakInputs(c.n/g-1)):
+				t.Fatalf("%s w=%d: %d pool tasks and %d conventional inputs, want group 0's two rounds fanned out (%d tasks) and the one-chunk shape after it (%d)", c.name, workers, tasks, st.ConventionalInputs, 2*min(workers, k), streakInputs(c.n/g-1))
 			case workers > 1 && c.work != nil && (st.ConventionalInputs != 0 || tasks != int64(rounds*min(workers, k))):
 				t.Fatalf("%s w=%d: %d conventional inputs and %d pool tasks, want none and every one of %d rounds fanned out %d wide", c.name, workers, st.ConventionalInputs, tasks, rounds, min(workers, k))
 			}
+			if workers == 1 || c.work != nil {
+				continue
+			}
+			for call := 1; call < 5; call++ {
+				if _, _, again := modSlotRun(c.n, k, workers, nil); runShape(again) != runShape(st) {
+					t.Fatalf("%s w=%d: call %d ran %v, call 0 %v", c.name, workers, call, runShape(again), runShape(st))
+				}
+			}
 		}
 	}
+}
+
+// runShape is a reservations run's accounts that the fan-out rule decides.
+func runShape(st core.Stats) [8]int64 {
+	return [8]int64{int64(st.Rounds), int64(st.ConventionalInputs), int64(st.ReservationConflicts), int64(st.SpeculativeCommits),
+		st.Invocations, st.UsefulInvocations, int64(st.FallbackInputs), st.Steals + st.LocalHits}
 }

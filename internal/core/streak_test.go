@@ -94,9 +94,9 @@ func TestStreakFailureSquashesTheStreak(t *testing.T) {
 }
 
 // TestFineGrainReservationsGoConventional: with computes far below a
-// fan-out's cost a two-worker run decides by its own measurements which
+// fan-out's price a two-worker run decides by the host's compute grain which
 // groups run as rounds and which as conventional streaks; whichever way they
-// come out on this host (the rule itself is pinned on fixed readings by
+// come out on this host (the rule itself is pinned on fixed grains by
 // TestFanOutPays) the run equals the sequential one and computes every input
 // once. The same run under the footprint oracle (every compute is checked)
 // or a controller (every wave fans out) has no streaks.

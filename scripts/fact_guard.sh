@@ -97,7 +97,11 @@
 # the engine one inlined branch inside obs and no branch of its own; fail on
 # an observer nil check (o, .o or .Obs against nil) in its non-test code,
 # except runFrame.stamp and a guard whose block is one clock read: those skip
-# a reading that only events would carry.
+# a reading that only events would carry. The fan-out-price guard: whether a
+# reservations wave goes to the pool is ruled from its winner count and the
+# run's least time per compute against one constant, fanOutPrice, so a seed
+# runs one shape; fail on a clock read inside the resvRun methods computeWave
+# and fanOutPays (the chunks time themselves, in runChunk).
 # Run via `make vet`.
 set -eu
 
@@ -147,6 +151,16 @@ clocks=$(grep -rnE 'time\.(Now|Since)\(' internal/core --include='*.go' | grep -
 if [ -n "$clocks" ]; then
     echo "fact-guard: internal/core reads the clock through runFrame.now only:" >&2
     printf '%s\n' "$clocks" >&2
+    exit 1
+fi
+
+waveclocks=$(awk 'FNR==1{fn=""} /^func /{fn=$0} /^}/{fn=""}
+    fn ~ /^func \(r \*resvRun\[[^]]*\]\) (computeWave|fanOutPays)\(/ &&
+        /(\.now|\.stamp|\.expired|obs\.Now|time\.Now)\(/ && $0 !~ /^[[:space:]]*\/\//{print FILENAME":"FNR": "$0}' \
+    internal/core/reservations.go)
+if [ -n "$waveclocks" ]; then
+    echo "fact-guard: a reservations wave fans out by its winner count and the run's grain against fanOutPrice; computeWave and fanOutPays read no clock:" >&2
+    printf '%s\n' "$waveclocks" >&2
     exit 1
 fi
 
