@@ -10,7 +10,8 @@
 //	statsexp -exp fig12 -quick   # scaled-down budgets (for smoke tests)
 //
 // -help lists the experiment IDs; -schedules sizes explore's per-row sweep.
-// An unknown -exp or -format exits 2 before any experiment runs.
+// An unknown -exp or -format, or a negative -schedules, exits 2 before any
+// experiment runs.
 package main
 
 import (
@@ -47,6 +48,10 @@ func main() {
 	}
 	if !slices.Contains(harness.Formats, *format) {
 		fmt.Fprintf(os.Stderr, "statsexp: unknown format %q (want one of %s)\n", *format, formats)
+		os.Exit(2)
+	}
+	if *schedules < 0 {
+		fmt.Fprintf(os.Stderr, "statsexp: -schedules %d: want at least 0\n", *schedules)
 		os.Exit(2)
 	}
 

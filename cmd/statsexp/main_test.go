@@ -75,9 +75,10 @@ func ids() string {
 	return s
 }
 
-// TestRefused checks that an unknown experiment or format exits 2 naming
-// what it refused, before any experiment prints a line. -exp ALL gets past
-// the ID check to the format's: "all" matches whatever its case too.
+// TestRefused checks that an unknown experiment or format, or a negative
+// schedule count, exits 2 naming what it refused, before any experiment
+// prints a line. -exp ALL gets past the ID check to the format's: "all"
+// matches whatever its case too.
 func TestRefused(t *testing.T) {
 	cases := []struct {
 		args []string
@@ -87,6 +88,7 @@ func TestRefused(t *testing.T) {
 		{[]string{"-exp", "all", "-format", "xml"}, `unknown format "xml"`},
 		{[]string{"-exp", "ALL", "-format", "xml"}, `unknown format "xml"`},
 		{[]string{"-exp", "fig99"}, `unknown experiment "fig99" (want one of ` + ids() + ")"},
+		{[]string{"-exp", "explore", "-schedules", "-3"}, `-schedules -3: want at least 0`},
 	}
 	for _, c := range cases {
 		out, errb, code := statsexp(t, append(c.args, "-quick")...)

@@ -127,13 +127,13 @@ func BenchmarkEngineControlledSched(b *testing.B) {
 
 // BenchmarkEngineReservations prices the deterministic-reservations
 // protocol on the same near-free compute as the aux benchmarks, in its
-// two shapes: whole-state (nil ReserveOps — one winner per round, so the run
-// alternates rounds with conventional streaks) and slotted (8 disjoint
-// slots, so rounds commit many winners and the reservation table earns its
-// keep). fine is the benchmark's shape — groups of 8 on two lanes of a
-// shared pool — where a fan-out cannot win its cost back and most of the run
-// goes conventional: read it against BenchmarkEngineSequential, the same
-// 1024 near-free inputs run plainly.
+// two shapes: whole-state (nil ReserveOps — one winner per round, so only
+// group 0 runs rounds and the rest is the conventional tail) and slotted
+// (8 disjoint slots, so rounds commit many winners and the reservation table
+// earns its keep). fine is the benchmark's shape — groups of 8 on two lanes
+// of a shared pool — where a fan-out cannot win its cost back and every group
+// after the first goes conventional: read it against
+// BenchmarkEngineSequential, the same 1024 near-free inputs run plainly.
 func BenchmarkEngineReservations(b *testing.B) {
 	inputs := benchInputs(1024)
 	opts := Options{
@@ -261,8 +261,8 @@ func auxRun(p *pool.Pool, n int, warm bool) func() {
 // reservationsRun is gatedRun under the reservations protocol on the
 // 8-slot state; the caller-owned initial state is part of the run's cost.
 // It is pinned to one lane, the fixed round shape its allocation ceiling is
-// set on: wider, the host's compute grain decides how many rounds and
-// streaks it makes.
+// set on: wider, the host's compute grain decides where its rounds end and
+// its conventional tail begins.
 func reservationsRun(p *pool.Pool, warm bool) func() {
 	return gatedRun(p, 32, ProtocolReservations, 1, benchSlotDep,
 		func() []float64 { return make([]float64, 8) }, warm)

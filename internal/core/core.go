@@ -278,11 +278,11 @@ type Stats struct {
 	// footprint (0 unless Options.FootprintCheck is set).
 	FootprintViolations int
 	// ConventionalInputs counts inputs committed by the reservations
-	// protocol's conventional streaks: groups that followed one none of
-	// whose waves overlapped more compute, at the run's least time per
-	// compute, than a fan-out's fixed price, run in index order on one
-	// clone of the committed state with no rounds. Reservation commits,
-	// ConventionalInputs and FallbackInputs add up to Inputs.
+	// protocol's conventional tail: from the first group whose widest wave
+	// would overlap less compute, at the run's least time per compute, than
+	// a fan-out's fixed price, the groups run in index order, in streaks on
+	// one clone of the committed state each, with no rounds. Reservation
+	// commits, ConventionalInputs and FallbackInputs add up to Inputs.
 	ConventionalInputs int
 
 	// LaneCPUCommittedNS and LaneCPUWastedNS split the run's lane

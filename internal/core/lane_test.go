@@ -273,48 +273,56 @@ func TestPanicFidelityOnTheCallersLane(t *testing.T) {
 	}
 }
 
-// TestFanOutPays pins the reservations fan-out rule on fixed grains, where
+// TestRoundsPay pins the reservations group ruling on fixed grains, where
 // the end-to-end tests can only assert what holds on the host's: a group
-// that began before any chunk was timed fans out and counts as fanned by
-// choice; after that a wave goes out when the winners beyond its largest
-// chunk, at the grain the group began with, cost more than fanOutPrice.
-func TestFanOutPays(t *testing.T) {
+// ruled before any chunk was timed runs rounds; after that it does when the
+// winners beyond the largest chunk of its widest possible wave — bounded by
+// its width, the slot count and the lanes — cost more than fanOutPrice at the
+// run's grain.
+func TestRoundsPay(t *testing.T) {
+	// 19 inputs in groups of 8: groups 0 and 1 are 8 wide, group 2 is 3.
 	for _, c := range []struct {
-		name             string
-		grain            int64 // the group's, ns per compute
-		w, chunks        int
-		pays, wantChoice bool
+		name         string
+		grain        int64 // ns per compute
+		lanes, slots int
+		group        int
+		pays         bool
 	}{
-		{"nothing timed", untimed, 8, 2, true, true},
-		{"cheap grain", 2_000, 8, 2, false, false},
-		{"dear grain", 100_000, 8, 2, true, true},
-		{"one winner beyond the largest chunk", fanOutPrice * 5 / 6, 3, 2, false, false},
-		{"four winners beyond the largest chunk", fanOutPrice * 5 / 6, 8, 2, true, true},
-		{"at the price", fanOutPrice / 4, 8, 2, false, false},
+		{"nothing timed", untimed, 2, 64, 0, true},
+		{"nothing timed, one lane", untimed, 1, 64, 0, true},
+		{"cheap grain", 2_000, 2, 64, 0, false},
+		{"dear grain", 100_000, 2, 64, 0, true},
+		{"dear grain, one lane", 100_000_000, 1, 64, 0, false},
+		{"dear grain, whole-state slot", 100_000_000, 4, 1, 0, false},
+		{"two slots bound the wave", fanOutPrice * 5 / 6, 2, 2, 0, false},
+		{"four winners beyond the largest chunk", fanOutPrice * 5 / 6, 2, 64, 1, true},
+		{"narrower last group", fanOutPrice * 5 / 6, 2, 64, 2, false},
+		{"at the price", fanOutPrice / 4, 2, 64, 0, false},
 	} {
-		r := &resvRun[int, []float64, float64]{groupGrain: c.grain}
-		if got := r.fanOutPays(c.w, c.chunks); got != c.pays || r.byChoice != c.wantChoice {
-			t.Errorf("%s: fanOutPays(%d, %d) = %v (byChoice %v), want %v (%v)", c.name, c.w, c.chunks, got, r.byChoice, c.pays, c.wantChoice)
+		r := &resvRun[int, []float64, float64]{
+			runFrame: runFrame{n: 19, g: 8, numGroups: 3, lanes: c.lanes},
+			table:    make([]int64, c.slots),
+			grain:    c.grain,
+		}
+		if got := r.roundsPay(c.group); got != c.pays {
+			t.Errorf("%s: roundsPay(%d) = %v, want %v", c.name, c.group, got, c.pays)
 		}
 	}
 
 	// The grain is the cheapest compute of any chunk: a preempted chunk
 	// cannot raise it, and one that computed nothing leaves it alone.
-	r := &resvRun[int, []float64, float64]{grain: untimed}
+	r := &resvRun[int, []float64, float64]{
+		runFrame: runFrame{n: 16, g: 8, numGroups: 2, lanes: 2},
+		table:    make([]int64, 64),
+		grain:    untimed,
+	}
 	for _, w := range []laneWork{{2, 6_000, 2_500}, {2, 40_000_000, 19_000_000}, {0, 500, untimed}} {
 		r.file(w)
 	}
 	if r.grain != 2_500 || r.invocations != 4 || r.laneNS != 40_006_500 {
 		t.Fatalf("after a cheap, a preempted and an empty chunk: grain %d, invocations %d, laneNS %d; want 2500, 4, 40006500", r.grain, r.invocations, r.laneNS)
 	}
-	// A group is priced at the grain it began with: a chunk timed mid-group
-	// rules the next group, not the rest of this one.
-	r.groupGrain = untimed
-	if !r.fanOutPays(8, 2) {
-		t.Fatal("a group begun untimed declined once a chunk was timed")
-	}
-	r.byChoice, r.groupGrain = false, r.grain
-	if r.fanOutPays(8, 2) || r.byChoice {
-		t.Fatalf("a group begun at a %d ns grain fanned out 4 overlapped winners against a %d ns price", r.grain, fanOutPrice)
+	if r.roundsPay(1) {
+		t.Fatalf("a group ruled at a %d ns grain ran rounds for 4 overlapped winners against a %d ns price", r.grain, fanOutPrice)
 	}
 }

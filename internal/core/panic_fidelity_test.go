@@ -117,9 +117,10 @@ func TestPanicFidelityRedo(t *testing.T) {
 }
 
 // The whole-state dependence of the reservations scenarios commits one
-// winner per round, so no wave fans out and the run's shape is fixed: of the
-// four groups of four, 0 and 2 run rounds and 1 and 3 are conventional
-// streaks. Input 2 panics in a wave, input 5 in a streak.
+// winner per round, so no group after the first pays for rounds and the
+// run's shape is fixed: of the four groups of four, 0 runs rounds, 1 is a
+// conventional streak and 2–3 the next. Input 2 panics in a wave, input 5 in
+// a streak.
 func TestPanicFidelityReservationsCompute(t *testing.T) {
 	var fired atomic.Bool
 	compute := func(r *rng.Source, in int, s walkState) (int, walkState) {
@@ -170,13 +171,13 @@ func TestPanicFidelityReservationsNumSlots(t *testing.T) {
 }
 
 func TestPanicFidelityReservationsFootprint(t *testing.T) {
-	var fired atomic.Bool
+	var evals atomic.Int32
 	d := New(deterministicCompute, nil, walkOps()).WithReserve(ReserveOps[int, walkState]{
 		NumSlots: func(walkState) int { return 1 },
 		Footprint: func(in int, _ walkState) []int {
-			// Group 2, the probe after the first streak: a streak
-			// evaluates no footprint.
-			if in == 10 && fired.CompareAndSwap(false, true) {
+			// Group 0, the one group that runs rounds (a streak evaluates
+			// no footprint), in its second round: after input 0 committed.
+			if in == 3 && evals.Add(1) == 2 {
 				panic("footprint boom")
 			}
 			return []int{0}

@@ -131,8 +131,8 @@ func noisySlotCompute(r *rng.Source, in slotInput, s []float64) (float64, []floa
 // resvLegs are the two ways the differential tests pin a reservations run.
 // Under a controller every wave fans out, so every group runs rounds and the
 // round structure is a pure function of the inputs: the leg that pins the
-// protocol. Free, a group whose waves were not worth fanning out is followed
-// by a conventional streak: the leg that pins the run as users see it.
+// protocol. Free, the first group whose rounds would not pay starts the
+// conventional tail: the leg that pins the run as users see it.
 func resvLegs(seed uint64) map[string]sched.Controller {
 	return map[string]sched.Controller{"controlled": sched.NewRandom(seed), "free": nil}
 }
@@ -191,8 +191,8 @@ func TestProtocolTriangleSynthetic(t *testing.T) {
 					t.Fatalf("%s: %d rounds for %d groups, %d conventional inputs — protocol did not run",
 						name, resvSt.Rounds, resvSt.Groups, resvSt.ConventionalInputs)
 				}
-				// One chunk per wave: group 0 runs rounds, group 1 is the
-				// first streak.
+				// One lane: group 0, ruled before anything was timed, runs
+				// rounds; no later group pays, so group 1 starts the tail.
 				if ctl == nil && cfg.workers == 1 && (resvSt.Rounds == 0 || resvSt.ConventionalInputs < cfg.g) {
 					t.Fatalf("%s: %d rounds, %d conventional inputs — want rounds and streaks",
 						name, resvSt.Rounds, resvSt.ConventionalInputs)
@@ -255,9 +255,9 @@ func TestWholeStateReservations(t *testing.T) {
 	seqOuts, seqFinal, _ := seq.Run(inputs, make([]float64, k), core.Options{Seed: 99})
 
 	// One commit per round: under a controller every group of g inputs needs
-	// exactly g rounds. Free, a round of one winner never fans out, so the
-	// shape is fixed too: of the six groups 0, 2 and 5 run rounds and 1, 3
-	// and 4 are the streaks between them.
+	// exactly g rounds. Free, one slot bounds every wave at one winner, so
+	// once anything is timed no group pays and the shape is fixed too: group
+	// 0 runs rounds and groups 1 to 5 are the conventional tail.
 	for leg, ctl := range resvLegs(99) {
 		resv := core.New(noisySlotCompute, nil, slottedOps())
 		outs, final, st := resv.Run(inputs, make([]float64, k), core.Options{
@@ -269,7 +269,7 @@ func TestWholeStateReservations(t *testing.T) {
 		}
 		wantRounds, wantConventional := len(inputs), 0
 		if ctl == nil {
-			wantRounds, wantConventional = 24, 24
+			wantRounds, wantConventional = 8, 40
 		}
 		if st.Rounds != wantRounds || st.ConventionalInputs != wantConventional || st.SpeculativeCommits != 0 {
 			t.Fatalf("%s: rounds %d, conventional inputs %d, want %d and %d (one commit per round)",

@@ -26,25 +26,23 @@
 // panics, deadlines and breaker denials — as long as the footprint
 // contract holds (see ReserveOps).
 //
-// A round fans its winners out to the pool only when that can pay: a wave
-// of one chunk runs on the coordinator, and so does a wave whose winners
-// beyond the largest chunk — the work a fan-out overlaps — cost less, at the
-// run's least time per compute, than a fixed price (fanOutPays), so a run's
-// shape is a function of the seed, the options and the host's grain.
+// A group runs rounds only when that can pay, ruled once before its first
+// round (roundsPay): when the winners beyond the largest chunk of its widest
+// possible wave — the work a fan-out overlaps — cost more, at the run's least
+// time per compute, than a fixed price, so a run's shape is a function of the
+// seed, the options and the host's grain. Inside such a group every wave of
+// more than one chunk goes to the pool.
 //
-// A group none of whose waves the comparison sent to the pool ran as a
-// sequential program that still paid for footprints, a table, a snapshot
-// per winner and a merge per round. It is followed by a conventional streak
-// (runStreak): the next k groups' inputs run in index order, with their
-// pre-split sources, in place on one Clone of the committed state, which
-// stays untouched as the streak's pre-image until the streak completes and
-// replaces it. The group after a streak runs the rounds again as the probe;
-// k starts at 1, doubles while the probes keep declining and returns to 1
-// when one fans out by choice, so a later group with waves wide enough to
-// pay is found again, and a failure inside a streak — the run fails at that
-// group, the whole streak pending — redoes no more than the run had done
-// before it (§4.6). A run under a sched.Controller (every wave fans out) or
-// the FootprintCheck oracle (every compute is checked) has no streaks.
+// The first group that does not pay starts the run's conventional tail: the
+// groups from it to the end run in streaks (runStreak) of k = 1, 2, 4, …
+// groups, each streak's inputs in index order, with their pre-split sources,
+// in place on one Clone of the committed state, which stays untouched as the
+// streak's pre-image until the streak completes and replaces it. The grain
+// only falls and no later group is wider, so no later group would pay; and a
+// failure inside a streak — the run fails at that group, the whole streak
+// pending — redoes no more than the run had done before it (§4.6). A run
+// under a sched.Controller or the FootprintCheck oracle runs every group's
+// rounds and has no tail.
 package core
 
 import (
@@ -288,11 +286,8 @@ type resvRun[I, S, O any] struct {
 	waveChunks  int
 	waveWG      sync.WaitGroup
 	// grain is the least lane nanoseconds one compute of the run took
-	// (untimed before the first returned), groupGrain its value when the
-	// group in flight began — what fanOutPays prices the group's waves at —
-	// and byChoice whether a wave of that group went out because it pays.
-	grain, groupGrain int64
-	byChoice          bool
+	// (untimed before the first returned): what roundsPay prices a group at.
+	grain int64
 
 	// Current group context: group index, group start input, and the
 	// 0-based round.
@@ -391,25 +386,20 @@ func (d *Dependence[I, S, O]) runReservations(root *rng.Source, inputs []I, init
 
 	r.lease(opts, r.lanes)
 	defer r.finish()
-	// A group that declined to fan out is followed by a streak of k groups,
-	// then the next group probes.
-	streaks := r.ctl == nil && !opts.FootprintCheck
-	for j, k := 0, 1; j < r.numGroups; {
-		r.byChoice = false
-		if pending, ok := r.runGroup(j); !ok {
+	// Groups run rounds while they pay (always under a controller or the
+	// oracle); the first that does not starts the conventional tail, in
+	// streaks of 1, 2, 4, … groups.
+	always := r.ctl != nil || opts.FootprintCheck
+	ok, j := true, 0
+	for ; ok && j < r.numGroups && (always || r.roundsPay(j)); j++ {
+		var pending []int
+		if pending, ok = r.runGroup(j); !ok {
 			r.abort(j, j, pending)
-			break
 		}
-		j++
-		if r.byChoice {
-			k = 1
-		} else if streaks && j < r.numGroups {
-			last := min(j+k, r.numGroups)
-			if !r.runStreak(j, last) {
-				break
-			}
-			j, k = last, 2*k
-		}
+	}
+	for k := 1; ok && j < r.numGroups; k *= 2 {
+		last := min(j+k, r.numGroups)
+		ok, j = r.runStreak(j, last), last
 	}
 	st.Invocations += r.invocations
 	st.UsefulInvocations += int64(r.committed)
@@ -423,7 +413,7 @@ func (d *Dependence[I, S, O]) runReservations(root *rng.Source, inputs []I, init
 func (r *resvRun[I, S, O]) runGroup(j int) ([]int, bool) {
 	start, end := r.bounds(j)
 	width := end - start
-	r.gj, r.gstart, r.groupGrain = j, start, r.grain
+	r.gj, r.gstart = j, start
 	pending := r.pendingRange(start, end)
 	r.fps = cleared(r.fps, width)
 	r.states = cleared(r.states, width)
@@ -654,9 +644,8 @@ func (r *resvRun[I, S, O]) commitRound(winners []int) bool {
 }
 
 // computeWave runs the round's compute phase: the winners in at most
-// r.lanes even chunks, one pool task each — or, without a controller, as
-// one chunk on the coordinator when there is only one or fanOutPays says
-// the pool cannot win its cost back. The coordinator steps out of the
+// r.lanes even chunks, one pool task each — or, without a controller, on the
+// coordinator when there is only one chunk. The coordinator steps out of the
 // schedule around the submit-and-wait (unqueued tasks run inline on it,
 // yielding on their own lanes). The chunk tasks are recycled slots created
 // once per chunk index and reused across waves, groups and runs; the wave's
@@ -664,7 +653,7 @@ func (r *resvRun[I, S, O]) commitRound(winners []int) bool {
 // SubmitBatch and fenced from the next wave by the waveWG barrier.
 func (r *resvRun[I, S, O]) computeWave(winners []int) {
 	chunks := min(r.lanes, len(winners))
-	if r.ctl == nil && (chunks == 1 || !r.fanOutPays(len(winners), chunks)) {
+	if r.ctl == nil && chunks == 1 {
 		r.file(r.runChunk(r.lane, winners))
 		return
 	}
@@ -700,18 +689,19 @@ const (
 	untimed     = math.MaxInt64
 )
 
-// fanOutPays decides whether a wave of w winners in chunks chunks goes to
-// the pool: when the winners beyond its largest chunk — the work a fan-out
-// overlaps — cost more than fanOutPrice at the group's grain, the least lane
-// time one compute took before the group began. A preempted compute cannot
-// raise a minimum, and a fresh worker's first computes, several times dearer
-// than its next, cannot price the rest of their group. A group begun with
-// nothing timed fans every wave out; a wave that goes out marks its group as
-// fanned by choice.
-func (r *resvRun[I, S, O]) fanOutPays(w, chunks int) bool {
-	pays := r.groupGrain == untimed || int64(w-(w+chunks-1)/chunks)*r.groupGrain > fanOutPrice
-	r.byChoice = r.byChoice || pays
-	return pays
+// roundsPay rules, before its first round, whether group j runs rounds: when
+// nothing is timed yet, or when the winners beyond the largest chunk of its
+// widest possible wave — the work a fan-out overlaps — cost more than
+// fanOutPrice at the run's grain. That wave holds at most the group's width
+// and the slot count (a wave's winners hold disjoint slots) in at most
+// r.lanes chunks. A preempted compute cannot raise the grain, and neither the
+// grain nor a later group's width can grow, so once a group declines no later
+// one would pay.
+func (r *resvRun[I, S, O]) roundsPay(j int) bool {
+	start, end := r.bounds(j)
+	w := min(end-start, len(r.table))
+	chunks := min(r.lanes, w)
+	return r.grain == untimed || int64(w-(w+chunks-1)/chunks)*r.grain > fanOutPrice
 }
 
 // runStreak runs groups [j, last) conventionally: every input in index

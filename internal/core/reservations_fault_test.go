@@ -61,7 +61,9 @@ func TestReservationMergePanicFallsBack(t *testing.T) {
 func TestReservationFootprintViolationFallsBack(t *testing.T) {
 	ops := slottedReserve()
 	ops.Footprint = func(in slotInput, _ []float64) []int {
-		if in.Val > 20 {
+		// Input 6, in group 0: the one group whose rounds pay at these
+		// computes' grain (a streak evaluates no footprint).
+		if in.Val > 6 {
 			return []int{999} // out of range: contract violation
 		}
 		return []int{in.Slot}

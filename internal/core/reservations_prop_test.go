@@ -280,6 +280,9 @@ func modSlotRun(n, k, workers int, work func(i int)) ([]float64, []float64, core
 // group of 8 has winners 0..3 and losers 4..7; every compute of that round
 // blocks until two computes have begun, so the run finishes only if two
 // lanes each got a winner. Chunking the pending set hands lane 0 all four.
+// The run is that group, ruled before anything was timed, and one input more:
+// a group one input wide cannot pay for rounds, so the shape is two rounds
+// and one conventional input whatever the host's grain.
 func TestRoundWinnersSpreadAcrossLanes(t *testing.T) {
 	var begun atomic.Int32
 	two := make(chan struct{})
@@ -289,7 +292,7 @@ func TestRoundWinnersSpreadAcrossLanes(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		outs, final, st := modSlotRun(16, 4, 2, func(i int) {
+		outs, final, st := modSlotRun(9, 4, 2, func(i int) {
 			if i < 4 {
 				if begun.Add(1) == 2 {
 					close(two)
@@ -301,11 +304,11 @@ func TestRoundWinnersSpreadAcrossLanes(t *testing.T) {
 	}()
 	select {
 	case r := <-done:
-		seqOuts, seqFinal, _ := modSlotRun(16, 4, 0, nil)
+		seqOuts, seqFinal, _ := modSlotRun(9, 4, 0, nil)
 		if !reflect.DeepEqual(r.outs, seqOuts) || !reflect.DeepEqual(r.final, seqFinal) {
 			t.Fatal("reservations diverged from sequential")
 		}
-		if r.st.Rounds != 4 || r.st.Aborts != 0 {
+		if r.st.Rounds != 2 || r.st.ConventionalInputs != 1 || r.st.Aborts != 0 {
 			t.Fatalf("not a clean reservations run: %+v", r.st)
 		}
 	case <-time.After(30 * time.Second):
@@ -313,43 +316,20 @@ func TestRoundWinnersSpreadAcrossLanes(t *testing.T) {
 	}
 }
 
-// oneChunkStreaks reports which of a run's groups are conventional when
-// every wave has one chunk (one worker, or one winner per round), so that
-// every group that runs rounds declines: group 0 runs rounds, then streaks of
-// 1, 2, 4, ... groups alternate with one probing group each.
-func oneChunkStreaks(groups int) []bool {
-	conventional := make([]bool, groups)
-	for j, k := 1, 1; j < groups; j, k = j+k+1, 2*k {
-		for s := j; s < min(j+k, groups); s++ {
-			conventional[s] = true
-		}
-	}
-	return conventional
-}
-
-// TestReservationGranularityRule pins what the fan-out rule decides at the
+// TestReservationGranularityRule pins what the group ruling decides at the
 // ends of the grain scale. The same inputs run with computes three orders of
 // magnitude apart. At a millisecond (slept, so lanes overlap on any
-// GOMAXPROCS) every round of four winners goes to the pool and no group is
-// conventional. At well under a microsecond the first group, begun before
-// anything was timed, fans both its rounds out; no later round overlaps
-// enough compute to pay, so the groups after it take the one-chunk shape,
-// and the run repeats its exact accounts call after call. With one worker
-// every wave has one chunk and the shape is fixed whatever the compute
-// costs. The groups that ran rounds ran the same rounds everywhere — two of
-// four winners per group of eight — and outputs and final state equal the
-// sequential run's.
+// GOMAXPROCS) every group's rounds pay, every round of four winners goes to
+// the pool and no group is conventional. At well under a microsecond only
+// group 0, ruled before anything was timed, runs rounds — both fanned out —
+// and every group after it is the conventional tail; the run repeats its
+// exact accounts call after call. With one worker no group pays once anything
+// is timed, so the shape is the same whatever the compute costs. The groups
+// that ran rounds ran the same rounds everywhere — two of four winners per
+// group of eight — and outputs and final state equal the sequential run's.
 func TestReservationGranularityRule(t *testing.T) {
 	const k, g = 4, 8
 	slow := func(int) { time.Sleep(time.Millisecond) }
-	streakInputs := func(groups int) (n int) {
-		for _, conventional := range oneChunkStreaks(groups) {
-			if conventional {
-				n += g
-			}
-		}
-		return n
-	}
 	for _, c := range []struct {
 		name string
 		n    int
@@ -368,10 +348,10 @@ func TestReservationGranularityRule(t *testing.T) {
 			}
 			tasks := st.Steals + st.LocalHits
 			switch {
-			case workers == 1 && (tasks != 0 || st.ConventionalInputs != streakInputs(c.n/g)):
-				t.Fatalf("%s w=1: %d pool tasks and %d conventional inputs for one-chunk waves, want 0 and %d", c.name, tasks, st.ConventionalInputs, streakInputs(c.n/g))
-			case workers > 1 && c.work == nil && (tasks != int64(2*min(workers, k)) || st.ConventionalInputs != streakInputs(c.n/g-1)):
-				t.Fatalf("%s w=%d: %d pool tasks and %d conventional inputs, want group 0's two rounds fanned out (%d tasks) and the one-chunk shape after it (%d)", c.name, workers, tasks, st.ConventionalInputs, 2*min(workers, k), streakInputs(c.n/g-1))
+			case workers == 1 && (tasks != 0 || st.ConventionalInputs != c.n-g):
+				t.Fatalf("%s w=1: %d pool tasks and %d conventional inputs for one lane, want 0 and %d", c.name, tasks, st.ConventionalInputs, c.n-g)
+			case workers > 1 && c.work == nil && (tasks != int64(2*min(workers, k)) || st.ConventionalInputs != c.n-g):
+				t.Fatalf("%s w=%d: %d pool tasks and %d conventional inputs, want group 0's two rounds fanned out (%d tasks) and every group after it conventional (%d)", c.name, workers, tasks, st.ConventionalInputs, 2*min(workers, k), c.n-g)
 			case workers > 1 && c.work != nil && (st.ConventionalInputs != 0 || tasks != int64(rounds*min(workers, k))):
 				t.Fatalf("%s w=%d: %d conventional inputs and %d pool tasks, want none and every one of %d rounds fanned out %d wide", c.name, workers, st.ConventionalInputs, tasks, rounds, min(workers, k))
 			}
@@ -387,7 +367,7 @@ func TestReservationGranularityRule(t *testing.T) {
 	}
 }
 
-// runShape is a reservations run's accounts that the fan-out rule decides.
+// runShape is a reservations run's accounts that the group ruling decides.
 func runShape(st core.Stats) [8]int64 {
 	return [8]int64{int64(st.Rounds), int64(st.ConventionalInputs), int64(st.ReservationConflicts), int64(st.SpeculativeCommits),
 		st.Invocations, st.UsefulInvocations, int64(st.FallbackInputs), st.Steals + st.LocalHits}

@@ -1,7 +1,8 @@
-// Tests of the reservations protocol's conventional streaks (runStreak): the
-// groups that follow one whose waves were not worth fanning out run in index
-// order on one clone of the committed state. With one worker every wave has
-// one chunk, so the shape is fixed (oneChunkStreaks) and a failure can be
+// Tests of the reservations protocol's conventional streaks (runStreak): from
+// the first group whose rounds would not pay, the groups run in streaks of 1,
+// 2, 4, … in index order, each on one clone of the committed state. With one
+// worker no group pays once anything is timed, so the shape is fixed — group
+// 0 runs rounds, then streaks of groups 1, 2–3, 4–7, … — and a failure can be
 // placed inside a streak.
 package core_test
 
@@ -20,7 +21,7 @@ import (
 )
 
 // TestStreakFailureSquashesTheStreak fails a run inside its second streak
-// (groups 3 and 4 of twelve), in group 4 — after group 3 has streamed — by a
+// (groups 2 and 3 of twelve), in group 3 — after group 2 has streamed — by a
 // compute that writes its slot in place and then panics once, and by one that
 // then sleeps past the group deadline once. Nothing of a streak is committed
 // before it completes, so the whole streak is squashed with everything after
@@ -29,7 +30,7 @@ import (
 // only the first streak's group counts as conventional.
 func TestStreakFailureSquashesTheStreak(t *testing.T) {
 	const n, k, g = 96, 4, 8
-	const streakStart, failAt = 3 * g, 4*g + 3
+	const streakStart, failAt = 2 * g, 3*g + 3
 	slotsOf := func(in int) []int { return []int{in % k} }
 	fresh := func() [][]float64 { return [][]float64{{1}, {2}, {3}, {4}} }
 	ops, reserve := core.SlotOps(slotsOf, slices.Clone[[]float64], nil)
@@ -77,10 +78,10 @@ func TestStreakFailureSquashesTheStreak(t *testing.T) {
 		}
 		// A squash counts the groups never started too, as it always has:
 		// the streak's sixteen inputs up to the failing group's end, and
-		// the fifty-six after it.
+		// the sixty-four after it.
 		if st.PanickedGroups != panicked || st.TimedOutGroups != timedOut || st.Aborts != 1 ||
 			st.SquashedInputs != n-streakStart || st.FallbackInputs != n-streakStart ||
-			st.ConventionalInputs != g || st.Rounds != 4 {
+			st.ConventionalInputs != g || st.Rounds != 2 {
 			t.Fatalf("%s: failure accounting off: %+v", c.name, st)
 		}
 		if c.timeout > 0 {
@@ -94,12 +95,12 @@ func TestStreakFailureSquashesTheStreak(t *testing.T) {
 }
 
 // TestFineGrainReservationsGoConventional: with computes far below a
-// fan-out's price a two-worker run decides by the host's compute grain which
-// groups run as rounds and which as conventional streaks; whichever way they
-// come out on this host (the rule itself is pinned on fixed grains by
-// TestFanOutPays) the run equals the sequential one and computes every input
-// once. The same run under the footprint oracle (every compute is checked)
-// or a controller (every wave fans out) has no streaks.
+// fan-out's price a two-worker run decides by the host's compute grain where
+// its rounds end and its conventional tail begins; wherever that comes out on
+// this host (the rule itself is pinned on fixed grains by TestRoundsPay) the
+// run equals the sequential one and computes every input once. The same run
+// under the footprint oracle (every compute is checked) or a controller
+// (every wave fans out) has no streaks.
 func TestFineGrainReservationsGoConventional(t *testing.T) {
 	const n, k = 1024, 4
 	compute := func(_ *rng.Source, in int, s []float64) (float64, []float64) {

@@ -122,9 +122,10 @@ func chaosScenarios(seed uint64) []chaosScenario {
 		{Name: "delay + deadline", Cfg: fault.Config{Seed: seed + 5, DelayRate: 0.3, Delay: 3 * time.Millisecond}, GroupTimeout: time.Millisecond, Runs: 2},
 		// The same transient-compute-panic campaign under deterministic
 		// reservations. The dependence has no slots, so one input commits per
-		// round, no wave fans out and rounds alternate with conventional
-		// streaks; at this rate the panic lands in the first groups — in a
-		// round, or in the first streak with nothing of it committed — and
+		// round and only group 0 runs rounds; the rest is the conventional
+		// tail, in streaks of 1, 2, 4, … groups. At this rate the panic lands
+		// in the first groups — in a round, or in the first streak with
+		// nothing of it committed — and
 		// at the lower one after streaks have committed. The round or the
 		// streak is squashed and the run falls back sequentially — outputs
 		// must still be byte-identical to the uninjected baseline.

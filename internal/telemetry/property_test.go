@@ -132,12 +132,13 @@ func TestAuxSpanEndsWhereExecStarts(t *testing.T) {
 }
 
 // TestConventionalGroupIsAGroupSpanWithoutRounds: a real reservations run
-// whose dependence has no slots commits one winner per round, so no wave fans
-// out and of its four groups 0 and 2 run rounds and 1 and 3 are conventional
-// streaks. Through a snapshot and through a live folder alike, a streak's
-// group is a complete group span — an execution that produced its inputs'
-// outputs — with the conventional outcome and no reservation counts, and a
-// group that ran rounds reserved and committed each of its inputs.
+// at one worker, whose dependence has no slots, rounds only group 0 (ruled
+// before anything was timed); groups 1 to 3 are the conventional tail, in
+// streaks of one and two groups. Through a snapshot and through a live
+// folder alike, a streak's group is a complete group span — an execution
+// that produced its inputs' outputs — with the conventional outcome and no
+// reservation counts, and a group that ran rounds reserved and committed
+// each of its inputs.
 func TestConventionalGroupIsAGroupSpanWithoutRounds(t *testing.T) {
 	const n, g = 16, 4
 	ob := obs.NewObserver(2, 1<<10)
@@ -146,7 +147,7 @@ func TestConventionalGroupIsAGroupSpanWithoutRounds(t *testing.T) {
 	_, _, st := core.New(propCompute, nil, propOps()).Run(inputs, propState{}, core.Options{
 		UseAux: true, Protocol: core.ProtocolReservations, GroupSize: g, Workers: 1, Obs: ob,
 	})
-	if st.ConventionalInputs != 2*g || st.Rounds != 2*g {
+	if st.ConventionalInputs != n-g || st.Rounds != g {
 		t.Fatalf("run shape moved: %+v", st)
 	}
 	folder.Poll()
@@ -158,7 +159,7 @@ func TestConventionalGroupIsAGroupSpanWithoutRounds(t *testing.T) {
 			// Round r of a group that runs them has g-r reservers and one
 			// winner.
 			outcome, commits := OutcomeUnvalidated, int32(g)
-			if root.Group%2 == 1 {
+			if root.Group > 0 {
 				outcome, commits = OutcomeConventional, 0
 			}
 			if root.Outcome != outcome || root.Commits != commits || root.Reserves != commits*(g+1)/2 || root.Conflicts != commits*(g-1)/2 ||

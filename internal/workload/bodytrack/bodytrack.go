@@ -421,30 +421,13 @@ func auxCode(aux params) core.Aux[Frame, State] {
 }
 
 // stateOps wires the SDI state methods: deep clone and the triangulating
-// acceptance method of §4.2 ("if the body positions encoded in S' are
-// between two original states, then we accept and commit S'").
+// acceptance method of §4.2 over the pose distance.
 func stateOps() core.StateOps[State] {
 	return core.StateOps[State]{
 		Clone: cloneState,
-		MatchAny: func(spec State, originals []State) bool {
-			// Triangulating acceptance with a small tolerance — the
-			// strictness is the developer's choice (§3.3). The distance
-			// sums absolute differences over 24 coordinates, so 0.3 is
-			// far below the observation noise.
-			const tol = 0.3
-			for i := range originals {
-				di := poseDistance(spec, originals[i])
-				for j := range originals {
-					if i == j {
-						continue
-					}
-					if di <= poseDistance(originals[j], originals[i])+tol {
-						return true
-					}
-				}
-			}
-			return false
-		},
+		// A small tolerance: the distance sums absolute differences over
+		// 24 coordinates, so 0.3 is far below the observation noise.
+		MatchAny: workload.Triangulate(poseDistance, 0.3),
 		// Acceptance is a tolerance ball over a continuous pose distance
 		// (and the auxiliary state may carry a different particle count
 		// than the originals), so no continuous feature — nor the

@@ -333,26 +333,10 @@ func auxCode(aux params) core.Aux[Frame, State] {
 func stateOps() core.StateOps[State] {
 	return core.StateOps[State]{
 		Clone: cloneState,
-		MatchAny: func(spec State, originals []State) bool {
-			// Triangulating acceptance with a sub-pixel tolerance: the
-			// SDI leaves the strictness to the developer ("how strict
-			// the matching between speculative and original states
-			// needs to be", §3.3); half a pixel on a ~12-pixel face is
-			// well inside the detector's own noise.
-			const tol = 0.5
-			for i := range originals {
-				di := faceDistance(spec, originals[i])
-				for j := range originals {
-					if i == j {
-						continue
-					}
-					if di <= faceDistance(originals[j], originals[i])+tol {
-						return true
-					}
-				}
-			}
-			return false
-		},
+		// Triangulating acceptance with a sub-pixel tolerance: half a
+		// pixel on a ~12-pixel face is well inside the detector's own
+		// noise.
+		MatchAny: workload.Triangulate(faceDistance, 0.5),
 		// Acceptance is a sub-pixel tolerance ball over the mean-face
 		// corner distance, and spec and original particle counts may
 		// differ (auxiliary re-detection uses its own particle tradeoff),

@@ -350,20 +350,10 @@ func auxCode(p params) core.Aux[Step, State] {
 func stateOps() core.StateOps[State] {
 	return core.StateOps[State]{
 		Clone: cloneState,
-		MatchAny: func(spec State, originals []State) bool {
-			for i := range originals {
-				di := stateDistance(spec, originals[i])
-				for j := range originals {
-					if i == j {
-						continue
-					}
-					if di <= stateDistance(originals[j], originals[i]) {
-						return true
-					}
-				}
-			}
-			return false
-		},
+		// Triangulating acceptance with no tolerance: the fluid does not
+		// forget (§4.8), so a speculative state is accepted only within
+		// the originals' own spread.
+		MatchAny: workload.Triangulate(stateDistance, 0),
 		// Acceptance triangulates a continuous particle-position
 		// distance, so positions and velocities cannot enter the hash;
 		// the particle count is the one structural feature every state

@@ -17,7 +17,6 @@ import (
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/mathx"
 	"repro/internal/quality"
 	"repro/internal/rng"
 	"repro/internal/tradeoff"
@@ -225,20 +224,8 @@ func auxCode(p params) core.Aux[Batch, Model] {
 }
 
 // stateOps: deep clone, by-construction acceptance (nil MatchAny).
-// Without a MatchAny the engine never consults the fingerprint; it
-// documents the model's structural identity (per-class prototype
-// counts) and keeps the hash-first wiring uniform across the suite.
 func stateOps() core.StateOps[Model] {
-	return core.StateOps[Model]{
-		Clone: cloneModel,
-		Fingerprint: func(m Model) uint64 {
-			h := mathx.NewHash64()
-			for k := range m.Classes {
-				h = h.Int(len(m.Classes[k]))
-			}
-			return h.Sum()
-		},
-	}
+	return core.StateOps[Model]{Clone: cloneModel}
 }
 
 // Points returns the stream points a run at size consumes (shared,

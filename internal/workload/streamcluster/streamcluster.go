@@ -19,7 +19,6 @@ import (
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/mathx"
 	"repro/internal/quality"
 	"repro/internal/rng"
 	"repro/internal/tradeoff"
@@ -218,17 +217,8 @@ func auxCode(p params) core.Aux[Batch, Solution] {
 }
 
 // stateOps: deep clone, by-construction acceptance (nil MatchAny).
-// Without a MatchAny the engine never consults the fingerprint; it
-// documents the solution's structural identity (center count and
-// facility cost) and keeps the hash-first wiring uniform across the
-// suite.
 func stateOps() core.StateOps[Solution] {
-	return core.StateOps[Solution]{
-		Clone: cloneSolution,
-		Fingerprint: func(s Solution) uint64 {
-			return mathx.NewHash64().Int(len(s.Centers)).Float(s.FacilityCost).Sum()
-		},
-	}
+	return core.StateOps[Solution]{Clone: cloneSolution}
 }
 
 // numShards is the slot count of the reservations formulation: the

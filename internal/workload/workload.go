@@ -113,6 +113,26 @@ func (o SpecOptions) Value(ts []tradeoff.T, t int, defaults bool) any {
 	return ts[t].Opts.Value(idx)
 }
 
+// Triangulate is the triangulating acceptance of §4.2 as a MatchAny ("if the
+// body positions encoded in S' are between two original states, then we
+// accept and commit S'"): a speculative state is accepted when, for some
+// original i, its distance to i is within some other original's distance to
+// i plus tol. dist is the program's state distance; tol is how strict the
+// match is, the developer's choice (§3.3).
+func Triangulate[S any](dist func(a, b S) float64, tol float64) func(spec S, originals []S) bool {
+	return func(spec S, originals []S) bool {
+		for i := range originals {
+			di := dist(spec, originals[i])
+			for j := range originals {
+				if i != j && di <= dist(originals[j], originals[i])+tol {
+					return true
+				}
+			}
+		}
+		return false
+	}
+}
+
 // Descriptor is the workload's static description, including the Table 1
 // developer-effort numbers from the paper.
 type Descriptor struct {

@@ -98,10 +98,14 @@
 # an observer nil check (o, .o or .Obs against nil) in its non-test code,
 # except runFrame.stamp and a guard whose block is one clock read: those skip
 # a reading that only events would carry. The fan-out-price guard: whether a
-# reservations wave goes to the pool is ruled from its winner count and the
-# run's least time per compute against one constant, fanOutPrice, so a seed
-# runs one shape; fail on a clock read inside the resvRun methods computeWave
-# and fanOutPays (the chunks time themselves, in runChunk).
+# reservations group runs its rounds is ruled once, before its first round,
+# from its widest possible wave and the run's least time per compute against
+# one constant, fanOutPrice, so a seed runs one shape; fail on a clock read
+# inside the resvRun methods computeWave and roundsPay (the chunks time
+# themselves, in runChunk). The one-ruling guard: inside a group that runs
+# rounds every wave of more than one chunk goes to the pool; fail on a
+# per-wave or per-group fan-out record (byChoice, groupGrain, fanOutPays) in
+# non-test internal/core, and on a ruling inside computeWave.
 # Run via `make vet`.
 set -eu
 
@@ -155,12 +159,24 @@ if [ -n "$clocks" ]; then
 fi
 
 waveclocks=$(awk 'FNR==1{fn=""} /^func /{fn=$0} /^}/{fn=""}
-    fn ~ /^func \(r \*resvRun\[[^]]*\]\) (computeWave|fanOutPays)\(/ &&
+    fn ~ /^func \(r \*resvRun\[[^]]*\]\) (computeWave|roundsPay)\(/ &&
         /(\.now|\.stamp|\.expired|obs\.Now|time\.Now)\(/ && $0 !~ /^[[:space:]]*\/\//{print FILENAME":"FNR": "$0}' \
     internal/core/reservations.go)
 if [ -n "$waveclocks" ]; then
-    echo "fact-guard: a reservations wave fans out by its winner count and the run's grain against fanOutPrice; computeWave and fanOutPays read no clock:" >&2
+    echo "fact-guard: a reservations group runs rounds by its widest wave and the run's grain against fanOutPrice; computeWave and roundsPay read no clock:" >&2
     printf '%s\n' "$waveclocks" >&2
+    exit 1
+fi
+
+rulings=$( { grep -nwE 'byChoice|groupGrain|fanOutPays' $(ls internal/core/*.go | grep -v '_test\.go$') |
+        grep -vE '^[^:]*:[0-9]+:[[:space:]]*//' || true
+    awk 'FNR==1{fn=""} /^func /{fn=$0} /^}/{fn=""}
+        fn ~ /^func \(r \*resvRun\[[^]]*\]\) computeWave\(/ &&
+            /(fanOutPrice|\.grain([^A-Za-z0-9_]|$)|[Pp]ays\()/ && $0 !~ /^[[:space:]]*\/\//{print FILENAME":"FNR":"$0}' \
+        internal/core/reservations.go; } | sort -u)
+if [ -n "$rulings" ]; then
+    echo "fact-guard: a reservations group is ruled once, by roundsPay, before its first round; computeWave fans out every wave of more than one chunk:" >&2
+    printf '%s\n' "$rulings" >&2
     exit 1
 fi
 
