@@ -59,6 +59,11 @@ func main() {
 	flag.Var(&sets, "set", "tradeoff index assignment name=idx (repeatable)")
 	flag.Var(&runtimes, "runtime", "runtime options dep=aux,group=G,window=K,redo=R,rollback=W (repeatable)")
 	flag.Parse()
+	switch *emit {
+	case "std", "header", "ir", "binary":
+	default:
+		fatal(fmt.Errorf("statsc: unknown -emit %q", *emit))
+	}
 
 	src, err := readInput(*in)
 	if err != nil {
@@ -99,9 +104,6 @@ func main() {
 	if *emit == "ir" {
 		printIR(mod)
 		return
-	}
-	if *emit != "binary" {
-		fatal(fmt.Errorf("statsc: unknown -emit %q", *emit))
 	}
 
 	prog, err := instantiate(mod, sets, runtimes)

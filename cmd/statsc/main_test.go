@@ -77,7 +77,9 @@ func TestGoldenEmit(t *testing.T) {
 
 // TestFlagsRefused checks that a configuration flag naming no dimension, or
 // a value off its dimension's grid, or a malformed flag, makes statsc exit 1
-// naming what it refused, before anything is printed.
+// naming what it refused, before anything is printed. An unknown -emit is
+// refused before the input is read: over a source the vet gate would refuse,
+// the flag is still what statsc names.
 func TestFlagsRefused(t *testing.T) {
 	cases := []struct {
 		flag, arg, want string
@@ -91,9 +93,14 @@ func TestFlagsRefused(t *testing.T) {
 		{"-runtime", "track", "malformed -runtime"},
 		{"-runtime", "track=aux,group", "malformed option"},
 		{"-runtime", "track=group=eight", "invalid syntax"},
+		{"-emit", "bogus", `unknown -emit "bogus"`},
 	}
 	for _, c := range cases {
-		out, errb, code := statsc(t, "-in", source, "-emit", "binary", c.flag, c.arg)
+		in := source
+		if c.flag == "-emit" {
+			in = "../statsvet/testdata/corpus/broken/footprint_range.stats"
+		}
+		out, errb, code := statsc(t, "-in", in, "-emit", "binary", c.flag, c.arg)
 		if code != 1 || out != "" || !strings.Contains(errb, c.want) {
 			t.Errorf("%s %s: exit %d, stdout %q, stderr %q; want exit 1, no output and %q",
 				c.flag, c.arg, code, out, errb, c.want)

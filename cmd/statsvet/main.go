@@ -13,7 +13,7 @@
 //     through the IR passes;
 //   - file.go / dir — parsed with the stdlib parser and run through the
 //     runtime-API misuse analyzers (negopts, droppedstats, specclosure,
-//     reserveops, fingerprint); directories are walked recursively,
+//     reserveops); directories are walked recursively,
 //     skipping testdata and _test.go.
 //
 // Every finding is an analysis.Diagnostic, printed one String line each

@@ -537,152 +537,3 @@ func forEachFuncBody(file *ast.File, fn func(*ast.BlockStmt)) {
 		}
 	}
 }
-
-// FingerprintLit nudges hash-first acceptance: a dependence that defines
-// MatchAny but no Fingerprint runs the deep state comparison on every
-// acceptance attempt, where a cheap digest of the compared features would
-// reject most mismatches in one table probe. Two forms are checked: a
-// StateOps composite literal with a non-nil MatchAny key and no
-// Fingerprint key, and a SetStateOps call with a non-nil match argument
-// on a receiver that never gets a SetFingerprint call in the same file.
-// The fingerprint contract is one-sided (equal whenever MatchAny would
-// accept), so an exact match always has a structural digest; a tolerance
-// match (|a−b| < tol over a real value) has none but a constant: any two
-// values are joined by a chain of steps shorter than tol, and the contract
-// makes the digest equal along every step. So a match function visible in
-// the file whose body calls math.Abs draws no finding. The findings are
-// warnings: stats.FingerprintFunc is optional and costs time, never
-// correctness.
-var FingerprintLit = &Analyzer{
-	Name: "fingerprint",
-	Doc:  "MatchAny without Fingerprint: every acceptance attempt pays the deep comparison; attach a hash-first prefilter",
-	Run:  runFingerprint,
-}
-
-func runFingerprint(fset *token.FileSet, file *ast.File) []analysis.Diagnostic {
-	var out []analysis.Diagnostic
-	funcs := map[string]*ast.BlockStmt{}
-	for _, d := range file.Decls {
-		if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Body != nil {
-			funcs[fd.Name.Name] = fd.Body
-		}
-	}
-	ast.Inspect(file, func(n ast.Node) bool {
-		lit, ok := n.(*ast.CompositeLit)
-		if !ok || !isStateOpsType(lit.Type) {
-			return true
-		}
-		var matchPos token.Pos
-		hasMatch, hasFP := false, false
-		for _, el := range lit.Elts {
-			kv, ok := el.(*ast.KeyValueExpr)
-			if !ok {
-				continue
-			}
-			key, ok := kv.Key.(*ast.Ident)
-			if !ok {
-				continue
-			}
-			switch key.Name {
-			case "MatchAny":
-				if !isNilIdent(kv.Value) && !tolerant(kv.Value, funcs) {
-					hasMatch = true
-					matchPos = kv.Pos()
-				}
-			case "Fingerprint":
-				hasFP = true
-			}
-		}
-		if hasMatch && !hasFP {
-			out = append(out, diag(fset, matchPos, analysis.Warning, "fingerprint",
-				"StateOps sets MatchAny without Fingerprint; every acceptance attempt pays the deep comparison — attach a digest of the compared features (equal whenever MatchAny would accept) to reject mismatches in one probe"))
-		}
-		return true
-	})
-
-	// SetStateOps(_, match) with a non-nil match, on a receiver never
-	// given a SetFingerprint in this file.
-	type setCall struct {
-		recv string
-		pos  token.Pos
-	}
-	var setOps []setCall
-	fingerprinted := map[string]bool{}
-	ast.Inspect(file, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		recv, ok := baseIdent(sel.X)
-		if !ok {
-			return true
-		}
-		switch sel.Sel.Name {
-		case "SetStateOps":
-			if len(call.Args) == 2 && !isNilIdent(call.Args[1]) && !tolerant(call.Args[1], funcs) {
-				setOps = append(setOps, setCall{recv.Name, call.Pos()})
-			}
-		case "SetFingerprint":
-			fingerprinted[recv.Name] = true
-		}
-		return true
-	})
-	for _, c := range setOps {
-		if !fingerprinted[c.recv] {
-			out = append(out, diag(fset, c.pos, analysis.Warning, "fingerprint",
-				"%s.SetStateOps attaches a match function but %s never gets a SetFingerprint; every acceptance attempt pays the deep comparison — attach a digest of the compared features (equal whenever the match would accept)", c.recv, c.recv))
-		}
-	}
-	return out
-}
-
-// isStateOpsType matches core.StateOps / StateOps, possibly explicitly
-// instantiated.
-func isStateOpsType(t ast.Expr) bool {
-	switch tt := t.(type) {
-	case *ast.SelectorExpr:
-		return tt.Sel.Name == "StateOps"
-	case *ast.Ident:
-		return tt.Name == "StateOps"
-	case *ast.IndexExpr:
-		return isStateOpsType(tt.X)
-	case *ast.IndexListExpr:
-		return isStateOpsType(tt.X)
-	}
-	return false
-}
-
-// tolerant reports whether the match function e — a literal, or a function
-// declared in the file — compares within a tolerance: its body calls
-// math.Abs.
-func tolerant(e ast.Expr, funcs map[string]*ast.BlockStmt) bool {
-	var body *ast.BlockStmt
-	switch f := e.(type) {
-	case *ast.FuncLit:
-		body = f.Body
-	case *ast.Ident:
-		body = funcs[f.Name]
-	}
-	found := false
-	if body != nil {
-		ast.Inspect(body, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Abs" {
-				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "math" {
-					found = true
-				}
-			}
-			return !found
-		})
-	}
-	return found
-}
-
-// isNilIdent reports whether e is the literal nil.
-func isNilIdent(e ast.Expr) bool {
-	id, ok := e.(*ast.Ident)
-	return ok && id.Name == "nil"
-}

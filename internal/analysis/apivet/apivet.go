@@ -1,7 +1,6 @@
 // Package apivet holds the statsvet analyzers for runtime-API misuse in
 // user Go code — the mistakes that compile fine, run fine, and quietly
-// disable or corrupt speculation (or leave easy speed on the table). Five
-// analyzers ship:
+// disable or corrupt speculation. Four analyzers ship:
 //
 //   - negopts: a negative GroupSize/Window/RedoMax/Rollback/Workers in an
 //     engine options literal. The engine clamps negatives to their floor,
@@ -19,14 +18,9 @@
 //     held across the round, so invocations would alias one slice), a
 //     constant slot index outside [0, NumSlots), or a Merge that mutates
 //     its src argument (the committed winner's state).
-//   - fingerprint: a dependence defining MatchAny (literal StateOps or
-//     SetStateOps with a non-nil match) without a Fingerprint — every
-//     acceptance attempt pays the deep state comparison where a hash-first
-//     prefilter would reject most mismatches in one probe.
 //
-// Findings are analysis.Diagnostic records, Pass naming the analyzer. The
-// first four analyzers report Error; fingerprint reports Warning, because
-// a fingerprint costs time, never correctness.
+// Findings are analysis.Diagnostic records, Pass naming the analyzer; all
+// four report Error.
 //
 // The analyzers are deliberately syntactic (stdlib go/ast only, no
 // golang.org/x/tools dependency, which keeps them usable in hermetic
@@ -62,7 +56,7 @@ type Analyzer struct {
 
 // Analyzers returns the runtime-API analyzers in execution order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{NegOpts, DroppedStats, SpecClosure, ReserveOpsLit, FingerprintLit}
+	return []*Analyzer{NegOpts, DroppedStats, SpecClosure, ReserveOpsLit}
 }
 
 // analyzeFile runs every analyzer over one parsed file.

@@ -177,84 +177,3 @@ func TestAnalyzePathsWalksRepo(t *testing.T) {
 		t.Fatalf("analyzers flag the repository's own code:\n%v", ds)
 	}
 }
-
-func TestFingerprintStateOpsLiteral(t *testing.T) {
-	ds := analyzeSrc(t, `package p
-func f() {
-	ops := core.StateOps[walk]{
-		Clone:    func(s walk) walk { return s },
-		MatchAny: func(spec walk, originals []walk) bool { return true },
-	}
-	_ = ops
-}`)
-	want(t, ds, "fingerprint", "warning: fingerprint: StateOps sets MatchAny without Fingerprint", "deep comparison")
-}
-
-func TestFingerprintStateOpsWithDigestPasses(t *testing.T) {
-	ds := analyzeSrc(t, `package p
-func f() {
-	ops := core.StateOps[walk]{
-		Clone:       func(s walk) walk { return s },
-		MatchAny:    func(spec walk, originals []walk) bool { return true },
-		Fingerprint: func(s walk) uint64 { return uint64(s.n) },
-	}
-	nilMatch := core.StateOps[walk]{Clone: func(s walk) walk { return s }, MatchAny: nil}
-	_, _ = ops, nilMatch
-}`)
-	wantNone(t, ds, "fingerprint")
-}
-
-func TestFingerprintSetStateOps(t *testing.T) {
-	ds := analyzeSrc(t, `package p
-func f() {
-	sd := stats.NewStateDependence(inputs, initial, compute)
-	sd.SetStateOps(clone, match)
-}`)
-	want(t, ds, "fingerprint", "warning: fingerprint: sd.SetStateOps", "SetFingerprint")
-}
-
-// TestFingerprintToleranceMatchPasses: a match within a tolerance over a
-// real value admits no digest but a constant (see FingerprintLit), so
-// neither form draws a finding — whether the match is a literal or a
-// function declared in the file. An exact match beside them still does.
-func TestFingerprintToleranceMatchPasses(t *testing.T) {
-	ds := analyzeSrc(t, `package p
-func near(spec float64, originals []float64) bool {
-	for _, o := range originals {
-		if math.Abs(spec-o) < 0.1 {
-			return true
-		}
-	}
-	return false
-}
-func f() {
-	sd := stats.NewStateDependence(inputs, 0.0, compute)
-	sd.SetStateOps(nil, near)
-	ops := core.StateOps[walk]{
-		MatchAny: func(spec walk, originals []walk) bool { return math.Abs(spec.v-originals[0].v) <= 1e-9 },
-	}
-	_ = ops
-}`)
-	wantNone(t, ds, "fingerprint")
-	ds = analyzeSrc(t, `package p
-func exact(spec int, originals []int) bool { return slices.Contains(originals, spec) }
-func f() {
-	sd := stats.NewStateDependence(inputs, 0, compute)
-	sd.SetStateOps(nil, exact)
-}`)
-	want(t, ds, "fingerprint", "warning: fingerprint: sd.SetStateOps", "SetFingerprint")
-}
-
-func TestFingerprintSetStateOpsCoveredPasses(t *testing.T) {
-	ds := analyzeSrc(t, `package p
-func f() {
-	sd := stats.NewStateDependence(inputs, initial, compute)
-	sd.SetStateOps(clone, match)
-	sd.SetFingerprint(func(s walk) uint64 { return uint64(s.n) })
-}
-func g() {
-	sd := stats.NewStateDependence(inputs, initial, compute)
-	sd.SetStateOps(clone, nil) // by-construction acceptance: no digest to take
-}`)
-	wantNone(t, ds, "fingerprint")
-}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	"repro/internal/pool"
@@ -204,16 +203,6 @@ func BenchmarkRNGNorm(b *testing.B) {
 	}
 }
 
-// fingerprintWalkOps is walkOps plus the hash-first prefilter: the walk
-// benchmarks' compute is noise-free, so an accepted speculative state is
-// bit-equal to an original and the value's bits are a contract-clean
-// digest.
-func fingerprintWalkOps() StateOps[walkState] {
-	ops := walkOps()
-	ops.Fingerprint = func(s walkState) uint64 { return math.Float64bits(s.V) }
-	return ops
-}
-
 // The allocation-gated benchmarks. Each measured body is one helper that
 // the benchmark times and the package's ceiling test (recycle_test.go)
 // hands to testing.AllocsPerRun, so a benchmark cannot drift from its gate.
@@ -251,10 +240,10 @@ func gatedRun[S any](p *pool.Pool, n int, proto Protocol, workers int, newDep fu
 	}
 }
 
-// auxRun is gatedRun under the aux protocol on the fingerprinted walk.
+// auxRun is gatedRun under the aux protocol on the walk.
 func auxRun(p *pool.Pool, n int, warm bool) func() {
 	return gatedRun(p, n, ProtocolAux, 0,
-		func() *Dependence[int, walkState, int] { return New(cheapCompute, sumAux, fingerprintWalkOps()) },
+		func() *Dependence[int, walkState, int] { return New(cheapCompute, sumAux, walkOps()) },
 		func() walkState { return walkState{} }, warm)
 }
 
@@ -318,7 +307,7 @@ func BenchmarkEngineOneLane(b *testing.B) {
 	p := pool.New(1)
 	defer p.Close()
 	benchLoop(b, gatedRun(p, 1024, ProtocolAux, 1,
-		func() *Dependence[int, walkState, int] { return New(cheapCompute, sumAux, fingerprintWalkOps()) },
+		func() *Dependence[int, walkState, int] { return New(cheapCompute, sumAux, walkOps()) },
 		func() walkState { return walkState{} }, true))
 }
 
@@ -364,23 +353,19 @@ func BenchmarkEngineInPlace(b *testing.B) {
 }
 
 // acceptProbe returns one acceptance attempt of a speculative state of
-// value v against eight originals 0..7 on the hash-first path: v=7 hits
-// the fingerprint prefilter and falls through to the deep MatchAny scan,
-// v=99.5 misses and rejects on the probe alone.
+// value v against eight originals 0..7: v=7 matches the last one, so
+// MatchAny scans the whole set.
 func acceptProbe(v float64) func() {
-	scr := New(cheapCompute, nil, fingerprintWalkOps()).getScratch()
-	scr.st, scr.hashFirst = new(Stats), true
+	scr := New(cheapCompute, nil, walkOps()).getScratch()
 	for i := 0; i < 8; i++ {
-		scr.addOriginal(walkState{V: float64(i)})
+		scr.originals = append(scr.originals, walkState{V: float64(i)})
 	}
 	spec := walkState{V: v}
-	fp := math.Float64bits(v)
-	return func() { scr.accepts(spec, fp) }
+	return func() { scr.accepts(spec) }
 }
 
-// BenchmarkMatchAnyFingerprint prices one acceptance attempt, hit and
-// miss. Both run inside every boundary validation and must not allocate.
-func BenchmarkMatchAnyFingerprint(b *testing.B) {
-	b.Run("hit", func(b *testing.B) { benchLoop(b, acceptProbe(7)) })
-	b.Run("miss", func(b *testing.B) { benchLoop(b, acceptProbe(99.5)) })
+// BenchmarkMatchAny prices one acceptance attempt, which runs inside every
+// boundary validation and must not allocate.
+func BenchmarkMatchAny(b *testing.B) {
+	benchLoop(b, acceptProbe(7))
 }

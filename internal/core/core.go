@@ -72,23 +72,14 @@ type Aux[I, S any] func(r *rng.Source, init S, recent []I) S
 // the lanes clone the run's initial state at once (each aux group for its
 // auxiliary code, each reservation winner for its private workspace).
 //
-// MatchAny must not retain the originals slice: the engine recycles its
-// backing storage across boundaries and runs.
-//
-// Fingerprint, when non-nil alongside MatchAny, is a cheap acceptance
-// prefilter: the engine hashes the speculative state and every original
-// once and calls MatchAny only when some original's fingerprint equals the
-// speculative state's. The contract is one-sided: Fingerprint(a) ==
-// Fingerprint(b) must hold whenever MatchAny would accept a against {b} —
-// hash only what acceptance can never distinguish (structure, counts,
-// quantized values outside the tolerance). Collisions fall through to the
-// deep compare, so a wrong fingerprint costs redos and aborts (time),
-// never correctness. Ignored when MatchAny is nil (acceptance by
-// construction needs no prefilter).
+// MatchAny is a boundary's whole acceptance: the engine calls it once per
+// attempt over every original so far (at most RedoMax+1 of them), so a
+// dependence with a cheap discrete digest compares digests first inside it.
+// It must not retain the originals slice: the engine recycles its backing
+// storage across boundaries and runs.
 type StateOps[S any] struct {
-	Clone       func(S) S
-	MatchAny    func(spec S, originals []S) bool
-	Fingerprint func(S) uint64
+	Clone    func(S) S
+	MatchAny func(spec S, originals []S) bool
 }
 
 // Admission decides, between runs, whether a run may speculate at all — the
@@ -207,11 +198,11 @@ type Stats struct {
 	// Redos counts original-producer re-executions attempted; one that
 	// panicked part-way is still a redo.
 	Redos int
-	// FingerprintHits and FingerprintMisses count hash-first acceptance
-	// attempts (boundary validations and redo re-checks) whose
-	// fingerprint prefilter passed through to MatchAny vs rejected
-	// without a deep compare. Both stay 0 unless the dependence defines
-	// both Fingerprint and MatchAny.
+	// Deprecated: always 0. FingerprintHits and FingerprintMisses counted
+	// the probes of a hash-first acceptance prefilter that is gone: a
+	// boundary's acceptance is one MatchAny call over the originals. Add
+	// still sums them and nothing writes them; they stay until the
+	// benchmark module stops reading them.
 	FingerprintHits   int
 	FingerprintMisses int
 	// Aborts counts boundary resolutions that aborted speculation:
@@ -590,10 +581,10 @@ type groupRun[I, S, O any] struct {
 
 // runScratch is the recycled working set of one runSpeculative call: the
 // run frame, group records, the per-group timing/committed arrays, the
-// originals set (plus its fingerprints), and the pool task. Scratches are
-// recycled per instantiation (recycled), so a warm Run — any run after the
-// first of its type — allocates only what it must return (the outputs
-// slice) plus whatever user code allocates. Every pool task of a run is the
+// originals set, and the pool task. Scratches are recycled per
+// instantiation (recycled), so a warm Run — any run after the first of its
+// type — allocates only what it must return (the outputs slice) plus
+// whatever user code allocates. Every pool task of a run is the
 // one method value task — a lane, which claims groups from ticket until none
 // is left — so it survives recycling with nothing to rebind, and a run
 // submits one per lane beyond the caller's, not one per group.
@@ -609,7 +600,6 @@ type runScratch[I, S, O any] struct {
 	// speculative start state — and may redo — after the group has run.
 	// Without one, acceptance is by construction and nothing is read back.
 	validated bool
-	hashFirst bool // validate fingerprints before the deep MatchAny
 
 	groups []*groupRun[I, S, O]
 	task   pool.Task
@@ -653,7 +643,6 @@ type runScratch[I, S, O any] struct {
 	// are committed.
 	committed []execution[S, O]
 	originals []S
-	origFPs   []uint64
 
 	wg sync.WaitGroup // the run's pool lanes; the caller's lane needs none
 }
@@ -699,7 +688,6 @@ func (scr *runScratch[I, S, O]) begin(inputs []I, initial S, g int, opts *Option
 	scr.inputs, scr.initial, scr.emit = inputs, initial, emit
 	scr.window, scr.rollback, scr.redoMax = max(opts.Window, 0), opts.Rollback, max(opts.RedoMax, 0)
 	scr.validated = scr.d.ops.MatchAny != nil
-	scr.hashFirst = scr.validated && scr.d.ops.Fingerprint != nil
 	scr.abortAt, scr.emitted = -1, 0
 	scr.ticket.Store(0)
 	scr.next.Store(0)
@@ -1097,8 +1085,8 @@ type boundary[S, O any] struct {
 // ran from the true initial state, and when its lane failed nothing is
 // committed and the whole vector falls back. Then validate runs the
 // developer's acceptance against the previous group's originals. A panic
-// anywhere in it — fingerprint, match, or the previous group's re-execution
-// — means the boundary cannot resolve: the unvalidated group is squashed
+// anywhere in it — the match or the previous group's re-execution — means
+// the boundary cannot resolve: the unvalidated group is squashed
 // like a mismatch and the panic attributed to it.
 func (scr *runScratch[I, S, O]) resolve(j int) int {
 	cur, self := scr.groups[j], scr.resolver
@@ -1144,14 +1132,9 @@ func (scr *runScratch[I, S, O]) resolve(j int) int {
 // It calls user code uncontained; resolve contains it.
 func (scr *runScratch[I, S, O]) validate(j int, b *boundary[S, O]) {
 	prev, spec := scr.groups[j-1], scr.groups[j].specStart
-	var specFP uint64
-	if scr.hashFirst {
-		specFP = scr.d.ops.Fingerprint(spec)
-	}
-	scr.originals, scr.origFPs = scr.originals[:0], scr.origFPs[:0]
-	scr.addOriginal(scr.committed[j-1].final)
+	scr.originals = append(scr.originals[:0], scr.committed[j-1].final)
 	b.accepted = scr.committed[j-1]
-	b.matched = scr.accepts(spec, specFP)
+	b.matched = scr.accepts(spec)
 	if !b.matched {
 		scr.o.Note(obs.LaneCoord, obs.EvValidateMismatch, int32(j), 0)
 	}
@@ -1161,8 +1144,8 @@ func (scr *runScratch[I, S, O]) validate(j int, b *boundary[S, O]) {
 		scr.yield(sched.PointRedo, scr.lane+1+scr.resolver.idx)
 		before := prev.redoNS
 		redo := scr.redoGroup(prev)
-		scr.addOriginal(redo.final)
-		if scr.accepts(spec, specFP) {
+		scr.originals = append(scr.originals, redo.final)
+		if scr.accepts(spec) {
 			// Commit the matching re-execution's suffix in place of the
 			// first execution's.
 			b.matched, b.acceptedRedoNS = true, prev.redoNS-before
@@ -1171,33 +1154,11 @@ func (scr *runScratch[I, S, O]) validate(j int, b *boundary[S, O]) {
 	}
 }
 
-// addOriginal adds one original state (and, hash-first, its fingerprint)
-// to the boundary's set, which lives in recycled scratch storage.
-func (scr *runScratch[I, S, O]) addOriginal(s S) {
-	if scr.hashFirst {
-		scr.origFPs = append(scr.origFPs, scr.d.ops.Fingerprint(s))
-	}
-	scr.originals = append(scr.originals, s)
-}
-
-// accepts resolves one acceptance attempt against the boundary's
-// originals. A nil MatchAny accepts by construction. Hash-first
-// dependences consult the fingerprint prefilter: when no original's
-// fingerprint equals the speculative state's, MatchAny cannot accept (the
-// contract makes equal fingerprints a necessary condition), so the attempt
-// is a recorded miss with no deep compare; a hit falls through to MatchAny.
-func (scr *runScratch[I, S, O]) accepts(spec S, specFP uint64) bool {
-	if scr.d.ops.MatchAny == nil {
-		return true
-	}
-	if scr.hashFirst {
-		hit := slices.Contains(scr.origFPs, specFP)
-		scr.noteFingerprint(hit)
-		if !hit {
-			return false
-		}
-	}
-	return scr.d.ops.MatchAny(spec, scr.originals)
+// accepts resolves one acceptance attempt: one MatchAny call over the
+// boundary's originals, which live in recycled scratch storage. A nil
+// MatchAny accepts by construction.
+func (scr *runScratch[I, S, O]) accepts(spec S) bool {
+	return scr.d.ops.MatchAny == nil || scr.d.ops.MatchAny(spec, scr.originals)
 }
 
 // redoGroup re-executes the suffix of a group after its checkpoint with

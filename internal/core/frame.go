@@ -14,7 +14,7 @@ import (
 // controlled scheduler's bracketing around real waits, the run's clock, and
 // the note* methods — the one place each run-level fact that owns a Stats
 // field (match, redo, abort, squash, fallback, contained panic, deadline,
-// lane CPU, conventional inputs, speculative commits, fingerprint probes) is
+// lane CPU, conventional inputs, speculative commits) is
 // recorded, the Stats write and the observer's Note (counter + event) on
 // adjacent lines so the accounts cannot drift. Facts without a Stats field
 // are reported with a bare o.Note at their decision point; a fact whose
@@ -274,16 +274,4 @@ func (f *runFrame) noteConventional(j, inputs int, now int64) {
 func (f *runFrame) noteSpecCommits(inputs int) {
 	f.st.SpeculativeCommits += inputs
 	f.o.NoteSpecCommits(inputs)
-}
-
-// noteFingerprint records one hash-first acceptance attempt: a hit fell
-// through to the deep compare, a miss was rejected without one. Neither
-// counter has an event.
-func (f *runFrame) noteFingerprint(hit bool) {
-	if hit {
-		f.st.FingerprintHits++
-	} else {
-		f.st.FingerprintMisses++
-	}
-	f.o.NoteFingerprint(hit)
 }

@@ -49,6 +49,8 @@ func TestStatsFieldsHaveFactRows(t *testing.T) {
 		"AuxCalls":          "aux attempts: a panicked call is counted here but produces nothing (aux-produced)",
 		"AuxInputs":         "window inputs handed to aux attempts",
 		"SquashedInputs":    "the Arg sum of the squash events, whose counter counts groups",
+		"FingerprintHits":   "deprecated, always 0: the acceptance prefilter it counted is gone",
+		"FingerprintMisses": "deprecated, always 0: the acceptance prefilter it counted is gone",
 	}
 	named := map[string]bool{}
 	for _, f := range obs.Catalogue() {

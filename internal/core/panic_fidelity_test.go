@@ -90,12 +90,6 @@ func TestPanicFidelityMatchAny(t *testing.T) {
 	auxSite(New(deterministicCompute, exactAuxFor(seqInputs(12)), ops), 3, "match boom").check(t)
 }
 
-func TestPanicFidelityFingerprint(t *testing.T) {
-	ops := walkOps()
-	ops.Fingerprint = func(walkState) uint64 { panic("fingerprint boom") }
-	auxSite(New(deterministicCompute, exactAuxFor(seqInputs(12)), ops), 4, "fingerprint boom").check(t)
-}
-
 // TestPanicFidelityRedo panics inside a boundary's re-execution: the aux
 // state never matches, so boundary 1 re-runs group 0's last input — the
 // second time compute sees input 3.

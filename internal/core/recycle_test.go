@@ -87,7 +87,7 @@ func TestWarmRunAllocations(t *testing.T) {
 		cold := coldAllocsPerRun(t, fresh)
 		warm := allocsPerRun(t, auxRun(p, 32, true))
 		built := allocsPerRun(t, fresh)
-		dep := newAllocs(t, func() *Dependence[int, walkState, int] { return New(cheapCompute, sumAux, fingerprintWalkOps()) })
+		dep := newAllocs(t, func() *Dependence[int, walkState, int] { return New(cheapCompute, sumAux, walkOps()) })
 		t.Logf("aux: warm %.1f allocs/run, fresh Dependence %.1f (New %.1f), cold %.1f", warm, built, dep, cold)
 		if warm > 8 || cold > 28 || warm >= cold {
 			t.Fatalf("aux run allocates %.1f/run warm and %.1f cold; ceilings are 8 and 28, and warm below cold", warm, cold)
@@ -132,7 +132,7 @@ func TestColdRunAllocationsDoNotScaleWithGroups(t *testing.T) {
 		opts := Options{UseAux: true, GroupSize: 16, Window: len(inputs), RedoMax: 1, Rollback: 4, Pool: p}
 		return func() {
 			opts.Seed++
-			_, _, st := New(cheapCompute, sumAux, fingerprintWalkOps()).Run(inputs, walkState{}, opts)
+			_, _, st := New(cheapCompute, sumAux, walkOps()).Run(inputs, walkState{}, opts)
 			if st.Matches != groups-1 {
 				t.Fatalf("%d groups: %d matches", groups, st.Matches)
 			}
@@ -178,7 +178,7 @@ func TestWarmRunSurvivesCollections(t *testing.T) {
 // TestHotPathAllocCeilings gates the bodies of BenchmarkEngineGrouping,
 // BenchmarkEngineInPlace/in-place — 128 groups clone a two-allocation state
 // once each, plus the initial state and what a warm run returns; it measures
-// 261 — and BenchmarkMatchAnyFingerprint.
+// 261 — and BenchmarkMatchAny.
 func TestHotPathAllocCeilings(t *testing.T) {
 	p := pool.New(4)
 	defer p.Close()
@@ -189,8 +189,7 @@ func TestHotPathAllocCeilings(t *testing.T) {
 	}{
 		{"EngineGrouping", 16, auxRun(p, 1024, true)},
 		{"EngineInPlace/in-place", 2*128 + 12, inPlaceRun(p, 1024, false)},
-		{"MatchAnyFingerprint/hit", 0, acceptProbe(7)},
-		{"MatchAnyFingerprint/miss", 0, acceptProbe(99.5)},
+		{"MatchAny", 0, acceptProbe(7)},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			if got := allocsPerRun(t, c.body); got > c.ceiling {

@@ -217,7 +217,6 @@ func populatedRegistry() *Registry {
 	o.Note(LaneCoord, EvValidateMatch, 1, 0)
 	o.Note(LaneCoord, EvRedo, 2, 1)
 	o.Note(0, EvFallback, 2, 12)
-	o.FingerprintHits.Add(3)
 	for _, v := range []int64{1, 3, 1000, 1 << 20} {
 		o.ValidationLatencyNS.Observe(v)
 	}

@@ -31,10 +31,10 @@
 //     Counter, Gauge and Histogram method, is a no-op on a nil receiver,
 //     so disabled observability costs one branch per decision point. The
 //     instruments no event backs are plain fields for readers; the engine
-//     writes its own (the validation and round histograms, the three
-//     counters) through one nil-safe method each (NoteValidation,
-//     NoteSpecCommits, NoteFingerprint, NoteRounds), as it reports an event
-//     through Note.
+//     writes its own (the validation and round histograms, the
+//     speculative-commit counter) through one nil-safe method each
+//     (NoteValidation, NoteSpecCommits, NoteRounds), as it reports an
+//     event through Note.
 //
 // Event schema: every event carries a monotonic timestamp (a reading of the
 // process-wide trace clock, Now), the emitting lane, a kind, the group index
@@ -101,10 +101,6 @@ var facts = [numEventKinds]Fact{
 // instruments holds the rows no event backs: named Observer fields, each
 // written by one Note* method, and the tracer's own emit/drop totals.
 var instruments = []Fact{
-	{Metric: "stats_fingerprint_hits_total", Stats: "FingerprintHits", Help: "hash-first acceptance attempts whose fingerprint prefilter fell through to the deep compare",
-		bind: func(o *Observer, n string) { o.FingerprintHits = o.Reg.Counter(n) }},
-	{Metric: "stats_fingerprint_misses_total", Stats: "FingerprintMisses", Help: "hash-first acceptance attempts rejected by the fingerprint prefilter without a deep compare",
-		bind: func(o *Observer, n string) { o.FingerprintMisses = o.Reg.Counter(n) }},
 	{Metric: "stats_speculative_commit_inputs_total", Stats: "SpeculativeCommits", Help: "inputs committed from a speculative execution (aux: group > 0; reservations: ahead of a lower pending index)",
 		bind: func(o *Observer, n string) { o.SpecCommittedInputs = o.Reg.Counter(n) }},
 	{Metric: "stats_validation_latency_ns", Help: "wall-clock nanoseconds each validated group boundary took to resolve (redo re-executions included)",
@@ -168,11 +164,8 @@ type Observer struct {
 	// kind holds each event kind's counter; Note is their only writer.
 	kind [numEventKinds]*Counter
 
-	// FingerprintHits, FingerprintMisses and SpecCommittedInputs are the
-	// counters no event backs, written by NoteFingerprint and
+	// SpecCommittedInputs is the counter no event backs, written by
 	// NoteSpecCommits.
-	FingerprintHits     *Counter
-	FingerprintMisses   *Counter
 	SpecCommittedInputs *Counter
 
 	// ValidationLatencyNS and RedosPerValidation get one observation per
@@ -262,20 +255,6 @@ func (o *Observer) NoteValidation(latencyNS int64, redos int) {
 func (o *Observer) NoteSpecCommits(inputs int) {
 	if o != nil {
 		o.SpecCommittedInputs.Add(int64(inputs))
-	}
-}
-
-// NoteFingerprint reports one hash-first acceptance attempt, a hit (it fell
-// through to the deep compare) or a miss (rejected without one): the one
-// write of FingerprintHits and FingerprintMisses. A nil Observer ignores it.
-func (o *Observer) NoteFingerprint(hit bool) {
-	if o == nil {
-		return
-	}
-	if hit {
-		o.FingerprintHits.Inc()
-	} else {
-		o.FingerprintMisses.Inc()
 	}
 }
 

@@ -1,10 +1,12 @@
 package streamdata_test
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/mathx"
 	"repro/internal/workload"
 	"repro/internal/workload/streamclassifier"
 	"repro/internal/workload/streamcluster"
@@ -14,17 +16,19 @@ import (
 // streamHash hashes every label and coordinate bit of the cached stream,
 // and its label view (streamclassifier's results carry it as Gold).
 func streamHash(n int, bad bool) uint64 {
-	h := mathx.NewHash64()
+	h := fnv.New64a()
+	var buf [8]byte
+	word := func(x uint64) { h.Write(binary.LittleEndian.AppendUint64(buf[:0], x)) }
 	for _, pt := range streamdata.Stream(n, bad) {
-		h = h.Int(pt.Label)
+		word(uint64(pt.Label))
 		for _, x := range pt.X {
-			h = h.Float(x)
+			word(math.Float64bits(x))
 		}
 	}
 	for _, l := range streamdata.Labels(n, bad) {
-		h = h.Int(l)
+		word(uint64(l))
 	}
-	return h.Sum()
+	return h.Sum64()
 }
 
 // TestStreamSharedReadOnly is the cache's contract: every entry point of

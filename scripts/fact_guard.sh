@@ -93,7 +93,7 @@
 # (internal/platform, internal/energy, internal/backend, internal/analysis).
 # The observer guard: internal/core reports every fact, event-backed or not,
 # through a nil-safe obs.Observer method (Note, NoteAt, NoteValidation,
-# NoteSpecCommits, NoteFingerprint, NoteRounds), so a disabled observer costs
+# NoteSpecCommits, NoteRounds), so a disabled observer costs
 # the engine one inlined branch inside obs and no branch of its own; fail on
 # an observer nil check (o, .o or .Obs against nil) in its non-test code,
 # except runFrame.stamp and a guard whose block is one clock read: those skip
@@ -105,7 +105,16 @@
 # themselves, in runChunk). The one-ruling guard: inside a group that runs
 # rounds every wave of more than one chunk goes to the pool; fail on a
 # per-wave or per-group fan-out record (byChoice, groupGrain, fanOutPays) in
-# non-test internal/core, and on a ruling inside computeWave.
+# non-test internal/core, and on a ruling inside computeWave. The acceptance
+# guard: a boundary's acceptance is one MatchAny call over the originals
+# (core.StateOps holds Clone and MatchAny), and a digest a dependence wants
+# compared first belongs inside its MatchAny; fail on the retired hash-first
+# prefilter's pieces: hashFirst, origFPs, a Fingerprint field of StateOps or a
+# Fingerprint( call in non-test internal/core, FingerprintFunc or
+# SetFingerprint in stats, NoteFingerprint or a stats_fingerprint_ metric in
+# internal/obs, Hash64 in internal/mathx, and an analyzer named fingerprint in
+# apivet. Stats.FingerprintHits and FingerprintMisses stay, deprecated and
+# always 0, until the benchmark module stops reading them.
 # Run via `make vet`.
 set -eu
 
@@ -322,5 +331,19 @@ facade=$(grep -nE '"repro/internal/(platform|energy|backend|analysis)"' stats/*.
 if [ -n "$examples$facade" ]; then
     echo "fact-guard: stats exports what a STATS user writes, and its examples are Example functions in stats; keep no examples/ tree and no simulator, energy, back-end or analysis import in stats:" >&2
     printf '%s\n' "$examples" "$facade" | grep . >&2
+    exit 1
+fi
+
+prefilter=$( { grep -nE 'hashFirst|origFPs|Fingerprint\(' $(ls internal/core/*.go | grep -v '_test\.go$') |
+        grep -vE '^[^:]*:[0-9]+:[[:space:]]*//' || true
+    awk '/^type StateOps\[/{ops=1; next} ops && /^}/{ops=0} ops && /^[[:space:]]*Fingerprint([^A-Za-z0-9_]|$)/{print FILENAME":"FNR": "$0}' \
+        internal/core/core.go
+    grep -rnE 'FingerprintFunc|SetFingerprint' stats || true
+    grep -rnE 'NoteFingerprint|stats_fingerprint_' internal/obs || true
+    grep -rn 'Hash64' internal/mathx || true
+    grep -rnE 'Name:[[:space:]]*"fingerprint"' internal/analysis/apivet || true; })
+if [ -n "$prefilter" ]; then
+    echo "fact-guard: acceptance is one MatchAny call over the originals; the hash-first fingerprint prefilter is retired:" >&2
+    printf '%s\n' "$prefilter" >&2
     exit 1
 fi

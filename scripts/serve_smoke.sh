@@ -54,9 +54,9 @@ check /spans                200
 check /debug/pprof/cmdline  200
 
 # The exposition must carry the engine's counters (including the
-# hash-first acceptance hit/miss pair) and the tracer totals.
+# speculative-commit counter no event backs) and the tracer totals.
 metrics=$(curl -s "$BASE/metrics")
-for series in stats_groups_started_total stats_fingerprint_hits_total stats_fingerprint_misses_total trace_events_emitted_total telemetry_scrapes_total; do
+for series in stats_groups_started_total stats_speculative_commit_inputs_total trace_events_emitted_total telemetry_scrapes_total; do
     if printf '%s\n' "$metrics" | grep -q "^$series "; then
         echo "ok   /metrics has $series"
     else

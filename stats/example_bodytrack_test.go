@@ -183,11 +183,6 @@ func ExampleStateDependence_bodyTracking() {
 	sd := stats.NewStateDependence(inputs, initial, compute)
 	sd.SetAuxiliary(aux)
 	sd.SetStateOps(cloneModel, match)
-	// Hash-first prefilter: the digest must be equal whenever match would
-	// accept. Acceptance tolerates continuous pose drift, so only the
-	// particle count is invariant and the prefilter always falls through; a
-	// discrete-feature acceptance would reject most mismatches in one probe.
-	sd.SetFingerprint(func(m model) uint64 { return uint64(len(m.poses)) })
 	sd.Configure(stats.Options{
 		UseAux: true, GroupSize: 8, Window: 4, RedoMax: 2, Rollback: 3, Workers: 8, Seed: 7,
 	})

@@ -81,14 +81,6 @@ type CloneFunc[S any] func(S) S
 // acceptable given the set of original states produced so far.
 type MatchFunc[S any] func(speculative S, originals []S) bool
 
-// FingerprintFunc is the optional hash-first acceptance prefilter: a
-// cheap digest of the state features MatchFunc compares. The contract is
-// one-sided — Fingerprint(a) == Fingerprint(b) whenever MatchFunc would
-// accept a against {b} — so a fingerprint mismatch rejects without the
-// deep comparison and a collision merely falls through to it. A wrong
-// fingerprint costs time, never correctness.
-type FingerprintFunc[S any] func(S) uint64
-
 // Protocol selects how the runtime satisfies a state dependence
 // speculatively; see the core engine's protocols.
 type Protocol = core.Protocol
@@ -180,15 +172,14 @@ type RunStats = core.Stats
 // (Figure 9). Create one with NewStateDependence, optionally attach
 // auxiliary code and state methods, Configure it, then Start and Join.
 type StateDependence[I, S, O any] struct {
-	inputs      []I
-	initial     S
-	compute     ComputeFunc[I, S, O]
-	aux         AuxFunc[I, S]
-	clone       CloneFunc[S]
-	match       MatchFunc[S]
-	fingerprint FingerprintFunc[S]
-	reserve     *ReserveOps[I, S]
-	opts        Options
+	inputs  []I
+	initial S
+	compute ComputeFunc[I, S, O]
+	aux     AuxFunc[I, S]
+	clone   CloneFunc[S]
+	match   MatchFunc[S]
+	reserve *ReserveOps[I, S]
+	opts    Options
 	// sharedPool, when set by Attach, supplies the Runtime's worker pool
 	// instead of a per-run private pool; observer is the Runtime's
 	// observability sink, set alongside it.
@@ -233,16 +224,6 @@ func (sd *StateDependence[I, S, O]) SetStateOps(clone CloneFunc[S], match MatchF
 		sd.clone = clone
 	}
 	sd.match = match
-	return sd
-}
-
-// SetFingerprint attaches the hash-first acceptance prefilter consulted
-// before the deep MatchFunc comparison at group boundaries (see
-// FingerprintFunc for the contract). It is ignored for dependences
-// without a MatchFunc — their speculative states are accepted by
-// construction and never compared.
-func (sd *StateDependence[I, S, O]) SetFingerprint(fp FingerprintFunc[S]) *StateDependence[I, S, O] {
-	sd.fingerprint = fp
 	return sd
 }
 
@@ -312,9 +293,8 @@ func (sd *StateDependence[I, S, O]) run() ([]O, S, RunStats) {
 // Dependence runs as warm as a reused one.
 func (sd *StateDependence[I, S, O]) dep() *core.Dependence[I, S, O] {
 	d := core.New(core.Compute[I, S, O](sd.compute), core.Aux[I, S](sd.aux), core.StateOps[S]{
-		Clone:       sd.clone,
-		MatchAny:    sd.match,
-		Fingerprint: sd.fingerprint,
+		Clone:    sd.clone,
+		MatchAny: sd.match,
 	})
 	if sd.reserve != nil {
 		// The facade's ReserveOps mirrors the engine's field for field, so
