@@ -38,8 +38,9 @@ race:
 # the fan-out rule, the footprint oracle on in-place writes) and the
 # conventional streaks' (a failure inside one, fine computes going
 # conventional at the host's grain); the last two are the run's
-# shape (the caller is lane 0, one pool task per further lane, a one-lane run
-# stays on its caller, progress on a saturated pool), after them the state
+# shape (the caller is lane 0, one pool task per further lane, counted by the
+# run that handed it over on a shared pool, a one-lane run stays on its
+# caller, progress on a saturated pool), after them the state
 # ownership tests (in-place and functional computes indistinguishable, clone
 # counts). Then, on its own so its spinning readers do not skew the
 # reservations runs' grain, internal/obs for its writers-lap-the-readers tests (the
@@ -49,7 +50,7 @@ stress:
 	$(GO) test -race -count=5 -cpu 1,2,4 ./internal/obs -run 'Stress|Race|Lap'
 
 # Static analysis: gofmt must have nothing to say, then the standard Go
-# vet, then statsvet — the IR/source passes over the six workload
+# vet over the root module and the bench/ module, then statsvet — the IR/source passes over the six workload
 # declarations (internal/workload/*/*.stats) and the runtime-API analyzers
 # over the repository's user-facing Go code (a directory walk skips _test.go
 # files, so the stats Example walkthroughs are named by path) — then
@@ -60,6 +61,7 @@ stress:
 vet:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l . is not empty:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 	$(GO) run ./cmd/statsvet internal/workload/*/*.stats ./internal/workload ./stats stats/example*_test.go
 	$(GO) run ./cmd/statsvet -footprints internal/workload/*/*.stats
 	sh scripts/fact_guard.sh

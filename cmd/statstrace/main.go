@@ -24,9 +24,10 @@
 // validation with every redo, abort/squash/fallback marks). -from-spans
 // renders tree and waterfall from a JSON document saved from a telemetry
 // server's /spans endpoint, with no execution at all. A flag value it cannot
-// run — -threads, -size or -group below 1, a negative -window, -redo or
-// -rollback, an unknown -workload or -mode — exits 2 naming the value, before
-// anything is rendered.
+// run — -width or -rows below 1 (checked before -from-spans reads its file),
+// -threads, -size or -group below 1, a negative -window, -redo or -rollback,
+// an unknown -workload or -mode — exits 2 naming the value, before anything
+// is rendered.
 package main
 
 import (
@@ -65,6 +66,12 @@ func main() {
 	fromSpans := flag.String("from-spans", "", "render the span trees and waterfall of a /spans JSON document (no execution)")
 	flag.Parse()
 
+	switch {
+	case *width < 1:
+		refuse("-width %d: want at least 1", *width)
+	case *rows < 1:
+		refuse("-rows %d: want at least 1", *rows)
+	}
 	if *fromSpans != "" {
 		if err := renderSpanFile(*fromSpans, *width, *rows); err != nil {
 			fmt.Fprintln(os.Stderr, "statstrace:", err)

@@ -24,7 +24,8 @@ func TestMain(m *testing.M) {
 // naming the value, before anything is rendered, on the simulated and the
 // -live path alike (a zero thread count used to panic in the simulator, -size
 // 0 printed an empty schedule, a negative -size panicked in makeslice, and
-// -group 0 simulated a 1 166-task graph).
+// -group 0 simulated a 1 166-task graph, and -width -3 drew a full-width
+// chart).
 func TestRefused(t *testing.T) {
 	cases := []struct {
 		args []string
@@ -41,6 +42,8 @@ func TestRefused(t *testing.T) {
 		{[]string{"-window", "-1", "-live"}, "statstrace: -window -1: want at least 0"},
 		{[]string{"-redo", "-2", "-live"}, "statstrace: -redo -2: want at least 0"},
 		{[]string{"-rollback", "-1"}, "statstrace: -rollback -1: want at least 0"},
+		{[]string{"-width", "-3", "-from-spans", "missing.json"}, "statstrace: -width -3: want at least 1"},
+		{[]string{"-rows", "0"}, "statstrace: -rows 0: want at least 1"},
 	}
 	for _, c := range cases {
 		cmd := exec.Command(os.Args[0], c.args...)

@@ -287,18 +287,19 @@ type Stats struct {
 	LaneCPUCommittedNS int64
 	LaneCPUWastedNS    int64
 
-	// Scheduler counters, deltas over this run of the worker pool's
-	// sharded work-stealing dispatcher (§3.4 runtime). Steals are
-	// cross-worker dispatches, LocalHits the contention-free local-deque
-	// fast path. They count lane tasks, not groups: at most Workers − 1 per
-	// aux run (0 for one lane), one per chunk of a fanned-out wave under
-	// reservations. On a shared pool with concurrent runs the deltas
-	// attribute pool-wide activity to each overlapping run.
-	Steals    int64
+	// Deprecated: always 0. Steals counted cross-worker dispatches of a
+	// work-stealing pool that is gone: the pool's workers take tasks from
+	// one queue. Add still sums it and nothing writes it; it stays until
+	// the benchmark module stops reading it.
+	Steals int64
+	// LocalHits counts this run's pool dispatches: the lane tasks the pool
+	// accepted from it, at most Workers − 1 per aux run (0 for one lane)
+	// and one per chunk of a fanned-out wave under reservations. Runs
+	// sharing a pool count only their own.
 	LocalHits int64
-	// QueueDepthPeak is the pool's peak single-deque depth as of the end
-	// of the run (a lifetime high-water mark, not a delta; 0 for a run that
-	// leased no pool). An aux run queues at most its Workers − 1 lane tasks.
+	// QueueDepthPeak is the pool's lifetime peak queue depth as of the end
+	// of the run (a pool-wide high-water mark, not this run's; 0 for a run
+	// that leased no pool).
 	QueueDepthPeak int64
 }
 
@@ -606,12 +607,11 @@ type runScratch[I, S, O any] struct {
 	tasks  []pool.Task // task, once per pool lane: SubmitBatch takes a slice
 
 	// ticket is the next group index to claim: lanes — the caller's and the
-	// pool's — start groups in strict index order whatever the pool's
-	// sharding or stealing did. next is the
-	// first unresolved boundary (boundary 0 is group 0's own inspection),
-	// numGroups once the last one resolved or one aborted; the resolver
-	// stores it after the boundary's writes, so a coordinator that loads
-	// next > j+1 may read committed[j].
+	// pool's — start groups in strict index order whichever worker took
+	// which task. next is the first unresolved boundary (boundary 0 is
+	// group 0's own inspection), numGroups once the last one resolved or
+	// one aborted; the resolver stores it after the boundary's writes, so a
+	// coordinator that loads next > j+1 may read committed[j].
 	ticket, next atomic.Int32
 	// resolving is the single-holder resolver role. A lane that finishes a
 	// group takes it (CAS) and settles, in order, every boundary whose two

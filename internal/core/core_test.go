@@ -476,7 +476,7 @@ func TestSharedPool(t *testing.T) {
 	if st.Matches != 3 {
 		t.Fatalf("matches: %d", st.Matches)
 	}
-	if p.Executed() == 0 {
+	if p.Metrics().Executed == 0 {
 		t.Fatal("shared pool never used")
 	}
 }

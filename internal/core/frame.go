@@ -46,9 +46,8 @@ type runFrame struct {
 	// no chunk of a fanned-out wave — else 1.
 	lanes int
 
-	p        *pool.Pool
-	private  bool // p was built by lease and is closed by finish
-	poolBase pool.Metrics
+	p       *pool.Pool
+	private bool // p was built by lease and is closed by finish
 }
 
 // begin binds the frame to one run of n inputs in groups of g, on lanes of
@@ -77,31 +76,24 @@ func (f *runFrame) bounds(j int) (start, end int) {
 // belongs to whoever built it) — and none at all for a width of 0: a one-lane
 // aux run touches no goroutine but its caller's. The pool is no part of the
 // controlled schedule: which worker runs a task decides nothing a run can
-// observe. It also takes the baseline for the run's scheduler deltas. Pair
-// with a deferred finish.
+// observe. Pair with a deferred finish.
 func (f *runFrame) lease(opts *Options, width int) {
 	f.p = opts.Pool
 	if f.p == nil && width > 0 {
 		f.p, f.private = pool.New(width), true
 		f.p.SetObserver(f.o)
 	}
-	if f.p != nil {
-		f.poolBase = f.p.Metrics()
-	}
 }
 
-// finish ends the lease: it fills the run's scheduler counters as deltas
-// against the baseline (zero for a run that leased no pool) and closes a
-// private pool. Close waits for the workers to exit — a real wait, so the
-// coordinator steps out of the schedule around it.
+// finish ends the lease: it files the pool's lifetime queue-depth peak
+// (zero for a run that leased no pool) and closes a private pool. Close
+// waits for the workers to exit — a real wait, so the coordinator steps out
+// of the schedule around it.
 func (f *runFrame) finish() {
 	if f.p == nil {
 		return
 	}
-	m := f.p.Metrics()
-	f.st.Steals = m.Steals - f.poolBase.Steals
-	f.st.LocalHits = m.LocalHits - f.poolBase.LocalHits
-	f.st.QueueDepthPeak = m.QueueDepthPeak
+	f.st.QueueDepthPeak = f.p.QueueDepthPeak()
 	if f.private {
 		f.blocked(func() { f.p.Close() })
 	}
@@ -148,14 +140,18 @@ func (f *runFrame) stamp() int64 {
 
 // fanOut submits the tasks in one batch operation — the package's one submit
 // site (scripts/fact_guard.sh) — and none for an empty batch, which is all a
-// run without a pool has. A closed pool leaves a suffix unqueued, which runs
+// run without a pool has. The tasks the pool accepted are the run's pool
+// dispatches (Stats.LocalHits), counted here so that runs sharing a pool
+// count only their own. A closed pool leaves a suffix unqueued, which runs
 // inline on the coordinator. Both can block for real (saturated pool; inline
 // tasks yield on their own lanes), so callers wrap it in blocked.
 func (f *runFrame) fanOut(tasks []pool.Task) {
 	if len(tasks) == 0 {
 		return
 	}
-	if nq, err := f.p.SubmitBatch(tasks); err != nil {
+	nq, err := f.p.SubmitBatch(tasks)
+	f.st.LocalHits += int64(nq)
+	if err != nil {
 		for _, task := range tasks[nq:] {
 			task()
 		}

@@ -141,6 +141,34 @@ func TestLanesTimesGroups(t *testing.T) {
 	}
 }
 
+// TestLaneTasksCountedPerRun: runs sharing one pool each count only the lane
+// tasks they handed it. Two goroutines run aux runs at three lanes on one
+// two-worker pool, so each run hands the pool two tasks while the other's are
+// queued or running beside them.
+func TestLaneTasksCountedPerRun(t *testing.T) {
+	inputs := seqInputs(32)
+	shared := pool.New(2)
+	defer shared.Close()
+	var wg sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			d := New(deterministicCompute, exactAuxFor(inputs), walkOps())
+			for i := 0; i < 50; i++ {
+				_, _, st := d.Run(inputs, walkState{}, Options{
+					UseAux: true, GroupSize: 4, Window: len(inputs), Workers: 3, Pool: shared, Seed: uint64(i),
+				})
+				if tasks := st.Steals + st.LocalHits; tasks != 2 {
+					t.Errorf("caller %d run %d: %d pool tasks, want its own 2", c, i, tasks)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestRunProgressesOnASaturatedPool: a run on a shared pool whose only worker
 // is held by someone else's task still makes progress — the caller is a lane,
 // so every group runs on it. The run's one lane task sits in the worker's

@@ -51,6 +51,7 @@ func TestStatsFieldsHaveFactRows(t *testing.T) {
 		"SquashedInputs":    "the Arg sum of the squash events, whose counter counts groups",
 		"FingerprintHits":   "deprecated, always 0: the acceptance prefilter it counted is gone",
 		"FingerprintMisses": "deprecated, always 0: the acceptance prefilter it counted is gone",
+		"Steals":            "deprecated, always 0: the pool no longer steals",
 	}
 	named := map[string]bool{}
 	for _, f := range obs.Catalogue() {
@@ -272,7 +273,7 @@ func TestObservabilityInvariantsRandomized(t *testing.T) {
 		if st.Groups <= 1 {
 			for _, e := range events {
 				switch e.Kind {
-				case obs.EvSteal, obs.EvLocalHit, obs.EvTaskFinish:
+				case obs.EvLocalHit, obs.EvTaskFinish:
 					// Scheduler events can still occur (pool warmup).
 				default:
 					t.Fatalf("%s: sequential run emitted %v", name, e.Kind)

@@ -92,9 +92,7 @@ func ablationTable(e *Env, w workload.Workload, dim ablationDim) *Table {
 }
 
 // specBehaviorPoint is one window value and the real engine's statistics
-// there, summed over the point's runs (Stats.Add): the speculation outcomes
-// and the work-stealing scheduler's dispatch split — how much of the group
-// fan-out crossed workers versus hitting the local-deque fast path.
+// there, summed over the point's runs (Stats.Add): the speculation outcomes.
 type specBehaviorPoint struct {
 	Window int
 	core.Stats
@@ -103,7 +101,7 @@ type specBehaviorPoint struct {
 // specBehavior runs the real engine across auxiliary-window sizes and
 // reports what actually happened — the ground truth behind the cost
 // models' acceptance curves. The speculation outcomes are deterministic
-// given the seed; the dispatch split follows the host's scheduling.
+// given the seed.
 func specBehavior(e *Env, w workload.Workload) []specBehaviorPoint {
 	_, tuned, _ := e.TunedSTATS(w, taskgen.ParSTATS, 28, profiler.Time)
 	tuned.UseAux = true
@@ -126,14 +124,13 @@ func specBehavior(e *Env, w workload.Workload) []specBehaviorPoint {
 func specBehaviorTable(e *Env, w workload.Workload) *Table {
 	t := &Table{
 		Title:   fmt.Sprintf("Ablation — %s: real-engine speculation behaviour vs window", w.Desc().Name),
-		Columns: []string{"matches", "redos", "aborts", "steals", "local hits"},
+		Columns: []string{"matches", "redos", "aborts"},
 	}
 	for _, pt := range specBehavior(e, w) {
 		t.AddRow(fmt.Sprintf("window=%d", pt.Window),
-			fmt.Sprintf("%d", pt.Matches), fmt.Sprintf("%d", pt.Redos), fmt.Sprintf("%d", pt.Aborts),
-			fmt.Sprintf("%d", pt.Steals), fmt.Sprintf("%d", pt.LocalHits))
+			fmt.Sprintf("%d", pt.Matches), fmt.Sprintf("%d", pt.Redos), fmt.Sprintf("%d", pt.Aborts))
 	}
-	t.AddNote("3 real runs per point at the autotuned configuration; wider windows buy acceptance at auxiliary-work cost; steals/local hits are the sharded scheduler's dispatch split")
+	t.AddNote("3 real runs per point at the autotuned configuration; wider windows buy acceptance at auxiliary-work cost")
 	return t
 }
 

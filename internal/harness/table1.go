@@ -30,10 +30,6 @@ type table1Result struct {
 	// run time by auxiliary code and the runtime (measured from a real
 	// engine run).
 	ExtraCommitted float64
-	// StealFrac is the fraction of the runtime's pool dispatches that
-	// crossed workers (work stealing) in the same real runs — the
-	// scheduler's own share of the runtime overhead story.
-	StealFrac float64
 	// WastedWorkRatio is the fraction of lane CPU-time the observed runs
 	// spent on work whose results were discarded (aborted, squashed,
 	// timed out, or lost a reservation) — the price actually paid for
@@ -86,7 +82,7 @@ func table1(e *Env) ([]table1Result, error) {
 		// auxiliary code and runtime add on a real run of the workload's
 		// autotuned configuration (so fluidanimate, whose tuner disables
 		// speculation, pays ~nothing — the paper's <0.1% rows).
-		extra, steal, waste := 0.0, 0.0, 0.0
+		extra, waste := 0.0, 0.0
 		var valP50, valP99 int64
 		panicked := 0
 		var auxNS, resvNS int64
@@ -101,7 +97,7 @@ func table1(e *Env) ([]table1Result, error) {
 			opts.Obs = ob
 			// Median across seeds: an occasional abort squashes half
 			// the run and would otherwise dominate the estimate.
-			var samples, stealSamples []float64
+			var samples []float64
 			for run := 0; run < 5; run++ {
 				_, st := w.RunSTATS(e.Seed+uint64(run)*31, e.Size, opts)
 				panicked += st.PanickedGroups
@@ -117,12 +113,9 @@ func table1(e *Env) ([]table1Result, error) {
 				if win := opts.Window; win > 0 && m.InvocationWork > 0 {
 					auxRel = m.AuxWork / float64(win) / m.InvocationWork
 				}
-				ov := profiler.AttributeOverhead(st, auxRel)
-				samples = append(samples, ov.ExtraCommitted)
-				stealSamples = append(stealSamples, ov.StealFrac)
+				samples = append(samples, profiler.AttributeOverhead(st, auxRel).ExtraCommitted)
 			}
 			extra = mathx.Median(samples)
-			steal = mathx.Median(stealSamples)
 			valP50 = ob.ValidationLatencyNS.Quantile(0.5)
 			valP99 = ob.ValidationLatencyNS.Quantile(0.99)
 			counts := ob.Counts()
@@ -161,7 +154,6 @@ func table1(e *Env) ([]table1Result, error) {
 			GeneratedLOC:        fo.GeneratedLOC + m.InstrCount(), // header + lowered + IR clones
 			SizeIncrease:        p.SizeIncrease,
 			ExtraCommitted:      extra,
-			StealFrac:           steal,
 			WastedWorkRatio:     waste,
 			ValidationP50NS:     valP50,
 			ValidationP99NS:     valP99,
@@ -208,7 +200,7 @@ func table1Table(e *Env) ([]*Table, error) {
 		Title: "Table 1 — Developer effort vs compiler-generated code",
 		Columns: []string{
 			"orig LOC", "deps", "LOC/tradeoff (mod/add)", "cmp LOC",
-			"generated", "size incr", "extra committed", "steal frac",
+			"generated", "size incr", "extra committed",
 			"waste%", "val p50", "val p99", "panicked", "aux wall",
 			"resv wall", "commits/rnd",
 		},
@@ -226,7 +218,6 @@ func table1Table(e *Env) ([]*Table, error) {
 			fmt.Sprintf("%d", r.GeneratedLOC),
 			fmt.Sprintf("%.0f%%", 100*r.SizeIncrease),
 			fmt.Sprintf("%.1f%%", 100*r.ExtraCommitted),
-			fmt.Sprintf("%.1f%%", 100*r.StealFrac),
 			fmt.Sprintf("%.1f%%", 100*r.WastedWorkRatio),
 			fmtLatencyNS(r.ValidationP50NS),
 			fmtLatencyNS(r.ValidationP99NS),
@@ -236,6 +227,6 @@ func table1Table(e *Env) ([]*Table, error) {
 			fmtCommitsPerRound(r.ResvCommitsPerRound),
 		)
 	}
-	t.AddNote("developer LOC per tradeoff is Table 1's; generated code and size increase come from this repository's compiler pipeline; extra committed instructions, the scheduler's steal fraction, the wasted-work share (discarded lane CPU over all lane CPU), the validation-latency percentiles and the contained-panic count from real speculative runs; the last three columns race the aux protocol against deterministic reservations over the same tuned shape — commits/rnd above 1 means the benchmark's slot footprints let reservations commit several inputs per round")
+	t.AddNote("developer LOC per tradeoff is Table 1's; generated code and size increase come from this repository's compiler pipeline; extra committed instructions, the wasted-work share (discarded lane CPU over all lane CPU), the validation-latency percentiles and the contained-panic count from real speculative runs; the last three columns race the aux protocol against deterministic reservations over the same tuned shape — commits/rnd above 1 means the benchmark's slot footprints let reservations commit several inputs per round")
 	return []*Table{t}, nil
 }

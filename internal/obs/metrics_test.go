@@ -196,7 +196,7 @@ func TestObserverPreRegistersEverything(t *testing.T) {
 		"stats_validation_match_total 1",
 		"stats_validation_latency_ns_count 1",
 		"stats_aborts_total 0",
-		"sched_steals_total 0",
+		"sched_local_hits_total 0",
 		"sched_queue_depth_peak 0",
 	} {
 		if !strings.Contains(text, want) {

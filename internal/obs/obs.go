@@ -43,8 +43,8 @@
 // lane's last phase reading — the engine reads the clock once per lane phase
 // and the account, the histogram and the events of that instant share it —
 // so equal stamps are normal, and equal stamps on one ring are in emission
-// order. Scheduler events (EvSteal/EvLocalHit/EvTaskFinish) use the lane as
-// the worker id; engine events key on Group and use the lane only as a shard
+// order. Scheduler events (EvLocalHit/EvTaskFinish) use the lane as the
+// worker id; engine events key on Group and use the lane only as a shard
 // hint.
 package obs
 
@@ -83,8 +83,7 @@ var facts = [numEventKinds]Fact{
 	EvAbort:              {Event: "abort", Metric: "stats_aborts_total", Stats: "Aborts", Help: "boundaries that aborted speculation: exhausted redo budget, contained panic, deadline, footprint violation"},
 	EvSquash:             {Event: "squash", Metric: "stats_squashed_groups_total", Help: "groups squashed by an abort"},
 	EvFallback:           {Event: "fallback", Metric: "stats_fallback_inputs_total", ByArg: true, Stats: "FallbackInputs", Help: "inputs reprocessed sequentially after an abort"},
-	EvSteal:              {Event: "steal", Metric: "sched_steals_total", Stats: "Steals", Help: "cross-worker task dispatches (work stealing)"},
-	EvLocalHit:           {Event: "local-hit", Metric: "sched_local_hits_total", Stats: "LocalHits", Help: "contention-free local-deque task dispatches"},
+	EvLocalHit:           {Event: "local-hit", Metric: "sched_local_hits_total", Stats: "LocalHits", Help: "pool task dispatches"},
 	EvTaskFinish:         {Event: "task-finish", Metric: "sched_tasks_done_total", Help: "tasks completed by the scheduler"},
 	EvPanic:              {Event: "panic", Metric: "stats_panicked_groups_total", Stats: "PanickedGroups", Help: "speculative groups squashed by a contained user-code panic"},
 	EvGroupTimeout:       {Event: "group-timeout", Metric: "stats_group_timeouts_total", Stats: "TimedOutGroups", Help: "speculative groups squashed by the per-group deadline"},
@@ -109,9 +108,9 @@ var instruments = []Fact{
 		bind: func(o *Observer, n string) { o.RedosPerValidation = o.Reg.Histogram(n) }},
 	{Metric: "stats_rounds_per_group", Stats: "Rounds", Help: "reserve/check/commit rounds needed per reservations group",
 		bind: func(o *Observer, n string) { o.RoundsPerGroup = o.Reg.Histogram(n) }},
-	{Metric: "sched_queue_depth", Help: "per-deque depth observed after each push",
+	{Metric: "sched_queue_depth", Help: "pool queue depth observed at each accepted task",
 		bind: func(o *Observer, n string) { o.QueueDepth = o.Reg.Histogram(n) }},
-	{Metric: "sched_queue_depth_peak", Stats: "QueueDepthPeak", Help: "lifetime maximum single-deque depth",
+	{Metric: "sched_queue_depth_peak", Stats: "QueueDepthPeak", Help: "lifetime maximum pool queue depth",
 		bind: func(o *Observer, n string) { o.QueueDepthPeak = o.Reg.Gauge(n) }},
 	{Metric: "trace_events_emitted_total", Help: "events ever emitted into the tracer's rings",
 		bind: func(o *Observer, n string) { o.Reg.CounterFunc(n, o.Tracer.Emitted) }},
@@ -178,8 +177,8 @@ type Observer struct {
 	// RoundsPerGroup's Sum equals Stats.Rounds and its Count the number
 	// of groups the reservations protocol processed; NoteRounds writes it.
 	RoundsPerGroup *Histogram
-	// QueueDepth observes the scheduler's per-deque depth after every
-	// push; QueueDepthPeak tracks the lifetime maximum.
+	// QueueDepth observes the pool's queue depth at every accepted task;
+	// QueueDepthPeak tracks the lifetime maximum.
 	QueueDepth     *Histogram
 	QueueDepthPeak *Gauge
 }

@@ -13,7 +13,7 @@ type EventKind uint8
 
 // The event kinds emitted by the engine (internal/core) and the scheduler
 // (internal/pool). Engine events key on Event.Group; scheduler events
-// (EvSteal, EvLocalHit, EvTaskFinish) key on Event.Lane, the worker id.
+// (EvLocalHit, EvTaskFinish) key on Event.Lane, the worker id.
 const (
 	// EvNone is the zero kind; it never appears in a snapshot.
 	EvNone EventKind = iota
@@ -45,10 +45,8 @@ const (
 	// EvFallback marks the start of the sequential fallback after an
 	// abort. Arg is the number of inputs reprocessed.
 	EvFallback
-	// EvSteal marks a worker dispatching a task stolen from another
-	// worker's deque. Lane is the thief.
-	EvSteal
-	// EvLocalHit marks a worker dispatching a task from its own deque.
+	// EvLocalHit marks a worker dispatching a pool task (the name predates
+	// the pool's one queue). Lane is the worker.
 	EvLocalHit
 	// EvTaskFinish marks a dispatched task completing on its worker.
 	EvTaskFinish

@@ -1,88 +1,20 @@
 package pool
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
-// singleChanPool is the pre-sharding pool implementation (one buffered
-// channel behind an RWMutex), kept test-only as the benchmark baseline the
-// sharded scheduler is measured against.
-type singleChanPool struct {
-	tasks   chan Task
-	wg      sync.WaitGroup
-	workers int
-
-	mu     sync.RWMutex
-	closed bool
-
-	executed atomic.Int64
-}
-
-func newSingleChan(workers int) *singleChanPool {
-	if workers < 1 {
-		workers = 1
-	}
-	p := &singleChanPool{
-		tasks:   make(chan Task, 4*workers),
-		workers: workers,
-	}
-	p.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go func() {
-			defer p.wg.Done()
-			for t := range p.tasks {
-				t()
-				p.executed.Add(1)
-			}
-		}()
-	}
-	return p
-}
-
-var errClosedBaseline = errors.New("pool: closed (baseline)")
-
-func (p *singleChanPool) Submit(t Task) error {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if p.closed {
-		return errClosedBaseline
-	}
-	p.tasks <- t
-	return nil
-}
-
-func (p *singleChanPool) Close() {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return
-	}
-	p.closed = true
-	close(p.tasks)
-	p.mu.Unlock()
-	p.wg.Wait()
-}
-
-// submitter abstracts the two pools for the comparative benchmarks.
-type submitter interface {
-	Submit(Task) error
-	Close()
-}
-
 var workerCounts = []int{1, 2, 4, 8}
 
-// benchSubmitThroughput measures contended submission: GOMAXPROCS
-// submitters pushing no-op tasks as fast as the pool accepts them. This is
-// the paper's §3.4 hot path — every attached dependence's group fan-out
-// goes through Submit.
-func benchSubmitThroughput(b *testing.B, mk func(int) submitter) {
+// BenchmarkSubmit measures contended submission: GOMAXPROCS submitters
+// pushing no-op tasks as fast as the pool accepts them.
+func BenchmarkSubmit(b *testing.B) {
 	for _, w := range workerCounts {
 		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
-			p := mk(w)
+			p := New(w)
 			var done sync.WaitGroup
 			done.Add(b.N)
 			task := func() { done.Done() }
@@ -103,14 +35,6 @@ func benchSubmitThroughput(b *testing.B, mk func(int) submitter) {
 	}
 }
 
-func BenchmarkSubmitSharded(b *testing.B) {
-	benchSubmitThroughput(b, func(w int) submitter { return New(w) })
-}
-
-func BenchmarkSubmitSingleChan(b *testing.B) {
-	benchSubmitThroughput(b, func(w int) submitter { return newSingleChan(w) })
-}
-
 // spin is a tiny compute kernel standing in for one group invocation.
 func spin(n int) float64 {
 	s := 1.0
@@ -122,59 +46,34 @@ func spin(n int) float64 {
 
 var spinSink atomic.Int64
 
-// benchGroupFanout measures the engine-shaped pattern: enqueue a
-// 32-task speculation group, wait for it to drain, repeat — the group
-// throughput the ISSUE's acceptance criterion names.
-func benchGroupFanout(b *testing.B, mk func(int) submitter, batch func(submitter, []Task) error) {
-	const groupSize = 32
-	for _, w := range workerCounts {
-		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
-			p := mk(w)
-			var wg sync.WaitGroup
-			tasks := make([]Task, groupSize)
-			for i := range tasks {
-				tasks[i] = func() {
-					spinSink.Store(int64(spin(200)))
-					wg.Done()
+// BenchmarkGroupFanout measures the engine-shaped pattern: hand the pool a
+// batch, wait for it to drain, repeat. A batch of 1 is an aux run's lane
+// task at two lanes, 2 a two-chunk reservations wave, 32 a wide fan-out.
+func BenchmarkGroupFanout(b *testing.B) {
+	for _, size := range []int{1, 2, 32} {
+		for _, w := range workerCounts {
+			b.Run(fmt.Sprintf("batch=%d/w=%d", size, w), func(b *testing.B) {
+				p := New(w)
+				var wg sync.WaitGroup
+				tasks := make([]Task, size)
+				for i := range tasks {
+					tasks[i] = func() {
+						spinSink.Store(int64(spin(200)))
+						wg.Done()
+					}
 				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				wg.Add(groupSize)
-				if err := batch(p, tasks); err != nil {
-					b.Fatal(err)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					wg.Add(size)
+					if _, err := p.SubmitBatch(tasks); err != nil {
+						b.Fatal(err)
+					}
+					wg.Wait()
 				}
-				wg.Wait()
-			}
-			b.StopTimer()
-			p.Close()
-		})
-	}
-}
-
-// submitLoop is the pre-SubmitBatch fan-out: one Submit per group member.
-func submitLoop(p submitter, tasks []Task) error {
-	for _, t := range tasks {
-		if err := p.Submit(t); err != nil {
-			return err
+				b.StopTimer()
+				p.Close()
+			})
 		}
 	}
-	return nil
-}
-
-func BenchmarkGroupFanoutSharded(b *testing.B) {
-	benchGroupFanout(b, func(w int) submitter { return New(w) },
-		func(p submitter, tasks []Task) error {
-			_, err := p.(*Pool).SubmitBatch(tasks)
-			return err
-		})
-}
-
-func BenchmarkGroupFanoutShardedSubmitLoop(b *testing.B) {
-	benchGroupFanout(b, func(w int) submitter { return New(w) }, submitLoop)
-}
-
-func BenchmarkGroupFanoutSingleChan(b *testing.B) {
-	benchGroupFanout(b, func(w int) submitter { return newSingleChan(w) }, submitLoop)
 }

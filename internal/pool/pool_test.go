@@ -93,15 +93,15 @@ func TestExecutedCounter(t *testing.T) {
 	}
 	wg.Wait()
 	p.Close()
-	if p.Executed() != 10 {
-		t.Fatalf("executed counter %d", p.Executed())
+	if p.Metrics().Executed != 10 {
+		t.Fatalf("executed counter %d", p.Metrics().Executed)
 	}
 }
 
 func TestPanickingTaskKeepsWorkerAlive(t *testing.T) {
 	// Every worker's first task panics; the pool must recover all of
 	// them, count them, and still execute a full follow-up load at full
-	// width — a dead worker would strand its deque and hang Close.
+	// width — a dead worker would shrink the pool and could hang Close.
 	p := New(4)
 	var boom sync.WaitGroup
 	for i := 0; i < 8; i++ {

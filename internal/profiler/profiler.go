@@ -189,10 +189,6 @@ func DecodeObjective(s *space.Space, score func(o workload.SpecOptions, threads 
 // Overhead attributes one real engine run's runtime overhead relative to
 // its useful (committed) work. Wasted and Aux are fractions of committed
 // invocations — together they are Table 1's "extra committed instructions".
-// The scheduler terms break the pool's dispatch activity down: StealFrac is
-// the share of dispatches that crossed workers (each paying a victim-scan
-// plus a cold deque), LocalHitFrac the share on the contention-free local
-// path; their sum is 1 for any run that dispatched at least one task.
 type Overhead struct {
 	// WastedFrac is (Invocations - UsefulInvocations) / UsefulInvocations:
 	// squashed and re-executed work.
@@ -201,9 +197,6 @@ type Overhead struct {
 	// each aux input weighted by auxRel (its cost relative to an original
 	// invocation).
 	AuxFrac float64
-	// StealFrac and LocalHitFrac partition the run's pool dispatches.
-	StealFrac    float64
-	LocalHitFrac float64
 	// ExtraCommitted is WastedFrac + AuxFrac, the paper's Table 1 metric.
 	ExtraCommitted float64
 }
@@ -218,10 +211,6 @@ func AttributeOverhead(st core.Stats, auxRel float64) Overhead {
 		useful := float64(st.UsefulInvocations)
 		o.WastedFrac = (float64(st.Invocations) - useful) / useful
 		o.AuxFrac = float64(st.AuxInputs) * auxRel / useful
-	}
-	if dispatches := st.Steals + st.LocalHits; dispatches > 0 {
-		o.StealFrac = float64(st.Steals) / float64(dispatches)
-		o.LocalHitFrac = float64(st.LocalHits) / float64(dispatches)
 	}
 	o.ExtraCommitted = o.WastedFrac + o.AuxFrac
 	return o

@@ -91,12 +91,9 @@ func writeChrome(w io.Writer, doc *SpanDoc, tasks []LaneTask) error {
 		if i == 0 || tasks[i-1].Lane != t.Lane {
 			meta(",\n", chromePidScheduler, tid, "thread_name", fmt.Sprintf("worker %d", t.Lane))
 		}
-		name, dur := "task (local)", t.EndNS-t.StartNS
-		switch {
-		case t.Open:
+		name, dur := "task", t.EndNS-t.StartNS
+		if t.Open {
 			name, dur = "task (unfinished)", -1
-		case t.Stolen:
-			name = "task (stolen)"
 		}
 		record(name, chromePidScheduler, tid, t.StartNS, dur, "")
 	}

@@ -108,7 +108,6 @@ func TestSignalsJSONGolden(t *testing.T) {
 	noteN(o, obs.EvPanic, 2)
 	noteN(o, obs.EvGroupTimeout, 1)
 	noteN(o, obs.EvBreakerDenied, 1)
-	noteN(o, obs.EvSteal, 25)
 	noteN(o, obs.EvLocalHit, 75)
 	noteN(o, obs.EvCommit, 300)
 	for i := 0; i < 50; i++ {

@@ -199,7 +199,6 @@ func TestSignalsReconcileWithEngineStats(t *testing.T) {
 			{"breaker-denied runs", rep.BreakerDeniedRuns, int64(st.BreakerDenied)},
 			{"reservation rounds", rep.ReservationRounds, int64(st.Rounds)},
 			{"conventional inputs", rep.ConventionalInputs, int64(st.ConventionalInputs)},
-			{"steals", rep.Steals, st.Steals},
 			{"local hits", rep.LocalHits, st.LocalHits},
 			{"committed lane CPU", rep.LaneCPUCommittedNS, st.LaneCPUCommittedNS},
 			{"wasted lane CPU", rep.LaneCPUWastedNS, st.LaneCPUWastedNS},
@@ -268,13 +267,9 @@ func TestViewsAgreeOnRealLogs(t *testing.T) {
 				}
 			}
 		}
-		stolen := 0
 		for _, task := range tasks {
 			if !task.Open {
 				closed = append(closed, span(int64(task.Lane), task.StartNS, task.EndNS-task.StartNS))
-			}
-			if task.Stolen {
-				stolen++
 			}
 		}
 		counts := ob.Counts()
@@ -303,8 +298,8 @@ func TestViewsAgreeOnRealLogs(t *testing.T) {
 		RenderWaterfall(&fall, BuildSpans(log), LaneTasks(log), len(log), 1)
 		_, lanes, _ := strings.Cut(fall.String(), "task running\n")
 		lanes, _, _ = strings.Cut(lanes, "critical path")
-		if l, s := strings.Count(lanes, "L"), strings.Count(lanes, "S"); l != len(tasks)-stolen || s != stolen {
-			t.Fatalf("%s: lane rows draw %d local and %d stolen dispatches of %d and %d", name, l, s, len(tasks)-stolen, stolen)
+		if l := strings.Count(lanes, "L"); l != len(tasks) {
+			t.Fatalf("%s: lane rows draw %d dispatches of %d", name, l, len(tasks))
 		}
 	})
 

@@ -91,7 +91,6 @@ type SignalsReport struct {
 	TimedOutGroups      int64 `json:"timed_out_groups"`
 	BreakerDeniedRuns   int64 `json:"breaker_denied_runs"`
 	GroupsFinished      int64 `json:"groups_finished"`
-	Steals              int64 `json:"steals"`
 	LocalHits           int64 `json:"local_hits"`
 	ReservationCommits  int64 `json:"reservation_commits"`
 	ReservationRounds   int64 `json:"reservation_rounds"`
@@ -103,15 +102,14 @@ type SignalsReport struct {
 	// MismatchRate, AbortRate and RedoRate are per validation;
 	// FailureRate is contained panics + deadline squashes per finished
 	// group; FallbackRate is fallback inputs per resolved input;
-	// StealFraction is steals per scheduler dispatch; CommitsPerRound is
-	// the reservations protocol's commit throughput; WastedWorkRatio is
-	// wasted lane CPU over all lane CPU — the price of speculation.
+	// CommitsPerRound is the reservations protocol's commit throughput;
+	// WastedWorkRatio is wasted lane CPU over all lane CPU — the price of
+	// speculation.
 	MismatchRate    float64 `json:"mismatch_rate"`
 	AbortRate       float64 `json:"abort_rate"`
 	RedoRate        float64 `json:"redo_rate"`
 	FailureRate     float64 `json:"failure_rate"`
 	FallbackRate    float64 `json:"fallback_rate"`
-	StealFraction   float64 `json:"steal_fraction"`
 	CommitsPerRound float64 `json:"commits_per_round"`
 	WastedWorkRatio float64 `json:"wasted_work_ratio"`
 
@@ -222,7 +220,6 @@ func computeSignals(window time.Duration, base, cur signalCounters) SignalsRepor
 		TimedOutGroups:      k(obs.EvGroupTimeout),
 		BreakerDeniedRuns:   k(obs.EvBreakerDenied),
 		GroupsFinished:      k(obs.EvGroupFinish),
-		Steals:              k(obs.EvSteal),
 		LocalHits:           k(obs.EvLocalHit),
 		ReservationCommits:  k(obs.EvCommit),
 		ReservationRounds:   d(base.roundsSum, cur.roundsSum),
@@ -241,9 +238,6 @@ func computeSignals(window time.Duration, base, cur signalCounters) SignalsRepor
 	}
 	if den := rep.FallbackInputs + rep.SpecCommittedInputs; den > 0 {
 		rep.FallbackRate = float64(rep.FallbackInputs) / float64(den)
-	}
-	if den := rep.Steals + rep.LocalHits; den > 0 {
-		rep.StealFraction = float64(rep.Steals) / float64(den)
 	}
 	if rep.ReservationRounds > 0 {
 		rep.CommitsPerRound = float64(rep.ReservationCommits) / float64(rep.ReservationRounds)
@@ -284,8 +278,6 @@ func (s *Signals) Register(reg *obs.Registry) {
 		func(r SignalsReport) int64 { return ppm(r.FailureRate) })
 	g("signals_fallback_rate_ppm", "windowed fallback inputs per resolved input (ppm)",
 		func(r SignalsReport) int64 { return ppm(r.FallbackRate) })
-	g("signals_steal_fraction_ppm", "windowed cross-worker steals per scheduler dispatch (ppm)",
-		func(r SignalsReport) int64 { return ppm(r.StealFraction) })
 	g("signals_commits_per_round_milli", "windowed reservation commits per round (thousandths)",
 		func(r SignalsReport) int64 { return int64(r.CommitsPerRound*1e3 + 0.5) })
 	g("signals_wasted_work_ratio_ppm", "windowed wasted lane CPU over all lane CPU (ppm)",

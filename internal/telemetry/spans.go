@@ -162,7 +162,7 @@ type SpanDoc struct {
 	// Events is the number of events the reconstruction consumed
 	// (engine events; scheduler dispatch events are counted separately).
 	Events int `json:"events"`
-	// SchedulerEvents is the number of steal/local-hit/task-finish
+	// SchedulerEvents is the number of dispatch/task-finish
 	// events in the snapshot, which LaneTasks pairs instead.
 	SchedulerEvents int `json:"scheduler_events"`
 	// Emitted and Dropped are the tracer's lifetime totals at snapshot

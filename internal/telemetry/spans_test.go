@@ -17,8 +17,8 @@ import (
 // group 0, a validated group with one redo, an aborted group with squash
 // and fallback marks (both with their auxiliary code inside their lane
 // task, just ahead of the execution), and a group whose start record was
-// evicted by ring wrap-around (truncated) — and the lane pairing's: local and stolen
-// dispatches around the executions, a dispatch still running when the log
+// evicted by ring wrap-around (truncated) — and the lane pairing's: dispatches
+// around the executions, a dispatch still running when the log
 // ends, and a finish whose dispatch was evicted. Events are deliberately
 // out of time order to exercise the sort.
 func goldenLog() []obs.Event {
@@ -51,12 +51,12 @@ func goldenLog() []obs.Event {
 		{TS: 7000, Lane: 3, Kind: obs.EvGroupFinish, Group: 3, Arg: 3},
 
 		// Scheduler lanes: each execution inside its task, then lane 1
-		// steals a task that never finishes; lane 3 kept only a finish.
+		// takes a task that never finishes; lane 3 kept only a finish.
 		{TS: 900, Lane: 0, Kind: obs.EvLocalHit, Group: -1},
 		{TS: 5050, Lane: 0, Kind: obs.EvTaskFinish, Group: -1},
-		{TS: 1100, Lane: 1, Kind: obs.EvSteal, Group: -1},
+		{TS: 1100, Lane: 1, Kind: obs.EvLocalHit, Group: -1},
 		{TS: 5250, Lane: 1, Kind: obs.EvTaskFinish, Group: -1},
-		{TS: 6900, Lane: 1, Kind: obs.EvSteal, Group: -1},
+		{TS: 6900, Lane: 1, Kind: obs.EvLocalHit, Group: -1},
 		{TS: 1300, Lane: 2, Kind: obs.EvLocalHit, Group: -1},
 		{TS: 5450, Lane: 2, Kind: obs.EvTaskFinish, Group: -1},
 		{TS: 7050, Lane: 3, Kind: obs.EvTaskFinish, Group: -1},
@@ -219,7 +219,6 @@ func TestBuildSpansRunLevelAndRootFacts(t *testing.T) {
 // to obs without a case in the fold fails.
 func TestEveryKindReachesTheSpanModel(t *testing.T) {
 	exempt := map[obs.EventKind]string{
-		obs.EvSteal:         "scheduler kind: LaneTasks pairs it",
 		obs.EvLocalHit:      "scheduler kind: LaneTasks pairs it",
 		obs.EvTaskFinish:    "scheduler kind: LaneTasks pairs it",
 		obs.EvBreakerDenied: "run-level, no group: reported by /signals and /healthz",

@@ -16,8 +16,8 @@ const waterfallBarWidth = 40
 // 'v' validating, 'x' first rejection, 'r' redo, 'A' abort, 'S' squash,
 // 'F' fallback), followed by the group's phase chain in start order and
 // its wasted-work share; then, given the log's lane tasks, one row per
-// scheduler lane on the same axis ('L' a local dispatch, 'S' a steal,
-// '-' the task running until its finish). The footer names the run's
+// scheduler lane on the same axis ('L' a dispatch, '-' the task running
+// until its finish). The footer names the run's
 // critical path — the longest group lifecycle — phase by phase: the chain
 // an engineer shortens first when the profile says speculation is not
 // paying. width is the bar width in cells (<= 0: 40); rows > 0 caps the
@@ -122,7 +122,7 @@ func RenderWaterfall(w io.Writer, doc *SpanDoc, tasks []LaneTask, width, rows in
 	}
 
 	if len(tasks) > 0 {
-		fmt.Fprintln(w, "lanes: L local dispatch, S steal, '-' task running")
+		fmt.Fprintln(w, "lanes: L dispatch, '-' task running")
 	}
 	var row []byte
 	for i, t := range tasks {
@@ -131,9 +131,6 @@ func RenderWaterfall(w io.Writer, doc *SpanDoc, tasks []LaneTask, width, rows in
 		}
 		c := col(t.StartNS)
 		row[c] = 'L'
-		if t.Stolen {
-			row[c] = 'S'
-		}
 		for j, end := c+1, col(t.EndNS); j <= end; j++ { // an open task ends where it starts
 			if row[j] == '.' {
 				row[j] = '-'

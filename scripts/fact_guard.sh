@@ -114,7 +114,15 @@
 # SetFingerprint in stats, NoteFingerprint or a stats_fingerprint_ metric in
 # internal/obs, Hash64 in internal/mathx, and an analyzer named fingerprint in
 # apivet. Stats.FingerprintHits and FingerprintMisses stay, deprecated and
-# always 0, until the benchmark module stops reading them.
+# always 0, until the benchmark module stops reading them. The one-queue
+# guard: the pool's workers take tasks from one FIFO queue, and a run counts
+# the tasks it handed the pool where it hands them over (runFrame.fanOut), so
+# runs sharing a pool count only their own; fail on the retired work-stealing
+# deques' pieces in non-test internal/pool (popBack, sweep(, xorshift,
+# idlers, a shard type), on EvSteal, Stolen or StealFrac[tion] in non-test Go
+# outside bench/, and on a .Metrics() read in non-test internal/core: a
+# pool-wide counter is no run's. Stats.Steals stays, deprecated and always 0,
+# until the benchmark module stops reading it.
 # Run via `make vet`.
 set -eu
 
@@ -345,5 +353,14 @@ prefilter=$( { grep -nE 'hashFirst|origFPs|Fingerprint\(' $(ls internal/core/*.g
 if [ -n "$prefilter" ]; then
     echo "fact-guard: acceptance is one MatchAny call over the originals; the hash-first fingerprint prefilter is retired:" >&2
     printf '%s\n' "$prefilter" >&2
+    exit 1
+fi
+
+stealing=$( { grep -nHE 'popBack|sweep\(|xorshift|idlers|type[[:space:]]+shard([^A-Za-z0-9_]|$)' $(ls internal/pool/*.go | grep -v '_test\.go$') || true
+    grep -nE 'EvSteal|Stolen|StealFrac' $(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*') || true
+    grep -nHE '\.Metrics\(\)' $(ls internal/core/*.go | grep -v '_test\.go$') | grep -vE '^[^:]*:[0-9]+:[[:space:]]*//' || true; })
+if [ -n "$stealing" ]; then
+    echo "fact-guard: the pool's workers take tasks from one queue and a run counts its own pool tasks at runFrame.fanOut; the work-stealing deques are retired:" >&2
+    printf '%s\n' "$stealing" >&2
     exit 1
 fi

@@ -55,7 +55,7 @@ func (rt *Runtime) Workers() int { return rt.pool.Workers() }
 
 // Trace returns a time-ordered snapshot of the runtime's speculation event
 // log: group lifecycles, auxiliary-state production, validation outcomes,
-// redos, aborts, squashes, and the scheduler's steal/local dispatches.
+// redos, aborts, squashes, and the scheduler's task dispatches.
 // Safe to call while runs are in flight; the log is bounded, so a
 // long-lived runtime retains the most recent events per lane.
 func (rt *Runtime) Trace() []TraceEvent { return rt.obs.Tracer.Snapshot() }
@@ -68,19 +68,15 @@ func (rt *Runtime) Metrics() *Metrics { return rt.obs.Reg }
 // rather than the rendered views.
 func (rt *Runtime) Observer() *obs.Observer { return rt.obs }
 
-// SchedulerMetrics is a snapshot of the shared pool's work-stealing
-// dispatch counters, aggregated across every attached dependence.
+// SchedulerMetrics is a snapshot of the shared pool's dispatch counters,
+// aggregated across every attached dependence.
 type SchedulerMetrics struct {
 	// Submitted counts tasks accepted by the scheduler; Executed counts
-	// completed tasks.
+	// completed tasks. Submitted − Executed is the tasks queued or running,
+	// 0 once the pool is idle.
 	Submitted, Executed int64
-	// Steals counts cross-worker dispatches; LocalHits counts tasks taken
-	// from the owning worker's local deque (the contention-free path).
-	Steals, LocalHits int64
-	// QueueDepthPeak is the highest per-worker queue depth observed;
-	// QueueDepths is the instantaneous depth of each worker's deque.
+	// QueueDepthPeak is the highest depth the pool's one queue reached.
 	QueueDepthPeak int64
-	QueueDepths    []int
 }
 
 // Scheduler returns the runtime's current scheduler metrics.
@@ -89,16 +85,13 @@ func (rt *Runtime) Scheduler() SchedulerMetrics {
 	return SchedulerMetrics{
 		Submitted:      m.Submitted,
 		Executed:       m.Executed,
-		Steals:         m.Steals,
-		LocalHits:      m.LocalHits,
 		QueueDepthPeak: m.QueueDepthPeak,
-		QueueDepths:    rt.pool.QueueDepths(),
 	}
 }
 
 // SignalsReport is one windowed view of the runtime's speculation
 // control signals: abort/mismatch/redo rates, fallback and failure
-// rates, steal fraction, commits per round, the wasted-work ratio and
+// rates, commits per round, the wasted-work ratio and
 // windowed validation-latency quantiles. See
 // repro/internal/telemetry.SignalsReport for field semantics.
 type SignalsReport = telemetry.SignalsReport

@@ -55,22 +55,11 @@ func TestSharedRuntimeAcrossDependences(t *testing.T) {
 	if m.Executed == 0 {
 		t.Fatal("shared pool never used")
 	}
-	if m.Steals+m.LocalHits != m.Executed {
-		t.Fatalf("dispatch split %d+%d != executed %d", m.Steals, m.LocalHits, m.Executed)
-	}
-	if m.Submitted != m.Executed {
-		t.Fatalf("submitted %d != executed %d after both runs joined", m.Submitted, m.Executed)
+	if d := m.Submitted - m.Executed; d != 0 {
+		t.Fatalf("queue not drained after both runs joined: %d of %d tasks queued or running", d, m.Submitted)
 	}
 	if m.QueueDepthPeak < 1 {
 		t.Fatalf("queue depth peak %d", m.QueueDepthPeak)
-	}
-	if len(m.QueueDepths) != rt.Workers() {
-		t.Fatalf("queue depth gauges: %d, want %d", len(m.QueueDepths), rt.Workers())
-	}
-	for i, d := range m.QueueDepths {
-		if d != 0 {
-			t.Fatalf("worker %d deque not drained: depth %d", i, d)
-		}
 	}
 }
 
