@@ -106,8 +106,8 @@ func TestAccountingInvariantsRandomized(t *testing.T) {
 		}
 		if want := int64(min(opts.Workers, st.Groups) - 1); st.Groups > 1 && st.Steals+st.LocalHits != want {
 			// Every lane but the caller's is one task, dispatched exactly once
-			// by the private pool (no concurrent runs share it), as a local hit
-			// or steal — and the run waited for each before it read the counters.
+			// by the process pool and counted by the run that submitted it —
+			// and the run waited for each before it returned its counters.
 			t.Fatalf("%s: %d dispatches for %d lanes over %d groups, want %d", name, st.Steals+st.LocalHits, opts.Workers, st.Groups, want)
 		}
 

@@ -217,7 +217,7 @@ func benchLoop(b *testing.B, body func()) {
 }
 
 // gatedRun returns one group-8 run over n near-free inputs on the shared
-// pool p (so neither side hides a private worker-pool construction), with
+// pool p (so neither side pays for starting process-pool workers), with
 // a fresh seed per call. Warm reuses one primed Dependence; otherwise every
 // call builds a fresh one, as every caller in the repository does. Either
 // way every run-scoped buffer (group records, lane sources, originals,

@@ -120,19 +120,26 @@ type Options struct {
 	// to [1, group length].
 	Rollback int
 	// Workers is the number of lanes a run executes groups on, the calling
-	// goroutine included; a private pool is Workers − 1 wide, and none is
-	// built for one lane. Zero or less means the given Pool's width plus the
-	// caller, or one lane without a Pool. Under ProtocolReservations the
-	// coordinator takes no chunk of a fanned-out wave: Workers (else the
-	// given Pool's width) is the wave width and the private pool's.
+	// goroutine included: without a Pool the run widens the process pool to
+	// at least Workers − 1 workers, and a one-lane run touches no pool. Zero
+	// or less means the given Pool's width plus the caller, or one lane
+	// without a Pool. Under ProtocolReservations the coordinator takes no
+	// chunk of a fanned-out wave: Workers (else the given Pool's width) is the
+	// wave width, and the width the process pool is widened to.
 	Workers int
 	// Seed determines every random stream of the run. Runs with equal
 	// seeds and options are reproducible; distinct seeds model the
 	// program's nondeterminism.
 	Seed uint64
-	// Pool, when non-nil, supplies the shared worker pool; otherwise the
-	// engine creates a private pool for the run's lanes beyond the caller's
-	// (see Workers).
+	// Pool, when non-nil, supplies the worker pool; otherwise the run's
+	// lanes beyond the caller's run on the process pool (pool.Process),
+	// which every such run shares, grown to the widest of them and never
+	// closed (see Workers). Either way the run's pool tasks report to its
+	// Obs and its Stats count only its own. Nested runs: user code that
+	// starts a run from inside a lane of a run on the same pool (the process
+	// pool included) can deadlock, since the inner run waits for its queued
+	// tasks and every worker may be an outer lane waiting the same way. The
+	// engine guards nothing against it.
 	Pool *pool.Pool
 	// Obs, when non-nil, receives the run's speculation event log and
 	// metrics: the engine reports every speculation decision point
@@ -169,10 +176,10 @@ type Options struct {
 	// SchedLane is the run's base lane in the controller's namespace:
 	// the coordinator yields on SchedLane (breaker and fallback points
 	// only; it is blocked from the fan-out until every lane is done — its
-	// own lane loop included — and around a private pool's close) and the
-	// lane that claimed group j, the caller's or a pool task's, on
-	// SchedLane+1+j — the group's own points and, while it holds the
-	// resolver role after finishing the group, validate, redo and squash.
+	// own lane loop included) and the lane that claimed group j, the
+	// caller's or a pool task's, on SchedLane+1+j — the group's own points
+	// and, while it holds the resolver role after finishing the group,
+	// validate, redo and squash.
 	// Concurrent runs sharing one controller must use disjoint bases
 	// (any spacing of 1+maxGroups works).
 	SchedLane int
@@ -297,9 +304,10 @@ type Stats struct {
 	// and one per chunk of a fanned-out wave under reservations. Runs
 	// sharing a pool count only their own.
 	LocalHits int64
-	// QueueDepthPeak is the pool's lifetime peak queue depth as of the end
-	// of the run (a pool-wide high-water mark, not this run's; 0 for a run
-	// that leased no pool).
+	// QueueDepthPeak is the deepest queue this run's pool tasks met, each
+	// counted in the depth it met — on a shared pool other runs' queued
+	// tasks included, but no depth the pool reached without this run's
+	// submits (0 for a run that submitted none).
 	QueueDepthPeak int64
 }
 
@@ -604,7 +612,7 @@ type runScratch[I, S, O any] struct {
 
 	groups []*groupRun[I, S, O]
 	task   pool.Task
-	tasks  []pool.Task // task, once per pool lane: SubmitBatch takes a slice
+	tasks  []pool.Task // task, once per pool lane: Dispatch takes a slice
 
 	// ticket is the next group index to claim: lanes — the caller's and the
 	// pool's — start groups in strict index order whichever worker took
@@ -768,7 +776,6 @@ func (d *Dependence[I, S, O]) runSpeculative(root *rng.Source, inputs []I, initi
 	defer scr.release()
 	scr.splitStreams(root)
 	scr.lease(opts, scr.lanes-1)
-	defer scr.finish()
 	scr.launch()
 	return scr.commit(root)
 }
@@ -816,10 +823,9 @@ func (scr *runScratch[I, S, O]) launch() {
 	for len(scr.tasks) < k {
 		scr.tasks = append(scr.tasks, scr.task)
 	}
-	scr.wg.Add(k)
 	scr.blocked(func() {
 		defer scr.wg.Wait()
-		scr.fanOut(scr.tasks[:k])
+		scr.fanOut(scr.tasks[:k], &scr.wg)
 		scr.runLane(scr.emit != nil)
 		if scr.emit != nil {
 			scr.stream(false)
@@ -856,7 +862,6 @@ func (scr *runScratch[I, S, O]) emitFinal(final int) {
 
 // laneTask is the body of every pool task of the run: one lane.
 func (scr *runScratch[I, S, O]) laneTask() {
-	defer scr.wg.Done()
 	scr.runLane(false)
 }
 

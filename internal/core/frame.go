@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime/debug"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -46,8 +47,7 @@ type runFrame struct {
 	// no chunk of a fanned-out wave — else 1.
 	lanes int
 
-	p       *pool.Pool
-	private bool // p was built by lease and is closed by finish
+	p *pool.Pool
 }
 
 // begin binds the frame to one run of n inputs in groups of g, on lanes of
@@ -70,39 +70,21 @@ func (f *runFrame) bounds(j int) (start, end int) {
 	return j * f.g, min(f.n, (j+1)*f.g)
 }
 
-// lease takes the run's worker pool: Options.Pool when shared, else a
-// private one — width wide (the run's lanes less the caller's) and reporting
-// its scheduler events to this run's observer (a shared pool's observer
-// belongs to whoever built it) — and none at all for a width of 0: a one-lane
-// aux run touches no goroutine but its caller's. The pool is no part of the
-// controlled schedule: which worker runs a task decides nothing a run can
-// observe. Pair with a deferred finish.
+// lease takes the run's worker pool: Options.Pool when given, else the
+// process pool (pool.Process) widened to width, the run's lanes less the
+// caller's — and none at all for a width of 0: a one-lane aux run touches no
+// goroutine but its caller's. The pool is no part of the controlled
+// schedule: which worker runs a task decides nothing a run can observe.
 func (f *runFrame) lease(opts *Options, width int) {
 	f.p = opts.Pool
 	if f.p == nil && width > 0 {
-		f.p, f.private = pool.New(width), true
-		f.p.SetObserver(f.o)
-	}
-}
-
-// finish ends the lease: it files the pool's lifetime queue-depth peak
-// (zero for a run that leased no pool) and closes a private pool. Close
-// waits for the workers to exit — a real wait, so the coordinator steps out
-// of the schedule around it.
-func (f *runFrame) finish() {
-	if f.p == nil {
-		return
-	}
-	f.st.QueueDepthPeak = f.p.QueueDepthPeak()
-	if f.private {
-		f.blocked(func() { f.p.Close() })
+		f.p = pool.Process(width)
 	}
 }
 
 // blocked runs wait — a real synchronization (latch, barrier, saturated
-// submit, pool close) — with the coordinator out of the controlled
-// schedule: it must release its schedule token or neither side can
-// advance.
+// submit) — with the coordinator out of the controlled schedule: it must
+// release its schedule token or neither side can advance.
 func (f *runFrame) blocked(wait func()) {
 	if f.ctl != nil {
 		f.ctl.Block(f.lane)
@@ -140,20 +122,27 @@ func (f *runFrame) stamp() int64 {
 
 // fanOut submits the tasks in one batch operation — the package's one submit
 // site (scripts/fact_guard.sh) — and none for an empty batch, which is all a
-// run without a pool has. The tasks the pool accepted are the run's pool
-// dispatches (Stats.LocalHits), counted here so that runs sharing a pool
-// count only their own. A closed pool leaves a suffix unqueued, which runs
-// inline on the coordinator. Both can block for real (saturated pool; inline
-// tasks yield on their own lanes), so callers wrap it in blocked.
-func (f *runFrame) fanOut(tasks []pool.Task) {
+// run without a pool has. done counts the tasks out: each is marked done once
+// it finished and, on the pool, once its finish was accounted, so a run that
+// waits on done has every event of its tasks. The tasks are the run's: their
+// dispatch events and the queue depths they meet go to the run's observer,
+// the tasks the pool accepted are its pool dispatches (Stats.LocalHits) and
+// the deepest queue they met is its QueueDepthPeak, so runs sharing a pool
+// each count only their own. A closed pool leaves a suffix unqueued, which
+// runs inline on the coordinator. Both can block for real (saturated pool;
+// inline tasks yield on their own lanes), so callers wrap it in blocked.
+func (f *runFrame) fanOut(tasks []pool.Task, done *sync.WaitGroup) {
 	if len(tasks) == 0 {
 		return
 	}
-	nq, err := f.p.SubmitBatch(tasks)
+	done.Add(len(tasks))
+	nq, peak, err := f.p.Dispatch(f.o, done, tasks)
 	f.st.LocalHits += int64(nq)
+	f.st.QueueDepthPeak = max(f.st.QueueDepthPeak, peak)
 	if err != nil {
 		for _, task := range tasks[nq:] {
 			task()
+			done.Done()
 		}
 	}
 }

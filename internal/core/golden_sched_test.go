@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/pool"
 	"repro/internal/rng"
 	"repro/internal/sched"
 )
@@ -30,14 +29,13 @@ const goldenDir = "../../testdata/schedules"
 // goldenHarness runs the fixed engine configuration for a golden under the
 // given controller and returns the run's rendering and stats. Workers=1 is
 // a one-lane run: it has no pool, every group runs on the caller's goroutine
-// (yielding on the group's own lane). Workers > 1 adds a private pool's
+// (yielding on the group's own lane). Workers > 1 adds the process pool's
 // workers, and the schedule is the same kind of thing: lanes claim groups by
 // ticket and the pool is no participant, so which goroutine runs a group
 // never shows in it, and crafted traces replay exactly at any width. The
 // caller does not re-enter the schedule between its fan-out and its lane
 // loop: lane 0 is blocked from the fan-out to the last lane's end and is
-// admitted at the resume after it (and once more, which the crafted traces
-// leave unconstrained, after closing the private pool).
+// admitted at the resume after it.
 func goldenHarness(aux Aux[int, walkState], inputs []int, workers int, timeout time.Duration, o *obs.Observer) func(ctl sched.Controller) (string, Stats) {
 	return func(ctl sched.Controller) (string, Stats) {
 		opts := Options{
@@ -191,10 +189,9 @@ func craftLateGroupsPastSquash(rec *sched.Trace, fromLane int) *sched.Trace {
 // yields, whose counts are schedule-independent (the coordinator decides
 // every reservation itself, in input order, so the pending sets, winners and
 // round structure never depend on admission order) — which is what makes
-// crafted traces exactly replayable at real parallelism. The pool is the
-// test's own only so the recorded traces keep their shape: a private pool's
-// close would add one resume on the coordinator's lane. A nil footprint uses
-// the built-in whole-state slot (every input reserves slot 0).
+// crafted traces exactly replayable at real parallelism. The chunks run on
+// the process pool. A nil footprint uses the built-in whole-state slot
+// (every input reserves slot 0).
 func resvGoldenHarness(fp func(in int) []int) func(ctl sched.Controller) (string, Stats) {
 	inputs := seqInputs(12)
 	compute := func(_ *rng.Source, in int, s []float64) (int, []float64) {
@@ -203,15 +200,13 @@ func resvGoldenHarness(fp func(in int) []int) func(ctl sched.Controller) (string
 	}
 	ops, reserve := SlotOps[int, float64](fp, nil, nil)
 	return func(ctl sched.Controller) (string, Stats) {
-		p := pool.New(2)
-		defer p.Close()
 		d := New(compute, nil, ops)
 		if fp != nil {
 			d.WithReserve(reserve)
 		}
 		opts := Options{
 			UseAux: true, Protocol: ProtocolReservations,
-			GroupSize: 6, Workers: 2, Seed: 77, Pool: p, Sched: ctl,
+			GroupSize: 6, Workers: 2, Seed: 77, Sched: ctl,
 		}
 		if ctl == nil {
 			opts.UseAux = false // sequential reference, same shape

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -69,9 +70,92 @@ func TestOneLaneRunStaysOnTheCaller(t *testing.T) {
 	}
 }
 
+// TestLanesRunOnWarmWorkers: a run given no pool leases the process pool, so
+// the lane task of a second 2-lane run runs on a goroutine that existed before
+// that run started, and the run leaves the goroutine count where the first
+// one did. Each run's first compute on a lane waits until both lanes computed,
+// so the lane task has run a group when the run returns.
+func TestLanesRunOnWarmWorkers(t *testing.T) {
+	inputs := seqInputs(32)
+	var mu sync.Mutex
+	var seen map[string]bool
+	both := make(chan struct{})
+	d := New(func(r *rng.Source, in int, s walkState) (int, walkState) {
+		id := goid()
+		mu.Lock()
+		first, ready := !seen[id], both
+		seen[id] = true
+		if first && len(seen) == 2 {
+			close(both)
+		}
+		mu.Unlock()
+		if first {
+			select {
+			case <-ready:
+			case <-time.After(30 * time.Second):
+				t.Error("one lane computed alone: the other lane never ran a group")
+			}
+		}
+		return deterministicCompute(r, in, s)
+	}, exactAuxFor(inputs), walkOps())
+	run := func() (lane string) {
+		mu.Lock()
+		seen, both = map[string]bool{}, make(chan struct{})
+		mu.Unlock()
+		caller := goid()
+		outs, _, st := d.Run(inputs, walkState{}, Options{UseAux: true, GroupSize: 4, Window: len(inputs), Workers: 2, Seed: 71})
+		checkOutputs(t, outs, wantOutputs(inputs))
+		if st.LocalHits != 1 {
+			t.Fatalf("%d pool tasks on a 2-lane run, want 1", st.LocalHits)
+		}
+		for id := range seen {
+			if id != caller {
+				lane = id
+			}
+		}
+		return lane
+	}
+	run()
+	after := steadyGoroutines()
+	existing := liveGoroutines()
+	lane := run()
+	if !existing[lane] {
+		t.Errorf("the second run's lane task ran on goroutine %s, started during the run", lane)
+	}
+	if n := runtime.NumGoroutine(); n != after {
+		t.Errorf("%d goroutines after the second run, %d after the first", n, after)
+	}
+}
+
+// steadyGoroutines returns the goroutine count once it has held for 10 ms
+// (or after a second): an earlier test's goroutines may be on their way out.
+func steadyGoroutines() int {
+	n := runtime.NumGoroutine()
+	for held, tries := 0, 0; held < 10 && tries < 1000; tries++ {
+		time.Sleep(time.Millisecond)
+		held++
+		if m := runtime.NumGoroutine(); m != n {
+			n, held = m, 0
+		}
+	}
+	return n
+}
+
+// liveGoroutines returns the ids of every goroutine alive now.
+func liveGoroutines() map[string]bool {
+	buf := make([]byte, 1<<20)
+	ids := map[string]bool{}
+	for _, line := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n") {
+		if f := strings.Fields(line); len(f) > 1 && f[0] == "goroutine" {
+			ids[f[1]] = true
+		}
+	}
+	return ids
+}
+
 // TestLanesTimesGroups sweeps the lane count against the group count, fewer
-// groups than lanes included, on a private and on a shared pool, with an aux
-// that always matches and one that goes bad at group 3. Whatever the shape,
+// groups than lanes included, on the process pool and on a given one, with an
+// aux that always matches and one that goes bad at group 3. Whatever the shape,
 // every input is committed exactly once and every accepted state was executed
 // from; and the pool sees one task per lane beyond the caller's that had a
 // group to claim and a worker to run on, none per group.
@@ -142,31 +226,42 @@ func TestLanesTimesGroups(t *testing.T) {
 }
 
 // TestLaneTasksCountedPerRun: runs sharing one pool each count only the lane
-// tasks they handed it. Two goroutines run aux runs at three lanes on one
-// two-worker pool, so each run hands the pool two tasks while the other's are
-// queued or running beside them.
+// tasks they handed it and the queue depths those tasks met. Two goroutines
+// run aux runs at three lanes on one two-worker pool, so each run hands the
+// pool two tasks while the other's are queued or running beside them: its
+// deepest queue is at least 1 (its own first task) and at most those four. A
+// third runs one-lane runs on the same pool, which hand it nothing and meet
+// no queue, however deep the pool's queue has been.
 func TestLaneTasksCountedPerRun(t *testing.T) {
 	inputs := seqInputs(32)
 	shared := pool.New(2)
 	defer shared.Close()
 	var wg sync.WaitGroup
-	for c := 0; c < 2; c++ {
+	for c, workers := range []int{3, 3, 1} {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			d := New(deterministicCompute, exactAuxFor(inputs), walkOps())
+			want := int64(workers - 1)
 			for i := 0; i < 50; i++ {
 				_, _, st := d.Run(inputs, walkState{}, Options{
-					UseAux: true, GroupSize: 4, Window: len(inputs), Workers: 3, Pool: shared, Seed: uint64(i),
+					UseAux: true, GroupSize: 4, Window: len(inputs), Workers: workers, Pool: shared, Seed: uint64(i),
 				})
-				if tasks := st.Steals + st.LocalHits; tasks != 2 {
-					t.Errorf("caller %d run %d: %d pool tasks, want its own 2", c, i, tasks)
+				if tasks := st.Steals + st.LocalHits; tasks != want {
+					t.Errorf("caller %d run %d: %d pool tasks, want its own %d", c, i, tasks, want)
+					return
+				}
+				if peak := st.QueueDepthPeak; peak < min(want, 1) || peak > 2*want {
+					t.Errorf("caller %d run %d: queue depth peak %d, want its own tasks' in [%d, %d]", c, i, peak, min(want, 1), 2*want)
 					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
+	if peak := shared.Metrics().QueueDepthPeak; peak < 1 {
+		t.Fatalf("the shared pool's queue depth peak is %d, want at least 1", peak)
+	}
 }
 
 // TestRunProgressesOnASaturatedPool: a run on a shared pool whose only worker

@@ -16,8 +16,8 @@ import (
 // (telemetry.Reconcile over ob's exposition) with every event kept. A run
 // that ran reservation rounds also committed every input exactly one way:
 // reservation commits, conventional inputs and fallback inputs add up to the
-// inputs. ob must have observed exactly the run that returned st, on a
-// private pool.
+// inputs. ob must have observed exactly the run that returned st: the pool
+// reports a task's dispatch to the observer of the run that submitted it.
 func checkFacts(t *testing.T, name string, ob *obs.Observer, st Stats) {
 	t.Helper()
 	if d := ob.Tracer.Dropped(); d != 0 {

@@ -385,7 +385,6 @@ func (d *Dependence[I, S, O]) runReservations(root *rng.Source, inputs []I, init
 	r.table = r.table[:slots]
 
 	r.lease(opts, r.lanes)
-	defer r.finish()
 	// Groups run rounds while they pay (always under a controller or the
 	// oracle); the first that does not starts the conventional tail, in
 	// streaks of 1, 2, 4, … groups.
@@ -650,7 +649,7 @@ func (r *resvRun[I, S, O]) commitRound(winners []int) bool {
 // yielding on their own lanes). The chunk tasks are recycled slots created
 // once per chunk index and reused across waves, groups and runs; the wave's
 // parameters travel through the wave* fields, published to the workers by
-// SubmitBatch and fenced from the next wave by the waveWG barrier.
+// Dispatch and fenced from the next wave by the waveWG barrier.
 func (r *resvRun[I, S, O]) computeWave(winners []int) {
 	chunks := min(r.lanes, len(winners))
 	if r.ctl == nil && chunks == 1 {
@@ -662,9 +661,8 @@ func (r *resvRun[I, S, O]) computeWave(winners []int) {
 		r.waveDone = append(r.waveDone, laneWork{})
 	}
 	r.waveWinners, r.waveChunks = winners, chunks
-	r.waveWG.Add(chunks)
 	r.blocked(func() {
-		r.fanOut(r.waveTasks[:chunks])
+		r.fanOut(r.waveTasks[:chunks], &r.waveWG)
 		r.waveWG.Wait()
 	})
 	for _, w := range r.waveDone[:chunks] {
@@ -774,7 +772,6 @@ func (r *resvRun[I, S, O]) runStreak(j, last int) bool {
 
 // waveTask runs chunk c of the wave in flight on schedule lane lane+1+c.
 func (r *resvRun[I, S, O]) waveTask(c int) {
-	defer r.waveWG.Done()
 	lane := r.lane + 1 + c
 	if r.ctl != nil {
 		defer r.ctl.Done(lane)

@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func TestExecutesAllTasks(t *testing.T) {
@@ -155,4 +157,68 @@ func TestPanickingTaskKeepsWorkerAlive(t *testing.T) {
 	if got := p.Metrics().Executed; got != 12 {
 		t.Fatalf("Executed = %d, want 12 (panicked tasks count too)", got)
 	}
+}
+
+// TestProcessGrowsAndNeverShrinks: Process hands out one pool, at least as
+// wide as any width asked for so far, and widening it starts only the
+// missing workers.
+func TestProcessGrowsAndNeverShrinks(t *testing.T) {
+	p := Process(1)
+	w := p.Workers()
+	if q := Process(w + 2); q != p || q.Workers() != w+2 {
+		t.Fatalf("Process(%d): pool %p of width %d, want %p of width %d", w+2, q, q.Workers(), p, w+2)
+	}
+	if q := Process(1); q != p || q.Workers() != w+2 {
+		t.Fatalf("Process(1) after Process(%d): width %d, want %d", w+2, q.Workers(), w+2)
+	}
+	var wg sync.WaitGroup
+	var ran atomic.Int64
+	tasks := make([]Task, 3*(w+2))
+	for i := range tasks {
+		tasks[i] = func() { ran.Add(1); wg.Done() }
+	}
+	wg.Add(len(tasks))
+	if n, err := p.SubmitBatch(tasks); n != len(tasks) || err != nil {
+		t.Fatalf("SubmitBatch = %d, %v", n, err)
+	}
+	wg.Wait()
+	if ran.Load() != int64(len(tasks)) {
+		t.Fatalf("ran %d/%d", ran.Load(), len(tasks))
+	}
+}
+
+// TestDispatchReportsToTheSubmitter: a task dispatched for an observer
+// reports its dispatch, its finish and the queue depth it met to that
+// observer, not to the pool's, and all of it before its wait group is done;
+// SubmitBatch reports to the pool's.
+func TestDispatchReportsToTheSubmitter(t *testing.T) {
+	p := New(1)
+	defer p.Close()
+	own, run := obs.NewObserver(2, 0), obs.NewObserver(2, 0)
+	p.SetObserver(own)
+	check := func(name string, o *obs.Observer, tasks int64) {
+		t.Helper()
+		counts := o.Counts()
+		if counts[obs.EvLocalHit] != tasks || counts[obs.EvTaskFinish] != tasks || o.QueueDepth.Count() != tasks {
+			t.Errorf("%s observer: %d dispatches, %d finishes and %d depths, want %d each",
+				name, counts[obs.EvLocalHit], counts[obs.EvTaskFinish], o.QueueDepth.Count(), tasks)
+		}
+	}
+	var done sync.WaitGroup
+	done.Add(2)
+	n, peak, err := p.Dispatch(run, &done, []Task{func() {}, func() {}})
+	if n != 2 || peak < 1 || peak > 2 || err != nil {
+		t.Fatalf("Dispatch = %d, %d, %v; want 2, a peak in [1, 2], nil", n, peak, err)
+	}
+	done.Wait()
+	check("the run's", run, 2)
+	if got := run.QueueDepthPeak.Value(); got != peak {
+		t.Errorf("the run's observer holds a queue depth peak of %d, Dispatch returned %d", got, peak)
+	}
+	if _, err := p.SubmitBatch([]Task{func() {}}); err != nil {
+		t.Fatal(err)
+	}
+	p.Close() // the finish event follows the task
+	check("the pool's", own, 1)
+	check("the run's", run, 2)
 }

@@ -21,39 +21,44 @@ import (
 	"repro/internal/workload/registry"
 )
 
-// startEngine runs a real workload through the core engine in a loop at
-// full rate, emitting into o, until the returned stop function is called
-// (which waits for the run goroutine to drain).
-func startEngine(t *testing.T, o *obs.Observer) (stop func()) {
+// startEngine runs a real workload through the core engine, emitting into o:
+// one run, on four lanes, per token sent on step. The engine's load is at
+// most the work its callers ask for, not whatever fits in their time, so the
+// test costs no more on one CPU than on several. stop waits for the run in
+// flight and drops the tokens not yet taken; step holds up to engineSteps.
+func startEngine(t *testing.T, o *obs.Observer) (step chan<- struct{}, stop func()) {
 	t.Helper()
 	w, err := registry.ByName("swaptions")
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan struct{})
+	steps, done := make(chan struct{}, engineSteps), make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		seed := uint64(1)
-		for {
+		for seed := uint64(1); ; seed++ {
 			select {
 			case <-done:
 				return
-			default:
+			case <-steps:
 			}
 			w.RunSTATS(seed, workload.SmallSize, workload.SpecOptions{
 				UseAux: true, GroupSize: 4, Window: 2,
 				RedoMax: 2, Rollback: 2, Workers: 4, Obs: o,
 			})
-			seed++
 		}
 	}()
-	return func() {
+	return steps, func() {
 		close(done)
 		wg.Wait()
 	}
 }
+
+// engineSteps bounds the engine runs TestServerUnderEngineLoad's clients ask
+// for — one per request and one per /events batch, 74 in all — with room to
+// spare, so that asking never blocks a client.
+const engineSteps = 128
 
 // newTestServer builds a Server over a fresh aggregator of o (fast SSE
 // cadence for tests) and an httptest front end over its Handler.
@@ -67,17 +72,20 @@ func newTestServer(t *testing.T, o *obs.Observer) (*Server, *httptest.Server) {
 }
 
 // TestServerUnderEngineLoad scrapes /metrics, streams /events, and pulls
-// /trace and /spans concurrently while a real engine run emits at full
-// rate — the race detector guards the lock-free snapshot paths.
+// /trace and /spans concurrently while real engine runs emit — the race
+// detector guards the lock-free snapshot paths. Every request asks the engine
+// for one more run before it is sent, and the /events client one more after
+// each batch, so the server is read while the engine writes.
 func TestServerUnderEngineLoad(t *testing.T) {
 	o := obs.NewObserver(8, 1<<12)
-	stopEngine := startEngine(t, o)
+	step, stopEngine := startEngine(t, o)
 	defer stopEngine()
 	_, ts := newTestServer(t, o)
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	get := func(path string) (*http.Response, error) {
+		step <- struct{}{}
 		return http.Get(ts.URL + path)
 	}
 
@@ -189,6 +197,7 @@ func TestServerUnderEngineLoad(t *testing.T) {
 				return
 			}
 			batches++
+			step <- struct{}{} // new events for the next batch
 		}
 		if batches < 3 {
 			errs <- errStatus("/events stream ended early", 0)

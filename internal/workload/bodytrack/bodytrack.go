@@ -420,15 +420,13 @@ func auxCode(aux params) core.Aux[Frame, State] {
 	}
 }
 
-// stateOps wires the SDI state methods: deep clone and the triangulating
-// acceptance method of §4.2 over the pose distance.
-func stateOps() core.StateOps[State] {
-	return core.StateOps[State]{
-		Clone: cloneState,
-		// A small tolerance: the distance sums absolute differences over
-		// 24 coordinates, so 0.3 is far below the observation noise.
-		MatchAny: workload.Triangulate(poseDistance, 0.3),
-	}
+// stateOps wires the SDI state methods, built once: deep clone and the
+// triangulating acceptance method of §4.2 over the pose distance.
+var stateOps = core.StateOps[State]{
+	Clone: cloneState,
+	// A small tolerance: the distance sums absolute differences over
+	// 24 coordinates, so 0.3 is far below the observation noise.
+	MatchAny: workload.Triangulate(poseDistance, 0.3),
 }
 
 // RunOriginal implements workload.Workload.
@@ -476,7 +474,7 @@ func (w *W) RunSTATS(seed uint64, size int, o workload.SpecOptions) (workload.Re
 	def := w.resolve(o, true)
 	aux := w.resolve(o, false)
 	frames := genFrames(size, o.BadTraining)
-	dep := core.New(computeOutput(def), auxCode(aux), stateOps())
+	dep := core.New(computeOutput(def), auxCode(aux), stateOps)
 	init := initialState(def, rng.New(seed^0x1717))
 	outs, _, st := dep.Run(frames, init, o.CoreOptions(seed))
 	return Result{Frames: outs}, st

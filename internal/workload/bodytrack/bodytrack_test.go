@@ -238,7 +238,7 @@ func TestCloneIsolatesCompute(t *testing.T) {
 // TestDeclarationStatesProgram holds bodytrack.stats equal to the program
 // (workloadtest.Declaration).
 func TestDeclarationStatesProgram(t *testing.T) {
-	if err := workloadtest.Declaration[Frame, State](New().Desc(), stateOps().MatchAny != nil, nil); err != nil {
+	if err := workloadtest.Declaration[Frame, State](New().Desc(), stateOps.MatchAny != nil, nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -330,14 +330,14 @@ func auxCode(aux params) core.Aux[Frame, State] {
 	}
 }
 
-func stateOps() core.StateOps[State] {
-	return core.StateOps[State]{
-		Clone: cloneState,
-		// Triangulating acceptance with a sub-pixel tolerance: half a
-		// pixel on a ~12-pixel face is well inside the detector's own
-		// noise.
-		MatchAny: workload.Triangulate(faceDistance, 0.5),
-	}
+// stateOps wires the SDI state methods, built once: deep clone and the
+// triangulating acceptance.
+var stateOps = core.StateOps[State]{
+	Clone: cloneState,
+	// Triangulating acceptance with a sub-pixel tolerance: half a
+	// pixel on a ~12-pixel face is well inside the detector's own
+	// noise.
+	MatchAny: workload.Triangulate(faceDistance, 0.5),
 }
 
 // RunOriginal implements workload.Workload.
@@ -380,7 +380,7 @@ func (w *W) RunSTATS(seed uint64, size int, o workload.SpecOptions) (workload.Re
 	def := w.resolve(o, true)
 	aux := w.resolve(o, false)
 	frames := GenFrames(size, o.BadTraining)
-	dep := core.New(computeOutput(def), auxCode(aux), stateOps())
+	dep := core.New(computeOutput(def), auxCode(aux), stateOps)
 	init := initialState(def, rng.New(seed^0xFD))
 	outs, _, st := dep.Run(frames, init, o.CoreOptions(seed))
 	return Result{Boxes: outs}, st

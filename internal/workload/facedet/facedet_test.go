@@ -212,7 +212,7 @@ func TestStepScratchIsPrivate(t *testing.T) {
 // TestDeclarationStatesProgram holds facedet.stats equal to the program
 // (workloadtest.Declaration).
 func TestDeclarationStatesProgram(t *testing.T) {
-	if err := workloadtest.Declaration[Frame, State](New().Desc(), stateOps().MatchAny != nil, nil); err != nil {
+	if err := workloadtest.Declaration[Frame, State](New().Desc(), stateOps.MatchAny != nil, nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -347,14 +347,14 @@ func auxCode(p params) core.Aux[Step, State] {
 	}
 }
 
-func stateOps() core.StateOps[State] {
-	return core.StateOps[State]{
-		Clone: cloneState,
-		// Triangulating acceptance with no tolerance: the fluid does not
-		// forget (§4.8), so a speculative state is accepted only within
-		// the originals' own spread.
-		MatchAny: workload.Triangulate(stateDistance, 0),
-	}
+// stateOps wires the SDI state methods, built once: deep clone and the
+// triangulating acceptance.
+var stateOps = core.StateOps[State]{
+	Clone: cloneState,
+	// Triangulating acceptance with no tolerance: the fluid does not
+	// forget (§4.8), so a speculative state is accepted only within
+	// the originals' own spread.
+	MatchAny: workload.Triangulate(stateDistance, 0),
 }
 
 // RunOriginal implements workload.Workload.
@@ -401,7 +401,7 @@ func (w *W) RunSTATS(seed uint64, size int, o workload.SpecOptions) (workload.Re
 	}
 	aux := w.resolve(o, false)
 	steps := GenSteps(size, o.BadTraining)
-	dep := core.New(computeOutput(def), auxCode(aux), stateOps())
+	dep := core.New(computeOutput(def), auxCode(aux), stateOps)
 	_, final, st := dep.Run(steps, initialState(), o.CoreOptions(seed))
 	return Result{Final: final.Pos}, st
 }

@@ -162,7 +162,7 @@ func TestCloneIsolatesCompute(t *testing.T) {
 func TestDeclarationStatesProgram(t *testing.T) {
 	_, ops := splitSlots()
 	resv := &workloadtest.Reservation[FlatStep, []State]{Ops: ops, Initial: make([]State, numFluids), Inputs: FlatSteps(GenSteps(64, false))}
-	if err := workloadtest.Declaration(New().Desc(), stateOps().MatchAny != nil, resv); err != nil {
+	if err := workloadtest.Declaration(New().Desc(), stateOps.MatchAny != nil, resv); err != nil {
 		t.Fatal(err)
 	}
 }

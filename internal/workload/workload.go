@@ -46,7 +46,8 @@ type SpecOptions struct {
 	RedoMax   int
 	Rollback  int
 	// Workers is the number of lanes the real engine run executes groups
-	// on, the calling goroutine included; a private pool is Workers − 1 wide.
+	// on, the calling goroutine included; the lanes beyond the caller's run
+	// on the process pool, grown to at least Workers − 1 workers.
 	Workers int
 	// TradeoffIdx are the auxiliary-code tradeoff indices, aligned with
 	// Desc().Tradeoffs. nil means every tradeoff at its default.

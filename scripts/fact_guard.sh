@@ -22,8 +22,8 @@
 # sums the field), and one site calls it: a streak's commit. The fan-out guard:
 # internal/core hands work to the pool at one site, runFrame.fanOut, which is
 # where the ErrClosed inline fallback lives and what callers bracket for the
-# controller; fail on a SubmitBatch( or .Submit( anywhere else in its non-test
-# code. The copy-site guard: the engine alone copies states, at the hand-offs
+# controller; fail on a Dispatch(, SubmitBatch( or .Submit( anywhere else in
+# its non-test code. The copy-site guard: the engine alone copies states, at the hand-offs
 # where a second reader exists (DESIGN.md, "Who copies a state, and when"), so
 # fail on an ops.Clone( in internal/core's non-test code outside the functions
 # that table names — the next copy has to be argued for there. The schedule
@@ -122,7 +122,13 @@
 # idlers, a shard type), on EvSteal, Stolen or StealFrac[tion] in non-test Go
 # outside bench/, and on a .Metrics() read in non-test internal/core: a
 # pool-wide counter is no run's. Stats.Steals stays, deprecated and always 0,
-# until the benchmark module stops reading it.
+# until the benchmark module stops reading it. The process-pool guard: a run
+# given no pool leases the process pool (pool.Process), whose workers outlive
+# the run, and its dispatch events and queue depths reach the run's observer
+# because its tasks carry it (Pool.Dispatch); fail on a pool.New(, a
+# SetObserver(, a private identifier or a .Close() in non-test
+# internal/core code (comments aside): no run builds, observes or closes a
+# pool of its own.
 # Run via `make vet`.
 set -eu
 
@@ -206,7 +212,7 @@ if [ -n "$conventional" ] || [ "$(printf '%s\n' "$calls" | grep -c .)" -ne 1 ]; 
     exit 1
 fi
 
-submits=$(awk 'FNR==1{fn=""} /^func /{fn=$0} /SubmitBatch\(|\.Submit\(/ && $0 !~ /^[[:space:]]*\/\// && fn !~ /^func \(f \*runFrame\) fanOut\(/{print FILENAME":"FNR": "$0}' \
+submits=$(awk 'FNR==1{fn=""} /^func /{fn=$0} /\.Dispatch\(|SubmitBatch\(|\.Submit\(/ && $0 !~ /^[[:space:]]*\/\// && fn !~ /^func \(f \*runFrame\) fanOut\(/{print FILENAME":"FNR": "$0}' \
     $(ls internal/core/*.go | grep -v '_test\.go$'))
 if [ -n "$submits" ]; then
     echo "fact-guard: internal/core submits to the pool through runFrame.fanOut only:" >&2
@@ -362,5 +368,14 @@ stealing=$( { grep -nHE 'popBack|sweep\(|xorshift|idlers|type[[:space:]]+shard([
 if [ -n "$stealing" ]; then
     echo "fact-guard: the pool's workers take tasks from one queue and a run counts its own pool tasks at runFrame.fanOut; the work-stealing deques are retired:" >&2
     printf '%s\n' "$stealing" >&2
+    exit 1
+fi
+
+private=$(awk '{code=$0; sub(/\/\/.*/, "", code)}
+    code ~ /pool\.New\(|SetObserver\(|\.Close\(\)|(^|[^A-Za-z0-9_])private([^A-Za-z0-9_]|$)/{print FILENAME":"FNR": "$0}' \
+    $(ls internal/core/*.go | grep -v '_test\.go$'))
+if [ -n "$private" ]; then
+    echo "fact-guard: a run without Options.Pool leases the process pool (pool.Process) and reports its tasks through Pool.Dispatch; build, observe or close no pool of its own:" >&2
+    printf '%s\n' "$private" >&2
     exit 1
 fi

@@ -14,8 +14,9 @@ import (
 // state dependences) to minimize thread creation overhead", §3.4), plus
 // the always-on observability layer: a lock-free speculation event tracer
 // and a metrics registry that every attached dependence reports into.
-// Attach binds a StateDependence to it; unattached dependences create a
-// private pool per run and report nowhere.
+// Attach binds a StateDependence to it; unattached dependences run their
+// lanes on the process pool, which every unattached run shares, and report
+// nowhere.
 type Runtime struct {
 	pool *pool.Pool
 	obs  *obs.Observer

@@ -148,8 +148,9 @@ type Options struct {
 	// Rollback is how many inputs a re-execution goes back.
 	Rollback int
 	// Workers is the number of lanes a run executes groups on, the calling
-	// goroutine included; a private pool is Workers − 1 wide. Unset, it
-	// is the attached Runtime's width plus the caller, or 1 unattached.
+	// goroutine included; unattached, the lanes beyond the caller's run on
+	// the process pool, grown to at least Workers − 1 workers. Unset, it is
+	// the attached Runtime's width plus the caller, or 1 unattached.
 	Workers int
 	// Seed fixes the run's randomness; runs with equal seeds and
 	// options are reproducible.
@@ -181,7 +182,7 @@ type StateDependence[I, S, O any] struct {
 	reserve *ReserveOps[I, S]
 	opts    Options
 	// sharedPool, when set by Attach, supplies the Runtime's worker pool
-	// instead of a per-run private pool; observer is the Runtime's
+	// instead of the process pool; observer is the Runtime's
 	// observability sink, set alongside it.
 	sharedPool *pool.Pool
 	observer   *obs.Observer
